@@ -48,10 +48,11 @@ cargo test --release -q -p proxy-wire --test proptests --test corpus
 # Pipelined wire path (DESIGN.md §12): correlation of out-of-order
 # replies, accept-once/fail-closed invariants under deep pipelines and
 # racing clients, pooled-connection recovery after (mid-frame)
-# disconnects, and the seal micro-batcher's failure isolation — release
-# mode so the Ed25519 batch equations run at full speed.
+# disconnects, and a forged seal's failure isolation among racing
+# deposits — release mode so the Ed25519 batch equations run at full
+# speed.
 cargo test --release -q --test pipeline
-cargo test --release -q --test security_adversarial forged_seal_in_a_micro_batch
+cargo test --release -q --test security_adversarial forged_seal_among_racing_deposits
 
 # Readiness-driven net core (DESIGN.md §13): per-connection state
 # machines under partial reads/writes, slow-loris, backpressure, idle
@@ -82,15 +83,25 @@ cargo test --release -q -p proxy-storage --test framing
 cargo run -q -p proxy-bench --bin figures --release -- --wal-smoke \
     || cargo run -q -p proxy-bench --bin figures --release -- --wal-smoke
 
-# Zero-allocation hot path (DESIGN.md §17): reduced-scale smoke with
-# the counting global allocator (feature `alloc-count`) — steady-state
-# allocs/op on the authz-query wire path must stay under the fixed
-# ceiling, and the slicing-by-8 CRC must agree with the bytewise
-# reference before it is timed. Allocation counts are deterministic at
-# steady state, but the retry absorbs a noisy-neighbor window skewing
-# the warm-up on shared hosts.
-cargo run -q -p proxy-bench --features alloc-count --bin figures --release -- --alloc-smoke \
-    || cargo run -q -p proxy-bench --features alloc-count --bin figures --release -- --alloc-smoke
+# The repository's benchmark (crates/bench/src/bin/e2e, a package of
+# its own): its unit tests plus a smoke run of every workload.
+cargo test --release -q --manifest-path crates/bench/src/bin/e2e/Cargo.toml
+
+# Zero-allocation hot path (DESIGN.md §17): a short traced e2e run with
+# the counting global allocator (feature `alloc-count`) — the run must
+# be correct and steady-state allocs/op on the authz-query wire path
+# must stay at or under the fixed ceiling (21 today, exact).
+e2e_result="$(bash crates/bench/src/bin/e2e/run.sh --workload fig3_query --seed 1 --seconds 2 --trace 1 | tail -n 1)"
+case "$e2e_result" in
+    *'"correct": true'*) ;;
+    *) echo "ci.sh: e2e fig3_query traced run not correct: $e2e_result" >&2; exit 1 ;;
+esac
+allocs_per_op="$(printf '%s\n' "$e2e_result" | sed -n 's/.*"alloc\.allocs_per_op": {"value": \([0-9.]*\).*/\1/p')"
+if ! awk -v a="$allocs_per_op" 'BEGIN { exit !(a != "" && a + 0 <= 22) }'; then
+    echo "ci.sh: fig3_query alloc.allocs_per_op = '$allocs_per_op', ceiling 22" >&2
+    exit 1
+fi
+echo "ci.sh: fig3_query alloc.allocs_per_op = $allocs_per_op (ceiling 22)"
 
 # Documentation gate: rustdoc warnings (broken intra-doc links, bad
 # HTML) are errors.

@@ -8,7 +8,6 @@ use rand::RngCore;
 
 use proxy_storage::artifacts::StoredArtifact;
 use proxy_storage::{ArtifactStore, Storage};
-use restricted_proxy::batcher::SealBatcher;
 use restricted_proxy::cache::VerifiedCertCache;
 use restricted_proxy::context::RequestContext;
 use restricted_proxy::key::{GrantAuthority, GrantorVerifier, KeyResolver, MapResolver};
@@ -474,16 +473,6 @@ impl AccountingServer {
     #[must_use]
     pub fn seal_cache(&self) -> Option<&VerifiedCertCache> {
         self.verifier.seal_cache()
-    }
-
-    /// Attaches a (typically process-shared) cross-request seal batcher:
-    /// check and endorsement seal verification from concurrently-served
-    /// deposits then shares one combined batch equation; see
-    /// [`restricted_proxy::batcher::SealBatcher`].
-    #[must_use]
-    pub fn with_seal_batcher(mut self, batcher: Arc<SealBatcher>) -> Self {
-        self.verifier = self.verifier.with_seal_batcher(batcher);
-        self
     }
 
     /// Sizes the accept-once replay guard for this server's expected

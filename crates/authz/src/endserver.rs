@@ -6,7 +6,6 @@ use std::sync::Arc;
 
 use proxy_storage::artifacts::StoredArtifact;
 use proxy_storage::{ArtifactStore, Storage};
-use restricted_proxy::batcher::SealBatcher;
 use restricted_proxy::cache::VerifiedCertCache;
 use restricted_proxy::context::RequestContext;
 use restricted_proxy::key::KeyResolver;
@@ -187,16 +186,6 @@ impl<R: KeyResolver> EndServer<R> {
     #[must_use]
     pub fn seal_cache(&self) -> Option<&VerifiedCertCache> {
         self.verifier.seal_cache()
-    }
-
-    /// Attaches a (typically process-shared) cross-request seal batcher:
-    /// Ed25519 seal checks from concurrently-served requests then share
-    /// one combined batch equation. A lone request verifies inline, so
-    /// single-stream latency is unchanged.
-    #[must_use]
-    pub fn with_seal_batcher(mut self, batcher: Arc<SealBatcher>) -> Self {
-        self.verifier = self.verifier.with_seal_batcher(batcher);
-        self
     }
 
     /// The local revocation mirror, for instrumentation and epoch sync.

@@ -10,11 +10,9 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use rand::RngCore;
 
-use restricted_proxy::batcher::SealBatcher;
 use restricted_proxy::context::RequestContext;
 use restricted_proxy::key::{GrantAuthority, KeyResolver};
 use restricted_proxy::present::Presentation;
@@ -93,15 +91,6 @@ impl<R: KeyResolver> AuthorizationServer<R> {
     /// (delta chain, or one snapshot when the mirror is too far behind).
     pub fn revocation_updates_since(&self, have_epoch: u64) -> Vec<RevocationArtifact> {
         self.revocations.updates_since(have_epoch, &self.authority)
-    }
-
-    /// Attaches a (typically process-shared) cross-request seal batcher
-    /// for the group proxies this server verifies; see
-    /// [`restricted_proxy::batcher::SealBatcher`].
-    #[must_use]
-    pub fn with_seal_batcher(mut self, batcher: Arc<SealBatcher>) -> Self {
-        self.verifier = self.verifier.with_seal_batcher(batcher);
-        self
     }
 
     /// The server's principal name.

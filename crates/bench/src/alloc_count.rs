@@ -1,8 +1,8 @@
 //! Counting global allocator (feature `alloc-count` only).
 //!
 //! A thin wrapper over [`std::alloc::System`] that counts every
-//! allocation and requested byte with relaxed atomics, so the
-//! allocation harness ([`crate::allocbench`], `figures --alloc`) can
+//! allocation and requested byte with relaxed atomics, so the e2e
+//! benchmark's traced run (`crates/bench/src/bin/e2e`, `--trace 1`) can
 //! report *steady-state allocations per operation* for a whole
 //! request/reply path — client encode, both socket ends, server decode,
 //! verify, and reply, all threads included.

@@ -348,94 +348,15 @@ fn ablate_crypto() {
     );
 }
 
-/// Runs the multi-threaded throughput sweep (see `proxy_bench::throughput`)
-/// and persists the machine-readable results to `BENCH_throughput.json`.
-fn throughput() {
-    use proxy_bench::throughput::{run, Options};
-
-    let opts = Options::default();
-    let report = run(&opts);
-    for series in &report.series {
-        let label = format!("{}/{}", series.path, series.mode);
-        for point in &series.points {
-            report_row(
-                "T",
-                &label,
-                point.threads,
-                format!("{:.0}", point.ops_per_sec),
-                "ops/s",
-            );
-        }
-        report_row("T", &label, "1->8", format!("{:.2}", series.speedup()), "x");
-    }
-    report_row("T", "host-parallelism", 1, report.host_parallelism, "cpus");
-    report_row("T", "net-messages", 1, report.net_messages, "messages");
-    std::fs::write("BENCH_throughput.json", report.to_json()).expect("write BENCH_throughput.json");
-    let gate = report
-        .series_for("cascade-verify-warm", "simulated-rtt")
-        .expect("cascade series measured")
-        .speedup();
-    println!("cascade-verify 1->8 closed-loop speedup: {gate:.2}x (target >= 4x)");
-    assert!(
-        gate >= 4.0,
-        "cascade-verify closed-loop scaling regressed below 4x"
-    );
-}
-
-/// Runs the Fig. 3/4/5 paths over real TCP loopback sockets (see
-/// `proxy_bench::netbench`) and persists the results to `BENCH_net.json`.
-fn networked() {
-    use proxy_bench::netbench::{run, NetOptions};
-
-    let opts = NetOptions::default();
-    let report = run(&opts);
-    for series in &report.series {
-        for point in &series.points {
-            report_row(
-                "N",
-                series.path,
-                point.threads,
-                format!(
-                    "{:.0} ops/s, p50 {} µs, p99 {} µs",
-                    point.ops_per_sec, point.p50_us, point.p99_us
-                ),
-                "",
-            );
-        }
-    }
-    for w in &report.wire_sizes {
-        report_row(
-            "N",
-            &format!("wire-size/{}", w.message),
-            1,
-            w.frame_bytes,
-            "bytes",
-        );
-    }
-    report_row("N", "host-parallelism", 1, report.host_parallelism, "cpus");
-    std::fs::write("BENCH_net.json", report.to_json()).expect("write BENCH_net.json");
-    let fig3 = report
-        .series_for("fig3-authz-query")
-        .expect("fig3 series measured");
-    assert!(
-        fig3.points.iter().all(|p| p.ops_per_sec > 0.0),
-        "fig3 networked series measured"
-    );
-    println!("wrote BENCH_net.json");
-}
-
 /// Runs the C10k sweep (see `proxy_bench::c10k`): thousands of
 /// concurrent pipelined loopback connections on the fig3 authz-query
-/// path, served by the readiness-driven event-loop server, with the
-/// blocking thread-per-connection server as the low-end baseline and a
-/// seal-batcher probe on the fig5 path.
+/// path, served by the readiness-driven event-loop server.
 ///
-/// In full mode (`--c10k`) the thread-scaling sweep also reruns and
-/// `BENCH_net.json` is rewritten with both sections. In smoke mode
-/// (`--c10k-smoke`, used by ci.sh) only the reduced sweep runs and the
-/// recorded results are left untouched.
+/// In full mode (`--c10k`) the gated sweep is persisted to
+/// `BENCH_c10k.json`. In smoke mode (`--c10k-smoke`, used by ci.sh) only
+/// the reduced sweep runs and the recorded results are left untouched.
 fn c10k(smoke: bool) {
-    use proxy_bench::c10k::{run, seal_batcher_probe, C10kOptions};
+    use proxy_bench::c10k::{run, C10kOptions};
 
     let opts = if smoke {
         C10kOptions::smoke()
@@ -455,17 +376,6 @@ fn c10k(smoke: bool) {
             "",
         );
     }
-    let base = &report.blocking_baseline;
-    report_row(
-        "C10K",
-        "blocking-baseline",
-        base.connections,
-        format!(
-            "{:.0} ops/s, burst p50 {} µs, p99 {} µs (thread per connection)",
-            base.ops_per_sec, base.p50_us, base.p99_us
-        ),
-        "",
-    );
 
     // Flat-p99 gate: the most-loaded point within 2x of the least.
     let ratio = report.p99_ratio();
@@ -488,96 +398,9 @@ fn c10k(smoke: bool) {
             top.connections >= 5000,
             "full c10k sweep must reach at least 5000 concurrent connections"
         );
+        std::fs::write("BENCH_c10k.json", report.to_json()).expect("write BENCH_c10k.json");
+        println!("wrote BENCH_c10k.json");
     }
-
-    // Seal-batcher probe: does event-loop dispatch form natural batches?
-    for workers in [1usize, 2] {
-        let probe = seal_batcher_probe(workers, 16, if smoke { 16 } else { 64 });
-        report_row(
-            "C10K",
-            "seal-batcher-probe",
-            workers,
-            format!(
-                "{:.0} deposits/s, {} inline / {} batched seal checks in {} batches",
-                probe.ops_per_sec, probe.inline_verifies, probe.batched_checks, probe.batches
-            ),
-            "",
-        );
-    }
-
-    if !smoke {
-        // Rerun the thread-scaling sweep and persist both sections.
-        use proxy_bench::netbench::{run as net_run, NetOptions};
-        let net = net_run(&NetOptions::default());
-        let mut json = net.to_json();
-        let trimmed = json.trim_end();
-        let body = trimmed
-            .strip_suffix('}')
-            .expect("net report JSON is an object")
-            .trim_end()
-            .to_string();
-        json = format!(",\n  \"c10k\": {}\n}}\n", report.to_json());
-        let combined = format!("{body}{json}");
-        std::fs::write("BENCH_net.json", combined).expect("write BENCH_net.json");
-        println!("wrote BENCH_net.json (thread scaling + c10k)");
-    }
-}
-
-/// Runs the pipelined wire path (depth × batch-flush sweeps, see
-/// `proxy_bench::pipeline`) and persists the results to
-/// `BENCH_pipeline.json`.
-fn pipelined() {
-    use proxy_bench::pipeline::{run, PipelineOptions};
-
-    let opts = PipelineOptions::default();
-    let report = run(&opts);
-    for series in &report.depth_sweep {
-        report_row(
-            "P",
-            &format!("{}/parity", series.path),
-            1,
-            format!(
-                "{:.0} ops/s, p50 {} µs",
-                series.parity.ops_per_sec, series.parity.p50_us
-            ),
-            "",
-        );
-        for point in &series.points {
-            report_row(
-                "P",
-                series.path,
-                point.depth,
-                format!(
-                    "{:.0} ops/s, p50 {} µs, p99 {} µs, {:.2}x vs depth 1",
-                    point.ops_per_sec, point.p50_us, point.p99_us, point.speedup_vs_depth1
-                ),
-                "",
-            );
-        }
-    }
-    for b in &report.batch_sweep {
-        report_row(
-            "P",
-            "fig5-batch-sweep",
-            b.flush_max,
-            format!(
-                "{:.0} ops/s, p50 {} µs, {} batched / {} inline seal checks in {} batches",
-                b.point.ops_per_sec, b.point.p50_us, b.batched_checks, b.inline_verifies, b.batches
-            ),
-            "",
-        );
-    }
-    report_row("P", "host-parallelism", 1, report.host_parallelism, "cpus");
-    // Gate before persisting: a run that fails the regression check must
-    // not overwrite the recorded results with its own.
-    let gate = report.best_speedup_at_depth(16);
-    println!("best pipelining speedup at depth >= 16: {gate:.2}x (target >= 2x)");
-    assert!(
-        gate >= 2.0,
-        "pipelining throughput gain regressed below 2x over the depth-1 baseline"
-    );
-    std::fs::write("BENCH_pipeline.json", report.to_json()).expect("write BENCH_pipeline.json");
-    println!("wrote BENCH_pipeline.json");
 }
 
 /// Runs the revocation-index and membership-mirror harness (see
@@ -764,117 +587,31 @@ fn wal(smoke: bool) {
     }
 }
 
-/// Runs the steady-state allocation harness (see
-/// `proxy_bench::allocbench`; requires the `alloc-count` feature so the
-/// counting global allocator is installed). In full mode (`--alloc`)
-/// the gated report — ≥70% allocs/op reduction on the authz-query path,
-/// ≥3× CRC throughput — is persisted to `BENCH_alloc.json`; in smoke
-/// mode (`--alloc-smoke`, used by ci.sh) a reduced run checks the fixed
-/// allocs/op ceiling and the recorded results are left untouched.
-fn alloc(smoke: bool) {
-    use proxy_bench::allocbench::{run, Options};
-
-    let opts = if smoke {
-        Options::smoke()
-    } else {
-        Options::default()
-    };
-    let report = match run(&opts) {
-        Ok(report) => report,
-        Err(why) => {
-            eprintln!("figures --alloc: {why}");
-            std::process::exit(2);
-        }
-    };
-    for p in &report.paths {
-        let (before, _) = p.baseline().unwrap_or((0.0, 0.0));
-        report_row(
-            "AL",
-            p.path,
-            p.ops,
-            format!(
-                "{:.1} allocs/op (was {before:.1}), {:.0} B/op, {:.1}% reduction",
-                p.allocs_per_op,
-                p.bytes_per_op,
-                p.reduction_pct().unwrap_or(0.0)
-            ),
-            "",
-        );
-    }
-    report_row(
-        "AL",
-        "crc32-slicing-by-8",
-        report.crc.buf_bytes,
-        format!(
-            "{:.0} MiB/s vs bytewise {:.0} MiB/s ({:.2}x)",
-            report.crc.sliced_mib_s, report.crc.bytewise_mib_s, report.crc.speedup
-        ),
-        "",
-    );
-    // Gate before persisting: a run that fails the regression checks
-    // must not overwrite the recorded results with its own.
-    if smoke {
-        report.check_smoke_gate();
-    } else {
-        report.check_gates();
-        std::fs::write("BENCH_alloc.json", report.to_json()).expect("write BENCH_alloc.json");
-        println!("wrote BENCH_alloc.json");
-    }
-}
+const USAGE: &str = "usage: figures [--ablate-crypto | --c10k | --c10k-smoke | \
+--revocation | --revocation-smoke | --wal | --wal-smoke]";
 
 fn main() {
-    if std::env::args().any(|arg| arg == "--ablate-crypto") {
-        ablate_crypto();
-        return;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    match args.as_slice() {
+        [] => {
+            f1_sizes();
+            f3_amortization();
+            f4_chain_depth();
+            f5_clearing();
+            a4_replay_cache();
+            a5_tgs_proxy();
+        }
+        ["--ablate-crypto"] => ablate_crypto(),
+        ["--c10k"] => c10k(false),
+        ["--c10k-smoke"] => c10k(true),
+        ["--revocation"] => revocation(false),
+        ["--revocation-smoke"] => revocation(true),
+        ["--wal"] => wal(false),
+        ["--wal-smoke"] => wal(true),
+        _ => {
+            eprintln!("figures: unrecognized arguments {args:?}\n{USAGE}");
+            std::process::exit(2);
+        }
     }
-    if std::env::args().any(|arg| arg == "--throughput") {
-        throughput();
-        return;
-    }
-    if std::env::args().any(|arg| arg == "--net") {
-        networked();
-        return;
-    }
-    if std::env::args().any(|arg| arg == "--pipeline") {
-        pipelined();
-        return;
-    }
-    if std::env::args().any(|arg| arg == "--c10k-smoke") {
-        c10k(true);
-        return;
-    }
-    if std::env::args().any(|arg| arg == "--c10k") {
-        c10k(false);
-        return;
-    }
-    if std::env::args().any(|arg| arg == "--revocation-smoke") {
-        revocation(true);
-        return;
-    }
-    if std::env::args().any(|arg| arg == "--wal-smoke") {
-        wal(true);
-        return;
-    }
-    if std::env::args().any(|arg| arg == "--wal") {
-        wal(false);
-        return;
-    }
-    if std::env::args().any(|arg| arg == "--alloc-smoke") {
-        alloc(true);
-        return;
-    }
-    if std::env::args().any(|arg| arg == "--alloc") {
-        alloc(false);
-        return;
-    }
-    if std::env::args().any(|arg| arg == "--revocation") {
-        revocation(false);
-        return;
-    }
-    f1_sizes();
-    f3_amortization();
-    f4_chain_depth();
-    f5_clearing();
-    a4_replay_cache();
-    a5_tgs_proxy();
 }

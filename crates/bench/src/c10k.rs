@@ -14,28 +14,23 @@
 //! which is exactly the property a readiness-driven server buys
 //! (epoll waits are O(ready), not O(open)).
 //!
-//! The blocking thread-per-connection [`proxy_net::TcpServer`] is kept
-//! as the baseline at the low end of the sweep. It cannot appear at the
-//! high end at all: each of its connections **occupies a worker thread
-//! for the connection's lifetime**, so `N` long-lived connections need
-//! `N` threads — the C10k problem statement — while the event-loop
-//! server serves the whole sweep with one worker thread.
-//!
 //! Latency is recorded per burst (send of a connection's burst to its
 //! last reply), so a point's p50/p99 reflect what one pipelined client
 //! experiences while `N − group` other connections sit open.
 
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Instant;
 
-use proxy_net::{EventLoopOptions, EventLoopServer, TcpServer};
+use proxy_authz::{Acl, AclRights, AclSubject, AuthorizationServer};
+use proxy_crypto::keys::SymmetricKey;
+use proxy_net::{EventLoopOptions, EventLoopServer, ServiceMux};
 use proxy_wire::frame::read_frame;
 use proxy_wire::Message;
 use restricted_proxy::prelude::*;
 
-use crate::netbench::fig3_mux;
-use crate::window;
+use crate::{rng, window};
 
 /// C10k harness configuration.
 #[derive(Clone, Debug)]
@@ -97,16 +92,13 @@ pub struct C10kPoint {
     pub connect_secs: f64,
 }
 
-/// The C10k report: the event-loop sweep plus the blocking baseline.
+/// The C10k report: one point per connection count.
 #[derive(Clone, Debug)]
 pub struct C10kReport {
     /// Event-loop worker threads used.
     pub workers: usize,
     /// Event-loop server, one point per connection count.
     pub event_loop: Vec<C10kPoint>,
-    /// Blocking thread-per-connection server at the sweep's low end
-    /// (with one worker thread per connection — its scaling model).
-    pub blocking_baseline: C10kPoint,
 }
 
 impl C10kReport {
@@ -146,10 +138,10 @@ impl C10kReport {
             )
         }
         let mut out = String::from("{\n");
-        out.push_str(&format!("    \"workers\": {},\n", self.workers));
-        out.push_str("    \"event_loop\": [\n");
+        out.push_str(&format!("  \"workers\": {},\n", self.workers));
+        out.push_str("  \"event_loop\": [\n");
         for (i, p) in self.event_loop.iter().enumerate() {
-            out.push_str("      ");
+            out.push_str("    ");
             out.push_str(&point(p));
             out.push_str(if i + 1 < self.event_loop.len() {
                 ",\n"
@@ -157,11 +149,29 @@ impl C10kReport {
                 "\n"
             });
         }
-        out.push_str("    ],\n    \"blocking_baseline\": ");
-        out.push_str(&point(&self.blocking_baseline));
-        out.push_str("\n  }");
+        out.push_str("  ]\n}\n");
         out
     }
+}
+
+/// The Fig. 3 world: an authorization server where client `C` may read
+/// object `X` at end-server `S`.
+fn fig3_mux() -> Arc<ServiceMux<MapResolver>> {
+    let mut setup = rng(31);
+    let r_key = SymmetricKey::generate(&mut setup);
+    let mut authz = AuthorizationServer::new(
+        PrincipalId::new("R"),
+        GrantAuthority::SharedKey(r_key),
+        MapResolver::new(),
+    );
+    authz.database_mut(PrincipalId::new("S")).set(
+        ObjectName::new("X"),
+        Acl::new().with(
+            AclSubject::Principal(PrincipalId::new("C")),
+            AclRights::ops(vec![Operation::new("read")]),
+        ),
+    );
+    Arc::new(ServiceMux::new().with_authz(Arc::new(authz)))
 }
 
 /// The fig3 request every connection pipelines: an authorization query
@@ -278,8 +288,7 @@ fn drive(addr: std::net::SocketAddr, opts: &C10kOptions, n: usize) -> C10kPoint 
     }
 }
 
-/// Runs the full C10k sweep: the event-loop server across every
-/// connection count, then the blocking baseline at the lowest.
+/// Runs the C10k sweep: a fresh event-loop server per connection count.
 #[must_use]
 pub fn run(opts: &C10kOptions) -> C10kReport {
     let event_loop = opts
@@ -298,142 +307,9 @@ pub fn run(opts: &C10kOptions) -> C10kReport {
             drive(server.addr(), opts, n)
         })
         .collect();
-
-    // Blocking baseline: thread-per-connection, so it needs as many
-    // workers as connections — which is why it stops at the low end.
-    let baseline_n = opts.conn_counts.iter().copied().min().unwrap_or(64);
-    let server =
-        TcpServer::spawn(fig3_mux(), baseline_n, 31).expect("spawn blocking baseline server");
-    let blocking_baseline = drive(server.addr(), opts, baseline_n);
-
     C10kReport {
         workers: opts.workers,
         event_loop,
-        blocking_baseline,
-    }
-}
-
-/// One seal-batcher probe result (see [`seal_batcher_probe`]).
-#[derive(Clone, Copy, Debug)]
-pub struct BatcherProbe {
-    /// Event-loop workers serving the probe.
-    pub workers: usize,
-    /// Deposits completed.
-    pub total_ops: u64,
-    /// Deposits per wall-clock second.
-    pub ops_per_sec: f64,
-    /// Seal checks verified inline (submitter found itself alone).
-    pub inline_verifies: u64,
-    /// Batched flushes performed.
-    pub batches: u64,
-    /// Seal checks that rode in a batch.
-    pub batched_checks: u64,
-}
-
-/// Drives the Fig. 5 check-deposit path through the event-loop server
-/// with a [`SealBatcher`]
-/// attached, and reports whether the event loop's *natural* batches
-/// (many frames drained per readiness wakeup) reach the batcher as
-/// concurrent submissions.
-///
-/// With one worker the dispatch loop is strictly sequential, so every
-/// seal check finds itself alone and takes the batcher's inline path —
-/// structurally, not probabilistically. A second worker is the minimum
-/// configuration in which two connections' bursts can overlap inside
-/// `verify_seals` and actually form a batch. The probe exists to record
-/// that distinction with numbers (see EXPERIMENTS.md).
-///
-/// All client-side signing happens before the clock starts: the frames
-/// are prebuilt, so the measured window is server verification plus the
-/// wire.
-#[must_use]
-pub fn seal_batcher_probe(workers: usize, conns: usize, deposits_per_conn: u64) -> BatcherProbe {
-    use proxy_net::ServiceMux;
-    use restricted_proxy::batcher::SealBatcher;
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    let conns = conns.max(1);
-    let (bank, authorities) = crate::netbench::fig5_bank(conns, deposits_per_conn);
-    let batcher = Arc::new(SealBatcher::new(16, Duration::from_micros(50)));
-    let total = deposits_per_conn * conns as u64;
-    let replay_capacity = usize::try_from(total * 2).unwrap_or(usize::MAX);
-    let bank = Arc::new(
-        bank.with_seal_batcher(Arc::clone(&batcher))
-            .with_replay_capacity(replay_capacity),
-    );
-    let mux = Arc::new(ServiceMux::<MapResolver>::new().with_accounting(bank));
-    let server = EventLoopServer::spawn_with(
-        mux,
-        EventLoopOptions {
-            workers,
-            ..EventLoopOptions::default()
-        },
-        33,
-    )
-    .expect("spawn event-loop accounting server");
-
-    // Prebuild every deposit frame (client-side Ed25519 signing stays
-    // outside the timed window). Distinct check numbers per payor.
-    let mut request_id: u64 = 0;
-    let mut check_no: u64 = 1;
-    let frames: Vec<Vec<Vec<u8>>> = (0..conns)
-        .map(|t| {
-            (0..deposits_per_conn)
-                .map(|_| {
-                    let mut client_rng = crate::rng(7_000_000 + check_no);
-                    let check =
-                        crate::netbench::fig5_check(t, &authorities[t], check_no, &mut client_rng);
-                    check_no += 1;
-                    let msg = Message::CheckDeposit {
-                        check: check.proxy,
-                        depositor: PrincipalId::new("shop"),
-                        to_account: "shop".to_string(),
-                        next_hop: PrincipalId::new("bank"),
-                        now: Timestamp(1),
-                    };
-                    let frame = msg.to_frame(request_id);
-                    request_id += 1;
-                    frame
-                })
-                .collect()
-        })
-        .collect();
-
-    let mut sockets: Vec<TcpStream> = (0..conns)
-        .map(|_| {
-            let s = TcpStream::connect(server.addr()).expect("probe connect");
-            s.set_nodelay(true).expect("nodelay");
-            s
-        })
-        .collect();
-
-    // Everything in flight at once: each connection sends its whole
-    // deposit burst, then all replies are drained. This is the widest
-    // natural batch the event loop can offer the verifier.
-    let started = Instant::now();
-    for (t, per_conn) in frames.iter().enumerate() {
-        let bytes: Vec<u8> = per_conn.iter().flatten().copied().collect();
-        sockets[t].write_all(&bytes).expect("probe burst write");
-    }
-    let mut total_ops = 0u64;
-    for (t, per_conn) in frames.iter().enumerate() {
-        for _ in 0..per_conn.len() {
-            let (header, _body) = read_frame(&mut sockets[t]).expect("probe reply");
-            assert_ne!(header.msg_type, 0x7F, "deposit must settle");
-            total_ops += 1;
-        }
-    }
-    let elapsed = started.elapsed();
-
-    let stats = batcher.stats();
-    BatcherProbe {
-        workers,
-        total_ops,
-        ops_per_sec: total_ops as f64 / elapsed.as_secs_f64().max(1e-9),
-        inline_verifies: stats.inline_verifies,
-        batches: stats.batches,
-        batched_checks: stats.batched_checks,
     }
 }
 
@@ -455,11 +331,9 @@ mod tests {
             assert!(p.p99_us >= p.p50_us);
             assert!(p.total_ops >= 64);
         }
-        assert_eq!(report.blocking_baseline.connections, 8);
         assert!(report.p99_ratio().is_finite());
         let json = report.to_json();
         assert!(json.contains("\"event_loop\""));
-        assert!(json.contains("\"blocking_baseline\""));
         let count = |c: char| json.chars().filter(|&x| x == c).count();
         assert_eq!(count('{'), count('}'));
         assert_eq!(count('['), count(']'));

@@ -12,29 +12,26 @@
 //! cost with Criterion.
 
 // `deny`, not the workspace `forbid`: the feature-gated counting
-// allocator (`alloc_count`, `figures --alloc`) is the one audited
-// module allowed to contain unsafe code — a verbatim delegating wrapper
-// over the system allocator. Everything else in the crate stays
-// unsafe-free; see lint-allow.toml for the recorded L5 exception.
+// allocator (`alloc_count`, linked by the e2e benchmark's traced run) is
+// the one audited module allowed to contain unsafe code — a verbatim
+// delegating wrapper over the system allocator. Everything else in the
+// crate stays unsafe-free; see lint-allow.toml for the recorded L5
+// exception.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 #[cfg(feature = "alloc-count")]
 pub mod alloc_count;
-pub mod allocbench;
 pub mod c10k;
-pub mod netbench;
-pub mod pipeline;
 pub mod revocation;
 pub mod seed_ed25519;
-pub mod throughput;
 pub mod wal;
 
-/// Process-wide allocation accounting for `figures --alloc`: every
-/// allocation in the whole benchmark process — client threads, server
-/// workers, event loops — flows through the counting wrapper, so
-/// steady-state allocs/op readings cover the entire wire→verify→reply
-/// path rather than one thread's view.
+/// Process-wide allocation accounting for the e2e benchmark's traced
+/// run: every allocation in the whole benchmark process — client
+/// threads, server workers, event loops — flows through the counting
+/// wrapper, so steady-state allocs/op readings cover the entire
+/// wire→verify→reply path rather than one thread's view.
 #[cfg(feature = "alloc-count")]
 #[global_allocator]
 static COUNTING_ALLOC: alloc_count::CountingAlloc = alloc_count::CountingAlloc;

@@ -112,7 +112,7 @@ mod tests {
     #[test]
     fn l1_covers_wire_and_handlers_not_verify() {
         assert!(panic_free_applies("crates/wire/src/frame.rs"));
-        assert!(panic_free_applies("crates/net/src/tcp.rs"));
+        assert!(panic_free_applies("crates/net/src/event_loop.rs"));
         assert!(panic_free_applies("crates/proxy/src/encode.rs"));
         assert!(panic_free_applies("crates/proxy/src/revocation.rs"));
         assert!(panic_free_applies("crates/proxy/src/membership.rs"));
@@ -130,7 +130,7 @@ mod tests {
         assert!(const_time_applies("crates/crypto/src/keys.rs"));
         assert!(const_time_applies("crates/proxy/src/key.rs"));
         assert!(!const_time_applies("crates/crypto/src/ct.rs"));
-        assert!(!const_time_applies("crates/net/src/tcp.rs"));
+        assert!(!const_time_applies("crates/net/src/event_loop.rs"));
     }
 
     #[test]
@@ -146,7 +146,7 @@ mod tests {
         assert!(lock_order_applies("crates/proxy/src/shard.rs"));
         assert!(lock_order_applies("crates/accounting/src/server.rs"));
         assert!(lock_order_applies("crates/storage/src/wal.rs"));
-        assert!(lock_order_applies("crates/net/src/tcp.rs"));
+        assert!(lock_order_applies("crates/net/src/event_loop.rs"));
         assert!(!lock_order_applies("crates/crypto/src/sha256.rs"));
         assert!(!lock_order_applies("crates/lint/src/lib.rs"));
     }

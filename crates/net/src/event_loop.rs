@@ -1,7 +1,7 @@
 //! Readiness-driven TCP server: each worker owns a [`Poller`] (epoll on
 //! Linux) and drains hundreds-to-thousands of nonblocking connections
-//! through per-connection state machines — the C10k replacement for the
-//! blocking thread-per-connection [`crate::TcpServer`].
+//! through per-connection state machines, so open-but-quiet connections
+//! cost the active ones nothing (the C10k property).
 //!
 //! ## Per-connection state machine
 //!
@@ -37,10 +37,19 @@
 //!   buffers forever. Clients treat the reap as a stale pooled
 //!   connection and redial transparently ([`crate::TcpClient`]).
 //!
-//! Error posture per connection matches the blocking server: a garbled
-//! *body* gets a typed error reply and the connection lives on; broken
-//! *framing* gets a best-effort error reply and the connection is closed
-//! once that reply flushes.
+//! ## Error posture per connection
+//!
+//! * A body that decodes to garbage gets a typed
+//!   [`ErrorCode::Malformed`] reply and the connection **stays open** —
+//!   framing is still in sync.
+//! * A broken *frame* (bad magic, wrong version, oversized declared
+//!   length, CRC mismatch) gets a best-effort error reply and the
+//!   connection is **closed** once that reply flushes: after corrupt
+//!   framing the byte stream can no longer be trusted to
+//!   re-synchronize. Replies to frames drained before the corrupt one
+//!   are still delivered.
+//! * Oversized declared bodies are rejected from the 18-byte header
+//!   alone; the body is never read into memory.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -115,7 +124,8 @@ impl EventLoopServer {
     /// Binds an ephemeral loopback port and starts serving `mux` with
     /// default [`EventLoopOptions`] (one worker). Per-connection
     /// server-side randomness derives from `seed` plus a global
-    /// connection counter, as in [`crate::TcpServer::spawn`].
+    /// connection counter, so a fixed seed gives reproducible server
+    /// behavior.
     ///
     /// # Errors
     ///

@@ -10,12 +10,11 @@
 //!   real frame encoding and is tallied on a [`netsim::Network`] link
 //!   via the atomic-only [`netsim::Network::record`] path, so the
 //!   deterministic figure harnesses keep their exact counts.
-//! * [`TcpServer`]/[`TcpClient`] — std-only blocking TCP: one acceptor
-//!   thread feeding a [`proxy_runtime::Pool`] of connection workers.
-//! * [`EventLoopServer`] — readiness-driven TCP: each worker owns a
-//!   [`proxy_runtime::Poller`] (epoll on Linux) and drains thousands of
-//!   nonblocking connections through per-connection state machines with
-//!   write-queue backpressure and idle reaping — the C10k path.
+//! * [`EventLoopServer`]/[`TcpClient`] — real TCP: each server worker
+//!   owns a [`proxy_runtime::Poller`] (epoll on Linux) and drains
+//!   thousands of nonblocking connections through per-connection state
+//!   machines with write-queue backpressure and idle reaping; the
+//!   client is std-only and blocking.
 //!
 //! The servers behind the mux are the *same instances* an in-process
 //! caller would use; networking is a layer, not a fork of the logic.
@@ -28,7 +27,6 @@ pub mod client;
 pub mod error;
 pub mod event_loop;
 pub mod mux;
-pub mod tcp;
 pub mod transport;
 
 pub use api::Deposit;
@@ -36,5 +34,4 @@ pub use client::{ClientOptions, RetryPolicy, TcpClient};
 pub use error::NetError;
 pub use event_loop::{EventLoopOptions, EventLoopServer};
 pub use mux::ServiceMux;
-pub use tcp::TcpServer;
 pub use transport::{Loopback, Transport};

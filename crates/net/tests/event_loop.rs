@@ -3,8 +3,8 @@
 //! correctness, thousands of idle connections do not starve an active
 //! one, write-queue backpressure pauses reading a connection whose
 //! replies are backed up, idle connections are reaped, and the error
-//! posture (malformed body vs. broken framing) matches the blocking
-//! server's.
+//! posture distinguishes a malformed body (typed reply, connection
+//! kept) from broken framing (best-effort reply, then close).
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -79,7 +79,7 @@ fn spawn_default() -> EventLoopServer {
 }
 
 #[test]
-fn round_trips_a_call_like_the_blocking_server() {
+fn round_trips_a_call() {
     let server = spawn_default();
     let client = TcpClient::new(server.addr(), ClientOptions::default());
     let reply = client.call(&ping()).expect("call succeeds");
@@ -288,7 +288,7 @@ fn idle_connections_are_reaped() {
 }
 
 /// A garbled body inside an intact frame earns a typed error reply and
-/// the connection keeps serving — same posture as the blocking server.
+/// the connection keeps serving.
 #[test]
 fn malformed_body_gets_typed_error_and_connection_survives() {
     let server = spawn_default();

@@ -5,7 +5,9 @@
 use std::sync::Arc;
 
 use netsim::{EndpointId, Network};
-use proxy_net::{api, Loopback, NetError, ServiceMux, TcpClient, TcpServer};
+use proxy_net::{
+    api, EventLoopOptions, EventLoopServer, Loopback, NetError, ServiceMux, TcpClient,
+};
 use proxy_wire::ErrorCode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -180,7 +182,15 @@ fn unmounted_service_answers_unavailable() {
 /// code written against [`Transport`] runs unchanged on TCP.
 #[test]
 fn fig3_flow_works_over_tcp() {
-    let server = TcpServer::spawn(Arc::new(fig3_mux()), 2, 11).expect("spawn server");
+    let server = EventLoopServer::spawn_with(
+        Arc::new(fig3_mux()),
+        EventLoopOptions {
+            workers: 2,
+            ..EventLoopOptions::default()
+        },
+        11,
+    )
+    .expect("spawn server");
     let client = TcpClient::new(server.addr(), proxy_net::ClientOptions::default());
     let proxy = api::request_authorization(
         &client,

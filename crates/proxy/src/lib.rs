@@ -63,7 +63,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batcher;
 pub mod cache;
 pub mod cert;
 pub mod context;
@@ -85,7 +84,6 @@ pub mod verify;
 
 /// Convenient glob import of the commonly-used types.
 pub mod prelude {
-    pub use crate::batcher::{BatcherStats, SealBatcher, SealCheck};
     pub use crate::cache::VerifiedCertCache;
     pub use crate::cert::{CertSeal, Certificate, SigningAuthorityKind};
     pub use crate::context::RequestContext;

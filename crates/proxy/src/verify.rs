@@ -12,7 +12,6 @@ use std::sync::Arc;
 use proxy_crypto::ed25519::{self, Signature, VerifyingKey};
 use proxy_crypto::hmac::HmacSha256;
 
-use crate::batcher::{SealBatcher, SealCheck};
 use crate::cache::{seal_digest, SealDigest, VerifiedCertCache};
 use crate::cert::{CertSeal, Certificate, SigningAuthorityKind};
 use crate::context::RequestContext;
@@ -69,10 +68,6 @@ pub struct Verifier<R> {
     /// [`VerifiedCertCache`] for what is (and is deliberately not)
     /// memoized. Shared across clones so every handle benefits.
     cache: Option<Arc<VerifiedCertCache>>,
-    /// Optional cross-request seal batcher ([`SealBatcher`]); when
-    /// attached, deferred Ed25519 seal checks from concurrent requests
-    /// share one combined batch equation.
-    batcher: Option<Arc<SealBatcher>>,
     /// Optional local revocation mirror ([`RevocationDirectory`]); when
     /// attached, every certificate's (grantor, serial) is checked against
     /// the mirrored revoked sets — an O(1) local probe, no round trips.
@@ -87,7 +82,6 @@ impl<R: KeyResolver> Verifier<R> {
             server,
             resolver,
             cache: None,
-            batcher: None,
             revocations: None,
         }
     }
@@ -111,22 +105,6 @@ impl<R: KeyResolver> Verifier<R> {
     #[must_use]
     pub fn seal_cache(&self) -> Option<&VerifiedCertCache> {
         self.cache.as_deref()
-    }
-
-    /// Attaches a (possibly shared) cross-request seal batcher. Deferred
-    /// Ed25519 seal checks then ride a combined batch equation with the
-    /// checks of other requests in flight at the same moment; a lone
-    /// request still verifies inline (the batcher's low-load fast path).
-    #[must_use]
-    pub fn with_seal_batcher(mut self, batcher: Arc<SealBatcher>) -> Self {
-        self.batcher = Some(batcher);
-        self
-    }
-
-    /// The attached seal batcher, if any.
-    #[must_use]
-    pub fn seal_batcher(&self) -> Option<&Arc<SealBatcher>> {
-        self.batcher.as_ref()
     }
 
     /// Attaches a (possibly shared) local revocation mirror. Every
@@ -375,9 +353,6 @@ impl<R: KeyResolver> Verifier<R> {
         if deferred.is_empty() {
             return Ok(());
         }
-        if let Some(batcher) = &self.batcher {
-            return self.flush_through_batcher(batcher, deferred, now);
-        }
         let items: Vec<(&[u8], &Signature, &VerifyingKey)> = deferred
             .iter()
             .map(|d| (d.body.as_slice(), &d.sig, &d.vk))
@@ -402,46 +377,6 @@ impl<R: KeyResolver> Verifier<R> {
             }
         }
         Ok(())
-    }
-
-    /// Routes deferred seals through the attached [`SealBatcher`] so the
-    /// batch equation spans concurrently-verifying requests. The batcher
-    /// attributes a failure to a submission-local index, which maps back
-    /// to the chain index it came from; success populates the seal cache
-    /// exactly as the local path does.
-    fn flush_through_batcher(
-        &self,
-        batcher: &SealBatcher,
-        deferred: Vec<DeferredSeal>,
-        now: Timestamp,
-    ) -> Result<(), VerifyError> {
-        let mut checks = Vec::with_capacity(deferred.len());
-        let mut metas = Vec::with_capacity(deferred.len());
-        for d in deferred {
-            checks.push(SealCheck {
-                body: d.body,
-                sig: d.sig,
-                vk: d.vk,
-            });
-            metas.push((d.index, d.digest, d.expires));
-        }
-        match batcher.verify_seals(checks) {
-            Ok(()) => {
-                if let Some(cache) = &self.cache {
-                    for (_, digest, expires) in metas {
-                        if let Some(digest) = digest {
-                            cache.insert(digest, expires, now);
-                        }
-                    }
-                }
-                Ok(())
-            }
-            Err(i) => Err(VerifyError::BadSeal {
-                // A submission-local index always maps to a queued seal;
-                // blame the head conservatively if it somehow does not.
-                index: metas.get(i).or_else(|| metas.first()).map_or(0, |m| m.0),
-            }),
-        }
     }
 }
 
@@ -1208,6 +1143,55 @@ mod tests {
             verifier.verify(&pres, &ctx(), &mut guard),
             Err(VerifyError::BadSeal { index: 1 })
         );
+    }
+
+    #[test]
+    fn forged_seal_at_each_index_of_a_depth4_cascade_is_blamed_there() {
+        let mut rng = StdRng::seed_from_u64(26);
+        let sk = SigningKey::generate(&mut rng);
+        let forger = SigningKey::generate(&mut rng);
+        let resolver =
+            MapResolver::new().with(p("alice"), GrantorVerifier::PublicKey(sk.verifying_key()));
+        let auth = GrantAuthority::Keypair(sk);
+        let mut proxy = grant(
+            &p("alice"),
+            &auth,
+            RestrictionSet::new(),
+            window(),
+            1,
+            &mut rng,
+        );
+        for serial in 2..=4 {
+            proxy = proxy
+                .derive(RestrictionSet::new(), window(), serial, &mut rng)
+                .unwrap();
+        }
+        let honest = proxy.present_bearer([4u8; 32], &p("fs"));
+        assert_eq!(honest.certs.len(), 4);
+        // Cold: all four seals ride one batch, whose failure falls back
+        // to per-seal checks. Warm: the three honest links hit the seal
+        // cache, so the forged one is alone in the batch at position 0 —
+        // the blame must still be its chain index.
+        for warm in [false, true] {
+            let verifier = Verifier::new(p("fs"), resolver.clone()).with_seal_cache(64);
+            let mut guard = MemoryReplayGuard::new();
+            if warm {
+                assert!(verifier.verify(&honest, &ctx(), &mut guard).is_ok());
+            }
+            for k in 0..4 {
+                let mut pres = honest.clone();
+                let body = pres.certs[k].body_bytes();
+                pres.certs[k].seal = CertSeal::Ed25519(forger.sign(&body));
+                assert_eq!(
+                    verifier.verify(&pres, &ctx(), &mut guard),
+                    Err(VerifyError::BadSeal { index: k }),
+                    "warm={warm} k={k}"
+                );
+            }
+            // A failed batch caches nothing it should not.
+            let cached = verifier.seal_cache().unwrap().len();
+            assert_eq!(cached, if warm { 4 } else { 0 });
+        }
     }
 
     #[test]

@@ -1,16 +1,13 @@
 //! # proxy-runtime
 //!
-//! A small std-only concurrency runtime for driving the concurrent
-//! service cores: a fixed worker pool ([`Pool`]), a completion latch
-//! ([`WaitGroup`]), a closed-loop load driver ([`closed_loop`]), and a
-//! readiness [`Poller`] (epoll with a portable `poll(2)` fallback) for
-//! the event-loop servers.
+//! A readiness [`Poller`] (epoll with a portable `poll(2)` fallback)
+//! for the event-loop server.
 //!
-//! No tokio, no rayon, no libc crate — the whole machinery is
-//! `std::thread`, channels, and a thin audited FFI module ([`sys`])
-//! over the two readiness syscalls. `unsafe` is denied crate-wide and
-//! allowed *only* inside `sys`, whose every call site carries a local
-//! safety argument; the rest of the workspace stays `forbid(unsafe_code)`.
+//! No tokio, no mio, no libc crate — the whole machinery is a thin
+//! audited FFI module ([`sys`]) over the two readiness syscalls.
+//! `unsafe` is denied crate-wide and allowed *only* inside `sys`, whose
+//! every call site carries a local safety argument; the rest of the
+//! workspace stays `forbid(unsafe_code)`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,268 +16,3 @@ pub mod poller;
 pub mod sys;
 
 pub use poller::{Event, Interest, Poller, PollerKind};
-
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Barrier, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// A boxed unit of work for the pool.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A fixed-size worker pool over one shared job queue.
-///
-/// Workers pull jobs from a `Mutex`-guarded channel receiver; the pool
-/// joins all workers on drop (after closing the queue), so submitted
-/// jobs always run to completion before the pool disappears.
-#[derive(Debug)]
-pub struct Pool {
-    sender: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl Pool {
-    /// Spawns a pool of `threads` workers (minimum 1).
-    #[must_use]
-    pub fn new(threads: usize) -> Self {
-        let (sender, receiver) = channel::<Job>();
-        let receiver = Arc::new(Mutex::new(receiver));
-        let workers = (0..threads.max(1))
-            .map(|i| {
-                let receiver: Arc<Mutex<Receiver<Job>>> = Arc::clone(&receiver);
-                std::thread::Builder::new()
-                    .name(format!("proxy-worker-{i}"))
-                    .spawn(move || loop {
-                        // Hold the queue lock only while *taking* a job,
-                        // never while running it.
-                        let job = match receiver.lock().expect("job queue").recv() {
-                            Ok(job) => job,
-                            Err(_) => break, // queue closed: pool dropped
-                        };
-                        job();
-                    })
-                    .expect("spawn worker")
-            })
-            .collect();
-        Self {
-            sender: Some(sender),
-            workers,
-        }
-    }
-
-    /// Number of worker threads.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Submits a job. Panics if called after the pool started shutting
-    /// down (impossible through the public API).
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        self.sender
-            .as_ref()
-            .expect("pool alive")
-            .send(Box::new(job))
-            .expect("workers alive");
-    }
-}
-
-impl Drop for Pool {
-    fn drop(&mut self) {
-        // Closing the channel lets each worker's recv() fail once the
-        // queue drains; then join them all.
-        drop(self.sender.take());
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-/// A completion latch: `add` before submitting work, `done` when a unit
-/// finishes, `wait` blocks until the count returns to zero.
-#[derive(Debug, Default)]
-pub struct WaitGroup {
-    count: Mutex<usize>,
-    zero: Condvar,
-}
-
-impl WaitGroup {
-    /// Creates a latch with a count of zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers `n` outstanding units of work.
-    pub fn add(&self, n: usize) {
-        *self.count.lock().expect("waitgroup") += n;
-    }
-
-    /// Marks one unit complete.
-    pub fn done(&self) {
-        let mut count = self.count.lock().expect("waitgroup");
-        *count = count.checked_sub(1).expect("done() without add()");
-        if *count == 0 {
-            self.zero.notify_all();
-        }
-    }
-
-    /// Blocks until every registered unit has completed.
-    pub fn wait(&self) {
-        let mut count = self.count.lock().expect("waitgroup");
-        while *count != 0 {
-            count = self.zero.wait(count).expect("waitgroup");
-        }
-    }
-}
-
-/// The result of one closed-loop run.
-#[derive(Clone, Copy, Debug)]
-pub struct Report {
-    /// Concurrent client threads.
-    pub threads: usize,
-    /// Total operations completed across all threads.
-    pub total_ops: u64,
-    /// Wall-clock time from the synchronized start to the last thread
-    /// finishing.
-    pub elapsed: Duration,
-}
-
-impl Report {
-    /// Completed operations per wall-clock second.
-    #[must_use]
-    pub fn ops_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.total_ops as f64 / secs
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// Drives `threads` closed-loop clients: each thread gets its own client
-/// closure from `make_client` (called with the thread index, on the main
-/// thread — put per-thread setup there), then all threads start together
-/// behind a barrier and each runs its client `ops_per_thread` times
-/// back-to-back. The client closure receives the operation index.
-///
-/// Closed-loop means each client has exactly one request in flight —
-/// throughput scales with threads until the shared server saturates,
-/// which is precisely the curve the throughput harness measures.
-pub fn closed_loop<C>(
-    threads: usize,
-    ops_per_thread: u64,
-    mut make_client: impl FnMut(usize) -> C,
-) -> Report
-where
-    C: FnMut(u64) + Send,
-{
-    let threads = threads.max(1);
-    let barrier = Barrier::new(threads + 1);
-    let mut clients: Vec<C> = (0..threads).map(&mut make_client).collect();
-    let started = std::thread::scope(|scope| {
-        for (i, client) in clients.iter_mut().enumerate() {
-            let barrier = &barrier;
-            std::thread::Builder::new()
-                .name(format!("closed-loop-{i}"))
-                .spawn_scoped(scope, move || {
-                    barrier.wait();
-                    for op in 0..ops_per_thread {
-                        client(op);
-                    }
-                })
-                .expect("spawn client");
-        }
-        barrier.wait();
-        Instant::now()
-        // Scope exit joins every client thread.
-    });
-    let elapsed = started.elapsed();
-    Report {
-        threads,
-        total_ops: ops_per_thread * threads as u64,
-        elapsed,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    #[test]
-    fn pool_runs_every_job() {
-        let pool = Pool::new(4);
-        assert_eq!(pool.threads(), 4);
-        let counter = Arc::new(AtomicU64::new(0));
-        let wg = Arc::new(WaitGroup::new());
-        wg.add(100);
-        for _ in 0..100 {
-            let counter = Arc::clone(&counter);
-            let wg = Arc::clone(&wg);
-            pool.execute(move || {
-                counter.fetch_add(1, Ordering::Relaxed);
-                wg.done();
-            });
-        }
-        wg.wait();
-        assert_eq!(counter.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn pool_drop_drains_the_queue() {
-        let counter = Arc::new(AtomicU64::new(0));
-        {
-            let pool = Pool::new(2);
-            for _ in 0..50 {
-                let counter = Arc::clone(&counter);
-                pool.execute(move || {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            // Drop joins workers after the queue drains.
-        }
-        assert_eq!(counter.load(Ordering::Relaxed), 50);
-    }
-
-    #[test]
-    fn waitgroup_blocks_until_done() {
-        let wg = Arc::new(WaitGroup::new());
-        wg.add(8);
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                let wg = Arc::clone(&wg);
-                scope.spawn(move || wg.done());
-            }
-            wg.wait();
-        });
-    }
-
-    #[test]
-    fn closed_loop_counts_all_operations() {
-        let completed = AtomicU64::new(0);
-        let report = closed_loop(4, 250, |_thread| {
-            let completed = &completed;
-            move |_op| {
-                completed.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert_eq!(report.threads, 4);
-        assert_eq!(report.total_ops, 1000);
-        assert_eq!(completed.load(Ordering::Relaxed), 1000);
-        assert!(report.ops_per_sec() > 0.0);
-    }
-
-    #[test]
-    fn closed_loop_passes_thread_and_op_indices() {
-        let seen = Mutex::new(Vec::new());
-        closed_loop(2, 3, |thread| {
-            let seen = &seen;
-            move |op| seen.lock().unwrap().push((thread, op))
-        });
-        let mut seen = seen.into_inner().unwrap();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]);
-    }
-}

@@ -11,8 +11,7 @@
 //!   behavior for netsim/bench determinism, plus in-process "restart"
 //!   tests (drop the server, reopen from the same store).
 //! * [`WalStorage`] — an append-only, CRC-framed write-ahead log with
-//!   group-commit fsync batching (leader/follower flush, mirroring the
-//!   seal micro-batcher in `restricted_proxy::batcher`), periodic
+//!   group-commit fsync batching (leader/follower flush), periodic
 //!   compacted snapshots installed by atomic rename with log rotation,
 //!   and deterministic replay on startup. Torn tails (the residue of a
 //!   crash mid-write) are truncated; any other framing or CRC defect is

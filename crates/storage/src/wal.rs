@@ -22,8 +22,8 @@
 //! ## Group-commit fsync
 //!
 //! `fsync` dominates the append path (~100µs+ on common filesystems), so
-//! [`FsyncMode::GroupCommit`] amortizes it with the leader/follower
-//! protocol of `restricted_proxy::batcher::SealBatcher`: the first
+//! [`FsyncMode::GroupCommit`] amortizes it with a leader/follower
+//! protocol over the buffer of staged records: the first
 //! waiter that finds no flush in progress becomes the **leader**. If it
 //! is alone it flushes inline (a lone client pays one fsync, no added
 //! latency); otherwise it lingers — bounded by `flush_wait`, broken the

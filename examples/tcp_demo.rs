@@ -7,12 +7,6 @@
 //! the client-observed round-trip time.
 //!
 //! Run with: `cargo run --example tcp_demo`
-//!
-//! Pass `--event-loop` to serve all three endpoints from the
-//! readiness-driven `EventLoopServer` (one epoll worker each) instead
-//! of the blocking thread-per-connection `TcpServer` — the protocol,
-//! client, and output are identical; only the server's concurrency
-//! model changes.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -24,10 +18,7 @@ use proxy_aa::accounting::{write_check, AccountingServer};
 use proxy_aa::authz::{Acl, AclRights, AclSubject, AuthorizationServer, EndServer};
 use proxy_aa::crypto::ed25519::SigningKey;
 use proxy_aa::crypto::keys::SymmetricKey;
-use proxy_aa::net::{
-    api, ClientOptions, Deposit, EventLoopServer, ServiceMux, TcpClient, TcpServer,
-};
-use proxy_aa::proxy::prelude::KeyResolver;
+use proxy_aa::net::{api, ClientOptions, Deposit, EventLoopServer, ServiceMux, TcpClient};
 use proxy_aa::proxy::prelude::*;
 use proxy_aa::wire::Message;
 
@@ -37,36 +28,6 @@ fn p(name: &str) -> PrincipalId {
 
 fn window() -> Validity {
     Validity::new(Timestamp(0), Timestamp(10_000))
-}
-
-/// Either server flavor; the rest of the demo only needs an address.
-enum Server {
-    Blocking(TcpServer),
-    EventLoop(EventLoopServer),
-}
-
-impl Server {
-    fn addr(&self) -> std::net::SocketAddr {
-        match self {
-            Server::Blocking(s) => s.addr(),
-            Server::EventLoop(s) => s.addr(),
-        }
-    }
-}
-
-/// Spawns `mux` on the flavor selected by `--event-loop`.
-fn serve<R: KeyResolver + Send + Sync + 'static>(
-    mux: ServiceMux<R>,
-    workers: usize,
-    seed: u64,
-    event_loop: bool,
-) -> Server {
-    let mux = Arc::new(mux);
-    if event_loop {
-        Server::EventLoop(EventLoopServer::spawn(mux, seed).expect("spawn event-loop server"))
-    } else {
-        Server::Blocking(TcpServer::spawn(mux, workers, seed).expect("spawn server"))
-    }
 }
 
 /// Frame sizes for one request/reply pair, as they crossed the socket.
@@ -80,7 +41,6 @@ fn wire_line(step: &str, request: &Message, reply_frame_len: usize, rtt_us: u128
 }
 
 fn main() {
-    let event_loop = std::env::args().any(|a| a == "--event-loop");
     let mut rng = StdRng::seed_from_u64(7);
 
     // --- Deployment: three servers, each on its own loopback port. ------
@@ -119,32 +79,15 @@ fn main() {
         .credit(Currency::new("USD"), 100);
     bank.open_account("shop", vec![p("shop")]);
 
-    let authz_srv = serve(
-        ServiceMux::new().with_authz(Arc::new(authz)),
-        2,
-        1,
-        event_loop,
-    );
-    let end_srv = serve(
-        ServiceMux::new().with_end_server(Arc::new(end)),
-        2,
-        2,
-        event_loop,
-    );
-    let bank_srv = serve(
-        ServiceMux::<MapResolver>::new().with_accounting(Arc::new(bank)),
-        2,
-        3,
-        event_loop,
-    );
-    println!(
-        "three {} servers listening on loopback:",
-        if event_loop {
-            "event-loop (epoll)"
-        } else {
-            "blocking"
-        }
-    );
+    // One event-loop worker each, on an ephemeral port; the last argument
+    // seeds server-side randomness.
+    let authz_mux = ServiceMux::new().with_authz(Arc::new(authz));
+    let authz_srv = EventLoopServer::spawn(Arc::new(authz_mux), 1).expect("spawn authz server");
+    let end_mux = ServiceMux::new().with_end_server(Arc::new(end));
+    let end_srv = EventLoopServer::spawn(Arc::new(end_mux), 2).expect("spawn end server");
+    let bank_mux = ServiceMux::<MapResolver>::new().with_accounting(Arc::new(bank));
+    let bank_srv = EventLoopServer::spawn(Arc::new(bank_mux), 3).expect("spawn bank server");
+    println!("three event-loop servers listening on loopback:");
     println!("  authorization server R at {}", authz_srv.addr());
     println!("  end-server            S at {}", end_srv.addr());
     println!("  accounting server  bank at {}\n", bank_srv.addr());

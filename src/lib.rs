@@ -12,11 +12,11 @@
 //! * [`authz`] — ACLs, authorization server, group server, capabilities.
 //! * [`accounting`] — accounts, checks, endorsements, clearing.
 //! * [`baselines`] — comparators from the paper's related-work section.
-//! * [`runtime`] — thread pool and closed-loop measurement harness.
+//! * [`runtime`] — readiness poller (epoll/poll) under the event loop.
 //! * [`wire`] — versioned, CRC-framed binary wire format for every
 //!   protocol message, hardened against hostile input.
 //! * [`net`] — the TCP/loopback service layer: `Transport`, the
-//!   request mux, server, and retrying pooled client.
+//!   request mux, event-loop server, and retrying pooled client.
 //!
 //! See `README.md` for a tour and `examples/` for runnable scenarios.
 //!

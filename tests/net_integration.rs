@@ -8,7 +8,9 @@ use proxy_aa::accounting::{write_check, AccountingServer};
 use proxy_aa::authz::{Acl, AclRights, AclSubject, AuthorizationServer, EndServer};
 use proxy_aa::crypto::ed25519::SigningKey;
 use proxy_aa::crypto::keys::SymmetricKey;
-use proxy_aa::net::{api, ClientOptions, Deposit, Loopback, ServiceMux, TcpClient, TcpServer};
+use proxy_aa::net::{
+    api, ClientOptions, Deposit, EventLoopOptions, EventLoopServer, Loopback, ServiceMux, TcpClient,
+};
 use proxy_aa::netsim::{EndpointId, Network};
 use proxy_aa::proxy::prelude::*;
 use rand::rngs::StdRng;
@@ -80,16 +82,28 @@ fn world(seed: u64) -> World {
     }
 }
 
-fn client(server: &TcpServer) -> TcpClient {
+fn spawn(mux: ServiceMux<MapResolver>, workers: usize, seed: u64) -> EventLoopServer {
+    EventLoopServer::spawn_with(
+        Arc::new(mux),
+        EventLoopOptions {
+            workers,
+            ..EventLoopOptions::default()
+        },
+        seed,
+    )
+    .expect("spawn server")
+}
+
+fn client(server: &EventLoopServer) -> TcpClient {
     TcpClient::new(server.addr(), ClientOptions::default())
 }
 
 #[test]
 fn grant_present_deposit_over_three_tcp_servers() {
     let w = world(1);
-    let authz_srv = TcpServer::spawn(Arc::new(w.authz), 2, 1).expect("authz server");
-    let end_srv = TcpServer::spawn(Arc::new(w.end), 2, 2).expect("end server");
-    let bank_srv = TcpServer::spawn(Arc::new(w.bank), 2, 3).expect("bank server");
+    let authz_srv = spawn(w.authz, 2, 1);
+    let end_srv = spawn(w.end, 2, 2);
+    let bank_srv = spawn(w.bank, 2, 3);
 
     // Step 1 (Fig. 3): C obtains an authorization proxy from R.
     let authz_client = client(&authz_srv);
@@ -202,7 +216,7 @@ fn grant_present_deposit_over_three_tcp_servers() {
 #[test]
 fn concurrent_clients_share_one_tcp_server() {
     let w = world(2);
-    let authz_srv = TcpServer::spawn(Arc::new(w.authz), 4, 5).expect("authz server");
+    let authz_srv = spawn(w.authz, 4, 5);
     let c = client(&authz_srv);
     std::thread::scope(|s| {
         for _ in 0..4 {

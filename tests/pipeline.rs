@@ -12,7 +12,8 @@ use std::thread::JoinHandle;
 use proxy_aa::authz::{Acl, AclRights, AclSubject, AuthorizationServer, EndServer};
 use proxy_aa::crypto::keys::SymmetricKey;
 use proxy_aa::net::{
-    ClientOptions, NetError, RetryPolicy, ServiceMux, TcpClient, TcpServer, Transport,
+    ClientOptions, EventLoopOptions, EventLoopServer, NetError, RetryPolicy, ServiceMux, TcpClient,
+    Transport,
 };
 use proxy_aa::proxy::prelude::*;
 use proxy_aa::wire::frame::{read_frame, write_frame};
@@ -26,6 +27,18 @@ fn p(name: &str) -> PrincipalId {
 
 fn window() -> Validity {
     Validity::new(Timestamp(0), Timestamp(1000))
+}
+
+fn spawn(mux: ServiceMux<MapResolver>, workers: usize, seed: u64) -> EventLoopServer {
+    EventLoopServer::spawn_with(
+        Arc::new(mux),
+        EventLoopOptions {
+            workers,
+            ..EventLoopOptions::default()
+        },
+        seed,
+    )
+    .expect("spawn server")
 }
 
 /// An end-server "S" trusting grantor "alice" (shared key), with an ACL
@@ -78,7 +91,7 @@ fn pipelined_replies_correlate_and_isolate_denials() {
         ),
     );
     let mux = ServiceMux::new().with_authz(Arc::new(authz));
-    let srv = TcpServer::spawn(Arc::new(mux), 2, 1).expect("authz server");
+    let srv = spawn(mux, 2, 1);
 
     let query = |op: &str| Message::AuthzQuery {
         client: p("C"),
@@ -117,7 +130,7 @@ fn pipelined_replies_correlate_and_isolate_denials() {
 #[test]
 fn accept_once_is_honored_exactly_once_across_racing_pipelines() {
     let (mux, authority) = end_world(2);
-    let srv = TcpServer::spawn(Arc::new(mux), 4, 2).expect("end server");
+    let srv = spawn(mux, 4, 2);
     let mut rng = StdRng::seed_from_u64(3);
     let proxy = grant(
         &p("alice"),
@@ -161,7 +174,7 @@ fn accept_once_is_honored_exactly_once_across_racing_pipelines() {
 #[test]
 fn distinct_accept_once_ids_all_clear_one_deep_pipeline() {
     let (mux, authority) = end_world(4);
-    let srv = TcpServer::spawn(Arc::new(mux), 2, 3).expect("end server");
+    let srv = spawn(mux, 2, 3);
     let mut rng = StdRng::seed_from_u64(5);
     let requests: Vec<Message> = (0..16u64)
         .map(|i| {
@@ -191,7 +204,7 @@ fn distinct_accept_once_ids_all_clear_one_deep_pipeline() {
 #[test]
 fn unknown_restriction_tag_denies_only_its_own_request_mid_pipeline() {
     let (mux, authority) = end_world(6);
-    let srv = TcpServer::spawn(Arc::new(mux), 2, 4).expect("end server");
+    let srv = spawn(mux, 2, 4);
     let mut rng = StdRng::seed_from_u64(7);
 
     let mut bearer = |serial: u64, nonce: u8| {
@@ -421,12 +434,12 @@ fn pipelined_batch_recovers_from_a_stale_pooled_connection() {
 #[test]
 fn server_side_idle_reap_surfaces_as_clean_redial() {
     let (mux, authority) = end_world(9);
-    let srv = proxy_aa::net::EventLoopServer::spawn_with(
+    let srv = EventLoopServer::spawn_with(
         Arc::new(mux),
-        proxy_aa::net::EventLoopOptions {
+        EventLoopOptions {
             idle_timeout: std::time::Duration::from_millis(100),
             tick: std::time::Duration::from_millis(10),
-            ..proxy_aa::net::EventLoopOptions::default()
+            ..EventLoopOptions::default()
         },
         9,
     )
