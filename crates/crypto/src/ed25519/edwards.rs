@@ -2,10 +2,25 @@
 //! −x² + y² = 1 + d·x²y² over GF(2^255 − 19).
 //!
 //! Points use extended homogeneous coordinates (X : Y : Z : T) with
-//! x = X/Z, y = Y/Z, T = XY/Z. Scalar multiplication is plain
-//! double-and-add; this workspace runs simulations, not production TLS, so
-//! we trade side-channel hardening for clarity (noted here per the crate
-//! docs).
+//! x = X/Z, y = Y/Z, T = XY/Z. Scalar multiplication is variable-time and
+//! table-driven; this workspace runs simulations, not production TLS, so
+//! we trade side-channel hardening for speed and clarity (noted here per
+//! the crate docs). The paths, all sharing one doubling chain
+//! (`straus_chain`) over width-w NAF digits:
+//!
+//! * [`Point::mul_scalar`] — plain double-and-add, the reference every
+//!   other path is tested against;
+//! * [`Point::mul_basepoint`] — fixed-base `[k]B` from a static radix-16
+//!   table (signing, key derivation);
+//! * [`Point::double_scalar_mul_basepoint`] — Straus `[a]B + [b]Q` with a
+//!   static width-8 table for B and a width-5 table built per call for Q:
+//!   one verification under a key not seen before, ~253 doublings;
+//! * [`PreparedPoint::double_scalar_mul_basepoint`] — the same sum for a
+//!   Q that keeps its tables for Q and `[2¹²⁸]Q`: both scalars split at
+//!   2¹²⁸ and the four halves share one chain of ≤ 129 doublings, with no
+//!   table build. Costs ~128 doublings once per Q;
+//! * [`Point::multiscalar_mul_basepoint`] — variable-length Straus for
+//!   batch verification.
 
 // `neg`/`add` mirror group notation; see field.rs rationale.
 #![allow(clippy::should_implement_trait)]
@@ -295,27 +310,30 @@ impl Point {
     }
 
     /// Variable-length Straus multiscalar multiplication
-    /// `∑ [scalars[i]] points[i]`: one shared doubling chain across all
-    /// terms, width-5 wNAF per point. Batch signature verification reduces
-    /// to a single call.
+    /// `[b]B + ∑ [scalars[i]] points[i]`: one shared doubling chain across
+    /// all terms, width-5 wNAF with a table built here per point, and for
+    /// the basepoint the static width-8 table. Batch signature
+    /// verification reduces to a single call.
     ///
     /// # Panics
     ///
     /// Panics when the slices differ in length.
     #[must_use]
-    pub fn multiscalar_mul(scalars: &[Scalar], points: &[Point]) -> Point {
+    pub fn multiscalar_mul_basepoint(b: &Scalar, scalars: &[Scalar], points: &[Point]) -> Point {
         assert_eq!(scalars.len(), points.len(), "mismatched multiscalar input");
-        if scalars.is_empty() {
-            return Point::identity();
-        }
+        let b_naf = b.non_adjacent_form(8);
+        let b_table = basepoint_naf_table();
         let nafs: Vec<[i8; 256]> = scalars.iter().map(|s| s.non_adjacent_form(5)).collect();
         let tables: Vec<NafLookupTable<8>> =
             points.iter().map(NafLookupTable::<8>::from_point).collect();
-        let naf_refs: Vec<&[i8; 256]> = nafs.iter().collect();
+        let naf_refs: Vec<&[i8; 256]> = nafs.iter().chain([&b_naf]).collect();
         straus_chain(
             highest_nonzero(&naf_refs),
-            |i| nafs.iter().any(|naf| naf[i] != 0),
+            |i| naf_refs.iter().any(|naf| naf[i] != 0),
             |i, mut acc| {
+                if b_naf[i] != 0 {
+                    acc = acc.add_cached(&b_table.select(b_naf[i]));
+                }
                 for (naf, table) in nafs.iter().zip(&tables) {
                     if naf[i] != 0 {
                         acc = acc.add_cached(&table.select(naf[i]));
@@ -492,6 +510,80 @@ impl<const N: usize> NafLookupTable<N> {
 fn basepoint_naf_table() -> &'static NafLookupTable<64> {
     static CELL: OnceLock<NafLookupTable<64>> = OnceLock::new();
     CELL.get_or_init(|| NafLookupTable::<64>::from_point(&Point::basepoint()))
+}
+
+/// `[2¹²⁸]p`, on the projective doubling chain.
+fn mul_2_128(p: &Point) -> Point {
+    let mut acc = p.as_projective();
+    for _ in 0..127 {
+        acc = acc.double().to_projective();
+    }
+    acc.double().to_extended()
+}
+
+/// The static width-8 wNAF table for `[2¹²⁸]B`: the basepoint's half of
+/// a [`PreparedPoint`] chain, built on first use.
+fn basepoint_hi_naf_table() -> &'static NafLookupTable<64> {
+    static CELL: OnceLock<NafLookupTable<64>> = OnceLock::new();
+    CELL.get_or_init(|| NafLookupTable::<64>::from_point(&mul_2_128(&Point::basepoint())))
+}
+
+/// A point Q prepared for repeated `[a]B + [b]Q`: width-5 odd-multiple
+/// tables for Q and for `[2¹²⁸]Q` (2.5 KiB).
+///
+/// Building one costs ~128 doublings and two table builds, about a third
+/// of a [`Point::double_scalar_mul_basepoint`]; each use then walks half
+/// that function's doubling chain and builds nothing, so preparation pays
+/// from the second use on.
+pub struct PreparedPoint {
+    lo: NafLookupTable<8>,
+    hi: NafLookupTable<8>,
+}
+
+impl PreparedPoint {
+    /// Prepares `q`.
+    #[must_use]
+    pub fn new(q: &Point) -> PreparedPoint {
+        PreparedPoint {
+            lo: NafLookupTable::from_point(q),
+            hi: NafLookupTable::from_point(&mul_2_128(q)),
+        }
+    }
+
+    /// `[a]B + [b]Q`, equal to [`Point::double_scalar_mul_basepoint`]:
+    /// with `a = a₀ + 2¹²⁸a₁` and `b = b₀ + 2¹²⁸b₁` the sum is
+    /// `[a₀]B + [a₁]([2¹²⁸]B) + [b₀]Q + [b₁]([2¹²⁸]Q)`, four scalars below
+    /// 2¹²⁸ on one chain of at most 129 doublings.
+    #[must_use]
+    pub fn double_scalar_mul_basepoint(&self, a: &Scalar, b: &Scalar) -> Point {
+        let (a_lo, a_hi) = a.split_128();
+        let (b_lo, b_hi) = b.split_128();
+        let a_lo = a_lo.non_adjacent_form(8);
+        let a_hi = a_hi.non_adjacent_form(8);
+        let b_lo = b_lo.non_adjacent_form(5);
+        let b_hi = b_hi.non_adjacent_form(5);
+        let base_lo = basepoint_naf_table();
+        let base_hi = basepoint_hi_naf_table();
+        straus_chain(
+            highest_nonzero(&[&a_lo, &a_hi, &b_lo, &b_hi]),
+            |i| a_lo[i] != 0 || a_hi[i] != 0 || b_lo[i] != 0 || b_hi[i] != 0,
+            |i, mut acc| {
+                if a_lo[i] != 0 {
+                    acc = acc.add_cached(&base_lo.select(a_lo[i]));
+                }
+                if a_hi[i] != 0 {
+                    acc = acc.add_cached(&base_hi.select(a_hi[i]));
+                }
+                if b_lo[i] != 0 {
+                    acc = acc.add_cached(&self.lo.select(b_lo[i]));
+                }
+                if b_hi[i] != 0 {
+                    acc = acc.add_cached(&self.hi.select(b_hi[i]));
+                }
+                acc
+            },
+        )
+    }
 }
 
 /// The radix-16 fixed-base table: `entry(i, j) = [j·16^(2i)]B` for
@@ -737,12 +829,48 @@ mod tests {
         let scalars: Vec<Scalar> = (0u8..5)
             .map(|i| Scalar::from_bytes_mod_order(&[i.wrapping_mul(53); 32]))
             .collect();
-        let fused = Point::multiscalar_mul(&scalars, &points);
-        let mut expect = Point::identity();
-        for (s, p) in scalars.iter().zip(&points) {
-            expect = expect.add(&p.mul_scalar(s));
+        for base_scalar in [Scalar::ZERO, Scalar::from_bytes_mod_order(&[0xb7; 32])] {
+            let fused = Point::multiscalar_mul_basepoint(&base_scalar, &scalars, &points);
+            let mut expect = b.mul_scalar(&base_scalar);
+            for (s, p) in scalars.iter().zip(&points) {
+                expect = expect.add(&p.mul_scalar(s));
+            }
+            assert!(fused.eq_point(&expect));
         }
-        assert!(fused.eq_point(&expect));
-        assert!(Point::multiscalar_mul(&[], &[]).is_identity());
+        assert!(Point::multiscalar_mul_basepoint(&Scalar::ZERO, &[], &[]).is_identity());
+        let seven = Scalar::from_u64(7);
+        assert!(Point::multiscalar_mul_basepoint(&seven, &[], &[]).eq_point(&b.mul_scalar(&seven)));
+    }
+
+    #[test]
+    fn prepared_point_matches_ladders_around_the_split() {
+        let b = Point::basepoint();
+        let q = b.mul_scalar(&Scalar::from_u64(99));
+        let prepared = PreparedPoint::new(&q);
+        let two_128 = Scalar::from_u128(u128::MAX).add(Scalar::ONE);
+        let edges = [
+            Scalar::ZERO,
+            Scalar::ONE,
+            Scalar::from_u128(u128::MAX),
+            two_128,
+            two_128.add(Scalar::ONE),
+            // ℓ − 1, the largest canonical scalar.
+            Scalar::ZERO.sub(Scalar::ONE),
+        ];
+        for (i, sa) in edges.iter().enumerate() {
+            for (j, sb) in edges.iter().enumerate() {
+                let separate = b.mul_scalar(sa).add(&q.mul_scalar(sb));
+                let split = prepared.double_scalar_mul_basepoint(sa, sb);
+                assert!(split.eq_point(&separate), "edges {i}, {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn two_to_the_128_multiple_matches_the_ladder() {
+        let q = Point::basepoint().mul_scalar(&Scalar::from_u64(5));
+        let two_128 = Scalar::from_u128(u128::MAX).add(Scalar::ONE);
+        assert!(mul_2_128(&q).eq_point(&q.mul_scalar(&two_128)));
+        assert!(mul_2_128(&Point::identity()).is_identity());
     }
 }

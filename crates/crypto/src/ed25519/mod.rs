@@ -16,17 +16,26 @@
 //! ([`edwards::Point::mul_scalar`]). None of this is hardened against
 //! local side-channel observers — appropriate for a research simulation,
 //! not production TLS (see DESIGN.md, "Crypto performance").
+//!
+//! A public key is paid for in stages, each kept by whoever expects the
+//! key again: [`VerifyingKey`] is the 32 wire bytes, [`DecompressedKey`]
+//! adds the curve point (one square root), [`PreparedKey`] adds the
+//! point's tables and halves the doubling chain of every later check.
+//! All three evaluate the same equation and give the same verdicts;
+//! [`VerifyingKey::verify`] is the reference the other two are tested
+//! against.
 
 pub mod edwards;
 pub mod field;
 pub mod scalar;
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use rand::RngCore;
 
 use crate::sha512::Sha512;
-use edwards::{DecompressError, Point};
+use edwards::{DecompressError, Point, PreparedPoint};
 use scalar::Scalar;
 
 /// Length of an Ed25519 signature in bytes.
@@ -106,21 +115,138 @@ impl VerifyingKey {
     /// decompress, `s` is non-canonical (≥ ℓ), or the verification equation
     /// `[s]B = R + [k]A` does not hold.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), SignatureError> {
+        self.decompress()?.verify(message, signature)
+    }
+
+    /// Decompresses the key's curve point, the first thing every
+    /// verification under it needs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SignatureError`] when the bytes encode no curve point;
+    /// no signature verifies under such a key.
+    pub fn decompress(&self) -> Result<DecompressedKey, SignatureError> {
         let a = Point::decompress(&self.0).map_err(|DecompressError| SignatureError)?;
+        Ok(DecompressedKey {
+            key: *self,
+            neg_a: a.neg(),
+        })
+    }
+}
+
+/// The parts of a signature every verification path starts from: `R` as
+/// sent and as a point, `s` checked canonical, and the challenge
+/// `k = H(R ‖ A ‖ M) mod ℓ`.
+struct Challenge {
+    r: Point,
+    s: Scalar,
+    k: Scalar,
+}
+
+impl Challenge {
+    fn new(
+        key: &VerifyingKey,
+        message: &[u8],
+        signature: &Signature,
+    ) -> Result<Challenge, SignatureError> {
         let r_bytes: [u8; 32] = signature.0[..32].try_into().expect("split");
         let s_bytes: [u8; 32] = signature.0[32..].try_into().expect("split");
         let r = Point::decompress(&r_bytes).map_err(|DecompressError| SignatureError)?;
         let s = Scalar::from_canonical_bytes(&s_bytes).ok_or(SignatureError)?;
-        let k = challenge_scalar(&r_bytes, &self.0, message);
-        // [s]B == R + [k]A, rearranged to one double-scalar multiplication
-        // (Straus–Shamir): [s]B + [k](−A) == R. B rides the static wNAF
-        // table; only A pays for a table build.
-        let lhs = Point::double_scalar_mul_basepoint(&s, &k, &a.neg());
-        if lhs.eq_point(&r) {
+        let k = challenge_scalar(&r_bytes, &key.0, message);
+        Ok(Challenge { r, s, k })
+    }
+
+    /// The verdict, given `[s]B + [k](−A)`.
+    fn check(&self, lhs: &Point) -> Result<(), SignatureError> {
+        if lhs.eq_point(&self.r) {
             Ok(())
         } else {
             Err(SignatureError)
         }
+    }
+}
+
+/// A [`VerifyingKey`] with its curve point decompressed (and negated, as
+/// the verification equation uses it): what a verifier keeps of a key it
+/// has seen once.
+#[derive(Clone, Copy)]
+pub struct DecompressedKey {
+    key: VerifyingKey,
+    neg_a: Point,
+}
+
+impl DecompressedKey {
+    /// The key as it travels.
+    #[must_use]
+    pub fn key(&self) -> &VerifyingKey {
+        &self.key
+    }
+
+    /// Verifies `signature` over `message`; [`VerifyingKey::verify`]
+    /// without the decompression of `A`.
+    ///
+    /// # Errors
+    ///
+    /// As [`VerifyingKey::verify`].
+    pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), SignatureError> {
+        let c = Challenge::new(&self.key, message, signature)?;
+        // [s]B == R + [k]A, rearranged to one double-scalar multiplication
+        // (Straus–Shamir): [s]B + [k](−A) == R. B rides the static wNAF
+        // table; only A pays for a table build.
+        c.check(&Point::double_scalar_mul_basepoint(&c.s, &c.k, &self.neg_a))
+    }
+}
+
+impl std::fmt::Debug for DecompressedKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "DecompressedKey({:?})", self.key)
+    }
+}
+
+/// A [`VerifyingKey`] prepared for many verifications: the tables of `−A`
+/// and `[2¹²⁸](−A)` (see [`PreparedPoint`]), about 2.6 KiB.
+///
+/// [`PreparedKey::verify`] evaluates the equation of
+/// [`VerifyingKey::verify`] and returns the same verdict on every input,
+/// in about two thirds of the time; building one costs about a third of a
+/// verification, so it pays for a key that will be seen at least twice
+/// more.
+pub struct PreparedKey {
+    key: VerifyingKey,
+    neg_a: PreparedPoint,
+}
+
+impl PreparedKey {
+    /// Builds the tables for `key`.
+    #[must_use]
+    pub fn new(key: &DecompressedKey) -> PreparedKey {
+        PreparedKey {
+            key: key.key,
+            neg_a: PreparedPoint::new(&key.neg_a),
+        }
+    }
+
+    /// The key as it travels.
+    #[must_use]
+    pub fn key(&self) -> &VerifyingKey {
+        &self.key
+    }
+
+    /// Verifies `signature` over `message`.
+    ///
+    /// # Errors
+    ///
+    /// As [`VerifyingKey::verify`].
+    pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), SignatureError> {
+        let c = Challenge::new(&self.key, message, signature)?;
+        c.check(&self.neg_a.double_scalar_mul_basepoint(&c.s, &c.k))
+    }
+}
+
+impl std::fmt::Debug for PreparedKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "PreparedKey({:?})", self.key)
     }
 }
 
@@ -136,23 +262,27 @@ impl std::fmt::Debug for VerifyingKey {
 
 /// An Ed25519 signing (private) key.
 ///
-/// Holds the RFC 8032 expanded secret: the clamped scalar `a` and the
-/// 32-byte `prefix` used to derive deterministic nonces. The originating
-/// seed is retained so the key can be serialized (e.g. proxy-key material
-/// crossing the wire inside a protected channel) and re-expanded on the
-/// other side.
+/// Holds the 32-byte seed, which is what is serialized (e.g. proxy-key
+/// material crossing the wire inside a protected channel), and derives
+/// the RFC 8032 expanded secret from it on first use: a key that is only
+/// decoded, stored or forwarded never pays for the expansion.
 #[derive(Clone)]
 pub struct SigningKey {
     seed: [u8; SEED_LEN],
+    expanded: OnceLock<ExpandedKey>,
+}
+
+/// RFC 8032 §5.1.5: the clamped scalar `a`, the 32-byte `prefix` used to
+/// derive deterministic nonces, and the public key `[a]B`.
+#[derive(Clone)]
+struct ExpandedKey {
     scalar: Scalar,
     prefix: [u8; 32],
     public: VerifyingKey,
 }
 
-impl SigningKey {
-    /// Derives a signing key from a 32-byte seed per RFC 8032 §5.1.5.
-    #[must_use]
-    pub fn from_seed(seed: &[u8; SEED_LEN]) -> Self {
+impl ExpandedKey {
+    fn from_seed(seed: &[u8; SEED_LEN]) -> ExpandedKey {
         let h = Sha512::digest(seed);
         let mut scalar_bytes: [u8; 32] = h[..32].try_into().expect("split");
         // Clamp.
@@ -163,12 +293,30 @@ impl SigningKey {
         let prefix: [u8; 32] = h[32..].try_into().expect("split");
         let public_point = Point::mul_basepoint(&scalar);
         let public = VerifyingKey::from_bytes(public_point.compress());
-        Self {
-            seed: *seed,
+        ExpandedKey {
             scalar,
             prefix,
             public,
         }
+    }
+}
+
+impl SigningKey {
+    /// The signing key for a 32-byte seed (RFC 8032 §5.1.5). Costs a copy:
+    /// the hash, the fixed-base multiplication and the inversion behind
+    /// the public key run on the first [`Self::sign`] or
+    /// [`Self::verifying_key`].
+    #[must_use]
+    pub fn from_seed(seed: &[u8; SEED_LEN]) -> Self {
+        Self {
+            seed: *seed,
+            expanded: OnceLock::new(),
+        }
+    }
+
+    fn expanded(&self) -> &ExpandedKey {
+        self.expanded
+            .get_or_init(|| ExpandedKey::from_seed(&self.seed))
     }
 
     /// The 32-byte seed this key expands from (RFC 8032 private key).
@@ -190,23 +338,24 @@ impl SigningKey {
     /// The corresponding public key.
     #[must_use]
     pub fn verifying_key(&self) -> VerifyingKey {
-        self.public
+        self.expanded().public
     }
 
     /// Signs `message` (deterministic per RFC 8032).
     #[must_use]
     pub fn sign(&self, message: &[u8]) -> Signature {
+        let key = self.expanded();
         // r = H(prefix ‖ M) mod ℓ
         let mut h = Sha512::new();
-        h.update(&self.prefix);
+        h.update(&key.prefix);
         h.update(message);
         let r = Scalar::from_bytes_mod_order_wide(&h.finalize());
         let r_point = Point::mul_basepoint(&r);
         let r_bytes = r_point.compress();
         // k = H(R ‖ A ‖ M) mod ℓ
-        let k = challenge_scalar(&r_bytes, &self.public.0, message);
+        let k = challenge_scalar(&r_bytes, &key.public.0, message);
         // s = r + k·a mod ℓ
-        let s = k.mul_add(self.scalar, r);
+        let s = k.mul_add(key.scalar, r);
         let mut sig = [0u8; SIGNATURE_LEN];
         sig[..32].copy_from_slice(&r_bytes);
         sig[32..].copy_from_slice(&s.to_bytes());
@@ -216,7 +365,11 @@ impl SigningKey {
 
 impl std::fmt::Debug for SigningKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SigningKey(<redacted>, public: {:?})", self.public)
+        write!(
+            f,
+            "SigningKey(<redacted>, public: {:?})",
+            self.verifying_key()
+        )
     }
 }
 
@@ -287,8 +440,8 @@ pub fn verify_batch(items: &[(&[u8], &Signature, &VerifyingKey)]) -> Result<(), 
     }
     let seed = h.finalize();
 
-    let mut scalars = Vec::with_capacity(2 * items.len() + 1);
-    let mut points = Vec::with_capacity(2 * items.len() + 1);
+    let mut scalars = Vec::with_capacity(2 * items.len());
+    let mut points = Vec::with_capacity(2 * items.len());
     let mut b_coeff = Scalar::ZERO;
     for i in 0..items.len() {
         let mut zh = Sha512::new();
@@ -303,10 +456,8 @@ pub fn verify_batch(items: &[(&[u8], &Signature, &VerifyingKey)]) -> Result<(), 
         scalars.push(z.mul(ks[i]));
         points.push(as_[i]);
     }
-    scalars.push(b_coeff.neg());
-    points.push(Point::basepoint());
 
-    if Point::multiscalar_mul(&scalars, &points).is_identity() {
+    if Point::multiscalar_mul_basepoint(&b_coeff.neg(), &scalars, &points).is_identity() {
         return Ok(());
     }
     // Combined equation failed: at least one signature is (almost surely)

@@ -146,6 +146,23 @@ proptest! {
         prop_assert!(Point::double_scalar_mul_basepoint(&sa, &sb, &p).eq_point(&separate));
     }
 
+    /// The batch equation's multiscalar sum — static table for the
+    /// basepoint term, a table per other point — is the sum of ladders.
+    #[test]
+    fn multiscalar_mul_matches_sum_of_ladders(kb in any::<[u8; 32]>(),
+                                              terms in proptest::collection::vec(
+                                                  (any::<[u8; 32]>(), 1u64..1_000_000), 0..5)) {
+        let b = Point::basepoint();
+        let sb = Scalar::from_bytes_mod_order(&kb);
+        let scalars: Vec<Scalar> = terms.iter().map(|(k, _)| Scalar::from_bytes_mod_order(k)).collect();
+        let points: Vec<Point> = terms.iter().map(|(_, p)| b.mul_scalar(&Scalar::from_u64(*p))).collect();
+        let mut expect = b.mul_scalar(&sb);
+        for (s, p) in scalars.iter().zip(&points) {
+            expect = expect.add(&p.mul_scalar(s));
+        }
+        prop_assert!(Point::multiscalar_mul_basepoint(&sb, &scalars, &points).eq_point(&expect));
+    }
+
     /// wNAF and radix-16 digit decompositions reconstruct the scalar.
     #[test]
     fn scalar_decompositions_reconstruct(bytes in any::<[u8; 32]>(), w in 2usize..9) {

@@ -43,7 +43,12 @@ pub const SHARD_INSTANT_OPS: &[&str] = &[
     "is_empty",
 ];
 
-/// Blocking primitives: filesystem syncs, socket syscalls, waits.
+/// Blocking primitives: filesystem syncs, socket syscalls, waits — and
+/// signature verification, tens of microseconds of curve arithmetic. To
+/// the thread queued on a stripe it makes no difference whether the
+/// holder is in a syscall or in a scalar multiplication.
+/// `PreparedKey::new`, the other curve-arithmetic call, is matched by
+/// its qualifier (`is_key_preparation`).
 pub const BLOCKING_PRIMITIVES: &[&str] = &[
     "sync_all",
     "sync_data",
@@ -61,7 +66,23 @@ pub const BLOCKING_PRIMITIVES: &[&str] = &[
     "read_to_end",
     "accept",
     "connect",
+    "verify",
+    "verify_batch",
 ];
+
+/// Whether `c` is `PreparedKey::new(..)`: building a key's tables, about
+/// a third of a verification.
+fn is_key_preparation(tokens: &[Token], c: &CallExpr) -> bool {
+    c.callee == "new"
+        && !c.is_method
+        && c.callee_tok >= 2
+        && tokens
+            .get(c.callee_tok - 1)
+            .is_some_and(|t| t.is_punct("::"))
+        && tokens
+            .get(c.callee_tok - 2)
+            .is_some_and(|t| t.is_ident("PreparedKey"))
+}
 
 /// Method names that collide with std collections — plus the ubiquitous
 /// constructor/conversion names (`new`, `from`, …) that appear on every
@@ -527,6 +548,8 @@ impl Workspace {
             }
             if BLOCKING_PRIMITIVES.contains(&c.callee.as_str()) {
                 blocking.push((c.callee.clone(), c.callee_tok, c.line));
+            } else if is_key_preparation(&f.tokens, c) {
+                blocking.push(("PreparedKey::new".to_string(), c.callee_tok, c.line));
             }
             if !c.is_method {
                 continue;

@@ -18,10 +18,12 @@
 //!
 //! A cycle — including a self-edge, which is a stripe self-deadlock —
 //! is reported at the edge that closes it. Blocking (fsync, socket
-//! write, `wait_durable`, …) is reported at the blocking site whenever
-//! it is reachable inside a shard-guard range; the group-commit WAL
-//! makes the common path non-blocking, and the allowlist carries the
-//! justified exceptions (`durability=max` fsync-per-record).
+//! write, `wait_durable`, a signature verification, …) is reported at
+//! the blocking site whenever it is reachable inside a shard-guard
+//! range, a slot of the verifier's key table counting as a shard; the
+//! group-commit WAL makes the common path non-blocking, and the
+//! allowlist carries the justified exceptions (`durability=max`
+//! fsync-per-record).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -51,9 +53,12 @@ fn short(lock: &str) -> String {
 }
 
 /// Whether holding this acquisition means holding a shard guard — the
-/// latency-critical stripe locks blocking must never ride on.
+/// latency-critical stripe locks blocking must never ride on: a
+/// `ShardMap` stripe, or a slot of the verifier's key table.
 fn shardish(a: &Acquisition) -> bool {
-    a.kind == AcqKind::ShardClosure || a.lock.contains("shard.rs::")
+    a.kind == AcqKind::ShardClosure
+        || a.lock.contains("shard.rs::")
+        || a.lock.contains("keytable.rs::")
 }
 
 /// Runs the global lock-order analysis over every file of the run.
@@ -336,6 +341,17 @@ mod tests {
         let f = run("struct S { accounts: ShardMap<u64, u64> }\n\
              impl S { fn f(&self, file: &File) { self.accounts.update(&1, |a| { file.sync_data(); }); } }");
         assert!(f.iter().any(|x| x.message.contains("blocking")), "{f:?}");
+    }
+
+    #[test]
+    fn curve_arithmetic_under_a_stripe_is_blocking_but_other_constructors_are_not() {
+        let f = run("struct S { seen: Mutex<u8> }\n\
+             impl S { fn f(&self, k: &K) { let g = self.seen.lock(); let a = Arc::new(1); }\n\
+             fn g(&self, k: &K) { let g = self.seen.lock(); let p = PreparedKey::new(k); }\n\
+             fn h(&self, k: &K) { let g = self.seen.lock(); k.verify(m, s); } }");
+        let lines: Vec<u32> = f.iter().map(|x| x.line).collect();
+        assert_eq!(lines, [3, 4], "{f:?}");
+        assert!(f[0].message.contains("PreparedKey::new"), "{f:?}");
     }
 
     #[test]

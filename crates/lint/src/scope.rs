@@ -8,7 +8,8 @@
 
 /// L1 — untrusted-input paths that must never panic: wire decode, the
 /// canonical codec, the revocation / membership artifact decoders (they
-/// parse peer-supplied bitmap and digest structures), the whole net
+/// parse peer-supplied bitmap and digest structures), the verifier's key
+/// table (it files keys a peer chose), the whole net
 /// service layer, the authz / accounting request handlers that consume
 /// wire-decoded values, and the storage decode paths (WAL framing, the
 /// stored-artifact envelope, journal records — at recovery these parse
@@ -20,6 +21,7 @@ pub fn panic_free_applies(rel: &str) -> bool {
         || rel == "crates/proxy/src/encode.rs"
         || rel == "crates/proxy/src/revocation.rs"
         || rel == "crates/proxy/src/membership.rs"
+        || rel == "crates/proxy/src/keytable.rs"
         || rel == "crates/authz/src/server.rs"
         || rel == "crates/authz/src/endserver.rs"
         || rel == "crates/accounting/src/server.rs"
@@ -116,6 +118,7 @@ mod tests {
         assert!(panic_free_applies("crates/proxy/src/encode.rs"));
         assert!(panic_free_applies("crates/proxy/src/revocation.rs"));
         assert!(panic_free_applies("crates/proxy/src/membership.rs"));
+        assert!(panic_free_applies("crates/proxy/src/keytable.rs"));
         assert!(panic_free_applies("crates/accounting/src/check.rs"));
         assert!(panic_free_applies("crates/accounting/src/journal.rs"));
         assert!(panic_free_applies("crates/storage/src/log.rs"));
@@ -144,6 +147,7 @@ mod tests {
     #[test]
     fn l6_covers_locking_runtime_crates() {
         assert!(lock_order_applies("crates/proxy/src/shard.rs"));
+        assert!(lock_order_applies("crates/proxy/src/keytable.rs"));
         assert!(lock_order_applies("crates/accounting/src/server.rs"));
         assert!(lock_order_applies("crates/storage/src/wal.rs"));
         assert!(lock_order_applies("crates/net/src/event_loop.rs"));

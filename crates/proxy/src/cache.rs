@@ -19,11 +19,11 @@
 //! * possession proofs — bound to a fresh challenge each time;
 //! * restriction evaluation — context-dependent by definition.
 //!
-//! Entries carry the certificate's expiry so the cache can drop entries
-//! that can no longer gate anything, and the whole structure is bounded:
-//! at capacity, the oldest entry is evicted (insertion order). Negative
-//! results are never stored — a forged seal is re-checked (and re-fails)
-//! on every presentation.
+//! Entries carry the certificate's expiry, past which a lookup is a miss,
+//! and the whole structure is bounded: at capacity, the oldest entry is
+//! evicted (insertion order), so lookup and insert are both O(1).
+//! Negative results are never stored — a forged seal is re-checked (and
+//! re-fails) on every presentation.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -158,35 +158,26 @@ impl VerifiedCertCache {
 
     /// Records a positive seal check for a certificate expiring at
     /// `expires`. Entries already expired at `now` are not stored. At
-    /// capacity, expired entries are purged first; if none, the oldest
-    /// entry is evicted.
+    /// capacity the oldest entry (insertion order) is evicted, expired or
+    /// not: [`Self::contains`] already treats an expired entry as a miss,
+    /// so it only occupies its place until it reaches the front. O(1).
     pub(crate) fn insert(&self, digest: SealDigest, expires: Timestamp, now: Timestamp) {
         if expires < now {
             return;
         }
         let mut inner = self.shard(&digest).lock().expect("cache lock");
-        if inner.entries.contains_key(&digest) {
+        if let Some(known) = inner.entries.get_mut(&digest) {
+            // Keeps its place in the eviction order.
+            *known = expires;
             return;
         }
         if inner.entries.len() >= self.capacity {
-            Self::purge_expired(&mut inner, now);
-        }
-        while inner.entries.len() >= self.capacity {
-            match inner.order.pop_front() {
-                Some(oldest) => {
-                    inner.entries.remove(&oldest);
-                }
-                None => break,
+            if let Some(oldest) = inner.order.pop_front() {
+                inner.entries.remove(&oldest);
             }
         }
         inner.entries.insert(digest, expires);
         inner.order.push_back(digest);
-    }
-
-    fn purge_expired(inner: &mut CacheInner, now: Timestamp) {
-        let entries = &mut inner.entries;
-        entries.retain(|_, exp| now <= *exp);
-        inner.order.retain(|d| entries.contains_key(d));
     }
 }
 
@@ -216,21 +207,62 @@ mod tests {
     }
 
     #[test]
-    fn bounded_eviction_prefers_expired_entries() {
+    fn eviction_is_first_in_first_out_whatever_has_expired() {
         let cache = VerifiedCertCache::new(2);
-        cache.insert(digest(1), Timestamp(20), Timestamp(0));
-        cache.insert(digest(2), Timestamp(1000), Timestamp(0));
-        // At capacity and past digest(1)'s expiry: the expired entry goes.
+        cache.insert(digest(1), Timestamp(1000), Timestamp(0));
+        cache.insert(digest(2), Timestamp(20), Timestamp(0));
+        // At capacity and past digest(2)'s expiry: the front goes all the
+        // same, and the expired entry is a miss while it waits its turn.
         cache.insert(digest(3), Timestamp(1000), Timestamp(30));
         assert_eq!(cache.len(), 2);
-        assert!(cache.contains(&digest(2), Timestamp(40)));
+        assert!(!cache.contains(&digest(1), Timestamp(40)));
+        assert!(!cache.contains(&digest(2), Timestamp(40)));
         assert!(cache.contains(&digest(3), Timestamp(40)));
 
-        // Nothing expired: oldest (insertion order) is evicted.
         cache.insert(digest(4), Timestamp(1000), Timestamp(40));
         assert_eq!(cache.len(), 2);
-        assert!(!cache.contains(&digest(2), Timestamp(40)));
+        assert!(cache.contains(&digest(3), Timestamp(40)));
         assert!(cache.contains(&digest(4), Timestamp(40)));
+    }
+
+    #[test]
+    fn ten_times_capacity_inserts_never_exceed_the_bound() {
+        for capacity in [1usize, 7, 300] {
+            let cache = VerifiedCertCache::new(capacity);
+            let bound = cache.shards.len() * cache.capacity;
+            assert!(bound >= capacity && bound < capacity + VerifiedCertCache::STRIPES);
+            for i in 0..10 * capacity as u32 {
+                let mut d = [0u8; 32];
+                d[..4].copy_from_slice(&i.to_be_bytes());
+                d[0] ^= d[3];
+                // Every third entry is short-lived and expires while cached.
+                let expires = if i % 3 == 0 { i + 1 } else { u32::MAX };
+                cache.insert(d, Timestamp(expires.into()), Timestamp(i.into()));
+                assert!(
+                    cache.len() <= bound,
+                    "{} entries, bound {bound}",
+                    cache.len()
+                );
+            }
+            assert_eq!(cache.len(), bound);
+        }
+    }
+
+    #[test]
+    fn expired_entry_is_a_miss_and_is_replaced_on_reinsert() {
+        let cache = VerifiedCertCache::new(2);
+        cache.insert(digest(1), Timestamp(10), Timestamp(0));
+        assert!(!cache.contains(&digest(1), Timestamp(11)));
+        assert_eq!(cache.len(), 1, "expired, not yet evicted");
+        cache.insert(digest(1), Timestamp(100), Timestamp(11));
+        assert_eq!(cache.len(), 1);
+        assert!(cache.contains(&digest(1), Timestamp(50)));
+        assert_eq!(cache.stats(), (1, 1));
+        // It kept its place: still the first to go.
+        cache.insert(digest(2), Timestamp(100), Timestamp(50));
+        cache.insert(digest(3), Timestamp(100), Timestamp(50));
+        assert!(!cache.contains(&digest(1), Timestamp(50)));
+        assert!(cache.contains(&digest(2), Timestamp(50)));
     }
 
     #[test]

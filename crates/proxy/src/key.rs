@@ -19,7 +19,7 @@ use std::collections::HashMap;
 
 use rand::RngCore;
 
-use proxy_crypto::ed25519::{Signature, SigningKey, VerifyingKey};
+use proxy_crypto::ed25519::{Signature, SignatureError, SigningKey, VerifyingKey};
 use proxy_crypto::hmac::HmacSha256;
 use proxy_crypto::keys::SymmetricKey;
 use proxy_crypto::seal;
@@ -95,12 +95,24 @@ impl ProxyKeyVerifier {
     /// Checks a possession proof produced by [`ProxyKey::prove_possession`].
     #[must_use]
     pub fn check_possession(&self, challenge: &[u8; 32], binding: &[u8], proof: &[u8]) -> bool {
+        self.check_possession_with(challenge, binding, proof, VerifyingKey::verify)
+    }
+
+    /// [`Self::check_possession`] with the Ed25519 equation evaluated by
+    /// `ed25519_verify`: a [`crate::verify::Verifier`] passes its table of
+    /// seen keys.
+    pub(crate) fn check_possession_with(
+        &self,
+        challenge: &[u8; 32],
+        binding: &[u8],
+        proof: &[u8],
+        ed25519_verify: impl FnOnce(&VerifyingKey, &[u8], &Signature) -> Result<(), SignatureError>,
+    ) -> bool {
         let msg = possession_message(challenge, binding);
         match self {
             ProxyKeyVerifier::Symmetric(k) => HmacSha256::verify(k.as_bytes(), &msg, proof),
-            ProxyKeyVerifier::Ed25519(vk) => {
-                Signature::try_from_slice(proof).is_ok_and(|sig| vk.verify(&msg, &sig).is_ok())
-            }
+            ProxyKeyVerifier::Ed25519(vk) => Signature::try_from_slice(proof)
+                .is_ok_and(|sig| ed25519_verify(vk, &msg, &sig).is_ok()),
         }
     }
 }

@@ -69,6 +69,7 @@ pub mod context;
 pub mod encode;
 pub mod error;
 pub mod key;
+mod keytable;
 pub mod membership;
 pub mod nameserver;
 pub mod present;

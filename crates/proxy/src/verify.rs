@@ -18,6 +18,7 @@ use crate::context::RequestContext;
 use crate::encode::Encoder;
 use crate::error::VerifyError;
 use crate::key::{GrantorVerifier, KeyResolver, ProxyKeyVerifier};
+use crate::keytable::KeyTable;
 use crate::present::{presentation_binding, Presentation, Proof};
 use crate::principal::PrincipalId;
 use crate::replay::ReplayGuard;
@@ -72,6 +73,11 @@ pub struct Verifier<R> {
     /// attached, every certificate's (grantor, serial) is checked against
     /// the mirrored revoked sets — an O(1) local probe, no round trips.
     revocations: Option<Arc<RevocationDirectory>>,
+    /// What earlier checks computed about the Ed25519 keys they ran
+    /// under; every *lone* check (a possession proof, a flush of one
+    /// seal) goes through it. See [`crate::keytable`]. Shared across
+    /// clones, like the seal cache.
+    keys: Arc<KeyTable>,
 }
 
 impl<R: KeyResolver> Verifier<R> {
@@ -83,6 +89,7 @@ impl<R: KeyResolver> Verifier<R> {
             resolver,
             cache: None,
             revocations: None,
+            keys: Arc::new(KeyTable::new()),
         }
     }
 
@@ -283,7 +290,13 @@ impl<R: KeyResolver> Verifier<R> {
                 response,
             } => {
                 let binding = presentation_binding(&self.server, certs.last().expect("non-empty"));
-                if !final_key.check_possession(challenge, &binding, response) {
+                let proven = final_key.check_possession_with(
+                    challenge,
+                    &binding,
+                    response,
+                    |vk, msg, sig| self.keys.verify(vk, msg, sig),
+                );
+                if !proven {
                     return Err(VerifyError::BadPossession);
                 }
             }
@@ -341,33 +354,43 @@ impl<R: KeyResolver> Verifier<R> {
         });
     }
 
-    /// Verifies all queued seals in one batched equation; on success the
-    /// positive results enter the cache. On failure, re-checks each seal
-    /// to attribute the error to a chain index. Only seal validity is ever
-    /// cached — never a request-dependent decision.
+    /// Verifies all queued seals — two or more in one batched equation, a
+    /// lone one through the key table, which the batch equation (random
+    /// coefficients over freshly decompressed points) has no use for; on
+    /// success the positive results enter the cache. When the batch
+    /// fails, re-checks each seal to attribute the error to a chain
+    /// index. Only seal validity is ever cached — never a
+    /// request-dependent decision.
     fn flush_deferred_seals(
         &self,
         deferred: Vec<DeferredSeal>,
         now: Timestamp,
     ) -> Result<(), VerifyError> {
-        if deferred.is_empty() {
-            return Ok(());
-        }
-        let items: Vec<(&[u8], &Signature, &VerifyingKey)> = deferred
-            .iter()
-            .map(|d| (d.body.as_slice(), &d.sig, &d.vk))
-            .collect();
-        if ed25519::verify_batch(&items).is_err() {
-            for d in &deferred {
-                if d.vk.verify(&d.body, &d.sig).is_err() {
-                    return Err(VerifyError::BadSeal { index: d.index });
+        match deferred.as_slice() {
+            [] => return Ok(()),
+            [d] => self
+                .keys
+                .verify(&d.vk, &d.body, &d.sig)
+                .map_err(|_| VerifyError::BadSeal { index: d.index })?,
+            many => {
+                let items: Vec<(&[u8], &Signature, &VerifyingKey)> = many
+                    .iter()
+                    .map(|d| (d.body.as_slice(), &d.sig, &d.vk))
+                    .collect();
+                if ed25519::verify_batch(&items).is_err() {
+                    for d in many {
+                        if d.vk.verify(&d.body, &d.sig).is_err() {
+                            return Err(VerifyError::BadSeal { index: d.index });
+                        }
+                    }
+                    // Unreachable in practice: the batch only fails when
+                    // some individual equation fails. Blame the head
+                    // conservatively.
+                    return Err(VerifyError::BadSeal {
+                        index: many[0].index,
+                    });
                 }
             }
-            // Unreachable in practice: the batch only fails when some
-            // individual equation fails. Blame the head conservatively.
-            return Err(VerifyError::BadSeal {
-                index: deferred[0].index,
-            });
         }
         if let Some(cache) = &self.cache {
             for d in deferred {

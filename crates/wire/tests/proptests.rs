@@ -411,6 +411,69 @@ proptest! {
     }
 }
 
+/// An Ed25519 proxy key crosses the wire as its 32-byte seed, and the
+/// decoder keeps just that: `SigningKey` expands (hash, fixed-base
+/// multiplication, inversion) on first use, which a server that only
+/// verifies and forwards the check never reaches. Nothing here asks the
+/// decoded key for its public half, and it must not need to: the bytes
+/// re-encode identically from the seed alone, and the first thing that
+/// does use the key — a possession proof — comes out right.
+#[test]
+fn ed25519_proxy_key_round_trips_unexpanded_and_still_proves_possession() {
+    let mut rng = rng(17);
+    let alice = proxy_crypto::ed25519::SigningKey::generate(&mut rng);
+    let verifier = Verifier::new(
+        p("fs"),
+        MapResolver::new().with(
+            p("alice"),
+            GrantorVerifier::PublicKey(alice.verifying_key()),
+        ),
+    );
+    let check = grant(
+        &p("alice"),
+        &GrantAuthority::Keypair(alice),
+        RestrictionSet::new(),
+        window(),
+        1,
+        &mut rng,
+    )
+    .derive(RestrictionSet::new(), window(), 2, &mut rng)
+    .expect("derive");
+    assert!(matches!(check.key, ProxyKey::Ed25519(_)));
+
+    let messages = [
+        Message::CheckWritten {
+            check: check.clone(),
+        },
+        Message::CheckDeposit {
+            check,
+            depositor: p("shop"),
+            to_account: "shop".to_owned(),
+            next_hop: p("bank"),
+            now: Timestamp(3),
+        },
+    ];
+    for msg in messages {
+        let body = msg.encode_body();
+        let decoded = Message::decode_body(msg.msg_type(), &body).expect("decode own encoding");
+        assert_eq!(decoded.encode_body(), body, "{}", msg.kind());
+        // So does a clone taken while the key is still unexpanded.
+        assert_eq!(decoded.clone().encode_body(), body, "{}", msg.kind());
+        let (Message::CheckWritten { check } | Message::CheckDeposit { check, .. }) = decoded
+        else {
+            unreachable!("decoded as another variant");
+        };
+        let ctx = RequestContext::new(p("fs"), Operation::new("read"), ObjectName::new("obj"))
+            .at(Timestamp(3));
+        let presentation = check.present_bearer([9u8; 32], &p("fs"));
+        let mut replay = MemoryReplayGuard::new();
+        let verified = verifier
+            .verify(&presentation, &ctx, &mut replay)
+            .expect("a decoded proxy key still proves possession");
+        assert_eq!(verified.chain_len, 2);
+    }
+}
+
 proptest! {
     /// Slicing-by-8 CRC agrees with the bytewise reference on arbitrary
     /// inputs, one-shot.

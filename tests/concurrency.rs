@@ -97,6 +97,90 @@ fn parallel_verification_shares_one_verifier() {
 }
 
 #[test]
+fn racing_verifications_share_key_table_slots_and_get_only_correct_verdicts() {
+    // The verifier's table of seen Ed25519 keys is direct-mapped: 256
+    // slots, the slot picked by a hash keyed inside the table, a colliding
+    // key evicting the tenant. Which keys collide cannot be chosen from
+    // out here, so collisions are forced by count: four proxy keys per
+    // slot on average, every thread visiting all of them in its own
+    // order, so tenants are read, promoted and evicted under one
+    // another's feet. (Four keys pinned to a single slot under eight
+    // threads is the table's own unit test.) The grantor's key is the
+    // opposite case — one slot every thread reads at once. Whatever the
+    // table holds when a check arrives, the verdict must be the one the
+    // signature deserves.
+    const KEYS: usize = 4 * 256;
+    let mut rng = StdRng::seed_from_u64(11);
+    let alice = SigningKey::generate(&mut rng);
+    let verifier = Verifier::new(
+        p("fs"),
+        MapResolver::new().with(
+            p("alice"),
+            GrantorVerifier::PublicKey(alice.verifying_key()),
+        ),
+    );
+    let authority = GrantAuthority::Keypair(alice);
+    let caps: Vec<Proxy> = (0..KEYS as u64)
+        .map(|serial| {
+            grant(
+                &p("alice"),
+                &authority,
+                RestrictionSet::new(),
+                window(),
+                serial,
+                &mut rng,
+            )
+        })
+        .collect();
+    let ctx =
+        RequestContext::new(p("fs"), Operation::new("read"), ObjectName::new("x")).at(Timestamp(1));
+    let barrier = std::sync::Barrier::new(8);
+    std::thread::scope(|scope| {
+        for t in 0..8usize {
+            let (verifier, caps, ctx, barrier) = (&verifier, &caps, &ctx, &barrier);
+            scope.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(100 + t as u64);
+                let mut guard = MemoryReplayGuard::new();
+                // Odd strides are coprime to KEYS: each thread's own
+                // permutation of all the keys.
+                let stride = 2 * t + 1;
+                barrier.wait();
+                for i in 0..KEYS {
+                    let cap = &caps[(i * stride + t * 131) % KEYS];
+                    let challenge = [t as u8 + 1; 32];
+                    let honest = cap.present_bearer(challenge, &p("fs"));
+                    verifier
+                        .verify(&honest, ctx, &mut guard)
+                        .unwrap_or_else(|e| panic!("thread {t} iter {i}: {e}"));
+                    if i % 4 == t % 4 {
+                        let thief = Proxy {
+                            certs: cap.certs.clone(),
+                            key: ProxyKey::generate_ed25519(&mut rng),
+                        };
+                        assert_eq!(
+                            verifier.verify(
+                                &thief.present_bearer(challenge, &p("fs")),
+                                ctx,
+                                &mut guard
+                            ),
+                            Err(VerifyError::BadPossession),
+                            "thread {t} iter {i}"
+                        );
+                        let mut bent = honest.clone();
+                        bent.certs[0].serial ^= 1;
+                        assert_eq!(
+                            verifier.verify(&bent, ctx, &mut guard),
+                            Err(VerifyError::BadSeal { index: 0 }),
+                            "thread {t} iter {i}"
+                        );
+                    }
+                }
+            });
+        }
+    });
+}
+
+#[test]
 fn accept_once_proxy_is_accepted_exactly_once_across_racing_presenters() {
     // §7.7: an accept-once proxy raced by 8 presenters against ONE shared
     // replay cache must be honored exactly once — the sharded cache's

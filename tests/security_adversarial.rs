@@ -423,6 +423,174 @@ fn seal_cache_never_bypasses_possession_proof() {
     );
 }
 
+/// `cap`'s certificates presented by someone holding a proxy key of their
+/// own making: a well-formed possession proof under the wrong key.
+fn stolen_presentation(cap: &Proxy, challenge: [u8; 32], rng: &mut StdRng) -> Presentation {
+    Proxy {
+        certs: cap.certs.clone(),
+        key: ProxyKey::generate_ed25519(rng),
+    }
+    .present_bearer(challenge, &p("fs"))
+}
+
+/// The verifier keeps what it computed about a public key it has seen
+/// (the point, then the point's tables) and checks later signatures
+/// under that key by a shorter route. The route must not matter: with
+/// both the grantor's key and the proxy key long promoted, every forged
+/// possession proof and every forged lone seal is still refused.
+#[test]
+fn promoted_keys_refuse_every_forged_possession_proof_and_lone_seal() {
+    let (mut rng, auth, verifier) = cached_world(103);
+    let forger = GrantAuthority::Keypair(proxy_aa::crypto::ed25519::SigningKey::generate(&mut rng));
+    let mut guard = MemoryReplayGuard::new();
+    // Three fresh one-link chains: three lone seals under alice's key.
+    // The last one presented three times: three possession proofs under
+    // its proxy key (its seal is cached from the first).
+    let caps: Vec<Proxy> = (1..=3)
+        .map(|serial| {
+            grant(
+                &p("alice"),
+                &auth,
+                RestrictionSet::new(),
+                window(),
+                serial,
+                &mut rng,
+            )
+        })
+        .collect();
+    for cap in &caps {
+        let honest = cap.present_bearer([1u8; 32], &p("fs"));
+        assert!(verifier.verify(&honest, &ctx(), &mut guard).is_ok());
+    }
+    let cap = &caps[2];
+    for challenge in [2u8, 3] {
+        let honest = cap.present_bearer([challenge; 32], &p("fs"));
+        assert!(verifier.verify(&honest, &ctx(), &mut guard).is_ok());
+    }
+
+    for i in 0..100u64 {
+        let challenge = [i as u8; 32];
+        // A proof by the wrong key, and an honest proof with one bit off.
+        let stolen = stolen_presentation(cap, challenge, &mut rng);
+        assert_eq!(
+            verifier.verify(&stolen, &ctx(), &mut guard),
+            Err(VerifyError::BadPossession),
+            "try {i}"
+        );
+        let mut bent = cap.present_bearer(challenge, &p("fs"));
+        if let Proof::Possession { response, .. } = &mut bent.proof {
+            response[(i as usize * 7) % 64] ^= 1 << (i % 8);
+        }
+        assert_eq!(
+            verifier.verify(&bent, &ctx(), &mut guard),
+            Err(VerifyError::BadPossession),
+            "try {i}"
+        );
+        // A certificate naming alice, sealed by someone else; and one
+        // alice did seal, with one bit of the seal off. Both are new to
+        // the seal cache, so each is a lone check under alice's key.
+        let forged = grant(
+            &p("alice"),
+            &forger,
+            RestrictionSet::new(),
+            window(),
+            1_000 + i,
+            &mut rng,
+        );
+        assert_eq!(
+            verifier.verify(
+                &forged.present_bearer(challenge, &p("fs")),
+                &ctx(),
+                &mut guard
+            ),
+            Err(VerifyError::BadSeal { index: 0 }),
+            "try {i}"
+        );
+        let mut bent = grant(
+            &p("alice"),
+            &auth,
+            RestrictionSet::new(),
+            window(),
+            2_000 + i,
+            &mut rng,
+        )
+        .present_bearer(challenge, &p("fs"));
+        if let CertSeal::Ed25519(sig) = &mut bent.certs[0].seal {
+            sig.0[(i as usize * 11) % 64] ^= 1 << (i % 8);
+        }
+        assert_eq!(
+            verifier.verify(&bent, &ctx(), &mut guard),
+            Err(VerifyError::BadSeal { index: 0 }),
+            "try {i}"
+        );
+    }
+    // And the honest holder is still served.
+    let honest = cap.present_bearer([0xaa; 32], &p("fs"));
+    assert!(verifier.verify(&honest, &ctx(), &mut guard).is_ok());
+}
+
+/// Nothing negative is remembered about a key: if the first signature a
+/// verifier ever sees under it is a forgery, the genuine ones that
+/// follow are accepted all the same — through the first sighting, the
+/// promotion and the prepared path.
+#[test]
+fn a_key_first_seen_under_a_forgery_still_accepts_the_real_thing() {
+    let (mut rng, auth, verifier) = cached_world(104);
+    let forger = GrantAuthority::Keypair(proxy_aa::crypto::ed25519::SigningKey::generate(&mut rng));
+    let mut guard = MemoryReplayGuard::new();
+    // Alice's key, first seen under a forged seal.
+    let forged = grant(
+        &p("alice"),
+        &forger,
+        RestrictionSet::new(),
+        window(),
+        1,
+        &mut rng,
+    );
+    assert_eq!(
+        verifier.verify(
+            &forged.present_bearer([1u8; 32], &p("fs")),
+            &ctx(),
+            &mut guard
+        ),
+        Err(VerifyError::BadSeal { index: 0 })
+    );
+    // A proxy key, first seen under a forged possession proof.
+    let cap = grant(
+        &p("alice"),
+        &auth,
+        RestrictionSet::new(),
+        window(),
+        2,
+        &mut rng,
+    );
+    let stolen = stolen_presentation(&cap, [2u8; 32], &mut rng);
+    assert_eq!(
+        verifier.verify(&stolen, &ctx(), &mut guard),
+        Err(VerifyError::BadPossession)
+    );
+    for challenge in 3u8..8 {
+        let honest = cap.present_bearer([challenge; 32], &p("fs"));
+        assert!(verifier.verify(&honest, &ctx(), &mut guard).is_ok());
+        // More lone seals under alice's key, all genuine.
+        let fresh = grant(
+            &p("alice"),
+            &auth,
+            RestrictionSet::new(),
+            window(),
+            u64::from(challenge) + 10,
+            &mut rng,
+        );
+        assert!(verifier
+            .verify(
+                &fresh.present_bearer([challenge; 32], &p("fs")),
+                &ctx(),
+                &mut guard
+            )
+            .is_ok());
+    }
+}
+
 /// The §2 hostile-network posture, over real sockets: ten thousand
 /// corrupted, truncated, oversized, and garbage frames thrown at a live
 /// TCP server must never panic it, never blow up its memory (oversized
