@@ -123,9 +123,16 @@ e2e_gate fig3_query 'alloc.allocs_per_op' 22
 # check-deposit path decodes an Ed25519 proxy key it never uses and
 # verifies every check under the one payor key. Decoding must stay a
 # copy of the seed (1.2 us today; 16.4 when `SigningKey::from_seed`
-# expanded eagerly), and allocs/op at or under the ceiling (55.04
+# expanded eagerly), and allocs/op at or under the ceiling (54.04
 # today).
 e2e_gate fig5_mem 'wire.decode_req_us' 5 'alloc.allocs_per_op' 57
+
+# One equation per cold presentation (DESIGN.md §8, "One settle step"):
+# four seals and the possession proof share one scratch buffer, one
+# vector of pending checks and one vector of Straus terms. 18 allocs/op
+# today (33 when every deferred seal copied its body and `verify_batch`
+# built nine vectors).
+e2e_gate fig4_cold 'alloc.allocs_per_op' 25
 
 # Documentation gate: rustdoc warnings (broken intra-doc links, bad
 # HTML) are errors.

@@ -236,9 +236,12 @@ fn ablate_crypto() {
     let msg: &[u8] = b"ablation message";
     let sig = sk.sign(msg);
 
-    const BATCH: usize = 8;
-    let keys: Vec<SigningKey> = (0..BATCH).map(|_| SigningKey::generate(&mut rng)).collect();
-    let messages: Vec<Vec<u8>> = (0..BATCH)
+    // The largest batch timed; every smaller one is a prefix of it.
+    const MAX_BATCH: usize = 33;
+    let keys: Vec<SigningKey> = (0..MAX_BATCH)
+        .map(|_| SigningKey::generate(&mut rng))
+        .collect();
+    let messages: Vec<Vec<u8>> = (0..MAX_BATCH)
         .map(|i| format!("message {i}").into_bytes())
         .collect();
     let sigs: Vec<Signature> = keys
@@ -253,6 +256,59 @@ fn ablate_crypto() {
         .zip(&vks)
         .map(|((m, sg), key)| (m.as_slice(), sg, key))
         .collect();
+    let items = items.as_slice();
+
+    // Mod-ℓ arithmetic is tens of nanoseconds: a thousand dependent
+    // operations per call, reported per operation.
+    const SCALAR_OPS: usize = 1000;
+    let wide: [u8; 64] = std::array::from_fn(|i| 0xa5 ^ (i as u8).wrapping_mul(29));
+    let (a_bytes, r_bytes) = (*vk.as_bytes(), {
+        let mut r = [0u8; 32];
+        r.copy_from_slice(&sig.as_bytes()[..32]);
+        r
+    });
+
+    // C3: n signatures one at a time and as one equation; and what the
+    // chain verifier chooses between when a possession proof arrives
+    // with n seals pending: batch(n) then a lone check, or batch(n + 1).
+    const SIZES: [usize; 6] = [1, 2, 4, 8, 16, 32];
+    let names: Vec<[String; 4]> = SIZES
+        .iter()
+        .map(|n| {
+            [
+                format!("sequential-verify-{n}"),
+                format!("batched-verify-{n}"),
+                format!("batch-{n}-plus-lone"),
+                format!("batch-{}", n + 1),
+            ]
+        })
+        .collect();
+
+    // C4: an 8-link public-key cascade through `Verifier::verify`, cold
+    // (no cache: eight seals and the possession proof in one equation)
+    // and re-presented to a warm seal cache (the proof alone).
+    const DEPTH: usize = 8;
+    let world = proxy_bench::public_key_world(4);
+    let mut chain_rng = proxy_bench::rng(5);
+    let mut proxy = grant(
+        &world.grantor,
+        &world.authority,
+        RestrictionSet::new(),
+        window(),
+        0,
+        &mut chain_rng,
+    );
+    for serial in 1..DEPTH as u64 {
+        proxy = proxy
+            .derive(RestrictionSet::new(), window(), serial, &mut chain_rng)
+            .expect("window fixed");
+    }
+    let pres = proxy.present_bearer([1u8; 32], &world.server);
+    let ctx = proxy_bench::matching_ctx(&world.server);
+    let cached = world.verifier.clone().with_seal_cache(64);
+    cached
+        .verify(&pres, &ctx, &mut MemoryReplayGuard::new())
+        .expect("ok");
 
     let mut variants: Vec<Variant> = vec![
         (
@@ -292,20 +348,92 @@ fn ablate_crypto() {
             }),
         ),
         (
-            "sequential-verify-8",
+            "sign",
             Box::new(|| {
-                for (m, sg, key) in &items {
-                    key.verify(m, sg).expect("valid");
-                }
+                black_box(sk.sign(black_box(msg)));
             }),
         ),
         (
-            "batched-verify-8",
+            "scalar-mul-x1000",
             Box::new(|| {
-                verify_batch(&items).expect("valid");
+                let mut acc = s;
+                for _ in 0..SCALAR_OPS {
+                    acc = acc.mul(k);
+                }
+                black_box(acc);
+            }),
+        ),
+        (
+            "scalar-wide-reduce-x1000",
+            Box::new(|| {
+                let mut bytes = wide;
+                for _ in 0..SCALAR_OPS {
+                    let reduced = Scalar::from_bytes_mod_order_wide(&bytes);
+                    bytes[..32].copy_from_slice(&reduced.to_bytes());
+                }
+                black_box(bytes);
+            }),
+        ),
+        (
+            "decompress-one",
+            Box::new(|| {
+                black_box(Point::decompress(black_box(&a_bytes)).expect("a point"));
+            }),
+        ),
+        (
+            "decompress-pair",
+            Box::new(|| {
+                let [a, r] = Point::decompress_pair(black_box(&a_bytes), black_box(&r_bytes));
+                black_box((a.expect("a point"), r.expect("a point")));
             }),
         ),
     ];
+    for (n, [sequential, batched, plus_lone, one_more]) in SIZES.into_iter().zip(&names) {
+        if n > 1 {
+            variants.push((
+                sequential,
+                Box::new(move || {
+                    for (m, sg, key) in &items[..n] {
+                        key.verify(m, sg).expect("valid");
+                    }
+                }),
+            ));
+            variants.push((
+                batched,
+                Box::new(move || verify_batch(&items[..n]).expect("valid")),
+            ));
+        }
+        if n <= 8 {
+            variants.push((
+                plus_lone,
+                Box::new(move || {
+                    verify_batch(&items[..n]).expect("valid");
+                    let (m, sg, key) = &items[n];
+                    key.verify(m, sg).expect("valid");
+                }),
+            ));
+            variants.push((
+                one_more,
+                Box::new(move || verify_batch(&items[..=n]).expect("valid")),
+            ));
+        }
+    }
+
+    variants.push((
+        "cascade8-cold",
+        Box::new(|| {
+            let mut guard = MemoryReplayGuard::new();
+            black_box(world.verifier.verify(&pres, &ctx, &mut guard).expect("ok"));
+        }),
+    ));
+    variants.push((
+        "cascade8-warm-seal-cache",
+        Box::new(|| {
+            let mut guard = MemoryReplayGuard::new();
+            black_box(cached.verify(&pres, &ctx, &mut guard).expect("ok"));
+        }),
+    ));
+
     let timed = time_all(&mut variants);
     let us = |name: &str| {
         timed
@@ -315,7 +443,11 @@ fn ablate_crypto() {
             .expect("variant timed")
     };
     for (name, value) in &timed {
-        report_row("C", name, 1, format!("{value:.1}"), "µs");
+        match name.strip_suffix("-x1000") {
+            // µs per thousand operations is ns per operation.
+            Some(per_op) => report_row("C", per_op, 1, format!("{value:.0}"), "ns"),
+            None => report_row("C", name, 1, format!("{value:.1}"), "µs"),
+        }
     }
     let ratio = |num: &str, den: &str| format!("{:.2}", us(num) / us(den));
     report_row(
@@ -341,11 +473,37 @@ fn ablate_crypto() {
     );
     report_row(
         "C",
-        "batch8-speedup-vs-sequential",
+        "decompress-pair-vs-two-alone",
         1,
-        ratio("sequential-verify-8", "batched-verify-8"),
+        format!(
+            "{:.2}",
+            us("decompress-pair") / (2.0 * us("decompress-one"))
+        ),
         "x",
     );
+    for (n, [sequential, batched, plus_lone, one_more]) in SIZES.into_iter().zip(&names) {
+        if n > 1 {
+            report_row(
+                "C3",
+                "batch-speedup-vs-sequential",
+                n,
+                ratio(sequential, batched),
+                "x",
+            );
+        }
+        if n <= 8 {
+            report_row(
+                "C3",
+                "proof-joins-the-batch-vs-stands-alone",
+                n,
+                ratio(one_more, plus_lone),
+                "x",
+            );
+        }
+    }
+    let (hits, misses) = cached.seal_cache().expect("attached").stats();
+    assert_eq!(misses as usize, DEPTH, "exactly one cold chain walk");
+    assert_eq!(hits as usize % DEPTH, 0, "re-presentations hit every link");
 }
 
 /// Runs the C10k sweep (see `proxy_bench::c10k`): thousands of

@@ -19,15 +19,15 @@
 //!   Q that keeps its tables for Q and `[2¹²⁸]Q`: both scalars split at
 //!   2¹²⁸ and the four halves share one chain of ≤ 129 doublings, with no
 //!   table build. Costs ~128 doublings once per Q;
-//! * [`Point::multiscalar_mul_basepoint`] — variable-length Straus for
-//!   batch verification.
+//! * [`Point::multiscalar_mul_basepoint`] — variable-length Straus over
+//!   [`StrausTerm`]s for batch verification.
 
 // `neg`/`add` mirror group notation; see field.rs rationale.
 #![allow(clippy::should_implement_trait)]
 
 use std::sync::OnceLock;
 
-use super::field::{d, d2, sqrt_ratio, Fe};
+use super::field::{d, d2, sqrt_ratios, Fe};
 use super::scalar::Scalar;
 
 /// A point on the Ed25519 curve in extended coordinates.
@@ -77,25 +77,37 @@ impl Point {
     ///
     /// x² = (y² − 1) / (d·y² + 1)
     pub(crate) fn from_y(y: Fe, x_sign: bool) -> Result<Point, DecompressError> {
-        let yy = y.square();
-        let u = yy.sub(Fe::ONE);
-        let v = d().mul(yy).add(Fe::ONE);
-        let (is_square, mut x) = sqrt_ratio(u, v);
-        if !is_square {
-            return Err(DecompressError);
-        }
-        if x.is_zero() && x_sign {
-            // -0 is not a valid encoding.
-            return Err(DecompressError);
-        }
-        if x.is_negative() != x_sign {
-            x = x.neg();
-        }
-        Ok(Point {
-            x,
-            y,
-            z: Fe::ONE,
-            t: x.mul(y),
+        let [point] = Point::from_ys([(y, x_sign)]);
+        point
+    }
+
+    /// [`Point::from_y`] for `N` encodings with their square roots taken
+    /// in lockstep ([`sqrt_ratios`]); each result is what `from_y` gives
+    /// that encoding alone.
+    fn from_ys<const N: usize>(ys: [(Fe, bool); N]) -> [Result<Point, DecompressError>; N] {
+        let roots = sqrt_ratios(ys.map(|(y, _)| {
+            let yy = y.square();
+            (yy.sub(Fe::ONE), d().mul(yy).add(Fe::ONE))
+        }));
+        std::array::from_fn(|i| {
+            let (y, x_sign) = ys[i];
+            let (is_square, mut x) = roots[i];
+            if !is_square {
+                return Err(DecompressError);
+            }
+            if x.is_zero() && x_sign {
+                // -0 is not a valid encoding.
+                return Err(DecompressError);
+            }
+            if x.is_negative() != x_sign {
+                x = x.neg();
+            }
+            Ok(Point {
+                x,
+                y,
+                z: Fe::ONE,
+                t: x.mul(y),
+            })
         })
     }
 
@@ -108,6 +120,15 @@ impl Point {
         let x_sign = bytes[31] >> 7 == 1;
         let y = Fe::from_bytes(bytes);
         Point::from_y(y, x_sign)
+    }
+
+    /// [`Point::decompress`] of two encodings at once — a signature's `A`
+    /// and `R` — for about one and a half times the cost of one: the two
+    /// square roots, each a chain of ~250 dependent squarings, advance in
+    /// lockstep. Each result is exactly what `decompress` gives that
+    /// encoding alone.
+    pub fn decompress_pair(a: &[u8; 32], b: &[u8; 32]) -> [Result<Point, DecompressError>; 2] {
+        Point::from_ys([a, b].map(|bytes| (Fe::from_bytes(bytes), bytes[31] >> 7 == 1)))
     }
 
     /// Serializes to the 32-byte RFC 8032 encoding (y with x's sign bit).
@@ -227,7 +248,7 @@ impl Point {
         let naf = k.non_adjacent_form(5);
         let table = NafLookupTable::<8>::from_point(self);
         straus_chain(
-            highest_nonzero(&[&naf]),
+            highest_nonzero([&naf]),
             |i| naf[i] != 0,
             |i, p| p.add_cached(&table.select(naf[i])),
         )
@@ -243,7 +264,7 @@ impl Point {
         let p_table = NafLookupTable::<8>::from_point(p);
         let q_table = NafLookupTable::<8>::from_point(q);
         straus_chain(
-            highest_nonzero(&[&a_naf, &b_naf]),
+            highest_nonzero([&a_naf, &b_naf]),
             |i| a_naf[i] != 0 || b_naf[i] != 0,
             |i, mut acc| {
                 if a_naf[i] != 0 {
@@ -270,7 +291,7 @@ impl Point {
         let b_table = basepoint_naf_table();
         let q_table = NafLookupTable::<8>::from_point(q);
         straus_chain(
-            highest_nonzero(&[&a_naf, &b_naf]),
+            highest_nonzero([&a_naf, &b_naf]),
             |i| a_naf[i] != 0 || b_naf[i] != 0,
             |i, mut acc| {
                 if a_naf[i] != 0 {
@@ -310,33 +331,25 @@ impl Point {
     }
 
     /// Variable-length Straus multiscalar multiplication
-    /// `[b]B + ∑ [scalars[i]] points[i]`: one shared doubling chain across
-    /// all terms, width-5 wNAF with a table built here per point, and for
-    /// the basepoint the static width-8 table. Batch signature
-    /// verification reduces to a single call.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the slices differ in length.
+    /// `[b]B + ∑ [scalarᵢ] pointᵢ` over prepared `terms`: one shared
+    /// doubling chain across all of them, and for the basepoint the
+    /// static width-8 table. Batch signature verification reduces to a
+    /// single call.
     #[must_use]
-    pub fn multiscalar_mul_basepoint(b: &Scalar, scalars: &[Scalar], points: &[Point]) -> Point {
-        assert_eq!(scalars.len(), points.len(), "mismatched multiscalar input");
+    pub fn multiscalar_mul_basepoint(b: &Scalar, terms: &[StrausTerm]) -> Point {
         let b_naf = b.non_adjacent_form(8);
         let b_table = basepoint_naf_table();
-        let nafs: Vec<[i8; 256]> = scalars.iter().map(|s| s.non_adjacent_form(5)).collect();
-        let tables: Vec<NafLookupTable<8>> =
-            points.iter().map(NafLookupTable::<8>::from_point).collect();
-        let naf_refs: Vec<&[i8; 256]> = nafs.iter().chain([&b_naf]).collect();
+        let nafs = || terms.iter().map(|term| &term.naf).chain([&b_naf]);
         straus_chain(
-            highest_nonzero(&naf_refs),
-            |i| naf_refs.iter().any(|naf| naf[i] != 0),
+            highest_nonzero(nafs()),
+            |i| nafs().any(|naf| naf[i] != 0),
             |i, mut acc| {
                 if b_naf[i] != 0 {
                     acc = acc.add_cached(&b_table.select(b_naf[i]));
                 }
-                for (naf, table) in nafs.iter().zip(&tables) {
-                    if naf[i] != 0 {
-                        acc = acc.add_cached(&table.select(naf[i]));
+                for term in terms {
+                    if term.naf[i] != 0 {
+                        acc = acc.add_cached(&term.table.select(term.naf[i]));
                     }
                 }
                 acc
@@ -506,6 +519,26 @@ impl<const N: usize> NafLookupTable<N> {
     }
 }
 
+/// One `[scalar] point` term of [`Point::multiscalar_mul_basepoint`],
+/// ready for the shared chain: the scalar's width-5 wNAF digits and the
+/// point's odd-multiple table (1.5 KiB). A caller builds its terms into
+/// one vector as it learns them.
+pub struct StrausTerm {
+    naf: [i8; 256],
+    table: NafLookupTable<8>,
+}
+
+impl StrausTerm {
+    /// Prepares `[scalar] point`.
+    #[must_use]
+    pub fn new(scalar: &Scalar, point: &Point) -> StrausTerm {
+        StrausTerm {
+            naf: scalar.non_adjacent_form(5),
+            table: NafLookupTable::from_point(point),
+        }
+    }
+}
+
 /// The static width-8 wNAF table for the basepoint, built on first use.
 fn basepoint_naf_table() -> &'static NafLookupTable<64> {
     static CELL: OnceLock<NafLookupTable<64>> = OnceLock::new();
@@ -565,7 +598,7 @@ impl PreparedPoint {
         let base_lo = basepoint_naf_table();
         let base_hi = basepoint_hi_naf_table();
         straus_chain(
-            highest_nonzero(&[&a_lo, &a_hi, &b_lo, &b_hi]),
+            highest_nonzero([&a_lo, &a_hi, &b_lo, &b_hi]),
             |i| a_lo[i] != 0 || a_hi[i] != 0 || b_lo[i] != 0 || b_hi[i] != 0,
             |i, mut acc| {
                 if a_lo[i] != 0 {
@@ -659,9 +692,9 @@ fn straus_chain(
 /// The highest index at which any of the digit strings is nonzero (0 when
 /// all are zero); scalar-mul loops start here instead of doubling the
 /// identity 256 times.
-fn highest_nonzero(nafs: &[&[i8; 256]]) -> usize {
+fn highest_nonzero<'a>(nafs: impl IntoIterator<Item = &'a [i8; 256]> + Clone) -> usize {
     for i in (0..256).rev() {
-        if nafs.iter().any(|naf| naf[i] != 0) {
+        if nafs.clone().into_iter().any(|naf| naf[i] != 0) {
             return i;
         }
     }
@@ -829,17 +862,89 @@ mod tests {
         let scalars: Vec<Scalar> = (0u8..5)
             .map(|i| Scalar::from_bytes_mod_order(&[i.wrapping_mul(53); 32]))
             .collect();
+        let terms: Vec<StrausTerm> = scalars
+            .iter()
+            .zip(&points)
+            .map(|(s, p)| StrausTerm::new(s, p))
+            .collect();
         for base_scalar in [Scalar::ZERO, Scalar::from_bytes_mod_order(&[0xb7; 32])] {
-            let fused = Point::multiscalar_mul_basepoint(&base_scalar, &scalars, &points);
+            let fused = Point::multiscalar_mul_basepoint(&base_scalar, &terms);
             let mut expect = b.mul_scalar(&base_scalar);
             for (s, p) in scalars.iter().zip(&points) {
                 expect = expect.add(&p.mul_scalar(s));
             }
             assert!(fused.eq_point(&expect));
         }
-        assert!(Point::multiscalar_mul_basepoint(&Scalar::ZERO, &[], &[]).is_identity());
+        assert!(Point::multiscalar_mul_basepoint(&Scalar::ZERO, &[]).is_identity());
         let seven = Scalar::from_u64(7);
-        assert!(Point::multiscalar_mul_basepoint(&seven, &[], &[]).eq_point(&b.mul_scalar(&seven)));
+        assert!(Point::multiscalar_mul_basepoint(&seven, &[]).eq_point(&b.mul_scalar(&seven)));
+    }
+
+    /// Encodings that exercise every way out of `from_ys`.
+    fn decompression_corpus() -> Vec<[u8; 32]> {
+        let b = Point::basepoint();
+        let mut corpus: Vec<[u8; 32]> = (1u64..12)
+            .map(|k| b.mul_scalar(&Scalar::from_u64(k * k + 3)).compress())
+            .collect();
+        // The same points with the other sign of x.
+        for i in 0..4 {
+            let mut flipped = corpus[i];
+            flipped[31] ^= 0x80;
+            corpus.push(flipped);
+        }
+        // Small y: some on the curve, some with no square root.
+        for y in 0u8..16 {
+            let mut bytes = [0u8; 32];
+            bytes[0] = y;
+            corpus.push(bytes);
+            bytes[31] = 0x80;
+            corpus.push(bytes);
+        }
+        // x = 0 (y = ±1): the encodings with the sign bit set are "−0".
+        let mut minus_one = [0xffu8; 32];
+        minus_one[0] = 0xec;
+        minus_one[31] = 0x7f;
+        let mut one = [0u8; 32];
+        one[0] = 1;
+        for mut bytes in [one, minus_one] {
+            corpus.push(bytes);
+            bytes[31] |= 0x80;
+            corpus.push(bytes);
+        }
+        // Non-canonical y ≥ p: p + k for k in 0..19 fits below 2^255.
+        for k in 0u8..19 {
+            let mut bytes = [0xffu8; 32];
+            bytes[0] = 0xed + k;
+            bytes[31] = 0x7f;
+            corpus.push(bytes);
+            bytes[31] = 0xff;
+            corpus.push(bytes);
+        }
+        corpus
+    }
+
+    #[test]
+    fn lockstep_decompression_matches_decompress_one_at_a_time() {
+        let corpus = decompression_corpus();
+        let same = |pair: &Result<Point, DecompressError>,
+                    alone: &Result<Point, DecompressError>| {
+            match (pair, alone) {
+                (Ok(p), Ok(q)) => p.eq_point(q) && p.compress() == q.compress(),
+                (Err(_), Err(_)) => true,
+                _ => false,
+            }
+        };
+        let alone: Vec<_> = corpus.iter().map(Point::decompress).collect();
+        assert!(alone.iter().any(Result::is_ok) && alone.iter().any(Result::is_err));
+        // Every ordered pair: a bad encoding in one lane must not leak
+        // into the verdict or the point of the other.
+        for (i, a) in corpus.iter().enumerate() {
+            for (j, b) in corpus.iter().enumerate() {
+                let [pa, pb] = Point::decompress_pair(a, b);
+                assert!(same(&pa, &alone[i]), "lane 0 of pair ({i}, {j})");
+                assert!(same(&pb, &alone[j]), "lane 1 of pair ({i}, {j})");
+            }
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::sync::OnceLock;
 use rand::RngCore;
 
 use crate::sha512::Sha512;
-use edwards::{DecompressError, Point, PreparedPoint};
+use edwards::{DecompressError, Point, PreparedPoint, StrausTerm};
 use scalar::Scalar;
 
 /// Length of an Ed25519 signature in bytes.
@@ -412,22 +412,6 @@ pub fn verify_batch(items: &[(&[u8], &Signature, &VerifyingKey)]) -> Result<(), 
         [(message, signature, key)] => return key.verify(message, signature),
         _ => {}
     }
-    let mut rs = Vec::with_capacity(items.len());
-    let mut as_ = Vec::with_capacity(items.len());
-    let mut ss = Vec::with_capacity(items.len());
-    let mut ks = Vec::with_capacity(items.len());
-    for (message, signature, key) in items {
-        let a = Point::decompress(key.as_bytes()).map_err(|DecompressError| SignatureError)?;
-        let r_bytes: [u8; 32] = signature.0[..32].try_into().expect("split");
-        let s_bytes: [u8; 32] = signature.0[32..].try_into().expect("split");
-        let r = Point::decompress(&r_bytes).map_err(|DecompressError| SignatureError)?;
-        let s = Scalar::from_canonical_bytes(&s_bytes).ok_or(SignatureError)?;
-        rs.push(r);
-        as_.push(a);
-        ss.push(s);
-        ks.push(challenge_scalar(&r_bytes, key.as_bytes(), message));
-    }
-
     // Seed = H(domain ‖ nonce ‖ every signature, key, and message).
     let mut h = Sha512::new();
     h.update(b"proxy-aa.ed25519.batch.v1");
@@ -440,24 +424,31 @@ pub fn verify_batch(items: &[(&[u8], &Signature, &VerifyingKey)]) -> Result<(), 
     }
     let seed = h.finalize();
 
-    let mut scalars = Vec::with_capacity(2 * items.len());
-    let mut points = Vec::with_capacity(2 * items.len());
+    // One pass, one vector: each signature contributes [z]R and [z·k]A,
+    // its two points decompressed in lockstep.
+    let mut terms = Vec::with_capacity(2 * items.len());
     let mut b_coeff = Scalar::ZERO;
-    for i in 0..items.len() {
+    for (i, (message, signature, key)) in items.iter().enumerate() {
+        let r_bytes: [u8; 32] = signature.0[..32].try_into().expect("split");
+        let s_bytes: [u8; 32] = signature.0[32..].try_into().expect("split");
+        let [a, r] = Point::decompress_pair(key.as_bytes(), &r_bytes);
+        let a = a.map_err(|DecompressError| SignatureError)?;
+        let r = r.map_err(|DecompressError| SignatureError)?;
+        let s = Scalar::from_canonical_bytes(&s_bytes).ok_or(SignatureError)?;
+        let k = challenge_scalar(&r_bytes, key.as_bytes(), message);
+
         let mut zh = Sha512::new();
         zh.update(&seed);
         zh.update(&(i as u64).to_le_bytes());
         let digest = zh.finalize();
         let z_bytes: [u8; 16] = digest[..16].try_into().expect("split");
         let z = Scalar::from_u128(u128::from_le_bytes(z_bytes) | 1);
-        b_coeff = b_coeff.add(z.mul(ss[i]));
-        scalars.push(z);
-        points.push(rs[i]);
-        scalars.push(z.mul(ks[i]));
-        points.push(as_[i]);
+        b_coeff = b_coeff.add(z.mul(s));
+        terms.push(StrausTerm::new(&z, &r));
+        terms.push(StrausTerm::new(&z.mul(k), &a));
     }
 
-    if Point::multiscalar_mul_basepoint(&b_coeff.neg(), &scalars, &points).is_identity() {
+    if Point::multiscalar_mul_basepoint(&b_coeff.neg(), &terms).is_identity() {
         return Ok(());
     }
     // Combined equation failed: at least one signature is (almost surely)

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use proxy_crypto::ct::ct_eq;
-use proxy_crypto::ed25519::edwards::Point;
+use proxy_crypto::ed25519::edwards::{Point, StrausTerm};
 use proxy_crypto::ed25519::field::Fe;
 use proxy_crypto::ed25519::scalar::Scalar;
 use proxy_crypto::ed25519::SigningKey;
@@ -160,7 +160,9 @@ proptest! {
         for (s, p) in scalars.iter().zip(&points) {
             expect = expect.add(&p.mul_scalar(s));
         }
-        prop_assert!(Point::multiscalar_mul_basepoint(&sb, &scalars, &points).eq_point(&expect));
+        let prepared: Vec<StrausTerm> =
+            scalars.iter().zip(&points).map(|(s, p)| StrausTerm::new(s, p)).collect();
+        prop_assert!(Point::multiscalar_mul_basepoint(&sb, &prepared).eq_point(&expect));
     }
 
     /// wNAF and radix-16 digit decompositions reconstruct the scalar.

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 
 use rand::RngCore;
 
-use proxy_crypto::ed25519::{Signature, SignatureError, SigningKey, VerifyingKey};
+use proxy_crypto::ed25519::{Signature, SigningKey, VerifyingKey};
 use proxy_crypto::hmac::HmacSha256;
 use proxy_crypto::keys::SymmetricKey;
 use proxy_crypto::seal;
@@ -73,12 +73,19 @@ impl ProxyKey {
     }
 }
 
+/// The message a possession proof covers: label, challenge, binding.
 pub(crate) fn possession_message(challenge: &[u8; 32], binding: &[u8]) -> Vec<u8> {
     let mut msg = Vec::with_capacity(POSSESSION_LABEL.len() + 32 + binding.len());
-    msg.extend_from_slice(POSSESSION_LABEL);
-    msg.extend_from_slice(challenge);
+    append_possession_prefix(&mut msg, challenge);
     msg.extend_from_slice(binding);
     msg
+}
+
+/// Appends to `out` everything of [`possession_message`] that comes
+/// before the binding.
+pub(crate) fn append_possession_prefix(out: &mut Vec<u8>, challenge: &[u8; 32]) {
+    out.extend_from_slice(POSSESSION_LABEL);
+    out.extend_from_slice(challenge);
 }
 
 /// The verifier-side view of a proxy key, recovered while walking a chain.
@@ -95,24 +102,12 @@ impl ProxyKeyVerifier {
     /// Checks a possession proof produced by [`ProxyKey::prove_possession`].
     #[must_use]
     pub fn check_possession(&self, challenge: &[u8; 32], binding: &[u8], proof: &[u8]) -> bool {
-        self.check_possession_with(challenge, binding, proof, VerifyingKey::verify)
-    }
-
-    /// [`Self::check_possession`] with the Ed25519 equation evaluated by
-    /// `ed25519_verify`: a [`crate::verify::Verifier`] passes its table of
-    /// seen keys.
-    pub(crate) fn check_possession_with(
-        &self,
-        challenge: &[u8; 32],
-        binding: &[u8],
-        proof: &[u8],
-        ed25519_verify: impl FnOnce(&VerifyingKey, &[u8], &Signature) -> Result<(), SignatureError>,
-    ) -> bool {
         let msg = possession_message(challenge, binding);
         match self {
             ProxyKeyVerifier::Symmetric(k) => HmacSha256::verify(k.as_bytes(), &msg, proof),
-            ProxyKeyVerifier::Ed25519(vk) => Signature::try_from_slice(proof)
-                .is_ok_and(|sig| ed25519_verify(vk, &msg, &sig).is_ok()),
+            ProxyKeyVerifier::Ed25519(vk) => {
+                Signature::try_from_slice(proof).is_ok_and(|sig| vk.verify(&msg, &sig).is_ok())
+            }
         }
     }
 }

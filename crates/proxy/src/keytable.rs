@@ -23,13 +23,20 @@
 //! the key alone; no verdict is ever stored, so a forged signature is
 //! refused on the prepared path exactly as on the cold one.
 //!
-//! The table is direct-mapped: [`SLOTS`] slots, the slot chosen by a
-//! hash of the key under a per-table random seed (an outsider cannot aim
-//! keys at one slot), a colliding key overwriting the previous tenant.
-//! Two live keys that share a slot therefore only ever meet the cold
-//! path. Memory is bounded at `SLOTS` × (a [`PreparedKey`], ~2.6 KiB).
-//! Each slot has its own lock, held to compare 32 bytes and copy a point
-//! or clone an `Arc` — never across curve arithmetic.
+//! The table is two-way set-associative: [`SLOTS`] slots of [`WAYS`]
+//! tenants, the slot chosen by a hash of the key under a per-table random
+//! seed (an outsider cannot aim keys at one slot). A first sighting takes
+//! an empty way, else the way of a key seen only once, else the way of
+//! the prepared key used longer ago. So two live keys that share a slot
+//! both reach the prepared path, and a stream of one-shot keys through
+//! the slot — each the proxy key of a chain presented once — displaces at
+//! most one of them: the newcomers then replace each other in that way
+//! and never touch the prepared key beside it. Three live keys in one
+//! slot still evict each other. A way is a pointer to what its tenant
+//! keeps, so an empty table is 10 KiB and memory is bounded at `SLOTS` ×
+//! `WAYS` × (a [`PreparedKey`], ~2.6 KiB) ≈ 1.3 MiB, reached only by 512
+//! keys that each came back. Each slot has its own lock, held to compare
+//! two keys and clone or store an `Arc` — never across curve arithmetic.
 
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
@@ -42,11 +49,14 @@ use proxy_crypto::ed25519::{
 /// Slots in a [`KeyTable`].
 pub(crate) const SLOTS: usize = 256;
 
-/// What a slot keeps of its key.
+/// Tenants per slot.
+pub(crate) const WAYS: usize = 2;
+
+/// What a way keeps of its key.
 #[derive(Clone)]
 enum Seen {
     /// Seen once: the decompressed point.
-    Once(DecompressedKey),
+    Once(Arc<DecompressedKey>),
     /// Seen again: the point's tables.
     Prepared(Arc<PreparedKey>),
 }
@@ -60,17 +70,57 @@ impl Seen {
     }
 }
 
+/// The tenants of one slot, the most recently used first.
+#[derive(Default)]
+struct Ways([Option<Seen>; WAYS]);
+
+impl Ways {
+    fn way_of(&self, key: &VerifyingKey) -> Option<usize> {
+        self.0
+            .iter()
+            .position(|tenant| tenant.as_ref().is_some_and(|seen| seen.key() == key))
+    }
+
+    /// Moves `way` to the front, the ways before it keeping their order.
+    fn move_to_front(&mut self, way: usize) -> Option<&mut Option<Seen>> {
+        let upto = self.0.get_mut(..=way)?;
+        upto.rotate_right(1);
+        upto.first_mut()
+    }
+
+    /// What the slot keeps of `key`, which counts as a use.
+    fn find(&mut self, key: &VerifyingKey) -> Option<Seen> {
+        let way = self.way_of(key)?;
+        self.move_to_front(way)?.clone()
+    }
+
+    /// Stores `seen`: over what the slot already keeps of the same key,
+    /// else in an empty way, else over a key seen once (the one used
+    /// longer ago of two), else over the prepared key used longest ago.
+    fn place(&mut self, seen: Seen) {
+        let seen_once = |tenant: &Option<Seen>| matches!(tenant, Some(Seen::Once(_)));
+        let way = self
+            .way_of(seen.key())
+            .or_else(|| self.0.iter().position(Option::is_none))
+            .or_else(|| self.0.iter().rposition(seen_once))
+            .unwrap_or(WAYS - 1);
+        if let Some(front) = self.move_to_front(way) {
+            *front = Some(seen);
+        }
+    }
+}
+
 #[derive(Default)]
 struct Slot {
-    seen: Mutex<Option<Seen>>,
+    ways: Mutex<Ways>,
 }
 
 impl Slot {
-    /// The slot's tenant, locked. Every write to a slot is one assignment
+    /// The slot's tenants, locked. Every write to a way is one assignment
     /// of a whole value, so a slot is valid even if a holder of its lock
     /// panicked.
-    fn tenant(&self) -> MutexGuard<'_, Option<Seen>> {
-        self.seen.lock().unwrap_or_else(PoisonError::into_inner)
+    fn tenants(&self) -> MutexGuard<'_, Ways> {
+        self.ways.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -124,20 +174,20 @@ impl KeyTable {
             return key.verify(message, signature);
         };
         let seen = {
-            let guard = slot.tenant();
-            guard.as_ref().filter(|seen| seen.key() == key).cloned()
+            let mut ways = slot.tenants();
+            ways.find(key)
         };
         match seen {
             Some(Seen::Prepared(prepared)) => prepared.verify(message, signature),
             Some(Seen::Once(decompressed)) => {
                 let prepared = Arc::new(PreparedKey::new(&decompressed));
-                *slot.tenant() = Some(Seen::Prepared(Arc::clone(&prepared)));
+                slot.tenants().place(Seen::Prepared(Arc::clone(&prepared)));
                 prepared.verify(message, signature)
             }
             None => {
                 // A key with no curve point is never stored.
-                let decompressed = key.decompress()?;
-                *slot.tenant() = Some(Seen::Once(decompressed));
+                let decompressed = Arc::new(key.decompress()?);
+                slot.tenants().place(Seen::Once(Arc::clone(&decompressed)));
                 decompressed.verify(message, signature)
             }
         }
@@ -150,10 +200,11 @@ mod tests {
     use proxy_crypto::ed25519::SigningKey;
 
     impl KeyTable {
-        /// `"once"` / `"prepared"` when `key` is its slot's tenant.
+        /// `"once"` / `"prepared"` when `key` is a tenant of its slot.
+        /// Reads without touching the slot's recency.
         fn stage_of(&self, key: &VerifyingKey) -> Option<&'static str> {
-            let guard = self.slot(key)?.tenant();
-            let seen = guard.as_ref().filter(|seen| seen.key() == key)?;
+            let ways = self.slot(key)?.tenants();
+            let seen = ways.0.get(ways.way_of(key)?)?.as_ref()?;
             Some(match seen {
                 Seen::Once(_) => "once",
                 Seen::Prepared(_) => "prepared",
@@ -161,7 +212,10 @@ mod tests {
         }
 
         fn occupancy(&self) -> usize {
-            self.slots.iter().filter(|s| s.tenant().is_some()).count()
+            self.slots
+                .iter()
+                .map(|s| s.tenants().0.iter().flatten().count())
+                .sum()
         }
     }
 
@@ -198,28 +252,86 @@ mod tests {
         assert_eq!(table.stage_of(&vk), Some("prepared"));
     }
 
+    /// Verifies one honest signature under `sk`'s key.
+    fn sight(table: &KeyTable, sk: &SigningKey) {
+        assert!(table
+            .verify(&sk.verifying_key(), b"x", &sk.sign(b"x"))
+            .is_ok());
+    }
+
     #[test]
-    fn two_keys_in_one_slot_both_keep_verifying() {
+    fn two_live_keys_in_one_slot_both_reach_prepared() {
         let table = KeyTable::with_slots(1);
         let (a, b) = (signer(5), signer(6));
         let (va, vb) = (a.verifying_key(), b.verifying_key());
-        for round in 0..3 {
-            // Alternating tenants evict each other: always a first sighting.
-            assert!(table.verify(&va, b"x", &a.sign(b"x")).is_ok(), "{round}");
-            assert_eq!(table.stage_of(&va), Some("once"));
-            assert!(table.verify(&vb, b"x", &b.sign(b"x")).is_ok(), "{round}");
-            assert_eq!(table.stage_of(&vb), Some("once"));
-            assert_eq!(table.stage_of(&va), None);
+        for stage in ["once", "prepared", "prepared"] {
+            // Alternating, as two grantors' chains would arrive.
+            sight(&table, &a);
+            sight(&table, &b);
+            assert_eq!(table.stage_of(&va), Some(stage));
+            assert_eq!(table.stage_of(&vb), Some(stage));
             assert!(table.verify(&va, b"x", &b.sign(b"x")).is_err());
             assert!(table.verify(&vb, b"x", &a.sign(b"x")).is_err());
         }
-        // Left alone, a tenant is promoted; the evicted key still verifies.
-        assert!(table.verify(&vb, b"y", &b.sign(b"y")).is_ok());
-        assert!(table.verify(&vb, b"y", &b.sign(b"y")).is_ok());
-        assert_eq!(table.stage_of(&vb), Some("prepared"));
-        assert!(table.verify(&va, b"y", &a.sign(b"y")).is_ok());
-        assert_eq!(table.stage_of(&vb), None);
-        assert_eq!(table.occupancy(), 1);
+        assert_eq!(table.occupancy(), 2);
+    }
+
+    #[test]
+    fn a_thousand_one_shot_keys_leave_a_prepared_tenant_prepared() {
+        let table = KeyTable::with_slots(1);
+        let (returning, other) = (signer(20), signer(21));
+        for _ in 0..2 {
+            sight(&table, &returning);
+            sight(&table, &other);
+        }
+        let (vr, vo) = (returning.verifying_key(), other.verifying_key());
+        assert_eq!(table.stage_of(&vr), Some("prepared"));
+        assert_eq!(table.stage_of(&vo), Some("prepared"));
+        // `returning` is the one used longer ago: the first one-shot key
+        // takes its way unless it comes back first.
+        sight(&table, &returning);
+        let sig = signer(8).sign(b"m");
+        for i in 0..1_000u64 {
+            // Distinct valid keys, cheaply: small multiples of the basepoint.
+            let point = proxy_crypto::ed25519::edwards::Point::mul_basepoint(
+                &proxy_crypto::ed25519::scalar::Scalar::from_u64(i + 1),
+            );
+            let one_shot = VerifyingKey::from_bytes(point.compress());
+            assert!(table.verify(&one_shot, b"m", &sig).is_err());
+            assert_eq!(table.stage_of(&one_shot), Some("once"));
+            assert_eq!(table.stage_of(&vr), Some("prepared"), "after {i}");
+        }
+        // The stream cost the slot its other prepared key, once, and
+        // nothing more; that key starts over when it returns.
+        assert_eq!(table.stage_of(&vo), None);
+        sight(&table, &other);
+        assert_eq!(table.stage_of(&vo), Some("once"));
+        assert_eq!(table.stage_of(&vr), Some("prepared"));
+        assert_eq!(table.occupancy(), 2);
+    }
+
+    #[test]
+    fn three_live_keys_in_one_slot_evict_the_one_used_longest_ago() {
+        let table = KeyTable::with_slots(1);
+        let signers = [signer(30), signer(31), signer(32)];
+        let keys = signers.each_ref().map(SigningKey::verifying_key);
+        for sk in &signers[..2] {
+            sight(&table, sk);
+            sight(&table, sk);
+        }
+        // Two prepared tenants, [0] used longer ago: [2] takes its way,
+        // and every evicted key still verifies, as a first sighting.
+        sight(&table, &signers[2]);
+        assert_eq!(table.stage_of(&keys[0]), None);
+        assert_eq!(table.stage_of(&keys[1]), Some("prepared"));
+        assert_eq!(table.stage_of(&keys[2]), Some("once"));
+        // [0] returns: it takes the way of the key seen once, though that
+        // is the one used last, and leaves the prepared key alone.
+        sight(&table, &signers[0]);
+        assert_eq!(table.stage_of(&keys[0]), Some("once"));
+        assert_eq!(table.stage_of(&keys[1]), Some("prepared"));
+        assert_eq!(table.stage_of(&keys[2]), None);
+        assert_eq!(table.occupancy(), 2);
     }
 
     #[test]
@@ -249,19 +361,19 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_never_exceeds_the_slot_count() {
+    fn occupancy_never_exceeds_slots_times_ways() {
         let table = KeyTable::new();
         let sig = signer(8).sign(b"m");
-        for i in 0..4 * SLOTS as u64 {
+        for i in 0..4 * (SLOTS * WAYS) as u64 {
             // Distinct valid keys, cheaply: small multiples of the basepoint.
             let point = proxy_crypto::ed25519::edwards::Point::mul_basepoint(
                 &proxy_crypto::ed25519::scalar::Scalar::from_u64(i + 1),
             );
             let vk = VerifyingKey::from_bytes(point.compress());
             assert!(table.verify(&vk, b"m", &sig).is_err());
-            assert!(table.occupancy() <= SLOTS);
+            assert!(table.occupancy() <= SLOTS * WAYS);
         }
-        assert!(table.occupancy() > SLOTS / 2, "keys spread over the slots");
+        assert!(table.occupancy() > SLOTS, "keys spread over the slots");
     }
 
     #[test]
@@ -285,6 +397,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(table.occupancy(), 1);
+        assert_eq!(table.occupancy(), WAYS);
     }
 }

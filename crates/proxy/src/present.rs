@@ -49,10 +49,21 @@ pub struct Presentation {
 #[must_use]
 pub fn presentation_binding(server: &PrincipalId, final_cert: &Certificate) -> Vec<u8> {
     let mut out = Vec::new();
+    let digest = Sha256::digest(&final_cert.body_bytes());
+    append_presentation_binding(&mut out, server, &digest);
+    out
+}
+
+/// Appends [`presentation_binding`] to `out`, given the SHA-256 digest of
+/// the final certificate's body.
+pub(crate) fn append_presentation_binding(
+    out: &mut Vec<u8>,
+    server: &PrincipalId,
+    final_body_digest: &[u8; 32],
+) {
     out.extend_from_slice(server.as_str().as_bytes());
     out.push(0);
-    out.extend_from_slice(&Sha256::digest(&final_cert.body_bytes()));
-    out
+    out.extend_from_slice(final_body_digest);
 }
 
 impl Proxy {

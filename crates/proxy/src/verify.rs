@@ -7,43 +7,69 @@
 //! proof (possession for bearer proxies, authenticated identity for
 //! delegate proxies).
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use proxy_crypto::ed25519::{self, Signature, VerifyingKey};
 use proxy_crypto::hmac::HmacSha256;
+use proxy_crypto::sha256::Sha256;
 
 use crate::cache::{seal_digest, SealDigest, VerifiedCertCache};
 use crate::cert::{CertSeal, Certificate, SigningAuthorityKind};
 use crate::context::RequestContext;
 use crate::encode::Encoder;
 use crate::error::VerifyError;
-use crate::key::{GrantorVerifier, KeyResolver, ProxyKeyVerifier};
+use crate::key::{append_possession_prefix, GrantorVerifier, KeyResolver, ProxyKeyVerifier};
 use crate::keytable::KeyTable;
-use crate::present::{presentation_binding, Presentation, Proof};
+use crate::present::{append_presentation_binding, Presentation, Proof};
 use crate::principal::PrincipalId;
 use crate::replay::ReplayGuard;
 use crate::restriction::RestrictionSet;
 use crate::revocation::RevocationDirectory;
 use crate::time::Timestamp;
 
-/// Re-encodes `cert`'s canonical body into `out`, reusing its capacity.
-/// Equivalent to `*out = cert.body_bytes()` without the fresh allocation.
-fn encode_body_into(cert: &Certificate, out: &mut Vec<u8>) {
-    out.clear();
+/// Appends `cert`'s canonical body to `out` and returns where it lies.
+fn append_body(cert: &Certificate, out: &mut Vec<u8>) -> Range<usize> {
+    let start = out.len();
     let mut e = Encoder::from_vec(std::mem::take(out));
     cert.body_bytes_onto(&mut e);
     *out = e.finish();
+    start..out.len()
 }
 
-/// An Ed25519 seal check postponed so a whole chain verifies as one batch.
-struct DeferredSeal {
-    index: usize,
-    body: Vec<u8>,
+/// An Ed25519 check postponed so that everything one presentation asks
+/// of the curve — its uncached seals and its possession proof — is
+/// settled as one equation.
+struct PendingCheck {
+    /// The signed bytes, as a range of the presentation's one scratch
+    /// buffer.
+    message: Range<usize>,
     sig: Signature,
     vk: VerifyingKey,
-    /// Cache key, computed only when a cache is attached.
-    digest: Option<SealDigest>,
-    expires: Timestamp,
+    subject: Subject,
+}
+
+/// What a [`PendingCheck`] decides.
+enum Subject {
+    /// The seal of the certificate at chain position `index`.
+    Seal {
+        index: usize,
+        /// Cache key and the expiry to cache it until; `None` without a
+        /// cache.
+        cache_entry: Option<(SealDigest, Timestamp)>,
+    },
+    /// The presenter's possession proof. Queued after every seal.
+    Possession,
+}
+
+impl PendingCheck {
+    /// The error a failure of this check is reported as.
+    fn blame(&self) -> VerifyError {
+        match self.subject {
+            Subject::Seal { index, .. } => VerifyError::BadSeal { index },
+            Subject::Possession => VerifyError::BadPossession,
+        }
+    }
 }
 
 /// The outcome of successful verification: what the proxy conveys.
@@ -74,9 +100,10 @@ pub struct Verifier<R> {
     /// the mirrored revoked sets — an O(1) local probe, no round trips.
     revocations: Option<Arc<RevocationDirectory>>,
     /// What earlier checks computed about the Ed25519 keys they ran
-    /// under; every *lone* check (a possession proof, a flush of one
-    /// seal) goes through it. See [`crate::keytable`]. Shared across
-    /// clones, like the seal cache.
+    /// under; a presentation that needs exactly one check (the
+    /// possession proof of a cached chain, the seal of a one-link
+    /// delegate proxy) settles it through here. See [`crate::keytable`].
+    /// Shared across clones, like the seal cache.
     keys: Arc<KeyTable>,
 }
 
@@ -172,16 +199,20 @@ impl<R: KeyResolver> Verifier<R> {
         // Pass 1: verify seals and recover proxy-key verifiers link by
         // link. Key recovery never depends on a seal being *valid* (only
         // on the recovered key of the prior link), so Ed25519 seal checks
-        // are deferred and the whole chain is verified as one batch —
-        // unless the seal cache already vouches for a certificate. HMAC
-        // seals are cheaper than the cache digest and are checked inline.
+        // are deferred — unless the seal cache already vouches for a
+        // certificate — and settled in pass 3 together with the
+        // possession proof. HMAC seals are cheaper than the cache digest
+        // and are checked inline.
         let mut prev_key: Option<ProxyKeyVerifier> = None;
         let mut expires = Timestamp::MAX;
-        let mut deferred: Vec<DeferredSeal> = Vec::new();
-        // One scratch encoding of the current certificate's body, reused
-        // across the chain — each link's seal check (and cache digest)
-        // reads it instead of re-encoding into a fresh vector.
-        let mut body = Vec::with_capacity(Certificate::ENCODE_CAPACITY_HINT);
+        let mut pending: Vec<PendingCheck> = Vec::new();
+        // One scratch buffer for every byte string the presentation's
+        // checks read: the body of each certificate in turn, kept when
+        // its seal is deferred and overwritten by the next body when not,
+        // then the possession message.
+        let mut scratch = Vec::with_capacity(Certificate::ENCODE_CAPACITY_HINT);
+        let mut kept = 0;
+        let mut final_body = 0..0;
         for (index, cert) in certs.iter().enumerate() {
             if !cert.validity.contains(ctx.now) {
                 return Err(VerifyError::NotValidAt {
@@ -198,8 +229,10 @@ impl<R: KeyResolver> Verifier<R> {
                 }
             }
             expires = expires.min(cert.expires());
-            encode_body_into(cert, &mut body);
-            let unseal_key = match cert.authority {
+            scratch.truncate(kept);
+            final_body = append_body(cert, &mut scratch);
+            let body = &scratch[final_body.clone()];
+            let (unseal_key, ed25519_seal) = match cert.authority {
                 SigningAuthorityKind::Grantor => {
                     let verifier = self
                         .resolver
@@ -207,22 +240,13 @@ impl<R: KeyResolver> Verifier<R> {
                         .ok_or_else(|| VerifyError::UnknownGrantor(cert.grantor.clone()))?;
                     match (&verifier, &cert.seal) {
                         (GrantorVerifier::SharedKey(k), CertSeal::Hmac(tag)) => {
-                            if !HmacSha256::verify(k.as_bytes(), &body, tag) {
+                            if !HmacSha256::verify(k.as_bytes(), body, tag) {
                                 return Err(VerifyError::BadSeal { index });
                             }
-                            Some(k.clone())
+                            (Some(k.clone()), None)
                         }
                         (GrantorVerifier::PublicKey(vk), CertSeal::Ed25519(sig)) => {
-                            self.queue_ed25519_seal(
-                                &mut deferred,
-                                cert,
-                                &body,
-                                index,
-                                *vk,
-                                *sig,
-                                ctx.now,
-                            );
-                            None
+                            (None, Some((*vk, *sig)))
                         }
                         _ => return Err(VerifyError::FlavorMismatch { index }),
                     }
@@ -234,34 +258,53 @@ impl<R: KeyResolver> Verifier<R> {
                     let prior = prev_key.as_ref().expect("set on every prior iteration");
                     match (prior, &cert.seal) {
                         (ProxyKeyVerifier::Symmetric(k), CertSeal::Hmac(tag)) => {
-                            if !HmacSha256::verify(k.as_bytes(), &body, tag) {
+                            if !HmacSha256::verify(k.as_bytes(), body, tag) {
                                 return Err(VerifyError::BadSeal { index });
                             }
-                            Some(k.clone())
+                            (Some(k.clone()), None)
                         }
                         (ProxyKeyVerifier::Ed25519(vk), CertSeal::Ed25519(sig)) => {
-                            self.queue_ed25519_seal(
-                                &mut deferred,
-                                cert,
-                                &body,
-                                index,
-                                *vk,
-                                *sig,
-                                ctx.now,
-                            );
-                            None
+                            (None, Some((*vk, *sig)))
                         }
                         _ => return Err(VerifyError::FlavorMismatch { index }),
                     }
                 }
             };
+            if let Some((vk, sig)) = ed25519_seal {
+                // Deferred, unless the cache already vouches for this
+                // exact (body, seal, key) triple.
+                let digest = self
+                    .cache
+                    .as_ref()
+                    .map(|_| seal_digest(cert, body, vk.as_bytes()));
+                let vouched = self
+                    .cache
+                    .as_ref()
+                    .zip(digest.as_ref())
+                    .is_some_and(|(cache, d)| cache.contains(d, ctx.now));
+                if !vouched {
+                    if pending.is_empty() {
+                        // Every later link may defer too, then the proof.
+                        pending.reserve_exact(certs.len() - index + 1);
+                    }
+                    pending.push(PendingCheck {
+                        message: final_body.clone(),
+                        sig,
+                        vk,
+                        subject: Subject::Seal {
+                            index,
+                            cache_entry: digest.map(|d| (d, cert.expires())),
+                        },
+                    });
+                    kept = scratch.len();
+                }
+            }
             prev_key = Some(
                 cert.key_material
                     .unseal(unseal_key.as_ref())
                     .ok_or(VerifyError::KeyUnrecoverable { index })?,
             );
         }
-        self.flush_deferred_seals(deferred, ctx.now)?;
         let final_key = prev_key.expect("chain non-empty");
 
         // Pass 2: resolve delegate cascades into an effective identity set.
@@ -280,33 +323,51 @@ impl<R: KeyResolver> Verifier<R> {
         let mut eval_ctx = ctx.clone();
         eval_ctx.authenticated = effective;
 
-        // Pass 3: the presenter's proof.
+        // Pass 3: the presenter's proof, then every deferred check at
+        // once. An Ed25519 possession proof is one more pending check;
+        // anything else about the proof is decided here and reported
+        // only after the seals, so a bad seal is blamed before a bad
+        // proof whichever the verifier happened to look at first.
         let combined = certs
             .iter()
             .fold(RestrictionSet::new(), |acc, c| acc.union(&c.restrictions));
+        let mut proof_verdict = Ok(());
         match &presentation.proof {
             Proof::Possession {
                 challenge,
                 response,
             } => {
-                let binding = presentation_binding(&self.server, certs.last().expect("non-empty"));
-                let proven = final_key.check_possession_with(
-                    challenge,
-                    &binding,
-                    response,
-                    |vk, msg, sig| self.keys.verify(vk, msg, sig),
-                );
-                if !proven {
-                    return Err(VerifyError::BadPossession);
+                let final_digest = Sha256::digest(&scratch[final_body]);
+                let start = scratch.len();
+                append_possession_prefix(&mut scratch, challenge);
+                append_presentation_binding(&mut scratch, &self.server, &final_digest);
+                let message = start..scratch.len();
+                match &final_key {
+                    ProxyKeyVerifier::Symmetric(k) => {
+                        if !HmacSha256::verify(k.as_bytes(), &scratch[message], response) {
+                            proof_verdict = Err(VerifyError::BadPossession);
+                        }
+                    }
+                    ProxyKeyVerifier::Ed25519(vk) => match Signature::try_from_slice(response) {
+                        Ok(sig) => pending.push(PendingCheck {
+                            message,
+                            sig,
+                            vk: *vk,
+                            subject: Subject::Possession,
+                        }),
+                        Err(_) => proof_verdict = Err(VerifyError::BadPossession),
+                    },
                 }
             }
             Proof::Identity => {
                 // Only delegate proxies may be exercised without possession.
                 if !combined.has_grantee() {
-                    return Err(VerifyError::BearerRequiresPossession);
+                    proof_verdict = Err(VerifyError::BearerRequiresPossession);
                 }
             }
         }
+        self.settle(&pending, &scratch, ctx.now)?;
+        proof_verdict?;
 
         // Pass 4: evaluate every certificate's restrictions (additive).
         for cert in certs {
@@ -322,84 +383,56 @@ impl<R: KeyResolver> Verifier<R> {
         })
     }
 
-    /// Queues an Ed25519 seal check for the end-of-pass batch, unless the
-    /// cache already vouches for this exact (body, seal, key) triple.
-    #[allow(clippy::too_many_arguments)]
-    fn queue_ed25519_seal(
+    /// Settles every pending check of one presentation: a lone check
+    /// through the key table, two or more as one batched equation. When
+    /// the batch fails, each check is repeated on its own, in chain order
+    /// with the proof last, to find the first that fails. If every seal
+    /// holds the positive results enter the cache — even when the proof
+    /// then fails: a seal's validity does not depend on who presents it —
+    /// and if any seal fails nothing does. Only seal validity is ever
+    /// cached, never a request-dependent decision.
+    fn settle(
         &self,
-        deferred: &mut Vec<DeferredSeal>,
-        cert: &Certificate,
-        body: &[u8],
-        index: usize,
-        vk: VerifyingKey,
-        sig: Signature,
-        now: Timestamp,
-    ) {
-        let digest = self
-            .cache
-            .as_ref()
-            .map(|_| seal_digest(cert, body, vk.as_bytes()));
-        if let (Some(cache), Some(d)) = (&self.cache, &digest) {
-            if cache.contains(d, now) {
-                return;
-            }
-        }
-        deferred.push(DeferredSeal {
-            index,
-            body: body.to_vec(),
-            sig,
-            vk,
-            digest,
-            expires: cert.expires(),
-        });
-    }
-
-    /// Verifies all queued seals — two or more in one batched equation, a
-    /// lone one through the key table, which the batch equation (random
-    /// coefficients over freshly decompressed points) has no use for; on
-    /// success the positive results enter the cache. When the batch
-    /// fails, re-checks each seal to attribute the error to a chain
-    /// index. Only seal validity is ever cached — never a
-    /// request-dependent decision.
-    fn flush_deferred_seals(
-        &self,
-        deferred: Vec<DeferredSeal>,
+        pending: &[PendingCheck],
+        scratch: &[u8],
         now: Timestamp,
     ) -> Result<(), VerifyError> {
-        match deferred.as_slice() {
-            [] => return Ok(()),
-            [d] => self
+        let message = |check: &PendingCheck| &scratch[check.message.clone()];
+        let failed = match pending {
+            [] => None,
+            [lone] => self
                 .keys
-                .verify(&d.vk, &d.body, &d.sig)
-                .map_err(|_| VerifyError::BadSeal { index: d.index })?,
+                .verify(&lone.vk, message(lone), &lone.sig)
+                .err()
+                .map(|_| lone),
             many => {
-                let items: Vec<(&[u8], &Signature, &VerifyingKey)> = many
-                    .iter()
-                    .map(|d| (d.body.as_slice(), &d.sig, &d.vk))
-                    .collect();
-                if ed25519::verify_batch(&items).is_err() {
-                    for d in many {
-                        if d.vk.verify(&d.body, &d.sig).is_err() {
-                            return Err(VerifyError::BadSeal { index: d.index });
-                        }
-                    }
-                    // Unreachable in practice: the batch only fails when
-                    // some individual equation fails. Blame the head
-                    // conservatively.
-                    return Err(VerifyError::BadSeal {
-                        index: many[0].index,
-                    });
+                let items: Vec<(&[u8], &Signature, &VerifyingKey)> =
+                    many.iter().map(|c| (message(c), &c.sig, &c.vk)).collect();
+                match ed25519::verify_batch(&items) {
+                    Ok(()) => None,
+                    // The batch fails only when some check fails on its
+                    // own; should none own up, blame the head.
+                    Err(_) => Some(
+                        many.iter()
+                            .find(|c| c.vk.verify(message(c), &c.sig).is_err())
+                            .unwrap_or(&many[0]),
+                    ),
+                }
+            }
+        };
+        let seal_failed = failed.is_some_and(|c| matches!(c.subject, Subject::Seal { .. }));
+        if let (false, Some(cache)) = (seal_failed, &self.cache) {
+            for check in pending {
+                if let Subject::Seal {
+                    cache_entry: Some((digest, expires)),
+                    ..
+                } = check.subject
+                {
+                    cache.insert(digest, expires, now);
                 }
             }
         }
-        if let Some(cache) = &self.cache {
-            for d in deferred {
-                if let Some(digest) = d.digest {
-                    cache.insert(digest, d.expires, now);
-                }
-            }
-        }
-        Ok(())
+        failed.map_or(Ok(()), |check| Err(check.blame()))
     }
 }
 
@@ -1168,8 +1201,13 @@ mod tests {
         );
     }
 
+    /// Every way a depth-4 Ed25519 cascade can fail its seals and its
+    /// proof at once, cold and warm. The seals and the possession proof
+    /// are settled as one equation, and none of that may show: a forged
+    /// seal is blamed at its chain index before anything is said about
+    /// the proof, and seals that hold are cached whatever the proof does.
     #[test]
-    fn forged_seal_at_each_index_of_a_depth4_cascade_is_blamed_there() {
+    fn forged_seal_and_bad_proof_matrix_on_a_depth4_cascade() {
         let mut rng = StdRng::seed_from_u64(26);
         let sk = SigningKey::generate(&mut rng);
         let forger = SigningKey::generate(&mut rng);
@@ -1191,30 +1229,133 @@ mod tests {
         }
         let honest = proxy.present_bearer([4u8; 32], &p("fs"));
         assert_eq!(honest.certs.len(), 4);
-        // Cold: all four seals ride one batch, whose failure falls back
-        // to per-seal checks. Warm: the three honest links hit the seal
-        // cache, so the forged one is alone in the batch at position 0 —
-        // the blame must still be its chain index.
+        let thief = crate::proxy::Proxy {
+            certs: proxy.certs.clone(),
+            key: crate::key::ProxyKey::generate_ed25519(&mut rng),
+        };
+        let Proof::Possession {
+            challenge,
+            response,
+        } = honest.proof.clone()
+        else {
+            unreachable!()
+        };
+        let proofs = [
+            (honest.proof.clone(), Ok(())),
+            (
+                thief.present_bearer(challenge, &p("fs")).proof,
+                Err(VerifyError::BadPossession),
+            ),
+            (
+                Proof::Possession {
+                    challenge,
+                    response: response[..63].to_vec(),
+                },
+                Err(VerifyError::BadPossession),
+            ),
+            (Proof::Identity, Err(VerifyError::BearerRequiresPossession)),
+        ];
+        // Cold: every seal is pending when the proof arrives. Warm: the
+        // honest links hit the seal cache, so a forged one is pending
+        // alone or with the proof — the blame must still be its chain
+        // index, not its place in the batch.
         for warm in [false, true] {
-            let verifier = Verifier::new(p("fs"), resolver.clone()).with_seal_cache(64);
-            let mut guard = MemoryReplayGuard::new();
-            if warm {
-                assert!(verifier.verify(&honest, &ctx(), &mut guard).is_ok());
+            for (proof, proof_verdict) in &proofs {
+                for forged_at in [None, Some(0), Some(1), Some(2), Some(3)] {
+                    let verifier = Verifier::new(p("fs"), resolver.clone()).with_seal_cache(64);
+                    let cache = verifier.seal_cache().unwrap();
+                    let mut guard = MemoryReplayGuard::new();
+                    if warm {
+                        assert!(verifier.verify(&honest, &ctx(), &mut guard).is_ok());
+                    }
+                    let cached_before = cache.len();
+                    let mut pres = honest.clone();
+                    pres.proof = proof.clone();
+                    if let Some(k) = forged_at {
+                        let body = pres.certs[k].body_bytes();
+                        pres.certs[k].seal = CertSeal::Ed25519(forger.sign(&body));
+                    }
+                    let expect = match forged_at {
+                        Some(index) => Err(VerifyError::BadSeal { index }),
+                        None => proof_verdict.clone(),
+                    };
+                    let case = format!("warm={warm} proof={proof:?} forged_at={forged_at:?}");
+                    assert_eq!(
+                        verifier.verify(&pres, &ctx(), &mut guard).map(|_| ()),
+                        expect,
+                        "{case}"
+                    );
+                    // A forged seal caches nothing; four good seals are
+                    // cached even under a proof that fails.
+                    let cached = if forged_at.is_some() {
+                        cached_before
+                    } else {
+                        4
+                    };
+                    assert_eq!(cache.len(), cached, "{case}");
+                    let (hits, misses) = cache.stats();
+                    let looked_up = if warm { 8 } else { 4 };
+                    assert_eq!(hits + misses, looked_up, "{case}");
+                }
             }
-            for k in 0..4 {
-                let mut pres = honest.clone();
-                let body = pres.certs[k].body_bytes();
-                pres.certs[k].seal = CertSeal::Ed25519(forger.sign(&body));
-                assert_eq!(
-                    verifier.verify(&pres, &ctx(), &mut guard),
-                    Err(VerifyError::BadSeal { index: k }),
-                    "warm={warm} k={k}"
-                );
-            }
-            // A failed batch caches nothing it should not.
-            let cached = verifier.seal_cache().unwrap().len();
-            assert_eq!(cached, if warm { 4 } else { 0 });
         }
+    }
+
+    #[test]
+    fn symmetric_proof_failure_is_reported_after_a_forged_ed25519_seal() {
+        // A chain may mix flavours: alice seals with Ed25519, and the
+        // end-server shares a key with the delegate "print", whose cascade
+        // link carries a symmetric proxy key. The HMAC proof is checked
+        // while alice's seal is still pending; its failure must wait for
+        // the seal's verdict.
+        let mut rng = StdRng::seed_from_u64(27);
+        let sk = SigningKey::generate(&mut rng);
+        let forger = SigningKey::generate(&mut rng);
+        let print_shared = SymmetricKey::generate(&mut rng);
+        let resolver = MapResolver::new()
+            .with(p("alice"), GrantorVerifier::PublicKey(sk.verifying_key()))
+            .with(p("print"), GrantorVerifier::SharedKey(print_shared.clone()));
+        let verifier = Verifier::new(p("fs"), resolver).with_seal_cache(64);
+        let parent = grant(
+            &p("alice"),
+            &GrantAuthority::Keypair(sk),
+            RestrictionSet::new().with(Restriction::grantee_one(p("print"))),
+            window(),
+            1,
+            &mut rng,
+        );
+        let child = delegate_cascade(
+            &parent.certs,
+            &p("print"),
+            &GrantAuthority::SharedKey(print_shared),
+            p("fsworker"),
+            RestrictionSet::new(),
+            window(),
+            2,
+            &mut rng,
+        )
+        .unwrap();
+        let sub_ctx = ctx().authenticated_as(p("fsworker"));
+        let mut guard = MemoryReplayGuard::new();
+        let mut pres = child.present_bearer([1u8; 32], &p("fs"));
+        if let Proof::Possession { response, .. } = &mut pres.proof {
+            response[0] ^= 1;
+        }
+        let mut forged = pres.clone();
+        let body = forged.certs[0].body_bytes();
+        forged.certs[0].seal = CertSeal::Ed25519(forger.sign(&body));
+        assert_eq!(
+            verifier.verify(&forged, &sub_ctx, &mut guard),
+            Err(VerifyError::BadSeal { index: 0 })
+        );
+        assert_eq!(verifier.seal_cache().unwrap().len(), 0);
+        assert_eq!(
+            verifier.verify(&pres, &sub_ctx, &mut guard),
+            Err(VerifyError::BadPossession)
+        );
+        assert_eq!(verifier.seal_cache().unwrap().len(), 1, "alice's seal held");
+        let good = child.present_bearer([2u8; 32], &p("fs"));
+        assert!(verifier.verify(&good, &sub_ctx, &mut guard).is_ok());
     }
 
     #[test]

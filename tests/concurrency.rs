@@ -98,17 +98,19 @@ fn parallel_verification_shares_one_verifier() {
 
 #[test]
 fn racing_verifications_share_key_table_slots_and_get_only_correct_verdicts() {
-    // The verifier's table of seen Ed25519 keys is direct-mapped: 256
-    // slots, the slot picked by a hash keyed inside the table, a colliding
-    // key evicting the tenant. Which keys collide cannot be chosen from
-    // out here, so collisions are forced by count: four proxy keys per
-    // slot on average, every thread visiting all of them in its own
-    // order, so tenants are read, promoted and evicted under one
+    // The verifier's table of seen Ed25519 keys has 256 slots of two
+    // ways, the slot picked by a hash keyed inside the table, a key new
+    // to a full slot evicting a tenant. Which keys collide cannot be
+    // chosen from out here, so collisions are forced by count: four proxy
+    // keys per slot on average, every thread visiting all of them in its
+    // own order, so tenants are read, promoted and evicted under one
     // another's feet. (Four keys pinned to a single slot under eight
-    // threads is the table's own unit test.) The grantor's key is the
-    // opposite case — one slot every thread reads at once. Whatever the
-    // table holds when a check arrives, the verdict must be the one the
-    // signature deserves.
+    // threads is the table's own unit test.) The table serves a
+    // presentation that needs exactly one check, so the verifier has a
+    // seal cache: whichever thread meets a capability first settles seal
+    // and proof as one batch, and the seven after it check the proof
+    // alone, through the table. Whatever the table holds when a check
+    // arrives, the verdict must be the one the signature deserves.
     const KEYS: usize = 4 * 256;
     let mut rng = StdRng::seed_from_u64(11);
     let alice = SigningKey::generate(&mut rng);
@@ -118,7 +120,8 @@ fn racing_verifications_share_key_table_slots_and_get_only_correct_verdicts() {
             p("alice"),
             GrantorVerifier::PublicKey(alice.verifying_key()),
         ),
-    );
+    )
+    .with_seal_cache(2 * KEYS);
     let authority = GrantAuthority::Keypair(alice);
     let caps: Vec<Proxy> = (0..KEYS as u64)
         .map(|serial| {

@@ -433,37 +433,101 @@ fn stolen_presentation(cap: &Proxy, challenge: [u8; 32], rng: &mut StdRng) -> Pr
     .present_bearer(challenge, &p("fs"))
 }
 
+/// A chain's uncached seals and its possession proof are settled as one
+/// batched equation, and an attacker controls which of them fail. A
+/// thief who presents someone's good chain under a proof of their own
+/// learns nothing and spoils nothing: the seals are good and are cached
+/// as such, so the owner's next presentation costs one check. A forged
+/// seal anywhere in the chain caches nothing at all — not even the good
+/// seals beside it.
+#[test]
+fn a_failed_proof_caches_the_good_seals_and_a_forged_seal_caches_nothing() {
+    let (mut rng, auth, verifier) = cached_world(105);
+    let forger = proxy_aa::crypto::ed25519::SigningKey::generate(&mut rng);
+    let mut cap = grant(
+        &p("alice"),
+        &auth,
+        RestrictionSet::new(),
+        window(),
+        1,
+        &mut rng,
+    );
+    for serial in 2..=4 {
+        cap = cap
+            .derive(RestrictionSet::new(), window(), serial, &mut rng)
+            .unwrap();
+    }
+    let cache = verifier.seal_cache().unwrap();
+    let mut guard = MemoryReplayGuard::new();
+
+    let mut forged = cap.present_bearer([1u8; 32], &p("fs"));
+    let body = forged.certs[2].body_bytes();
+    forged.certs[2].seal = CertSeal::Ed25519(forger.sign(&body));
+    assert_eq!(
+        verifier.verify(&forged, &ctx(), &mut guard),
+        Err(VerifyError::BadSeal { index: 2 })
+    );
+    assert_eq!((cache.len(), cache.stats()), (0, (0, 4)));
+
+    let stolen = stolen_presentation(&cap, [2u8; 32], &mut rng);
+    assert_eq!(
+        verifier.verify(&stolen, &ctx(), &mut guard),
+        Err(VerifyError::BadPossession)
+    );
+    assert_eq!((cache.len(), cache.stats()), (4, (0, 8)));
+
+    let honest = cap.present_bearer([3u8; 32], &p("fs"));
+    assert!(verifier.verify(&honest, &ctx(), &mut guard).is_ok());
+    assert_eq!((cache.len(), cache.stats()), (4, (4, 8)));
+    // Warm, the forgery is still a forgery, and evicts nothing.
+    assert_eq!(
+        verifier.verify(&forged, &ctx(), &mut guard),
+        Err(VerifyError::BadSeal { index: 2 })
+    );
+    assert_eq!((cache.len(), cache.stats()), (4, (7, 9)));
+}
+
 /// The verifier keeps what it computed about a public key it has seen
 /// (the point, then the point's tables) and checks later signatures
-/// under that key by a shorter route. The route must not matter: with
-/// both the grantor's key and the proxy key long promoted, every forged
+/// under that key by a shorter route — whenever a presentation needs
+/// exactly one Ed25519 check. The route must not matter: with both the
+/// grantor's key and the proxy key long promoted, every forged
 /// possession proof and every forged lone seal is still refused.
 #[test]
 fn promoted_keys_refuse_every_forged_possession_proof_and_lone_seal() {
     let (mut rng, auth, verifier) = cached_world(103);
     let forger = GrantAuthority::Keypair(proxy_aa::crypto::ed25519::SigningKey::generate(&mut rng));
     let mut guard = MemoryReplayGuard::new();
-    // Three fresh one-link chains: three lone seals under alice's key.
-    // The last one presented three times: three possession proofs under
-    // its proxy key (its seal is cached from the first).
-    let caps: Vec<Proxy> = (1..=3)
-        .map(|serial| {
-            grant(
-                &p("alice"),
-                &auth,
-                RestrictionSet::new(),
-                window(),
-                serial,
-                &mut rng,
-            )
-        })
-        .collect();
-    for cap in &caps {
-        let honest = cap.present_bearer([1u8; 32], &p("fs"));
-        assert!(verifier.verify(&honest, &ctx(), &mut guard).is_ok());
+    // A one-link delegate proxy needs its seal checked and nothing else:
+    // three fresh ones are three lone seals under alice's key.
+    let bob = ctx().authenticated_as(p("bob"));
+    fn delegate(authority: &GrantAuthority, serial: u64, rng: &mut StdRng) -> Presentation {
+        grant(
+            &p("alice"),
+            authority,
+            RestrictionSet::new().with(Restriction::grantee_one(p("bob"))),
+            window(),
+            serial,
+            rng,
+        )
+        .present_delegate()
     }
-    let cap = &caps[2];
-    for challenge in [2u8, 3] {
+    for serial in 1..=3 {
+        let honest = delegate(&auth, serial, &mut rng);
+        assert!(verifier.verify(&honest, &bob, &mut guard).is_ok());
+    }
+    // A bearer proxy presented four times: its seal is cached from the
+    // first, so the other three are lone possession proofs under its
+    // proxy key.
+    let cap = &grant(
+        &p("alice"),
+        &auth,
+        RestrictionSet::new(),
+        window(),
+        4,
+        &mut rng,
+    );
+    for challenge in [1u8, 2, 3, 4] {
         let honest = cap.present_bearer([challenge; 32], &p("fs"));
         assert!(verifier.verify(&honest, &ctx(), &mut guard).is_ok());
     }
@@ -489,37 +553,18 @@ fn promoted_keys_refuse_every_forged_possession_proof_and_lone_seal() {
         // A certificate naming alice, sealed by someone else; and one
         // alice did seal, with one bit of the seal off. Both are new to
         // the seal cache, so each is a lone check under alice's key.
-        let forged = grant(
-            &p("alice"),
-            &forger,
-            RestrictionSet::new(),
-            window(),
-            1_000 + i,
-            &mut rng,
-        );
+        let forged = delegate(&forger, 1_000 + i, &mut rng);
         assert_eq!(
-            verifier.verify(
-                &forged.present_bearer(challenge, &p("fs")),
-                &ctx(),
-                &mut guard
-            ),
+            verifier.verify(&forged, &bob, &mut guard),
             Err(VerifyError::BadSeal { index: 0 }),
             "try {i}"
         );
-        let mut bent = grant(
-            &p("alice"),
-            &auth,
-            RestrictionSet::new(),
-            window(),
-            2_000 + i,
-            &mut rng,
-        )
-        .present_bearer(challenge, &p("fs"));
+        let mut bent = delegate(&auth, 2_000 + i, &mut rng);
         if let CertSeal::Ed25519(sig) = &mut bent.certs[0].seal {
             sig.0[(i as usize * 11) % 64] ^= 1 << (i % 8);
         }
         assert_eq!(
-            verifier.verify(&bent, &ctx(), &mut guard),
+            verifier.verify(&bent, &bob, &mut guard),
             Err(VerifyError::BadSeal { index: 0 }),
             "try {i}"
         );
