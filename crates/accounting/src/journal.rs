@@ -7,7 +7,11 @@
 //! applies the mutation, so the log's record order agrees with memory
 //! order for non-commuting operations. The fsync wait happens after the
 //! lock is released, where [`proxy_storage::WalStorage`]'s group-commit
-//! batcher amortizes it across concurrent requests.
+//! batcher amortizes it across concurrent requests. That choreography
+//! is written once, as [`OpGuard`]: `begin` → `stage` under the shard
+//! lock → `wait` outside it. A server with no backend owns a *detached*
+//! journal ([`Journal::detached`]) and runs the same code, every step
+//! of it a no-op.
 //!
 //! Records are **redo records of committed mutations, not request
 //! inputs**: recovery re-applies balance movements and replay-guard
@@ -29,7 +33,7 @@
 //! log.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 
 use proxy_storage::{Storage, StorageError, Ticket};
 use restricted_proxy::encode::{Decoder, Encoder};
@@ -473,169 +477,193 @@ impl SnapshotState {
     }
 }
 
-/// The guard an operation holds for its whole durable critical path
-/// (stage inside the shard lock, fsync wait outside): its existence
-/// excludes compaction, which needs the matching write side.
-#[must_use = "the operation must hold its journal guard until the fsync wait completes"]
+/// One operation's scope over the journal, from [`Journal::begin`]: it
+/// holds the compaction gate in read mode for the operation's whole
+/// durable critical path, [`Self::stage`] (called inside the shard-lock
+/// critical section) remembers the last ticket, and [`Self::wait`]
+/// (called after the shard lock is released) blocks on it and releases
+/// the gate. On a detached journal every step is a no-op.
+#[must_use = "an operation is not durable until its scope's `wait` returns"]
 #[derive(Debug)]
-pub struct OpGuard<'a>(#[allow(dead_code)] RwLockReadGuard<'a, ()>);
-
-/// The durable journal: a [`Storage`] backend plus the compaction gate
-/// and the fail-stop poison latch.
-#[derive(Debug)]
-pub struct Journal {
-    store: Arc<dyn Storage>,
-    /// Operations read, compaction writes (lock order: gate → shard
-    /// locks → storage internals).
-    gate: RwLock<()>,
-    /// First storage failure, replayed to every later caller.
-    poisoned: Mutex<Option<StorageError>>,
-    /// Records staged since the last snapshot install.
-    staged: AtomicU64,
-    /// Auto-compaction threshold (0 = only explicit `compact`).
-    snapshot_every: u64,
+pub struct OpGuard<'a> {
+    journal: &'a Journal,
+    /// Excludes compaction, which needs the write side. `None` on a
+    /// detached journal: there is nothing to compact.
+    _gate: Option<RwLockReadGuard<'a, ()>>,
+    /// Ticket of the last record staged; durability is in ticket order,
+    /// so waiting on it covers every earlier one.
+    last: Option<Ticket>,
 }
 
-impl Journal {
-    /// Default record count between automatic snapshot installs.
-    pub const DEFAULT_SNAPSHOT_EVERY: u64 = 1024;
-
-    /// Wraps a storage backend. Recovery (reading the backend back into
-    /// server state) happens *before* this, in
-    /// `AccountingServer::with_storage`.
-    #[must_use]
-    pub fn new(store: Arc<dyn Storage>) -> Self {
-        Self {
-            store,
-            gate: RwLock::new(()),
-            poisoned: Mutex::new(None),
-            staged: AtomicU64::new(0),
-            snapshot_every: Self::DEFAULT_SNAPSHOT_EVERY,
-        }
-    }
-
-    /// The underlying storage backend.
-    #[must_use]
-    pub fn storage(&self) -> &Arc<dyn Storage> {
-        &self.store
-    }
-
-    /// Adjusts the auto-compaction threshold (0 disables it).
-    pub fn set_snapshot_every(&mut self, every: u64) {
-        self.snapshot_every = every;
-    }
-
-    fn check_poison(&self) -> Result<(), AcctError> {
-        match &*self.poisoned.lock().unwrap_or_else(PoisonError::into_inner) {
-            Some(e) => Err(AcctError::Storage(e.clone())),
-            None => Ok(()),
-        }
-    }
-
-    /// Marks the journal failed: every later `begin`/`stage`/`wait`
-    /// returns the stored error. Used directly by infallible paths
-    /// (guard `Drop`) that cannot propagate an error.
-    pub fn poison(&self, e: StorageError) {
-        self.poisoned
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get_or_insert(e);
-    }
-
-    /// Opens an operation's critical path: checks the poison latch and
-    /// takes the compaction gate in read mode. Hold the guard until
-    /// after [`Self::wait`] returns.
-    ///
-    /// # Errors
-    ///
-    /// [`AcctError::Storage`] when the journal is poisoned.
-    pub fn begin(&self) -> Result<OpGuard<'_>, AcctError> {
-        self.check_poison()?;
-        Ok(OpGuard(
-            self.gate.read().unwrap_or_else(PoisonError::into_inner),
-        ))
-    }
-
-    /// Stages `rec` into the durable order. Call inside the shard-lock
-    /// critical section that applies the matching mutation, with an
-    /// [`OpGuard`] held (or exclusive `&mut` access to the server).
+impl OpGuard<'_> {
+    /// Stages the record `rec` builds into the durable order. Call
+    /// inside the shard-lock critical section that applies the matching
+    /// mutation, after validation. A detached journal never calls `rec`.
     ///
     /// # Errors
     ///
     /// [`AcctError::Storage`] on failure; the journal is then poisoned
     /// and the caller must not apply the mutation.
-    pub fn stage(&self, rec: &JournalRecord) -> Result<Ticket, AcctError> {
-        self.check_poison()?;
-        match self.store.stage(&rec.encode()) {
-            Ok(t) => {
-                self.staged.fetch_add(1, Ordering::Relaxed);
-                Ok(t)
-            }
-            Err(e) => {
-                self.poison(e.clone());
-                Err(AcctError::Storage(e))
-            }
-        }
+    pub fn stage(&mut self, rec: impl FnOnce() -> JournalRecord) -> Result<(), AcctError> {
+        let Some(store) = &self.journal.store else {
+            return Ok(());
+        };
+        self.journal.check_poison()?;
+        let ticket = store
+            .stage(&rec().encode())
+            .map_err(|e| self.journal.poison(e))?;
+        self.journal.staged.fetch_add(1, Ordering::Relaxed);
+        self.last = Some(ticket);
+        Ok(())
     }
 
-    /// Blocks until the staged record is durable. Call after releasing
-    /// the shard lock, while still holding the [`OpGuard`].
+    /// Blocks until everything this operation staged is durable, then
+    /// releases the compaction gate. Call after releasing the shard
+    /// lock; only the *reply* waits on the device, not the other
+    /// operations on the shard.
     ///
     /// # Errors
     ///
     /// [`AcctError::Storage`] on failure; the journal is then poisoned
     /// and no success reply may be sent.
-    pub fn wait(&self, ticket: Ticket) -> Result<(), AcctError> {
-        match self.store.wait_durable(ticket) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.poison(e.clone());
-                Err(AcctError::Storage(e))
-            }
+    pub fn wait(self) -> Result<(), AcctError> {
+        match (&self.journal.store, self.last) {
+            (Some(store), Some(ticket)) => store
+                .wait_durable(ticket)
+                .map_err(|e| self.journal.poison(e)),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The accounting journal: a [`Storage`] backend (or none — a
+/// *detached* journal, which is what a memory-only server owns) plus
+/// the compaction gate and the fail-stop poison latch.
+#[derive(Debug)]
+pub struct Journal {
+    /// `None` when detached: nothing is built, encoded, staged, awaited
+    /// or compacted, and no lock is taken.
+    store: Option<Arc<dyn Storage>>,
+    /// Operations read, compaction writes (lock order: gate → shard
+    /// locks → storage internals).
+    gate: RwLock<()>,
+    /// First storage failure, replayed to every later caller.
+    poisoned: OnceLock<StorageError>,
+    /// Records staged since the last snapshot install.
+    staged: AtomicU64,
+}
+
+impl Journal {
+    /// Records staged between automatic snapshot installs.
+    pub const SNAPSHOT_EVERY: u64 = 1024;
+
+    /// A journal with no storage behind it: operations run their scope
+    /// for free and nothing survives the process.
+    #[must_use]
+    pub fn detached() -> Self {
+        Self {
+            store: None,
+            gate: RwLock::new(()),
+            poisoned: OnceLock::new(),
+            staged: AtomicU64::new(0),
         }
     }
 
-    /// Stages and waits in one call: for administrative paths that hold
-    /// no shard lock (and `&mut self` paths that need no gate).
+    /// Attaches a storage backend. Recovery (reading the backend back
+    /// into server state) happens *before* this, in
+    /// `AccountingServer::with_storage`.
+    #[must_use]
+    pub fn new(store: Arc<dyn Storage>) -> Self {
+        Self {
+            store: Some(store),
+            ..Self::detached()
+        }
+    }
+
+    fn check_poison(&self) -> Result<(), AcctError> {
+        match self.poisoned.get() {
+            Some(e) => Err(AcctError::Storage(e.clone())),
+            None => Ok(()),
+        }
+    }
+
+    /// Latches the journal failed — every later `begin`/`stage`/`commit`
+    /// returns the first stored error — and hands the failure back as
+    /// the caller's error.
+    fn poison(&self, e: StorageError) -> AcctError {
+        let _ = self.poisoned.set(e.clone());
+        AcctError::Storage(e)
+    }
+
+    /// Takes the gate without looking at compaction.
+    fn enter(&self) -> Result<OpGuard<'_>, AcctError> {
+        self.check_poison()?;
+        Ok(OpGuard {
+            journal: self,
+            _gate: self
+                .store
+                .is_some()
+                .then(|| self.gate.read().unwrap_or_else(PoisonError::into_inner)),
+            last: None,
+        })
+    }
+
+    /// Opens an operation: installs a compacted snapshot (built by
+    /// `snapshot`) if [`Self::SNAPSHOT_EVERY`] records have accumulated,
+    /// checks the poison latch, and takes the compaction gate in read
+    /// mode. Compaction runs here, between operations, rather than
+    /// after [`OpGuard::wait`]: a failed install refuses an operation
+    /// that has not happened yet instead of turning one that is already
+    /// durable into an error reply.
     ///
     /// # Errors
     ///
-    /// The union of [`Self::stage`] and [`Self::wait`].
-    pub fn commit(&self, rec: &JournalRecord) -> Result<(), AcctError> {
-        let t = self.stage(rec)?;
-        self.wait(t)
+    /// [`AcctError::Storage`] when the journal is poisoned or the
+    /// snapshot install fails.
+    pub fn begin(
+        &self,
+        snapshot: impl FnOnce() -> SnapshotState,
+    ) -> Result<OpGuard<'_>, AcctError> {
+        if self.staged.load(Ordering::Relaxed) >= Self::SNAPSHOT_EVERY {
+            self.compact(snapshot)?;
+        }
+        self.enter()
     }
 
-    /// True once enough records accumulated that the owner should call
-    /// [`Self::compact`] (checked by the server after each operation,
-    /// outside its [`OpGuard`]).
-    #[must_use]
-    pub fn compaction_due(&self) -> bool {
-        self.snapshot_every > 0 && self.staged.load(Ordering::Relaxed) >= self.snapshot_every
+    /// One record, staged and awaited: for the administrative `&mut`
+    /// paths, whose exclusive borrow rules out both a shard lock to
+    /// stage under and a shared view to build a snapshot from (a due
+    /// compaction is left to the next [`Self::begin`]).
+    ///
+    /// # Errors
+    ///
+    /// The union of [`OpGuard::stage`] and [`OpGuard::wait`].
+    pub fn commit(&self, rec: impl FnOnce() -> JournalRecord) -> Result<(), AcctError> {
+        let mut op = self.enter()?;
+        op.stage(rec)?;
+        op.wait()
     }
 
     /// Installs a compacted snapshot: takes the gate in write mode
     /// (excluding every concurrent operation), calls `build` for the
     /// now-quiescent state, and replaces the backend's snapshot + log.
+    /// A no-op on a detached journal.
     ///
     /// # Errors
     ///
     /// [`AcctError::Storage`] on failure (the journal is poisoned —
     /// fail-stop — even though the backend kept its previous state).
     pub fn compact(&self, build: impl FnOnce() -> SnapshotState) -> Result<(), AcctError> {
+        let Some(store) = &self.store else {
+            return Ok(());
+        };
         let _excl = self.gate.write().unwrap_or_else(PoisonError::into_inner);
         self.check_poison()?;
-        let state = build();
-        match self.store.install_snapshot(&state.encode()) {
-            Ok(()) => {
-                self.staged.store(0, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(e) => {
-                self.poison(e.clone());
-                Err(AcctError::Storage(e))
-            }
-        }
+        store
+            .install_snapshot(&build().encode())
+            .map_err(|e| self.poison(e))?;
+        self.staged.store(0, Ordering::Relaxed);
+        Ok(())
     }
 }
 
@@ -842,11 +870,9 @@ mod tests {
     fn journal_commits_then_compacts_and_poisons_fail_stop() {
         let store = Arc::new(MemStorage::new());
         let journal = Journal::new(Arc::clone(&store) as Arc<dyn Storage>);
-        let guard = journal.begin().unwrap();
-        journal
-            .commit(&JournalRecord::Forward { serial: 1 })
-            .unwrap();
-        drop(guard);
+        let mut op = journal.begin(SnapshotState::default).unwrap();
+        op.stage(|| JournalRecord::Forward { serial: 1 }).unwrap();
+        op.wait().unwrap();
         assert_eq!(store.record_count(), 1);
 
         journal
@@ -864,17 +890,27 @@ mod tests {
         // every later call replays the failure.
         store.crash_after_stages(1);
         let err = journal
-            .commit(&JournalRecord::Forward { serial: 3 })
+            .commit(|| JournalRecord::Forward { serial: 3 })
             .unwrap_err();
         assert!(matches!(err, AcctError::Storage(_)), "got {err:?}");
         assert!(matches!(
-            journal.begin().unwrap_err(),
+            journal.begin(SnapshotState::default).unwrap_err(),
             AcctError::Storage(_)
         ));
         assert!(matches!(
-            journal.commit(&JournalRecord::Forward { serial: 4 }),
+            journal.commit(|| JournalRecord::Forward { serial: 4 }),
             Err(AcctError::Storage(_))
         ));
+    }
+
+    #[test]
+    fn detached_journal_builds_nothing_and_never_fails() {
+        let journal = Journal::detached();
+        let mut op = journal.begin(|| unreachable!("no snapshot")).unwrap();
+        op.stage(|| unreachable!("no record")).unwrap();
+        op.wait().unwrap();
+        journal.commit(|| unreachable!("no record")).unwrap();
+        journal.compact(|| unreachable!("no snapshot")).unwrap();
     }
 
     #[test]

@@ -42,6 +42,7 @@ pub mod check;
 pub mod clearing;
 pub mod error;
 pub mod journal;
+mod recovery;
 pub mod server;
 
 pub use account::{Account, Hold};

@@ -25,9 +25,7 @@ use restricted_proxy::verify::Verifier;
 use crate::account::Account;
 use crate::check::{account_object, debit_op, Check, CheckInfo};
 use crate::error::AcctError;
-use crate::journal::{
-    Journal, JournalRecord, JournaledReplay, OpGuard, PendingDeposit, ReplayMark, SnapshotState,
-};
+use crate::journal::{Journal, JournalRecord, JournaledReplay, OpGuard, ReplayMark, SnapshotState};
 
 /// The reserved account cashier's checks are drawn from.
 pub const CASHIER_ACCOUNT: &str = "__cashier";
@@ -61,10 +59,10 @@ pub enum DepositOutcome {
 }
 
 #[derive(Clone, Debug)]
-struct Uncollected {
-    account: String,
-    currency: Currency,
-    amount: u64,
+pub(crate) struct Uncollected {
+    pub(crate) account: String,
+    pub(crate) currency: Currency,
+    pub(crate) amount: u64,
 }
 
 /// An accounting server: accounts plus the check-clearing machinery of
@@ -89,17 +87,17 @@ pub struct AccountingServer {
     /// chain's Ed25519 seal checks, and caches positive results so a check
     /// re-presented along a clearing path costs no signature work.
     verifier: Verifier<MapResolver>,
-    accounts: ShardMap<String, Account>,
-    replay: ReplayCache,
-    uncollected: ShardMap<(PrincipalId, u64), Uncollected>,
-    next_serial: AtomicU64,
+    pub(crate) accounts: ShardMap<String, Account>,
+    pub(crate) replay: ReplayCache,
+    pub(crate) uncollected: ShardMap<(PrincipalId, u64), Uncollected>,
+    pub(crate) next_serial: AtomicU64,
     /// Local mirror of issuers' revoked check/endorsement serials,
     /// consulted by the verifier on every deposited chain.
     revocations: Arc<RevocationDirectory>,
-    /// The durable redo journal, when this server was opened on a
-    /// storage backend ([`Self::with_storage`]). `None` keeps every
-    /// path exactly as before — memory-only, no fsync.
-    journal: Option<Journal>,
+    /// The redo journal every state-changing operation goes through:
+    /// attached to a storage backend by [`Self::with_storage`], detached
+    /// (memory-only, every step a no-op) until then.
+    journal: Journal,
     /// Persisted revocation artifacts ([`Self::with_artifact_store`]):
     /// verified artifacts are re-recorded here so a restart re-enforces
     /// the same revocation state without refetching from issuers.
@@ -133,7 +131,7 @@ impl AccountingServer {
             uncollected: ShardMap::new(),
             next_serial: AtomicU64::new(1),
             revocations,
-            journal: None,
+            journal: Journal::detached(),
             artifacts: None,
         }
     }
@@ -144,10 +142,9 @@ impl AccountingServer {
     /// replay guard's accept-once memory), then journals every later
     /// state-changing operation through `store`.
     ///
-    /// Call after [`Self::with_replay_capacity`] (recovered marks land
-    /// in the final guard) and before opening accounts, so a fresh
-    /// boot's setup is journaled too. The TCP/event-loop paths are
-    /// unchanged: durability is purely a constructor option.
+    /// Call before opening accounts, so a fresh boot's setup is
+    /// journaled too. The TCP/event-loop paths are unchanged:
+    /// durability is purely a constructor option.
     ///
     /// # Errors
     ///
@@ -165,20 +162,8 @@ impl AccountingServer {
             let rec = JournalRecord::decode(rec)?;
             self.replay_record(rec)?;
         }
-        self.journal = Some(Journal::new(store));
+        self.journal = Journal::new(store);
         Ok(self)
-    }
-
-    /// Adjusts how many journal records accumulate between automatic
-    /// snapshot installs (0 disables auto-compaction; explicit
-    /// [`Self::compact`] still works). No effect without
-    /// [`Self::with_storage`].
-    #[must_use]
-    pub fn with_compaction_every(mut self, every: u64) -> Self {
-        if let Some(j) = self.journal.as_mut() {
-            j.set_snapshot_every(every);
-        }
-        self
     }
 
     /// Attaches a persisted revocation-artifact store: every artifact it
@@ -259,202 +244,22 @@ impl AccountingServer {
         self.next_serial.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Raises the serial counter to at least `floor` (recovery only).
-    fn bump_serial(&self, floor: u64) {
-        self.next_serial.fetch_max(floor, Ordering::Relaxed);
-    }
-
-    /// Opens the journal's per-operation guard, or `None` when this
-    /// server is memory-only.
-    fn op_guard(&self) -> Result<Option<OpGuard<'_>>, AcctError> {
-        self.journal.as_ref().map(Journal::begin).transpose()
+    /// Opens the journal scope of one state-changing operation (see
+    /// [`OpGuard`]): `stage` under the shard lock, `wait` outside it.
+    fn begin(&self) -> Result<OpGuard<'_>, AcctError> {
+        self.journal.begin(|| self.snapshot_state())
     }
 
     /// Installs a compacted snapshot of the whole server state,
-    /// truncating the journal. Called automatically every
-    /// `with_compaction_every` records; a no-op without a journal.
+    /// truncating the journal. Runs by itself every
+    /// [`Journal::SNAPSHOT_EVERY`] records; a no-op without storage.
     ///
     /// # Errors
     ///
     /// [`AcctError::Storage`] when the install fails (the journal is
     /// then poisoned — fail-stop).
     pub fn compact(&self) -> Result<(), AcctError> {
-        let Some(j) = &self.journal else {
-            return Ok(());
-        };
-        j.compact(|| self.snapshot_state())
-    }
-
-    fn maybe_compact(&self) -> Result<(), AcctError> {
-        match &self.journal {
-            Some(j) if j.compaction_due() => self.compact(),
-            _ => Ok(()),
-        }
-    }
-
-    /// Enumerates the whole server state in canonical order. Callers
-    /// must exclude concurrent mutation (the journal's compaction gate,
-    /// or `&mut self`).
-    fn snapshot_state(&self) -> SnapshotState {
-        let mut state = SnapshotState {
-            next_serial: self.next_serial.load(Ordering::Relaxed),
-            ..SnapshotState::default()
-        };
-        self.accounts
-            .for_each(|_, a| state.accounts.push(a.clone()));
-        self.uncollected.for_each(|(payor, check_no), u| {
-            state.pending.push(PendingDeposit {
-                payor: payor.clone(),
-                check_no: *check_no,
-                account: u.account.clone(),
-                currency: u.currency.clone(),
-                amount: u.amount,
-            });
-        });
-        self.replay.for_each_entry(|grantor, id, expires| {
-            state.replay.push(ReplayMark {
-                grantor: grantor.clone(),
-                id,
-                expires,
-            });
-        });
-        state.normalize();
-        state
-    }
-
-    fn install_snapshot_state(&mut self, state: SnapshotState) {
-        for account in state.accounts {
-            self.accounts.insert(account.name().to_string(), account);
-        }
-        for p in state.pending {
-            self.uncollected.insert(
-                (p.payor, p.check_no),
-                Uncollected {
-                    account: p.account,
-                    currency: p.currency,
-                    amount: p.amount,
-                },
-            );
-        }
-        for m in &state.replay {
-            self.replay.rehydrate(&m.grantor, m.id, m.expires);
-        }
-        self.bump_serial(state.next_serial);
-    }
-
-    /// Re-applies one journaled mutation during recovery. No
-    /// cryptography runs here: records describe committed state changes,
-    /// and a record that cannot be applied means the log disagrees with
-    /// itself — an error, never a silent skip.
-    fn replay_record(&mut self, rec: JournalRecord) -> Result<(), AcctError> {
-        match rec {
-            JournalRecord::OpenAccount { name, owners } => {
-                self.accounts
-                    .insert(name.clone(), Account::new(name, owners));
-            }
-            JournalRecord::AdminAccount { account } => {
-                self.accounts.insert(account.name().to_string(), account);
-            }
-            JournalRecord::Settle {
-                payor_account,
-                check_no,
-                currency,
-                amount,
-                from_hold,
-                credit_to,
-                replay,
-            } => {
-                self.accounts.update(&payor_account, |acct| {
-                    let acct =
-                        acct.ok_or(AcctError::BadJournal("settle names a missing account"))?;
-                    if from_hold {
-                        acct.take_hold(check_no)
-                            .ok_or(AcctError::BadJournal("settle names a missing hold"))?;
-                    } else {
-                        acct.debit(&currency, amount)
-                            .map_err(|_| AcctError::BadJournal("settle exceeds the balance"))?;
-                    }
-                    Ok::<(), AcctError>(())
-                })?;
-                if let Some(to) = credit_to {
-                    self.accounts.update(&to, |acct| {
-                        if let Some(acct) = acct {
-                            acct.credit(currency.clone(), amount);
-                        }
-                    });
-                }
-                for m in &replay {
-                    self.replay.rehydrate(&m.grantor, m.id, m.expires);
-                }
-            }
-            JournalRecord::DepositPending {
-                payor,
-                check_no,
-                to_account,
-                currency,
-                amount,
-                serial,
-            } => {
-                self.uncollected.insert(
-                    (payor, check_no),
-                    Uncollected {
-                        account: to_account,
-                        currency,
-                        amount,
-                    },
-                );
-                self.bump_serial(serial + 1);
-            }
-            JournalRecord::Forward { serial } => self.bump_serial(serial + 1),
-            JournalRecord::PaymentApplied { payor, check_no } => {
-                if let Some(u) = self.uncollected.remove(&(payor, check_no)) {
-                    self.accounts.update(&u.account, |acct| {
-                        if let Some(acct) = acct {
-                            acct.credit(u.currency.clone(), u.amount);
-                        }
-                    });
-                }
-            }
-            JournalRecord::Bounced { payor, check_no } => {
-                self.uncollected.remove(&(payor, check_no));
-            }
-            JournalRecord::CashierPurchase {
-                from_account,
-                currency,
-                amount,
-            } => {
-                self.accounts.update(&from_account, |acct| {
-                    let acct = acct.ok_or(AcctError::BadJournal(
-                        "cashier purchase names a missing account",
-                    ))?;
-                    acct.debit(&currency, amount)
-                        .map_err(|_| AcctError::BadJournal("cashier purchase exceeds the balance"))
-                })?;
-                let pool_name = CASHIER_ACCOUNT.to_string();
-                self.accounts.upsert(
-                    pool_name.clone(),
-                    || Account::new(pool_name, vec![self.name.clone()]),
-                    |pool| pool.credit(currency, amount),
-                );
-            }
-            JournalRecord::Certified {
-                account,
-                check_no,
-                currency,
-                amount,
-                payee,
-                serial,
-            } => {
-                self.accounts.update(&account, |acct| {
-                    let acct =
-                        acct.ok_or(AcctError::BadJournal("certify names a missing account"))?;
-                    acct.place_hold(check_no, currency.clone(), amount, payee.clone())
-                        .map_err(|_| AcctError::BadJournal("certify exceeds the balance"))
-                })?;
-                self.bump_serial(serial + 1);
-            }
-        }
-        Ok(())
+        self.journal.compact(|| self.snapshot_state())
     }
 
     /// The server's principal name.
@@ -482,29 +287,33 @@ impl AccountingServer {
     /// deployment (or benchmark) that clears more than
     /// [`ReplayCache::DEFAULT_CAPACITY`] live checks must provision it
     /// explicitly.
+    ///
+    /// Marks already in the guard — recovered by an earlier
+    /// [`Self::with_storage`] — carry over, past the new bound if need
+    /// be: forgetting a spent check is never the safe direction.
     #[must_use]
     pub fn with_replay_capacity(mut self, capacity: usize) -> Self {
-        self.replay = ReplayCache::with_capacity(capacity, ReplayCache::DEFAULT_SHARDS);
+        let resized = ReplayCache::with_capacity(capacity, ReplayCache::DEFAULT_SHARDS);
+        self.replay
+            .for_each_entry(|grantor, id, expires| resized.rehydrate(grantor, id, expires));
+        self.replay = resized;
         self
     }
 
-    /// Opens an account. With a journal attached the opening is durable;
+    /// Opens an account. With storage attached the opening is durable;
     /// if the journal write fails the account is *not* created and the
     /// server is fail-stop (the journal poisons, and every later durable
     /// operation reports [`AcctError::Storage`]).
     pub fn open_account(&mut self, name: impl Into<String>, owners: Vec<PrincipalId>) {
         let name = name.into();
-        if let Some(j) = &self.journal {
-            if j.commit(&JournalRecord::OpenAccount {
-                name: name.clone(),
-                owners: owners.clone(),
-            })
-            .is_err()
-            {
-                // `commit` already poisoned the journal; keep memory in
-                // agreement with the log by not creating the account.
-                return;
-            }
+        let opened = self.journal.commit(|| JournalRecord::OpenAccount {
+            name: name.clone(),
+            owners: owners.clone(),
+        });
+        if opened.is_err() {
+            // `commit` already poisoned the journal; keep memory in
+            // agreement with the log by not creating the account.
+            return;
         }
         self.accounts
             .insert(name.clone(), Account::new(name, owners));
@@ -519,7 +328,7 @@ impl AccountingServer {
 
     /// Mutable access to an account (administrative credit, quota ops).
     /// `&mut self` guarantees exclusivity, so no shard lock is held.
-    /// With a journal attached, the guard journals the account's full
+    /// With storage attached, the guard journals the account's full
     /// post-mutation state when dropped — `Drop` cannot report failure,
     /// so a journal write error poisons the journal (fail-stop) instead.
     pub fn account_mut(&mut self, name: &str) -> Result<AccountMut<'_>, AcctError> {
@@ -529,10 +338,7 @@ impl AccountingServer {
         let account = accounts
             .get_mut(&name.to_string())
             .ok_or_else(|| AcctError::UnknownAccount(name.to_string()))?;
-        Ok(AccountMut {
-            account,
-            journal: journal.as_ref(),
-        })
+        Ok(AccountMut { account, journal })
     }
 
     /// Verifies a check's chain and restrictions as presented by
@@ -590,18 +396,18 @@ impl AccountingServer {
         presenter: &PrincipalId,
         now: Timestamp,
     ) -> Result<Payment, AcctError> {
-        let guard = self.op_guard()?;
-        let payment = self.settle(check, presenter, now, None)?;
-        drop(guard);
-        self.maybe_compact()?;
+        let mut op = self.begin()?;
+        let payment = self.settle(&mut op, check, presenter, now, None)?;
+        op.wait()?;
         Ok(payment)
     }
 
     /// Settles a check drawn here: verify, debit the payor (hold or
     /// balance), and optionally credit `credit_to` (the same-server
-    /// deposit path). The caller holds the journal's [`OpGuard`].
+    /// deposit path). Stages into the caller's `op`; the caller waits.
     fn settle(
         &self,
+        op: &mut OpGuard<'_>,
         check: &Check,
         presenter: &PrincipalId,
         now: Timestamp,
@@ -610,12 +416,11 @@ impl AccountingServer {
         let (info, marks) = self.verify_check(check, presenter, now)?;
         // Ownership check, hold-taking, and debit are one atomic step
         // under the payor account's shard lock: racing presenters cannot
-        // interleave between the balance check and the debit. With a
-        // journal attached, the Settle record is staged inside the same
-        // critical section — after validation, before the mutation — so
-        // log order agrees with memory order; the fsync wait happens
-        // after the lock is released.
-        let mut ticket = None;
+        // interleave between the balance check and the debit. The Settle
+        // record is staged inside the same critical section — after
+        // validation, before the mutation — so log order agrees with
+        // memory order; the fsync wait happens after the lock is
+        // released.
         self.accounts.update(&info.payor_account, |account| {
             let account =
                 account.ok_or_else(|| AcctError::UnknownAccount(info.payor_account.clone()))?;
@@ -640,17 +445,15 @@ impl AccountingServer {
                     false
                 }
             };
-            if let Some(j) = &self.journal {
-                ticket = Some(j.stage(&JournalRecord::Settle {
-                    payor_account: info.payor_account.clone(),
-                    check_no: info.check_no,
-                    currency: info.currency.clone(),
-                    amount: info.amount,
-                    from_hold,
-                    credit_to: credit_to.map(str::to_string),
-                    replay: marks.clone(),
-                })?);
-            }
+            op.stage(|| JournalRecord::Settle {
+                payor_account: info.payor_account.clone(),
+                check_no: info.check_no,
+                currency: info.currency.clone(),
+                amount: info.amount,
+                from_hold,
+                credit_to: credit_to.map(str::to_string),
+                replay: marks.clone(),
+            })?;
             if from_hold {
                 account.take_hold(info.check_no);
             } else {
@@ -667,9 +470,6 @@ impl AccountingServer {
                 acct.ok_or_else(|| AcctError::UnknownAccount(to.to_string()))
                     .map(|a| a.credit(info.currency.clone(), info.amount))
             })?;
-        }
-        if let (Some(t), Some(j)) = (ticket, &self.journal) {
-            j.wait(t)?;
         }
         Ok(Payment {
             payor: info.payor,
@@ -708,62 +508,56 @@ impl AccountingServer {
         if info.payee == self.name && *depositor != self.name {
             return Err(AcctError::NotAuthorized(depositor.clone()));
         }
-        let guard = self.op_guard()?;
-        if info.drawn_on == self.name {
+        let mut op = self.begin()?;
+        let outcome = if info.drawn_on == self.name {
             // `settle` debits the payor under that account's shard lock
             // and releases it before crediting the payee — locks are
             // acquired strictly one at a time (DESIGN.md §9).
-            let payment = self.settle(check, depositor, now, Some(to_account))?;
-            drop(guard);
-            self.maybe_compact()?;
-            return Ok(DepositOutcome::Settled(payment));
-        }
-        // Credit as uncollected and endorse toward the drawee. The
-        // DepositPending record is staged *before* the uncollected entry
-        // becomes visible: any dependent record (the payment's return)
-        // can only stage after the insert, so log order is safe.
-        let serial = self.take_serial();
-        let window = check
-            .proxy
-            .effective_validity()
-            .ok_or(AcctError::MalformedCheck("validity"))?;
-        let mut ticket = None;
-        if let Some(j) = &self.journal {
-            ticket = Some(j.stage(&JournalRecord::DepositPending {
+            let payment = self.settle(&mut op, check, depositor, now, Some(to_account))?;
+            DepositOutcome::Settled(payment)
+        } else {
+            // Credit as uncollected and endorse toward the drawee. The
+            // DepositPending record is staged *before* the uncollected
+            // entry becomes visible: any dependent record (the payment's
+            // return) can only stage after the insert, so log order is
+            // safe.
+            let serial = self.take_serial();
+            let window = check
+                .proxy
+                .effective_validity()
+                .ok_or(AcctError::MalformedCheck("validity"))?;
+            op.stage(|| JournalRecord::DepositPending {
                 payor: info.payor.clone(),
                 check_no: info.check_no,
                 to_account: to_account.to_string(),
                 currency: info.currency.clone(),
                 amount: info.amount,
                 serial,
-            })?);
-        }
-        self.uncollected.insert(
-            (info.payor.clone(), info.check_no),
-            Uncollected {
-                account: to_account.to_string(),
-                currency: info.currency.clone(),
-                amount: info.amount,
-            },
-        );
-        let endorsed = check.endorse(
-            &self.name,
-            &self.authority,
-            next_hop.clone(),
-            Some(to_account),
-            window,
-            serial,
-            rng,
-        )?;
-        if let (Some(t), Some(j)) = (ticket, &self.journal) {
-            j.wait(t)?;
-        }
-        drop(guard);
-        self.maybe_compact()?;
-        Ok(DepositOutcome::Forwarded {
-            check: endorsed,
-            next_hop,
-        })
+            })?;
+            self.uncollected.insert(
+                (info.payor.clone(), info.check_no),
+                Uncollected {
+                    account: to_account.to_string(),
+                    currency: info.currency.clone(),
+                    amount: info.amount,
+                },
+            );
+            let endorsed = check.endorse(
+                &self.name,
+                &self.authority,
+                next_hop.clone(),
+                Some(to_account),
+                window,
+                serial,
+                rng,
+            )?;
+            DepositOutcome::Forwarded {
+                check: endorsed,
+                next_hop,
+            }
+        };
+        op.wait()?;
+        Ok(outcome)
     }
 
     /// An intermediate clearing hop (Fig. 5 repeated endorsements): this
@@ -778,7 +572,7 @@ impl AccountingServer {
         next_hop: PrincipalId,
         rng: &mut R,
     ) -> Result<Check, AcctError> {
-        let guard = self.op_guard()?;
+        let mut op = self.begin()?;
         let serial = self.take_serial();
         let window = check
             .proxy
@@ -799,14 +593,11 @@ impl AccountingServer {
             serial,
             rng,
         )?;
-        if let Some(j) = &self.journal {
-            // Endorsement serials are accept-once identifiers at peer
-            // servers; persisting the counter's high-water mark keeps a
-            // restarted server from re-issuing a consumed serial.
-            j.commit(&JournalRecord::Forward { serial })?;
-        }
-        drop(guard);
-        self.maybe_compact()?;
+        // Endorsement serials are accept-once identifiers at peer
+        // servers; persisting the counter's high-water mark keeps a
+        // restarted server from re-issuing a consumed serial.
+        op.stage(|| JournalRecord::Forward { serial })?;
+        op.wait()?;
         Ok(endorsed)
     }
 
@@ -820,25 +611,21 @@ impl AccountingServer {
     /// [`AcctError::Storage`] when the journal refuses the record; the
     /// uncollected entry is then left untouched.
     pub fn apply_payment(&self, payment: &Payment) -> Result<bool, AcctError> {
-        let guard = self.op_guard()?;
+        let mut op = self.begin()?;
         // The gated atomic remove is the linearization point: exactly one
         // of two racing duplicate payments takes the entry (and stages
         // the journal record); the loser finds nothing and credits
         // nothing. The deposit was credited as uncollected at deposit
         // time; finality means it stays. (A bounced check would instead
         // reverse it — see `bounce`.)
-        let mut ticket = None;
         let taken =
             self.uncollected
                 .remove_if(&(payment.payor.clone(), payment.check_no), |u| {
                     debug_assert_eq!(u.amount, payment.amount);
-                    if let Some(j) = &self.journal {
-                        ticket = Some(j.stage(&JournalRecord::PaymentApplied {
-                            payor: payment.payor.clone(),
-                            check_no: payment.check_no,
-                        })?);
-                    }
-                    Ok::<(), AcctError>(())
+                    op.stage(|| JournalRecord::PaymentApplied {
+                        payor: payment.payor.clone(),
+                        check_no: payment.check_no,
+                    })
                 })?;
         let applied = match taken {
             Some(u) => {
@@ -856,11 +643,7 @@ impl AccountingServer {
             }
             None => false,
         };
-        if let (Some(t), Some(j)) = (ticket, &self.journal) {
-            j.wait(t)?;
-        }
-        drop(guard);
-        self.maybe_compact()?;
+        op.wait()?;
         Ok(applied)
     }
 
@@ -874,24 +657,16 @@ impl AccountingServer {
     /// [`AcctError::Storage`] when the journal refuses the record; the
     /// uncollected entry is then left untouched.
     pub fn bounce(&self, payor: &PrincipalId, check_no: u64) -> Result<bool, AcctError> {
-        let guard = self.op_guard()?;
-        let mut ticket = None;
+        let mut op = self.begin()?;
         let taken = self
             .uncollected
             .remove_if(&(payor.clone(), check_no), |_| {
-                if let Some(j) = &self.journal {
-                    ticket = Some(j.stage(&JournalRecord::Bounced {
-                        payor: payor.clone(),
-                        check_no,
-                    })?);
-                }
-                Ok::<(), AcctError>(())
+                op.stage(|| JournalRecord::Bounced {
+                    payor: payor.clone(),
+                    check_no,
+                })
             })?;
-        if let (Some(t), Some(j)) = (ticket, &self.journal) {
-            j.wait(t)?;
-        }
-        drop(guard);
-        self.maybe_compact()?;
+        op.wait()?;
         Ok(taken.is_some())
     }
 
@@ -934,8 +709,7 @@ impl AccountingServer {
         // lock, released before the cashier pool is touched. The journal
         // record is staged inside the same critical section, after
         // validation.
-        let guard = self.op_guard()?;
-        let mut ticket = None;
+        let mut op = self.begin()?;
         self.accounts.update(&from_account.to_string(), |acct| {
             let acct = acct.ok_or_else(|| AcctError::UnknownAccount(from_account.to_string()))?;
             if !acct.is_owner(purchaser) {
@@ -949,13 +723,11 @@ impl AccountingServer {
                     available,
                 });
             }
-            if let Some(j) = &self.journal {
-                ticket = Some(j.stage(&JournalRecord::CashierPurchase {
-                    from_account: from_account.to_string(),
-                    currency: currency.clone(),
-                    amount,
-                })?);
-            }
+            op.stage(|| JournalRecord::CashierPurchase {
+                from_account: from_account.to_string(),
+                currency: currency.clone(),
+                amount,
+            })?;
             acct.debit(&currency, amount)
         })?;
         // Funds wait in the cashier pool until the check is collected.
@@ -965,11 +737,7 @@ impl AccountingServer {
             || Account::new(pool_name, vec![self.name.clone()]),
             |pool| pool.credit(currency.clone(), amount),
         );
-        if let (Some(t), Some(j)) = (ticket, &self.journal) {
-            j.wait(t)?;
-        }
-        drop(guard);
-        self.maybe_compact()?;
+        op.wait()?;
         // The server can verify its own signature at collection time: its
         // verifier registered the self-key at construction.
         Ok(crate::check::write_check(
@@ -1010,9 +778,8 @@ impl AccountingServer {
         // account's shard lock, so concurrent certifications cannot
         // over-commit the balance. The journal record is staged inside
         // the same critical section, after validation.
-        let guard = self.op_guard()?;
+        let mut op = self.begin()?;
         let serial = self.take_serial();
-        let mut ticket = None;
         self.accounts.update(&account.to_string(), |acct| {
             let acct = acct.ok_or_else(|| AcctError::UnknownAccount(account.to_string()))?;
             if !acct.is_owner(requester) {
@@ -1026,23 +793,17 @@ impl AccountingServer {
                     available,
                 });
             }
-            if let Some(j) = &self.journal {
-                ticket = Some(j.stage(&JournalRecord::Certified {
-                    account: account.to_string(),
-                    check_no,
-                    currency: currency.clone(),
-                    amount,
-                    payee: payee.clone(),
-                    serial,
-                })?);
-            }
+            op.stage(|| JournalRecord::Certified {
+                account: account.to_string(),
+                check_no,
+                currency: currency.clone(),
+                amount,
+                payee: payee.clone(),
+                serial,
+            })?;
             acct.place_hold(check_no, currency.clone(), amount, payee.clone())
         })?;
-        if let (Some(t), Some(j)) = (ticket, &self.journal) {
-            j.wait(t)?;
-        }
-        drop(guard);
-        self.maybe_compact()?;
+        op.wait()?;
         let restrictions = RestrictionSet::new()
             .with(Restriction::Authorized {
                 entries: vec![AuthorizedEntry::ops(
@@ -1067,12 +828,12 @@ impl AccountingServer {
 
 /// Exclusive administrative access to one account
 /// ([`AccountingServer::account_mut`]). Dereferences to [`Account`];
-/// when the server has a journal, dropping the guard journals the
-/// account's full post-mutation state as an `AdminAccount` record.
+/// dropping the guard journals the account's full post-mutation state
+/// as an `AdminAccount` record.
 #[derive(Debug)]
 pub struct AccountMut<'a> {
     account: &'a mut Account,
-    journal: Option<&'a Journal>,
+    journal: &'a Journal,
 }
 
 impl Deref for AccountMut<'_> {
@@ -1091,45 +852,44 @@ impl DerefMut for AccountMut<'_> {
 
 impl Drop for AccountMut<'_> {
     fn drop(&mut self) {
-        if let Some(j) = self.journal {
-            // `Drop` cannot report failure; `commit` poisons the journal
-            // on error, so the server goes fail-stop rather than letting
-            // memory diverge from the log.
-            let _ = j.commit(&JournalRecord::AdminAccount {
-                account: self.account.clone(),
-            });
-        }
+        // `Drop` cannot report failure; `commit` poisons the journal on
+        // error, so the server goes fail-stop rather than letting memory
+        // diverge from the log.
+        let _ = self.journal.commit(|| JournalRecord::AdminAccount {
+            account: self.account.clone(),
+        });
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::check::write_check;
     use proxy_crypto::ed25519::SigningKey;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn p(name: &str) -> PrincipalId {
+    pub(crate) fn p(name: &str) -> PrincipalId {
         PrincipalId::new(name)
     }
 
-    fn usd() -> Currency {
+    pub(crate) fn usd() -> Currency {
         Currency::new("USD")
     }
 
-    fn window() -> Validity {
+    pub(crate) fn window() -> Validity {
         Validity::new(Timestamp(0), Timestamp(1000))
     }
 
-    struct Fixture {
-        rng: StdRng,
-        bank: AccountingServer,
-        carol_auth: GrantAuthority,
+    pub(crate) struct Fixture {
+        pub(crate) rng: StdRng,
+        pub(crate) bank: AccountingServer,
+        pub(crate) carol_auth: GrantAuthority,
     }
 
-    /// One bank holding both carol's and the shop's accounts.
-    fn fixture() -> Fixture {
+    /// A bank that knows carol's key, as `build` finishes it; no
+    /// accounts yet.
+    pub(crate) fn boot(build: impl FnOnce(AccountingServer) -> AccountingServer) -> Fixture {
         let mut rng = StdRng::seed_from_u64(1);
         let bank_key = SigningKey::generate(&mut rng);
         let carol_key = SigningKey::generate(&mut rng);
@@ -1138,17 +898,29 @@ mod tests {
             p("carol"),
             GrantorVerifier::PublicKey(carol_key.verifying_key()),
         );
-        bank.open_account("carol-acct", vec![p("carol")]);
-        bank.open_account("shop-acct", vec![p("shop")]);
-        bank.account_mut("carol-acct").unwrap().credit(usd(), 500);
         Fixture {
             rng,
-            bank,
+            bank: build(bank),
             carol_auth: GrantAuthority::Keypair(carol_key),
         }
     }
 
-    fn carol_check(f: &mut Fixture, check_no: u64, amount: u64) -> Check {
+    /// One bank holding both carol's and the shop's accounts.
+    pub(crate) fn fixture_with(
+        build: impl FnOnce(AccountingServer) -> AccountingServer,
+    ) -> Fixture {
+        let mut f = boot(build);
+        f.bank.open_account("carol-acct", vec![p("carol")]);
+        f.bank.open_account("shop-acct", vec![p("shop")]);
+        f.bank.account_mut("carol-acct").unwrap().credit(usd(), 500);
+        f
+    }
+
+    fn fixture() -> Fixture {
+        fixture_with(|bank| bank)
+    }
+
+    pub(crate) fn carol_check(f: &mut Fixture, check_no: u64, amount: u64) -> Check {
         write_check(
             &p("carol"),
             &f.carol_auth,
@@ -1616,311 +1388,12 @@ mod tests {
         assert!(matches!(err, AcctError::Verify(_)));
     }
 
-    /// Builds the standard fixture on a durable (in-memory) store:
-    /// every account opening and credit is journaled through `store`.
-    fn durable_fixture(store: Arc<dyn Storage>) -> Fixture {
-        let mut rng = StdRng::seed_from_u64(1);
-        let bank_key = SigningKey::generate(&mut rng);
-        let carol_key = SigningKey::generate(&mut rng);
-        let mut bank = AccountingServer::new(p("bank"), GrantAuthority::Keypair(bank_key))
-            .with_storage(store)
-            .unwrap();
-        bank.register_grantor(
-            p("carol"),
-            GrantorVerifier::PublicKey(carol_key.verifying_key()),
-        );
-        bank.open_account("carol-acct", vec![p("carol")]);
-        bank.open_account("shop-acct", vec![p("shop")]);
-        bank.account_mut("carol-acct").unwrap().credit(usd(), 500);
-        Fixture {
-            rng,
-            bank,
-            carol_auth: GrantAuthority::Keypair(carol_key),
-        }
-    }
-
-    /// "Restarts" the bank: a fresh server recovered from `store` with
-    /// the same keys (regenerated from the fixture's fixed seed).
-    fn restart(store: Arc<dyn Storage>) -> AccountingServer {
-        let mut rng = StdRng::seed_from_u64(1);
-        let bank_key = SigningKey::generate(&mut rng);
-        let carol_key = SigningKey::generate(&mut rng);
-        let mut bank = AccountingServer::new(p("bank"), GrantAuthority::Keypair(bank_key))
-            .with_storage(store)
-            .unwrap();
-        bank.register_grantor(
-            p("carol"),
-            GrantorVerifier::PublicKey(carol_key.verifying_key()),
-        );
-        bank
-    }
-
-    #[test]
-    fn recovery_rebuilds_accounts_and_rejects_replayed_checks() {
-        let store: Arc<dyn Storage> = Arc::new(proxy_storage::MemStorage::new());
-        let mut f = durable_fixture(Arc::clone(&store));
-        let check = carol_check(&mut f, 1, 100);
-        f.bank
-            .deposit(
-                &check,
-                &p("shop"),
-                "shop-acct",
-                p("bank"),
-                Timestamp(1),
-                &mut f.rng,
-            )
-            .unwrap();
-        drop(f.bank);
-
-        let bank = restart(Arc::clone(&store));
-        assert_eq!(bank.account("carol-acct").unwrap().balance(&usd()), 400);
-        assert_eq!(bank.account("shop-acct").unwrap().balance(&usd()), 100);
-        // Exactly-once across restart: the spent check number was
-        // journaled with the settlement, so re-presenting the same check
-        // after recovery is refused — no double credit.
-        let mut rng = StdRng::seed_from_u64(99);
-        let err = bank
-            .deposit(
-                &check,
-                &p("shop"),
-                "shop-acct",
-                p("bank"),
-                Timestamp(2),
-                &mut rng,
-            )
-            .unwrap_err();
-        assert!(matches!(err, AcctError::Verify(_)), "got {err:?}");
-        assert_eq!(bank.account("shop-acct").unwrap().balance(&usd()), 100);
-    }
-
-    #[test]
-    fn recovery_rebuilds_uncollected_holds_and_serials() {
-        let store: Arc<dyn Storage> = Arc::new(proxy_storage::MemStorage::new());
-        let mut f = durable_fixture(Arc::clone(&store));
-        // A cross-server deposit leaves an uncollected entry here (this
-        // bank is not the drawee for this synthetic check).
-        let mut rng2 = StdRng::seed_from_u64(7);
-        let other_key = SigningKey::generate(&mut rng2);
-        let foreign = write_check(
-            &p("carol"),
-            &GrantAuthority::Keypair(other_key),
-            &p("other-bank"),
-            "carol-acct",
-            p("shop"),
-            31,
-            usd(),
-            75,
-            window(),
-            &mut f.rng,
-        );
-        let outcome = f
-            .bank
-            .deposit(
-                &foreign,
-                &p("shop"),
-                "shop-acct",
-                p("other-bank"),
-                Timestamp(1),
-                &mut f.rng,
-            )
-            .unwrap();
-        assert!(matches!(outcome, DepositOutcome::Forwarded { .. }));
-        // And a certified check places a hold.
-        f.bank
-            .certify(
-                &p("carol"),
-                "carol-acct",
-                9,
-                usd(),
-                200,
-                p("shop"),
-                window(),
-                &mut f.rng,
-            )
-            .unwrap();
-        let serial_before = f.bank.next_serial.load(Ordering::Relaxed);
-        drop(f.bank);
-
-        let bank = restart(Arc::clone(&store));
-        assert_eq!(bank.uncollected_total("shop-acct", &usd()), 75);
-        assert_eq!(bank.account("carol-acct").unwrap().held(&usd()), 200);
-        assert_eq!(bank.account("carol-acct").unwrap().balance(&usd()), 300);
-        assert!(
-            bank.next_serial.load(Ordering::Relaxed) >= serial_before,
-            "endorsement serials never rewind across restart"
-        );
-        // The payment's return trip still finds its uncollected entry.
-        assert!(bank
-            .apply_payment(&Payment {
-                payor: p("carol"),
-                check_no: 31,
-                currency: usd(),
-                amount: 75,
-            })
-            .unwrap());
-        assert_eq!(bank.account("shop-acct").unwrap().balance(&usd()), 75);
-        // The certified hold still clears after restart.
-        let mut rng = StdRng::seed_from_u64(55);
-        let carol_key = {
-            let mut r = StdRng::seed_from_u64(1);
-            let _bank = SigningKey::generate(&mut r);
-            SigningKey::generate(&mut r)
-        };
-        let check = write_check(
-            &p("carol"),
-            &GrantAuthority::Keypair(carol_key),
-            &p("bank"),
-            "carol-acct",
-            p("shop"),
-            9,
-            usd(),
-            200,
-            window(),
-            &mut rng,
-        );
-        let outcome = bank
-            .deposit(
-                &check,
-                &p("shop"),
-                "shop-acct",
-                p("bank"),
-                Timestamp(2),
-                &mut rng,
-            )
-            .unwrap();
-        assert!(matches!(outcome, DepositOutcome::Settled(_)));
-        assert_eq!(bank.account("carol-acct").unwrap().held(&usd()), 0);
-    }
-
-    #[test]
-    fn compaction_preserves_recovered_state() {
-        let store: Arc<dyn Storage> = Arc::new(proxy_storage::MemStorage::new());
-        let mut f = durable_fixture(Arc::clone(&store));
-        for no in 1..=5 {
-            let check = carol_check(&mut f, no, 10);
-            f.bank
-                .deposit(
-                    &check,
-                    &p("shop"),
-                    "shop-acct",
-                    p("bank"),
-                    Timestamp(1),
-                    &mut f.rng,
-                )
-                .unwrap();
-        }
-        f.bank.compact().unwrap();
-        // More activity lands after the snapshot.
-        let check = carol_check(&mut f, 6, 10);
-        f.bank
-            .deposit(
-                &check,
-                &p("shop"),
-                "shop-acct",
-                p("bank"),
-                Timestamp(1),
-                &mut f.rng,
-            )
-            .unwrap();
-        drop(f.bank);
-
-        let bank = restart(Arc::clone(&store));
-        assert_eq!(bank.account("carol-acct").unwrap().balance(&usd()), 440);
-        assert_eq!(bank.account("shop-acct").unwrap().balance(&usd()), 60);
-        // The snapshot carried the replay marks too.
-        let mut rng = StdRng::seed_from_u64(77);
-        let carol_key = {
-            let mut r = StdRng::seed_from_u64(1);
-            let _bank = SigningKey::generate(&mut r);
-            SigningKey::generate(&mut r)
-        };
-        let replayed = write_check(
-            &p("carol"),
-            &GrantAuthority::Keypair(carol_key),
-            &p("bank"),
-            "carol-acct",
-            p("shop"),
-            3,
-            usd(),
-            10,
-            window(),
-            &mut rng,
-        );
-        assert!(bank
-            .deposit(
-                &replayed,
-                &p("shop"),
-                "shop-acct",
-                p("bank"),
-                Timestamp(2),
-                &mut rng,
-            )
-            .is_err());
-    }
-
-    #[test]
-    fn crash_point_poisons_the_server_fail_stop() {
-        let mem = Arc::new(proxy_storage::MemStorage::new());
-        let store: Arc<dyn Storage> = Arc::clone(&mem) as Arc<dyn Storage>;
-        let mut f = durable_fixture(store);
-        // The next staged record "crashes" the backend: the deposit must
-        // report failure (no acknowledgement), and the server must
-        // refuse all later durable work rather than diverge from its log.
-        mem.crash_after_stages(1);
-        let check = carol_check(&mut f, 1, 100);
-        let err = f
-            .bank
-            .deposit(
-                &check,
-                &p("shop"),
-                "shop-acct",
-                p("bank"),
-                Timestamp(1),
-                &mut f.rng,
-            )
-            .unwrap_err();
-        assert!(matches!(err, AcctError::Storage(_)), "got {err:?}");
-        let check2 = carol_check(&mut f, 2, 10);
-        let err = f
-            .bank
-            .deposit(
-                &check2,
-                &p("shop"),
-                "shop-acct",
-                p("bank"),
-                Timestamp(2),
-                &mut f.rng,
-            )
-            .unwrap_err();
-        assert!(
-            matches!(err, AcctError::Storage(_)),
-            "poisoned server stays fail-stop: {err:?}"
-        );
-    }
-
     #[test]
     fn revocations_survive_restart_through_the_artifact_store() {
         use restricted_proxy::revocation::{ArtifactKind, RevocationArtifact};
         let store: Arc<dyn Storage> = Arc::new(proxy_storage::MemStorage::new());
-        let mut f = {
-            let mut rng = StdRng::seed_from_u64(1);
-            let bank_key = SigningKey::generate(&mut rng);
-            let carol_key = SigningKey::generate(&mut rng);
-            let mut bank = AccountingServer::new(p("bank"), GrantAuthority::Keypair(bank_key));
-            bank.register_grantor(
-                p("carol"),
-                GrantorVerifier::PublicKey(carol_key.verifying_key()),
-            );
-            let mut bank = bank.with_artifact_store(Arc::clone(&store)).unwrap();
-            bank.open_account("carol-acct", vec![p("carol")]);
-            bank.open_account("shop-acct", vec![p("shop")]);
-            bank.account_mut("carol-acct").unwrap().credit(usd(), 500);
-            Fixture {
-                rng,
-                bank,
-                carol_auth: GrantAuthority::Keypair(carol_key),
-            }
-        };
+        let boot = || fixture_with(|bank| bank.with_artifact_store(Arc::clone(&store)).unwrap());
+        let mut f = boot();
         // Carol revokes check serial 5 (say the check was stolen).
         let kill = RevocationArtifact::seal(
             p("carol"),
@@ -1946,24 +1419,8 @@ mod tests {
 
         // Restart: the revocation is re-enforced from the store with no
         // issuer round trip — the stolen check still bounces.
-        let mut rng = StdRng::seed_from_u64(1);
-        let bank_key = SigningKey::generate(&mut rng);
-        let carol_key = SigningKey::generate(&mut rng);
-        let mut bank = AccountingServer::new(p("bank"), GrantAuthority::Keypair(bank_key));
-        bank.register_grantor(
-            p("carol"),
-            GrantorVerifier::PublicKey(carol_key.verifying_key()),
-        );
-        let mut bank = bank.with_artifact_store(Arc::clone(&store)).unwrap();
-        bank.open_account("carol-acct", vec![p("carol")]);
-        bank.open_account("shop-acct", vec![p("shop")]);
-        bank.account_mut("carol-acct").unwrap().credit(usd(), 500);
-        assert_eq!(bank.revocation_directory().epoch_of(&p("carol")), 1);
-        let mut f2 = Fixture {
-            rng,
-            bank,
-            carol_auth: GrantAuthority::Keypair(carol_key),
-        };
+        let mut f2 = boot();
+        assert_eq!(f2.bank.revocation_directory().epoch_of(&p("carol")), 1);
         let check = carol_check(&mut f2, 5, 50);
         let err = f2
             .bank

@@ -667,86 +667,34 @@ fn revocation(smoke: bool) {
     }
 }
 
-/// Runs the durable-journal harness (see `proxy_bench::wal`). In full
-/// mode (`--wal`) the gated report is persisted to `BENCH_wal.json`; in
-/// smoke mode (`--wal-smoke`, used by ci.sh) the same structure runs at
-/// a reduced size with a 3× gate and the recorded results are left
-/// untouched.
-fn wal(smoke: bool) {
-    use proxy_bench::wal::{run, Options};
+/// Runs the durable-journal harness (see `proxy_bench::wal`): the four
+/// append rows and the group-commit amortization gate. Used by ci.sh;
+/// nothing is persisted.
+fn wal() {
+    use proxy_bench::wal::{run, REQUIRED_SPEEDUP};
 
-    let opts = if smoke {
-        Options::smoke()
-    } else {
-        Options::default()
-    };
-    let report = run(&opts);
-    report_row(
-        "W",
-        "append-mem",
-        opts.threads,
-        format!(
-            "{:.0} ops/s ({} B records)",
-            report.mem.ops_per_sec, opts.record_bytes
-        ),
-        "",
+    let report = run();
+    for row in &report.rows {
+        let value = format!("{:.0} ops/s", row.ops_per_sec);
+        report_row("W", row.series, row.writers, value, "");
+    }
+    let speedup = format!(
+        "{:.2}x of the lone writer, who pays one fsync per record (gate >= {REQUIRED_SPEEDUP:.0}x)",
+        report.speedup()
     );
     report_row(
         "W",
-        "append-wal-nofsync",
-        opts.threads,
-        format!("{:.0} ops/s", report.no_fsync.ops_per_sec),
-        "",
-    );
-    report_row(
-        "W",
-        "append-wal-fsync-per-record",
-        opts.threads,
-        format!("{:.0} ops/s", report.per_record.ops_per_sec),
-        "",
-    );
-    report_row(
-        "W",
-        "append-wal-group-commit",
-        opts.threads,
-        format!(
-            "{:.0} ops/s ({:.2}x of per-record, gate >= {:.0}x)",
-            report.group_commit.ops_per_sec, report.speedup, report.required_speedup
-        ),
-        "",
-    );
-    report_row(
-        "W",
-        "deposit-mem-journal",
-        report.deposits,
-        format!(
-            "p50 {:.0} µs, p99 {:.0} µs, {:.0} ops/s",
-            report.deposit_mem.p50_us, report.deposit_mem.p99_us, report.deposit_mem.ops_per_sec
-        ),
-        "",
-    );
-    report_row(
-        "W",
-        "deposit-wal-journal",
-        report.deposits,
-        format!(
-            "p50 {:.0} µs, p99 {:.0} µs, {:.0} ops/s",
-            report.deposit_wal.p50_us, report.deposit_wal.p99_us, report.deposit_wal.ops_per_sec
-        ),
+        "group-commit-speedup",
+        report.rows[3].writers,
+        speedup,
         "",
     );
     report_row("W", "host-parallelism", 1, report.host_parallelism, "cpus");
-    // Gate before persisting: a run that fails the amortization check
-    // must not overwrite the recorded results with its own.
     report.check_gates();
-    if !smoke {
-        std::fs::write("BENCH_wal.json", report.to_json()).expect("write BENCH_wal.json");
-        println!("wrote BENCH_wal.json");
-    }
 }
 
 const USAGE: &str = "usage: figures [--ablate-crypto | --c10k | --c10k-smoke | \
---revocation | --revocation-smoke | --wal | --wal-smoke]";
+--revocation | --revocation-smoke | --wal]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -765,8 +713,7 @@ fn main() {
         ["--c10k-smoke"] => c10k(true),
         ["--revocation"] => revocation(false),
         ["--revocation-smoke"] => revocation(true),
-        ["--wal"] => wal(false),
-        ["--wal-smoke"] => wal(true),
+        ["--wal"] => wal(),
         _ => {
             eprintln!("figures: unrecognized arguments {args:?}\n{USAGE}");
             std::process::exit(2);

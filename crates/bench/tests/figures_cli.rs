@@ -12,8 +12,9 @@ fn figures(args: &[&str]) -> Output {
 
 #[test]
 fn unknown_flags_print_usage_and_exit_2() {
-    // `--net` named a retired mode; `--bogus` never existed.
-    for flag in ["--net", "--bogus"] {
+    // `--net` and `--wal-smoke` named retired modes; `--bogus` never
+    // existed.
+    for flag in ["--net", "--wal-smoke", "--bogus"] {
         let out = figures(&[flag]);
         assert_eq!(out.status.code(), Some(2), "{flag}");
         assert!(out.stdout.is_empty(), "{flag} must not run any series");

@@ -9,7 +9,7 @@
 //!   mentions `Mutex<`/`RwLock<`/`ShardMap<`, keyed `file::field`.
 //!   Acquisition sites name the field (`self.state.lock()`), or reach a
 //!   lock through a helper whose return type names the lock or a guard
-//!   (`self.shard(&k).write()`, `self.op_guard()?`).
+//!   (`self.shard(&k).write()`, `self.begin()?`).
 //! * **Call matching** is name + arity. Method calls with std-colliding
 //!   names (`insert`, `len`, `read`, …) only match when the receiver is
 //!   a declared `ShardMap` field, and calls chained onto a fresh guard
@@ -345,8 +345,8 @@ impl Workspace {
         }
 
         // Pass 3: helper-mediated guard acquisitions need `returns_guard`,
-        // which itself propagates through helpers (`op_guard` forwards
-        // `Journal::begin`), so iterate to a fixed point.
+        // which itself propagates through helpers (the server's `begin`
+        // forwards `Journal::begin`), so iterate to a fixed point.
         loop {
             let mut changed = false;
             for id in 0..ws.fns.len() {
@@ -379,7 +379,7 @@ impl Workspace {
         }
 
         // Pass 4: lock-helper receivers (`self.shard(&k).write()`),
-        // guard-helper calls (`self.op_guard()?`), and call matching.
+        // guard-helper calls (`self.begin()?`), and call matching.
         for id in 0..ws.fns.len() {
             let f = file_of[ws.fns[id].file.as_str()];
             let body_close = ws.fns[id].def.body_close;

@@ -20,10 +20,10 @@
 //! is reported at the edge that closes it. Blocking (fsync, socket
 //! write, `wait_durable`, a signature verification, …) is reported at
 //! the blocking site whenever it is reachable inside a shard-guard
-//! range, a slot of the verifier's key table counting as a shard; the
-//! group-commit WAL makes the common path non-blocking, and the
-//! allowlist carries the justified exceptions (`durability=max`
-//! fsync-per-record).
+//! range, a slot of the verifier's key table counting as a shard.
+//! Journal `stage` calls sit inside shard closures by design and stay
+//! clean only because `Storage::stage` is enqueue-only: an fsync that
+//! became reachable from it would be reported at every one of them.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -25,6 +25,7 @@ pub fn panic_free_applies(rel: &str) -> bool {
         || rel == "crates/authz/src/server.rs"
         || rel == "crates/authz/src/endserver.rs"
         || rel == "crates/accounting/src/server.rs"
+        || rel == "crates/accounting/src/recovery.rs"
         || rel == "crates/accounting/src/check.rs"
         || rel == "crates/accounting/src/clearing.rs"
         || rel == "crates/accounting/src/journal.rs"
@@ -77,6 +78,7 @@ pub fn lock_order_applies(rel: &str) -> bool {
 /// storage engines that back them.
 pub fn durability_applies(rel: &str) -> bool {
     rel == "crates/accounting/src/server.rs"
+        || rel == "crates/accounting/src/recovery.rs"
         || rel == "crates/accounting/src/journal.rs"
         || rel.starts_with("crates/storage/src/")
 }
@@ -119,6 +121,8 @@ mod tests {
         assert!(panic_free_applies("crates/proxy/src/revocation.rs"));
         assert!(panic_free_applies("crates/proxy/src/membership.rs"));
         assert!(panic_free_applies("crates/proxy/src/keytable.rs"));
+        assert!(panic_free_applies("crates/accounting/src/server.rs"));
+        assert!(panic_free_applies("crates/accounting/src/recovery.rs"));
         assert!(panic_free_applies("crates/accounting/src/check.rs"));
         assert!(panic_free_applies("crates/accounting/src/journal.rs"));
         assert!(panic_free_applies("crates/storage/src/log.rs"));
@@ -158,6 +162,7 @@ mod tests {
     #[test]
     fn l7_covers_journal_and_storage() {
         assert!(durability_applies("crates/accounting/src/server.rs"));
+        assert!(durability_applies("crates/accounting/src/recovery.rs"));
         assert!(durability_applies("crates/accounting/src/journal.rs"));
         assert!(durability_applies("crates/storage/src/wal.rs"));
         assert!(durability_applies("crates/storage/src/mem.rs"));

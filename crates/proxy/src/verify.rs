@@ -128,13 +128,6 @@ impl<R: KeyResolver> Verifier<R> {
         self
     }
 
-    /// Attaches an existing (possibly shared) seal cache.
-    #[must_use]
-    pub fn with_shared_seal_cache(mut self, cache: Arc<VerifiedCertCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
     /// The attached seal cache, if any.
     #[must_use]
     pub fn seal_cache(&self) -> Option<&VerifiedCertCache> {

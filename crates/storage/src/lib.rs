@@ -31,7 +31,12 @@
 //! commits the in-memory mutation (making log order agree with memory
 //! order for non-commuting operations) and then pay the fsync wait
 //! outside the lock, where the group-commit batcher amortizes it across
-//! concurrent requests.
+//! concurrent requests. That makes `stage` **enqueue-only by contract**:
+//! called under shard guards, it copies the record into memory and never
+//! writes to, syncs or waits on a device (`wait_durable` and
+//! `install_snapshot` do). `proxy-lint` L6 holds backends to this: an
+//! fsync reachable from `stage` is reported at every journal `stage`
+//! site under a shard guard.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -157,17 +162,21 @@ pub struct Recovered {
 /// worker threads via `Arc<dyn Storage>`.
 pub trait Storage: Send + Sync + fmt::Debug {
     /// Places `record` into the durable order and returns its ticket.
-    /// The record is *not* necessarily durable yet.
+    /// Enqueue-only: callers hold shard guards across this call, so an
+    /// implementation copies the record into memory and returns — it
+    /// must not write to, sync, or wait on a device. The record is
+    /// *not* durable until [`Storage::wait_durable`] says so.
     ///
     /// # Errors
     ///
-    /// [`StorageError`] on I/O failure, oversized records, a poisoned
-    /// backend, or an injected crash point.
+    /// [`StorageError`] for oversized records, a poisoned backend, or
+    /// an injected crash point.
     fn stage(&self, record: &[u8]) -> Result<Ticket, StorageError>;
 
     /// Blocks until the ticketed record is durable under the backend's
-    /// fsync policy. For [`WalStorage`] in group-commit mode this is
-    /// where the leader/follower flush happens.
+    /// fsync policy. For [`WalStorage`] this is where the
+    /// leader/follower flush — every write and fsync of the record log
+    /// — happens.
     ///
     /// # Errors
     ///

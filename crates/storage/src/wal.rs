@@ -21,17 +21,20 @@
 //!
 //! ## Group-commit fsync
 //!
-//! `fsync` dominates the append path (~100µs+ on common filesystems), so
-//! [`FsyncMode::GroupCommit`] amortizes it with a leader/follower
-//! protocol over the buffer of staged records: the first
-//! waiter that finds no flush in progress becomes the **leader**. If it
-//! is alone it flushes inline (a lone client pays one fsync, no added
-//! latency); otherwise it lingers — bounded by `flush_wait`, broken the
-//! moment the batch fills (`batch_max`) or an arrival-free linger slice
-//! says the burst is over — then takes the whole buffer and flushes it
-//! under a single fsync. **Followers** park until the leader publishes
-//! durability, re-checking on a timeout so a stalled leader's batch is
-//! rescued rather than wedged.
+//! [`Storage::stage`] only frames the record into a memory buffer and
+//! hands out a ticket; the device is touched in
+//! [`Storage::wait_durable`] (and [`Storage::install_snapshot`]), never
+//! under a caller's lock. `fsync` dominates the append path (~100µs+ on
+//! common filesystems), so the waiters amortize it with a
+//! leader/follower protocol over that buffer: the first waiter that
+//! finds no flush in progress becomes the **leader**. If it is alone it
+//! flushes inline (a lone client pays one fsync, no added latency);
+//! otherwise it lingers — bounded by `FLUSH_WAIT` (1 ms), broken the
+//! moment the batch fills (`BATCH_MAX`, 16 records) or an arrival-free
+//! linger slice says the burst is over — then takes the whole buffer
+//! and flushes it under a single fsync. **Followers** park until the
+//! leader publishes durability, re-checking on a timeout so a stalled
+//! leader's batch is rescued rather than wedged.
 //!
 //! ## Failure policy
 //!
@@ -51,13 +54,13 @@ use std::time::{Duration, Instant};
 use crate::log::{frame_into, scan_segment};
 use crate::{CorruptKind, Recovered, Storage, StorageError, Ticket, MAX_RECORD};
 
-/// Default flush threshold: a batch this large stops lingering and goes
-/// to disk.
-pub const DEFAULT_BATCH_MAX: usize = 16;
+/// Flush threshold: a batch this large stops lingering and goes to
+/// disk.
+const BATCH_MAX: u64 = 16;
 
-/// Default bound on how long a group-commit leader lingers for the
-/// batch to fill before flushing a partial batch.
-pub const DEFAULT_FLUSH_WAIT: Duration = Duration::from_millis(1);
+/// Bound on how long a group-commit leader lingers for the batch to
+/// fill before flushing a partial batch.
+const FLUSH_WAIT: Duration = Duration::from_millis(1);
 
 /// A lingering leader samples arrivals in slices of this length; a
 /// slice with no new arrivals ends the linger early (the burst is over,
@@ -68,38 +71,23 @@ const LINGER_SLICE: Duration = Duration::from_micros(100);
 /// the batch itself.
 const FOLLOWER_RECHECK: Duration = Duration::from_millis(2);
 
-/// When the log must actually reach the platter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Whether a flush must actually reach the platter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncMode {
     /// Never fsync: durability limited to OS page-cache survival. The
-    /// honest upper bound for WAL throughput (write cost, no flush).
+    /// honest upper bound for WAL throughput (write cost, no flush),
+    /// and what tests of ordering and recovery run on.
     NoFsync,
-    /// One synchronous write+fsync per record, serialized — the naive
-    /// baseline group commit is measured against.
-    PerRecord,
     /// Batched fsync via the leader/follower protocol (module docs).
+    #[default]
     GroupCommit,
 }
 
 /// Tuning for [`WalStorage`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WalOptions {
-    /// Durability policy for appended records.
+    /// Durability policy for flushed batches.
     pub fsync: FsyncMode,
-    /// Records per flush at which a lingering leader stops waiting.
-    pub batch_max: usize,
-    /// Upper bound on the leader's linger for a partial batch.
-    pub flush_wait: Duration,
-}
-
-impl Default for WalOptions {
-    fn default() -> Self {
-        Self {
-            fsync: FsyncMode::GroupCommit,
-            batch_max: DEFAULT_BATCH_MAX,
-            flush_wait: DEFAULT_FLUSH_WAIT,
-        }
-    }
 }
 
 /// Mutable append state, under one lock. The file handle lives in a
@@ -261,9 +249,10 @@ impl WalStorage {
     }
 
     /// Arms the injected crash point: the `n`-th record staged from now
-    /// is made durable, but its `stage` call — and every call after —
-    /// returns [`StorageError::Crashed`]. Models a kill between the WAL
-    /// append and the client reply.
+    /// is made durable, but the flush that covers it — and every call
+    /// after — returns [`StorageError::Crashed`], and nothing can be
+    /// staged behind it. Models a kill between the WAL append and the
+    /// client reply.
     pub fn crash_after_appends(&self, n: u64) {
         let mut st = self.state_guard();
         st.crash_after = Some(st.staged.saturating_add(n));
@@ -289,9 +278,7 @@ impl WalStorage {
     }
 
     /// Writes (and per policy fsyncs) one taken batch. Called with the
-    /// state lock *released* (group commit) or held (per-record,
-    /// injected-crash flush) — safe either way since state → file is the
-    /// only lock order used.
+    /// state lock *released*; state → file is the only lock order used.
     fn write_batch(&self, batch: &[u8]) -> Result<(), StorageError> {
         if batch.is_empty() {
             return Ok(());
@@ -308,16 +295,13 @@ impl WalStorage {
     /// the state lock re-held. Inline at low load: a leader whose record
     /// is alone in the buffer flushes immediately.
     fn linger<'a>(&self, mut st: MutexGuard<'a, WalState>) -> MutexGuard<'a, WalState> {
-        if self.opts.fsync != FsyncMode::GroupCommit || self.opts.flush_wait.is_zero() {
+        if self.opts.fsync != FsyncMode::GroupCommit || st.staged - st.durable <= 1 {
             return st;
         }
-        if st.staged - st.durable <= 1 {
-            return st;
-        }
-        let deadline = Instant::now() + self.opts.flush_wait;
+        let deadline = Instant::now() + FLUSH_WAIT;
         loop {
             let pending = st.staged - st.durable;
-            if pending >= self.opts.batch_max as u64 || st.poison.is_some() {
+            if pending >= BATCH_MAX || st.poison.is_some() {
                 return st;
             }
             let now = Instant::now();
@@ -338,14 +322,23 @@ impl WalStorage {
         }
     }
 
-    /// Synchronous write+fsync of everything buffered, holding the state
-    /// lock. Used by the per-record mode and the injected crash point
-    /// (which must make the doomed record durable before "dying").
-    fn flush_now_locked(&self, st: &mut WalState) -> Result<(), StorageError> {
-        let batch = std::mem::take(&mut st.buf);
-        self.write_batch(&batch)?;
-        st.durable = st.staged;
-        Ok(())
+    /// Publishes the outcome of a flush (a leader's batch or a snapshot
+    /// rotation) that covered every ticket up to `upto`, and frees the
+    /// flush slot. A flush that covered the record doomed by
+    /// [`Self::crash_after_appends`] did make it durable — and is where
+    /// the store "dies": nothing it covered may be acknowledged.
+    fn publish(&self, upto: u64, res: Result<(), StorageError>) -> MutexGuard<'_, WalState> {
+        let mut st = self.state_guard();
+        st.flushing = false;
+        match res {
+            Ok(()) if st.crash_after.is_some_and(|at| upto >= at) => {
+                st.poison = Some(StorageError::Crashed);
+            }
+            Ok(()) => st.durable = st.durable.max(upto),
+            Err(e) => st.poison = Some(e),
+        }
+        self.completed.notify_all();
+        st
     }
 }
 
@@ -367,34 +360,16 @@ impl Storage for WalStorage {
             return Err(StorageError::Crashed);
         }
         if st.crash_after.is_some_and(|at| ticket > at) {
-            st.poison = Some(StorageError::Crashed);
-            self.completed.notify_all();
+            // Behind the doomed record nothing is written. The poison
+            // latch is left to the flush that covers that record
+            // (`publish`): latching here would stop its waiter from
+            // making it durable first.
             return Err(StorageError::Crashed);
         }
         st.staged = ticket;
         frame_into(&mut st.buf, record)?;
-        if st.crash_after == Some(ticket) {
-            // Died *after* the write reached the log but before any
-            // reply: force everything buffered durable, then report the
-            // death. The client never hears back; recovery must still
-            // count this record exactly once.
-            let res = self.flush_now_locked(&mut st);
-            st.poison = Some(StorageError::Crashed);
-            self.completed.notify_all();
-            return Err(res.err().unwrap_or(StorageError::Crashed));
-        }
-        if self.opts.fsync == FsyncMode::PerRecord {
-            // Naive baseline: one synchronous write+fsync per record,
-            // serialized under the state lock.
-            if let Err(e) = self.flush_now_locked(&mut st) {
-                st.poison = Some(e.clone());
-                self.completed.notify_all();
-                return Err(e);
-            }
-            return Ok(Ticket(ticket));
-        }
-        // Group-commit / no-fsync: buffered; a lingering leader may be
-        // waiting for exactly this arrival.
+        // Buffered only; a lingering leader may be waiting for exactly
+        // this arrival.
         self.arrivals.notify_one();
         Ok(Ticket(ticket))
     }
@@ -417,14 +392,7 @@ impl Storage for WalStorage {
                 let batch = std::mem::take(&mut st.buf);
                 let upto = st.staged;
                 drop(st);
-                let res = self.write_batch(&batch);
-                st = self.state_guard();
-                st.flushing = false;
-                match res {
-                    Ok(()) => st.durable = st.durable.max(upto),
-                    Err(e) => st.poison = Some(e),
-                }
-                self.completed.notify_all();
+                st = self.publish(upto, self.write_batch(&batch));
                 continue;
             }
             // Follow: park until durability advances; the timeout lets a
@@ -458,19 +426,10 @@ impl Storage for WalStorage {
         let upto = st.staged;
         drop(st);
 
-        let res = self.rotate(state, &pending);
-
-        let mut st = self.state_guard();
-        st.flushing = false;
-        match &res {
-            // Every record staged so far is either folded into the
-            // snapshot or (the pending tail) flushed by the rotation.
-            Ok(()) => st.durable = st.durable.max(upto),
-            Err(e) => st.poison = Some(e.clone()),
-        }
-        self.completed.notify_all();
-        drop(st);
-        res
+        // Every record staged so far is either folded into the snapshot
+        // or (the pending tail) flushed by the rotation.
+        let st = self.publish(upto, self.rotate(state, &pending));
+        st.poison.clone().map_or(Ok(()), Err)
     }
 
     fn load(&self) -> Result<Recovered, StorageError> {
@@ -590,7 +549,6 @@ mod tests {
         // Unit tests exercise logic, not the platter.
         WalOptions {
             fsync: FsyncMode::NoFsync,
-            ..WalOptions::default()
         }
     }
 
@@ -727,17 +685,7 @@ mod tests {
     #[test]
     fn group_commit_concurrent_appends_all_become_durable() {
         let dir = tmpdir("group");
-        let w = Arc::new(
-            WalStorage::open(
-                &dir,
-                WalOptions {
-                    fsync: FsyncMode::GroupCommit,
-                    batch_max: 8,
-                    flush_wait: Duration::from_millis(1),
-                },
-            )
-            .unwrap(),
-        );
+        let w = Arc::new(WalStorage::open(&dir, WalOptions::default()).unwrap());
         let threads: Vec<_> = (0..8u8)
             .map(|i| {
                 let w = Arc::clone(&w);
@@ -829,22 +777,34 @@ mod tests {
     }
 
     #[test]
-    fn per_record_mode_is_durable_at_stage_time() {
-        let dir = tmpdir("per-record");
-        let w = WalStorage::open(
-            &dir,
-            WalOptions {
-                fsync: FsyncMode::PerRecord,
-                ..WalOptions::default()
-            },
-        )
-        .unwrap();
-        let t = w.stage(b"committed").unwrap();
-        // Already durable: wait is a no-op.
-        w.wait_durable(t).unwrap();
-        drop(w);
+    fn stage_never_touches_the_file() {
+        let dir = tmpdir("stage-only");
         let w = WalStorage::open(&dir, no_fsync()).unwrap();
-        assert_eq!(w.load().unwrap().records, vec![b"committed".to_vec()]);
+        w.stage(b"one").unwrap();
+        w.stage(b"two").unwrap();
+        let last = w.stage(b"three").unwrap();
+        assert_eq!(fs::read(wal_path(&dir, 0)).unwrap(), b"", "memory-only");
+        w.wait_durable(last).unwrap();
+        let mut framed = Vec::new();
+        for rec in [b"one".as_slice(), b"two", b"three"] {
+            frame_into(&mut framed, rec).unwrap();
+        }
+        assert_eq!(fs::read(wal_path(&dir, 0)).unwrap(), framed);
+    }
+
+    #[test]
+    fn crash_after_appends_dies_in_the_covering_flush() {
+        let dir = tmpdir("crash-flush");
+        let w = WalStorage::open(&dir, no_fsync()).unwrap();
+        w.crash_after_appends(1);
+        // The doomed record is staged like any other, in memory; nothing
+        // can be staged behind it.
+        let doomed = w.stage(b"doomed").unwrap();
+        assert_eq!(w.stage(b"behind"), Err(StorageError::Crashed));
+        assert_eq!(fs::read(wal_path(&dir, 0)).unwrap(), b"");
+        // The flush that covers it makes it durable, then dies.
+        assert_eq!(w.wait_durable(doomed), Err(StorageError::Crashed));
+        assert_eq!(w.load().unwrap().records, vec![b"doomed".to_vec()]);
     }
 
     #[test]

@@ -57,7 +57,6 @@ impl Drop for Scratch {
 fn fast() -> WalOptions {
     WalOptions {
         fsync: FsyncMode::NoFsync,
-        ..WalOptions::default()
     }
 }
 
