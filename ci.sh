@@ -141,6 +141,13 @@ e2e_gate fig5_mem 'wire.decode_req_us' 5 'alloc.allocs_per_op' 55
 # built nine vectors).
 e2e_gate fig4_cold 'alloc.allocs_per_op' 25
 
+# A warm presentation is one lone check under a prepared key (DESIGN.md
+# §8, "Prepared keys" / "Stride 32"): the chain walks thirty-two
+# doublings over tables the key table already holds and allocates
+# nothing. 15 allocs/op today, exact. No timing ceiling here: the
+# benchmark's `rtt_p50_us` bound carries that.
+e2e_gate fig4_hot 'alloc.allocs_per_op' 16
+
 # Documentation gate: rustdoc warnings (broken intra-doc links, bad
 # HTML) are errors.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

@@ -187,7 +187,7 @@ fn ablate_crypto() {
     use proxy_bench::seed_ed25519::{seed_verify, SeedPoint};
     use proxy_crypto::ed25519::edwards::Point;
     use proxy_crypto::ed25519::scalar::Scalar;
-    use proxy_crypto::ed25519::{verify_batch, Signature};
+    use proxy_crypto::ed25519::{verify_batch, PreparedKey, Signature};
     use rand::RngCore;
     use std::hint::black_box;
     use std::time::Instant;
@@ -268,21 +268,32 @@ fn ablate_crypto() {
         r
     });
 
-    // C3: n signatures one at a time and as one equation; and what the
-    // chain verifier chooses between when a possession proof arrives
-    // with n seals pending: batch(n) then a lone check, or batch(n + 1).
-    const SIZES: [usize; 6] = [1, 2, 4, 8, 16, 32];
-    let names: Vec<[String; 4]> = SIZES
+    // The stages a public key is held in (DESIGN.md §8, "Prepared keys").
+    let decompressed = vk.decompress().expect("a point");
+    let prepared = PreparedKey::new(&decompressed);
+
+    // C3: n signatures one at a time and as one equation. Every batch
+    // size some row below reads is timed once, as `batch-n`.
+    const BATCHES: [usize; 8] = [2, 3, 4, 5, 8, 9, 16, 32];
+    const SEQUENTIAL: [usize; 5] = [2, 4, 8, 16, 32];
+    // What the chain verifier chooses between when a possession proof
+    // arrives with n seals pending: batch(n) then a lone cold check, or
+    // batch(n + 1).
+    const PLUS_LONE: [usize; 4] = [1, 2, 4, 8];
+    // And what it could choose when the check that arrives is under a
+    // key it holds prepared: batch(n) then that check alone through the
+    // prepared key, or batch(n + 1).
+    const PLUS_PREPARED: [usize; 4] = [1, 2, 3, 4];
+    let batch_name = |n: usize| format!("batch-{n}");
+    let batch_names = BATCHES.map(batch_name);
+    let sequential_names = SEQUENTIAL.map(|n| format!("sequential-verify-{n}"));
+    let plus_lone_names = PLUS_LONE.map(|n| format!("batch-{n}-plus-lone"));
+    let plus_prepared_names = PLUS_PREPARED.map(|n| format!("batch-{n}-plus-prepared-lone"));
+    let prepared_keys: Vec<PreparedKey> = vks
         .iter()
-        .map(|n| {
-            [
-                format!("sequential-verify-{n}"),
-                format!("batched-verify-{n}"),
-                format!("batch-{n}-plus-lone"),
-                format!("batch-{}", n + 1),
-            ]
-        })
+        .map(|key| PreparedKey::new(&key.decompress().expect("a point")))
         .collect();
+    let prepared_keys = prepared_keys.as_slice();
 
     // C4: an 8-link public-key cascade through `Verifier::verify`, cold
     // (no cache: eight seals and the possession proof in one equation)
@@ -348,6 +359,24 @@ fn ablate_crypto() {
             }),
         ),
         (
+            "verify-decompressed",
+            Box::new(|| {
+                decompressed.verify(msg, &sig).expect("valid");
+            }),
+        ),
+        (
+            "verify-prepared",
+            Box::new(|| {
+                prepared.verify(msg, &sig).expect("valid");
+            }),
+        ),
+        (
+            "prepare-key",
+            Box::new(|| {
+                black_box(PreparedKey::new(black_box(&decompressed)));
+            }),
+        ),
+        (
             "sign",
             Box::new(|| {
                 black_box(sk.sign(black_box(msg)));
@@ -388,35 +417,41 @@ fn ablate_crypto() {
             }),
         ),
     ];
-    for (n, [sequential, batched, plus_lone, one_more]) in SIZES.into_iter().zip(&names) {
-        if n > 1 {
-            variants.push((
-                sequential,
-                Box::new(move || {
-                    for (m, sg, key) in &items[..n] {
-                        key.verify(m, sg).expect("valid");
-                    }
-                }),
-            ));
-            variants.push((
-                batched,
-                Box::new(move || verify_batch(&items[..n]).expect("valid")),
-            ));
-        }
-        if n <= 8 {
-            variants.push((
-                plus_lone,
-                Box::new(move || {
-                    verify_batch(&items[..n]).expect("valid");
-                    let (m, sg, key) = &items[n];
+    for (n, name) in BATCHES.into_iter().zip(&batch_names) {
+        variants.push((
+            name,
+            Box::new(move || verify_batch(&items[..n]).expect("valid")),
+        ));
+    }
+    for (n, name) in SEQUENTIAL.into_iter().zip(&sequential_names) {
+        variants.push((
+            name,
+            Box::new(move || {
+                for (m, sg, key) in &items[..n] {
                     key.verify(m, sg).expect("valid");
-                }),
-            ));
-            variants.push((
-                one_more,
-                Box::new(move || verify_batch(&items[..=n]).expect("valid")),
-            ));
-        }
+                }
+            }),
+        ));
+    }
+    for (n, name) in PLUS_LONE.into_iter().zip(&plus_lone_names) {
+        variants.push((
+            name,
+            Box::new(move || {
+                verify_batch(&items[..n]).expect("valid");
+                let (m, sg, key) = &items[n];
+                key.verify(m, sg).expect("valid");
+            }),
+        ));
+    }
+    for (n, name) in PLUS_PREPARED.into_iter().zip(&plus_prepared_names) {
+        variants.push((
+            name,
+            Box::new(move || {
+                verify_batch(&items[..n]).expect("valid");
+                let (m, sg, _) = &items[n];
+                prepared_keys[n].verify(m, sg).expect("valid");
+            }),
+        ));
     }
 
     variants.push((
@@ -481,26 +516,40 @@ fn ablate_crypto() {
         ),
         "x",
     );
-    for (n, [sequential, batched, plus_lone, one_more]) in SIZES.into_iter().zip(&names) {
-        if n > 1 {
-            report_row(
-                "C3",
-                "batch-speedup-vs-sequential",
-                n,
-                ratio(sequential, batched),
-                "x",
-            );
-        }
-        if n <= 8 {
-            report_row(
-                "C3",
-                "proof-joins-the-batch-vs-stands-alone",
-                n,
-                ratio(one_more, plus_lone),
-                "x",
-            );
-        }
+    for (n, sequential) in SEQUENTIAL.into_iter().zip(&sequential_names) {
+        report_row(
+            "C3",
+            "batch-speedup-vs-sequential",
+            n,
+            ratio(sequential, &batch_name(n)),
+            "x",
+        );
     }
+    for (n, plus_lone) in PLUS_LONE.into_iter().zip(&plus_lone_names) {
+        report_row(
+            "C3",
+            "proof-joins-the-batch-vs-stands-alone",
+            n,
+            ratio(&batch_name(n + 1), plus_lone),
+            "x",
+        );
+    }
+    for (n, plus_prepared) in PLUS_PREPARED.into_iter().zip(&plus_prepared_names) {
+        report_row(
+            "C3",
+            "prepared-check-joins-the-batch-vs-stands-alone",
+            n,
+            ratio(&batch_name(n + 1), plus_prepared),
+            "x",
+        );
+    }
+    report_row(
+        "C3",
+        "batch-marginal-signature",
+        32,
+        format!("{:.1}", (us("batch-32") - us("batch-16")) / 16.0),
+        "µs",
+    );
     let (hits, misses) = cached.seal_cache().expect("attached").stats();
     assert_eq!(misses as usize, DEPTH, "exactly one cold chain walk");
     assert_eq!(hits as usize % DEPTH, 0, "re-presentations hit every link");

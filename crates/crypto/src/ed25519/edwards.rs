@@ -16,9 +16,11 @@
 //!   static width-8 table for B and a width-5 table built per call for Q:
 //!   one verification under a key not seen before, ~253 doublings;
 //! * [`PreparedPoint::double_scalar_mul_basepoint`] — the same sum for a
-//!   Q that keeps its tables for Q and `[2¹²⁸]Q`: both scalars split at
-//!   2¹²⁸ and the four halves share one chain of ≤ 129 doublings, with no
-//!   table build. Costs ~128 doublings once per Q;
+//!   Q that keeps tables of `[2³²ⁱ]Q`, i = 0..8 (B has the same eight,
+//!   static): each scalar's ordinary wNAF is read with stride 32, digit
+//!   `32i + j` added from table `i` at step `j` of one chain of 32
+//!   doublings, with no table build. Costs 224 doublings and eight table
+//!   builds once per Q;
 //! * [`Point::multiscalar_mul_basepoint`] — variable-length Straus over
 //!   [`StrausTerm`]s for batch verification.
 
@@ -491,8 +493,8 @@ impl Completed {
 }
 
 /// Odd multiples [P, 3P, 5P, …, (2N−1)P] in cached form, indexed by wNAF
-/// digit. N = 8 serves width-5 digits (|d| ≤ 15), N = 64 width-8
-/// (|d| ≤ 127).
+/// digit. N = 8 serves width-5 digits (|d| ≤ 15), N = 32 width-7
+/// (|d| ≤ 63), N = 64 width-8 (|d| ≤ 127).
 struct NafLookupTable<const N: usize>([CachedPoint; N]);
 
 impl<const N: usize> NafLookupTable<N> {
@@ -545,73 +547,81 @@ fn basepoint_naf_table() -> &'static NafLookupTable<64> {
     CELL.get_or_init(|| NafLookupTable::<64>::from_point(&Point::basepoint()))
 }
 
-/// `[2¹²⁸]p`, on the projective doubling chain.
-fn mul_2_128(p: &Point) -> Point {
+/// Digit positions per piece of a [`PreparedPoint`] chain: its length.
+const STRIDE: usize = 32;
+
+/// Pieces a 256-digit wNAF falls into at that stride: tables per point.
+const PIECES: usize = 256 / STRIDE;
+
+/// `[2^STRIDE]p`, on the projective doubling chain.
+fn mul_2_stride(p: &Point) -> Point {
     let mut acc = p.as_projective();
-    for _ in 0..127 {
+    for _ in 1..STRIDE {
         acc = acc.double().to_projective();
     }
     acc.double().to_extended()
 }
 
-/// The static width-8 wNAF table for `[2¹²⁸]B`: the basepoint's half of
-/// a [`PreparedPoint`] chain, built on first use.
-fn basepoint_hi_naf_table() -> &'static NafLookupTable<64> {
-    static CELL: OnceLock<NafLookupTable<64>> = OnceLock::new();
-    CELL.get_or_init(|| NafLookupTable::<64>::from_point(&mul_2_128(&Point::basepoint())))
+/// Odd-multiple tables of `[2^(STRIDE·i)]p` for `i` in `0..PIECES`: 224
+/// doublings and eight table builds.
+fn stride_tables<const N: usize>(p: &Point) -> [NafLookupTable<N>; PIECES] {
+    let mut piece = *p;
+    std::array::from_fn(|i| {
+        if i > 0 {
+            piece = mul_2_stride(&piece);
+        }
+        NafLookupTable::from_point(&piece)
+    })
+}
+
+/// The static width-7 stride tables of the basepoint (40 KiB): B's part
+/// of a [`PreparedPoint`] chain, built on first use.
+fn basepoint_stride_tables() -> &'static [NafLookupTable<32>; PIECES] {
+    static CELL: OnceLock<[NafLookupTable<32>; PIECES]> = OnceLock::new();
+    CELL.get_or_init(|| stride_tables(&Point::basepoint()))
 }
 
 /// A point Q prepared for repeated `[a]B + [b]Q`: width-5 odd-multiple
-/// tables for Q and for `[2¹²⁸]Q` (2.5 KiB).
+/// tables of `[2³²ⁱ]Q` for i = 0..8 (10 KiB).
 ///
-/// Building one costs ~128 doublings and two table builds, about a third
-/// of a [`Point::double_scalar_mul_basepoint`]; each use then walks half
-/// that function's doubling chain and builds nothing, so preparation pays
-/// from the second use on.
-pub struct PreparedPoint {
-    lo: NafLookupTable<8>,
-    hi: NafLookupTable<8>,
-}
+/// Building one costs 224 doublings and eight table builds, nearly as
+/// much as one [`Point::double_scalar_mul_basepoint`]; each use then walks
+/// an eighth of that function's doubling chain and builds nothing, at
+/// about two fifths of its cost, so preparation pays from the second use
+/// on.
+pub struct PreparedPoint([NafLookupTable<8>; PIECES]);
 
 impl PreparedPoint {
     /// Prepares `q`.
     #[must_use]
     pub fn new(q: &Point) -> PreparedPoint {
-        PreparedPoint {
-            lo: NafLookupTable::from_point(q),
-            hi: NafLookupTable::from_point(&mul_2_128(q)),
-        }
+        PreparedPoint(stride_tables(q))
     }
 
-    /// `[a]B + [b]Q`, equal to [`Point::double_scalar_mul_basepoint`]:
-    /// with `a = a₀ + 2¹²⁸a₁` and `b = b₀ + 2¹²⁸b₁` the sum is
-    /// `[a₀]B + [a₁]([2¹²⁸]B) + [b₀]Q + [b₁]([2¹²⁸]Q)`, four scalars below
-    /// 2¹²⁸ on one chain of at most 129 doublings.
+    /// `[a]B + [b]Q`, equal to [`Point::double_scalar_mul_basepoint`].
+    ///
+    /// With digits `d` of either scalar's wNAF, `∑ d[p]·2^p` regroups by
+    /// `p = 32i + j` into `∑_j 2^j ∑_i d[32i + j]·2^(32i)`: step `j` of a
+    /// chain of 32 doublings adds digit `32i + j` from the table of
+    /// `[2³²ⁱ]`. The digits are the ones every other path uses — no piece
+    /// is recoded, so no carry crosses a piece boundary.
     #[must_use]
     pub fn double_scalar_mul_basepoint(&self, a: &Scalar, b: &Scalar) -> Point {
-        let (a_lo, a_hi) = a.split_128();
-        let (b_lo, b_hi) = b.split_128();
-        let a_lo = a_lo.non_adjacent_form(8);
-        let a_hi = a_hi.non_adjacent_form(8);
-        let b_lo = b_lo.non_adjacent_form(5);
-        let b_hi = b_hi.non_adjacent_form(5);
-        let base_lo = basepoint_naf_table();
-        let base_hi = basepoint_hi_naf_table();
+        let a_naf = a.non_adjacent_form(7);
+        let b_naf = b.non_adjacent_form(5);
+        let base = basepoint_stride_tables();
+        let pieces = |j: usize| (j..256).step_by(STRIDE);
         straus_chain(
-            highest_nonzero([&a_lo, &a_hi, &b_lo, &b_hi]),
-            |i| a_lo[i] != 0 || a_hi[i] != 0 || b_lo[i] != 0 || b_hi[i] != 0,
-            |i, mut acc| {
-                if a_lo[i] != 0 {
-                    acc = acc.add_cached(&base_lo.select(a_lo[i]));
-                }
-                if a_hi[i] != 0 {
-                    acc = acc.add_cached(&base_hi.select(a_hi[i]));
-                }
-                if b_lo[i] != 0 {
-                    acc = acc.add_cached(&self.lo.select(b_lo[i]));
-                }
-                if b_hi[i] != 0 {
-                    acc = acc.add_cached(&self.hi.select(b_hi[i]));
+            STRIDE - 1,
+            |j| pieces(j).any(|p| a_naf[p] != 0 || b_naf[p] != 0),
+            |j, mut acc| {
+                for (i, p) in pieces(j).enumerate() {
+                    if a_naf[p] != 0 {
+                        acc = acc.add_cached(&base[i].select(a_naf[p]));
+                    }
+                    if b_naf[p] != 0 {
+                        acc = acc.add_cached(&self.0[i].select(b_naf[p]));
+                    }
                 }
                 acc
             },
@@ -948,34 +958,52 @@ mod tests {
     }
 
     #[test]
-    fn prepared_point_matches_ladders_around_the_split() {
+    fn prepared_point_matches_ladders_at_every_stride_edge() {
         let b = Point::basepoint();
         let q = b.mul_scalar(&Scalar::from_u64(99));
         let prepared = PreparedPoint::new(&q);
-        let two_128 = Scalar::from_u128(u128::MAX).add(Scalar::ONE);
-        let edges = [
+        // The bit pattern `fill` below 2²⁵², which is canonical as it is.
+        let pattern = |fill: u8| {
+            let mut bytes = [fill; 32];
+            bytes[31] &= 0x0f;
+            Scalar::from_canonical_bytes(&bytes).expect("below 2^252")
+        };
+        let mut edges = vec![
             Scalar::ZERO,
             Scalar::ONE,
-            Scalar::from_u128(u128::MAX),
-            two_128,
-            two_128.add(Scalar::ONE),
             // ℓ − 1, the largest canonical scalar.
             Scalar::ZERO.sub(Scalar::ONE),
+            pattern(0xaa),
+            pattern(0x55),
         ];
+        for i in 1..PIECES {
+            let mut limbs = [0u64; 4];
+            limbs[STRIDE * i / 64] = 1 << (STRIDE * i % 64);
+            let boundary = Scalar(limbs);
+            edges.extend([
+                boundary.sub(Scalar::ONE),
+                boundary,
+                boundary.add(Scalar::ONE),
+            ]);
+        }
+        let ladders: Vec<(Point, Point)> = edges
+            .iter()
+            .map(|s| (b.mul_scalar(s), q.mul_scalar(s)))
+            .collect();
         for (i, sa) in edges.iter().enumerate() {
             for (j, sb) in edges.iter().enumerate() {
-                let separate = b.mul_scalar(sa).add(&q.mul_scalar(sb));
-                let split = prepared.double_scalar_mul_basepoint(sa, sb);
-                assert!(split.eq_point(&separate), "edges {i}, {j}");
+                let separate = ladders[i].0.add(&ladders[j].1);
+                let strided = prepared.double_scalar_mul_basepoint(sa, sb);
+                assert!(strided.eq_point(&separate), "edges {i}, {j}");
             }
         }
     }
 
     #[test]
-    fn two_to_the_128_multiple_matches_the_ladder() {
+    fn two_to_the_stride_multiple_matches_the_ladder() {
         let q = Point::basepoint().mul_scalar(&Scalar::from_u64(5));
-        let two_128 = Scalar::from_u128(u128::MAX).add(Scalar::ONE);
-        assert!(mul_2_128(&q).eq_point(&q.mul_scalar(&two_128)));
-        assert!(mul_2_128(&Point::identity()).is_identity());
+        let two_stride = Scalar::from_u64(1 << STRIDE);
+        assert!(mul_2_stride(&q).eq_point(&q.mul_scalar(&two_stride)));
+        assert!(mul_2_stride(&Point::identity()).is_identity());
     }
 }

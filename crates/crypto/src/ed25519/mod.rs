@@ -20,7 +20,8 @@
 //! A public key is paid for in stages, each kept by whoever expects the
 //! key again: [`VerifyingKey`] is the 32 wire bytes, [`DecompressedKey`]
 //! adds the curve point (one square root), [`PreparedKey`] adds the
-//! point's tables and halves the doubling chain of every later check.
+//! point's tables and cuts the doubling chain of every later check to an
+//! eighth.
 //! All three evaluate the same equation and give the same verdicts;
 //! [`VerifyingKey::verify`] is the reference the other two are tested
 //! against.
@@ -204,12 +205,12 @@ impl std::fmt::Debug for DecompressedKey {
     }
 }
 
-/// A [`VerifyingKey`] prepared for many verifications: the tables of `−A`
-/// and `[2¹²⁸](−A)` (see [`PreparedPoint`]), about 2.6 KiB.
+/// A [`VerifyingKey`] prepared for many verifications: the eight tables
+/// of `[2³²ⁱ](−A)` (see [`PreparedPoint`]), about 10 KiB.
 ///
 /// [`PreparedKey::verify`] evaluates the equation of
 /// [`VerifyingKey::verify`] and returns the same verdict on every input,
-/// in about two thirds of the time; building one costs about a third of a
+/// in under half the time; building one costs about three quarters of a
 /// verification, so it pays for a key that will be seen at least twice
 /// more.
 pub struct PreparedKey {
@@ -394,7 +395,8 @@ static BATCH_NONCE: AtomicU64 = AtomicU64::new(0);
 ///
 /// The coefficients are derived by hashing the whole batch together with
 /// a process-local nonce (Fiat–Shamir style), so they are unpredictable
-/// before the batch is fixed; each is forced odd so a single
+/// before the batch is fixed (`batch_coefficients` expands that seed,
+/// four to a digest); each is forced odd so a single
 /// small-torsion-mangled `R` or `A` can never cancel out of the combined
 /// equation. If the combined equation fails, the batch falls back to
 /// sequential verification, so the result is always exactly "every
@@ -428,7 +430,7 @@ pub fn verify_batch(items: &[(&[u8], &Signature, &VerifyingKey)]) -> Result<(), 
     // its two points decompressed in lockstep.
     let mut terms = Vec::with_capacity(2 * items.len());
     let mut b_coeff = Scalar::ZERO;
-    for (i, (message, signature, key)) in items.iter().enumerate() {
+    for ((message, signature, key), z) in items.iter().zip(batch_coefficients(&seed)) {
         let r_bytes: [u8; 32] = signature.0[..32].try_into().expect("split");
         let s_bytes: [u8; 32] = signature.0[32..].try_into().expect("split");
         let [a, r] = Point::decompress_pair(key.as_bytes(), &r_bytes);
@@ -436,13 +438,6 @@ pub fn verify_batch(items: &[(&[u8], &Signature, &VerifyingKey)]) -> Result<(), 
         let r = r.map_err(|DecompressError| SignatureError)?;
         let s = Scalar::from_canonical_bytes(&s_bytes).ok_or(SignatureError)?;
         let k = challenge_scalar(&r_bytes, key.as_bytes(), message);
-
-        let mut zh = Sha512::new();
-        zh.update(&seed);
-        zh.update(&(i as u64).to_le_bytes());
-        let digest = zh.finalize();
-        let z_bytes: [u8; 16] = digest[..16].try_into().expect("split");
-        let z = Scalar::from_u128(u128::from_le_bytes(z_bytes) | 1);
         b_coeff = b_coeff.add(z.mul(s));
         terms.push(StrausTerm::new(&z, &r));
         terms.push(StrausTerm::new(&z.mul(k), &a));
@@ -457,6 +452,22 @@ pub fn verify_batch(items: &[(&[u8], &Signature, &VerifyingKey)]) -> Result<(), 
         key.verify(message, signature)?;
     }
     Ok(())
+}
+
+/// The coefficients `z_0, z_1, …` of a batch with this `seed`: `z_i` is
+/// lane `i % 4` of the four 128-bit lanes of `SHA-512(seed ‖ i / 4)`,
+/// forced odd.
+fn batch_coefficients(seed: &[u8; 64]) -> impl Iterator<Item = Scalar> + '_ {
+    (0u64..).flat_map(move |block| {
+        let mut h = Sha512::new();
+        h.update(seed);
+        h.update(&block.to_le_bytes());
+        let digest = h.finalize();
+        (0..4).map(move |lane| {
+            let z_bytes: [u8; 16] = digest[16 * lane..16 * lane + 16].try_into().expect("split");
+            Scalar::from_u128(u128::from_le_bytes(z_bytes) | 1)
+        })
+    })
 }
 
 fn challenge_scalar(r: &[u8; 32], a: &[u8; 32], message: &[u8]) -> Scalar {
@@ -710,6 +721,29 @@ mod tests {
         let items: Vec<(&[u8], &Signature, &VerifyingKey)> =
             vec![(msg, &bad_sig, &vk), (msg, &other_sig, &other_vk)];
         assert_eq!(verify_batch(&items), Err(SignatureError));
+    }
+
+    #[test]
+    fn batch_coefficients_are_odd_distinct_and_seeded() {
+        let coefficients =
+            |seed: u8| -> Vec<Scalar> { batch_coefficients(&[seed; 64]).take(9).collect() };
+        // Nine: two whole digests and the first lane of a third.
+        let zs = coefficients(1);
+        for (i, z) in zs.iter().enumerate() {
+            assert_eq!(z.bit(0), 1, "z_{i} is odd");
+            assert_eq!(z.to_bytes()[16..], [0u8; 16], "z_{i} is below 2^128");
+            assert!(!zs[..i].contains(z), "z_{i} repeats an earlier one");
+        }
+        assert_eq!(zs, coefficients(1));
+        let other = coefficients(2);
+        assert!(zs.iter().zip(&other).all(|(a, b)| a != b));
+    }
+
+    #[test]
+    fn prepared_key_stays_inside_its_documented_size() {
+        // Eight 1.25 KiB tables and the key bytes; `KeyTable`'s memory
+        // bound (DESIGN.md §8) is stated in terms of this.
+        assert!(std::mem::size_of::<PreparedKey>() <= 10_752);
     }
 
     #[test]

@@ -253,18 +253,6 @@ impl Scalar {
         Scalar([x as u64, (x >> 64) as u64, 0, 0])
     }
 
-    /// The 128-bit halves `(lo, hi)` with `self = lo + 2¹²⁸·hi`.
-    ///
-    /// A point prepared with its own `[2¹²⁸]` multiple multiplies by the
-    /// two halves on one doubling chain of half the length.
-    #[must_use]
-    pub fn split_128(self) -> (Scalar, Scalar) {
-        (
-            Scalar([self.0[0], self.0[1], 0, 0]),
-            Scalar([self.0[2], self.0[3], 0, 0]),
-        )
-    }
-
     /// True when the scalar is zero.
     #[must_use]
     pub fn is_zero(self) -> bool {

@@ -71,7 +71,7 @@ pub const BLOCKING_PRIMITIVES: &[&str] = &[
 ];
 
 /// Whether `c` is `PreparedKey::new(..)`: building a key's tables, about
-/// a third of a verification.
+/// three quarters of a verification.
 fn is_key_preparation(tokens: &[Token], c: &CallExpr) -> bool {
     c.callee == "new"
         && !c.is_method

@@ -1,7 +1,7 @@
 // lint-fixture: path=crates/proxy/src/keytable.rs rule=L6
 // The key table's slot locks are stripes like any other: every key
 // that hashes to the slot queues behind the holder. Building a key's
-// tables (a third of a verification) and verifying with them are tens
+// tables (most of a verification) and verifying with them are tens
 // of microseconds of curve arithmetic — both sit inside the guard's
 // live range here.
 
