@@ -178,15 +178,16 @@ impl AccountingServer {
     ///
     /// # Errors
     ///
-    /// [`AcctError::Storage`] on backend failure, and the
-    /// [`Self::apply_revocation`] errors for any stored artifact.
+    /// [`AcctError::Storage`] on backend failure; [`AcctError::Artifact`]
+    /// for a stored artifact that does not decode, and the
+    /// [`Self::apply_revocation`] errors for one that does.
     pub fn with_artifact_store(mut self, store: Arc<dyn Storage>) -> Result<Self, AcctError> {
         let artifacts = ArtifactStore::new(store);
         for stored in artifacts.load()? {
             match stored {
                 StoredArtifact::Revocation(bytes) => {
                     let artifact = RevocationArtifact::decode(&bytes)
-                        .map_err(|_| AcctError::BadJournal("stored revocation artifact"))?;
+                        .map_err(|e| AcctError::Artifact(ArtifactError::Decode(e)))?;
                     self.apply_revocation(&artifact)?;
                 }
                 StoredArtifact::Membership(_) => {
@@ -1434,6 +1435,23 @@ pub(crate) mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, AcctError::Verify(_)), "got {err:?}");
+    }
+
+    #[test]
+    fn an_undecodable_stored_artifact_is_the_same_fault_on_both_servers() {
+        let garbage = b"not an artifact";
+        let fault = ArtifactError::Decode(RevocationArtifact::decode(garbage).unwrap_err());
+        let store: Arc<dyn Storage> = Arc::new(proxy_storage::MemStorage::new());
+        ArtifactStore::new(Arc::clone(&store))
+            .record(&StoredArtifact::Revocation(garbage.to_vec()))
+            .unwrap();
+        let bank_key = SigningKey::generate(&mut StdRng::seed_from_u64(1));
+        let bank = AccountingServer::new(p("bank"), GrantAuthority::Keypair(bank_key))
+            .with_artifact_store(Arc::clone(&store));
+        assert_eq!(bank.err(), Some(AcctError::Artifact(fault.clone())));
+        let end =
+            proxy_authz::EndServer::new(p("fs"), MapResolver::new()).with_artifact_store(store);
+        assert_eq!(end.err(), Some(proxy_authz::AuthzError::Artifact(fault)));
     }
 
     #[test]

@@ -593,7 +593,8 @@ mod tests {
 
     #[test]
     fn membership_mirror_satisfies_group_acl_without_proxy() {
-        use restricted_proxy::membership::{member_digest, MembershipArtifact, MembershipKind};
+        use restricted_proxy::epoch::ArtifactKind;
+        use restricted_proxy::membership::{member_digest, MembershipArtifact};
         let mut rng = StdRng::seed_from_u64(22);
         let gs_key = SymmetricKey::generate(&mut rng);
         let resolver = MapResolver::new().with(p("gs"), GrantorVerifier::SharedKey(gs_key.clone()));
@@ -612,7 +613,7 @@ mod tests {
         let snapshot = MembershipArtifact::seal(
             staff.clone(),
             1,
-            MembershipKind::Snapshot,
+            ArtifactKind::Snapshot,
             vec![member_digest(&p("bob"))],
             Vec::new(),
             &GrantAuthority::SharedKey(gs_key),
@@ -628,7 +629,7 @@ mod tests {
 
     #[test]
     fn forged_artifacts_rejected_by_apply() {
-        use restricted_proxy::membership::{member_digest, MembershipArtifact, MembershipKind};
+        use restricted_proxy::membership::{member_digest, MembershipArtifact};
         use restricted_proxy::revocation::{ArtifactKind, RevocationArtifact};
         let mut rng = StdRng::seed_from_u64(23);
         let shared = SymmetricKey::generate(&mut rng);
@@ -667,7 +668,7 @@ mod tests {
         let forged = MembershipArtifact::seal(
             GroupName::new(p("alice"), "staff"),
             1,
-            MembershipKind::Snapshot,
+            ArtifactKind::Snapshot,
             vec![member_digest(&p("mallory"))],
             Vec::new(),
             &GrantAuthority::SharedKey(mallory_key),

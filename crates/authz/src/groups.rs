@@ -9,20 +9,19 @@
 //! Every operation takes `&self`: per-group state lives in a lock-striped
 //! [`ShardMap`] (one shard lock per touched group, never two — DESIGN.md
 //! §9) and the proxy serial counter is an atomic, matching the PR-2
-//! migration of the other three servers. Membership changes bump a
-//! per-group epoch only when published; [`GroupServer::updates_since`]
-//! hands a lagging mirror the sealed delta chain (or one snapshot when
-//! the bounded per-group delta log no longer reaches back).
+//! migration of the other three servers. Each group publishes its own
+//! epoch feed ([`restricted_proxy::epoch`]): membership changes bump the
+//! group's epoch only when published, and [`GroupServer::updates_since`]
+//! hands a lagging mirror what it is missing.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::RngCore;
 
+use restricted_proxy::epoch::{ArtifactKind, DeltaLog};
 use restricted_proxy::key::GrantAuthority;
-use restricted_proxy::membership::{
-    member_digest, MemberDigest, MembershipArtifact, MembershipKind,
-};
+use restricted_proxy::membership::{member_digest, MemberDigest, MembershipArtifact};
 use restricted_proxy::principal::{GroupName, PrincipalId};
 use restricted_proxy::proxy::{grant, Proxy};
 use restricted_proxy::restriction::{Restriction, RestrictionSet};
@@ -31,20 +30,15 @@ use restricted_proxy::time::Validity;
 
 use crate::error::AuthzError;
 
-/// Published membership deltas kept per group for lagging mirrors.
-pub const GROUP_DELTA_LOG_DEPTH: usize = 64;
-
 /// Per-group state under one shard lock.
 #[derive(Debug, Default)]
 struct GroupState {
     members: BTreeSet<PrincipalId>,
-    /// Epoch of the last published artifact for this group.
-    epoch: u64,
     /// Digest changes since the last publication.
     pending_adds: Vec<MemberDigest>,
     pending_removes: Vec<MemberDigest>,
-    /// Published deltas, oldest first (bounded).
-    log: Vec<MembershipArtifact>,
+    /// The published epoch and the deltas lagging mirrors catch up from.
+    feed: DeltaLog<MembershipArtifact>,
 }
 
 /// A group server maintaining one or more groups. All operations take
@@ -164,8 +158,9 @@ impl GroupServer {
     /// The last published epoch for `group` (0 when never published).
     #[must_use]
     pub fn epoch_of(&self, group: &str) -> u64 {
-        self.groups
-            .read(&group.to_string(), |state| state.map_or(0, |s| s.epoch))
+        self.groups.read(&group.to_string(), |state| {
+            state.map_or(0, |s| s.feed.published())
+        })
     }
 
     /// Publishes pending membership changes for `group` as a sealed
@@ -180,22 +175,16 @@ impl GroupServer {
             }
             let adds = std::mem::take(&mut state.pending_adds);
             let removes = std::mem::take(&mut state.pending_removes);
-            let base = state.epoch;
-            let artifact = MembershipArtifact::seal(
-                global,
-                base + 1,
-                MembershipKind::Delta { base_epoch: base },
-                adds,
-                removes,
-                &self.authority,
-            );
-            state.epoch = base + 1;
-            state.log.push(artifact.clone());
-            if state.log.len() > GROUP_DELTA_LOG_DEPTH {
-                let excess = state.log.len() - GROUP_DELTA_LOG_DEPTH;
-                state.log.drain(..excess);
-            }
-            Some(artifact)
+            Some(state.feed.publish(|base_epoch, epoch| {
+                MembershipArtifact::seal(
+                    global,
+                    epoch,
+                    ArtifactKind::Delta { base_epoch },
+                    adds,
+                    removes,
+                    &self.authority,
+                )
+            }))
         })
     }
 
@@ -209,8 +198,8 @@ impl GroupServer {
             let state = state?;
             Some(MembershipArtifact::seal(
                 global,
-                state.epoch,
-                MembershipKind::Snapshot,
+                state.feed.published(),
+                ArtifactKind::Snapshot,
                 state.members.iter().map(member_digest).collect(),
                 Vec::new(),
                 &self.authority,
@@ -224,22 +213,9 @@ impl GroupServer {
     /// mirror is already current or the group does not exist.
     pub fn updates_since(&self, group: &str, have_epoch: u64) -> Vec<MembershipArtifact> {
         self.publish_delta(group);
-        let chain = self.groups.read(&group.to_string(), |state| {
-            let state = state?;
-            if have_epoch >= state.epoch {
-                return Some(Vec::new());
-            }
-            let chain: Vec<MembershipArtifact> = state
-                .log
-                .iter()
-                .filter(|a| a.epoch > have_epoch)
-                .cloned()
-                .collect();
-            let covered = chain.first().is_some_and(
-                |a| matches!(a.kind, MembershipKind::Delta { base_epoch } if base_epoch <= have_epoch),
-            );
-            covered.then_some(chain)
-        });
+        let chain = self
+            .groups
+            .read(&group.to_string(), |state| state?.feed.since(have_epoch));
         match chain {
             Some(chain) => chain,
             None => self.publish_snapshot(group).into_iter().collect(),
@@ -300,6 +276,7 @@ mod tests {
     use proxy_crypto::keys::SymmetricKey;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use restricted_proxy::epoch::DELTA_LOG_DEPTH;
     use restricted_proxy::key::GrantorVerifier;
     use restricted_proxy::membership::{MembershipAnswer, MembershipDirectory};
     use restricted_proxy::time::Timestamp;
@@ -385,7 +362,7 @@ mod tests {
         gs.add_member("staff", p("carol"));
         let d1 = gs.publish_delta("staff").unwrap();
         assert_eq!(d1.epoch, 1);
-        assert_eq!(d1.kind, MembershipKind::Delta { base_epoch: 0 });
+        assert_eq!(d1.kind, ArtifactKind::Delta { base_epoch: 0 });
         assert_eq!(d1.adds.len(), 2);
         assert!(d1.verify_seal(&verifier));
         assert!(gs.publish_delta("staff").is_none(), "nothing pending");
@@ -423,7 +400,7 @@ mod tests {
         gs.remove_member("staff", &p("u42"));
         let updates = gs.updates_since("staff", dir.epoch_of(&staff));
         assert_eq!(updates.len(), 1);
-        assert!(matches!(updates[0].kind, MembershipKind::Delta { .. }));
+        assert!(matches!(updates[0].kind, ArtifactKind::Delta { .. }));
         for artifact in updates {
             dir.apply_verified(&artifact).unwrap();
         }
@@ -433,12 +410,12 @@ mod tests {
         );
         assert_eq!(dir.epoch_of(&staff), gs.epoch_of("staff"));
         // A mirror far behind a truncated log falls back to a snapshot.
-        for i in 0..(GROUP_DELTA_LOG_DEPTH as u64 + 4) {
+        for i in 0..(DELTA_LOG_DEPTH as u64 + 4) {
             gs.add_member("staff", p(&format!("late{i}")));
             gs.publish_delta("staff");
         }
         let updates = gs.updates_since("staff", 1);
         assert_eq!(updates.len(), 1);
-        assert_eq!(updates[0].kind, MembershipKind::Snapshot);
+        assert_eq!(updates[0].kind, ArtifactKind::Snapshot);
     }
 }

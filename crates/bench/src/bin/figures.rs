@@ -201,6 +201,16 @@ fn ablate_crypto() {
     /// A named timing variant: label plus the closure to measure.
     type Variant<'a> = (&'a str, Box<dyn FnMut() + 'a>);
 
+    /// A C1 / C2 row: one kernel `f` alone, its result kept alive.
+    fn kernel<'a, T>(name: &'a str, f: impl Fn() -> T + 'a) -> Variant<'a> {
+        (
+            name,
+            Box::new(move || {
+                black_box(f());
+            }),
+        )
+    }
+
     /// Times every variant by round-robin interleaving and keeps each
     /// variant's fastest round. Minima from interleaved rounds see the
     /// same machine conditions, so the *ratios* between variants are
@@ -322,30 +332,22 @@ fn ablate_crypto() {
         .expect("ok");
 
     let mut variants: Vec<Variant> = vec![
-        (
-            "seed-double-and-add",
-            Box::new(|| {
-                black_box(seed_b.mul_scalar(&k));
-            }),
-        ),
-        (
-            "fixed-base-table",
-            Box::new(|| {
-                black_box(Point::mul_basepoint(&k));
-            }),
-        ),
-        (
-            "seed-straus",
-            Box::new(|| {
-                black_box(SeedPoint::double_scalar_mul(&s, &seed_b, &k, &seed_a));
-            }),
-        ),
-        (
-            "straus-basepoint-table",
-            Box::new(|| {
-                black_box(Point::double_scalar_mul_basepoint(&s, &k, &a));
-            }),
-        ),
+        kernel("seed-double-and-add", || seed_b.mul_scalar(&k)),
+        kernel("naive-double-and-add", || b.mul_scalar(&k)),
+        kernel("wnaf5", || b.mul_wnaf(&k)),
+        kernel("fixed-base-table", || Point::mul_basepoint(&k)),
+        kernel("seed-straus", || {
+            SeedPoint::double_scalar_mul(&s, &seed_b, &k, &seed_a)
+        }),
+        kernel("two-naive-ladders", || {
+            b.mul_scalar(&s).add(&a.mul_scalar(&k))
+        }),
+        kernel("straus-two-dynamic-tables", || {
+            Point::double_scalar_mul(&s, &b, &k, &a)
+        }),
+        kernel("straus-basepoint-table", || {
+            Point::double_scalar_mul_basepoint(&s, &k, &a)
+        }),
         (
             "seed-verify",
             Box::new(|| {
@@ -639,6 +641,19 @@ fn revocation(smoke: bool) {
         format!(
             "{:.1} ns/probe ({:.2}x of small, gate <= 2x)",
             report.contains_large_ns, report.contains_ratio
+        ),
+        "",
+    );
+    report_row(
+        "R",
+        "revoke-one",
+        report.large_serials,
+        format!(
+            "{:.1} ns ({:.2}x of {:.1} ns at {} serials, gate <= 8x)",
+            report.revoke_large_ns,
+            report.revoke_ratio,
+            report.revoke_small_ns,
+            report.small_serials
         ),
         "",
     );

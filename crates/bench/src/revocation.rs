@@ -5,6 +5,10 @@
 //! * **O(1) contains** — point probes against a 1k-serial and a 1M-serial
 //!   compressed index at equal density must cost the same (gate: within
 //!   2×). Set size buys chunks, not probe work.
+//! * **O(1) revoke** — a single `RevocationRegistry::revoke` mutates the
+//!   issuer's set in place, so it too must cost the same against a small
+//!   and a large registry (gate: within 8×; a registry that clones its
+//!   set per call reads 100× and up).
 //! * **Artifact throughput** — canonical encode / decode of a full
 //!   snapshot and registry→directory delta application, reported as
 //!   MB/s and µs/delta.
@@ -97,6 +101,9 @@ impl Options {
     }
 }
 
+/// Single `revoke` calls timed per round against each registry.
+const REVOKES_PER_ROUND: u64 = 1_000;
+
 /// Everything the harness measured, persisted as `BENCH_revocation.json`.
 #[derive(Clone, Debug)]
 pub struct RevocationReport {
@@ -112,6 +119,12 @@ pub struct RevocationReport {
     pub contains_large_ns: f64,
     /// `contains_large_ns / contains_small_ns` — the O(1) gate (≤2).
     pub contains_ratio: f64,
+    /// Fastest-round cost of one `revoke` on a `small_serials` registry.
+    pub revoke_small_ns: f64,
+    /// Fastest-round cost of one `revoke` on a `large_serials` registry.
+    pub revoke_large_ns: f64,
+    /// `revoke_large_ns / revoke_small_ns` — gated ≤8.
+    pub revoke_ratio: f64,
     /// Canonical snapshot artifact size for the large index.
     pub snapshot_bytes: usize,
     /// Snapshot encode throughput.
@@ -155,13 +168,16 @@ impl RevocationReport {
     #[must_use]
     pub fn to_json(&self) -> String {
         format!(
-            "{{\n  \"host_parallelism\": {},\n  \"contains\": {{\"small_serials\": {}, \"large_serials\": {}, \"small_ns\": {:.1}, \"large_ns\": {:.1}, \"ratio\": {:.3}}},\n  \"artifacts\": {{\"snapshot_bytes\": {}, \"encode_mb_per_s\": {:.1}, \"decode_mb_per_s\": {:.1}, \"delta_apply_us\": {:.1}}},\n  \"cascade_verify\": {{\"off_p50_us\": {:.2}, \"off_p99_us\": {:.2}, \"on_p50_us\": {:.2}, \"on_p99_us\": {:.2}, \"overhead_p50_pct\": {:.2}, \"overhead_p99_pct\": {:.2}, \"under_churn_p50_us\": {:.2}}},\n  \"membership\": {{\"members\": {}, \"roster_bytes\": {}, \"assert_ns\": {:.1}, \"asserts\": {}, \"messages_during_asserts\": {}}}\n}}\n",
+            "{{\n  \"host_parallelism\": {},\n  \"contains\": {{\"small_serials\": {}, \"large_serials\": {}, \"small_ns\": {:.1}, \"large_ns\": {:.1}, \"ratio\": {:.3}}},\n  \"revoke\": {{\"small_ns\": {:.1}, \"large_ns\": {:.1}, \"ratio\": {:.3}}},\n  \"artifacts\": {{\"snapshot_bytes\": {}, \"encode_mb_per_s\": {:.1}, \"decode_mb_per_s\": {:.1}, \"delta_apply_us\": {:.1}}},\n  \"cascade_verify\": {{\"off_p50_us\": {:.2}, \"off_p99_us\": {:.2}, \"on_p50_us\": {:.2}, \"on_p99_us\": {:.2}, \"overhead_p50_pct\": {:.2}, \"overhead_p99_pct\": {:.2}, \"under_churn_p50_us\": {:.2}}},\n  \"membership\": {{\"members\": {}, \"roster_bytes\": {}, \"assert_ns\": {:.1}, \"asserts\": {}, \"messages_during_asserts\": {}}}\n}}\n",
             self.host_parallelism,
             self.small_serials,
             self.large_serials,
             self.contains_small_ns,
             self.contains_large_ns,
             self.contains_ratio,
+            self.revoke_small_ns,
+            self.revoke_large_ns,
+            self.revoke_ratio,
             self.snapshot_bytes,
             self.encode_mb_per_s,
             self.decode_mb_per_s,
@@ -185,15 +201,22 @@ impl RevocationReport {
     ///
     /// # Panics
     ///
-    /// Panics if a gate fails: contains-ratio over 2×, cascade-verify
-    /// overhead over 5% at p50 or p99, or any network message during
-    /// the membership assert storm.
+    /// Panics if a gate fails: contains-ratio over 2×, revoke-ratio over
+    /// 8×, cascade-verify overhead over 5% at p50 or p99, or any network
+    /// message during the membership assert storm.
     pub fn check_gates(&self) {
         assert!(
             self.contains_ratio <= 2.0,
             "contains at {} serials is {:.2}x the {}-serial cost (gate: 2x) — the index is not O(1)",
             self.large_serials,
             self.contains_ratio,
+            self.small_serials,
+        );
+        assert!(
+            self.revoke_ratio <= 8.0,
+            "one revoke against {} serials is {:.1}x the {}-serial cost (gate: 8x) — revoking is paying for the whole set",
+            self.large_serials,
+            self.revoke_ratio,
             self.small_serials,
         );
         assert!(
@@ -278,8 +301,37 @@ pub fn run(opts: &Options) -> RevocationReport {
     }
     let contains_ratio = contains_large / contains_small;
 
-    // ---- Artifact encode/decode throughput ----
+    // ---- O(1) revoke: one call against a small vs a large registry ----
     let world = symmetric_world(11);
+    let mut revoke_seed = rng(5);
+    // One round: `REVOKES_PER_ROUND` single revokes of serials drawn from
+    // the registry's own slot space (so each lands in a chunk of the
+    // shape the registry already holds), then an untimed publish so the
+    // next round starts with nothing pending.
+    let mut revoke_round = |registry: &RevocationRegistry, held: u64| {
+        let serials: Vec<u64> = (0..REVOKES_PER_ROUND)
+            .map(|_| revoke_seed.gen_range(0..held.saturating_mul(64).max(64)))
+            .collect();
+        let t = Instant::now();
+        for &serial in &serials {
+            std::hint::black_box(registry.revoke(serial));
+        }
+        let ns = t.elapsed().as_secs_f64() * 1e9 / REVOKES_PER_ROUND as f64;
+        registry.publish_delta(&world.authority);
+        ns
+    };
+    let small_registry = RevocationRegistry::new(world.grantor.clone());
+    small_registry.revoke_all(small_serial_list.iter().copied());
+    let large_registry = RevocationRegistry::new(world.grantor.clone());
+    large_registry.revoke_all(large_serials.iter().copied());
+    let mut revoke_small_ns = f64::INFINITY;
+    let mut revoke_large_ns = f64::INFINITY;
+    for _ in 0..opts.rounds.min(6) {
+        revoke_small_ns = revoke_small_ns.min(revoke_round(&small_registry, opts.small_serials));
+        revoke_large_ns = revoke_large_ns.min(revoke_round(&large_registry, opts.large_serials));
+    }
+
+    // ---- Artifact encode/decode throughput ----
     let snapshot = RevocationArtifact::seal(
         world.grantor.clone(),
         1,
@@ -470,6 +522,9 @@ pub fn run(opts: &Options) -> RevocationReport {
         contains_small_ns: contains_small,
         contains_large_ns: contains_large,
         contains_ratio,
+        revoke_small_ns,
+        revoke_large_ns,
+        revoke_ratio: revoke_large_ns / revoke_small_ns,
         snapshot_bytes,
         encode_mb_per_s,
         decode_mb_per_s,
@@ -514,6 +569,7 @@ mod tests {
         assert_eq!(report.messages_during_asserts, 0);
         assert!(report.snapshot_bytes > 0);
         assert!(report.contains_small_ns > 0.0 && report.contains_large_ns > 0.0);
+        assert!(report.revoke_small_ns > 0.0 && report.revoke_large_ns > 0.0);
         assert!(report.roster_bytes > 0);
         let json = report.to_json();
         assert!(json.contains("\"messages_during_asserts\": 0"));

@@ -1,7 +1,7 @@
 //! Frozen copy of the seed revision's Ed25519 kernels, for benchmarking.
 //!
-//! The "windowed vs. seed" ablation in `benches/crypto_ablation.rs` needs
-//! both implementations inside one Criterion run — cross-run ratios drift
+//! The "windowed vs. seed" ablation (`figures --ablate-crypto`) needs
+//! both implementations inside one process — cross-run ratios drift
 //! with machine load. This module freezes the arithmetic exactly as the
 //! growth seed shipped it (commit `f43013a`, `crates/crypto/src/ed25519/
 //! {field,edwards}.rs`): schoolbook 51-bit field multiplication with

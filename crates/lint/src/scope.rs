@@ -7,9 +7,9 @@
 //! replay deterministically, and L5 every crate root.
 
 /// L1 — untrusted-input paths that must never panic: wire decode, the
-/// canonical codec, the revocation / membership artifact decoders (they
-/// parse peer-supplied bitmap and digest structures), the verifier's key
-/// table (it files keys a peer chose), the whole net
+/// canonical codec, the epoch / revocation / membership artifact decoders
+/// (they parse peer-supplied seal, bitmap and digest structures), the
+/// verifier's key table (it files keys a peer chose), the whole net
 /// service layer, the authz / accounting request handlers that consume
 /// wire-decoded values, and the storage decode paths (WAL framing, the
 /// stored-artifact envelope, journal records — at recovery these parse
@@ -19,6 +19,7 @@ pub fn panic_free_applies(rel: &str) -> bool {
     rel.starts_with("crates/wire/src/")
         || rel.starts_with("crates/net/src/")
         || rel == "crates/proxy/src/encode.rs"
+        || rel == "crates/proxy/src/epoch.rs"
         || rel == "crates/proxy/src/revocation.rs"
         || rel == "crates/proxy/src/membership.rs"
         || rel == "crates/proxy/src/keytable.rs"
@@ -90,6 +91,7 @@ pub fn taint_applies(rel: &str) -> bool {
     rel.starts_with("crates/wire/src/")
         || rel.starts_with("crates/storage/src/")
         || rel == "crates/proxy/src/encode.rs"
+        || rel == "crates/proxy/src/epoch.rs"
         || rel == "crates/proxy/src/revocation.rs"
         || rel == "crates/proxy/src/membership.rs"
 }
@@ -118,6 +120,7 @@ mod tests {
         assert!(panic_free_applies("crates/wire/src/frame.rs"));
         assert!(panic_free_applies("crates/net/src/event_loop.rs"));
         assert!(panic_free_applies("crates/proxy/src/encode.rs"));
+        assert!(panic_free_applies("crates/proxy/src/epoch.rs"));
         assert!(panic_free_applies("crates/proxy/src/revocation.rs"));
         assert!(panic_free_applies("crates/proxy/src/membership.rs"));
         assert!(panic_free_applies("crates/proxy/src/keytable.rs"));
@@ -176,6 +179,7 @@ mod tests {
         assert!(taint_applies("crates/storage/src/log.rs"));
         assert!(taint_applies("crates/storage/src/wal.rs"));
         assert!(taint_applies("crates/proxy/src/encode.rs"));
+        assert!(taint_applies("crates/proxy/src/epoch.rs"));
         assert!(taint_applies("crates/proxy/src/revocation.rs"));
         assert!(taint_applies("crates/proxy/src/membership.rs"));
         assert!(!taint_applies("crates/proxy/src/verify.rs"));

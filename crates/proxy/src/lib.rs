@@ -67,6 +67,7 @@ pub mod cache;
 pub mod cert;
 pub mod context;
 pub mod encode;
+pub mod epoch;
 pub mod error;
 pub mod key;
 mod keytable;
@@ -88,13 +89,13 @@ pub mod prelude {
     pub use crate::cache::VerifiedCertCache;
     pub use crate::cert::{CertSeal, Certificate, SigningAuthorityKind};
     pub use crate::context::RequestContext;
+    pub use crate::epoch::{ArtifactError, ArtifactKind};
     pub use crate::error::{GrantError, VerifyError};
     pub use crate::key::{
         GrantAuthority, GrantorVerifier, KeyMaterial, KeyResolver, MapResolver, ProxyKey,
     };
     pub use crate::membership::{
         member_digest, MemberDigest, MembershipAnswer, MembershipArtifact, MembershipDirectory,
-        MembershipKind,
     };
     pub use crate::nameserver::{CertifiedResolver, KeyBinding, NameServer};
     pub use crate::present::{Presentation, Proof};
@@ -105,8 +106,7 @@ pub mod prelude {
         AuthorizedEntry, Currency, Denial, ObjectName, Operation, Restriction, RestrictionSet,
     };
     pub use crate::revocation::{
-        ArtifactError, ArtifactKind, RevocationArtifact, RevocationDirectory, RevocationRegistry,
-        SerialSet,
+        RevocationArtifact, RevocationDirectory, RevocationRegistry, SerialSet,
     };
     pub use crate::shard::ShardMap;
     pub use crate::time::{Timestamp, Validity};

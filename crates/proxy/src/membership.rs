@@ -3,9 +3,9 @@
 //! The paper's group server (§3.3) answers "is P a member of G?" per
 //! query — a round trip on every cascade verify that names a group. This
 //! module lets the group server publish its membership as sealed,
-//! epoch-numbered artifacts (the same snapshot/delta discipline as
-//! [`crate::revocation`]), so an end-server holding a current mirror
-//! answers membership *locally*, in O(1), with zero round trips.
+//! epoch-numbered artifacts (a payload of the [`crate::epoch`] feed,
+//! like [`crate::revocation`]), so an end-server holding a current
+//! mirror answers membership *locally*, in O(1), with zero round trips.
 //!
 //! Members travel as 16-byte truncated SHA-256 digests of the principal
 //! name under a domain-separation label: canonical, fixed-size, and a
@@ -23,15 +23,18 @@
 //! growing without bound.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use proxy_crypto::sha256::Sha256;
 
 use crate::cert::CertSeal;
 use crate::encode::{DecodeError, Decoder, Encoder};
+use crate::epoch::{
+    decode_artifact_body, decode_seal, encode_seal, seal_body, verify_body_seal, ArtifactError,
+    ArtifactKind, EpochMirror,
+};
 use crate::key::{GrantAuthority, GrantorVerifier};
 use crate::principal::{GroupName, PrincipalId};
-use crate::revocation::{decode_seal, encode_seal, seal_body, verify_body_seal, ArtifactError};
 use crate::time::Timestamp;
 
 /// Domain-separation label for member digests.
@@ -47,10 +50,6 @@ pub const MEMBER_DIGEST_LEN: usize = 16;
 /// bytes each this bounds a hostile allocation to 32 MB for a claimed
 /// 2M-entry list that must actually be present in the input.
 pub const MAX_MEMBER_DIGESTS: usize = 1 << 21;
-
-/// Artifact kind tags on the wire.
-const TAG_SNAPSHOT: u8 = 0;
-const TAG_DELTA: u8 = 1;
 
 /// A 16-byte truncated, domain-separated SHA-256 digest of a principal
 /// name — the unit of membership in artifacts and mirrors.
@@ -70,18 +69,6 @@ pub fn member_digest(principal: &PrincipalId) -> MemberDigest {
     out
 }
 
-/// Snapshot-or-delta semantics for a membership artifact.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MembershipKind {
-    /// `adds` is the complete member set; `removes` must be empty.
-    Snapshot,
-    /// `adds`/`removes` transform the exact `base_epoch` state.
-    Delta {
-        /// The epoch this delta extends.
-        base_epoch: u64,
-    },
-}
-
 /// A sealed, epoch-numbered membership announcement for one group.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MembershipArtifact {
@@ -91,7 +78,7 @@ pub struct MembershipArtifact {
     /// Monotone publication counter per group.
     pub epoch: u64,
     /// Snapshot or delta semantics.
-    pub kind: MembershipKind,
+    pub kind: ArtifactKind,
     /// Members added (or, for snapshots, the full set), sorted ascending.
     pub adds: Vec<MemberDigest>,
     /// Members removed; empty for snapshots, sorted ascending.
@@ -136,14 +123,7 @@ impl MembershipArtifact {
         e.str(self.group.server.as_str());
         e.str(&self.group.name);
         e.u64(self.epoch);
-        match self.kind {
-            MembershipKind::Snapshot => {
-                e.u8(TAG_SNAPSHOT);
-            }
-            MembershipKind::Delta { base_epoch } => {
-                e.u8(TAG_DELTA).u64(base_epoch);
-            }
-        }
+        self.kind.encode_onto(&mut e);
         encode_digests(&mut e, &self.adds);
         encode_digests(&mut e, &self.removes);
         e.finish()
@@ -156,7 +136,7 @@ impl MembershipArtifact {
     pub fn seal(
         group: GroupName,
         epoch: u64,
-        kind: MembershipKind,
+        kind: ArtifactKind,
         mut adds: Vec<MemberDigest>,
         mut removes: Vec<MemberDigest>,
         authority: &GrantAuthority,
@@ -206,7 +186,7 @@ impl MembershipArtifact {
     /// [`DecodeError`] on malformed input, including unsorted or
     /// duplicate digests and snapshots carrying removals.
     pub fn decode_from(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let body = crate::revocation::decode_artifact_body(d)?.to_vec();
+        let body = decode_artifact_body(d)?.to_vec();
         let seal = decode_seal(d)?;
         let mut b = Decoder::new(&body);
         if b.bytes()? != ARTIFACT_LABEL {
@@ -215,22 +195,10 @@ impl MembershipArtifact {
         let server = b.principal()?;
         let name = b.str()?.to_string();
         let epoch = b.u64()?;
-        let kind = match b.u8()? {
-            TAG_SNAPSHOT => MembershipKind::Snapshot,
-            TAG_DELTA => MembershipKind::Delta {
-                base_epoch: b.u64()?,
-            },
-            t => return Err(DecodeError::BadTag(t)),
-        };
-        if let MembershipKind::Delta { base_epoch } = kind {
-            // Same wire-boundary consistency rule as revocation deltas.
-            if epoch <= base_epoch {
-                return Err(DecodeError::InvalidValue("delta epoch not after its base"));
-            }
-        }
+        let kind = ArtifactKind::decode_from(&mut b, epoch)?;
         let adds = decode_digests(&mut b)?;
         let removes = decode_digests(&mut b)?;
-        if kind == MembershipKind::Snapshot && !removes.is_empty() {
+        if kind == ArtifactKind::Snapshot && !removes.is_empty() {
             return Err(DecodeError::InvalidValue("snapshot with removals"));
         }
         b.finish()?;
@@ -343,20 +311,12 @@ impl NegativeCache {
     }
 }
 
-/// Per-group mirrored state.
-#[derive(Clone, Debug)]
-struct GroupMirror {
-    epoch: u64,
-    members: Arc<HashSet<MemberDigest>>,
-}
-
 /// The receiver side: per-group membership mirrors consulted on the
-/// authorization hot path. `assert` takes one shard read-lock just long
-/// enough to clone an `Arc`; applying artifacts builds the successor set
-/// off-lock and swaps it in.
+/// authorization hot path. `assert` probes under one shared shard
+/// read-lock; applying artifacts never blocks it (see [`crate::epoch`]).
 #[derive(Debug)]
 pub struct MembershipDirectory {
-    mirrors: crate::shard::ShardMap<GroupName, GroupMirror>,
+    mirrors: EpochMirror<GroupName, HashSet<MemberDigest>>,
     negatives: NegativeCache,
 }
 
@@ -384,7 +344,7 @@ impl MembershipDirectory {
     #[must_use]
     pub fn with_negative_cache(capacity: usize, ttl_ticks: u64) -> Self {
         Self {
-            mirrors: crate::shard::ShardMap::new(),
+            mirrors: EpochMirror::default(),
             negatives: NegativeCache::new(capacity, ttl_ticks),
         }
     }
@@ -392,13 +352,13 @@ impl MembershipDirectory {
     /// The mirrored epoch for `group` (0 when no artifact has applied).
     #[must_use]
     pub fn epoch_of(&self, group: &GroupName) -> u64 {
-        self.mirrors.read(group, |m| m.map_or(0, |m| m.epoch))
+        self.mirrors.epoch_of(group)
     }
 
     /// Mirrored member count for `group`, when a mirror exists.
     #[must_use]
     pub fn member_count(&self, group: &GroupName) -> Option<usize> {
-        self.mirrors.read(group, |m| m.map(|m| m.members.len()))
+        self.mirrors.read(group, |m| m.map(HashSet::len))
     }
 
     /// Answers a membership assert from local state only — no round
@@ -414,11 +374,7 @@ impl MembershipDirectory {
         if self.negatives.contains(group, &digest, now) {
             return MembershipAnswer::NotMember;
         }
-        // The roster probe runs inside the shard read closure: shared
-        // lock, one point lookup, no refcount traffic on the hot path.
-        let mirrored = self
-            .mirrors
-            .read(group, |m| m.map(|m| m.members.contains(&digest)));
+        let mirrored = self.mirrors.read(group, |m| m.map(|m| m.contains(&digest)));
         match mirrored {
             Some(true) => MembershipAnswer::Member,
             Some(false) => {
@@ -438,85 +394,22 @@ impl MembershipDirectory {
     ///
     /// [`ArtifactError::EpochRegression`] / [`ArtifactError::BaseMismatch`].
     pub fn apply_verified(&self, artifact: &MembershipArtifact) -> Result<(), ArtifactError> {
-        let group = artifact.group.clone();
-        let outcome = match artifact.kind {
-            MembershipKind::Snapshot => {
-                let fresh: Arc<HashSet<MemberDigest>> =
-                    Arc::new(artifact.adds.iter().copied().collect());
-                self.mirrors.upsert(
-                    group,
-                    || GroupMirror {
-                        epoch: 0,
-                        members: Arc::new(HashSet::new()),
-                    },
-                    |m| {
-                        if artifact.epoch < m.epoch
-                            || (artifact.epoch == m.epoch && artifact.epoch != 0)
-                        {
-                            return Err(ArtifactError::EpochRegression {
-                                current: m.epoch,
-                                offered: artifact.epoch,
-                            });
-                        }
-                        m.epoch = artifact.epoch;
-                        m.members = fresh;
-                        Ok(())
-                    },
-                )
-            }
-            MembershipKind::Delta { base_epoch } => {
-                if artifact.epoch <= base_epoch {
-                    return Err(ArtifactError::EpochRegression {
-                        current: base_epoch,
-                        offered: artifact.epoch,
-                    });
-                }
-                let current = self
-                    .mirrors
-                    .read(&group, |m| m.map(|m| (m.epoch, m.members.clone())));
-                let (cur_epoch, cur_members) = match current {
-                    Some(pair) => pair,
-                    None => (0, Arc::new(HashSet::new())),
-                };
-                if cur_epoch != base_epoch {
-                    return Err(ArtifactError::BaseMismatch {
-                        current: cur_epoch,
-                        base: base_epoch,
-                    });
-                }
-                // Build the successor set off the shard lock.
-                let mut next = (*cur_members).clone();
-                for d in &artifact.adds {
-                    next.insert(*d);
-                }
+        self.mirrors.apply(
+            artifact.group.clone(),
+            artifact.epoch,
+            artifact.kind,
+            || artifact.adds.iter().copied().collect(),
+            |current| {
+                let mut next = current.clone();
+                next.extend(&artifact.adds);
                 for d in &artifact.removes {
                     next.remove(d);
                 }
-                let next = Arc::new(next);
-                self.mirrors.upsert(
-                    group,
-                    || GroupMirror {
-                        epoch: 0,
-                        members: Arc::new(HashSet::new()),
-                    },
-                    |m| {
-                        if m.epoch != base_epoch {
-                            return Err(ArtifactError::BaseMismatch {
-                                current: m.epoch,
-                                base: base_epoch,
-                            });
-                        }
-                        m.epoch = artifact.epoch;
-                        m.members = next;
-                        Ok(())
-                    },
-                )
-            }
-        };
-        if outcome.is_ok() {
-            self.negatives.clear();
-        }
-        outcome
+                next
+            },
+        )?;
+        self.negatives.clear();
+        Ok(())
     }
 }
 
@@ -557,7 +450,7 @@ mod tests {
         let artifact = MembershipArtifact::seal(
             g("staff"),
             1,
-            MembershipKind::Snapshot,
+            ArtifactKind::Snapshot,
             adds,
             Vec::new(),
             &authority,
@@ -574,7 +467,7 @@ mod tests {
         let mut artifact = MembershipArtifact::seal(
             g("staff"),
             1,
-            MembershipKind::Snapshot,
+            ArtifactKind::Snapshot,
             vec![[2u8; 16], [1u8; 16]],
             Vec::new(),
             &authority,
@@ -586,12 +479,12 @@ mod tests {
         let mut bad = MembershipArtifact::seal(
             g("staff"),
             1,
-            MembershipKind::Delta { base_epoch: 0 },
+            ArtifactKind::Delta { base_epoch: 0 },
             vec![[1u8; 16]],
             vec![[3u8; 16]],
             &authority,
         );
-        bad.kind = MembershipKind::Snapshot;
+        bad.kind = ArtifactKind::Snapshot;
         assert!(MembershipArtifact::decode(&bad.encode()).is_err());
     }
 
@@ -608,7 +501,7 @@ mod tests {
         let snap = MembershipArtifact::seal(
             g("staff"),
             1,
-            MembershipKind::Snapshot,
+            ArtifactKind::Snapshot,
             vec![member_digest(&p("alice"))],
             Vec::new(),
             &authority,
@@ -638,7 +531,7 @@ mod tests {
         let snap = MembershipArtifact::seal(
             g("staff"),
             1,
-            MembershipKind::Snapshot,
+            ArtifactKind::Snapshot,
             vec![member_digest(&p("alice")), member_digest(&p("bob"))],
             Vec::new(),
             &authority,
@@ -647,7 +540,7 @@ mod tests {
         let delta = MembershipArtifact::seal(
             g("staff"),
             2,
-            MembershipKind::Delta { base_epoch: 1 },
+            ArtifactKind::Delta { base_epoch: 1 },
             vec![member_digest(&p("carol"))],
             vec![member_digest(&p("bob"))],
             &authority,
@@ -666,7 +559,7 @@ mod tests {
         let rollback = MembershipArtifact::seal(
             g("staff"),
             1,
-            MembershipKind::Snapshot,
+            ArtifactKind::Snapshot,
             Vec::new(),
             Vec::new(),
             &authority,
@@ -678,7 +571,7 @@ mod tests {
         let wrong_base = MembershipArtifact::seal(
             g("staff"),
             9,
-            MembershipKind::Delta { base_epoch: 7 },
+            ArtifactKind::Delta { base_epoch: 7 },
             vec![member_digest(&p("mallory"))],
             Vec::new(),
             &authority,
@@ -716,7 +609,7 @@ mod tests {
         let snap = MembershipArtifact::seal(
             g("staff"),
             1,
-            MembershipKind::Snapshot,
+            ArtifactKind::Snapshot,
             Vec::new(),
             Vec::new(),
             &authority,
@@ -729,7 +622,7 @@ mod tests {
         let delta = MembershipArtifact::seal(
             g("staff"),
             2,
-            MembershipKind::Delta { base_epoch: 1 },
+            ArtifactKind::Delta { base_epoch: 1 },
             vec![member_digest(&p("dave"))],
             Vec::new(),
             &authority,

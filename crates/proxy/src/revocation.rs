@@ -14,17 +14,13 @@
 //! * [`RevocationArtifact`] — an epoch-numbered snapshot or delta of an
 //!   issuer's revoked set, sealed under the issuer's [`GrantAuthority`]
 //!   exactly like a certificate (HMAC in the conventional flavor,
-//!   Ed25519 in the public-key flavor). Deltas apply only against their
-//!   exact base epoch; anything else is rejected fail-closed and the
-//!   receiver keeps enforcing its last good epoch.
+//!   Ed25519 in the public-key flavor). It is one payload of the epoch
+//!   feed: [`crate::epoch`] owns the snapshot/delta rule, the receiver's
+//!   mirror and the publisher's delta log.
 //! * [`RevocationRegistry`] — the issuer side: accumulate revocations,
-//!   publish sealed deltas (kept in a bounded replay log so lagging
-//!   receivers can catch up) or snapshots.
-//! * [`RevocationDirectory`] — the receiver side: per-issuer epoch +
-//!   `Arc<SerialSet>` behind a lock that the verify hot path only ever
-//!   *reads* to clone the `Arc`; applying an update builds the new set
-//!   off-lock and swaps it in, so delta application never blocks
-//!   verification.
+//!   publish them as sealed deltas or snapshots.
+//! * [`RevocationDirectory`] — the receiver side: per-issuer mirrors the
+//!   verify hot path probes under a shared read lock.
 //!
 //! Decoding is part of the hostile-input surface (artifacts arrive over
 //! the wire), so every path here is panic-free and fail-closed: typed
@@ -33,13 +29,15 @@
 //! trusted, and allocation bounded by the input that justifies it.
 
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
-
-use proxy_crypto::ed25519::{Signature, SIGNATURE_LEN};
-use proxy_crypto::hmac::HmacSha256;
+use std::sync::RwLock;
 
 use crate::cert::CertSeal;
 use crate::encode::{DecodeError, Decoder, Encoder};
+use crate::epoch::{
+    decode_artifact_body, decode_seal, encode_seal, seal_body, verify_body_seal, DeltaLog,
+    EpochMirror,
+};
+pub use crate::epoch::{ArtifactError, ArtifactKind, DELTA_LOG_DEPTH, MAX_ARTIFACT_BODY};
 use crate::key::{GrantAuthority, GrantorVerifier};
 use crate::principal::PrincipalId;
 
@@ -68,18 +66,10 @@ const BITMAP_WORDS: usize = 1024;
 /// chunks cover 2^32 serials densely; hostile inputs cannot go further.
 pub const MAX_CONTAINERS: usize = 65536;
 
-/// Published delta artifacts a registry retains for lagging receivers;
-/// older receivers fall back to a snapshot.
-pub const DELTA_LOG_DEPTH: usize = 64;
-
 /// Container tags on the wire.
 const TAG_ARRAY: u8 = 0;
 const TAG_RUN: u8 = 1;
 const TAG_BITMAP: u8 = 2;
-
-/// Artifact kind tags on the wire.
-const TAG_SNAPSHOT: u8 = 0;
-const TAG_DELTA: u8 = 1;
 
 fn low16(serial: u64) -> u16 {
     u16::try_from(serial & 0xFFFF).unwrap_or(0)
@@ -454,19 +444,6 @@ impl FromIterator<u64> for SerialSet {
     }
 }
 
-/// Whether an artifact replaces state or extends an exact prior epoch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ArtifactKind {
-    /// The issuer's complete revoked set as of the artifact's epoch.
-    Snapshot,
-    /// Serials revoked between `base_epoch` and the artifact's epoch;
-    /// applies only when the receiver is exactly at `base_epoch`.
-    Delta {
-        /// The epoch this delta extends.
-        base_epoch: u64,
-    },
-}
-
 /// A sealed, epoch-numbered revocation announcement from one issuer.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RevocationArtifact {
@@ -493,14 +470,7 @@ impl RevocationArtifact {
         e.bytes(ARTIFACT_LABEL);
         e.str(self.issuer.as_str());
         e.u64(self.epoch);
-        match self.kind {
-            ArtifactKind::Snapshot => {
-                e.u8(TAG_SNAPSHOT);
-            }
-            ArtifactKind::Delta { base_epoch } => {
-                e.u8(TAG_DELTA).u64(base_epoch);
-            }
-        }
+        self.kind.encode_onto(&mut e);
         self.serials.encode_into(&mut e);
         e.finish()
     }
@@ -562,21 +532,7 @@ impl RevocationArtifact {
         }
         let issuer = b.principal()?;
         let epoch = b.u64()?;
-        let kind = match b.u8()? {
-            TAG_SNAPSHOT => ArtifactKind::Snapshot,
-            TAG_DELTA => ArtifactKind::Delta {
-                base_epoch: b.u64()?,
-            },
-            t => return Err(DecodeError::BadTag(t)),
-        };
-        if let ArtifactKind::Delta { base_epoch } = kind {
-            // A delta that does not advance past its own base is
-            // internally inconsistent — reject it at the wire boundary
-            // rather than let it reach epoch bookkeeping.
-            if epoch <= base_epoch {
-                return Err(DecodeError::InvalidValue("delta epoch not after its base"));
-            }
-        }
+        let kind = ArtifactKind::decode_from(&mut b, epoch)?;
         let serials = SerialSet::decode_from(&mut b)?;
         b.finish()?;
         Ok(Self {
@@ -602,142 +558,12 @@ impl RevocationArtifact {
     }
 }
 
-/// Upper bound on a sealed artifact body. A 1M-serial revocation
-/// snapshot encodes to ≈2 MB and a 1M-member roster snapshot to ≈16 MB
-/// — both past the codec's general collection sanity bound — so the
-/// artifact decoders read their body through this dedicated limit
-/// instead of [`Decoder::bytes`]. The check runs before any copy, and
-/// the borrow-then-`to_vec` shape keeps allocation bounded by the
-/// actual input length, never by the declared one. (On the wire,
-/// artifacts are further capped by the frame-body limit; bodies this
-/// large travel as delta chains or out-of-band files.)
-pub const MAX_ARTIFACT_BODY: usize = 32 << 20;
-
-/// Reads a u32-length-prefixed artifact body bounded by
-/// [`MAX_ARTIFACT_BODY`].
-pub(crate) fn decode_artifact_body<'a>(d: &mut Decoder<'a>) -> Result<&'a [u8], DecodeError> {
-    let len = d.u32()? as usize;
-    if len > MAX_ARTIFACT_BODY {
-        return Err(DecodeError::BadLength(len as u64));
-    }
-    d.raw(len)
-}
-
-/// Seals `body` under `authority` (shared helper for every sealed
-/// artifact flavor in this crate).
-#[must_use]
-pub(crate) fn seal_body(authority: &GrantAuthority, body: &[u8]) -> CertSeal {
-    match authority {
-        GrantAuthority::SharedKey(k) => CertSeal::Hmac(HmacSha256::mac(k.as_bytes(), body)),
-        GrantAuthority::Keypair(sk) => CertSeal::Ed25519(sk.sign(body)),
-    }
-}
-
-/// Verifies `seal` over `body` against `verifier`; flavor mismatches
-/// fail closed.
-#[must_use]
-pub(crate) fn verify_body_seal(verifier: &GrantorVerifier, body: &[u8], seal: &CertSeal) -> bool {
-    match (verifier, seal) {
-        (GrantorVerifier::SharedKey(k), CertSeal::Hmac(tag)) => {
-            HmacSha256::verify(k.as_bytes(), body, tag)
-        }
-        (GrantorVerifier::PublicKey(vk), CertSeal::Ed25519(sig)) => vk.verify(body, sig).is_ok(),
-        _ => false,
-    }
-}
-
-pub(crate) fn encode_seal(e: &mut Encoder, seal: &CertSeal) {
-    match seal {
-        CertSeal::Hmac(tag) => {
-            e.u8(0).raw(tag);
-        }
-        CertSeal::Ed25519(sig) => {
-            e.u8(1).raw(sig.as_bytes());
-        }
-    }
-}
-
-pub(crate) fn decode_seal(d: &mut Decoder<'_>) -> Result<CertSeal, DecodeError> {
-    match d.u8()? {
-        0 => Ok(CertSeal::Hmac(d.raw_array::<32>()?)),
-        1 => {
-            let sig = Signature::try_from_slice(d.raw(SIGNATURE_LEN)?)
-                .map_err(|_| DecodeError::UnexpectedEnd)?;
-            Ok(CertSeal::Ed25519(sig))
-        }
-        t => Err(DecodeError::BadTag(t)),
-    }
-}
-
-/// Why an artifact was rejected (always fail-closed: the receiver keeps
-/// its last good state).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ArtifactError {
-    /// The seal did not verify under the claimed issuer's material.
-    BadSeal,
-    /// No verification material for the claimed issuer.
-    UnknownIssuer(PrincipalId),
-    /// A snapshot (or delta target) at or below the receiver's epoch —
-    /// a replayed or rolled-back artifact.
-    EpochRegression {
-        /// The receiver's current epoch.
-        current: u64,
-        /// The epoch the artifact offered.
-        offered: u64,
-    },
-    /// A delta whose base is not the receiver's exact current epoch.
-    BaseMismatch {
-        /// The receiver's current epoch.
-        current: u64,
-        /// The base epoch the delta requires.
-        base: u64,
-    },
-    /// The artifact failed wire decoding.
-    Decode(DecodeError),
-    /// The registry's delta log no longer reaches back to the requested
-    /// epoch; the requester must take a snapshot.
-    LogTruncated,
-}
-
-impl std::fmt::Display for ArtifactError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ArtifactError::BadSeal => write!(f, "artifact seal verification failed"),
-            ArtifactError::UnknownIssuer(p) => {
-                write!(f, "no verification material for artifact issuer {p}")
-            }
-            ArtifactError::EpochRegression { current, offered } => {
-                write!(f, "artifact epoch {offered} not beyond current {current}")
-            }
-            ArtifactError::BaseMismatch { current, base } => {
-                write!(
-                    f,
-                    "delta base epoch {base} does not match current {current}"
-                )
-            }
-            ArtifactError::Decode(e) => write!(f, "malformed artifact: {e}"),
-            ArtifactError::LogTruncated => {
-                write!(f, "delta log truncated; a snapshot is required")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ArtifactError {}
-
-impl From<DecodeError> for ArtifactError {
-    fn from(e: DecodeError) -> Self {
-        ArtifactError::Decode(e)
-    }
-}
-
 struct RegistryState {
-    epoch: u64,
-    set: Arc<SerialSet>,
+    set: SerialSet,
     /// Serials revoked since the last published artifact.
     pending: SerialSet,
-    /// Published deltas, oldest first, each carrying its own epoch.
-    log: Vec<RevocationArtifact>,
+    /// The published epoch and the deltas lagging receivers catch up from.
+    feed: DeltaLog<RevocationArtifact>,
 }
 
 /// The issuer side: accumulates revocations and publishes sealed
@@ -762,10 +588,9 @@ impl RevocationRegistry {
         Self {
             issuer,
             state: RwLock::new(RegistryState {
-                epoch: 0,
-                set: Arc::new(SerialSet::new()),
+                set: SerialSet::new(),
                 pending: SerialSet::new(),
-                log: Vec::new(),
+                feed: DeltaLog::default(),
             }),
         }
     }
@@ -781,12 +606,7 @@ impl RevocationRegistry {
     pub fn revoke(&self, serial: u64) -> bool {
         match self.state.write() {
             Ok(mut s) => {
-                if s.set.contains(serial) {
-                    return false;
-                }
-                let mut set = (*s.set).clone();
-                let fresh = set.insert(serial);
-                s.set = Arc::new(set);
+                let fresh = s.set.insert(serial);
                 if fresh {
                     s.pending.insert(serial);
                 }
@@ -802,20 +622,18 @@ impl RevocationRegistry {
     /// Marks many serials revoked in one epoch-coherent batch.
     pub fn revoke_all(&self, serials: impl IntoIterator<Item = u64>) {
         if let Ok(mut s) = self.state.write() {
-            let mut set = (*s.set).clone();
             for serial in serials {
-                if set.insert(serial) {
+                if s.set.insert(serial) {
                     s.pending.insert(serial);
                 }
             }
-            s.set = Arc::new(set);
         }
     }
 
     /// Current published epoch.
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        self.state.read().map_or(0, |s| s.epoch)
+        self.state.read().map_or(0, |s| s.feed.published())
     }
 
     /// True when `serial` is revoked (including not-yet-published ones —
@@ -834,22 +652,16 @@ impl RevocationRegistry {
         if s.pending.is_empty() {
             return None;
         }
-        let base = s.epoch;
         let adds = std::mem::take(&mut s.pending);
-        let artifact = RevocationArtifact::seal(
-            self.issuer.clone(),
-            base + 1,
-            ArtifactKind::Delta { base_epoch: base },
-            adds,
-            authority,
-        );
-        s.epoch = base + 1;
-        s.log.push(artifact.clone());
-        if s.log.len() > DELTA_LOG_DEPTH {
-            let excess = s.log.len() - DELTA_LOG_DEPTH;
-            s.log.drain(..excess);
-        }
-        Some(artifact)
+        Some(s.feed.publish(|base_epoch, epoch| {
+            RevocationArtifact::seal(
+                self.issuer.clone(),
+                epoch,
+                ArtifactKind::Delta { base_epoch },
+                adds,
+                authority,
+            )
+        }))
     }
 
     /// Publishes the complete revoked set as a sealed snapshot at the
@@ -860,9 +672,9 @@ impl RevocationRegistry {
         let s = self.state.read().ok()?;
         Some(RevocationArtifact::seal(
             self.issuer.clone(),
-            s.epoch,
+            s.feed.published(),
             ArtifactKind::Snapshot,
-            (*s.set).clone(),
+            s.set.clone(),
             authority,
         ))
     }
@@ -878,19 +690,7 @@ impl RevocationRegistry {
     ) -> Vec<RevocationArtifact> {
         self.publish_delta(authority);
         if let Ok(s) = self.state.read() {
-            if have_epoch >= s.epoch {
-                return Vec::new();
-            }
-            let chain: Vec<RevocationArtifact> = s
-                .log
-                .iter()
-                .filter(|a| a.epoch > have_epoch)
-                .cloned()
-                .collect();
-            let covered = chain.first().is_some_and(
-                |a| matches!(a.kind, ArtifactKind::Delta { base_epoch } if base_epoch <= have_epoch),
-            );
-            if covered {
+            if let Some(chain) = s.feed.since(have_epoch) {
                 return chain;
             }
         }
@@ -898,21 +698,13 @@ impl RevocationRegistry {
     }
 }
 
-/// Per-issuer applied state on a receiver.
-#[derive(Clone, Debug)]
-struct MirrorState {
-    epoch: u64,
-    set: Arc<SerialSet>,
-}
-
 /// The receiver side: per-issuer revocation mirrors consulted on the
 /// verify hot path. `is_revoked` answers under one shared shard
 /// read-lock (a point probe, tens of nanoseconds); applying artifacts
-/// builds the successor set off-lock and swaps one `Arc` in, so updates
-/// never block verification.
+/// never blocks it (see [`crate::epoch`]).
 #[derive(Debug, Default)]
 pub struct RevocationDirectory {
-    mirrors: crate::shard::ShardMap<PrincipalId, MirrorState>,
+    mirrors: EpochMirror<PrincipalId, SerialSet>,
 }
 
 impl RevocationDirectory {
@@ -927,17 +719,14 @@ impl RevocationDirectory {
     /// True when `issuer` has revoked `serial` per the mirrored state.
     #[must_use]
     pub fn is_revoked(&self, issuer: &PrincipalId, serial: u64) -> bool {
-        // The probe runs inside the shard read closure: shared lock, one
-        // point lookup, no refcount traffic. Writers swap a fresh `Arc`
-        // in, so the lock is never held across a set rebuild.
         self.mirrors
-            .read(issuer, |m| m.is_some_and(|m| m.set.contains(serial)))
+            .read(issuer, |set| set.is_some_and(|set| set.contains(serial)))
     }
 
     /// The mirrored epoch for `issuer` (0 when no artifact has applied).
     #[must_use]
     pub fn epoch_of(&self, issuer: &PrincipalId) -> u64 {
-        self.mirrors.read(issuer, |m| m.map_or(0, |m| m.epoch))
+        self.mirrors.epoch_of(issuer)
     }
 
     /// Applies a *seal-verified* artifact. Snapshots must advance the
@@ -948,78 +737,17 @@ impl RevocationDirectory {
     ///
     /// [`ArtifactError::EpochRegression`] / [`ArtifactError::BaseMismatch`].
     pub fn apply_verified(&self, artifact: &RevocationArtifact) -> Result<(), ArtifactError> {
-        let issuer = artifact.issuer.clone();
-        match artifact.kind {
-            ArtifactKind::Snapshot => {
-                // Built off the hot path; the upsert below only swaps.
-                let fresh = Arc::new(artifact.serials.clone());
-                self.mirrors.upsert(
-                    issuer,
-                    || MirrorState {
-                        epoch: 0,
-                        set: Arc::new(SerialSet::new()),
-                    },
-                    |m| {
-                        if artifact.epoch < m.epoch
-                            || (artifact.epoch == m.epoch && artifact.epoch != 0)
-                        {
-                            return Err(ArtifactError::EpochRegression {
-                                current: m.epoch,
-                                offered: artifact.epoch,
-                            });
-                        }
-                        m.epoch = artifact.epoch;
-                        m.set = fresh;
-                        Ok(())
-                    },
-                )
-            }
-            ArtifactKind::Delta { base_epoch } => {
-                if artifact.epoch <= base_epoch {
-                    return Err(ArtifactError::EpochRegression {
-                        current: base_epoch,
-                        offered: artifact.epoch,
-                    });
-                }
-                // Read the current set, build the successor off-lock.
-                let current = self
-                    .mirrors
-                    .read(&issuer, |m| m.map(|m| (m.epoch, m.set.clone())));
-                let (cur_epoch, cur_set) = match current {
-                    Some(pair) => pair,
-                    None => (0, Arc::new(SerialSet::new())),
-                };
-                if cur_epoch != base_epoch {
-                    return Err(ArtifactError::BaseMismatch {
-                        current: cur_epoch,
-                        base: base_epoch,
-                    });
-                }
-                let mut next = (*cur_set).clone();
+        self.mirrors.apply(
+            artifact.issuer.clone(),
+            artifact.epoch,
+            artifact.kind,
+            || artifact.serials.clone(),
+            |current| {
+                let mut next = current.clone();
                 next.union_with(&artifact.serials);
-                let next = Arc::new(next);
-                // Swap in, re-checking the epoch under the shard lock (a
-                // racing update may have advanced it; fail closed then).
-                self.mirrors.upsert(
-                    issuer,
-                    || MirrorState {
-                        epoch: 0,
-                        set: Arc::new(SerialSet::new()),
-                    },
-                    |m| {
-                        if m.epoch != base_epoch {
-                            return Err(ArtifactError::BaseMismatch {
-                                current: m.epoch,
-                                base: base_epoch,
-                            });
-                        }
-                        m.epoch = artifact.epoch;
-                        m.set = next;
-                        Ok(())
-                    },
-                )
-            }
-        }
+                next
+            },
+        )
     }
 }
 

@@ -12,7 +12,6 @@ use proxy_wire::{
     MAX_PRESENTATIONS, MAX_RESTRICTIONS,
 };
 use restricted_proxy::encode::{DecodeError, Encoder};
-use restricted_proxy::membership::MembershipKind;
 use restricted_proxy::prelude::*;
 use restricted_proxy::revocation::ArtifactKind;
 
@@ -172,7 +171,7 @@ fn sample_membership_artifact() -> MembershipArtifact {
     MembershipArtifact::seal(
         GroupName::new(p("gs"), "staff"),
         1,
-        MembershipKind::Snapshot,
+        ArtifactKind::Snapshot,
         vec![member_digest(&p("alice")), member_digest(&p("bob"))],
         vec![],
         &sample_authority(),

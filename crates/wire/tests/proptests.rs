@@ -11,7 +11,7 @@ use rand::SeedableRng;
 
 use proxy_wire::{ErrorCode, Message};
 use restricted_proxy::prelude::*;
-use restricted_proxy::{membership, revocation};
+use restricted_proxy::revocation;
 
 fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
@@ -132,9 +132,9 @@ fn membership_artifact(
 ) -> MembershipArtifact {
     let digest = |n: u64| member_digest(&p(&format!("member-{n}")));
     let kind = if delta {
-        membership::MembershipKind::Delta { base_epoch: seed }
+        revocation::ArtifactKind::Delta { base_epoch: seed }
     } else {
-        membership::MembershipKind::Snapshot
+        revocation::ArtifactKind::Snapshot
     };
     let removes = if delta {
         removes.into_iter().map(digest).collect()

@@ -1005,8 +1005,8 @@ fn forged_and_rolled_back_revocation_artifacts_cannot_resurrect_a_capability() {
 #[test]
 fn forged_membership_artifacts_cannot_plant_or_evict_members() {
     use proxy_aa::authz::{Acl, AclRights, AclSubject, AuthzError, EndServer, Request};
-    use proxy_aa::proxy::membership::{member_digest, MembershipArtifact, MembershipKind};
-    use proxy_aa::proxy::revocation::ArtifactError;
+    use proxy_aa::proxy::membership::{member_digest, MembershipArtifact};
+    use proxy_aa::proxy::revocation::{ArtifactError, ArtifactKind};
 
     let mut rng = StdRng::seed_from_u64(42);
     let gs_key = SymmetricKey::generate(&mut rng);
@@ -1023,7 +1023,7 @@ fn forged_membership_artifacts_cannot_plant_or_evict_members() {
     let roster = MembershipArtifact::seal(
         staff.clone(),
         1,
-        MembershipKind::Snapshot,
+        ArtifactKind::Snapshot,
         vec![member_digest(&p("bob"))],
         vec![],
         &authority,
@@ -1047,7 +1047,7 @@ fn forged_membership_artifacts_cannot_plant_or_evict_members() {
     let planted = MembershipArtifact::seal(
         staff.clone(),
         2,
-        MembershipKind::Snapshot,
+        ArtifactKind::Snapshot,
         vec![member_digest(&p("mallory"))],
         vec![],
         &attacker,
@@ -1064,7 +1064,7 @@ fn forged_membership_artifacts_cannot_plant_or_evict_members() {
     let evict = MembershipArtifact::seal(
         staff.clone(),
         2,
-        MembershipKind::Snapshot,
+        ArtifactKind::Snapshot,
         vec![member_digest(&p("carol"))],
         vec![],
         &authority,

@@ -347,7 +347,7 @@ fn money_is_conserved_across_repeated_restarts() {
 fn revoked_serial_stays_revoked_across_restart_without_refetch() {
     use proxy_aa::authz::EndServer;
     use proxy_aa::crypto::keys::SymmetricKey;
-    use proxy_aa::proxy::membership::{member_digest, MembershipArtifact, MembershipKind};
+    use proxy_aa::proxy::membership::{member_digest, MembershipArtifact};
     use proxy_aa::proxy::revocation::{ArtifactKind, RevocationArtifact};
 
     let dir = Scratch::new("artifacts");
@@ -378,7 +378,7 @@ fn revoked_serial_stays_revoked_across_restart_without_refetch() {
         let roster = MembershipArtifact::seal(
             staff.clone(),
             1,
-            MembershipKind::Snapshot,
+            ArtifactKind::Snapshot,
             vec![member_digest(&p("bob"))],
             vec![],
             &GrantAuthority::SharedKey(gs_key.clone()),
