@@ -87,6 +87,10 @@ cargo run -q -p proxy-bench --bin figures --release -- --revocation-smoke \
 # one retry absorbs a noisy-neighbor window.
 cargo test --release -q --test storage_crash
 cargo test --release -q -p proxy-storage --test framing
+# A snapshot the server wrote is one it can read: 2^20 + 1 accept-once
+# marks (26 MB, one more than a counted collection decodes) compact and
+# reopen. Release only; the debug run of it is ignored as too slow.
+cargo test --release -q -p proxy-accounting --lib a_snapshot_of_more_than_a_million_marks_reopens
 cargo run -q -p proxy-bench --bin figures --release -- --wal \
     || cargo run -q -p proxy-bench --bin figures --release -- --wal
 
@@ -130,9 +134,10 @@ e2e_gate fig3_query 'alloc.allocs_per_op' 22
 # check-deposit path decodes an Ed25519 proxy key it never uses and
 # verifies every check under the one payor key. Decoding must stay a
 # copy of the seed (1.2 us today; 16.4 when `SigningKey::from_seed`
-# expanded eagerly), and allocs/op at or under the ceiling (54.04
-# today; the journal's operation scope must not add one).
-e2e_gate fig5_mem 'wire.decode_req_us' 5 'alloc.allocs_per_op' 55
+# expanded eagerly), and allocs/op at or under the ceiling (53.10
+# today: a deposit reads its check once and its marks move into the
+# Settle record; one more allocation per deposit trips it).
+e2e_gate fig5_mem 'wire.decode_req_us' 5 'alloc.allocs_per_op' 54.1
 
 # One equation per cold presentation (DESIGN.md §8, "One settle step"):
 # four seals and the possession proof share one scratch buffer, one

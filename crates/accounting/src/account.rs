@@ -87,12 +87,14 @@ impl Account {
         *self.balances.entry(currency).or_insert(0) += amount;
     }
 
-    /// Debits the account.
+    /// Whether the balance can cover `amount` of `currency`: the check
+    /// [`Self::debit`] makes, for a caller that must know before it
+    /// commits to debiting.
     ///
     /// # Errors
     ///
-    /// [`AcctError::InsufficientFunds`] when the balance cannot cover it.
-    pub fn debit(&mut self, currency: &Currency, amount: u64) -> Result<(), AcctError> {
+    /// [`AcctError::InsufficientFunds`] when it cannot.
+    pub fn covers(&self, currency: &Currency, amount: u64) -> Result<(), AcctError> {
         let available = self.balance(currency);
         if available < amount {
             return Err(AcctError::InsufficientFunds {
@@ -101,7 +103,20 @@ impl Account {
                 available,
             });
         }
-        *self.balances.get_mut(currency).expect("nonzero balance") -= amount;
+        Ok(())
+    }
+
+    /// Debits the account.
+    ///
+    /// # Errors
+    ///
+    /// [`AcctError::InsufficientFunds`] when the balance cannot cover it.
+    pub fn debit(&mut self, currency: &Currency, amount: u64) -> Result<(), AcctError> {
+        self.covers(currency, amount)?;
+        // No entry means a balance of zero, which covers only zero.
+        if let Some(balance) = self.balances.get_mut(currency) {
+            *balance -= amount;
+        }
         Ok(())
     }
 
@@ -317,6 +332,9 @@ mod tests {
         assert_eq!(acct.balance(&Currency::new("pages")), 500);
         acct.debit(&Currency::new("pages"), 200).unwrap();
         assert_eq!(acct.balance(&usd()), 10, "USD untouched");
+        // A currency never held has a balance of zero, not a panic.
+        acct.debit(&Currency::new("kWh"), 0).unwrap();
+        assert!(acct.debit(&Currency::new("kWh"), 1).is_err());
     }
 
     #[test]

@@ -10,8 +10,13 @@
 //! batcher amortizes it across concurrent requests. That choreography
 //! is written once, as [`OpGuard`]: `begin` → `stage` under the shard
 //! lock → `wait` outside it. A server with no backend owns a *detached*
-//! journal ([`Journal::detached`]) and runs the same code, every step
-//! of it a no-op.
+//! journal ([`Journal::detached`]) and runs the same code; its `stage`
+//! and `wait` touch nothing.
+//!
+//! This module is the log: the record kinds, their bytes, and the
+//! choreography. What a record *does* to the state is written once, in
+//! `crate::ledger`, and runs the same live, on replay and out of a
+//! snapshot.
 //!
 //! Records are **redo records of committed mutations, not request
 //! inputs**: recovery re-applies balance movements and replay-guard
@@ -20,7 +25,8 @@
 //! log — no money moved and no success was acknowledged, so losing its
 //! in-memory replay mark on restart is safe.
 //!
-//! [`SnapshotState`] is the compacted whole-server state the journal
+//! A snapshot is not a second format: it is the shortest log that
+//! rebuilds the state ([`encode_snapshot`]), which the journal
 //! periodically installs ([`Journal::compact`]) so recovery replays a
 //! bounded suffix. Compaction excludes concurrent operations with a
 //! reader-writer gate: operations hold the gate in read mode for their
@@ -55,21 +61,6 @@ pub struct ReplayMark {
     pub id: u64,
     /// When the identifier's retention window ends.
     pub expires: Timestamp,
-}
-
-/// An uncollected cross-server deposit, as carried in snapshots.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PendingDeposit {
-    /// The payor the awaited payment will name.
-    pub payor: PrincipalId,
-    /// The check number awaiting collection.
-    pub check_no: u64,
-    /// The local account the deposit was credited (uncollected) into.
-    pub account: String,
-    /// Currency of the deposit.
-    pub currency: Currency,
-    /// Amount of the deposit.
-    pub amount: u64,
 }
 
 /// A redo record of one committed state mutation.
@@ -170,6 +161,13 @@ pub enum JournalRecord {
         /// The serial of the issued certification proxy.
         serial: u64,
     },
+    /// Accept-once identifiers already consumed. Only snapshots write
+    /// it: live, a mark reaches the log inside the [`Self::Settle`]
+    /// that consumed it.
+    Marks {
+        /// The consumed identifiers.
+        replay: Vec<ReplayMark>,
+    },
 }
 
 const TAG_OPEN_ACCOUNT: u8 = 1;
@@ -181,9 +179,11 @@ const TAG_PAYMENT_APPLIED: u8 = 6;
 const TAG_BOUNCED: u8 = 7;
 const TAG_CASHIER_PURCHASE: u8 = 8;
 const TAG_CERTIFIED: u8 = 9;
+const TAG_MARKS: u8 = 10;
 
-/// Version byte leading every [`SnapshotState`] encoding.
-const SNAPSHOT_VERSION: u8 = 1;
+/// Version byte leading every snapshot ([`encode_snapshot`]). Version 1
+/// was a format of its own (counted collections, not records).
+const SNAPSHOT_VERSION: u8 = 2;
 
 fn enc_marks(e: &mut Encoder, marks: &[ReplayMark]) {
     e.count(marks.len());
@@ -298,6 +298,10 @@ impl JournalRecord {
                     .str(payee.as_str())
                     .u64(*serial);
             }
+            JournalRecord::Marks { replay } => {
+                e.u8(TAG_MARKS);
+                enc_marks(&mut e, replay);
+            }
         }
         e.finish()
     }
@@ -386,95 +390,44 @@ impl JournalRecord {
                 payee: d.principal()?,
                 serial: d.u64()?,
             },
+            TAG_MARKS => JournalRecord::Marks {
+                replay: dec_marks(d)?,
+            },
             _ => return Err(AcctError::BadJournal("unknown record tag")),
         })
     }
 }
 
-/// The compacted whole-server state installed as a storage snapshot.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SnapshotState {
-    /// Every account, canonical order (sorted by name).
-    pub accounts: Vec<Account>,
-    /// Every uncollected deposit, sorted by (payor, check number).
-    pub pending: Vec<PendingDeposit>,
-    /// Every live accept-once identifier, sorted by (grantor, id).
-    pub replay: Vec<ReplayMark>,
-    /// The next endorsement/certification serial to issue.
-    pub next_serial: u64,
+/// Encodes a snapshot: the version byte, then `records` back to back
+/// (a record is self-delimiting). No count prefix and no per-record
+/// frame — either would put a bound on what can be read back
+/// ([`Decoder::count`], [`Decoder::bytes`]) that nothing enforces on
+/// what is written.
+#[must_use]
+pub fn encode_snapshot(records: &[JournalRecord]) -> Vec<u8> {
+    let mut bytes = vec![SNAPSHOT_VERSION];
+    for rec in records {
+        bytes.extend(rec.encode());
+    }
+    bytes
 }
 
-impl SnapshotState {
-    /// Sorts the collections into canonical order so two equal states
-    /// encode identically regardless of hash-map iteration order.
-    pub fn normalize(&mut self) {
-        self.accounts.sort_by(|a, b| a.name().cmp(b.name()));
-        self.pending
-            .sort_by(|a, b| (&a.payor, a.check_no).cmp(&(&b.payor, b.check_no)));
-        self.replay
-            .sort_by(|a, b| (&a.grantor, a.id).cmp(&(&b.grantor, b.id)));
+/// Decodes a snapshot previously written by [`encode_snapshot`].
+///
+/// # Errors
+///
+/// [`AcctError::BadJournal`] on any malformed input, including an
+/// unknown version byte.
+pub fn decode_snapshot(buf: &[u8]) -> Result<Vec<JournalRecord>, AcctError> {
+    let mut d = Decoder::new(buf);
+    if d.u8()? != SNAPSHOT_VERSION {
+        return Err(AcctError::BadJournal("unknown snapshot version"));
     }
-
-    /// Encodes the snapshot (leading version byte).
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.u8(SNAPSHOT_VERSION).u64(self.next_serial);
-        e.count(self.accounts.len());
-        for a in &self.accounts {
-            a.encode_onto(&mut e);
-        }
-        e.count(self.pending.len());
-        for p in &self.pending {
-            e.str(p.payor.as_str())
-                .u64(p.check_no)
-                .str(&p.account)
-                .str(p.currency.as_str())
-                .u64(p.amount);
-        }
-        enc_marks(&mut e, &self.replay);
-        e.finish()
+    let mut records = Vec::new();
+    while d.remaining() > 0 {
+        records.push(JournalRecord::decode_from(&mut d)?);
     }
-
-    /// Decodes a snapshot previously written by [`Self::encode`].
-    ///
-    /// # Errors
-    ///
-    /// [`AcctError::BadJournal`] on any malformed input, including an
-    /// unknown version byte.
-    pub fn decode(buf: &[u8]) -> Result<Self, AcctError> {
-        let mut d = Decoder::new(buf);
-        if d.u8()? != SNAPSHOT_VERSION {
-            return Err(AcctError::BadJournal("unknown snapshot version"));
-        }
-        let next_serial = d.u64()?;
-        let mut accounts = Vec::new();
-        for _ in 0..d.counted(8)? {
-            accounts.push(
-                Account::decode_from(&mut d)
-                    .map_err(|_| AcctError::BadJournal("snapshot account state"))?,
-            );
-        }
-        let mut pending = Vec::new();
-        for _ in 0..d.counted(24)? {
-            pending.push(PendingDeposit {
-                payor: d.principal()?,
-                check_no: d.u64()?,
-                account: d.str()?.to_string(),
-                currency: Currency::new(d.str()?),
-                amount: d.u64()?,
-            });
-        }
-        let replay = dec_marks(&mut d)?;
-        d.finish()
-            .map_err(|_| AcctError::BadJournal("trailing bytes after snapshot"))?;
-        Ok(Self {
-            accounts,
-            pending,
-            replay,
-            next_serial,
-        })
-    }
+    Ok(records)
 }
 
 /// One operation's scope over the journal, from [`Journal::begin`]: it
@@ -482,7 +435,7 @@ impl SnapshotState {
 /// durable critical path, [`Self::stage`] (called inside the shard-lock
 /// critical section) remembers the last ticket, and [`Self::wait`]
 /// (called after the shard lock is released) blocks on it and releases
-/// the gate. On a detached journal every step is a no-op.
+/// the gate. On a detached journal `stage` and `wait` touch nothing.
 #[must_use = "an operation is not durable until its scope's `wait` returns"]
 #[derive(Debug)]
 pub struct OpGuard<'a> {
@@ -496,21 +449,21 @@ pub struct OpGuard<'a> {
 }
 
 impl OpGuard<'_> {
-    /// Stages the record `rec` builds into the durable order. Call
-    /// inside the shard-lock critical section that applies the matching
-    /// mutation, after validation. A detached journal never calls `rec`.
+    /// Stages `rec` into the durable order. Call inside the shard-lock
+    /// critical section that applies the matching mutation, after
+    /// validation. A detached journal does not encode it.
     ///
     /// # Errors
     ///
     /// [`AcctError::Storage`] on failure; the journal is then poisoned
     /// and the caller must not apply the mutation.
-    pub fn stage(&mut self, rec: impl FnOnce() -> JournalRecord) -> Result<(), AcctError> {
+    pub fn stage(&mut self, rec: &JournalRecord) -> Result<(), AcctError> {
         let Some(store) = &self.journal.store else {
             return Ok(());
         };
         self.journal.check_poison()?;
         let ticket = store
-            .stage(&rec().encode())
+            .stage(&rec.encode())
             .map_err(|e| self.journal.poison(e))?;
         self.journal.staged.fetch_add(1, Ordering::Relaxed);
         self.last = Some(ticket);
@@ -534,6 +487,15 @@ impl OpGuard<'_> {
             _ => Ok(()),
         }
     }
+
+    /// Latches the journal failed because the ledger refused (`why`) a
+    /// record already staged — memory and log have parted, which only a
+    /// validation that disagrees with `Ledger::apply` can cause — and
+    /// hands `why` back as the caller's error.
+    pub(crate) fn poison_refused(&self, why: AcctError) -> AcctError {
+        let _ = self.journal.poisoned.set(StorageError::Poisoned);
+        why
+    }
 }
 
 /// The accounting journal: a [`Storage`] backend (or none — a
@@ -541,8 +503,8 @@ impl OpGuard<'_> {
 /// the compaction gate and the fail-stop poison latch.
 #[derive(Debug)]
 pub struct Journal {
-    /// `None` when detached: nothing is built, encoded, staged, awaited
-    /// or compacted, and no lock is taken.
+    /// `None` when detached: nothing is encoded, staged, awaited or
+    /// compacted, and no lock is taken.
     store: Option<Arc<dyn Storage>>,
     /// Operations read, compaction writes (lock order: gate → shard
     /// locks → storage internals).
@@ -608,10 +570,10 @@ impl Journal {
         })
     }
 
-    /// Opens an operation: installs a compacted snapshot (built by
-    /// `snapshot`) if [`Self::SNAPSHOT_EVERY`] records have accumulated,
-    /// checks the poison latch, and takes the compaction gate in read
-    /// mode. Compaction runs here, between operations, rather than
+    /// Opens an operation: installs a compacted snapshot (the records
+    /// `snapshot` builds) if [`Self::SNAPSHOT_EVERY`] records have
+    /// accumulated, checks the poison latch, and takes the compaction
+    /// gate in read mode. Compaction runs here, between operations, rather than
     /// after [`OpGuard::wait`]: a failed install refuses an operation
     /// that has not happened yet instead of turning one that is already
     /// durable into an error reply.
@@ -622,7 +584,7 @@ impl Journal {
     /// snapshot install fails.
     pub fn begin(
         &self,
-        snapshot: impl FnOnce() -> SnapshotState,
+        snapshot: impl FnOnce() -> Vec<JournalRecord>,
     ) -> Result<OpGuard<'_>, AcctError> {
         if self.staged.load(Ordering::Relaxed) >= Self::SNAPSHOT_EVERY {
             self.compact(snapshot)?;
@@ -638,7 +600,7 @@ impl Journal {
     /// # Errors
     ///
     /// The union of [`OpGuard::stage`] and [`OpGuard::wait`].
-    pub fn commit(&self, rec: impl FnOnce() -> JournalRecord) -> Result<(), AcctError> {
+    pub fn commit(&self, rec: &JournalRecord) -> Result<(), AcctError> {
         let mut op = self.enter()?;
         op.stage(rec)?;
         op.wait()
@@ -646,21 +608,22 @@ impl Journal {
 
     /// Installs a compacted snapshot: takes the gate in write mode
     /// (excluding every concurrent operation), calls `build` for the
-    /// now-quiescent state, and replaces the backend's snapshot + log.
+    /// records that rebuild the now-quiescent state, and replaces the
+    /// backend's snapshot + log with them ([`encode_snapshot`]).
     /// A no-op on a detached journal.
     ///
     /// # Errors
     ///
     /// [`AcctError::Storage`] on failure (the journal is poisoned —
     /// fail-stop — even though the backend kept its previous state).
-    pub fn compact(&self, build: impl FnOnce() -> SnapshotState) -> Result<(), AcctError> {
+    pub fn compact(&self, build: impl FnOnce() -> Vec<JournalRecord>) -> Result<(), AcctError> {
         let Some(store) = &self.store else {
             return Ok(());
         };
         let _excl = self.gate.write().unwrap_or_else(PoisonError::into_inner);
         self.check_poison()?;
         store
-            .install_snapshot(&build().encode())
+            .install_snapshot(&encode_snapshot(&build()))
             .map_err(|e| self.poison(e))?;
         self.staged.store(0, Ordering::Relaxed);
         Ok(())
@@ -794,6 +757,20 @@ mod tests {
                 payee: p("shop"),
                 serial: 5,
             },
+            JournalRecord::Marks {
+                replay: vec![
+                    ReplayMark {
+                        grantor: p("bank"),
+                        id: 2,
+                        expires: Timestamp(80),
+                    },
+                    ReplayMark {
+                        grantor: p("carol"),
+                        id: 9,
+                        expires: Timestamp(90),
+                    },
+                ],
+            },
         ]
     }
 
@@ -828,88 +805,70 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_canonically() {
-        let mut acct = Account::new("carol-acct", vec![p("carol")]);
-        acct.credit(usd(), 400);
-        let mut state = SnapshotState {
-            accounts: vec![acct, Account::new("shop-acct", vec![p("shop")])],
-            pending: vec![PendingDeposit {
-                payor: p("carol"),
-                check_no: 9,
-                account: "shop-acct".into(),
-                currency: usd(),
-                amount: 75,
-            }],
-            replay: vec![
-                ReplayMark {
-                    grantor: p("carol"),
-                    id: 9,
-                    expires: Timestamp(90),
-                },
-                ReplayMark {
-                    grantor: p("bank"),
-                    id: 2,
-                    expires: Timestamp(80),
-                },
-            ],
-            next_serial: 17,
-        };
-        state.normalize();
-        let bytes = state.encode();
-        let back = SnapshotState::decode(&bytes).unwrap();
-        assert_eq!(back, state);
-        assert_eq!(back.encode(), bytes, "canonical re-encode");
-        assert_eq!(back.replay[0].grantor, p("bank"), "sorted order");
-        // A wrong version byte is refused.
-        let mut wrong = bytes;
+    fn a_snapshot_is_records_back_to_back_and_fails_closed() {
+        let records = sample_records();
+        let bytes = encode_snapshot(&records);
+        let whole: Vec<u8> = records.iter().flat_map(JournalRecord::encode).collect();
+        assert_eq!(bytes[0], SNAPSHOT_VERSION);
+        assert_eq!(bytes[1..], whole[..], "no count, no frames");
+        let back = decode_snapshot(&bytes).unwrap();
+        assert_eq!(back.len(), records.len());
+        assert_eq!(encode_snapshot(&back), bytes, "canonical re-encode");
+        assert!(decode_snapshot(&[SNAPSHOT_VERSION]).unwrap().is_empty());
+
+        // A wrong version byte, an unknown tag, one byte short.
+        let mut wrong = bytes.clone();
         wrong[0] = 99;
-        assert!(SnapshotState::decode(&wrong).is_err());
+        assert!(decode_snapshot(&wrong).is_err());
+        let mut unknown = bytes.clone();
+        unknown.push(0xEE);
+        assert!(decode_snapshot(&unknown).is_err());
+        assert!(decode_snapshot(&bytes[..bytes.len() - 1]).is_err());
+        assert!(decode_snapshot(&[]).is_err());
     }
 
     #[test]
     fn journal_commits_then_compacts_and_poisons_fail_stop() {
         let store = Arc::new(MemStorage::new());
         let journal = Journal::new(Arc::clone(&store) as Arc<dyn Storage>);
-        let mut op = journal.begin(SnapshotState::default).unwrap();
-        op.stage(|| JournalRecord::Forward { serial: 1 }).unwrap();
+        let mut op = journal.begin(Vec::new).unwrap();
+        op.stage(&JournalRecord::Forward { serial: 1 }).unwrap();
         op.wait().unwrap();
         assert_eq!(store.record_count(), 1);
 
         journal
-            .compact(|| SnapshotState {
-                next_serial: 2,
-                ..SnapshotState::default()
-            })
+            .compact(|| vec![JournalRecord::Forward { serial: 1 }])
             .unwrap();
         assert_eq!(store.record_count(), 0, "log truncated by snapshot");
         let recovered = store.load().unwrap();
-        let snap = SnapshotState::decode(&recovered.snapshot.unwrap()).unwrap();
-        assert_eq!(snap.next_serial, 2);
+        let snap = decode_snapshot(&recovered.snapshot.unwrap()).unwrap();
+        assert_eq!(snap, [JournalRecord::Forward { serial: 1 }]);
 
         // A crash point fires on the next stage: the journal poisons and
         // every later call replays the failure.
         store.crash_after_stages(1);
         let err = journal
-            .commit(|| JournalRecord::Forward { serial: 3 })
+            .commit(&JournalRecord::Forward { serial: 3 })
             .unwrap_err();
         assert!(matches!(err, AcctError::Storage(_)), "got {err:?}");
         assert!(matches!(
-            journal.begin(SnapshotState::default).unwrap_err(),
+            journal.begin(Vec::new).unwrap_err(),
             AcctError::Storage(_)
         ));
         assert!(matches!(
-            journal.commit(|| JournalRecord::Forward { serial: 4 }),
+            journal.commit(&JournalRecord::Forward { serial: 4 }),
             Err(AcctError::Storage(_))
         ));
     }
 
     #[test]
-    fn detached_journal_builds_nothing_and_never_fails() {
+    fn detached_journal_stages_nothing_and_never_fails() {
         let journal = Journal::detached();
+        let rec = JournalRecord::Forward { serial: 1 };
         let mut op = journal.begin(|| unreachable!("no snapshot")).unwrap();
-        op.stage(|| unreachable!("no record")).unwrap();
+        op.stage(&rec).unwrap();
         op.wait().unwrap();
-        journal.commit(|| unreachable!("no record")).unwrap();
+        journal.commit(&rec).unwrap();
         journal.compact(|| unreachable!("no snapshot")).unwrap();
     }
 

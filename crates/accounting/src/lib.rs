@@ -9,13 +9,18 @@
 //!   check number, drawee, and debited account all ride as restrictions
 //!   inside the signed certificate; endorsements are delegate cascades.
 //! * [`server`] — the accounting server: deposit, collect, certify,
-//!   payment application, bounce handling.
+//!   payment application, bounce handling. A handler verifies,
+//!   validates, builds the record of what changes, and replies.
 //! * [`clearing`] — the multi-server Fig. 5 flow with routing and
 //!   message accounting on the simulated network.
 //! * [`journal`] — the durable redo journal (DESIGN.md §15): every
 //!   money-moving operation is staged to a `proxy_storage` backend
-//!   before its effect is visible, and recovery deterministically
-//!   rebuilds accounts, uncollected checks, and the replay guard.
+//!   before its effect is visible; a snapshot is the shortest log that
+//!   rebuilds the state.
+//! * `ledger` (private) — accounts, uncollected checks, the replay
+//!   guard and the serial counter, and the one function that applies a
+//!   journal record to them: the same code live, on replay and out of
+//!   a snapshot, so recovery rebuilds what the handlers built.
 //!
 //! ```
 //! use proxy_accounting::AccountingServer;
@@ -42,12 +47,12 @@ pub mod check;
 pub mod clearing;
 pub mod error;
 pub mod journal;
-mod recovery;
+mod ledger;
 pub mod server;
 
 pub use account::{Account, Hold};
 pub use check::{account_object, debit_op, write_check, Check, CheckInfo};
 pub use clearing::{ClearingHouse, ClearingReport};
 pub use error::AcctError;
-pub use journal::{Journal, JournalRecord, SnapshotState};
+pub use journal::{decode_snapshot, encode_snapshot, Journal, JournalRecord};
 pub use server::{AccountMut, AccountingServer, DepositOutcome, Payment};

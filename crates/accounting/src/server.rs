@@ -1,7 +1,13 @@
 //! The accounting server (§4): accounts, check collection, certification.
+//!
+//! A handler here does what is a request's own: it verifies the check,
+//! validates against the state it would change, builds the
+//! [`JournalRecord`] that says what changes, and replies. The change
+//! itself — and its order against the journal — belongs to
+//! `crate::ledger`, which applies a record the same way live as at
+//! recovery; this module cannot reach the state any other way.
 
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rand::RngCore;
@@ -10,22 +16,23 @@ use proxy_storage::artifacts::StoredArtifact;
 use proxy_storage::{ArtifactStore, Storage};
 use restricted_proxy::cache::VerifiedCertCache;
 use restricted_proxy::context::RequestContext;
-use restricted_proxy::key::{GrantAuthority, GrantorVerifier, KeyResolver, MapResolver};
+use restricted_proxy::key::{GrantAuthority, GrantorVerifier, MapResolver};
 use restricted_proxy::principal::PrincipalId;
 use restricted_proxy::proxy::{grant, Proxy};
-use restricted_proxy::replay::ReplayCache;
 use restricted_proxy::restriction::{
     AuthorizedEntry, Currency, ObjectName, Operation, Restriction, RestrictionSet,
 };
 use restricted_proxy::revocation::{ArtifactError, RevocationArtifact, RevocationDirectory};
-use restricted_proxy::shard::ShardMap;
 use restricted_proxy::time::{Timestamp, Validity};
 use restricted_proxy::verify::Verifier;
 
 use crate::account::Account;
 use crate::check::{account_object, debit_op, Check, CheckInfo};
 use crate::error::AcctError;
-use crate::journal::{Journal, JournalRecord, JournaledReplay, OpGuard, ReplayMark, SnapshotState};
+use crate::journal::{
+    decode_snapshot, Journal, JournalRecord, JournaledReplay, OpGuard, ReplayMark,
+};
+use crate::ledger::Ledger;
 
 /// The reserved account cashier's checks are drawn from.
 pub const CASHIER_ACCOUNT: &str = "__cashier";
@@ -58,21 +65,14 @@ pub enum DepositOutcome {
     },
 }
 
-#[derive(Clone, Debug)]
-pub(crate) struct Uncollected {
-    pub(crate) account: String,
-    pub(crate) currency: Currency,
-    pub(crate) amount: u64,
-}
-
 /// An accounting server: accounts plus the check-clearing machinery of
 /// Fig. 5.
 ///
 /// The money-moving paths ([`Self::collect`], [`Self::deposit`],
 /// [`Self::forward`], [`Self::certify`], …) take `&self`: accounts and
-/// uncollected records live in lock-striped [`ShardMap`]s and the replay
-/// guard is a lock-striped [`ReplayCache`], so one server instance is
-/// shared across worker threads. Per-account steps (ownership check +
+/// uncollected records live in lock-striped maps and the replay guard
+/// is lock-striped too, so one server instance is shared across worker
+/// threads. Per-account steps (ownership check +
 /// hold-taking + debit; crediting) each run atomically under the owning
 /// shard's lock — no double-spend is admitted under contention — and
 /// multi-account flows acquire locks strictly one at a time (DESIGN.md
@@ -87,10 +87,9 @@ pub struct AccountingServer {
     /// chain's Ed25519 seal checks, and caches positive results so a check
     /// re-presented along a clearing path costs no signature work.
     verifier: Verifier<MapResolver>,
-    pub(crate) accounts: ShardMap<String, Account>,
-    pub(crate) replay: ReplayCache,
-    pub(crate) uncollected: ShardMap<(PrincipalId, u64), Uncollected>,
-    pub(crate) next_serial: AtomicU64,
+    /// Everything the journal covers; changed only by applying a
+    /// [`JournalRecord`] to it.
+    pub(crate) ledger: Ledger,
     /// Local mirror of issuers' revoked check/endorsement serials,
     /// consulted by the verifier on every deposited chain.
     revocations: Arc<RevocationDirectory>,
@@ -124,23 +123,20 @@ impl AccountingServer {
             verifier: Verifier::new(name.clone(), directory)
                 .with_seal_cache(Self::SEAL_CACHE_CAPACITY)
                 .with_revocation(revocations.clone()),
+            ledger: Ledger::new(name.clone()),
             name,
             authority,
-            accounts: ShardMap::new(),
-            replay: ReplayCache::new(),
-            uncollected: ShardMap::new(),
-            next_serial: AtomicU64::new(1),
             revocations,
             journal: Journal::detached(),
             artifacts: None,
         }
     }
 
-    /// Opens this server on a durable storage backend: recovers the
-    /// compacted snapshot plus the journaled record suffix (rebuilding
-    /// accounts, uncollected deposits, the serial counter, and the
-    /// replay guard's accept-once memory), then journals every later
-    /// state-changing operation through `store`.
+    /// Opens this server on a durable storage backend: applies the
+    /// compacted snapshot's records and then the journaled suffix
+    /// (rebuilding accounts, uncollected deposits, the serial counter,
+    /// and the replay guard's accept-once memory), then journals every
+    /// later state-changing operation through `store`.
     ///
     /// Call before opening accounts, so a fresh boot's setup is
     /// journaled too. The TCP/event-loop paths are unchanged:
@@ -150,17 +146,17 @@ impl AccountingServer {
     ///
     /// [`AcctError::Storage`] when the backend fails or refuses a
     /// corrupted log (fail-closed), [`AcctError::BadJournal`] when a
-    /// stored record does not decode, and any replay-application error
-    /// (a log inconsistent with itself).
+    /// stored record does not decode or cannot be applied (a log
+    /// inconsistent with itself).
     pub fn with_storage(mut self, store: Arc<dyn Storage>) -> Result<Self, AcctError> {
         let recovered = store.load()?;
         if let Some(snap) = &recovered.snapshot {
-            let state = SnapshotState::decode(snap)?;
-            self.install_snapshot_state(state);
+            for rec in decode_snapshot(snap)? {
+                self.ledger.apply(&rec)?;
+            }
         }
         for rec in &recovered.records {
-            let rec = JournalRecord::decode(rec)?;
-            self.replay_record(rec)?;
+            self.ledger.apply(&JournalRecord::decode(rec)?)?;
         }
         self.journal = Journal::new(store);
         Ok(self)
@@ -222,33 +218,18 @@ impl AccountingServer {
     /// durable recording fails (the revocation is applied in memory, but
     /// the server must treat the store as failed).
     pub fn apply_revocation(&self, artifact: &RevocationArtifact) -> Result<(), AcctError> {
-        let verifier = self
-            .verifier
-            .resolver()
-            .grantor_verifier(&artifact.issuer)
-            .ok_or_else(|| {
-                AcctError::Artifact(ArtifactError::UnknownIssuer(artifact.issuer.clone()))
-            })?;
-        if !artifact.verify_seal(&verifier) {
-            return Err(AcctError::Artifact(ArtifactError::BadSeal));
-        }
         self.revocations
-            .apply_verified(artifact)
-            .map_err(AcctError::Artifact)?;
+            .apply_sealed(artifact, self.verifier.resolver())?;
         if let Some(store) = &self.artifacts {
             store.record(&StoredArtifact::Revocation(artifact.encode()))?;
         }
         Ok(())
     }
 
-    fn take_serial(&self) -> u64 {
-        self.next_serial.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// Opens the journal scope of one state-changing operation (see
     /// [`OpGuard`]): `stage` under the shard lock, `wait` outside it.
     fn begin(&self) -> Result<OpGuard<'_>, AcctError> {
-        self.journal.begin(|| self.snapshot_state())
+        self.journal.begin(|| self.ledger.snapshot())
     }
 
     /// Installs a compacted snapshot of the whole server state,
@@ -260,7 +241,7 @@ impl AccountingServer {
     /// [`AcctError::Storage`] when the install fails (the journal is
     /// then poisoned — fail-stop).
     pub fn compact(&self) -> Result<(), AcctError> {
-        self.journal.compact(|| self.snapshot_state())
+        self.journal.compact(|| self.ledger.snapshot())
     }
 
     /// The server's principal name.
@@ -289,15 +270,15 @@ impl AccountingServer {
     /// [`ReplayCache::DEFAULT_CAPACITY`] live checks must provision it
     /// explicitly.
     ///
+    /// [`ReplayCache`]: restricted_proxy::replay::ReplayCache
+    /// [`ReplayCache::DEFAULT_CAPACITY`]: restricted_proxy::replay::ReplayCache::DEFAULT_CAPACITY
+    ///
     /// Marks already in the guard — recovered by an earlier
     /// [`Self::with_storage`] — carry over, past the new bound if need
     /// be: forgetting a spent check is never the safe direction.
     #[must_use]
     pub fn with_replay_capacity(mut self, capacity: usize) -> Self {
-        let resized = ReplayCache::with_capacity(capacity, ReplayCache::DEFAULT_SHARDS);
-        self.replay
-            .for_each_entry(|grantor, id, expires| resized.rehydrate(grantor, id, expires));
-        self.replay = resized;
+        self.ledger.resize_replay(capacity);
         self
     }
 
@@ -306,25 +287,23 @@ impl AccountingServer {
     /// server is fail-stop (the journal poisons, and every later durable
     /// operation reports [`AcctError::Storage`]).
     pub fn open_account(&mut self, name: impl Into<String>, owners: Vec<PrincipalId>) {
-        let name = name.into();
-        let opened = self.journal.commit(|| JournalRecord::OpenAccount {
-            name: name.clone(),
-            owners: owners.clone(),
-        });
-        if opened.is_err() {
-            // `commit` already poisoned the journal; keep memory in
-            // agreement with the log by not creating the account.
-            return;
-        }
-        self.accounts
-            .insert(name.clone(), Account::new(name, owners));
+        let rec = JournalRecord::OpenAccount {
+            name: name.into(),
+            owners,
+        };
+        // A failed `commit` has poisoned the journal; memory stays in
+        // agreement with the log by not creating the account.
+        let _ = self
+            .journal
+            .commit(&rec)
+            .and_then(|()| self.ledger.apply(&rec));
     }
 
     /// A snapshot of an account's current state. (Accounts live behind
     /// shard locks, so reads return a clone rather than a reference.)
     #[must_use]
     pub fn account(&self, name: &str) -> Option<Account> {
-        self.accounts.get_cloned(&name.to_string())
+        self.ledger.account(name)
     }
 
     /// Mutable access to an account (administrative credit, quota ops).
@@ -334,28 +313,29 @@ impl AccountingServer {
     /// so a journal write error poisons the journal (fail-stop) instead.
     pub fn account_mut(&mut self, name: &str) -> Result<AccountMut<'_>, AcctError> {
         let AccountingServer {
-            accounts, journal, ..
+            ledger, journal, ..
         } = self;
-        let account = accounts
-            .get_mut(&name.to_string())
+        let account = ledger
+            .account_mut(name)
             .ok_or_else(|| AcctError::UnknownAccount(name.to_string()))?;
         Ok(AccountMut { account, journal })
     }
 
-    /// Verifies a check's chain and restrictions as presented by
-    /// `presenter`, consuming the check number on success. Also returns
-    /// the accept-once marks consumed, so a durable settlement can
-    /// journal them (the replay guard's memory must survive restart).
+    /// Verifies the chain and restrictions of `check` (whose fields
+    /// are `info`) as presented by `presenter`, consuming the check
+    /// number on success. Returns the accept-once marks consumed, so
+    /// the settlement can journal them (the replay guard's memory must
+    /// survive restart).
     fn verify_check(
         &self,
         check: &Check,
+        info: &CheckInfo,
         presenter: &PrincipalId,
         now: Timestamp,
-    ) -> Result<(CheckInfo, Vec<ReplayMark>), AcctError> {
-        let info = check.info()?;
+    ) -> Result<Vec<ReplayMark>, AcctError> {
         if info.drawn_on != self.name {
             return Err(AcctError::WrongServer {
-                drawn_on: info.drawn_on,
+                drawn_on: info.drawn_on.clone(),
                 received_by: self.name.clone(),
             });
         }
@@ -373,11 +353,11 @@ impl AccountingServer {
         if *presenter != self.name {
             ctx.authenticated.push(self.name.clone());
         }
-        let mut replay = JournaledReplay::new(&self.replay);
+        let mut replay = JournaledReplay::new(self.ledger.replay_guard());
         self.verifier
             .verify(&check.proxy.present_delegate(), &ctx, &mut replay)
             .map_err(AcctError::Verify)?;
-        Ok((info, replay.into_marks()))
+        Ok(replay.into_marks())
     }
 
     /// Collects a check drawn on this server, presented by `presenter`
@@ -397,34 +377,32 @@ impl AccountingServer {
         presenter: &PrincipalId,
         now: Timestamp,
     ) -> Result<Payment, AcctError> {
+        let info = check.info()?;
         let mut op = self.begin()?;
-        let payment = self.settle(&mut op, check, presenter, now, None)?;
+        let payment = self.settle(&mut op, check, info, presenter, now, None)?;
         op.wait()?;
         Ok(payment)
     }
 
-    /// Settles a check drawn here: verify, debit the payor (hold or
-    /// balance), and optionally credit `credit_to` (the same-server
-    /// deposit path). Stages into the caller's `op`; the caller waits.
+    /// Settles a check drawn here (its fields are `info`): verify, debit
+    /// the payor (hold or balance), and optionally credit `credit_to`
+    /// (the same-server deposit path). Stages into the caller's `op`;
+    /// the caller waits.
     fn settle(
         &self,
         op: &mut OpGuard<'_>,
         check: &Check,
+        info: CheckInfo,
         presenter: &PrincipalId,
         now: Timestamp,
         credit_to: Option<&str>,
     ) -> Result<Payment, AcctError> {
-        let (info, marks) = self.verify_check(check, presenter, now)?;
-        // Ownership check, hold-taking, and debit are one atomic step
-        // under the payor account's shard lock: racing presenters cannot
-        // interleave between the balance check and the debit. The Settle
-        // record is staged inside the same critical section — after
-        // validation, before the mutation — so log order agrees with
-        // memory order; the fsync wait happens after the lock is
-        // released.
-        self.accounts.update(&info.payor_account, |account| {
-            let account =
-                account.ok_or_else(|| AcctError::UnknownAccount(info.payor_account.clone()))?;
+        let replay = self.verify_check(check, &info, presenter, now)?;
+        // Ownership and funds are checked under the payor account's
+        // shard lock, where the record is staged and the debit made:
+        // racing presenters cannot interleave between the balance check
+        // and the debit. The payee is credited with that lock released.
+        self.ledger.post_on(op, &info.payor_account, |account| {
             if !account.is_owner(&info.payor) {
                 return Err(AcctError::NotAuthorized(info.payor.clone()));
             }
@@ -435,43 +413,20 @@ impl AccountingServer {
                     true
                 }
                 None => {
-                    let available = account.balance(&info.currency);
-                    if available < info.amount {
-                        return Err(AcctError::InsufficientFunds {
-                            currency: info.currency.clone(),
-                            requested: info.amount,
-                            available,
-                        });
-                    }
+                    account.covers(&info.currency, info.amount)?;
                     false
                 }
             };
-            op.stage(|| JournalRecord::Settle {
+            Ok(JournalRecord::Settle {
                 payor_account: info.payor_account.clone(),
                 check_no: info.check_no,
                 currency: info.currency.clone(),
                 amount: info.amount,
                 from_hold,
                 credit_to: credit_to.map(str::to_string),
-                replay: marks.clone(),
-            })?;
-            if from_hold {
-                account.take_hold(info.check_no);
-            } else {
-                account.debit(&info.currency, info.amount)?;
-            }
-            Ok(())
+                replay,
+            })
         })?;
-        if let Some(to) = credit_to {
-            // The payor's shard lock is released before the payee's is
-            // taken — locks strictly one at a time (DESIGN.md §9). The
-            // credit rides in the Settle record, so recovery replays both
-            // halves or neither.
-            self.accounts.update(&to.to_string(), |acct| {
-                acct.ok_or_else(|| AcctError::UnknownAccount(to.to_string()))
-                    .map(|a| a.credit(info.currency.clone(), info.amount))
-            })?;
-        }
         Ok(Payment {
             payor: info.payor,
             check_no: info.check_no,
@@ -498,7 +453,7 @@ impl AccountingServer {
         now: Timestamp,
         rng: &mut R,
     ) -> Result<DepositOutcome, AcctError> {
-        if !self.accounts.contains_key(&to_account.to_string()) {
+        if !self.ledger.has_account(to_account) {
             return Err(AcctError::UnknownAccount(to_account.to_string()));
         }
         let info = check.info()?;
@@ -511,38 +466,18 @@ impl AccountingServer {
         }
         let mut op = self.begin()?;
         let outcome = if info.drawn_on == self.name {
-            // `settle` debits the payor under that account's shard lock
-            // and releases it before crediting the payee — locks are
-            // acquired strictly one at a time (DESIGN.md §9).
-            let payment = self.settle(&mut op, check, depositor, now, Some(to_account))?;
+            let payment = self.settle(&mut op, check, info, depositor, now, Some(to_account))?;
             DepositOutcome::Settled(payment)
         } else {
-            // Credit as uncollected and endorse toward the drawee. The
-            // DepositPending record is staged *before* the uncollected
-            // entry becomes visible: any dependent record (the payment's
-            // return) can only stage after the insert, so log order is
-            // safe.
-            let serial = self.take_serial();
+            // Credit as uncollected and endorse toward the drawee.
+            // Endorse first, as `forward` does: signing is the fallible
+            // step, and a record once staged must not be followed by a
+            // failure.
+            let serial = self.ledger.take_serial();
             let window = check
                 .proxy
                 .effective_validity()
                 .ok_or(AcctError::MalformedCheck("validity"))?;
-            op.stage(|| JournalRecord::DepositPending {
-                payor: info.payor.clone(),
-                check_no: info.check_no,
-                to_account: to_account.to_string(),
-                currency: info.currency.clone(),
-                amount: info.amount,
-                serial,
-            })?;
-            self.uncollected.insert(
-                (info.payor.clone(), info.check_no),
-                Uncollected {
-                    account: to_account.to_string(),
-                    currency: info.currency.clone(),
-                    amount: info.amount,
-                },
-            );
             let endorsed = check.endorse(
                 &self.name,
                 &self.authority,
@@ -552,6 +487,15 @@ impl AccountingServer {
                 serial,
                 rng,
             )?;
+            let pending = JournalRecord::DepositPending {
+                payor: info.payor,
+                check_no: info.check_no,
+                to_account: to_account.to_string(),
+                currency: info.currency,
+                amount: info.amount,
+                serial,
+            };
+            self.ledger.post(&mut op, &pending)?;
             DepositOutcome::Forwarded {
                 check: endorsed,
                 next_hop,
@@ -574,7 +518,7 @@ impl AccountingServer {
         rng: &mut R,
     ) -> Result<Check, AcctError> {
         let mut op = self.begin()?;
-        let serial = self.take_serial();
+        let serial = self.ledger.take_serial();
         let window = check
             .proxy
             .effective_validity()
@@ -597,7 +541,8 @@ impl AccountingServer {
         // Endorsement serials are accept-once identifiers at peer
         // servers; persisting the counter's high-water mark keeps a
         // restarted server from re-issuing a consumed serial.
-        op.stage(|| JournalRecord::Forward { serial })?;
+        self.ledger
+            .post(&mut op, &JournalRecord::Forward { serial })?;
         op.wait()?;
         Ok(endorsed)
     }
@@ -612,38 +557,18 @@ impl AccountingServer {
     /// [`AcctError::Storage`] when the journal refuses the record; the
     /// uncollected entry is then left untouched.
     pub fn apply_payment(&self, payment: &Payment) -> Result<bool, AcctError> {
+        // The deposit was credited as uncollected at deposit time;
+        // finality moves it into the balance. (A bounced check would
+        // instead drop it — see `bounce`.) Of two racing duplicate
+        // payments exactly one takes the entry.
         let mut op = self.begin()?;
-        // The gated atomic remove is the linearization point: exactly one
-        // of two racing duplicate payments takes the entry (and stages
-        // the journal record); the loser finds nothing and credits
-        // nothing. The deposit was credited as uncollected at deposit
-        // time; finality means it stays. (A bounced check would instead
-        // reverse it — see `bounce`.)
-        let taken =
-            self.uncollected
-                .remove_if(&(payment.payor.clone(), payment.check_no), |u| {
-                    debug_assert_eq!(u.amount, payment.amount);
-                    op.stage(|| JournalRecord::PaymentApplied {
-                        payor: payment.payor.clone(),
-                        check_no: payment.check_no,
-                    })
-                })?;
-        let applied = match taken {
-            Some(u) => {
-                let Uncollected {
-                    account,
-                    currency,
-                    amount,
-                } = u;
-                self.accounts.update(&account, |acct| {
-                    if let Some(acct) = acct {
-                        acct.credit(currency, amount);
-                    }
-                });
-                true
-            }
-            None => false,
-        };
+        let applied = self.ledger.post_taking(
+            &mut op,
+            &JournalRecord::PaymentApplied {
+                payor: payment.payor.clone(),
+                check_no: payment.check_no,
+            },
+        )?;
         op.wait()?;
         Ok(applied)
     }
@@ -659,29 +584,22 @@ impl AccountingServer {
     /// uncollected entry is then left untouched.
     pub fn bounce(&self, payor: &PrincipalId, check_no: u64) -> Result<bool, AcctError> {
         let mut op = self.begin()?;
-        let taken = self
-            .uncollected
-            .remove_if(&(payor.clone(), check_no), |_| {
-                op.stage(|| JournalRecord::Bounced {
-                    payor: payor.clone(),
-                    check_no,
-                })
-            })?;
+        let bounced = self.ledger.post_taking(
+            &mut op,
+            &JournalRecord::Bounced {
+                payor: payor.clone(),
+                check_no,
+            },
+        )?;
         op.wait()?;
-        Ok(taken.is_some())
+        Ok(bounced)
     }
 
     /// Amount of `currency` pending collection into `account`
     /// (quiescently consistent across shards).
     #[must_use]
     pub fn uncollected_total(&self, account: &str, currency: &Currency) -> u64 {
-        self.uncollected.fold(0u64, |acc, _, u| {
-            if u.account == account && u.currency == *currency {
-                acc + u.amount
-            } else {
-                acc
-            }
-        })
+        self.ledger.uncollected_total(account, currency)
     }
 
     /// Issues a cashier's check (§4 leaves these "as an exercise"): the
@@ -707,37 +625,19 @@ impl AccountingServer {
         rng: &mut R,
     ) -> Result<Check, AcctError> {
         // Ownership check + debit: atomic under the purchaser's shard
-        // lock, released before the cashier pool is touched. The journal
-        // record is staged inside the same critical section, after
-        // validation.
+        // lock, released before the funds reach the cashier pool.
         let mut op = self.begin()?;
-        self.accounts.update(&from_account.to_string(), |acct| {
-            let acct = acct.ok_or_else(|| AcctError::UnknownAccount(from_account.to_string()))?;
+        self.ledger.post_on(&mut op, from_account, |acct| {
             if !acct.is_owner(purchaser) {
                 return Err(AcctError::NotAuthorized(purchaser.clone()));
             }
-            let available = acct.balance(&currency);
-            if available < amount {
-                return Err(AcctError::InsufficientFunds {
-                    currency: currency.clone(),
-                    requested: amount,
-                    available,
-                });
-            }
-            op.stage(|| JournalRecord::CashierPurchase {
+            acct.covers(&currency, amount)?;
+            Ok(JournalRecord::CashierPurchase {
                 from_account: from_account.to_string(),
                 currency: currency.clone(),
                 amount,
-            })?;
-            acct.debit(&currency, amount)
+            })
         })?;
-        // Funds wait in the cashier pool until the check is collected.
-        let pool_name = CASHIER_ACCOUNT.to_string();
-        self.accounts.upsert(
-            pool_name.clone(),
-            || Account::new(pool_name, vec![self.name.clone()]),
-            |pool| pool.credit(currency.clone(), amount),
-        );
         op.wait()?;
         // The server can verify its own signature at collection time: its
         // verifier registered the self-key at construction.
@@ -777,32 +677,22 @@ impl AccountingServer {
     ) -> Result<Proxy, AcctError> {
         // Ownership check + hold placement: one atomic step under the
         // account's shard lock, so concurrent certifications cannot
-        // over-commit the balance. The journal record is staged inside
-        // the same critical section, after validation.
+        // over-commit the balance.
         let mut op = self.begin()?;
-        let serial = self.take_serial();
-        self.accounts.update(&account.to_string(), |acct| {
-            let acct = acct.ok_or_else(|| AcctError::UnknownAccount(account.to_string()))?;
+        let serial = self.ledger.take_serial();
+        self.ledger.post_on(&mut op, account, |acct| {
             if !acct.is_owner(requester) {
                 return Err(AcctError::NotAuthorized(requester.clone()));
             }
-            let available = acct.balance(&currency);
-            if available < amount {
-                return Err(AcctError::InsufficientFunds {
-                    currency: currency.clone(),
-                    requested: amount,
-                    available,
-                });
-            }
-            op.stage(|| JournalRecord::Certified {
+            acct.covers(&currency, amount)?;
+            Ok(JournalRecord::Certified {
                 account: account.to_string(),
                 check_no,
                 currency: currency.clone(),
                 amount,
-                payee: payee.clone(),
+                payee,
                 serial,
-            })?;
-            acct.place_hold(check_no, currency.clone(), amount, payee.clone())
+            })
         })?;
         op.wait()?;
         let restrictions = RestrictionSet::new()
@@ -856,7 +746,7 @@ impl Drop for AccountMut<'_> {
         // `Drop` cannot report failure; `commit` poisons the journal on
         // error, so the server goes fail-stop rather than letting memory
         // diverge from the log.
-        let _ = self.journal.commit(|| JournalRecord::AdminAccount {
+        let _ = self.journal.commit(&JournalRecord::AdminAccount {
             account: self.account.clone(),
         });
     }

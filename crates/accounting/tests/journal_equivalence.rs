@@ -1,7 +1,7 @@
 //! Live state == recovered state, whatever the journal is attached to.
 //!
-//! A record's mutation is written twice: by the live handler in
-//! `server.rs` and by `replay_record` in `recovery.rs`. One seeded
+//! A record's mutation is written once (`Ledger::apply`), so this pins
+//! results and reopening rather than two spellings of it. One seeded
 //! generator of operation sequences runs here against a detached
 //! server, a `MemStorage` one and a `WalStorage` one. Every call must
 //! return the same thing on all three, the final states must agree, and

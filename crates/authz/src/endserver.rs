@@ -212,15 +212,8 @@ impl<R: KeyResolver> EndServer<R> {
     /// regression, or delta-base mismatch; [`AuthzError::Storage`] when
     /// the artifact verified and applied but could not be persisted.
     pub fn apply_revocation(&self, artifact: &RevocationArtifact) -> Result<(), AuthzError> {
-        let verifier = self
-            .verifier
-            .resolver()
-            .grantor_verifier(&artifact.issuer)
-            .ok_or_else(|| ArtifactError::UnknownIssuer(artifact.issuer.clone()))?;
-        if !artifact.verify_seal(&verifier) {
-            return Err(ArtifactError::BadSeal.into());
-        }
-        self.revocations.apply_verified(artifact)?;
+        self.revocations
+            .apply_sealed(artifact, self.verifier.resolver())?;
         if let Some(store) = &self.artifacts {
             store.record(&StoredArtifact::Revocation(artifact.encode()))?;
         }
@@ -237,15 +230,8 @@ impl<R: KeyResolver> EndServer<R> {
     /// regression, or delta-base mismatch; [`AuthzError::Storage`] when
     /// the artifact verified and applied but could not be persisted.
     pub fn apply_membership(&self, artifact: &MembershipArtifact) -> Result<(), AuthzError> {
-        let verifier = self
-            .verifier
-            .resolver()
-            .grantor_verifier(&artifact.group.server)
-            .ok_or_else(|| ArtifactError::UnknownIssuer(artifact.group.server.clone()))?;
-        if !artifact.verify_seal(&verifier) {
-            return Err(ArtifactError::BadSeal.into());
-        }
-        self.memberships.apply_verified(artifact)?;
+        self.memberships
+            .apply_sealed(artifact, self.verifier.resolver())?;
         if let Some(store) = &self.artifacts {
             store.record(&StoredArtifact::Membership(artifact.encode()))?;
         }

@@ -26,7 +26,7 @@ pub fn panic_free_applies(rel: &str) -> bool {
         || rel == "crates/authz/src/server.rs"
         || rel == "crates/authz/src/endserver.rs"
         || rel == "crates/accounting/src/server.rs"
-        || rel == "crates/accounting/src/recovery.rs"
+        || rel == "crates/accounting/src/ledger.rs"
         || rel == "crates/accounting/src/check.rs"
         || rel == "crates/accounting/src/clearing.rs"
         || rel == "crates/accounting/src/journal.rs"
@@ -79,7 +79,7 @@ pub fn lock_order_applies(rel: &str) -> bool {
 /// storage engines that back them.
 pub fn durability_applies(rel: &str) -> bool {
     rel == "crates/accounting/src/server.rs"
-        || rel == "crates/accounting/src/recovery.rs"
+        || rel == "crates/accounting/src/ledger.rs"
         || rel == "crates/accounting/src/journal.rs"
         || rel.starts_with("crates/storage/src/")
 }
@@ -125,7 +125,7 @@ mod tests {
         assert!(panic_free_applies("crates/proxy/src/membership.rs"));
         assert!(panic_free_applies("crates/proxy/src/keytable.rs"));
         assert!(panic_free_applies("crates/accounting/src/server.rs"));
-        assert!(panic_free_applies("crates/accounting/src/recovery.rs"));
+        assert!(panic_free_applies("crates/accounting/src/ledger.rs"));
         assert!(panic_free_applies("crates/accounting/src/check.rs"));
         assert!(panic_free_applies("crates/accounting/src/journal.rs"));
         assert!(panic_free_applies("crates/storage/src/log.rs"));
@@ -133,6 +133,25 @@ mod tests {
         assert!(!panic_free_applies("crates/proxy/src/verify.rs"));
         assert!(!panic_free_applies("crates/crypto/src/sha256.rs"));
         assert!(!panic_free_applies("crates/storage/src/wal.rs"));
+    }
+
+    /// A renamed file would otherwise leave its rules' scope, and the
+    /// lint would pass because it had stopped looking.
+    #[test]
+    fn every_file_named_exactly_exists() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let rules = include_str!("scope.rs")
+            .split("#[cfg(test)]")
+            .next()
+            .unwrap_or_default();
+        let named: Vec<&str> = rules
+            .split('"')
+            .filter(|s| s.contains('/') && s.ends_with(".rs"))
+            .collect();
+        assert!(named.contains(&"crates/accounting/src/ledger.rs"));
+        for rel in named {
+            assert!(root.join(rel).is_file(), "scope.rs names {rel}");
+        }
     }
 
     #[test]
@@ -165,7 +184,7 @@ mod tests {
     #[test]
     fn l7_covers_journal_and_storage() {
         assert!(durability_applies("crates/accounting/src/server.rs"));
-        assert!(durability_applies("crates/accounting/src/recovery.rs"));
+        assert!(durability_applies("crates/accounting/src/ledger.rs"));
         assert!(durability_applies("crates/accounting/src/journal.rs"));
         assert!(durability_applies("crates/storage/src/wal.rs"));
         assert!(durability_applies("crates/storage/src/mem.rs"));

@@ -13,7 +13,9 @@
 //!   last good state enforced (fail closed).
 //! * [`DeltaLog`] — the publisher: the published epoch and the last
 //!   [`DELTA_LOG_DEPTH`] deltas, for receivers that lag.
-//! * The seal over an artifact body and its codec, and [`ArtifactError`].
+//! * The seal over an artifact body and its codec, `authenticate` (the
+//!   one place [`ArtifactError::UnknownIssuer`] and
+//!   [`ArtifactError::BadSeal`] come from), and [`ArtifactError`].
 //!
 //! A payload adds its body codec and what "replace" and "extend" mean
 //! for its state: different in kind, so two concrete artifact structs.
@@ -27,7 +29,7 @@ use proxy_crypto::hmac::HmacSha256;
 
 use crate::cert::CertSeal;
 use crate::encode::{DecodeError, Decoder, Encoder};
-use crate::key::{GrantAuthority, GrantorVerifier};
+use crate::key::{GrantAuthority, GrantorVerifier, KeyResolver};
 use crate::principal::PrincipalId;
 use crate::shard::ShardMap;
 
@@ -321,6 +323,28 @@ pub(crate) fn verify_body_seal(verifier: &GrantorVerifier, body: &[u8], seal: &C
         }
         (GrantorVerifier::PublicKey(vk), CertSeal::Ed25519(sig)) => vk.verify(body, sig).is_ok(),
         _ => false,
+    }
+}
+
+/// The intake check of a sealed artifact: `seal` over `body` verifies
+/// under the key `resolver` holds for `issuer`.
+///
+/// # Errors
+///
+/// [`ArtifactError::UnknownIssuer`] / [`ArtifactError::BadSeal`].
+pub(crate) fn authenticate(
+    resolver: &impl KeyResolver,
+    issuer: &PrincipalId,
+    body: &[u8],
+    seal: &CertSeal,
+) -> Result<(), ArtifactError> {
+    let verifier = resolver
+        .grantor_verifier(issuer)
+        .ok_or_else(|| ArtifactError::UnknownIssuer(issuer.clone()))?;
+    if verify_body_seal(&verifier, body, seal) {
+        Ok(())
+    } else {
+        Err(ArtifactError::BadSeal)
     }
 }
 

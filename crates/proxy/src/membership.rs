@@ -30,10 +30,10 @@ use proxy_crypto::sha256::Sha256;
 use crate::cert::CertSeal;
 use crate::encode::{DecodeError, Decoder, Encoder};
 use crate::epoch::{
-    decode_artifact_body, decode_seal, encode_seal, seal_body, verify_body_seal, ArtifactError,
-    ArtifactKind, EpochMirror,
+    authenticate, decode_artifact_body, decode_seal, encode_seal, seal_body, verify_body_seal,
+    ArtifactError, ArtifactKind, EpochMirror,
 };
-use crate::key::{GrantAuthority, GrantorVerifier};
+use crate::key::{GrantAuthority, GrantorVerifier, KeyResolver};
 use crate::principal::{GroupName, PrincipalId};
 use crate::time::Timestamp;
 
@@ -383,6 +383,25 @@ impl MembershipDirectory {
             }
             None => MembershipAnswer::Unknown,
         }
+    }
+
+    /// The intake of an artifact as received: its seal must verify
+    /// under the key `resolver` holds for the group's server — the only
+    /// acceptable sealer — and only then is it applied
+    /// ([`Self::apply_verified`]).
+    ///
+    /// # Errors
+    ///
+    /// [`ArtifactError::UnknownIssuer`] / [`ArtifactError::BadSeal`],
+    /// and those of [`Self::apply_verified`].
+    pub fn apply_sealed(
+        &self,
+        artifact: &MembershipArtifact,
+        resolver: &impl KeyResolver,
+    ) -> Result<(), ArtifactError> {
+        let (issuer, body) = (&artifact.group.server, artifact.body_bytes());
+        authenticate(resolver, issuer, &body, &artifact.seal)?;
+        self.apply_verified(artifact)
     }
 
     /// Applies a *seal-verified* artifact. Snapshots must advance the

@@ -34,11 +34,11 @@ use std::sync::RwLock;
 use crate::cert::CertSeal;
 use crate::encode::{DecodeError, Decoder, Encoder};
 use crate::epoch::{
-    decode_artifact_body, decode_seal, encode_seal, seal_body, verify_body_seal, DeltaLog,
-    EpochMirror,
+    authenticate, decode_artifact_body, decode_seal, encode_seal, seal_body, verify_body_seal,
+    DeltaLog, EpochMirror,
 };
 pub use crate::epoch::{ArtifactError, ArtifactKind, DELTA_LOG_DEPTH, MAX_ARTIFACT_BODY};
-use crate::key::{GrantAuthority, GrantorVerifier};
+use crate::key::{GrantAuthority, GrantorVerifier, KeyResolver};
 use crate::principal::PrincipalId;
 
 /// Domain-separation label sealed over by revocation artifacts.
@@ -727,6 +727,24 @@ impl RevocationDirectory {
     #[must_use]
     pub fn epoch_of(&self, issuer: &PrincipalId) -> u64 {
         self.mirrors.epoch_of(issuer)
+    }
+
+    /// The intake of an artifact as received: its seal must verify
+    /// under the key `resolver` holds for the claimed issuer, and only
+    /// then is it applied ([`Self::apply_verified`]).
+    ///
+    /// # Errors
+    ///
+    /// [`ArtifactError::UnknownIssuer`] / [`ArtifactError::BadSeal`],
+    /// and those of [`Self::apply_verified`].
+    pub fn apply_sealed(
+        &self,
+        artifact: &RevocationArtifact,
+        resolver: &impl KeyResolver,
+    ) -> Result<(), ArtifactError> {
+        let (issuer, body) = (&artifact.issuer, artifact.body_bytes());
+        authenticate(resolver, issuer, &body, &artifact.seal)?;
+        self.apply_verified(artifact)
     }
 
     /// Applies a *seal-verified* artifact. Snapshots must advance the
