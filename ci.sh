@@ -127,8 +127,11 @@ e2e_gate() {
 # Zero-allocation hot path (DESIGN.md §17): a short traced e2e run with
 # the counting global allocator (feature `alloc-count`) — the run must
 # be correct and steady-state allocs/op on the authz-query wire path
-# must stay at or under the fixed ceiling (21 today, exact).
-e2e_gate fig3_query 'alloc.allocs_per_op' 22
+# must stay at or under the fixed ceiling (21 today, exact). The same
+# run holds the shared-key grant to the per-key work a key pays once
+# (DESIGN.md §8, "Conventional keys"): 2.5 us today; 5.96 when every
+# grant re-derived the seal subkeys and re-absorbed both keys' pads.
+e2e_gate fig3_query 'alloc.allocs_per_op' 22 'authz.request_authorization_us' 4.5
 
 # Per-key work paid once per key (DESIGN.md §8, "Prepared keys"): the
 # check-deposit path decodes an Ed25519 proxy key it never uses and

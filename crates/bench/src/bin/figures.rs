@@ -331,6 +331,39 @@ fn ablate_crypto() {
         .verify(&pres, &ctx, &mut MemoryReplayGuard::new())
         .expect("ok");
 
+    // The conventional half (DESIGN.md §8, "Conventional keys"): what a
+    // key costs per message under its raw bytes, on its first use, and
+    // once it holds its schedule. A thousand operations per call, in ns.
+    const KEY_OPS: usize = 1000;
+    let block = [0x5au8; proxy_crypto::sha256::BLOCK_LEN];
+    let body = [0xc3u8; 87];
+    let hmac_world = symmetric_world(11);
+    let shared_bytes = *hmac_world.shared.as_bytes();
+    let warm_key = SymmetricKey::from_bytes(shared_bytes);
+    warm_key.prepare();
+    let nonce = proxy_crypto::keys::Nonce::from_bytes([9; 12]);
+    let hmac_pres = grant(
+        &hmac_world.grantor,
+        &hmac_world.authority,
+        RestrictionSet::new(),
+        window(),
+        1,
+        &mut proxy_bench::rng(12),
+    )
+    .present_bearer([2u8; 32], &hmac_world.server);
+    let hmac_ctx = proxy_bench::matching_ctx(&hmac_world.server);
+    let grant_under = |authority: &GrantAuthority, rng: &mut rand::rngs::StdRng| {
+        black_box(grant(
+            &hmac_world.grantor,
+            authority,
+            RestrictionSet::new(),
+            window(),
+            1,
+            rng,
+        ));
+    };
+    let (mut warm_rng, mut cold_rng) = (proxy_bench::rng(13), proxy_bench::rng(13));
+
     let mut variants: Vec<Variant> = vec![
         kernel("seed-double-and-add", || seed_b.mul_scalar(&k)),
         kernel("naive-double-and-add", || b.mul_scalar(&k)),
@@ -456,6 +489,75 @@ fn ablate_crypto() {
         ));
     }
 
+    variants.extend([
+        kernel("sha256-block-x1000", || {
+            let mut h = proxy_crypto::sha256::Sha256::new();
+            for _ in 0..KEY_OPS {
+                h.update(black_box(&block));
+            }
+            h.finalize()
+        }),
+        kernel("hmac-87B-raw-key-x1000", || {
+            for _ in 0..KEY_OPS {
+                black_box(proxy_crypto::hmac::HmacSha256::mac(
+                    black_box(&shared_bytes),
+                    black_box(&body),
+                ));
+            }
+        }),
+        kernel("hmac-87B-keyed-context-x1000", || {
+            for _ in 0..KEY_OPS {
+                black_box(black_box(&warm_key).mac(black_box(&body)));
+            }
+        }),
+        kernel("seal-key32-first-use-x1000", || {
+            for _ in 0..KEY_OPS {
+                let key = SymmetricKey::from_bytes(black_box(shared_bytes));
+                black_box(proxy_crypto::seal::seal_key32_with_nonce(
+                    &key, &nonce, b"aad", &[7; 32],
+                ));
+            }
+        }),
+        kernel("seal-key32-warm-x1000", || {
+            for _ in 0..KEY_OPS {
+                black_box(proxy_crypto::seal::seal_key32_with_nonce(
+                    black_box(&warm_key),
+                    &nonce,
+                    b"aad",
+                    &[7; 32],
+                ));
+            }
+        }),
+        (
+            "grant-shared-key-first-use-x1000",
+            Box::new(|| {
+                for _ in 0..KEY_OPS {
+                    let key = SymmetricKey::from_bytes(black_box(shared_bytes));
+                    grant_under(&GrantAuthority::SharedKey(key), &mut cold_rng);
+                }
+            }),
+        ),
+        (
+            "grant-shared-key-warm-x1000",
+            Box::new(|| {
+                for _ in 0..KEY_OPS {
+                    grant_under(&hmac_world.authority, &mut warm_rng);
+                }
+            }),
+        ),
+        kernel("verify-hmac-link-warm-x1000", || {
+            for _ in 0..KEY_OPS {
+                let mut guard = MemoryReplayGuard::new();
+                black_box(
+                    hmac_world
+                        .verifier
+                        .verify(&hmac_pres, &hmac_ctx, &mut guard)
+                        .expect("ok"),
+                );
+            }
+        }),
+    ]);
+
     variants.push((
         "cascade8-cold",
         Box::new(|| {
@@ -515,6 +617,16 @@ fn ablate_crypto() {
         format!(
             "{:.2}",
             us("decompress-pair") / (2.0 * us("decompress-one"))
+        ),
+        "x",
+    );
+    report_row(
+        "C",
+        "grant-warm-vs-first-use",
+        1,
+        ratio(
+            "grant-shared-key-warm-x1000",
+            "grant-shared-key-first-use-x1000",
         ),
         "x",
     );

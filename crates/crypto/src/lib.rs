@@ -10,7 +10,8 @@
 //! the protocols need from primary sources:
 //!
 //! * [`sha256`] / [`sha512`] — FIPS 180-4 hash functions.
-//! * [`hmac`] — RFC 2104 keyed MACs over both hashes.
+//! * [`hmac`] — RFC 2104 keyed MAC over SHA-256; a keyed context keeps both
+//!   pad midstates, so a long-lived key pays for its pads once.
 //! * [`chacha20`] — RFC 8439 stream cipher, used to protect proxy keys in
 //!   transit (the paper's "{K_proxy}K_session").
 //! * [`seal`] — encrypt-then-MAC authenticated sealing, the moral

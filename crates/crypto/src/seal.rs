@@ -10,7 +10,7 @@ use rand::RngCore;
 
 use crate::chacha20;
 use crate::ct::ct_eq;
-use crate::hmac::{derive_key, HmacSha256};
+use crate::hmac::HmacSha256;
 use crate::keys::{Nonce, SymmetricKey};
 
 /// Length of the integrity tag appended to sealed messages.
@@ -36,11 +36,39 @@ impl std::fmt::Display for SealError {
 
 impl std::error::Error for SealError {}
 
-fn subkeys(key: &SymmetricKey) -> ([u8; 32], [u8; 32]) {
-    (
-        derive_key(key.as_bytes(), b"proxy-aa seal enc"),
-        derive_key(key.as_bytes(), b"proxy-aa seal mac"),
-    )
+const ENC_LABEL: &[u8] = b"proxy-aa seal enc";
+const MAC_LABEL: &[u8] = b"proxy-aa seal mac";
+
+/// The cipher key and the keyed MAC context every seal under one master
+/// key uses. They depend on the master key alone, so a [`SymmetricKey`]
+/// derives them once ([`SymmetricKey::seal_keys`]) instead of once per
+/// message.
+pub(crate) struct SealKeys {
+    enc: [u8; 32],
+    mac: HmacSha256,
+}
+
+impl SealKeys {
+    /// Derives both subkeys of `master`: each is the HMAC of its domain
+    /// separation label under the master key (single-block HKDF-like
+    /// expand; sufficient for the fixed-size keys used throughout this
+    /// workspace).
+    pub(crate) fn derive(master: &SymmetricKey) -> Self {
+        Self {
+            enc: master.mac(ENC_LABEL),
+            mac: HmacSha256::new(&master.mac(MAC_LABEL)),
+        }
+    }
+
+    /// `HMAC(mac_key, nonce || aad_len_le64 || aad || ciphertext)`.
+    fn tag(&self, nonce: &[u8], aad: &[u8], ct: &[u8]) -> [u8; TAG_LEN] {
+        let mut mac = self.mac.clone();
+        mac.update(nonce);
+        mac.update(&(aad.len() as u64).to_le_bytes());
+        mac.update(aad);
+        mac.update(ct);
+        mac.finalize()
+    }
 }
 
 /// Seals `plaintext` (+ authenticated `aad`) under `key` with a fresh nonce
@@ -56,17 +84,12 @@ pub fn seal<R: RngCore>(key: &SymmetricKey, aad: &[u8], plaintext: &[u8], rng: &
 /// Deterministic variant of [`seal`] for tests and derived-nonce protocols.
 #[must_use]
 pub fn seal_with_nonce(key: &SymmetricKey, nonce: &Nonce, aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-    let (enc_key, mac_key) = subkeys(key);
-    let ct = chacha20::encrypt(&enc_key, nonce.as_bytes(), plaintext);
+    let keys = key.seal_keys();
+    let ct = chacha20::encrypt(&keys.enc, nonce.as_bytes(), plaintext);
     let mut out = Vec::with_capacity(chacha20::NONCE_LEN + ct.len() + TAG_LEN);
     out.extend_from_slice(nonce.as_bytes());
     out.extend_from_slice(&ct);
-    let mut mac = HmacSha256::new(&mac_key);
-    mac.update(nonce.as_bytes());
-    mac.update(&(aad.len() as u64).to_le_bytes());
-    mac.update(aad);
-    mac.update(&ct);
-    out.extend_from_slice(&mac.finalize());
+    out.extend_from_slice(&keys.tag(nonce.as_bytes(), aad, &ct));
     out
 }
 
@@ -98,23 +121,18 @@ pub fn seal_key32_with_nonce(
     aad: &[u8],
     key32: &[u8; 32],
 ) -> [u8; SEALED_KEY32_LEN] {
-    let (enc_key, mac_key) = subkeys(key);
+    let keys = key.seal_keys();
     let mut out = [0u8; SEALED_KEY32_LEN];
     out[..chacha20::NONCE_LEN].copy_from_slice(nonce.as_bytes());
     let ct_end = chacha20::NONCE_LEN + 32;
     out[chacha20::NONCE_LEN..ct_end].copy_from_slice(key32);
     chacha20::xor_stream(
-        &enc_key,
+        &keys.enc,
         1,
         nonce.as_bytes(),
         &mut out[chacha20::NONCE_LEN..ct_end],
     );
-    let mut mac = HmacSha256::new(&mac_key);
-    mac.update(nonce.as_bytes());
-    mac.update(&(aad.len() as u64).to_le_bytes());
-    mac.update(aad);
-    mac.update(&out[chacha20::NONCE_LEN..ct_end]);
-    let tag = mac.finalize();
+    let tag = keys.tag(nonce.as_bytes(), aad, &out[chacha20::NONCE_LEN..ct_end]);
     out[ct_end..].copy_from_slice(&tag);
     out
 }
@@ -132,17 +150,12 @@ pub fn open(key: &SymmetricKey, aad: &[u8], sealed: &[u8]) -> Result<Vec<u8>, Se
     }
     let (nonce_bytes, rest) = sealed.split_at(chacha20::NONCE_LEN);
     let (ct, tag) = rest.split_at(rest.len() - TAG_LEN);
-    let (enc_key, mac_key) = subkeys(key);
-    let mut mac = HmacSha256::new(&mac_key);
-    mac.update(nonce_bytes);
-    mac.update(&(aad.len() as u64).to_le_bytes());
-    mac.update(aad);
-    mac.update(ct);
-    if !ct_eq(&mac.finalize(), tag) {
+    let keys = key.seal_keys();
+    if !ct_eq(&keys.tag(nonce_bytes, aad, ct), tag) {
         return Err(SealError::BadTag);
     }
     let nonce: [u8; chacha20::NONCE_LEN] = nonce_bytes.try_into().expect("split length");
-    Ok(chacha20::decrypt(&enc_key, &nonce, ct))
+    Ok(chacha20::decrypt(&keys.enc, &nonce, ct))
 }
 
 #[cfg(test)]
@@ -175,6 +188,73 @@ mod tests {
         let sealed = seal_key32(&key(), b"aad", &key32, &mut rng);
         assert_eq!(sealed.len(), SEALED_KEY32_LEN);
         assert_eq!(open(&key(), b"aad", &sealed).unwrap(), key32);
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// Sealed bytes recorded from the commit before keys kept their
+    /// schedule (PR 22), which derived both subkeys and re-keyed the MAC
+    /// on every call: same key, nonce and aad must give these bytes
+    /// whether the key is on its first use or its second, and they must
+    /// open.
+    #[test]
+    fn golden_vectors_from_the_per_call_derivation_still_hold() {
+        const AAD: &[u8] = b"golden aad v1";
+        const LONG: &[u8] =
+            b"the quick brown fox jumps over the lazy dog, twice over the 64-byte block line";
+        let key = SymmetricKey::from_bytes(std::array::from_fn(|i| {
+            (i as u8).wrapping_mul(7).wrapping_add(3)
+        }));
+        let nonce = Nonce::from_bytes([0xa5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]);
+        let key32: [u8; 32] = std::array::from_fn(|i| 0xf0 ^ i as u8);
+        let sealed_key32 = unhex(
+            "a50102030405060708090a0b38fa6b275190678eee48f6df1eb44640d29ce043\
+             060380672fcb064be9ec020babe28a3dcfc39947cd6710cd19bdad4a5f319ab5\
+             15f57c2a978aff69855c1440",
+        );
+        let sealed_long = unhex(
+            "a50102030405060708090a0bbc63fcf4d410f81a7d916e568d3ed69f54127a80\
+             88930bf0b40283d66073cc909d0eb435e89975b11e29083eef1ba573856f474e\
+             320b415d732f56dea7978d7c21df8e87bdb4b05f005b01b8a17022190246ca0c\
+             d41025ac53eb4b75824d7c54aba3bb8ea84c1e8be013033b860a",
+        );
+        let sealed_empty = unhex(
+            "a50102030405060708090a0b944238c2f80ab7d1f91a1c6c8d5d4b88e7caf528\
+             a6cf3c8f360cacad6e15bd58",
+        );
+        for _ in 0..2 {
+            assert_eq!(
+                seal_key32_with_nonce(&key, &nonce, AAD, &key32).as_slice(),
+                sealed_key32
+            );
+            assert_eq!(seal_with_nonce(&key, &nonce, AAD, LONG), sealed_long);
+            assert_eq!(seal_with_nonce(&key, &nonce, b"", b""), sealed_empty);
+        }
+        let cold = SymmetricKey::from_bytes(*key.as_bytes());
+        assert_eq!(open(&cold, AAD, &sealed_key32).unwrap(), key32);
+        assert_eq!(open(&key, AAD, &sealed_long).unwrap(), LONG);
+        assert_eq!(open(&key, b"", &sealed_empty).unwrap(), b"");
+    }
+
+    #[test]
+    fn the_two_seal_subkeys_differ_and_are_stable() {
+        // A subkey is the plain HMAC of its label under the master key.
+        let enc = HmacSha256::mac(key().as_bytes(), ENC_LABEL);
+        let mac = HmacSha256::mac(key().as_bytes(), MAC_LABEL);
+        assert_ne!(enc, mac);
+        for _ in 0..2 {
+            let keys = SealKeys::derive(&key());
+            assert_eq!(keys.enc, enc);
+            assert_eq!(
+                keys.tag(b"nonce", b"aad", b"ct"),
+                HmacSha256::mac(&mac, b"nonce\x03\0\0\0\0\0\0\0aadct")
+            );
+        }
     }
 
     #[test]

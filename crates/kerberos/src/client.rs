@@ -3,7 +3,6 @@
 
 use rand::RngCore;
 
-use proxy_crypto::hmac::HmacSha256;
 use proxy_crypto::keys::SymmetricKey;
 
 use restricted_proxy::principal::PrincipalId;
@@ -59,7 +58,7 @@ impl KrbProxyKey {
     /// Answers a server challenge, proving possession of the proxy key.
     #[must_use]
     pub fn prove(&self, challenge: &[u8]) -> Vec<u8> {
-        HmacSha256::mac(self.0.as_bytes(), challenge).to_vec()
+        self.0.mac(challenge).to_vec()
     }
 }
 
@@ -259,7 +258,7 @@ pub fn redeem_tgs_proxy<R: RngCore>(
         rng.fill_bytes(&mut b);
         b
     });
-    let possession = HmacSha256::mac(proxy_key.0.as_bytes(), &nonce.to_le_bytes()).to_vec();
+    let possession = proxy_key.0.mac(&nonce.to_le_bytes()).to_vec();
     let req = TgsRequest {
         tgt_blob: proxy.ticket_blob.clone(),
         authenticator_blob: proxy.authenticator_blob.clone(),

@@ -9,7 +9,6 @@ use std::collections::HashMap;
 
 use rand::RngCore;
 
-use proxy_crypto::hmac::HmacSha256;
 use proxy_crypto::keys::SymmetricKey;
 
 use restricted_proxy::principal::PrincipalId;
@@ -213,7 +212,7 @@ impl Kdc {
                     .proxy_possession
                     .as_ref()
                     .ok_or(KrbError::BadPossession)?;
-                if !HmacSha256::verify(subkey.as_bytes(), &req.nonce.to_le_bytes(), proof) {
+                if !subkey.verify_mac(&req.nonce.to_le_bytes(), proof) {
                     return Err(KrbError::BadPossession);
                 }
                 subkey

@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 
-use proxy_crypto::hmac::HmacSha256;
 use proxy_crypto::keys::SymmetricKey;
 
 use restricted_proxy::key::{GrantorVerifier, KeyResolver};
@@ -107,6 +106,9 @@ impl ApServer {
             return Err(KrbError::ReplayDetected);
         }
         self.replay.insert(replay_key, now + 2 * self.skew);
+        // The authenticator was opened under this key, so the stored
+        // clone — and every clone `SessionResolver` hands out — shares
+        // its derived schedule.
         self.sessions
             .insert(ticket.client.clone(), ticket.session_key.clone());
         Ok(Accepted {
@@ -145,7 +147,7 @@ impl ApServer {
             return Err(KrbError::Expired);
         }
         let subkey = auth.subkey.clone().ok_or(KrbError::NoSubkey)?;
-        if !HmacSha256::verify(subkey.as_bytes(), challenge, possession) {
+        if !subkey.verify_mac(challenge, possession) {
             return Err(KrbError::BadPossession);
         }
         Ok(Accepted {
@@ -252,6 +254,20 @@ mod tests {
             "both sides agree on the session key"
         );
         assert!(f.fs.session_key(&p("alice")).is_some());
+    }
+
+    #[test]
+    fn session_resolver_clones_share_the_stored_keys_schedule() {
+        let mut f = fixture();
+        let creds = service_creds(&mut f, 0);
+        let auth = f.alice.make_authenticator(&creds, 1, &mut f.rng);
+        f.fs.accept(&creds.ticket_blob, &auth, 1).unwrap();
+        let clones = [(); 2].map(|()| SessionResolver(&f.fs).grantor_verifier(&p("alice")));
+        let [Some(GrantorVerifier::SharedKey(a)), Some(GrantorVerifier::SharedKey(b))] = clones
+        else {
+            panic!("alice has a session");
+        };
+        assert!(a.shares_schedule_with(&b));
     }
 
     #[test]

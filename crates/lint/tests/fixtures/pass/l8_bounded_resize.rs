@@ -1,5 +1,5 @@
 // lint-fixture: path=crates/wire/src/frame.rs rule=L8
-// The reusable-body read discipline (`read_frame_into`): the header's
+// The read-into-a-sized-buffer discipline (`read_frame`): the header's
 // declared body length is compared against the protocol ceiling before
 // it sizes the reused scratch buffer, so the allocation is bounded no
 // matter what the bytes claim.

@@ -2,13 +2,16 @@
 //! backoff, and per-connection pipelining
 //! ([`TcpClient::call_pipelined`]).
 
+use std::io::Read;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use proxy_wire::frame::{read_frame_into, split_frame, write_frame_vectored};
-use proxy_wire::{BufPool, Message};
+use proxy_wire::frame::{
+    parse_header, split_frame, write_frame_vectored, FrameHeader, HEADER_LEN, TRAILER_LEN,
+};
+use proxy_wire::{BufPool, Message, PooledBuf};
 use restricted_proxy::encode::Encoder;
 
 use crate::error::NetError;
@@ -17,6 +20,82 @@ use crate::transport::Transport;
 /// Bytes pulled from the socket per pipelined read: large enough to
 /// drain a full window of typical replies in one syscall.
 const READ_CHUNK: usize = 16 * 1024;
+
+/// Room the read for a lone reply offers: any reply that arrives as one
+/// network segment lands in one `read`, and the room is small enough
+/// that zeroing it per call costs nothing next to the syscall. A longer
+/// reply is finished by a read sized from its header.
+const LONE_REPLY_ROOM: usize = 4096;
+
+/// The reply side of one connection: each `read` lands in a pooled
+/// buffer and complete frames are split off its front in place.
+struct ReplyReader {
+    /// `buf[consumed..filled]` are reply bytes not yet split off;
+    /// `buf[filled..]` is room for the next read, zeroed once when the
+    /// buffer grows and then reused.
+    buf: PooledBuf,
+    consumed: usize,
+    filled: usize,
+}
+
+impl ReplyReader {
+    fn new(bufs: &Arc<BufPool>) -> Self {
+        Self {
+            buf: bufs.get(),
+            consumed: 0,
+            filled: 0,
+        }
+    }
+
+    /// Splits the next complete frame off the bytes already read, if
+    /// one is there.
+    fn buffered(&mut self) -> Result<Option<(FrameHeader, &[u8])>, NetError> {
+        let pending = self.buf.get(self.consumed..self.filled).unwrap_or(&[]);
+        match split_frame(pending)? {
+            Some((header, body, used)) => {
+                self.consumed += used;
+                Ok(Some((header, body)))
+            }
+            None => Ok(None),
+        }
+    }
+
+    /// Whether every byte read so far belonged to a frame split off.
+    fn is_drained(&self) -> bool {
+        self.consumed == self.filled
+    }
+
+    /// One `read` from `conn`, appended to the bytes not yet split off.
+    /// Offers room for `room` bytes, or for the rest of the frame whose
+    /// header has arrived when that is more ([`Self::buffered`] has
+    /// already refused a header declaring an oversized body).
+    fn fill(&mut self, conn: &mut impl Read, room: usize) -> Result<(), NetError> {
+        self.buf.copy_within(self.consumed..self.filled, 0);
+        self.filled -= self.consumed;
+        self.consumed = 0;
+        let rest_of_frame = self
+            .buf
+            .get(..self.filled)
+            .and_then(|read| read.first_chunk::<HEADER_LEN>())
+            .and_then(|header| parse_header(header).ok())
+            .map_or(0, |header| {
+                (HEADER_LEN + header.body_len as usize + TRAILER_LEN).saturating_sub(self.filled)
+            });
+        let end = self.filled + room.max(rest_of_frame);
+        if self.buf.len() < end {
+            self.buf.resize(end, 0);
+        }
+        match conn.read(self.buf.get_mut(self.filled..).unwrap_or(&mut [])) {
+            Ok(0) => Err(NetError::Disconnected),
+            Ok(n) => {
+                self.filled += n;
+                Ok(())
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => Ok(()),
+            Err(e) => Err(NetError::from(e)),
+        }
+    }
+}
 
 /// Retry budget for a call: how many attempts, and how long to back off
 /// between them.
@@ -192,7 +271,7 @@ impl TcpClient {
     /// the stream state unknowable).
     fn exchange(&self, mut conn: TcpStream, request: &Message) -> Result<Message, NetError> {
         let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        // Encode the request body and read the reply body through pooled
+        // Encode the request body and read the reply through pooled
         // scratch buffers: steady-state exchanges reuse warm capacity
         // instead of allocating two fresh vectors per call.
         let mut scratch = self.bufs.get();
@@ -200,17 +279,34 @@ impl TcpClient {
         request.encode_body_onto(&mut e);
         *scratch = e.finish();
         write_frame_vectored(&mut conn, request.msg_type(), request_id, &scratch)?;
-        let mut body = self.bufs.get();
-        let header = read_frame_into(&mut conn, &mut body)?;
-        if header.request_id != request_id {
-            return Err(NetError::Protocol("reply request id mismatch"));
-        }
-        let reply = Message::decode_body(header.msg_type, &body)?;
+        let reply = self.read_lone_reply(&mut conn, request_id)?;
         self.checkin(conn);
         match reply {
             Message::Error { code, detail } => Err(NetError::Remote { code, detail }),
             message => Ok(message),
         }
+    }
+
+    /// Reads the reply to the one request outstanding on `conn`: a reply
+    /// that arrives whole costs one `read`.
+    fn read_lone_reply(&self, conn: &mut impl Read, request_id: u64) -> Result<Message, NetError> {
+        let mut replies = ReplyReader::new(&self.bufs);
+        let (header, body) = loop {
+            if let Some(frame) = replies.buffered()? {
+                break frame;
+            }
+            replies.fill(conn, LONE_REPLY_ROOM)?;
+        };
+        if header.request_id != request_id {
+            return Err(NetError::Protocol("reply request id mismatch"));
+        }
+        let reply = Message::decode_body(header.msg_type, body)?;
+        // One request was sent, so anything after its reply means the
+        // stream is out of step with the protocol.
+        if !replies.is_drained() {
+            return Err(NetError::Protocol("bytes trail the reply"));
+        }
+        Ok(reply)
     }
 
     /// Issues `requests` over **one** connection with up to `depth`
@@ -280,8 +376,7 @@ impl TcpClient {
         // scan of a small vector cheaper than hashing every id.
         let mut inflight: Vec<(u64, usize, Instant)> = Vec::with_capacity(depth);
         let mut next = 0;
-        let mut inbuf = self.bufs.get();
-        let mut consumed = 0;
+        let mut replies = ReplyReader::new(&self.bufs);
         'pipeline: while next < requests.len() || !inflight.is_empty() {
             // Refill the window once it drains to the watermark:
             // batch-encode into one pooled buffer, one write for the
@@ -311,8 +406,8 @@ impl TcpClient {
             // Deliver every complete reply already buffered; only hit
             // the socket when the buffer runs dry.
             loop {
-                match split_frame(inbuf.get(consumed..).unwrap_or(&[])) {
-                    Ok(Some((header, body, used))) => {
+                match replies.buffered() {
+                    Ok(Some((header, body))) => {
                         let Some(slot_at) = inflight
                             .iter()
                             .position(|&(id, _, _)| id == header.request_id)
@@ -334,19 +429,16 @@ impl TcpClient {
                         if let Some(slot) = run.results.get_mut(index) {
                             *slot = Some(result);
                         }
-                        consumed += used;
                         continue 'pipeline;
                     }
                     Ok(None) => {}
                     // Broken framing (bad magic, CRC mismatch, …): the
                     // byte stream can no longer be trusted.
                     Err(e) => {
-                        run.failure = Some(NetError::from(e));
+                        run.failure = Some(e);
                         break 'pipeline;
                     }
                 }
-                inbuf.drain(..consumed);
-                consumed = 0;
                 // Read more bytes, bounded by the earliest outstanding
                 // deadline.
                 let Some(earliest) = inflight.iter().map(|&(_, _, d)| d).min() else {
@@ -361,25 +453,16 @@ impl TcpClient {
                     run.failure = Some(NetError::Io(std::io::ErrorKind::Other));
                     break 'pipeline;
                 }
-                let mut chunk = [0u8; READ_CHUNK];
-                match std::io::Read::read(&mut conn, &mut chunk) {
-                    Ok(0) => {
-                        run.failure = Some(NetError::Disconnected);
-                        break 'pipeline;
-                    }
-                    Ok(n) => inbuf.extend_from_slice(chunk.get(..n).unwrap_or(&[])),
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(e) => {
-                        run.failure = Some(NetError::from(e));
-                        break 'pipeline;
-                    }
+                if let Err(e) = replies.fill(&mut conn, READ_CHUNK) {
+                    run.failure = Some(e);
+                    break 'pipeline;
                 }
             }
         }
         // Unconsumed trailing bytes mean the stream is out of sync with
         // the request/reply protocol — never pool such a connection.
         if run.failure.is_none()
-            && consumed == inbuf.len()
+            && replies.is_drained()
             && conn.set_read_timeout(Some(self.opts.deadline)).is_ok()
         {
             self.checkin(conn);
@@ -436,7 +519,170 @@ impl Transport for TcpClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proxy_wire::WireError;
+    use std::collections::VecDeque;
+    use std::io::Write;
+    use std::net::TcpListener;
     use std::sync::Arc;
+
+    /// A peer whose every `read` delivers the next scripted segment (or
+    /// as much of it as the caller made room for), and counts the calls.
+    struct Segments {
+        segments: VecDeque<Vec<u8>>,
+        reads: usize,
+    }
+
+    impl Segments {
+        fn new(segments: impl IntoIterator<Item = Vec<u8>>) -> Self {
+            Self {
+                segments: segments.into_iter().collect(),
+                reads: 0,
+            }
+        }
+    }
+
+    impl Read for Segments {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            let Some(mut segment) = self.segments.pop_front() else {
+                return Ok(0);
+            };
+            let n = segment.len().min(buf.len());
+            buf[..n].copy_from_slice(&segment[..n]);
+            if n < segment.len() {
+                self.segments.push_front(segment.split_off(n));
+            }
+            Ok(n)
+        }
+    }
+
+    fn client() -> TcpClient {
+        TcpClient::new("127.0.0.1:9".parse().unwrap(), ClientOptions::default())
+    }
+
+    /// A reply frame carrying `detail_len` bytes of detail.
+    fn reply_frame(request_id: u64, detail_len: usize) -> Vec<u8> {
+        let reply = Message::Error {
+            code: proxy_wire::ErrorCode::Malformed,
+            detail: "x".repeat(detail_len),
+        };
+        let mut frame = Vec::new();
+        reply.encode_frame_into(&mut frame, request_id);
+        frame
+    }
+
+    fn detail_len(reply: Result<Message, NetError>) -> usize {
+        match reply {
+            Ok(Message::Error { detail, .. }) => detail.len(),
+            other => panic!("not the scripted reply: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_reply_that_arrives_whole_costs_one_read() {
+        let mut peer = Segments::new([reply_frame(7, 200)]);
+        assert_eq!(detail_len(client().read_lone_reply(&mut peer, 7)), 200);
+        assert_eq!(peer.reads, 1);
+    }
+
+    #[test]
+    fn a_reply_arriving_a_byte_at_a_time_still_decodes() {
+        let frame = reply_frame(9, 300);
+        let mut peer = Segments::new(frame.iter().map(|&b| vec![b]));
+        assert_eq!(detail_len(client().read_lone_reply(&mut peer, 9)), 300);
+        assert_eq!(peer.reads, frame.len());
+    }
+
+    #[test]
+    fn a_reply_longer_than_the_first_read_is_finished_by_one_sized_from_its_header() {
+        let mut peer = Segments::new([reply_frame(3, 5 * LONE_REPLY_ROOM)]);
+        assert_eq!(
+            detail_len(client().read_lone_reply(&mut peer, 3)),
+            5 * LONE_REPLY_ROOM
+        );
+        assert_eq!(peer.reads, 2);
+    }
+
+    #[test]
+    fn bytes_trailing_a_lone_reply_are_a_protocol_error() {
+        let mut bytes = reply_frame(7, 10);
+        bytes.push(0);
+        let mut peer = Segments::new([bytes]);
+        assert_eq!(
+            client().read_lone_reply(&mut peer, 7).unwrap_err(),
+            NetError::Protocol("bytes trail the reply")
+        );
+        let mut peer = Segments::new([reply_frame(7, 10)]);
+        assert_eq!(
+            client().read_lone_reply(&mut peer, 8).unwrap_err(),
+            NetError::Protocol("reply request id mismatch")
+        );
+        // A connection closed mid-reply is a disconnect, as before.
+        let frame = reply_frame(7, 10);
+        let mut peer = Segments::new([frame[..frame.len() - 1].to_vec()]);
+        assert_eq!(
+            client().read_lone_reply(&mut peer, 7).unwrap_err(),
+            NetError::Disconnected
+        );
+    }
+
+    #[test]
+    fn an_oversized_declared_body_is_refused_from_the_header_alone() {
+        let mut header = reply_frame(1, 0);
+        header.truncate(HEADER_LEN);
+        header[14..18].copy_from_slice(&u32::MAX.to_le_bytes());
+        let bufs = Arc::new(BufPool::default());
+        let mut replies = ReplyReader::new(&bufs);
+        let mut peer = Segments::new([header]);
+        replies.fill(&mut peer, LONE_REPLY_ROOM).unwrap();
+        assert!(matches!(
+            replies.buffered(),
+            Err(NetError::Wire(WireError::FrameTooLarge { .. }))
+        ));
+        // Nothing was sized from the declared length.
+        assert_eq!(replies.buf.len(), LONE_REPLY_ROOM);
+    }
+
+    #[test]
+    fn a_call_whose_reply_has_trailing_bytes_fails_and_drops_the_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            for trailing in [&b""[..], b"junk"] {
+                let (header, _body) = proxy_wire::frame::read_frame(&mut stream).unwrap();
+                let mut bytes = reply_frame(header.request_id, 10);
+                bytes.extend_from_slice(trailing);
+                stream.write_all(&bytes).unwrap();
+            }
+            // Hold the socket open until the client has hung up.
+            let _ = stream.read(&mut [0u8; 1]);
+        });
+        let client = TcpClient::new(
+            addr,
+            ClientOptions {
+                retry: RetryPolicy::none(),
+                ..ClientOptions::default()
+            },
+        );
+        let request = Message::RevocationFetch {
+            issuer: restricted_proxy::principal::PrincipalId::new("R"),
+            have_epoch: 0,
+        };
+        // A clean reply (a typed denial here) keeps the connection.
+        assert!(matches!(
+            client.call(&request),
+            Err(NetError::Remote { .. })
+        ));
+        assert_eq!(client.pooled_connections(), 1);
+        assert_eq!(
+            client.call(&request).unwrap_err(),
+            NetError::Protocol("bytes trail the reply")
+        );
+        assert_eq!(client.pooled_connections(), 0);
+        drop(client);
+        peer.join().unwrap();
+    }
 
     #[test]
     fn pool_survives_a_poisoned_lock() {

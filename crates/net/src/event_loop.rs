@@ -185,6 +185,7 @@ impl EventLoopServer {
                 slab: Vec::new(),
                 free: Vec::new(),
                 accept_ready: true,
+                chunk: vec![0; READ_CHUNK],
             };
             workers.push(
                 std::thread::Builder::new()
@@ -262,6 +263,9 @@ struct Worker<R: KeyResolver> {
     /// only when `accept` reports `WouldBlock` — correct even when the
     /// burst cap truncates a drain.
     accept_ready: bool,
+    /// Where every `read` lands before its bytes join the connection's
+    /// buffer: [`READ_CHUNK`] long, zeroed once for the worker's life.
+    chunk: Vec<u8>,
 }
 
 impl<R: KeyResolver> Worker<R> {
@@ -404,14 +408,14 @@ impl<R: KeyResolver> Worker<R> {
         }
         let mut saw_eof = false;
         for _ in 0..READS_PER_WAKE {
-            let mut chunk = [0u8; READ_CHUNK];
-            match conn.stream.read(&mut chunk) {
+            match conn.stream.read(&mut self.chunk) {
                 Ok(0) => {
                     saw_eof = true;
                     break;
                 }
                 Ok(n) => {
-                    conn.inbuf.extend_from_slice(chunk.get(..n).unwrap_or(&[]));
+                    conn.inbuf
+                        .extend_from_slice(self.chunk.get(..n).unwrap_or(&[]));
                     if n < READ_CHUNK {
                         break;
                     }

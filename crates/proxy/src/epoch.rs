@@ -25,7 +25,6 @@ use std::hash::Hash;
 use std::sync::Arc;
 
 use proxy_crypto::ed25519::{Signature, SIGNATURE_LEN};
-use proxy_crypto::hmac::HmacSha256;
 
 use crate::cert::CertSeal;
 use crate::encode::{DecodeError, Decoder, Encoder};
@@ -308,7 +307,7 @@ pub(crate) fn decode_artifact_body<'a>(d: &mut Decoder<'a>) -> Result<&'a [u8], 
 #[must_use]
 pub(crate) fn seal_body(authority: &GrantAuthority, body: &[u8]) -> CertSeal {
     match authority {
-        GrantAuthority::SharedKey(k) => CertSeal::Hmac(HmacSha256::mac(k.as_bytes(), body)),
+        GrantAuthority::SharedKey(k) => CertSeal::Hmac(k.mac(body)),
         GrantAuthority::Keypair(sk) => CertSeal::Ed25519(sk.sign(body)),
     }
 }
@@ -318,9 +317,7 @@ pub(crate) fn seal_body(authority: &GrantAuthority, body: &[u8]) -> CertSeal {
 #[must_use]
 pub(crate) fn verify_body_seal(verifier: &GrantorVerifier, body: &[u8], seal: &CertSeal) -> bool {
     match (verifier, seal) {
-        (GrantorVerifier::SharedKey(k), CertSeal::Hmac(tag)) => {
-            HmacSha256::verify(k.as_bytes(), body, tag)
-        }
+        (GrantorVerifier::SharedKey(k), CertSeal::Hmac(tag)) => k.verify_mac(body, tag),
         (GrantorVerifier::PublicKey(vk), CertSeal::Ed25519(sig)) => vk.verify(body, sig).is_ok(),
         _ => false,
     }

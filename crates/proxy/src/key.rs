@@ -20,7 +20,6 @@ use std::collections::HashMap;
 use rand::RngCore;
 
 use proxy_crypto::ed25519::{Signature, SigningKey, VerifyingKey};
-use proxy_crypto::hmac::HmacSha256;
 use proxy_crypto::keys::SymmetricKey;
 use proxy_crypto::seal;
 
@@ -67,7 +66,7 @@ impl ProxyKey {
     pub fn prove_possession(&self, challenge: &[u8; 32], binding: &[u8]) -> Vec<u8> {
         let msg = possession_message(challenge, binding);
         match self {
-            ProxyKey::Symmetric(k) => HmacSha256::mac(k.as_bytes(), &msg).to_vec(),
+            ProxyKey::Symmetric(k) => k.mac(&msg).to_vec(),
             ProxyKey::Ed25519(k) => k.sign(&msg).as_bytes().to_vec(),
         }
     }
@@ -104,7 +103,7 @@ impl ProxyKeyVerifier {
     pub fn check_possession(&self, challenge: &[u8; 32], binding: &[u8], proof: &[u8]) -> bool {
         let msg = possession_message(challenge, binding);
         match self {
-            ProxyKeyVerifier::Symmetric(k) => HmacSha256::verify(k.as_bytes(), &msg, proof),
+            ProxyKeyVerifier::Symmetric(k) => k.verify_mac(&msg, proof),
             ProxyKeyVerifier::Ed25519(vk) => {
                 Signature::try_from_slice(proof).is_ok_and(|sig| vk.verify(&msg, &sig).is_ok())
             }
@@ -230,7 +229,16 @@ impl MapResolver {
     }
 
     /// Registers verification material for `grantor`.
+    ///
+    /// A shared key derives its MAC and seal schedule here, on the copy
+    /// the resolver stores: every [`grantor_verifier`] clone then shares
+    /// it, where clones of an underived key would each derive their own.
+    ///
+    /// [`grantor_verifier`]: KeyResolver::grantor_verifier
     pub fn insert(&mut self, grantor: PrincipalId, verifier: GrantorVerifier) {
+        if let GrantorVerifier::SharedKey(key) = &verifier {
+            key.prepare();
+        }
         self.entries.insert(grantor, verifier);
     }
 

@@ -10,7 +10,6 @@
 
 use rand::RngCore;
 
-use proxy_crypto::hmac::HmacSha256;
 use proxy_crypto::keys::SymmetricKey;
 
 use crate::cert::{CertSeal, Certificate, SigningAuthorityKind};
@@ -167,7 +166,7 @@ enum Sealer<'a> {
 impl Sealer<'_> {
     fn seal(&self, body: &[u8]) -> CertSeal {
         match self {
-            Sealer::Hmac(key) => CertSeal::Hmac(HmacSha256::mac(key.as_bytes(), body)),
+            Sealer::Hmac(key) => CertSeal::Hmac(key.mac(body)),
             Sealer::Ed25519(key) => CertSeal::Ed25519(key.sign(body)),
         }
     }

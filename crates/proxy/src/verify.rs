@@ -11,7 +11,6 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use proxy_crypto::ed25519::{self, Signature, VerifyingKey};
-use proxy_crypto::hmac::HmacSha256;
 use proxy_crypto::sha256::Sha256;
 
 use crate::cache::{seal_digest, SealDigest, VerifiedCertCache};
@@ -233,7 +232,7 @@ impl<R: KeyResolver> Verifier<R> {
                         .ok_or_else(|| VerifyError::UnknownGrantor(cert.grantor.clone()))?;
                     match (&verifier, &cert.seal) {
                         (GrantorVerifier::SharedKey(k), CertSeal::Hmac(tag)) => {
-                            if !HmacSha256::verify(k.as_bytes(), body, tag) {
+                            if !k.verify_mac(body, tag) {
                                 return Err(VerifyError::BadSeal { index });
                             }
                             (Some(k.clone()), None)
@@ -251,7 +250,7 @@ impl<R: KeyResolver> Verifier<R> {
                     let prior = prev_key.as_ref().expect("set on every prior iteration");
                     match (prior, &cert.seal) {
                         (ProxyKeyVerifier::Symmetric(k), CertSeal::Hmac(tag)) => {
-                            if !HmacSha256::verify(k.as_bytes(), body, tag) {
+                            if !k.verify_mac(body, tag) {
                                 return Err(VerifyError::BadSeal { index });
                             }
                             (Some(k.clone()), None)
@@ -337,7 +336,7 @@ impl<R: KeyResolver> Verifier<R> {
                 let message = start..scratch.len();
                 match &final_key {
                     ProxyKeyVerifier::Symmetric(k) => {
-                        if !HmacSha256::verify(k.as_bytes(), &scratch[message], response) {
+                        if !k.verify_mac(&scratch[message], response) {
                             proof_verdict = Err(VerifyError::BadPossession);
                         }
                     }
@@ -517,6 +516,95 @@ mod tests {
         let verified = s.verifier.verify(&pres, &ctx(), &mut guard).unwrap();
         assert_eq!(verified.grantor, p("alice"));
         assert_eq!(verified.chain_len, 1);
+    }
+
+    #[test]
+    fn two_presentations_under_one_resolver_derive_the_grantor_schedule_once() {
+        let mut s = symmetric_setup(23);
+        // The grantor's own copy of the key: nothing it derives can
+        // reach the resolver's.
+        let auth = GrantAuthority::SharedKey(SymmetricKey::from_bytes(*s.shared.as_bytes()));
+        for serial in [1, 2] {
+            let proxy = grant(
+                &p("alice"),
+                &auth,
+                RestrictionSet::new(),
+                window(),
+                serial,
+                &mut s.rng,
+            );
+            let pres = proxy.present_bearer([7u8; 32], &p("fs"));
+            s.verifier
+                .verify(&pres, &ctx(), &mut MemoryReplayGuard::new())
+                .unwrap();
+        }
+        // Each verification worked under its own `grantor_verifier()`
+        // clone. Two more clones hold one schedule between them only if
+        // the stored key is the one that derived it.
+        let clones = [(); 2].map(|()| s.verifier.resolver.grantor_verifier(&p("alice")));
+        let [Some(GrantorVerifier::SharedKey(a)), Some(GrantorVerifier::SharedKey(b))] = clones
+        else {
+            panic!("alice is registered with a shared key");
+        };
+        assert!(a.shares_schedule_with(&b));
+        assert!(!a.shares_schedule_with(&s.shared));
+    }
+
+    /// A two-link HMAC chain and its bearer presentation, recorded from
+    /// the commit before keys kept their schedule (PR 22): the same
+    /// seeded grant must produce these bytes (so what this build seals,
+    /// that one verifies), and these bytes must verify here — HMAC seal,
+    /// sealed proxy key and possession proof alike.
+    #[test]
+    fn a_chain_sealed_before_keys_kept_their_schedule_is_reproduced_and_verifies() {
+        let golden: Vec<u8> = {
+            let hex = "02000000a80000008300000070726f78792d6161206365727420763101000000\
+             5229000000000000000a00000000000000e80300000000000000000000004c00\
+             00003dfe4131b70896cd6fec6c98873fe062e619444cd25cdfb3089f76a7f2bf\
+             2c7330053b2f2db16cad369fe9d2fa308f3792ea916f34ef6a39cdc292f6645b\
+             c111972f8deeb545475b531598c80000d2ab525a68d754b3836b2749900add13\
+             92bed0e563cc147aa1f7a6dc9f888ddaa80000008300000070726f78792d6161\
+             206365727420763101000000522a000000000000000a00000000000000e80300\
+             000000000000000000004c000000ac655bd0e8e6f6cde89b57b532aeabb13dab\
+             f0f2a0624734da0b9bfc651ac6bdeb4c20bd5fdbf0352ff047773688c2fcf1db\
+             5fcb06390781e8f652e4f1d4e2b852486a6d920eb731d42a30f3010036b18363\
+             f64c0536d2aca9ba296ce6c57b09d7b2840328db4809c87e37d65ad500777777\
+             7777777777777777777777777777777777777777777777777777777777200000\
+             009c111b88c6efed6a93bbce31c347ddbdf349eb1104584eb1c5b0eb55a28abb\
+             a1";
+            (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                .collect()
+        };
+        let key = SymmetricKey::from_bytes(std::array::from_fn(|i| {
+            (i as u8).wrapping_mul(7).wrapping_add(3)
+        }));
+        let validity = Validity::new(Timestamp(10), Timestamp(1000));
+        let mut rng = StdRng::seed_from_u64(0x5eed_0023);
+        let proxy = grant(
+            &p("R"),
+            &GrantAuthority::SharedKey(key.clone()),
+            RestrictionSet::new(),
+            validity,
+            41,
+            &mut rng,
+        )
+        .derive(RestrictionSet::new(), validity, 42, &mut rng)
+        .unwrap();
+        assert_eq!(proxy.present_bearer([0x77; 32], &p("S")).encode(), golden);
+
+        let verifier = Verifier::new(
+            p("S"),
+            MapResolver::new().with(p("R"), GrantorVerifier::SharedKey(key)),
+        );
+        let ctx = RequestContext::new(p("S"), Operation::new("read"), ObjectName::new("file"))
+            .at(Timestamp(10));
+        let pres = Presentation::decode(&golden).unwrap();
+        let verified = verifier
+            .verify(&pres, &ctx, &mut MemoryReplayGuard::new())
+            .unwrap();
+        assert_eq!((verified.grantor, verified.chain_len), (p("R"), 2));
     }
 
     #[test]

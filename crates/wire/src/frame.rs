@@ -320,36 +320,22 @@ pub fn write_frame_vectored(
 /// [`WireError::Io`] for transport failures (including `UnexpectedEof`
 /// on a connection closed mid-frame).
 pub fn read_frame(r: &mut impl Read) -> Result<(FrameHeader, Vec<u8>), WireError> {
-    let mut body = Vec::new();
-    let header = read_frame_into(r, &mut body)?;
-    Ok((header, body))
-}
-
-/// Reads one frame from `r` into a caller-provided body buffer, which is
-/// cleared first but keeps its capacity — the reusable-scratch read path:
-/// a pooled buffer cycles through reads without reallocating once warm.
-///
-/// # Errors
-///
-/// As in [`read_frame`].
-pub fn read_frame_into(r: &mut impl Read, body: &mut Vec<u8>) -> Result<FrameHeader, WireError> {
     let mut header_bytes = [0u8; HEADER_LEN];
     r.read_exact(&mut header_bytes)?;
     let header = parse_header(&header_bytes)?;
-    body.clear();
-    body.resize(header.body_len as usize, 0);
-    r.read_exact(body)?;
+    let mut body = vec![0; header.body_len as usize];
+    r.read_exact(&mut body)?;
     let mut trailer = [0u8; TRAILER_LEN];
     r.read_exact(&mut trailer)?;
     let expected = u32::from_le_bytes(trailer);
     let mut crc = Crc32::new();
     crc.update(&header_bytes);
-    crc.update(body);
+    crc.update(&body);
     let actual = crc.finalize();
     if expected != actual {
         return Err(WireError::BadCrc { expected, actual });
     }
-    Ok(header)
+    Ok((header, body))
 }
 
 #[cfg(test)]
