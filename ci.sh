@@ -97,6 +97,10 @@ cargo run -q -p proxy-bench --bin figures --release -- --wal \
 # The repository's benchmark (crates/bench/src/bin/e2e, a package of
 # its own): its unit tests plus a smoke run of every workload.
 cargo test --release -q --manifest-path crates/bench/src/bin/e2e/Cargo.toml
+# The instrument is frozen: an edit to it, or a dependency change that
+# made cargo rewrite its lockfile just now, fails here and not at the
+# benchmark gate.
+git diff --exit-code -- BENCHMARK.json crates/bench/src/bin/e2e
 
 # `e2e_metric JSON NAME`: one metric's value out of an e2e result line.
 e2e_metric() {

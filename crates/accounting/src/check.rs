@@ -259,14 +259,14 @@ mod tests {
 
     #[test]
     fn empty_chain_check_is_malformed_not_panic() {
-        use restricted_proxy::key::ProxyKey;
+        use restricted_proxy::key::GrantAuthority;
         // Regression: `info()` indexed `certs[0]` and panicked on a
         // hand-built check with no certificates; it must fail closed.
         let mut rng = StdRng::seed_from_u64(3);
         let check = Check {
             proxy: Proxy {
                 certs: vec![],
-                key: ProxyKey::Symmetric(SymmetricKey::generate(&mut rng)),
+                key: GrantAuthority::SharedKey(SymmetricKey::generate(&mut rng)),
             },
         };
         assert!(matches!(

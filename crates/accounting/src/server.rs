@@ -113,11 +113,7 @@ impl AccountingServer {
     pub fn new(name: PrincipalId, authority: GrantAuthority) -> Self {
         // The server must be able to verify its own seals (cashier's
         // checks, own endorsements on re-presented chains).
-        let self_verifier = match &authority {
-            GrantAuthority::SharedKey(k) => GrantorVerifier::SharedKey(k.clone()),
-            GrantAuthority::Keypair(sk) => GrantorVerifier::PublicKey(sk.verifying_key()),
-        };
-        let directory = MapResolver::new().with(name.clone(), self_verifier);
+        let directory = MapResolver::new().with(name.clone(), authority.verifier());
         let revocations = Arc::new(RevocationDirectory::new());
         Self {
             verifier: Verifier::new(name.clone(), directory)

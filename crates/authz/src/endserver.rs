@@ -16,7 +16,7 @@ use restricted_proxy::replay::ReplayCache;
 use restricted_proxy::restriction::{Currency, ObjectName, Operation, Restriction};
 use restricted_proxy::revocation::{ArtifactError, RevocationArtifact, RevocationDirectory};
 use restricted_proxy::time::Timestamp;
-use restricted_proxy::verify::Verifier;
+use restricted_proxy::verify::{VerifiedProxy, Verifier};
 
 use crate::acl::{AclEntry, AclStore, AclSubject, ClaimSet};
 use crate::error::AuthzError;
@@ -301,14 +301,7 @@ impl<R: KeyResolver> EndServer<R> {
             .partition(|p| is_group_presentation(p));
         for pres in group_proxies {
             match self.verifier.verify(pres, &ctx, &mut replay) {
-                Ok(verified) => {
-                    for g in asserted_groups(&verified.restrictions, &verified.grantor) {
-                        if !claims.groups.contains(&g) {
-                            claims.groups.push(g.clone());
-                            ctx.asserted_groups.push(g);
-                        }
-                    }
-                }
+                Ok(verified) => claim_asserted_groups(&verified, &mut claims, &mut ctx),
                 Err(e) => last_error = Some(e.into()),
             }
         }
@@ -360,17 +353,17 @@ fn is_group_presentation(pres: &Presentation) -> bool {
     })
 }
 
-fn asserted_groups(
-    restrictions: &restricted_proxy::restriction::RestrictionSet,
-    grantor: &PrincipalId,
-) -> Vec<GroupName> {
-    restrictions
-        .iter()
-        .filter_map(|r| match r {
-            Restriction::GroupMembership { groups } => {
-                // Only the grantor's own groups are assertable (§7.6).
-                Some(groups.iter().filter(|g| g.server == *grantor).cloned())
-            }
+/// Adds the groups `verified` asserts membership of to `claims` and to
+/// `ctx`: those a `group-membership` restriction names on its grantor's
+/// own server, and no others (§7.6).
+pub(crate) fn claim_asserted_groups(
+    verified: &VerifiedProxy,
+    claims: &mut ClaimSet,
+    ctx: &mut RequestContext,
+) {
+    for r in verified.restrictions.iter() {
+        let groups = match r {
+            Restriction::GroupMembership { groups } => groups,
             // No other restriction asserts membership. Enumerated (not
             // `_`) so a new Restriction variant forces an explicit
             // decision here (§7.9).
@@ -380,10 +373,15 @@ fn asserted_groups(
             | Restriction::Quota { .. }
             | Restriction::Authorized { .. }
             | Restriction::AcceptOnce { .. }
-            | Restriction::LimitRestriction { .. } => None,
-        })
-        .flatten()
-        .collect()
+            | Restriction::LimitRestriction { .. } => continue,
+        };
+        for g in groups.iter().filter(|g| g.server == verified.grantor) {
+            if !claims.groups.contains(g) {
+                claims.groups.push(g.clone());
+                ctx.asserted_groups.push(g.clone());
+            }
+        }
+    }
 }
 
 #[cfg(test)]

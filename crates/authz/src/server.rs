@@ -27,6 +27,7 @@ use restricted_proxy::time::{Timestamp, Validity};
 use restricted_proxy::verify::Verifier;
 
 use crate::acl::{AclStore, ClaimSet};
+use crate::endserver::claim_asserted_groups;
 use crate::error::AuthzError;
 
 /// An authorization server holding per-end-server authorization databases.
@@ -146,16 +147,7 @@ impl<R: KeyResolver> AuthorizationServer<R> {
                 .verifier
                 .verify(pres, &ctx, &mut replay)
                 .map_err(AuthzError::Verify)?;
-            for r in verified.restrictions.iter() {
-                if let Restriction::GroupMembership { groups } = r {
-                    for g in groups.iter().filter(|g| g.server == verified.grantor) {
-                        if !claims.groups.contains(g) {
-                            claims.groups.push(g.clone());
-                            ctx.asserted_groups.push(g.clone());
-                        }
-                    }
-                }
-            }
+            claim_asserted_groups(&verified, &mut claims, &mut ctx);
             if !claims.principals.contains(&verified.grantor) {
                 claims.principals.push(verified.grantor.clone());
             }
@@ -418,6 +410,70 @@ mod tests {
                 &mut rng,
             )
             .is_err());
+    }
+
+    #[test]
+    fn a_group_server_asserts_only_its_own_groups_on_either_path() {
+        // §7.6: "gs" seals a membership proxy that also names a group of
+        // "hs". Neither the authorization server nor the end-server may
+        // take that as a claim on hs/staff.
+        use crate::endserver::{EndServer, Request};
+        let mut rng = StdRng::seed_from_u64(6);
+        let gs_key = SymmetricKey::generate(&mut rng);
+        let own = GroupName::new(p("gs"), "staff");
+        let foreign = GroupName::new(p("hs"), "staff");
+        let resolver = MapResolver::new().with(p("gs"), GrantorVerifier::SharedKey(gs_key.clone()));
+        let mut authz = AuthorizationServer::new(
+            p("R"),
+            GrantAuthority::SharedKey(SymmetricKey::generate(&mut rng)),
+            resolver.clone(),
+        );
+        let mut end = EndServer::new(p("S"), resolver);
+        for (object, group) in [("ours", &own), ("theirs", &foreign)] {
+            let acl = Acl::new().with(AclSubject::Group(group.clone()), AclRights::all());
+            authz.database_mut(p("S")).set(obj(object), acl.clone());
+            end.acls.set(obj(object), acl);
+        }
+        let membership = grant(
+            &p("gs"),
+            &GrantAuthority::SharedKey(gs_key),
+            RestrictionSet::new()
+                .with(Restriction::grantee_one(p("bob")))
+                .with(Restriction::GroupMembership {
+                    groups: vec![foreign, own.clone()],
+                }),
+            window(),
+            1,
+            &mut rng,
+        );
+        let mut ask_authz = |object: &str| {
+            authz.request_authorization(
+                &p("bob"),
+                &[membership.present_delegate()],
+                &p("S"),
+                &op("read"),
+                &obj(object),
+                window(),
+                Timestamp(1),
+                &mut rng,
+            )
+        };
+        assert!(ask_authz("ours").is_ok());
+        assert!(matches!(
+            ask_authz("theirs"),
+            Err(AuthzError::NotAuthorized { .. })
+        ));
+        let ask_end = |object: &str| {
+            let req = Request::new(op("read"), obj(object), Timestamp(1))
+                .authenticated_as(p("bob"))
+                .with_presentation(membership.present_delegate());
+            end.authorize(&req)
+        };
+        assert_eq!(ask_end("ours").unwrap().claims.groups, vec![own]);
+        assert!(matches!(
+            ask_end("theirs"),
+            Err(AuthzError::NotAuthorized { .. })
+        ));
     }
 
     #[test]

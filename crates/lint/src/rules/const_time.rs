@@ -21,7 +21,7 @@ use crate::source::{matching_close, SourceFile};
 
 /// Type names that hold secret bytes; deriving `PartialEq` on them is a
 /// timing leak.
-const SECRET_TYPES: &[&str] = &["SymmetricKey", "SigningKey", "ProxyKey", "SecretKey"];
+const SECRET_TYPES: &[&str] = &["SymmetricKey", "SigningKey", "GrantAuthority", "SecretKey"];
 
 /// Identifiers that mark an operand as secret material.
 const SECRET_IDENTS: &[&str] = &["mac", "tag", "proof", "secret", "seed", "as_bytes"];

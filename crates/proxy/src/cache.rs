@@ -31,7 +31,7 @@ use std::sync::Mutex;
 
 use proxy_crypto::sha256::Sha256;
 
-use crate::cert::{CertSeal, Certificate};
+use crate::cert::Certificate;
 use crate::time::Timestamp;
 
 /// A digest naming one (certificate body, seal, verifying key) triple.
@@ -46,16 +46,9 @@ pub(crate) fn seal_digest(cert: &Certificate, body: &[u8], verifier_id: &[u8]) -
     let mut h = Sha256::new();
     h.update(b"proxy-aa seal-cache v1");
     h.update(body);
-    match &cert.seal {
-        CertSeal::Hmac(tag) => {
-            h.update(&[0]);
-            h.update(tag);
-        }
-        CertSeal::Ed25519(sig) => {
-            h.update(&[1]);
-            h.update(sig.as_bytes());
-        }
-    }
+    let (tag, seal) = cert.seal.wire();
+    h.update(&[tag]);
+    h.update(seal);
     h.update(verifier_id);
     h.finalize()
 }

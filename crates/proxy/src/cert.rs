@@ -34,6 +34,39 @@ pub enum CertSeal {
     Ed25519(Signature),
 }
 
+impl CertSeal {
+    /// What a sealed structure holds while its body is being built, until
+    /// [`GrantAuthority::seal`](crate::key::GrantAuthority::seal) replaces
+    /// it.
+    pub(crate) const UNSEALED: CertSeal = CertSeal::Hmac([0u8; 32]);
+
+    /// The wire form, wherever a seal is written or hashed: a flavour
+    /// tag, then the tag's fixed number of bytes (0 and 32, 1 and 64).
+    pub(crate) fn wire(&self) -> (u8, &[u8]) {
+        match self {
+            CertSeal::Hmac(tag) => (0, tag),
+            CertSeal::Ed25519(sig) => (1, sig.as_bytes()),
+        }
+    }
+
+    /// Appends [`wire`](Self::wire) to `e`.
+    pub(crate) fn encode_onto(&self, e: &mut Encoder) {
+        let (tag, bytes) = self.wire();
+        e.u8(tag).raw(bytes);
+    }
+
+    /// Reads a seal written by [`encode_onto`](Self::encode_onto).
+    pub(crate) fn decode_from(d: &mut Decoder<'_>) -> Result<CertSeal, DecodeError> {
+        match d.u8()? {
+            0 => Ok(CertSeal::Hmac(d.raw_array::<32>()?)),
+            1 => Signature::try_from_slice(d.raw(SIGNATURE_LEN)?)
+                .map(CertSeal::Ed25519)
+                .map_err(|_| DecodeError::UnexpectedEnd),
+            t => Err(DecodeError::BadTag(t)),
+        }
+    }
+}
+
 /// A restricted-proxy certificate.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Certificate {
@@ -104,14 +137,7 @@ impl Certificate {
     /// `e`, encoding the body in place — no temporary body buffer.
     pub fn encode_onto(&self, e: &mut Encoder) {
         e.nested(|e| self.body_bytes_onto(e));
-        match &self.seal {
-            CertSeal::Hmac(tag) => {
-                e.u8(0).raw(tag);
-            }
-            CertSeal::Ed25519(sig) => {
-                e.u8(1).raw(sig.as_bytes());
-            }
-        }
+        self.seal.encode_onto(e);
     }
 
     /// Full wire encoding (body + seal).
@@ -137,28 +163,12 @@ impl Certificate {
     pub fn decode(input: &[u8]) -> Result<Certificate, DecodeError> {
         let mut d = Decoder::new(input);
         let body = d.bytes()?;
-        let seal = match d.u8()? {
-            0 => {
-                let tag: [u8; 32] = d
-                    .raw(32)?
-                    .try_into()
-                    .map_err(|_| DecodeError::UnexpectedEnd)?;
-                CertSeal::Hmac(tag)
-            }
-            1 => {
-                let sig = Signature::try_from_slice(d.raw(SIGNATURE_LEN)?)
-                    .map_err(|_| DecodeError::UnexpectedEnd)?;
-                CertSeal::Ed25519(sig)
-            }
-            t => return Err(DecodeError::BadTag(t)),
-        };
+        let seal = CertSeal::decode_from(&mut d)?;
         d.finish()?;
-        let mut cert = Self::decode_body(body)?;
-        cert.seal = seal;
-        Ok(cert)
+        Self::decode_body(body, seal)
     }
 
-    fn decode_body(body: &[u8]) -> Result<Certificate, DecodeError> {
+    fn decode_body(body: &[u8], seal: CertSeal) -> Result<Certificate, DecodeError> {
         let mut d = Decoder::new(body);
         let magic = d.raw(16)?;
         if magic != b"proxy-aa cert v1" {
@@ -200,7 +210,7 @@ impl Certificate {
             restrictions,
             key_material,
             authority,
-            seal: CertSeal::Hmac([0u8; 32]), // placeholder, replaced by caller
+            seal,
         })
     }
 }

@@ -13,9 +13,10 @@
 //!   last good state enforced (fail closed).
 //! * [`DeltaLog`] — the publisher: the published epoch and the last
 //!   [`DELTA_LOG_DEPTH`] deltas, for receivers that lag.
-//! * The seal over an artifact body and its codec, `authenticate` (the
-//!   one place [`ArtifactError::UnknownIssuer`] and
-//!   [`ArtifactError::BadSeal`] come from), and [`ArtifactError`].
+//! * `authenticate`, the intake check (the one place
+//!   [`ArtifactError::UnknownIssuer`] and [`ArtifactError::BadSeal`]
+//!   come from), and [`ArtifactError`]. The seal itself is a
+//!   certificate's: [`CertSeal`] and the keys of [`crate::key`].
 //!
 //! A payload adds its body codec and what "replace" and "extend" mean
 //! for its state: different in kind, so two concrete artifact structs.
@@ -24,11 +25,9 @@ use std::collections::VecDeque;
 use std::hash::Hash;
 use std::sync::Arc;
 
-use proxy_crypto::ed25519::{Signature, SIGNATURE_LEN};
-
 use crate::cert::CertSeal;
 use crate::encode::{DecodeError, Decoder, Encoder};
-use crate::key::{GrantAuthority, GrantorVerifier, KeyResolver};
+use crate::key::KeyResolver;
 use crate::principal::PrincipalId;
 use crate::shard::ShardMap;
 
@@ -303,26 +302,6 @@ pub(crate) fn decode_artifact_body<'a>(d: &mut Decoder<'a>) -> Result<&'a [u8], 
     d.raw(len)
 }
 
-/// Seals `body` under `authority`.
-#[must_use]
-pub(crate) fn seal_body(authority: &GrantAuthority, body: &[u8]) -> CertSeal {
-    match authority {
-        GrantAuthority::SharedKey(k) => CertSeal::Hmac(k.mac(body)),
-        GrantAuthority::Keypair(sk) => CertSeal::Ed25519(sk.sign(body)),
-    }
-}
-
-/// Verifies `seal` over `body` against `verifier`; flavor mismatches
-/// fail closed.
-#[must_use]
-pub(crate) fn verify_body_seal(verifier: &GrantorVerifier, body: &[u8], seal: &CertSeal) -> bool {
-    match (verifier, seal) {
-        (GrantorVerifier::SharedKey(k), CertSeal::Hmac(tag)) => k.verify_mac(body, tag),
-        (GrantorVerifier::PublicKey(vk), CertSeal::Ed25519(sig)) => vk.verify(body, sig).is_ok(),
-        _ => false,
-    }
-}
-
 /// The intake check of a sealed artifact: `seal` over `body` verifies
 /// under the key `resolver` holds for `issuer`.
 ///
@@ -338,33 +317,10 @@ pub(crate) fn authenticate(
     let verifier = resolver
         .grantor_verifier(issuer)
         .ok_or_else(|| ArtifactError::UnknownIssuer(issuer.clone()))?;
-    if verify_body_seal(&verifier, body, seal) {
+    if verifier.verify_seal(body, seal) {
         Ok(())
     } else {
         Err(ArtifactError::BadSeal)
-    }
-}
-
-pub(crate) fn encode_seal(e: &mut Encoder, seal: &CertSeal) {
-    match seal {
-        CertSeal::Hmac(tag) => {
-            e.u8(0).raw(tag);
-        }
-        CertSeal::Ed25519(sig) => {
-            e.u8(1).raw(sig.as_bytes());
-        }
-    }
-}
-
-pub(crate) fn decode_seal(d: &mut Decoder<'_>) -> Result<CertSeal, DecodeError> {
-    match d.u8()? {
-        0 => Ok(CertSeal::Hmac(d.raw_array::<32>()?)),
-        1 => {
-            let sig = Signature::try_from_slice(d.raw(SIGNATURE_LEN)?)
-                .map_err(|_| DecodeError::UnexpectedEnd)?;
-            Ok(CertSeal::Ed25519(sig))
-        }
-        t => Err(DecodeError::BadTag(t)),
     }
 }
 
@@ -481,6 +437,81 @@ mod tests {
         assert_eq!(chain.len(), DELTA_LOG_DEPTH);
         assert_eq!(chain.first(), Some(&(3, 4)));
         assert_eq!(chain.last(), Some(&(depth + 2, depth + 3)));
+    }
+
+    /// Both payloads take their intake check from this module: a seal of
+    /// the flavour the issuer's key is not fails closed as a bad seal,
+    /// first artifact or later, and the mirror stays where it was.
+    #[test]
+    fn an_artifact_sealed_in_the_other_flavour_is_refused_and_moves_no_mirror() {
+        use crate::key::{GrantAuthority, GrantorVerifier, MapResolver};
+        use crate::membership::{member_digest, MembershipArtifact, MembershipDirectory};
+        use crate::principal::GroupName;
+        use crate::revocation::{RevocationArtifact, RevocationDirectory};
+        use proxy_crypto::ed25519::SigningKey;
+        use proxy_crypto::keys::SymmetricKey;
+        use rand::{rngs::StdRng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(29);
+        let [sk, forger] = [(); 2].map(|()| SigningKey::generate(&mut rng));
+        let k = SymmetricKey::generate(&mut rng);
+        let issuer = PrincipalId::new("gs");
+        let group = GroupName::new(issuer.clone(), "staff");
+        let alice = member_digest(&PrincipalId::new("alice"));
+        let flavours = [
+            (
+                GrantAuthority::Keypair(sk.clone()),
+                GrantorVerifier::PublicKey(sk.verifying_key()),
+                CertSeal::Hmac([0u8; 32]),
+            ),
+            (
+                GrantAuthority::SharedKey(k.clone()),
+                GrantorVerifier::SharedKey(k),
+                CertSeal::Ed25519(forger.sign(b"x")),
+            ),
+        ];
+        for (authority, verifier, other_seal) in flavours {
+            let resolver = MapResolver::new().with(issuer.clone(), verifier);
+            let revocations = RevocationDirectory::new();
+            let memberships = MembershipDirectory::new();
+            for epoch in [1, 2] {
+                let honest_revocation = RevocationArtifact::seal(
+                    issuer.clone(),
+                    epoch,
+                    SNAPSHOT,
+                    [41u64].into_iter().collect(),
+                    &authority,
+                );
+                let honest_roster = MembershipArtifact::seal(
+                    group.clone(),
+                    epoch,
+                    SNAPSHOT,
+                    vec![alice],
+                    Vec::new(),
+                    &authority,
+                );
+                let mut revocation = honest_revocation.clone();
+                revocation.seal = other_seal.clone();
+                let mut roster = honest_roster.clone();
+                roster.seal = other_seal.clone();
+                assert_eq!(
+                    revocations.apply_sealed(&revocation, &resolver),
+                    Err(ArtifactError::BadSeal)
+                );
+                assert_eq!(
+                    memberships.apply_sealed(&roster, &resolver),
+                    Err(ArtifactError::BadSeal)
+                );
+                assert_eq!(revocations.epoch_of(&issuer), epoch - 1);
+                assert_eq!(memberships.epoch_of(&group), epoch - 1);
+                assert_eq!(revocations.is_revoked(&issuer, 41), epoch > 1);
+                assert_eq!(
+                    revocations.apply_sealed(&honest_revocation, &resolver),
+                    Ok(())
+                );
+                assert_eq!(memberships.apply_sealed(&honest_roster, &resolver), Ok(()));
+            }
+        }
     }
 
     #[test]

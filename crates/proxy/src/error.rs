@@ -11,9 +11,6 @@ pub enum GrantError {
     /// The requested validity window does not overlap the parent chain's
     /// effective window — a derived proxy cannot outlive its parent.
     ValidityOutsideParent,
-    /// A cascade was attempted across cryptosystem flavors (e.g. deriving
-    /// an Ed25519 link from a symmetric proxy).
-    FlavorMismatch,
     /// The parent chain was empty.
     EmptyParent,
 }
@@ -26,9 +23,6 @@ impl std::fmt::Display for GrantError {
                     f,
                     "requested validity does not overlap the parent proxy's window"
                 )
-            }
-            GrantError::FlavorMismatch => {
-                write!(f, "cascade links must use the parent proxy's cryptosystem")
             }
             GrantError::EmptyParent => write!(f, "parent certificate chain is empty"),
         }

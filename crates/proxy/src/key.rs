@@ -1,4 +1,4 @@
-//! Proxy keys, grant authorities, and key resolution.
+//! Grant authorities, their verifiers, and key resolution.
 //!
 //! A restricted proxy is a certificate plus a *proxy key* (Fig. 1). The
 //! paper supports two cryptosystems (§6):
@@ -12,8 +12,14 @@
 //!   is embedded in the certificate and whose private half goes to the
 //!   grantee.
 //!
-//! Both flavors flow through the same types here so the rest of the system
-//! is agnostic to the cryptosystem in use.
+//! Under either, a cascade is recursive (§3.4, Fig. 4): the grantor seals
+//! the first certificate with its own key, and every later link is sealed
+//! with the proxy key of the one before, used exactly as the grantor's
+//! key was. So there is one signer, [`GrantAuthority`], and one verifier,
+//! [`GrantorVerifier`]: a proxy key *is* the authority to grant the next
+//! link, and the key recovered from a certificate *is* the verifier of
+//! the link after it. Which seal goes with which key is decided in
+//! `GrantorVerifier::check_seal` and nowhere else.
 
 use std::collections::HashMap;
 
@@ -23,92 +29,19 @@ use proxy_crypto::ed25519::{Signature, SigningKey, VerifyingKey};
 use proxy_crypto::keys::SymmetricKey;
 use proxy_crypto::seal;
 
+use crate::cert::CertSeal;
 use crate::principal::PrincipalId;
 
 /// Domain-separation label for possession proofs.
 const POSSESSION_LABEL: &[u8] = b"proxy-aa possession v1";
 /// Domain-separation label for sealed proxy keys.
-pub(crate) const PROXY_KEY_AAD: &[u8] = b"proxy-aa sealed proxy key v1";
+const PROXY_KEY_AAD: &[u8] = b"proxy-aa sealed proxy key v1";
 
-/// The secret half of a proxy key, held by the grantee.
-#[derive(Clone)]
-pub enum ProxyKey {
-    /// Conventional flavor: a fresh symmetric key.
-    Symmetric(SymmetricKey),
-    /// Public-key flavor: a fresh Ed25519 key pair (private half).
-    Ed25519(SigningKey),
-}
-
-impl std::fmt::Debug for ProxyKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProxyKey::Symmetric(_) => write!(f, "ProxyKey::Symmetric(<redacted>)"),
-            ProxyKey::Ed25519(k) => write!(f, "ProxyKey::Ed25519({:?})", k.verifying_key()),
-        }
-    }
-}
-
-impl ProxyKey {
-    /// Generates a fresh symmetric proxy key.
-    pub fn generate_symmetric<R: RngCore>(rng: &mut R) -> Self {
-        ProxyKey::Symmetric(SymmetricKey::generate(rng))
-    }
-
-    /// Generates a fresh Ed25519 proxy key pair.
-    pub fn generate_ed25519<R: RngCore>(rng: &mut R) -> Self {
-        ProxyKey::Ed25519(SigningKey::generate(rng))
-    }
-
-    /// Produces a possession proof over `challenge` bound to the
-    /// presentation context (end-server name and final certificate body
-    /// digest), preventing a response from being replayed elsewhere.
-    #[must_use]
-    pub fn prove_possession(&self, challenge: &[u8; 32], binding: &[u8]) -> Vec<u8> {
-        let msg = possession_message(challenge, binding);
-        match self {
-            ProxyKey::Symmetric(k) => k.mac(&msg).to_vec(),
-            ProxyKey::Ed25519(k) => k.sign(&msg).as_bytes().to_vec(),
-        }
-    }
-}
-
-/// The message a possession proof covers: label, challenge, binding.
-pub(crate) fn possession_message(challenge: &[u8; 32], binding: &[u8]) -> Vec<u8> {
-    let mut msg = Vec::with_capacity(POSSESSION_LABEL.len() + 32 + binding.len());
-    append_possession_prefix(&mut msg, challenge);
-    msg.extend_from_slice(binding);
-    msg
-}
-
-/// Appends to `out` everything of [`possession_message`] that comes
-/// before the binding.
+/// Appends to `out` everything a possession proof covers that comes
+/// before the binding: label, then challenge.
 pub(crate) fn append_possession_prefix(out: &mut Vec<u8>, challenge: &[u8; 32]) {
     out.extend_from_slice(POSSESSION_LABEL);
     out.extend_from_slice(challenge);
-}
-
-/// The verifier-side view of a proxy key, recovered while walking a chain.
-#[derive(Clone, Debug)]
-pub enum ProxyKeyVerifier {
-    /// The unsealed symmetric proxy key (only the end-server can produce
-    /// this, since the key was sealed for it).
-    Symmetric(SymmetricKey),
-    /// The embedded public half of the proxy key pair.
-    Ed25519(VerifyingKey),
-}
-
-impl ProxyKeyVerifier {
-    /// Checks a possession proof produced by [`ProxyKey::prove_possession`].
-    #[must_use]
-    pub fn check_possession(&self, challenge: &[u8; 32], binding: &[u8], proof: &[u8]) -> bool {
-        let msg = possession_message(challenge, binding);
-        match self {
-            ProxyKeyVerifier::Symmetric(k) => k.verify_mac(&msg, proof),
-            ProxyKeyVerifier::Ed25519(vk) => {
-                Signature::try_from_slice(proof).is_ok_and(|sig| vk.verify(&msg, &sig).is_ok())
-            }
-        }
-    }
 }
 
 /// Wire length of the sealed symmetric proxy key embedded in a
@@ -129,49 +62,43 @@ pub enum KeyMaterial {
 }
 
 impl KeyMaterial {
-    /// Seals a symmetric proxy key under `sealing_key`.
-    pub fn seal_symmetric<R: RngCore>(
-        proxy_key: &SymmetricKey,
-        sealing_key: &SymmetricKey,
-        rng: &mut R,
-    ) -> KeyMaterial {
-        KeyMaterial::SealedSymmetric(seal::seal_key32(
-            sealing_key,
-            PROXY_KEY_AAD,
-            proxy_key.as_bytes(),
-            rng,
-        ))
-    }
-
-    /// Recovers the proxy-key verifier, unsealing with `unseal_key` when
-    /// the material is symmetric.
+    /// Recovers the verifier of the next link from a certificate whose
+    /// seal is checked under `sealer`: a sealed symmetric key opens under
+    /// the sealer's shared key, a public key stands as it is.
     ///
     /// # Errors
     ///
-    /// Returns `None` on seal integrity failure or malformed key bytes.
+    /// Returns `None` when the material is sealed and `sealer` holds no
+    /// shared key, on seal integrity failure, or on malformed key bytes.
     #[must_use]
-    pub fn unseal(&self, unseal_key: Option<&SymmetricKey>) -> Option<ProxyKeyVerifier> {
-        match self {
-            KeyMaterial::SealedSymmetric(sealed) => {
-                let key = unseal_key?;
+    pub fn unseal(&self, sealer: &GrantorVerifier) -> Option<GrantorVerifier> {
+        match (self, sealer) {
+            (KeyMaterial::SealedSymmetric(sealed), GrantorVerifier::SharedKey(key)) => {
                 let bytes = seal::open(key, PROXY_KEY_AAD, sealed).ok()?;
                 SymmetricKey::try_from_slice(&bytes)
                     .ok()
-                    .map(ProxyKeyVerifier::Symmetric)
+                    .map(GrantorVerifier::SharedKey)
             }
-            KeyMaterial::PublicKey(vk) => Some(ProxyKeyVerifier::Ed25519(*vk)),
+            (KeyMaterial::SealedSymmetric(_), GrantorVerifier::PublicKey(_)) => None,
+            (KeyMaterial::PublicKey(vk), _) => Some(GrantorVerifier::PublicKey(*vk)),
         }
     }
 }
 
-/// The credential with which a grantor signs proxy certificates.
+/// The key that seals a certificate: a grantor's own credential at the
+/// head of a chain, and — the same thing one link on — the secret proxy
+/// key a grantee holds, which is the authority to grant the next link
+/// ([`Proxy::derive`](crate::proxy::Proxy::derive)) and what a bearer
+/// proves possession of.
 #[derive(Clone)]
 pub enum GrantAuthority {
     /// Conventional flavor: a key shared with the end-server (in the full
     /// system, the Kerberos session key from the grantor's ticket for that
-    /// server).
+    /// server), or a symmetric proxy key the end-server recovers from the
+    /// certificate before.
     SharedKey(SymmetricKey),
-    /// Public-key flavor: the grantor's Ed25519 identity key.
+    /// Public-key flavor: the grantor's Ed25519 identity key, or the
+    /// private half of an Ed25519 proxy key pair.
     Keypair(SigningKey),
 }
 
@@ -186,13 +113,90 @@ impl std::fmt::Debug for GrantAuthority {
     }
 }
 
-/// The verifier-side counterpart of a [`GrantAuthority`].
+impl GrantAuthority {
+    /// Seals `body`: an HMAC tag under a shared key, a signature under a
+    /// key pair.
+    #[must_use]
+    pub fn seal(&self, body: &[u8]) -> CertSeal {
+        match self {
+            GrantAuthority::SharedKey(key) => CertSeal::Hmac(key.mac(body)),
+            GrantAuthority::Keypair(key) => CertSeal::Ed25519(key.sign(body)),
+        }
+    }
+
+    /// The verifier that accepts what this authority seals.
+    #[must_use]
+    pub fn verifier(&self) -> GrantorVerifier {
+        match self {
+            GrantAuthority::SharedKey(key) => GrantorVerifier::SharedKey(key.clone()),
+            GrantAuthority::Keypair(key) => GrantorVerifier::PublicKey(key.verifying_key()),
+        }
+    }
+
+    /// Mints the proxy key of the next link, of this authority's flavour,
+    /// and the [`KeyMaterial`] that certifies it: a fresh symmetric key
+    /// sealed under this one, or a fresh key pair's public half. The
+    /// fresh key is drawn from `rng` before the sealing nonce; a seeded
+    /// grant reproduces its bytes only in that order.
+    pub fn mint_next<R: RngCore>(&self, rng: &mut R) -> (GrantAuthority, KeyMaterial) {
+        match self {
+            GrantAuthority::SharedKey(sealing_key) => {
+                let fresh = SymmetricKey::generate(rng);
+                let sealed = seal::seal_key32(sealing_key, PROXY_KEY_AAD, fresh.as_bytes(), rng);
+                (
+                    GrantAuthority::SharedKey(fresh),
+                    KeyMaterial::SealedSymmetric(sealed),
+                )
+            }
+            GrantAuthority::Keypair(_) => {
+                let fresh = SigningKey::generate(rng);
+                let material = KeyMaterial::PublicKey(fresh.verifying_key());
+                (GrantAuthority::Keypair(fresh), material)
+            }
+        }
+    }
+
+    /// Produces a possession proof over `challenge` bound to the
+    /// presentation context (end-server name and final certificate body
+    /// digest), preventing a response from being replayed elsewhere: the
+    /// bare bytes of this key's seal over label, challenge and binding.
+    #[must_use]
+    pub fn prove_possession(&self, challenge: &[u8; 32], binding: &[u8]) -> Vec<u8> {
+        let mut msg = Vec::with_capacity(POSSESSION_LABEL.len() + 32 + binding.len());
+        append_possession_prefix(&mut msg, challenge);
+        msg.extend_from_slice(binding);
+        self.seal(&msg).wire().1.to_vec()
+    }
+}
+
+/// What [`GrantorVerifier::check_seal`] found.
+pub(crate) enum SealCheck {
+    /// An HMAC tag that verifies.
+    Valid,
+    /// An HMAC tag that does not.
+    Invalid,
+    /// A seal of the flavour this key is not. Fails closed: a chain
+    /// cannot be moved onto a weaker or different check by swapping the
+    /// seal's tag.
+    FlavorMismatch,
+    /// An Ed25519 signature under this public key, not yet verified:
+    /// curve work is for the caller to batch or settle.
+    Deferred(VerifyingKey, Signature),
+}
+
+/// The verifier-side counterpart of a [`GrantAuthority`]: what an
+/// end-server resolves for a named grantor, and what it recovers from a
+/// certificate ([`KeyMaterial::unseal`]) to check the next link and the
+/// bearer's possession proof.
 #[derive(Clone)]
 pub enum GrantorVerifier {
-    /// Shared key between the named grantor and this end-server.
+    /// A key shared between the named grantor and this end-server, or an
+    /// unsealed symmetric proxy key (only the end-server can produce
+    /// that, since the key was sealed for it).
     SharedKey(SymmetricKey),
     /// The grantor's public key (obtained from a name/authentication
-    /// server in the full system).
+    /// server in the full system), or the embedded public half of a
+    /// proxy key pair.
     PublicKey(VerifyingKey),
 }
 
@@ -201,6 +205,39 @@ impl std::fmt::Debug for GrantorVerifier {
         match self {
             GrantorVerifier::SharedKey(_) => write!(f, "GrantorVerifier::SharedKey(<redacted>)"),
             GrantorVerifier::PublicKey(k) => write!(f, "GrantorVerifier::PublicKey({k:?})"),
+        }
+    }
+}
+
+impl GrantorVerifier {
+    /// Pairs `seal` with this key — HMAC tag with shared key, Ed25519
+    /// signature with public key, anything else a mismatch — and checks
+    /// what is cheap to check. The one place the pairing is written.
+    pub(crate) fn check_seal(&self, body: &[u8], seal: &CertSeal) -> SealCheck {
+        match (self, seal) {
+            (GrantorVerifier::SharedKey(key), CertSeal::Hmac(tag)) => {
+                if key.verify_mac(body, tag) {
+                    SealCheck::Valid
+                } else {
+                    SealCheck::Invalid
+                }
+            }
+            (GrantorVerifier::PublicKey(vk), CertSeal::Ed25519(sig)) => {
+                SealCheck::Deferred(*vk, *sig)
+            }
+            (GrantorVerifier::SharedKey(_), CertSeal::Ed25519(_))
+            | (GrantorVerifier::PublicKey(_), CertSeal::Hmac(_)) => SealCheck::FlavorMismatch,
+        }
+    }
+
+    /// True when `seal` is this key's seal over `body`, settled here and
+    /// now; a seal of the other flavour is simply not.
+    #[must_use]
+    pub fn verify_seal(&self, body: &[u8], seal: &CertSeal) -> bool {
+        match self.check_seal(body, seal) {
+            SealCheck::Valid => true,
+            SealCheck::Deferred(vk, sig) => vk.verify(body, &sig).is_ok(),
+            SealCheck::Invalid | SealCheck::FlavorMismatch => false,
         }
     }
 }
@@ -263,59 +300,71 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn symmetric_possession_round_trip() {
+    fn possession_proofs_bind_challenge_and_context_under_either_flavour() {
         let mut rng = StdRng::seed_from_u64(1);
-        let key = ProxyKey::generate_symmetric(&mut rng);
-        let challenge = [7u8; 32];
-        let proof = key.prove_possession(&challenge, b"binding");
-        let ProxyKey::Symmetric(k) = &key else {
-            unreachable!()
-        };
-        let verifier = ProxyKeyVerifier::Symmetric(k.clone());
-        assert!(verifier.check_possession(&challenge, b"binding", &proof));
-        assert!(!verifier.check_possession(&[8u8; 32], b"binding", &proof));
-        assert!(!verifier.check_possession(&challenge, b"other", &proof));
+        for key in [
+            GrantAuthority::SharedKey(SymmetricKey::generate(&mut rng)),
+            GrantAuthority::Keypair(SigningKey::generate(&mut rng)),
+        ] {
+            // A proof is the key's seal over label, challenge, binding,
+            // without the flavour tag.
+            let holds = |challenge: &[u8; 32], binding: &[u8], proof: &[u8]| {
+                let mut msg = Vec::new();
+                append_possession_prefix(&mut msg, challenge);
+                msg.extend_from_slice(binding);
+                let seal = match &key {
+                    GrantAuthority::SharedKey(_) => proof.try_into().map(CertSeal::Hmac).ok(),
+                    GrantAuthority::Keypair(_) => {
+                        Signature::try_from_slice(proof).map(CertSeal::Ed25519).ok()
+                    }
+                };
+                seal.is_some_and(|seal| key.verifier().verify_seal(&msg, &seal))
+            };
+            let proof = key.prove_possession(&[7u8; 32], b"binding");
+            assert!(holds(&[7u8; 32], b"binding", &proof));
+            assert!(!holds(&[8u8; 32], b"binding", &proof));
+            assert!(!holds(&[7u8; 32], b"other", &proof));
+            assert!(!holds(&[7u8; 32], b"binding", &proof[..proof.len() - 1]));
+        }
     }
 
     #[test]
-    fn ed25519_possession_round_trip() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let key = ProxyKey::generate_ed25519(&mut rng);
-        let challenge = [9u8; 32];
-        let proof = key.prove_possession(&challenge, b"ctx");
-        let ProxyKey::Ed25519(k) = &key else {
-            unreachable!()
-        };
-        let verifier = ProxyKeyVerifier::Ed25519(k.verifying_key());
-        assert!(verifier.check_possession(&challenge, b"ctx", &proof));
-        assert!(!verifier.check_possession(&challenge, b"ctx", &proof[..63]));
-    }
-
-    #[test]
-    fn sealed_key_material_round_trip() {
+    fn a_minted_symmetric_key_is_recovered_only_under_the_key_that_minted_it() {
         let mut rng = StdRng::seed_from_u64(3);
-        let proxy_key = SymmetricKey::generate(&mut rng);
-        let session = SymmetricKey::generate(&mut rng);
-        let material = KeyMaterial::seal_symmetric(&proxy_key, &session, &mut rng);
-        match material.unseal(Some(&session)) {
-            Some(ProxyKeyVerifier::Symmetric(k)) => assert_eq!(k.as_bytes(), proxy_key.as_bytes()),
+        let session = GrantAuthority::SharedKey(SymmetricKey::generate(&mut rng));
+        let (proxy_key, material) = session.mint_next(&mut rng);
+        let GrantAuthority::SharedKey(proxy_key) = proxy_key else {
+            panic!("a shared key mints a shared key");
+        };
+        match material.unseal(&session.verifier()) {
+            Some(GrantorVerifier::SharedKey(k)) => assert_eq!(k.as_bytes(), proxy_key.as_bytes()),
             other => panic!("unexpected: {other:?}"),
         }
-        // Wrong key or no key: unrecoverable.
-        let wrong = SymmetricKey::generate(&mut rng);
-        assert!(material.unseal(Some(&wrong)).is_none());
-        assert!(material.unseal(None).is_none());
+        // Wrong key or a public key: unrecoverable.
+        let wrong = GrantorVerifier::SharedKey(SymmetricKey::generate(&mut rng));
+        assert!(material.unseal(&wrong).is_none());
+        let public = GrantAuthority::Keypair(SigningKey::generate(&mut rng)).verifier();
+        assert!(material.unseal(&public).is_none());
     }
 
     #[test]
     fn public_key_material_needs_no_unsealing() {
         let mut rng = StdRng::seed_from_u64(4);
-        let sk = SigningKey::generate(&mut rng);
-        let material = KeyMaterial::PublicKey(sk.verifying_key());
-        assert!(matches!(
-            material.unseal(None),
-            Some(ProxyKeyVerifier::Ed25519(_))
-        ));
+        let grantor = GrantAuthority::Keypair(SigningKey::generate(&mut rng));
+        let (proxy_key, material) = grantor.mint_next(&mut rng);
+        let GrantorVerifier::PublicKey(expected) = proxy_key.verifier() else {
+            panic!("a key pair mints a key pair");
+        };
+        assert_eq!(material, KeyMaterial::PublicKey(expected));
+        for sealer in [
+            grantor.verifier(),
+            GrantorVerifier::SharedKey(SymmetricKey::generate(&mut rng)),
+        ] {
+            assert!(matches!(
+                material.unseal(&sealer),
+                Some(GrantorVerifier::PublicKey(vk)) if vk == expected
+            ));
+        }
     }
 
     #[test]

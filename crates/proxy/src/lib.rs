@@ -91,9 +91,7 @@ pub mod prelude {
     pub use crate::context::RequestContext;
     pub use crate::epoch::{ArtifactError, ArtifactKind};
     pub use crate::error::{GrantError, VerifyError};
-    pub use crate::key::{
-        GrantAuthority, GrantorVerifier, KeyMaterial, KeyResolver, MapResolver, ProxyKey,
-    };
+    pub use crate::key::{GrantAuthority, GrantorVerifier, KeyMaterial, KeyResolver, MapResolver};
     pub use crate::membership::{
         member_digest, MemberDigest, MembershipAnswer, MembershipArtifact, MembershipDirectory,
     };

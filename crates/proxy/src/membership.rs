@@ -29,10 +29,7 @@ use proxy_crypto::sha256::Sha256;
 
 use crate::cert::CertSeal;
 use crate::encode::{DecodeError, Decoder, Encoder};
-use crate::epoch::{
-    authenticate, decode_artifact_body, decode_seal, encode_seal, seal_body, verify_body_seal,
-    ArtifactError, ArtifactKind, EpochMirror,
-};
+use crate::epoch::{authenticate, decode_artifact_body, ArtifactError, ArtifactKind, EpochMirror};
 use crate::key::{GrantAuthority, GrantorVerifier, KeyResolver};
 use crate::principal::{GroupName, PrincipalId};
 use crate::time::Timestamp;
@@ -151,9 +148,9 @@ impl MembershipArtifact {
             kind,
             adds,
             removes,
-            seal: CertSeal::Hmac([0u8; 32]),
+            seal: CertSeal::UNSEALED,
         };
-        artifact.seal = seal_body(authority, &artifact.body_bytes());
+        artifact.seal = authority.seal(&artifact.body_bytes());
         artifact
     }
 
@@ -161,7 +158,7 @@ impl MembershipArtifact {
     /// flavor mismatches fail closed.
     #[must_use]
     pub fn verify_seal(&self, verifier: &GrantorVerifier) -> bool {
-        verify_body_seal(verifier, &self.body_bytes(), &self.seal)
+        verifier.verify_seal(&self.body_bytes(), &self.seal)
     }
 
     /// Full wire encoding (body + seal).
@@ -175,7 +172,7 @@ impl MembershipArtifact {
     /// Appends the wire encoding to `e`.
     pub fn encode_onto(&self, e: &mut Encoder) {
         e.bytes(&self.body_bytes());
-        encode_seal(e, &self.seal);
+        self.seal.encode_onto(e);
     }
 
     /// Decodes one artifact from a decoder stream. The result is
@@ -187,7 +184,7 @@ impl MembershipArtifact {
     /// duplicate digests and snapshots carrying removals.
     pub fn decode_from(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let body = decode_artifact_body(d)?.to_vec();
-        let seal = decode_seal(d)?;
+        let seal = CertSeal::decode_from(d)?;
         let mut b = Decoder::new(&body);
         if b.bytes()? != ARTIFACT_LABEL {
             return Err(DecodeError::InvalidValue("membership artifact label"));

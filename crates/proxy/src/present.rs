@@ -208,7 +208,7 @@ mod tests {
         // sealed (encrypted) inside the certificate.
         let mut rng = StdRng::seed_from_u64(3);
         let proxy = sample_proxy(&mut rng);
-        let crate::key::ProxyKey::Symmetric(k) = &proxy.key else {
+        let crate::key::GrantAuthority::SharedKey(k) = &proxy.key else {
             unreachable!()
         };
         let wire = proxy

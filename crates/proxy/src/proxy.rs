@@ -10,11 +10,9 @@
 
 use rand::RngCore;
 
-use proxy_crypto::keys::SymmetricKey;
-
 use crate::cert::{CertSeal, Certificate, SigningAuthorityKind};
 use crate::error::GrantError;
-use crate::key::{GrantAuthority, KeyMaterial, ProxyKey};
+use crate::key::GrantAuthority;
 use crate::principal::PrincipalId;
 use crate::restriction::{Restriction, RestrictionSet};
 use crate::time::Validity;
@@ -25,8 +23,9 @@ use crate::time::Validity;
 pub struct Proxy {
     /// Certificate chain, head (original grantor) first.
     pub certs: Vec<Certificate>,
-    /// Secret proxy key matching the final certificate's key material.
-    pub key: ProxyKey,
+    /// Secret proxy key matching the final certificate's key material:
+    /// the authority to seal the next link of a bearer cascade.
+    pub key: GrantAuthority,
 }
 
 impl Proxy {
@@ -126,82 +125,44 @@ impl Proxy {
         let validity = validity
             .intersect(&parent_window)
             .ok_or(GrantError::ValidityOutsideParent)?;
-        let grantor = self.grantor().clone();
-        let (new_key, key_material, sealer): (ProxyKey, KeyMaterial, Sealer<'_>) = match &self.key {
-            ProxyKey::Symmetric(old) => {
-                let fresh = SymmetricKey::generate(rng);
-                let material = KeyMaterial::seal_symmetric(&fresh, old, rng);
-                (ProxyKey::Symmetric(fresh), material, Sealer::Hmac(old))
-            }
-            ProxyKey::Ed25519(old) => {
-                let fresh = proxy_crypto::ed25519::SigningKey::generate(rng);
-                let material = KeyMaterial::PublicKey(fresh.verifying_key());
-                (ProxyKey::Ed25519(fresh), material, Sealer::Ed25519(old))
-            }
-        };
-        let mut cert = Certificate {
-            grantor,
-            serial,
+        let (cert, key) = seal_link(
+            self.grantor(),
+            &self.key,
+            SigningAuthorityKind::PriorProxyKey,
+            additional,
             validity,
-            restrictions: additional,
-            key_material,
-            authority: SigningAuthorityKind::PriorProxyKey,
-            seal: CertSeal::Hmac([0u8; 32]),
-        };
-        cert.seal = sealer.seal(&cert.body_bytes());
+            serial,
+            rng,
+        );
         let mut certs = self.certs.clone();
         certs.push(cert);
-        Ok(Proxy {
-            certs,
-            key: new_key,
-        })
+        Ok(Proxy { certs, key })
     }
 }
 
-enum Sealer<'a> {
-    Hmac(&'a SymmetricKey),
-    Ed25519(&'a proxy_crypto::ed25519::SigningKey),
-}
-
-impl Sealer<'_> {
-    fn seal(&self, body: &[u8]) -> CertSeal {
-        match self {
-            Sealer::Hmac(key) => CertSeal::Hmac(key.mac(body)),
-            Sealer::Ed25519(key) => CertSeal::Ed25519(key.sign(body)),
-        }
-    }
-}
-
-fn grantor_sealed_cert<R: RngCore>(
+/// Seals one link under `signer` — a grantor's own authority or, on a
+/// bearer cascade, the proxy key of the link before (`authority` records
+/// which) — and mints the proxy key the link certifies.
+fn seal_link<R: RngCore>(
     grantor: &PrincipalId,
-    authority: &GrantAuthority,
+    signer: &GrantAuthority,
+    authority: SigningAuthorityKind,
     restrictions: RestrictionSet,
     validity: Validity,
     serial: u64,
     rng: &mut R,
-) -> (Certificate, ProxyKey) {
-    let (key, key_material, sealer) = match authority {
-        GrantAuthority::SharedKey(shared) => {
-            let fresh = SymmetricKey::generate(rng);
-            let material = KeyMaterial::seal_symmetric(&fresh, shared, rng);
-            (ProxyKey::Symmetric(fresh), material, Sealer::Hmac(shared))
-        }
-        GrantAuthority::Keypair(sk) => {
-            let fresh = proxy_crypto::ed25519::SigningKey::generate(rng);
-            let material = KeyMaterial::PublicKey(fresh.verifying_key());
-            (ProxyKey::Ed25519(fresh), material, Sealer::Ed25519(sk))
-        }
-    };
+) -> (Certificate, GrantAuthority) {
+    let (key, key_material) = signer.mint_next(rng);
     let mut cert = Certificate {
         grantor: grantor.clone(),
         serial,
         validity,
         restrictions,
         key_material,
-        authority: SigningAuthorityKind::Grantor,
-        seal: CertSeal::Hmac([0u8; 32]),
+        authority,
+        seal: CertSeal::UNSEALED,
     };
-    cert.seal = sealer.seal(&cert.body_bytes());
+    cert.seal = signer.seal(&cert.body_bytes());
     (cert, key)
 }
 
@@ -219,7 +180,15 @@ pub fn grant<R: RngCore>(
     serial: u64,
     rng: &mut R,
 ) -> Proxy {
-    let (cert, key) = grantor_sealed_cert(grantor, authority, restrictions, validity, serial, rng);
+    let (cert, key) = seal_link(
+        grantor,
+        authority,
+        SigningAuthorityKind::Grantor,
+        restrictions,
+        validity,
+        serial,
+        rng,
+    );
     Proxy {
         certs: vec![cert],
         key,
@@ -263,8 +232,15 @@ pub fn delegate_cascade<R: RngCore>(
         .intersect(&window)
         .ok_or(GrantError::ValidityOutsideParent)?;
     let restrictions = additional.with(Restriction::grantee_one(subordinate));
-    let (cert, key) =
-        grantor_sealed_cert(intermediate, authority, restrictions, validity, serial, rng);
+    let (cert, key) = seal_link(
+        intermediate,
+        authority,
+        SigningAuthorityKind::Grantor,
+        restrictions,
+        validity,
+        serial,
+        rng,
+    );
     let mut certs = parent_certs.to_vec();
     certs.push(cert);
     Ok(Proxy { certs, key })
@@ -287,7 +263,7 @@ mod tests {
     }
 
     fn symmetric_authority(rng: &mut StdRng) -> GrantAuthority {
-        GrantAuthority::SharedKey(SymmetricKey::generate(rng))
+        GrantAuthority::SharedKey(proxy_crypto::keys::SymmetricKey::generate(rng))
     }
 
     #[test]

@@ -33,10 +33,7 @@ use std::sync::RwLock;
 
 use crate::cert::CertSeal;
 use crate::encode::{DecodeError, Decoder, Encoder};
-use crate::epoch::{
-    authenticate, decode_artifact_body, decode_seal, encode_seal, seal_body, verify_body_seal,
-    DeltaLog, EpochMirror,
-};
+use crate::epoch::{authenticate, decode_artifact_body, DeltaLog, EpochMirror};
 pub use crate::epoch::{ArtifactError, ArtifactKind, DELTA_LOG_DEPTH, MAX_ARTIFACT_BODY};
 use crate::key::{GrantAuthority, GrantorVerifier, KeyResolver};
 use crate::principal::PrincipalId;
@@ -489,9 +486,9 @@ impl RevocationArtifact {
             epoch,
             kind,
             serials,
-            seal: CertSeal::Hmac([0u8; 32]),
+            seal: CertSeal::UNSEALED,
         };
-        artifact.seal = seal_body(authority, &artifact.body_bytes());
+        artifact.seal = authority.seal(&artifact.body_bytes());
         artifact
     }
 
@@ -500,7 +497,7 @@ impl RevocationArtifact {
     /// fail closed.
     #[must_use]
     pub fn verify_seal(&self, verifier: &GrantorVerifier) -> bool {
-        verify_body_seal(verifier, &self.body_bytes(), &self.seal)
+        verifier.verify_seal(&self.body_bytes(), &self.seal)
     }
 
     /// Full wire encoding (body + seal).
@@ -514,7 +511,7 @@ impl RevocationArtifact {
     /// Appends the wire encoding to `e`.
     pub fn encode_onto(&self, e: &mut Encoder) {
         e.bytes(&self.body_bytes());
-        encode_seal(e, &self.seal);
+        self.seal.encode_onto(e);
     }
 
     /// Decodes one artifact from a decoder stream.
@@ -525,7 +522,7 @@ impl RevocationArtifact {
     /// *unverified*: its seal must still be checked.
     pub fn decode_from(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let body = decode_artifact_body(d)?.to_vec();
-        let seal = decode_seal(d)?;
+        let seal = CertSeal::decode_from(d)?;
         let mut b = Decoder::new(&body);
         if b.bytes()? != ARTIFACT_LABEL {
             return Err(DecodeError::InvalidValue("revocation artifact label"));

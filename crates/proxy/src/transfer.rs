@@ -14,7 +14,7 @@ use proxy_crypto::seal::{self, SealError};
 
 use crate::cert::Certificate;
 use crate::encode::{DecodeError, Decoder, Encoder};
-use crate::key::ProxyKey;
+use crate::key::GrantAuthority;
 use crate::proxy::Proxy;
 
 const TRANSFER_AAD: &[u8] = b"proxy-aa proxy transfer v1";
@@ -78,7 +78,7 @@ impl Proxy {
             e.bytes(&cert.encode());
         }
         let key_plain = match &self.key {
-            ProxyKey::Symmetric(k) => {
+            GrantAuthority::SharedKey(k) => {
                 let mut p = vec![0u8];
                 p.extend_from_slice(k.as_bytes());
                 p
@@ -87,7 +87,7 @@ impl Proxy {
             // handed off by deriving a fresh key pair for the grantee
             // instead (`Proxy::derive`). The flavor marker alone is
             // encoded so the receiver gets a clear error.
-            ProxyKey::Ed25519(_) => vec![1u8],
+            GrantAuthority::Keypair(_) => vec![1u8],
         };
         e.bytes(&seal::seal(transfer_key, TRANSFER_AAD, &key_plain, rng));
         e.finish()
@@ -124,7 +124,7 @@ impl Proxy {
                     .map_err(|_| TransferError::Decode(DecodeError::UnexpectedEnd))?;
                 Ok(Proxy {
                     certs,
-                    key: ProxyKey::Symmetric(key),
+                    key: GrantAuthority::SharedKey(key),
                 })
             }
             Some((1, _)) => Err(TransferError::Decode(DecodeError::BadTag(1))),
@@ -192,7 +192,7 @@ mod tests {
         let (proxy, _shared) = sample(&mut rng);
         let transfer_key = SymmetricKey::generate(&mut rng);
         let wire = proxy.seal_for_transfer(&transfer_key, &mut rng);
-        let ProxyKey::Symmetric(k) = &proxy.key else {
+        let GrantAuthority::SharedKey(k) = &proxy.key else {
             unreachable!()
         };
         assert!(

@@ -14,11 +14,11 @@ use proxy_crypto::ed25519::{self, Signature, VerifyingKey};
 use proxy_crypto::sha256::Sha256;
 
 use crate::cache::{seal_digest, SealDigest, VerifiedCertCache};
-use crate::cert::{CertSeal, Certificate, SigningAuthorityKind};
+use crate::cert::{Certificate, SigningAuthorityKind};
 use crate::context::RequestContext;
 use crate::encode::Encoder;
 use crate::error::VerifyError;
-use crate::key::{append_possession_prefix, GrantorVerifier, KeyResolver, ProxyKeyVerifier};
+use crate::key::{append_possession_prefix, GrantorVerifier, KeyResolver, SealCheck};
 use crate::keytable::KeyTable;
 use crate::present::{append_presentation_binding, Presentation, Proof};
 use crate::principal::PrincipalId;
@@ -195,7 +195,7 @@ impl<R: KeyResolver> Verifier<R> {
         // certificate — and settled in pass 3 together with the
         // possession proof. HMAC seals are cheaper than the cache digest
         // and are checked inline.
-        let mut prev_key: Option<ProxyKeyVerifier> = None;
+        let mut prev_key: Option<GrantorVerifier> = None;
         let mut expires = Timestamp::MAX;
         let mut pending: Vec<PendingCheck> = Vec::new();
         // One scratch buffer for every byte string the presentation's
@@ -224,43 +224,20 @@ impl<R: KeyResolver> Verifier<R> {
             scratch.truncate(kept);
             final_body = append_body(cert, &mut scratch);
             let body = &scratch[final_body.clone()];
-            let (unseal_key, ed25519_seal) = match cert.authority {
-                SigningAuthorityKind::Grantor => {
-                    let verifier = self
-                        .resolver
-                        .grantor_verifier(&cert.grantor)
-                        .ok_or_else(|| VerifyError::UnknownGrantor(cert.grantor.clone()))?;
-                    match (&verifier, &cert.seal) {
-                        (GrantorVerifier::SharedKey(k), CertSeal::Hmac(tag)) => {
-                            if !k.verify_mac(body, tag) {
-                                return Err(VerifyError::BadSeal { index });
-                            }
-                            (Some(k.clone()), None)
-                        }
-                        (GrantorVerifier::PublicKey(vk), CertSeal::Ed25519(sig)) => {
-                            (None, Some((*vk, *sig)))
-                        }
-                        _ => return Err(VerifyError::FlavorMismatch { index }),
-                    }
-                }
+            let sealer = match cert.authority {
+                SigningAuthorityKind::Grantor => self
+                    .resolver
+                    .grantor_verifier(&cert.grantor)
+                    .ok_or_else(|| VerifyError::UnknownGrantor(cert.grantor.clone()))?,
                 SigningAuthorityKind::PriorProxyKey => {
-                    if index == 0 {
-                        return Err(VerifyError::HeadNotGrantorSealed);
-                    }
-                    let prior = prev_key.as_ref().expect("set on every prior iteration");
-                    match (prior, &cert.seal) {
-                        (ProxyKeyVerifier::Symmetric(k), CertSeal::Hmac(tag)) => {
-                            if !k.verify_mac(body, tag) {
-                                return Err(VerifyError::BadSeal { index });
-                            }
-                            (Some(k.clone()), None)
-                        }
-                        (ProxyKeyVerifier::Ed25519(vk), CertSeal::Ed25519(sig)) => {
-                            (None, Some((*vk, *sig)))
-                        }
-                        _ => return Err(VerifyError::FlavorMismatch { index }),
-                    }
+                    prev_key.take().ok_or(VerifyError::HeadNotGrantorSealed)?
                 }
+            };
+            let ed25519_seal = match sealer.check_seal(body, &cert.seal) {
+                SealCheck::Valid => None,
+                SealCheck::Deferred(vk, sig) => Some((vk, sig)),
+                SealCheck::Invalid => return Err(VerifyError::BadSeal { index }),
+                SealCheck::FlavorMismatch => return Err(VerifyError::FlavorMismatch { index }),
             };
             if let Some((vk, sig)) = ed25519_seal {
                 // Deferred, unless the cache already vouches for this
@@ -293,7 +270,7 @@ impl<R: KeyResolver> Verifier<R> {
             }
             prev_key = Some(
                 cert.key_material
-                    .unseal(unseal_key.as_ref())
+                    .unseal(&sealer)
                     .ok_or(VerifyError::KeyUnrecoverable { index })?,
             );
         }
@@ -335,12 +312,12 @@ impl<R: KeyResolver> Verifier<R> {
                 append_presentation_binding(&mut scratch, &self.server, &final_digest);
                 let message = start..scratch.len();
                 match &final_key {
-                    ProxyKeyVerifier::Symmetric(k) => {
+                    GrantorVerifier::SharedKey(k) => {
                         if !k.verify_mac(&scratch[message], response) {
                             proof_verdict = Err(VerifyError::BadPossession);
                         }
                     }
-                    ProxyKeyVerifier::Ed25519(vk) => match Signature::try_from_slice(response) {
+                    GrantorVerifier::PublicKey(vk) => match Signature::try_from_slice(response) {
                         Ok(sig) => pending.push(PendingCheck {
                             message,
                             sig,
@@ -458,6 +435,7 @@ fn grantee_satisfied(restrictions: &RestrictionSet, authenticated: &[PrincipalId
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cert::CertSeal;
     use crate::key::{GrantAuthority, MapResolver};
     use crate::proxy::{delegate_cascade, grant};
     use crate::replay::MemoryReplayGuard;
@@ -1138,6 +1116,98 @@ mod tests {
         );
     }
 
+    /// Seal flavour and key flavour must agree on every arm of the chain
+    /// walk: a grantor's key at the head, the prior proxy key on a bearer
+    /// cascade, an intermediate's key on a delegate cascade. The other
+    /// flavour's seal is a mismatch at its own index, whatever it holds,
+    /// and nothing about the chain reaches the seal cache.
+    #[test]
+    fn a_seal_of_the_other_flavour_is_a_mismatch_at_every_kind_of_link() {
+        let mut rng = StdRng::seed_from_u64(28);
+        let [alice_sk, print_sk, forger] = [(); 3].map(|()| SigningKey::generate(&mut rng));
+        let [alice_k, print_k] = [(); 2].map(|()| SymmetricKey::generate(&mut rng));
+        let flavours = [
+            (
+                GrantAuthority::Keypair(alice_sk.clone()),
+                GrantAuthority::Keypair(print_sk.clone()),
+                MapResolver::new()
+                    .with(
+                        p("alice"),
+                        GrantorVerifier::PublicKey(alice_sk.verifying_key()),
+                    )
+                    .with(
+                        p("print"),
+                        GrantorVerifier::PublicKey(print_sk.verifying_key()),
+                    ),
+                CertSeal::Hmac([0u8; 32]),
+            ),
+            (
+                GrantAuthority::SharedKey(alice_k.clone()),
+                GrantAuthority::SharedKey(print_k.clone()),
+                MapResolver::new()
+                    .with(p("alice"), GrantorVerifier::SharedKey(alice_k))
+                    .with(p("print"), GrantorVerifier::SharedKey(print_k)),
+                CertSeal::Ed25519(forger.sign(b"x")),
+            ),
+        ];
+        let sub_ctx = ctx().authenticated_as(p("fsworker"));
+        for (alice, print, resolver, other_seal) in flavours {
+            let head = grant(
+                &p("alice"),
+                &alice,
+                RestrictionSet::new(),
+                window(),
+                1,
+                &mut rng,
+            );
+            let bearer = head
+                .derive(RestrictionSet::new(), window(), 2, &mut rng)
+                .unwrap();
+            let to_print = grant(
+                &p("alice"),
+                &alice,
+                RestrictionSet::new().with(Restriction::grantee_one(p("print"))),
+                window(),
+                3,
+                &mut rng,
+            );
+            let delegate = delegate_cascade(
+                &to_print.certs,
+                &p("print"),
+                &print,
+                p("fsworker"),
+                RestrictionSet::new(),
+                window(),
+                4,
+                &mut rng,
+            )
+            .unwrap();
+            let cases = [
+                (head.present_bearer([1u8; 32], &p("fs")), 0),
+                (bearer.present_bearer([2u8; 32], &p("fs")), 1),
+                (delegate.present_delegate(), 1),
+            ];
+            for (honest, index) in cases {
+                let case = format!("{other_seal:?} at link {index} of {}", honest.certs.len());
+                let verifier = || Verifier::new(p("fs"), resolver.clone()).with_seal_cache(64);
+                let mut guard = MemoryReplayGuard::new();
+                assert!(
+                    verifier().verify(&honest, &sub_ctx, &mut guard).is_ok(),
+                    "{case}"
+                );
+                let mut swapped = honest;
+                swapped.certs[index].seal = other_seal.clone();
+                let verifier = verifier();
+                assert_eq!(
+                    verifier.verify(&swapped, &sub_ctx, &mut guard),
+                    Err(VerifyError::FlavorMismatch { index }),
+                    "{case}"
+                );
+                assert_eq!(verifier.seal_cache().unwrap().len(), 0, "{case}");
+            }
+        }
+    }
+
     #[test]
     fn verification_works_on_decoded_wire_presentations() {
         let mut s = symmetric_setup(20);
@@ -1312,7 +1382,7 @@ mod tests {
         assert_eq!(honest.certs.len(), 4);
         let thief = crate::proxy::Proxy {
             certs: proxy.certs.clone(),
-            key: crate::key::ProxyKey::generate_ed25519(&mut rng),
+            key: GrantAuthority::Keypair(SigningKey::generate(&mut rng)),
         };
         let Proof::Possession {
             challenge,

@@ -16,8 +16,8 @@ use proxy_crypto::ed25519::SigningKey;
 use proxy_crypto::keys::SymmetricKey;
 use restricted_proxy::encode::{DecodeError, Decoder, Encoder};
 use restricted_proxy::prelude::{
-    Certificate, Currency, GroupName, ObjectName, Operation, Presentation, PrincipalId, Proxy,
-    ProxyKey, Timestamp, Validity,
+    Certificate, Currency, GrantAuthority, GroupName, ObjectName, Operation, Presentation,
+    PrincipalId, Proxy, Timestamp, Validity,
 };
 
 use restricted_proxy::membership::MembershipArtifact;
@@ -830,10 +830,10 @@ fn encode_proxy(e: &mut Encoder, proxy: &Proxy) {
         e.nested(|e| c.encode_onto(e));
     }
     match &proxy.key {
-        ProxyKey::Symmetric(k) => {
+        GrantAuthority::SharedKey(k) => {
             e.u8(0).raw(k.as_bytes());
         }
-        ProxyKey::Ed25519(sk) => {
+        GrantAuthority::Keypair(sk) => {
             e.u8(1).raw(sk.seed());
         }
     }
@@ -856,13 +856,13 @@ fn decode_proxy(d: &mut Decoder<'_>) -> Result<Proxy, WireError> {
         certs.push(cert);
     }
     let key = match d.u8()? {
-        0 => ProxyKey::Symmetric(
+        0 => GrantAuthority::SharedKey(
             SymmetricKey::try_from_slice(d.raw(32)?)
                 .map_err(|_| DecodeError::InvalidValue("bad symmetric proxy key"))?,
         ),
         1 => {
             let seed = d.raw_array::<32>()?;
-            ProxyKey::Ed25519(SigningKey::from_seed(&seed))
+            GrantAuthority::Keypair(SigningKey::from_seed(&seed))
         }
         t => return Err(DecodeError::BadTag(t).into()),
     };

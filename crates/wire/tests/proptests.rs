@@ -439,7 +439,7 @@ fn ed25519_proxy_key_round_trips_unexpanded_and_still_proves_possession() {
     )
     .derive(RestrictionSet::new(), window(), 2, &mut rng)
     .expect("derive");
-    assert!(matches!(check.key, ProxyKey::Ed25519(_)));
+    assert!(matches!(check.key, GrantAuthority::Keypair(_)));
 
     let messages = [
         Message::CheckWritten {

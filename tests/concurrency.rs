@@ -158,7 +158,7 @@ fn racing_verifications_share_key_table_slots_and_get_only_correct_verdicts() {
                     if i % 4 == t % 4 {
                         let thief = Proxy {
                             certs: cap.certs.clone(),
-                            key: ProxyKey::generate_ed25519(&mut rng),
+                            key: GrantAuthority::Keypair(SigningKey::generate(&mut rng)),
                         };
                         assert_eq!(
                             verifier.verify(

@@ -74,7 +74,7 @@ fn eavesdropped_presentation_is_useless() {
 
     // 1. The captured bytes contain no usable proxy key: the sealed key is
     //    inside the certificate, and only alice's session key opens it.
-    let ProxyKey::Symmetric(real_key) = &cap.key else {
+    let GrantAuthority::SharedKey(real_key) = &cap.key else {
         unreachable!()
     };
     let wire = captured.encode();
@@ -181,7 +181,7 @@ fn extending_someone_elses_bearer_chain_requires_the_proxy_key() {
     let fake_key = SymmetricKey::generate(&mut w.rng);
     let fake_holder = Proxy {
         certs: original.certs.clone(),
-        key: ProxyKey::Symmetric(fake_key),
+        key: GrantAuthority::SharedKey(fake_key),
     };
     let forged = fake_holder
         .derive(RestrictionSet::new(), window(), 2, &mut w.rng)
@@ -428,7 +428,7 @@ fn seal_cache_never_bypasses_possession_proof() {
 fn stolen_presentation(cap: &Proxy, challenge: [u8; 32], rng: &mut StdRng) -> Presentation {
     Proxy {
         certs: cap.certs.clone(),
-        key: ProxyKey::generate_ed25519(rng),
+        key: GrantAuthority::Keypair(proxy_aa::crypto::ed25519::SigningKey::generate(rng)),
     }
     .present_bearer(challenge, &p("fs"))
 }
