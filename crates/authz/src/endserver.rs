@@ -285,7 +285,7 @@ impl<R: KeyResolver> EndServer<R> {
                     continue;
                 }
                 let proven = req.authenticated.iter().any(|principal| {
-                    self.memberships.assert(g, principal, req.now) == MembershipAnswer::Member
+                    self.memberships.assert(g, principal) == MembershipAnswer::Member
                 });
                 if proven {
                     claims.groups.push(g.clone());

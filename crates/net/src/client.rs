@@ -8,11 +8,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use proxy_wire::frame::{
-    parse_header, split_frame, write_frame_vectored, FrameHeader, HEADER_LEN, TRAILER_LEN,
-};
+use proxy_wire::frame::{parse_header, split_frame, FrameHeader, HEADER_LEN, TRAILER_LEN};
 use proxy_wire::{BufPool, Message, PooledBuf};
-use restricted_proxy::encode::Encoder;
 
 use crate::error::NetError;
 use crate::transport::Transport;
@@ -271,14 +268,12 @@ impl TcpClient {
     /// the stream state unknowable).
     fn exchange(&self, mut conn: TcpStream, request: &Message) -> Result<Message, NetError> {
         let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        // Encode the request body and read the reply through pooled
+        // Encode the request frame and read the reply through pooled
         // scratch buffers: steady-state exchanges reuse warm capacity
         // instead of allocating two fresh vectors per call.
         let mut scratch = self.bufs.get();
-        let mut e = Encoder::from_vec(std::mem::take(&mut *scratch));
-        request.encode_body_onto(&mut e);
-        *scratch = e.finish();
-        write_frame_vectored(&mut conn, request.msg_type(), request_id, &scratch)?;
+        request.encode_frame_into(&mut scratch, request_id);
+        std::io::Write::write_all(&mut conn, &scratch)?;
         let reply = self.read_lone_reply(&mut conn, request_id)?;
         self.checkin(conn);
         match reply {

@@ -1,5 +1,5 @@
-//! Readiness-driven TCP server: each worker owns a [`Poller`] (epoll on
-//! Linux) and drains hundreds-to-thousands of nonblocking connections
+//! Readiness-driven TCP server: each worker owns a [`Poller`] (one epoll
+//! instance) and drains hundreds-to-thousands of nonblocking connections
 //! through per-connection state machines, so open-but-quiet connections
 //! cost the active ones nothing (the C10k property).
 //!

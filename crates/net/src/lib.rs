@@ -11,7 +11,7 @@
 //!   via the atomic-only [`netsim::Network::record`] path, so the
 //!   deterministic figure harnesses keep their exact counts.
 //! * [`EventLoopServer`]/[`TcpClient`] — real TCP: each server worker
-//!   owns a [`proxy_runtime::Poller`] (epoll on Linux) and drains
+//!   owns a [`proxy_runtime::Poller`] (one epoll instance) and drains
 //!   thousands of nonblocking connections through per-connection state
 //!   machines with write-queue backpressure and idle reaping; the
 //!   client is std-only and blocking.

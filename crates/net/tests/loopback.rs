@@ -12,6 +12,8 @@ use proxy_wire::ErrorCode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use proxy_accounting::server::CASHIER_ACCOUNT;
+use proxy_accounting::{AccountingServer, Check};
 use proxy_authz::{Acl, AclRights, AclSubject, AuthorizationServer, EndServer, GroupServer};
 use proxy_crypto::keys::SymmetricKey;
 use restricted_proxy::prelude::*;
@@ -176,6 +178,114 @@ fn unmounted_service_answers_unavailable() {
             detail: "no group server mounted".to_string()
         }
     );
+}
+
+/// The code a denial came back with.
+fn remote_code(err: NetError) -> ErrorCode {
+    match err {
+        NetError::Remote { code, .. } => code,
+        other => panic!("expected a remote denial, got {other:?}"),
+    }
+}
+
+/// §4's check-writing arms — cashier's check, endorsement, certification
+/// — through the typed helpers, over real frames: each reply variant
+/// narrows, balances and holds move as the server says, and each denial
+/// arrives as its remote code.
+#[test]
+fn check_write_endorse_and_certify_over_loopback() {
+    let usd = Currency::new("USD");
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut bank = AccountingServer::new(
+        p("bank"),
+        GrantAuthority::SharedKey(SymmetricKey::generate(&mut rng)),
+    );
+    bank.open_account("carol-acct", vec![p("carol")]);
+    bank.account_mut("carol-acct")
+        .unwrap()
+        .credit(usd.clone(), 500);
+    let bank = Arc::new(bank);
+    let mux: Arc<ServiceMux<MapResolver>> =
+        Arc::new(ServiceMux::new().with_accounting(Arc::clone(&bank)));
+    let t = Loopback::new(
+        mux,
+        Arc::new(Network::new(5)),
+        EndpointId::new("carol"),
+        EndpointId::new("bank"),
+        5,
+    );
+    // (balance, held) of an account.
+    let funds = |account: &str| {
+        let account = bank.account(account).unwrap();
+        (account.balance(&usd), account.held(&usd))
+    };
+
+    let check = api::write_cashiers_check(
+        &t,
+        &p("carol"),
+        "carol-acct",
+        &p("shop"),
+        77,
+        usd.clone(),
+        200,
+        window(),
+    )
+    .expect("cashier's check written");
+    let info = Check {
+        proxy: check.clone(),
+    }
+    .info()
+    .unwrap();
+    assert_eq!((info.check_no, info.amount), (77, 200));
+    assert_eq!(funds("carol-acct"), (300, 0));
+    assert_eq!(funds(CASHIER_ACCOUNT), (200, 0));
+    let not_owner = api::write_cashiers_check(
+        &t,
+        &p("mallory"),
+        "carol-acct",
+        &p("shop"),
+        78,
+        usd.clone(),
+        10,
+        window(),
+    );
+    assert_eq!(
+        remote_code(not_owner.unwrap_err()),
+        ErrorCode::NotAuthorized
+    );
+
+    let endorsed = api::endorse_check(&t, check, &p("bank2")).expect("check endorsed");
+    assert_eq!(Check { proxy: endorsed }.endorsement_count(), 1);
+    assert_eq!(funds("carol-acct"), (300, 0));
+
+    let certified = api::certify_check(
+        &t,
+        &p("carol"),
+        "carol-acct",
+        9,
+        usd.clone(),
+        100,
+        &p("shop"),
+        window(),
+    )
+    .expect("check certified");
+    assert!(!certified.certs.is_empty());
+    assert_eq!(funds("carol-acct"), (200, 100));
+    let not_covered = api::certify_check(
+        &t,
+        &p("carol"),
+        "carol-acct",
+        10,
+        usd.clone(),
+        10_000,
+        &p("shop"),
+        window(),
+    );
+    assert_eq!(
+        remote_code(not_covered.unwrap_err()),
+        ErrorCode::InsufficientFunds
+    );
+    assert_eq!(funds("carol-acct"), (200, 100));
 }
 
 /// The same flow the loopback tests run, over a real socket: proof that

@@ -17,13 +17,11 @@
 //! Three-valued answers keep the fallback honest: [`MembershipAnswer`]
 //! distinguishes *mirrored and present*, *mirrored and absent*, and *no
 //! mirror* — only the last forces the caller back to a query round trip
-//! (or a membership proxy, the paper's own mechanism). A bounded
-//! [`NegativeCache`] remembers recent absent answers with a TTL so
-//! repeated asserts against a missing principal short-circuit without
-//! growing without bound.
+//! (or a membership proxy, the paper's own mechanism). An assert is one
+//! digest, one shard read and one set lookup; there is no answer cache
+//! in front of it that an update could leave stale.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::Mutex;
+use std::collections::HashSet;
 
 use proxy_crypto::sha256::Sha256;
 
@@ -32,7 +30,6 @@ use crate::encode::{DecodeError, Decoder, Encoder};
 use crate::epoch::{authenticate, decode_artifact_body, ArtifactError, ArtifactKind, EpochMirror};
 use crate::key::{GrantAuthority, GrantorVerifier, KeyResolver};
 use crate::principal::{GroupName, PrincipalId};
-use crate::time::Timestamp;
 
 /// Domain-separation label for member digests.
 const MEMBER_DIGEST_LABEL: &[u8] = b"proxy-aa member digest v1";
@@ -235,115 +232,19 @@ pub enum MembershipAnswer {
     Unknown,
 }
 
-/// A bounded TTL cache of recent *absent* answers, modeled on the
-/// replay cache: fixed capacity, fail-closed eviction (dropping an entry
-/// only costs a re-check, never grants membership).
-#[derive(Debug)]
-pub struct NegativeCache {
-    capacity: usize,
-    ttl_ticks: u64,
-    entries: Mutex<HashMap<(GroupName, MemberDigest), Timestamp>>,
-}
-
-impl NegativeCache {
-    /// A cache holding at most `capacity` absent-member entries for
-    /// `ttl_ticks` logical ticks each.
-    #[must_use]
-    pub fn new(capacity: usize, ttl_ticks: u64) -> Self {
-        Self {
-            capacity: capacity.max(1),
-            ttl_ticks,
-            entries: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Records an absent answer observed at `now`.
-    pub fn record(&self, group: &GroupName, digest: MemberDigest, now: Timestamp) {
-        if let Ok(mut map) = self.entries.lock() {
-            if map.len() >= self.capacity {
-                // Bounded: drop expired entries first, then arbitrary
-                // ones. Losing a negative entry is always safe.
-                let ttl = self.ttl_ticks;
-                map.retain(|_, &mut at| now.0.saturating_sub(at.0) < ttl);
-                while map.len() >= self.capacity {
-                    let victim = map.keys().next().cloned();
-                    match victim {
-                        Some(k) => map.remove(&k),
-                        None => break,
-                    };
-                }
-            }
-            map.insert((group.clone(), digest), now);
-        }
-    }
-
-    /// True when an unexpired absent answer is cached. A poisoned cache
-    /// answers `false` (forcing a real check — fail closed for liveness,
-    /// never for access).
-    #[must_use]
-    pub fn contains(&self, group: &GroupName, digest: &MemberDigest, now: Timestamp) -> bool {
-        self.entries.lock().is_ok_and(|map| {
-            map.get(&(group.clone(), *digest))
-                .is_some_and(|at| now.0.saturating_sub(at.0) < self.ttl_ticks)
-        })
-    }
-
-    /// Drops every entry (e.g. after a mirror update changes answers).
-    pub fn clear(&self) {
-        if let Ok(mut map) = self.entries.lock() {
-            map.clear();
-        }
-    }
-
-    /// Entries currently cached (expired ones included until touched).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.lock().map_or(0, |m| m.len())
-    }
-
-    /// True when nothing is cached.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// The receiver side: per-group membership mirrors consulted on the
 /// authorization hot path. `assert` probes under one shared shard
 /// read-lock; applying artifacts never blocks it (see [`crate::epoch`]).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MembershipDirectory {
     mirrors: EpochMirror<GroupName, HashSet<MemberDigest>>,
-    negatives: NegativeCache,
-}
-
-/// Default negative-cache capacity.
-pub const DEFAULT_NEGATIVE_CAPACITY: usize = 4096;
-
-/// Default negative-cache TTL in logical ticks.
-pub const DEFAULT_NEGATIVE_TTL_TICKS: u64 = 60;
-
-impl Default for MembershipDirectory {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl MembershipDirectory {
-    /// An empty directory with the default negative cache.
+    /// An empty directory.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_negative_cache(DEFAULT_NEGATIVE_CAPACITY, DEFAULT_NEGATIVE_TTL_TICKS)
-    }
-
-    /// An empty directory with a negative cache of `capacity` entries
-    /// and `ttl_ticks` tick lifetime.
-    #[must_use]
-    pub fn with_negative_cache(capacity: usize, ttl_ticks: u64) -> Self {
-        Self {
-            mirrors: EpochMirror::default(),
-            negatives: NegativeCache::new(capacity, ttl_ticks),
-        }
+        Self::default()
     }
 
     /// The mirrored epoch for `group` (0 when no artifact has applied).
@@ -358,26 +259,14 @@ impl MembershipDirectory {
         self.mirrors.read(group, |m| m.map(HashSet::len))
     }
 
-    /// Answers a membership assert from local state only — no round
-    /// trips. `now` drives the negative-cache TTL.
+    /// Answers a membership assert from the mirror alone — no round
+    /// trips, and always the mirror's current answer.
     #[must_use]
-    pub fn assert(
-        &self,
-        group: &GroupName,
-        principal: &PrincipalId,
-        now: Timestamp,
-    ) -> MembershipAnswer {
+    pub fn assert(&self, group: &GroupName, principal: &PrincipalId) -> MembershipAnswer {
         let digest = member_digest(principal);
-        if self.negatives.contains(group, &digest, now) {
-            return MembershipAnswer::NotMember;
-        }
-        let mirrored = self.mirrors.read(group, |m| m.map(|m| m.contains(&digest)));
-        match mirrored {
+        match self.mirrors.read(group, |m| m.map(|m| m.contains(&digest))) {
             Some(true) => MembershipAnswer::Member,
-            Some(false) => {
-                self.negatives.record(group, digest, now);
-                MembershipAnswer::NotMember
-            }
+            Some(false) => MembershipAnswer::NotMember,
             None => MembershipAnswer::Unknown,
         }
     }
@@ -403,8 +292,7 @@ impl MembershipDirectory {
 
     /// Applies a *seal-verified* artifact. Snapshots must advance the
     /// epoch (or establish a first mirror); deltas must extend the exact
-    /// current epoch. Rejections leave the last good state enforced. On
-    /// success the negative cache is cleared (answers may have changed).
+    /// current epoch. Rejections leave the last good state enforced.
     ///
     /// # Errors
     ///
@@ -423,9 +311,7 @@ impl MembershipDirectory {
                 }
                 next
             },
-        )?;
-        self.negatives.clear();
-        Ok(())
+        )
     }
 }
 
@@ -508,9 +394,8 @@ mod tests {
     fn directory_asserts_member_notmember_unknown() {
         let (authority, _) = auth_pair();
         let dir = MembershipDirectory::new();
-        let now = Timestamp(1000);
         assert_eq!(
-            dir.assert(&g("staff"), &p("alice"), now),
+            dir.assert(&g("staff"), &p("alice")),
             MembershipAnswer::Unknown,
             "no mirror yet: must fall back, never assume"
         );
@@ -524,17 +409,16 @@ mod tests {
         );
         dir.apply_verified(&snap).unwrap();
         assert_eq!(
-            dir.assert(&g("staff"), &p("alice"), now),
+            dir.assert(&g("staff"), &p("alice")),
             MembershipAnswer::Member
         );
         assert_eq!(
-            dir.assert(&g("staff"), &p("bob"), now),
+            dir.assert(&g("staff"), &p("bob")),
             MembershipAnswer::NotMember
         );
-        assert!(!dir.negatives.is_empty(), "absent answer cached");
         // Other groups are still unmirrored.
         assert_eq!(
-            dir.assert(&g("faculty"), &p("alice"), now),
+            dir.assert(&g("faculty"), &p("alice")),
             MembershipAnswer::Unknown
         );
     }
@@ -543,7 +427,6 @@ mod tests {
     fn deltas_add_and_remove_members() {
         let (authority, _) = auth_pair();
         let dir = MembershipDirectory::new();
-        let now = Timestamp(5);
         let snap = MembershipArtifact::seal(
             g("staff"),
             1,
@@ -563,11 +446,11 @@ mod tests {
         );
         dir.apply_verified(&delta).unwrap();
         assert_eq!(
-            dir.assert(&g("staff"), &p("carol"), now),
+            dir.assert(&g("staff"), &p("carol")),
             MembershipAnswer::Member
         );
         assert_eq!(
-            dir.assert(&g("staff"), &p("bob"), now),
+            dir.assert(&g("staff"), &p("bob")),
             MembershipAnswer::NotMember
         );
         assert_eq!(dir.member_count(&g("staff")), Some(2));
@@ -597,31 +480,15 @@ mod tests {
             Err(ArtifactError::BaseMismatch { .. })
         ));
         assert_eq!(
-            dir.assert(&g("staff"), &p("mallory"), now),
+            dir.assert(&g("staff"), &p("mallory")),
             MembershipAnswer::NotMember
         );
     }
 
     #[test]
-    fn negative_cache_expires_and_stays_bounded() {
-        let cache = NegativeCache::new(2, 10);
-        let d1 = member_digest(&p("a"));
-        let d2 = member_digest(&p("b"));
-        let d3 = member_digest(&p("c"));
-        let t0 = Timestamp(100);
-        cache.record(&g("x"), d1, t0);
-        assert!(cache.contains(&g("x"), &d1, t0));
-        assert!(!cache.contains(&g("x"), &d1, Timestamp(111)), "expired");
-        cache.record(&g("x"), d2, t0);
-        cache.record(&g("x"), d3, t0);
-        assert!(cache.len() <= 2, "capacity bound holds");
-    }
-
-    #[test]
-    fn mirror_update_clears_negative_cache() {
+    fn a_denial_does_not_outlive_the_update_that_adds_the_member() {
         let (authority, _) = auth_pair();
         let dir = MembershipDirectory::new();
-        let now = Timestamp(50);
         let snap = MembershipArtifact::seal(
             g("staff"),
             1,
@@ -632,7 +499,7 @@ mod tests {
         );
         dir.apply_verified(&snap).unwrap();
         assert_eq!(
-            dir.assert(&g("staff"), &p("dave"), now),
+            dir.assert(&g("staff"), &p("dave")),
             MembershipAnswer::NotMember
         );
         let delta = MembershipArtifact::seal(
@@ -645,9 +512,88 @@ mod tests {
         );
         dir.apply_verified(&delta).unwrap();
         assert_eq!(
-            dir.assert(&g("staff"), &p("dave"), now),
+            dir.assert(&g("staff"), &p("dave")),
             MembershipAnswer::Member,
             "stale negative answer must not outlive the update"
+        );
+    }
+
+    /// Seeded snapshots and deltas (with removals) interleaved with
+    /// asserts: every answer is the one a plain `HashSet` model gives,
+    /// and a group that never received an artifact stays `Unknown`.
+    #[test]
+    fn asserts_agree_with_a_set_model_across_seeded_updates() {
+        use rand::Rng;
+        use std::collections::HashMap;
+
+        let (authority, _) = auth_pair();
+        let people: Vec<PrincipalId> = (0..12).map(|i| p(&format!("u{i}"))).collect();
+        // Group 3 never receives an artifact.
+        let groups: Vec<GroupName> = (0..4).map(|i| g(&format!("g{i}"))).collect();
+        let dir = MembershipDirectory::new();
+        let mut model: HashMap<usize, (u64, HashSet<usize>)> = HashMap::new();
+        let mut rng = StdRng::seed_from_u64(26);
+        let pick = |rng: &mut StdRng| -> Vec<usize> {
+            (0..people.len())
+                .filter(|_| rng.gen_range(0..10) < 3)
+                .collect()
+        };
+        let digests = |who: &[usize]| -> Vec<MemberDigest> {
+            who.iter().map(|&i| member_digest(&people[i])).collect()
+        };
+        for _ in 0..2_000 {
+            let gi = rng.gen_range(0..3);
+            match rng.gen_range(0..10) {
+                0 => {
+                    let epoch = model.get(&gi).map_or(0, |(e, _)| *e) + 1;
+                    let members = pick(&mut rng);
+                    let snap = MembershipArtifact::seal(
+                        groups[gi].clone(),
+                        epoch,
+                        ArtifactKind::Snapshot,
+                        digests(&members),
+                        Vec::new(),
+                        &authority,
+                    );
+                    dir.apply_verified(&snap).unwrap();
+                    model.insert(gi, (epoch, members.into_iter().collect()));
+                }
+                1 | 2 => {
+                    let Some((epoch, set)) = model.get_mut(&gi) else {
+                        continue;
+                    };
+                    let (adds, removes) = (pick(&mut rng), pick(&mut rng));
+                    let delta = MembershipArtifact::seal(
+                        groups[gi].clone(),
+                        *epoch + 1,
+                        ArtifactKind::Delta { base_epoch: *epoch },
+                        digests(&adds),
+                        digests(&removes),
+                        &authority,
+                    );
+                    dir.apply_verified(&delta).unwrap();
+                    *epoch += 1;
+                    set.extend(adds);
+                    for r in &removes {
+                        set.remove(r);
+                    }
+                }
+                _ => {
+                    let gi = rng.gen_range(0..groups.len());
+                    let who = rng.gen_range(0..people.len());
+                    let expected = match model.get(&gi) {
+                        None => MembershipAnswer::Unknown,
+                        Some((_, set)) if set.contains(&who) => MembershipAnswer::Member,
+                        Some(_) => MembershipAnswer::NotMember,
+                    };
+                    assert_eq!(dir.assert(&groups[gi], &people[who]), expected);
+                }
+            }
+        }
+        assert_eq!(model.len(), 3, "every updated group was mirrored");
+        assert_eq!(
+            dir.assert(&groups[3], &people[0]),
+            MembershipAnswer::Unknown
         );
     }
 }

@@ -1,23 +1,14 @@
-//! Readiness polling behind one portable surface: register sockets with
-//! a token and an interest set, then [`Poller::wait`] for batches of
-//! [`Event`]s.
+//! Readiness polling over Linux `epoll`: register sockets with a token
+//! and an interest set, then [`Poller::wait`] for batches of [`Event`]s.
 //!
-//! Two backends, selected at construction:
+//! One `epoll` instance per poller, and no other backend: `wait` is
+//! O(ready), not O(registered), which is the property the C10k server
+//! leans on — thousands of idle connections cost nothing per wakeup. A
+//! host that cannot create an epoll instance gets the error from
+//! [`Poller::new`] rather than a slower poller in its place.
 //!
-//! * **epoll** (Linux): one `epoll` instance per poller; `wait` is
-//!   O(ready), not O(registered), which is the property the C10k server
-//!   leans on — thousands of idle connections cost nothing per wakeup.
-//! * **poll(2)** (portable fallback): the registered set is kept as a
-//!   `pollfd` array and rescanned per wait — O(registered), fine for
-//!   tools and tests, honest about being the fallback.
-//!
-//! Semantics are level-triggered on both backends with one exception:
-//! [`Interest::EDGE`] requests edge-triggered delivery, which epoll
-//! honors and the poll backend silently degrades to level-triggered.
-//! Callers must therefore treat edge-triggering as an *optimization*
-//! (fewer redundant wakeups), never as a correctness guarantee — the
-//! event-loop server's accept path keeps its own readiness flag and
-//! drains to `WouldBlock`, which is correct under either delivery mode.
+//! Delivery is level-triggered, or edge-triggered for a registration
+//! that asks for [`Interest::EDGE`].
 
 use std::io;
 use std::os::fd::RawFd;
@@ -34,8 +25,8 @@ impl Interest {
     pub const READ: Interest = Interest(sys::EVENT_IN);
     /// Writable readiness.
     pub const WRITE: Interest = Interest(sys::EVENT_OUT);
-    /// Edge-triggered delivery where the backend supports it (see the
-    /// module docs for the degradation contract).
+    /// Edge-triggered delivery: a descriptor is reported once per
+    /// readiness change, not on every wait while it stays ready.
     pub const EDGE: Interest = Interest(sys::EVENT_EDGE);
 
     /// Whether every bit of `other` is present in `self`.
@@ -77,95 +68,37 @@ impl Event {
     }
 }
 
-/// Which backend a [`Poller`] should use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PollerKind {
-    /// Linux `epoll` — O(ready) waits.
-    Epoll,
-    /// Portable `poll(2)` — O(registered) waits.
-    Poll,
-}
-
-enum Backend {
-    Epoll {
-        ep: sys::EpollFd,
-        buf: Vec<sys::EpollEvent>,
-    },
-    Poll {
-        /// Registered descriptors; parallel to `tokens`.
-        fds: Vec<sys::PollFd>,
-        tokens: Vec<u64>,
-    },
-}
-
-/// A readiness poller over raw socket descriptors.
+/// A readiness poller over raw socket descriptors: one `epoll` instance
+/// and the buffer its waits fill.
 ///
 /// The caller owns descriptor lifetimes: a registered fd must stay open
 /// until [`Poller::deregister`] (dropping a socket while registered is
 /// not UB — the kernel drops the epoll entry — but stale events may
 /// surface for its token, which callers already tolerate by lookup).
 pub struct Poller {
-    backend: Backend,
+    ep: sys::EpollFd,
+    buf: Vec<sys::EpollEvent>,
 }
 
 impl std::fmt::Debug for Poller {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Poller")
-            .field("kind", &self.kind())
-            .finish()
+        f.debug_struct("Poller").field("ep", &self.ep).finish()
     }
 }
 
 impl Poller {
-    /// A poller on the best backend the host offers: epoll where
-    /// available, `poll(2)` otherwise.
+    /// A poller on a fresh epoll instance.
     ///
     /// # Errors
     ///
-    /// Never fails on the poll fallback; epoll creation failures other
-    /// than "not supported" are propagated.
+    /// The `epoll_create1` failure, as is: `EMFILE`/`ENFILE` when the
+    /// process or system is out of descriptors, `ENOMEM`, or `ENOSYS`
+    /// on a host without epoll. There is no fallback to degrade to.
     pub fn new() -> io::Result<Self> {
-        match sys::EpollFd::create() {
-            Ok(ep) => Ok(Self {
-                backend: Backend::Epoll {
-                    ep,
-                    buf: vec![sys::EpollEvent::default(); 512],
-                },
-            }),
-            Err(_) => Self::with_kind(PollerKind::Poll),
-        }
-    }
-
-    /// A poller on a specific backend — the fallback is reached in tests
-    /// and on hosts without epoll.
-    ///
-    /// # Errors
-    ///
-    /// Epoll instance creation failure for [`PollerKind::Epoll`].
-    pub fn with_kind(kind: PollerKind) -> io::Result<Self> {
-        Ok(match kind {
-            PollerKind::Epoll => Self {
-                backend: Backend::Epoll {
-                    ep: sys::EpollFd::create()?,
-                    buf: vec![sys::EpollEvent::default(); 512],
-                },
-            },
-            PollerKind::Poll => Self {
-                backend: Backend::Poll {
-                    fds: Vec::new(),
-                    tokens: Vec::new(),
-                },
-            },
+        Ok(Self {
+            ep: sys::EpollFd::create()?,
+            buf: vec![sys::EpollEvent::default(); 512],
         })
-    }
-
-    /// Which backend this poller runs on.
-    #[must_use]
-    pub fn kind(&self) -> PollerKind {
-        match &self.backend {
-            Backend::Epoll { .. } => PollerKind::Epoll,
-            Backend::Poll { .. } => PollerKind::Poll,
-        }
     }
 
     /// Starts watching `fd` with `interest`; readiness is reported under
@@ -173,65 +106,30 @@ impl Poller {
     ///
     /// # Errors
     ///
-    /// Backend registration failure (e.g. the fd is already registered
-    /// with epoll).
+    /// The `epoll_ctl` failure (e.g. `EEXIST`: the fd is already
+    /// registered).
     pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll { ep, .. } => ep.add(fd, interest.0, token),
-            Backend::Poll { fds, tokens } => {
-                fds.push(sys::PollFd {
-                    fd,
-                    events: poll_events(interest),
-                    revents: 0,
-                });
-                tokens.push(token);
-                Ok(())
-            }
-        }
+        self.ep.add(fd, interest.0, token)
     }
 
     /// Replaces the interest set of a registered `fd`.
     ///
     /// # Errors
     ///
-    /// Backend failure, or `NotFound` if the fd was never registered
-    /// (poll backend).
+    /// The `epoll_ctl` failure (e.g. `ENOENT`: the fd was never
+    /// registered).
     pub fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll { ep, .. } => ep.modify(fd, interest.0, token),
-            Backend::Poll { fds, tokens } => {
-                let at = fds
-                    .iter()
-                    .position(|p| p.fd == fd)
-                    .ok_or(io::ErrorKind::NotFound)?;
-                if let (Some(entry), Some(slot)) = (fds.get_mut(at), tokens.get_mut(at)) {
-                    entry.events = poll_events(interest);
-                    *slot = token;
-                }
-                Ok(())
-            }
-        }
+        self.ep.modify(fd, interest.0, token)
     }
 
     /// Stops watching `fd`.
     ///
     /// # Errors
     ///
-    /// Backend failure, or `NotFound` if the fd was never registered
-    /// (poll backend).
+    /// The `epoll_ctl` failure (e.g. `ENOENT`: the fd was never
+    /// registered).
     pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll { ep, .. } => ep.delete(fd),
-            Backend::Poll { fds, tokens } => {
-                let at = fds
-                    .iter()
-                    .position(|p| p.fd == fd)
-                    .ok_or(io::ErrorKind::NotFound)?;
-                fds.swap_remove(at);
-                tokens.swap_remove(at);
-                Ok(())
-            }
-        }
+        self.ep.delete(fd)
     }
 
     /// Blocks until at least one descriptor is ready or `timeout`
@@ -240,42 +138,20 @@ impl Poller {
     ///
     /// # Errors
     ///
-    /// Backend wait failure (`EINTR` is absorbed by the sys layer).
+    /// The `epoll_wait` failure (`EINTR` is absorbed by the sys layer).
     pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         events.clear();
         let timeout_ms = timeout.map_or(-1i32, |d| {
             i32::try_from(d.as_millis()).unwrap_or(i32::MAX).max(0)
         });
-        match &mut self.backend {
-            Backend::Epoll { ep, buf } => {
-                let n = ep.wait(buf, timeout_ms)?;
-                for ev in buf.iter().take(n) {
-                    // Copy out of the (packed) ABI struct before use.
-                    let (bits, token) = ({ ev.events }, { ev.data });
-                    events.push(Event::from_bits(token, bits));
-                }
-            }
-            Backend::Poll { fds, tokens } => {
-                let n = sys::poll(fds, timeout_ms)?;
-                if n > 0 {
-                    for (entry, &token) in fds.iter_mut().zip(tokens.iter()) {
-                        let bits = entry.revents as u32 & 0xFFFF;
-                        entry.revents = 0;
-                        if bits != 0 {
-                            events.push(Event::from_bits(token, bits));
-                        }
-                    }
-                }
-            }
+        let n = self.ep.wait(&mut self.buf, timeout_ms)?;
+        for ev in self.buf.iter().take(n) {
+            // Copy out of the (packed) ABI struct before use.
+            let (bits, token) = ({ ev.events }, { ev.data });
+            events.push(Event::from_bits(token, bits));
         }
         Ok(())
     }
-}
-
-/// Projects an [`Interest`] onto the 16-bit `pollfd.events` field
-/// (dropping the edge bit, which `poll` cannot express).
-fn poll_events(interest: Interest) -> i16 {
-    (interest.0 & (sys::EVENT_IN | sys::EVENT_OUT)) as i16
 }
 
 #[cfg(test)]
@@ -292,98 +168,136 @@ mod tests {
         (client, server)
     }
 
-    fn backends() -> Vec<Poller> {
-        let mut out = vec![Poller::with_kind(PollerKind::Poll).unwrap()];
-        if let Ok(ep) = Poller::with_kind(PollerKind::Epoll) {
-            out.push(ep);
-        }
-        out
-    }
-
     #[test]
-    fn both_backends_report_read_readiness_under_token() {
-        for mut poller in backends() {
-            let (mut client, server) = pair();
-            poller
-                .register(server.as_raw_fd(), 99, Interest::READ)
-                .unwrap();
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(0)))
-                .unwrap();
-            assert!(events.is_empty(), "{:?}: idle socket", poller.kind());
+    fn reports_read_readiness_under_token() {
+        let mut poller = Poller::new().unwrap();
+        let (mut client, server) = pair();
+        poller
+            .register(server.as_raw_fd(), 99, Interest::READ)
+            .unwrap();
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(0)))
+            .unwrap();
+        assert!(events.is_empty(), "idle socket");
 
-            client.write_all(b"ping").unwrap();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(1)))
-                .unwrap();
-            assert_eq!(events.len(), 1, "{:?}", poller.kind());
-            assert_eq!(events[0].token, 99);
-            assert!(events[0].readable);
-            poller.deregister(server.as_raw_fd()).unwrap();
-        }
+        client.write_all(b"ping").unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(1)))
+            .unwrap();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].token, 99);
+        assert!(events[0].readable);
+        poller.deregister(server.as_raw_fd()).unwrap();
     }
 
     #[test]
     fn reregister_switches_read_to_write_interest() {
-        for mut poller in backends() {
-            let (_client, server) = pair();
-            poller
-                .register(server.as_raw_fd(), 5, Interest::READ)
-                .unwrap();
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(0)))
-                .unwrap();
-            assert!(events.is_empty(), "{:?}", poller.kind());
-            poller
-                .reregister(server.as_raw_fd(), 6, Interest::WRITE)
-                .unwrap();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(1)))
-                .unwrap();
-            assert_eq!(events.len(), 1, "{:?}", poller.kind());
-            assert_eq!(events[0].token, 6, "token updated on reregister");
-            assert!(events[0].writable);
-        }
+        let mut poller = Poller::new().unwrap();
+        let (_client, server) = pair();
+        poller
+            .register(server.as_raw_fd(), 5, Interest::READ)
+            .unwrap();
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(0)))
+            .unwrap();
+        assert!(events.is_empty());
+        poller
+            .reregister(server.as_raw_fd(), 6, Interest::WRITE)
+            .unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(1)))
+            .unwrap();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].token, 6, "token updated on reregister");
+        assert!(events[0].writable);
     }
 
     #[test]
     fn hangup_is_reported_even_when_only_reading() {
-        for mut poller in backends() {
-            let (client, mut server) = pair();
-            poller
-                .register(server.as_raw_fd(), 1, Interest::READ)
-                .unwrap();
-            drop(client);
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(1)))
-                .unwrap();
-            assert_eq!(events.len(), 1, "{:?}", poller.kind());
-            // A clean close surfaces as readable-with-EOF (and often a
-            // HUP bit); either way a read now returns 0.
-            assert!(events[0].readable || events[0].hangup);
-            let mut buf = [0u8; 8];
-            assert_eq!(server.read(&mut buf).unwrap(), 0);
-        }
+        let mut poller = Poller::new().unwrap();
+        let (client, mut server) = pair();
+        poller
+            .register(server.as_raw_fd(), 1, Interest::READ)
+            .unwrap();
+        drop(client);
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(1)))
+            .unwrap();
+        assert_eq!(events.len(), 1);
+        // A clean close surfaces as readable-with-EOF (and often a
+        // HUP bit); either way a read now returns 0.
+        assert!(events[0].readable || events[0].hangup);
+        let mut buf = [0u8; 8];
+        assert_eq!(server.read(&mut buf).unwrap(), 0);
     }
 
     #[test]
     fn deregistered_fd_reports_nothing() {
-        for mut poller in backends() {
-            let (mut client, server) = pair();
+        let mut poller = Poller::new().unwrap();
+        let (mut client, server) = pair();
+        poller
+            .register(server.as_raw_fd(), 3, Interest::READ)
+            .unwrap();
+        poller.deregister(server.as_raw_fd()).unwrap();
+        client.write_all(b"z").unwrap();
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(20)))
+            .unwrap();
+        assert!(events.is_empty());
+    }
+
+    #[test]
+    fn edge_interest_reports_unread_bytes_once_and_level_on_every_wait() {
+        let mut poller = Poller::new().unwrap();
+        let (mut client, edge) = pair();
+        let (mut client2, level) = pair();
+        poller
+            .register(edge.as_raw_fd(), 1, Interest::READ | Interest::EDGE)
+            .unwrap();
+        poller
+            .register(level.as_raw_fd(), 2, Interest::READ)
+            .unwrap();
+        client.write_all(b"e").unwrap();
+        client2.write_all(b"l").unwrap();
+        let mut events = Vec::new();
+        let mut seen = Vec::new();
+        while seen.len() < 2 {
             poller
-                .register(server.as_raw_fd(), 3, Interest::READ)
+                .wait(&mut events, Some(Duration::from_secs(1)))
                 .unwrap();
-            poller.deregister(server.as_raw_fd()).unwrap();
-            client.write_all(b"z").unwrap();
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(20)))
-                .unwrap();
-            assert!(events.is_empty(), "{:?}", poller.kind());
+            assert!(!events.is_empty(), "both sockets became readable");
+            seen.extend(events.iter().map(|e| e.token));
         }
+        seen.sort_unstable();
+        assert_eq!(seen, [1, 2]);
+        // Neither socket was read: only the level-triggered one is
+        // reported again.
+        poller
+            .wait(&mut events, Some(Duration::from_millis(0)))
+            .unwrap();
+        let again: Vec<u64> = events.iter().map(|e| e.token).collect();
+        assert_eq!(again, [2]);
+    }
+
+    #[test]
+    fn errors_come_back_from_the_kernel() {
+        let mut poller = Poller::new().unwrap();
+        let (_client, server) = pair();
+        let fd = server.as_raw_fd();
+        assert!(
+            poller.reregister(fd, 1, Interest::READ).is_err(),
+            "not registered"
+        );
+        assert!(poller.deregister(fd).is_err(), "not registered");
+        poller.register(fd, 1, Interest::READ).unwrap();
+        assert!(
+            poller.register(fd, 1, Interest::READ).is_err(),
+            "registered twice"
+        );
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! Thin, audited FFI over the two readiness syscalls the [`crate::poller`]
-//! abstraction needs: Linux `epoll` and POSIX `poll(2)`.
+//! Thin, audited FFI over the four syscalls the [`crate::poller`]
+//! needs: `epoll_create1`, `epoll_ctl`, `epoll_wait` and `close`.
 //!
-//! This is the **only** module in the workspace that contains `unsafe`
-//! code, and the audit argument for every call site is local:
+//! One of the workspace's two modules that contain `unsafe` code (the
+//! other is `proxy-bench`'s counting allocator, `bench/src/alloc_count.rs`),
+//! and the audit argument for every call site is local:
 //!
 //! * `epoll_create1` / `close` take no pointers at all;
 //! * `epoll_ctl` passes a pointer to one stack-owned [`EpollEvent`]
 //!   that outlives the call (the kernel copies it before returning);
-//! * `epoll_wait` / `poll` write into caller-owned slices whose lengths
-//!   are passed as the capacity, so the kernel can never write past the
+//! * `epoll_wait` writes into a caller-owned slice whose length is
+//!   passed as the capacity, so the kernel can never write past the
 //!   buffer; the returned count is validated against that length before
 //!   any element is read.
 //!
@@ -27,18 +28,15 @@ const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;
 const EPOLL_CTL_MOD: i32 = 3;
 
-/// Readiness bits shared by `epoll` and `poll` (identical values for
-/// the low bits, by POSIX/Linux ABI).
+/// Readable readiness (`EPOLLIN`).
 pub const EVENT_IN: u32 = 0x001;
-/// Writable readiness.
+/// Writable readiness (`EPOLLOUT`).
 pub const EVENT_OUT: u32 = 0x004;
-/// Error condition (always reported, never requested).
+/// Error condition (`EPOLLERR`; always reported, never requested).
 pub const EVENT_ERR: u32 = 0x008;
-/// Peer hangup (always reported, never requested).
+/// Peer hangup (`EPOLLHUP`; always reported, never requested).
 pub const EVENT_HUP: u32 = 0x010;
-/// Edge-triggered delivery (epoll only; the poll backend ignores it and
-/// stays level-triggered, which callers must tolerate — see
-/// [`crate::poller`]).
+/// Edge-triggered delivery (`EPOLLET`).
 pub const EVENT_EDGE: u32 = 1 << 31;
 
 /// One `struct epoll_event`. On x86-64 the kernel ABI packs the struct
@@ -54,29 +52,16 @@ pub struct EpollEvent {
     pub data: u64,
 }
 
-/// One `struct pollfd` for the portable fallback.
-#[repr(C)]
-#[derive(Clone, Copy)]
-pub struct PollFd {
-    /// Descriptor to watch (negative entries are ignored by the kernel).
-    pub fd: RawFd,
-    /// Requested readiness bits (low 16 of `EVENT_*`).
-    pub events: i16,
-    /// Returned readiness bits.
-    pub revents: i16,
-}
-
 #[allow(unsafe_code)]
 mod ffi {
     //! The raw `extern` declarations, isolated so every use above goes
     //! through the audited safe wrappers.
-    use super::{EpollEvent, PollFd};
+    use super::EpollEvent;
     extern "C" {
         pub fn epoll_create1(flags: i32) -> i32;
         pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         pub fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
         pub fn close(fd: i32) -> i32;
-        pub fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
     }
 }
 
@@ -98,8 +83,8 @@ impl EpollFd {
     ///
     /// # Errors
     ///
-    /// The `epoll_create1` failure, if any (`ENOSYS` on non-Linux hosts,
-    /// which is how [`crate::poller::Poller::new`] decides to fall back).
+    /// The `epoll_create1` failure, if any (`EMFILE`/`ENFILE` out of
+    /// descriptors, `ENOMEM`, `ENOSYS` on a host without epoll).
     #[allow(unsafe_code)]
     pub fn create() -> io::Result<Self> {
         // SAFETY: no pointers; returns a fresh fd or -1.
@@ -188,27 +173,6 @@ impl std::fmt::Debug for EpollFd {
     }
 }
 
-/// `poll(2)` over a caller-owned slice. Returns how many entries have a
-/// nonzero `revents`.
-///
-/// # Errors
-///
-/// The `poll` failure, if any (`EINTR` is retried internally).
-#[allow(unsafe_code)]
-pub fn poll(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
-    loop {
-        // SAFETY: `fds` is caller-owned for the duration of the call and
-        // its exact length is passed as `nfds`, so the kernel reads and
-        // writes only within the slice.
-        let ret = unsafe { ffi::poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
-        match check(ret) {
-            Ok(n) => return Ok(n.max(0) as usize),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,22 +220,5 @@ mod tests {
         let n = ep.wait(&mut buf, 1000).unwrap();
         assert_eq!(n, 1);
         assert_ne!({ buf[0].events } & EVENT_OUT, 0);
-    }
-
-    #[test]
-    fn poll_fallback_reports_readability() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (server, _) = listener.accept().unwrap();
-
-        let mut fds = [PollFd {
-            fd: server.as_raw_fd(),
-            events: EVENT_IN as i16,
-            revents: 0,
-        }];
-        assert_eq!(poll(&mut fds, 0).unwrap(), 0);
-        client.write_all(b"y").unwrap();
-        assert_eq!(poll(&mut fds, 1000).unwrap(), 1);
-        assert_ne!(fds[0].revents & EVENT_IN as i16, 0);
     }
 }

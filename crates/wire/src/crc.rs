@@ -10,9 +10,9 @@
 //! loop fold eight input bytes per iteration instead of one, turning the
 //! per-frame checksum from a byte-serial dependency chain into a handful
 //! of independent table lookups per word. The original byte-at-a-time
-//! loop is kept as [`crc32_bytewise`], both as the reference
-//! implementation the property tests compare against and as the tail
-//! handler for inputs shorter than a word.
+//! loop is kept as [`crc32_bytewise`], the reference implementation the
+//! property tests compare against; the same step handles the tail of
+//! an input that is not a whole number of words.
 
 /// Reflected polynomial for CRC-32/ISO-HDLC (the zlib/Ethernet CRC).
 const POLY: u32 = 0xEDB8_8320;
@@ -55,68 +55,36 @@ const fn build_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-/// Incremental CRC-32 state.
-#[derive(Debug, Clone)]
-pub struct Crc32(u32);
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Crc32 {
-    /// Fresh state.
-    #[must_use]
-    pub fn new() -> Self {
-        Self(0xFFFF_FFFF)
-    }
-
-    /// Folds `data` into the state (slicing-by-8 with a bytewise tail).
-    pub fn update(&mut self, data: &[u8]) {
-        let mut crc = self.0;
-        let mut chunks = data.chunks_exact(8);
-        for chunk in &mut chunks {
-            // The low word of the block absorbs the running CRC; each of
-            // the eight bytes is then looked up in the table matching its
-            // distance from the end of the block. All eight lookups are
-            // independent, so the CPU can overlap them.
-            let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
-            crc = TABLES[7][(lo & 0xFF) as usize]
-                ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
-                ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
-                ^ TABLES[4][(lo >> 24) as usize]
-                ^ TABLES[3][chunk[4] as usize]
-                ^ TABLES[2][chunk[5] as usize]
-                ^ TABLES[1][chunk[6] as usize]
-                ^ TABLES[0][chunk[7] as usize];
-        }
-        for &b in chunks.remainder() {
-            crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
-        }
-        self.0 = crc;
-    }
-
-    /// Final checksum value.
-    #[must_use]
-    pub fn finalize(&self) -> u32 {
-        self.0 ^ 0xFFFF_FFFF
-    }
-}
-
-/// One-shot CRC-32 of `data`.
+/// CRC-32 of `data` (slicing-by-8 with a bytewise tail).
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(data);
-    c.finalize()
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        // The low word of the block absorbs the running CRC; each of
+        // the eight bytes is then looked up in the table matching its
+        // distance from the end of the block. All eight lookups are
+        // independent, so the CPU can overlap them.
+        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
+        crc = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][chunk[4] as usize]
+            ^ TABLES[2][chunk[5] as usize]
+            ^ TABLES[1][chunk[6] as usize]
+            ^ TABLES[0][chunk[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+    }
+    crc ^ 0xFFFF_FFFF
 }
 
 /// One-shot CRC-32 of `data`, byte-at-a-time.
 ///
-/// Reference implementation for the slicing-by-8 hot path: the property
-/// suite asserts both agree on arbitrary inputs and split points, and
-/// the bench harness measures the speedup against it.
+/// Reference implementation for the slicing-by-8 hot path: the unit
+/// tests and the property suite assert both agree on arbitrary inputs.
 #[must_use]
 pub fn crc32_bytewise(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
@@ -163,30 +131,6 @@ mod tests {
                 crc32_bytewise(&data[..len]),
                 "len {len}"
             );
-        }
-    }
-
-    #[test]
-    fn incremental_matches_one_shot() {
-        let data = b"split across several updates";
-        let mut c = Crc32::new();
-        c.update(&data[..7]);
-        c.update(&data[7..20]);
-        c.update(&data[20..]);
-        assert_eq!(c.finalize(), crc32(data));
-    }
-
-    #[test]
-    fn incremental_boundary_splits() {
-        // Split points straddling the 8-byte block boundary exercise the
-        // tail handler feeding back into the sliced loop.
-        let data: Vec<u8> = (0..64u8).collect();
-        let expect = crc32_bytewise(&data);
-        for split in 0..=data.len() {
-            let mut c = Crc32::new();
-            c.update(&data[..split]);
-            c.update(&data[split..]);
-            assert_eq!(c.finalize(), expect, "split {split}");
         }
     }
 

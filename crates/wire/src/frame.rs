@@ -21,7 +21,7 @@
 
 use std::io::{Read, Write};
 
-use crate::crc::{crc32, Crc32};
+use crate::crc::crc32;
 use crate::error::WireError;
 use crate::{MAGIC, MAX_FRAME_BODY, PROTOCOL_VERSION};
 
@@ -87,22 +87,10 @@ pub fn parse_header(bytes: &[u8; HEADER_LEN]) -> Result<FrameHeader, WireError> 
 #[must_use]
 pub fn encode_frame(msg_type: u8, request_id: u64, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + body.len() + TRAILER_LEN);
-    encode_frame_into(&mut out, msg_type, request_id, body);
-    out
-}
-
-/// Appends a complete frame to `out`, reusing the buffer's existing
-/// capacity — the pooled-buffer encode path ([`crate::pool::BufPool`]):
-/// several reply frames can be packed back to back into one scratch
-/// buffer and written with a single syscall.
-///
-/// # Panics
-///
-/// As [`encode_frame`]: an oversized `body` is a caller bug.
-pub fn encode_frame_into(out: &mut Vec<u8>, msg_type: u8, request_id: u64, body: &[u8]) {
-    let start = begin_frame(out, msg_type, request_id);
+    let start = begin_frame(&mut out, msg_type, request_id);
     out.extend_from_slice(body);
-    finish_frame(out, start);
+    finish_frame(&mut out, start);
+    out
 }
 
 /// Starts a frame in `out`: appends the header with a zero length
@@ -110,10 +98,10 @@ pub fn encode_frame_into(out: &mut Vec<u8>, msg_type: u8, request_id: u64, body:
 /// directly into `out`, then call [`finish_frame`] with the returned
 /// offset to patch the length and append the CRC.
 ///
-/// This is the zero-copy encode path: the body bytes are produced once,
-/// in place, instead of being built in a temporary and memcpy'd in.
+/// With [`finish_frame`], the only code that lays out a frame: the body
+/// bytes are produced once, in place, after any frames already in `out`.
 #[must_use]
-pub fn begin_frame(out: &mut Vec<u8>, msg_type: u8, request_id: u64) -> usize {
+pub(crate) fn begin_frame(out: &mut Vec<u8>, msg_type: u8, request_id: u64) -> usize {
     let start = out.len();
     out.extend_from_slice(&MAGIC);
     out.push(PROTOCOL_VERSION);
@@ -132,7 +120,7 @@ pub fn begin_frame(out: &mut Vec<u8>, msg_type: u8, request_id: u64) -> usize {
 /// [`MAX_FRAME_BODY`], or if `start` is not an offset previously
 /// returned by [`begin_frame`] on this buffer — both caller bugs on the
 /// encode side, never reachable from wire input.
-pub fn finish_frame(out: &mut Vec<u8>, start: usize) {
+pub(crate) fn finish_frame(out: &mut Vec<u8>, start: usize) {
     let body_start = start.saturating_add(HEADER_LEN);
     assert!(body_start <= out.len(), "finish_frame before begin_frame");
     let body_len = u32::try_from(out.len() - body_start).expect("frame body over 4 GiB");
@@ -157,9 +145,12 @@ pub type SplitFrame<'a> = (FrameHeader, &'a [u8], usize);
 /// body: on success returns the parsed header, a view of the body
 /// borrowed from `buf`, and the total bytes the frame occupies.
 ///
+/// This is the one frame checker: every received frame — drained from a
+/// stream, read by [`read_frame`] or decoded whole by
+/// [`crate::Message::from_frame`] — passes through it.
+///
 /// Returns `Ok(None)` when `buf` holds only a prefix of a frame (read
-/// more and retry) — a short buffer is *not* an error here, unlike
-/// [`decode_frame`], because the caller is draining a stream.
+/// more and retry); bytes after the frame are left for the caller.
 ///
 /// # Errors
 ///
@@ -189,45 +180,6 @@ pub fn split_frame(buf: &[u8]) -> Result<Option<SplitFrame<'_>>, WireError> {
     Ok(Some((header, body, total)))
 }
 
-/// Decodes one frame from a complete in-memory buffer, checking the CRC
-/// and that no bytes trail the frame.
-///
-/// # Errors
-///
-/// Header errors as in [`parse_header`]; [`WireError::Io`] with
-/// [`std::io::ErrorKind::UnexpectedEof`] on truncation;
-/// [`WireError::BadCrc`] on checksum mismatch; `TrailingBytes` (as a
-/// [`WireError::Decode`]) when the buffer continues past the frame.
-pub fn decode_frame(bytes: &[u8]) -> Result<(FrameHeader, &[u8]), WireError> {
-    use restricted_proxy::encode::DecodeError;
-    const EOF: WireError = WireError::Io(std::io::ErrorKind::UnexpectedEof);
-    let Some((header_bytes, rest)) = bytes.split_first_chunk::<HEADER_LEN>() else {
-        return Err(EOF);
-    };
-    let header = parse_header(header_bytes)?;
-    let body_len = header.body_len as usize;
-    let total = HEADER_LEN + body_len + TRAILER_LEN;
-    if bytes.len() < total {
-        return Err(EOF);
-    }
-    if bytes.len() > total {
-        return Err(WireError::Decode(DecodeError::TrailingBytes(
-            bytes.len() - total,
-        )));
-    }
-    let body = rest.get(..body_len).ok_or(EOF)?;
-    let trailer = rest
-        .get(body_len..)
-        .and_then(|t| t.first_chunk::<TRAILER_LEN>())
-        .ok_or(EOF)?;
-    let expected = u32::from_le_bytes(*trailer);
-    let actual = crc32(bytes.get(..total - TRAILER_LEN).ok_or(EOF)?);
-    if expected != actual {
-        return Err(WireError::BadCrc { expected, actual });
-    }
-    Ok((header, body))
-}
-
 /// Writes a complete frame to `w`.
 ///
 /// # Errors
@@ -245,74 +197,10 @@ pub fn write_frame(
     Ok(())
 }
 
-/// Writes a complete frame to `w` using scatter-gather I/O: the 18-byte
-/// header and 4-byte trailer live on the stack and the body is written
-/// from the caller's buffer directly — no per-frame heap allocation and,
-/// on a cooperative `Write` impl, a single vectored syscall.
-///
-/// # Errors
-///
-/// Propagates I/O errors (as [`WireError::Io`]).
-///
-/// # Panics
-///
-/// As [`encode_frame`]: an oversized `body` is a caller bug.
-pub fn write_frame_vectored(
-    w: &mut impl Write,
-    msg_type: u8,
-    request_id: u64,
-    body: &[u8],
-) -> Result<(), WireError> {
-    let body_len = u32::try_from(body.len()).expect("frame body over 4 GiB");
-    assert!(
-        body_len <= MAX_FRAME_BODY,
-        "frame body of {body_len} bytes exceeds MAX_FRAME_BODY"
-    );
-    let mut header = [0u8; HEADER_LEN];
-    if let Some(m) = header.get_mut(..4) {
-        m.copy_from_slice(&MAGIC);
-    }
-    if let Some(v) = header.get_mut(4..6) {
-        v.copy_from_slice(&[PROTOCOL_VERSION, msg_type]);
-    }
-    if let Some(r) = header.get_mut(6..14) {
-        r.copy_from_slice(&request_id.to_le_bytes());
-    }
-    if let Some(l) = header.get_mut(14..18) {
-        l.copy_from_slice(&body_len.to_le_bytes());
-    }
-    let mut crc = Crc32::new();
-    crc.update(&header);
-    crc.update(body);
-    let trailer = crc.finalize().to_le_bytes();
-
-    let parts: [&[u8]; 3] = [&header, body, &trailer];
-    let slices = [
-        std::io::IoSlice::new(&header),
-        std::io::IoSlice::new(body),
-        std::io::IoSlice::new(&trailer),
-    ];
-    // One vectored attempt; whatever the writer did not take is finished
-    // with plain write_all per remaining part.
-    let mut written = match w.write_vectored(&slices) {
-        Ok(n) => n,
-        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => 0,
-        Err(e) => return Err(WireError::Io(e.kind())),
-    };
-    for part in parts {
-        if written >= part.len() {
-            written -= part.len();
-            continue;
-        }
-        w.write_all(part.get(written..).unwrap_or(&[]))?;
-        written = 0;
-    }
-    w.flush()?;
-    Ok(())
-}
-
-/// Reads one frame from `r`, validating the header before the body is
-/// read and the CRC after.
+/// Reads one frame from `r`. The header is validated before the body is
+/// read — an oversized declared body is refused after eighteen bytes and
+/// no allocation — and the whole frame is then checked by
+/// [`split_frame`].
 ///
 /// # Errors
 ///
@@ -323,19 +211,16 @@ pub fn read_frame(r: &mut impl Read) -> Result<(FrameHeader, Vec<u8>), WireError
     let mut header_bytes = [0u8; HEADER_LEN];
     r.read_exact(&mut header_bytes)?;
     let header = parse_header(&header_bytes)?;
-    let mut body = vec![0; header.body_len as usize];
-    r.read_exact(&mut body)?;
-    let mut trailer = [0u8; TRAILER_LEN];
-    r.read_exact(&mut trailer)?;
-    let expected = u32::from_le_bytes(trailer);
-    let mut crc = Crc32::new();
-    crc.update(&header_bytes);
-    crc.update(&body);
-    let actual = crc.finalize();
-    if expected != actual {
-        return Err(WireError::BadCrc { expected, actual });
-    }
-    Ok((header, body))
+    let mut frame = vec![0; HEADER_LEN + header.body_len as usize + TRAILER_LEN];
+    let (head, rest) = frame.split_at_mut(HEADER_LEN);
+    head.copy_from_slice(&header_bytes);
+    r.read_exact(rest)?;
+    let (header, body, _) =
+        split_frame(&frame)?.ok_or(WireError::Io(std::io::ErrorKind::UnexpectedEof))?;
+    let body_end = HEADER_LEN + body.len();
+    frame.truncate(body_end);
+    frame.drain(..HEADER_LEN);
+    Ok((header, frame))
 }
 
 #[cfg(test)]
@@ -345,10 +230,11 @@ mod tests {
     #[test]
     fn frame_round_trip() {
         let frame = encode_frame(0x42, 7, b"hello");
-        let (header, body) = decode_frame(&frame).unwrap();
+        let (header, body, used) = split_frame(&frame).unwrap().unwrap();
         assert_eq!(header.msg_type, 0x42);
         assert_eq!(header.request_id, 7);
         assert_eq!(body, b"hello");
+        assert_eq!(used, frame.len());
 
         let mut cursor = std::io::Cursor::new(frame);
         let (header, body) = read_frame(&mut cursor).unwrap();
@@ -360,7 +246,7 @@ mod tests {
     fn bad_magic_rejected() {
         let mut frame = encode_frame(1, 1, b"x");
         frame[0] = b'Z';
-        assert!(matches!(decode_frame(&frame), Err(WireError::BadMagic(_))));
+        assert!(matches!(split_frame(&frame), Err(WireError::BadMagic(_))));
     }
 
     #[test]
@@ -368,7 +254,7 @@ mod tests {
         let mut frame = encode_frame(1, 1, b"x");
         frame[4] = 99;
         assert_eq!(
-            decode_frame(&frame).unwrap_err(),
+            split_frame(&frame).unwrap_err(),
             WireError::UnsupportedVersion(99)
         );
     }
@@ -377,9 +263,9 @@ mod tests {
     fn oversized_declared_body_rejected_from_header_alone() {
         let mut frame = encode_frame(1, 1, b"x");
         frame[14..18].copy_from_slice(&u32::MAX.to_le_bytes());
-        // decode_frame never gets past the 18-byte header.
+        // split_frame never gets past the 18-byte header.
         assert_eq!(
-            decode_frame(&frame).unwrap_err(),
+            split_frame(&frame).unwrap_err(),
             WireError::FrameTooLarge {
                 len: u32::MAX,
                 max: MAX_FRAME_BODY
@@ -392,37 +278,31 @@ mod tests {
         let mut frame = encode_frame(1, 1, b"payload");
         let idx = HEADER_LEN + 2;
         frame[idx] ^= 0x01;
+        assert!(matches!(split_frame(&frame), Err(WireError::BadCrc { .. })));
         assert!(matches!(
-            decode_frame(&frame),
+            read_frame(&mut &frame[..]),
             Err(WireError::BadCrc { .. })
         ));
     }
 
     #[test]
-    fn encode_into_matches_encode_and_packs_back_to_back() {
-        let single = encode_frame(0x42, 7, b"hello");
+    fn begin_finish_frame_matches_encode_and_packs_back_to_back() {
         let mut packed = Vec::new();
-        encode_frame_into(&mut packed, 0x42, 7, b"hello");
-        assert_eq!(packed, single);
-        encode_frame_into(&mut packed, 0x43, 8, b"world");
+        for (msg_type, id, body) in [(0x42, 7, &b"hello"[..]), (0x43, 8, b"in-place body")] {
+            let start = begin_frame(&mut packed, msg_type, id);
+            packed.extend_from_slice(body);
+            finish_frame(&mut packed, start);
+        }
         // Both frames split back out of the shared buffer, in order.
         let (h1, b1, used1) = split_frame(&packed).unwrap().unwrap();
+        assert_eq!(packed[..used1], encode_frame(0x42, 7, b"hello"));
         assert_eq!((h1.msg_type, h1.request_id, b1), (0x42, 7, &b"hello"[..]));
         let (h2, b2, used2) = split_frame(&packed[used1..]).unwrap().unwrap();
-        assert_eq!((h2.msg_type, h2.request_id, b2), (0x43, 8, &b"world"[..]));
+        assert_eq!(
+            (h2.msg_type, h2.request_id, b2),
+            (0x43, 8, &b"in-place body"[..])
+        );
         assert_eq!(used1 + used2, packed.len());
-    }
-
-    #[test]
-    fn begin_finish_frame_supports_in_place_bodies() {
-        let mut out = Vec::new();
-        let start = begin_frame(&mut out, 9, 99);
-        out.extend_from_slice(b"in-place body");
-        finish_frame(&mut out, start);
-        let (header, body) = decode_frame(&out).unwrap();
-        assert_eq!(header.msg_type, 9);
-        assert_eq!(header.request_id, 99);
-        assert_eq!(body, b"in-place body");
     }
 
     #[test]
@@ -437,60 +317,68 @@ mod tests {
         assert!(matches!(split_frame(&bad), Err(WireError::BadCrc { .. })));
     }
 
-    #[test]
-    fn vectored_write_round_trips() {
-        let mut out = Vec::new();
-        write_frame_vectored(&mut out, 0x11, 1234, b"vectored").unwrap();
-        assert_eq!(out, encode_frame(0x11, 1234, b"vectored"));
-        let (header, body) = decode_frame(&out).unwrap();
-        assert_eq!(header.request_id, 1234);
-        assert_eq!(body, b"vectored");
+    /// A reader that counts the bytes it hands out.
+    struct Counting<'a> {
+        inner: &'a [u8],
+        taken: usize,
     }
 
-    /// A writer that takes at most `cap` bytes per vectored call, to
-    /// exercise the partial-write completion path.
-    struct Dribble {
-        out: Vec<u8>,
-        cap: usize,
-    }
-
-    impl Write for Dribble {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            let n = buf.len().min(self.cap);
-            self.out.extend_from_slice(&buf[..n]);
+    impl Read for Counting<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.taken += n;
             Ok(n)
         }
-        fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
-            let mut taken = 0;
-            for b in bufs {
-                let n = (self.cap - taken).min(b.len());
-                self.out.extend_from_slice(&b[..n]);
-                taken += n;
-                if taken == self.cap {
-                    break;
-                }
-            }
-            Ok(taken)
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
     }
 
     #[test]
-    fn vectored_write_completes_after_partial_acceptance() {
-        for cap in [1, 3, HEADER_LEN, HEADER_LEN + 2, 64] {
-            let mut w = Dribble {
-                out: Vec::new(),
-                cap,
-            };
-            write_frame_vectored(&mut w, 0x22, 42, b"partial-write body").unwrap();
+    fn read_frame_refuses_an_oversized_body_after_reading_only_the_header() {
+        let mut bytes = encode_frame(1, 1, b"x");
+        bytes[14..18].copy_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0xAB; 64]);
+        let mut r = Counting {
+            inner: &bytes,
+            taken: 0,
+        };
+        assert_eq!(
+            read_frame(&mut r).unwrap_err(),
+            WireError::FrameTooLarge {
+                len: u32::MAX,
+                max: MAX_FRAME_BODY
+            }
+        );
+        assert_eq!(r.taken, HEADER_LEN);
+    }
+
+    #[test]
+    fn message_from_frame_keeps_its_three_framing_errors() {
+        use restricted_proxy::encode::DecodeError;
+        let msg = crate::Message::RevocationFetch {
+            issuer: restricted_proxy::principal::PrincipalId::new("R"),
+            have_epoch: 3,
+        };
+        let frame = msg.to_frame(5);
+        let (id, back) = crate::Message::from_frame(&frame).unwrap();
+        assert_eq!((id, back.encode_body()), (5, msg.encode_body()));
+        for cut in [0, 5, HEADER_LEN, frame.len() - 1] {
             assert_eq!(
-                w.out,
-                encode_frame(0x22, 42, b"partial-write body"),
-                "cap {cap}"
+                crate::Message::from_frame(&frame[..cut]).unwrap_err(),
+                WireError::Io(std::io::ErrorKind::UnexpectedEof),
+                "cut {cut}"
             );
         }
+        let mut flipped = frame.clone();
+        *flipped.last_mut().unwrap() ^= 0x01;
+        assert!(matches!(
+            crate::Message::from_frame(&flipped),
+            Err(WireError::BadCrc { .. })
+        ));
+        let mut trailing = frame;
+        trailing.extend_from_slice(b"abc");
+        assert_eq!(
+            crate::Message::from_frame(&trailing).unwrap_err(),
+            WireError::Decode(DecodeError::TrailingBytes(3))
+        );
     }
 
     #[test]
@@ -498,7 +386,11 @@ mod tests {
         let frame = encode_frame(1, 1, b"payload");
         for cut in [0, 5, HEADER_LEN, frame.len() - 1] {
             assert!(matches!(
-                decode_frame(&frame[..cut]),
+                crate::Message::from_frame(&frame[..cut]),
+                Err(WireError::Io(std::io::ErrorKind::UnexpectedEof))
+            ));
+            assert!(matches!(
+                read_frame(&mut &frame[..cut]),
                 Err(WireError::Io(std::io::ErrorKind::UnexpectedEof))
             ));
         }

@@ -393,7 +393,7 @@ impl Message {
     /// Appends the canonical body encoding to an existing encoder — the
     /// zero-copy path used by [`Message::encode_frame_into`] to build a
     /// frame directly inside a pooled scratch buffer.
-    pub fn encode_body_onto(&self, e: &mut Encoder) {
+    fn encode_body_onto(&self, e: &mut Encoder) {
         match self {
             Message::AuthzQuery {
                 client,
@@ -744,9 +744,9 @@ impl Message {
     /// Appends this message as a complete frame to `out`, encoding the
     /// body in place — no intermediate body allocation. Frames packed
     /// back-to-back this way are exactly what [`frame::encode_frame`]
-    /// would have produced, so the pipelined client and the server's
-    /// drain loop can batch many frames into one pooled buffer and issue
-    /// a single write.
+    /// would have produced, so every sender — the lone-call and
+    /// pipelined client, the server's drain loop — builds its frames in
+    /// one pooled buffer and issues a single write.
     pub fn encode_frame_into(&self, out: &mut Vec<u8>, request_id: u64) {
         let start = frame::begin_frame(out, self.msg_type(), request_id);
         let mut e = Encoder::from_vec(std::mem::take(out));
@@ -755,14 +755,21 @@ impl Message {
         frame::finish_frame(out, start);
     }
 
-    /// Decodes a complete in-memory frame into `(request_id, message)`.
+    /// Decodes a buffer holding exactly one frame into
+    /// `(request_id, message)`.
     ///
     /// # Errors
     ///
-    /// Frame errors from [`frame::decode_frame`] and body errors from
-    /// [`Message::decode_body`].
+    /// Frame errors from [`frame::split_frame`]; [`WireError::Io`] with
+    /// [`std::io::ErrorKind::UnexpectedEof`] when the frame is cut short;
+    /// `TrailingBytes` (as a [`WireError::Decode`]) when the buffer
+    /// continues past it; body errors from [`Message::decode_body`].
     pub fn from_frame(bytes: &[u8]) -> Result<(u64, Message), WireError> {
-        let (header, body) = frame::decode_frame(bytes)?;
+        let (header, body, used) =
+            frame::split_frame(bytes)?.ok_or(WireError::Io(std::io::ErrorKind::UnexpectedEof))?;
+        if used < bytes.len() {
+            return Err(DecodeError::TrailingBytes(bytes.len() - used).into());
+        }
         let msg = Message::decode_body(header.msg_type, body)?;
         Ok((header.request_id, msg))
     }

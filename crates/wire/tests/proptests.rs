@@ -481,22 +481,4 @@ proptest! {
     fn crc_sliced_matches_bytewise(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
         prop_assert_eq!(proxy_wire::crc::crc32(&data), proxy_wire::crc::crc32_bytewise(&data));
     }
-
-    /// Incremental updates over arbitrary split points — including ones
-    /// that straddle the 8-byte slicing block — match the one-shot value.
-    #[test]
-    fn crc_incremental_split_invariant(
-        data in proptest::collection::vec(any::<u8>(), 0..2048),
-        splits in proptest::collection::vec(any::<usize>(), 0..8),
-    ) {
-        let mut cuts: Vec<usize> = splits.iter().map(|i| i % (data.len() + 1)).collect();
-        cuts.push(0);
-        cuts.push(data.len());
-        cuts.sort_unstable();
-        let mut c = proxy_wire::crc::Crc32::new();
-        for w in cuts.windows(2) {
-            c.update(&data[w[0]..w[1]]);
-        }
-        prop_assert_eq!(c.finalize(), proxy_wire::crc::crc32_bytewise(&data));
-    }
 }

@@ -400,9 +400,7 @@ fn revoked_serial_stays_revoked_across_restart_without_refetch() {
     assert_eq!(server.revocation_directory().epoch_of(&p("alice")), 1);
     use proxy_aa::proxy::membership::MembershipAnswer;
     assert_eq!(
-        server
-            .membership_directory()
-            .assert(&staff, &p("bob"), Timestamp(1)),
+        server.membership_directory().assert(&staff, &p("bob")),
         MembershipAnswer::Member,
         "membership roster survives too"
     );
