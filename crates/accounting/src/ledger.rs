@@ -396,11 +396,6 @@ impl Ledger {
         self.accounts.get_cloned(&name.to_string())
     }
 
-    /// Exclusive access to an account, for `AccountMut`.
-    pub(crate) fn account_mut(&mut self, name: &str) -> Option<&mut Account> {
-        self.accounts.get_mut(&name.to_string())
-    }
-
     /// Amount of `currency` pending collection into `account`
     /// (quiescently consistent across shards).
     pub(crate) fn uncollected_total(&self, account: &str, currency: &Currency) -> u64 {

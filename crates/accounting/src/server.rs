@@ -302,19 +302,22 @@ impl AccountingServer {
         self.ledger.account(name)
     }
 
-    /// Mutable access to an account (administrative credit, quota ops).
-    /// `&mut self` guarantees exclusivity, so no shard lock is held.
-    /// With storage attached, the guard journals the account's full
-    /// post-mutation state when dropped — `Drop` cannot report failure,
-    /// so a journal write error poisons the journal (fail-stop) instead.
+    /// Mutable access to a copy of an account (administrative credit,
+    /// quota ops); `&mut self` keeps every other operation out until the
+    /// guard drops. Dropping it journals the copy's full state and only
+    /// then installs it, as [`Self::open_account`] does — `Drop` cannot
+    /// report failure, so a journal write error poisons the journal
+    /// (fail-stop) and the account keeps the state the log holds.
     pub fn account_mut(&mut self, name: &str) -> Result<AccountMut<'_>, AcctError> {
-        let AccountingServer {
-            ledger, journal, ..
-        } = self;
-        let account = ledger
-            .account_mut(name)
+        let account = self
+            .ledger
+            .account(name)
             .ok_or_else(|| AcctError::UnknownAccount(name.to_string()))?;
-        Ok(AccountMut { account, journal })
+        Ok(AccountMut {
+            account,
+            ledger: &self.ledger,
+            journal: &self.journal,
+        })
     }
 
     /// Verifies the chain and restrictions of `check` (whose fields
@@ -714,12 +717,13 @@ impl AccountingServer {
 }
 
 /// Exclusive administrative access to one account
-/// ([`AccountingServer::account_mut`]). Dereferences to [`Account`];
-/// dropping the guard journals the account's full post-mutation state
-/// as an `AdminAccount` record.
+/// ([`AccountingServer::account_mut`]). Dereferences to a copy of the
+/// [`Account`]; dropping the guard records the copy's full state as an
+/// `AdminAccount` record, then applies that record.
 #[derive(Debug)]
 pub struct AccountMut<'a> {
-    account: &'a mut Account,
+    account: Account,
+    ledger: &'a Ledger,
     journal: &'a Journal,
 }
 
@@ -727,24 +731,27 @@ impl Deref for AccountMut<'_> {
     type Target = Account;
 
     fn deref(&self) -> &Account {
-        self.account
+        &self.account
     }
 }
 
 impl DerefMut for AccountMut<'_> {
     fn deref_mut(&mut self) -> &mut Account {
-        self.account
+        &mut self.account
     }
 }
 
 impl Drop for AccountMut<'_> {
     fn drop(&mut self) {
-        // `Drop` cannot report failure; `commit` poisons the journal on
-        // error, so the server goes fail-stop rather than letting memory
-        // diverge from the log.
-        let _ = self.journal.commit(&JournalRecord::AdminAccount {
+        let rec = JournalRecord::AdminAccount {
             account: self.account.clone(),
-        });
+        };
+        // A failed `commit` has poisoned the journal; memory stays in
+        // agreement with the log by not applying the record.
+        let _ = self
+            .journal
+            .commit(&rec)
+            .and_then(|()| self.ledger.apply(&rec));
     }
 }
 

@@ -30,7 +30,7 @@ use proxy_wire::frame::read_frame;
 use proxy_wire::Message;
 use restricted_proxy::prelude::*;
 
-use crate::{rng, window};
+use crate::{percentile, rng, window};
 
 /// C10k harness configuration.
 #[derive(Clone, Debug)]
@@ -270,20 +270,13 @@ fn drive(addr: std::net::SocketAddr, opts: &C10kOptions, n: usize) -> C10kPoint 
     let elapsed = started.elapsed();
 
     latencies.sort_unstable();
-    let pct = |p: f64| -> u64 {
-        if latencies.is_empty() {
-            return 0;
-        }
-        let rank = ((p / 100.0) * latencies.len() as f64).ceil() as usize;
-        latencies[rank.clamp(1, latencies.len()) - 1]
-    };
     C10kPoint {
         connections: n,
         total_ops,
         elapsed_secs: elapsed.as_secs_f64(),
         ops_per_sec: total_ops as f64 / elapsed.as_secs_f64().max(1e-9),
-        p50_us: pct(50.0),
-        p99_us: pct(99.0),
+        p50_us: percentile(&latencies, 50.0),
+        p99_us: percentile(&latencies, 99.0),
         connect_secs,
     }
 }

@@ -1,15 +1,15 @@
 //! # proxy-bench
 //!
-//! Shared fixtures and reporting helpers for the benchmark harness. One
-//! Criterion bench target exists per figure of the paper (F1–F6) plus an
-//! ablation suite; see `DESIGN.md` §4 for the experiment index and
-//! `EXPERIMENTS.md` for recorded results.
+//! Shared fixtures and reporting helpers for the `figures` harness
+//! (`src/bin/figures.rs`), which regenerates every experiment of
+//! `DESIGN.md` §4 — one per figure of the paper (F1–F6) plus the
+//! ablations (A1–A5) — and whose results `EXPERIMENTS.md` records.
 //!
 //! The paper (ICDCS '93) has no quantitative tables — its figures are
-//! protocol diagrams — so each bench reconstructs the figure's protocol,
+//! protocol diagrams — so `figures` reconstructs each figure's protocol,
 //! prints the deterministic protocol-shape series (message counts, bytes,
-//! simulated latency) once, and measures our implementation's wall-clock
-//! cost with Criterion.
+//! simulated latency), and times our implementation's flows with one
+//! interleaved min-of-rounds stopwatch.
 
 // `deny`, not the workspace `forbid`: the feature-gated counting
 // allocator (`alloc_count`, linked by the e2e benchmark's traced run) is
@@ -189,6 +189,18 @@ pub fn cascade(world: &SymmetricWorld, depth: usize, seed: u64) -> Proxy {
     proxy
 }
 
+/// Nearest-rank percentile `pct` (0–100) of an ascending sample: the
+/// smallest value with at least `pct` % of the sample at or below it.
+/// Zero for an empty sample.
+#[must_use]
+pub fn percentile<T: Copy + Default>(sorted: &[T], pct: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    let rank = (pct * sorted.len() as f64 / 100.0).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 /// Prints one row of an experiment's series in a stable, greppable format.
 pub fn report_row(
     experiment: &str,
@@ -235,6 +247,18 @@ mod tests {
             .verifier
             .verify(&pres, &matching_ctx(&world.server), &mut guard)
             .is_ok());
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let sample: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile(&sample, 50.0), 50);
+        assert_eq!(percentile(&sample, 99.0), 99);
+        assert_eq!(percentile(&sample, 100.0), 100);
+        assert_eq!(percentile(&sample, 0.0), 1);
+        assert_eq!(percentile(&[7.5], 50.0), 7.5);
+        assert_eq!(percentile(&[7.5], 99.0), 7.5);
+        assert_eq!(percentile::<f64>(&[], 50.0), 0.0);
     }
 
     #[test]

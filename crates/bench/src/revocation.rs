@@ -38,7 +38,7 @@ use restricted_proxy::revocation::{
     RevocationArtifact, RevocationDirectory, RevocationRegistry, SerialSet,
 };
 
-use crate::{cascade, matching_ctx, rng, symmetric_world};
+use crate::{cascade, matching_ctx, percentile, rng, symmetric_world};
 
 /// Harness configuration.
 #[derive(Clone, Debug)]
@@ -241,14 +241,6 @@ fn scattered_serials(count: u64, seed: u64) -> Vec<u64> {
     (0..count).map(|_| r.gen_range(0..space)).collect()
 }
 
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 fn contains_ns(set: &SerialSet, probes: &[u64], rounds: usize) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..rounds {
@@ -399,10 +391,6 @@ pub fn run(opts: &Options) -> RevocationReport {
             std::hint::black_box(ok);
         }
     };
-    // Min-of-rounds applies to the quantiles themselves: each round
-    // yields its own p50/p99, and each variant keeps its cleanest round.
-    // Pooling all samples instead would leave every scheduler interrupt
-    // in the tail, and the gate would measure host noise, not the probe.
     // Both variants run back-to-back inside each round, so a round is a
     // matched pair measured under the same host conditions. Each round
     // yields its own paired overhead ratio; the gate checks the *median*
@@ -431,8 +419,8 @@ pub fn run(opts: &Options) -> RevocationReport {
         }
         on_round.sort_by(f64::total_cmp);
         off_round.sort_by(f64::total_cmp);
-        let (on_p50, on_p99) = (percentile(&on_round, 0.50), percentile(&on_round, 0.99));
-        let (off_p50, off_p99) = (percentile(&off_round, 0.50), percentile(&off_round, 0.99));
+        let (on_p50, on_p99) = (percentile(&on_round, 50.0), percentile(&on_round, 99.0));
+        let (off_p50, off_p99) = (percentile(&off_round, 50.0), percentile(&off_round, 99.0));
         verify_on_p50_us = verify_on_p50_us.min(on_p50);
         verify_on_p99_us = verify_on_p99_us.min(on_p99);
         verify_off_p50_us = verify_off_p50_us.min(off_p50);
@@ -442,8 +430,8 @@ pub fn run(opts: &Options) -> RevocationReport {
     }
     round_overhead_p50.sort_by(f64::total_cmp);
     round_overhead_p99.sort_by(f64::total_cmp);
-    let overhead_p50_pct = percentile(&round_overhead_p50, 0.50);
-    let overhead_p99_pct = percentile(&round_overhead_p99, 0.50);
+    let overhead_p50_pct = percentile(&round_overhead_p50, 50.0);
+    let overhead_p99_pct = percentile(&round_overhead_p99, 50.0);
 
     // ---- Verify while deltas stream in (informational) ----
     let mut churn_samples = Vec::new();
@@ -468,7 +456,7 @@ pub fn run(opts: &Options) -> RevocationReport {
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
     });
     churn_samples.sort_by(f64::total_cmp);
-    let verify_under_churn_p50_us = percentile(&churn_samples, 0.50);
+    let verify_under_churn_p50_us = percentile(&churn_samples, 50.0);
 
     // ---- Membership: one snapshot in, zero round trips after ----
     let gs_world = symmetric_world(12);

@@ -124,14 +124,6 @@ impl<K: Hash + Eq, V> ShardMap<K, V> {
         self.shard(key).read().expect("shard").get(key).cloned()
     }
 
-    /// Exclusive access to the value under `key`. Requires `&mut self`,
-    /// so no locking is needed — this is the admin/setup path.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        let h = self.hasher.hash_one(key);
-        let idx = (h as usize) % self.shards.len();
-        self.shards[idx].get_mut().expect("shard").get_mut(key)
-    }
-
     /// Total entries across all shards (quiescently consistent).
     #[must_use]
     pub fn len(&self) -> usize {
@@ -209,15 +201,6 @@ mod tests {
         assert_eq!(map.fold(0u64, |acc, _, v| acc + v), 22);
         assert_eq!(map.remove(&"a".into()), Some(12));
         assert_eq!(map.len(), 1);
-    }
-
-    #[test]
-    fn get_mut_bypasses_locks_with_exclusive_access() {
-        let mut map: ShardMap<String, u64> = ShardMap::new();
-        map.insert("a".into(), 1);
-        *map.get_mut(&"a".into()).unwrap() = 9;
-        assert_eq!(map.get_cloned(&"a".into()), Some(9));
-        assert!(map.get_mut(&"missing".into()).is_none());
     }
 
     #[test]

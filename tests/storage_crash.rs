@@ -203,6 +203,33 @@ fn crash_before_append_loses_nothing_and_retry_succeeds() {
 }
 
 #[test]
+fn an_admin_credit_the_log_refused_never_reaches_the_account() {
+    let dir = Scratch::new("admin-credit");
+    let store = Arc::new(WalStorage::open(&dir.0, fast()).expect("open wal"));
+    let (mut bank, auth, mut rng) = boot_on(Arc::clone(&store));
+    let check = carol_check(&auth, &mut rng, 1, 100);
+
+    // The credit's record dies before the append: what the account
+    // reports must be what the log holds.
+    store.crash_before_appends(1);
+    bank.account_mut("carol-acct").unwrap().credit(usd(), 5);
+    assert_eq!(bank.account("carol-acct").unwrap().balance(&usd()), 500);
+
+    // The failed commit left the server fail-stop.
+    let err = bank
+        .deposit(
+            &check,
+            &p("shop"),
+            "shop-acct",
+            p("bank"),
+            Timestamp(1),
+            &mut rng,
+        )
+        .unwrap_err();
+    assert!(matches!(err, AcctError::Storage(_)), "got {err:?}");
+}
+
+#[test]
 fn torn_tail_is_truncated_and_the_valid_prefix_replays() {
     let dir = Scratch::new("torn-tail");
     {
