@@ -1067,6 +1067,7 @@ fn a5_tgs_proxy() {
 fn ablate_crypto() {
     use proxy_bench::seed_ed25519::{seed_verify, SeedPoint};
     use proxy_crypto::ed25519::edwards::Point;
+    use proxy_crypto::ed25519::field::Fe;
     use proxy_crypto::ed25519::scalar::Scalar;
     use proxy_crypto::ed25519::{verify_batch, PreparedKey, Signature};
     use rand::RngCore;
@@ -1118,6 +1119,9 @@ fn ablate_crypto() {
         r.copy_from_slice(&sig.as_bytes()[..32]);
         r
     });
+
+    // What a lone check inverts instead of taking R's square root.
+    let r_y = Fe::from_bytes(&r_bytes);
 
     // The stages a public key is held in (DESIGN.md §8, "Prepared keys").
     let decompressed = vk.decompress().expect("a point");
@@ -1252,6 +1256,7 @@ fn ablate_crypto() {
             let [a, r] = Point::decompress_pair(black_box(&a_bytes), black_box(&r_bytes));
             (a.expect("a point"), r.expect("a point"))
         }),
+        kernel("invert", || black_box(r_y).invert()),
     ];
     for n in BATCHES {
         variants.push(kernel(batch_name(n), move || {

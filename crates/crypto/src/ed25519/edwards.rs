@@ -29,7 +29,7 @@
 
 use std::sync::OnceLock;
 
-use super::field::{d, d2, sqrt_ratios, Fe};
+use super::field::{sqrt_ratios, Fe, D, D2};
 use super::scalar::Scalar;
 
 /// A point on the Ed25519 curve in extended coordinates.
@@ -40,6 +40,33 @@ pub struct Point {
     z: Fe,
     t: Fe,
 }
+
+/// The basepoint in canonical limbs, derived from its definition by
+/// `curve_constants_match_their_definitions`.
+const BASEPOINT: Point = Point {
+    x: Fe([
+        1738742601995546,
+        1146398526822698,
+        2070867633025821,
+        562264141797630,
+        587772402128613,
+    ]),
+    y: Fe([
+        1801439850948184,
+        1351079888211148,
+        450359962737049,
+        900719925474099,
+        1801439850948198,
+    ]),
+    z: Fe::ONE,
+    t: Fe([
+        1841354044333475,
+        16398895984059,
+        755974180946558,
+        900171276175154,
+        1821297809914039,
+    ]),
+};
 
 /// Error from [`Point::decompress`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,12 +94,8 @@ impl Point {
 
     /// The standard basepoint B with y = 4/5 and x "positive" (even).
     #[must_use]
-    pub fn basepoint() -> Point {
-        static CELL: OnceLock<Point> = OnceLock::new();
-        *CELL.get_or_init(|| {
-            let y = Fe::from_u64(4).mul(Fe::from_u64(5).invert());
-            Point::from_y(y, false).expect("basepoint decompresses")
-        })
+    pub const fn basepoint() -> Point {
+        BASEPOINT
     }
 
     /// Recovers a point from its y coordinate and the sign bit of x.
@@ -89,7 +112,7 @@ impl Point {
     fn from_ys<const N: usize>(ys: [(Fe, bool); N]) -> [Result<Point, DecompressError>; N] {
         let roots = sqrt_ratios(ys.map(|(y, _)| {
             let yy = y.square();
-            (yy.sub(Fe::ONE), d().mul(yy).add(Fe::ONE))
+            (yy.sub(Fe::ONE), D.mul(yy).add(Fe::ONE))
         }));
         std::array::from_fn(|i| {
             let (y, x_sign) = ys[i];
@@ -179,7 +202,7 @@ impl Point {
     pub fn add(&self, other: &Point) -> Point {
         let a = self.y.sub_lazy(self.x).mul(other.y.sub_lazy(other.x));
         let b = self.y.add_lazy(self.x).mul(other.y.add_lazy(other.x));
-        let c = self.t.mul(d2()).mul(other.t);
+        let c = self.t.mul(D2).mul(other.t);
         let zz = self.z.mul(other.z);
         let dd = zz.add_lazy(zz);
         let e = b.sub_lazy(a);
@@ -359,6 +382,26 @@ impl Point {
         )
     }
 
+    /// Whether `bytes` encodes this point: what
+    /// `Point::decompress(bytes).is_ok_and(|r| r.eq_point(self))` says,
+    /// without the square root.
+    ///
+    /// `self` is a curve point, so once its y equals the encoded y — read
+    /// as [`Fe::from_bytes`] reads it, reduced mod p — that y has a root
+    /// and the encoding decompresses to `self` or to `(−x, y)`. The sign
+    /// bit picks which, and one inversion gives x's sign. At x = 0 the two
+    /// are one point and a set sign bit is "−0", which `decompress`
+    /// refuses; x's sign (clear) refuses it here. An encoded y that is no
+    /// curve point's matches no `self`.
+    #[must_use]
+    pub(crate) fn matches_encoding(&self, bytes: &[u8; 32]) -> bool {
+        if !self.y.ct_eq(Fe::from_bytes(bytes).mul(self.z)) {
+            return false;
+        }
+        let x = self.x.mul(self.z.invert());
+        x.is_negative() == (bytes[31] >> 7 == 1)
+    }
+
     /// Projective equality: X1·Z2 = X2·Z1 and Y1·Z2 = Y2·Z1.
     #[must_use]
     pub fn eq_point(&self, other: &Point) -> bool {
@@ -382,7 +425,7 @@ impl Point {
         let xx = x.square();
         let yy = y.square();
         // −x² + y² = 1 + d x² y²
-        yy.sub(xx).ct_eq(Fe::ONE.add(d().mul(xx).mul(yy)))
+        yy.sub(xx).ct_eq(Fe::ONE.add(D.mul(xx).mul(yy)))
     }
 }
 
@@ -404,7 +447,7 @@ impl CachedPoint {
         CachedPoint {
             y_plus_x: p.y.add(p.x),
             y_minus_x: p.y.sub(p.x),
-            t2d: p.t.mul(d2()),
+            t2d: p.t.mul(D2),
             z2: p.z.mul_small(2),
         }
     }
@@ -498,12 +541,13 @@ impl Completed {
 struct NafLookupTable<const N: usize>([CachedPoint; N]);
 
 impl<const N: usize> NafLookupTable<N> {
+    /// N + 1 conversions to cached form: `2P` once, then each entry.
     fn from_point(p: &Point) -> Self {
-        let p2 = p.double();
+        let two_p = CachedPoint::from_point(&p.double());
         let mut entries = [CachedPoint::from_point(p); N];
         let mut current = *p;
         for entry in entries.iter_mut().skip(1) {
-            current = p2.add_cached(&CachedPoint::from_point(&current));
+            current = current.add_cached(&two_p);
             *entry = CachedPoint::from_point(&current);
         }
         Self(entries)
@@ -718,6 +762,48 @@ mod tests {
     #[test]
     fn basepoint_is_on_curve() {
         assert!(Point::basepoint().is_on_curve());
+    }
+
+    /// The constant limbs against their definitions, inverting by Fermat
+    /// so that nothing here rests on the inversion it feeds.
+    #[test]
+    fn curve_constants_match_their_definitions() {
+        use super::super::field::SQRT_M1;
+        let fe = Fe::from_u64;
+        let d = fe(121665).neg().mul(fe(121666).invert_fermat());
+        assert_eq!(D.to_bytes(), d.to_bytes(), "d = −121665/121666");
+        assert_eq!(D2.to_bytes(), d.add(d).to_bytes(), "2d");
+        // (p − 1)/4 = 2²⁵³ − 5: ones at bits 0, 1 and 3..=252.
+        let mut root = Fe::ONE;
+        for bit in (0..253).rev() {
+            root = root.square();
+            if bit != 2 {
+                root = root.mul(fe(2));
+            }
+        }
+        assert_eq!(SQRT_M1.to_bytes(), root.to_bytes(), "2^((p−1)/4)");
+        let y = fe(4).mul(fe(5).invert_fermat());
+        let b = Point::from_y(y, false).expect("4/5 is a curve point's y");
+        for (constant, derived) in [
+            (BASEPOINT.x, b.x),
+            (BASEPOINT.y, b.y),
+            (BASEPOINT.z, b.z),
+            (BASEPOINT.t, b.t),
+        ] {
+            assert_eq!(
+                constant.to_bytes(),
+                derived.to_bytes(),
+                "B: y = 4/5, x even"
+            );
+        }
+        assert_eq!(BASEPOINT.z.0, Fe::ONE.0);
+        for constant in [D, D2, SQRT_M1, BASEPOINT.x, BASEPOINT.y, BASEPOINT.t] {
+            assert_eq!(
+                Fe::from_bytes(&constant.to_bytes()).0,
+                constant.0,
+                "canonical limbs"
+            );
+        }
     }
 
     #[test]
@@ -955,6 +1041,32 @@ mod tests {
                 assert!(same(&pb, &alone[j]), "lane 1 of pair ({i}, {j})");
             }
         }
+    }
+
+    #[test]
+    fn matching_an_encoding_is_decompressing_it_and_comparing() {
+        let corpus = decompression_corpus();
+        // Every point the corpus holds, and its mirror, off Z = 1.
+        let points: Vec<Point> = corpus
+            .iter()
+            .filter_map(|bytes| Point::decompress(bytes).ok())
+            .flat_map(|p| [p, p.neg()])
+            .map(|p| p.add(&Point::identity()))
+            .collect();
+        let mut matches = 0;
+        for (i, p) in points.iter().enumerate() {
+            for (j, bytes) in corpus.iter().enumerate() {
+                let expect = Point::decompress(bytes).is_ok_and(|r| r.eq_point(p));
+                assert_eq!(p.matches_encoding(bytes), expect, "point {i}, encoding {j}");
+                matches += usize::from(expect);
+            }
+        }
+        // Every encoding that decompresses matches the point it gives.
+        let decodable = corpus
+            .iter()
+            .filter(|bytes| Point::decompress(bytes).is_ok())
+            .count();
+        assert!(matches >= decodable, "{matches} < {decodable}");
     }
 
     #[test]

@@ -135,11 +135,10 @@ impl VerifyingKey {
     }
 }
 
-/// The parts of a signature every verification path starts from: `R` as
-/// sent and as a point, `s` checked canonical, and the challenge
-/// `k = H(R ‖ A ‖ M) mod ℓ`.
+/// The parts of a signature a lone check starts from: `R` as sent, `s`
+/// checked canonical, and the challenge `k = H(R ‖ A ‖ M) mod ℓ`.
 struct Challenge {
-    r: Point,
+    r: [u8; 32],
     s: Scalar,
     k: Scalar,
 }
@@ -150,17 +149,20 @@ impl Challenge {
         message: &[u8],
         signature: &Signature,
     ) -> Result<Challenge, SignatureError> {
-        let r_bytes: [u8; 32] = signature.0[..32].try_into().expect("split");
+        let r: [u8; 32] = signature.0[..32].try_into().expect("split");
         let s_bytes: [u8; 32] = signature.0[32..].try_into().expect("split");
-        let r = Point::decompress(&r_bytes).map_err(|DecompressError| SignatureError)?;
         let s = Scalar::from_canonical_bytes(&s_bytes).ok_or(SignatureError)?;
-        let k = challenge_scalar(&r_bytes, &key.0, message);
+        let k = challenge_scalar(&r, &key.0, message);
         Ok(Challenge { r, s, k })
     }
 
-    /// The verdict, given `[s]B + [k](−A)`.
+    /// The verdict, given `[s]B + [k](−A)`: whether `R` encodes it.
+    /// `R` is compared, not decompressed ([`Point::matches_encoding`]):
+    /// the verdict is the one decompressing and comparing gives, an `R`
+    /// that is no point's encoding included, for an inversion instead
+    /// of a square root.
     fn check(&self, lhs: &Point) -> Result<(), SignatureError> {
-        if lhs.eq_point(&self.r) {
+        if lhs.matches_encoding(&self.r) {
             Ok(())
         } else {
             Err(SignatureError)
@@ -401,7 +403,7 @@ static BATCH_NONCE: AtomicU64 = AtomicU64::new(0);
 /// equation. If the combined equation fails, the batch falls back to
 /// sequential verification, so the result is always exactly "every
 /// signature verifies individually" — a batch rejection costs time, never
-/// correctness.
+/// correctness. [`first_failure`] says which one does not.
 ///
 /// # Errors
 ///
@@ -409,10 +411,30 @@ static BATCH_NONCE: AtomicU64 = AtomicU64::new(0);
 /// any `s` is non-canonical, or any signature fails its individual
 /// verification equation.
 pub fn verify_batch(items: &[(&[u8], &Signature, &VerifyingKey)]) -> Result<(), SignatureError> {
-    match items {
-        [] => return Ok(()),
-        [(message, signature, key)] => return key.verify(message, signature),
-        _ => {}
+    match first_failure(items) {
+        None => Ok(()),
+        Some(_) => Err(SignatureError),
+    }
+}
+
+/// The index of the first of `items` that fails [`VerifyingKey::verify`],
+/// or `None` when every one verifies.
+///
+/// The combined equation of [`verify_batch`] is the fast path for `None`.
+/// When it fails, or as soon as a key or `R` does not decompress or an
+/// `s` is not canonical, the items are verified one by one from index 0,
+/// so the answer is always the first failure in order — a chain's first
+/// bad link, whatever made the equation fail — and each item is checked
+/// alone at most once.
+#[must_use]
+pub fn first_failure(items: &[(&[u8], &Signature, &VerifyingKey)]) -> Option<usize> {
+    let one_by_one = || {
+        items
+            .iter()
+            .position(|(message, signature, key)| key.verify(message, signature).is_err())
+    };
+    if items.len() < 2 {
+        return one_by_one();
     }
     // Seed = H(domain ‖ nonce ‖ every signature, key, and message).
     let mut h = Sha512::new();
@@ -433,10 +455,12 @@ pub fn verify_batch(items: &[(&[u8], &Signature, &VerifyingKey)]) -> Result<(), 
     for ((message, signature, key), z) in items.iter().zip(batch_coefficients(&seed)) {
         let r_bytes: [u8; 32] = signature.0[..32].try_into().expect("split");
         let s_bytes: [u8; 32] = signature.0[32..].try_into().expect("split");
-        let [a, r] = Point::decompress_pair(key.as_bytes(), &r_bytes);
-        let a = a.map_err(|DecompressError| SignatureError)?;
-        let r = r.map_err(|DecompressError| SignatureError)?;
-        let s = Scalar::from_canonical_bytes(&s_bytes).ok_or(SignatureError)?;
+        let [Ok(a), Ok(r)] = Point::decompress_pair(key.as_bytes(), &r_bytes) else {
+            return one_by_one();
+        };
+        let Some(s) = Scalar::from_canonical_bytes(&s_bytes) else {
+            return one_by_one();
+        };
         let k = challenge_scalar(&r_bytes, key.as_bytes(), message);
         b_coeff = b_coeff.add(z.mul(s));
         terms.push(StrausTerm::new(&z, &r));
@@ -444,14 +468,11 @@ pub fn verify_batch(items: &[(&[u8], &Signature, &VerifyingKey)]) -> Result<(), 
     }
 
     if Point::multiscalar_mul_basepoint(&b_coeff.neg(), &terms).is_identity() {
-        return Ok(());
+        return None;
     }
     // Combined equation failed: at least one signature is (almost surely)
     // bad. Re-verify sequentially for an exact answer.
-    for (message, signature, key) in items {
-        key.verify(message, signature)?;
-    }
-    Ok(())
+    one_by_one()
 }
 
 /// The coefficients `z_0, z_1, …` of a batch with this `seed`: `z_i` is
@@ -721,6 +742,47 @@ mod tests {
         let items: Vec<(&[u8], &Signature, &VerifyingKey)> =
             vec![(msg, &bad_sig, &vk), (msg, &other_sig, &other_vk)];
         assert_eq!(verify_batch(&items), Err(SignatureError));
+    }
+
+    #[test]
+    fn first_failure_blames_in_order_whatever_stops_the_equation() {
+        let signers: Vec<SigningKey> = (0u8..4)
+            .map(|i| SigningKey::from_seed(&[i + 60; 32]))
+            .collect();
+        let vks: Vec<VerifyingKey> = signers.iter().map(SigningKey::verifying_key).collect();
+        let msg: &[u8] = b"link";
+        let good: Vec<Signature> = signers.iter().map(|sk| sk.sign(msg)).collect();
+        let mut forged = good[1];
+        forged.0[40] ^= 1;
+        let mut s_too_big = good[2];
+        s_too_big.0[32..].copy_from_slice(&[0xff; 32]);
+        let no_point = VerifyingKey::from_bytes([0x02; 32]);
+        let cases = [
+            (vec![(good[0], vks[0]), (good[1], vks[1])], None),
+            // The equation fails: the one bad signature is named.
+            (
+                vec![(good[0], vks[0]), (forged, vks[1]), (good[2], vks[2])],
+                Some(1),
+            ),
+            // Building the equation stops at index 2 (s ≥ ℓ, a key that is
+            // no point); the forgery before it is still the first.
+            (
+                vec![(good[0], vks[0]), (forged, vks[1]), (s_too_big, vks[2])],
+                Some(1),
+            ),
+            (
+                vec![(good[0], vks[0]), (forged, vks[1]), (good[2], no_point)],
+                Some(1),
+            ),
+            (vec![(good[0], no_point), (forged, vks[1])], Some(0)),
+            (vec![(good[0], vks[0]), (s_too_big, vks[2])], Some(1)),
+        ];
+        for (i, (case, expect)) in cases.iter().enumerate() {
+            let items: Vec<(&[u8], &Signature, &VerifyingKey)> =
+                case.iter().map(|(s, k)| (msg, s, k)).collect();
+            assert_eq!(first_failure(&items), *expect, "case {i}");
+            assert_eq!(verify_batch(&items).is_ok(), expect.is_none(), "case {i}");
+        }
     }
 
     #[test]

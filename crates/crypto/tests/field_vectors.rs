@@ -1,7 +1,10 @@
 //! Cross-implementation test vectors for GF(2^255−19) and mod-ℓ scalar
 //! arithmetic, generated independently with Python's arbitrary-precision
 //! integers (see the generator note at the bottom). Each case checks
-//! add/mul/invert against the reference results.
+//! add/mul/invert against the reference results; `invert` is also held to
+//! Fermat's `x^(p−2)` on random and edge inputs.
+
+use proptest::prelude::*;
 
 use proxy_crypto::ed25519::field::Fe;
 use proxy_crypto::ed25519::scalar::Scalar;
@@ -370,6 +373,44 @@ fn field_arithmetic_matches_reference_bigints() {
             }
             bytes.to_vec()
         });
+    }
+}
+
+/// Fermat's `x^(p−2)` from the public exponentiation by (p − 5)/8:
+/// 8·(2²⁵² − 3) + 3 = 2²⁵⁵ − 21 = p − 2.
+fn fermat_inverse(x: Fe) -> Fe {
+    x.pow_p58().pow2k(3).mul(x.square().mul(x))
+}
+
+proptest! {
+    #[test]
+    fn invert_matches_fermat(bytes in any::<[u8; 32]>()) {
+        let x = Fe::from_bytes(&bytes);
+        prop_assert_eq!(x.invert().to_bytes(), fermat_inverse(x).to_bytes());
+        if !x.is_zero() {
+            prop_assert!(x.mul(x.invert()).ct_eq(Fe::ONE));
+        }
+    }
+}
+
+#[test]
+fn invert_at_the_edges() {
+    // Little-endian p − 1, p and p + 1; `Fe::from_bytes` keeps the last
+    // two unreduced, as a hostile encoding would arrive.
+    let near_p = |low: &str| fe(&format!("{low}{}7f", "ff".repeat(30)));
+    let cases = [
+        (fe(&"00".repeat(32)), Fe::ZERO),
+        (Fe::ONE, Fe::ONE),
+        (near_p("ec"), Fe::ONE.neg()),
+        (near_p("ed"), Fe::ZERO),
+        (near_p("ee"), Fe::ONE),
+    ];
+    for (i, (x, inverse)) in cases.into_iter().enumerate() {
+        assert!(x.invert().ct_eq(inverse), "edge {i}");
+        assert!(x.invert().ct_eq(fermat_inverse(x)), "edge {i}: Fermat");
+        if !x.is_zero() {
+            assert!(x.mul(x.invert()).ct_eq(Fe::ONE), "edge {i}: x·x⁻¹");
+        }
     }
 }
 

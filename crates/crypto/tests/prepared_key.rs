@@ -4,13 +4,18 @@
 //! `DecompressedKey::verify` must return the verdict of
 //! `VerifyingKey::verify` on every input, including the ones a hostile
 //! peer picks: keys of small order, non-canonical encodings, mangled `R`,
-//! `s ≥ ℓ`.
+//! `s ≥ ℓ`. That verdict in turn must be the one of two references no
+//! change to a lone check can move: decompressing `R` and comparing
+//! points, and the batch equation.
+
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
 use proxy_crypto::ed25519::edwards::{Point, PreparedPoint};
 use proxy_crypto::ed25519::scalar::{Scalar, L};
-use proxy_crypto::ed25519::{PreparedKey, Signature, SigningKey, VerifyingKey};
+use proxy_crypto::ed25519::{verify_batch, PreparedKey, Signature, SigningKey, VerifyingKey};
+use proxy_crypto::sha512::Sha512;
 
 fn from_hex<const N: usize>(hex: &str) -> [u8; N] {
     let bytes: Vec<u8> = (0..hex.len())
@@ -20,10 +25,66 @@ fn from_hex<const N: usize>(hex: &str) -> [u8; N] {
     bytes.try_into().unwrap()
 }
 
-/// The verdict all three paths agree on; panics when they do not.
+/// The lone check spelled out the long way: decompress `A` and `R`,
+/// refuse `s ≥ ℓ`, and compare `[s]B + [k](−A)` with `R` as points.
+fn decompress_and_compare(key: &VerifyingKey, message: &[u8], signature: &Signature) -> bool {
+    let r_bytes: [u8; 32] = signature.0[..32].try_into().unwrap();
+    let s_bytes: [u8; 32] = signature.0[32..].try_into().unwrap();
+    let (Ok(a), Ok(r), Some(s)) = (
+        Point::decompress(key.as_bytes()),
+        Point::decompress(&r_bytes),
+        Scalar::from_canonical_bytes(&s_bytes),
+    ) else {
+        return false;
+    };
+    let mut h = Sha512::new();
+    h.update(&r_bytes);
+    h.update(key.as_bytes());
+    h.update(message);
+    let k = Scalar::from_bytes_mod_order_wide(&h.finalize());
+    Point::double_scalar_mul_basepoint(&s, &k, &a.neg()).eq_point(&r)
+}
+
+/// The message of the honest item each verdict is batched beside.
+const HONEST_MESSAGE: &[u8] = b"an honest neighbour";
+
+fn honest() -> &'static (VerifyingKey, Signature) {
+    static HONEST: OnceLock<(VerifyingKey, Signature)> = OnceLock::new();
+    HONEST.get_or_init(|| {
+        let sk = SigningKey::from_seed(&[0x5a; 32]);
+        (sk.verifying_key(), sk.sign(HONEST_MESSAGE))
+    })
+}
+
+/// The verdict every path agrees on; panics when they do not.
 /// `None` when the key has no curve point, which no path accepts.
 fn verdict(key: &VerifyingKey, message: &[u8], signature: &Signature) -> Option<bool> {
     let reference = key.verify(message, signature).is_ok();
+    assert_eq!(
+        decompress_and_compare(key, message, signature),
+        reference,
+        "decompressing and comparing disagrees"
+    );
+    // The batch multiplies A by z·k mod ℓ, which moves [k]A when A has a
+    // part of small order: there it may differ, by design, and is no
+    // reference.
+    let ell_minus_1 = Scalar::ZERO.sub(Scalar::ONE);
+    let order_l = match Point::decompress(key.as_bytes()) {
+        Ok(a) => a.mul_scalar(&ell_minus_1).add(&a).is_identity(),
+        Err(_) => true,
+    };
+    if order_l {
+        let (honest_key, honest_sig) = honest();
+        assert_eq!(
+            verify_batch(&[
+                (HONEST_MESSAGE, honest_sig, honest_key),
+                (message, signature, key)
+            ])
+            .is_ok(),
+            reference,
+            "the batch disagrees"
+        );
+    }
     let Ok(decompressed) = key.decompress() else {
         assert!(!reference, "accepted under a key that is no point");
         return None;
@@ -202,6 +263,60 @@ fn non_canonical_key_encodings_get_the_reference_verdict() {
         let minus_zero = VerifyingKey::from_bytes(from_hex(hex));
         assert!(minus_zero.decompress().is_err());
         assert_eq!(accepted_of(&minus_zero), 0);
+    }
+}
+
+/// `R` encodings that a lone check must refuse or accept exactly as
+/// decompression would: every small-order point, y = p and y = p + 1
+/// (the second, like `A` above, the identity with y ≥ p), both "−0"s,
+/// and each honest RFC 8032 `R` with its sign bit flipped.
+fn hostile_rs() -> Vec<[u8; 32]> {
+    let mut rs: Vec<[u8; 32]> = SMALL_ORDER.iter().map(|hex| from_hex(hex)).collect();
+    for hex in [
+        "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+        "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+        "0100000000000000000000000000000000000000000000000000000000000080",
+        "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+    ] {
+        rs.push(from_hex(hex));
+    }
+    for (_, _, _, signature) in RFC8032 {
+        let mut r: [u8; 32] = from_hex::<64>(signature)[..32].try_into().unwrap();
+        r[31] ^= 0x80;
+        rs.push(r);
+    }
+    rs
+}
+
+#[test]
+fn hostile_r_encodings_get_the_reference_verdict() {
+    // With s = 0 the equation is [k](−A) = R: under a small-order key
+    // some challenges land on a small-order R and most do not, so both
+    // verdicts occur for the encodings that are such points. Under the
+    // RFC keys, of order ℓ, every one is refused, the batch agreeing.
+    let rfc_keys = RFC8032.map(|(_, public, _, _)| public);
+    let mut accepted = [0u32; 2];
+    for key in SMALL_ORDER.iter().chain(&rfc_keys) {
+        let key = VerifyingKey::from_bytes(from_hex(key));
+        for r in hostile_rs() {
+            let mut sig = [0u8; 64];
+            sig[..32].copy_from_slice(&r);
+            for i in 0..8u64 {
+                let verdict = verdict(&key, &i.to_le_bytes(), &Signature(sig));
+                accepted[usize::from(verdict == Some(true))] += 1;
+            }
+        }
+    }
+    assert!(accepted[0] > 0 && accepted[1] > 0, "{accepted:?}");
+    // An honest signature whose R names the mirror point is refused.
+    for (_, public, message, signature) in RFC8032 {
+        let key = VerifyingKey::from_bytes(from_hex(public));
+        let mut sig: [u8; 64] = from_hex(signature);
+        sig[31] ^= 0x80;
+        assert_eq!(
+            verdict(&key, &message_of(message), &Signature(sig)),
+            Some(false)
+        );
     }
 }
 

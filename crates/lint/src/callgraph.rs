@@ -68,6 +68,7 @@ pub const BLOCKING_PRIMITIVES: &[&str] = &[
     "connect",
     "verify",
     "verify_batch",
+    "first_failure",
 ];
 
 /// Whether `c` is `PreparedKey::new(..)`: building a key's tables, about

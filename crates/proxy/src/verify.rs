@@ -13,7 +13,7 @@ use std::sync::Arc;
 use proxy_crypto::ed25519::{self, Signature, VerifyingKey};
 use proxy_crypto::sha256::Sha256;
 
-use crate::cache::{seal_digest, SealDigest, VerifiedCertCache};
+use crate::cache::{SealKey, VerifiedCertCache};
 use crate::cert::{Certificate, SigningAuthorityKind};
 use crate::context::RequestContext;
 use crate::encode::Encoder;
@@ -53,9 +53,10 @@ enum Subject {
     /// The seal of the certificate at chain position `index`.
     Seal {
         index: usize,
-        /// Cache key and the expiry to cache it until; `None` without a
-        /// cache.
-        cache_entry: Option<(SealDigest, Timestamp)>,
+        /// The body's digest — with the check's signature and key, the
+        /// cache entry — and the expiry to cache it until; `None`
+        /// without a cache.
+        cache_entry: Option<([u8; 32], Timestamp)>,
     },
     /// The presenter's possession proof. Queued after every seal.
     Possession,
@@ -205,6 +206,9 @@ impl<R: KeyResolver> Verifier<R> {
         let mut scratch = Vec::with_capacity(Certificate::ENCODE_CAPACITY_HINT);
         let mut kept = 0;
         let mut final_body = 0..0;
+        // The SHA-256 of the last body, when the seal cache was asked
+        // about it: the possession proof binds the same digest.
+        let mut final_digest = None;
         for (index, cert) in certs.iter().enumerate() {
             if !cert.validity.contains(ctx.now) {
                 return Err(VerifyError::NotValidAt {
@@ -239,18 +243,17 @@ impl<R: KeyResolver> Verifier<R> {
                 SealCheck::Invalid => return Err(VerifyError::BadSeal { index }),
                 SealCheck::FlavorMismatch => return Err(VerifyError::FlavorMismatch { index }),
             };
+            final_digest = None;
             if let Some((vk, sig)) = ed25519_seal {
                 // Deferred, unless the cache already vouches for this
                 // exact (body, seal, key) triple.
-                let digest = self
-                    .cache
-                    .as_ref()
-                    .map(|_| seal_digest(cert, body, vk.as_bytes()));
+                let digest = self.cache.as_ref().map(|_| Sha256::digest(body));
+                final_digest = digest;
                 let vouched = self
                     .cache
                     .as_ref()
                     .zip(digest.as_ref())
-                    .is_some_and(|(cache, d)| cache.contains(d, ctx.now));
+                    .is_some_and(|(cache, d)| cache.contains(&SealKey::new(d, &sig, &vk), ctx.now));
                 if !vouched {
                     if pending.is_empty() {
                         // Every later link may defer too, then the proof.
@@ -306,7 +309,8 @@ impl<R: KeyResolver> Verifier<R> {
                 challenge,
                 response,
             } => {
-                let final_digest = Sha256::digest(&scratch[final_body]);
+                let final_digest =
+                    final_digest.unwrap_or_else(|| Sha256::digest(&scratch[final_body]));
                 let start = scratch.len();
                 append_possession_prefix(&mut scratch, challenge);
                 append_presentation_binding(&mut scratch, &self.server, &final_digest);
@@ -354,8 +358,8 @@ impl<R: KeyResolver> Verifier<R> {
 
     /// Settles every pending check of one presentation: a lone check
     /// through the key table, two or more as one batched equation. When
-    /// the batch fails, each check is repeated on its own, in chain order
-    /// with the proof last, to find the first that fails. If every seal
+    /// the batch fails, `first_failure` repeats each check on its own, in
+    /// chain order with the proof last, up to the first that fails. If every seal
     /// holds the positive results enter the cache — even when the proof
     /// then fails: a seal's validity does not depend on who presents it —
     /// and if any seal fails nothing does. Only seal validity is ever
@@ -377,16 +381,7 @@ impl<R: KeyResolver> Verifier<R> {
             many => {
                 let items: Vec<(&[u8], &Signature, &VerifyingKey)> =
                     many.iter().map(|c| (message(c), &c.sig, &c.vk)).collect();
-                match ed25519::verify_batch(&items) {
-                    Ok(()) => None,
-                    // The batch fails only when some check fails on its
-                    // own; should none own up, blame the head.
-                    Err(_) => Some(
-                        many.iter()
-                            .find(|c| c.vk.verify(message(c), &c.sig).is_err())
-                            .unwrap_or(&many[0]),
-                    ),
-                }
+                ed25519::first_failure(&items).and_then(|i| many.get(i))
             }
         };
         let seal_failed = failed.is_some_and(|c| matches!(c.subject, Subject::Seal { .. }));
@@ -397,7 +392,7 @@ impl<R: KeyResolver> Verifier<R> {
                     ..
                 } = check.subject
                 {
-                    cache.insert(digest, expires, now);
+                    cache.insert(SealKey::new(&digest, &check.sig, &check.vk), expires, now);
                 }
             }
         }
