@@ -5,11 +5,11 @@
 use std::io::Read;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use proxy_wire::frame::{parse_header, split_frame, FrameHeader, HEADER_LEN, TRAILER_LEN};
-use proxy_wire::{BufPool, Message, PooledBuf};
+use proxy_wire::Message;
 
 use crate::error::NetError;
 use crate::transport::Transport;
@@ -20,30 +20,29 @@ const READ_CHUNK: usize = 16 * 1024;
 
 /// Room the read for a lone reply offers: any reply that arrives as one
 /// network segment lands in one `read`, and the room is small enough
-/// that zeroing it per call costs nothing next to the syscall. A longer
-/// reply is finished by a read sized from its header.
+/// that zeroing it once per connection costs nothing. A longer reply is
+/// finished by a read sized from its header.
 const LONE_REPLY_ROOM: usize = 4096;
 
-/// The reply side of one connection: each `read` lands in a pooled
-/// buffer and complete frames are split off its front in place.
+/// Largest buffer capacity a connection keeps when it returns to the
+/// pool: several typical frames, far below [`proxy_wire::MAX_FRAME_BODY`],
+/// so one oversized reply or refill does not stay pinned.
+const MAX_KEPT_CAPACITY: usize = 64 * 1024;
+
+/// The reply side of one connection: each `read` lands in the
+/// connection's own buffer and complete frames are split off its front
+/// in place.
+#[derive(Default)]
 struct ReplyReader {
     /// `buf[consumed..filled]` are reply bytes not yet split off;
     /// `buf[filled..]` is room for the next read, zeroed once when the
     /// buffer grows and then reused.
-    buf: PooledBuf,
+    buf: Vec<u8>,
     consumed: usize,
     filled: usize,
 }
 
 impl ReplyReader {
-    fn new(bufs: &Arc<BufPool>) -> Self {
-        Self {
-            buf: bufs.get(),
-            consumed: 0,
-            filled: 0,
-        }
-    }
-
     /// Splits the next complete frame off the bytes already read, if
     /// one is there.
     fn buffered(&mut self) -> Result<Option<(FrameHeader, &[u8])>, NetError> {
@@ -92,6 +91,36 @@ impl ReplyReader {
             Err(e) => Err(NetError::from(e)),
         }
     }
+
+    /// Reads the reply to the one request outstanding on `conn`: a reply
+    /// that arrives whole costs one `read`.
+    fn lone_reply(&mut self, conn: &mut impl Read, request_id: u64) -> Result<Message, NetError> {
+        let (header, body) = loop {
+            if let Some(frame) = self.buffered()? {
+                break frame;
+            }
+            self.fill(conn, LONE_REPLY_ROOM)?;
+        };
+        if header.request_id != request_id {
+            return Err(NetError::Protocol("reply request id mismatch"));
+        }
+        let reply = Message::decode_body(header.msg_type, body)?;
+        // One request was sent, so anything after its reply means the
+        // stream is out of step with the protocol.
+        if !self.is_drained() {
+            return Err(NetError::Protocol("bytes trail the reply"));
+        }
+        Ok(reply)
+    }
+}
+
+/// One kept-alive connection with the buffers that serve it: requests
+/// are encoded into `out`, replies read through `replies`. A connection
+/// is pooled only with its reader drained.
+struct Connection {
+    stream: TcpStream,
+    out: Vec<u8>,
+    replies: ReplyReader,
 }
 
 /// Retry budget for a call: how many attempts, and how long to back off
@@ -163,25 +192,21 @@ impl Default for ClientOptions {
 pub struct TcpClient {
     addr: SocketAddr,
     opts: ClientOptions,
-    pool: Mutex<Vec<TcpStream>>,
+    pool: Mutex<Vec<Connection>>,
     next_id: AtomicU64,
     jitter: AtomicU64,
-    /// Scratch buffers for batched pipeline sends.
-    bufs: Arc<BufPool>,
 }
 
 impl TcpClient {
     /// A client for the endpoint at `addr`.
     #[must_use]
     pub fn new(addr: SocketAddr, opts: ClientOptions) -> Self {
-        let jitter = AtomicU64::new(opts.jitter_seed | 1);
         Self {
             addr,
+            jitter: AtomicU64::new(opts.jitter_seed | 1),
             opts,
             pool: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(1),
-            jitter: AtomicU64::new(jitter.into_inner()),
-            bufs: Arc::new(BufPool::default()),
         }
     }
 
@@ -191,34 +216,46 @@ impl TcpClient {
         self.pool_guard().len()
     }
 
-    /// The pool holds plain `TcpStream`s with no invariant between them,
+    /// The pool holds connections with no invariant between them,
     /// so a panic in another thread that held the lock cannot have left
     /// the list inconsistent — recover the guard instead of propagating
     /// the poison (which would turn one panicked caller into a panic in
     /// every later caller).
-    fn pool_guard(&self) -> MutexGuard<'_, Vec<TcpStream>> {
+    fn pool_guard(&self) -> MutexGuard<'_, Vec<Connection>> {
         self.pool.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Checks out a connection; the flag says whether it came from the
     /// pool (and may therefore have been closed by the server while it
     /// sat idle) or was freshly dialed.
-    fn checkout(&self) -> Result<(TcpStream, bool), NetError> {
+    fn checkout(&self) -> Result<(Connection, bool), NetError> {
         if let Some(conn) = self.pool_guard().pop() {
             return Ok((conn, true));
         }
         Ok((self.dial()?, false))
     }
 
-    fn dial(&self) -> Result<TcpStream, NetError> {
+    fn dial(&self) -> Result<Connection, NetError> {
         let stream = TcpStream::connect_timeout(&self.addr, self.opts.deadline)?;
         stream.set_read_timeout(Some(self.opts.deadline))?;
         stream.set_write_timeout(Some(self.opts.deadline))?;
         let _ = stream.set_nodelay(true);
-        Ok(stream)
+        Ok(Connection {
+            stream,
+            out: Vec::new(),
+            replies: ReplyReader::default(),
+        })
     }
 
-    fn checkin(&self, conn: TcpStream) {
+    /// Returns a connection whose reader is drained to the pool, first
+    /// dropping any buffer grown past [`MAX_KEPT_CAPACITY`].
+    fn checkin(&self, mut conn: Connection) {
+        if conn.out.capacity() > MAX_KEPT_CAPACITY {
+            conn.out = Vec::new();
+        }
+        if conn.replies.buf.capacity() > MAX_KEPT_CAPACITY {
+            conn.replies = ReplyReader::default();
+        }
         self.pool_guard().push(conn);
     }
 
@@ -266,15 +303,14 @@ impl TcpClient {
     /// One request/reply exchange on `conn`; checks the connection back
     /// in only after a fully successful exchange (anything less leaves
     /// the stream state unknowable).
-    fn exchange(&self, mut conn: TcpStream, request: &Message) -> Result<Message, NetError> {
+    fn exchange(&self, mut conn: Connection, request: &Message) -> Result<Message, NetError> {
         let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        // Encode the request frame and read the reply through pooled
-        // scratch buffers: steady-state exchanges reuse warm capacity
-        // instead of allocating two fresh vectors per call.
-        let mut scratch = self.bufs.get();
-        request.encode_frame_into(&mut scratch, request_id);
-        std::io::Write::write_all(&mut conn, &scratch)?;
-        let reply = self.read_lone_reply(&mut conn, request_id)?;
+        // The connection's own buffers carry the request and the reply,
+        // so a steady-state exchange reuses warm capacity.
+        conn.out.clear();
+        request.encode_frame_into(&mut conn.out, request_id);
+        std::io::Write::write_all(&mut conn.stream, &conn.out)?;
+        let reply = conn.replies.lone_reply(&mut conn.stream, request_id)?;
         self.checkin(conn);
         match reply {
             Message::Error { code, detail } => Err(NetError::Remote { code, detail }),
@@ -282,33 +318,11 @@ impl TcpClient {
         }
     }
 
-    /// Reads the reply to the one request outstanding on `conn`: a reply
-    /// that arrives whole costs one `read`.
-    fn read_lone_reply(&self, conn: &mut impl Read, request_id: u64) -> Result<Message, NetError> {
-        let mut replies = ReplyReader::new(&self.bufs);
-        let (header, body) = loop {
-            if let Some(frame) = replies.buffered()? {
-                break frame;
-            }
-            replies.fill(conn, LONE_REPLY_ROOM)?;
-        };
-        if header.request_id != request_id {
-            return Err(NetError::Protocol("reply request id mismatch"));
-        }
-        let reply = Message::decode_body(header.msg_type, body)?;
-        // One request was sent, so anything after its reply means the
-        // stream is out of step with the protocol.
-        if !replies.is_drained() {
-            return Err(NetError::Protocol("bytes trail the reply"));
-        }
-        Ok(reply)
-    }
-
     /// Issues `requests` over **one** connection with up to `depth`
     /// in flight at a time, returning one result per request, in request
     /// order.
     ///
-    /// Requests are batch-encoded into a pooled scratch buffer and sent
+    /// Requests are batch-encoded into the connection's buffer and sent
     /// with one write per window top-up; replies are matched to requests
     /// by correlation id, so the server may answer out of order. Each
     /// request keeps its own deadline, measured from the moment it was
@@ -355,11 +369,16 @@ impl TcpClient {
     /// connection is checked back in; on failure it is dropped.
     ///
     /// The send window refills at a low watermark (half of `depth`),
-    /// batch-encoding the refill into one pooled buffer and one write;
+    /// batch-encoding the refill into one buffer and one write;
     /// replies are pulled off the socket in [`READ_CHUNK`]-sized reads
     /// and split out of the buffer in place, so a deep pipeline costs a
     /// couple of syscalls per window rather than several per reply.
-    fn run_pipeline(&self, mut conn: TcpStream, requests: &[Message], depth: usize) -> PipelineRun {
+    fn run_pipeline(
+        &self,
+        mut conn: Connection,
+        requests: &[Message],
+        depth: usize,
+    ) -> PipelineRun {
         let depth = depth.max(1);
         let mut run = PipelineRun {
             results: requests.iter().map(|_| None).collect(),
@@ -371,13 +390,12 @@ impl TcpClient {
         // scan of a small vector cheaper than hashing every id.
         let mut inflight: Vec<(u64, usize, Instant)> = Vec::with_capacity(depth);
         let mut next = 0;
-        let mut replies = ReplyReader::new(&self.bufs);
         'pipeline: while next < requests.len() || !inflight.is_empty() {
             // Refill the window once it drains to the watermark:
-            // batch-encode into one pooled buffer, one write for the
-            // whole refill.
+            // batch-encode into one buffer, one write for the whole
+            // refill.
             if next < requests.len() && inflight.len() <= depth / 2 {
-                let mut out = self.bufs.get();
+                conn.out.clear();
                 // One clock read covers the whole refill: every request
                 // in this batch is sent by the same write below, so a
                 // shared send timestamp is the honest one.
@@ -387,12 +405,12 @@ impl TcpClient {
                         break;
                     };
                     let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-                    request.encode_frame_into(&mut out, id);
+                    request.encode_frame_into(&mut conn.out, id);
                     inflight.push((id, next, sent_deadline));
                     next += 1;
                 }
-                if let Err(e) = std::io::Write::write_all(&mut conn, &out)
-                    .and_then(|()| std::io::Write::flush(&mut conn))
+                if let Err(e) = std::io::Write::write_all(&mut conn.stream, &conn.out)
+                    .and_then(|()| std::io::Write::flush(&mut conn.stream))
                 {
                     run.failure = Some(NetError::from(e));
                     break;
@@ -401,7 +419,7 @@ impl TcpClient {
             // Deliver every complete reply already buffered; only hit
             // the socket when the buffer runs dry.
             loop {
-                match replies.buffered() {
+                match conn.replies.buffered() {
                     Ok(Some((header, body))) => {
                         let Some(slot_at) = inflight
                             .iter()
@@ -444,11 +462,11 @@ impl TcpClient {
                     run.failure = Some(NetError::DeadlineExceeded);
                     break 'pipeline;
                 }
-                if conn.set_read_timeout(Some(remaining)).is_err() {
+                if conn.stream.set_read_timeout(Some(remaining)).is_err() {
                     run.failure = Some(NetError::Io(std::io::ErrorKind::Other));
                     break 'pipeline;
                 }
-                if let Err(e) = replies.fill(&mut conn, READ_CHUNK) {
+                if let Err(e) = conn.replies.fill(&mut conn.stream, READ_CHUNK) {
                     run.failure = Some(e);
                     break 'pipeline;
                 }
@@ -457,8 +475,11 @@ impl TcpClient {
         // Unconsumed trailing bytes mean the stream is out of sync with
         // the request/reply protocol — never pool such a connection.
         if run.failure.is_none()
-            && replies.is_drained()
-            && conn.set_read_timeout(Some(self.opts.deadline)).is_ok()
+            && conn.replies.is_drained()
+            && conn
+                .stream
+                .set_read_timeout(Some(self.opts.deadline))
+                .is_ok()
         {
             self.checkin(conn);
         }
@@ -519,6 +540,9 @@ mod tests {
     use std::io::Write;
     use std::net::TcpListener;
     use std::sync::Arc;
+    use std::thread::JoinHandle;
+
+    use restricted_proxy::principal::PrincipalId;
 
     /// A peer whose every `read` delivers the next scripted segment (or
     /// as much of it as the caller made room for), and counts the calls.
@@ -551,10 +575,6 @@ mod tests {
         }
     }
 
-    fn client() -> TcpClient {
-        TcpClient::new("127.0.0.1:9".parse().unwrap(), ClientOptions::default())
-    }
-
     /// A reply frame carrying `detail_len` bytes of detail.
     fn reply_frame(request_id: u64, detail_len: usize) -> Vec<u8> {
         let reply = Message::Error {
@@ -564,6 +584,10 @@ mod tests {
         let mut frame = Vec::new();
         reply.encode_frame_into(&mut frame, request_id);
         frame
+    }
+
+    fn lone_reply(peer: &mut Segments, request_id: u64) -> Result<Message, NetError> {
+        ReplyReader::default().lone_reply(peer, request_id)
     }
 
     fn detail_len(reply: Result<Message, NetError>) -> usize {
@@ -576,7 +600,7 @@ mod tests {
     #[test]
     fn a_reply_that_arrives_whole_costs_one_read() {
         let mut peer = Segments::new([reply_frame(7, 200)]);
-        assert_eq!(detail_len(client().read_lone_reply(&mut peer, 7)), 200);
+        assert_eq!(detail_len(lone_reply(&mut peer, 7)), 200);
         assert_eq!(peer.reads, 1);
     }
 
@@ -584,17 +608,14 @@ mod tests {
     fn a_reply_arriving_a_byte_at_a_time_still_decodes() {
         let frame = reply_frame(9, 300);
         let mut peer = Segments::new(frame.iter().map(|&b| vec![b]));
-        assert_eq!(detail_len(client().read_lone_reply(&mut peer, 9)), 300);
+        assert_eq!(detail_len(lone_reply(&mut peer, 9)), 300);
         assert_eq!(peer.reads, frame.len());
     }
 
     #[test]
     fn a_reply_longer_than_the_first_read_is_finished_by_one_sized_from_its_header() {
         let mut peer = Segments::new([reply_frame(3, 5 * LONE_REPLY_ROOM)]);
-        assert_eq!(
-            detail_len(client().read_lone_reply(&mut peer, 3)),
-            5 * LONE_REPLY_ROOM
-        );
+        assert_eq!(detail_len(lone_reply(&mut peer, 3)), 5 * LONE_REPLY_ROOM);
         assert_eq!(peer.reads, 2);
     }
 
@@ -604,19 +625,19 @@ mod tests {
         bytes.push(0);
         let mut peer = Segments::new([bytes]);
         assert_eq!(
-            client().read_lone_reply(&mut peer, 7).unwrap_err(),
+            lone_reply(&mut peer, 7).unwrap_err(),
             NetError::Protocol("bytes trail the reply")
         );
         let mut peer = Segments::new([reply_frame(7, 10)]);
         assert_eq!(
-            client().read_lone_reply(&mut peer, 8).unwrap_err(),
+            lone_reply(&mut peer, 8).unwrap_err(),
             NetError::Protocol("reply request id mismatch")
         );
         // A connection closed mid-reply is a disconnect, as before.
         let frame = reply_frame(7, 10);
         let mut peer = Segments::new([frame[..frame.len() - 1].to_vec()]);
         assert_eq!(
-            client().read_lone_reply(&mut peer, 7).unwrap_err(),
+            lone_reply(&mut peer, 7).unwrap_err(),
             NetError::Disconnected
         );
     }
@@ -626,8 +647,7 @@ mod tests {
         let mut header = reply_frame(1, 0);
         header.truncate(HEADER_LEN);
         header[14..18].copy_from_slice(&u32::MAX.to_le_bytes());
-        let bufs = Arc::new(BufPool::default());
-        let mut replies = ReplyReader::new(&bufs);
+        let mut replies = ReplyReader::default();
         let mut peer = Segments::new([header]);
         replies.fill(&mut peer, LONE_REPLY_ROOM).unwrap();
         assert!(matches!(
@@ -677,6 +697,88 @@ mod tests {
         assert_eq!(client.pooled_connections(), 0);
         drop(client);
         peer.join().unwrap();
+    }
+
+    /// Serves the one connection `listener` accepts until the client
+    /// hangs up, answering request `i` with an `EndDecision` naming one
+    /// principal `name_lens[i]` bytes long (10 past the list's end).
+    /// Yields the requests answered.
+    fn serve_one_connection(listener: TcpListener, name_lens: Vec<usize>) -> JoinHandle<usize> {
+        std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut answered = 0;
+            while let Ok((header, _body)) = proxy_wire::frame::read_frame(&mut stream) {
+                let len = name_lens.get(answered).copied().unwrap_or(10);
+                let reply = Message::EndDecision {
+                    principals: vec![PrincipalId::new("p".repeat(len))],
+                    groups: Vec::new(),
+                };
+                let mut bytes = Vec::new();
+                reply.encode_frame_into(&mut bytes, header.request_id);
+                stream.write_all(&bytes).unwrap();
+                answered += 1;
+            }
+            answered
+        })
+    }
+
+    fn principal_len(reply: Result<Message, NetError>) -> usize {
+        match reply {
+            Ok(Message::EndDecision { principals, .. }) => {
+                principals.iter().map(|p| p.as_str().len()).sum()
+            }
+            other => panic!("not the scripted reply: {other:?}"),
+        }
+    }
+
+    fn fetch(issuer_len: usize) -> Message {
+        Message::RevocationFetch {
+            issuer: PrincipalId::new("R".repeat(issuer_len)),
+            have_epoch: 0,
+        }
+    }
+
+    #[test]
+    fn a_pooled_connection_keeps_no_buffer_grown_past_the_bound() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = serve_one_connection(listener, vec![100 * 1024]);
+        let client = TcpClient::new(addr, ClientOptions::default());
+        // A request and a reply of about 100 KiB each grow both buffers
+        // past the bound.
+        assert_eq!(principal_len(client.call(&fetch(100 * 1024))), 100 * 1024);
+        {
+            let pool = client.pool_guard();
+            let [conn] = pool.as_slice() else {
+                panic!("{} pooled connections, want 1", pool.len());
+            };
+            assert!(conn.out.capacity() <= MAX_KEPT_CAPACITY);
+            assert!(conn.replies.buf.capacity() <= MAX_KEPT_CAPACITY);
+        }
+        // The same connection still serves the next call: the peer
+        // accepts only once.
+        assert_eq!(principal_len(client.call(&fetch(1))), 10);
+        assert_eq!(client.pooled_connections(), 1);
+        drop(client);
+        assert_eq!(peer.join().unwrap(), 2);
+    }
+
+    #[test]
+    fn lone_calls_and_pipelines_share_one_pooled_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = serve_one_connection(listener, Vec::new());
+        let client = TcpClient::new(addr, ClientOptions::default());
+        let batch: Vec<Message> = (1..=8).map(fetch).collect();
+        for _ in 0..3 {
+            assert_eq!(principal_len(client.call(&fetch(1))), 10);
+            for reply in client.call_pipelined(&batch, 4) {
+                assert_eq!(principal_len(reply), 10);
+            }
+            assert_eq!(client.pooled_connections(), 1);
+        }
+        drop(client);
+        assert_eq!(peer.join().unwrap(), 3 * (1 + batch.len()));
     }
 
     #[test]

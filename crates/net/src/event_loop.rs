@@ -10,8 +10,8 @@
 //!   ┌──────┐ ───────► read-accumulate ──► split_frame ──► ServiceMux
 //!   │ idle │          (bounded budget)    (borrowed body)  dispatch
 //!   └──────┘ ◄─────── flush write queue ◄─ encode replies ◄────┘
-//!      ▲     writable  (partial-write      into pooled buffer
-//!      │                resume)
+//!      ▲     writable  (partial-write      into the connection's
+//!      │                resume)            reply buffer
 //!      └── reaped after `idle_timeout` without traffic
 //! ```
 //!
@@ -20,8 +20,8 @@
 //!   worker; level-triggered registration re-delivers what remains).
 //! * **Decode** borrows frame bodies straight out of the accumulation
 //!   buffer ([`split_frame`]) — no per-request copy.
-//! * **Replies** are packed back-to-back into a pooled scratch buffer
-//!   ([`BufPool`]) and written with as few syscalls as the socket
+//! * **Replies** are packed back-to-back into the connection's own
+//!   reply buffer and written with as few syscalls as the socket
 //!   accepts; a partial write parks a cursor and resumes on the next
 //!   writable event, across frame boundaries.
 //! * **Backpressure**: a connection whose unsent reply backlog exceeds
@@ -61,7 +61,7 @@ use std::time::{Duration, Instant};
 
 use proxy_runtime::{Event, Interest, Poller};
 use proxy_wire::frame::split_frame;
-use proxy_wire::{BufPool, ErrorCode, Message, PooledBuf, WireError};
+use proxy_wire::{ErrorCode, Message, WireError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use restricted_proxy::prelude::KeyResolver;
@@ -78,6 +78,8 @@ const READS_PER_WAKE: usize = 4;
 const COMPACT_THRESHOLD: usize = 32 * 1024;
 /// Token reserved for the listening socket.
 const LISTENER_TOKEN: u64 = u64::MAX;
+/// Maximum connections accepted per worker wakeup.
+const ACCEPT_BURST: usize = 64;
 
 /// Tuning for [`EventLoopServer`].
 #[derive(Debug, Clone)]
@@ -86,8 +88,6 @@ pub struct EventLoopOptions {
     /// (minimum 1). One worker drains thousands of connections; more
     /// workers add CPU parallelism, not connection capacity.
     pub workers: usize,
-    /// Maximum connections accepted per worker wakeup.
-    pub accept_burst: usize,
     /// Unsent-reply bytes above which a connection stops being read
     /// (backpressure); reading resumes below half this value.
     pub write_queue_cap: usize,
@@ -102,7 +102,6 @@ impl Default for EventLoopOptions {
     fn default() -> Self {
         Self {
             workers: 1,
-            accept_burst: 64,
             write_queue_cap: 256 * 1024,
             idle_timeout: Duration::from_secs(60),
             tick: Duration::from_millis(25),
@@ -155,13 +154,6 @@ impl EventLoopServer {
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let conn_seq = Arc::new(AtomicU64::new(0));
-        let bufs = Arc::new(BufPool::new(
-            // Every live backed-up connection may hold one buffer; keep
-            // the free-list roomy enough that steady-state serving finds
-            // a warm buffer instead of allocating.
-            64,
-            proxy_wire::pool::DEFAULT_MAX_RETAINED,
-        ));
         let mut workers = Vec::new();
         for w in 0..opts.workers.max(1) {
             // Register before spawning so registration errors surface
@@ -176,7 +168,6 @@ impl EventLoopServer {
             let mut worker = Worker {
                 mux: Arc::clone(&mux),
                 stop: Arc::clone(&stop),
-                bufs: Arc::clone(&bufs),
                 conn_seq: Arc::clone(&conn_seq),
                 opts: opts.clone(),
                 seed,
@@ -223,8 +214,8 @@ struct Conn {
     /// Read-accumulation buffer; complete frames are split off its
     /// front, a trailing partial frame waits for more bytes.
     inbuf: Vec<u8>,
-    /// Reply write queue (pooled); `sent` is the flushed prefix.
-    out: PooledBuf,
+    /// Reply write queue; `sent` is the flushed prefix.
+    out: Vec<u8>,
     sent: usize,
     /// Interest currently registered with the poller.
     interest: Interest,
@@ -251,7 +242,6 @@ enum Verdict {
 struct Worker<R: KeyResolver> {
     mux: Arc<ServiceMux<R>>,
     stop: Arc<AtomicBool>,
-    bufs: Arc<BufPool>,
     conn_seq: Arc<AtomicU64>,
     opts: EventLoopOptions,
     seed: u64,
@@ -333,9 +323,9 @@ impl<R: KeyResolver> Worker<R> {
         }
     }
 
-    /// Accepts up to `accept_burst` pending connections.
+    /// Accepts up to [`ACCEPT_BURST`] pending connections.
     fn accept_burst(&mut self) {
-        for _ in 0..self.opts.accept_burst.max(1) {
+        for _ in 0..ACCEPT_BURST {
             match self.listener.accept() {
                 Ok((stream, _)) => self.install(stream),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -382,7 +372,7 @@ impl<R: KeyResolver> Worker<R> {
             stream,
             rng: StdRng::seed_from_u64(conn_seed),
             inbuf: Vec::new(),
-            out: self.bufs.get(),
+            out: Vec::new(),
             sent: 0,
             interest,
             paused: false,
@@ -583,6 +573,5 @@ impl<R: KeyResolver> Worker<R> {
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
         let _ = conn.stream.shutdown(Shutdown::Both);
         self.free.push(slot);
-        // `conn.out` drops here, returning its buffer to the pool.
     }
 }

@@ -1,7 +1,7 @@
 //! The [`Transport`] abstraction and the deterministic in-proc loopback.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use netsim::{EndpointId, Network};
 use proxy_wire::Message;
@@ -45,13 +45,13 @@ pub struct Loopback<R: KeyResolver> {
     net: Arc<Network>,
     client: EndpointId,
     server: EndpointId,
-    rng: Mutex<StdRng>,
+    seed: u64,
     next_id: AtomicU64,
 }
 
 impl<R: KeyResolver> Loopback<R> {
     /// A loopback link `client → server` over `net`, with server-side
-    /// randomness derived from `seed`.
+    /// randomness derived from `seed` and each request's id.
     #[must_use]
     pub fn new(
         mux: Arc<ServiceMux<R>>,
@@ -65,7 +65,7 @@ impl<R: KeyResolver> Loopback<R> {
             net,
             client,
             server,
-            rng: Mutex::new(StdRng::seed_from_u64(seed)),
+            seed,
             next_id: AtomicU64::new(1),
         }
     }
@@ -80,13 +80,11 @@ impl<R: KeyResolver> Transport for Loopback<R> {
         self.net
             .record(&self.client, &self.server, frame.len() as u64);
         let (request_id, decoded) = Message::from_frame(&frame)?;
-        let reply = {
-            // The RNG is a self-contained xorshift state; a panic under
-            // the lock cannot corrupt it, so recover from poison rather
-            // than cascading the panic into every later caller.
-            let mut rng = self.rng.lock().unwrap_or_else(PoisonError::into_inner);
-            self.mux.handle(decoded, &mut *rng)
-        };
+        // One generator per request, derived the way `EventLoopServer`
+        // derives one per connection: callers share no lock.
+        let seed = self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(request_id));
+        let reply = self.mux.handle(decoded, &mut rng);
         let reply_frame = reply.to_frame(request_id);
         self.net
             .record(&self.server, &self.client, reply_frame.len() as u64);

@@ -9,10 +9,10 @@
 //! The hot path uses slicing-by-8: eight 256-entry tables let the inner
 //! loop fold eight input bytes per iteration instead of one, turning the
 //! per-frame checksum from a byte-serial dependency chain into a handful
-//! of independent table lookups per word. The original byte-at-a-time
-//! loop is kept as [`crc32_bytewise`], the reference implementation the
-//! property tests compare against; the same step handles the tail of
-//! an input that is not a whole number of words.
+//! of independent table lookups per word. A byte-at-a-time step handles
+//! the tail of an input that is not a whole number of words; the
+//! property suite checks the whole against a table-free bitwise
+//! reference of its own.
 
 /// Reflected polynomial for CRC-32/ISO-HDLC (the zlib/Ethernet CRC).
 const POLY: u32 = 0xEDB8_8320;
@@ -59,37 +59,24 @@ const fn build_tables() -> [[u32; 256]; 8] {
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
+    let (blocks, tail) = data.as_chunks::<8>();
+    for &[b0, b1, b2, b3, b4, b5, b6, b7] in blocks {
         // The low word of the block absorbs the running CRC; each of
         // the eight bytes is then looked up in the table matching its
         // distance from the end of the block. All eight lookups are
         // independent, so the CPU can overlap them.
-        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
-        crc = TABLES[7][(lo & 0xFF) as usize]
-            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ TABLES[4][(lo >> 24) as usize]
-            ^ TABLES[3][chunk[4] as usize]
-            ^ TABLES[2][chunk[5] as usize]
-            ^ TABLES[1][chunk[6] as usize]
-            ^ TABLES[0][chunk[7] as usize];
+        let [l0, l1, l2, l3] = (u32::from_le_bytes([b0, b1, b2, b3]) ^ crc).to_le_bytes();
+        crc = TABLES[7][usize::from(l0)]
+            ^ TABLES[6][usize::from(l1)]
+            ^ TABLES[5][usize::from(l2)]
+            ^ TABLES[4][usize::from(l3)]
+            ^ TABLES[3][usize::from(b4)]
+            ^ TABLES[2][usize::from(b5)]
+            ^ TABLES[1][usize::from(b6)]
+            ^ TABLES[0][usize::from(b7)];
     }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    crc ^ 0xFFFF_FFFF
-}
-
-/// One-shot CRC-32 of `data`, byte-at-a-time.
-///
-/// Reference implementation for the slicing-by-8 hot path: the unit
-/// tests and the property suite assert both agree on arbitrary inputs.
-#[must_use]
-pub fn crc32_bytewise(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+    for &b in tail {
+        crc = (crc >> 8) ^ TABLES[0][usize::from(crc.to_le_bytes()[0] ^ b)];
     }
     crc ^ 0xFFFF_FFFF
 }
@@ -107,31 +94,6 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
-    }
-
-    #[test]
-    fn bytewise_reference_matches_known_vectors() {
-        assert_eq!(crc32_bytewise(b""), 0);
-        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
-        assert_eq!(
-            crc32_bytewise(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
-    }
-
-    #[test]
-    fn sliced_matches_bytewise_across_lengths() {
-        // Cover every alignment class around the 8-byte block size.
-        let data: Vec<u8> = (0..257u16)
-            .map(|i| (i.wrapping_mul(31) ^ 0x5A) as u8)
-            .collect();
-        for len in 0..data.len() {
-            assert_eq!(
-                crc32(&data[..len]),
-                crc32_bytewise(&data[..len]),
-                "len {len}"
-            );
-        }
     }
 
     #[test]

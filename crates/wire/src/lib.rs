@@ -39,12 +39,10 @@ pub mod crc;
 pub mod error;
 pub mod frame;
 pub mod message;
-pub mod pool;
 
 pub use error::WireError;
 pub use frame::{FrameHeader, HEADER_LEN, TRAILER_LEN};
 pub use message::{ErrorCode, Message};
-pub use pool::{BufPool, PooledBuf};
 
 /// The four magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"PXAA";
