@@ -338,11 +338,6 @@ impl<R: KeyResolver> EndServer<R> {
             })),
         }
     }
-
-    /// Evicts expired replay-guard entries.
-    pub fn expire_replay(&self, now: Timestamp) {
-        self.replay.sweep(now);
-    }
 }
 
 fn is_group_presentation(pres: &Presentation) -> bool {

@@ -82,12 +82,6 @@ impl<R: KeyResolver> AuthorizationServer<R> {
         self.revocations.is_revoked(serial)
     }
 
-    /// The current revocation epoch.
-    #[must_use]
-    pub fn revocation_epoch(&self) -> u64 {
-        self.revocations.epoch()
-    }
-
     /// Sealed artifacts bringing a mirror at `have_epoch` up to date
     /// (delta chain, or one snapshot when the mirror is too far behind).
     pub fn revocation_updates_since(&self, have_epoch: u64) -> Vec<RevocationArtifact> {

@@ -102,14 +102,6 @@ pub struct C10kReport {
 }
 
 impl C10kReport {
-    /// The event-loop point for `connections`, if measured.
-    #[must_use]
-    pub fn point_for(&self, connections: usize) -> Option<&C10kPoint> {
-        self.event_loop
-            .iter()
-            .find(|p| p.connections == connections)
-    }
-
     /// p99 ratio of the highest-connection point over the lowest — the
     /// "flat p99" acceptance gate.
     #[must_use]

@@ -222,7 +222,7 @@ mod tests {
         let proxy = cascade(&world, 4, 2);
         assert_eq!(proxy.certs.len(), 4);
         let pres = proxy.present_bearer([1u8; 32], &world.server);
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         assert!(world
             .verifier
             .verify(&pres, &matching_ctx(&world.server), &mut guard)
@@ -242,7 +242,7 @@ mod tests {
             &mut r,
         );
         let pres = proxy.present_bearer([1u8; 32], &world.server);
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         assert!(world
             .verifier
             .verify(&pres, &matching_ctx(&world.server), &mut guard)

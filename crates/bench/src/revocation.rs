@@ -384,7 +384,7 @@ pub fn run(opts: &Options) -> RevocationReport {
     let verifier_off = &world.verifier;
     let time_verify = |v: &Verifier<MapResolver>, samples: &mut Vec<f64>| {
         for _ in 0..opts.verify_iters {
-            let mut guard = MemoryReplayGuard::new();
+            let mut guard = ReplayCache::new();
             let t = Instant::now();
             let ok = v.verify(&pres, &ctx, &mut guard).expect("verifies");
             samples.push(t.elapsed().as_secs_f64() * 1e6);

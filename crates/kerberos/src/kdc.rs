@@ -109,12 +109,6 @@ impl Kdc {
         key
     }
 
-    /// Number of registered principals.
-    #[must_use]
-    pub fn principal_count(&self) -> usize {
-        self.principals.len()
-    }
-
     fn principal_key(&self, name: &PrincipalId) -> Result<&SymmetricKey, KrbError> {
         self.principals
             .get(name)

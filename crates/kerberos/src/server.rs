@@ -6,6 +6,7 @@ use proxy_crypto::keys::SymmetricKey;
 
 use restricted_proxy::key::{GrantorVerifier, KeyResolver};
 use restricted_proxy::principal::PrincipalId;
+use restricted_proxy::replay::ReplayCache;
 use restricted_proxy::restriction::RestrictionSet;
 use restricted_proxy::time::Timestamp;
 
@@ -34,8 +35,9 @@ pub struct ApServer {
     key: SymmetricKey,
     /// Permitted clock skew for fresh authenticators.
     pub skew: u64,
-    /// Replay cache: (client, timestamp) pairs seen, with retention time.
-    replay: HashMap<(PrincipalId, u64), u64>,
+    /// Replay cache: (client, authenticator timestamp) pairs seen, each
+    /// kept until two skews past its acceptance.
+    replay: ReplayCache,
     /// Session keys established by successful AP exchanges, by client.
     sessions: HashMap<PrincipalId, SymmetricKey>,
 }
@@ -49,7 +51,7 @@ impl ApServer {
             name,
             key,
             skew: 10,
-            replay: HashMap::new(),
+            replay: ReplayCache::new(),
             sessions: HashMap::new(),
         }
     }
@@ -101,11 +103,17 @@ impl ApServer {
                 now,
             });
         }
-        let replay_key = (auth.client.clone(), auth.timestamp);
-        if self.replay.contains_key(&replay_key) {
+        // A cache full of live entries refuses a fresh authenticator too:
+        // it fails closed, as accept-once does.
+        let retain = now.saturating_add(self.skew.saturating_mul(2));
+        if !self.replay.check_and_mark(
+            &auth.client,
+            auth.timestamp,
+            Timestamp(now),
+            Timestamp(retain),
+        ) {
             return Err(KrbError::ReplayDetected);
         }
-        self.replay.insert(replay_key, now + 2 * self.skew);
         // The authenticator was opened under this key, so the stored
         // clone — and every clone `SessionResolver` hands out — shares
         // its derived schedule.
@@ -158,9 +166,10 @@ impl ApServer {
         })
     }
 
-    /// Evicts expired replay-cache entries.
+    /// Evicts expired replay-cache entries. The cache also sweeps itself
+    /// as it marks, so a long-lived server need not call this.
     pub fn expire_replay_cache(&mut self, now: u64) {
-        self.replay.retain(|_, until| *until > now);
+        self.replay.sweep(Timestamp(now));
     }
 
     /// The session key most recently established with `client`, if any.
@@ -294,6 +303,26 @@ mod tests {
     }
 
     #[test]
+    fn a_long_lived_server_forgets_lapsed_authenticators_on_its_own() {
+        let mut f = fixture();
+        let mut creds = service_creds(&mut f, 0);
+        for now in 0..40_000u64 {
+            if now > 0 && now % 150 == 0 {
+                creds = service_creds(&mut f, now);
+            }
+            let auth = f.alice.make_authenticator(&creds, now, &mut f.rng);
+            assert!(f.fs.accept(&creds.ticket_blob, &auth, now).is_ok());
+        }
+        // No `expire_replay_cache` call: each authenticator lapses two
+        // skews after it is accepted, and the cache sweeps itself.
+        assert!(
+            f.fs.replay_cache_len() < 20_000,
+            "{} authenticators remembered",
+            f.fs.replay_cache_len()
+        );
+    }
+
+    #[test]
     fn stale_authenticator_rejected() {
         let mut f = fixture();
         let creds = service_creds(&mut f, 0);
@@ -417,7 +446,7 @@ mod tests {
         let verifier = Verifier::new(p("fs"), SessionResolver(&f.fs));
         let ctx = RequestContext::new(p("fs"), Operation::new("read"), ObjectName::new("x"))
             .at(Timestamp(2));
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         let verified = verifier.verify(&pres, &ctx, &mut guard).unwrap();
         assert_eq!(verified.grantor, p("alice"));
     }

@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::flow;
 use crate::lexer::{Kind, Token};
-use crate::parse::{self, CallExpr, FnDef, StructDef};
+use crate::parse::{self, CallExpr, FnDef};
 use crate::source::SourceFile;
 
 /// Names of `ShardMap` methods that run a caller closure under exactly
@@ -219,7 +219,6 @@ pub struct Workspace {
     pub locks: Vec<LockDecl>,
     fns: Vec<FnInstance>,
     by_file: BTreeMap<String, Vec<usize>>,
-    structs_by_file: BTreeMap<String, Vec<StructDef>>,
     shard_fields: BTreeSet<String>,
 }
 
@@ -237,14 +236,6 @@ impl Workspace {
     #[must_use]
     pub fn fn_by_id(&self, id: usize) -> &FnInstance {
         &self.fns[id]
-    }
-
-    /// The structs parsed from `rel_path`.
-    #[must_use]
-    pub fn structs_in(&self, rel_path: &str) -> &[StructDef] {
-        self.structs_by_file
-            .get(rel_path)
-            .map_or(&[], Vec::as_slice)
     }
 
     /// Whether `field` is a declared `ShardMap` field anywhere.
@@ -280,8 +271,7 @@ impl Workspace {
         let mut raw_calls: Vec<Vec<CallExpr>> = Vec::new();
         for f in files {
             let fns = parse::parse_fns(&f.tokens);
-            let structs = parse::parse_structs(&f.tokens);
-            for s in &structs {
+            for s in parse::parse_structs(&f.tokens) {
                 for field in &s.fields {
                     let shard_map = field.type_text.contains("ShardMap <");
                     if shard_map
@@ -300,7 +290,6 @@ impl Workspace {
                     }
                 }
             }
-            ws.structs_by_file.insert(f.rel_path.clone(), structs);
             let mut ids = Vec::new();
             for def in fns {
                 // Skip test-only functions entirely.

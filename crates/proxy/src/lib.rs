@@ -54,7 +54,7 @@
 //! let verifier = Verifier::new(fs.clone(), resolver);
 //! let presentation = proxy.present_bearer([42u8; 32], &fs);
 //! let ctx = RequestContext::new(fs, Operation::new("read"), ObjectName::new("/doc/report"));
-//! let mut replay = MemoryReplayGuard::new();
+//! let mut replay = ReplayCache::new();
 //! let verified = verifier.verify(&presentation, &ctx, &mut replay)?;
 //! assert_eq!(verified.grantor, alice);
 //! # Ok::<(), restricted_proxy::error::VerifyError>(())
@@ -99,7 +99,7 @@ pub mod prelude {
     pub use crate::present::{Presentation, Proof};
     pub use crate::principal::{GroupName, PrincipalId};
     pub use crate::proxy::{delegate_cascade, grant, Proxy};
-    pub use crate::replay::{MemoryReplayGuard, RejectAcceptOnce, ReplayCache, ReplayGuard};
+    pub use crate::replay::{MemoryReplayGuard, ReplayCache, ReplayGuard};
     pub use crate::restriction::{
         AuthorizedEntry, Currency, Denial, ObjectName, Operation, Restriction, RestrictionSet,
     };

@@ -325,7 +325,7 @@ mod tests {
             crate::restriction::ObjectName::new("x"),
         )
         .at(Timestamp(5));
-        let mut guard = crate::replay::MemoryReplayGuard::new();
+        let mut guard = crate::replay::ReplayCache::new();
         assert!(verifier.verify(&pres, &ctx, &mut guard).is_ok());
     }
 }

@@ -1,19 +1,18 @@
-//! Replay protection for `accept-once` restrictions (§7.7).
+//! Replay protection: the one memory of consumed identifiers.
 //!
 //! "Once a check is paid, the accounting server keeps track of the check
 //! number until the expiration time on the check. If, within that period,
 //! another check with the same number is seen, it is rejected." (§4)
 //!
-//! Two in-memory implementations exist:
+//! The same rule guards an `accept-once` proxy's id (§7.7) and a Kerberos
+//! authenticator inside its clock-skew window (§6.2), and [`ReplayCache`]
+//! applies it to all three: a lock-striped, bounded, expiry-sweeping map
+//! of `(principal, id)` to the time it may be forgotten, marked through
+//! `&self` by every thread of a concurrent server. Per-key decisions are
+//! made under one stripe lock, so exactly one of any number of racing
+//! presenters wins a given `(grantor, id)`.
 //!
-//! * [`MemoryReplayGuard`] — a single-owner map, for per-request or
-//!   single-threaded verifiers.
-//! * [`ReplayCache`] — a lock-striped, bounded, expiry-sweeping cache with
-//!   a `&self` marking API, shared by every thread of a concurrent server.
-//!   Per-key decisions are made under one shard lock, so exactly one of
-//!   any number of racing presenters wins a given `(grantor, id)`.
-//!
-//! Both are **bounded fail-closed**: when a capacity is configured and no
+//! The cache is **bounded fail-closed**: when a stripe is full and no
 //! expired entry can be evicted, a *fresh* identifier is rejected rather
 //! than admitted untracked — forgetting an identifier could admit a
 //! replay, refusing a fresh proxy merely forces a retry.
@@ -27,7 +26,8 @@ use std::sync::Mutex;
 use crate::principal::PrincipalId;
 use crate::time::Timestamp;
 
-/// End-server-side memory of `accept-once` identifiers.
+/// End-server-side memory of `accept-once` identifiers: [`ReplayCache`],
+/// owned or shared, or a decorator around one.
 pub trait ReplayGuard {
     /// Records `(grantor, id)` if fresh, remembering it until `expires`.
     /// `now` is the request's timestamp; implementations use it to sweep
@@ -47,113 +47,6 @@ pub trait ReplayGuard {
     /// need only be remembered until the proxy carrying them expires —
     /// after that the proxy is unusable anyway.
     fn expire(&mut self, now: Timestamp);
-}
-
-/// Shared replay logic: the per-key decision on one map, with optional
-/// bounding. Returns `true` when the identifier is fresh and was recorded.
-fn mark_once(
-    seen: &mut HashMap<(PrincipalId, u64), Timestamp>,
-    capacity: Option<usize>,
-    grantor: &PrincipalId,
-    id: u64,
-    now: Timestamp,
-    expires: Timestamp,
-) -> bool {
-    let key = (grantor.clone(), id);
-    if let Some(prior) = seen.get(&key) {
-        // Remember the longer of the two retention windows.
-        if expires > *prior {
-            seen.insert(key, expires);
-        }
-        return false;
-    }
-    if let Some(cap) = capacity {
-        if seen.len() >= cap {
-            // Sweep: entries past their retention window can no longer
-            // gate anything (the proxies carrying them are expired).
-            seen.retain(|_, exp| *exp > now);
-        }
-        if seen.len() >= cap {
-            // Fail closed: full of live entries — refusing a fresh proxy
-            // is safe, silently forgetting a consumed identifier is not.
-            return false;
-        }
-    }
-    seen.insert(key, expires);
-    true
-}
-
-/// In-memory [`ReplayGuard`], optionally bounded.
-#[derive(Debug, Default)]
-pub struct MemoryReplayGuard {
-    seen: HashMap<(PrincipalId, u64), Timestamp>,
-    capacity: Option<usize>,
-}
-
-impl MemoryReplayGuard {
-    /// Creates an empty, unbounded guard.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a guard holding at most `capacity` identifiers (minimum 1).
-    /// At capacity, expired entries are swept first; if every entry is
-    /// still live, fresh identifiers are rejected (fail-closed).
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            seen: HashMap::new(),
-            capacity: Some(capacity.max(1)),
-        }
-    }
-
-    /// Number of identifiers currently remembered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// True when no identifiers are remembered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
-    }
-}
-
-impl ReplayGuard for MemoryReplayGuard {
-    fn accept_once(
-        &mut self,
-        grantor: &PrincipalId,
-        id: u64,
-        now: Timestamp,
-        expires: Timestamp,
-    ) -> bool {
-        mark_once(&mut self.seen, self.capacity, grantor, id, now, expires)
-    }
-
-    fn expire(&mut self, now: Timestamp) {
-        self.seen.retain(|_, expires| *expires > now);
-    }
-}
-
-/// A guard that refuses every `accept-once` proxy — for verifiers that
-/// cannot afford replay state and therefore must not accept such proxies.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RejectAcceptOnce;
-
-impl ReplayGuard for RejectAcceptOnce {
-    fn accept_once(
-        &mut self,
-        _grantor: &PrincipalId,
-        _id: u64,
-        _now: Timestamp,
-        _expires: Timestamp,
-    ) -> bool {
-        false
-    }
-
-    fn expire(&mut self, _now: Timestamp) {}
 }
 
 /// One lock stripe of a [`ReplayCache`].
@@ -231,24 +124,33 @@ impl ReplayCache {
         now: Timestamp,
         expires: Timestamp,
     ) -> bool {
-        let mut shard = self.shard(grantor, id).lock().expect("replay shard");
+        let mut guard = self.shard(grantor, id).lock().expect("replay shard");
+        let shard = &mut *guard;
         shard.since_sweep += 1;
         if shard.since_sweep >= SWEEP_PERIOD {
             shard.since_sweep = 0;
             shard.seen.retain(|_, exp| *exp > now);
         }
-        let fresh = mark_once(
-            &mut shard.seen,
-            Some(self.per_shard_capacity),
-            grantor,
-            id,
-            now,
-            expires,
-        );
-        if !fresh && !shard.seen.contains_key(&(grantor.clone(), id)) {
-            self.rejected_full.fetch_add(1, Ordering::Relaxed);
+        let key = (grantor.clone(), id);
+        if let Some(prior) = shard.seen.get_mut(&key) {
+            // Remember the longer of the two retention windows.
+            *prior = expires.max(*prior);
+            return false;
         }
-        fresh
+        if shard.seen.len() >= self.per_shard_capacity {
+            // Entries past their retention window can no longer gate
+            // anything (the proxies carrying them are expired).
+            shard.seen.retain(|_, exp| *exp > now);
+            if shard.seen.len() >= self.per_shard_capacity {
+                // Fail closed: full of live entries — refusing a fresh
+                // proxy is safe, silently forgetting a consumed
+                // identifier is not.
+                self.rejected_full.fetch_add(1, Ordering::Relaxed);
+                return false;
+            }
+        }
+        shard.seen.insert(key, expires);
+        true
     }
 
     /// Force-marks `(grantor, id)` as already consumed, *bypassing* the
@@ -326,6 +228,10 @@ impl Default for ReplayCache {
     }
 }
 
+/// The old name of [`ReplayCache`], kept only for the end-to-end
+/// benchmark's sources, which are frozen.
+pub type MemoryReplayGuard = ReplayCache;
+
 impl ReplayGuard for ReplayCache {
     fn accept_once(
         &mut self,
@@ -370,90 +276,36 @@ mod tests {
     }
 
     #[test]
-    fn fresh_then_replayed() {
-        let mut g = MemoryReplayGuard::new();
-        assert!(g.accept_once(&p("c"), 1, Timestamp(0), Timestamp(10)));
-        assert!(!g.accept_once(&p("c"), 1, Timestamp(0), Timestamp(10)));
-        assert!(g.accept_once(&p("c"), 2, Timestamp(0), Timestamp(10)));
-        assert!(g.accept_once(&p("d"), 1, Timestamp(0), Timestamp(10)));
-        assert_eq!(g.len(), 3);
-    }
-
-    #[test]
-    fn expiry_frees_identifiers() {
-        let mut g = MemoryReplayGuard::new();
-        assert!(g.accept_once(&p("c"), 1, Timestamp(0), Timestamp(10)));
-        g.expire(Timestamp(9));
-        assert!(
-            !g.accept_once(&p("c"), 1, Timestamp(9), Timestamp(10)),
-            "still remembered"
-        );
-        g.expire(Timestamp(10));
-        assert!(g.is_empty());
-        // After the window the id may be seen again (a new check may
-        // legitimately reuse a number after the old one expired).
-        assert!(g.accept_once(&p("c"), 1, Timestamp(11), Timestamp(20)));
-    }
-
-    #[test]
-    fn replay_extends_retention() {
-        let mut g = MemoryReplayGuard::new();
-        assert!(g.accept_once(&p("c"), 1, Timestamp(0), Timestamp(10)));
-        // A replay attempt carrying a longer expiry must extend retention.
-        assert!(!g.accept_once(&p("c"), 1, Timestamp(0), Timestamp(50)));
-        g.expire(Timestamp(10));
-        assert!(
-            !g.accept_once(&p("c"), 1, Timestamp(10), Timestamp(50)),
-            "retention extended"
-        );
-    }
-
-    #[test]
-    fn rejecting_guard_rejects_everything() {
-        let mut g = RejectAcceptOnce;
-        assert!(!g.accept_once(&p("c"), 1, Timestamp(0), Timestamp(10)));
-    }
-
-    #[test]
-    fn bounded_guard_stays_bounded_over_a_long_life() {
-        // A long-lived server: identifiers arrive forever, each living 32
-        // ticks (live population 32 < cap 64). The guard must not grow
-        // beyond its cap even after 50× the cap's worth of identifiers.
-        let mut g = MemoryReplayGuard::with_capacity(64);
-        for id in 0..(64 * 50) {
-            let now = Timestamp(id);
-            assert!(
-                g.accept_once(&p("c"), id, now, Timestamp(id + 32)),
-                "fresh id {id} admitted (expired entries swept)"
-            );
-            assert!(g.len() <= 64, "bounded at {id}: len {}", g.len());
-        }
-    }
-
-    #[test]
-    fn bounded_guard_fails_closed_when_full_of_live_entries() {
-        let mut g = MemoryReplayGuard::with_capacity(4);
-        for id in 0..4 {
-            assert!(g.accept_once(&p("c"), id, Timestamp(0), Timestamp(1000)));
-        }
-        // All four are live; a fresh fifth must be *rejected*, not
-        // admitted untracked.
-        assert!(!g.accept_once(&p("c"), 99, Timestamp(1), Timestamp(1000)));
-        assert_eq!(g.len(), 4);
-        // Consumed identifiers keep being rejected, of course.
-        assert!(!g.accept_once(&p("c"), 0, Timestamp(1), Timestamp(1000)));
-    }
-
-    #[test]
     fn replay_cache_basic_round_trip() {
         let cache = ReplayCache::with_capacity(1024, 4);
         assert!(cache.check_and_mark(&p("c"), 1, Timestamp(0), Timestamp(10)));
         assert!(!cache.check_and_mark(&p("c"), 1, Timestamp(0), Timestamp(10)));
         assert!(cache.check_and_mark(&p("c"), 2, Timestamp(0), Timestamp(10)));
-        assert_eq!(cache.len(), 2);
+        assert!(cache.check_and_mark(&p("d"), 1, Timestamp(0), Timestamp(10)));
+        assert_eq!(cache.len(), 3);
+        cache.sweep(Timestamp(9));
+        assert!(
+            !cache.check_and_mark(&p("c"), 1, Timestamp(9), Timestamp(10)),
+            "still remembered"
+        );
         cache.sweep(Timestamp(10));
         assert!(cache.is_empty());
+        // After the window the id may be seen again (a new check may
+        // legitimately reuse a number after the old one expired).
         assert!(cache.check_and_mark(&p("c"), 1, Timestamp(11), Timestamp(20)));
+    }
+
+    #[test]
+    fn replay_extends_retention() {
+        let cache = ReplayCache::new();
+        assert!(cache.check_and_mark(&p("c"), 1, Timestamp(0), Timestamp(10)));
+        // A replay attempt carrying a longer expiry must extend retention.
+        assert!(!cache.check_and_mark(&p("c"), 1, Timestamp(0), Timestamp(50)));
+        cache.sweep(Timestamp(10));
+        assert!(
+            !cache.check_and_mark(&p("c"), 1, Timestamp(10), Timestamp(50)),
+            "retention extended"
+        );
     }
 
     #[test]
@@ -500,7 +352,15 @@ mod tests {
             cache.check_and_mark(&p("c"), id, Timestamp(0), Timestamp(u64::MAX));
         }
         assert!(cache.len() <= cache.capacity());
-        assert!(cache.rejected_full() > 0, "fail-closed events recorded");
+        let refused = cache.rejected_full();
+        assert!(refused > 0, "fail-closed events recorded");
+        // A consumed identifier is still refused when the cache is full,
+        // and that refusal is a replay, not a fail-closed event.
+        let mut consumed = None;
+        cache.for_each_entry(|_, id, _| consumed = Some(id));
+        let consumed = consumed.expect("the cache holds live entries");
+        assert!(!cache.check_and_mark(&p("c"), consumed, Timestamp(0), Timestamp(u64::MAX)));
+        assert_eq!(cache.rejected_full(), refused);
         // Expiring everything restores admission.
         cache.sweep(Timestamp(u64::MAX));
         assert!(cache.check_and_mark(&p("c"), 1, Timestamp(0), Timestamp(u64::MAX)));

@@ -798,7 +798,7 @@ impl IntoIterator for RestrictionSet {
 mod tests {
     use super::*;
     use crate::context::RequestContext;
-    use crate::replay::MemoryReplayGuard;
+    use crate::replay::ReplayCache;
 
     fn p(name: &str) -> PrincipalId {
         PrincipalId::new(name)
@@ -813,7 +813,7 @@ mod tests {
     }
 
     fn eval(r: &Restriction, ctx: &RequestContext) -> Result<(), Denial> {
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         r.evaluate(ctx, &p("grantor"), Timestamp(100), &mut guard)
     }
 
@@ -944,7 +944,7 @@ mod tests {
     fn accept_once_rejects_replay() {
         let r = Restriction::AcceptOnce { id: 42 };
         let ctx = base_ctx();
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         assert_eq!(
             r.evaluate(&ctx, &p("grantor"), Timestamp(100), &mut guard),
             Ok(())
@@ -1006,7 +1006,7 @@ mod tests {
         let u = a.union(&b);
         let mut ctx = base_ctx();
         ctx.amounts.push((Currency::new("pages"), 50));
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         // 50 ≤ 100 but > 10: the union must deny.
         assert!(matches!(
             u.evaluate(&ctx, &p("g"), Timestamp(10), &mut guard),
@@ -1162,7 +1162,7 @@ mod tests {
     #[test]
     fn empty_set_allows_everything() {
         let set = RestrictionSet::new();
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         assert_eq!(
             set.evaluate(&base_ctx(), &p("g"), Timestamp(1), &mut guard),
             Ok(())

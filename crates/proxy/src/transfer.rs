@@ -182,7 +182,7 @@ mod tests {
             crate::restriction::ObjectName::new("x"),
         )
         .at(Timestamp(5));
-        let mut guard = crate::replay::MemoryReplayGuard::new();
+        let mut guard = crate::replay::ReplayCache::new();
         assert!(verifier.verify(&pres, &ctx, &mut guard).is_ok());
     }
 
@@ -240,7 +240,7 @@ mod tests {
                 continue; // flip landed in sealing randomness? impossible, but safe
             }
             let pres = received.present_bearer([1u8; 32], &PrincipalId::new("fs"));
-            let mut guard = crate::replay::MemoryReplayGuard::new();
+            let mut guard = crate::replay::ReplayCache::new();
             assert!(
                 verifier.verify(&pres, &ctx, &mut guard).is_err(),
                 "byte {i}: tampered transfer produced a verifiable proxy"

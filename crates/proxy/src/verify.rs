@@ -433,7 +433,7 @@ mod tests {
     use crate::cert::CertSeal;
     use crate::key::{GrantAuthority, MapResolver};
     use crate::proxy::{delegate_cascade, grant};
-    use crate::replay::MemoryReplayGuard;
+    use crate::replay::ReplayCache;
     use crate::restriction::{ObjectName, Operation, Restriction};
     use crate::time::{Timestamp, Validity};
     use proxy_crypto::ed25519::SigningKey;
@@ -485,7 +485,7 @@ mod tests {
             &mut s.rng,
         );
         let pres = proxy.present_bearer([7u8; 32], &p("fs"));
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         let verified = s.verifier.verify(&pres, &ctx(), &mut guard).unwrap();
         assert_eq!(verified.grantor, p("alice"));
         assert_eq!(verified.chain_len, 1);
@@ -508,7 +508,7 @@ mod tests {
             );
             let pres = proxy.present_bearer([7u8; 32], &p("fs"));
             s.verifier
-                .verify(&pres, &ctx(), &mut MemoryReplayGuard::new())
+                .verify(&pres, &ctx(), &mut ReplayCache::new())
                 .unwrap();
         }
         // Each verification worked under its own `grantor_verifier()`
@@ -575,7 +575,7 @@ mod tests {
             .at(Timestamp(10));
         let pres = Presentation::decode(&golden).unwrap();
         let verified = verifier
-            .verify(&pres, &ctx, &mut MemoryReplayGuard::new())
+            .verify(&pres, &ctx, &mut ReplayCache::new())
             .unwrap();
         assert_eq!((verified.grantor, verified.chain_len), (p("R"), 2));
     }
@@ -612,7 +612,7 @@ mod tests {
             &auth,
         );
         dir.apply_verified(&artifact).unwrap();
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         let pres = revoked.present_bearer([7u8; 32], &p("fs"));
         assert_eq!(
             verifier.verify(&pres, &ctx(), &mut guard),
@@ -646,7 +646,7 @@ mod tests {
             &mut rng,
         );
         let pres = proxy.present_bearer([7u8; 32], &p("fs"));
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         assert!(verifier.verify(&pres, &ctx(), &mut guard).is_ok());
     }
 
@@ -664,7 +664,7 @@ mod tests {
             &mut s.rng,
         );
         let pres = proxy.present_bearer([0u8; 32], &p("fs"));
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         assert_eq!(
             s.verifier.verify(&pres, &ctx(), &mut guard),
             Err(VerifyError::UnknownGrantor(p("mallory")))
@@ -686,7 +686,7 @@ mod tests {
             &mut s.rng,
         );
         let pres = proxy.present_bearer([0u8; 32], &p("fs"));
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         assert_eq!(
             s.verifier.verify(&pres, &ctx(), &mut guard),
             Err(VerifyError::BadSeal { index: 0 })
@@ -705,7 +705,7 @@ mod tests {
         let mut pres = proxy.present_bearer([0u8; 32], &p("fs"));
         // Attacker strips the restrictions from the certificate.
         pres.certs[0].restrictions = RestrictionSet::new();
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         assert_eq!(
             s.verifier.verify(&pres, &ctx(), &mut guard),
             Err(VerifyError::BadSeal { index: 0 })
@@ -725,7 +725,7 @@ mod tests {
             &mut s.rng,
         );
         let pres = proxy.present_bearer([0u8; 32], &p("fs"));
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         assert_eq!(
             s.verifier.verify(&pres, &ctx(), &mut guard), // ctx.now = 10
             Err(VerifyError::NotValidAt {
@@ -753,7 +753,7 @@ mod tests {
         if let Proof::Possession { challenge, .. } = &mut pres.proof {
             *challenge = [2u8; 32];
         }
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         assert_eq!(
             s.verifier.verify(&pres, &ctx(), &mut guard),
             Err(VerifyError::BadPossession)
@@ -774,7 +774,7 @@ mod tests {
             &mut s.rng,
         );
         let pres_for_other = proxy.present_bearer([1u8; 32], &p("other-server"));
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         assert_eq!(
             s.verifier.verify(&pres_for_other, &ctx(), &mut guard),
             Err(VerifyError::BadPossession)
@@ -794,7 +794,7 @@ mod tests {
             &mut s.rng,
         );
         let pres = proxy.present_delegate(); // wrong: bearer needs PoP
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         assert_eq!(
             s.verifier.verify(&pres, &ctx(), &mut guard),
             Err(VerifyError::BearerRequiresPossession)
@@ -814,7 +814,7 @@ mod tests {
             &mut s.rng,
         );
         let pres = proxy.present_delegate();
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         // Unauthenticated: denied.
         assert!(matches!(
             s.verifier.verify(&pres, &ctx(), &mut guard),
@@ -854,7 +854,7 @@ mod tests {
                 &mut s.rng,
             )
             .unwrap();
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         // Allowed: matches the added restriction.
         let pres = child.present_bearer([3u8; 32], &p("fs"));
         let verified = s.verifier.verify(&pres, &ctx(), &mut guard).unwrap();
@@ -909,7 +909,7 @@ mod tests {
             .with(p("print"), GrantorVerifier::SharedKey(print_shared));
         let verifier = Verifier::new(p("fs"), resolver);
         let pres = child.present_delegate();
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         // The subordinate authenticates as itself; the cascade makes it an
         // effective delegate of alice's proxy.
         let sub_ctx = ctx().authenticated_as(p("fsworker"));
@@ -942,7 +942,7 @@ mod tests {
         // Present only the tail link, pretending it is a whole chain.
         let mut pres = child.present_bearer([0u8; 32], &p("fs"));
         pres.certs.remove(0);
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         assert_eq!(
             s.verifier.verify(&pres, &ctx(), &mut guard),
             Err(VerifyError::HeadNotGrantorSealed)
@@ -956,7 +956,7 @@ mod tests {
             certs: vec![],
             proof: Proof::Identity,
         };
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         assert_eq!(
             s.verifier.verify(&pres, &ctx(), &mut guard),
             Err(VerifyError::EmptyChain)
@@ -979,7 +979,7 @@ mod tests {
             &mut s.rng,
         );
         let recorded = proxy.present_bearer([10u8; 32], &p("fs"));
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         assert!(s.verifier.verify(&recorded, &ctx(), &mut guard).is_ok());
         // Fresh challenge from the server; attacker replays the old response.
         let Proof::Possession { response, .. } = &recorded.proof else {
@@ -1010,7 +1010,7 @@ mod tests {
             1,
             &mut s.rng,
         );
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         let pres = proxy.present_bearer([1u8; 32], &p("fs"));
         assert!(s.verifier.verify(&pres, &ctx(), &mut guard).is_ok());
         // Second acceptance (even via a fresh presentation) is rejected.
@@ -1051,7 +1051,7 @@ mod tests {
             .derive(RestrictionSet::new(), window(), 3, &mut rng)
             .unwrap();
         let pres = grandchild.present_bearer([5u8; 32], &p("fs"));
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         let verified = verifier.verify(&pres, &ctx(), &mut guard).unwrap();
         assert_eq!(verified.chain_len, 3);
     }
@@ -1075,7 +1075,7 @@ mod tests {
             1,
             &mut rng,
         );
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         let pres_fs = proxy.present_bearer([1u8; 32], &p("fs"));
         assert!(fs.verify(&pres_fs, &ctx(), &mut guard).is_ok());
         let pres_mail = proxy.present_bearer([1u8; 32], &p("mail"));
@@ -1104,7 +1104,7 @@ mod tests {
         // says alice uses a shared key, so the flavors cannot line up.
         let sk = SigningKey::generate(&mut s.rng);
         pres.certs[0].seal = CertSeal::Ed25519(sk.sign(b"x"));
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         assert_eq!(
             s.verifier.verify(&pres, &ctx(), &mut guard),
             Err(VerifyError::FlavorMismatch { index: 0 })
@@ -1185,7 +1185,7 @@ mod tests {
             for (honest, index) in cases {
                 let case = format!("{other_seal:?} at link {index} of {}", honest.certs.len());
                 let verifier = || Verifier::new(p("fs"), resolver.clone()).with_seal_cache(64);
-                let mut guard = MemoryReplayGuard::new();
+                let mut guard = ReplayCache::new();
                 assert!(
                     verifier().verify(&honest, &sub_ctx, &mut guard).is_ok(),
                     "{case}"
@@ -1219,7 +1219,7 @@ mod tests {
         .unwrap();
         let wire = proxy.present_bearer([2u8; 32], &p("fs")).encode();
         let decoded = crate::present::Presentation::decode(&wire).unwrap();
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         assert!(s.verifier.verify(&decoded, &ctx(), &mut guard).is_ok());
     }
 
@@ -1240,7 +1240,7 @@ mod tests {
             &mut s.rng,
         );
         let pres = proxy.present_delegate();
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         let one = ctx().authenticated_as(p("bob"));
         assert!(matches!(
             s.verifier.verify(&pres, &one, &mut guard),
@@ -1270,7 +1270,7 @@ mod tests {
         )
         .derive(RestrictionSet::new(), window(), 2, &mut rng)
         .unwrap();
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         let pres = proxy.present_bearer([1u8; 32], &p("fs"));
         assert!(verifier.verify(&pres, &ctx(), &mut guard).is_ok());
         let cache = verifier.seal_cache().unwrap();
@@ -1302,7 +1302,7 @@ mod tests {
             1,
             &mut rng,
         );
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         // Warm the cache with the honest certificate.
         let pres = proxy.present_bearer([1u8; 32], &p("fs"));
         assert!(verifier.verify(&pres, &ctx(), &mut guard).is_ok());
@@ -1340,7 +1340,7 @@ mod tests {
         // Corrupt the middle link's serial: the batched seal check must
         // fail and attribute the failure to index 1.
         pres.certs[1].serial ^= 1;
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         assert_eq!(
             verifier.verify(&pres, &ctx(), &mut guard),
             Err(VerifyError::BadSeal { index: 1 })
@@ -1410,7 +1410,7 @@ mod tests {
                 for forged_at in [None, Some(0), Some(1), Some(2), Some(3)] {
                     let verifier = Verifier::new(p("fs"), resolver.clone()).with_seal_cache(64);
                     let cache = verifier.seal_cache().unwrap();
-                    let mut guard = MemoryReplayGuard::new();
+                    let mut guard = ReplayCache::new();
                     if warm {
                         assert!(verifier.verify(&honest, &ctx(), &mut guard).is_ok());
                     }
@@ -1482,7 +1482,7 @@ mod tests {
         )
         .unwrap();
         let sub_ctx = ctx().authenticated_as(p("fsworker"));
-        let mut guard = MemoryReplayGuard::new();
+        let mut guard = ReplayCache::new();
         let mut pres = child.present_bearer([1u8; 32], &p("fs"));
         if let Proof::Possession { response, .. } = &mut pres.proof {
             response[0] ^= 1;
@@ -1502,29 +1502,5 @@ mod tests {
         assert_eq!(verifier.seal_cache().unwrap().len(), 1, "alice's seal held");
         let good = child.present_bearer([2u8; 32], &p("fs"));
         assert!(verifier.verify(&good, &sub_ctx, &mut guard).is_ok());
-    }
-
-    #[test]
-    fn stateless_verifiers_refuse_accept_once_proxies() {
-        // A verifier that cannot keep replay state must reject accept-once
-        // proxies outright rather than accept them unsafely.
-        let mut s = symmetric_setup(22);
-        let auth = GrantAuthority::SharedKey(s.shared.clone());
-        let proxy = grant(
-            &p("alice"),
-            &auth,
-            RestrictionSet::new().with(Restriction::AcceptOnce { id: 1 }),
-            window(),
-            1,
-            &mut s.rng,
-        );
-        let pres = proxy.present_bearer([1u8; 32], &p("fs"));
-        let mut guard = crate::replay::RejectAcceptOnce;
-        assert!(matches!(
-            s.verifier.verify(&pres, &ctx(), &mut guard),
-            Err(VerifyError::Denied(
-                crate::restriction::Denial::AlreadyAccepted { .. }
-            ))
-        ));
     }
 }

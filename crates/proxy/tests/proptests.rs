@@ -130,10 +130,10 @@ proptest! {
         let parent_pres = parent.present_bearer([2u8; 32], &ctx.server);
         // Fresh replay guards so accept-once state doesn't couple the runs.
         let child_ok = verifier
-            .verify(&child_pres, &ctx, &mut MemoryReplayGuard::new())
+            .verify(&child_pres, &ctx, &mut ReplayCache::new())
             .is_ok();
         let parent_ok = verifier
-            .verify(&parent_pres, &ctx, &mut MemoryReplayGuard::new())
+            .verify(&parent_pres, &ctx, &mut ReplayCache::new())
             .is_ok();
         prop_assert!(!child_ok || parent_ok,
             "child allowed a request the parent denies");
@@ -150,10 +150,10 @@ proptest! {
         let grantor = PrincipalId::new("alice");
         let u = a.union(&b);
         let a_ok = a
-            .evaluate(&ctx, &grantor, Timestamp(1000), &mut MemoryReplayGuard::new())
+            .evaluate(&ctx, &grantor, Timestamp(1000), &mut ReplayCache::new())
             .is_ok();
         let u_ok = u
-            .evaluate(&ctx, &grantor, Timestamp(1000), &mut MemoryReplayGuard::new())
+            .evaluate(&ctx, &grantor, Timestamp(1000), &mut ReplayCache::new())
             .is_ok();
         prop_assert!(!u_ok || a_ok, "union allowed what a component denies");
     }
@@ -168,8 +168,8 @@ proptest! {
         let grantor = PrincipalId::new("alice");
         let ab = a.union(&b);
         let ba = b.union(&a);
-        let r1 = ab.evaluate(&ctx, &grantor, Timestamp(1000), &mut MemoryReplayGuard::new());
-        let r2 = ba.evaluate(&ctx, &grantor, Timestamp(1000), &mut MemoryReplayGuard::new());
+        let r1 = ab.evaluate(&ctx, &grantor, Timestamp(1000), &mut ReplayCache::new());
+        let r2 = ba.evaluate(&ctx, &grantor, Timestamp(1000), &mut ReplayCache::new());
         prop_assert_eq!(r1.is_ok(), r2.is_ok());
     }
 
@@ -215,7 +215,7 @@ proptest! {
         let verifier = Verifier::new(fs.clone(), resolver);
         let ctx = RequestContext::new(fs, Operation::new("read"), ObjectName::new("fileA"))
             .at(Timestamp(10));
-        match verifier.verify(&decoded, &ctx, &mut MemoryReplayGuard::new()) {
+        match verifier.verify(&decoded, &ctx, &mut ReplayCache::new()) {
             Ok(_) | Err(VerifyError::Denied(_)) => {}
             Err(e) => return Err(TestCaseError::fail(format!("unexpected: {e}"))),
         }
@@ -260,7 +260,7 @@ proptest! {
         let verifier = Verifier::new(fs.clone(), resolver);
         let ctx = RequestContext::new(fs, Operation::new("read"), ObjectName::new("fileA"))
             .at(Timestamp(10));
-        let result = verifier.verify(&tampered_pres, &ctx, &mut MemoryReplayGuard::new());
+        let result = verifier.verify(&tampered_pres, &ctx, &mut ReplayCache::new());
         prop_assert!(
             result.is_err(),
             "tampered certificate verified: {result:?}"

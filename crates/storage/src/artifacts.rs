@@ -85,11 +85,6 @@ impl<S: Storage> ArtifactStore<S> {
         Self { store }
     }
 
-    /// The underlying backend (tests use this to inject crashes).
-    pub fn backend(&self) -> &S {
-        &self.store
-    }
-
     /// Durably appends one artifact in its signed encoding.
     ///
     /// # Errors

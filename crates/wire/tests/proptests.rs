@@ -466,7 +466,7 @@ fn ed25519_proxy_key_round_trips_unexpanded_and_still_proves_possession() {
         let ctx = RequestContext::new(p("fs"), Operation::new("read"), ObjectName::new("obj"))
             .at(Timestamp(3));
         let presentation = check.present_bearer([9u8; 32], &p("fs"));
-        let mut replay = MemoryReplayGuard::new();
+        let mut replay = ReplayCache::new();
         let verified = verifier
             .verify(&presentation, &ctx, &mut replay)
             .expect("a decoded proxy key still proves possession");

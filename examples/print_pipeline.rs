@@ -33,7 +33,7 @@ fn main() {
             GrantorVerifier::SharedKey(spooler_fs.clone()),
         );
     let verifier = Verifier::new(fs.clone(), resolver);
-    let mut replay = MemoryReplayGuard::new();
+    let mut replay = ReplayCache::new();
 
     // --- Alice grants the spooler a restricted delegate proxy. ----------
     let job_proxy = grant(

@@ -58,7 +58,7 @@ fn main() {
     println!("archive@org-b fetched and verified alice's key binding from the name server.");
 
     let verifier = Verifier::new(archive.clone(), resolver.clone());
-    let mut replay = MemoryReplayGuard::new();
+    let mut replay = ReplayCache::new();
     let pres = proxy.present_bearer([1u8; 32], &archive);
     let ctx = RequestContext::new(
         archive.clone(),

@@ -47,7 +47,7 @@ fn main() {
     // --- The file server's verifier. -------------------------------------
     let resolver = MapResolver::new().with(alice.clone(), GrantorVerifier::SharedKey(session));
     let verifier = Verifier::new(fileserver.clone(), resolver);
-    let mut replay = MemoryReplayGuard::new();
+    let mut replay = ReplayCache::new();
 
     // --- Bob (holding the proxy) reads the file. ------------------------
     let challenge = [42u8; 32]; // the server's fresh challenge

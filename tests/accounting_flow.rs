@@ -249,7 +249,7 @@ fn quota_restriction_limits_spend_per_presentation() {
         GrantAuthority::SharedKey(_) => unreachable!(),
     };
     let verifier = Verifier::new(p("printer"), resolver);
-    let mut guard = MemoryReplayGuard::new();
+    let mut guard = ReplayCache::new();
     let ok_ctx = RequestContext::new(
         p("printer"),
         Operation::new("print"),

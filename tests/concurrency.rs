@@ -43,7 +43,6 @@ fn public_api_types_are_send_and_sync() {
     assert_send_sync::<Presentation>();
     assert_send_sync::<RestrictionSet>();
     assert_send_sync::<Verifier<MapResolver>>();
-    assert_send_sync::<MemoryReplayGuard>();
     assert_send_sync::<ReplayCache>();
     assert_send_sync::<ShardMap<String, u64>>();
     assert_send_sync::<VerifiedCertCache>();
@@ -83,7 +82,7 @@ fn parallel_verification_shares_one_verifier() {
             let proxy = &proxy;
             let ctx = &ctx;
             scope.spawn(move || {
-                let mut guard = MemoryReplayGuard::new();
+                let mut guard = ReplayCache::new();
                 for i in 0..50 {
                     let challenge = [t as u8 + 1; 32];
                     let pres = proxy.present_bearer(challenge, &p("fs"));
@@ -143,7 +142,7 @@ fn racing_verifications_share_key_table_slots_and_get_only_correct_verdicts() {
             let (verifier, caps, ctx, barrier) = (&verifier, &caps, &ctx, &barrier);
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(100 + t as u64);
-                let mut guard = MemoryReplayGuard::new();
+                let mut guard = ReplayCache::new();
                 // Odd strides are coprime to KEYS: each thread's own
                 // permutation of all the keys.
                 let stride = 2 * t + 1;

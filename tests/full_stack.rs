@@ -82,7 +82,7 @@ fn kerberos_session_key_verifies_proxies() {
     let verifier = Verifier::new(p("fs"), SessionResolver(&w.fs));
     let ctx = RequestContext::new(p("fs"), Operation::new("read"), ObjectName::new("report"))
         .at(Timestamp(5));
-    let mut guard = MemoryReplayGuard::new();
+    let mut guard = ReplayCache::new();
     let pres = cap.present_bearer([7u8; 32], &p("fs"));
     let verified = verifier.verify(&pres, &ctx, &mut guard).expect("verifies");
     assert_eq!(verified.grantor, p("alice"));

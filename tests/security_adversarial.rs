@@ -65,7 +65,7 @@ fn eavesdropped_presentation_is_useless() {
         &EndpointId::new("fs"),
         &pres.encode(),
     );
-    let mut guard = MemoryReplayGuard::new();
+    let mut guard = ReplayCache::new();
     assert!(w.verifier.verify(&pres, &ctx(), &mut guard).is_ok());
 
     // The attacker reconstructs the presentation from the tap.
@@ -116,7 +116,7 @@ fn stripping_a_restriction_breaks_the_seal() {
     );
     let mut pres = cap.present_bearer([1u8; 32], &p("fs"));
     pres.certs[0].restrictions = RestrictionSet::new();
-    let mut guard = MemoryReplayGuard::new();
+    let mut guard = ReplayCache::new();
     assert_eq!(
         w.verifier.verify(&pres, &ctx(), &mut guard),
         Err(VerifyError::BadSeal { index: 0 })
@@ -152,7 +152,7 @@ fn splicing_certificates_across_chains_fails() {
     // b's first proxy key, not a's).
     let mut spliced = a.present_bearer([1u8; 32], &p("fs"));
     spliced.certs[1] = b.certs[1].clone();
-    let mut guard = MemoryReplayGuard::new();
+    let mut guard = ReplayCache::new();
     let result = w.verifier.verify(&spliced, &ctx(), &mut guard);
     assert!(
         matches!(
@@ -187,7 +187,7 @@ fn extending_someone_elses_bearer_chain_requires_the_proxy_key() {
         .derive(RestrictionSet::new(), window(), 2, &mut w.rng)
         .expect("construction succeeds locally");
     let pres = forged.present_bearer([1u8; 32], &p("fs"));
-    let mut guard = MemoryReplayGuard::new();
+    let mut guard = ReplayCache::new();
     let result = w.verifier.verify(&pres, &ctx(), &mut guard);
     assert!(
         matches!(result, Err(VerifyError::BadSeal { index: 1 })),
@@ -211,7 +211,7 @@ fn delegate_proxy_cannot_be_used_by_non_delegates_even_with_possession() {
     // Mallory stole the proxy (certs + key) and proves possession.
     let pres = proxy.present_bearer([1u8; 32], &p("fs"));
     let mallory_ctx = ctx().authenticated_as(p("mallory"));
-    let mut guard = MemoryReplayGuard::new();
+    let mut guard = ReplayCache::new();
     assert!(matches!(
         w.verifier.verify(&pres, &mallory_ctx, &mut guard),
         Err(VerifyError::Denied(Denial::GranteeNotPresent { .. }))
@@ -268,7 +268,7 @@ fn expired_chain_rejected_even_with_valid_tail() {
     );
     let pres = child.present_bearer([1u8; 32], &p("fs"));
     let late_ctx = ctx().at(Timestamp(50));
-    let mut guard = MemoryReplayGuard::new();
+    let mut guard = ReplayCache::new();
     assert_eq!(
         w.verifier.verify(&pres, &late_ctx, &mut guard),
         Err(VerifyError::NotValidAt {
@@ -293,7 +293,7 @@ fn wire_corruption_of_any_presentation_byte_never_authorizes_more() {
         &mut w.rng,
     );
     let wire = cap.present_bearer([1u8; 32], &p("fs")).encode();
-    let mut guard = MemoryReplayGuard::new();
+    let mut guard = ReplayCache::new();
     for i in 0..wire.len() {
         let mut bad = wire.clone();
         bad[i] ^= 0x01;
@@ -339,7 +339,7 @@ fn seal_cache_never_bypasses_accept_once() {
         1,
         &mut rng,
     );
-    let mut guard = MemoryReplayGuard::new();
+    let mut guard = ReplayCache::new();
     let first = cap.present_bearer([1u8; 32], &p("fs"));
     assert!(verifier.verify(&first, &ctx(), &mut guard).is_ok());
     // Second presentation: the seal check is a cache hit, yet acceptance
@@ -366,7 +366,7 @@ fn seal_cache_never_bypasses_expiry() {
         1,
         &mut rng,
     );
-    let mut guard = MemoryReplayGuard::new();
+    let mut guard = ReplayCache::new();
     let pres = cap.present_bearer([1u8; 32], &p("fs"));
     assert!(verifier.verify(&pres, &ctx(), &mut guard).is_ok());
     assert_eq!(verifier.seal_cache().unwrap().len(), 1, "seal was cached");
@@ -397,7 +397,7 @@ fn seal_cache_never_bypasses_possession_proof() {
         1,
         &mut rng,
     );
-    let mut guard = MemoryReplayGuard::new();
+    let mut guard = ReplayCache::new();
     let recorded = cap.present_bearer([1u8; 32], &p("fs"));
     assert!(verifier.verify(&recorded, &ctx(), &mut guard).is_ok());
     let Proof::Possession { response, .. } = &recorded.proof else {
@@ -458,7 +458,7 @@ fn a_failed_proof_caches_the_good_seals_and_a_forged_seal_caches_nothing() {
             .unwrap();
     }
     let cache = verifier.seal_cache().unwrap();
-    let mut guard = MemoryReplayGuard::new();
+    let mut guard = ReplayCache::new();
 
     let mut forged = cap.present_bearer([1u8; 32], &p("fs"));
     let body = forged.certs[2].body_bytes();
@@ -497,7 +497,7 @@ fn a_failed_proof_caches_the_good_seals_and_a_forged_seal_caches_nothing() {
 fn promoted_keys_refuse_every_forged_possession_proof_and_lone_seal() {
     let (mut rng, auth, verifier) = cached_world(103);
     let forger = GrantAuthority::Keypair(proxy_aa::crypto::ed25519::SigningKey::generate(&mut rng));
-    let mut guard = MemoryReplayGuard::new();
+    let mut guard = ReplayCache::new();
     // A one-link delegate proxy needs its seal checked and nothing else:
     // three fresh ones are three lone seals under alice's key.
     let bob = ctx().authenticated_as(p("bob"));
@@ -582,7 +582,7 @@ fn promoted_keys_refuse_every_forged_possession_proof_and_lone_seal() {
 fn a_key_first_seen_under_a_forgery_still_accepts_the_real_thing() {
     let (mut rng, auth, verifier) = cached_world(104);
     let forger = GrantAuthority::Keypair(proxy_aa::crypto::ed25519::SigningKey::generate(&mut rng));
-    let mut guard = MemoryReplayGuard::new();
+    let mut guard = ReplayCache::new();
     // Alice's key, first seen under a forged seal.
     let forged = grant(
         &p("alice"),
