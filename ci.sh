@@ -78,11 +78,17 @@ cargo test --release -q -p proxy-wire --test proptests --test corpus
 # Pipelined wire path (DESIGN.md §12): correlation of out-of-order
 # replies, accept-once/fail-closed invariants under deep pipelines and
 # racing clients, pooled-connection recovery after (mid-frame)
-# disconnects, and a forged seal's failure isolation among racing
-# deposits — release mode so the Ed25519 batch equations run at full
-# speed.
+# disconnects, a cold burst whose checks settle together answered as
+# the same calls one by one, and a forged seal's failure isolation among
+# racing deposits — release mode so the Ed25519 batch equations run at
+# full speed.
 cargo test --release -q --test pipeline
 cargo test --release -q --test security_adversarial forged_seal_among_racing_deposits
+# Cross-request settle (DESIGN.md §8, "One settle step"): a group of
+# presentations settled together decides what each decides alone —
+# verdicts, blamed indices, accept-once marks, cached seals — and
+# settles in equations of bounded size.
+cargo test --release -q -p restricted-proxy --lib verify::group_tests
 
 # The figure reproductions (DESIGN.md §4): the default mode must run to
 # the end and print every experiment, F1–F6 and the ablations A1–A5.
@@ -179,17 +185,18 @@ e2e_gate fig3_query 'alloc.allocs_per_op' 22 'authz.request_authorization_us' 4.
 # Settle record; one more allocation per deposit trips it).
 e2e_gate fig5_mem 'wire.decode_req_us' 5 'alloc.allocs_per_op' 54.1
 
-# One equation per cold presentation (DESIGN.md §8, "One settle step"):
-# four seals and the possession proof share one scratch buffer, one
-# vector of pending checks and one vector of Straus terms. 18 allocs/op
-# today (33 when every deferred seal copied its body and `verify_batch`
-# built nine vectors).
+# One equation per read (DESIGN.md §8, "One settle step"): four seals
+# and the possession proof share one scratch buffer and one vector of
+# pending checks; the presentations of a group share one vector of
+# Straus terms, and the worker's group vectors keep their capacity.
+# 17 allocs/op today at depth 1, a group of one (33 when every deferred
+# seal copied its body and `verify_batch` built nine vectors).
 e2e_gate fig4_cold 'alloc.allocs_per_op' 25
 
 # A warm presentation is one lone check under a prepared key (DESIGN.md
 # §8, "Prepared keys" / "Stride 32"): the chain walks thirty-two
 # doublings over tables the key table already holds and allocates
-# nothing. 15 allocs/op today, exact. No timing ceiling here: the
+# nothing. 14 allocs/op today, exact. No timing ceiling here: the
 # benchmark's `rtt_p50_us` bound carries that.
 e2e_gate fig4_hot 'alloc.allocs_per_op' 16
 

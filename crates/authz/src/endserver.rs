@@ -16,7 +16,7 @@ use restricted_proxy::replay::ReplayCache;
 use restricted_proxy::restriction::{Currency, ObjectName, Operation, Restriction};
 use restricted_proxy::revocation::{ArtifactError, RevocationArtifact, RevocationDirectory};
 use restricted_proxy::time::Timestamp;
-use restricted_proxy::verify::{VerifiedProxy, Verifier};
+use restricted_proxy::verify::{Prepared, VerifiedProxy, Verifier};
 
 use crate::acl::{AclEntry, AclStore, AclSubject, ClaimSet};
 use crate::error::AuthzError;
@@ -238,7 +238,7 @@ impl<R: KeyResolver> EndServer<R> {
         Ok(())
     }
 
-    /// Decides a request.
+    /// Decides a request: the group of one of [`Self::authorize_all`].
     ///
     /// Verification happens in two passes: group proxies first (their
     /// proven memberships feed `for-use-by-group` checks in the second
@@ -251,6 +251,53 @@ impl<R: KeyResolver> EndServer<R> {
     /// failures of *all* presented proxies surface as the last
     /// [`AuthzError::Verify`] only when nothing else matched.
     pub fn authorize(&self, req: &Request) -> Result<Authorized, AuthzError> {
+        let mut prepared = Vec::new();
+        self.prepare(req, &mut prepared);
+        self.verifier.settle(&mut prepared);
+        self.decide(req, &prepared)
+    }
+
+    /// Decides `requests` as a group and hands each decision, in order,
+    /// to `decided` with its index. Every presentation of every request
+    /// runs the pure part of verification first, then one settle step
+    /// decides all their Ed25519 checks together ([`Verifier::settle`]),
+    /// and only then is each request finished — replay marks included —
+    /// in order. Each decision is the one [`Self::authorize`] gives when
+    /// the requests arrive one by one. `prepared` is scratch, left empty
+    /// with its capacity kept.
+    pub fn authorize_all(
+        &self,
+        requests: &[Request],
+        prepared: &mut Vec<Prepared>,
+        mut decided: impl FnMut(usize, Result<Authorized, AuthzError>),
+    ) {
+        prepared.clear();
+        for req in requests {
+            self.prepare(req, prepared);
+        }
+        self.verifier.settle(prepared);
+        let mut rest = prepared.as_slice();
+        for (i, req) in requests.iter().enumerate() {
+            let (own, tail) = rest.split_at(req.presentations.len().min(rest.len()));
+            rest = tail;
+            decided(i, self.decide(req, own));
+        }
+        prepared.clear();
+    }
+
+    /// The pure part of verifying each of `req`'s presentations, onto
+    /// `prepared`.
+    fn prepare(&self, req: &Request, prepared: &mut Vec<Prepared>) {
+        prepared.extend(
+            req.presentations
+                .iter()
+                .map(|pres| self.verifier.prepare(pres, req.now)),
+        );
+    }
+
+    /// Finishes `req`, whose presentations were prepared, in order, into
+    /// `prepared` and have settled.
+    fn decide(&self, req: &Request, prepared: &[Prepared]) -> Result<Authorized, AuthzError> {
         let mut replay = &self.replay;
         let mut ctx = RequestContext::new(
             self.verifier.server().clone(),
@@ -295,20 +342,20 @@ impl<R: KeyResolver> EndServer<R> {
         }
 
         // Pass 1: group proxies prove memberships.
-        let (group_proxies, other_proxies): (Vec<_>, Vec<_>) = req
-            .presentations
-            .iter()
-            .partition(|p| is_group_presentation(p));
-        for pres in group_proxies {
-            match self.verifier.verify(pres, &ctx, &mut replay) {
+        let presented = req.presentations.iter().zip(prepared);
+        for (pres, p) in presented
+            .clone()
+            .filter(|(pres, _)| is_group_presentation(pres))
+        {
+            match self.verifier.finish(p, pres, &ctx, &mut replay) {
                 Ok(verified) => claim_asserted_groups(&verified, &mut claims, &mut ctx),
                 Err(e) => last_error = Some(e.into()),
             }
         }
 
         // Pass 2: remaining proxies confer their grantors' identities.
-        for pres in other_proxies {
-            match self.verifier.verify(pres, &ctx, &mut replay) {
+        for (pres, p) in presented.filter(|(pres, _)| !is_group_presentation(pres)) {
+            match self.verifier.finish(p, pres, &ctx, &mut replay) {
                 Ok(verified) => {
                     if !claims.principals.contains(&verified.grantor) {
                         claims.principals.push(verified.grantor);

@@ -1178,6 +1178,38 @@ fn ablate_crypto() {
     let cached = world.verifier.clone().with_seal_cache(64);
     verify_fresh(&cached, &pres, &ctx);
 
+    // C3 across requests: n cold depth-4 cascades of distinct chains as
+    // one group — `prepare` each, one `settle`, `finish` each — and as
+    // n calls of `verify`.
+    const GROUPS: [usize; 5] = [1, 2, 4, 8, 16];
+    let cascades: Vec<Presentation> = (0..16u64)
+        .map(|i| {
+            let head = grant(
+                &world.grantor,
+                &world.authority,
+                RestrictionSet::new(),
+                window(),
+                100 + 4 * i,
+                &mut chain_rng,
+            );
+            (1..4)
+                .fold(head, |proxy, link| {
+                    proxy
+                        .derive(
+                            RestrictionSet::new(),
+                            window(),
+                            100 + 4 * i + link,
+                            &mut chain_rng,
+                        )
+                        .expect("window fixed")
+                })
+                .present_bearer([3u8; 32], &world.server)
+        })
+        .collect();
+    let cascades = cascades.as_slice();
+    let group_name = |n: usize| format!("group/{n}");
+    let verify_each_name = |n: usize| format!("verify-each/{n}");
+
     // The conventional half (DESIGN.md §8, "Conventional keys"): what a
     // key costs per message under its raw bytes, on its first use, and
     // once it holds its schedule. A thousand operations per call, in ns.
@@ -1280,6 +1312,27 @@ fn ablate_crypto() {
             verify_batch(&items[..n]).expect("valid");
             let (m, sg, key) = &items[n];
             key.verify(m, sg).expect("valid");
+        }));
+    }
+    for n in GROUPS {
+        let (verifier, ctx) = (&world.verifier, &ctx);
+        let mut prepared = Vec::with_capacity(n);
+        variants.push(kernel(group_name(n), move || {
+            let mut replay = ReplayCache::with_capacity(ReplayCache::DEFAULT_CAPACITY, 1);
+            prepared.clear();
+            prepared.extend(cascades[..n].iter().map(|p| verifier.prepare(p, ctx.now)));
+            verifier.settle(&mut prepared);
+            for (p, pres) in prepared.iter().zip(cascades) {
+                verifier
+                    .finish(p, pres, ctx, &mut replay)
+                    .expect("verifies");
+            }
+        }));
+        variants.push(kernel(verify_each_name(n), move || {
+            let mut replay = ReplayCache::with_capacity(ReplayCache::DEFAULT_CAPACITY, 1);
+            for pres in &cascades[..n] {
+                verifier.verify(pres, ctx, &mut replay).expect("verifies");
+            }
         }));
     }
     for n in PLUS_PREPARED {
@@ -1408,6 +1461,30 @@ fn ablate_crypto() {
             "prepared-check-joins-the-batch-vs-stands-alone",
             n,
             ratio(&batch_name(n + 1), &plus_prepared_name(n)),
+            "x",
+        );
+    }
+    for n in GROUPS {
+        let per_request = |name: String| format!("{:.1}", us(&name) / n as f64);
+        report_row(
+            "C3",
+            "group-per-request",
+            n,
+            per_request(group_name(n)),
+            "µs",
+        );
+        report_row(
+            "C3",
+            "verify-each-per-request",
+            n,
+            per_request(verify_each_name(n)),
+            "µs",
+        );
+        report_row(
+            "C3",
+            "group-vs-verify-each",
+            n,
+            ratio(&group_name(n), &verify_each_name(n)),
             "x",
         );
     }

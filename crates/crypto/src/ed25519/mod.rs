@@ -403,7 +403,8 @@ static BATCH_NONCE: AtomicU64 = AtomicU64::new(0);
 /// equation. If the combined equation fails, the batch falls back to
 /// sequential verification, so the result is always exactly "every
 /// signature verifies individually" — a batch rejection costs time, never
-/// correctness. [`first_failure`] says which one does not.
+/// correctness. [`first_failure`] says which one does not; [`batch_holds`]
+/// is the equation alone.
 ///
 /// # Errors
 ///
@@ -420,22 +421,36 @@ pub fn verify_batch(items: &[(&[u8], &Signature, &VerifyingKey)]) -> Result<(), 
 /// The index of the first of `items` that fails [`VerifyingKey::verify`],
 /// or `None` when every one verifies.
 ///
-/// The combined equation of [`verify_batch`] is the fast path for `None`.
-/// When it fails, or as soon as a key or `R` does not decompress or an
-/// `s` is not canonical, the items are verified one by one from index 0,
-/// so the answer is always the first failure in order — a chain's first
-/// bad link, whatever made the equation fail — and each item is checked
-/// alone at most once.
+/// [`batch_holds`] is the fast path for `None`. When the equation fails
+/// — or cannot be built, because a key or `R` does not decompress or an
+/// `s` is not canonical — [`first_lone_failure`] names the first bad
+/// item, so the answer is always the first failure in order: a chain's
+/// first bad link, whatever made the equation fail.
 #[must_use]
 pub fn first_failure(items: &[(&[u8], &Signature, &VerifyingKey)]) -> Option<usize> {
-    let one_by_one = || {
-        items
-            .iter()
-            .position(|(message, signature, key)| key.verify(message, signature).is_err())
-    };
-    if items.len() < 2 {
-        return one_by_one();
+    if items.len() >= 2 && batch_holds(items) {
+        return None;
     }
+    first_lone_failure(items)
+}
+
+/// The index of the first of `items` that fails [`VerifyingKey::verify`]
+/// on its own: one lone check per item up to that one, no equation.
+#[must_use]
+pub fn first_lone_failure(items: &[(&[u8], &Signature, &VerifyingKey)]) -> Option<usize> {
+    items
+        .iter()
+        .position(|(message, signature, key)| key.verify(message, signature).is_err())
+}
+
+/// Whether the combined equation of [`verify_batch`] holds for `items`:
+/// `true` exactly when every item verifies on its own (but for the
+/// ~2⁻¹²⁸ chance above), `false` as soon as a key or `R` does not
+/// decompress or an `s` is not canonical. A `false` says nothing about
+/// which item failed and costs no lone check; [`first_lone_failure`]
+/// does that.
+#[must_use]
+pub fn batch_holds(items: &[(&[u8], &Signature, &VerifyingKey)]) -> bool {
     // Seed = H(domain ‖ nonce ‖ every signature, key, and message).
     let mut h = Sha512::new();
     h.update(b"proxy-aa.ed25519.batch.v1");
@@ -456,23 +471,17 @@ pub fn first_failure(items: &[(&[u8], &Signature, &VerifyingKey)]) -> Option<usi
         let r_bytes: [u8; 32] = signature.0[..32].try_into().expect("split");
         let s_bytes: [u8; 32] = signature.0[32..].try_into().expect("split");
         let [Ok(a), Ok(r)] = Point::decompress_pair(key.as_bytes(), &r_bytes) else {
-            return one_by_one();
+            return false;
         };
         let Some(s) = Scalar::from_canonical_bytes(&s_bytes) else {
-            return one_by_one();
+            return false;
         };
         let k = challenge_scalar(&r_bytes, key.as_bytes(), message);
         b_coeff = b_coeff.add(z.mul(s));
         terms.push(StrausTerm::new(&z, &r));
         terms.push(StrausTerm::new(&z.mul(k), &a));
     }
-
-    if Point::multiscalar_mul_basepoint(&b_coeff.neg(), &terms).is_identity() {
-        return None;
-    }
-    // Combined equation failed: at least one signature is (almost surely)
-    // bad. Re-verify sequentially for an exact answer.
-    one_by_one()
+    Point::multiscalar_mul_basepoint(&b_coeff.neg(), &terms).is_identity()
 }
 
 /// The coefficients `z_0, z_1, …` of a batch with this `seed`: `z_i` is
@@ -781,6 +790,8 @@ mod tests {
             let items: Vec<(&[u8], &Signature, &VerifyingKey)> =
                 case.iter().map(|(s, k)| (msg, s, k)).collect();
             assert_eq!(first_failure(&items), *expect, "case {i}");
+            assert_eq!(first_lone_failure(&items), *expect, "case {i}");
+            assert_eq!(batch_holds(&items), expect.is_none(), "case {i}");
             assert_eq!(verify_batch(&items).is_ok(), expect.is_none(), "case {i}");
         }
     }

@@ -47,6 +47,8 @@ pub const SHARD_INSTANT_OPS: &[&str] = &[
 /// signature verification, tens of microseconds of curve arithmetic. To
 /// the thread queued on a stripe it makes no difference whether the
 /// holder is in a syscall or in a scalar multiplication.
+/// `batch_holds` is a group's settle equation alone and
+/// `first_lone_failure` the one-by-one scan after it fails.
 /// `PreparedKey::new`, the other curve-arithmetic call, is matched by
 /// its qualifier (`is_key_preparation`).
 pub const BLOCKING_PRIMITIVES: &[&str] = &[
@@ -69,6 +71,8 @@ pub const BLOCKING_PRIMITIVES: &[&str] = &[
     "verify",
     "verify_batch",
     "first_failure",
+    "batch_holds",
+    "first_lone_failure",
 ];
 
 /// Whether `c` is `PreparedKey::new(..)`: building a key's tables, about

@@ -66,7 +66,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use restricted_proxy::prelude::KeyResolver;
 
-use crate::mux::ServiceMux;
+use crate::mux::{EndGroup, ServiceMux};
 
 /// Bytes pulled from a socket per `read` call.
 const READ_CHUNK: usize = 16 * 1024;
@@ -177,6 +177,7 @@ impl EventLoopServer {
                 free: Vec::new(),
                 accept_ready: true,
                 chunk: vec![0; READ_CHUNK],
+                end_group: EndGroup::default(),
             };
             workers.push(
                 std::thread::Builder::new()
@@ -256,6 +257,9 @@ struct Worker<R: KeyResolver> {
     /// Where every `read` lands before its bytes join the connection's
     /// buffer: [`READ_CHUNK`] long, zeroed once for the worker's life.
     chunk: Vec<u8>,
+    /// The run of `EndRequest`s being gathered from one read, decided
+    /// together when the run ends.
+    end_group: EndGroup,
 }
 
 impl<R: KeyResolver> Worker<R> {
@@ -427,7 +431,10 @@ impl<R: KeyResolver> Worker<R> {
     }
 
     /// Splits and dispatches every complete frame in the accumulation
-    /// buffer, packing replies into the write queue.
+    /// buffer, packing replies into the write queue. Each run of
+    /// consecutive `EndRequest`s is decided as one group, so their
+    /// Ed25519 checks settle together (DESIGN.md §8, "One settle step");
+    /// replies keep request order.
     fn process_frames(&mut self, slot: usize) {
         let Some(Some(conn)) = self.slab.get_mut(slot) else {
             return;
@@ -436,7 +443,17 @@ impl<R: KeyResolver> Worker<R> {
         loop {
             match split_frame(conn.inbuf.get(consumed..).unwrap_or(&[])) {
                 Ok(Some((header, body, used))) => {
-                    let reply = match Message::decode_body(header.msg_type, body) {
+                    consumed += used;
+                    let request = match Message::decode_body(header.msg_type, body) {
+                        Ok(request) => match self.end_group.push(header.request_id, request) {
+                            None => continue,
+                            Some(other) => Ok(other),
+                        },
+                        Err(e) => Err(e),
+                    };
+                    self.mux
+                        .handle_end_group(&mut self.end_group, &mut conn.out);
+                    let reply = match request {
                         Ok(request) => self.mux.handle(request, &mut conn.rng),
                         // Framing is intact; answer the malformed body
                         // and keep the connection.
@@ -446,7 +463,6 @@ impl<R: KeyResolver> Worker<R> {
                         },
                     };
                     reply.encode_frame_into(&mut conn.out, header.request_id);
-                    consumed += used;
                 }
                 Ok(None) => break,
                 Err(
@@ -457,7 +473,9 @@ impl<R: KeyResolver> Worker<R> {
                 ) => {
                     // The stream can no longer be trusted to frame:
                     // report best-effort after the replies already
-                    // packed, then close once the queue flushes.
+                    // due, then close once the queue flushes.
+                    self.mux
+                        .handle_end_group(&mut self.end_group, &mut conn.out);
                     let reply = Message::Error {
                         code: ErrorCode::Malformed,
                         detail: e.to_string(),
@@ -476,6 +494,8 @@ impl<R: KeyResolver> Worker<R> {
                 }
             }
         }
+        self.mux
+            .handle_end_group(&mut self.end_group, &mut conn.out);
         if consumed > 0 {
             conn.inbuf.drain(..consumed);
         }

@@ -3,10 +3,50 @@
 use std::sync::Arc;
 
 use proxy_accounting::{AccountingServer, AcctError, Check, DepositOutcome};
-use proxy_authz::{AuthorizationServer, AuthzError, EndServer, GroupServer, Request};
+use proxy_authz::{AuthorizationServer, Authorized, AuthzError, EndServer, GroupServer, Request};
 use proxy_wire::{ErrorCode, Message};
 use rand::RngCore;
 use restricted_proxy::prelude::{KeyResolver, MapResolver};
+use restricted_proxy::verify::Prepared;
+
+/// Consecutive `EndRequest`s that one read delivered on one connection,
+/// decided together (DESIGN.md §8, "One settle step"). A worker keeps one
+/// for its life, so its vectors keep their capacity from read to read.
+#[derive(Default)]
+pub(crate) struct EndGroup {
+    ids: Vec<u64>,
+    requests: Vec<Request>,
+    prepared: Vec<Prepared>,
+}
+
+impl EndGroup {
+    /// Queues `message`, to be answered under `id`, if it is an
+    /// `EndRequest`; hands any other message back.
+    pub(crate) fn push(&mut self, id: u64, message: Message) -> Option<Message> {
+        match message {
+            Message::EndRequest {
+                operation,
+                object,
+                authenticated,
+                presentations,
+                now,
+                amounts,
+            } => {
+                self.ids.push(id);
+                self.requests.push(Request {
+                    operation,
+                    object,
+                    authenticated,
+                    presentations,
+                    now,
+                    amounts,
+                });
+                None
+            }
+            other => Some(other),
+        }
+    }
+}
 
 /// Routes each protocol request to the service that answers it.
 ///
@@ -144,24 +184,15 @@ impl<R: KeyResolver> ServiceMux<R> {
                 now,
                 amounts,
             } => match &self.end {
-                None => unavailable("no end-server mounted"),
-                Some(end) => {
-                    let req = Request {
-                        operation,
-                        object,
-                        authenticated,
-                        presentations,
-                        now,
-                        amounts,
-                    };
-                    match end.authorize(&req) {
-                        Ok(authorized) => Message::EndDecision {
-                            principals: authorized.claims.principals,
-                            groups: authorized.claims.groups,
-                        },
-                        Err(e) => authz_error(&e),
-                    }
-                }
+                None => unavailable(NO_END_SERVER),
+                Some(end) => end_reply(end.authorize(&Request {
+                    operation,
+                    object,
+                    authenticated,
+                    presentations,
+                    now,
+                    amounts,
+                })),
             },
             Message::CheckWrite {
                 purchaser,
@@ -259,6 +290,43 @@ impl<R: KeyResolver> ServiceMux<R> {
                 detail: "reply message sent as a request".to_string(),
             },
         }
+    }
+
+    /// Answers every request queued in `group` as one group
+    /// ([`EndServer::authorize_all`]), appending each reply frame, in
+    /// order, to `out`; leaves the group empty. Each reply is the one
+    /// [`Self::handle`] gives its request.
+    pub(crate) fn handle_end_group(&self, group: &mut EndGroup, out: &mut Vec<u8>) {
+        let EndGroup {
+            ids,
+            requests,
+            prepared,
+        } = group;
+        match &self.end {
+            None => {
+                for id in ids.iter() {
+                    unavailable(NO_END_SERVER).encode_frame_into(out, *id);
+                }
+            }
+            Some(end) => end.authorize_all(requests, prepared, |i, decided| {
+                end_reply(decided).encode_frame_into(out, ids.get(i).copied().unwrap_or(0));
+            }),
+        }
+        ids.clear();
+        requests.clear();
+    }
+}
+
+const NO_END_SERVER: &str = "no end-server mounted";
+
+/// The reply to an `EndRequest` the end-server `decided`.
+fn end_reply(decided: Result<Authorized, AuthzError>) -> Message {
+    match decided {
+        Ok(authorized) => Message::EndDecision {
+            principals: authorized.claims.principals,
+            groups: authorized.claims.groups,
+        },
+        Err(e) => authz_error(&e),
     }
 }
 

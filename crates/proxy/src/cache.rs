@@ -187,6 +187,20 @@ impl VerifiedCertCache {
         )
     }
 
+    /// Every entry's key bytes, sorted: what a test compares two caches
+    /// by.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> Vec<[u8; 128]> {
+        let mut keys: Vec<[u8; 128]> = self
+            .shards
+            .iter()
+            .flat_map(|s| s.lock().expect("cache lock").slots.clone())
+            .map(|(key, _)| key.0)
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
     /// True when `key` holds a cached positive seal check that has not
     /// expired. Updates the hit/miss counters.
     pub(crate) fn contains(&self, key: &SealKey, now: Timestamp) -> bool {

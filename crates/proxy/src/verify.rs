@@ -36,9 +36,18 @@ fn append_body(cert: &Certificate, out: &mut Vec<u8>) -> Range<usize> {
     start..out.len()
 }
 
-/// An Ed25519 check postponed so that everything one presentation asks
-/// of the curve — its uncached seals and its possession proof — is
-/// settled as one equation.
+/// Most Ed25519 checks one settle equation takes. Past forty a check
+/// costs within 2 % of what it does in an equation of eighty
+/// (EXPERIMENTS.md C3, `group-per-request` at 8 and 16 depth-4
+/// presentations), and eighty holds sixteen of those. Each check holds
+/// ~3 KiB of Straus tables while its equation runs, so a group of any
+/// size settles in equations of at most this many.
+const MAX_EQUATION_CHECKS: usize = 80;
+
+/// An Ed25519 check postponed so that everything a presentation asks of
+/// the curve — its uncached seals and its possession proof — is settled
+/// in one step, together with the checks of the rest of its group.
+#[derive(Debug)]
 struct PendingCheck {
     /// The signed bytes, as a range of the presentation's one scratch
     /// buffer.
@@ -49,6 +58,7 @@ struct PendingCheck {
 }
 
 /// What a [`PendingCheck`] decides.
+#[derive(Debug)]
 enum Subject {
     /// The seal of the certificate at chain position `index`.
     Seal {
@@ -69,6 +79,43 @@ impl PendingCheck {
             Subject::Seal { index, .. } => VerifyError::BadSeal { index },
             Subject::Possession => VerifyError::BadPossession,
         }
+    }
+}
+
+/// A presentation between the pure part of its verification and the
+/// stateful finish. [`Verifier::prepare`] walks the chain and queues its
+/// Ed25519 checks, [`Verifier::settle`] decides the checks of a whole
+/// group of these at once, and [`Verifier::finish`] gives the verdict;
+/// [`Verifier::verify`] is the group of one.
+#[derive(Debug)]
+pub struct Prepared {
+    /// The first error the presentation is reported with, if any: pass
+    /// 1's, then the settle step's.
+    verdict: Result<(), VerifyError>,
+    /// What the proof was found to be other than as a pending check,
+    /// reported only once the checks have settled.
+    proof: Result<(), VerifyError>,
+    pending: Vec<PendingCheck>,
+    /// Every byte string the pending checks read.
+    scratch: Vec<u8>,
+    /// Earliest expiry along the chain.
+    expires: Timestamp,
+    /// The request's time, which the seal cache is probed and filled at.
+    now: Timestamp,
+}
+
+impl Prepared {
+    /// The pending checks as `ed25519` items, in queue order.
+    fn items(&self) -> impl Iterator<Item = (&[u8], &Signature, &VerifyingKey)> {
+        self.pending
+            .iter()
+            .map(|c| (&self.scratch[c.message.clone()], &c.sig, &c.vk))
+    }
+
+    /// Whether its checks settle as an equation: two or more. A lone
+    /// check goes through the key table instead.
+    fn joins_equation(&self) -> bool {
+        self.pending.len() >= 2
     }
 }
 
@@ -173,7 +220,8 @@ impl<R: KeyResolver> Verifier<R> {
     ///
     /// Checks, in order: chain seals (offline), validity windows,
     /// presenter proof (possession or identity), and the additive
-    /// restriction union.
+    /// restriction union. The group of one: [`Self::prepare`], then
+    /// [`Self::settle`], then [`Self::finish`].
     ///
     /// # Errors
     ///
@@ -184,37 +232,62 @@ impl<R: KeyResolver> Verifier<R> {
         ctx: &RequestContext,
         replay: &mut dyn ReplayGuard,
     ) -> Result<VerifiedProxy, VerifyError> {
+        let mut group = [self.prepare(presentation, ctx.now)];
+        self.settle(&mut group);
+        self.finish(&group[0], presentation, ctx, replay)
+    }
+
+    /// The pure part of verifying `presentation` at `now`: the chain
+    /// walk (validity, revocation, grantor lookup, HMAC seals, seal-cache
+    /// probes) and the possession message. Its Ed25519 checks wait for
+    /// [`Self::settle`]; nothing here consults a replay guard.
+    pub fn prepare(&self, presentation: &Presentation, now: Timestamp) -> Prepared {
+        let mut prepared = Prepared {
+            verdict: Ok(()),
+            proof: Ok(()),
+            pending: Vec::new(),
+            scratch: Vec::new(),
+            expires: Timestamp::MAX,
+            now,
+        };
+        prepared.verdict = self.walk(presentation, &mut prepared);
+        if prepared.verdict.is_err() {
+            // A chain that failed its walk settles nothing.
+            prepared.pending.clear();
+        }
+        prepared
+    }
+
+    /// Passes 1 and 3 of [`Self::prepare`], into `p`.
+    fn walk(&self, presentation: &Presentation, p: &mut Prepared) -> Result<(), VerifyError> {
         let certs = &presentation.certs;
         if certs.is_empty() {
             return Err(VerifyError::EmptyChain);
         }
+        let now = p.now;
+        let (pending, scratch) = (&mut p.pending, &mut p.scratch);
 
         // Pass 1: verify seals and recover proxy-key verifiers link by
         // link. Key recovery never depends on a seal being *valid* (only
         // on the recovered key of the prior link), so Ed25519 seal checks
         // are deferred — unless the seal cache already vouches for a
-        // certificate — and settled in pass 3 together with the
+        // certificate — and settled by `settle` together with the
         // possession proof. HMAC seals are cheaper than the cache digest
         // and are checked inline.
         let mut prev_key: Option<GrantorVerifier> = None;
-        let mut expires = Timestamp::MAX;
-        let mut pending: Vec<PendingCheck> = Vec::new();
         // One scratch buffer for every byte string the presentation's
         // checks read: the body of each certificate in turn, kept when
         // its seal is deferred and overwritten by the next body when not,
         // then the possession message.
-        let mut scratch = Vec::with_capacity(Certificate::ENCODE_CAPACITY_HINT);
+        *scratch = Vec::with_capacity(Certificate::ENCODE_CAPACITY_HINT);
         let mut kept = 0;
         let mut final_body = 0..0;
         // The SHA-256 of the last body, when the seal cache was asked
         // about it: the possession proof binds the same digest.
         let mut final_digest = None;
         for (index, cert) in certs.iter().enumerate() {
-            if !cert.validity.contains(ctx.now) {
-                return Err(VerifyError::NotValidAt {
-                    index,
-                    now: ctx.now,
-                });
+            if !cert.validity.contains(now) {
+                return Err(VerifyError::NotValidAt { index, now });
             }
             if let Some(revocations) = &self.revocations {
                 if revocations.is_revoked(&cert.grantor, cert.serial) {
@@ -224,9 +297,9 @@ impl<R: KeyResolver> Verifier<R> {
                     });
                 }
             }
-            expires = expires.min(cert.expires());
+            p.expires = p.expires.min(cert.expires());
             scratch.truncate(kept);
-            final_body = append_body(cert, &mut scratch);
+            final_body = append_body(cert, scratch);
             let body = &scratch[final_body.clone()];
             let sealer = match cert.authority {
                 SigningAuthorityKind::Grantor => self
@@ -253,7 +326,7 @@ impl<R: KeyResolver> Verifier<R> {
                     .cache
                     .as_ref()
                     .zip(digest.as_ref())
-                    .is_some_and(|(cache, d)| cache.contains(&SealKey::new(d, &sig, &vk), ctx.now));
+                    .is_some_and(|(cache, d)| cache.contains(&SealKey::new(d, &sig, &vk), now));
                 if !vouched {
                     if pending.is_empty() {
                         // Every later link may defer too, then the proof.
@@ -279,6 +352,145 @@ impl<R: KeyResolver> Verifier<R> {
         }
         let final_key = prev_key.expect("chain non-empty");
 
+        // Pass 3: the presenter's proof. An Ed25519 possession proof is
+        // one more pending check; anything else about the proof is
+        // decided here and reported only after the checks have settled,
+        // so a bad seal is blamed before a bad proof whichever the
+        // verifier happened to look at first.
+        match &presentation.proof {
+            Proof::Possession {
+                challenge,
+                response,
+            } => {
+                let final_digest =
+                    final_digest.unwrap_or_else(|| Sha256::digest(&scratch[final_body]));
+                let start = scratch.len();
+                append_possession_prefix(scratch, challenge);
+                append_presentation_binding(scratch, &self.server, &final_digest);
+                let message = start..scratch.len();
+                match &final_key {
+                    GrantorVerifier::SharedKey(k) => {
+                        if !k.verify_mac(&scratch[message], response) {
+                            p.proof = Err(VerifyError::BadPossession);
+                        }
+                    }
+                    GrantorVerifier::PublicKey(vk) => match Signature::try_from_slice(response) {
+                        Ok(sig) => pending.push(PendingCheck {
+                            message,
+                            sig,
+                            vk: *vk,
+                            subject: Subject::Possession,
+                        }),
+                        Err(_) => p.proof = Err(VerifyError::BadPossession),
+                    },
+                }
+            }
+            Proof::Identity => {
+                // Only delegate proxies may be exercised without possession.
+                if !certs.iter().any(|c| c.restrictions.has_grantee()) {
+                    p.proof = Err(VerifyError::BearerRequiresPossession);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Settles every pending check of `group`, in order.
+    ///
+    /// The presentations whose checks would each settle as an equation
+    /// (two or more) share one, in equations of at most eighty checks,
+    /// so the Straus tables of one (~3 KiB a check) stay bounded however
+    /// large the group; a presentation with one check settles it through
+    /// the key table. When a shared equation fails, or has a single member, each
+    /// of its members settles on its own as [`Self::verify`] would:
+    /// `first_failure` runs its equation and, if that fails, repeats
+    /// each check alone, in chain order with the proof last, up to the
+    /// first that fails. So a verdict, and the index it blames, never
+    /// depend on the group. If every seal of a presentation holds the
+    /// positive results enter the cache — even when its proof then
+    /// fails: a seal's validity does not depend on who presents it — and
+    /// if any seal fails none of its seals do. Only seal validity is
+    /// ever cached, never a request-dependent decision.
+    pub fn settle(&self, group: &mut [Prepared]) {
+        let mut rest = group;
+        while !rest.is_empty() {
+            let (len, members) = next_equation(rest);
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = tail;
+            let holds = members >= 2 && {
+                let items: Vec<_> = chunk
+                    .iter()
+                    .filter(|p| p.joins_equation())
+                    .flat_map(Prepared::items)
+                    .collect();
+                ed25519::batch_holds(&items)
+            };
+            for p in chunk {
+                let failed = if holds && p.joins_equation() {
+                    None
+                } else {
+                    self.first_failure(p)
+                };
+                self.record(p, failed);
+            }
+        }
+    }
+
+    /// The index of `p`'s first pending check that fails on its own
+    /// terms: a lone check through the key table, more through
+    /// `first_failure`.
+    fn first_failure(&self, p: &Prepared) -> Option<usize> {
+        match p.pending.as_slice() {
+            [] => None,
+            [lone] => self
+                .keys
+                .verify(&lone.vk, &p.scratch[lone.message.clone()], &lone.sig)
+                .err()
+                .map(|_| 0),
+            _ => ed25519::first_failure(&p.items().collect::<Vec<_>>()),
+        }
+    }
+
+    /// Takes the settle step's word on `p`: caches its seals unless one
+    /// of them failed, and blames the failed check.
+    fn record(&self, p: &mut Prepared, failed: Option<usize>) {
+        let failed = failed.and_then(|i| p.pending.get(i));
+        let seal_failed = failed.is_some_and(|c| matches!(c.subject, Subject::Seal { .. }));
+        if let (false, Some(cache)) = (seal_failed, &self.cache) {
+            for check in &p.pending {
+                if let Subject::Seal {
+                    cache_entry: Some((digest, expires)),
+                    ..
+                } = check.subject
+                {
+                    cache.insert(SealKey::new(&digest, &check.sig, &check.vk), expires, p.now);
+                }
+            }
+        }
+        if let Some(blame) = failed.map(PendingCheck::blame) {
+            p.verdict = Err(blame);
+        }
+    }
+
+    /// The stateful finish of a settled presentation: its verdict so
+    /// far, then its proof's, then delegate resolution and every
+    /// certificate's restrictions under `ctx`, accept-once marks
+    /// included. `presentation` is the one `prepared` was prepared from.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::verify`].
+    pub fn finish(
+        &self,
+        prepared: &Prepared,
+        presentation: &Presentation,
+        ctx: &RequestContext,
+        replay: &mut dyn ReplayGuard,
+    ) -> Result<VerifiedProxy, VerifyError> {
+        prepared.verdict.clone()?;
+        prepared.proof.clone()?;
+        let certs = &presentation.certs;
+
         // Pass 2: resolve delegate cascades into an effective identity set.
         // A subordinate holding a cascade link from a named delegate may act
         // as that delegate (§2: "or by someone with a suitable additional
@@ -295,53 +507,6 @@ impl<R: KeyResolver> Verifier<R> {
         let mut eval_ctx = ctx.clone();
         eval_ctx.authenticated = effective;
 
-        // Pass 3: the presenter's proof, then every deferred check at
-        // once. An Ed25519 possession proof is one more pending check;
-        // anything else about the proof is decided here and reported
-        // only after the seals, so a bad seal is blamed before a bad
-        // proof whichever the verifier happened to look at first.
-        let combined = certs
-            .iter()
-            .fold(RestrictionSet::new(), |acc, c| acc.union(&c.restrictions));
-        let mut proof_verdict = Ok(());
-        match &presentation.proof {
-            Proof::Possession {
-                challenge,
-                response,
-            } => {
-                let final_digest =
-                    final_digest.unwrap_or_else(|| Sha256::digest(&scratch[final_body]));
-                let start = scratch.len();
-                append_possession_prefix(&mut scratch, challenge);
-                append_presentation_binding(&mut scratch, &self.server, &final_digest);
-                let message = start..scratch.len();
-                match &final_key {
-                    GrantorVerifier::SharedKey(k) => {
-                        if !k.verify_mac(&scratch[message], response) {
-                            proof_verdict = Err(VerifyError::BadPossession);
-                        }
-                    }
-                    GrantorVerifier::PublicKey(vk) => match Signature::try_from_slice(response) {
-                        Ok(sig) => pending.push(PendingCheck {
-                            message,
-                            sig,
-                            vk: *vk,
-                            subject: Subject::Possession,
-                        }),
-                        Err(_) => proof_verdict = Err(VerifyError::BadPossession),
-                    },
-                }
-            }
-            Proof::Identity => {
-                // Only delegate proxies may be exercised without possession.
-                if !combined.has_grantee() {
-                    proof_verdict = Err(VerifyError::BearerRequiresPossession);
-                }
-            }
-        }
-        self.settle(&pending, &scratch, ctx.now)?;
-        proof_verdict?;
-
         // Pass 4: evaluate every certificate's restrictions (additive).
         for cert in certs {
             cert.restrictions
@@ -350,54 +515,33 @@ impl<R: KeyResolver> Verifier<R> {
 
         Ok(VerifiedProxy {
             grantor: certs[0].grantor.clone(),
-            restrictions: combined,
-            expires,
+            restrictions: certs
+                .iter()
+                .fold(RestrictionSet::new(), |acc, c| acc.union(&c.restrictions)),
+            expires: prepared.expires,
             chain_len: certs.len(),
         })
     }
+}
 
-    /// Settles every pending check of one presentation: a lone check
-    /// through the key table, two or more as one batched equation. When
-    /// the batch fails, `first_failure` repeats each check on its own, in
-    /// chain order with the proof last, up to the first that fails. If every seal
-    /// holds the positive results enter the cache — even when the proof
-    /// then fails: a seal's validity does not depend on who presents it —
-    /// and if any seal fails nothing does. Only seal validity is ever
-    /// cached, never a request-dependent decision.
-    fn settle(
-        &self,
-        pending: &[PendingCheck],
-        scratch: &[u8],
-        now: Timestamp,
-    ) -> Result<(), VerifyError> {
-        let message = |check: &PendingCheck| &scratch[check.message.clone()];
-        let failed = match pending {
-            [] => None,
-            [lone] => self
-                .keys
-                .verify(&lone.vk, message(lone), &lone.sig)
-                .err()
-                .map(|_| lone),
-            many => {
-                let items: Vec<(&[u8], &Signature, &VerifyingKey)> =
-                    many.iter().map(|c| (message(c), &c.sig, &c.vk)).collect();
-                ed25519::first_failure(&items).and_then(|i| many.get(i))
+/// The next equation of a settle step over `group`: how many
+/// presentations from its front it spans, and how many of those join it
+/// — up to the first that would take it past [`MAX_EQUATION_CHECKS`]
+/// checks. Spans at least one presentation, and joins one that has more
+/// checks than the cap on its own.
+fn next_equation(group: &[Prepared]) -> (usize, usize) {
+    let (mut checks, mut members, mut len) = (0, 0, 0);
+    for p in group {
+        if p.joins_equation() {
+            if members > 0 && checks + p.pending.len() > MAX_EQUATION_CHECKS {
+                break;
             }
-        };
-        let seal_failed = failed.is_some_and(|c| matches!(c.subject, Subject::Seal { .. }));
-        if let (false, Some(cache)) = (seal_failed, &self.cache) {
-            for check in pending {
-                if let Subject::Seal {
-                    cache_entry: Some((digest, expires)),
-                    ..
-                } = check.subject
-                {
-                    cache.insert(SealKey::new(&digest, &check.sig, &check.vk), expires, now);
-                }
-            }
+            checks += p.pending.len();
+            members += 1;
         }
-        failed.map_or(Ok(()), |check| Err(check.blame()))
+        len += 1;
     }
+    (len, members)
 }
 
 fn grantee_satisfied(restrictions: &RestrictionSet, authenticated: &[PrincipalId]) -> bool {
@@ -426,6 +570,9 @@ fn grantee_satisfied(restrictions: &RestrictionSet, authenticated: &[PrincipalId
         | Restriction::LimitRestriction { .. } => true,
     }) && restrictions.has_grantee()
 }
+
+#[cfg(test)]
+mod group_tests;
 
 #[cfg(test)]
 mod tests {

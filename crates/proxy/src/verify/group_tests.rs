@@ -1,0 +1,496 @@
+//! A group settled together decides exactly what its presentations
+//! decide one by one: [`Verifier::prepare`] on each, one
+//! [`Verifier::settle`], then [`Verifier::finish`] in order, against
+//! [`Verifier::verify`] in order on an identically configured verifier.
+
+use super::*;
+use crate::cert::CertSeal;
+use crate::key::{GrantAuthority, MapResolver};
+use crate::proxy::{delegate_cascade, grant, Proxy};
+use crate::replay::ReplayCache;
+use crate::restriction::{ObjectName, Operation, Restriction};
+use crate::revocation::{ArtifactKind, RevocationArtifact};
+use crate::time::{Timestamp, Validity};
+use proxy_crypto::ed25519::SigningKey;
+use proxy_crypto::keys::SymmetricKey;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
+
+fn p(name: &str) -> PrincipalId {
+    PrincipalId::new(name)
+}
+
+fn window() -> Validity {
+    Validity::new(Timestamp(0), Timestamp(1000))
+}
+
+/// A read at time 10 by "fsworker", the subordinate of every delegate
+/// cascade below.
+fn ctx() -> RequestContext {
+    RequestContext::new(p("fs"), Operation::new("read"), ObjectName::new("file"))
+        .at(Timestamp(10))
+        .authenticated_as(p("fsworker"))
+}
+
+fn challenge(rng: &mut StdRng) -> [u8; 32] {
+    let mut challenge = [0; 32];
+    rng.fill_bytes(&mut challenge);
+    challenge
+}
+
+/// The serial every grantor has revoked.
+const REVOKED: u64 = 666;
+
+/// Grantors of both seal flavours, a delegate intermediate, and one
+/// shared revocation mirror.
+struct World {
+    alice: GrantAuthority,
+    carol: GrantAuthority,
+    print: GrantAuthority,
+    forger: SigningKey,
+    resolver: MapResolver,
+    revocations: Arc<RevocationDirectory>,
+}
+
+impl World {
+    fn seeded(rng: &mut StdRng) -> World {
+        let alice = GrantAuthority::Keypair(SigningKey::generate(rng));
+        let carol = GrantAuthority::SharedKey(SymmetricKey::generate(rng));
+        let print = GrantAuthority::Keypair(SigningKey::generate(rng));
+        let resolver = MapResolver::new()
+            .with(p("alice"), alice.verifier())
+            .with(p("carol"), carol.verifier())
+            .with(p("print"), print.verifier());
+        let revocations = Arc::new(RevocationDirectory::new());
+        for (name, authority) in [("alice", &alice), ("carol", &carol), ("print", &print)] {
+            let artifact = RevocationArtifact::seal(
+                p(name),
+                1,
+                ArtifactKind::Snapshot,
+                [REVOKED].into_iter().collect(),
+                authority,
+            );
+            revocations.apply_verified(&artifact).unwrap();
+        }
+        World {
+            alice,
+            carol,
+            print,
+            forger: SigningKey::generate(rng),
+            resolver,
+            revocations,
+        }
+    }
+
+    /// A fresh verifier of this world, with its own seal cache of
+    /// `capacity` and its own key table.
+    fn verifier(&self, capacity: usize) -> Verifier<MapResolver> {
+        Verifier::new(p("fs"), self.resolver.clone())
+            .with_seal_cache(capacity)
+            .with_revocation(Arc::clone(&self.revocations))
+    }
+
+    /// A bearer cascade of `depth` links under alice (Ed25519) or carol
+    /// (HMAC), or a delegate cascade through print followed by bearer
+    /// links; the head may carry an accept-once id.
+    fn proxy(&self, rng: &mut StdRng, depth: usize, ed25519: bool, delegate: bool) -> Proxy {
+        let (name, authority) = if ed25519 {
+            ("alice", &self.alice)
+        } else {
+            ("carol", &self.carol)
+        };
+        let mut head = RestrictionSet::new();
+        if rng.gen_range(0..4) == 0 {
+            head = head.with(Restriction::AcceptOnce {
+                id: rng.gen::<u64>(),
+            });
+        }
+        let mut proxy = if delegate {
+            let to_print = grant(
+                &p(name),
+                authority,
+                head.with(Restriction::grantee_one(p("print"))),
+                window(),
+                1,
+                rng,
+            );
+            delegate_cascade(
+                &to_print.certs,
+                &p("print"),
+                &self.print,
+                p("fsworker"),
+                RestrictionSet::new(),
+                window(),
+                2,
+                rng,
+            )
+            .unwrap()
+        } else {
+            grant(&p(name), authority, head, window(), 1, rng)
+        };
+        while proxy.certs.len() < depth {
+            let serial = proxy.certs.len() as u64 + 1;
+            proxy = proxy
+                .derive(RestrictionSet::new(), window(), serial, rng)
+                .unwrap();
+        }
+        proxy
+    }
+
+    /// A presentation of `proxy`: with a fresh possession proof, or by
+    /// identity when it is a delegate cascade and the coin says so.
+    fn present(&self, rng: &mut StdRng, proxy: &Proxy) -> Presentation {
+        if proxy.is_delegate() && rng.gen() {
+            proxy.present_delegate()
+        } else {
+            proxy.present_bearer(challenge(rng), &p("fs"))
+        }
+    }
+
+    /// One of the faults a presentation can carry, at a random link.
+    fn inject(&self, rng: &mut StdRng, pres: &mut Presentation) {
+        let j = rng.gen_range(0..pres.certs.len());
+        match rng.gen_range(0..6) {
+            0 => {
+                let body = pres.certs[j].body_bytes();
+                pres.certs[j].seal = match pres.certs[j].seal {
+                    CertSeal::Ed25519(_) => CertSeal::Ed25519(self.forger.sign(&body)),
+                    CertSeal::Hmac(mut tag) => {
+                        tag[0] ^= 1;
+                        CertSeal::Hmac(tag)
+                    }
+                };
+            }
+            1 => match &mut pres.proof {
+                Proof::Possession { response, .. } => response[0] ^= 1,
+                Proof::Identity => {
+                    pres.proof = Proof::Possession {
+                        challenge: [0; 32],
+                        response: vec![0; 64],
+                    }
+                }
+            },
+            2 => pres.certs[j].validity = Validity::new(Timestamp(0), Timestamp(5)),
+            3 => pres.certs[j].serial = REVOKED,
+            4 => {
+                // A grantor-sealed link (the head, or a delegate link)
+                // claims a grantor the verifier has never heard of.
+                let k = (0..=j)
+                    .rev()
+                    .find(|&k| pres.certs[k].authority == SigningAuthorityKind::Grantor)
+                    .unwrap_or(0);
+                pres.certs[k].grantor = p("mallory");
+            }
+            _ => {
+                pres.certs[j].seal = match pres.certs[j].seal {
+                    CertSeal::Ed25519(_) => CertSeal::Hmac([0; 32]),
+                    CertSeal::Hmac(_) => CertSeal::Ed25519(self.forger.sign(b"x")),
+                }
+            }
+        }
+    }
+}
+
+/// `presentations` through `verifier` as one group.
+fn verify_group(
+    verifier: &Verifier<MapResolver>,
+    presentations: &[Presentation],
+    replay: &mut ReplayCache,
+) -> Vec<Result<VerifiedProxy, VerifyError>> {
+    let ctx = ctx();
+    let mut group: Vec<Prepared> = presentations
+        .iter()
+        .map(|pres| verifier.prepare(pres, ctx.now))
+        .collect();
+    verifier.settle(&mut group);
+    presentations
+        .iter()
+        .zip(&group)
+        .map(|(pres, prepared)| verifier.finish(prepared, pres, &ctx, replay))
+        .collect()
+}
+
+/// Every accept-once mark `replay` holds, sorted.
+fn marks(replay: &ReplayCache) -> Vec<(PrincipalId, u64, Timestamp)> {
+    let mut marks = Vec::new();
+    replay.for_each_entry(|grantor, id, expires| marks.push((grantor.clone(), id, expires)));
+    marks.sort();
+    marks
+}
+
+/// Groups of 1–16 presentations — chains of depth 1–8, both seal
+/// flavours, bearer and delegate cascades, accept-once ids, repeated
+/// chains, a duplicate accept-once presentation in one group, and every
+/// fault `World::inject` knows at random places — settle as one group in
+/// one verifier and one by one in another, both with seal caches of
+/// `capacity`. Each verdict (error and blamed index included) and the
+/// accept-once marks must agree after every group, and so must the set
+/// of cached seals when `same_cache` says so. The caches' hit and miss
+/// counts may not: a chain repeated inside a group misses twice where
+/// the one-by-one verifier hits its second time.
+fn group_against_sequential(seed: u64, capacity: usize, same_cache: bool) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let world = World::seeded(&mut rng);
+    let (grouped, sequential) = (world.verifier(capacity), world.verifier(capacity));
+    let (mut grouped_replay, mut sequential_replay) = (ReplayCache::new(), ReplayCache::new());
+    let ctx = ctx();
+    let mut pool: Vec<Proxy> = Vec::new();
+    let (mut accepted, mut duplicates) = (0, 0);
+    let mut errors = std::collections::BTreeSet::new();
+    for round in 0..60 {
+        let size = rng.gen_range(1..17);
+        let mut presentations = Vec::with_capacity(size);
+        while presentations.len() < size {
+            let proxy = if !pool.is_empty() && rng.gen_range(0..3) == 0 {
+                pool[rng.gen_range(0..pool.len())].clone()
+            } else {
+                let (depth, ed25519, delegate) =
+                    (rng.gen_range(1..9), rng.gen_range(0..4) > 0, rng.gen());
+                let proxy = world.proxy(
+                    &mut rng,
+                    depth.max(1 + usize::from(delegate)),
+                    ed25519,
+                    delegate,
+                );
+                pool.push(proxy.clone());
+                proxy
+            };
+            let mut pres = world.present(&mut rng, &proxy);
+            if rng.gen_range(0..4) == 0 {
+                world.inject(&mut rng, &mut pres);
+            }
+            let accept_once = proxy
+                .combined_restrictions()
+                .iter()
+                .any(|r| matches!(r, Restriction::AcceptOnce { .. }));
+            presentations.push(pres);
+            if accept_once && presentations.len() < size && rng.gen() {
+                presentations.push(world.present(&mut rng, &proxy));
+                duplicates += 1;
+            }
+        }
+        let expect: Vec<_> = presentations
+            .iter()
+            .map(|pres| sequential.verify(pres, &ctx, &mut sequential_replay))
+            .collect();
+        let got = verify_group(&grouped, &presentations, &mut grouped_replay);
+        assert_eq!(got, expect, "round {round}");
+        assert_eq!(
+            marks(&grouped_replay),
+            marks(&sequential_replay),
+            "round {round}"
+        );
+        if same_cache {
+            assert_eq!(
+                grouped.seal_cache().unwrap().entries(),
+                sequential.seal_cache().unwrap().entries(),
+                "round {round}"
+            );
+        }
+        for verdict in got {
+            match verdict {
+                Ok(_) => accepted += 1,
+                Err(e) => {
+                    let name = format!("{e:?}");
+                    errors.insert(name[..name.find([' ', '(']).unwrap_or(name.len())].to_string());
+                }
+            }
+        }
+    }
+    // The rounds exercised every fault and both sides of accept-once.
+    assert!(
+        accepted > 200 && duplicates > 5,
+        "{accepted} accepted, {duplicates} duplicates"
+    );
+    for error in [
+        "BadSeal",
+        "BadPossession",
+        "NotValidAt",
+        "Revoked",
+        "UnknownGrantor",
+        "FlavorMismatch",
+        "Denied",
+    ] {
+        assert!(errors.contains(error), "no {error} among {errors:?}");
+    }
+}
+
+/// No entry is evicted: the grouped and the sequential verifier end
+/// every group with the same cached seals.
+#[test]
+fn group_verdicts_equal_sequential_verify() {
+    group_against_sequential(31, 1 << 14, true);
+}
+
+/// A 64-entry cache evicts within a group. Verdicts and marks still
+/// agree, but the cached sets may not: a seal that was a hit when its
+/// presentation was prepared is not looked up again after earlier
+/// members' inserts have evicted it, where the sequential verifier
+/// misses, re-verifies and re-inserts it. The cache only ever vouches
+/// for a valid seal, so what it holds changes the cost of a later
+/// check, never a verdict.
+#[test]
+fn group_verdicts_equal_sequential_verify_under_eviction() {
+    group_against_sequential(34, 64, false);
+}
+
+/// The matrix of `tests::forged_seal_and_bad_proof_matrix_on_a_depth4_cascade`
+/// — {forged seal at 0–3, none} × {good, thief's, 63-byte, `Identity`
+/// on a bearer chain} × {cold, warm} — at every position of a group of
+/// eight cold depth-4 cascades: the case gets its own verdict, the seven
+/// honest cascades verify, and what is cached is what the case caches
+/// alone plus four seals for each honest cascade.
+#[test]
+fn group_matrix_at_every_position_of_eight() {
+    let mut rng = StdRng::seed_from_u64(32);
+    let world = World::seeded(&mut rng);
+    let depth4 = |rng: &mut StdRng| {
+        let mut proxy = grant(
+            &p("alice"),
+            &world.alice,
+            RestrictionSet::new(),
+            window(),
+            1,
+            rng,
+        );
+        for serial in 2..=4 {
+            proxy = proxy
+                .derive(RestrictionSet::new(), window(), serial, rng)
+                .unwrap();
+        }
+        proxy
+    };
+    let proxy = depth4(&mut rng);
+    let honest_neighbours: Vec<Presentation> = (0..7)
+        .map(|i| depth4(&mut rng).present_bearer([i; 32], &p("fs")))
+        .collect();
+    let honest = proxy.present_bearer([4u8; 32], &p("fs"));
+    let thief = Proxy {
+        certs: proxy.certs.clone(),
+        key: GrantAuthority::Keypair(SigningKey::generate(&mut rng)),
+    };
+    let Proof::Possession {
+        challenge,
+        response,
+    } = honest.proof.clone()
+    else {
+        unreachable!()
+    };
+    let proofs = [
+        (honest.proof.clone(), Ok(())),
+        (
+            thief.present_bearer(challenge, &p("fs")).proof,
+            Err(VerifyError::BadPossession),
+        ),
+        (
+            Proof::Possession {
+                challenge,
+                response: response[..63].to_vec(),
+            },
+            Err(VerifyError::BadPossession),
+        ),
+        (Proof::Identity, Err(VerifyError::BearerRequiresPossession)),
+    ];
+    for warm in [false, true] {
+        for (proof, proof_verdict) in &proofs {
+            for forged_at in [None, Some(0), Some(1), Some(2), Some(3)] {
+                let mut case = honest.clone();
+                case.proof = proof.clone();
+                if let Some(k) = forged_at {
+                    let body = case.certs[k].body_bytes();
+                    case.certs[k].seal = CertSeal::Ed25519(world.forger.sign(&body));
+                }
+                let expect = match forged_at {
+                    Some(index) => Err(VerifyError::BadSeal { index }),
+                    None => proof_verdict.clone(),
+                };
+                let cached = if forged_at.is_none() || warm { 32 } else { 28 };
+                for position in 0..8 {
+                    let verifier = world.verifier(64);
+                    let mut replay = ReplayCache::new();
+                    if warm {
+                        assert!(verifier.verify(&honest, &ctx(), &mut replay).is_ok());
+                    }
+                    let mut group = honest_neighbours.clone();
+                    group.insert(position, case.clone());
+                    let got = verify_group(&verifier, &group, &mut replay);
+                    let label = format!(
+                        "warm={warm} proof={proof:?} forged_at={forged_at:?} at {position}"
+                    );
+                    for (i, verdict) in got.into_iter().enumerate() {
+                        if i == position {
+                            assert_eq!(verdict.map(|_| ()), expect, "{label}");
+                        } else {
+                            assert!(verdict.is_ok(), "neighbour {i}: {label}");
+                        }
+                    }
+                    assert_eq!(verifier.seal_cache().unwrap().len(), cached, "{label}");
+                }
+            }
+        }
+    }
+}
+
+/// A group with more checks than one equation takes — forty depth-8
+/// cascades, 360 checks — settles in equations of at most
+/// [`MAX_EQUATION_CHECKS`], all of them verify, and a forgery in the last
+/// equation blames only its own presentation.
+#[test]
+fn group_larger_than_one_equation_settles_in_bounded_equations() {
+    let mut rng = StdRng::seed_from_u64(33);
+    let world = World::seeded(&mut rng);
+    let mut presentations: Vec<Presentation> = (0..40)
+        .map(|_| {
+            let proxy = grant(
+                &p("alice"),
+                &world.alice,
+                RestrictionSet::new(),
+                window(),
+                1,
+                &mut rng,
+            );
+            let proxy = (2..=8).fold(proxy, |proxy, serial| {
+                proxy
+                    .derive(RestrictionSet::new(), window(), serial, &mut rng)
+                    .unwrap()
+            });
+            proxy.present_bearer(challenge(&mut rng), &p("fs"))
+        })
+        .collect();
+
+    // The equations: 9 checks a presentation, eight presentations each.
+    let verifier = world.verifier(1024);
+    let prepared: Vec<Prepared> = presentations
+        .iter()
+        .map(|pres| verifier.prepare(pres, Timestamp(10)))
+        .collect();
+    let mut rest = prepared.as_slice();
+    let mut equations = Vec::new();
+    while !rest.is_empty() {
+        let (len, members) = next_equation(rest);
+        let checks: usize = rest[..len].iter().map(|p| p.pending.len()).sum();
+        assert!(
+            checks <= MAX_EQUATION_CHECKS,
+            "{checks} checks in one equation"
+        );
+        equations.push(members);
+        rest = &rest[len..];
+    }
+    assert_eq!(equations, [8, 8, 8, 8, 8]);
+
+    let honest = verify_group(&verifier, &presentations, &mut ReplayCache::new());
+    assert!(honest.iter().all(Result::is_ok));
+
+    let body = presentations[37].certs[5].body_bytes();
+    presentations[37].certs[5].seal = CertSeal::Ed25519(world.forger.sign(&body));
+    let verifier = world.verifier(1024);
+    let got = verify_group(&verifier, &presentations, &mut ReplayCache::new());
+    for (i, verdict) in got.iter().enumerate() {
+        if i == 37 {
+            assert_eq!(verdict, &Err(VerifyError::BadSeal { index: 5 }));
+        } else {
+            assert!(verdict.is_ok(), "presentation {i}: {verdict:?}");
+        }
+    }
+    assert_eq!(verifier.seal_cache().unwrap().len(), 39 * 8);
+}

@@ -10,6 +10,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use proxy_aa::authz::{Acl, AclRights, AclSubject, AuthorizationServer, EndServer};
+use proxy_aa::crypto::ed25519::SigningKey;
 use proxy_aa::crypto::keys::SymmetricKey;
 use proxy_aa::net::{
     ClientOptions, EventLoopOptions, EventLoopServer, NetError, RetryPolicy, ServiceMux, TcpClient,
@@ -167,6 +168,89 @@ fn accept_once_is_honored_exactly_once_across_racing_pipelines() {
         accepted, 1,
         "accept-once honored exactly once under pipelined racing"
     );
+}
+
+/// "S" trusting "alice" by her Ed25519 key, with an ACL granting her
+/// reads on "X"; the same `seed` builds the same world.
+fn ed25519_end_world(seed: u64) -> (ServiceMux<MapResolver>, GrantAuthority) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let alice = GrantAuthority::Keypair(SigningKey::generate(&mut rng));
+    let mut end = EndServer::new(
+        p("S"),
+        MapResolver::new().with(p("alice"), alice.verifier()),
+    );
+    end.acls.set(
+        ObjectName::new("X"),
+        Acl::new().with(
+            AclSubject::Principal(p("alice")),
+            AclRights::ops(vec![Operation::new("read")]),
+        ),
+    );
+    (ServiceMux::new().with_end_server(Arc::new(end)), alice)
+}
+
+/// A depth-16 burst of cold depth-4 Ed25519 cascades, whose checks the
+/// server settles together, is answered message for message as the same
+/// requests called one at a time on an identically seeded server: a
+/// forged seal, a bad possession proof and a replayed accept-once proxy
+/// are denied, and nothing else is.
+#[test]
+fn a_pipelined_burst_of_cold_cascades_answers_as_sequential_calls() {
+    let (mux, alice) = ed25519_end_world(8);
+    let grouped = spawn(mux, 1, 8);
+    let (mux, _) = ed25519_end_world(8);
+    let sequential = spawn(mux, 1, 8);
+    let mut rng = StdRng::seed_from_u64(9);
+    let forger = SigningKey::generate(&mut rng);
+    let proxies: Vec<Proxy> = (0..16u64)
+        .map(|i| {
+            let head = if i == 10 {
+                RestrictionSet::new().with(Restriction::AcceptOnce { id: 10 })
+            } else {
+                RestrictionSet::new()
+            };
+            let proxy = grant(&p("alice"), &alice, head, window(), 4 * i, &mut rng);
+            (1..4).fold(proxy, |proxy, link| {
+                proxy
+                    .derive(RestrictionSet::new(), window(), 4 * i + link, &mut rng)
+                    .expect("derive")
+            })
+        })
+        .collect();
+    let requests: Vec<Message> = (0..16usize)
+        .map(|i| {
+            // Request 11 presents request 10's accept-once proxy again.
+            let proxy = &proxies[if i == 11 { 10 } else { i }];
+            let mut pres = proxy.present_bearer([i as u8 + 1; 32], &p("S"));
+            match (i, &mut pres.proof) {
+                (3, _) => {
+                    let body = pres.certs[2].body_bytes();
+                    pres.certs[2].seal = CertSeal::Ed25519(forger.sign(&body));
+                }
+                (7, Proof::Possession { response, .. }) => response[0] ^= 1,
+                _ => {}
+            }
+            read_x(pres)
+        })
+        .collect();
+
+    let client = TcpClient::new(grouped.addr(), ClientOptions::default());
+    let burst = client.call_pipelined(&requests, 16);
+    let client = TcpClient::new(sequential.addr(), ClientOptions::default());
+    let one_by_one: Vec<_> = requests.iter().map(|r| client.call(r)).collect();
+
+    let frame = |reply: &Result<Message, NetError>| {
+        reply.clone().map(|m| {
+            let mut out = Vec::new();
+            m.encode_frame_into(&mut out, 0);
+            out
+        })
+    };
+    for (i, (got, expect)) in burst.iter().zip(&one_by_one).enumerate() {
+        assert_eq!(frame(got), frame(expect), "request {i}");
+    }
+    let denied: Vec<usize> = (0..16).filter(|&i| burst[i].is_err()).collect();
+    assert_eq!(denied, [3, 7, 11], "{burst:?}");
 }
 
 /// Distinct accept-once ids in one deep pipeline all clear: the replay
