@@ -125,6 +125,10 @@ cargo run -q -p proxy-bench --bin figures --release -- --revocation-smoke \
 # per record). The gate compares throughput ratios on real fsyncs, so
 # one retry absorbs a noisy-neighbor window.
 cargo test --release -q --test storage_crash
+# The group-commit protocol's own tests (leader/follower hand-off,
+# waiters released by a snapshot rotation's publish) at full speed with
+# real parallelism, as the concurrency stress step runs the servers.
+cargo test --release -q -p proxy-storage --lib
 cargo test --release -q -p proxy-storage --test framing
 # A snapshot the server wrote is one it can read: 2^20 + 1 accept-once
 # marks (26 MB, one more than a counted collection decodes) compact and

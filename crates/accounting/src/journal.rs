@@ -587,7 +587,7 @@ impl Journal {
         snapshot: impl FnOnce() -> Vec<JournalRecord>,
     ) -> Result<OpGuard<'_>, AcctError> {
         if self.staged.load(Ordering::Relaxed) >= Self::SNAPSHOT_EVERY {
-            self.compact(snapshot)?;
+            self.install(Self::SNAPSHOT_EVERY, snapshot)?;
         }
         self.enter()
     }
@@ -617,11 +617,26 @@ impl Journal {
     /// [`AcctError::Storage`] on failure (the journal is poisoned —
     /// fail-stop — even though the backend kept its previous state).
     pub fn compact(&self, build: impl FnOnce() -> Vec<JournalRecord>) -> Result<(), AcctError> {
+        self.install(0, build)
+    }
+
+    /// [`Self::compact`], unless fewer than `due` records were staged
+    /// since the last install. The count is read again under the write
+    /// gate: of the operations that saw a compaction due, the first to
+    /// get the gate installs and the rest find the count reset.
+    fn install(
+        &self,
+        due: u64,
+        build: impl FnOnce() -> Vec<JournalRecord>,
+    ) -> Result<(), AcctError> {
         let Some(store) = &self.store else {
             return Ok(());
         };
         let _excl = self.gate.write().unwrap_or_else(PoisonError::into_inner);
         self.check_poison()?;
+        if self.staged.load(Ordering::Relaxed) < due {
+            return Ok(());
+        }
         store
             .install_snapshot(&encode_snapshot(&build()))
             .map_err(|e| self.poison(e))?;
@@ -870,6 +885,56 @@ mod tests {
         op.wait().unwrap();
         journal.commit(&rec).unwrap();
         journal.compact(|| unreachable!("no snapshot")).unwrap();
+    }
+
+    /// A [`MemStorage`] that counts snapshot installs and holds each
+    /// one long enough for a racing operation to reach the gate.
+    #[derive(Debug, Default)]
+    struct SlowInstalls {
+        inner: MemStorage,
+        installs: AtomicU64,
+    }
+
+    impl Storage for SlowInstalls {
+        fn stage(&self, record: &[u8]) -> Result<Ticket, StorageError> {
+            self.inner.stage(record)
+        }
+
+        fn wait_durable(&self, ticket: Ticket) -> Result<(), StorageError> {
+            self.inner.wait_durable(ticket)
+        }
+
+        fn install_snapshot(&self, state: &[u8]) -> Result<(), StorageError> {
+            self.installs.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            self.inner.install_snapshot(state)
+        }
+
+        fn load(&self) -> Result<proxy_storage::Recovered, StorageError> {
+            self.inner.load()
+        }
+    }
+
+    #[test]
+    fn a_due_compaction_installs_once_under_racing_operations() {
+        let store = Arc::new(SlowInstalls::default());
+        let journal = Journal::new(store.clone());
+        journal
+            .staged
+            .store(Journal::SNAPSHOT_EVERY, Ordering::Relaxed);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    journal.begin(Vec::new).unwrap().wait().unwrap();
+                });
+            }
+        });
+        assert_eq!(store.installs.load(Ordering::Relaxed), 1);
+        // An explicit compaction is never skipped.
+        journal.compact(Vec::new).unwrap();
+        assert_eq!(store.installs.load(Ordering::Relaxed), 2);
     }
 
     #[test]

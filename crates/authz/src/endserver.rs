@@ -387,7 +387,9 @@ impl<R: KeyResolver> EndServer<R> {
     }
 }
 
-fn is_group_presentation(pres: &Presentation) -> bool {
+/// True when `pres` carries a `group-membership` restriction: a group
+/// proxy, verified before the proxies whose restrictions may need it.
+pub(crate) fn is_group_presentation(pres: &Presentation) -> bool {
     pres.certs.iter().any(|c| {
         c.restrictions
             .iter()

@@ -27,7 +27,7 @@ use restricted_proxy::time::{Timestamp, Validity};
 use restricted_proxy::verify::Verifier;
 
 use crate::acl::{AclStore, ClaimSet};
-use crate::endserver::claim_asserted_groups;
+use crate::endserver::{claim_asserted_groups, is_group_presentation};
 use crate::error::AuthzError;
 
 /// An authorization server holding per-end-server authorization databases.
@@ -129,14 +129,24 @@ impl<R: KeyResolver> AuthorizationServer<R> {
             .ok_or_else(|| AuthzError::NoRightsAt(end_server.clone()))?;
 
         // Verify accompanying proxies (typically group proxies) against
-        // this server.
+        // this server: group proxies first, whatever order they were
+        // listed in, so a `for-use-by-group` restriction on any other
+        // proxy sees the memberships they prove (as at the end-server).
         let mut ctx = RequestContext::new(self.name.clone(), operation.clone(), object.clone())
             .at(now)
             .authenticated_as(client.clone());
         let mut claims = ClaimSet::principal(client.clone());
         let mut propagated = RestrictionSet::new();
         let mut replay = &self.replay;
-        for pres in presentations {
+        let groups_first = presentations
+            .iter()
+            .filter(|pres| is_group_presentation(pres))
+            .chain(
+                presentations
+                    .iter()
+                    .filter(|pres| !is_group_presentation(pres)),
+            );
+        for pres in groups_first {
             let verified = self
                 .verifier
                 .verify(pres, &ctx, &mut replay)
@@ -404,6 +414,74 @@ mod tests {
                 &mut rng,
             )
             .is_err());
+    }
+
+    #[test]
+    fn a_group_proxy_satisfies_for_use_by_group_in_either_order() {
+        // alice's capability is usable only by staff; bob proves staff
+        // membership with a group proxy listed before or after it.
+        let mut rng = StdRng::seed_from_u64(7);
+        let alice_key = SymmetricKey::generate(&mut rng);
+        let gs_key = SymmetricKey::generate(&mut rng);
+        let staff = GroupName::new(p("gs"), "staff");
+        let resolver = MapResolver::new()
+            .with(p("alice"), GrantorVerifier::SharedKey(alice_key.clone()))
+            .with(p("gs"), GrantorVerifier::SharedKey(gs_key.clone()));
+        let mut authz = AuthorizationServer::new(
+            p("R"),
+            GrantAuthority::SharedKey(SymmetricKey::generate(&mut rng)),
+            resolver,
+        );
+        authz.database_mut(p("S")).set(
+            obj("X"),
+            Acl::new().with(
+                AclSubject::Principal(p("alice")),
+                AclRights::ops(vec![op("read")]),
+            ),
+        );
+        let cap = grant(
+            &p("alice"),
+            &GrantAuthority::SharedKey(alice_key),
+            RestrictionSet::new().with(Restriction::ForUseByGroup {
+                groups: vec![staff.clone()],
+                required: 1,
+            }),
+            window(),
+            1,
+            &mut rng,
+        );
+        let membership = grant(
+            &p("gs"),
+            &GrantAuthority::SharedKey(gs_key),
+            RestrictionSet::new()
+                .with(Restriction::grantee_one(p("bob")))
+                .with(Restriction::GroupMembership {
+                    groups: vec![staff],
+                }),
+            window(),
+            2,
+            &mut rng,
+        );
+        for (nonce, cap_first) in [(1u8, true), (2, false)] {
+            let cap = cap.present_bearer([nonce; 32], &p("R"));
+            let group = membership.present_delegate();
+            let presentations = if cap_first {
+                [cap, group]
+            } else {
+                [group, cap]
+            };
+            let granted = authz.request_authorization(
+                &p("bob"),
+                &presentations,
+                &p("S"),
+                &op("read"),
+                &obj("X"),
+                window(),
+                Timestamp(1),
+                &mut rng,
+            );
+            assert!(granted.is_ok(), "cap first: {cap_first}: {granted:?}");
+        }
     }
 
     #[test]

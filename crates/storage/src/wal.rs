@@ -27,14 +27,17 @@
 //! under a caller's lock. `fsync` dominates the append path (~100µs+ on
 //! common filesystems), so the waiters amortize it with a
 //! leader/follower protocol over that buffer: the first waiter that
-//! finds no flush in progress becomes the **leader**. If it is alone it
-//! flushes inline (a lone client pays one fsync, no added latency);
-//! otherwise it lingers — bounded by `FLUSH_WAIT` (1 ms), broken the
-//! moment the batch fills (`BATCH_MAX`, 16 records) or an arrival-free
-//! linger slice says the burst is over — then takes the whole buffer
-//! and flushes it under a single fsync. **Followers** park until the
-//! leader publishes durability, re-checking on a timeout so a stalled
-//! leader's batch is rescued rather than wedged.
+//! finds the flush slot free becomes the **leader**, takes everything
+//! staged so far and flushes it under one fsync. Whatever is staged
+//! while that fsync runs is the next leader's batch, so the batch is as
+//! large as the traffic makes it and a lone writer pays one fsync per
+//! record, with nothing waited for. **Followers** park until the leader
+//! publishes. A follower sleeps only while its own ticket is not yet
+//! durable *and* a flush is running: waiting on the flush alone would
+//! leave a follower that the last flush already covered asleep behind
+//! the next leader's fsync. No timer backs this up: the slot is freed
+//! only by the publish that ends a flush, and that publish wakes every
+//! waiter.
 //!
 //! ## Failure policy
 //!
@@ -49,27 +52,9 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
 
 use crate::log::{frame_into, scan_segment};
 use crate::{CorruptKind, Recovered, Storage, StorageError, Ticket, MAX_RECORD};
-
-/// Flush threshold: a batch this large stops lingering and goes to
-/// disk.
-const BATCH_MAX: u64 = 16;
-
-/// Bound on how long a group-commit leader lingers for the batch to
-/// fill before flushing a partial batch.
-const FLUSH_WAIT: Duration = Duration::from_millis(1);
-
-/// A lingering leader samples arrivals in slices of this length; a
-/// slice with no new arrivals ends the linger early (the burst is over,
-/// waiting longer only adds latency).
-const LINGER_SLICE: Duration = Duration::from_micros(100);
-
-/// How long a follower parks before re-checking whether it must rescue
-/// the batch itself.
-const FOLLOWER_RECHECK: Duration = Duration::from_millis(2);
 
 /// Whether a flush must actually reach the platter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -122,9 +107,7 @@ pub struct WalStorage {
     dir: PathBuf,
     opts: WalOptions,
     state: Mutex<WalState>,
-    /// Wakes a lingering leader on arrivals.
-    arrivals: Condvar,
-    /// Wakes followers when durability advances or leadership frees.
+    /// Wakes followers when a flush publishes.
     completed: Condvar,
     file: Mutex<WalFile>,
     /// A torn tail was found (and truncated) when this store opened.
@@ -234,7 +217,6 @@ impl WalStorage {
             dir,
             opts,
             state: Mutex::new(WalState::default()),
-            arrivals: Condvar::new(),
             completed: Condvar::new(),
             file: Mutex::new(WalFile { file, gen }),
             torn_at_open: scan.torn_tail,
@@ -291,37 +273,6 @@ impl WalStorage {
         Ok(())
     }
 
-    /// Leader linger: wait (bounded) for the batch to fill. Returns with
-    /// the state lock re-held. Inline at low load: a leader whose record
-    /// is alone in the buffer flushes immediately.
-    fn linger<'a>(&self, mut st: MutexGuard<'a, WalState>) -> MutexGuard<'a, WalState> {
-        if self.opts.fsync != FsyncMode::GroupCommit || st.staged - st.durable <= 1 {
-            return st;
-        }
-        let deadline = Instant::now() + FLUSH_WAIT;
-        loop {
-            let pending = st.staged - st.durable;
-            if pending >= BATCH_MAX || st.poison.is_some() {
-                return st;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return st;
-            }
-            let slice = LINGER_SLICE.min(deadline - now);
-            let (guard, _timeout) = self
-                .arrivals
-                .wait_timeout(st, slice)
-                .unwrap_or_else(PoisonError::into_inner);
-            st = guard;
-            if st.staged - st.durable == pending {
-                // An arrival-free slice: the burst is over, flush now
-                // rather than burn the rest of the deadline on latency.
-                return st;
-            }
-        }
-    }
-
     /// Publishes the outcome of a flush (a leader's batch or a snapshot
     /// rotation) that covered every ticket up to `upto`, and frees the
     /// flush slot. A flush that covered the record doomed by
@@ -368,9 +319,6 @@ impl Storage for WalStorage {
         }
         st.staged = ticket;
         frame_into(&mut st.buf, record)?;
-        // Buffered only; a lingering leader may be waiting for exactly
-        // this arrival.
-        self.arrivals.notify_one();
         Ok(Ticket(ticket))
     }
 
@@ -386,40 +334,33 @@ impl Storage for WalStorage {
                 return Ok(());
             }
             if !st.flushing {
-                // Lead: linger for the batch, then flush it.
+                // Lead: flush everything staged so far.
                 st.flushing = true;
-                st = self.linger(st);
                 let batch = std::mem::take(&mut st.buf);
                 let upto = st.staged;
                 drop(st);
                 st = self.publish(upto, self.write_batch(&batch));
                 continue;
             }
-            // Follow: park until durability advances; the timeout lets a
-            // follower rescue the batch if its leader stalled.
-            let (guard, _timeout) = self
+            // Follow: park until the running flush publishes, or until a
+            // failure latches; the flush that ends may cover this ticket.
+            st = self
                 .completed
-                .wait_timeout(st, FOLLOWER_RECHECK)
+                .wait_while(st, |st| {
+                    st.durable < ticket.0 && st.flushing && st.poison.is_none()
+                })
                 .unwrap_or_else(PoisonError::into_inner);
-            st = guard;
         }
     }
 
     fn install_snapshot(&self, state: &[u8]) -> Result<(), StorageError> {
         // Claim the flush slot so no leader owns the file mid-rotation.
-        let mut st = self.state_guard();
-        loop {
-            if let Some(p) = &st.poison {
-                return Err(p.clone());
-            }
-            if !st.flushing {
-                break;
-            }
-            let (guard, _timeout) = self
-                .completed
-                .wait_timeout(st, FOLLOWER_RECHECK)
-                .unwrap_or_else(PoisonError::into_inner);
-            st = guard;
+        let mut st = self
+            .completed
+            .wait_while(self.state_guard(), |st| st.flushing && st.poison.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(p) = &st.poison {
+            return Err(p.clone());
         }
         st.flushing = true;
         let pending = std::mem::take(&mut st.buf);
@@ -805,6 +746,39 @@ mod tests {
         // The flush that covers it makes it durable, then dies.
         assert_eq!(w.wait_durable(doomed), Err(StorageError::Crashed));
         assert_eq!(w.load().unwrap().records, vec![b"doomed".to_vec()]);
+    }
+
+    #[test]
+    fn waiters_parked_behind_a_rotation_are_released_by_its_publish() {
+        let dir = tmpdir("rotation-waiters");
+        let w = Arc::new(WalStorage::open(&dir, no_fsync()).unwrap());
+        let covered = w.stage(b"folded").unwrap();
+        // Holding the file stalls the rotation inside the flush slot.
+        let file = w.file_guard();
+        let installer = {
+            let w = Arc::clone(&w);
+            std::thread::spawn(move || w.install_snapshot(b"state"))
+        };
+        while !w.state_guard().flushing {
+            std::thread::yield_now();
+        }
+        // One waiter on a record the rotation covers, one on a record
+        // staged behind it, which the rotation's publish hands the lead.
+        let behind = w.stage(b"behind").unwrap();
+        let (done, finished) = std::sync::mpsc::channel();
+        for ticket in [covered, behind] {
+            let (w, done) = (Arc::clone(&w), done.clone());
+            std::thread::spawn(move || done.send(w.wait_durable(ticket)).unwrap());
+        }
+        drop(file);
+        for _ in 0..2 {
+            let released = finished.recv_timeout(std::time::Duration::from_secs(10));
+            assert_eq!(released, Ok(Ok(())), "a waiter missed the publish");
+        }
+        assert_eq!(installer.join().unwrap(), Ok(()));
+        let r = w.load().unwrap();
+        assert_eq!(r.snapshot.as_deref(), Some(b"state".as_slice()));
+        assert_eq!(r.records, vec![b"behind".to_vec()]);
     }
 
     #[test]
