@@ -89,6 +89,14 @@ cargo test --release -q --test security_adversarial forged_seal_among_racing_dep
 # verdicts, blamed indices, accept-once marks, cached seals — and
 # settles in equations of bounded size.
 cargo test --release -q -p restricted-proxy --lib verify::group_tests
+# One payor, one term (DESIGN.md §8, "One settle step"): the cofactored
+# equation on every Ed25519 path (a torsioned R or A gets one verdict
+# alone and in every company), the one-key equation against lone checks,
+# and a group of deposits — in-process and over TCP at depth 16 — equal
+# to the same deposits one by one.
+cargo test --release -q -p proxy-crypto --lib ed25519
+cargo test --release -q -p proxy-crypto --test prepared_key
+cargo test --release -q -p proxy-accounting --test deposit_group
 
 # The figure reproductions (DESIGN.md §4): the default mode must run to
 # the end and print every experiment, F1–F6 and the ablations A1–A5.
@@ -184,10 +192,12 @@ e2e_gate fig3_query 'alloc.allocs_per_op' 22 'authz.request_authorization_us' 4.
 # check-deposit path decodes an Ed25519 proxy key it never uses and
 # verifies every check under the one payor key. Decoding must stay a
 # copy of the seed (1.2 us today; 16.4 when `SigningKey::from_seed`
-# expanded eagerly), and allocs/op at or under the ceiling (53.10
-# today: a deposit reads its check once and its marks move into the
-# Settle record; one more allocation per deposit trips it).
-e2e_gate fig5_mem 'wire.decode_req_us' 5 'alloc.allocs_per_op' 54.1
+# expanded eagerly), and allocs/op at or under the ceiling (47.10
+# today: a deposit reads its check once, is presented without a copy
+# of its certificates, and its marks move into the Settle record; one
+# more allocation per deposit trips it; 53.10 when the presentation
+# cloned the certificates).
+e2e_gate fig5_mem 'wire.decode_req_us' 5 'alloc.allocs_per_op' 48.1
 
 # One equation per read (DESIGN.md §8, "One settle step"): four seals
 # and the possession proof share one scratch buffer and one vector of

@@ -55,4 +55,4 @@ pub use check::{account_object, debit_op, write_check, Check, CheckInfo};
 pub use clearing::{ClearingHouse, ClearingReport};
 pub use error::AcctError;
 pub use journal::{decode_snapshot, encode_snapshot, Journal, JournalRecord};
-pub use server::{AccountMut, AccountingServer, DepositOutcome, Payment};
+pub use server::{AccountMut, AccountingServer, Deposit, DepositGroup, DepositOutcome, Payment};

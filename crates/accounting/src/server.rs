@@ -16,7 +16,9 @@ use proxy_storage::artifacts::StoredArtifact;
 use proxy_storage::{ArtifactStore, Storage};
 use restricted_proxy::cache::VerifiedCertCache;
 use restricted_proxy::context::RequestContext;
+use restricted_proxy::error::VerifyError;
 use restricted_proxy::key::{GrantAuthority, GrantorVerifier, MapResolver};
+use restricted_proxy::present::{Presentation, Proof};
 use restricted_proxy::principal::PrincipalId;
 use restricted_proxy::proxy::{grant, Proxy};
 use restricted_proxy::restriction::{
@@ -24,14 +26,12 @@ use restricted_proxy::restriction::{
 };
 use restricted_proxy::revocation::{ArtifactError, RevocationArtifact, RevocationDirectory};
 use restricted_proxy::time::{Timestamp, Validity};
-use restricted_proxy::verify::Verifier;
+use restricted_proxy::verify::{Prepared, Verifier};
 
 use crate::account::Account;
 use crate::check::{account_object, debit_op, Check, CheckInfo};
 use crate::error::AcctError;
-use crate::journal::{
-    decode_snapshot, Journal, JournalRecord, JournaledReplay, OpGuard, ReplayMark,
-};
+use crate::journal::{decode_snapshot, Journal, JournalRecord, JournaledReplay, OpGuard};
 use crate::ledger::Ledger;
 
 /// The reserved account cashier's checks are drawn from.
@@ -61,6 +61,53 @@ pub enum DepositOutcome {
         /// The endorsed check to send onward.
         check: Check,
         /// Where to send it.
+        next_hop: PrincipalId,
+    },
+}
+
+/// A check deposit as it arrives: what [`AccountingServer::deposit`]
+/// takes, owned, so that [`AccountingServer::deposit_all`] can present
+/// the check without copying its certificates.
+#[derive(Clone, Debug)]
+pub struct Deposit {
+    /// The check, endorsed to the depositor.
+    pub check: Check,
+    /// Who deposits it: the payee, or the last endorsee.
+    pub depositor: PrincipalId,
+    /// The account to credit.
+    pub to_account: String,
+    /// Where to forward a check drawn on another server.
+    pub next_hop: PrincipalId,
+    /// The time the deposit is decided at.
+    pub now: Timestamp,
+}
+
+/// The scratch of [`AccountingServer::deposit_all`]. A caller that
+/// deposits group after group keeps one, so that its vectors keep their
+/// capacity.
+#[derive(Debug, Default)]
+pub struct DepositGroup {
+    staged: Vec<Result<Staged, AcctError>>,
+    /// One per `Staged::Settle`, in order.
+    prepared: Vec<Prepared>,
+}
+
+/// A deposit between its pure part and its finish.
+#[derive(Debug)]
+enum Staged {
+    /// Drawn here: its check, presented.
+    Settle {
+        presentation: Presentation,
+        info: CheckInfo,
+        depositor: PrincipalId,
+        to_account: String,
+        now: Timestamp,
+    },
+    /// Drawn elsewhere: credited as uncollected and endorsed onward.
+    Forward {
+        check: Check,
+        info: CheckInfo,
+        to_account: String,
         next_hop: PrincipalId,
     },
 }
@@ -320,45 +367,6 @@ impl AccountingServer {
         })
     }
 
-    /// Verifies the chain and restrictions of `check` (whose fields
-    /// are `info`) as presented by `presenter`, consuming the check
-    /// number on success. Returns the accept-once marks consumed, so
-    /// the settlement can journal them (the replay guard's memory must
-    /// survive restart).
-    fn verify_check(
-        &self,
-        check: &Check,
-        info: &CheckInfo,
-        presenter: &PrincipalId,
-        now: Timestamp,
-    ) -> Result<Vec<ReplayMark>, AcctError> {
-        if info.drawn_on != self.name {
-            return Err(AcctError::WrongServer {
-                drawn_on: info.drawn_on.clone(),
-                received_by: self.name.clone(),
-            });
-        }
-        let mut ctx = RequestContext::new(
-            self.name.clone(),
-            debit_op(),
-            account_object(&info.payor_account),
-        )
-        .at(now)
-        .consuming(info.currency.clone(), info.amount);
-        // The presenter is authenticated; the server trivially knows its
-        // own identity (the final endorsement in a clearing chain names
-        // this server as the collector).
-        ctx.authenticated = vec![presenter.clone()];
-        if *presenter != self.name {
-            ctx.authenticated.push(self.name.clone());
-        }
-        let mut replay = JournaledReplay::new(self.ledger.replay_guard());
-        self.verifier
-            .verify(&check.proxy.present_delegate(), &ctx, &mut replay)
-            .map_err(AcctError::Verify)?;
-        Ok(replay.into_marks())
-    }
-
     /// Collects a check drawn on this server, presented by `presenter`
     /// (the payee, or the last server in an endorsement chain). Debits the
     /// payor's account — from an outstanding hold when the check was
@@ -377,55 +385,87 @@ impl AccountingServer {
         now: Timestamp,
     ) -> Result<Payment, AcctError> {
         let info = check.info()?;
-        let mut op = self.begin()?;
-        let payment = self.settle(&mut op, check, info, presenter, now, None)?;
-        op.wait()?;
-        Ok(payment)
+        if info.drawn_on != self.name {
+            return Err(AcctError::WrongServer {
+                drawn_on: info.drawn_on.clone(),
+                received_by: self.name.clone(),
+            });
+        }
+        let presentation = check.proxy.present_delegate();
+        let mut group = [self.verifier.prepare(&presentation, now)];
+        self.verifier.settle(&mut group);
+        let [prepared] = &group;
+        self.settle(prepared, &presentation, info, presenter, now, None)
     }
 
-    /// Settles a check drawn here (its fields are `info`): verify, debit
-    /// the payor (hold or balance), and optionally credit `credit_to`
-    /// (the same-server deposit path). Stages into the caller's `op`;
-    /// the caller waits.
+    /// Settles a check drawn here (its fields are `info`), presented by
+    /// `presenter` as `presentation`, which was `prepared` and has
+    /// settled. In one journal scope: the verdict and the check's
+    /// restrictions, its check number consumed; then the debit of the
+    /// payor (hold or balance) and, with `credit_to`, the credit (the
+    /// same-server deposit path), as one `Settle` record that carries
+    /// the accept-once marks consumed — the replay guard's memory must
+    /// survive restart.
     fn settle(
         &self,
-        op: &mut OpGuard<'_>,
-        check: &Check,
+        prepared: &Prepared,
+        presentation: &Presentation,
         info: CheckInfo,
         presenter: &PrincipalId,
         now: Timestamp,
         credit_to: Option<&str>,
     ) -> Result<Payment, AcctError> {
-        let replay = self.verify_check(check, &info, presenter, now)?;
+        let mut op = self.begin()?;
+        let mut ctx = RequestContext::new(
+            self.name.clone(),
+            debit_op(),
+            account_object(&info.payor_account),
+        )
+        .at(now)
+        .consuming(info.currency.clone(), info.amount);
+        // The presenter is authenticated; the server trivially knows its
+        // own identity (the final endorsement in a clearing chain names
+        // this server as the collector).
+        ctx.authenticated = vec![presenter.clone()];
+        if *presenter != self.name {
+            ctx.authenticated.push(self.name.clone());
+        }
+        let mut replay = JournaledReplay::new(self.ledger.replay_guard());
+        self.verifier
+            .finish(prepared, presentation, &ctx, &mut replay)
+            .map_err(AcctError::Verify)?;
+        let replay = replay.into_marks();
         // Ownership and funds are checked under the payor account's
         // shard lock, where the record is staged and the debit made:
         // racing presenters cannot interleave between the balance check
         // and the debit. The payee is credited with that lock released.
-        self.ledger.post_on(op, &info.payor_account, |account| {
-            if !account.is_owner(&info.payor) {
-                return Err(AcctError::NotAuthorized(info.payor.clone()));
-            }
-            let from_hold = match account.hold(info.check_no) {
-                Some(hold) => {
-                    // Certified check: settle from the hold.
-                    debug_assert_eq!(hold.amount, info.amount);
-                    true
+        self.ledger
+            .post_on(&mut op, &info.payor_account, |account| {
+                if !account.is_owner(&info.payor) {
+                    return Err(AcctError::NotAuthorized(info.payor.clone()));
                 }
-                None => {
-                    account.covers(&info.currency, info.amount)?;
-                    false
-                }
-            };
-            Ok(JournalRecord::Settle {
-                payor_account: info.payor_account.clone(),
-                check_no: info.check_no,
-                currency: info.currency.clone(),
-                amount: info.amount,
-                from_hold,
-                credit_to: credit_to.map(str::to_string),
-                replay,
-            })
-        })?;
+                let from_hold = match account.hold(info.check_no) {
+                    Some(hold) => {
+                        // Certified check: settle from the hold.
+                        debug_assert_eq!(hold.amount, info.amount);
+                        true
+                    }
+                    None => {
+                        account.covers(&info.currency, info.amount)?;
+                        false
+                    }
+                };
+                Ok(JournalRecord::Settle {
+                    payor_account: info.payor_account.clone(),
+                    check_no: info.check_no,
+                    currency: info.currency.clone(),
+                    amount: info.amount,
+                    from_hold,
+                    credit_to: credit_to.map(str::to_string),
+                    replay,
+                })
+            })?;
+        op.wait()?;
         Ok(Payment {
             payor: info.payor,
             check_no: info.check_no,
@@ -437,7 +477,8 @@ impl AccountingServer {
     /// Deposits a check into `to_account`. If drawn on this server it
     /// settles immediately; otherwise the deposit is credited as
     /// *uncollected*, the check is endorsed (deposit-only) toward
-    /// `next_hop`, and the caller forwards it (Fig. 5's E1).
+    /// `next_hop`, and the caller forwards it (Fig. 5's E1). The group
+    /// of one of [`Self::deposit_all`].
     ///
     /// # Errors
     ///
@@ -452,56 +493,182 @@ impl AccountingServer {
         now: Timestamp,
         rng: &mut R,
     ) -> Result<DepositOutcome, AcctError> {
-        if !self.ledger.has_account(to_account) {
-            return Err(AcctError::UnknownAccount(to_account.to_string()));
+        let mut prepared = Vec::new();
+        let staged = self.stage(
+            Deposit {
+                check: check.clone(),
+                depositor: depositor.clone(),
+                to_account: to_account.to_string(),
+                next_hop,
+                now,
+            },
+            &mut prepared,
+        )?;
+        self.verifier.settle(&mut prepared);
+        self.finish_deposit(staged, prepared.first(), rng)
+    }
+
+    /// Deposits `deposits` as a group and hands each outcome, in order,
+    /// to `decided` with its index. Every deposit runs its pure part
+    /// first — the checks that need no state a deposit changes, and the
+    /// pure part of verifying a check drawn here — then one settle step
+    /// decides all their Ed25519 checks together ([`Verifier::settle`]:
+    /// the checks of one payor share one equation), and only then is
+    /// each deposit finished in order: its journal scope opened, its
+    /// check number consumed, its record staged and awaited. Each outcome
+    /// is the one [`Self::deposit`] gives when the deposits arrive one by
+    /// one. `group` is scratch, left empty with its capacity kept.
+    pub fn deposit_all<R: RngCore>(
+        &self,
+        deposits: impl IntoIterator<Item = Deposit>,
+        group: &mut DepositGroup,
+        rng: &mut R,
+        mut decided: impl FnMut(usize, Result<DepositOutcome, AcctError>),
+    ) {
+        let DepositGroup { staged, prepared } = group;
+        staged.clear();
+        prepared.clear();
+        for deposit in deposits {
+            staged.push(self.stage(deposit, prepared));
+        }
+        self.verifier.settle(prepared);
+        let mut settled = prepared.iter();
+        for (i, staged) in staged.drain(..).enumerate() {
+            let prepared = match staged {
+                Ok(Staged::Settle { .. }) => settled.next(),
+                Ok(Staged::Forward { .. }) | Err(_) => None,
+            };
+            decided(
+                i,
+                staged.and_then(|s| self.finish_deposit(s, prepared, rng)),
+            );
+        }
+        prepared.clear();
+    }
+
+    /// The pure part of `deposit`: the checks that read no state a
+    /// deposit changes, the first of them to fail refusing it, and, for a
+    /// check drawn here, the pure part of its verification, onto
+    /// `prepared`. The check's certificates move into its presentation.
+    fn stage(&self, deposit: Deposit, prepared: &mut Vec<Prepared>) -> Result<Staged, AcctError> {
+        let Deposit {
+            check,
+            depositor,
+            to_account,
+            next_hop,
+            now,
+        } = deposit;
+        if !self.ledger.has_account(&to_account) {
+            return Err(AcctError::UnknownAccount(to_account));
         }
         let info = check.info()?;
         // A check payable to this server would satisfy its own grantee
         // restriction during chain-walking (the server trivially counts as
         // authenticated); only the server itself may negotiate such a
         // check, or any depositor could route its funds anywhere.
-        if info.payee == self.name && *depositor != self.name {
-            return Err(AcctError::NotAuthorized(depositor.clone()));
+        if info.payee == self.name && depositor != self.name {
+            return Err(AcctError::NotAuthorized(depositor));
         }
-        let mut op = self.begin()?;
-        let outcome = if info.drawn_on == self.name {
-            let payment = self.settle(&mut op, check, info, depositor, now, Some(to_account))?;
-            DepositOutcome::Settled(payment)
-        } else {
-            // Credit as uncollected and endorse toward the drawee.
-            // Endorse first, as `forward` does: signing is the fallible
-            // step, and a record once staged must not be followed by a
-            // failure.
-            let serial = self.ledger.take_serial();
-            let window = check
-                .proxy
-                .effective_validity()
-                .ok_or(AcctError::MalformedCheck("validity"))?;
-            let endorsed = check.endorse(
-                &self.name,
-                &self.authority,
-                next_hop.clone(),
-                Some(to_account),
-                window,
-                serial,
-                rng,
-            )?;
-            let pending = JournalRecord::DepositPending {
-                payor: info.payor,
-                check_no: info.check_no,
-                to_account: to_account.to_string(),
-                currency: info.currency,
-                amount: info.amount,
-                serial,
-            };
-            self.ledger.post(&mut op, &pending)?;
-            DepositOutcome::Forwarded {
-                check: endorsed,
+        if info.drawn_on != self.name {
+            return Ok(Staged::Forward {
+                check,
+                info,
+                to_account,
                 next_hop,
-            }
+            });
+        }
+        let presentation = Presentation {
+            certs: check.proxy.certs,
+            proof: Proof::Identity,
         };
+        prepared.push(self.verifier.prepare(&presentation, now));
+        Ok(Staged::Settle {
+            presentation,
+            info,
+            depositor,
+            to_account,
+            now,
+        })
+    }
+
+    /// The stateful finish of a staged deposit, in its own journal scope;
+    /// `prepared` is its check's, settled.
+    fn finish_deposit<R: RngCore>(
+        &self,
+        staged: Staged,
+        prepared: Option<&Prepared>,
+        rng: &mut R,
+    ) -> Result<DepositOutcome, AcctError> {
+        match staged {
+            Staged::Settle {
+                presentation,
+                info,
+                depositor,
+                to_account,
+                now,
+            } => {
+                // Never `None`: a check drawn here was prepared.
+                let prepared = prepared.ok_or(AcctError::Verify(VerifyError::EmptyChain))?;
+                self.settle(
+                    prepared,
+                    &presentation,
+                    info,
+                    &depositor,
+                    now,
+                    Some(&to_account),
+                )
+                .map(DepositOutcome::Settled)
+            }
+            Staged::Forward {
+                check,
+                info,
+                to_account,
+                next_hop,
+            } => self.forward_deposit(&check, info, &to_account, next_hop, rng),
+        }
+    }
+
+    /// Credits a check drawn elsewhere as uncollected and endorses it
+    /// (deposit-only) toward `next_hop`.
+    fn forward_deposit<R: RngCore>(
+        &self,
+        check: &Check,
+        info: CheckInfo,
+        to_account: &str,
+        next_hop: PrincipalId,
+        rng: &mut R,
+    ) -> Result<DepositOutcome, AcctError> {
+        let mut op = self.begin()?;
+        // Endorse first, as `forward` does: signing is the fallible step,
+        // and a record once staged must not be followed by a failure.
+        let serial = self.ledger.take_serial();
+        let window = check
+            .proxy
+            .effective_validity()
+            .ok_or(AcctError::MalformedCheck("validity"))?;
+        let endorsed = check.endorse(
+            &self.name,
+            &self.authority,
+            next_hop.clone(),
+            Some(to_account),
+            window,
+            serial,
+            rng,
+        )?;
+        let pending = JournalRecord::DepositPending {
+            payor: info.payor,
+            check_no: info.check_no,
+            to_account: to_account.to_string(),
+            currency: info.currency,
+            amount: info.amount,
+            serial,
+        };
+        self.ledger.post(&mut op, &pending)?;
         op.wait()?;
-        Ok(outcome)
+        Ok(DepositOutcome::Forwarded {
+            check: endorsed,
+            next_hop,
+        })
     }
 
     /// An intermediate clearing hop (Fig. 5 repeated endorsements): this

@@ -1210,6 +1210,20 @@ fn ablate_crypto() {
     let group_name = |n: usize| format!("group/{n}");
     let verify_each_name = |n: usize| format!("verify-each/{n}");
 
+    // C3 under one key: n signatures by one signer, as one equation under
+    // its prepared key and as n lone checks through it — a bank's run of
+    // deposits under one payor (DESIGN.md §8, "One settle step").
+    const ONE_KEY: [usize; 8] = [2, 4, 5, 6, 8, 12, 16, 32];
+    let one_key_sigs: Vec<Signature> = messages.iter().map(|m| sk.sign(m)).collect();
+    let one_key_items: Vec<(&[u8], &Signature)> = messages
+        .iter()
+        .map(Vec::as_slice)
+        .zip(&one_key_sigs)
+        .collect();
+    let one_key_items = one_key_items.as_slice();
+    let one_key_name = |n: usize| format!("one-key/{n}");
+    let prepared_lone_name = |n: usize| format!("prepared-lone×n/{n}");
+
     // The conventional half (DESIGN.md §8, "Conventional keys"): what a
     // key costs per message under its raw bytes, on its first use, and
     // once it holds its schedule. A thousand operations per call, in ns.
@@ -1332,6 +1346,17 @@ fn ablate_crypto() {
             let mut replay = ReplayCache::with_capacity(ReplayCache::DEFAULT_CAPACITY, 1);
             for pres in &cascades[..n] {
                 verifier.verify(pres, ctx, &mut replay).expect("verifies");
+            }
+        }));
+    }
+    for n in ONE_KEY {
+        let prepared = &prepared;
+        variants.push(kernel(one_key_name(n), move || {
+            assert!(prepared.holds_all(&one_key_items[..n]));
+        }));
+        variants.push(kernel(prepared_lone_name(n), move || {
+            for (m, sg) in &one_key_items[..n] {
+                prepared.verify(m, sg).expect("valid");
             }
         }));
     }
@@ -1461,6 +1486,15 @@ fn ablate_crypto() {
             "prepared-check-joins-the-batch-vs-stands-alone",
             n,
             ratio(&batch_name(n + 1), &plus_prepared_name(n)),
+            "x",
+        );
+    }
+    for n in ONE_KEY {
+        report_row(
+            "C3",
+            "one-key-vs-prepared-lone",
+            n,
+            ratio(&one_key_name(n), &prepared_lone_name(n)),
             "x",
         );
     }

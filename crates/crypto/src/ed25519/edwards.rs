@@ -402,6 +402,31 @@ impl Point {
         x.is_negative() == (bytes[31] >> 7 == 1)
     }
 
+    /// Whether `bytes` encodes this point plus one of order dividing 8:
+    /// what `Point::decompress(bytes).is_ok_and(|r| self.add(&r.neg()).is_small_order())`
+    /// says, without the square root — the cofactored comparison RFC 8032
+    /// §5.1.7 permits, and the one every batch equation makes.
+    ///
+    /// [`Self::matches_encoding`] against `self` first, so an honest
+    /// signature's `R` costs one comparison; only a mismatch tries the
+    /// seven other translates, each one addition and one comparison of y.
+    #[must_use]
+    pub(crate) fn matches_encoding_up_to_torsion(&self, bytes: &[u8; 32]) -> bool {
+        self.matches_encoding(bytes)
+            || eight_torsion()
+                .iter()
+                .skip(1)
+                .any(|t| self.add_cached(t).matches_encoding(bytes))
+    }
+
+    /// True when `[8]self` is the identity: the point has order dividing
+    /// 8, the cofactor. What an equation that holds up to small torsion
+    /// compares its sum with.
+    #[must_use]
+    pub(crate) fn is_small_order(&self) -> bool {
+        self.double().double().double().is_identity()
+    }
+
     /// Projective equality: X1·Z2 = X2·Z1 and Y1·Z2 = Y2·Z1.
     #[must_use]
     pub fn eq_point(&self, other: &Point) -> bool {
@@ -589,6 +614,27 @@ impl StrausTerm {
 fn basepoint_naf_table() -> &'static NafLookupTable<64> {
     static CELL: OnceLock<NafLookupTable<64>> = OnceLock::new();
     CELL.get_or_init(|| NafLookupTable::<64>::from_point(&Point::basepoint()))
+}
+
+/// A point of order 8, which generates the curve's small torsion.
+pub(crate) const ORDER_8: [u8; 32] = [
+    0x26, 0xe8, 0x95, 0x8f, 0xc2, 0xb2, 0x27, 0xb0, 0x45, 0xc3, 0xf4, 0x89, 0xf2, 0xef, 0x98, 0xf0,
+    0xd5, 0xdf, 0xac, 0x05, 0xd3, 0xc6, 0x33, 0x39, 0xb1, 0x38, 0x02, 0x88, 0x6d, 0x53, 0xfc, 0x05,
+];
+
+/// The eight points of order dividing 8, `[i]T` for `T` of order 8, the
+/// identity first; built on first use.
+fn eight_torsion() -> &'static [CachedPoint; 8] {
+    static CELL: OnceLock<[CachedPoint; 8]> = OnceLock::new();
+    CELL.get_or_init(|| {
+        let t = Point::decompress(&ORDER_8).expect("a curve point");
+        let mut multiple = Point::identity();
+        std::array::from_fn(|_| {
+            let entry = CachedPoint::from_point(&multiple);
+            multiple = multiple.add(&t);
+            entry
+        })
+    })
 }
 
 /// Digit positions per piece of a [`PreparedPoint`] chain: its length.
@@ -1067,6 +1113,61 @@ mod tests {
             .filter(|bytes| Point::decompress(bytes).is_ok())
             .count();
         assert!(matches >= decodable, "{matches} < {decodable}");
+    }
+
+    #[test]
+    fn the_small_torsion_is_eight_distinct_points_of_order_dividing_8() {
+        let t = Point::decompress(&ORDER_8).unwrap();
+        assert!(!t.double().double().is_identity(), "T has order 8");
+        assert!(t.is_small_order());
+        let points: Vec<Point> = eight_torsion()
+            .iter()
+            .map(|c| Point::identity().add_cached(c))
+            .collect();
+        assert!(points[0].is_identity());
+        for (i, p) in points.iter().enumerate() {
+            assert!(p.is_small_order(), "[{i}]T");
+            assert!(
+                p.eq_point(&t.mul_scalar(&Scalar::from_u64(i as u64))),
+                "[{i}]T"
+            );
+            assert!(points[..i].iter().all(|q| !q.eq_point(p)), "[{i}]T repeats");
+        }
+        assert!(!Point::basepoint().is_small_order());
+    }
+
+    #[test]
+    fn matching_up_to_torsion_is_decompressing_and_comparing_times_8() {
+        let corpus = decompression_corpus();
+        let b = Point::basepoint();
+        let torsion: Vec<Point> = eight_torsion()
+            .iter()
+            .map(|c| Point::identity().add_cached(c))
+            .collect();
+        // Points of order ℓ and their translates by every small point,
+        // and the small points themselves.
+        let mut points: Vec<Point> = torsion.clone();
+        for k in [1u64, 7, 1234] {
+            let p = b.mul_scalar(&Scalar::from_u64(k));
+            points.extend(torsion.iter().map(|t| p.add(t)));
+        }
+        let mut encodings = corpus;
+        encodings.extend(points.iter().map(Point::compress));
+        let mut matches = 0;
+        for (i, p) in points.iter().enumerate() {
+            for (j, bytes) in encodings.iter().enumerate() {
+                let expect =
+                    Point::decompress(bytes).is_ok_and(|r| p.add(&r.neg()).is_small_order());
+                assert_eq!(
+                    p.matches_encoding_up_to_torsion(bytes),
+                    expect,
+                    "point {i}, encoding {j}"
+                );
+                matches += usize::from(expect);
+            }
+        }
+        // Each of the 32 points matches the eight encodings of its coset.
+        assert!(matches >= 8 * points.len(), "{matches}");
     }
 
     #[test]

@@ -25,6 +25,15 @@
 //! All three evaluate the same equation and give the same verdicts;
 //! [`VerifyingKey::verify`] is the reference the other two are tested
 //! against.
+//!
+//! Every path — a lone check, [`batch_holds`], a prepared key's
+//! [`PreparedKey::holds_all`] — decides the *cofactored* equation
+//! `[8]([s]B − R − [k]A) = O` that RFC 8032 §5.1.7 permits. It is the
+//! one form a random-coefficient sum of equations can decide for each of
+//! its members: without the factor 8, a part of small order in `R` or `A`
+//! makes a lone check fail yet cancels from a sum whose coefficients add
+//! up to a multiple of its order. So a verdict never depends on whether
+//! a signature was checked alone or in company.
 
 pub mod edwards;
 pub mod field;
@@ -113,8 +122,8 @@ impl VerifyingKey {
     /// # Errors
     ///
     /// Returns [`SignatureError`] when the public key or `R` fail to
-    /// decompress, `s` is non-canonical (≥ ℓ), or the verification equation
-    /// `[s]B = R + [k]A` does not hold.
+    /// decompress, `s` is non-canonical (≥ ℓ), or the cofactored
+    /// verification equation `[8][s]B = [8]R + [8][k]A` does not hold.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), SignatureError> {
         self.decompress()?.verify(message, signature)
     }
@@ -156,13 +165,14 @@ impl Challenge {
         Ok(Challenge { r, s, k })
     }
 
-    /// The verdict, given `[s]B + [k](−A)`: whether `R` encodes it.
-    /// `R` is compared, not decompressed ([`Point::matches_encoding`]):
-    /// the verdict is the one decompressing and comparing gives, an `R`
-    /// that is no point's encoding included, for an inversion instead
-    /// of a square root.
+    /// The verdict, given `[s]B + [k](−A)`: whether `R` encodes it up to
+    /// a point of order dividing 8. `R` is compared, not decompressed
+    /// ([`Point::matches_encoding_up_to_torsion`]): the verdict is the one
+    /// decompressing and testing `[8]([s]B + [k](−A) − R) = O` gives, an
+    /// `R` that is no point's encoding included, for an inversion instead
+    /// of a square root; an honest `R` matches the first translate tried.
     fn check(&self, lhs: &Point) -> Result<(), SignatureError> {
-        if lhs.matches_encoding(&self.r) {
+        if lhs.matches_encoding_up_to_torsion(&self.r) {
             Ok(())
         } else {
             Err(SignatureError)
@@ -244,6 +254,62 @@ impl PreparedKey {
     pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), SignatureError> {
         let c = Challenge::new(&self.key, message, signature)?;
         c.check(&self.neg_a.double_scalar_mul_basepoint(&c.s, &c.k))
+    }
+
+    /// Whether every `(message, signature)` of `items` verifies under this
+    /// key: `true` exactly when each one's [`Self::verify`] succeeds (but
+    /// for the ~2⁻¹²⁸ chance of [`batch_holds`]), `false` as soon as an
+    /// `R` does not decompress or an `s` is not canonical. Like
+    /// `batch_holds`, a `false` names no culprit.
+    ///
+    /// One key makes the equation of [`verify_batch`] shorter: with the
+    /// coefficients `zᵢ` derived as there,
+    ///
+    /// ```text
+    /// [8]([Σ zᵢsᵢ]B + [Σ zᵢkᵢ](−A) − Σ [zᵢ]Rᵢ) == identity
+    /// ```
+    ///
+    /// where the key's term is one stride chain over the tables this key
+    /// already holds (32 doublings), and the `Rᵢ`, decompressed in
+    /// lockstep pairs, share one Straus chain as long as the 128-bit
+    /// coefficients: at most 128 doublings. From about five signatures
+    /// on it costs less than a [`Self::verify`] each (EXPERIMENTS.md C3).
+    #[must_use]
+    pub fn holds_all(&self, items: &[(&[u8], &Signature)]) -> bool {
+        let seed = batch_seed(
+            items
+                .iter()
+                .map(|(message, signature)| (*message, *signature, &self.key)),
+        );
+        let mut zs = batch_coefficients(&seed);
+        let (mut s_sum, mut k_sum) = (Scalar::ZERO, Scalar::ZERO);
+        let mut terms = Vec::with_capacity(items.len());
+        for pair in items.chunks(2) {
+            let r_of = |(_, signature): &(&[u8], &Signature)| -> [u8; 32] {
+                signature.0[..32].try_into().expect("split")
+            };
+            let rs = match pair {
+                [a, b] => Point::decompress_pair(&r_of(a), &r_of(b)),
+                [a, ..] => [Point::decompress(&r_of(a)), Err(DecompressError)],
+                [] => continue,
+            };
+            for (item, r) in pair.iter().zip(rs) {
+                let (message, signature) = item;
+                let s_bytes: [u8; 32] = signature.0[32..].try_into().expect("split");
+                let (Ok(r), Some(s), Some(z)) =
+                    (r, Scalar::from_canonical_bytes(&s_bytes), zs.next())
+                else {
+                    return false;
+                };
+                let k = challenge_scalar(&r_of(item), self.key.as_bytes(), message);
+                s_sum = s_sum.add(z.mul(s));
+                k_sum = k_sum.add(z.mul(k));
+                terms.push(StrausTerm::new(&z, &r));
+            }
+        }
+        let keyed = self.neg_a.double_scalar_mul_basepoint(&s_sum, &k_sum);
+        let nonces = Point::multiscalar_mul_basepoint(&Scalar::ZERO, &terms);
+        keyed.add(&nonces.neg()).is_small_order()
     }
 }
 
@@ -386,24 +452,25 @@ static BATCH_NONCE: AtomicU64 = AtomicU64::new(0);
 /// multiplication with random 128-bit coefficients `z_i`:
 ///
 /// ```text
-/// [−∑ z_i·s_i] B  +  ∑ [z_i] R_i  +  ∑ [z_i·k_i] A_i  ==  identity
+/// [8]([−∑ z_i·s_i] B  +  ∑ [z_i] R_i  +  ∑ [z_i·k_i] A_i)  ==  identity
 /// ```
 ///
 /// which holds for independently random `z_i` exactly when every
-/// individual equation `[s_i]B = R_i + [k_i]A_i` holds, except with
-/// probability ~2⁻¹²⁸. Because the doubling chain is shared across all
-/// 2n+1 terms, the marginal cost per signature is roughly a third of a
-/// standalone verification.
+/// individual cofactored equation `[8][s_i]B = [8]R_i + [8][k_i]A_i`
+/// holds, except with probability ~2⁻¹²⁸. Because the doubling chain is
+/// shared across all 2n+1 terms, the marginal cost per signature is
+/// roughly a third of a standalone verification.
 ///
 /// The coefficients are derived by hashing the whole batch together with
 /// a process-local nonce (Fiat–Shamir style), so they are unpredictable
 /// before the batch is fixed (`batch_coefficients` expands that seed,
-/// four to a digest); each is forced odd so a single
-/// small-torsion-mangled `R` or `A` can never cancel out of the combined
-/// equation. If the combined equation fails, the batch falls back to
-/// sequential verification, so the result is always exactly "every
-/// signature verifies individually" — a batch rejection costs time, never
-/// correctness. [`first_failure`] says which one does not; [`batch_holds`]
+/// four to a digest). The factor 8 takes every part of small order out
+/// of the sum — one `R` or `A` mangled by small torsion, or two whose
+/// torsion the coefficients would cancel — so the equation decides
+/// exactly what the lone checks decide. If the combined equation fails,
+/// the batch falls back to sequential verification, so the result is
+/// always exactly "every signature verifies individually" — a batch
+/// rejection costs time, never correctness. [`first_failure`] says which one does not; [`batch_holds`]
 /// is the equation alone.
 ///
 /// # Errors
@@ -451,17 +518,7 @@ pub fn first_lone_failure(items: &[(&[u8], &Signature, &VerifyingKey)]) -> Optio
 /// does that.
 #[must_use]
 pub fn batch_holds(items: &[(&[u8], &Signature, &VerifyingKey)]) -> bool {
-    // Seed = H(domain ‖ nonce ‖ every signature, key, and message).
-    let mut h = Sha512::new();
-    h.update(b"proxy-aa.ed25519.batch.v1");
-    h.update(&BATCH_NONCE.fetch_add(1, Ordering::Relaxed).to_le_bytes());
-    for (message, signature, key) in items {
-        h.update(signature.as_bytes());
-        h.update(key.as_bytes());
-        h.update(&(message.len() as u64).to_le_bytes());
-        h.update(message);
-    }
-    let seed = h.finalize();
+    let seed = batch_seed(items.iter().copied());
 
     // One pass, one vector: each signature contributes [z]R and [z·k]A,
     // its two points decompressed in lockstep.
@@ -481,7 +538,24 @@ pub fn batch_holds(items: &[(&[u8], &Signature, &VerifyingKey)]) -> bool {
         terms.push(StrausTerm::new(&z, &r));
         terms.push(StrausTerm::new(&z.mul(k), &a));
     }
-    Point::multiscalar_mul_basepoint(&b_coeff.neg(), &terms).is_identity()
+    Point::multiscalar_mul_basepoint(&b_coeff.neg(), &terms).is_small_order()
+}
+
+/// The seed a batch's coefficients expand from: `H(domain ‖ nonce ‖
+/// every signature, key, and message)`, the nonce a process-wide counter.
+fn batch_seed<'a>(
+    items: impl Iterator<Item = (&'a [u8], &'a Signature, &'a VerifyingKey)>,
+) -> [u8; 64] {
+    let mut h = Sha512::new();
+    h.update(b"proxy-aa.ed25519.batch.v1");
+    h.update(&BATCH_NONCE.fetch_add(1, Ordering::Relaxed).to_le_bytes());
+    for (message, signature, key) in items {
+        h.update(signature.as_bytes());
+        h.update(key.as_bytes());
+        h.update(&(message.len() as u64).to_le_bytes());
+        h.update(message);
+    }
+    h.finalize()
 }
 
 /// The coefficients `z_0, z_1, …` of a batch with this `seed`: `z_i` is
@@ -794,6 +868,121 @@ mod tests {
             assert_eq!(batch_holds(&items), expect.is_none(), "case {i}");
             assert_eq!(verify_batch(&items).is_ok(), expect.is_none(), "case {i}");
         }
+    }
+
+    /// A signature by `sk` over `message` whose `R` is `[r]B + t`: `s`
+    /// is `r + k·a` with `k` hashed over that `R`, so the signature fails
+    /// the equation by exactly `t`.
+    fn torsioned(sk: &SigningKey, message: &[u8], nonce: u64, t: &Point) -> Signature {
+        let r = Scalar::from_u64(nonce);
+        let r_bytes = Point::mul_basepoint(&r).add(t).compress();
+        let key = sk.expanded();
+        let k = challenge_scalar(&r_bytes, key.public.as_bytes(), message);
+        let mut sig = [0u8; SIGNATURE_LEN];
+        sig[..32].copy_from_slice(&r_bytes);
+        sig[32..].copy_from_slice(&k.mul_add(key.scalar, r).to_bytes());
+        Signature(sig)
+    }
+
+    /// Two signatures under one key whose `R` is off by the point
+    /// `(0, −1)` of order 2. A cofactorless lone check refuses each, and
+    /// an equation whose odd coefficients sum to an even number lets the
+    /// torsion cancel: every path must give the one cofactored verdict,
+    /// alone and in every company, whatever the order of the torsion.
+    #[test]
+    fn a_torsioned_r_gets_one_verdict_from_every_path_and_group_size() {
+        let sk = SigningKey::from_seed(&[70u8; 32]);
+        let vk = sk.verifying_key();
+        let prepared = PreparedKey::new(&vk.decompress().unwrap());
+        let mut minus_one = [0xffu8; 32];
+        minus_one[0] = 0xec;
+        minus_one[31] = 0x7f;
+        let order_2 = Point::decompress(&minus_one).unwrap();
+        let order_8 = Point::decompress(&edwards::ORDER_8).unwrap();
+        let honest_messages: Vec<Vec<u8>> = (0..4).map(|i| vec![i; 5]).collect();
+        let honest: Vec<Signature> = honest_messages.iter().map(|m| sk.sign(m)).collect();
+        for t in [order_2, order_8, order_8.double()] {
+            let messages: [&[u8]; 2] = [b"first", b"second"];
+            let sigs = [
+                torsioned(&sk, messages[0], 11, &t),
+                torsioned(&sk, messages[1], 12, &t),
+            ];
+            for (m, sig) in messages.iter().zip(&sigs) {
+                assert!(vk.verify(m, sig).is_ok());
+                assert!(prepared.verify(m, sig).is_ok());
+            }
+            // The pair alone, and beside 0–4 honest signatures.
+            for extra in 0..=honest.len() {
+                let mut items: Vec<(&[u8], &Signature)> =
+                    messages.iter().copied().zip(&sigs).collect();
+                items.extend(
+                    honest_messages[..extra]
+                        .iter()
+                        .map(Vec::as_slice)
+                        .zip(&honest),
+                );
+                let keyed: Vec<(&[u8], &Signature, &VerifyingKey)> =
+                    items.iter().map(|(m, s)| (*m, *s, &vk)).collect();
+                assert!(batch_holds(&keyed), "batch, {extra} extra");
+                assert_eq!(first_failure(&keyed), None, "{extra} extra");
+                assert!(prepared.holds_all(&items), "one key, {extra} extra");
+            }
+            // A torsioned R whose s is off is refused everywhere.
+            let mut bad = sigs[1];
+            bad.0[40] ^= 1;
+            let items: Vec<(&[u8], &Signature)> =
+                vec![(messages[0], &sigs[0]), (messages[1], &bad)];
+            assert!(vk.verify(messages[1], &bad).is_err());
+            assert!(!prepared.holds_all(&items));
+            let keyed: Vec<(&[u8], &Signature, &VerifyingKey)> =
+                items.iter().map(|(m, s)| (*m, *s, &vk)).collect();
+            assert_eq!(first_failure(&keyed), Some(1));
+        }
+    }
+
+    /// The one-key equation over n = 1–40 signatures says what the n lone
+    /// checks say, with every kind of forgery at every position.
+    #[test]
+    fn the_one_key_equation_agrees_with_lone_checks() {
+        let sk = SigningKey::from_seed(&[71u8; 32]);
+        let vk = sk.verifying_key();
+        let prepared = PreparedKey::new(&vk.decompress().unwrap());
+        let other = SigningKey::from_seed(&[72u8; 32]);
+        let messages: Vec<Vec<u8>> = (0..40u32).map(|i| i.to_le_bytes().repeat(3)).collect();
+        let sigs: Vec<Signature> = messages.iter().map(|m| sk.sign(m)).collect();
+        // A flipped bit of s, a signature by another key, no point's
+        // encoding as R, and s ≥ ℓ.
+        let forge = |kind: usize, message: &[u8], mut sig: Signature| match kind {
+            0 => {
+                sig.0[33] ^= 4;
+                sig
+            }
+            1 => other.sign(message),
+            2 => {
+                sig.0[..32].copy_from_slice(&[2u8; 32]);
+                sig
+            }
+            _ => {
+                sig.0[32..].copy_from_slice(&[0xff; 32]);
+                sig
+            }
+        };
+        for n in 1..=40 {
+            let items: Vec<(&[u8], &Signature)> =
+                messages[..n].iter().map(Vec::as_slice).zip(&sigs).collect();
+            assert!(prepared.holds_all(&items), "n = {n}");
+            for at in 0..n {
+                let forged = forge((n + at) % 4, &messages[at], sigs[at]);
+                assert!(prepared.verify(&messages[at], &forged).is_err());
+                let mut with_forgery = items.clone();
+                with_forgery[at].1 = &forged;
+                assert!(
+                    !prepared.holds_all(&with_forgery),
+                    "n = {n}, forged at {at}"
+                );
+            }
+        }
+        assert!(prepared.holds_all(&[]));
     }
 
     #[test]

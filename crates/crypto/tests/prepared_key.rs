@@ -4,9 +4,11 @@
 //! `DecompressedKey::verify` must return the verdict of
 //! `VerifyingKey::verify` on every input, including the ones a hostile
 //! peer picks: keys of small order, non-canonical encodings, mangled `R`,
-//! `s ≥ ℓ`. That verdict in turn must be the one of two references no
-//! change to a lone check can move: decompressing `R` and comparing
-//! points, and the batch equation.
+//! `R` or `A` off by a point of small order, `s ≥ ℓ`. That verdict in
+//! turn must be the one of the references no change to a lone check can
+//! move: decompressing `R` and testing the cofactored equation
+//! `[8]([s]B + [k](−A) − R) = O` (RFC 8032 §5.1.7), the batch equation,
+//! and a prepared key's one-key equation.
 
 use std::sync::OnceLock;
 
@@ -26,7 +28,8 @@ fn from_hex<const N: usize>(hex: &str) -> [u8; N] {
 }
 
 /// The lone check spelled out the long way: decompress `A` and `R`,
-/// refuse `s ≥ ℓ`, and compare `[s]B + [k](−A)` with `R` as points.
+/// refuse `s ≥ ℓ`, and test that `[s]B + [k](−A)` and `R` differ by a
+/// point of order dividing 8.
 fn decompress_and_compare(key: &VerifyingKey, message: &[u8], signature: &Signature) -> bool {
     let r_bytes: [u8; 32] = signature.0[..32].try_into().unwrap();
     let s_bytes: [u8; 32] = signature.0[32..].try_into().unwrap();
@@ -42,7 +45,10 @@ fn decompress_and_compare(key: &VerifyingKey, message: &[u8], signature: &Signat
     h.update(key.as_bytes());
     h.update(message);
     let k = Scalar::from_bytes_mod_order_wide(&h.finalize());
-    Point::double_scalar_mul_basepoint(&s, &k, &a.neg()).eq_point(&r)
+    Point::double_scalar_mul_basepoint(&s, &k, &a.neg())
+        .add(&r.neg())
+        .mul_scalar(&Scalar::from_u64(8))
+        .is_identity()
 }
 
 /// The message of the honest item each verdict is batched beside.
@@ -65,26 +71,18 @@ fn verdict(key: &VerifyingKey, message: &[u8], signature: &Signature) -> Option<
         reference,
         "decompressing and comparing disagrees"
     );
-    // The batch multiplies A by z·k mod ℓ, which moves [k]A when A has a
-    // part of small order: there it may differ, by design, and is no
-    // reference.
-    let ell_minus_1 = Scalar::ZERO.sub(Scalar::ONE);
-    let order_l = match Point::decompress(key.as_bytes()) {
-        Ok(a) => a.mul_scalar(&ell_minus_1).add(&a).is_identity(),
-        Err(_) => true,
-    };
-    if order_l {
-        let (honest_key, honest_sig) = honest();
-        assert_eq!(
-            verify_batch(&[
-                (HONEST_MESSAGE, honest_sig, honest_key),
-                (message, signature, key)
-            ])
-            .is_ok(),
-            reference,
-            "the batch disagrees"
-        );
-    }
+    // The batch multiplies A by z·k mod ℓ; the factor 8 makes that the
+    // same equation under a key with a part of small order too.
+    let (honest_key, honest_sig) = honest();
+    assert_eq!(
+        verify_batch(&[
+            (HONEST_MESSAGE, honest_sig, honest_key),
+            (message, signature, key)
+        ])
+        .is_ok(),
+        reference,
+        "the batch disagrees"
+    );
     let Ok(decompressed) = key.decompress() else {
         assert!(!reference, "accepted under a key that is no point");
         return None;
@@ -94,12 +92,16 @@ fn verdict(key: &VerifyingKey, message: &[u8], signature: &Signature) -> Option<
         reference,
         "decompressed path disagrees"
     );
+    let prepared = PreparedKey::new(&decompressed);
     assert_eq!(
-        PreparedKey::new(&decompressed)
-            .verify(message, signature)
-            .is_ok(),
+        prepared.verify(message, signature).is_ok(),
         reference,
         "prepared path disagrees"
+    );
+    assert_eq!(
+        prepared.holds_all(&[(message, signature)]),
+        reference,
+        "the one-key equation disagrees"
     );
     Some(reference)
 }
@@ -120,7 +122,7 @@ fn plus_l(s: &[u8; 32]) -> [u8; 32] {
 }
 
 /// `(R, s)` with `R = [s]B`: accepted under a key `A` exactly when
-/// `[k]A` is the identity.
+/// `[8][k]A` is the identity — under every key of small order.
 fn keyless_signature(s: u64) -> Signature {
     let s = Scalar::from_u64(s);
     let mut sig = [0u8; 64];
@@ -172,6 +174,42 @@ proptest! {
     }
 
     #[test]
+    fn torsion_in_r_or_a_gets_the_reference_verdict(a in any::<[u8; 32]>(),
+                                                    r in any::<[u8; 32]>(),
+                                                    msg in proptest::collection::vec(any::<u8>(), 0..64),
+                                                    r_torsion in 0usize..8,
+                                                    a_torsion in 0usize..8,
+                                                    tweak in 0u8..4) {
+        // Signed by hand under the secret scalar a, with the public key
+        // A = [a]B + T_A and R = [r]B + T_R: the lone equation is off by
+        // T_R + [k]T_A, a point of small order, which the factor 8 takes
+        // out. Then s made non-canonical, s + 1, or R made undecodable.
+        let torsion = |i: usize| Point::decompress(&from_hex(SMALL_ORDER[i])).unwrap();
+        let a = Scalar::from_bytes_mod_order(&a);
+        let r = Scalar::from_bytes_mod_order(&r);
+        let key = VerifyingKey::from_bytes(
+            Point::mul_basepoint(&a).add(&torsion(a_torsion)).compress(),
+        );
+        let mut r_bytes = Point::mul_basepoint(&r).add(&torsion(r_torsion)).compress();
+        let mut h = Sha512::new();
+        h.update(&r_bytes);
+        h.update(key.as_bytes());
+        h.update(&msg);
+        let k = Scalar::from_bytes_mod_order_wide(&h.finalize());
+        let mut s = k.mul_add(a, r).to_bytes();
+        match tweak {
+            0 => {}
+            1 => s = plus_l(&s),
+            2 => s = Scalar::from_canonical_bytes(&s).unwrap().add(Scalar::ONE).to_bytes(),
+            _ => r_bytes = [2u8; 32],
+        }
+        let mut sig = [0u8; 64];
+        sig[..32].copy_from_slice(&r_bytes);
+        sig[32..].copy_from_slice(&s);
+        prop_assert_eq!(verdict(&key, &msg, &Signature(sig)), Some(tweak == 0));
+    }
+
+    #[test]
     fn random_bytes_get_one_verdict(key in any::<[u8; 32]>(),
                                     r in any::<[u8; 32]>(),
                                     s in any::<[u8; 32]>(),
@@ -208,8 +246,7 @@ const SMALL_ORDER: [&str; 8] = [
     "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa",
 ];
 
-/// Messages tried per hostile key: `[k]A` vanishes for one challenge in
-/// `ord(A)`, so 64 of them meet both verdicts under every such key.
+/// Messages tried per hostile key.
 const TRIES: u64 = 64;
 
 fn accepted_of(key: &VerifyingKey) -> u64 {
@@ -230,13 +267,9 @@ fn small_order_keys_get_the_reference_verdict() {
             point.mul_scalar(&Scalar::from_u64(8)).is_identity(),
             "vector {i} has small order"
         );
-        let accepted = accepted_of(&key);
-        if i == 0 {
-            // [k]·identity vanishes for every k.
-            assert_eq!(accepted, TRIES);
-        } else {
-            assert!(accepted > 0 && accepted < TRIES, "vector {i}: {accepted}");
-        }
+        // [8][k]A vanishes for every k: the cofactored equation is
+        // blind to a key of small order, so every path accepts.
+        assert_eq!(accepted_of(&key), TRIES, "vector {i}");
     }
 }
 
@@ -253,8 +286,7 @@ fn non_canonical_key_encodings_get_the_reference_verdict() {
     let y_is_p = VerifyingKey::from_bytes(from_hex(
         "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
     ));
-    let accepted = accepted_of(&y_is_p);
-    assert!(accepted > 0 && accepted < TRIES, "{accepted}");
+    assert_eq!(accepted_of(&y_is_p), TRIES);
     // −0: x = 0 with the sign bit set is no encoding at all.
     for hex in [
         "0100000000000000000000000000000000000000000000000000000000000080",
@@ -290,10 +322,10 @@ fn hostile_rs() -> Vec<[u8; 32]> {
 
 #[test]
 fn hostile_r_encodings_get_the_reference_verdict() {
-    // With s = 0 the equation is [k](−A) = R: under a small-order key
-    // some challenges land on a small-order R and most do not, so both
-    // verdicts occur for the encodings that are such points. Under the
-    // RFC keys, of order ℓ, every one is refused, the batch agreeing.
+    // With s = 0 the equation is [8]([k](−A) − R) = O: under a
+    // small-order key it holds for every R of small order and no other.
+    // Under the RFC keys, of order ℓ, every one is refused, the batch
+    // agreeing.
     let rfc_keys = RFC8032.map(|(_, public, _, _)| public);
     let mut accepted = [0u32; 2];
     for key in SMALL_ORDER.iter().chain(&rfc_keys) {

@@ -47,8 +47,10 @@ pub const SHARD_INSTANT_OPS: &[&str] = &[
 /// signature verification, tens of microseconds of curve arithmetic. To
 /// the thread queued on a stripe it makes no difference whether the
 /// holder is in a syscall or in a scalar multiplication.
-/// `batch_holds` is a group's settle equation alone and
-/// `first_lone_failure` the one-by-one scan after it fails.
+/// `batch_holds` is a group's settle equation alone,
+/// `first_lone_failure` the one-by-one scan after it fails, and
+/// `holds_all` a prepared key's one equation over a run of its
+/// signatures.
 /// `PreparedKey::new`, the other curve-arithmetic call, is matched by
 /// its qualifier (`is_key_preparation`).
 pub const BLOCKING_PRIMITIVES: &[&str] = &[
@@ -73,6 +75,7 @@ pub const BLOCKING_PRIMITIVES: &[&str] = &[
     "first_failure",
     "batch_holds",
     "first_lone_failure",
+    "holds_all",
 ];
 
 /// Whether `c` is `PreparedKey::new(..)`: building a key's tables, about

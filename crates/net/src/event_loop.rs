@@ -66,7 +66,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use restricted_proxy::prelude::KeyResolver;
 
-use crate::mux::{EndGroup, ServiceMux};
+use crate::mux::{Run, ServiceMux};
 
 /// Bytes pulled from a socket per `read` call.
 const READ_CHUNK: usize = 16 * 1024;
@@ -177,7 +177,7 @@ impl EventLoopServer {
                 free: Vec::new(),
                 accept_ready: true,
                 chunk: vec![0; READ_CHUNK],
-                end_group: EndGroup::default(),
+                run: Run::default(),
             };
             workers.push(
                 std::thread::Builder::new()
@@ -257,9 +257,9 @@ struct Worker<R: KeyResolver> {
     /// Where every `read` lands before its bytes join the connection's
     /// buffer: [`READ_CHUNK`] long, zeroed once for the worker's life.
     chunk: Vec<u8>,
-    /// The run of `EndRequest`s being gathered from one read, decided
-    /// together when the run ends.
-    end_group: EndGroup,
+    /// The run of `EndRequest`s or `CheckDeposit`s being gathered from
+    /// one read, decided together when the run ends.
+    run: Run,
 }
 
 impl<R: KeyResolver> Worker<R> {
@@ -432,9 +432,10 @@ impl<R: KeyResolver> Worker<R> {
 
     /// Splits and dispatches every complete frame in the accumulation
     /// buffer, packing replies into the write queue. Each run of
-    /// consecutive `EndRequest`s is decided as one group, so their
-    /// Ed25519 checks settle together (DESIGN.md §8, "One settle step");
-    /// replies keep request order.
+    /// consecutive `EndRequest`s, and each run of consecutive
+    /// `CheckDeposit`s, is decided as one group, so their Ed25519 checks
+    /// settle together (DESIGN.md §8, "One settle step"); replies keep
+    /// request order.
     fn process_frames(&mut self, slot: usize) {
         let Some(Some(conn)) = self.slab.get_mut(slot) else {
             return;
@@ -445,16 +446,20 @@ impl<R: KeyResolver> Worker<R> {
                 Ok(Some((header, body, used))) => {
                     consumed += used;
                     let request = match Message::decode_body(header.msg_type, body) {
-                        Ok(request) => match self.end_group.push(header.request_id, request) {
+                        Ok(request) => match self.run.push(header.request_id, request) {
                             None => continue,
                             Some(other) => Ok(other),
                         },
                         Err(e) => Err(e),
                     };
                     self.mux
-                        .handle_end_group(&mut self.end_group, &mut conn.out);
+                        .handle_run(&mut self.run, &mut conn.out, &mut conn.rng);
                     let reply = match request {
-                        Ok(request) => self.mux.handle(request, &mut conn.rng),
+                        // A request of the other kind starts the next run.
+                        Ok(request) => match self.run.push(header.request_id, request) {
+                            None => continue,
+                            Some(request) => self.mux.handle(request, &mut conn.rng),
+                        },
                         // Framing is intact; answer the malformed body
                         // and keep the connection.
                         Err(e) => Message::Error {
@@ -475,7 +480,7 @@ impl<R: KeyResolver> Worker<R> {
                     // report best-effort after the replies already
                     // due, then close once the queue flushes.
                     self.mux
-                        .handle_end_group(&mut self.end_group, &mut conn.out);
+                        .handle_run(&mut self.run, &mut conn.out, &mut conn.rng);
                     let reply = Message::Error {
                         code: ErrorCode::Malformed,
                         detail: e.to_string(),
@@ -495,7 +500,7 @@ impl<R: KeyResolver> Worker<R> {
             }
         }
         self.mux
-            .handle_end_group(&mut self.end_group, &mut conn.out);
+            .handle_run(&mut self.run, &mut conn.out, &mut conn.rng);
         if consumed > 0 {
             conn.inbuf.drain(..consumed);
         }

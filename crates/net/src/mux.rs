@@ -2,26 +2,31 @@
 
 use std::sync::Arc;
 
-use proxy_accounting::{AccountingServer, AcctError, Check, DepositOutcome};
+use proxy_accounting::{AccountingServer, AcctError, Check, Deposit, DepositGroup, DepositOutcome};
 use proxy_authz::{AuthorizationServer, Authorized, AuthzError, EndServer, GroupServer, Request};
 use proxy_wire::{ErrorCode, Message};
 use rand::RngCore;
 use restricted_proxy::prelude::{KeyResolver, MapResolver};
 use restricted_proxy::verify::Prepared;
 
-/// Consecutive `EndRequest`s that one read delivered on one connection,
-/// decided together (DESIGN.md §8, "One settle step"). A worker keeps one
-/// for its life, so its vectors keep their capacity from read to read.
+/// Consecutive requests of one kind — `EndRequest`s or `CheckDeposit`s —
+/// that one read delivered on one connection, decided together
+/// (DESIGN.md §8, "One settle step"). A worker keeps one for its life, so
+/// its vectors keep their capacity from read to read.
 #[derive(Default)]
-pub(crate) struct EndGroup {
+pub(crate) struct Run {
     ids: Vec<u64>,
     requests: Vec<Request>,
     prepared: Vec<Prepared>,
+    deposits: Vec<Deposit>,
+    deposit_group: DepositGroup,
 }
 
-impl EndGroup {
+impl Run {
     /// Queues `message`, to be answered under `id`, if it is an
-    /// `EndRequest`; hands any other message back.
+    /// `EndRequest` or a `CheckDeposit` and the run holds no request of
+    /// the other kind; hands it back otherwise. An empty run takes
+    /// either.
     pub(crate) fn push(&mut self, id: u64, message: Message) -> Option<Message> {
         match message {
             Message::EndRequest {
@@ -31,20 +36,31 @@ impl EndGroup {
                 presentations,
                 now,
                 amounts,
-            } => {
-                self.ids.push(id);
-                self.requests.push(Request {
-                    operation,
-                    object,
-                    authenticated,
-                    presentations,
-                    now,
-                    amounts,
-                });
-                None
-            }
-            other => Some(other),
+            } if self.deposits.is_empty() => self.requests.push(Request {
+                operation,
+                object,
+                authenticated,
+                presentations,
+                now,
+                amounts,
+            }),
+            Message::CheckDeposit {
+                check,
+                depositor,
+                to_account,
+                next_hop,
+                now,
+            } if self.requests.is_empty() => self.deposits.push(Deposit {
+                check: Check { proxy: check },
+                depositor,
+                to_account,
+                next_hop,
+                now,
+            }),
+            other => return Some(other),
         }
+        self.ids.push(id);
+        None
     }
 }
 
@@ -225,24 +241,10 @@ impl<R: KeyResolver> ServiceMux<R> {
                 next_hop,
                 now,
             } => match &self.accounting {
-                None => unavailable("no accounting server mounted"),
+                None => unavailable(NO_ACCOUNTING_SERVER),
                 Some(acct) => {
                     let check = Check { proxy: check };
-                    match acct.deposit(&check, &depositor, &to_account, next_hop, now, rng) {
-                        Ok(DepositOutcome::Settled(payment)) => Message::CheckSettled {
-                            payor: payment.payor,
-                            check_no: payment.check_no,
-                            currency: payment.currency,
-                            amount: payment.amount,
-                        },
-                        Ok(DepositOutcome::Forwarded { check, next_hop }) => {
-                            Message::CheckForwarded {
-                                check: check.proxy,
-                                next_hop,
-                            }
-                        }
-                        Err(e) => acct_error(&e),
-                    }
+                    deposit_reply(acct.deposit(&check, &depositor, &to_account, next_hop, now, rng))
                 }
             },
             Message::CheckEndorse { check, next_hop } => match &self.accounting {
@@ -292,32 +294,66 @@ impl<R: KeyResolver> ServiceMux<R> {
         }
     }
 
-    /// Answers every request queued in `group` as one group
-    /// ([`EndServer::authorize_all`]), appending each reply frame, in
-    /// order, to `out`; leaves the group empty. Each reply is the one
-    /// [`Self::handle`] gives its request.
-    pub(crate) fn handle_end_group(&self, group: &mut EndGroup, out: &mut Vec<u8>) {
-        let EndGroup {
+    /// Answers every request queued in `run` as one group
+    /// ([`EndServer::authorize_all`], [`AccountingServer::deposit_all`]),
+    /// appending each reply frame, in order, to `out`; leaves the run
+    /// empty. Each reply is the one [`Self::handle`] gives its request.
+    pub(crate) fn handle_run<G: RngCore>(&self, run: &mut Run, out: &mut Vec<u8>, rng: &mut G) {
+        let Run {
             ids,
             requests,
             prepared,
-        } = group;
-        match &self.end {
-            None => {
-                for id in ids.iter() {
-                    unavailable(NO_END_SERVER).encode_frame_into(out, *id);
+            deposits,
+            deposit_group,
+        } = run;
+        let mut reply = |i: usize, message: Message| {
+            message.encode_frame_into(out, ids.get(i).copied().unwrap_or(0));
+        };
+        if !requests.is_empty() {
+            match &self.end {
+                None => (0..requests.len()).for_each(|i| reply(i, unavailable(NO_END_SERVER))),
+                Some(end) => end.authorize_all(requests, prepared, |i, decided| {
+                    reply(i, end_reply(decided));
+                }),
+            }
+        }
+        if !deposits.is_empty() {
+            match &self.accounting {
+                None => {
+                    (0..deposits.len()).for_each(|i| reply(i, unavailable(NO_ACCOUNTING_SERVER)))
+                }
+                Some(acct) => {
+                    acct.deposit_all(deposits.drain(..), deposit_group, rng, |i, outcome| {
+                        reply(i, deposit_reply(outcome));
+                    })
                 }
             }
-            Some(end) => end.authorize_all(requests, prepared, |i, decided| {
-                end_reply(decided).encode_frame_into(out, ids.get(i).copied().unwrap_or(0));
-            }),
         }
         ids.clear();
         requests.clear();
+        deposits.clear();
     }
 }
 
 const NO_END_SERVER: &str = "no end-server mounted";
+const NO_ACCOUNTING_SERVER: &str = "no accounting server mounted";
+
+/// The reply to a `CheckDeposit` the accounting server decided.
+fn deposit_reply(outcome: Result<DepositOutcome, AcctError>) -> Message {
+    match outcome {
+        Ok(DepositOutcome::Settled(payment)) => Message::CheckSettled {
+            payor: payment.payor,
+            check_no: payment.check_no,
+            currency: payment.currency,
+            amount: payment.amount,
+        },
+        Ok(DepositOutcome::Forwarded { check, next_hop }) => Message::CheckForwarded {
+            check: check.proxy,
+            next_hop,
+        },
+        Err(e) => acct_error(&e),
+    }
+}
 
 /// The reply to an `EndRequest` the end-server `decided`.
 fn end_reply(decided: Result<Authorized, AuthzError>) -> Message {

@@ -192,6 +192,16 @@ impl KeyTable {
             }
         }
     }
+
+    /// The prepared key the table holds for `key`, which counts as a use
+    /// of it; `None` for a key seen once or not at all, which this probe
+    /// leaves as it is — it never prepares, and never stores.
+    pub(crate) fn prepared(&self, key: &VerifyingKey) -> Option<Arc<PreparedKey>> {
+        match self.slot(key)?.tenants().find(key)? {
+            Seen::Prepared(prepared) => Some(prepared),
+            Seen::Once(_) => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -202,7 +212,7 @@ mod tests {
     impl KeyTable {
         /// `"once"` / `"prepared"` when `key` is a tenant of its slot.
         /// Reads without touching the slot's recency.
-        fn stage_of(&self, key: &VerifyingKey) -> Option<&'static str> {
+        pub(crate) fn stage_of(&self, key: &VerifyingKey) -> Option<&'static str> {
             let ways = self.slot(key)?.tenants();
             let seen = ways.0.get(ways.way_of(key)?)?.as_ref()?;
             Some(match seen {
@@ -237,6 +247,26 @@ mod tests {
             assert!(table.verify(&vk, b"other", &good).is_err());
             assert!(table.verify(&vk, b"body", &forged).is_err());
         }
+        assert_eq!(table.occupancy(), 1);
+    }
+
+    #[test]
+    fn the_prepared_probe_never_prepares_or_stores() {
+        let table = KeyTable::new();
+        let sk = signer(9);
+        let vk = sk.verifying_key();
+        assert!(table.prepared(&vk).is_none());
+        assert_eq!(table.stage_of(&vk), None);
+        sight(&table, &sk);
+        for _ in 0..3 {
+            assert!(table.prepared(&vk).is_none());
+            assert_eq!(table.stage_of(&vk), Some("once"));
+        }
+        sight(&table, &sk);
+        let prepared = table
+            .prepared(&vk)
+            .expect("prepared on its second sighting");
+        assert_eq!(prepared.key(), &vk);
         assert_eq!(table.occupancy(), 1);
     }
 

@@ -44,6 +44,13 @@ fn append_body(cert: &Certificate, out: &mut Vec<u8>) -> Range<usize> {
 /// size settles in equations of at most this many.
 const MAX_EQUATION_CHECKS: usize = 80;
 
+/// Fewest lone checks under one prepared key that settle as one
+/// equation ([`ed25519::PreparedKey::holds_all`]). Below it, as many
+/// prepared lone checks cost no more: the equation reads 1.00× their
+/// time at four, 0.98× at five and 0.89× at six (EXPERIMENTS.md C3,
+/// `one-key/n` against `prepared-lone×n`).
+const MIN_ONE_KEY_CHECKS: usize = 5;
+
 /// An Ed25519 check postponed so that everything a presentation asks of
 /// the curve — its uncached seals and its possession proof — is settled
 /// in one step, together with the checks of the rest of its group.
@@ -102,6 +109,9 @@ pub struct Prepared {
     expires: Timestamp,
     /// The request's time, which the seal cache is probed and filled at.
     now: Timestamp,
+    /// Its one pending check held in an equation with the group's other
+    /// lone checks under the same key.
+    held: bool,
 }
 
 impl Prepared {
@@ -116,6 +126,14 @@ impl Prepared {
     /// check goes through the key table instead.
     fn joins_equation(&self) -> bool {
         self.pending.len() >= 2
+    }
+
+    /// The key of its check when it has exactly one.
+    fn lone_key(&self) -> Option<VerifyingKey> {
+        match self.pending.as_slice() {
+            [lone] => Some(lone.vk),
+            _ => None,
+        }
     }
 }
 
@@ -249,6 +267,7 @@ impl<R: KeyResolver> Verifier<R> {
             scratch: Vec::new(),
             expires: Timestamp::MAX,
             now,
+            held: false,
         };
         prepared.verdict = self.walk(presentation, &mut prepared);
         if prepared.verdict.is_err() {
@@ -400,8 +419,12 @@ impl<R: KeyResolver> Verifier<R> {
     /// The presentations whose checks would each settle as an equation
     /// (two or more) share one, in equations of at most eighty checks,
     /// so the Straus tables of one (~3 KiB a check) stay bounded however
-    /// large the group; a presentation with one check settles it through
-    /// the key table. When a shared equation fails, or has a single member, each
+    /// large the group. The lone checks of the group that share a key —
+    /// a bank's deposits under one payor — settle in one equation under
+    /// that key ([`ed25519::PreparedKey::holds_all`]), at least five of
+    /// them and at most eighty to an equation, when the key table holds
+    /// the key prepared; any other lone check settles through the key
+    /// table. When a shared equation fails, or has a single member, each
     /// of its members settles on its own as [`Self::verify`] would:
     /// `first_failure` runs its equation and, if that fails, repeats
     /// each check alone, in chain order with the proof last, up to the
@@ -412,6 +435,7 @@ impl<R: KeyResolver> Verifier<R> {
     /// if any seal fails none of its seals do. Only seal validity is
     /// ever cached, never a request-dependent decision.
     pub fn settle(&self, group: &mut [Prepared]) {
+        self.settle_shared_keys(group);
         let mut rest = group;
         while !rest.is_empty() {
             let (len, members) = next_equation(rest);
@@ -426,12 +450,52 @@ impl<R: KeyResolver> Verifier<R> {
                 ed25519::batch_holds(&items)
             };
             for p in chunk {
-                let failed = if holds && p.joins_equation() {
+                let failed = if p.held || (holds && p.joins_equation()) {
                     None
                 } else {
                     self.first_failure(p)
                 };
                 self.record(p, failed);
+            }
+        }
+    }
+
+    /// Marks `held` every lone check of `group` whose key's equation holds:
+    /// one equation per key, over the lone checks under it, when there
+    /// are [`MIN_ONE_KEY_CHECKS`] or more and the key table holds the key
+    /// prepared. Marks nothing else: a check under a key seen only once
+    /// (which this never prepares), or in an equation that failed, then
+    /// settles alone through the key table, as it would have.
+    fn settle_shared_keys(&self, group: &mut [Prepared]) {
+        let mut members = Vec::new();
+        for first in 0..group.len() {
+            let Some(key) = group[first].lone_key() else {
+                continue;
+            };
+            // Each key once, at its first lone check.
+            if group[..first].iter().any(|p| p.lone_key() == Some(key)) {
+                continue;
+            }
+            let under_key = |i: &usize| group[*i].lone_key() == Some(key);
+            if (first..group.len()).filter(under_key).count() < MIN_ONE_KEY_CHECKS {
+                continue;
+            }
+            let Some(prepared) = self.keys.prepared(&key) else {
+                continue;
+            };
+            members.clear();
+            members.extend((first..group.len()).filter(under_key));
+            for equation in members.chunks(MAX_EQUATION_CHECKS) {
+                let items: Vec<(&[u8], &Signature)> = equation
+                    .iter()
+                    .flat_map(|&i| group[i].items())
+                    .map(|(message, sig, _)| (message, sig))
+                    .collect();
+                if prepared.holds_all(&items) {
+                    for &i in equation {
+                        group[i].held = true;
+                    }
+                }
             }
         }
     }

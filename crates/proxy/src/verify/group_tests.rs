@@ -82,6 +82,14 @@ impl World {
         }
     }
 
+    /// Alice's public key.
+    fn alice_key(&self) -> VerifyingKey {
+        match &self.alice {
+            GrantAuthority::Keypair(sk) => sk.verifying_key(),
+            GrantAuthority::SharedKey(_) => unreachable!("alice seals with Ed25519"),
+        }
+    }
+
     /// A fresh verifier of this world, with its own seal cache of
     /// `capacity` and its own key table.
     fn verifier(&self, capacity: usize) -> Verifier<MapResolver> {
@@ -493,4 +501,171 @@ fn group_larger_than_one_equation_settles_in_bounded_equations() {
         }
     }
     assert_eq!(verifier.seal_cache().unwrap().len(), 39 * 8);
+}
+
+/// A check-like presentation: a one-link delegate proxy alice grants to
+/// fsworker under accept-once id `id`, presented by identity — one
+/// pending check, alice's seal, under alice's key.
+fn lone_check(world: &World, rng: &mut StdRng, id: u64) -> Presentation {
+    grant(
+        &p("alice"),
+        &world.alice,
+        RestrictionSet::new()
+            .with(Restriction::grantee_one(p("fsworker")))
+            .with(Restriction::AcceptOnce { id }),
+        window(),
+        id,
+        rng,
+    )
+    .present_delegate()
+}
+
+/// Groups of 1–16 lone checks under one key — the shape of a bank's
+/// deposits under one payor — with forged seals, expired links, revoked
+/// serials and replayed accept-once ids at random places, settle as one
+/// group exactly as one by one: verdicts, marks, and cached seals. Runs
+/// of five or more settle in one equation under the prepared key.
+#[test]
+fn lone_checks_under_one_key_equal_sequential_verify() {
+    let mut rng = StdRng::seed_from_u64(35);
+    let world = World::seeded(&mut rng);
+    let (grouped, sequential) = (world.verifier(1 << 14), world.verifier(1 << 14));
+    let (mut grouped_replay, mut sequential_replay) = (ReplayCache::new(), ReplayCache::new());
+    let ctx = ctx();
+    let mut errors = std::collections::BTreeSet::new();
+    let mut next_id = 1000;
+    for round in 0..40 {
+        let size = rng.gen_range(1..17);
+        let mut presentations: Vec<Presentation> = Vec::with_capacity(size);
+        while presentations.len() < size {
+            next_id += 1;
+            let mut pres = lone_check(&world, &mut rng, next_id);
+            match rng.gen_range(0..12) {
+                0 => {
+                    let body = pres.certs[0].body_bytes();
+                    pres.certs[0].seal = CertSeal::Ed25519(world.forger.sign(&body));
+                }
+                1 => pres.certs[0].validity = Validity::new(Timestamp(0), Timestamp(5)),
+                2 => pres.certs[0].serial = REVOKED,
+                3 if !presentations.is_empty() => {
+                    // The same check twice in one group.
+                    pres = presentations[rng.gen_range(0..presentations.len())].clone();
+                }
+                _ => {}
+            }
+            presentations.push(pres);
+        }
+        let expect: Vec<_> = presentations
+            .iter()
+            .map(|pres| sequential.verify(pres, &ctx, &mut sequential_replay))
+            .collect();
+        let got = verify_group(&grouped, &presentations, &mut grouped_replay);
+        assert_eq!(got, expect, "round {round}");
+        assert_eq!(
+            marks(&grouped_replay),
+            marks(&sequential_replay),
+            "round {round}"
+        );
+        assert_eq!(
+            grouped.seal_cache().unwrap().entries(),
+            sequential.seal_cache().unwrap().entries(),
+            "round {round}"
+        );
+        for verdict in got {
+            if let Err(e) = verdict {
+                let name = format!("{e:?}");
+                errors.insert(name[..name.find([' ', '(']).unwrap_or(name.len())].to_string());
+            }
+        }
+    }
+    for error in ["BadSeal", "NotValidAt", "Revoked", "Denied"] {
+        assert!(errors.contains(error), "no {error} among {errors:?}");
+    }
+}
+
+/// Sixteen lone checks under alice's prepared key with one forged seal:
+/// the one-key equation fails, every check settles alone, and only the
+/// forgery is refused — at every position — while the fifteen honest
+/// seals are cached.
+#[test]
+fn a_failed_one_key_equation_blames_only_the_forgery() {
+    let mut rng = StdRng::seed_from_u64(36);
+    let world = World::seeded(&mut rng);
+    let honest: Vec<Presentation> = (0..16)
+        .map(|i| lone_check(&world, &mut rng, 2000 + i))
+        .collect();
+    for forged_at in 0..16 {
+        let verifier = world.verifier(1024);
+        // Alice's key seen twice: prepared.
+        for i in 100..102 {
+            let warm = lone_check(&world, &mut rng, i);
+            assert!(verifier
+                .verify(&warm, &ctx(), &mut ReplayCache::new())
+                .is_ok());
+        }
+        assert!(verifier.keys.prepared(&world.alice_key()).is_some());
+        let mut group = honest.clone();
+        let body = group[forged_at].certs[0].body_bytes();
+        group[forged_at].certs[0].seal = CertSeal::Ed25519(world.forger.sign(&body));
+        let got = verify_group(&verifier, &group, &mut ReplayCache::new());
+        for (i, verdict) in got.iter().enumerate() {
+            if i == forged_at {
+                assert_eq!(verdict, &Err(VerifyError::BadSeal { index: 0 }));
+            } else {
+                assert!(
+                    verdict.is_ok(),
+                    "check {i}, forged at {forged_at}: {verdict:?}"
+                );
+            }
+        }
+        assert_eq!(verifier.seal_cache().unwrap().len(), 2 + 15);
+    }
+}
+
+/// The group path only uses a key the table already holds prepared: a
+/// group of lone checks under a key seen once, or never, leaves the key
+/// table in the stage that verifying the same checks one by one leaves
+/// it in — a group of one under a new key prepares nothing.
+#[test]
+fn the_group_path_never_prepares_a_key() {
+    let mut rng = StdRng::seed_from_u64(37);
+    let world = World::seeded(&mut rng);
+    for seen_before in 0..2 {
+        for size in 1..=8 {
+            let (grouped, sequential) = (world.verifier(1024), world.verifier(1024));
+            let mut id = 3000;
+            for _ in 0..seen_before {
+                id += 1;
+                let warm = lone_check(&world, &mut rng, id);
+                for verifier in [&grouped, &sequential] {
+                    assert!(verifier
+                        .verify(&warm, &ctx(), &mut ReplayCache::new())
+                        .is_ok());
+                }
+            }
+            let group: Vec<Presentation> = (0..size)
+                .map(|i| lone_check(&world, &mut rng, 4000 + i))
+                .collect();
+            let got = verify_group(&grouped, &group, &mut ReplayCache::new());
+            assert!(got.iter().all(Result::is_ok));
+            for pres in &group {
+                assert!(sequential
+                    .verify(pres, &ctx(), &mut ReplayCache::new())
+                    .is_ok());
+            }
+            let stage =
+                |verifier: &Verifier<MapResolver>| verifier.keys.stage_of(&world.alice_key());
+            assert_eq!(
+                stage(&grouped),
+                stage(&sequential),
+                "{seen_before} + {size}"
+            );
+            let expect = if seen_before + size >= 2 {
+                "prepared"
+            } else {
+                "once"
+            };
+            assert_eq!(stage(&grouped), Some(expect), "{seen_before} + {size}");
+        }
+    }
 }

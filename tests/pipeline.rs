@@ -9,6 +9,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+use proxy_aa::accounting::{write_check, AccountingServer};
 use proxy_aa::authz::{Acl, AclRights, AclSubject, AuthorizationServer, EndServer};
 use proxy_aa::crypto::ed25519::SigningKey;
 use proxy_aa::crypto::keys::SymmetricKey;
@@ -251,6 +252,149 @@ fn a_pipelined_burst_of_cold_cascades_answers_as_sequential_calls() {
     }
     let denied: Vec<usize> = (0..16).filter(|&i| burst[i].is_err()).collect();
     assert_eq!(denied, [3, 7, 11], "{burst:?}");
+}
+
+/// A bank "bank" that knows payors "carol" (rich) and "dave" (45 USD),
+/// with carol's check 77 certified for 40 and an account for the shop;
+/// returns the bank and the payors' authorities.
+fn bank_world(seed: u64) -> (Arc<AccountingServer>, [GrantAuthority; 2]) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let bank_key = SigningKey::generate(&mut rng);
+    let payors = [(); 2].map(|()| SigningKey::generate(&mut rng));
+    let mut bank = AccountingServer::new(p("bank"), GrantAuthority::Keypair(bank_key));
+    for (name, key) in ["carol", "dave"].iter().zip(&payors) {
+        bank.register_grantor(p(name), GrantorVerifier::PublicKey(key.verifying_key()));
+    }
+    for (account, owner, funds) in [
+        ("carol-acct", "carol", 100_000),
+        ("dave-acct", "dave", 45),
+        ("shop-acct", "shop", 0),
+    ] {
+        bank.open_account(account, vec![p(owner)]);
+        bank.account_mut(account)
+            .expect("opened")
+            .credit(Currency::new("USD"), funds);
+    }
+    bank.certify(
+        &p("carol"),
+        "carol-acct",
+        77,
+        Currency::new("USD"),
+        40,
+        p("shop"),
+        window(),
+        &mut rng,
+    )
+    .expect("carol covers it");
+    (Arc::new(bank), payors.map(GrantAuthority::Keypair))
+}
+
+/// Pipelined bursts of 1–16 check deposits under one payor or two, with
+/// every deposit fault mixed in — a forged check, a check number twice
+/// in one burst, an unknown account to credit and an unknown account to
+/// debit, a payor running dry part-way, a check drawn on another bank
+/// (which this one forwards), a check payable to the bank, and a
+/// certified check — are answered exactly as the same deposits sent one
+/// by one to an identically seeded second server, and leave the same
+/// accounts behind.
+#[test]
+fn pipelined_bursts_of_deposits_answer_as_sequential_calls() {
+    let (grouped_bank, payors) = bank_world(21);
+    let grouped = spawn(
+        ServiceMux::new().with_accounting(Arc::clone(&grouped_bank)),
+        1,
+        21,
+    );
+    let (sequential_bank, _) = bank_world(21);
+    let sequential = spawn(
+        ServiceMux::new().with_accounting(Arc::clone(&sequential_bank)),
+        1,
+        21,
+    );
+    let grouped_client = TcpClient::new(grouped.addr(), ClientOptions::default());
+    let sequential_client = TcpClient::new(sequential.addr(), ClientOptions::default());
+    let mut rng = StdRng::seed_from_u64(22);
+    let forger = GrantAuthority::Keypair(SigningKey::generate(&mut rng));
+    let mut check_no = 1000;
+    let mut denied = 0;
+    let frame = |reply: &Result<Message, NetError>| {
+        reply.clone().map(|m| {
+            let mut out = Vec::new();
+            m.encode_frame_into(&mut out, 0);
+            out
+        })
+    };
+    for round in 0..24u64 {
+        let size = 1 + (round as usize * 7) % 16;
+        let two_payors = round % 2 == 1;
+        let mut checks: Vec<(Proxy, &str)> = Vec::with_capacity(size);
+        for i in 0..size {
+            check_no += 1;
+            let payor = usize::from(two_payors && i % 3 == 2);
+            let (mut name, mut authority) = (["carol", "dave"][payor], &payors[payor]);
+            let (mut drawn_on, mut account, mut payee) =
+                ("bank", ["carol-acct", "dave-acct"][payor], "shop");
+            let (mut number, mut amount, mut to_account) = (check_no, 1 + i as u64, "shop-acct");
+            match (round as usize + 5 * i) % 19 {
+                0 => authority = &forger,
+                1 => account = "closed-acct",
+                2 => to_account = "nobody",
+                3 => drawn_on = "bank2",
+                4 => payee = "bank",
+                5 => (name, authority, account, amount) = ("dave", &payors[1], "dave-acct", 20),
+                6 => {
+                    (name, authority, account, number, amount) =
+                        ("carol", &payors[0], "carol-acct", 77, 40)
+                }
+                7 if i > 0 => {
+                    checks.push(checks[i - 1].clone());
+                    continue;
+                }
+                _ => {}
+            }
+            let check = write_check(
+                &p(name),
+                authority,
+                &p(drawn_on),
+                account,
+                p(payee),
+                number,
+                Currency::new("USD"),
+                amount,
+                window(),
+                &mut rng,
+            );
+            checks.push((check.proxy, to_account));
+        }
+        let requests: Vec<Message> = checks
+            .into_iter()
+            .map(|(check, to_account)| Message::CheckDeposit {
+                check,
+                depositor: p("shop"),
+                to_account: to_account.to_string(),
+                next_hop: p("bank2"),
+                now: Timestamp(10 + round),
+            })
+            .collect();
+        let burst = grouped_client.call_pipelined(&requests, 16);
+        let one_by_one: Vec<_> = requests.iter().map(|r| sequential_client.call(r)).collect();
+        for (i, (got, expect)) in burst.iter().zip(&one_by_one).enumerate() {
+            assert_eq!(frame(got), frame(expect), "round {round}, deposit {i}");
+        }
+        denied += burst.iter().filter(|r| r.is_err()).count();
+        for account in ["carol-acct", "dave-acct", "shop-acct"] {
+            assert_eq!(
+                grouped_bank.account(account),
+                sequential_bank.account(account),
+                "round {round}, {account}"
+            );
+        }
+        assert_eq!(
+            grouped_bank.uncollected_total("shop-acct", &Currency::new("USD")),
+            sequential_bank.uncollected_total("shop-acct", &Currency::new("USD")),
+        );
+    }
+    assert!(denied > 20, "{denied} deposits denied");
 }
 
 /// Distinct accept-once ids in one deep pipeline all clear: the replay
