@@ -138,10 +138,13 @@ cargo test --release -q --test storage_crash
 # real parallelism, as the concurrency stress step runs the servers.
 cargo test --release -q -p proxy-storage --lib
 cargo test --release -q -p proxy-storage --test framing
-# A snapshot the server wrote is one it can read: 2^20 + 1 accept-once
-# marks (26 MB, one more than a counted collection decodes) compact and
-# reopen. Release only; the debug run of it is ignored as too slow.
-cargo test --release -q -p proxy-accounting --lib a_snapshot_of_more_than_a_million_marks_reopens
+# The accounting library in release, where `debug_assert!` is compiled
+# out: the money paths must hold without it. This also runs, once, the
+# test that a snapshot the server wrote is one it can read: 2^20 + 1
+# accept-once marks (26 MB, one more than a counted collection decodes)
+# compact and reopen — release only; the debug run of it is ignored as
+# too slow.
+cargo test --release -q -p proxy-accounting --lib
 cargo run -q -p proxy-bench --bin figures --release -- --wal \
     || cargo run -q -p proxy-bench --bin figures --release -- --wal
 

@@ -120,13 +120,30 @@ impl Account {
         Ok(())
     }
 
+    /// Whether [`Self::place_hold`] can hold `amount` of `currency` for
+    /// `check_no`: the check the hold is for is the only one that number
+    /// may pay, so a number holds once.
+    pub(crate) fn can_hold(
+        &self,
+        check_no: u64,
+        currency: &Currency,
+        amount: u64,
+    ) -> Result<(), AcctError> {
+        if self.holds.contains_key(&check_no) {
+            return Err(AcctError::held_number(check_no));
+        }
+        self.covers(currency, amount)
+    }
+
     /// Places a hold for a certified check: funds move out of the balance
     /// into the hold (§4: "The accounting server places a hold on the
     /// resources").
     ///
     /// # Errors
     ///
-    /// [`AcctError::InsufficientFunds`] when the balance cannot cover it.
+    /// [`AcctError::Verify`] (the number already accepted) when
+    /// `check_no` already has a hold; [`AcctError::InsufficientFunds`]
+    /// when the balance cannot cover it. Either way nothing moves.
     pub fn place_hold(
         &mut self,
         check_no: u64,
@@ -134,6 +151,7 @@ impl Account {
         amount: u64,
         payee: PrincipalId,
     ) -> Result<(), AcctError> {
+        self.can_hold(check_no, &currency, amount)?;
         self.debit(&currency, amount)?;
         self.holds.insert(
             check_no,

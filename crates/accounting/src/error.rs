@@ -3,7 +3,7 @@
 use restricted_proxy::encode::DecodeError;
 use restricted_proxy::error::VerifyError;
 use restricted_proxy::principal::PrincipalId;
-use restricted_proxy::restriction::Currency;
+use restricted_proxy::restriction::{Currency, Denial};
 use restricted_proxy::revocation::ArtifactError;
 
 /// Errors from accounts, checks, and clearing.
@@ -52,6 +52,19 @@ pub enum AcctError {
     /// A revocation artifact was refused (bad seal, unknown issuer,
     /// epoch regression, delta-base mismatch).
     Artifact(ArtifactError),
+}
+
+impl AcctError {
+    /// The refusal of a check number a certified check already holds: a
+    /// second certification of it, or a check with that number other
+    /// than the one certified. The number is taken, as a replayed
+    /// `accept-once` identifier is.
+    #[must_use]
+    pub(crate) fn held_number(check_no: u64) -> AcctError {
+        AcctError::Verify(VerifyError::Denied(Denial::AlreadyAccepted {
+            id: check_no,
+        }))
+    }
 }
 
 impl std::fmt::Display for AcctError {

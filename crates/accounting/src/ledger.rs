@@ -85,12 +85,20 @@ fn apply_on_account(rec: &JournalRecord, acct: &mut Account) -> Result<(), AcctE
     match rec {
         JournalRecord::Settle {
             check_no,
+            currency,
+            amount,
             from_hold: true,
             ..
-        } => acct
-            .take_hold(*check_no)
-            .map(drop)
-            .ok_or(AcctError::BadJournal("settle names a missing hold")),
+        } => match acct.hold(*check_no) {
+            None => Err(AcctError::BadJournal("settle names a missing hold")),
+            Some(hold) if hold.currency != *currency || hold.amount != *amount => {
+                Err(AcctError::BadJournal("settle differs from its hold"))
+            }
+            Some(_) => {
+                acct.take_hold(*check_no);
+                Ok(())
+            }
+        },
         JournalRecord::Settle {
             currency, amount, ..
         }
@@ -107,7 +115,12 @@ fn apply_on_account(rec: &JournalRecord, acct: &mut Account) -> Result<(), AcctE
             ..
         } => acct
             .place_hold(*check_no, currency.clone(), *amount, payee.clone())
-            .map_err(|_| AcctError::BadJournal("certify exceeds the balance")),
+            .map_err(|e| {
+                AcctError::BadJournal(match e {
+                    AcctError::InsufficientFunds { .. } => "certify exceeds the balance",
+                    _ => "certify names a held check number",
+                })
+            }),
         _ => Ok(()),
     }
 }
@@ -978,7 +991,35 @@ mod tests {
             payor: p("carol"),
             check_no: 9,
         };
-        let logs: [(&str, Vec<JournalRecord>); 4] = [
+        let certified = JournalRecord::Certified {
+            account: "carol-acct".into(),
+            check_no: 9,
+            currency: usd(),
+            amount: 10,
+            payee: p("shop"),
+            serial: 2,
+        };
+        let logs: [(&str, Vec<JournalRecord>); 6] = [
+            (
+                "a settle from a hold of another amount",
+                vec![
+                    funded.clone(),
+                    certified.clone(),
+                    JournalRecord::Settle {
+                        payor_account: "carol-acct".into(),
+                        check_no: 9,
+                        currency: usd(),
+                        amount: 400,
+                        from_hold: true,
+                        credit_to: None,
+                        replay: Vec::new(),
+                    },
+                ],
+            ),
+            (
+                "a second hold on one check number",
+                vec![funded.clone(), certified.clone(), certified],
+            ),
             (
                 "a settle crediting a missing account",
                 vec![

@@ -376,8 +376,10 @@ impl AccountingServer {
     ///
     /// Verification failures (including duplicate check numbers, §7.7),
     /// [`AcctError::NotAuthorized`] when the payor does not own the
-    /// account, and [`AcctError::InsufficientFunds`] for uncovered,
-    /// uncertified checks.
+    /// account, [`AcctError::Verify`] (the number already accepted) for a
+    /// check whose number holds funds certified for another currency,
+    /// amount or payee, and
+    /// [`AcctError::InsufficientFunds`] for uncovered, uncertified checks.
     pub fn collect(
         &self,
         check: &Check,
@@ -445,11 +447,16 @@ impl AccountingServer {
                     return Err(AcctError::NotAuthorized(info.payor.clone()));
                 }
                 let from_hold = match account.hold(info.check_no) {
-                    Some(hold) => {
-                        // Certified check: settle from the hold.
-                        debug_assert_eq!(hold.amount, info.amount);
+                    // Certified check: settle from the hold, which pays
+                    // the check it was placed for and no other.
+                    Some(hold)
+                        if hold.currency == info.currency
+                            && hold.amount == info.amount
+                            && hold.payee == info.payee =>
+                    {
                         true
                     }
+                    Some(_) => return Err(AcctError::held_number(info.check_no)),
                     None => {
                         account.covers(&info.currency, info.amount)?;
                         false
@@ -828,6 +835,8 @@ impl AccountingServer {
     /// # Errors
     ///
     /// [`AcctError::NotAuthorized`] unless `requester` owns the account;
+    /// [`AcctError::Verify`] (the number already accepted) when
+    /// `check_no` is already certified;
     /// [`AcctError::InsufficientFunds`] when the hold cannot be covered.
     #[allow(clippy::too_many_arguments)]
     pub fn certify<R: RngCore>(
@@ -850,7 +859,7 @@ impl AccountingServer {
             if !acct.is_owner(requester) {
                 return Err(AcctError::NotAuthorized(requester.clone()));
             }
-            acct.covers(&currency, amount)?;
+            acct.can_hold(check_no, &currency, amount)?;
             Ok(JournalRecord::Certified {
                 account: account.to_string(),
                 check_no,
@@ -1305,6 +1314,95 @@ pub(crate) mod tests {
             ),
             Err(AcctError::InsufficientFunds { .. })
         ));
+    }
+
+    /// Every unit of `currency` the bank holds: the balances, holds and
+    /// allocations of each account the tests below open, and the cashier
+    /// pool.
+    fn total(f: &Fixture, currency: &Currency) -> u64 {
+        ["carol-acct", "shop-acct", "mallory-acct", CASHIER_ACCOUNT]
+            .into_iter()
+            .filter_map(|name| f.bank.account(name))
+            .map(|a| a.balance(currency) + a.held(currency) + a.allocated(currency))
+            .sum()
+    }
+
+    #[test]
+    fn a_hold_pays_only_the_check_it_was_certified_for() {
+        let eur = Currency::new("EUR");
+        // Checks numbered #9 against a hold of 10 USD payable to the shop:
+        // more than was held, another currency, another payee.
+        for (currency, amount, payee) in [
+            (usd(), 400, "shop"),
+            (eur.clone(), 10, "shop"),
+            (usd(), 10, "mallory"),
+        ] {
+            let mut f = fixture();
+            f.bank.open_account("mallory-acct", vec![p("mallory")]);
+            f.bank
+                .certify(
+                    &p("carol"),
+                    "carol-acct",
+                    9,
+                    usd(),
+                    10,
+                    p("shop"),
+                    window(),
+                    &mut f.rng,
+                )
+                .unwrap();
+            let check = write_check(
+                &p("carol"),
+                &f.carol_auth,
+                &p("bank"),
+                "carol-acct",
+                p(payee),
+                9,
+                currency.clone(),
+                amount,
+                window(),
+                &mut f.rng,
+            );
+            let err = f
+                .bank
+                .deposit(
+                    &check,
+                    &p(payee),
+                    &format!("{payee}-acct"),
+                    p("bank"),
+                    Timestamp(1),
+                    &mut f.rng,
+                )
+                .unwrap_err();
+            let what = format!("{amount} {currency} to {payee}");
+            assert_eq!(err, AcctError::held_number(9), "{what}");
+            assert_eq!(total(&f, &usd()), 500, "{what}: USD conserved");
+            assert_eq!(total(&f, &eur), 0, "{what}: no EUR minted");
+            let carol = f.bank.account("carol-acct").unwrap();
+            assert_eq!(carol.held(&usd()), 10, "{what}: the hold stands");
+        }
+    }
+
+    #[test]
+    fn a_check_number_is_certified_once() {
+        let mut f = fixture();
+        let certify = |f: &mut Fixture| {
+            f.bank.certify(
+                &p("carol"),
+                "carol-acct",
+                9,
+                usd(),
+                100,
+                p("shop"),
+                window(),
+                &mut f.rng,
+            )
+        };
+        certify(&mut f).unwrap();
+        assert_eq!(certify(&mut f).unwrap_err(), AcctError::held_number(9));
+        let carol = f.bank.account("carol-acct").unwrap();
+        assert_eq!((carol.balance(&usd()), carol.held(&usd())), (400, 100));
+        assert_eq!(total(&f, &usd()), 500);
     }
 
     #[test]

@@ -341,26 +341,16 @@ impl<R: KeyResolver> EndServer<R> {
             }
         }
 
-        // Pass 1: group proxies prove memberships.
+        // Pass 1: group proxies prove memberships. Pass 2: remaining
+        // proxies confer their grantors' identities.
         let presented = req.presentations.iter().zip(prepared);
-        for (pres, p) in presented
+        let groups_first = presented
             .clone()
             .filter(|(pres, _)| is_group_presentation(pres))
-        {
+            .chain(presented.filter(|(pres, _)| !is_group_presentation(pres)));
+        for (pres, p) in groups_first {
             match self.verifier.finish(p, pres, &ctx, &mut replay) {
-                Ok(verified) => claim_asserted_groups(&verified, &mut claims, &mut ctx),
-                Err(e) => last_error = Some(e.into()),
-            }
-        }
-
-        // Pass 2: remaining proxies confer their grantors' identities.
-        for (pres, p) in presented.filter(|(pres, _)| !is_group_presentation(pres)) {
-            match self.verifier.finish(p, pres, &ctx, &mut replay) {
-                Ok(verified) => {
-                    if !claims.principals.contains(&verified.grantor) {
-                        claims.principals.push(verified.grantor);
-                    }
-                }
+                Ok(verified) => claim_presentation(verified, &mut claims, &mut ctx),
                 Err(e) => last_error = Some(e.into()),
             }
         }
@@ -397,17 +387,40 @@ pub(crate) fn is_group_presentation(pres: &Presentation) -> bool {
     })
 }
 
-/// Adds the groups `verified` asserts membership of to `claims` and to
-/// `ctx`: those a `group-membership` restriction names on its grantor's
-/// own server, and no others (§7.6).
-pub(crate) fn claim_asserted_groups(
-    verified: &VerifiedProxy,
+/// Adds what one verified presentation proves to `claims` (and `ctx`):
+/// a group proxy the groups it asserts ([`claim_asserted_groups`]), any
+/// other proxy its grantor's identity. A group proxy confers no identity:
+/// it says its grantee is a member, not that the grantee speaks for the
+/// group server.
+pub(crate) fn claim_presentation(
+    verified: VerifiedProxy,
     claims: &mut ClaimSet,
     ctx: &mut RequestContext,
 ) {
+    if !claim_asserted_groups(&verified, claims, ctx)
+        && !claims.principals.contains(&verified.grantor)
+    {
+        claims.principals.push(verified.grantor);
+    }
+}
+
+/// Adds the groups `verified` asserts membership of to `claims` and to
+/// `ctx`: those a `group-membership` restriction names on its grantor's
+/// own server, and no others (§7.6). True when `verified` is a group
+/// proxy: one with a `group-membership` restriction, whichever groups it
+/// names.
+fn claim_asserted_groups(
+    verified: &VerifiedProxy,
+    claims: &mut ClaimSet,
+    ctx: &mut RequestContext,
+) -> bool {
+    let mut group_proxy = false;
     for r in verified.restrictions.iter() {
         let groups = match r {
-            Restriction::GroupMembership { groups } => groups,
+            Restriction::GroupMembership { groups } => {
+                group_proxy = true;
+                groups
+            }
             // No other restriction asserts membership. Enumerated (not
             // `_`) so a new Restriction variant forces an explicit
             // decision here (§7.9).
@@ -426,6 +439,7 @@ pub(crate) fn claim_asserted_groups(
             }
         }
     }
+    group_proxy
 }
 
 #[cfg(test)]

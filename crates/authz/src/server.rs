@@ -27,7 +27,7 @@ use restricted_proxy::time::{Timestamp, Validity};
 use restricted_proxy::verify::Verifier;
 
 use crate::acl::{AclStore, ClaimSet};
-use crate::endserver::{claim_asserted_groups, is_group_presentation};
+use crate::endserver::{claim_presentation, is_group_presentation};
 use crate::error::AuthzError;
 
 /// An authorization server holding per-end-server authorization databases.
@@ -151,10 +151,6 @@ impl<R: KeyResolver> AuthorizationServer<R> {
                 .verifier
                 .verify(pres, &ctx, &mut replay)
                 .map_err(AuthzError::Verify)?;
-            claim_asserted_groups(&verified, &mut claims, &mut ctx);
-            if !claims.principals.contains(&verified.grantor) {
-                claims.principals.push(verified.grantor.clone());
-            }
             // §7.9: rights-limiting restrictions on presented proxies
             // propagate into the proxy we issue (scoped to its target
             // server), so privileges cannot be laundered through this
@@ -175,6 +171,7 @@ impl<R: KeyResolver> AuthorizationServer<R> {
                 .collect();
             propagated =
                 propagated.union(&transferable.propagate(Some(std::slice::from_ref(end_server))));
+            claim_presentation(verified, &mut claims, &mut ctx);
         }
 
         let entry = store
@@ -544,6 +541,62 @@ mod tests {
         assert_eq!(ask_end("ours").unwrap().claims.groups, vec![own]);
         assert!(matches!(
             ask_end("theirs"),
+            Err(AuthzError::NotAuthorized { .. })
+        ));
+    }
+
+    #[test]
+    fn a_group_proxy_confers_no_identity_on_either_path() {
+        // A membership proxy says bob is staff, not that bob speaks for
+        // gs: an ACL naming gs itself grants him nothing at either server.
+        use crate::endserver::{EndServer, Request};
+        let mut rng = StdRng::seed_from_u64(8);
+        let gs_key = SymmetricKey::generate(&mut rng);
+        let staff = GroupName::new(p("gs"), "staff");
+        let resolver = MapResolver::new().with(p("gs"), GrantorVerifier::SharedKey(gs_key.clone()));
+        let mut authz = AuthorizationServer::new(
+            p("R"),
+            GrantAuthority::SharedKey(SymmetricKey::generate(&mut rng)),
+            resolver.clone(),
+        );
+        let mut end = EndServer::new(p("S"), resolver);
+        let acl = Acl::new().with(
+            AclSubject::Principal(p("gs")),
+            AclRights::ops(vec![op("write")]),
+        );
+        authz.database_mut(p("S")).set(obj("Y"), acl.clone());
+        end.acls.set(obj("Y"), acl);
+        let membership = grant(
+            &p("gs"),
+            &GrantAuthority::SharedKey(gs_key),
+            RestrictionSet::new()
+                .with(Restriction::grantee_one(p("bob")))
+                .with(Restriction::GroupMembership {
+                    groups: vec![staff],
+                }),
+            window(),
+            1,
+            &mut rng,
+        );
+        let granted = authz.request_authorization(
+            &p("bob"),
+            &[membership.present_delegate()],
+            &p("S"),
+            &op("write"),
+            &obj("Y"),
+            window(),
+            Timestamp(1),
+            &mut rng,
+        );
+        assert!(
+            matches!(granted, Err(AuthzError::NotAuthorized { .. })),
+            "{granted:?}"
+        );
+        let req = Request::new(op("write"), obj("Y"), Timestamp(1))
+            .authenticated_as(p("bob"))
+            .with_presentation(membership.present_delegate());
+        assert!(matches!(
+            end.authorize(&req),
             Err(AuthzError::NotAuthorized { .. })
         ));
     }

@@ -1071,7 +1071,7 @@ fn a5_tgs_proxy() {
 
 fn ablate_crypto() {
     use proxy_bench::seed_ed25519::{seed_verify, SeedPoint};
-    use proxy_crypto::ed25519::edwards::Point;
+    use proxy_crypto::ed25519::edwards::{Point, StrausTerm};
     use proxy_crypto::ed25519::field::Fe;
     use proxy_crypto::ed25519::scalar::Scalar;
     use proxy_crypto::ed25519::{verify_batch, PreparedKey, Signature};
@@ -1271,7 +1271,7 @@ fn ablate_crypto() {
             Point::double_scalar_mul(&s, &b, &k, &a)
         }),
         kernel("straus-basepoint-table", || {
-            Point::double_scalar_mul_basepoint(&s, &k, &a)
+            Point::multiscalar_mul_basepoint(&s, &[StrausTerm::new(&k, &a)])
         }),
         kernel("seed-verify", || {
             assert!(seed_verify(vk.as_bytes(), msg, sig.as_bytes()));

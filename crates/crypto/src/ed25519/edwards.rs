@@ -10,19 +10,21 @@
 //!
 //! * [`Point::mul_scalar`] — plain double-and-add, the reference every
 //!   other path is tested against;
-//! * [`Point::mul_basepoint`] — fixed-base `[k]B` from a static radix-16
-//!   table (signing, key derivation);
-//! * [`Point::double_scalar_mul_basepoint`] — Straus `[a]B + [b]Q` with a
-//!   static width-8 table for B and a width-5 table built per call for Q:
-//!   one verification under a key not seen before, ~253 doublings;
-//! * [`PreparedPoint::double_scalar_mul_basepoint`] — the same sum for a
-//!   Q that keeps tables of `[2³²ⁱ]Q`, i = 0..8 (B has the same eight,
-//!   static): each scalar's ordinary wNAF is read with stride 32, digit
-//!   `32i + j` added from table `i` at step `j` of one chain of 32
-//!   doublings, with no table build. Costs 224 doublings and eight table
-//!   builds once per Q;
+//! * [`Point::mul_basepoint`] — fixed-base `[k]B` (signing, key
+//!   derivation): `k`'s width-8 wNAF read with stride 32, digit `32i + j`
+//!   added from the static table of `[2³²ⁱ]B` at step `j` of one chain of
+//!   32 doublings;
+//! * [`PreparedPoint::double_scalar_mul_basepoint`] — `[a]B + [b]Q` on
+//!   that same chain (`stride_chain`), for a Q that keeps width-5 tables
+//!   of `[2³²ⁱ]Q`, i = 0..8. Costs 224 doublings and eight table builds
+//!   once per Q;
 //! * [`Point::multiscalar_mul_basepoint`] — variable-length Straus over
-//!   [`StrausTerm`]s for batch verification.
+//!   [`StrausTerm`]s, ~253 doublings: a lone check under a key not seen
+//!   before (one term) and batch verification (many).
+//!
+//! B has one static table set, built on first use: eight width-8 tables
+//! of `[2³²ⁱ]B` (80 KiB). Table 0 is the width-8 table of B itself, which
+//! the Straus path reads; the stride chain reads all eight.
 
 // `neg`/`add` mirror group notation; see field.rs rationale.
 #![allow(clippy::should_implement_trait)]
@@ -303,67 +305,24 @@ impl Point {
         )
     }
 
-    /// `[a]B + [b]Q` for the fixed basepoint B: the hot path of signature
-    /// verification (`[s]B + [k](−A)`).
-    ///
-    /// B's digits use width-8 wNAF against a precomputed 64-entry static
-    /// table (built once per process), so only the dynamic point Q pays
-    /// for table construction.
-    #[must_use]
-    pub fn double_scalar_mul_basepoint(a: &Scalar, b: &Scalar, q: &Point) -> Point {
-        let a_naf = a.non_adjacent_form(8);
-        let b_naf = b.non_adjacent_form(5);
-        let b_table = basepoint_naf_table();
-        let q_table = NafLookupTable::<8>::from_point(q);
-        straus_chain(
-            highest_nonzero([&a_naf, &b_naf]),
-            |i| a_naf[i] != 0 || b_naf[i] != 0,
-            |i, mut acc| {
-                if a_naf[i] != 0 {
-                    acc = acc.add_cached(&b_table.select(a_naf[i]));
-                }
-                if b_naf[i] != 0 {
-                    acc = acc.add_cached(&q_table.select(b_naf[i]));
-                }
-                acc
-            },
-        )
-    }
-
-    /// Fixed-base multiplication `[k]B` from the precomputed radix-16
-    /// basepoint table: 64 table additions plus 4 doublings, replacing the
-    /// 256-doubling ladder. Used by signing (`[r]B`) and key derivation.
+    /// Fixed-base multiplication `[k]B`: the basepoint half of the
+    /// stride chain ([`PreparedPoint`]), 32 doublings over the static
+    /// tables of `[2³²ⁱ]B`. Used by signing (`[r]B`) and key derivation.
     #[must_use]
     pub fn mul_basepoint(k: &Scalar) -> Point {
-        let digits = k.to_radix16();
-        let table = basepoint_table();
-        // ∑ d_i·16^i B = ∑_{i odd} d_i·16^i B + ∑_{i even} d_i·16^i B, and
-        // the odd-index sum is 16 × ∑ d_{2j+1}·16^{2j} B — four doublings
-        // applied once, so every digit reads a 16^{2j}-stride table.
-        let mut acc = Point::identity();
-        for i in (1..64).step_by(2) {
-            if let Some(entry) = table.select(i / 2, digits[i]) {
-                acc = acc.add_cached(&entry);
-            }
-        }
-        acc = acc.double().double().double().double();
-        for i in (0..64).step_by(2) {
-            if let Some(entry) = table.select(i / 2, digits[i]) {
-                acc = acc.add_cached(&entry);
-            }
-        }
-        acc
+        stride_chain(k, None)
     }
 
     /// Variable-length Straus multiscalar multiplication
     /// `[b]B + ∑ [scalarᵢ] pointᵢ` over prepared `terms`: one shared
     /// doubling chain across all of them, and for the basepoint the
-    /// static width-8 table. Batch signature verification reduces to a
-    /// single call.
+    /// first of its static stride tables, the width-8 table of B itself.
+    /// A lone check under a key not seen before is one term; batch
+    /// verification is one call.
     #[must_use]
     pub fn multiscalar_mul_basepoint(b: &Scalar, terms: &[StrausTerm]) -> Point {
         let b_naf = b.non_adjacent_form(8);
-        let b_table = basepoint_naf_table();
+        let b_table = &basepoint_stride_tables()[0];
         let nafs = || terms.iter().map(|term| &term.naf).chain([&b_naf]);
         straus_chain(
             highest_nonzero(nafs()),
@@ -561,8 +520,8 @@ impl Completed {
 }
 
 /// Odd multiples [P, 3P, 5P, …, (2N−1)P] in cached form, indexed by wNAF
-/// digit. N = 8 serves width-5 digits (|d| ≤ 15), N = 32 width-7
-/// (|d| ≤ 63), N = 64 width-8 (|d| ≤ 127).
+/// digit. N = 8 serves width-5 digits (|d| ≤ 15), N = 64 width-8
+/// (|d| ≤ 127).
 struct NafLookupTable<const N: usize>([CachedPoint; N]);
 
 impl<const N: usize> NafLookupTable<N> {
@@ -608,12 +567,6 @@ impl StrausTerm {
             table: NafLookupTable::from_point(point),
         }
     }
-}
-
-/// The static width-8 wNAF table for the basepoint, built on first use.
-fn basepoint_naf_table() -> &'static NafLookupTable<64> {
-    static CELL: OnceLock<NafLookupTable<64>> = OnceLock::new();
-    CELL.get_or_init(|| NafLookupTable::<64>::from_point(&Point::basepoint()))
 }
 
 /// A point of order 8, which generates the curve's small torsion.
@@ -664,10 +617,13 @@ fn stride_tables<const N: usize>(p: &Point) -> [NafLookupTable<N>; PIECES] {
     })
 }
 
-/// The static width-7 stride tables of the basepoint (40 KiB): B's part
-/// of a [`PreparedPoint`] chain, built on first use.
-fn basepoint_stride_tables() -> &'static [NafLookupTable<32>; PIECES] {
-    static CELL: OnceLock<[NafLookupTable<32>; PIECES]> = OnceLock::new();
+/// The static width-8 stride tables of the basepoint (80 KiB), built on
+/// first use: the one table of B's multiples. Table 0 is the width-8
+/// table of B that [`Point::multiscalar_mul_basepoint`] reads; all eight
+/// carry [`Point::mul_basepoint`] and B's part of a [`PreparedPoint`]
+/// chain.
+fn basepoint_stride_tables() -> &'static [NafLookupTable<64>; PIECES] {
+    static CELL: OnceLock<[NafLookupTable<64>; PIECES]> = OnceLock::new();
     CELL.get_or_init(|| stride_tables(&Point::basepoint()))
 }
 
@@ -675,10 +631,10 @@ fn basepoint_stride_tables() -> &'static [NafLookupTable<32>; PIECES] {
 /// tables of `[2³²ⁱ]Q` for i = 0..8 (10 KiB).
 ///
 /// Building one costs 224 doublings and eight table builds, nearly as
-/// much as one [`Point::double_scalar_mul_basepoint`]; each use then walks
-/// an eighth of that function's doubling chain and builds nothing, at
-/// about two fifths of its cost, so preparation pays from the second use
-/// on.
+/// much as one `[a]B + [b]Q` by [`Point::multiscalar_mul_basepoint`];
+/// each use then walks an eighth of that function's doubling chain and
+/// builds nothing, at about two fifths of its cost, so preparation pays
+/// from the second use on.
 pub struct PreparedPoint([NafLookupTable<8>; PIECES]);
 
 impl PreparedPoint {
@@ -688,74 +644,44 @@ impl PreparedPoint {
         PreparedPoint(stride_tables(q))
     }
 
-    /// `[a]B + [b]Q`, equal to [`Point::double_scalar_mul_basepoint`].
-    ///
-    /// With digits `d` of either scalar's wNAF, `∑ d[p]·2^p` regroups by
-    /// `p = 32i + j` into `∑_j 2^j ∑_i d[32i + j]·2^(32i)`: step `j` of a
-    /// chain of 32 doublings adds digit `32i + j` from the table of
-    /// `[2³²ⁱ]`. The digits are the ones every other path uses — no piece
-    /// is recoded, so no carry crosses a piece boundary.
+    /// `[a]B + [b]Q`, equal to [`Point::multiscalar_mul_basepoint`] of
+    /// `a` and the one term `[b]Q`.
     #[must_use]
     pub fn double_scalar_mul_basepoint(&self, a: &Scalar, b: &Scalar) -> Point {
-        let a_naf = a.non_adjacent_form(7);
-        let b_naf = b.non_adjacent_form(5);
-        let base = basepoint_stride_tables();
-        let pieces = |j: usize| (j..256).step_by(STRIDE);
-        straus_chain(
-            STRIDE - 1,
-            |j| pieces(j).any(|p| a_naf[p] != 0 || b_naf[p] != 0),
-            |j, mut acc| {
-                for (i, p) in pieces(j).enumerate() {
-                    if a_naf[p] != 0 {
-                        acc = acc.add_cached(&base[i].select(a_naf[p]));
-                    }
-                    if b_naf[p] != 0 {
-                        acc = acc.add_cached(&self.0[i].select(b_naf[p]));
+        stride_chain(a, Some((b, self)))
+    }
+}
+
+/// `[a]B`, plus `[b]Q` for a prepared Q, on one chain of [`STRIDE`]
+/// doublings.
+///
+/// With digits `d` of either scalar's wNAF, `∑ d[p]·2^p` regroups by
+/// `p = 32i + j` into `∑_j 2^j ∑_i d[32i + j]·2^(32i)`: step `j` of the
+/// chain adds digit `32i + j` from the table of `[2³²ⁱ]`. The digits are
+/// the ones every other path uses — width 8 for B, width 5 for Q, no
+/// piece recoded — so no carry crosses a piece boundary.
+fn stride_chain(a: &Scalar, q: Option<(&Scalar, &PreparedPoint)>) -> Point {
+    let a_naf = a.non_adjacent_form(8);
+    let q = q.map(|(b, prepared)| (b.non_adjacent_form(5), &prepared.0));
+    let base = basepoint_stride_tables();
+    let pieces = |j: usize| (j..256).step_by(STRIDE);
+    straus_chain(
+        STRIDE - 1,
+        |j| pieces(j).any(|p| a_naf[p] != 0 || q.as_ref().is_some_and(|(naf, _)| naf[p] != 0)),
+        |j, mut acc| {
+            for (i, p) in pieces(j).enumerate() {
+                if a_naf[p] != 0 {
+                    acc = acc.add_cached(&base[i].select(a_naf[p]));
+                }
+                if let Some((naf, tables)) = &q {
+                    if naf[p] != 0 {
+                        acc = acc.add_cached(&tables[i].select(naf[p]));
                     }
                 }
-                acc
-            },
-        )
-    }
-}
-
-/// The radix-16 fixed-base table: `entry(i, j) = [j·16^(2i)]B` for
-/// `j ∈ 1..=8`, `i ∈ 0..32`. 256 cached points (~40 KiB), built once.
-struct BasepointTable(Vec<[CachedPoint; 8]>);
-
-impl BasepointTable {
-    /// `[digit · 16^(2i)]B` for a signed radix-16 digit, or `None` for 0.
-    fn select(&self, i: usize, digit: i8) -> Option<CachedPoint> {
-        match digit.cmp(&0) {
-            std::cmp::Ordering::Equal => None,
-            std::cmp::Ordering::Greater => Some(self.0[i][digit as usize - 1]),
-            std::cmp::Ordering::Less => Some(self.0[i][digit.unsigned_abs() as usize - 1].neg()),
-        }
-    }
-}
-
-/// The static radix-16 basepoint table, built on first use (mirrors
-/// [`Point::basepoint`]'s `OnceLock` idiom).
-fn basepoint_table() -> &'static BasepointTable {
-    static CELL: OnceLock<BasepointTable> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let mut rows = Vec::with_capacity(32);
-        let mut base = Point::basepoint();
-        for _ in 0..32 {
-            let mut row = [CachedPoint::from_point(&base); 8];
-            let mut current = base;
-            for entry in row.iter_mut().skip(1) {
-                current = current.add(&base);
-                *entry = CachedPoint::from_point(&current);
             }
-            rows.push(row);
-            // Advance base from [16^(2i)]B to [16^(2i+2)]B.
-            for _ in 0..8 {
-                base = base.double();
-            }
-        }
-        BasepointTable(rows)
-    })
+            acc
+        },
+    )
 }
 
 /// The shared-doubling chain behind every windowed scalar multiplication:
@@ -956,7 +882,7 @@ mod tests {
             let fused = Point::double_scalar_mul(&sa, &b, &sb, &q);
             let separate = b.mul_scalar(&sa).add(&q.mul_scalar(&sb));
             assert!(fused.eq_point(&separate), "ka={ka} kb={kb}");
-            let via_basepoint = Point::double_scalar_mul_basepoint(&sa, &sb, &q);
+            let via_basepoint = Point::multiscalar_mul_basepoint(&sa, &[StrausTerm::new(&sb, &q)]);
             assert!(via_basepoint.eq_point(&separate), "ka={ka} kb={kb}");
         }
     }
@@ -1209,6 +1135,7 @@ mod tests {
                 let strided = prepared.double_scalar_mul_basepoint(sa, sb);
                 assert!(strided.eq_point(&separate), "edges {i}, {j}");
             }
+            assert!(Point::mul_basepoint(sa).eq_point(&ladders[i].0), "edge {i}");
         }
     }
 

@@ -8,11 +8,14 @@
 //! Submodules: [`field`] (GF(2^255−19)), [`scalar`] (mod-ℓ arithmetic),
 //! [`edwards`] (curve points). The signing interface lives here.
 //!
-//! Scalar multiplication is variable-time and windowed: signing uses a
-//! precomputed radix-16 basepoint table, verification a width-8/width-5
-//! wNAF Straus double-scalar multiplication, and [`verify_batch`] folds
-//! many signatures into one random-coefficient multiscalar equation. The
-//! plain double-and-add ladder survives as the tested-against reference
+//! Scalar multiplication is variable-time and windowed, and every path
+//! reads B's multiples from one static set of eight width-8 tables of
+//! `[2³²ⁱ]B` (80 KiB): signing walks a chain of 32 doublings over all
+//! eight, a check under a key not seen before is a one-term Straus sum
+//! over the first (width 8 for B, width 5 for `A`), and [`verify_batch`]
+//! folds many signatures into one random-coefficient multiscalar
+//! equation over the same table. The plain double-and-add ladder
+//! survives as the tested-against reference
 //! ([`edwards::Point::mul_scalar`]). None of this is hardened against
 //! local side-channel observers — appropriate for a research simulation,
 //! not production TLS (see DESIGN.md, "Crypto performance").
@@ -207,7 +210,8 @@ impl DecompressedKey {
         // [s]B == R + [k]A, rearranged to one double-scalar multiplication
         // (Straus–Shamir): [s]B + [k](−A) == R. B rides the static wNAF
         // table; only A pays for a table build.
-        c.check(&Point::double_scalar_mul_basepoint(&c.s, &c.k, &self.neg_a))
+        let term = StrausTerm::new(&c.k, &self.neg_a);
+        c.check(&Point::multiscalar_mul_basepoint(&c.s, &[term]))
     }
 }
 

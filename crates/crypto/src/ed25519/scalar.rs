@@ -312,28 +312,6 @@ impl Scalar {
         debug_assert_eq!(carry, 0, "scalars < 2^253 leave no final carry");
         naf
     }
-
-    /// Signed radix-16 digits `d[i] ∈ [−8, 8]` with `∑ d[i]·16^i = self`.
-    ///
-    /// Feeds fixed-base multiplication from the precomputed basepoint
-    /// table: 64 table additions replace a 256-step doubling ladder.
-    #[must_use]
-    pub fn to_radix16(&self) -> [i8; 64] {
-        let bytes = self.to_bytes();
-        let mut digits = [0i8; 64];
-        for i in 0..32 {
-            digits[2 * i] = (bytes[i] & 15) as i8;
-            digits[2 * i + 1] = (bytes[i] >> 4) as i8;
-        }
-        // Recenter each digit into [−8, 8], carrying upward. The top digit
-        // absorbs at most a single carry: scalars are < 2^253.
-        for i in 0..63 {
-            let carry = (digits[i] + 8) >> 4;
-            digits[i] -= carry << 4;
-            digits[i + 1] += carry;
-        }
-        digits
-    }
 }
 
 #[cfg(test)]
@@ -572,14 +550,12 @@ mod tests {
         );
     }
 
-    /// Reconstructs a scalar from signed digit representations by plain
-    /// mod-ℓ arithmetic.
-    fn from_signed_digits(digits: &[i8], radix_log2: usize) -> Scalar {
+    /// Reconstructs a scalar from signed binary digits by plain mod-ℓ
+    /// arithmetic.
+    fn from_signed_digits(digits: &[i8]) -> Scalar {
         let mut acc = Scalar::ZERO;
         for &d in digits.iter().rev() {
-            for _ in 0..radix_log2 {
-                acc = acc.add(acc);
-            }
+            acc = acc.add(acc);
             let mag = Scalar::from_u64(u64::from(d.unsigned_abs()));
             acc = if d >= 0 { acc.add(mag) } else { acc.sub(mag) };
         }
@@ -591,7 +567,7 @@ mod tests {
         for (fill, w) in [(0x11u8, 5), (0xf3, 5), (0x77, 8), (0xe9, 6)] {
             let s = Scalar::from_bytes_mod_order(&[fill; 32]);
             let naf = s.non_adjacent_form(w);
-            assert_eq!(from_signed_digits(&naf, 1), s, "fill {fill:#x} w {w}");
+            assert_eq!(from_signed_digits(&naf), s, "fill {fill:#x} w {w}");
             let bound = 1i16 << (w - 1);
             let mut last_nonzero: Option<usize> = None;
             for (i, &d) in naf.iter().enumerate() {
@@ -604,18 +580,6 @@ mod tests {
                     assert!(i - j >= w, "digits at {j} and {i} closer than {w}");
                 }
                 last_nonzero = Some(i);
-            }
-        }
-    }
-
-    #[test]
-    fn radix16_reconstructs_with_bounded_digits() {
-        for fill in [0x00u8, 0x01, 0x42, 0x9d, 0xff] {
-            let s = Scalar::from_bytes_mod_order(&[fill; 32]);
-            let digits = s.to_radix16();
-            assert_eq!(from_signed_digits(&digits, 4), s, "fill {fill:#x}");
-            for (i, &d) in digits.iter().enumerate() {
-                assert!((-8..=8).contains(&d), "digit {d} at {i} out of [−8, 8]");
             }
         }
     }
