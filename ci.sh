@@ -108,6 +108,35 @@ for prefix in F1 F2 F3 F4 F5 F6 A1 A2 A3 A4 A5; do
     fi
 done
 
+# The signature-engine ablation (EXPERIMENTS.md, "Signature-engine
+# ablation"): one run of `figures --ablate-crypto`, ~6 s, whose rows
+# assert their own results (every signature valid, one cold chain walk
+# behind the warm seal cache). Every row that section cites must still
+# print, so no table there can cite a row that is gone.
+ablate_out="$(cargo run -q -p proxy-bench --bin figures --release -- --ablate-crypto)"
+for row in naive-double-and-add fixed-base-table sign \
+    two-naive-ladders straus-two-dynamic-tables straus-basepoint-table \
+    verify verify-decompressed verify-prepared prepare-key \
+    decompress-one decompress-pair invert scalar-mul scalar-wide-reduce \
+    sequential-verify-2 sequential-verify-4 sequential-verify-8 \
+    sequential-verify-16 sequential-verify-32 \
+    batch-2 batch-3 batch-4 batch-5 batch-8 batch-9 batch-16 batch-32 \
+    batch-marginal-signature \
+    batch-1-plus-lone batch-2-plus-lone batch-4-plus-lone batch-8-plus-lone \
+    batch-1-plus-prepared-lone batch-2-plus-prepared-lone \
+    batch-3-plus-prepared-lone batch-4-plus-prepared-lone \
+    one-key 'prepared-lone×n' one-key-vs-prepared-lone \
+    group verify-each group-per-request verify-each-per-request \
+    group-vs-verify-each cascade8-cold cascade8-warm-seal-cache \
+    sha256-block hmac-87B-raw-key hmac-87B-keyed-context \
+    seal-key32-first-use seal-key32-warm grant-shared-key-first-use \
+    grant-shared-key-warm grant-warm-vs-first-use verify-hmac-link-warm; do
+    if ! printf '%s\n' "$ablate_out" | grep -qF "] $row: x="; then
+        echo "ci.sh: figures --ablate-crypto printed no $row row" >&2
+        exit 1
+    fi
+done
+
 # Readiness-driven net core (DESIGN.md §13): per-connection state
 # machines under partial reads/writes, slow-loris, backpressure, idle
 # reap, and thousands of idle registrations — release mode so the

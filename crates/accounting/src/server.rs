@@ -407,7 +407,9 @@ impl AccountingServer {
     /// payor (hold or balance) and, with `credit_to`, the credit (the
     /// same-server deposit path), as one `Settle` record that carries
     /// the accept-once marks consumed — the replay guard's memory must
-    /// survive restart.
+    /// survive restart. A refusal stages no record, so it gives the
+    /// marks it took back to the replay guard: a bounced check may be
+    /// presented again, live as after a restart.
     fn settle(
         &self,
         prepared: &Prepared,
@@ -433,45 +435,56 @@ impl AccountingServer {
             ctx.authenticated.push(self.name.clone());
         }
         let mut replay = JournaledReplay::new(self.ledger.replay_guard());
-        self.verifier
-            .finish(prepared, presentation, &ctx, &mut replay)
-            .map_err(AcctError::Verify)?;
-        let replay = replay.into_marks();
+        let verdict = self
+            .verifier
+            .finish(prepared, presentation, &ctx, &mut replay);
+        let mut marks = replay.into_marks();
         // Ownership and funds are checked under the payor account's
         // shard lock, where the record is staged and the debit made:
         // racing presenters cannot interleave between the balance check
         // and the debit. The payee is credited with that lock released.
-        self.ledger
-            .post_on(&mut op, &info.payor_account, |account| {
-                if !account.is_owner(&info.payor) {
-                    return Err(AcctError::NotAuthorized(info.payor.clone()));
-                }
-                let from_hold = match account.hold(info.check_no) {
-                    // Certified check: settle from the hold, which pays
-                    // the check it was placed for and no other.
-                    Some(hold)
-                        if hold.currency == info.currency
-                            && hold.amount == info.amount
-                            && hold.payee == info.payee =>
-                    {
-                        true
+        // The record takes the marks; a refusal before it leaves them in
+        // `marks`. Once built, the record is staged or the journal is
+        // poisoned, and the marks stay taken either way.
+        let posted = verdict.map_err(AcctError::Verify).and_then(|_| {
+            self.ledger
+                .post_on(&mut op, &info.payor_account, |account| {
+                    if !account.is_owner(&info.payor) {
+                        return Err(AcctError::NotAuthorized(info.payor.clone()));
                     }
-                    Some(_) => return Err(AcctError::held_number(info.check_no)),
-                    None => {
-                        account.covers(&info.currency, info.amount)?;
-                        false
-                    }
-                };
-                Ok(JournalRecord::Settle {
-                    payor_account: info.payor_account.clone(),
-                    check_no: info.check_no,
-                    currency: info.currency.clone(),
-                    amount: info.amount,
-                    from_hold,
-                    credit_to: credit_to.map(str::to_string),
-                    replay,
+                    let from_hold = match account.hold(info.check_no) {
+                        // Certified check: settle from the hold, which pays
+                        // the check it was placed for and no other.
+                        Some(hold)
+                            if hold.currency == info.currency
+                                && hold.amount == info.amount
+                                && hold.payee == info.payee =>
+                        {
+                            true
+                        }
+                        Some(_) => return Err(AcctError::held_number(info.check_no)),
+                        None => {
+                            account.covers(&info.currency, info.amount)?;
+                            false
+                        }
+                    };
+                    Ok(JournalRecord::Settle {
+                        payor_account: info.payor_account.clone(),
+                        check_no: info.check_no,
+                        currency: info.currency.clone(),
+                        amount: info.amount,
+                        from_hold,
+                        credit_to: credit_to.map(str::to_string),
+                        replay: std::mem::take(&mut marks),
+                    })
                 })
-            })?;
+        });
+        if let Err(refused) = posted {
+            for mark in &marks {
+                self.ledger.replay_guard().forget(&mark.grantor, mark.id);
+            }
+            return Err(refused);
+        }
         op.wait()?;
         Ok(Payment {
             payor: info.payor,
@@ -1331,13 +1344,16 @@ pub(crate) mod tests {
     fn a_hold_pays_only_the_check_it_was_certified_for() {
         let eur = Currency::new("EUR");
         // Checks numbered #9 against a hold of 10 USD payable to the shop:
-        // more than was held, another currency, another payee.
+        // more than was held, another currency, another payee. Each is
+        // refused and gives its number back, so the certified #9 pays.
         for (currency, amount, payee) in [
             (usd(), 400, "shop"),
             (eur.clone(), 10, "shop"),
             (usd(), 10, "mallory"),
         ] {
-            let mut f = fixture();
+            let store: Arc<dyn Storage> = Arc::new(proxy_storage::MemStorage::new());
+            let journaled = |bank: AccountingServer| bank.with_storage(Arc::clone(&store)).unwrap();
+            let mut f = fixture_with(journaled);
             f.bank.open_account("mallory-acct", vec![p("mallory")]);
             f.bank
                 .certify(
@@ -1380,7 +1396,86 @@ pub(crate) mod tests {
             assert_eq!(total(&f, &eur), 0, "{what}: no EUR minted");
             let carol = f.bank.account("carol-acct").unwrap();
             assert_eq!(carol.held(&usd()), 10, "{what}: the hold stands");
+
+            let certified = carol_check(&mut f, 9, 10);
+            let paid = f.bank.deposit(
+                &certified,
+                &p("shop"),
+                "shop-acct",
+                p("bank"),
+                Timestamp(1),
+                &mut f.rng,
+            );
+            assert!(
+                matches!(paid, Ok(DepositOutcome::Settled(_))),
+                "{what}: then the certified #9: {paid:?}"
+            );
+            let carol = f.bank.account("carol-acct").unwrap();
+            assert_eq!(carol.held(&usd()), 0, "{what}: the hold is paid out");
+            let shop = f.bank.account("shop-acct").unwrap();
+            assert_eq!(shop.balance(&usd()), 10, "{what}: to the shop");
+            assert_eq!(total(&f, &usd()), 500, "{what}: USD conserved");
+            let recovered = boot(journaled);
+            assert_eq!(
+                recovered.bank.ledger.snapshot(),
+                f.bank.ledger.snapshot(),
+                "{what}: the journal rebuilds accounts, holds and marks"
+            );
         }
+    }
+
+    #[test]
+    fn a_check_refused_past_its_number_gives_the_number_back() {
+        use restricted_proxy::restriction::Denial;
+        let shop_key = SigningKey::generate(&mut StdRng::seed_from_u64(2));
+        let mut f = fixture();
+        f.bank.register_grantor(
+            p("shop"),
+            GrantorVerifier::PublicKey(shop_key.verifying_key()),
+        );
+        let check = carol_check(&mut f, 9, 50);
+        // The shop endorses the check to mallory and presents it itself:
+        // the head certificate takes #9, then the endorsement refuses.
+        let astray = check
+            .endorse(
+                &p("shop"),
+                &GrantAuthority::Keypair(shop_key),
+                p("mallory"),
+                None,
+                window(),
+                1,
+                &mut f.rng,
+            )
+            .unwrap();
+        let deposit = |f: &mut Fixture, check: &Check| {
+            f.bank.deposit(
+                check,
+                &p("shop"),
+                "shop-acct",
+                p("bank"),
+                Timestamp(1),
+                &mut f.rng,
+            )
+        };
+        let err = deposit(&mut f, &astray).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                AcctError::Verify(VerifyError::Denied(Denial::GranteeNotPresent { .. }))
+            ),
+            "{err:?}"
+        );
+        assert!(matches!(
+            deposit(&mut f, &check),
+            Ok(DepositOutcome::Settled(_))
+        ));
+        assert_eq!(
+            deposit(&mut f, &check).unwrap_err(),
+            AcctError::held_number(9),
+            "the number is taken once it pays"
+        );
+        let shop = f.bank.account("shop-acct").unwrap();
+        assert_eq!(shop.balance(&usd()), 50);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! its parameter as x, in µs per call or, for flows too short for the
 //! clock to resolve alone, ns per operation.
 //!
-//! With `--ablate-crypto`, instead emits the signature-engine ablation
-//! (frozen seed kernels vs. the windowed/batched engine).
+//! With `--ablate-crypto`, instead emits the signature-engine ablation:
+//! the windowed/batched engine's kernels beside the double-and-add
+//! reference, and the conventional half's keyed-hash costs.
 //!
 //! Every timed row of the default mode and of `--ablate-crypto` comes
 //! from one stopwatch, [`time_all`]: interleaved min-of-rounds, robust to
@@ -1070,7 +1071,6 @@ fn a5_tgs_proxy() {
 }
 
 fn ablate_crypto() {
-    use proxy_bench::seed_ed25519::{seed_verify, SeedPoint};
     use proxy_crypto::ed25519::edwards::{Point, StrausTerm};
     use proxy_crypto::ed25519::field::Fe;
     use proxy_crypto::ed25519::scalar::Scalar;
@@ -1087,8 +1087,6 @@ fn ablate_crypto() {
     let (s, k, ka) = (scalar(&mut rng), scalar(&mut rng), scalar(&mut rng));
     let b = Point::basepoint();
     let a = b.mul_scalar(&ka).neg();
-    let seed_b = SeedPoint::basepoint();
-    let seed_a = seed_b.mul_scalar(&ka).neg();
     let sk = SigningKey::generate(&mut rng);
     let vk = sk.verifying_key();
     let msg: &[u8] = b"ablation message";
@@ -1257,13 +1255,8 @@ fn ablate_crypto() {
     let (mut warm_rng, mut cold_rng) = (proxy_bench::rng(13), proxy_bench::rng(13));
 
     let mut variants: Vec<Variant> = vec![
-        kernel("seed-double-and-add", || seed_b.mul_scalar(&k)),
         kernel("naive-double-and-add", || b.mul_scalar(&k)),
-        kernel("wnaf5", || b.mul_wnaf(&k)),
         kernel("fixed-base-table", || Point::mul_basepoint(&k)),
-        kernel("seed-straus", || {
-            SeedPoint::double_scalar_mul(&s, &seed_b, &k, &seed_a)
-        }),
         kernel("two-naive-ladders", || {
             b.mul_scalar(&s).add(&a.mul_scalar(&k))
         }),
@@ -1272,9 +1265,6 @@ fn ablate_crypto() {
         }),
         kernel("straus-basepoint-table", || {
             Point::multiscalar_mul_basepoint(&s, &[StrausTerm::new(&k, &a)])
-        }),
-        kernel("seed-verify", || {
-            assert!(seed_verify(vk.as_bytes(), msg, sig.as_bytes()));
         }),
         kernel("verify", || vk.verify(msg, &sig).expect("valid")),
         kernel("verify-decompressed", || {
@@ -1421,27 +1411,6 @@ fn ablate_crypto() {
             .expect("variant timed")
     };
     let ratio = |num: &str, den: &str| format!("{:.2}", us(num) / us(den));
-    report_row(
-        "C",
-        "fixed-base-speedup-vs-seed",
-        1,
-        ratio("seed-double-and-add", "fixed-base-table"),
-        "x",
-    );
-    report_row(
-        "C",
-        "straus-speedup-vs-seed",
-        1,
-        ratio("seed-straus", "straus-basepoint-table"),
-        "x",
-    );
-    report_row(
-        "C",
-        "verify-speedup-vs-seed",
-        1,
-        ratio("seed-verify", "verify"),
-        "x",
-    );
     report_row(
         "C",
         "decompress-pair-vs-two-alone",

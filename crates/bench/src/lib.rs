@@ -24,7 +24,6 @@
 pub mod alloc_count;
 pub mod c10k;
 pub mod revocation;
-pub mod seed_ed25519;
 pub mod wal;
 
 /// Process-wide allocation accounting for the e2e benchmark's traced

@@ -252,9 +252,10 @@ impl Point {
     ///
     /// This is the *reference* ladder: one doubling per bit and one
     /// addition per set bit, with no tables and no signed encodings.
-    /// The windowed paths ([`Point::mul_wnaf`], [`Point::mul_basepoint`],
-    /// [`Point::double_scalar_mul`]) are property-tested against it, and
-    /// the benchmark ablation uses it as the naive baseline.
+    /// The windowed paths ([`Point::mul_basepoint`],
+    /// [`Point::double_scalar_mul`], [`Point::multiscalar_mul_basepoint`],
+    /// [`PreparedPoint`]) are tested against it, and the benchmark
+    /// ablation uses it as the naive baseline.
     #[must_use]
     pub fn mul_scalar(&self, k: &Scalar) -> Point {
         let mut acc = Point::identity();
@@ -265,20 +266,6 @@ impl Point {
             }
         }
         acc
-    }
-
-    /// Scalar multiplication `[k]self` with a width-5 sliding window
-    /// (wNAF): an 8-entry odd-multiple table, ~256 doublings and ~42
-    /// additions instead of double-and-add's ~128 additions.
-    #[must_use]
-    pub fn mul_wnaf(&self, k: &Scalar) -> Point {
-        let naf = k.non_adjacent_form(5);
-        let table = NafLookupTable::<8>::from_point(self);
-        straus_chain(
-            highest_nonzero([&naf]),
-            |i| naf[i] != 0,
-            |i, p| p.add_cached(&table.select(naf[i])),
-        )
     }
 
     /// Simultaneous double-scalar multiplication `[a]P + [b]Q` (Straus):
@@ -899,12 +886,14 @@ mod tests {
     }
 
     #[test]
-    fn wnaf_mul_matches_double_and_add() {
+    fn one_term_straus_matches_double_and_add() {
         let b = Point::basepoint();
         let p = b.mul_scalar(&Scalar::from_u64(3));
         for fill in [0u8, 1, 0x5a, 0xc3, 0xff] {
             let k = Scalar::from_bytes_mod_order(&[fill; 32]);
-            assert!(p.mul_wnaf(&k).eq_point(&p.mul_scalar(&k)), "fill {fill:#x}");
+            let one_term =
+                Point::multiscalar_mul_basepoint(&Scalar::ZERO, &[StrausTerm::new(&k, &p)]);
+            assert!(one_term.eq_point(&p.mul_scalar(&k)), "fill {fill:#x}");
         }
     }
 

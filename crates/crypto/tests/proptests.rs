@@ -126,9 +126,9 @@ proptest! {
         }
     }
 
-    /// The windowed paths are exactly the double-and-add reference: wNAF
-    /// single-scalar, the fixed-base table, and both Straus variants all
-    /// agree with `mul_scalar` on arbitrary scalars.
+    /// The windowed paths are exactly the double-and-add reference: the
+    /// fixed-base tables and both Straus variants all agree with
+    /// `mul_scalar` on arbitrary scalars.
     #[test]
     fn windowed_scalar_mul_matches_double_and_add(ka in any::<[u8; 32]>(),
                                                   kb in any::<[u8; 32]>(),
@@ -138,7 +138,6 @@ proptest! {
         let b = Point::basepoint();
         let p = b.mul_scalar(&Scalar::from_u64(point_seed));
 
-        prop_assert!(p.mul_wnaf(&sa).eq_point(&p.mul_scalar(&sa)));
         prop_assert!(Point::mul_basepoint(&sa).eq_point(&b.mul_scalar(&sa)));
 
         let separate = b.mul_scalar(&sa).add(&p.mul_scalar(&sb));

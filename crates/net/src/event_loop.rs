@@ -80,6 +80,8 @@ const COMPACT_THRESHOLD: usize = 32 * 1024;
 const LISTENER_TOKEN: u64 = u64::MAX;
 /// Maximum connections accepted per worker wakeup.
 const ACCEPT_BURST: usize = 64;
+/// Poll-wait bound: shutdown latency and the reap sweep cadence floor.
+const TICK: Duration = Duration::from_millis(25);
 
 /// Tuning for [`EventLoopServer`].
 #[derive(Debug, Clone)]
@@ -93,9 +95,6 @@ pub struct EventLoopOptions {
     pub write_queue_cap: usize,
     /// Connections with no traffic for this long are closed.
     pub idle_timeout: Duration,
-    /// Poll-wait bound: shutdown latency and the reap sweep cadence
-    /// floor.
-    pub tick: Duration,
 }
 
 impl Default for EventLoopOptions {
@@ -104,7 +103,6 @@ impl Default for EventLoopOptions {
             workers: 1,
             write_queue_cap: 256 * 1024,
             idle_timeout: Duration::from_secs(60),
-            tick: Duration::from_millis(25),
         }
     }
 }
@@ -265,7 +263,7 @@ struct Worker<R: KeyResolver> {
 impl<R: KeyResolver> Worker<R> {
     fn run(&mut self) {
         let mut events: Vec<Event> = Vec::new();
-        let reap_every = (self.opts.idle_timeout / 4).max(self.opts.tick);
+        let reap_every = (self.opts.idle_timeout / 4).max(TICK);
         let mut last_reap = Instant::now();
         while !self.stop.load(Ordering::Acquire) {
             // A truncated accept burst leaves `accept_ready` set: poll
@@ -274,7 +272,7 @@ impl<R: KeyResolver> Worker<R> {
             let timeout = if self.accept_ready {
                 Some(Duration::ZERO)
             } else {
-                Some(self.opts.tick)
+                Some(TICK)
             };
             if self.poller.wait(&mut events, timeout).is_err() {
                 // A failing poller cannot drive connections; exiting the

@@ -260,7 +260,6 @@ fn backpressure_pauses_reading_a_backed_up_connection() {
 fn idle_connections_are_reaped() {
     let opts = EventLoopOptions {
         idle_timeout: Duration::from_millis(100),
-        tick: Duration::from_millis(10),
         ..EventLoopOptions::default()
     };
     let server =

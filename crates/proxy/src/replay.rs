@@ -171,6 +171,16 @@ impl ReplayCache {
         shard.seen.insert(key, keep);
     }
 
+    /// Forgets `(grantor, id)`: what a caller does with a mark it took
+    /// through [`Self::check_and_mark`] when the operation that took it is
+    /// refused before anything durable records the mark. A duplicate that
+    /// arrived between the take and the forget was refused as a replay —
+    /// the answer it would have had if the operation had gone through.
+    pub fn forget(&self, grantor: &PrincipalId, id: u64) {
+        let mut shard = self.shard(grantor, id).lock().expect("replay shard");
+        shard.seen.remove(&(grantor.clone(), id));
+    }
+
     /// Visits every remembered `(grantor, id, expires)` entry, one shard
     /// at a time — the durable snapshot writer enumerates the replay set
     /// with this. Entries within a shard come in hash-map order; callers
@@ -306,6 +316,17 @@ mod tests {
             !cache.check_and_mark(&p("c"), 1, Timestamp(10), Timestamp(50)),
             "retention extended"
         );
+    }
+
+    #[test]
+    fn a_forgotten_mark_is_fresh_again() {
+        let cache = ReplayCache::new();
+        assert!(cache.check_and_mark(&p("c"), 1, Timestamp(0), Timestamp(10)));
+        assert!(cache.check_and_mark(&p("c"), 2, Timestamp(0), Timestamp(10)));
+        cache.forget(&p("c"), 1);
+        assert_eq!(cache.len(), 1);
+        assert!(cache.check_and_mark(&p("c"), 1, Timestamp(0), Timestamp(10)));
+        assert!(!cache.check_and_mark(&p("c"), 2, Timestamp(0), Timestamp(10)));
     }
 
     #[test]

@@ -666,7 +666,6 @@ fn server_side_idle_reap_surfaces_as_clean_redial() {
         Arc::new(mux),
         EventLoopOptions {
             idle_timeout: std::time::Duration::from_millis(100),
-            tick: std::time::Duration::from_millis(10),
             ..EventLoopOptions::default()
         },
         9,
