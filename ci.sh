@@ -5,12 +5,13 @@ set -eu
 
 cargo fmt --all -- --check
 
-# Workspace invariant analyzer (DESIGN.md §11, flow-aware tier §16):
-# panic-freedom on untrusted paths, fail-closed Restriction matching,
-# constant-time secret comparison, determinism, crate-root hygiene, the
+# Workspace invariant analyzer (DESIGN.md §11, flow-aware tier §16): the
+# rules clippy cannot see — constant-time secret comparison (L3), the
 # workspace lock-order graph (L6), durability ordering around the journal
-# (L7), and untrusted-length taint into allocation sinks (L8).
-# Suppressions live in lint-allow.toml and must each carry a
+# (L7), and untrusted-length taint into allocation sinks (L8). The token
+# rules (L1 panic-free decode, L2 fail-closed matches, L4 no ambient
+# time, L5 crate-root hygiene) are stock lints, checked by the clippy
+# step below. Suppressions live in lint-allow.toml and must each carry a
 # justification; stale entries fail the run. The run also emits a
 # machine-readable artifact and is budgeted: the deeper flow passes must
 # not become the slowest CI step.
@@ -20,13 +21,48 @@ echo "ci.sh: lint artifact at target/proxy-lint-report.json"
 
 # Allowlist rot check: every lint-allow.toml entry must still suppress a
 # real finding; entries that match nothing fail here so dead exemptions
-# cannot accumulate and silently cover future regressions. The list may
-# also only shrink: more live entries than the ceiling fails the run.
+# cannot accumulate and silently cover future regressions.
 audit="$(cargo run -q --release -p proxy-lint -- --audit-allows)"
 printf '%s\n' "$audit"
-live="$(printf '%s\n' "$audit" | sed -n 's/^proxy-lint: \([0-9]*\) live entries.*/\1/p')"
-if [ -z "$live" ] || [ "$live" -gt 14 ]; then
-    echo "ci.sh: lint-allow.toml has '$live' live entries, ceiling 14" >&2
+live="$(printf '%s\n' "$audit" | sed -n 's/^proxy-lint: \([0-9]*\) live entr.*/\1/p')"
+
+# Every member manifest carries a [lints] table (the former L5 header):
+# without one a crate runs with rustc's and clippy's defaults, no
+# unsafe_code or missing_docs level at all. A table that does not
+# inherit the workspace is an exception, counted below.
+own_tables=0
+for manifest in Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml; do
+    if ! grep -q '^\[lints' "$manifest"; then
+        echo "ci.sh: $manifest has no [lints] table" >&2
+        exit 1
+    fi
+    if ! grep -A1 '^\[lints\]$' "$manifest" | grep -q '^workspace = true$'; then
+        own_tables=$((own_tables + 1))
+    fi
+done
+
+# The lints that carry L1, L2, L4 and L5 may be waived only by an
+# `#[expect]`, which fails the build once its site stops matching;
+# an `allow(` naming one of them would outlive its reason silently.
+migrated='unwrap_used|expect_used|panic|unreachable|unimplemented|indexing_slicing'
+migrated="$migrated|cast_possible_truncation|disallowed_macros|disallowed_methods"
+migrated="$migrated|wildcard_enum_match_arm"
+lint_allows="$(grep -rzoE --include='*.rs' 'allow\([^)]*\)' crates src tests examples vendor \
+    | tr '\0\n' '\n ' | grep -E "clippy::($migrated)\b|\bmissing_docs\b" || true)"
+if [ -n "$lint_allows" ]; then
+    echo "ci.sh: allow( names a lint that carries a former proxy-lint rule: $lint_allows" >&2
+    exit 1
+fi
+
+# Exceptions may only shrink: live lint-allow.toml entries, `#[expect]`
+# attributes and manifests outside the workspace lint table, together.
+# 12 today: 1 + 7 + 4 (runtime and bench deny instead of forbid
+# unsafe_code; the two vendored stand-ins waive missing_docs).
+expects="$(grep -rhoE --include='*.rs' '#!?\[expect\(' crates src tests examples vendor | wc -l)"
+exceptions=$((${live:-99} + expects + own_tables))
+echo "ci.sh: $exceptions lint exceptions ($live allow entries, $expects #[expect]s, $own_tables own [lints] tables)"
+if [ -z "$live" ] || [ "$exceptions" -gt 12 ]; then
+    echo "ci.sh: $exceptions lint exceptions, ceiling 12" >&2
     exit 1
 fi
 
@@ -53,13 +89,11 @@ if [ -n "$alias_users" ]; then
     exit 1
 fi
 
-# Clippy is driven by the [workspace.lints] table in Cargo.toml. Guarded:
-# minimal toolchains ship without the clippy component.
-if cargo clippy --version >/dev/null 2>&1; then
-    cargo clippy --workspace --all-targets -- -D warnings
-else
-    echo "ci.sh: cargo clippy unavailable on this toolchain, skipping" >&2
-fi
+# Clippy is driven by the [workspace.lints] table in Cargo.toml, the
+# scoped attributes on the crate roots and clippy.toml; it is the only
+# checker of L1, L2, L4 and L5 (DESIGN.md §11), so a toolchain without
+# clippy fails here rather than skipping them.
+cargo clippy --workspace --all-targets -- -D warnings
 
 cargo test --workspace -q
 

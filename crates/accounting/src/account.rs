@@ -222,10 +222,12 @@ impl Account {
                 available: current,
             });
         }
-        *self
-            .allocated
-            .get_mut(currency)
-            .expect("nonzero allocation") -= amount;
+        // No entry means nothing allocated, so the guard let through only
+        // a release of nothing: it changes nothing.
+        let Some(allocated) = self.allocated.get_mut(currency) else {
+            return Ok(());
+        };
+        *allocated -= amount;
         self.credit(currency.clone(), amount);
         Ok(())
     }
@@ -394,6 +396,15 @@ mod tests {
         assert!(acct.release(&blocks, 251).is_err());
         // Cannot allocate more than the balance.
         assert!(acct.allocate(blocks.clone(), 751).is_err());
+    }
+
+    #[test]
+    fn releasing_nothing_of_an_unallocated_currency_is_a_no_op() {
+        let mut acct = Account::new("alice", vec![p("alice")]);
+        let before = acct.clone();
+        acct.release(&Currency::new("disk-blocks"), 0).unwrap();
+        assert_eq!(acct, before);
+        assert!(acct.release(&Currency::new("disk-blocks"), 1).is_err());
     }
 
     #[test]

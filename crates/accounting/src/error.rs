@@ -107,7 +107,14 @@ impl std::error::Error for AcctError {
             AcctError::Verify(e) => Some(e),
             AcctError::Storage(e) => Some(e),
             AcctError::Artifact(e) => Some(e),
-            _ => None,
+            AcctError::UnknownAccount(_)
+            | AcctError::InsufficientFunds { .. }
+            | AcctError::MalformedCheck(_)
+            | AcctError::WrongServer { .. }
+            | AcctError::NotAuthorized(_)
+            | AcctError::NoRoute(_)
+            | AcctError::NoHold { .. }
+            | AcctError::BadJournal(_) => None,
         }
     }
 }

@@ -66,7 +66,13 @@ fn account_of(rec: &JournalRecord) -> Option<&str> {
         JournalRecord::Settle { payor_account, .. } => Some(payor_account),
         JournalRecord::CashierPurchase { from_account, .. } => Some(from_account),
         JournalRecord::Certified { account, .. } => Some(account),
-        _ => None,
+        JournalRecord::OpenAccount { .. }
+        | JournalRecord::AdminAccount { .. }
+        | JournalRecord::DepositPending { .. }
+        | JournalRecord::Forward { .. }
+        | JournalRecord::PaymentApplied { .. }
+        | JournalRecord::Bounced { .. }
+        | JournalRecord::Marks { .. } => None,
     }
 }
 
@@ -75,7 +81,14 @@ fn pending_of(rec: &JournalRecord) -> Option<(PrincipalId, u64)> {
     match rec {
         JournalRecord::PaymentApplied { payor, check_no }
         | JournalRecord::Bounced { payor, check_no } => Some((payor.clone(), *check_no)),
-        _ => None,
+        JournalRecord::OpenAccount { .. }
+        | JournalRecord::AdminAccount { .. }
+        | JournalRecord::Settle { .. }
+        | JournalRecord::DepositPending { .. }
+        | JournalRecord::Forward { .. }
+        | JournalRecord::CashierPurchase { .. }
+        | JournalRecord::Certified { .. }
+        | JournalRecord::Marks { .. } => None,
     }
 }
 
@@ -118,10 +131,26 @@ fn apply_on_account(rec: &JournalRecord, acct: &mut Account) -> Result<(), AcctE
             .map_err(|e| {
                 AcctError::BadJournal(match e {
                     AcctError::InsufficientFunds { .. } => "certify exceeds the balance",
-                    _ => "certify names a held check number",
+                    AcctError::Verify(_)
+                    | AcctError::UnknownAccount(_)
+                    | AcctError::MalformedCheck(_)
+                    | AcctError::WrongServer { .. }
+                    | AcctError::NotAuthorized(_)
+                    | AcctError::NoRoute(_)
+                    | AcctError::NoHold { .. }
+                    | AcctError::Storage(_)
+                    | AcctError::BadJournal(_)
+                    | AcctError::Artifact(_) => "certify names a held check number",
                 })
             }),
-        _ => Ok(()),
+        // No step on an account: `account_of` names none for these.
+        JournalRecord::OpenAccount { .. }
+        | JournalRecord::AdminAccount { .. }
+        | JournalRecord::DepositPending { .. }
+        | JournalRecord::Forward { .. }
+        | JournalRecord::PaymentApplied { .. }
+        | JournalRecord::Bounced { .. }
+        | JournalRecord::Marks { .. } => Ok(()),
     }
 }
 
@@ -235,7 +264,17 @@ impl Ledger {
             JournalRecord::PaymentApplied { .. } => {
                 self.credit(&taken.account, &taken.currency, taken.amount)
             }
-            _ => Ok(()),
+            // A bounce only drops the deposit; the rest take none
+            // (`pending_of`).
+            JournalRecord::Bounced { .. }
+            | JournalRecord::OpenAccount { .. }
+            | JournalRecord::AdminAccount { .. }
+            | JournalRecord::Settle { .. }
+            | JournalRecord::DepositPending { .. }
+            | JournalRecord::Forward { .. }
+            | JournalRecord::CashierPurchase { .. }
+            | JournalRecord::Certified { .. }
+            | JournalRecord::Marks { .. } => Ok(()),
         }
     }
 
@@ -272,6 +311,10 @@ impl Ledger {
     /// and [`AcctError::Storage`] from the stage; nothing has changed
     /// then.
     /// A refusal by the apply step after the stage poisons the journal.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "the `assert_eq!` inside `debug_assert_eq!`, compiled out of release builds: it checks that `validate` built a record naming the account it locked, an invariant of local code, not of input"
+    )]
     pub(crate) fn post_on(
         &self,
         op: &mut OpGuard<'_>,

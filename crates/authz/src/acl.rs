@@ -168,7 +168,7 @@ impl Acl {
         self.entries.retain(|e| match &e.subject {
             AclSubject::Principal(p) => p != principal,
             AclSubject::Compound(ps) => !ps.contains(principal),
-            _ => true,
+            AclSubject::Group(_) | AclSubject::Anyone => true,
         });
     }
 }

@@ -67,7 +67,11 @@ impl std::error::Error for AuthzError {
             AuthzError::Verify(e) => Some(e),
             AuthzError::Artifact(e) => Some(e),
             AuthzError::Storage(e) => Some(e),
-            _ => None,
+            AuthzError::NotAuthorized { .. }
+            | AuthzError::UnknownClient(_)
+            | AuthzError::UnknownGroup(_)
+            | AuthzError::NotAMember { .. }
+            | AuthzError::NoRightsAt(_) => None,
         }
     }
 }

@@ -26,9 +26,6 @@
 //! assert_eq!(net.total_messages(), 2, "every request costs a round trip");
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod amoeba;
 pub mod dssa;
 pub mod grapevine;

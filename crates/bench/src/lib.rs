@@ -11,15 +11,6 @@
 //! simulated latency), and times our implementation's flows with one
 //! interleaved min-of-rounds stopwatch.
 
-// `deny`, not the workspace `forbid`: the feature-gated counting
-// allocator (`alloc_count`, linked by the e2e benchmark's traced run) is
-// the one audited module allowed to contain unsafe code — a verbatim
-// delegating wrapper over the system allocator. Everything else in the
-// crate stays unsafe-free; see lint-allow.toml for the recorded L5
-// exception.
-#![deny(unsafe_code)]
-#![warn(missing_docs)]
-
 #[cfg(feature = "alloc-count")]
 pub mod alloc_count;
 pub mod c10k;

@@ -1052,6 +1052,42 @@ mod tests {
     }
 
     #[test]
+    fn small_order_keys_are_exactly_the_decodable_small_points() {
+        use crate::ed25519::VerifyingKey;
+        // The eight points' encodings, each with its sign bit flipped,
+        // and each y + p twin that fits below 2^255, with both signs.
+        let mut candidates = Vec::new();
+        for c in eight_torsion() {
+            let bytes = Point::identity().add_cached(c).compress();
+            let y = Fe::from_bytes(&bytes);
+            let mut twins = vec![bytes];
+            if let Some(small) = (0u8..19).find(|&k| y.ct_eq(Fe::from_u64(u64::from(k)))) {
+                let mut twin = [0xffu8; 32];
+                twin[0] = 0xed + small;
+                twin[31] = 0x7f | (bytes[31] & 0x80);
+                twins.push(twin);
+            }
+            for mut bytes in twins {
+                candidates.push(bytes);
+                bytes[31] ^= 0x80;
+                candidates.push(bytes);
+            }
+        }
+        candidates.extend(decompression_corpus());
+        let mut refused = std::collections::BTreeSet::new();
+        for bytes in &candidates {
+            let small = Point::decompress(bytes).is_ok_and(|p| p.is_small_order());
+            let key = VerifyingKey::from_bytes(*bytes);
+            assert_eq!(key.is_small_order(), small, "{bytes:02x?}");
+            if small {
+                refused.insert(*bytes);
+            }
+        }
+        // Every table entry is one of them, and none is missing.
+        assert_eq!(refused.len(), crate::ed25519::SMALL_ORDER_ENCODINGS.len());
+    }
+
+    #[test]
     fn matching_up_to_torsion_is_decompressing_and_comparing_times_8() {
         let corpus = decompression_corpus();
         let b = Point::basepoint();

@@ -39,9 +39,6 @@
 //! assert_eq!(digest[0], 0xba);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod chacha20;
 pub mod ct;
 pub mod ed25519;

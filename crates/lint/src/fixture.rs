@@ -5,7 +5,7 @@
 //! which rule it exercises:
 //!
 //! ```text
-//! // lint-fixture: path=crates/wire/src/frame.rs rule=L1
+//! // lint-fixture: path=crates/wire/src/frame.rs rule=L8
 //! ```
 //!
 //! `path` selects the scope (rules only fire where they apply), `rule`
@@ -51,17 +51,17 @@ mod tests {
     #[test]
     fn parses_directive() {
         let d = fixture_directive(
-            "// lint-fixture: path=crates/wire/src/frame.rs rule=L1\nfn f() {}\n",
+            "// lint-fixture: path=crates/wire/src/frame.rs rule=L8\nfn f() {}\n",
         )
         .expect("directive");
         assert_eq!(d.path, "crates/wire/src/frame.rs");
-        assert_eq!(d.rule, Rule::PanicFree);
+        assert_eq!(d.rule, Rule::Taint);
     }
 
     #[test]
     fn missing_or_malformed_directive_is_none() {
         assert_eq!(fixture_directive("fn f() {}\n"), None);
-        assert_eq!(fixture_directive("// lint-fixture: rule=L1\n"), None);
+        assert_eq!(fixture_directive("// lint-fixture: rule=L8\n"), None);
         assert_eq!(
             fixture_directive("// lint-fixture: path=a.rs rule=L9\n"),
             None

@@ -1,17 +1,16 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 //! `proxy-lint` — a workspace invariant analyzer for the proxy stack.
 //!
-//! The proxy model's security argument rests on invariants that the
-//! type system does not express: untrusted-input paths must reject
-//! hostile bytes with typed errors instead of panicking, restriction
-//! matches must fail closed on unknown variants (the paper's §7.9
-//! propagation rule), secret byte material must be compared in constant
-//! time, the replayable crates must be deterministic, and every crate
-//! root must carry the hygiene header. This crate enforces them
-//! statically, with a hand-rolled lexer and token-level rules — no
-//! `syn`, no dependencies beyond `std`.
+//! The proxy model's security argument rests on invariants that neither
+//! the type system nor clippy expresses: secret byte material must be
+//! compared in constant time (L3), the lock-acquisition graph must be
+//! acyclic with nothing blocking under a shard guard (L6), journaled
+//! mutations must follow validate → stage → wait-durable → apply (L7),
+//! and decoded lengths must be bounded before they size anything (L8).
+//! This crate enforces them statically, with a hand-rolled lexer, a
+//! light parse layer and a workspace call graph — no `syn`, no
+//! dependencies beyond `std`. The token rules (panic-free decode,
+//! fail-closed matches, no ambient time, crate-root hygiene) are stock
+//! rustc and clippy lints (DESIGN.md §11).
 //!
 //! Pipeline: [`walk`] finds the sources, [`lexer`] tokenizes,
 //! [`source`] masks test code, [`rules`] produce [`diag::Finding`]s

@@ -1,25 +1,18 @@
-//! The eight rule families (L1–L8).
+//! The four rule families clippy cannot express (L3, L6–L8).
 //!
-//! L1–L5 are token-pattern rules over a single file. L6–L8 are
+//! L3 is a token-pattern rule over a single file. L6–L8 are
 //! flow-aware: they query the [`crate::callgraph::Workspace`] model —
 //! L7/L8 per file here, L6 as a global pass in
-//! [`lock_order::check_global`].
+//! [`lock_order::check_global`]. L1, L2, L4 and L5 are stock rustc and
+//! clippy lints (DESIGN.md §11).
 
 mod const_time;
-mod determinism;
 pub mod durability;
-mod fail_closed;
-mod hygiene;
 pub mod lock_order;
-mod panic_free;
 pub mod taint;
 
 pub use const_time::check_const_time;
-pub use determinism::check_determinism;
 pub use durability::check_durability;
-pub use fail_closed::check_fail_closed;
-pub use hygiene::check_hygiene;
-pub use panic_free::check_panic_free;
 pub use taint::check_taint;
 
 use crate::callgraph::Workspace;
@@ -33,20 +26,8 @@ use crate::source::SourceFile;
 pub fn check_all(file: &SourceFile, ws: &Workspace) -> Vec<Finding> {
     let rel = file.rel_path.as_str();
     let mut findings = Vec::new();
-    if scope::panic_free_applies(rel) {
-        findings.extend(check_panic_free(file));
-    }
-    if scope::fail_closed_applies(rel) {
-        findings.extend(check_fail_closed(file));
-    }
     if scope::const_time_applies(rel) {
         findings.extend(check_const_time(file));
-    }
-    if scope::determinism_applies(rel) {
-        findings.extend(check_determinism(file));
-    }
-    if scope::hygiene_applies(rel) {
-        findings.extend(check_hygiene(file));
     }
     if scope::durability_applies(rel) {
         findings.extend(check_durability(file, ws));

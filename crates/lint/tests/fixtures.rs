@@ -40,11 +40,7 @@ fn every_rule_family_has_both_polarities() {
             rules.insert(d.rule.code());
         }
         for rule in [
-            Rule::PanicFree,
-            Rule::FailClosed,
             Rule::ConstTime,
-            Rule::Determinism,
-            Rule::Hygiene,
             Rule::LockOrder,
             Rule::Durability,
             Rule::Taint,
@@ -156,11 +152,7 @@ fn allowlist_parses_and_every_entry_is_pinned() {
     let entries = load_allowlist(&root).expect("lint-allow.toml parses");
     assert!(!entries.is_empty(), "expected a checked-in allowlist");
     for e in &entries {
-        assert!(
-            e.line.is_some() || e.pattern.is_some(),
-            "entry for {} is unpinned",
-            e.path
-        );
+        assert!(!e.pattern.is_empty(), "entry for {} is unpinned", e.path);
     }
 }
 
@@ -230,7 +222,6 @@ fn cli_json_report_is_well_formed() {
         "\"files\"",
         "\"clean\": true",
         "\"suppressed\": true",
-        "\"severity\"",
     ] {
         assert!(json.contains(field), "json report lacks {field}:\n{json}");
     }

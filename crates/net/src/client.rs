@@ -272,15 +272,18 @@ impl TcpClient {
     /// The sleep before attempt `attempt` (1-based beyond the first):
     /// exponential in the attempt number, capped, with ±50% jitter.
     fn backoff(&self, attempt: u32) -> Duration {
-        let base = self.opts.retry.base_backoff.as_micros() as u64;
+        // Saturating: a cap past u64::MAX µs (~584k years) is no cap.
+        let micros = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
+        let base = micros(self.opts.retry.base_backoff);
         if base == 0 {
             return Duration::ZERO;
         }
+        let max = micros(self.opts.retry.max_backoff);
         let exp = base.saturating_mul(1u64 << (attempt - 1).min(16));
-        let capped = exp.min(self.opts.retry.max_backoff.as_micros() as u64);
+        let capped = exp.min(max);
         // jitter in [50%, 150%) of the capped value.
-        let jittered = capped / 2 + self.next_jitter() % capped.max(1);
-        Duration::from_micros(jittered.min(self.opts.retry.max_backoff.as_micros() as u64))
+        let jittered = (capped / 2).saturating_add(self.next_jitter() % capped.max(1));
+        Duration::from_micros(jittered.min(max))
     }
 
     fn try_call(&self, request: &Message) -> Result<Message, NetError> {
@@ -588,6 +591,23 @@ mod tests {
 
     fn lone_reply(peer: &mut Segments, request_id: u64) -> Result<Message, NetError> {
         ReplyReader::default().lone_reply(peer, request_id)
+    }
+
+    #[test]
+    fn a_cap_past_u64_micros_still_backs_off() {
+        let opts = ClientOptions {
+            retry: RetryPolicy {
+                attempts: 2,
+                base_backoff: Duration::from_millis(10),
+                // 2^69 · 15625 µs, which an `as u64` cast wraps to 0.
+                max_backoff: Duration::from_secs(1 << 63),
+            },
+            ..ClientOptions::default()
+        };
+        let client = TcpClient::new(SocketAddr::from(([127, 0, 0, 1], 1)), opts);
+        for _ in 0..16 {
+            assert!(client.backoff(1) >= Duration::from_millis(5));
+        }
     }
 
     fn detail_len(reply: Result<Message, NetError>) -> usize {

@@ -19,8 +19,22 @@
 //! The servers behind the mux are the *same instances* an in-process
 //! caller would use; networking is a layer, not a fork of the logic.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// L1, panic-free decode (DESIGN.md §11): this crate reads bytes a peer
+// or a disk chose, so outside test code a reachable panic is a remote
+// crash. Index with `get`, narrow with `try_from`, return typed errors.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        clippy::disallowed_macros,
+    )
+)]
 
 pub mod api;
 pub mod client;

@@ -193,7 +193,11 @@ impl Certificate {
                     .raw(32)?
                     .try_into()
                     .map_err(|_| DecodeError::UnexpectedEnd)?;
-                KeyMaterial::PublicKey(proxy_crypto::ed25519::VerifyingKey::from_bytes(bytes))
+                let key = proxy_crypto::ed25519::VerifyingKey::from_bytes(bytes);
+                if key.is_small_order() {
+                    return Err(DecodeError::InvalidValue("small-order proxy key"));
+                }
+                KeyMaterial::PublicKey(key)
             }
             t => return Err(DecodeError::BadTag(t)),
         };
@@ -219,7 +223,7 @@ impl Certificate {
 mod tests {
     use super::*;
     use crate::restriction::Restriction;
-    use proxy_crypto::ed25519::SigningKey;
+    use proxy_crypto::ed25519::{SigningKey, VerifyingKey};
 
     fn sample_cert() -> Certificate {
         Certificate {
@@ -261,6 +265,19 @@ mod tests {
         cert.seal = CertSeal::Ed25519(sk.sign(b"body"));
         let decoded = Certificate::decode(&cert.encode()).unwrap();
         assert_eq!(decoded, cert);
+    }
+
+    #[test]
+    fn decode_refuses_every_small_order_proxy_key() {
+        for bytes in proxy_crypto::ed25519::SMALL_ORDER_ENCODINGS {
+            let mut cert = sample_cert();
+            cert.key_material = KeyMaterial::PublicKey(VerifyingKey::from_bytes(bytes));
+            assert_eq!(
+                Certificate::decode(&cert.encode()),
+                Err(DecodeError::InvalidValue("small-order proxy key")),
+                "{bytes:02x?}"
+            );
+        }
     }
 
     #[test]

@@ -6,6 +6,22 @@
 //! All integers are little-endian; collections are length-prefixed with a
 //! `u32` count; strings are UTF-8 with a `u32` byte length.
 
+// L1, panic-free decode (DESIGN.md §11): this module parses bytes a peer
+// chose, so outside test code a reachable panic is a remote crash.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        clippy::disallowed_macros,
+    )
+)]
+
 use std::fmt;
 
 /// Errors produced when decoding a wire value.
@@ -119,6 +135,10 @@ impl Encoder {
     }
 
     /// Appends raw bytes with a u32 length prefix.
+    #[expect(
+        clippy::expect_used,
+        reason = "encoding is driven by values this process built, so a >4 GiB value is a caller bug; the decoder side is fully typed-error"
+    )]
     pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
         self.u32(u32::try_from(v.len()).expect("value too large to encode"));
         self.buf.extend_from_slice(v);
@@ -136,6 +156,10 @@ impl Encoder {
     /// # Panics
     ///
     /// Panics if the nested value exceeds `u32::MAX` bytes.
+    #[expect(
+        clippy::expect_used,
+        reason = "the documented `# Panics` contract: a nested value over 4 GiB is built by local code, never read off the wire"
+    )]
     pub fn nested(&mut self, f: impl FnOnce(&mut Self)) -> &mut Self {
         let len_at = self.buf.len();
         self.u32(0);
@@ -161,6 +185,10 @@ impl Encoder {
     }
 
     /// Appends a collection count prefix.
+    #[expect(
+        clippy::expect_used,
+        reason = "collection sizes originate locally; only decode-side counts are attacker-controlled and those return DecodeError"
+    )]
     pub fn count(&mut self, n: usize) -> &mut Self {
         self.u32(u32::try_from(n).expect("collection too large to encode"))
     }

@@ -21,6 +21,22 @@
 //! A payload adds its body codec and what "replace" and "extend" mean
 //! for its state: different in kind, so two concrete artifact structs.
 
+// L1, panic-free decode (DESIGN.md §11): this module parses bytes a peer
+// chose, so outside test code a reachable panic is a remote crash.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        clippy::disallowed_macros,
+    )
+)]
+
 use std::collections::VecDeque;
 use std::hash::Hash;
 use std::sync::Arc;

@@ -128,7 +128,16 @@ impl std::error::Error for VerifyError {
         match self {
             VerifyError::Denied(d) => Some(d),
             VerifyError::Decode(e) => Some(e),
-            _ => None,
+            VerifyError::EmptyChain
+            | VerifyError::HeadNotGrantorSealed
+            | VerifyError::UnknownGrantor(_)
+            | VerifyError::BadSeal { .. }
+            | VerifyError::KeyUnrecoverable { .. }
+            | VerifyError::FlavorMismatch { .. }
+            | VerifyError::NotValidAt { .. }
+            | VerifyError::Revoked { .. }
+            | VerifyError::BearerRequiresPossession
+            | VerifyError::BadPossession => None,
         }
     }
 }

@@ -38,6 +38,22 @@
 //! keys that each came back. Each slot has its own lock, held to compare
 //! two keys and clone or store an `Arc` — never across curve arithmetic.
 
+// L1, panic-free decode (DESIGN.md §11): this module parses bytes a peer
+// chose, so outside test code a reachable panic is a remote crash.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        clippy::disallowed_macros,
+    )
+)]
+
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -154,7 +170,7 @@ impl KeyTable {
     fn slot(&self, key: &VerifyingKey) -> Option<&Slot> {
         let hash = self.hasher.hash_one(key.as_bytes());
         let index = hash.checked_rem(self.slots.len() as u64)?;
-        self.slots.get(index as usize)
+        self.slots.get(usize::try_from(index).ok()?)
     }
 
     /// Verifies `signature` over `message` under `key`, with whatever the

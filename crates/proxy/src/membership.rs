@@ -21,6 +21,22 @@
 //! digest, one shard read and one set lookup; there is no answer cache
 //! in front of it that an update could leave stale.
 
+// L1, panic-free decode (DESIGN.md §11): this module parses bytes a peer
+// chose, so outside test code a reachable panic is a remote crash.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        clippy::disallowed_macros,
+    )
+)]
+
 use std::collections::HashSet;
 
 use proxy_crypto::sha256::Sha256;

@@ -28,6 +28,22 @@
 //! runs, strictly increasing chunk keys) enforced before a byte is
 //! trusted, and allocation bounded by the input that justifies it.
 
+// L1, panic-free decode (DESIGN.md §11): this module parses bytes a peer
+// chose, so outside test code a reachable panic is a remote crash.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        clippy::disallowed_macros,
+    )
+)]
+
 use std::collections::HashMap;
 use std::sync::RwLock;
 

@@ -38,8 +38,22 @@
 //! fsync reachable from `stage` is reported at every journal `stage`
 //! site under a shard guard.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// L1, panic-free decode (DESIGN.md §11): this crate reads bytes a peer
+// or a disk chose, so outside test code a reachable panic is a remote
+// crash. Index with `get`, narrow with `try_from`, return typed errors.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        clippy::disallowed_macros,
+    )
+)]
 
 pub mod artifacts;
 pub mod log;

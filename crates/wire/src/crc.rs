@@ -22,6 +22,11 @@ const POLY: u32 = 0xEDB8_8320;
 /// before the end of an 8-byte block.
 const TABLES: [[u32; 256]; 8] = build_tables();
 
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::indexing_slicing,
+    reason = "const table build: k < 8 and i < 256 by loop bounds, so the cast is exact and every index in range; evaluated at compile time, where an out-of-range index is a build error"
+)]
 const fn build_tables() -> [[u32; 256]; 8] {
     let mut tables = [[0u32; 256]; 8];
     // Base table: CRC of each single byte.
@@ -57,6 +62,10 @@ const fn build_tables() -> [[u32; 256]; 8] {
 
 /// CRC-32 of `data` (slicing-by-8 with a bytewise tail).
 #[must_use]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "slicing-by-8 lookups: every index is `usize::from` of a `u8` (a byte of the block, or of the folded low word) and each table has 256 entries, so it is in range for any input"
+)]
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     let (blocks, tail) = data.as_chunks::<8>();

@@ -120,6 +120,11 @@ pub(crate) fn begin_frame(out: &mut Vec<u8>, msg_type: u8, request_id: u64) -> u
 /// [`MAX_FRAME_BODY`], or if `start` is not an offset previously
 /// returned by [`begin_frame`] on this buffer — both caller bugs on the
 /// encode side, never reachable from wire input.
+#[expect(
+    clippy::disallowed_macros,
+    clippy::expect_used,
+    reason = "the documented `# Panics` contract of the one frame writer: an oversized body or a foreign `start` is built by local code; decode rejects an oversized body from its header"
+)]
 pub(crate) fn finish_frame(out: &mut Vec<u8>, start: usize) {
     let body_start = start.saturating_add(HEADER_LEN);
     assert!(body_start <= out.len(), "finish_frame before begin_frame");

@@ -32,8 +32,25 @@
 //! encrypted session; this crate defines the bytes, the channel security
 //! is the transport's concern (see `proxy-net`).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// L1, panic-free decode (DESIGN.md §11): this crate reads bytes a peer
+// or a disk chose, so outside test code a reachable panic is a remote
+// crash. Index with `get`, narrow with `try_from`, return typed errors.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        clippy::disallowed_macros,
+    )
+)]
+// L4, no ambient time: clocks are injected `Timestamp`s, so runs replay
+// the same under a fixed seed (clippy.toml lists the methods).
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 pub mod crc;
 pub mod error;

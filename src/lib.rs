@@ -37,9 +37,6 @@
 //! assert_eq!(proxy.grantor().as_str(), "alice");
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub use kerberos_sim as kerberos;
 pub use netsim;
 pub use proxy_accounting as accounting;
