@@ -7,11 +7,13 @@ cargo fmt --all -- --check
 
 # Workspace invariant analyzer (DESIGN.md §11, flow-aware tier §16): the
 # rules clippy cannot see — constant-time secret comparison (L3), the
-# workspace lock-order graph (L6), durability ordering around the journal
-# (L7), and untrusted-length taint into allocation sinks (L8). The token
-# rules (L1 panic-free decode, L2 fail-closed matches, L4 no ambient
-# time, L5 crate-root hygiene) are stock lints, checked by the clippy
-# step below. Suppressions live in lint-allow.toml and must each carry a
+# workspace lock-order graph (L6), a poison latch on every durable entry
+# point of the journal and storage (L7), and untrusted-length taint into
+# allocation sinks (L8). The token rules (L1 panic-free decode, L2
+# fail-closed matches, L4 no ambient time, L5 crate-root hygiene) are
+# stock lints, checked by the clippy step below; the journal's order
+# (validate, stage, apply, then the durable ack) is carried by the
+# accounting crate's types (DESIGN.md §15.3). Suppressions live in lint-allow.toml and must each carry a
 # justification; stale entries fail the run. The run also emits a
 # machine-readable artifact and is budgeted: the deeper flow passes must
 # not become the slowest CI step.
@@ -86,6 +88,20 @@ alias_users="$(grep -rlw --include='*.rs' MemoryReplayGuard crates src tests exa
         -e '^crates/bench/src/bin/e2e/' || true)"
 if [ -n "$alias_users" ]; then
     echo "ci.sh: MemoryReplayGuard used outside its alias: $alias_users" >&2
+    exit 1
+fi
+
+# `ReplayCache::forget` gives a taken accept-once mark back. Its one
+# non-test caller is the `Drop` of `Taken` (crates/accounting/src/
+# journal.rs), which gives back every mark no built record kept: a
+# hand-written give-back beside it could return a mark a record keeps,
+# or miss one. Test modules (from a column-0 `#[cfg(test)]`) and `//`
+# comments are skipped; each call is reported with its enclosing `impl`.
+forget_callers="$(find crates/*/src src examples -name '*.rs' \
+    -exec awk '/^#\[cfg\(test\)\]/ { nextfile } /^impl/ { owner = $0 }
+        { sub(/\/\/.*/, "") } /\.forget\(/ { print FILENAME ": " owner }' {} +)"
+if [ "$forget_callers" != "crates/accounting/src/journal.rs: impl Drop for Taken<'_> {" ]; then
+    echo "ci.sh: ReplayCache::forget called outside Taken's Drop: $forget_callers" >&2
     exit 1
 fi
 
@@ -260,9 +276,9 @@ e2e_gate fig3_query 'alloc.allocs_per_op' 22 'authz.request_authorization_us' 4.
 # copy of the seed (1.2 us today; 16.4 when `SigningKey::from_seed`
 # expanded eagerly), and allocs/op at or under the ceiling (47.10
 # today: a deposit reads its check once, is presented without a copy
-# of its certificates, and its marks move into the Settle record; one
-# more allocation per deposit trips it; 53.10 when the presentation
-# cloned the certificates).
+# of its certificates, and the marks its `Taken` holds move into the
+# Settle record; one more allocation per deposit trips it; 53.10 when
+# the presentation cloned the certificates).
 e2e_gate fig5_mem 'wire.decode_req_us' 5 'alloc.allocs_per_op' 48.1
 
 # One equation per read (DESIGN.md §8, "One settle step"): four seals

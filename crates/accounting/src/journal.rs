@@ -8,10 +8,17 @@
 //! order for non-commuting operations. The fsync wait happens after the
 //! lock is released, where [`proxy_storage::WalStorage`]'s group-commit
 //! batcher amortizes it across concurrent requests. That choreography
-//! is written once, as [`OpGuard`]: `begin` → `stage` under the shard
-//! lock → `wait` outside it. A server with no backend owns a *detached*
-//! journal ([`Journal::detached`]) and runs the same code; its `stage`
-//! and `wait` touch nothing.
+//! is written once, as `Journal::run`: the operation's body stages
+//! under the shard lock, and `run` waits outside it before it hands the
+//! body's reply back. A server with no backend owns a *detached* journal
+//! ([`Journal::detached`]) and runs the same code; its stage and wait
+//! touch nothing.
+//!
+//! The order is carried by types, not by convention: the state changes
+//! only through a `Logged` record, which only a stage and the recovery
+//! loop (`Journal::recover`) make; an accept-once mark a settlement took
+//! is a `Taken` that gives itself back unless a built record keeps it;
+//! and no reply leaves a scope before its records are durable.
 //!
 //! This module is the log: the record kinds, their bytes, and the
 //! choreography. What a record *does* to the state is written once, in
@@ -30,14 +37,15 @@
 //! periodically installs ([`Journal::compact`]) so recovery replays a
 //! bounded suffix. Compaction excludes concurrent operations with a
 //! reader-writer gate: operations hold the gate in read mode for their
-//! whole critical path ([`Journal::begin`]), compaction takes it in
-//! write mode while it enumerates and installs.
+//! whole critical path (`Journal::run`), compaction takes it in write
+//! mode while it enumerates and installs.
 //!
 //! The journal is **fail-stop**: the first storage failure (or injected
 //! crash point) poisons it, and every later operation returns
 //! [`AcctError::Storage`] rather than letting memory diverge from the
 //! log.
 
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 
@@ -430,15 +438,29 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<Vec<JournalRecord>, AcctError> {
     Ok(records)
 }
 
-/// One operation's scope over the journal, from [`Journal::begin`]: it
-/// holds the compaction gate in read mode for the operation's whole
-/// durable critical path, [`Self::stage`] (called inside the shard-lock
-/// critical section) remembers the last ticket, and [`Self::wait`]
-/// (called after the shard lock is released) blocks on it and releases
-/// the gate. On a detached journal `stage` and `wait` touch nothing.
-#[must_use = "an operation is not durable until its scope's `wait` returns"]
+/// A record that is in the durable order: what `Ledger::apply` takes,
+/// so nothing changes the state before its record is staged. Two places
+/// make one: [`OpGuard::stage`], live, and [`Journal::recover`], for the
+/// records a store already holds.
 #[derive(Debug)]
-pub struct OpGuard<'a> {
+pub(crate) struct Logged(JournalRecord);
+
+impl Deref for Logged {
+    type Target = JournalRecord;
+
+    fn deref(&self) -> &JournalRecord {
+        &self.0
+    }
+}
+
+/// One operation's scope over the journal, inside [`Journal::run`]: it
+/// holds the compaction gate in read mode for the operation's whole
+/// durable critical path, and [`Self::stage`] (called inside the
+/// shard-lock critical section) remembers the last ticket, which `run`
+/// waits on after the body returns. On a detached journal `stage` and
+/// that wait touch nothing.
+#[derive(Debug)]
+pub(crate) struct OpGuard<'a> {
     journal: &'a Journal,
     /// Excludes compaction, which needs the write side. `None` on a
     /// detached journal: there is nothing to compact.
@@ -446,55 +468,50 @@ pub struct OpGuard<'a> {
     /// Ticket of the last record staged; durability is in ticket order,
     /// so waiting on it covers every earlier one.
     last: Option<Ticket>,
+    /// Whether a record was staged, on a detached journal too: a body
+    /// that fails after it poisons the journal.
+    staged: bool,
 }
 
 impl OpGuard<'_> {
-    /// Stages `rec` into the durable order. Call inside the shard-lock
-    /// critical section that applies the matching mutation, after
-    /// validation. A detached journal does not encode it.
+    /// Stages `rec` into the durable order and hands it back as the
+    /// proof the ledger applies. Call inside the shard-lock critical
+    /// section that applies the matching mutation, after validation. A
+    /// detached journal does not encode it.
     ///
     /// # Errors
     ///
     /// [`AcctError::Storage`] on failure; the journal is then poisoned
-    /// and the caller must not apply the mutation.
-    pub fn stage(&mut self, rec: &JournalRecord) -> Result<(), AcctError> {
-        let Some(store) = &self.journal.store else {
-            return Ok(());
-        };
-        self.journal.check_poison()?;
-        let ticket = store
-            .stage(&rec.encode())
-            .map_err(|e| self.journal.poison(e))?;
-        self.journal.staged.fetch_add(1, Ordering::Relaxed);
-        self.last = Some(ticket);
-        Ok(())
+    /// and the caller cannot apply the mutation.
+    pub(crate) fn stage(&mut self, rec: JournalRecord) -> Result<Logged, AcctError> {
+        if let Some(store) = &self.journal.store {
+            self.journal.check_poison()?;
+            let ticket = store
+                .stage(&rec.encode())
+                .map_err(|e| self.journal.poison(e))?;
+            self.journal.staged.fetch_add(1, Ordering::Relaxed);
+            self.last = Some(ticket);
+        }
+        self.staged = true;
+        Ok(Logged(rec))
     }
 
     /// Blocks until everything this operation staged is durable, then
-    /// releases the compaction gate. Call after releasing the shard
-    /// lock; only the *reply* waits on the device, not the other
-    /// operations on the shard.
+    /// releases the compaction gate. Runs after the body, so after the
+    /// shard lock is released; only the *reply* waits on the device, not
+    /// the other operations on the shard.
     ///
     /// # Errors
     ///
     /// [`AcctError::Storage`] on failure; the journal is then poisoned
     /// and no success reply may be sent.
-    pub fn wait(self) -> Result<(), AcctError> {
+    fn wait(self) -> Result<(), AcctError> {
         match (&self.journal.store, self.last) {
             (Some(store), Some(ticket)) => store
                 .wait_durable(ticket)
                 .map_err(|e| self.journal.poison(e)),
             _ => Ok(()),
         }
-    }
-
-    /// Latches the journal failed because the ledger refused (`why`) a
-    /// record already staged — memory and log have parted, which only a
-    /// validation that disagrees with `Ledger::apply` can cause — and
-    /// hands `why` back as the caller's error.
-    pub(crate) fn poison_refused(&self, why: AcctError) -> AcctError {
-        let _ = self.journal.poisoned.set(StorageError::Poisoned);
-        why
     }
 }
 
@@ -531,15 +548,32 @@ impl Journal {
         }
     }
 
-    /// Attaches a storage backend. Recovery (reading the backend back
-    /// into server state) happens *before* this, in
-    /// `AccountingServer::with_storage`.
-    #[must_use]
-    pub fn new(store: Arc<dyn Storage>) -> Self {
-        Self {
+    /// The recovery loop: reads `store` back, hands `apply` the
+    /// snapshot's records and then the log's, and attaches the store.
+    /// No cryptography runs.
+    ///
+    /// # Errors
+    ///
+    /// [`AcctError::Storage`] when the backend fails or refuses a
+    /// corrupted log, [`AcctError::BadJournal`] when a stored record
+    /// does not decode, and whatever `apply` refuses with.
+    pub(crate) fn recover(
+        store: Arc<dyn Storage>,
+        mut apply: impl FnMut(&Logged) -> Result<(), AcctError>,
+    ) -> Result<Self, AcctError> {
+        let recovered = store.load()?;
+        if let Some(snap) = &recovered.snapshot {
+            for rec in decode_snapshot(snap)? {
+                apply(&Logged(rec))?;
+            }
+        }
+        for rec in &recovered.records {
+            apply(&Logged(JournalRecord::decode(rec)?))?;
+        }
+        Ok(Self {
             store: Some(store),
             ..Self::detached()
-        }
+        })
     }
 
     fn check_poison(&self) -> Result<(), AcctError> {
@@ -549,61 +583,60 @@ impl Journal {
         }
     }
 
-    /// Latches the journal failed — every later `begin`/`stage`/`commit`
-    /// returns the first stored error — and hands the failure back as
-    /// the caller's error.
+    /// Latches the journal failed — every later `run`/`stage` returns
+    /// the first stored error — and hands the failure back as the
+    /// caller's error.
     fn poison(&self, e: StorageError) -> AcctError {
         let _ = self.poisoned.set(e.clone());
         AcctError::Storage(e)
     }
 
-    /// Takes the gate without looking at compaction.
-    fn enter(&self) -> Result<OpGuard<'_>, AcctError> {
+    /// The one scope of a state-changing operation. Installs a compacted
+    /// snapshot (the records `snapshot` builds) if
+    /// [`Self::SNAPSHOT_EVERY`] records have accumulated, checks the
+    /// poison latch, takes the compaction gate in read mode, runs `body`
+    /// (validate, then `Ledger::post*`), waits until what it staged is
+    /// durable and only then returns its value — the reply. Compaction
+    /// runs first, between operations: a failed install refuses an
+    /// operation that has not happened yet instead of turning one that
+    /// is already durable into an error reply.
+    ///
+    /// A body that fails after it staged a record poisons the journal:
+    /// the record may reach the log, and recovery would replay what the
+    /// caller was told failed. Every fallible step precedes the record.
+    ///
+    /// # Errors
+    ///
+    /// [`AcctError::Storage`] when the journal is poisoned or the
+    /// snapshot install, a stage or the wait fails; otherwise what
+    /// `body` refuses with.
+    pub(crate) fn run<T>(
+        &self,
+        snapshot: impl FnOnce() -> Vec<JournalRecord>,
+        body: impl FnOnce(&mut OpGuard<'_>) -> Result<T, AcctError>,
+    ) -> Result<T, AcctError> {
+        if self.staged.load(Ordering::Relaxed) >= Self::SNAPSHOT_EVERY {
+            self.install(Self::SNAPSHOT_EVERY, snapshot)?;
+        }
         self.check_poison()?;
-        Ok(OpGuard {
+        let mut op = OpGuard {
             journal: self,
             _gate: self
                 .store
                 .is_some()
                 .then(|| self.gate.read().unwrap_or_else(PoisonError::into_inner)),
             last: None,
-        })
-    }
-
-    /// Opens an operation: installs a compacted snapshot (the records
-    /// `snapshot` builds) if [`Self::SNAPSHOT_EVERY`] records have
-    /// accumulated, checks the poison latch, and takes the compaction
-    /// gate in read mode. Compaction runs here, between operations, rather than
-    /// after [`OpGuard::wait`]: a failed install refuses an operation
-    /// that has not happened yet instead of turning one that is already
-    /// durable into an error reply.
-    ///
-    /// # Errors
-    ///
-    /// [`AcctError::Storage`] when the journal is poisoned or the
-    /// snapshot install fails.
-    pub fn begin(
-        &self,
-        snapshot: impl FnOnce() -> Vec<JournalRecord>,
-    ) -> Result<OpGuard<'_>, AcctError> {
-        if self.staged.load(Ordering::Relaxed) >= Self::SNAPSHOT_EVERY {
-            self.install(Self::SNAPSHOT_EVERY, snapshot)?;
+            staged: false,
+        };
+        match body(&mut op) {
+            Ok(reply) => op.wait().map(|()| reply),
+            Err(why) => {
+                if op.staged {
+                    let _ = self.poisoned.set(StorageError::Poisoned);
+                }
+                Err(why)
+            }
         }
-        self.enter()
-    }
-
-    /// One record, staged and awaited: for the administrative `&mut`
-    /// paths, whose exclusive borrow rules out both a shard lock to
-    /// stage under and a shared view to build a snapshot from (a due
-    /// compaction is left to the next [`Self::begin`]).
-    ///
-    /// # Errors
-    ///
-    /// The union of [`OpGuard::stage`] and [`OpGuard::wait`].
-    pub fn commit(&self, rec: &JournalRecord) -> Result<(), AcctError> {
-        let mut op = self.enter()?;
-        op.stage(rec)?;
-        op.wait()
     }
 
     /// Installs a compacted snapshot: takes the gate in write mode
@@ -645,34 +678,46 @@ impl Journal {
     }
 }
 
-/// A [`ReplayGuard`] adapter that records every *fresh* accept-once
-/// mark made during chain verification, so the settlement record can
-/// carry them into the journal ([`JournalRecord::Settle`]) and recovery
-/// can rebuild the replay guard's memory.
+/// The accept-once marks one settlement takes while its chain is
+/// verified: a [`ReplayGuard`] over the server's [`ReplayCache`] that
+/// records every *fresh* mark. A mark is the settlement's to keep only
+/// once [`Self::keep`] moves it into the built `Settle` record, which
+/// carries it into the journal so recovery rebuilds the replay memory;
+/// dropping a `Taken` gives every mark it still holds back to the cache,
+/// so a refused check may be presented again, live as after a restart.
+/// It drops after the shard lock its record was built under is released.
 #[derive(Debug)]
-pub struct JournaledReplay<'a> {
+pub(crate) struct Taken<'a> {
     cache: &'a ReplayCache,
     marks: Vec<ReplayMark>,
 }
 
-impl<'a> JournaledReplay<'a> {
-    /// Wraps the server's shared replay cache for one verification.
-    #[must_use]
-    pub fn new(cache: &'a ReplayCache) -> Self {
+impl<'a> Taken<'a> {
+    /// Takes marks from the server's shared replay cache for one
+    /// verification.
+    pub(crate) fn new(cache: &'a ReplayCache) -> Self {
         Self {
             cache,
             marks: Vec::new(),
         }
     }
 
-    /// The marks consumed during verification, in consumption order.
-    #[must_use]
-    pub fn into_marks(self) -> Vec<ReplayMark> {
-        self.marks
+    /// Moves the marks taken so far, in taking order, into the record
+    /// being built: from here they are the record's.
+    pub(crate) fn keep(&mut self) -> Vec<ReplayMark> {
+        std::mem::take(&mut self.marks)
     }
 }
 
-impl ReplayGuard for JournaledReplay<'_> {
+impl Drop for Taken<'_> {
+    fn drop(&mut self) {
+        for mark in &self.marks {
+            self.cache.forget(&mark.grantor, mark.id);
+        }
+    }
+}
+
+impl ReplayGuard for Taken<'_> {
     fn accept_once(
         &mut self,
         grantor: &PrincipalId,
@@ -680,8 +725,7 @@ impl ReplayGuard for JournaledReplay<'_> {
         now: Timestamp,
         expires: Timestamp,
     ) -> bool {
-        let mut cache = self.cache;
-        let fresh = cache.accept_once(grantor, id, now, expires);
+        let fresh = self.cache.check_and_mark(grantor, id, now, expires);
         if fresh {
             self.marks.push(ReplayMark {
                 grantor: grantor.clone(),
@@ -693,8 +737,7 @@ impl ReplayGuard for JournaledReplay<'_> {
     }
 
     fn expire(&mut self, now: Timestamp) {
-        let mut cache = self.cache;
-        cache.expire(now);
+        self.cache.sweep(now);
     }
 }
 
@@ -842,13 +885,24 @@ mod tests {
         assert!(decode_snapshot(&[]).is_err());
     }
 
+    /// Stages `serial`'s `Forward` record in one scope.
+    fn forward(journal: &Journal, serial: u64) -> Result<(), AcctError> {
+        journal.run(Vec::new, |op| {
+            op.stage(JournalRecord::Forward { serial })?;
+            Ok(())
+        })
+    }
+
+    /// An attached journal over an empty store.
+    fn attached(store: Arc<dyn Storage>) -> Journal {
+        Journal::recover(store, |rec| panic!("an empty store held {rec:?}")).unwrap()
+    }
+
     #[test]
     fn journal_commits_then_compacts_and_poisons_fail_stop() {
         let store = Arc::new(MemStorage::new());
-        let journal = Journal::new(Arc::clone(&store) as Arc<dyn Storage>);
-        let mut op = journal.begin(Vec::new).unwrap();
-        op.stage(&JournalRecord::Forward { serial: 1 }).unwrap();
-        op.wait().unwrap();
+        let journal = attached(Arc::clone(&store) as Arc<dyn Storage>);
+        forward(&journal, 1).unwrap();
         assert_eq!(store.record_count(), 1);
 
         journal
@@ -862,29 +916,43 @@ mod tests {
         // A crash point fires on the next stage: the journal poisons and
         // every later call replays the failure.
         store.crash_after_stages(1);
-        let err = journal
-            .commit(&JournalRecord::Forward { serial: 3 })
-            .unwrap_err();
+        let err = forward(&journal, 3).unwrap_err();
         assert!(matches!(err, AcctError::Storage(_)), "got {err:?}");
         assert!(matches!(
-            journal.begin(Vec::new).unwrap_err(),
+            journal.run(Vec::new, |_| Ok(())).unwrap_err(),
             AcctError::Storage(_)
         ));
-        assert!(matches!(
-            journal.commit(&JournalRecord::Forward { serial: 4 }),
-            Err(AcctError::Storage(_))
-        ));
+        assert!(matches!(forward(&journal, 4), Err(AcctError::Storage(_))));
     }
 
     #[test]
     fn detached_journal_stages_nothing_and_never_fails() {
         let journal = Journal::detached();
-        let rec = JournalRecord::Forward { serial: 1 };
-        let mut op = journal.begin(|| unreachable!("no snapshot")).unwrap();
-        op.stage(&rec).unwrap();
-        op.wait().unwrap();
-        journal.commit(&rec).unwrap();
+        let reply = journal.run(
+            || unreachable!("no snapshot"),
+            |op| {
+                let rec = op.stage(JournalRecord::Forward { serial: 1 })?;
+                Ok(rec.clone())
+            },
+        );
+        assert_eq!(reply.unwrap(), JournalRecord::Forward { serial: 1 });
         journal.compact(|| unreachable!("no snapshot")).unwrap();
+    }
+
+    #[test]
+    fn a_scope_that_fails_after_its_stage_poisons_the_journal() {
+        for journal in [Journal::detached(), attached(Arc::new(MemStorage::new()))] {
+            let refused = journal.run(Vec::new, |_| Err::<(), _>(AcctError::NoRoute(p("x"))));
+            assert_eq!(refused, Err(AcctError::NoRoute(p("x"))));
+            forward(&journal, 1).unwrap();
+            let after = journal.run(Vec::new, |op| {
+                op.stage(JournalRecord::Forward { serial: 2 })?;
+                Err::<(), _>(AcctError::NoRoute(p("x")))
+            });
+            assert_eq!(after, Err(AcctError::NoRoute(p("x"))), "its own error");
+            let err = forward(&journal, 3).unwrap_err();
+            assert!(matches!(err, AcctError::Storage(_)), "fail-stop: {err:?}");
+        }
     }
 
     /// A [`MemStorage`] that counts snapshot installs and holds each
@@ -918,7 +986,7 @@ mod tests {
     #[test]
     fn a_due_compaction_installs_once_under_racing_operations() {
         let store = Arc::new(SlowInstalls::default());
-        let journal = Journal::new(store.clone());
+        let journal = attached(store.clone());
         journal
             .staged
             .store(Journal::SNAPSHOT_EVERY, Ordering::Relaxed);
@@ -927,7 +995,7 @@ mod tests {
             for _ in 0..2 {
                 s.spawn(|| {
                     start.wait();
-                    journal.begin(Vec::new).unwrap().wait().unwrap();
+                    journal.run(Vec::new, |_| Ok(())).unwrap();
                 });
             }
         });
@@ -938,18 +1006,28 @@ mod tests {
     }
 
     #[test]
-    fn journaled_replay_collects_only_fresh_marks() {
+    fn taken_marks_are_kept_by_the_record_or_given_back() {
         let cache = ReplayCache::new();
-        let mut guard = JournaledReplay::new(&cache);
-        assert!(guard.accept_once(&p("carol"), 7, Timestamp(1), Timestamp(90)));
+        let (now, expires) = (Timestamp(1), Timestamp(90));
+        {
+            let mut taken = Taken::new(&cache);
+            assert!(taken.accept_once(&p("carol"), 7, now, expires));
+            assert!(
+                !taken.accept_once(&p("carol"), 7, now, expires),
+                "replay refused"
+            );
+            assert!(taken.accept_once(&p("bank"), 7, now, expires));
+            let kept = taken.keep();
+            assert_eq!(kept.len(), 2, "the replayed mark is not re-recorded");
+            assert_eq!(kept[0].grantor, p("carol"));
+            assert_eq!(kept[1].grantor, p("bank"));
+            assert!(taken.accept_once(&p("dave"), 1, now, expires));
+        }
+        assert!(!cache.check_and_mark(&p("carol"), 7, now, expires), "kept");
+        assert!(!cache.check_and_mark(&p("bank"), 7, now, expires), "kept");
         assert!(
-            !guard.accept_once(&p("carol"), 7, Timestamp(1), Timestamp(90)),
-            "replay refused"
+            cache.check_and_mark(&p("dave"), 1, now, expires),
+            "given back on drop"
         );
-        assert!(guard.accept_once(&p("bank"), 7, Timestamp(1), Timestamp(90)));
-        let marks = guard.into_marks();
-        assert_eq!(marks.len(), 2, "the replayed mark is not re-recorded");
-        assert_eq!(marks[0].grantor, p("carol"));
-        assert_eq!(marks[1].grantor, p("bank"));
     }
 }

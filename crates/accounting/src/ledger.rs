@@ -1,11 +1,13 @@
 //! The ledger: the accounting state, and the one place a
 //! [`JournalRecord`] is turned into a change of it (DESIGN.md §15.3).
 //!
-//! [`Ledger::apply`] is what a record *means*. Recovery feeds it the
-//! snapshot's records and then the log's; a live handler in
-//! [`crate::server`] reaches the same code through one of three entry
-//! points that put validation and [`OpGuard::stage`] in front of it, in
-//! the critical section the record's kind calls for:
+//! [`Ledger::apply`] is what a record *means*. It takes a [`Logged`]
+//! record, which only [`OpGuard::stage`] and the recovery loop make
+//! (`Journal::recover`, fed the snapshot's records and then the log's),
+//! so no state changes ahead of its record. A live handler in
+//! [`crate::server`] reaches it, inside `Journal::run`, through one of
+//! three entry points that put validation and the stage in front of it,
+//! in the critical section the record's kind calls for:
 //!
 //! * [`Ledger::post_on`] — a record that names an account (`Settle`,
 //!   `CashierPurchase`, `Certified`): validate, build the record, stage
@@ -19,7 +21,8 @@
 //!
 //! So a handler validates and replies, and cannot apply a record any
 //! other way than recovery will: the state's fields are private to this
-//! module. Locks are taken strictly one at a time (DESIGN.md §9).
+//! module. A refusal after the stage fails the scope, which poisons the
+//! journal. Locks are taken strictly one at a time (DESIGN.md §9).
 //!
 //! [`Ledger::snapshot`] is the inverse: the shortest log that rebuilds
 //! the state, in canonical order.
@@ -33,7 +36,7 @@ use restricted_proxy::shard::ShardMap;
 
 use crate::account::Account;
 use crate::error::AcctError;
-use crate::journal::{JournalRecord, OpGuard, ReplayMark};
+use crate::journal::{JournalRecord, Logged, OpGuard, ReplayMark};
 use crate::server::CASHIER_ACCOUNT;
 
 /// Marks per [`JournalRecord::Marks`] of a snapshot: far below what one
@@ -94,8 +97,8 @@ fn pending_of(rec: &JournalRecord) -> Option<(PrincipalId, u64)> {
 
 /// The part of `rec` on the account it names ([`account_of`]): take the
 /// hold, debit, or place the hold. Runs under that account's shard lock.
-fn apply_on_account(rec: &JournalRecord, acct: &mut Account) -> Result<(), AcctError> {
-    match rec {
+fn apply_on_account(rec: &Logged, acct: &mut Account) -> Result<(), AcctError> {
+    match &**rec {
         JournalRecord::Settle {
             check_no,
             currency,
@@ -174,7 +177,7 @@ impl Ledger {
     ///
     /// [`AcctError::BadJournal`] naming what the record asks for that
     /// the state does not hold.
-    pub(crate) fn apply(&self, rec: &JournalRecord) -> Result<(), AcctError> {
+    pub(crate) fn apply(&self, rec: &Logged) -> Result<(), AcctError> {
         if let Some(key) = pending_of(rec) {
             let taken = self.uncollected.remove(&key);
             let taken = taken.ok_or(AcctError::BadJournal("record names no pending deposit"))?;
@@ -191,8 +194,8 @@ impl Ledger {
 
     /// What `rec` does besides its step on the account it names and its
     /// taking of a pending deposit: for most kinds, everything.
-    fn apply_rest(&self, rec: &JournalRecord) -> Result<(), AcctError> {
-        match rec {
+    fn apply_rest(&self, rec: &Logged) -> Result<(), AcctError> {
+        match &**rec {
             JournalRecord::OpenAccount { name, owners } => {
                 let account = Account::new(name.clone(), owners.clone());
                 self.accounts.insert(name.clone(), account);
@@ -259,8 +262,8 @@ impl Ledger {
 
     /// What becomes of the pending deposit `rec` took: a payment makes
     /// the funds final, a bounce drops them.
-    fn apply_taken(&self, rec: &JournalRecord, taken: Uncollected) -> Result<(), AcctError> {
-        match rec {
+    fn apply_taken(&self, rec: &Logged, taken: Uncollected) -> Result<(), AcctError> {
+        match &**rec {
             JournalRecord::PaymentApplied { .. } => {
                 self.credit(&taken.account, &taken.currency, taken.amount)
             }
@@ -302,15 +305,15 @@ impl Ledger {
     /// account and builds the record, the record is staged, and the
     /// account is changed — racing operations cannot interleave between the check
     /// and the change, and log order agrees with memory order. The rest
-    /// of the effect follows with the lock released; the caller waits
-    /// on `op` after that.
+    /// of the effect follows with the lock released; the scope waits
+    /// after its body returns.
     ///
     /// # Errors
     ///
     /// [`AcctError::UnknownAccount`], whatever `validate` refuses with,
     /// and [`AcctError::Storage`] from the stage; nothing has changed
-    /// then.
-    /// A refusal by the apply step after the stage poisons the journal.
+    /// then. A refusal by the apply step after the stage fails the
+    /// scope, which poisons the journal.
     #[expect(
         clippy::disallowed_macros,
         reason = "the `assert_eq!` inside `debug_assert_eq!`, compiled out of release builds: it checks that `validate` built a record naming the account it locked, an invariant of local code, not of input"
@@ -323,13 +326,12 @@ impl Ledger {
     ) -> Result<(), AcctError> {
         let rec = self.accounts.update(&account.to_string(), |acct| {
             let acct = acct.ok_or_else(|| AcctError::UnknownAccount(account.to_string()))?;
-            let rec = validate(acct)?;
+            let rec = op.stage(validate(acct)?)?;
             debug_assert_eq!(account_of(&rec), Some(account));
-            op.stage(&rec)?;
-            apply_on_account(&rec, acct).map_err(|e| op.poison_refused(e))?;
+            apply_on_account(&rec, acct)?;
             Ok::<_, AcctError>(rec)
         })?;
-        self.apply_rest(&rec).map_err(|e| op.poison_refused(e))
+        self.apply_rest(&rec)
     }
 
     /// Live entry point for a record that takes a pending deposit. The
@@ -344,15 +346,15 @@ impl Ledger {
     pub(crate) fn post_taking(
         &self,
         op: &mut OpGuard<'_>,
-        rec: &JournalRecord,
+        rec: JournalRecord,
     ) -> Result<bool, AcctError> {
-        let key = pending_of(rec).ok_or(AcctError::BadJournal("record takes no deposit"))?;
-        match self.uncollected.remove_if(&key, |_| op.stage(rec))? {
-            Some(taken) => {
-                self.apply_taken(rec, taken)
-                    .map_err(|e| op.poison_refused(e))?;
-                Ok(true)
-            }
+        let key = pending_of(&rec).ok_or(AcctError::BadJournal("record takes no deposit"))?;
+        let mut logged = None;
+        let taken = self
+            .uncollected
+            .remove_if(&key, |_| op.stage(rec).map(|rec| logged = Some(rec)))?;
+        match taken.zip(logged) {
+            Some((taken, rec)) => self.apply_taken(&rec, taken).map(|()| true),
             None => Ok(false),
         }
     }
@@ -364,9 +366,9 @@ impl Ledger {
     /// # Errors
     ///
     /// [`AcctError::Storage`] from the stage.
-    pub(crate) fn post(&self, op: &mut OpGuard<'_>, rec: &JournalRecord) -> Result<(), AcctError> {
-        op.stage(rec)?;
-        self.apply(rec).map_err(|e| op.poison_refused(e))
+    pub(crate) fn post(&self, op: &mut OpGuard<'_>, rec: JournalRecord) -> Result<(), AcctError> {
+        let rec = op.stage(rec)?;
+        self.apply(&rec)
     }
 
     /// The shortest log that rebuilds this state, in canonical order
@@ -478,7 +480,7 @@ mod tests {
 
     use super::*;
     use crate::check::write_check;
-    use crate::journal::{decode_snapshot, encode_snapshot, Journal};
+    use crate::journal::{encode_snapshot, Journal};
     use crate::server::tests::{boot, carol_check, fixture_with, p, usd, window, Fixture};
     use crate::server::{AccountingServer, DepositOutcome, Payment};
 
@@ -832,17 +834,26 @@ mod tests {
                 serial: 4,
             },
         ] {
-            ledger.apply(&rec).unwrap();
+            post(&ledger, rec).unwrap();
         }
         ledger
     }
 
-    /// The state `snapshot()` describes, rebuilt from its bytes.
+    /// Applies `rec` as a live handler does: staged in a scope of a
+    /// detached journal, then applied.
+    fn post(ledger: &Ledger, rec: JournalRecord) -> Result<(), AcctError> {
+        Journal::detached().run(Vec::new, |op| ledger.post(op, rec))
+    }
+
+    /// The state `snapshot()` describes, recovered from a store that
+    /// holds it.
     fn reopened(ledger: &Ledger) -> Ledger {
+        let store = proxy_storage::MemStorage::new();
+        store
+            .install_snapshot(&encode_snapshot(&ledger.snapshot()))
+            .unwrap();
         let rebuilt = Ledger::new(p("bank"));
-        for rec in decode_snapshot(&encode_snapshot(&ledger.snapshot())).unwrap() {
-            rebuilt.apply(&rec).unwrap();
-        }
+        Journal::recover(Arc::new(store), |rec| rebuilt.apply(rec)).unwrap();
         rebuilt
     }
 
@@ -979,21 +990,21 @@ mod tests {
         // One ledger takes every row in turn as well, so the last
         // snapshot holds a cashier pool and a certified hold at once.
         let all = fixture_ledger();
-        all.apply(&JournalRecord::DepositPending {
+        let pending = JournalRecord::DepositPending {
             payor: p("carol"),
             check_no: 10,
             to_account: "shop-acct".into(),
             currency: usd(),
             amount: 75,
             serial: 4,
-        })
-        .unwrap();
+        };
+        post(&all, pending).unwrap();
         for (rec, expected) in &table {
             let ledger = fixture_ledger();
-            ledger.apply(rec).unwrap();
+            post(&ledger, rec.clone()).unwrap();
             assert_eq!(see(&ledger), *expected, "after {rec:?}");
             if !matches!(rec, JournalRecord::Bounced { .. }) {
-                all.apply(rec).unwrap();
+                post(&all, rec.clone()).unwrap();
             }
             for ledger in [&ledger, &all] {
                 let rebuilt = reopened(ledger);
@@ -1116,7 +1127,7 @@ mod tests {
     #[test]
     fn a_refusal_after_the_stage_poisons_the_journal() {
         let store = Arc::new(proxy_storage::MemStorage::new());
-        let journal = Journal::new(Arc::clone(&store) as Arc<dyn Storage>);
+        let journal = Journal::recover(Arc::clone(&store) as Arc<dyn Storage>, |_| Ok(())).unwrap();
         let ledger = fixture_ledger();
         // A handler whose validation lets through what `apply` refuses.
         let overdraft = JournalRecord::CashierPurchase {
@@ -1124,15 +1135,15 @@ mod tests {
             currency: usd(),
             amount: 451,
         };
-        let mut op = journal.begin(Vec::new).unwrap();
-        let err = ledger
-            .post_on(&mut op, "carol-acct", |_| Ok(overdraft))
+        let err = journal
+            .run(Vec::new, |op| {
+                ledger.post_on(op, "carol-acct", |_| Ok(overdraft))
+            })
             .unwrap_err();
         assert!(matches!(err, AcctError::BadJournal(_)), "got {err:?}");
-        drop(op);
         assert_eq!(store.record_count(), 1, "the record was staged");
         assert_eq!(see(&ledger), FIXTURE, "and nothing applied");
-        let err = journal.begin(Vec::new).unwrap_err();
+        let err = journal.run(Vec::new, |_| Ok(())).unwrap_err();
         assert!(matches!(err, AcctError::Storage(_)), "fail-stop: {err:?}");
     }
 

@@ -31,7 +31,7 @@ use restricted_proxy::verify::{Prepared, Verifier};
 use crate::account::Account;
 use crate::check::{account_object, debit_op, Check, CheckInfo};
 use crate::error::AcctError;
-use crate::journal::{decode_snapshot, Journal, JournalRecord, JournaledReplay, OpGuard};
+use crate::journal::{Journal, JournalRecord, OpGuard, Taken};
 use crate::ledger::Ledger;
 
 /// The reserved account cashier's checks are drawn from.
@@ -192,16 +192,7 @@ impl AccountingServer {
     /// stored record does not decode or cannot be applied (a log
     /// inconsistent with itself).
     pub fn with_storage(mut self, store: Arc<dyn Storage>) -> Result<Self, AcctError> {
-        let recovered = store.load()?;
-        if let Some(snap) = &recovered.snapshot {
-            for rec in decode_snapshot(snap)? {
-                self.ledger.apply(&rec)?;
-            }
-        }
-        for rec in &recovered.records {
-            self.ledger.apply(&JournalRecord::decode(rec)?)?;
-        }
-        self.journal = Journal::new(store);
+        self.journal = Journal::recover(store, |rec| self.ledger.apply(rec))?;
         Ok(self)
     }
 
@@ -269,10 +260,14 @@ impl AccountingServer {
         Ok(())
     }
 
-    /// Opens the journal scope of one state-changing operation (see
-    /// [`OpGuard`]): `stage` under the shard lock, `wait` outside it.
-    fn begin(&self) -> Result<OpGuard<'_>, AcctError> {
-        self.journal.begin(|| self.ledger.snapshot())
+    /// Runs `body` as one state-changing operation ([`Journal::run`],
+    /// with this server's state as the snapshot a due compaction
+    /// installs): its records are durable before its reply returns.
+    fn run<T>(
+        &self,
+        body: impl FnOnce(&mut OpGuard<'_>) -> Result<T, AcctError>,
+    ) -> Result<T, AcctError> {
+        self.journal.run(|| self.ledger.snapshot(), body)
     }
 
     /// Installs a compacted snapshot of the whole server state,
@@ -328,18 +323,20 @@ impl AccountingServer {
     /// Opens an account. With storage attached the opening is durable;
     /// if the journal write fails the account is *not* created and the
     /// server is fail-stop (the journal poisons, and every later durable
-    /// operation reports [`AcctError::Storage`]).
+    /// operation reports [`AcctError::Storage`]). An account already
+    /// open is left as it is, its funds and holds with it, and nothing
+    /// is journaled.
     pub fn open_account(&mut self, name: impl Into<String>, owners: Vec<PrincipalId>) {
-        let rec = JournalRecord::OpenAccount {
-            name: name.into(),
-            owners,
-        };
-        // A failed `commit` has poisoned the journal; memory stays in
+        let name = name.into();
+        if self.ledger.has_account(&name) {
+            return;
+        }
+        // A failed scope has poisoned the journal; memory stays in
         // agreement with the log by not creating the account.
-        let _ = self
-            .journal
-            .commit(&rec)
-            .and_then(|()| self.ledger.apply(&rec));
+        let _ = self.run(|op| {
+            self.ledger
+                .post(op, JournalRecord::OpenAccount { name, owners })
+        });
     }
 
     /// A snapshot of an account's current state. (Accounts live behind
@@ -362,8 +359,7 @@ impl AccountingServer {
             .ok_or_else(|| AcctError::UnknownAccount(name.to_string()))?;
         Ok(AccountMut {
             account,
-            ledger: &self.ledger,
-            journal: &self.journal,
+            server: self,
         })
     }
 
@@ -403,13 +399,13 @@ impl AccountingServer {
     /// Settles a check drawn here (its fields are `info`), presented by
     /// `presenter` as `presentation`, which was `prepared` and has
     /// settled. In one journal scope: the verdict and the check's
-    /// restrictions, its check number consumed; then the debit of the
+    /// restrictions, its check number taken; then the debit of the
     /// payor (hold or balance) and, with `credit_to`, the credit (the
-    /// same-server deposit path), as one `Settle` record that carries
-    /// the accept-once marks consumed — the replay guard's memory must
-    /// survive restart. A refusal stages no record, so it gives the
-    /// marks it took back to the replay guard: a bounced check may be
-    /// presented again, live as after a restart.
+    /// same-server deposit path), as one `Settle` record that keeps the
+    /// accept-once marks taken — the replay guard's memory must survive
+    /// restart. A refusal builds no record, so the marks give themselves
+    /// back (`Taken`): a bounced check may be presented again, live as
+    /// after a restart.
     fn settle(
         &self,
         prepared: &Prepared,
@@ -419,78 +415,68 @@ impl AccountingServer {
         now: Timestamp,
         credit_to: Option<&str>,
     ) -> Result<Payment, AcctError> {
-        let mut op = self.begin()?;
-        let mut ctx = RequestContext::new(
-            self.name.clone(),
-            debit_op(),
-            account_object(&info.payor_account),
-        )
-        .at(now)
-        .consuming(info.currency.clone(), info.amount);
-        // The presenter is authenticated; the server trivially knows its
-        // own identity (the final endorsement in a clearing chain names
-        // this server as the collector).
-        ctx.authenticated = vec![presenter.clone()];
-        if *presenter != self.name {
-            ctx.authenticated.push(self.name.clone());
-        }
-        let mut replay = JournaledReplay::new(self.ledger.replay_guard());
-        let verdict = self
-            .verifier
-            .finish(prepared, presentation, &ctx, &mut replay);
-        let mut marks = replay.into_marks();
-        // Ownership and funds are checked under the payor account's
-        // shard lock, where the record is staged and the debit made:
-        // racing presenters cannot interleave between the balance check
-        // and the debit. The payee is credited with that lock released.
-        // The record takes the marks; a refusal before it leaves them in
-        // `marks`. Once built, the record is staged or the journal is
-        // poisoned, and the marks stay taken either way.
-        let posted = verdict.map_err(AcctError::Verify).and_then(|_| {
-            self.ledger
-                .post_on(&mut op, &info.payor_account, |account| {
-                    if !account.is_owner(&info.payor) {
-                        return Err(AcctError::NotAuthorized(info.payor.clone()));
-                    }
-                    let from_hold = match account.hold(info.check_no) {
-                        // Certified check: settle from the hold, which pays
-                        // the check it was placed for and no other.
-                        Some(hold)
-                            if hold.currency == info.currency
-                                && hold.amount == info.amount
-                                && hold.payee == info.payee =>
-                        {
-                            true
-                        }
-                        Some(_) => return Err(AcctError::held_number(info.check_no)),
-                        None => {
-                            account.covers(&info.currency, info.amount)?;
-                            false
-                        }
-                    };
-                    Ok(JournalRecord::Settle {
-                        payor_account: info.payor_account.clone(),
-                        check_no: info.check_no,
-                        currency: info.currency.clone(),
-                        amount: info.amount,
-                        from_hold,
-                        credit_to: credit_to.map(str::to_string),
-                        replay: std::mem::take(&mut marks),
-                    })
-                })
-        });
-        if let Err(refused) = posted {
-            for mark in &marks {
-                self.ledger.replay_guard().forget(&mark.grantor, mark.id);
+        self.run(|op| {
+            let mut ctx = RequestContext::new(
+                self.name.clone(),
+                debit_op(),
+                account_object(&info.payor_account),
+            )
+            .at(now)
+            .consuming(info.currency.clone(), info.amount);
+            // The presenter is authenticated; the server trivially knows
+            // its own identity (the final endorsement in a clearing chain
+            // names this server as the collector).
+            ctx.authenticated = vec![presenter.clone()];
+            if *presenter != self.name {
+                ctx.authenticated.push(self.name.clone());
             }
-            return Err(refused);
-        }
-        op.wait()?;
-        Ok(Payment {
-            payor: info.payor,
-            check_no: info.check_no,
-            currency: info.currency,
-            amount: info.amount,
+            let mut taken = Taken::new(self.ledger.replay_guard());
+            self.verifier
+                .finish(prepared, presentation, &ctx, &mut taken)
+                .map_err(AcctError::Verify)?;
+            // Ownership and funds are checked under the payor account's
+            // shard lock, where the record is staged and the debit made:
+            // racing presenters cannot interleave between the balance
+            // check and the debit. The payee is credited with that lock
+            // released. The record keeps the marks; a refusal before it
+            // leaves them in `taken`, which gives them back as the body
+            // returns, the shard lock released.
+            self.ledger.post_on(op, &info.payor_account, |account| {
+                if !account.is_owner(&info.payor) {
+                    return Err(AcctError::NotAuthorized(info.payor.clone()));
+                }
+                let from_hold = match account.hold(info.check_no) {
+                    // Certified check: settle from the hold, which pays
+                    // the check it was placed for and no other.
+                    Some(hold)
+                        if hold.currency == info.currency
+                            && hold.amount == info.amount
+                            && hold.payee == info.payee =>
+                    {
+                        true
+                    }
+                    Some(_) => return Err(AcctError::held_number(info.check_no)),
+                    None => {
+                        account.covers(&info.currency, info.amount)?;
+                        false
+                    }
+                };
+                Ok(JournalRecord::Settle {
+                    payor_account: info.payor_account.clone(),
+                    check_no: info.check_no,
+                    currency: info.currency.clone(),
+                    amount: info.amount,
+                    from_hold,
+                    credit_to: credit_to.map(str::to_string),
+                    replay: taken.keep(),
+                })
+            })?;
+            Ok(Payment {
+                payor: info.payor,
+                check_no: info.check_no,
+                currency: info.currency,
+                amount: info.amount,
+            })
         })
     }
 
@@ -658,36 +644,22 @@ impl AccountingServer {
         next_hop: PrincipalId,
         rng: &mut R,
     ) -> Result<DepositOutcome, AcctError> {
-        let mut op = self.begin()?;
-        // Endorse first, as `forward` does: signing is the fallible step,
-        // and a record once staged must not be followed by a failure.
-        let serial = self.ledger.take_serial();
-        let window = check
-            .proxy
-            .effective_validity()
-            .ok_or(AcctError::MalformedCheck("validity"))?;
-        let endorsed = check.endorse(
-            &self.name,
-            &self.authority,
-            next_hop.clone(),
-            Some(to_account),
-            window,
-            serial,
-            rng,
-        )?;
-        let pending = JournalRecord::DepositPending {
-            payor: info.payor,
-            check_no: info.check_no,
-            to_account: to_account.to_string(),
-            currency: info.currency,
-            amount: info.amount,
-            serial,
-        };
-        self.ledger.post(&mut op, &pending)?;
-        op.wait()?;
-        Ok(DepositOutcome::Forwarded {
-            check: endorsed,
-            next_hop,
+        self.run(|op| {
+            let (serial, endorsed) =
+                self.endorse(check, next_hop.clone(), Some(to_account), rng)?;
+            let pending = JournalRecord::DepositPending {
+                payor: info.payor,
+                check_no: info.check_no,
+                to_account: to_account.to_string(),
+                currency: info.currency,
+                amount: info.amount,
+                serial,
+            };
+            self.ledger.post(op, pending)?;
+            Ok(DepositOutcome::Forwarded {
+                check: endorsed,
+                next_hop,
+            })
         })
     }
 
@@ -703,34 +675,47 @@ impl AccountingServer {
         next_hop: PrincipalId,
         rng: &mut R,
     ) -> Result<Check, AcctError> {
-        let mut op = self.begin()?;
+        self.run(|op| {
+            let (serial, endorsed) = self.endorse(check, next_hop, None, rng)?;
+            // Endorsement serials are accept-once identifiers at peer
+            // servers; persisting the counter's high-water mark keeps a
+            // restarted server from re-issuing a consumed serial.
+            self.ledger.post(op, JournalRecord::Forward { serial })?;
+            Ok(endorsed)
+        })
+    }
+
+    /// The step both forwarding paths take before their record: endorse
+    /// `check` toward `next_hop` (deposit-only into `deposit_to` when
+    /// given) under the next serial. Signing is the fallible step, and
+    /// every fallible step precedes the record: once the record is
+    /// durable the operation must not fail, since recovery replays the
+    /// serial advance whether or not the caller ever saw the endorsed
+    /// check. A failed endorsement merely wastes an in-memory serial,
+    /// which is safe: the accept-once property only matters for serials
+    /// on issued checks.
+    fn endorse<R: RngCore>(
+        &self,
+        check: &Check,
+        next_hop: PrincipalId,
+        deposit_to: Option<&str>,
+        rng: &mut R,
+    ) -> Result<(u64, Check), AcctError> {
         let serial = self.ledger.take_serial();
         let window = check
             .proxy
             .effective_validity()
             .ok_or(AcctError::MalformedCheck("validity"))?;
-        // Endorse before committing: signing is the fallible step, and
-        // once Forward{serial} is durable the operation must not fail —
-        // recovery replays the serial advance whether or not the caller
-        // ever saw the endorsed check. A failed endorsement before the
-        // commit merely wastes an in-memory serial, which is safe: the
-        // accept-once property only matters for serials on issued checks.
         let endorsed = check.endorse(
             &self.name,
             &self.authority,
             next_hop,
-            None,
+            deposit_to,
             window,
             serial,
             rng,
         )?;
-        // Endorsement serials are accept-once identifiers at peer
-        // servers; persisting the counter's high-water mark keeps a
-        // restarted server from re-issuing a consumed serial.
-        self.ledger
-            .post(&mut op, &JournalRecord::Forward { serial })?;
-        op.wait()?;
-        Ok(endorsed)
+        Ok((serial, endorsed))
     }
 
     /// Applies a returned payment: marks the matching uncollected deposit
@@ -747,16 +732,13 @@ impl AccountingServer {
         // finality moves it into the balance. (A bounced check would
         // instead drop it — see `bounce`.) Of two racing duplicate
         // payments exactly one takes the entry.
-        let mut op = self.begin()?;
-        let applied = self.ledger.post_taking(
-            &mut op,
-            &JournalRecord::PaymentApplied {
+        self.run(|op| {
+            let rec = JournalRecord::PaymentApplied {
                 payor: payment.payor.clone(),
                 check_no: payment.check_no,
-            },
-        )?;
-        op.wait()?;
-        Ok(applied)
+            };
+            self.ledger.post_taking(op, rec)
+        })
     }
 
     /// Reverses an uncollected deposit whose check bounced (insufficient
@@ -769,16 +751,11 @@ impl AccountingServer {
     /// [`AcctError::Storage`] when the journal refuses the record; the
     /// uncollected entry is then left untouched.
     pub fn bounce(&self, payor: &PrincipalId, check_no: u64) -> Result<bool, AcctError> {
-        let mut op = self.begin()?;
-        let bounced = self.ledger.post_taking(
-            &mut op,
-            &JournalRecord::Bounced {
-                payor: payor.clone(),
-                check_no,
-            },
-        )?;
-        op.wait()?;
-        Ok(bounced)
+        self.run(|op| {
+            let payor = payor.clone();
+            self.ledger
+                .post_taking(op, JournalRecord::Bounced { payor, check_no })
+        })
     }
 
     /// Amount of `currency` pending collection into `account`
@@ -812,33 +789,33 @@ impl AccountingServer {
     ) -> Result<Check, AcctError> {
         // Ownership check + debit: atomic under the purchaser's shard
         // lock, released before the funds reach the cashier pool.
-        let mut op = self.begin()?;
-        self.ledger.post_on(&mut op, from_account, |acct| {
-            if !acct.is_owner(purchaser) {
-                return Err(AcctError::NotAuthorized(purchaser.clone()));
-            }
-            acct.covers(&currency, amount)?;
-            Ok(JournalRecord::CashierPurchase {
-                from_account: from_account.to_string(),
-                currency: currency.clone(),
+        self.run(|op| {
+            self.ledger.post_on(op, from_account, |acct| {
+                if !acct.is_owner(purchaser) {
+                    return Err(AcctError::NotAuthorized(purchaser.clone()));
+                }
+                acct.covers(&currency, amount)?;
+                Ok(JournalRecord::CashierPurchase {
+                    from_account: from_account.to_string(),
+                    currency: currency.clone(),
+                    amount,
+                })
+            })?;
+            // The server can verify its own signature at collection
+            // time: its verifier registered the self-key at construction.
+            Ok(crate::check::write_check(
+                &self.name,
+                &self.authority,
+                &self.name,
+                CASHIER_ACCOUNT,
+                payee,
+                check_no,
+                currency,
                 amount,
-            })
-        })?;
-        op.wait()?;
-        // The server can verify its own signature at collection time: its
-        // verifier registered the self-key at construction.
-        Ok(crate::check::write_check(
-            &self.name,
-            &self.authority,
-            &self.name,
-            CASHIER_ACCOUNT,
-            payee,
-            check_no,
-            currency,
-            amount,
-            validity,
-            rng,
-        ))
+                validity,
+                rng,
+            ))
+        })
     }
 
     /// Certifies a check (§4's second mechanism): places a hold on the
@@ -866,42 +843,42 @@ impl AccountingServer {
         // Ownership check + hold placement: one atomic step under the
         // account's shard lock, so concurrent certifications cannot
         // over-commit the balance.
-        let mut op = self.begin()?;
-        let serial = self.ledger.take_serial();
-        self.ledger.post_on(&mut op, account, |acct| {
-            if !acct.is_owner(requester) {
-                return Err(AcctError::NotAuthorized(requester.clone()));
-            }
-            acct.can_hold(check_no, &currency, amount)?;
-            Ok(JournalRecord::Certified {
-                account: account.to_string(),
-                check_no,
-                currency: currency.clone(),
-                amount,
-                payee,
+        self.run(|op| {
+            let serial = self.ledger.take_serial();
+            self.ledger.post_on(op, account, |acct| {
+                if !acct.is_owner(requester) {
+                    return Err(AcctError::NotAuthorized(requester.clone()));
+                }
+                acct.can_hold(check_no, &currency, amount)?;
+                Ok(JournalRecord::Certified {
+                    account: account.to_string(),
+                    check_no,
+                    currency: currency.clone(),
+                    amount,
+                    payee,
+                    serial,
+                })
+            })?;
+            let restrictions = RestrictionSet::new()
+                .with(Restriction::Authorized {
+                    entries: vec![AuthorizedEntry::ops(
+                        ObjectName::new(format!("certified-check:{check_no}")),
+                        vec![Operation::new("certify")],
+                    )],
+                })
+                .with(Restriction::Quota {
+                    currency,
+                    limit: amount,
+                });
+            Ok(grant(
+                &self.name,
+                &self.authority,
+                restrictions,
+                validity,
                 serial,
-            })
-        })?;
-        op.wait()?;
-        let restrictions = RestrictionSet::new()
-            .with(Restriction::Authorized {
-                entries: vec![AuthorizedEntry::ops(
-                    ObjectName::new(format!("certified-check:{check_no}")),
-                    vec![Operation::new("certify")],
-                )],
-            })
-            .with(Restriction::Quota {
-                currency,
-                limit: amount,
-            });
-        Ok(grant(
-            &self.name,
-            &self.authority,
-            restrictions,
-            validity,
-            serial,
-            rng,
-        ))
+                rng,
+            ))
+        })
     }
 }
 
@@ -912,8 +889,7 @@ impl AccountingServer {
 #[derive(Debug)]
 pub struct AccountMut<'a> {
     account: Account,
-    ledger: &'a Ledger,
-    journal: &'a Journal,
+    server: &'a AccountingServer,
 }
 
 impl Deref for AccountMut<'_> {
@@ -935,12 +911,10 @@ impl Drop for AccountMut<'_> {
         let rec = JournalRecord::AdminAccount {
             account: self.account.clone(),
         };
-        // A failed `commit` has poisoned the journal; memory stays in
+        // A failed scope has poisoned the journal; memory stays in
         // agreement with the log by not applying the record.
-        let _ = self
-            .journal
-            .commit(&rec)
-            .and_then(|()| self.ledger.apply(&rec));
+        let ledger = &self.server.ledger;
+        let _ = self.server.run(|op| ledger.post(op, rec));
     }
 }
 
@@ -1498,6 +1472,18 @@ pub(crate) mod tests {
         let carol = f.bank.account("carol-acct").unwrap();
         assert_eq!((carol.balance(&usd()), carol.held(&usd())), (400, 100));
         assert_eq!(total(&f, &usd()), 500);
+    }
+
+    #[test]
+    fn opening_an_open_account_keeps_its_funds() {
+        let store: Arc<dyn Storage> = Arc::new(proxy_storage::MemStorage::new());
+        let journaled = |bank: AccountingServer| bank.with_storage(Arc::clone(&store)).unwrap();
+        let mut f = fixture_with(journaled);
+        f.bank.open_account("carol-acct", vec![p("carol")]);
+        let carol = f.bank.account("carol-acct").unwrap();
+        assert_eq!(carol.balance(&usd()), 500, "live");
+        let recovered = boot(journaled).bank.account("carol-acct").unwrap();
+        assert_eq!(recovered.balance(&usd()), 500, "after recovery");
     }
 
     #[test]

@@ -222,8 +222,8 @@ fn state(bank: &AccountingServer, store: &MemStorage) -> (Vec<String>, u64, Vec<
 
 #[test]
 fn a_group_of_deposits_answers_as_sequential_deposits() {
-    let (grouped, grouped_store) = bank();
-    let (sequential, sequential_store) = bank();
+    let (mut grouped, grouped_store) = bank();
+    let (mut sequential, sequential_store) = bank();
     let (mut grouped_rng, mut sequential_rng) =
         (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
     let mut writer = Writer {
@@ -235,8 +235,11 @@ fn a_group_of_deposits_answers_as_sequential_deposits() {
     };
     let mut scratch = DepositGroup::default();
     let mut answers = std::collections::BTreeMap::<String, usize>::new();
+    // Dave's checks a group refused for want of funds, by check number.
+    let mut overdrafts = std::collections::BTreeMap::new();
     for round in 0..50 {
         let group = writer.group(round);
+        let sent = group.clone();
         let expect: Vec<String> = group
             .iter()
             .map(|d| {
@@ -261,6 +264,12 @@ fn a_group_of_deposits_answers_as_sequential_deposits() {
             state(&sequential, &sequential_store),
             "round {round}"
         );
+        for (deposit, a) in sent.into_iter().zip(&got) {
+            if a.contains("InsufficientFunds") {
+                let check_no = deposit.check.info().unwrap().check_no;
+                overdrafts.insert(check_no, deposit);
+            }
+        }
         for a in got {
             let kind = a[..a.find([' ', '(']).unwrap_or(a.len())].to_string();
             let kind = match a.split_once("Err(") {
@@ -312,4 +321,54 @@ fn a_group_of_deposits_answers_as_sequential_deposits() {
     );
     let after = state(&grouped, &grouped_store).0;
     assert_eq!(before[..2], after[..2], "no payor paid twice");
+
+    // A refusal inside a group gave each overdraft's number back: once
+    // Dave can cover them, those checks settle as one more group, each
+    // exactly once on both banks.
+    assert!(!overdrafts.is_empty());
+    let left = grouped.account("dave-acct").unwrap().balance(&usd());
+    let owed = overdrafts
+        .values()
+        .map(|d: &Deposit| d.check.info().unwrap().amount)
+        .sum();
+    for bank in [&mut grouped, &mut sequential] {
+        bank.account_mut("dave-acct").unwrap().credit(usd(), owed);
+    }
+    let overdrafts: Vec<Deposit> = overdrafts.into_values().collect();
+    for round in ["when covered", "once more"] {
+        let expect: Vec<String> = overdrafts
+            .iter()
+            .map(|d| {
+                answer(&sequential.deposit(
+                    &d.check,
+                    &d.depositor,
+                    &d.to_account,
+                    d.next_hop.clone(),
+                    d.now,
+                    &mut sequential_rng,
+                ))
+            })
+            .collect();
+        let mut got = Vec::new();
+        let group = overdrafts.clone();
+        grouped.deposit_all(group, &mut scratch, &mut grouped_rng, |_, outcome| {
+            got.push(answer(&outcome));
+        });
+        assert_eq!(got, expect, "{round}");
+        let prefix = match round {
+            "when covered" => "Ok(Settled",
+            _ => "Err(Verify",
+        };
+        assert!(
+            got.iter().all(|a| a.starts_with(prefix)),
+            "{round}: {got:?}"
+        );
+        assert_eq!(
+            state(&grouped, &grouped_store),
+            state(&sequential, &sequential_store),
+            "{round}"
+        );
+    }
+    let dave = grouped.account("dave-acct").unwrap();
+    assert_eq!(dave.balance(&usd()), left, "each overdraft paid once");
 }

@@ -191,8 +191,6 @@ pub struct MatchedCall {
     pub args: (usize, usize),
     /// Global ids of the matching [`FnInstance`]s (dyn-dispatch union).
     pub targets: Vec<usize>,
-    /// Set when the receiver is a declared `ShardMap` field.
-    pub shard_receiver: Option<String>,
 }
 
 /// One function instance with its local facts and propagated summary.
@@ -413,8 +411,8 @@ impl Workspace {
                 };
                 let shard_recv = c
                     .receiver_field(&f.tokens)
-                    .filter(|r| ws.shard_fields.contains(r));
-                if COLLIDING_NAMES.contains(&c.callee.as_str()) && shard_recv.is_none() {
+                    .is_some_and(|r| ws.shard_fields.contains(&r));
+                if COLLIDING_NAMES.contains(&c.callee.as_str()) && !shard_recv {
                     continue;
                 }
                 let targets: Vec<usize> = cands
@@ -448,7 +446,6 @@ impl Workspace {
                     line: c.line,
                     args: (c.args_open, c.args_close),
                     targets,
-                    shard_receiver: shard_recv,
                 });
             }
             // Bare path references (`Journal::begin` passed as a value)
@@ -463,7 +460,6 @@ impl Workspace {
                             line,
                             args: (tok, tok),
                             targets,
-                            shard_receiver: None,
                         });
                     }
                 }

@@ -11,8 +11,10 @@ pub enum Rule {
     /// L6 — lock-order: acyclic lock-acquisition graph, no blocking
     /// operations while a shard guard is live.
     LockOrder,
-    /// L7 — durability-ordering: validate → stage → wait-durable →
-    /// infallible apply, with poison-on-storage-error.
+    /// L7 — durability-ordering: every durable entry point of the
+    /// journal and the storage engines poisons on a storage error. (The
+    /// order validate → stage → apply is carried by the accounting
+    /// crate's types, DESIGN.md §15.3.)
     Durability,
     /// L8 — untrusted-length taint: decoded lengths must pass a bound
     /// check before reaching allocation or indexing sinks.

@@ -3,14 +3,17 @@
 //! The proxy model's security argument rests on invariants that neither
 //! the type system nor clippy expresses: secret byte material must be
 //! compared in constant time (L3), the lock-acquisition graph must be
-//! acyclic with nothing blocking under a shard guard (L6), journaled
-//! mutations must follow validate → stage → wait-durable → apply (L7),
-//! and decoded lengths must be bounded before they size anything (L8).
+//! acyclic with nothing blocking under a shard guard (L6), every durable
+//! entry point of the journal and the storage engines must poison on a
+//! storage error (L7), and decoded lengths must be bounded before they
+//! size anything (L8).
 //! This crate enforces them statically, with a hand-rolled lexer, a
 //! light parse layer and a workspace call graph — no `syn`, no
 //! dependencies beyond `std`. The token rules (panic-free decode,
 //! fail-closed matches, no ambient time, crate-root hygiene) are stock
-//! rustc and clippy lints (DESIGN.md §11).
+//! rustc and clippy lints (DESIGN.md §11), and the order of a journaled
+//! mutation (validate → stage → apply, nothing fallible after the
+//! durable ack) is carried by the accounting crate's types (§15.3).
 //!
 //! Pipeline: [`walk`] finds the sources, [`lexer`] tokenizes,
 //! [`source`] masks test code, [`rules`] produce [`diag::Finding`]s

@@ -34,9 +34,9 @@ const RULE_NOTES: &[(Rule, &str)] = &[
     ),
     (
         Rule::Durability,
-        "journaled mutations follow validate -> stage -> wait-durable -> infallible \
-         apply: no shard write before the record is staged, no fallible statement \
-         after the durable ack, and every durable entry point poisons on error",
+        "every durable entry point of the journal and the storage engines poisons on \
+         error (the order validate -> stage -> apply -> wait is carried by the \
+         accounting crate's types)",
     ),
     (
         Rule::Taint,

@@ -1,41 +1,23 @@
-//! L7 — durability-ordering: every journaled mutation follows
-//! validate → `stage` → `wait`/`commit` (the durable ack) → infallible
-//! apply, and every durable entry point poisons on a storage error.
+//! L7 — durability-ordering: every durable entry point of the journal
+//! and the storage engines poisons on a storage error.
 //!
-//! Three checks per function:
+//! **L7c — unpoisoned durable entry point.** `stage`, `wait`,
+//! `wait_durable`, `install_snapshot`, and `compact` in the journal and
+//! storage engines must latch the poison flag on their error paths; a
+//! fallible body (contains `?` or `Err`) with no poison reference fails.
+//! Infallible bodies (the in-memory test double) are exempt by
+//! construction.
 //!
-//! * **L7a — pre-durable state write.** A `ShardMap` mutation
-//!   (`update`/`upsert`/`remove_if` closure, `insert`/`remove`)
-//!   sequenced strictly before the first `stage`/`commit` call would be
-//!   lost by a crash after the mutation and before the journal record:
-//!   recovery replays the log, not the heap. The canonical pattern —
-//!   staging *inside* the mutating closure, under the shard guard — is
-//!   recognized and exempt.
-//! * **L7b — fallible apply.** After the durable ack returns, the
-//!   journal record is on disk and recovery *will* replay it; an error
-//!   return between the ack and the end of the operation leaves the
-//!   caller told "failed" for a mutation that is already durable.
-//!   `?` and `return Err` in that region are flagged, except on
-//!   statements that poison (the fail-stop latch is the one sanctioned
-//!   error path).
-//! * **L7c — unpoisoned durable entry point.** `stage`, `wait`,
-//!   `wait_durable`, `install_snapshot`, and `compact` in the journal
-//!   and storage engines must latch the poison flag on their error
-//!   paths; a fallible body (contains `?` or `Err`) with no poison
-//!   reference fails. Infallible bodies (the in-memory test double) are
-//!   exempt by construction.
+//! The order of a journaled mutation — validate, stage, then apply, and
+//! nothing fallible after the durable ack — was L7a and L7b. The types
+//! of `crates/accounting` carry it now (DESIGN.md §15.3): the ledger
+//! applies only a `Logged` record, which a stage makes, and
+//! `Journal::run` hands a reply back only after its wait.
 
 use crate::callgraph::Workspace;
 use crate::diag::{Finding, Rule};
-use crate::flow;
 use crate::lexer::Kind;
 use crate::source::SourceFile;
-
-/// `ShardMap` closure ops that mutate state.
-const MUTATING_OPS: &[&str] = &["update", "upsert", "remove_if"];
-
-/// `ShardMap` instant ops that mutate state.
-const MUTATING_CALLS: &[&str] = &["insert", "remove"];
 
 /// Function names that are durable entry points (L7c).
 const DURABLE_ENTRY_POINTS: &[&str] = &[
@@ -46,7 +28,8 @@ const DURABLE_ENTRY_POINTS: &[&str] = &[
     "compact",
 ];
 
-/// Runs the durability-ordering checks over one file.
+/// Runs the durability check over one file of the journal or a storage
+/// engine ([`crate::scope::durability_applies`]).
 #[must_use]
 pub fn check_durability(file: &SourceFile, ws: &Workspace) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -55,201 +38,38 @@ pub fn check_durability(file: &SourceFile, ws: &Workspace) -> Vec<Finding> {
         let Some((open, close)) = inst.def.body() else {
             continue;
         };
+        if !DURABLE_ENTRY_POINTS.contains(&inst.def.name.as_str()) {
+            continue;
+        }
         let close = close.min(toks.len());
-        // Method calls `.stage(` / `.commit(` / `.wait(` / `.wait_durable(`.
-        let marker = |names: &[&str]| -> Vec<usize> {
-            (open + 1..close)
-                .filter(|&i| {
-                    toks[i].kind == Kind::Ident
-                        && names.contains(&toks[i].text.as_str())
-                        && i > 0
-                        && toks[i - 1].is_punct(".")
-                        && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-                        && file.is_live(i)
-                })
-                .collect()
-        };
-        let stages = marker(&["stage", "commit"]);
-        let acks = marker(&["wait", "commit", "wait_durable"]);
-
-        // L7a — mutation strictly before the first stage.
-        if let Some(&first_stage) = stages.first() {
-            for a in &inst.acquisitions {
-                let staged_inside = first_stage > a.range.0 && first_stage < a.range.1;
-                if MUTATING_OPS.contains(&a.method.as_str())
-                    && a.tok < first_stage
-                    && !staged_inside
-                {
-                    findings.push(mk(
-                        file,
-                        a.line,
-                        format!(
-                            "shard-state mutation (`{}`) sequenced before the journal \
-                             `stage` — a crash between them loses the mutation; stage \
-                             the record first (or inside the mutating closure)",
-                            a.method
-                        ),
-                    ));
-                }
-            }
-            for c in &inst.matched {
-                if MUTATING_CALLS.contains(&c.name.as_str())
-                    && c.shard_receiver.is_some()
-                    && c.tok < first_stage
-                {
-                    findings.push(mk(
-                        file,
-                        c.line,
-                        format!(
-                            "shard-state mutation (`{}`) sequenced before the journal \
-                             `stage` — a crash between them loses the mutation; stage \
-                             the record first",
-                            c.name
-                        ),
-                    ));
-                }
-            }
-        }
-
-        // L7b — fallible statements between the durable ack and the end
-        // of the operation (first `drop(` or body end).
-        if let Some(&ack) = acks.first() {
-            let region_start = flow::stmt_end(toks, ack).min(close);
-            let region_end = (region_start..close)
-                .find(|&i| {
-                    toks[i].kind == Kind::Ident
-                        && toks[i].text == "drop"
-                        && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-                })
-                .unwrap_or(close);
-            let mut i = region_start + 1;
-            while i < region_end {
-                let fallible = (toks[i].is_punct("?") && file.is_live(i))
-                    || (toks[i].kind == Kind::Ident
-                        && toks[i].text == "Err"
-                        && i > 0
-                        && toks[i - 1].kind == Kind::Ident
-                        && toks[i - 1].text == "return"
-                        && file.is_live(i));
-                if fallible {
-                    let s = flow::stmt_start(toks, i);
-                    let e = flow::stmt_end(toks, i).min(region_end);
-                    let poisons = (s..=e.min(close - 1))
-                        .any(|j| toks[j].kind == Kind::Ident && toks[j].text.contains("poison"));
-                    if !poisons {
-                        findings.push(mk(
-                            file,
-                            toks[i].line,
-                            "fallible statement after the durable ack — the journal \
-                             record is already on disk and recovery will replay it, \
-                             but this error path tells the caller the operation \
-                             failed; move fallible work before `stage`, or poison"
-                                .to_string(),
-                        ));
-                    }
-                    i = e + 1;
-                    continue;
-                }
-                i += 1;
-            }
-        }
-
-        // L7c — durable entry points must poison on their error paths.
-        let is_durable_file = file.rel_path == "crates/accounting/src/journal.rs"
-            || file.rel_path.starts_with("crates/storage/src/");
-        if is_durable_file && DURABLE_ENTRY_POINTS.contains(&inst.def.name.as_str()) {
-            let fallible = (open + 1..close).any(|i| {
-                file.is_live(i)
-                    && (toks[i].is_punct("?")
-                        || (toks[i].kind == Kind::Ident && toks[i].text == "Err"))
+        let fallible = (open + 1..close).any(|i| {
+            file.is_live(i)
+                && (toks[i].is_punct("?") || (toks[i].kind == Kind::Ident && toks[i].text == "Err"))
+        });
+        let poisons = (open + 1..close)
+            .any(|i| toks[i].kind == Kind::Ident && toks[i].text.contains("poison"));
+        if fallible && !poisons {
+            findings.push(Finding {
+                rule: Rule::Durability,
+                path: file.rel_path.clone(),
+                line: inst.def.line,
+                message: format!(
+                    "durable entry point `{}` has a fallible body but never \
+                     poisons — a storage error must latch the fail-stop flag, \
+                     not leave the journal half-applied",
+                    inst.def.name
+                ),
+                snippet: file.line_text(inst.def.line).to_string(),
             });
-            let poisons = (open + 1..close)
-                .any(|i| toks[i].kind == Kind::Ident && toks[i].text.contains("poison"));
-            if fallible && !poisons {
-                findings.push(mk(
-                    file,
-                    inst.def.line,
-                    format!(
-                        "durable entry point `{}` has a fallible body but never \
-                         poisons — a storage error must latch the fail-stop flag, \
-                         not leave the journal half-applied",
-                        inst.def.name
-                    ),
-                ));
-            }
         }
     }
     findings.sort_by_key(|f| f.line);
     findings
 }
 
-fn mk(file: &SourceFile, line: u32, message: String) -> Finding {
-    Finding {
-        rule: Rule::Durability,
-        path: file.rel_path.clone(),
-        line,
-        message,
-        snippet: file.line_text(line).to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn run(src: &str) -> Vec<Finding> {
-        let files = vec![SourceFile::new(
-            "crates/accounting/src/server.rs",
-            src.to_string(),
-        )];
-        let ws = Workspace::build(&files);
-        check_durability(&files[0], &ws)
-    }
-
-    #[test]
-    fn stage_inside_mutating_closure_is_the_pattern() {
-        let f = run("struct S { accounts: ShardMap<u64, u64> }\n\
-             impl S { fn settle(&self, j: &J) -> Result<(), E> {\n\
-             self.accounts.update(&1, |a| { j.stage(&r)?; a.balance += 1; Ok(()) })?;\n\
-             j.wait(t)?; Ok(()) } }");
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn mutation_before_stage_is_flagged() {
-        let f = run("struct S { accounts: ShardMap<u64, u64> }\n\
-             impl S { fn settle(&self, j: &J) -> Result<(), E> {\n\
-             self.accounts.update(&1, |a| { a.balance += 1; });\n\
-             j.stage(&r)?; j.wait(t)?; Ok(()) } }");
-        assert!(
-            f.iter().any(|x| x.message.contains("before the journal")),
-            "{f:?}"
-        );
-    }
-
-    #[test]
-    fn fallible_call_after_ack_is_flagged() {
-        let f = run("struct S { accounts: ShardMap<u64, u64> }\n\
-             impl S { fn forward(&self, j: &J, c: &mut Check) -> Result<(), E> {\n\
-             j.commit(&r)?;\n\
-             c.endorse(&id)?;\n\
-             Ok(()) } }");
-        assert!(
-            f.iter()
-                .any(|x| x.message.contains("after the durable ack")),
-            "{f:?}"
-        );
-    }
-
-    #[test]
-    fn poisoning_error_path_after_ack_is_sanctioned() {
-        let f = run("struct S { accounts: ShardMap<u64, u64> }\n\
-             impl S { fn op(&self, j: &J) -> Result<(), E> {\n\
-             j.wait(t)?;\n\
-             self.apply().map_err(|e| self.poison(e))?;\n\
-             Ok(()) } }");
-        assert!(f.is_empty(), "{f:?}");
-    }
 
     #[test]
     fn unpoisoned_durable_entry_point_is_flagged() {

@@ -4,7 +4,8 @@
 //! map in DESIGN.md §11: L3 guards the code that holds secrets, L6 the
 //! crates that lock on hot paths, L7 the journal and its storage, L8
 //! the decode paths. (L1, L2, L4 and L5 are scoped by lint attributes
-//! on the crate roots and files they guard.)
+//! on the crate roots and files they guard; the journal's order is
+//! carried by the accounting crate's types, which need no scope.)
 
 /// L3 — crates holding secret key/seal byte material. The `ct` module
 /// itself is exempt: it is where the constant-time comparisons live.
@@ -24,13 +25,10 @@ pub fn lock_order_applies(rel: &str) -> bool {
         || rel.starts_with("crates/storage/src/")
 }
 
-/// L7 — durability-ordering: the journaled accounting mutations and the
-/// storage engines that back them.
+/// L7 — durability-ordering: the journal and the storage engines that
+/// back it, whose durable entry points must poison.
 pub fn durability_applies(rel: &str) -> bool {
-    rel == "crates/accounting/src/server.rs"
-        || rel == "crates/accounting/src/ledger.rs"
-        || rel == "crates/accounting/src/journal.rs"
-        || rel.starts_with("crates/storage/src/")
+    rel == "crates/accounting/src/journal.rs" || rel.starts_with("crates/storage/src/")
 }
 
 /// L8 — untrusted-length taint: every decode path where a length or
@@ -62,7 +60,7 @@ mod tests {
             .split('"')
             .filter(|s| s.contains('/') && s.ends_with(".rs"))
             .collect();
-        assert!(named.contains(&"crates/accounting/src/ledger.rs"));
+        assert!(named.contains(&"crates/accounting/src/journal.rs"));
         for rel in named {
             assert!(root.join(rel).is_file(), "scope.rs names {rel}");
         }
@@ -89,11 +87,10 @@ mod tests {
 
     #[test]
     fn l7_covers_journal_and_storage() {
-        assert!(durability_applies("crates/accounting/src/server.rs"));
-        assert!(durability_applies("crates/accounting/src/ledger.rs"));
         assert!(durability_applies("crates/accounting/src/journal.rs"));
         assert!(durability_applies("crates/storage/src/wal.rs"));
         assert!(durability_applies("crates/storage/src/mem.rs"));
+        assert!(!durability_applies("crates/accounting/src/server.rs"));
         assert!(!durability_applies("crates/accounting/src/check.rs"));
         assert!(!durability_applies("crates/proxy/src/shard.rs"));
     }
