@@ -83,19 +83,7 @@ impl GroupServer {
 
     /// Adds `member` to `group`, creating the group if needed.
     pub fn add_member(&self, group: &str, member: PrincipalId) {
-        self.groups
-            .upsert(group.to_string(), GroupState::default, |state| {
-                let digest = member_digest(&member);
-                if state.members.insert(member) {
-                    // A pending remove cancels instead of queueing an add:
-                    // the mirror never saw the member leave.
-                    if state.pending_removes.contains(&digest) {
-                        state.pending_removes.retain(|d| *d != digest);
-                    } else {
-                        state.pending_adds.push(digest);
-                    }
-                }
-            });
+        self.add_members(group, std::iter::once(member));
     }
 
     /// Adds every member of `members` to `group` in one shard-lock
@@ -106,6 +94,8 @@ impl GroupServer {
                 for member in members {
                     let digest = member_digest(&member);
                     if state.members.insert(member) {
+                        // A pending remove cancels instead of queueing an
+                        // add: the mirror never saw the member leave.
                         if state.pending_removes.contains(&digest) {
                             state.pending_removes.retain(|d| *d != digest);
                         } else {

@@ -22,7 +22,7 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// The short code used in reports and `lint-allow.toml` (`"L3"`…).
+    /// The short code used in reports and fixture directives (`"L3"`…).
     #[must_use]
     pub fn code(self) -> &'static str {
         match self {
@@ -68,8 +68,7 @@ pub struct Finding {
     pub line: u32,
     /// What went wrong and what to do instead.
     pub message: String,
-    /// The trimmed offending source line (allowlist patterns match
-    /// against this).
+    /// The trimmed offending source line, printed under the message.
     pub snippet: String,
 }
 

@@ -16,11 +16,11 @@
 //! durable ack) is carried by the accounting crate's types (§15.3).
 //!
 //! Pipeline: [`walk`] finds the sources, [`lexer`] tokenizes,
-//! [`source`] masks test code, [`rules`] produce [`diag::Finding`]s
-//! scoped by [`scope`], and [`allow`] applies the checked-in,
-//! justification-bearing suppression list.
+//! [`source`] masks test code, and [`rules`] produce [`diag::Finding`]s
+//! scoped by [`scope`]. Nothing suppresses a finding: it is fixed in
+//! code, or its rule is narrowed together with a fixture that shows the
+//! narrowing.
 
-pub mod allow;
 pub mod callgraph;
 pub mod diag;
 pub mod fixture;
@@ -36,7 +36,6 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use allow::{AllowEntry, AllowParseError};
 use diag::Finding;
 use source::SourceFile;
 
@@ -64,55 +63,17 @@ pub fn analyze_sources(files: Vec<SourceFile>) -> Vec<Finding> {
     all
 }
 
-/// Everything a workspace run produced, before exit-code policy.
+/// What a workspace run found.
 #[derive(Debug)]
 pub struct WorkspaceReport {
-    /// Findings not covered by any allowlist entry — these fail the run.
+    /// Every finding; any one fails the run.
     pub findings: Vec<Finding>,
-    /// Findings suppressed by an allowlist entry, with the entry.
-    pub suppressed: Vec<(Finding, AllowEntry)>,
-    /// Allowlist entries that matched nothing — stale, these also fail.
-    pub stale: Vec<AllowEntry>,
     /// Number of files linted.
     pub files_seen: usize,
 }
 
-impl WorkspaceReport {
-    /// Whether the run is clean: no live findings and no stale entries.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty() && self.stale.is_empty()
-    }
-}
-
-/// A failure to run the analyzer at all (as opposed to findings).
-#[derive(Debug)]
-pub enum LintError {
-    /// Filesystem error reading the tree.
-    Io(io::Error),
-    /// `lint-allow.toml` did not parse.
-    Allow(AllowParseError),
-}
-
-impl std::fmt::Display for LintError {
-    fn fmt(&self, out: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LintError::Io(e) => write!(out, "io error: {e}"),
-            LintError::Allow(e) => write!(out, "{e}"),
-        }
-    }
-}
-
-impl From<io::Error> for LintError {
-    fn from(e: io::Error) -> Self {
-        LintError::Io(e)
-    }
-}
-
-/// Lints every workspace source under `root`, applying the allowlist at
-/// `root/lint-allow.toml` when present.
-pub fn analyze_workspace(root: &Path) -> Result<WorkspaceReport, LintError> {
-    let entries = load_allowlist(root)?;
+/// Lints every workspace source under `root`.
+pub fn analyze_workspace(root: &Path) -> io::Result<WorkspaceReport> {
     let files = walk::walk_workspace(root)?;
     let files_seen = files.len();
     let mut sources = Vec::with_capacity(files.len());
@@ -120,26 +81,8 @@ pub fn analyze_workspace(root: &Path) -> Result<WorkspaceReport, LintError> {
         let text = fs::read_to_string(&f.abs_path)?;
         sources.push(SourceFile::new(&f.rel_path, text));
     }
-    let all = analyze_sources(sources);
-    let (findings, suppressed, stale) = allow::apply_allowlist(all, &entries);
     Ok(WorkspaceReport {
-        findings,
-        suppressed: suppressed
-            .into_iter()
-            .map(|(f, e)| (f, e.clone()))
-            .collect(),
-        stale: stale.into_iter().cloned().collect(),
+        findings: analyze_sources(sources),
         files_seen,
     })
-}
-
-/// Reads and parses `lint-allow.toml` under `root`; absent file means
-/// an empty list.
-pub fn load_allowlist(root: &Path) -> Result<Vec<AllowEntry>, LintError> {
-    let path = root.join("lint-allow.toml");
-    if !path.is_file() {
-        return Ok(Vec::new());
-    }
-    let text = fs::read_to_string(path)?;
-    allow::parse_allow_file(&text).map_err(LintError::Allow)
 }

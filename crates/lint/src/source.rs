@@ -8,8 +8,7 @@ use crate::lexer::{lex, Kind, Token};
 pub struct SourceFile {
     /// Path relative to the workspace root, `/`-separated.
     pub rel_path: String,
-    /// Raw text (used to report the offending line and to match
-    /// allowlist patterns).
+    /// Raw text (used to report the offending line).
     pub text: String,
     /// Lexed tokens.
     pub tokens: Vec<Token>,

@@ -12,7 +12,7 @@ const SKIP_DIRS: &[&str] = &["target", ".git", ".claude"];
 const SKIP_PREFIXES: &[&str] = &["crates/lint/tests/fixtures/"];
 
 /// A workspace source file: its path relative to the root (with `/`
-/// separators, so rules and the allowlist are platform-independent) and
+/// separators, so rules are platform-independent) and
 /// its absolute path on disk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalkedFile {

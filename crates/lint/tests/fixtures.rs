@@ -1,7 +1,7 @@
 //! The fixture corpus is the analyzer's own regression suite: every rule
 //! family has at least one `fail/` snippet it must flag and one `pass/`
-//! snippet it must stay silent on — and the live workspace must be clean
-//! modulo the justified allowlist.
+//! snippet it must stay silent on — and the live workspace must be clean,
+//! with nothing suppressed.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -10,7 +10,7 @@ use std::process::Command;
 
 use proxy_lint::diag::Rule;
 use proxy_lint::fixture::fixture_directive;
-use proxy_lint::{analyze_source, analyze_workspace, load_allowlist, walk};
+use proxy_lint::{analyze_source, analyze_workspace, walk};
 
 fn fixtures_dir(polarity: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -118,12 +118,12 @@ fn pass_fixtures_are_silent() {
 }
 
 #[test]
-fn live_workspace_is_clean_modulo_justified_allowlist() {
+fn live_workspace_is_clean() {
     let root = walk::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("root");
     let report = analyze_workspace(&root).expect("analyze");
     assert!(
         report.findings.is_empty(),
-        "workspace has unsuppressed findings:\n{}",
+        "workspace has findings:\n{}",
         report
             .findings
             .iter()
@@ -131,29 +131,7 @@ fn live_workspace_is_clean_modulo_justified_allowlist() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    assert!(
-        report.stale.is_empty(),
-        "stale allowlist entries: {:?}",
-        report.stale
-    );
-    // Every suppression used by the clean run carries a justification
-    // (the parser enforces non-empty, this pins the policy end to end).
-    for (f, entry) in &report.suppressed {
-        assert!(
-            !entry.justification.trim().is_empty(),
-            "unjustified suppression for {f}"
-        );
-    }
-}
-
-#[test]
-fn allowlist_parses_and_every_entry_is_pinned() {
-    let root = walk::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("root");
-    let entries = load_allowlist(&root).expect("lint-allow.toml parses");
-    assert!(!entries.is_empty(), "expected a checked-in allowlist");
-    for e in &entries {
-        assert!(!e.pattern.is_empty(), "entry for {} is unpinned", e.path);
-    }
+    assert!(report.files_seen > 0, "the walk found no sources");
 }
 
 #[test]
@@ -182,65 +160,33 @@ fn cli_workspace_run_is_clean() {
     let root = walk::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("root");
     let out = Command::new(env!("CARGO_BIN_EXE_proxy-lint"))
         .arg("--workspace")
-        .arg("--explain")
         .current_dir(&root)
         .output()
         .expect("run proxy-lint --workspace");
+    let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(
         out.status.code(),
         Some(0),
-        "workspace lint failed:\n{}",
-        String::from_utf8_lossy(&out.stdout)
+        "workspace lint failed:\n{stdout}"
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    // --explain wires the allowlist justifications into the output.
-    assert!(stdout.contains("lint-allow.toml"));
-    assert!(stdout.contains("allowed:"));
+    assert!(stdout.contains(" 0 finding(s)"), "{stdout}");
 }
 
 #[test]
-fn cli_json_report_is_well_formed() {
-    let root = walk::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("root");
-    let json_path = std::env::temp_dir().join("proxy-lint-fixture-test.json");
-    let out = Command::new(env!("CARGO_BIN_EXE_proxy-lint"))
-        .arg("--workspace")
-        .arg("--json")
-        .arg(&json_path)
-        .current_dir(&root)
-        .output()
-        .expect("run proxy-lint --workspace --json");
-    assert_eq!(out.status.code(), Some(0));
-    let json = fs::read_to_string(&json_path).expect("json artifact written");
-    let _ = fs::remove_file(&json_path);
-    // No JSON crate in the workspace, so pin the shape structurally: the
-    // document must carry the report fields and a suppressed finding for
-    // every allowlist hit of the clean run.
-    assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
-    for field in [
-        "\"findings\"",
-        "\"stale_allow_entries\"",
-        "\"files\"",
-        "\"clean\": true",
-        "\"suppressed\": true",
+fn cli_removed_flags_are_usage_errors() {
+    for args in [
+        &["--json", "x"][..],
+        &["--audit-allows"],
+        &["--workspace", "--explain"],
     ] {
-        assert!(json.contains(field), "json report lacks {field}:\n{json}");
+        let out = Command::new(env!("CARGO_BIN_EXE_proxy-lint"))
+            .args(args)
+            .output()
+            .expect("run proxy-lint");
+        assert_eq!(out.status.code(), Some(2), "{args:?} should exit 2");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage: proxy-lint --workspace"),
+            "{args:?} printed no usage"
+        );
     }
-}
-
-#[test]
-fn cli_audit_allows_reports_live_entries() {
-    let root = walk::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("root");
-    let out = Command::new(env!("CARGO_BIN_EXE_proxy-lint"))
-        .arg("--audit-allows")
-        .current_dir(&root)
-        .output()
-        .expect("run proxy-lint --audit-allows");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "allowlist has stale entries:\n{stdout}"
-    );
-    assert!(stdout.contains("allow-entry audit"));
-    assert!(stdout.contains("0 stale"), "{stdout}");
 }

@@ -6,8 +6,10 @@
 //! tested against, and for in-process "restart" tests — the store is
 //! shared by `Arc`, so a test can drop a server and reopen a new one
 //! from the same store, exercising the recovery path without touching
-//! disk.
+//! disk. Like a [`crate::WalStorage`], it is fail-stop: once its
+//! injected crash point fires, every call but `load` refuses.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::{Recovered, Storage, StorageError, Ticket, MAX_RECORD};
@@ -25,6 +27,10 @@ struct MemInner {
 #[derive(Debug, Default)]
 pub struct MemStorage {
     inner: Mutex<MemInner>,
+    /// The fail-stop latch, set (under `inner`'s lock) by the stage that
+    /// fires the crash point. An atomic, so `wait_durable` reads it
+    /// without the lock.
+    poisoned: AtomicBool,
 }
 
 impl MemStorage {
@@ -36,8 +42,11 @@ impl MemStorage {
 
     /// Arms the injected crash point: the `n`-th staged record from now
     /// is recorded durably but its `stage` call returns
-    /// [`StorageError::Crashed`] (as does everything after), simulating
-    /// a kill between the WAL append and the reply.
+    /// [`StorageError::Crashed`], simulating a kill between the WAL
+    /// append and the reply. At `n == 0` the next stage fails and
+    /// records nothing. Either way the store latches: every later
+    /// `stage`, `wait_durable` and `install_snapshot` returns `Crashed`,
+    /// while `load` still returns what was recorded.
     pub fn crash_after_stages(&self, n: u64) {
         let mut inner = self.lock();
         let at = inner.staged.saturating_add(n);
@@ -61,28 +70,34 @@ impl Storage for MemStorage {
             return Err(StorageError::TooLarge(record.len()));
         }
         let mut inner = self.lock();
-        if let Some(at) = inner.crash_after {
-            if inner.staged >= at {
-                return Err(StorageError::Crashed);
-            }
+        if self.poisoned.load(Ordering::Acquire) || inner.crash_after == Some(inner.staged) {
+            // Dead already, or armed at `n == 0`: nothing is recorded.
+            self.poisoned.store(true, Ordering::Release);
+            return Err(StorageError::Crashed);
         }
         inner.staged += 1;
         inner.records.push(record.to_vec());
-        let ticket = Ticket(inner.staged);
         if inner.crash_after == Some(inner.staged) {
             // The record is in the log — the client just never hears
             // back. (Durable-then-dead, the exactly-once crash window.)
+            self.poisoned.store(true, Ordering::Release);
             return Err(StorageError::Crashed);
         }
-        Ok(ticket)
+        Ok(Ticket(inner.staged))
     }
 
     fn wait_durable(&self, _ticket: Ticket) -> Result<(), StorageError> {
+        if self.poisoned.load(Ordering::Acquire) {
+            return Err(StorageError::Crashed);
+        }
         Ok(())
     }
 
     fn install_snapshot(&self, state: &[u8]) -> Result<(), StorageError> {
         let mut inner = self.lock();
+        if self.poisoned.load(Ordering::Acquire) {
+            return Err(StorageError::Crashed);
+        }
         inner.snapshot = Some(state.to_vec());
         inner.records.clear();
         Ok(())
@@ -135,5 +150,30 @@ mod tests {
         assert_eq!(s.append(b"lost"), Err(StorageError::Crashed));
         let r = s.load().unwrap();
         assert_eq!(r.records, vec![b"before".to_vec(), b"doomed".to_vec()]);
+    }
+
+    #[test]
+    fn crash_point_latches_every_call_but_load() {
+        let s = MemStorage::new();
+        let before = s.stage(b"before").unwrap();
+        s.crash_after_stages(1);
+        assert_eq!(s.stage(b"doomed"), Err(StorageError::Crashed));
+        // A record staged before the crash is not acknowledged after it.
+        assert_eq!(s.wait_durable(before), Err(StorageError::Crashed));
+        assert_eq!(s.stage(b"lost"), Err(StorageError::Crashed));
+        assert_eq!(s.install_snapshot(b"state"), Err(StorageError::Crashed));
+        let r = s.load().unwrap();
+        assert!(r.snapshot.is_none());
+        assert_eq!(r.records, vec![b"before".to_vec(), b"doomed".to_vec()]);
+    }
+
+    #[test]
+    fn crash_point_at_zero_refuses_the_next_stage_unrecorded() {
+        let s = MemStorage::new();
+        s.append(b"before").unwrap();
+        s.crash_after_stages(0);
+        assert_eq!(s.stage(b"never"), Err(StorageError::Crashed));
+        assert_eq!(s.record_count(), 1);
+        assert_eq!(s.wait_durable(Ticket(1)), Err(StorageError::Crashed));
     }
 }
