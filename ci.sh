@@ -149,13 +149,28 @@ for prefix in F1 F2 F3 F4 F5 F6 A1 A2 A3 A4 A5; do
     fi
 done
 
+# `require_rows OUTPUT PREFIX ROW...`: fail unless OUTPUT holds a
+# `PREFIX ROW: x=` line for every ROW. Each list below is every row the
+# named EXPERIMENTS.md section cites, so no table there can cite a row
+# that is gone: rename a row there and here together.
+require_rows() {
+    rows_out="$1"
+    prefix="$2"
+    shift 2
+    for row in "$@"; do
+        if ! printf '%s\n' "$rows_out" | grep -qF "$prefix $row: x="; then
+            echo "ci.sh: figures printed no '$prefix $row: x=' row" >&2
+            exit 1
+        fi
+    done
+}
+
 # The signature-engine ablation (EXPERIMENTS.md, "Signature-engine
 # ablation"): one run of `figures --ablate-crypto`, ~6 s, whose rows
 # assert their own results (every signature valid, one cold chain walk
-# behind the warm seal cache). Every row that section cites must still
-# print, so no table there can cite a row that is gone.
+# behind the warm seal cache).
 ablate_out="$(cargo run -q -p proxy-bench --bin figures --release -- --ablate-crypto)"
-for row in naive-double-and-add fixed-base-table sign \
+require_rows "$ablate_out" ']' naive-double-and-add fixed-base-table sign \
     two-naive-ladders straus-two-dynamic-tables straus-basepoint-table \
     verify verify-decompressed verify-prepared prepare-key \
     decompress-one decompress-pair invert scalar-mul scalar-wide-reduce \
@@ -171,29 +186,37 @@ for row in naive-double-and-add fixed-base-table sign \
     group-vs-verify-each cascade8-cold cascade8-warm-seal-cache \
     sha256-block hmac-87B-raw-key hmac-87B-keyed-context \
     seal-key32-first-use seal-key32-warm grant-shared-key-first-use \
-    grant-shared-key-warm grant-warm-vs-first-use verify-hmac-link-warm; do
-    if ! printf '%s\n' "$ablate_out" | grep -qF "] $row: x="; then
-        echo "ci.sh: figures --ablate-crypto printed no $row row" >&2
-        exit 1
-    fi
-done
+    grant-shared-key-warm grant-warm-vs-first-use verify-hmac-link-warm
 
 # Readiness-driven net core (DESIGN.md §13): per-connection state
 # machines under partial reads/writes, slow-loris, backpressure, idle
 # reap, and thousands of idle registrations — release mode so the
 # event loop runs at realistic speed. Then a reduced-scale C10k smoke
 # (512 concurrent pipelined connections, flat-p99 gate asserted by the
-# harness itself).
+# harness itself), which must print every row EXPERIMENTS.md's C10k
+# section cites.
 cargo test --release -q -p proxy-net --test event_loop
-cargo run -q -p proxy-bench --bin figures --release -- --c10k-smoke
+c10k_out="$(cargo run -q -p proxy-bench --bin figures --release -- --c10k-smoke)"
+printf '%s\n' "$c10k_out"
+require_rows "$c10k_out" '[C10K]' event-loop-throughput event-loop-burst-p50 \
+    event-loop-burst-p99 event-loop-connect event-loop-p99-ratio
 
 # Revocation index + membership mirror (DESIGN.md §14): reduced-scale
 # smoke (100k serials / 100k members) asserting the O(1) contains
 # ratio, the ≤5% cascade-verify overhead, and the zero-round-trip
 # membership tally. The quantile gates compare timing ratios, so one
-# retry absorbs a noisy-neighbor window on shared hosts.
-cargo run -q -p proxy-bench --bin figures --release -- --revocation-smoke \
-    || cargo run -q -p proxy-bench --bin figures --release -- --revocation-smoke
+# retry absorbs a noisy-neighbor window on shared hosts. The rows must
+# include every row EXPERIMENTS.md's revocation section cites.
+rev_out="$(cargo run -q -p proxy-bench --bin figures --release -- --revocation-smoke \
+    || cargo run -q -p proxy-bench --bin figures --release -- --revocation-smoke)"
+printf '%s\n' "$rev_out"
+require_rows "$rev_out" '[R]' contains-small contains-large contains-ratio \
+    revoke-one-small revoke-one-large revoke-one-ratio \
+    snapshot-artifact snapshot-artifact-encode snapshot-artifact-decode delta-apply \
+    cascade-verify-off-p50 cascade-verify-off-p99 cascade-verify-on-p50 \
+    cascade-verify-on-p99 cascade-verify-on-overhead-p50 cascade-verify-on-overhead-p99 \
+    verify-under-churn-p50 membership-mirror-roster membership-mirror-asserts \
+    membership-mirror-assert-cost membership-mirror-messages
 
 # Durable accounting (DESIGN.md §15): crash-injection suite in release
 # mode — exactly-once deposits across kill points, torn-tail recovery,
@@ -215,8 +238,11 @@ cargo test --release -q -p proxy-storage --test framing
 # compact and reopen — release only; the debug run of it is ignored as
 # too slow.
 cargo test --release -q -p proxy-accounting --lib
-cargo run -q -p proxy-bench --bin figures --release -- --wal \
-    || cargo run -q -p proxy-bench --bin figures --release -- --wal
+wal_out="$(cargo run -q -p proxy-bench --bin figures --release -- --wal \
+    || cargo run -q -p proxy-bench --bin figures --release -- --wal)"
+printf '%s\n' "$wal_out"
+require_rows "$wal_out" '[W]' append-mem append-wal-nofsync append-wal-lone-writer \
+    append-wal-group-commit group-commit-speedup
 
 # The repository's benchmark (crates/bench/src/bin/e2e, a package of
 # its own): its unit tests plus a smoke run of every workload.

@@ -32,7 +32,8 @@ use proxy_baselines::dssa::{CertificationAuthority, DssaUser};
 use proxy_baselines::grapevine::{query_membership, RegistrationServer};
 use proxy_baselines::sollins::{verify_online, Passport, SollinsAuthServer};
 use proxy_bench::{
-    cascade, matching_ctx, public_key_world, report_row, restrictions, symmetric_world, window,
+    c10k, cascade, matching_ctx, public_key_world, report_row, restrictions, revocation,
+    symmetric_world, wal, window, write_json, Row,
 };
 use proxy_crypto::ed25519::SigningKey;
 use proxy_crypto::keys::SymmetricKey;
@@ -1503,204 +1504,12 @@ fn ablate_crypto() {
     assert_eq!(hits as usize % DEPTH, 0, "re-presentations hit every link");
 }
 
-/// Runs the C10k sweep (see `proxy_bench::c10k`): thousands of
-/// concurrent pipelined loopback connections on the fig3 authz-query
-/// path, served by the readiness-driven event-loop server.
-///
-/// In full mode (`--c10k`) the gated sweep is persisted to
-/// `BENCH_c10k.json`. In smoke mode (`--c10k-smoke`, used by ci.sh) only
-/// the reduced sweep runs and the recorded results are left untouched.
-fn c10k(smoke: bool) {
-    use proxy_bench::c10k::{run, C10kOptions};
-
-    let opts = if smoke {
-        C10kOptions::smoke()
-    } else {
-        C10kOptions::default()
-    };
-    let report = run(&opts);
-    for pt in &report.event_loop {
-        report_row(
-            "C10K",
-            "event-loop",
-            pt.connections,
-            format!(
-                "{:.0} ops/s, burst p50 {} µs, p99 {} µs, connect {:.2}s",
-                pt.ops_per_sec, pt.p50_us, pt.p99_us, pt.connect_secs
-            ),
-            "",
-        );
-    }
-
-    // Flat-p99 gate: the most-loaded point within 2x of the least.
-    let ratio = report.p99_ratio();
-    let top = report.event_loop.last().expect("sweep not empty");
-    println!(
-        "c10k p99 ratio ({} conns vs {} conns): {ratio:.2}x (target <= 2x)",
-        top.connections,
-        report
-            .event_loop
-            .first()
-            .expect("sweep not empty")
-            .connections,
-    );
-    assert!(
-        ratio <= 2.0,
-        "p99 degraded more than 2x across the connection sweep"
-    );
-    if !smoke {
-        assert!(
-            top.connections >= 5000,
-            "full c10k sweep must reach at least 5000 concurrent connections"
-        );
-        std::fs::write("BENCH_c10k.json", report.to_json()).expect("write BENCH_c10k.json");
-        println!("wrote BENCH_c10k.json");
-    }
-}
-
-/// Runs the revocation-index and membership-mirror harness (see
-/// `proxy_bench::revocation`). In full mode (`--revocation`, 1M serials
-/// and 1M members) the report is gated and persisted to
-/// `BENCH_revocation.json`; in smoke mode (`--revocation-smoke`, used by
-/// ci.sh, ~100k serials) the same gates run but the recorded results are
-/// left untouched.
-fn revocation(smoke: bool) {
-    use proxy_bench::revocation::{run, Options};
-
-    let opts = if smoke {
-        Options::smoke()
-    } else {
-        Options::default()
-    };
-    let report = run(&opts);
-    report_row(
-        "R",
-        "contains-small",
-        report.small_serials,
-        format!("{:.1} ns/probe", report.contains_small_ns),
-        "",
-    );
-    report_row(
-        "R",
-        "contains-large",
-        report.large_serials,
-        format!(
-            "{:.1} ns/probe ({:.2}x of small, gate <= 2x)",
-            report.contains_large_ns, report.contains_ratio
-        ),
-        "",
-    );
-    report_row(
-        "R",
-        "revoke-one",
-        report.large_serials,
-        format!(
-            "{:.1} ns ({:.2}x of {:.1} ns at {} serials, gate <= 8x)",
-            report.revoke_large_ns,
-            report.revoke_ratio,
-            report.revoke_small_ns,
-            report.small_serials
-        ),
-        "",
-    );
-    report_row(
-        "R",
-        "snapshot-artifact",
-        report.large_serials,
-        format!(
-            "{} bytes, encode {:.0} MB/s, decode {:.0} MB/s",
-            report.snapshot_bytes, report.encode_mb_per_s, report.decode_mb_per_s
-        ),
-        "",
-    );
-    report_row(
-        "R",
-        "delta-apply",
-        opts.delta_size,
-        format!(
-            "{:.1} µs/delta onto a {}-serial mirror",
-            report.delta_apply_us, report.large_serials
-        ),
-        "",
-    );
-    report_row(
-        "R",
-        "cascade-verify-off",
-        opts.cascade_depth,
-        format!(
-            "p50 {:.2} µs, p99 {:.2} µs",
-            report.verify_off_p50_us, report.verify_off_p99_us
-        ),
-        "",
-    );
-    report_row(
-        "R",
-        "cascade-verify-on",
-        opts.cascade_depth,
-        format!(
-            "p50 {:.2} µs ({:+.2}%), p99 {:.2} µs ({:+.2}%), gate <= 5%",
-            report.verify_on_p50_us,
-            report.overhead_p50_pct,
-            report.verify_on_p99_us,
-            report.overhead_p99_pct
-        ),
-        "",
-    );
-    report_row(
-        "R",
-        "verify-under-churn",
-        opts.cascade_depth,
-        format!(
-            "p50 {:.2} µs with deltas streaming in",
-            report.verify_under_churn_p50_us
-        ),
-        "",
-    );
-    report_row(
-        "R",
-        "membership-mirror",
-        report.members,
-        format!(
-            "{} roster bytes in, then {} asserts at {:.1} ns with {} network messages",
-            report.roster_bytes, report.asserts, report.assert_ns, report.messages_during_asserts
-        ),
-        "",
-    );
-    report_row("R", "host-parallelism", 1, report.host_parallelism, "cpus");
-    // Gate before persisting: a run that fails the acceptance checks
-    // must not overwrite the recorded results with its own.
-    report.check_gates();
-    if !smoke {
-        std::fs::write("BENCH_revocation.json", report.to_json())
-            .expect("write BENCH_revocation.json");
-        println!("wrote BENCH_revocation.json");
-    }
-}
-
-/// Runs the durable-journal harness (see `proxy_bench::wal`): the four
-/// append rows and the group-commit amortization gate. Used by ci.sh;
-/// nothing is persisted.
-fn wal() {
-    use proxy_bench::wal::{run, REQUIRED_SPEEDUP};
-
-    let report = run();
-    for row in &report.rows {
-        let value = format!("{:.0} ops/s", row.ops_per_sec);
-        report_row("W", row.series, row.writers, value, "");
-    }
-    let speedup = format!(
-        "{:.2}x of the lone writer, who pays one fsync per record (gate >= {REQUIRED_SPEEDUP:.0}x)",
-        report.speedup()
-    );
-    report_row(
-        "W",
-        "group-commit-speedup",
-        report.rows[3].writers,
-        speedup,
-        "",
-    );
-    report_row("W", "host-parallelism", 1, report.host_parallelism, "cpus");
-    report.check_gates();
+/// Persists a full run's rows to `path`. Each harness prints its rows
+/// and asserts its gates before it returns them, so a run that fails
+/// one never overwrites the recorded results with its own.
+fn persist(rows: &[Row], path: &str) {
+    write_json(path, rows).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
 }
 
 const USAGE: &str = "usage: figures [--ablate-crypto | --c10k | --c10k-smoke | \
@@ -1724,11 +1533,17 @@ fn main() {
             a5_tgs_proxy();
         }
         ["--ablate-crypto"] => ablate_crypto(),
-        ["--c10k"] => c10k(false),
-        ["--c10k-smoke"] => c10k(true),
-        ["--revocation"] => revocation(false),
-        ["--revocation-smoke"] => revocation(true),
-        ["--wal"] => wal(),
+        ["--c10k"] => persist(&c10k::run(false), "BENCH_c10k.json"),
+        ["--c10k-smoke"] => {
+            c10k::run(true);
+        }
+        ["--revocation"] => persist(&revocation::run(false), "BENCH_revocation.json"),
+        ["--revocation-smoke"] => {
+            revocation::run(true);
+        }
+        ["--wal"] => {
+            wal::run();
+        }
         _ => {
             eprintln!("figures: unrecognized arguments {args:?}\n{USAGE}");
             std::process::exit(2);

@@ -6,7 +6,7 @@
 //!
 //! The connection count `N` sweeps from tens to thousands while the
 //! **aggregate in-flight window stays fixed**: at any moment
-//! `group × burst` requests (16 connections × depth-4 bursts = 64) are
+//! `GROUP × BURST` requests (16 connections × depth-4 bursts = 64) are
 //! outstanding, rotating round-robin over all `N` connections so every
 //! connection is exercised. Holding the offered load constant makes the
 //! latency series an honest scaling probe: if p99 stays flat as `N`
@@ -16,7 +16,7 @@
 //!
 //! Latency is recorded per burst (send of a connection's burst to its
 //! last reply), so a point's p50/p99 reflect what one pipelined client
-//! experiences while `N − group` other connections sit open.
+//! experiences while `N − GROUP` other connections sit open.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -30,121 +30,20 @@ use proxy_wire::frame::read_frame;
 use proxy_wire::Message;
 use restricted_proxy::prelude::*;
 
-use crate::{percentile, rng, window};
+use crate::{percentile, rng, value_of, window, Row};
 
-/// C10k harness configuration.
-#[derive(Clone, Debug)]
-pub struct C10kOptions {
-    /// Connection counts to sweep (the scaling axis).
-    pub conn_counts: Vec<usize>,
-    /// Connections with a burst in flight at any moment.
-    pub group: usize,
-    /// Pipelined requests per connection per burst.
-    pub burst: usize,
-    /// Minimum measured requests per point (rounds are scaled up so
-    /// small-`N` points still collect a meaningful latency sample).
-    pub min_total_ops: u64,
-    /// Event-loop worker threads serving the sweep.
-    pub workers: usize,
-}
-
-impl Default for C10kOptions {
-    fn default() -> Self {
-        Self {
-            conn_counts: vec![64, 512, 2048, 6000],
-            group: 16,
-            burst: 4,
-            min_total_ops: 8192,
-            workers: 1,
-        }
-    }
-}
-
-impl C10kOptions {
-    /// A reduced-scale configuration for CI smoke runs.
-    #[must_use]
-    pub fn smoke() -> Self {
-        Self {
-            conn_counts: vec![64, 512],
-            min_total_ops: 2048,
-            ..Self::default()
-        }
-    }
-}
-
-/// One measured point: connection count → throughput and burst latency.
-#[derive(Clone, Copy, Debug)]
-pub struct C10kPoint {
-    /// Concurrent open connections.
-    pub connections: usize,
-    /// Requests completed across the whole point.
-    pub total_ops: u64,
-    /// Wall-clock seconds for the measured rounds (connect time
-    /// excluded).
-    pub elapsed_secs: f64,
-    /// Requests per wall-clock second.
-    pub ops_per_sec: f64,
-    /// Median burst round-trip, microseconds.
-    pub p50_us: u64,
-    /// 99th-percentile burst round-trip, microseconds.
-    pub p99_us: u64,
-    /// Seconds to open (and get accepted on) all `connections`.
-    pub connect_secs: f64,
-}
-
-/// The C10k report: one point per connection count.
-#[derive(Clone, Debug)]
-pub struct C10kReport {
-    /// Event-loop worker threads used.
-    pub workers: usize,
-    /// Event-loop server, one point per connection count.
-    pub event_loop: Vec<C10kPoint>,
-}
-
-impl C10kReport {
-    /// p99 ratio of the highest-connection point over the lowest — the
-    /// "flat p99" acceptance gate.
-    #[must_use]
-    pub fn p99_ratio(&self) -> f64 {
-        match (self.event_loop.first(), self.event_loop.last()) {
-            (Some(low), Some(high)) if low.p99_us > 0 => high.p99_us as f64 / low.p99_us as f64,
-            _ => f64::INFINITY,
-        }
-    }
-
-    /// Renders the report as a JSON object (hand-rolled; numbers only).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        fn point(p: &C10kPoint) -> String {
-            format!(
-                "{{\"connections\": {}, \"total_ops\": {}, \"elapsed_secs\": {:.4}, \
-                 \"ops_per_sec\": {:.1}, \"p50_us\": {}, \"p99_us\": {}, \
-                 \"connect_secs\": {:.4}}}",
-                p.connections,
-                p.total_ops,
-                p.elapsed_secs,
-                p.ops_per_sec,
-                p.p50_us,
-                p.p99_us,
-                p.connect_secs
-            )
-        }
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"workers\": {},\n", self.workers));
-        out.push_str("  \"event_loop\": [\n");
-        for (i, p) in self.event_loop.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(&point(p));
-            out.push_str(if i + 1 < self.event_loop.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
+/// Connection counts (the scaling axis) and the minimum measured
+/// requests per point (rounds are scaled up so small-`N` points still
+/// collect a meaningful sample): the full sweep, and the smoke sweep
+/// `ci.sh` runs.
+const FULL: (&[usize], u64) = (&[64, 512, 2048, 6000], 8192);
+const SMOKE: (&[usize], u64) = (&[64, 512], 2048);
+/// Connections with a burst in flight at any moment.
+const GROUP: usize = 16;
+/// Pipelined requests per connection per burst.
+const BURST: usize = 4;
+/// Event-loop worker threads serving the sweep.
+const WORKERS: usize = 1;
 
 /// The Fig. 3 world: an authorization server where client `C` may read
 /// object `X` at end-server `S`.
@@ -181,9 +80,10 @@ fn authz_query() -> Message {
 }
 
 /// Opens `n` connections, then drives `rounds` round-robin sweeps of
-/// depth-`burst` pipelined bursts in groups of `group`, measuring each
-/// burst's round trip.
-fn drive(addr: std::net::SocketAddr, opts: &C10kOptions, n: usize) -> C10kPoint {
+/// depth-[`BURST`] pipelined bursts in groups of [`GROUP`], measuring each
+/// burst's round trip. Returns the point's rows at `x = n`: throughput,
+/// burst p50 and p99, and the time to open the connections.
+fn drive(addr: std::net::SocketAddr, n: usize, min_total_ops: u64) -> [Row; 4] {
     let connect_start = Instant::now();
     let mut conns: Vec<TcpStream> = (0..n)
         .map(|_| {
@@ -195,10 +95,8 @@ fn drive(addr: std::net::SocketAddr, opts: &C10kOptions, n: usize) -> C10kPoint 
     let connect_secs = connect_start.elapsed().as_secs_f64();
 
     let frame = authz_query();
-    let burst = opts.burst.max(1);
-    let group = opts.group.max(1);
-    let per_round = (n * burst) as u64;
-    let rounds = opts.min_total_ops.div_ceil(per_round.max(1)).max(1);
+    let per_round = (n * BURST) as u64;
+    let rounds = min_total_ops.div_ceil(per_round.max(1)).max(1);
 
     let mut latencies: Vec<u64> = Vec::with_capacity((rounds * n as u64) as usize);
     let mut request_id: u64 = 0;
@@ -206,96 +104,119 @@ fn drive(addr: std::net::SocketAddr, opts: &C10kOptions, n: usize) -> C10kPoint 
     // One full rotation over all connections, reply-buffer by
     // reply-buffer, measured per burst from its write to its last reply
     // — which includes the queueing the whole in-flight window imposes,
-    // the figure a loaded client actually sees. `sample` is None for
-    // warm-up rotations.
-    let rotate =
-        |conns: &mut [TcpStream], request_id: &mut u64, mut sample: Option<&mut Vec<u64>>| -> u64 {
-            let mut ops = 0u64;
-            for chunk_start in (0..n).step_by(group) {
-                let chunk_end = (chunk_start + group).min(n);
-                // Send a pipelined burst on every connection in the group…
-                let mut burst_starts: Vec<(usize, Instant, u64)> = Vec::with_capacity(group);
-                for (c, conn) in conns
-                    .iter_mut()
-                    .enumerate()
-                    .take(chunk_end)
-                    .skip(chunk_start)
-                {
-                    let mut bytes = Vec::new();
-                    let first_id = *request_id;
-                    for _ in 0..burst {
-                        bytes.extend_from_slice(&frame.to_frame(*request_id));
-                        *request_id += 1;
-                    }
-                    let t0 = Instant::now();
-                    conn.write_all(&bytes).expect("burst write");
-                    burst_starts.push((c, t0, first_id));
+    // the figure a loaded client actually sees.
+    let rotate = |conns: &mut [TcpStream], request_id: &mut u64, sample: &mut Vec<u64>| {
+        for chunk_start in (0..n).step_by(GROUP) {
+            let chunk_end = (chunk_start + GROUP).min(n);
+            // Send a pipelined burst on every connection in the group…
+            let mut burst_starts: Vec<(usize, Instant, u64)> = Vec::with_capacity(GROUP);
+            for (c, conn) in conns
+                .iter_mut()
+                .enumerate()
+                .take(chunk_end)
+                .skip(chunk_start)
+            {
+                let mut bytes = Vec::new();
+                let first_id = *request_id;
+                for _ in 0..BURST {
+                    bytes.extend_from_slice(&frame.to_frame(*request_id));
+                    *request_id += 1;
                 }
-                // …then collect every reply.
-                for (c, t0, first_id) in burst_starts {
-                    for k in 0..burst {
-                        let (header, _body) = read_frame(&mut conns[c]).expect("burst reply");
-                        assert_eq!(header.request_id, first_id + k as u64);
-                        assert_ne!(header.msg_type, 0x7F, "authz query must not error");
-                    }
-                    let us = t0.elapsed().as_micros() as u64;
-                    if let Some(sample) = sample.as_deref_mut() {
-                        sample.push(us);
-                    }
-                    ops += burst as u64;
-                }
+                let t0 = Instant::now();
+                conn.write_all(&bytes).expect("burst write");
+                burst_starts.push((c, t0, first_id));
             }
-            ops
-        };
+            // …then collect every reply.
+            for (c, t0, first_id) in burst_starts {
+                for k in 0..BURST {
+                    let (header, _body) = read_frame(&mut conns[c]).expect("burst reply");
+                    assert_eq!(header.request_id, first_id + k as u64);
+                    assert_ne!(header.msg_type, 0x7F, "authz query must not error");
+                }
+                sample.push(t0.elapsed().as_micros() as u64);
+            }
+        }
+    };
 
     // Warm-up rotation, unmeasured: first-touch costs (server-side
     // connection install, buffer growth, allocator and cache warm-up)
     // land here, so the measured rounds compare steady states across
     // connection counts rather than cold-start slopes.
-    rotate(&mut conns, &mut request_id, None);
+    rotate(&mut conns, &mut request_id, &mut Vec::new());
 
-    let mut total_ops: u64 = 0;
     let started = Instant::now();
     for _ in 0..rounds {
-        total_ops += rotate(&mut conns, &mut request_id, Some(&mut latencies));
+        rotate(&mut conns, &mut request_id, &mut latencies);
     }
     let elapsed = started.elapsed();
 
     latencies.sort_unstable();
-    C10kPoint {
-        connections: n,
-        total_ops,
-        elapsed_secs: elapsed.as_secs_f64(),
-        ops_per_sec: total_ops as f64 / elapsed.as_secs_f64().max(1e-9),
-        p50_us: percentile(&latencies, 50.0),
-        p99_us: percentile(&latencies, 99.0),
-        connect_secs,
-    }
+    let ops_per_s = (rounds * per_round) as f64 / elapsed.as_secs_f64().max(1e-9);
+    let p50 = percentile(&latencies, 50.0) as f64;
+    let p99 = percentile(&latencies, 99.0) as f64;
+    let point = |series, value, unit| Row::new("C10K", series, n as u64, value, unit);
+    [
+        point("event-loop-throughput", ops_per_s, "ops/s"),
+        point("event-loop-burst-p50", p50, "µs"),
+        point("event-loop-burst-p99", p99, "µs"),
+        point("event-loop-connect", connect_secs, "s"),
+    ]
 }
 
-/// Runs the C10k sweep: a fresh event-loop server per connection count.
-#[must_use]
-pub fn run(opts: &C10kOptions) -> C10kReport {
-    let event_loop = opts
-        .conn_counts
-        .iter()
-        .map(|&n| {
-            let server = EventLoopServer::spawn_with(
-                fig3_mux(),
-                EventLoopOptions {
-                    workers: opts.workers,
-                    ..EventLoopOptions::default()
-                },
-                31,
-            )
-            .expect("spawn event-loop server");
-            drive(server.addr(), opts, n)
-        })
-        .collect();
-    C10kReport {
-        workers: opts.workers,
-        event_loop,
+/// A fresh event-loop server per connection count in `conns`, each
+/// point's rows, then `event-loop-p99-ratio`: the p99 at the last count
+/// over the p99 at the first.
+fn sweep(conns: &[usize], min_total_ops: u64) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for &n in conns {
+        let server = EventLoopServer::spawn_with(
+            fig3_mux(),
+            EventLoopOptions {
+                workers: WORKERS,
+                ..EventLoopOptions::default()
+            },
+            31,
+        )
+        .expect("spawn event-loop server");
+        rows.extend(drive(server.addr(), n, min_total_ops));
     }
+    let p99: Vec<f64> = rows
+        .iter()
+        .filter(|row| row.series == "event-loop-burst-p99")
+        .map(|row| row.value)
+        .collect();
+    let ratio = match (p99.first(), p99.last()) {
+        (Some(&low), Some(&high)) if low > 0.0 => high / low,
+        _ => f64::INFINITY,
+    };
+    let top = conns.last().copied().unwrap_or(0) as u64;
+    rows.push(Row::new("C10K", "event-loop-p99-ratio", top, ratio, "x"));
+    rows
+}
+
+/// Runs the C10k sweep, full or smoke, prints its rows and asserts its
+/// gates: p99 at the highest connection count within 2× of the lowest,
+/// and (full) at least 5 000 connections.
+///
+/// # Panics
+///
+/// When a gate fails.
+pub fn run(smoke: bool) -> Vec<Row> {
+    let (conns, min_total_ops) = if smoke { SMOKE } else { FULL };
+    let (low, top) = (conns[0], conns[conns.len() - 1]);
+    assert!(
+        smoke || top >= 5000,
+        "full c10k sweep must reach at least 5000 concurrent connections"
+    );
+    let rows = sweep(conns, min_total_ops);
+    rows.iter().for_each(Row::print);
+    let ratio = value_of(&rows, "event-loop-p99-ratio");
+    assert!(
+        ratio <= 2.0,
+        "p99 degraded more than 2x across the connection sweep: \
+         {ratio:.2}x ({top} conns vs {low} conns)"
+    );
+    rows
 }
 
 #[cfg(test)]
@@ -303,24 +224,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tiny_sweep_measures_and_serializes() {
-        let opts = C10kOptions {
-            conn_counts: vec![8, 32],
-            min_total_ops: 64,
-            ..C10kOptions::default()
+    fn tiny_sweep_measures_every_point() {
+        let rows = sweep(&[8, 32], 64);
+        assert_eq!(rows.len(), 9);
+        let at = |series: &str, x: u64| {
+            rows.iter()
+                .find(|row| row.series == series && row.x == x)
+                .map(|row| row.value)
+                .expect("row")
         };
-        let report = run(&opts);
-        assert_eq!(report.event_loop.len(), 2);
-        for p in &report.event_loop {
-            assert!(p.ops_per_sec > 0.0);
-            assert!(p.p99_us >= p.p50_us);
-            assert!(p.total_ops >= 64);
+        for x in [8, 32] {
+            assert!(at("event-loop-throughput", x) > 0.0);
+            assert!(at("event-loop-burst-p99", x) >= at("event-loop-burst-p50", x));
         }
-        assert!(report.p99_ratio().is_finite());
-        let json = report.to_json();
-        assert!(json.contains("\"event_loop\""));
-        let count = |c: char| json.chars().filter(|&x| x == c).count();
-        assert_eq!(count('{'), count('}'));
-        assert_eq!(count('['), count(']'));
+        let ratio = at("event-loop-p99-ratio", 32);
+        assert_eq!(
+            ratio,
+            at("event-loop-burst-p99", 32) / at("event-loop-burst-p99", 8)
+        );
     }
 }

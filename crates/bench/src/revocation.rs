@@ -38,199 +38,59 @@ use restricted_proxy::revocation::{
     RevocationArtifact, RevocationDirectory, RevocationRegistry, SerialSet,
 };
 
-use crate::{cascade, matching_ctx, percentile, rng, symmetric_world};
+use crate::{
+    cascade, host_parallelism, matching_ctx, percentile, rng, symmetric_world, value_of, Row,
+};
 
-/// Harness configuration.
-#[derive(Clone, Debug)]
-pub struct Options {
-    /// Serials in the large index (the headline configuration is 1M).
-    pub large_serials: u64,
-    /// Serials in the small comparison index.
-    pub small_serials: u64,
+/// How large one run is. Two presets, [`FULL`] and [`SMOKE`], are
+/// chosen by `figures`' flags.
+struct Scale {
+    /// Serials in the large index.
+    large_serials: u64,
     /// Members in the mirrored group roster.
-    pub members: u64,
-    /// Certificate-chain depth for the cascade-verify comparison.
-    pub cascade_depth: usize,
-    /// Interleaved timing rounds (each variant keeps its fastest).
-    pub rounds: usize,
+    members: u64,
     /// Contains-probes per round per index.
-    pub probes: usize,
+    probes: usize,
     /// Cascade verifications per round per variant.
-    pub verify_iters: usize,
+    verify_iters: usize,
     /// Deltas applied for the delta-apply series.
-    pub delta_batches: u64,
+    delta_batches: u64,
     /// Serials per delta.
-    pub delta_size: u64,
+    delta_size: u64,
     /// Membership asserts in the zero-round-trip storm.
-    pub asserts: u64,
+    asserts: u64,
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Self {
-            large_serials: 1_000_000,
-            small_serials: 1_000,
-            members: 1_000_000,
-            cascade_depth: 4,
-            rounds: 24,
-            probes: 20_000,
-            verify_iters: 1_000,
-            delta_batches: 32,
-            delta_size: 1_000,
-            asserts: 100_000,
-        }
-    }
-}
+/// The headline configuration: 1M serials, 1M members.
+const FULL: Scale = Scale {
+    large_serials: 1_000_000,
+    members: 1_000_000,
+    probes: 20_000,
+    verify_iters: 1_000,
+    delta_batches: 32,
+    delta_size: 1_000,
+    asserts: 100_000,
+};
 
-impl Options {
-    /// The ci.sh smoke configuration (~100k serials, seconds not minutes).
-    #[must_use]
-    pub fn smoke() -> Self {
-        Self {
-            large_serials: 100_000,
-            small_serials: 1_000,
-            members: 100_000,
-            cascade_depth: 4,
-            rounds: 24,
-            probes: 5_000,
-            verify_iters: 1_000,
-            delta_batches: 8,
-            delta_size: 500,
-            asserts: 20_000,
-        }
-    }
-}
+/// The `ci.sh` configuration: ~100k serials, seconds not minutes.
+const SMOKE: Scale = Scale {
+    large_serials: 100_000,
+    members: 100_000,
+    probes: 5_000,
+    verify_iters: 1_000,
+    delta_batches: 8,
+    delta_size: 500,
+    asserts: 20_000,
+};
 
+/// Serials in the small comparison index.
+const SMALL_SERIALS: u64 = 1_000;
+/// Certificate-chain depth for the cascade-verify comparison.
+const CASCADE_DEPTH: usize = 4;
+/// Interleaved timing rounds (each variant keeps its fastest).
+const ROUNDS: usize = 24;
 /// Single `revoke` calls timed per round against each registry.
 const REVOKES_PER_ROUND: u64 = 1_000;
-
-/// Everything the harness measured, persisted as `BENCH_revocation.json`.
-#[derive(Clone, Debug)]
-pub struct RevocationReport {
-    /// Hardware threads the host exposes (context for readers).
-    pub host_parallelism: usize,
-    /// Serials in the small index.
-    pub small_serials: u64,
-    /// Serials in the large index.
-    pub large_serials: u64,
-    /// Fastest-round per-probe cost against the small index.
-    pub contains_small_ns: f64,
-    /// Fastest-round per-probe cost against the large index.
-    pub contains_large_ns: f64,
-    /// `contains_large_ns / contains_small_ns` — the O(1) gate (≤2).
-    pub contains_ratio: f64,
-    /// Fastest-round cost of one `revoke` on a `small_serials` registry.
-    pub revoke_small_ns: f64,
-    /// Fastest-round cost of one `revoke` on a `large_serials` registry.
-    pub revoke_large_ns: f64,
-    /// `revoke_large_ns / revoke_small_ns` — gated ≤8.
-    pub revoke_ratio: f64,
-    /// Canonical snapshot artifact size for the large index.
-    pub snapshot_bytes: usize,
-    /// Snapshot encode throughput.
-    pub encode_mb_per_s: f64,
-    /// Snapshot decode (with full structural validation) throughput.
-    pub decode_mb_per_s: f64,
-    /// Mean time to apply one sealed delta to a 1M-serial mirror.
-    pub delta_apply_us: f64,
-    /// Cascade-verify p50 without a revocation mirror attached.
-    pub verify_off_p50_us: f64,
-    /// Cascade-verify p99 without a revocation mirror attached.
-    pub verify_off_p99_us: f64,
-    /// Cascade-verify p50 with the 1M-serial mirror attached.
-    pub verify_on_p50_us: f64,
-    /// Cascade-verify p99 with the 1M-serial mirror attached.
-    pub verify_on_p99_us: f64,
-    /// Median over rounds of the paired per-round `(on/off - 1) * 100`
-    /// ratio at p50 — gated ≤5%.
-    pub overhead_p50_pct: f64,
-    /// Median over rounds of the paired per-round `(on/off - 1) * 100`
-    /// ratio at p99 — gated ≤5%.
-    pub overhead_p99_pct: f64,
-    /// Cascade-verify p50 while a writer thread streams delta applies
-    /// into the same mirror (informational: applies build successor
-    /// state off-lock, so verifies only ever wait for a pointer swap).
-    pub verify_under_churn_p50_us: f64,
-    /// Members in the mirrored roster.
-    pub members: u64,
-    /// Sealed roster snapshot size.
-    pub roster_bytes: u64,
-    /// Fastest-round per-assert cost against the local mirror.
-    pub assert_ns: f64,
-    /// Asserts answered during the storm.
-    pub asserts: u64,
-    /// Network messages during the storm (the zero-round-trip proof).
-    pub messages_during_asserts: u64,
-}
-
-impl RevocationReport {
-    /// Renders the report as JSON (hand-rolled; every value is a number).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"host_parallelism\": {},\n  \"contains\": {{\"small_serials\": {}, \"large_serials\": {}, \"small_ns\": {:.1}, \"large_ns\": {:.1}, \"ratio\": {:.3}}},\n  \"revoke\": {{\"small_ns\": {:.1}, \"large_ns\": {:.1}, \"ratio\": {:.3}}},\n  \"artifacts\": {{\"snapshot_bytes\": {}, \"encode_mb_per_s\": {:.1}, \"decode_mb_per_s\": {:.1}, \"delta_apply_us\": {:.1}}},\n  \"cascade_verify\": {{\"off_p50_us\": {:.2}, \"off_p99_us\": {:.2}, \"on_p50_us\": {:.2}, \"on_p99_us\": {:.2}, \"overhead_p50_pct\": {:.2}, \"overhead_p99_pct\": {:.2}, \"under_churn_p50_us\": {:.2}}},\n  \"membership\": {{\"members\": {}, \"roster_bytes\": {}, \"assert_ns\": {:.1}, \"asserts\": {}, \"messages_during_asserts\": {}}}\n}}\n",
-            self.host_parallelism,
-            self.small_serials,
-            self.large_serials,
-            self.contains_small_ns,
-            self.contains_large_ns,
-            self.contains_ratio,
-            self.revoke_small_ns,
-            self.revoke_large_ns,
-            self.revoke_ratio,
-            self.snapshot_bytes,
-            self.encode_mb_per_s,
-            self.decode_mb_per_s,
-            self.delta_apply_us,
-            self.verify_off_p50_us,
-            self.verify_off_p99_us,
-            self.verify_on_p50_us,
-            self.verify_on_p99_us,
-            self.overhead_p50_pct,
-            self.overhead_p99_pct,
-            self.verify_under_churn_p50_us,
-            self.members,
-            self.roster_bytes,
-            self.assert_ns,
-            self.asserts,
-            self.messages_during_asserts,
-        )
-    }
-
-    /// Enforces the PR-7 acceptance gates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a gate fails: contains-ratio over 2×, revoke-ratio over
-    /// 8×, cascade-verify overhead over 5% at p50 or p99, or any network
-    /// message during the membership assert storm.
-    pub fn check_gates(&self) {
-        assert!(
-            self.contains_ratio <= 2.0,
-            "contains at {} serials is {:.2}x the {}-serial cost (gate: 2x) — the index is not O(1)",
-            self.large_serials,
-            self.contains_ratio,
-            self.small_serials,
-        );
-        assert!(
-            self.revoke_ratio <= 8.0,
-            "one revoke against {} serials is {:.1}x the {}-serial cost (gate: 8x) — revoking is paying for the whole set",
-            self.large_serials,
-            self.revoke_ratio,
-            self.small_serials,
-        );
-        assert!(
-            self.overhead_p50_pct <= 5.0 && self.overhead_p99_pct <= 5.0,
-            "revocation probe costs {:.2}% at p50 / {:.2}% at p99 on the verify path (gate: 5%)",
-            self.overhead_p50_pct,
-            self.overhead_p99_pct,
-        );
-        assert_eq!(
-            self.messages_during_asserts, 0,
-            "membership asserts must not touch the network"
-        );
-    }
-}
 
 /// `count` serials scattered at constant density (64 slots per serial),
 /// so small and large indexes differ in chunk count, not in per-chunk
@@ -241,37 +101,66 @@ fn scattered_serials(count: u64, seed: u64) -> Vec<u64> {
     (0..count).map(|_| r.gen_range(0..space)).collect()
 }
 
-fn contains_ns(set: &SerialSet, probes: &[u64], rounds: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..rounds {
-        let t = Instant::now();
-        // The pipelined bulk probe: overlapping misses, branchless
-        // accumulation. Both indexes go through the identical path.
-        let hits = set.count_contained(probes);
-        std::hint::black_box(hits);
-        best = best.min(t.elapsed().as_secs_f64() * 1e9 / probes.len() as f64);
-    }
-    best
+/// One bulk probe of `probes` against `set`, in ns per probe: the
+/// pipelined path (overlapping misses, branchless accumulation) both
+/// indexes go through.
+fn contains_ns(set: &SerialSet, probes: &[u64]) -> f64 {
+    let t = Instant::now();
+    std::hint::black_box(set.count_contained(probes));
+    t.elapsed().as_secs_f64() * 1e9 / probes.len() as f64
 }
 
-/// Runs the harness. Pure measurement: gates live in
-/// [`RevocationReport::check_gates`], which the figures binary invokes
-/// before persisting, so debug-mode unit runs stay timing-insensitive.
-#[must_use]
-pub fn run(opts: &Options) -> RevocationReport {
-    let host_parallelism = std::thread::available_parallelism().map_or(1, usize::from);
+/// Runs the harness, full or smoke, prints its rows and asserts its
+/// gates: contains and a single `revoke` at the large index within 2×
+/// and 8× of the small one, the mirror's cascade-verify overhead within
+/// 5 % at p50 and p99, and no network message during the membership
+/// asserts.
+///
+/// # Panics
+///
+/// When a gate fails.
+pub fn run(smoke: bool) -> Vec<Row> {
+    let scale = if smoke { &SMOKE } else { &FULL };
+    let rows = measure(scale);
+    rows.iter().for_each(Row::print);
+    let (large, small) = (scale.large_serials, SMALL_SERIALS);
+    let contains = value_of(&rows, "contains-ratio");
+    assert!(
+        contains <= 2.0,
+        "contains at {large} serials is {contains:.2}x the {small}-serial cost (gate: 2x) — the index is not O(1)",
+    );
+    let revoke = value_of(&rows, "revoke-one-ratio");
+    assert!(
+        revoke <= 8.0,
+        "one revoke against {large} serials is {revoke:.1}x the {small}-serial cost (gate: 8x) — revoking is paying for the whole set",
+    );
+    let p50 = value_of(&rows, "cascade-verify-on-overhead-p50");
+    let p99 = value_of(&rows, "cascade-verify-on-overhead-p99");
+    assert!(
+        p50 <= 5.0 && p99 <= 5.0,
+        "revocation probe costs {p50:.2}% at p50 / {p99:.2}% at p99 on the verify path (gate: 5%)",
+    );
+    assert_eq!(
+        value_of(&rows, "membership-mirror-messages"),
+        0.0,
+        "membership asserts must not touch the network"
+    );
+    rows
+}
 
+/// Measures every series at `scale`. The gates live in [`run`], so a
+/// debug-mode unit run stays timing-insensitive.
+fn measure(scale: &Scale) -> Vec<Row> {
     // ---- O(1) contains: small vs large at equal density ----
-    let small: SerialSet = scattered_serials(opts.small_serials, 1)
-        .into_iter()
-        .collect();
-    let large_serials = scattered_serials(opts.large_serials, 2);
+    let small_serials = scattered_serials(SMALL_SERIALS, 1);
+    let small: SerialSet = small_serials.iter().copied().collect();
+    let large_serials = scattered_serials(scale.large_serials, 2);
     let large: SerialSet = large_serials.iter().copied().collect();
     // Probe streams: half drawn from the set, half random misses.
     let probe_stream = |serials: &[u64], seed: u64| -> Vec<u64> {
         let space = serials.len() as u64 * 64;
         let mut r = rng(seed);
-        (0..opts.probes)
+        (0..scale.probes)
             .map(|i| {
                 if i % 2 == 0 {
                     serials[r.gen_range(0..serials.len())]
@@ -281,17 +170,15 @@ pub fn run(opts: &Options) -> RevocationReport {
             })
             .collect()
     };
-    let small_serial_list = scattered_serials(opts.small_serials, 1);
-    let small_probes = probe_stream(&small_serial_list, 3);
+    let small_probes = probe_stream(&small_serials, 3);
     let large_probes = probe_stream(&large_serials, 4);
     // Interleave: alternate small/large each round, keep fastest rounds.
     let mut contains_small = f64::INFINITY;
     let mut contains_large = f64::INFINITY;
-    for _ in 0..opts.rounds {
-        contains_small = contains_small.min(contains_ns(&small, &small_probes, 1));
-        contains_large = contains_large.min(contains_ns(&large, &large_probes, 1));
+    for _ in 0..ROUNDS {
+        contains_small = contains_small.min(contains_ns(&small, &small_probes));
+        contains_large = contains_large.min(contains_ns(&large, &large_probes));
     }
-    let contains_ratio = contains_large / contains_small;
 
     // ---- O(1) revoke: one call against a small vs a large registry ----
     let world = symmetric_world(11);
@@ -313,14 +200,14 @@ pub fn run(opts: &Options) -> RevocationReport {
         ns
     };
     let small_registry = RevocationRegistry::new(world.grantor.clone());
-    small_registry.revoke_all(small_serial_list.iter().copied());
+    small_registry.revoke_all(small_serials.iter().copied());
     let large_registry = RevocationRegistry::new(world.grantor.clone());
     large_registry.revoke_all(large_serials.iter().copied());
-    let mut revoke_small_ns = f64::INFINITY;
-    let mut revoke_large_ns = f64::INFINITY;
-    for _ in 0..opts.rounds.min(6) {
-        revoke_small_ns = revoke_small_ns.min(revoke_round(&small_registry, opts.small_serials));
-        revoke_large_ns = revoke_large_ns.min(revoke_round(&large_registry, opts.large_serials));
+    let mut revoke_small = f64::INFINITY;
+    let mut revoke_large = f64::INFINITY;
+    for _ in 0..ROUNDS.min(6) {
+        revoke_small = revoke_small.min(revoke_round(&small_registry, SMALL_SERIALS));
+        revoke_large = revoke_large.min(revoke_round(&large_registry, scale.large_serials));
     }
 
     // ---- Artifact encode/decode throughput ----
@@ -334,7 +221,7 @@ pub fn run(opts: &Options) -> RevocationReport {
     let mut encoded = Vec::new();
     let mut encode_best = f64::INFINITY;
     let mut decode_best = f64::INFINITY;
-    for _ in 0..opts.rounds.min(6) {
+    for _ in 0..ROUNDS.min(6) {
         let t = Instant::now();
         encoded = snapshot.encode();
         encode_best = encode_best.min(t.elapsed().as_secs_f64());
@@ -345,8 +232,6 @@ pub fn run(opts: &Options) -> RevocationReport {
     }
     let snapshot_bytes = encoded.len();
     let mb = snapshot_bytes as f64 / 1e6;
-    let encode_mb_per_s = mb / encode_best;
-    let decode_mb_per_s = mb / decode_best;
 
     // ---- Delta apply against a full mirror ----
     let registry = RevocationRegistry::new(world.grantor.clone());
@@ -357,11 +242,11 @@ pub fn run(opts: &Options) -> RevocationReport {
             .apply_verified(&artifact)
             .expect("base mirror syncs");
     }
-    let space = opts.large_serials * 64;
+    let space = scale.large_serials * 64;
     let mut delta_seed = rng(21);
     let mut delta_total = 0.0;
-    for _ in 0..opts.delta_batches {
-        registry.revoke_all((0..opts.delta_size).map(|_| delta_seed.gen_range(0..space)));
+    for _ in 0..scale.delta_batches {
+        registry.revoke_all((0..scale.delta_size).map(|_| delta_seed.gen_range(0..space)));
         let have = directory.epoch_of(&world.grantor);
         for artifact in registry.updates_since(have, &world.authority) {
             let t = Instant::now();
@@ -369,10 +254,10 @@ pub fn run(opts: &Options) -> RevocationReport {
             delta_total += t.elapsed().as_secs_f64();
         }
     }
-    let delta_apply_us = delta_total * 1e6 / opts.delta_batches as f64;
+    let delta_apply_us = delta_total * 1e6 / scale.delta_batches as f64;
 
     // ---- Cascade verify: mirror attached vs detached ----
-    let chain = cascade(&world, opts.cascade_depth, 3);
+    let chain = cascade(&world, CASCADE_DEPTH, 3);
     let pres = chain.present_bearer([1u8; 32], &world.server);
     let ctx = matching_ctx(&world.server);
     let resolver = MapResolver::new().with(
@@ -383,7 +268,7 @@ pub fn run(opts: &Options) -> RevocationReport {
         Verifier::new(world.server.clone(), resolver).with_revocation(Arc::clone(&directory));
     let verifier_off = &world.verifier;
     let time_verify = |v: &Verifier<MapResolver>, samples: &mut Vec<f64>| {
-        for _ in 0..opts.verify_iters {
+        for _ in 0..scale.verify_iters {
             let mut guard = ReplayCache::new();
             let t = Instant::now();
             let ok = v.verify(&pres, &ctx, &mut guard).expect("verifies");
@@ -400,13 +285,13 @@ pub fn run(opts: &Options) -> RevocationReport {
     // the gate would measure host noise, not the probe.) The reported
     // absolute quantiles keep each variant's cleanest round, per the
     // usual min-of-rounds discipline.
-    let mut verify_on_p50_us = f64::INFINITY;
-    let mut verify_on_p99_us = f64::INFINITY;
-    let mut verify_off_p50_us = f64::INFINITY;
-    let mut verify_off_p99_us = f64::INFINITY;
-    let mut round_overhead_p50 = Vec::with_capacity(opts.rounds);
-    let mut round_overhead_p99 = Vec::with_capacity(opts.rounds);
-    for round in 0..opts.rounds {
+    let mut best_on_p50 = f64::INFINITY;
+    let mut best_on_p99 = f64::INFINITY;
+    let mut best_off_p50 = f64::INFINITY;
+    let mut best_off_p99 = f64::INFINITY;
+    let mut round_overhead_p50 = Vec::with_capacity(ROUNDS);
+    let mut round_overhead_p99 = Vec::with_capacity(ROUNDS);
+    for round in 0..ROUNDS {
         let mut on_round = Vec::new();
         let mut off_round = Vec::new();
         // Swap order each round so drift never favors one variant.
@@ -421,17 +306,17 @@ pub fn run(opts: &Options) -> RevocationReport {
         off_round.sort_by(f64::total_cmp);
         let (on_p50, on_p99) = (percentile(&on_round, 50.0), percentile(&on_round, 99.0));
         let (off_p50, off_p99) = (percentile(&off_round, 50.0), percentile(&off_round, 99.0));
-        verify_on_p50_us = verify_on_p50_us.min(on_p50);
-        verify_on_p99_us = verify_on_p99_us.min(on_p99);
-        verify_off_p50_us = verify_off_p50_us.min(off_p50);
-        verify_off_p99_us = verify_off_p99_us.min(off_p99);
+        best_on_p50 = best_on_p50.min(on_p50);
+        best_on_p99 = best_on_p99.min(on_p99);
+        best_off_p50 = best_off_p50.min(off_p50);
+        best_off_p99 = best_off_p99.min(off_p99);
         round_overhead_p50.push((on_p50 / off_p50 - 1.0) * 100.0);
         round_overhead_p99.push((on_p99 / off_p99 - 1.0) * 100.0);
     }
     round_overhead_p50.sort_by(f64::total_cmp);
     round_overhead_p99.sort_by(f64::total_cmp);
-    let overhead_p50_pct = percentile(&round_overhead_p50, 50.0);
-    let overhead_p99_pct = percentile(&round_overhead_p99, 50.0);
+    let overhead_p50 = percentile(&round_overhead_p50, 50.0);
+    let overhead_p99 = percentile(&round_overhead_p99, 50.0);
 
     // ---- Verify while deltas stream in (informational) ----
     let mut churn_samples = Vec::new();
@@ -450,13 +335,13 @@ pub fn run(opts: &Options) -> RevocationReport {
                 }
             }
         });
-        for _ in 0..opts.rounds.min(6) {
+        for _ in 0..ROUNDS.min(6) {
             time_verify(&verifier_on, &mut churn_samples);
         }
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
     });
     churn_samples.sort_by(f64::total_cmp);
-    let verify_under_churn_p50_us = percentile(&churn_samples, 50.0);
+    let churn_p50 = percentile(&churn_samples, 50.0);
 
     // ---- Membership: one snapshot in, zero round trips after ----
     let gs_world = symmetric_world(12);
@@ -468,7 +353,7 @@ pub fn run(opts: &Options) -> RevocationReport {
     gs.create_group("everyone");
     gs.add_members(
         "everyone",
-        (0..opts.members).map(|i| PrincipalId::new(format!("member-{i}"))),
+        (0..scale.members).map(|i| PrincipalId::new(format!("member-{i}"))),
     );
     let mirror = MembershipDirectory::new();
     let staff = GroupName::new(PrincipalId::new("GS"), "everyone");
@@ -484,14 +369,14 @@ pub fn run(opts: &Options) -> RevocationReport {
     }
     let messages_before = net.total_messages();
     let mut assert_best = f64::INFINITY;
-    let per_round = opts.asserts / opts.rounds.max(1) as u64;
+    let per_round = scale.asserts / ROUNDS as u64;
     let mut hit = 0u64;
-    for round in 0..opts.rounds as u64 {
+    for round in 0..ROUNDS as u64 {
         let t = Instant::now();
         for i in 0..per_round {
             // Mostly members, with a miss every 16 probes to exercise
             // the negative path too.
-            let n = (round * per_round + i * 7) % (opts.members + opts.members / 16);
+            let n = (round * per_round + i * 7) % (scale.members + scale.members / 16);
             let who = PrincipalId::new(format!("member-{n}"));
             if mirror.assert(&staff, &who) == MembershipAnswer::Member {
                 hit += 1;
@@ -500,36 +385,53 @@ pub fn run(opts: &Options) -> RevocationReport {
         assert_best = assert_best.min(t.elapsed().as_secs_f64() * 1e9 / per_round as f64);
     }
     std::hint::black_box(hit);
-    let asserts = per_round * opts.rounds as u64;
-    let messages_during_asserts = net.total_messages() - messages_before;
+    let asserts = per_round * ROUNDS as u64;
+    let messages = net.total_messages() - messages_before;
 
-    RevocationReport {
-        host_parallelism,
-        small_serials: opts.small_serials,
-        large_serials: opts.large_serials,
-        contains_small_ns: contains_small,
-        contains_large_ns: contains_large,
-        contains_ratio,
-        revoke_small_ns,
-        revoke_large_ns,
-        revoke_ratio: revoke_large_ns / revoke_small_ns,
-        snapshot_bytes,
-        encode_mb_per_s,
-        decode_mb_per_s,
-        delta_apply_us,
-        verify_off_p50_us,
-        verify_off_p99_us,
-        verify_on_p50_us,
-        verify_on_p99_us,
-        overhead_p50_pct,
-        overhead_p99_pct,
-        verify_under_churn_p50_us,
-        members: opts.members,
-        roster_bytes,
-        assert_ns: assert_best,
-        asserts,
-        messages_during_asserts,
-    }
+    let r = |series, x, value, unit| Row::new("R", series, x, value, unit);
+    let (small, large) = (SMALL_SERIALS, scale.large_serials);
+    let (depth, members) = (CASCADE_DEPTH as u64, scale.members);
+    let (contains_ratio, revoke_ratio) =
+        (contains_large / contains_small, revoke_large / revoke_small);
+    vec![
+        r("contains-small", small, contains_small, "ns/probe"),
+        r("contains-large", large, contains_large, "ns/probe"),
+        r("contains-ratio", large, contains_ratio, "x"),
+        r("revoke-one-small", small, revoke_small, "ns"),
+        r("revoke-one-large", large, revoke_large, "ns"),
+        r("revoke-one-ratio", large, revoke_ratio, "x"),
+        r("snapshot-artifact", large, snapshot_bytes as f64, "bytes"),
+        r("snapshot-artifact-encode", large, mb / encode_best, "MB/s"),
+        r("snapshot-artifact-decode", large, mb / decode_best, "MB/s"),
+        r("delta-apply", scale.delta_size, delta_apply_us, "µs/delta"),
+        r("cascade-verify-off-p50", depth, best_off_p50, "µs"),
+        r("cascade-verify-off-p99", depth, best_off_p99, "µs"),
+        r("cascade-verify-on-p50", depth, best_on_p50, "µs"),
+        r("cascade-verify-on-p99", depth, best_on_p99, "µs"),
+        r("cascade-verify-on-overhead-p50", depth, overhead_p50, "%"),
+        r("cascade-verify-on-overhead-p99", depth, overhead_p99, "%"),
+        r("verify-under-churn-p50", depth, churn_p50, "µs"),
+        r(
+            "membership-mirror-roster",
+            members,
+            roster_bytes as f64,
+            "bytes",
+        ),
+        r(
+            "membership-mirror-asserts",
+            members,
+            asserts as f64,
+            "asserts",
+        ),
+        r("membership-mirror-assert-cost", members, assert_best, "ns"),
+        r(
+            "membership-mirror-messages",
+            members,
+            messages as f64,
+            "messages",
+        ),
+        host_parallelism("R"),
+    ]
 }
 
 #[cfg(test)]
@@ -537,30 +439,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tiny_run_reports_and_gates() {
-        let opts = Options {
+    fn tiny_run_measures_every_series() {
+        let rows = measure(&Scale {
             large_serials: 5_000,
-            small_serials: 500,
             members: 2_000,
-            cascade_depth: 2,
-            rounds: 3,
             probes: 500,
             verify_iters: 10,
             delta_batches: 2,
             delta_size: 50,
             asserts: 900,
-        };
-        let report = run(&opts);
+        });
+        assert_eq!(rows.len(), 22);
         // Timing gates are checked only by the release-mode figures run;
         // under a debug build on a shared host they would be flaky. The
         // network tally is deterministic, so that gate holds even here.
-        assert_eq!(report.messages_during_asserts, 0);
-        assert!(report.snapshot_bytes > 0);
-        assert!(report.contains_small_ns > 0.0 && report.contains_large_ns > 0.0);
-        assert!(report.revoke_small_ns > 0.0 && report.revoke_large_ns > 0.0);
-        assert!(report.roster_bytes > 0);
-        let json = report.to_json();
-        assert!(json.contains("\"messages_during_asserts\": 0"));
-        assert!(json.contains("\"snapshot_bytes\""));
+        assert_eq!(value_of(&rows, "membership-mirror-messages"), 0.0);
+        let zero_or_signed = ["overhead", "messages"];
+        for row in &rows {
+            let exempt = zero_or_signed.iter().any(|k| row.series.contains(k));
+            assert!(row.value > 0.0 || exempt, "{row:?}");
+        }
     }
 }

@@ -25,6 +25,8 @@ use std::time::Instant;
 
 use proxy_storage::{FsyncMode, MemStorage, Storage, WalOptions, WalStorage};
 
+use crate::{host_parallelism, value_of, Row};
+
 /// Writer threads in the contended rows.
 const THREADS: usize = 16;
 /// Records each of them appends per round.
@@ -37,52 +39,7 @@ const ROUNDS: usize = 4;
 /// low enough that a noisy shared host cannot flake the build, while a
 /// real regression (group commit degrading toward one fsync per record)
 /// still trips it.
-pub const REQUIRED_SPEEDUP: f64 = 3.0;
-
-/// One set-up of the sweep and its best round.
-#[derive(Clone, Copy, Debug)]
-pub struct AppendRow {
-    /// The series name `figures --wal` prints.
-    pub series: &'static str,
-    /// Concurrent writer threads.
-    pub writers: usize,
-    /// Best-round sustained appends per second across all writers.
-    pub ops_per_sec: f64,
-}
-
-/// Everything the harness measured.
-#[derive(Clone, Debug)]
-pub struct WalReport {
-    /// Hardware threads the host exposes (context for readers).
-    pub host_parallelism: usize,
-    /// In sweep order: the in-memory backend (ordering only, the
-    /// ceiling); the WAL without fsync (the write path alone); the
-    /// group-commit WAL under one writer (one write + fsync per record)
-    /// and under all of them (the contended durable fast path).
-    pub rows: [AppendRow; 4],
-}
-
-impl WalReport {
-    /// All writers over the lone writer, both on the group-commit store.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.rows[3].ops_per_sec / self.rows[2].ops_per_sec
-    }
-
-    /// Asserts the amortization gate.
-    ///
-    /// # Panics
-    ///
-    /// When group commit falls short of [`REQUIRED_SPEEDUP`].
-    pub fn check_gates(&self) {
-        assert!(
-            self.speedup() >= REQUIRED_SPEEDUP,
-            "group-commit fsync batching regressed: {:.2}x over a lone writer's \
-             fsync-per-record (required >= {REQUIRED_SPEEDUP:.1}x)",
-            self.speedup(),
-        );
-    }
-}
+const REQUIRED_SPEEDUP: f64 = 3.0;
 
 /// A unique scratch directory for one WAL instance, removed on drop.
 struct Scratch(PathBuf);
@@ -124,8 +81,13 @@ fn append_round(store: &dyn Storage, threads: usize, per_thread: usize, record: 
     total / started.elapsed().as_secs_f64()
 }
 
-/// The append sweep, interleaved per round.
-fn sweep(threads: usize, per_thread: usize, record_bytes: usize, rounds: usize) -> WalReport {
+/// The append sweep, interleaved per round, in sweep order: the
+/// in-memory backend (ordering only, the ceiling); the WAL without fsync
+/// (the write path alone); the group-commit WAL under one writer (one
+/// write + fsync per record) and under all of them (the contended
+/// durable fast path); then `group-commit-speedup`, the last over the
+/// one before, and `host-parallelism`. `x` is the number of writers.
+fn sweep(threads: usize, per_thread: usize, record_bytes: usize, rounds: usize) -> Vec<Row> {
     let record = vec![0xA5u8; record_bytes];
     let open = |dir: &Scratch, fsync| WalStorage::open(&dir.0, WalOptions { fsync }).expect("open");
     let mut rows = [
@@ -134,11 +96,7 @@ fn sweep(threads: usize, per_thread: usize, record_bytes: usize, rounds: usize) 
         ("append-wal-lone-writer", 1),
         ("append-wal-group-commit", threads),
     ]
-    .map(|(series, writers)| AppendRow {
-        series,
-        writers,
-        ops_per_sec: 0.0,
-    });
+    .map(|(series, writers)| Row::new("W", series, writers as u64, 0.0, "ops/s"));
     for _ in 0..rounds {
         // Fresh stores (and scratch dirs) each round: every variant
         // starts from an empty log, so file length never favors the
@@ -152,23 +110,35 @@ fn sweep(threads: usize, per_thread: usize, record_bytes: usize, rounds: usize) 
         for (row, store) in rows.iter_mut().zip(stores) {
             // Every log grows to the same length: the lone writer
             // appends all the records itself.
-            let each = threads * per_thread / row.writers;
-            row.ops_per_sec = row
-                .ops_per_sec
-                .max(append_round(store, row.writers, each, &record));
+            let writers = row.x as usize;
+            let each = threads * per_thread / writers;
+            row.value = row.value.max(append_round(store, writers, each, &record));
         }
     }
-    WalReport {
-        host_parallelism: std::thread::available_parallelism().map_or(1, usize::from),
-        rows,
-    }
+    let (speedup, x) = (rows[3].value / rows[2].value, threads as u64);
+    let mut rows = rows.to_vec();
+    rows.push(Row::new("W", "group-commit-speedup", x, speedup, "x"));
+    rows.push(host_parallelism("W"));
+    rows
 }
 
-/// Runs the harness. The caller applies the gate via
-/// [`WalReport::check_gates`].
-#[must_use]
-pub fn run() -> WalReport {
-    sweep(THREADS, APPENDS_PER_THREAD, RECORD_BYTES, ROUNDS)
+/// Runs the harness, prints its rows and asserts its gate: 16 writers
+/// on the group-commit store at least 3× (`REQUIRED_SPEEDUP`) a lone
+/// one.
+///
+/// # Panics
+///
+/// When group commit falls short of the gate.
+pub fn run() -> Vec<Row> {
+    let rows = sweep(THREADS, APPENDS_PER_THREAD, RECORD_BYTES, ROUNDS);
+    rows.iter().for_each(Row::print);
+    let speedup = value_of(&rows, "group-commit-speedup");
+    assert!(
+        speedup >= REQUIRED_SPEEDUP,
+        "group-commit fsync batching regressed: {speedup:.2}x over a lone writer's \
+         fsync-per-record (required >= {REQUIRED_SPEEDUP:.1}x)",
+    );
+    rows
 }
 
 #[cfg(test)]
@@ -177,9 +147,9 @@ mod tests {
 
     #[test]
     fn tiny_sweep_measures_every_row() {
-        let report = sweep(2, 20, 64, 1);
-        assert_eq!(report.rows.map(|row| row.writers), [2, 2, 1, 2]);
-        assert!(report.rows.iter().all(|row| row.ops_per_sec > 0.0));
-        assert!(report.speedup() > 0.0);
+        let rows = sweep(2, 20, 64, 1);
+        let writers: Vec<u64> = rows.iter().map(|row| row.x).collect();
+        assert_eq!(writers, [2, 2, 1, 2, 2, 1]);
+        assert!(rows.iter().all(|row| row.value > 0.0));
     }
 }

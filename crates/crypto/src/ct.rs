@@ -30,19 +30,6 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     nonzero == 0
 }
 
-/// Selects between two words without branching: returns `a` when
-/// `choice == 0` and `b` when `choice == 1`.
-///
-/// # Panics
-///
-/// Panics in debug builds if `choice` is not 0 or 1.
-#[must_use]
-pub fn ct_select_u64(choice: u64, a: u64, b: u64) -> u64 {
-    debug_assert!(choice <= 1);
-    let mask = choice.wrapping_neg(); // 0 or all-ones
-    a ^ (mask & (a ^ b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,13 +55,5 @@ mod tests {
     fn length_mismatch_is_unequal() {
         assert!(!ct_eq(b"abc", b"abcd"));
         assert!(!ct_eq(b"", b"a"));
-    }
-
-    #[test]
-    fn select_picks_correct_word() {
-        assert_eq!(ct_select_u64(0, 5, 9), 5);
-        assert_eq!(ct_select_u64(1, 5, 9), 9);
-        assert_eq!(ct_select_u64(0, u64::MAX, 0), u64::MAX);
-        assert_eq!(ct_select_u64(1, u64::MAX, 0), 0);
     }
 }

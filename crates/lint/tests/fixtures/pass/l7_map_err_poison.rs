@@ -1,10 +1,11 @@
 // lint-fixture: path=crates/accounting/src/journal.rs rule=L7
 // The journal's durable wait and its compaction route every storage
-// error through the latch before passing it up: the first failure
-// fences every later operation.
+// error through the function that sets the latch before passing it up:
+// the first failure fences every later operation.
 
 struct Journal {
     store: Option<Arc<dyn Storage>>,
+    poisoned: OnceLock<StorageError>,
 }
 
 struct OpGuard<'a> {
@@ -30,5 +31,17 @@ impl Journal {
         store
             .install_snapshot(snapshot)
             .map_err(|e| self.poison(e))
+    }
+
+    fn check_poison(&self) -> Result<(), AcctError> {
+        match self.poisoned.get() {
+            Some(e) => Err(AcctError::Storage(e.clone())),
+            None => Ok(()),
+        }
+    }
+
+    fn poison(&self, e: StorageError) -> AcctError {
+        let _ = self.poisoned.set(e.clone());
+        AcctError::Storage(e)
     }
 }

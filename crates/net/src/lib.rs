@@ -1,20 +1,14 @@
 //! # proxy-net
 //!
 //! The service layer that puts the paper's servers on a network: a
-//! [`Transport`] abstraction with two implementations, a [`ServiceMux`]
-//! that dispatches decoded [`proxy_wire`] frames into the service
-//! crates' concurrent hot paths, and a pooled blocking [`TcpClient`]
-//! with per-request deadlines, bounded retries, and jittered backoff.
-//!
-//! * [`Loopback`] — in-process: every message round-trips through its
-//!   real frame encoding and is tallied on a [`netsim::Network`] link
-//!   via the atomic-only [`netsim::Network::record`] path, so the
-//!   deterministic figure harnesses keep their exact counts.
-//! * [`EventLoopServer`]/[`TcpClient`] — real TCP: each server worker
-//!   owns a [`proxy_runtime::Poller`] (one epoll instance) and drains
-//!   thousands of nonblocking connections through per-connection state
-//!   machines with write-queue backpressure and idle reaping; the
-//!   client is std-only and blocking.
+//! [`Transport`] abstraction, a [`ServiceMux`] that dispatches decoded
+//! [`proxy_wire`] frames into the service crates' concurrent hot paths,
+//! and real TCP on both sides. Each [`EventLoopServer`] worker owns a
+//! [`proxy_runtime::Poller`] (one epoll instance) and drains thousands
+//! of nonblocking connections through per-connection state machines
+//! with write-queue backpressure and idle reaping. The pooled blocking
+//! [`TcpClient`] is std-only, with per-request deadlines, bounded
+//! retries, and jittered backoff.
 //!
 //! The servers behind the mux are the *same instances* an in-process
 //! caller would use; networking is a layer, not a fork of the logic.
@@ -48,4 +42,4 @@ pub use client::{ClientOptions, RetryPolicy, TcpClient};
 pub use error::NetError;
 pub use event_loop::{EventLoopOptions, EventLoopServer};
 pub use mux::ServiceMux;
-pub use transport::{Loopback, Transport};
+pub use transport::Transport;

@@ -1,12 +1,11 @@
-//! Loopback transport: every call round-trips real wire frames, denials
-//! arrive as typed remote errors, and the `netsim` tallies recorded for
-//! a fixed seed are bit-for-bit reproducible.
+//! The typed client API over a real socket: grants, check writing and
+//! the rest of the protocol round-trip `EventLoopServer` and
+//! `TcpClient`, and every denial arrives as a typed remote error.
 
 use std::sync::Arc;
 
-use netsim::{EndpointId, Network};
 use proxy_net::{
-    api, EventLoopOptions, EventLoopServer, Loopback, NetError, ServiceMux, TcpClient,
+    api, ClientOptions, EventLoopOptions, EventLoopServer, NetError, ServiceMux, TcpClient,
 };
 use proxy_wire::ErrorCode;
 use rand::rngs::StdRng;
@@ -63,86 +62,25 @@ fn fig3_mux() -> ServiceMux<MapResolver> {
         .with_groups(Arc::new(groups))
 }
 
-/// Runs the Fig. 3 flow (grant, then present) over a loopback transport
-/// and returns the network's tallies.
-fn run_fig3_over_loopback(seed: u64) -> (u64, u64) {
-    let net = Arc::new(Network::new(seed));
-    let mux = Arc::new(fig3_mux());
-    let t = Loopback::new(
-        Arc::clone(&mux),
-        Arc::clone(&net),
-        EndpointId::new("C"),
-        EndpointId::new("R"),
-        seed,
-    );
-    let proxy = api::request_authorization(
-        &t,
-        &p("C"),
-        vec![],
-        &p("S"),
-        &Operation::new("read"),
-        &ObjectName::new("X"),
-        window(),
-        Timestamp(1),
-    )
-    .expect("authorization granted");
-
-    let (principals, _groups) = api::end_request(
-        &t,
-        &Operation::new("read"),
-        &ObjectName::new("X"),
-        vec![p("C")],
-        vec![proxy.present_bearer([7u8; 32], &p("S"))],
-        Timestamp(2),
-        vec![],
-    )
-    .expect("end-server accepts");
-    assert!(principals.contains(&p("R")));
-
-    (net.total_messages(), net.total_bytes())
+/// `mux` behind a fresh one-worker event-loop server, and a client of
+/// it. The server stops when its handle drops.
+fn serve(mux: Arc<ServiceMux<MapResolver>>, seed: u64) -> (EventLoopServer, TcpClient) {
+    let server =
+        EventLoopServer::spawn_with(mux, EventLoopOptions::default(), seed).expect("spawn server");
+    let client = TcpClient::new(server.addr(), ClientOptions::default());
+    (server, client)
 }
 
 #[test]
-fn fig3_flow_works_over_loopback() {
-    let (messages, bytes) = run_fig3_over_loopback(42);
-    // Two calls, each one request + one reply.
-    assert_eq!(messages, 4);
-    assert!(bytes > 0);
-}
-
-#[test]
-fn loopback_tallies_are_deterministic() {
-    let a = run_fig3_over_loopback(42);
-    let b = run_fig3_over_loopback(42);
-    assert_eq!(a, b, "same seed must reproduce identical netsim tallies");
-}
-
-#[test]
-fn group_grant_over_loopback() {
-    let net = Arc::new(Network::new(7));
-    let mux = Arc::new(fig3_mux());
-    let t = Loopback::new(
-        Arc::clone(&mux),
-        net,
-        EndpointId::new("C"),
-        EndpointId::new("G"),
-        7,
-    );
+fn group_grant_over_tcp() {
+    let (_server, t) = serve(Arc::new(fig3_mux()), 7);
     let proxy = api::membership_proxy(&t, &p("C"), &["staff"], window()).expect("member");
     assert!(!proxy.certs.is_empty());
 }
 
 #[test]
 fn denial_is_a_typed_remote_error() {
-    let net = Arc::new(Network::new(9));
-    let mux = Arc::new(fig3_mux());
-    let t = Loopback::new(
-        Arc::clone(&mux),
-        net,
-        EndpointId::new("Z"),
-        EndpointId::new("R"),
-        9,
-    );
+    let (_server, t) = serve(Arc::new(fig3_mux()), 9);
     // "Z" has no rights on X: the denial must come back typed, not as a
     // transport failure.
     let err = api::request_authorization(
@@ -161,15 +99,7 @@ fn denial_is_a_typed_remote_error() {
 
 #[test]
 fn unmounted_service_answers_unavailable() {
-    let net = Arc::new(Network::new(3));
-    let mux: Arc<ServiceMux<MapResolver>> = Arc::new(ServiceMux::new());
-    let t = Loopback::new(
-        Arc::clone(&mux),
-        net,
-        EndpointId::new("C"),
-        EndpointId::new("R"),
-        3,
-    );
+    let (_server, t) = serve(Arc::new(ServiceMux::new()), 3);
     let err = api::membership_proxy(&t, &p("C"), &["staff"], window()).unwrap_err();
     assert_eq!(
         err,
@@ -189,11 +119,11 @@ fn remote_code(err: NetError) -> ErrorCode {
 }
 
 /// §4's check-writing arms — cashier's check, endorsement, certification
-/// — through the typed helpers, over real frames: each reply variant
+/// — through the typed helpers, over a socket: each reply variant
 /// narrows, balances and holds move as the server says, and each denial
 /// arrives as its remote code.
 #[test]
-fn check_write_endorse_and_certify_over_loopback() {
+fn check_write_endorse_and_certify_over_tcp() {
     let usd = Currency::new("USD");
     let mut rng = StdRng::seed_from_u64(5);
     let mut bank = AccountingServer::new(
@@ -205,13 +135,8 @@ fn check_write_endorse_and_certify_over_loopback() {
         .unwrap()
         .credit(usd.clone(), 500);
     let bank = Arc::new(bank);
-    let mux: Arc<ServiceMux<MapResolver>> =
-        Arc::new(ServiceMux::new().with_accounting(Arc::clone(&bank)));
-    let t = Loopback::new(
-        mux,
-        Arc::new(Network::new(5)),
-        EndpointId::new("carol"),
-        EndpointId::new("bank"),
+    let (_server, t) = serve(
+        Arc::new(ServiceMux::new().with_accounting(Arc::clone(&bank))),
         5,
     );
     // (balance, held) of an account.
@@ -288,8 +213,8 @@ fn check_write_endorse_and_certify_over_loopback() {
     assert_eq!(funds("carol-acct"), (200, 100));
 }
 
-/// The same flow the loopback tests run, over a real socket: proof that
-/// code written against [`Transport`] runs unchanged on TCP.
+/// Fig. 3 (grant, then present) through the typed helpers, which take
+/// any [`proxy_net::Transport`].
 #[test]
 fn fig3_flow_works_over_tcp() {
     let server = EventLoopServer::spawn_with(
@@ -301,7 +226,7 @@ fn fig3_flow_works_over_tcp() {
         11,
     )
     .expect("spawn server");
-    let client = TcpClient::new(server.addr(), proxy_net::ClientOptions::default());
+    let client = TcpClient::new(server.addr(), ClientOptions::default());
     let proxy = api::request_authorization(
         &client,
         &p("C"),

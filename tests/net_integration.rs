@@ -1,6 +1,5 @@
 //! End-to-end networked protocol flows: the paper's three servers on
-//! real TCP loopback sockets, driven through the typed client API, plus
-//! the loopback-transport determinism acceptance check.
+//! real TCP loopback sockets, driven through the typed client API.
 
 use std::sync::Arc;
 
@@ -9,9 +8,8 @@ use proxy_aa::authz::{Acl, AclRights, AclSubject, AuthorizationServer, EndServer
 use proxy_aa::crypto::ed25519::SigningKey;
 use proxy_aa::crypto::keys::SymmetricKey;
 use proxy_aa::net::{
-    api, ClientOptions, Deposit, EventLoopOptions, EventLoopServer, Loopback, ServiceMux, TcpClient,
+    api, ClientOptions, Deposit, EventLoopOptions, EventLoopServer, ServiceMux, TcpClient,
 };
-use proxy_aa::netsim::{EndpointId, Network};
 use proxy_aa::proxy::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -240,39 +238,4 @@ fn concurrent_clients_share_one_tcp_server() {
     });
     // All four workers settled on kept-alive pooled connections.
     assert!(c.pooled_connections() <= 4);
-}
-
-/// Acceptance: the in-proc loopback transport keeps netsim tallies
-/// deterministic — two identical runs record identical counts.
-#[test]
-fn loopback_netsim_tallies_are_deterministic() {
-    let run = |seed: u64| -> (u64, u64) {
-        let w = world(3);
-        let net = Arc::new(Network::new(seed));
-        let t = Loopback::new(
-            Arc::new(w.authz),
-            Arc::clone(&net),
-            EndpointId::new("C"),
-            EndpointId::new("R"),
-            seed,
-        );
-        for _ in 0..10 {
-            api::request_authorization(
-                &t,
-                &p("C"),
-                vec![],
-                &p("S"),
-                &Operation::new("read"),
-                &ObjectName::new("X"),
-                window(),
-                Timestamp(1),
-            )
-            .expect("authorized over loopback");
-        }
-        (net.total_messages(), net.total_bytes())
-    };
-    let a = run(17);
-    let b = run(17);
-    assert_eq!(a, b, "loopback tallies must be reproducible");
-    assert_eq!(a.0, 20, "10 requests, 10 replies");
 }
