@@ -275,16 +275,16 @@ impl Account {
     pub fn decode_from(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let name = d.str()?.to_string();
         let mut owners = Vec::new();
-        for _ in 0..d.counted(2)? {
+        for _ in 0..d.counted(2)?.get() {
             owners.push(d.principal()?);
         }
         let mut balances = HashMap::new();
-        for _ in 0..d.counted(10)? {
+        for _ in 0..d.counted(10)?.get() {
             let c = Currency::new(d.str()?);
             balances.insert(c, d.u64()?);
         }
         let mut holds = HashMap::new();
-        for _ in 0..d.counted(20)? {
+        for _ in 0..d.counted(20)?.get() {
             let no = d.u64()?;
             let currency = Currency::new(d.str()?);
             let amount = d.u64()?;
@@ -299,7 +299,7 @@ impl Account {
             );
         }
         let mut allocated = HashMap::new();
-        for _ in 0..d.counted(10)? {
+        for _ in 0..d.counted(10)?.get() {
             let c = Currency::new(d.str()?);
             allocated.insert(c, d.u64()?);
         }

@@ -47,13 +47,14 @@
 
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
-use proxy_storage::{Storage, StorageError, Ticket};
+use proxy_storage::{Latch, Latched, Storage, StorageError, Ticket};
 use restricted_proxy::encode::{Decoder, Encoder};
 use restricted_proxy::principal::PrincipalId;
 use restricted_proxy::replay::{ReplayCache, ReplayGuard};
 use restricted_proxy::restriction::Currency;
+use restricted_proxy::shard::rank;
 use restricted_proxy::time::Timestamp;
 
 use crate::account::Account;
@@ -204,7 +205,7 @@ fn enc_marks(e: &mut Encoder, marks: &[ReplayMark]) {
 
 fn dec_marks(d: &mut Decoder<'_>) -> Result<Vec<ReplayMark>, AcctError> {
     let mut marks = Vec::new();
-    for _ in 0..d.counted(18)? {
+    for _ in 0..d.counted(18)?.get() {
         marks.push(ReplayMark {
             grantor: d.principal()?,
             id: d.u64()?,
@@ -333,7 +334,7 @@ impl JournalRecord {
             TAG_OPEN_ACCOUNT => {
                 let name = d.str()?.to_string();
                 let mut owners = Vec::new();
-                for _ in 0..d.counted(2)? {
+                for _ in 0..d.counted(2)?.get() {
                     owners.push(d.principal()?);
                 }
                 JournalRecord::OpenAccount { name, owners }
@@ -485,10 +486,11 @@ impl OpGuard<'_> {
     /// and the caller cannot apply the mutation.
     pub(crate) fn stage(&mut self, rec: JournalRecord) -> Result<Logged, AcctError> {
         if let Some(store) = &self.journal.store {
-            self.journal.check_poison()?;
-            let ticket = store
-                .stage(&rec.encode())
-                .map_err(|e| self.journal.poison(e))?;
+            let ticket = self
+                .journal
+                .latch
+                .run(|| store.stage(&rec.encode()))
+                .into_result()?;
             self.journal.staged.fetch_add(1, Ordering::Relaxed);
             self.last = Some(ticket);
         }
@@ -505,13 +507,14 @@ impl OpGuard<'_> {
     ///
     /// [`AcctError::Storage`] on failure; the journal is then poisoned
     /// and no success reply may be sent.
-    fn wait(self) -> Result<(), AcctError> {
-        match (&self.journal.store, self.last) {
-            (Some(store), Some(ticket)) => store
-                .wait_durable(ticket)
-                .map_err(|e| self.journal.poison(e)),
-            _ => Ok(()),
-        }
+    fn wait(self) -> Latched<()> {
+        rank::assert_unheld("the journal's durable wait");
+        self.journal
+            .latch
+            .run(|| match (&self.journal.store, self.last) {
+                (Some(store), Some(ticket)) => store.wait_durable(ticket),
+                _ => Ok(()),
+            })
     }
 }
 
@@ -527,7 +530,7 @@ pub struct Journal {
     /// locks → storage internals).
     gate: RwLock<()>,
     /// First storage failure, replayed to every later caller.
-    poisoned: OnceLock<StorageError>,
+    latch: Latch,
     /// Records staged since the last snapshot install.
     staged: AtomicU64,
 }
@@ -543,7 +546,7 @@ impl Journal {
         Self {
             store: None,
             gate: RwLock::new(()),
-            poisoned: OnceLock::new(),
+            latch: Latch::default(),
             staged: AtomicU64::new(0),
         }
     }
@@ -576,21 +579,6 @@ impl Journal {
         })
     }
 
-    fn check_poison(&self) -> Result<(), AcctError> {
-        match self.poisoned.get() {
-            Some(e) => Err(AcctError::Storage(e.clone())),
-            None => Ok(()),
-        }
-    }
-
-    /// Latches the journal failed — every later `run`/`stage` returns
-    /// the first stored error — and hands the failure back as the
-    /// caller's error.
-    fn poison(&self, e: StorageError) -> AcctError {
-        let _ = self.poisoned.set(e.clone());
-        AcctError::Storage(e)
-    }
-
     /// The one scope of a state-changing operation. Installs a compacted
     /// snapshot (the records `snapshot` builds) if
     /// [`Self::SNAPSHOT_EVERY`] records have accumulated, checks the
@@ -618,7 +606,7 @@ impl Journal {
         if self.staged.load(Ordering::Relaxed) >= Self::SNAPSHOT_EVERY {
             self.install(Self::SNAPSHOT_EVERY, snapshot)?;
         }
-        self.check_poison()?;
+        self.latch.check()?;
         let mut op = OpGuard {
             journal: self,
             _gate: self
@@ -629,10 +617,13 @@ impl Journal {
             staged: false,
         };
         match body(&mut op) {
-            Ok(reply) => op.wait().map(|()| reply),
+            Ok(reply) => {
+                op.wait().into_result()?;
+                Ok(reply)
+            }
             Err(why) => {
                 if op.staged {
-                    let _ = self.poisoned.set(StorageError::Poisoned);
+                    let _ = self.latch.run(|| Err::<(), _>(StorageError::Poisoned));
                 }
                 Err(why)
             }
@@ -666,13 +657,13 @@ impl Journal {
             return Ok(());
         };
         let _excl = self.gate.write().unwrap_or_else(PoisonError::into_inner);
-        self.check_poison()?;
+        self.latch.check()?;
         if self.staged.load(Ordering::Relaxed) < due {
             return Ok(());
         }
-        store
-            .install_snapshot(&encode_snapshot(&build()))
-            .map_err(|e| self.poison(e))?;
+        self.latch
+            .run(|| store.install_snapshot(&encode_snapshot(&build())))
+            .into_result()?;
         self.staged.store(0, Ordering::Relaxed);
         Ok(())
     }

@@ -440,8 +440,15 @@ impl Ledger {
     /// past the new bound if need be.
     pub(crate) fn resize_replay(&mut self, capacity: usize) {
         let resized = ReplayCache::with_capacity(capacity, ReplayCache::DEFAULT_SHARDS);
-        self.replay
-            .for_each_entry(|grantor, id, expires| resized.rehydrate(grantor, id, expires));
+        // Read out, then written in: one replay shard at a time (the
+        // lock-rank witness, `restricted_proxy::shard::rank`).
+        let mut marks = Vec::new();
+        self.replay.for_each_entry(|grantor, id, expires| {
+            marks.push((grantor.clone(), id, expires));
+        });
+        for (grantor, id, expires) in &marks {
+            resized.rehydrate(grantor, *id, *expires);
+        }
         self.replay = resized;
     }
 

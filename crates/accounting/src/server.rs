@@ -25,6 +25,7 @@ use restricted_proxy::restriction::{
     AuthorizedEntry, Currency, ObjectName, Operation, Restriction, RestrictionSet,
 };
 use restricted_proxy::revocation::{ArtifactError, RevocationArtifact, RevocationDirectory};
+use restricted_proxy::shard::rank;
 use restricted_proxy::time::{Timestamp, Validity};
 use restricted_proxy::verify::{Prepared, Verifier};
 
@@ -531,6 +532,7 @@ impl AccountingServer {
         rng: &mut R,
         mut decided: impl FnMut(usize, Result<DepositOutcome, AcctError>),
     ) {
+        rank::assert_unheld("AccountingServer::deposit_all");
         let DepositGroup { staged, prepared } = group;
         staged.clear();
         prepared.clear();

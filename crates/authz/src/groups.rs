@@ -19,6 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::RngCore;
 
+use restricted_proxy::encode::Bounded;
 use restricted_proxy::epoch::{ArtifactKind, DeltaLog};
 use restricted_proxy::key::GrantAuthority;
 use restricted_proxy::membership::{member_digest, MemberDigest, MembershipArtifact};
@@ -229,7 +230,7 @@ impl GroupServer {
         validity: Validity,
         rng: &mut R,
     ) -> Result<Proxy, AuthzError> {
-        let mut names = Vec::with_capacity(groups.len());
+        let mut names = Bounded::len_of(groups).vec();
         for g in groups {
             let status = self.groups.read(&(*g).to_string(), |state| {
                 state.map(|s| s.members.contains(requester))

@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rand::RngCore;
 
 use restricted_proxy::context::RequestContext;
+use restricted_proxy::encode::Bounded;
 use restricted_proxy::key::{GrantAuthority, KeyResolver};
 use restricted_proxy::present::Presentation;
 use restricted_proxy::principal::PrincipalId;
@@ -186,8 +187,11 @@ impl<R: KeyResolver> AuthorizationServer<R> {
         // Assembled into one pre-sized set — chaining `union` here would
         // clone the accumulated set once per source, which dominated the
         // grant path's allocation profile.
-        let mut restrictions =
-            RestrictionSet::with_capacity(2 + entry.rights.restrictions.len() + propagated.len());
+        let mut restrictions = RestrictionSet::with_capacity(
+            Bounded::len_of(entry.rights.restrictions.iter().as_slice())
+                .plus(Bounded::len_of(propagated.iter().as_slice()))
+                .plus(Bounded::fixed::<2>()),
+        );
         restrictions.push(Restriction::Authorized {
             entries: vec![AuthorizedEntry::ops(
                 object.clone(),

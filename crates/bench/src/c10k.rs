@@ -17,11 +17,17 @@
 //! Latency is recorded per burst (send of a connection's burst to its
 //! last reply), so a point's p50/p99 reflect what one pipelined client
 //! experiences while `N − GROUP` other connections sit open.
+//!
+//! A point's p99 is the median, over its rounds (at least sixteen, each
+//! the same 64 bursts at every point, the points' rounds interleaved),
+//! of each round's p99: a stall of a shared host moves one of those,
+//! where it would move a p99 pooled over the point's bursts as far as it
+//! likes.
 
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use proxy_authz::{Acl, AclRights, AclSubject, AuthorizationServer};
 use proxy_crypto::keys::SymmetricKey;
@@ -37,7 +43,13 @@ use crate::{percentile, rng, value_of, window, Row};
 /// collect a meaningful sample): the full sweep, and the smoke sweep
 /// `ci.sh` runs.
 const FULL: (&[usize], u64) = (&[64, 512, 2048, 6000], 8192);
-const SMOKE: (&[usize], u64) = (&[64, 512], 2048);
+const SMOKE: (&[usize], u64) = (&[64, 2048], 2048);
+/// Rounds every point runs at least, so its p99 is a median of that many.
+const MIN_ROUNDS: u64 = 16;
+/// Groups of bursts in one measured round, at every point alike: a round
+/// lasts as long at 6 000 connections as at 64, so a stall of the host
+/// is as likely to land in a round of either.
+const ROUND_GROUPS: usize = 4;
 /// Connections with a burst in flight at any moment.
 const GROUP: usize = 16;
 /// Pipelined requests per connection per burst.
@@ -79,96 +91,29 @@ fn authz_query() -> Message {
     }
 }
 
-/// Opens `n` connections, then drives `rounds` round-robin sweeps of
-/// depth-[`BURST`] pipelined bursts in groups of [`GROUP`], measuring each
-/// burst's round trip. Returns the point's rows at `x = n`: throughput,
-/// burst p50 and p99, and the time to open the connections.
-fn drive(addr: std::net::SocketAddr, n: usize, min_total_ops: u64) -> [Row; 4] {
-    let connect_start = Instant::now();
-    let mut conns: Vec<TcpStream> = (0..n)
-        .map(|_| {
-            let s = TcpStream::connect(addr).expect("c10k connect");
-            s.set_nodelay(true).expect("nodelay");
-            s
-        })
-        .collect();
-    let connect_secs = connect_start.elapsed().as_secs_f64();
-
-    let frame = authz_query();
-    let per_round = (n * BURST) as u64;
-    let rounds = min_total_ops.div_ceil(per_round.max(1)).max(1);
-
-    let mut latencies: Vec<u64> = Vec::with_capacity((rounds * n as u64) as usize);
-    let mut request_id: u64 = 0;
-
-    // One full rotation over all connections, reply-buffer by
-    // reply-buffer, measured per burst from its write to its last reply
-    // — which includes the queueing the whole in-flight window imposes,
-    // the figure a loaded client actually sees.
-    let rotate = |conns: &mut [TcpStream], request_id: &mut u64, sample: &mut Vec<u64>| {
-        for chunk_start in (0..n).step_by(GROUP) {
-            let chunk_end = (chunk_start + GROUP).min(n);
-            // Send a pipelined burst on every connection in the group…
-            let mut burst_starts: Vec<(usize, Instant, u64)> = Vec::with_capacity(GROUP);
-            for (c, conn) in conns
-                .iter_mut()
-                .enumerate()
-                .take(chunk_end)
-                .skip(chunk_start)
-            {
-                let mut bytes = Vec::new();
-                let first_id = *request_id;
-                for _ in 0..BURST {
-                    bytes.extend_from_slice(&frame.to_frame(*request_id));
-                    *request_id += 1;
-                }
-                let t0 = Instant::now();
-                conn.write_all(&bytes).expect("burst write");
-                burst_starts.push((c, t0, first_id));
-            }
-            // …then collect every reply.
-            for (c, t0, first_id) in burst_starts {
-                for k in 0..BURST {
-                    let (header, _body) = read_frame(&mut conns[c]).expect("burst reply");
-                    assert_eq!(header.request_id, first_id + k as u64);
-                    assert_ne!(header.msg_type, 0x7F, "authz query must not error");
-                }
-                sample.push(t0.elapsed().as_micros() as u64);
-            }
-        }
-    };
-
-    // Warm-up rotation, unmeasured: first-touch costs (server-side
-    // connection install, buffer growth, allocator and cache warm-up)
-    // land here, so the measured rounds compare steady states across
-    // connection counts rather than cold-start slopes.
-    rotate(&mut conns, &mut request_id, &mut Vec::new());
-
-    let started = Instant::now();
-    for _ in 0..rounds {
-        rotate(&mut conns, &mut request_id, &mut latencies);
-    }
-    let elapsed = started.elapsed();
-
-    latencies.sort_unstable();
-    let ops_per_s = (rounds * per_round) as f64 / elapsed.as_secs_f64().max(1e-9);
-    let p50 = percentile(&latencies, 50.0) as f64;
-    let p99 = percentile(&latencies, 99.0) as f64;
-    let point = |series, value, unit| Row::new("C10K", series, n as u64, value, unit);
-    [
-        point("event-loop-throughput", ops_per_s, "ops/s"),
-        point("event-loop-burst-p50", p50, "µs"),
-        point("event-loop-burst-p99", p99, "µs"),
-        point("event-loop-connect", connect_secs, "s"),
-    ]
+/// One connection count of the sweep: its server, its open connections
+/// and what its rounds measured so far.
+struct Point {
+    n: usize,
+    _server: EventLoopServer,
+    conns: Vec<TcpStream>,
+    /// The connection the next group starts at.
+    next: usize,
+    connect_secs: f64,
+    rounds: u64,
+    request_id: u64,
+    latencies: Vec<u64>,
+    round_p99s: Vec<u64>,
+    busy: Duration,
 }
 
-/// A fresh event-loop server per connection count in `conns`, each
-/// point's rows, then `event-loop-p99-ratio`: the p99 at the last count
-/// over the p99 at the first.
-fn sweep(conns: &[usize], min_total_ops: u64) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for &n in conns {
+impl Point {
+    /// A fresh event-loop server with `n` connections open, warmed by one
+    /// unmeasured rotation over all of them: first-touch costs
+    /// (server-side connection install, buffer growth, allocator and
+    /// cache warm-up) land there, so the measured rounds compare steady
+    /// states across connection counts rather than cold-start slopes.
+    fn open(n: usize, min_total_ops: u64, frame: &Message) -> Point {
         let server = EventLoopServer::spawn_with(
             fig3_mux(),
             EventLoopOptions {
@@ -178,8 +123,124 @@ fn sweep(conns: &[usize], min_total_ops: u64) -> Vec<Row> {
             31,
         )
         .expect("spawn event-loop server");
-        rows.extend(drive(server.addr(), n, min_total_ops));
+        let connect_start = Instant::now();
+        let conns = (0..n)
+            .map(|_| {
+                let s = TcpStream::connect(server.addr()).expect("c10k connect");
+                s.set_nodelay(true).expect("nodelay");
+                s
+            })
+            .collect();
+        let connect_secs = connect_start.elapsed().as_secs_f64();
+        // Enough rounds for the point's requests, and for every
+        // connection to be measured once.
+        let per_round = (ROUND_GROUPS * GROUP * BURST) as u64;
+        let rounds = min_total_ops
+            .div_ceil(per_round)
+            .max(n.div_ceil(ROUND_GROUPS * GROUP) as u64)
+            .max(MIN_ROUNDS);
+        let mut point = Point {
+            n,
+            _server: server,
+            conns,
+            next: 0,
+            connect_secs,
+            rounds,
+            request_id: 0,
+            latencies: Vec::with_capacity((rounds * n as u64) as usize),
+            round_p99s: Vec::with_capacity(rounds as usize),
+            busy: Duration::ZERO,
+        };
+        point.groups(n.div_ceil(GROUP), frame, &mut Vec::new());
+        point
     }
+
+    /// `count` groups of [`GROUP`] depth-[`BURST`] pipelined bursts, on
+    /// the connections round-robin from where the last group stopped,
+    /// each burst measured from its write to its last reply — which
+    /// includes the queueing the whole in-flight window imposes, the
+    /// figure a loaded client actually sees.
+    fn groups(&mut self, count: usize, frame: &Message, sample: &mut Vec<u64>) {
+        for _ in 0..count {
+            let group: Vec<usize> = (0..GROUP.min(self.n))
+                .map(|i| (self.next + i) % self.n)
+                .collect();
+            self.next = (self.next + GROUP) % self.n;
+            // Send a pipelined burst on every connection in the group…
+            let mut burst_starts: Vec<(usize, Instant, u64)> = Vec::with_capacity(GROUP);
+            for c in group {
+                let mut bytes = Vec::new();
+                let first_id = self.request_id;
+                for _ in 0..BURST {
+                    bytes.extend_from_slice(&frame.to_frame(self.request_id));
+                    self.request_id += 1;
+                }
+                let t0 = Instant::now();
+                self.conns[c].write_all(&bytes).expect("burst write");
+                burst_starts.push((c, t0, first_id));
+            }
+            // …then collect every reply.
+            for (c, t0, first_id) in burst_starts {
+                for k in 0..BURST {
+                    let (header, _body) = read_frame(&mut self.conns[c]).expect("burst reply");
+                    assert_eq!(header.request_id, first_id + k as u64);
+                    assert_ne!(header.msg_type, 0x7F, "authz query must not error");
+                }
+                sample.push(t0.elapsed().as_micros() as u64);
+            }
+        }
+    }
+
+    /// One measured round: its bursts join the point's sample, and its
+    /// p99 the point's per-round p99s.
+    fn round(&mut self, frame: &Message, round: &mut Vec<u64>) {
+        round.clear();
+        let started = Instant::now();
+        self.groups(ROUND_GROUPS, frame, round);
+        self.busy += started.elapsed();
+        self.latencies.extend_from_slice(round);
+        round.sort_unstable();
+        self.round_p99s.push(percentile(round, 99.0));
+    }
+
+    /// The point's rows at `x = n`: throughput, burst p50, the median of
+    /// the rounds' burst p99s, and the time to open the connections.
+    fn rows(mut self) -> [Row; 4] {
+        self.latencies.sort_unstable();
+        self.round_p99s.sort_unstable();
+        let ops = self.rounds * (ROUND_GROUPS * GROUP * BURST) as u64;
+        let ops_per_s = ops as f64 / self.busy.as_secs_f64().max(1e-9);
+        let p50 = percentile(&self.latencies, 50.0) as f64;
+        let p99 = percentile(&self.round_p99s, 50.0) as f64;
+        let point = |series, value, unit| Row::new("C10K", series, self.n as u64, value, unit);
+        [
+            point("event-loop-throughput", ops_per_s, "ops/s"),
+            point("event-loop-burst-p50", p50, "µs"),
+            point("event-loop-burst-p99", p99, "µs"),
+            point("event-loop-connect", self.connect_secs, "s"),
+        ]
+    }
+}
+
+/// A fresh event-loop server per connection count in `conns`, all open
+/// at once, their measured rounds interleaved so a noisy stretch of the
+/// host falls on every point alike; then each point's rows, and
+/// `event-loop-p99-ratio`: the p99 (the median of the rounds' p99s) at
+/// the last count over the p99 at the first.
+fn sweep(conns: &[usize], min_total_ops: u64) -> Vec<Row> {
+    let frame = authz_query();
+    let mut points: Vec<Point> = conns
+        .iter()
+        .map(|&n| Point::open(n, min_total_ops, &frame))
+        .collect();
+    let most = points.iter().map(|p| p.rounds).max().unwrap_or(0);
+    let mut round = Vec::new();
+    for r in 0..most {
+        for point in points.iter_mut().filter(|p| r < p.rounds) {
+            point.round(&frame, &mut round);
+        }
+    }
+    let mut rows: Vec<Row> = points.into_iter().flat_map(Point::rows).collect();
     let p99: Vec<f64> = rows
         .iter()
         .filter(|row| row.series == "event-loop-burst-p99")
@@ -195,8 +256,8 @@ fn sweep(conns: &[usize], min_total_ops: u64) -> Vec<Row> {
 }
 
 /// Runs the C10k sweep, full or smoke, prints its rows and asserts its
-/// gates: p99 at the highest connection count within 2× of the lowest,
-/// and (full) at least 5 000 connections.
+/// gates: p99 (the median of the rounds' p99s) at the highest connection
+/// count within 2× of the lowest, and (full) at least 5 000 connections.
 ///
 /// # Panics
 ///

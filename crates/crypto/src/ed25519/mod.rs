@@ -47,6 +47,7 @@ use std::sync::OnceLock;
 
 use rand::RngCore;
 
+use crate::ct::Secret;
 use crate::sha512::Sha512;
 use edwards::{DecompressError, Point, PreparedPoint, StrausTerm};
 use scalar::Scalar;
@@ -384,7 +385,7 @@ impl std::fmt::Debug for VerifyingKey {
 /// decoded, stored or forwarded never pays for the expansion.
 #[derive(Clone)]
 pub struct SigningKey {
-    seed: [u8; SEED_LEN],
+    seed: Secret<SEED_LEN>,
     expanded: OnceLock<ExpandedKey>,
 }
 
@@ -425,14 +426,14 @@ impl SigningKey {
     #[must_use]
     pub fn from_seed(seed: &[u8; SEED_LEN]) -> Self {
         Self {
-            seed: *seed,
+            seed: Secret::new(*seed),
             expanded: OnceLock::new(),
         }
     }
 
     fn expanded(&self) -> &ExpandedKey {
         self.expanded
-            .get_or_init(|| ExpandedKey::from_seed(&self.seed))
+            .get_or_init(|| ExpandedKey::from_seed(self.seed.expose()))
     }
 
     /// The 32-byte seed this key expands from (RFC 8032 private key).
@@ -441,7 +442,7 @@ impl SigningKey {
     /// confidentiality-protected channel.
     #[must_use]
     pub fn seed(&self) -> &[u8; SEED_LEN] {
-        &self.seed
+        self.seed.expose()
     }
 
     /// Generates a signing key from `rng`.

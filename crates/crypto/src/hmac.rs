@@ -12,7 +12,7 @@
 
 use std::fmt;
 
-use crate::ct::ct_eq;
+use crate::ct::Secret;
 use crate::sha256::{self, Sha256};
 
 /// Size of an HMAC-SHA-256 tag in bytes.
@@ -66,26 +66,33 @@ impl HmacSha256 {
         self.inner.update(data);
     }
 
-    /// Produces the final tag, consuming the context.
+    /// Produces the final tag, consuming the context. It is a [`Secret`]
+    /// until it is sent: a verifier compares it only through
+    /// [`Secret::ct_eq`].
     #[must_use]
-    pub fn finalize(self) -> [u8; TAG_LEN_256] {
+    pub fn finalize(self) -> Secret<TAG_LEN_256> {
         let mut outer = self.outer;
         outer.update(&self.inner.finalize());
-        outer.finalize()
+        Secret::new(outer.finalize())
     }
 
-    /// One-shot MAC of `data` under `key`.
+    /// One-shot MAC of `data` under `key`: the bytes of a tag to send.
+    /// A received tag is checked with [`Self::verify`].
     #[must_use]
     pub fn mac(key: &[u8], data: &[u8]) -> [u8; TAG_LEN_256] {
-        let mut m = Self::new(key);
-        m.update(data);
-        m.finalize()
+        *Self::keyed(key, data).finalize().expose()
     }
 
     /// Constant-time verification of `tag` over `data` under `key`.
     #[must_use]
     pub fn verify(key: &[u8], data: &[u8], tag: &[u8]) -> bool {
-        ct_eq(&Self::mac(key, data), tag)
+        Self::keyed(key, data).finalize().ct_eq(tag)
+    }
+
+    fn keyed(key: &[u8], data: &[u8]) -> Self {
+        let mut m = Self::new(key);
+        m.update(data);
+        m
     }
 }
 
@@ -166,7 +173,7 @@ mod tests {
             for _ in 0..2 {
                 let mut m = keyed.clone();
                 m.update(&data);
-                assert_eq!(hex(&m.finalize()), tag);
+                assert_eq!(hex(m.finalize().expose()), tag);
             }
             // A clone taken mid-message carries the message so far.
             let (head, tail) = data.split_at(data.len() / 2);
@@ -175,7 +182,7 @@ mod tests {
             let mut second = first.clone();
             first.update(tail);
             second.update(tail);
-            assert_eq!(first.finalize(), second.finalize());
+            assert!(first.finalize().ct_eq(second.finalize().expose()));
         }
     }
 
@@ -194,12 +201,12 @@ mod tests {
         for ((_, data, _), tag) in rfc4231().iter().zip(expected) {
             // First use and warm use alike.
             for _ in 0..2 {
-                assert_eq!(hex(&key.mac(data)), tag);
+                assert_eq!(hex(key.mac(data).expose()), tag);
             }
             assert_eq!(hex(&HmacSha256::mac(&key_bytes, data)), tag);
-            assert!(key.verify_mac(data, &key.mac(data)));
-            assert!(!key.verify_mac(data, &key.mac(data)[..31]));
-            assert!(!key.verify_mac(b"other", &key.mac(data)));
+            assert!(key.verify_mac(data, key.mac(data).expose()));
+            assert!(!key.verify_mac(data, &key.mac(data).expose()[..31]));
+            assert!(!key.verify_mac(b"other", key.mac(data).expose()));
         }
     }
 
@@ -211,7 +218,7 @@ mod tests {
         for chunk in data.chunks(13) {
             m.update(chunk);
         }
-        assert_eq!(m.finalize(), HmacSha256::mac(key, &data));
+        assert_eq!(*m.finalize().expose(), HmacSha256::mac(key, &data));
     }
 
     #[test]

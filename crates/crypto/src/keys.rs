@@ -11,6 +11,7 @@ use std::sync::{Arc, OnceLock};
 use rand::RngCore;
 
 use crate::chacha20;
+use crate::ct::Secret;
 use crate::hmac::{HmacSha256, TAG_LEN_256};
 use crate::seal::SealKeys;
 
@@ -43,20 +44,18 @@ impl std::error::Error for KeyError {}
 
 /// A 256-bit symmetric key (session key, proxy key, or long-term key).
 ///
-/// The `Debug` impl redacts the key bytes, and equality is constant-time
-/// (see the manual [`PartialEq`] below) so comparing an attacker-supplied
-/// key against a real one cannot leak matching-prefix length.
+/// The bytes are a [`Secret`]: `Debug` redacts them, and a key has no
+/// `==`, so neither can any type that holds one derive it.
 ///
 /// Everything SHA-256 computes from the key bytes alone — the two HMAC
 /// pad midstates and the [`crate::seal`] subkeys — is derived on first
 /// use and kept behind one pointer that clones share, so a key that
 /// seals or checks a message per request pays for its pads once. The
 /// pointer, not the ~500 bytes behind it, is what travels in every value
-/// that carries a key. Equality, hashing and `Debug` read the key bytes
-/// only.
+/// that carries a key.
 #[derive(Clone)]
 pub struct SymmetricKey {
-    bytes: [u8; 32],
+    bytes: Secret<32>,
     schedule: OnceLock<Arc<Schedule>>,
 }
 
@@ -67,28 +66,12 @@ struct Schedule {
     seal: OnceLock<SealKeys>,
 }
 
-impl PartialEq for SymmetricKey {
-    fn eq(&self, other: &Self) -> bool {
-        crate::ct::ct_eq(&self.bytes, &other.bytes)
-    }
-}
-
-impl Eq for SymmetricKey {}
-
-// Hash must stay consistent with the manual PartialEq above; ct_eq is plain
-// byte equality with constant-time evaluation, so hashing the bytes agrees.
-impl std::hash::Hash for SymmetricKey {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.bytes.hash(state);
-    }
-}
-
 impl SymmetricKey {
     /// Wraps raw key bytes.
     #[must_use]
     pub fn from_bytes(bytes: [u8; 32]) -> Self {
         Self {
-            bytes,
+            bytes: Secret::new(bytes),
             schedule: OnceLock::new(),
         }
     }
@@ -116,13 +99,13 @@ impl SymmetricKey {
     /// Exposes the raw key bytes (needed to feed MACs and ciphers).
     #[must_use]
     pub fn as_bytes(&self) -> &[u8; 32] {
-        &self.bytes
+        self.bytes.expose()
     }
 
     fn schedule(&self) -> &Schedule {
         self.schedule.get_or_init(|| {
             Arc::new(Schedule {
-                mac: HmacSha256::new(&self.bytes),
+                mac: HmacSha256::new(self.bytes.expose()),
                 seal: OnceLock::new(),
             })
         })
@@ -133,7 +116,7 @@ impl SymmetricKey {
     /// the keyed context the key keeps, so only the first call on a key
     /// (or on a clone taken before it) absorbs the pad blocks.
     #[must_use]
-    pub fn mac(&self, data: &[u8]) -> [u8; TAG_LEN_256] {
+    pub fn mac(&self, data: &[u8]) -> Secret<TAG_LEN_256> {
         let mut m = self.schedule().mac.clone();
         m.update(data);
         m.finalize()
@@ -142,7 +125,7 @@ impl SymmetricKey {
     /// Constant-time verification of `tag` over `data` under this key.
     #[must_use]
     pub fn verify_mac(&self, data: &[u8], tag: &[u8]) -> bool {
-        crate::ct::ct_eq(&self.mac(data), tag)
+        self.mac(data).ct_eq(tag)
     }
 
     /// The subkeys [`crate::seal`] works under.
@@ -266,32 +249,24 @@ mod tests {
     }
 
     #[test]
-    fn eq_hash_and_debug_ignore_whether_the_schedule_exists() {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        fn hash_of(key: &SymmetricKey) -> u64 {
-            let mut h = DefaultHasher::new();
-            key.hash(&mut h);
-            h.finish()
-        }
+    fn tags_and_debug_ignore_whether_the_schedule_exists() {
         let cold = SymmetricKey::from_bytes([7u8; 32]);
         let warm = cold.clone();
         warm.prepare();
         assert!(cold.schedule.get().is_none() && warm.schedule.get().is_some());
-        assert_eq!(cold, warm);
-        assert_eq!(hash_of(&cold), hash_of(&warm));
+        assert!(cold.verify_mac(b"m", warm.mac(b"m").expose()));
         assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
-        assert_ne!(warm, SymmetricKey::from_bytes([8u8; 32]));
+        assert!(!SymmetricKey::from_bytes([8u8; 32]).verify_mac(b"m", warm.mac(b"m").expose()));
     }
 
     #[test]
     fn clones_taken_before_and_after_first_use_give_the_same_tags() {
         let key = SymmetricKey::from_bytes([0x42; 32]);
         let early = key.clone();
-        let tag = key.mac(b"message");
+        let tag = *key.mac(b"message").expose();
         let late = key.clone();
-        assert_eq!(early.mac(b"message"), tag);
-        assert_eq!(late.mac(b"message"), tag);
+        assert_eq!(*early.mac(b"message").expose(), tag);
+        assert_eq!(*late.mac(b"message").expose(), tag);
         assert_eq!(tag, HmacSha256::mac(&[0x42; 32], b"message"));
         // The late clone shares what the key derived; the early one had
         // nothing to share and derived its own.
@@ -321,7 +296,7 @@ mod tests {
                     s.spawn(|| {
                         start.wait();
                         (
-                            key.mac(b"raced"),
+                            *key.mac(b"raced").expose(),
                             crate::seal::seal_with_nonce(&key, &nonce, b"aad", b"raced"),
                         )
                     })
@@ -348,16 +323,16 @@ mod tests {
     }
 
     #[test]
-    fn key_equality_is_constant_time_byte_equality() {
+    fn a_tag_checks_only_under_the_key_that_made_it() {
         let a = SymmetricKey::from_bytes([7u8; 32]);
-        let b = SymmetricKey::from_bytes([7u8; 32]);
-        assert_eq!(a, b);
-        // A single differing byte — anywhere, including the last —
-        // must compare unequal through the ct_eq-backed impl.
+        let tag = a.mac(b"m");
+        assert!(SymmetricKey::from_bytes([7u8; 32]).verify_mac(b"m", tag.expose()));
+        // A single differing key byte — anywhere, including the last —
+        // fails the constant-time compare.
         for i in [0usize, 15, 31] {
             let mut bytes = [7u8; 32];
             bytes[i] ^= 0x01;
-            assert_ne!(a, SymmetricKey::from_bytes(bytes));
+            assert!(!SymmetricKey::from_bytes(bytes).verify_mac(b"m", tag.expose()));
         }
     }
 

@@ -9,7 +9,7 @@
 use rand::RngCore;
 
 use crate::chacha20;
-use crate::ct::ct_eq;
+use crate::ct::Secret;
 use crate::hmac::HmacSha256;
 use crate::keys::{Nonce, SymmetricKey};
 
@@ -44,7 +44,7 @@ const MAC_LABEL: &[u8] = b"proxy-aa seal mac";
 /// derives them once ([`SymmetricKey::seal_keys`]) instead of once per
 /// message.
 pub(crate) struct SealKeys {
-    enc: [u8; 32],
+    enc: Secret<32>,
     mac: HmacSha256,
 }
 
@@ -56,12 +56,12 @@ impl SealKeys {
     pub(crate) fn derive(master: &SymmetricKey) -> Self {
         Self {
             enc: master.mac(ENC_LABEL),
-            mac: HmacSha256::new(&master.mac(MAC_LABEL)),
+            mac: HmacSha256::new(master.mac(MAC_LABEL).expose()),
         }
     }
 
     /// `HMAC(mac_key, nonce || aad_len_le64 || aad || ciphertext)`.
-    fn tag(&self, nonce: &[u8], aad: &[u8], ct: &[u8]) -> [u8; TAG_LEN] {
+    fn tag(&self, nonce: &[u8], aad: &[u8], ct: &[u8]) -> Secret<TAG_LEN> {
         let mut mac = self.mac.clone();
         mac.update(nonce);
         mac.update(&(aad.len() as u64).to_le_bytes());
@@ -85,11 +85,11 @@ pub fn seal<R: RngCore>(key: &SymmetricKey, aad: &[u8], plaintext: &[u8], rng: &
 #[must_use]
 pub fn seal_with_nonce(key: &SymmetricKey, nonce: &Nonce, aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
     let keys = key.seal_keys();
-    let ct = chacha20::encrypt(&keys.enc, nonce.as_bytes(), plaintext);
+    let ct = chacha20::encrypt(keys.enc.expose(), nonce.as_bytes(), plaintext);
     let mut out = Vec::with_capacity(chacha20::NONCE_LEN + ct.len() + TAG_LEN);
     out.extend_from_slice(nonce.as_bytes());
     out.extend_from_slice(&ct);
-    out.extend_from_slice(&keys.tag(nonce.as_bytes(), aad, &ct));
+    out.extend_from_slice(keys.tag(nonce.as_bytes(), aad, &ct).expose());
     out
 }
 
@@ -127,13 +127,13 @@ pub fn seal_key32_with_nonce(
     let ct_end = chacha20::NONCE_LEN + 32;
     out[chacha20::NONCE_LEN..ct_end].copy_from_slice(key32);
     chacha20::xor_stream(
-        &keys.enc,
+        keys.enc.expose(),
         1,
         nonce.as_bytes(),
         &mut out[chacha20::NONCE_LEN..ct_end],
     );
     let tag = keys.tag(nonce.as_bytes(), aad, &out[chacha20::NONCE_LEN..ct_end]);
-    out[ct_end..].copy_from_slice(&tag);
+    out[ct_end..].copy_from_slice(tag.expose());
     out
 }
 
@@ -151,11 +151,11 @@ pub fn open(key: &SymmetricKey, aad: &[u8], sealed: &[u8]) -> Result<Vec<u8>, Se
     let (nonce_bytes, rest) = sealed.split_at(chacha20::NONCE_LEN);
     let (ct, tag) = rest.split_at(rest.len() - TAG_LEN);
     let keys = key.seal_keys();
-    if !ct_eq(&keys.tag(nonce_bytes, aad, ct), tag) {
+    if !keys.tag(nonce_bytes, aad, ct).ct_eq(tag) {
         return Err(SealError::BadTag);
     }
     let nonce: [u8; chacha20::NONCE_LEN] = nonce_bytes.try_into().expect("split length");
-    Ok(chacha20::decrypt(&keys.enc, &nonce, ct))
+    Ok(chacha20::decrypt(keys.enc.expose(), &nonce, ct))
 }
 
 #[cfg(test)]
@@ -249,9 +249,9 @@ mod tests {
         assert_ne!(enc, mac);
         for _ in 0..2 {
             let keys = SealKeys::derive(&key());
-            assert_eq!(keys.enc, enc);
+            assert_eq!(*keys.enc.expose(), enc);
             assert_eq!(
-                keys.tag(b"nonce", b"aad", b"ct"),
+                *keys.tag(b"nonce", b"aad", b"ct").expose(),
                 HmacSha256::mac(&mac, b"nonce\x03\0\0\0\0\0\0\0aadct")
             );
         }

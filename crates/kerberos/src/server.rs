@@ -16,7 +16,7 @@ use crate::ticket::{Authenticator, Ticket};
 
 /// The result of accepting a ticket: who the peer is, under what session
 /// key, and with which restrictions.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct Accepted {
     /// The authenticated client (or the grantor, for a proxy).
     pub client: PrincipalId,
@@ -286,8 +286,8 @@ mod tests {
         let auth = f.alice.make_authenticator(&creds, 1, &mut f.rng);
         assert!(f.fs.accept(&creds.ticket_blob, &auth, 1).is_ok());
         assert_eq!(
-            f.fs.accept(&creds.ticket_blob, &auth, 2),
-            Err(KrbError::ReplayDetected)
+            f.fs.accept(&creds.ticket_blob, &auth, 2).err(),
+            Some(KrbError::ReplayDetected)
         );
     }
 
@@ -328,8 +328,8 @@ mod tests {
         let creds = service_creds(&mut f, 0);
         let auth = f.alice.make_authenticator(&creds, 1, &mut f.rng);
         assert_eq!(
-            f.fs.accept(&creds.ticket_blob, &auth, 50),
-            Err(KrbError::SkewExceeded {
+            f.fs.accept(&creds.ticket_blob, &auth, 50).err(),
+            Some(KrbError::SkewExceeded {
                 timestamp: 1,
                 now: 50
             })
@@ -374,8 +374,9 @@ mod tests {
         assert_eq!(accepted.client, p("alice"), "grantee acts as the grantor");
         // Wrong possession proof fails.
         assert_eq!(
-            f.fs.accept_proxy(&proxy, b"other-challenge", &possession, 5),
-            Err(KrbError::BadPossession)
+            f.fs.accept_proxy(&proxy, b"other-challenge", &possession, 5)
+                .err(),
+            Some(KrbError::BadPossession)
         );
     }
 
@@ -395,8 +396,8 @@ mod tests {
             .unwrap();
         let possession = proxy_key.prove(b"c");
         assert_eq!(
-            f.fs.accept_proxy(&proxy, b"c", &possession, 60),
-            Err(KrbError::Expired)
+            f.fs.accept_proxy(&proxy, b"c", &possession, 60).err(),
+            Some(KrbError::Expired)
         );
     }
 
@@ -416,8 +417,9 @@ mod tests {
             .unwrap();
         // A proxy authenticator must not pass as a fresh login.
         assert_eq!(
-            f.fs.accept(&proxy.ticket_blob, &proxy.authenticator_blob, 1),
-            Err(KrbError::BadPossession)
+            f.fs.accept(&proxy.ticket_blob, &proxy.authenticator_blob, 1)
+                .err(),
+            Some(KrbError::BadPossession)
         );
     }
 

@@ -39,6 +39,7 @@ use std::sync::Mutex;
 
 use proxy_crypto::ed25519::{Signature, VerifyingKey};
 
+use crate::encode::Bounded;
 use crate::time::Timestamp;
 
 /// What one entry vouches for: a certificate body by its SHA-256 digest,
@@ -83,10 +84,10 @@ struct Ring {
 }
 
 impl Ring {
-    fn with_capacity(capacity: usize) -> Ring {
+    fn with_capacity(capacity: Bounded) -> Ring {
         Ring {
-            prefixes: Vec::with_capacity(capacity),
-            slots: Vec::with_capacity(capacity),
+            prefixes: capacity.vec(),
+            slots: capacity.vec(),
             next: 0,
         }
     }
@@ -147,9 +148,13 @@ impl VerifiedCertCache {
             1
         };
         let per_shard = capacity.div_ceil(stripes);
+        // Below the threshold one shard holds it all, above it no shard
+        // holds more than `SHARD_SLOTS`.
+        let room = Bounded::at_most(per_shard, STRIPE_THRESHOLD)
+            .unwrap_or(Bounded::fixed::<SHARD_SLOTS>());
         Self {
             shards: (0..stripes)
-                .map(|_| Mutex::new(Ring::with_capacity(per_shard)))
+                .map(|_| Mutex::new(Ring::with_capacity(room)))
                 .collect(),
             capacity: per_shard,
             hits: AtomicU64::new(0),

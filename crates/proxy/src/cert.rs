@@ -6,7 +6,7 @@
 
 use proxy_crypto::ed25519::{Signature, SIGNATURE_LEN};
 
-use crate::encode::{DecodeError, Decoder, Encoder};
+use crate::encode::{Bounded, DecodeError, Decoder, Encoder};
 use crate::key::KeyMaterial;
 use crate::principal::PrincipalId;
 use crate::restriction::RestrictionSet;
@@ -92,7 +92,7 @@ pub struct Certificate {
 impl Certificate {
     /// Generous pre-size for a typical single-certificate encode; bigger
     /// certificates just grow the buffer once.
-    pub(crate) const ENCODE_CAPACITY_HINT: usize = 384;
+    pub(crate) const ENCODE_CAPACITY_HINT: Bounded = Bounded::fixed::<384>();
 
     /// Appends the canonical seal-covered byte string (every field except
     /// the seal itself) to `e` — the scratch-buffer form of

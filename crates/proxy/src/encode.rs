@@ -22,7 +22,9 @@
     )
 )]
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 
 /// Errors produced when decoding a wire value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,9 +89,9 @@ impl Encoder {
     /// Creates an empty encoder with `capacity` bytes pre-reserved, so an
     /// encode of known size pays exactly one allocation.
     #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub fn with_capacity(capacity: Bounded) -> Self {
         Self {
-            buf: Vec::with_capacity(capacity),
+            buf: capacity.vec(),
         }
     }
 
@@ -134,13 +136,9 @@ impl Encoder {
         self
     }
 
-    /// Appends raw bytes with a u32 length prefix.
-    #[expect(
-        clippy::expect_used,
-        reason = "encoding is driven by values this process built, so a >4 GiB value is a caller bug; the decoder side is fully typed-error"
-    )]
+    /// Appends raw bytes with a u32 length prefix (the count of bytes).
     pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
-        self.u32(u32::try_from(v.len()).expect("value too large to encode"));
+        self.count(v.len());
         self.buf.extend_from_slice(v);
         self
     }
@@ -184,13 +182,98 @@ impl Encoder {
         self.bytes(v.as_bytes())
     }
 
-    /// Appends a collection count prefix.
+    /// Appends a collection count or byte length prefix.
     #[expect(
         clippy::expect_used,
-        reason = "collection sizes originate locally; only decode-side counts are attacker-controlled and those return DecodeError"
+        reason = "collection and value sizes originate locally, so one over 4 GiB is a caller bug; only decode-side counts are attacker-controlled and those return DecodeError"
     )]
     pub fn count(&mut self, n: usize) -> &mut Self {
-        self.u32(u32::try_from(n).expect("collection too large to encode"))
+        self.u32(u32::try_from(n).expect("value too large to encode"))
+    }
+}
+
+/// A size it is safe to allocate for: a count [`Decoder::counted`]
+/// checked against the bytes left, a length [`Bounded::at_most`] checked
+/// against a protocol maximum, the length of something already in memory
+/// ([`Bounded::len_of`]) or a size fixed at build time
+/// ([`Bounded::fixed`]). There is no constructor from a bare `usize`
+/// known only at run time, and `clippy.toml` disallows
+/// `Vec::with_capacity`, `reserve`, `resize`, `vec![x; n]` and
+/// `HashMap::with_capacity` wherever bytes are decoded: a length read off
+/// the wire or the disk sizes an allocation only through this type.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Bounded(usize);
+
+impl Bounded {
+    /// `n`, when it is at most `max`.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::BadLength`] when `n` exceeds `max`.
+    pub fn at_most(n: usize, max: usize) -> Result<Bounded, DecodeError> {
+        if n > max {
+            return Err(DecodeError::BadLength(n as u64));
+        }
+        Ok(Bounded(n))
+    }
+
+    /// The length of `items`, which are in memory already.
+    #[must_use]
+    pub fn len_of<T>(items: &[T]) -> Bounded {
+        Bounded(items.len())
+    }
+
+    /// `N`, a size fixed when the program was built.
+    #[must_use]
+    pub const fn fixed<const N: usize>() -> Bounded {
+        Bounded(N)
+    }
+
+    /// This size plus `other` (saturating).
+    #[must_use]
+    pub fn plus(self, other: Bounded) -> Bounded {
+        Bounded(self.0.saturating_add(other.0))
+    }
+
+    /// This many items of `each` (saturating).
+    #[must_use]
+    pub fn times(self, each: Bounded) -> Bounded {
+        Bounded(self.0.saturating_mul(each.0))
+    }
+
+    /// The size.
+    #[must_use]
+    pub fn get(self) -> usize {
+        self.0
+    }
+}
+
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the allocations a `Bounded` sizes: every bounded size reaches its allocator here, and only here"
+)]
+impl Bounded {
+    /// An empty vector with room for this many items.
+    #[must_use]
+    pub fn vec<T>(self) -> Vec<T> {
+        Vec::with_capacity(self.0)
+    }
+
+    /// An empty map with room for this many entries.
+    #[must_use]
+    pub fn map<K: Hash + Eq, V>(self) -> HashMap<K, V> {
+        HashMap::with_capacity(self.0)
+    }
+
+    /// This many zero bytes.
+    #[must_use]
+    pub fn zeroed(self) -> Vec<u8> {
+        vec![0; self.0]
+    }
+
+    /// Makes room in `items` for this many more.
+    pub fn reserve_in<T>(self, items: &mut Vec<T>) {
+        items.reserve_exact(self.0);
     }
 }
 
@@ -369,12 +452,9 @@ impl<'a> Decoder<'a> {
             .ok_or(DecodeError::InvalidValue("empty principal name"))
     }
 
-    /// Reads a collection count prefix.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError::BadLength`] when the count exceeds the sanity bound.
-    pub fn count(&mut self) -> Result<usize, DecodeError> {
+    /// Reads a collection count prefix, checked against the sanity bound
+    /// only: [`Decoder::counted`] is what callers size collections by.
+    fn count(&mut self) -> Result<usize, DecodeError> {
         let n = self.u32()?;
         if n > MAX_COLLECTION {
             return Err(DecodeError::BadLength(n as u64));
@@ -385,20 +465,19 @@ impl<'a> Decoder<'a> {
     /// Reads a collection count prefix and additionally requires that
     /// `count * min_item_bytes` fit in the remaining input, so a count
     /// can never commit the caller to allocating more than the input
-    /// could possibly justify. Collection decoders should prefer this
-    /// over [`Decoder::count`] whenever each element occupies at least
+    /// could possibly justify. Each element must occupy at least
     /// `min_item_bytes` on the wire.
     ///
     /// # Errors
     ///
     /// [`DecodeError::BadLength`] when the count exceeds the sanity
     /// bound or outruns the remaining input.
-    pub fn counted(&mut self, min_item_bytes: usize) -> Result<usize, DecodeError> {
+    pub fn counted(&mut self, min_item_bytes: usize) -> Result<Bounded, DecodeError> {
         let n = self.count()?;
         if n.saturating_mul(min_item_bytes.max(1)) > self.remaining() {
             return Err(DecodeError::BadLength(n as u64));
         }
-        Ok(n)
+        Ok(Bounded(n))
     }
 }
 
@@ -498,7 +577,7 @@ mod tests {
         e.count(2).u64(0);
         let buf = e.finish();
         let mut d = Decoder::new(&buf);
-        assert_eq!(d.counted(4), Ok(2));
+        assert_eq!(d.counted(4).map(Bounded::get), Ok(2));
     }
 
     #[test]

@@ -119,7 +119,7 @@ impl GrantAuthority {
     #[must_use]
     pub fn seal(&self, body: &[u8]) -> CertSeal {
         match self {
-            GrantAuthority::SharedKey(key) => CertSeal::Hmac(key.mac(body)),
+            GrantAuthority::SharedKey(key) => CertSeal::Hmac(*key.mac(body).expose()),
             GrantAuthority::Keypair(key) => CertSeal::Ed25519(key.sign(body)),
         }
     }
@@ -162,9 +162,7 @@ impl GrantAuthority {
     /// bare bytes of this key's seal over label, challenge and binding.
     #[must_use]
     pub fn prove_possession(&self, challenge: &[u8; 32], binding: &[u8]) -> Vec<u8> {
-        let mut msg = Vec::with_capacity(POSSESSION_LABEL.len() + 32 + binding.len());
-        append_possession_prefix(&mut msg, challenge);
-        msg.extend_from_slice(binding);
+        let msg = [POSSESSION_LABEL, challenge, binding].concat();
         self.seal(&msg).wire().1.to_vec()
     }
 }

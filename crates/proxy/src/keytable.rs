@@ -56,11 +56,13 @@
 
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use proxy_crypto::ed25519::{
     DecompressedKey, PreparedKey, Signature, SignatureError, VerifyingKey,
 };
+
+use crate::shard::rank::{self, Rank};
 
 /// Slots in a [`KeyTable`].
 pub(crate) const SLOTS: usize = 256;
@@ -132,12 +134,20 @@ struct Slot {
 }
 
 impl Slot {
-    /// The slot's tenants, locked. Every write to a way is one assignment
-    /// of a whole value, so a slot is valid even if a holder of its lock
-    /// panicked.
-    fn tenants(&self) -> MutexGuard<'_, Ways> {
-        self.ways.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Runs `f` on the slot's tenants, locked. Every write to a way is one
+    /// assignment of a whole value, so a slot is valid even if a holder of
+    /// its lock panicked.
+    fn with_tenants<T>(&self, f: impl FnOnce(&mut Ways) -> T) -> T {
+        let _held = rank::hold(Rank::KeySlot);
+        f(&mut self.ways.lock().unwrap_or_else(PoisonError::into_inner))
     }
+}
+
+/// Builds a key's tables: the most curve arithmetic a key costs, which
+/// no slot may wait behind.
+fn prepare(key: &DecompressedKey) -> Arc<PreparedKey> {
+    rank::assert_unheld("PreparedKey::new");
+    Arc::new(PreparedKey::new(key))
 }
 
 /// See the module docs.
@@ -185,25 +195,23 @@ impl KeyTable {
         message: &[u8],
         signature: &Signature,
     ) -> Result<(), SignatureError> {
+        // Curve arithmetic, all of it outside the slot's lock.
+        rank::assert_unheld("KeyTable::verify");
         let Some(slot) = self.slot(key) else {
             // A table without slots keeps nothing.
             return key.verify(message, signature);
         };
-        let seen = {
-            let mut ways = slot.tenants();
-            ways.find(key)
-        };
-        match seen {
+        match slot.with_tenants(|ways| ways.find(key)) {
             Some(Seen::Prepared(prepared)) => prepared.verify(message, signature),
             Some(Seen::Once(decompressed)) => {
-                let prepared = Arc::new(PreparedKey::new(&decompressed));
-                slot.tenants().place(Seen::Prepared(Arc::clone(&prepared)));
+                let prepared = prepare(&decompressed);
+                slot.with_tenants(|ways| ways.place(Seen::Prepared(Arc::clone(&prepared))));
                 prepared.verify(message, signature)
             }
             None => {
                 // A key with no curve point is never stored.
                 let decompressed = Arc::new(key.decompress()?);
-                slot.tenants().place(Seen::Once(Arc::clone(&decompressed)));
+                slot.with_tenants(|ways| ways.place(Seen::Once(Arc::clone(&decompressed))));
                 decompressed.verify(message, signature)
             }
         }
@@ -213,7 +221,7 @@ impl KeyTable {
     /// of it; `None` for a key seen once or not at all, which this probe
     /// leaves as it is — it never prepares, and never stores.
     pub(crate) fn prepared(&self, key: &VerifyingKey) -> Option<Arc<PreparedKey>> {
-        match self.slot(key)?.tenants().find(key)? {
+        match self.slot(key)?.with_tenants(|ways| ways.find(key))? {
             Seen::Prepared(prepared) => Some(prepared),
             Seen::Once(_) => None,
         }
@@ -229,18 +237,27 @@ mod tests {
         /// `"once"` / `"prepared"` when `key` is a tenant of its slot.
         /// Reads without touching the slot's recency.
         pub(crate) fn stage_of(&self, key: &VerifyingKey) -> Option<&'static str> {
-            let ways = self.slot(key)?.tenants();
-            let seen = ways.0.get(ways.way_of(key)?)?.as_ref()?;
-            Some(match seen {
-                Seen::Once(_) => "once",
-                Seen::Prepared(_) => "prepared",
+            self.slot(key)?.with_tenants(|ways| {
+                let seen = ways.0.get(ways.way_of(key)?)?.as_ref()?;
+                Some(match seen {
+                    Seen::Once(_) => "once",
+                    Seen::Prepared(_) => "prepared",
+                })
             })
+        }
+
+        /// Runs `f` holding the slot `key` maps to.
+        #[cfg(debug_assertions)]
+        pub(crate) fn holding_slot_of<T>(&self, key: &VerifyingKey, f: impl FnOnce() -> T) -> T {
+            self.slot(key)
+                .expect("a table with slots")
+                .with_tenants(|_| f())
         }
 
         fn occupancy(&self) -> usize {
             self.slots
                 .iter()
-                .map(|s| s.tenants().0.iter().flatten().count())
+                .map(|s| s.with_tenants(|ways| ways.0.iter().flatten().count()))
                 .sum()
         }
     }
@@ -444,5 +461,17 @@ mod tests {
             }
         });
         assert_eq!(table.occupancy(), WAYS);
+    }
+
+    /// The former L6 fixture `l6_curve_arithmetic_under_slot_guard`:
+    /// building a key's tables while its slot is held trips the witness.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "PreparedKey::new entered holding")]
+    fn preparing_a_key_under_its_slot_trips_the_witness() {
+        let table = KeyTable::new();
+        let vk = signer(1).verifying_key();
+        let decompressed = vk.decompress().unwrap();
+        table.holding_slot_of(&vk, || prepare(&decompressed));
     }
 }

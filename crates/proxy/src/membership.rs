@@ -106,12 +106,12 @@ fn encode_digests(e: &mut Encoder, digests: &[MemberDigest]) {
 
 fn decode_digests(d: &mut Decoder<'_>) -> Result<Vec<MemberDigest>, DecodeError> {
     let n = d.counted(MEMBER_DIGEST_LEN)?;
-    if n > MAX_MEMBER_DIGESTS {
-        return Err(DecodeError::BadLength(n as u64));
+    if n.get() > MAX_MEMBER_DIGESTS {
+        return Err(DecodeError::BadLength(n.get() as u64));
     }
-    let mut out = Vec::with_capacity(n);
+    let mut out = n.vec();
     let mut prev: Option<MemberDigest> = None;
-    for _ in 0..n {
+    for _ in 0..n.get() {
         let digest: MemberDigest = d.raw_array::<MEMBER_DIGEST_LEN>()?;
         // Canonical form is strictly increasing: rejects duplicates and
         // unsorted lists, and makes the encoding unique per set.

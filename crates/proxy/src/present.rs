@@ -12,7 +12,7 @@
 use proxy_crypto::sha256::Sha256;
 
 use crate::cert::Certificate;
-use crate::encode::{DecodeError, Decoder, Encoder};
+use crate::encode::{Bounded, DecodeError, Decoder, Encoder};
 use crate::principal::PrincipalId;
 use crate::proxy::Proxy;
 
@@ -116,8 +116,11 @@ impl Presentation {
     /// Wire encoding.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut e =
-            Encoder::with_capacity(self.certs.len() * Certificate::ENCODE_CAPACITY_HINT + 64);
+        let mut e = Encoder::with_capacity(
+            Bounded::len_of(&self.certs)
+                .times(Certificate::ENCODE_CAPACITY_HINT)
+                .plus(Bounded::fixed::<64>()),
+        );
         self.encode_onto(&mut e);
         e.finish()
     }
@@ -130,8 +133,8 @@ impl Presentation {
     pub fn decode(input: &[u8]) -> Result<Presentation, DecodeError> {
         let mut d = Decoder::new(input);
         let n = d.counted(4)?;
-        let mut certs = Vec::with_capacity(n);
-        for _ in 0..n {
+        let mut certs = n.vec();
+        for _ in 0..n.get() {
             certs.push(Certificate::decode(d.bytes()?)?);
         }
         let proof = match d.u8()? {

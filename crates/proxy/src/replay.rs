@@ -24,6 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::principal::PrincipalId;
+use crate::shard::rank::{self, Rank};
 use crate::time::Timestamp;
 
 /// End-server-side memory of `accept-once` identifiers: [`ReplayCache`],
@@ -124,6 +125,7 @@ impl ReplayCache {
         now: Timestamp,
         expires: Timestamp,
     ) -> bool {
+        let _held = rank::hold(Rank::Replay);
         let mut guard = self.shard(grantor, id).lock().expect("replay shard");
         let shard = &mut *guard;
         shard.since_sweep += 1;
@@ -162,6 +164,7 @@ impl ReplayCache {
     /// here (recovery takes no ambient clock); the normal sweeps trim
     /// stale marks as soon as the server starts serving.
     pub fn rehydrate(&self, grantor: &PrincipalId, id: u64, expires: Timestamp) {
+        let _held = rank::hold(Rank::Replay);
         let mut shard = self.shard(grantor, id).lock().expect("replay shard");
         let key = (grantor.clone(), id);
         let keep = shard
@@ -177,6 +180,7 @@ impl ReplayCache {
     /// arrived between the take and the forget was refused as a replay —
     /// the answer it would have had if the operation had gone through.
     pub fn forget(&self, grantor: &PrincipalId, id: u64) {
+        let _held = rank::hold(Rank::Replay);
         let mut shard = self.shard(grantor, id).lock().expect("replay shard");
         shard.seen.remove(&(grantor.clone(), id));
     }
@@ -187,6 +191,7 @@ impl ReplayCache {
     /// needing a canonical order must sort.
     pub fn for_each_entry(&self, mut f: impl FnMut(&PrincipalId, u64, Timestamp)) {
         for shard in self.shards.iter() {
+            let _held = rank::hold(Rank::Replay);
             let shard = shard.lock().expect("replay shard");
             for ((grantor, id), expires) in shard.seen.iter() {
                 f(grantor, *id, *expires);
@@ -197,6 +202,7 @@ impl ReplayCache {
     /// Sweeps every shard's expired entries.
     pub fn sweep(&self, now: Timestamp) {
         for shard in self.shards.iter() {
+            let _held = rank::hold(Rank::Replay);
             let mut shard = shard.lock().expect("replay shard");
             shard.since_sweep = 0;
             shard.seen.retain(|_, exp| *exp > now);
@@ -208,7 +214,10 @@ impl ReplayCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("replay shard").seen.len())
+            .map(|s| {
+                let _held = rank::hold(Rank::Replay);
+                s.lock().expect("replay shard").seen.len()
+            })
             .sum()
     }
 

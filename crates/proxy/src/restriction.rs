@@ -8,7 +8,7 @@
 //! operation, and evaluation requires *every* restriction to pass.
 
 use crate::context::RequestContext;
-use crate::encode::{DecodeError, Decoder, Encoder};
+use crate::encode::{Bounded, DecodeError, Decoder, Encoder};
 use crate::principal::{GroupName, PrincipalId};
 use crate::replay::ReplayGuard;
 use crate::time::Timestamp;
@@ -497,8 +497,8 @@ impl Restriction {
             1 => {
                 let required = d.u32()?;
                 let n = d.counted(4)?;
-                let mut delegates = Vec::with_capacity(n);
-                for _ in 0..n {
+                let mut delegates = n.vec();
+                for _ in 0..n.get() {
                     delegates.push(d.principal()?);
                 }
                 Restriction::Grantee {
@@ -509,8 +509,8 @@ impl Restriction {
             2 => {
                 let required = d.u32()?;
                 let n = d.counted(8)?;
-                let mut groups = Vec::with_capacity(n);
-                for _ in 0..n {
+                let mut groups = n.vec();
+                for _ in 0..n.get() {
                     let server = d.principal()?;
                     let name = d.str()?.to_string();
                     groups.push(GroupName { server, name });
@@ -519,8 +519,8 @@ impl Restriction {
             }
             3 => {
                 let n = d.counted(4)?;
-                let mut servers = Vec::with_capacity(n);
-                for _ in 0..n {
+                let mut servers = n.vec();
+                for _ in 0..n.get() {
                     servers.push(d.principal()?);
                 }
                 Restriction::IssuedFor { servers }
@@ -532,15 +532,15 @@ impl Restriction {
             },
             5 => {
                 let n = d.counted(5)?;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
+                let mut entries = n.vec();
+                for _ in 0..n.get() {
                     let object = ObjectName::new(d.str()?);
                     let operations = match d.u8()? {
                         0 => None,
                         1 => {
                             let m = d.counted(4)?;
-                            let mut ops = Vec::with_capacity(m);
-                            for _ in 0..m {
+                            let mut ops = m.vec();
+                            for _ in 0..m.get() {
                                 ops.push(Operation::new(d.str()?));
                             }
                             Some(ops)
@@ -553,8 +553,8 @@ impl Restriction {
             }
             6 => {
                 let n = d.counted(8)?;
-                let mut groups = Vec::with_capacity(n);
-                for _ in 0..n {
+                let mut groups = n.vec();
+                for _ in 0..n.get() {
                     let server = d.principal()?;
                     let name = d.str()?.to_string();
                     groups.push(GroupName { server, name });
@@ -564,8 +564,8 @@ impl Restriction {
             7 => Restriction::AcceptOnce { id: d.u64()? },
             8 => {
                 let n = d.counted(4)?;
-                let mut servers = Vec::with_capacity(n);
-                for _ in 0..n {
+                let mut servers = n.vec();
+                for _ in 0..n.get() {
                     servers.push(d.principal()?);
                 }
                 // The nested restriction list recurses; the decoder's
@@ -573,8 +573,8 @@ impl Restriction {
                 // stack.
                 d.descend()?;
                 let m = d.counted(1)?;
-                let mut restrictions = Vec::with_capacity(m);
-                for _ in 0..m {
+                let mut restrictions = m.vec();
+                for _ in 0..m.get() {
                     restrictions.push(Restriction::decode_from(d)?);
                 }
                 d.ascend();
@@ -607,8 +607,8 @@ impl RestrictionSet {
     /// assemble a set of known size pay exactly one allocation instead of
     /// a growth sequence.
     #[must_use]
-    pub fn with_capacity(n: usize) -> Self {
-        Self(Vec::with_capacity(n))
+    pub fn with_capacity(n: Bounded) -> Self {
+        Self(n.vec())
     }
 
     /// Builds a set from restrictions, dropping exact duplicates.
@@ -762,8 +762,8 @@ impl RestrictionSet {
     /// Propagates [`DecodeError`] from the codec.
     pub fn decode_from(d: &mut Decoder<'_>) -> Result<RestrictionSet, DecodeError> {
         let n = d.counted(1)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
+        let mut out = n.vec();
+        for _ in 0..n.get() {
             out.push(Restriction::decode_from(d)?);
         }
         Ok(RestrictionSet(out))

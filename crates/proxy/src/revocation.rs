@@ -252,12 +252,12 @@ impl Container {
         match d.u8()? {
             TAG_ARRAY => {
                 let n = d.counted(2)?;
-                if n > ARRAY_MAX {
-                    return Err(DecodeError::BadLength(n as u64));
+                if n.get() > ARRAY_MAX {
+                    return Err(DecodeError::BadLength(n.get() as u64));
                 }
-                let mut vals = Vec::with_capacity(n);
+                let mut vals = n.vec();
                 let mut prev: Option<u16> = None;
-                for _ in 0..n {
+                for _ in 0..n.get() {
                     let v = d.u16()?;
                     if prev.is_some_and(|p| p >= v) {
                         return Err(DecodeError::InvalidValue("array container not increasing"));
@@ -272,7 +272,7 @@ impl Container {
                 let mut c = Container::new();
                 // Next admissible start; None once 0xFFFF has been covered.
                 let mut next: Option<u32> = Some(0);
-                for _ in 0..n {
+                for _ in 0..n.get() {
                     let start = d.u16()?;
                     let span = d.u16()?;
                     let floor =
@@ -410,12 +410,12 @@ impl SerialSet {
     pub fn decode_from(d: &mut Decoder<'_>) -> Result<SerialSet, DecodeError> {
         // Each chunk costs at least key (8) + tag (1) + count (4) bytes.
         let n = d.counted(13)?;
-        if n > MAX_CONTAINERS {
-            return Err(DecodeError::BadLength(n as u64));
+        if n.get() > MAX_CONTAINERS {
+            return Err(DecodeError::BadLength(n.get() as u64));
         }
-        let mut chunks = HashMap::with_capacity(n);
+        let mut chunks = n.map();
         let mut prev: Option<u64> = None;
-        for _ in 0..n {
+        for _ in 0..n.get() {
             let key = d.u64()?;
             if prev.is_some_and(|p| p >= key) {
                 return Err(DecodeError::InvalidValue("chunk keys not increasing"));

@@ -15,11 +15,102 @@
 //! (e.g. debit payor then credit payee) are sequences of single-key
 //! atomic steps, which is exactly the paper's model: each is a separate
 //! message to a possibly different server.
+//!
+//! Debug builds check that discipline at run time ([`rank`]).
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
 use std::sync::RwLock;
+
+use rank::Rank;
+
+pub mod rank {
+    //! The lock-rank witness (DESIGN.md §11, L6), in debug builds only.
+    //!
+    //! Every lock of a [`ShardMap`](super::ShardMap), a
+    //! [`ReplayCache`](crate::replay::ReplayCache) and the verifier's key
+    //! table has a [`Rank`]. A thread records the ranks it holds, and
+    //! taking a lock whose rank is not strictly above
+    //! every rank it holds panics: an AB/BA pair of acquisitions trips on
+    //! the descending one, and a closure that re-enters the map it runs
+    //! under trips on its second stripe. [`assert_unheld`] guards what must
+    //! run with no stripe held — verification, curve arithmetic, durable
+    //! waits — since every request that hashes to a held stripe would wait
+    //! behind it. The witness sees what the tests run. Release builds
+    //! compile [`hold`] and [`assert_unheld`] to nothing.
+
+    /// A lock's place in the one acquisition order: a lock may be taken
+    /// only while every lock the thread holds ranks below it.
+    #[derive(Clone, Copy, Debug)]
+    pub enum Rank {
+        /// A [`ShardMap`](super::ShardMap) stripe.
+        Shard,
+        /// A [`ReplayCache`](crate::replay::ReplayCache) shard.
+        Replay,
+        /// A slot of the verifier's key table.
+        KeySlot,
+    }
+
+    #[cfg(debug_assertions)]
+    thread_local! {
+        /// Bit `r` is set while this thread holds a lock of rank `r`.
+        static HELD: std::cell::Cell<u8> = const { std::cell::Cell::new(0) };
+    }
+
+    /// One held lock's rank, released when this drops.
+    #[cfg(debug_assertions)]
+    #[must_use]
+    #[derive(Debug)]
+    pub struct Held(Rank);
+
+    #[cfg(debug_assertions)]
+    impl Drop for Held {
+        fn drop(&mut self) {
+            HELD.with(|held| held.set(held.get() & !(1 << self.0 as u8)));
+        }
+    }
+
+    /// Records that this thread takes a lock of `rank`; bind the result
+    /// for as long as the lock is held.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, when this thread holds a lock of `rank` or above.
+    #[cfg(debug_assertions)]
+    pub fn hold(rank: Rank) -> Held {
+        HELD.with(|held| {
+            let bits = held.get();
+            assert!(
+                bits >> rank as u8 == 0,
+                "lock rank {rank:?} taken while holding ranks {bits:#05b}"
+            );
+            held.set(bits | 1 << rank as u8);
+        });
+        Held(rank)
+    }
+
+    /// Release builds: nothing.
+    #[cfg(not(debug_assertions))]
+    #[inline(always)]
+    pub fn hold(_rank: Rank) {}
+
+    /// Asserts that this thread holds no ranked lock on entry to `what`.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, when it holds one.
+    #[cfg(debug_assertions)]
+    pub fn assert_unheld(what: &str) {
+        let bits = HELD.with(std::cell::Cell::get);
+        assert!(bits == 0, "{what} entered holding lock ranks {bits:#05b}");
+    }
+
+    /// Release builds: nothing.
+    #[cfg(not(debug_assertions))]
+    #[inline(always)]
+    pub fn assert_unheld(_what: &str) {}
+}
 
 /// A hash map striped over N `RwLock`-protected shards.
 ///
@@ -58,23 +149,27 @@ impl<K: Hash + Eq, V> ShardMap<K, V> {
 
     /// Inserts `value` under `key`, returning any previous value.
     pub fn insert(&self, key: K, value: V) -> Option<V> {
+        let _held = rank::hold(Rank::Shard);
         self.shard(&key).write().expect("shard").insert(key, value)
     }
 
     /// Removes `key`, returning its value if present.
     pub fn remove(&self, key: &K) -> Option<V> {
+        let _held = rank::hold(Rank::Shard);
         self.shard(key).write().expect("shard").remove(key)
     }
 
     /// True when `key` is present.
     #[must_use]
     pub fn contains_key(&self, key: &K) -> bool {
+        let _held = rank::hold(Rank::Shard);
         self.shard(key).read().expect("shard").contains_key(key)
     }
 
     /// Runs `f` on the value under `key` (or `None`) while holding the
     /// shard's read lock. `f` must not re-enter this map.
     pub fn read<R>(&self, key: &K, f: impl FnOnce(Option<&V>) -> R) -> R {
+        let _held = rank::hold(Rank::Shard);
         f(self.shard(key).read().expect("shard").get(key))
     }
 
@@ -82,6 +177,7 @@ impl<K: Hash + Eq, V> ShardMap<K, V> {
     /// holding the shard's write lock — the per-key linearization point.
     /// `f` must not re-enter this map.
     pub fn update<R>(&self, key: &K, f: impl FnOnce(Option<&mut V>) -> R) -> R {
+        let _held = rank::hold(Rank::Shard);
         f(self.shard(key).write().expect("shard").get_mut(key))
     }
 
@@ -89,6 +185,7 @@ impl<K: Hash + Eq, V> ShardMap<K, V> {
     /// absent, all under one write-lock acquisition. `f` must not
     /// re-enter this map.
     pub fn upsert<R>(&self, key: K, default: impl FnOnce() -> V, f: impl FnOnce(&mut V) -> R) -> R {
+        let _held = rank::hold(Rank::Shard);
         let mut shard = self.shard(&key).write().expect("shard");
         f(shard.entry(key).or_insert_with(default))
     }
@@ -105,6 +202,7 @@ impl<K: Hash + Eq, V> ShardMap<K, V> {
         key: &K,
         gate: impl FnOnce(&V) -> Result<(), E>,
     ) -> Result<Option<V>, E> {
+        let _held = rank::hold(Rank::Shard);
         let mut shard = self.shard(key).write().expect("shard");
         match shard.get(key) {
             None => Ok(None),
@@ -121,6 +219,7 @@ impl<K: Hash + Eq, V> ShardMap<K, V> {
     where
         V: Clone,
     {
+        let _held = rank::hold(Rank::Shard);
         self.shard(key).read().expect("shard").get(key).cloned()
     }
 
@@ -129,7 +228,10 @@ impl<K: Hash + Eq, V> ShardMap<K, V> {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.read().expect("shard").len())
+            .map(|s| {
+                let _held = rank::hold(Rank::Shard);
+                s.read().expect("shard").len()
+            })
             .sum()
     }
 
@@ -143,6 +245,7 @@ impl<K: Hash + Eq, V> ShardMap<K, V> {
     /// re-enter this map.
     pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
         for shard in self.shards.iter() {
+            let _held = rank::hold(Rank::Shard);
             for (k, v) in shard.read().expect("shard").iter() {
                 f(k, v);
             }
@@ -154,6 +257,7 @@ impl<K: Hash + Eq, V> ShardMap<K, V> {
     pub fn fold<A>(&self, init: A, mut f: impl FnMut(A, &K, &V) -> A) -> A {
         let mut acc = init;
         for shard in self.shards.iter() {
+            let _held = rank::hold(Rank::Shard);
             for (k, v) in shard.read().expect("shard").iter() {
                 acc = f(acc, k, v);
             }
@@ -262,5 +366,41 @@ mod tests {
         // Every one of the 8000 increments landed exactly once.
         assert_eq!(map.fold(0u64, |acc, _, v| acc + v), 8000);
         assert_eq!(total.load(Ordering::Relaxed), 8000);
+    }
+
+    /// The former L6 fixture `l6_shard_reentry`: a closure that
+    /// re-enters the map it runs under trips the witness on its second
+    /// stripe, whichever stripe the second key lands on.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "lock rank Shard taken while holding")]
+    fn a_closure_that_re_enters_its_map_trips_the_witness() {
+        let accounts: ShardMap<u64, u64> = ShardMap::new();
+        accounts.insert(1, 0);
+        accounts.update(&1, |_| accounts.upsert(2, || 0, |v| *v += 1));
+    }
+
+    /// The former L6 fixtures `l6_lock_inversion` and
+    /// `l6_consistent_order`: a replay mark taken under a stripe is the
+    /// one order, and a stripe taken under a replay shard, its inverse,
+    /// trips the witness.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "lock rank Shard taken while holding")]
+    fn a_stripe_taken_under_a_replay_shard_trips_the_witness() {
+        use crate::principal::PrincipalId;
+        use crate::replay::ReplayCache;
+        use crate::time::Timestamp;
+        let accounts: ShardMap<u64, u64> = ShardMap::new();
+        let replay = ReplayCache::new();
+        let alice = PrincipalId::new("alice");
+        accounts.upsert(
+            1,
+            || 0,
+            |_| {
+                replay.check_and_mark(&alice, 1, Timestamp(0), Timestamp(9));
+            },
+        );
+        replay.for_each_entry(|_, _, _| accounts.read(&1, |_| ()));
     }
 }

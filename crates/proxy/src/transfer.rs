@@ -107,12 +107,12 @@ impl Proxy {
         transfer_key: &SymmetricKey,
     ) -> Result<Proxy, TransferError> {
         let mut d = Decoder::new(bytes);
-        let n = d.count()?;
-        if n == 0 {
+        let n = d.counted(4)?;
+        if n.get() == 0 {
             return Err(TransferError::Empty);
         }
-        let mut certs = Vec::with_capacity(n);
-        for _ in 0..n {
+        let mut certs = n.vec();
+        for _ in 0..n.get() {
             certs.push(Certificate::decode(d.bytes()?)?);
         }
         let sealed = d.bytes()?.to_vec();

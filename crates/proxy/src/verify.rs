@@ -16,7 +16,7 @@ use proxy_crypto::sha256::Sha256;
 use crate::cache::{SealKey, VerifiedCertCache};
 use crate::cert::{Certificate, SigningAuthorityKind};
 use crate::context::RequestContext;
-use crate::encode::Encoder;
+use crate::encode::{Bounded, Encoder};
 use crate::error::VerifyError;
 use crate::key::{append_possession_prefix, GrantorVerifier, KeyResolver, SealCheck};
 use crate::keytable::KeyTable;
@@ -25,6 +25,7 @@ use crate::principal::PrincipalId;
 use crate::replay::ReplayGuard;
 use crate::restriction::RestrictionSet;
 use crate::revocation::RevocationDirectory;
+use crate::shard::rank;
 use crate::time::Timestamp;
 
 /// Appends `cert`'s canonical body to `out` and returns where it lies.
@@ -250,6 +251,7 @@ impl<R: KeyResolver> Verifier<R> {
         ctx: &RequestContext,
         replay: &mut dyn ReplayGuard,
     ) -> Result<VerifiedProxy, VerifyError> {
+        rank::assert_unheld("Verifier::verify");
         let mut group = [self.prepare(presentation, ctx.now)];
         self.settle(&mut group);
         self.finish(&group[0], presentation, ctx, replay)
@@ -298,7 +300,7 @@ impl<R: KeyResolver> Verifier<R> {
         // checks read: the body of each certificate in turn, kept when
         // its seal is deferred and overwritten by the next body when not,
         // then the possession message.
-        *scratch = Vec::with_capacity(Certificate::ENCODE_CAPACITY_HINT);
+        *scratch = Certificate::ENCODE_CAPACITY_HINT.vec();
         let mut kept = 0;
         let mut final_body = 0..0;
         // The SHA-256 of the last body, when the seal cache was asked
@@ -349,7 +351,9 @@ impl<R: KeyResolver> Verifier<R> {
                 if !vouched {
                     if pending.is_empty() {
                         // Every later link may defer too, then the proof.
-                        pending.reserve_exact(certs.len() - index + 1);
+                        Bounded::len_of(certs.get(index..).unwrap_or_default())
+                            .plus(Bounded::fixed::<1>())
+                            .reserve_in(pending);
                     }
                     pending.push(PendingCheck {
                         message: final_body.clone(),
@@ -435,6 +439,7 @@ impl<R: KeyResolver> Verifier<R> {
     /// if any seal fails none of its seals do. Only seal validity is
     /// ever cached, never a request-dependent decision.
     pub fn settle(&self, group: &mut [Prepared]) {
+        rank::assert_unheld("Verifier::settle");
         self.settle_shared_keys(group);
         let mut rest = group;
         while !rest.is_empty() {
@@ -838,6 +843,69 @@ mod tests {
         // revocation is strictly opt-in state, never ambient.
         let pres = revoked.present_bearer([9u8; 32], &p("fs"));
         assert!(s.verifier.verify(&pres, &ctx(), &mut guard).is_ok());
+    }
+
+    /// A verifier that knows each of `grantors`' public keys (one key per
+    /// name), with a bearer presentation of a proxy each of them granted,
+    /// prepared, and the first grantor's key.
+    #[cfg(debug_assertions)]
+    fn prepared_public_key_group(
+        grantors: &[&str],
+    ) -> (Verifier<MapResolver>, Vec<Prepared>, VerifyingKey) {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut resolver = MapResolver::new();
+        let mut proxies = Vec::new();
+        for (serial, name) in (1..).zip(grantors) {
+            let sk = SigningKey::from_seed(&Sha256::digest(name.as_bytes()));
+            resolver.insert(p(name), GrantorVerifier::PublicKey(sk.verifying_key()));
+            let auth = GrantAuthority::Keypair(sk);
+            proxies.push(grant(
+                &p(name),
+                &auth,
+                RestrictionSet::new(),
+                window(),
+                serial,
+                &mut rng,
+            ));
+        }
+        let verifier = Verifier::new(p("fs"), resolver);
+        let group = proxies
+            .iter()
+            .map(|proxy| {
+                verifier.prepare(&proxy.present_bearer([7u8; 32], &p("fs")), Timestamp(10))
+            })
+            .collect();
+        let first = SigningKey::from_seed(&Sha256::digest(grantors[0].as_bytes())).verifying_key();
+        (verifier, group, first)
+    }
+
+    /// The former L6 fixture `l6_group_equation_under_slot_guard`: the
+    /// shared equation of a group under several keys, settled while a
+    /// key-table slot is held, trips the witness.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "Verifier::settle entered holding")]
+    fn a_group_settled_under_a_slot_guard_trips_the_witness() {
+        let (verifier, mut group, key) = prepared_public_key_group(&["alice", "bob"]);
+        verifier
+            .keys
+            .holding_slot_of(&key, || verifier.settle(&mut group));
+    }
+
+    /// The former L6 fixture `l6_one_key_equation_under_slot_guard`: a
+    /// run of checks under one prepared key, settled while that key's
+    /// slot is held, trips the witness.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "Verifier::settle entered holding")]
+    fn a_one_key_run_settled_under_its_slot_trips_the_witness() {
+        let (verifier, mut group, key) = prepared_public_key_group(&["alice", "alice"]);
+        // Seen twice, the key is prepared: the next run is one-key.
+        verifier.settle(&mut group);
+        let (_, mut again, _) = prepared_public_key_group(&["alice", "alice"]);
+        verifier
+            .keys
+            .holding_slot_of(&key, || verifier.settle(&mut again));
     }
 
     #[test]

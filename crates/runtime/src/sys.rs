@@ -1,11 +1,12 @@
-//! Thin, audited FFI over the four syscalls the [`crate::poller`]
-//! needs: `epoll_create1`, `epoll_ctl`, `epoll_wait` and `close`.
+//! Thin, audited FFI over the three syscalls the [`crate::poller`]
+//! needs: `epoll_create1`, `epoll_ctl` and `epoll_wait`.
 //!
 //! One of the workspace's two modules that contain `unsafe` code (the
 //! other is `proxy-bench`'s counting allocator, `bench/src/alloc_count.rs`),
 //! and the audit argument for every call site is local:
 //!
-//! * `epoll_create1` / `close` take no pointers at all;
+//! * `epoll_create1` takes no pointers at all, and the fd it returns
+//!   goes straight into an [`OwnedFd`], which closes it;
 //! * `epoll_ctl` passes a pointer to one stack-owned [`EpollEvent`]
 //!   that outlives the call (the kernel copies it before returning);
 //! * `epoll_wait` writes into a caller-owned slice whose length is
@@ -15,11 +16,11 @@
 //!
 //! No file descriptor is fabricated here: every fd handed to these
 //! wrappers comes from a live `std::net` socket (via `AsRawFd`) or from
-//! `epoll_create1` itself, and [`EpollFd`] owns its descriptor with a
-//! `Drop` that closes it exactly once.
+//! `epoll_create1` itself, and [`EpollFd`] owns its descriptor as an
+//! [`OwnedFd`], whose `Drop` closes it exactly once.
 
 use std::io;
-use std::os::fd::RawFd;
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 
 /// `EPOLL_CLOEXEC`: the epoll fd must not leak across `exec`.
 const EPOLL_CLOEXEC: i32 = 0o2000000;
@@ -61,7 +62,6 @@ mod ffi {
         pub fn epoll_create1(flags: i32) -> i32;
         pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         pub fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-        pub fn close(fd: i32) -> i32;
     }
 }
 
@@ -76,7 +76,8 @@ fn check(ret: i32) -> io::Result<i32> {
 }
 
 /// An owned epoll instance.
-pub struct EpollFd(RawFd);
+#[derive(Debug)]
+pub struct EpollFd(OwnedFd);
 
 impl EpollFd {
     /// Creates a close-on-exec epoll instance.
@@ -87,8 +88,9 @@ impl EpollFd {
     /// descriptors, `ENOMEM`, `ENOSYS` on a host without epoll).
     #[allow(unsafe_code)]
     pub fn create() -> io::Result<Self> {
-        // SAFETY: no pointers; returns a fresh fd or -1.
-        let fd = check(unsafe { ffi::epoll_create1(EPOLL_CLOEXEC) })?;
+        // SAFETY: no pointers; returns a fresh fd or -1, and a fresh fd
+        // is owned by nothing else, so the `OwnedFd` may take it.
+        let fd = unsafe { OwnedFd::from_raw_fd(check(ffi::epoll_create1(EPOLL_CLOEXEC))?) };
         Ok(Self(fd))
     }
 
@@ -102,7 +104,7 @@ impl EpollFd {
         // pointer but a valid one is passed anyway (pre-2.6.9 kernels
         // required it).
         #[allow(unsafe_code)]
-        check(unsafe { ffi::epoll_ctl(self.0, op, fd, &mut ev) })?;
+        check(unsafe { ffi::epoll_ctl(self.0.as_raw_fd(), op, fd, &mut ev) })?;
         Ok(())
     }
 
@@ -148,7 +150,8 @@ impl EpollFd {
             // `cap` never exceeds `buf.len()`, so the kernel writes only
             // into the slice. The returned count is clamped to the same
             // bound before the caller reads any entry.
-            let ret = unsafe { ffi::epoll_wait(self.0, buf.as_mut_ptr(), cap, timeout_ms) };
+            let ret =
+                unsafe { ffi::epoll_wait(self.0.as_raw_fd(), buf.as_mut_ptr(), cap, timeout_ms) };
             match check(ret) {
                 Ok(n) => return Ok((n.max(0) as usize).min(buf.len())),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -158,27 +161,11 @@ impl EpollFd {
     }
 }
 
-impl Drop for EpollFd {
-    #[allow(unsafe_code)]
-    fn drop(&mut self) {
-        // SAFETY: `self.0` came from `epoll_create1` and is closed
-        // exactly once (Drop runs once); errors on close are ignored.
-        let _ = unsafe { ffi::close(self.0) };
-    }
-}
-
-impl std::fmt::Debug for EpollFd {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("EpollFd").field(&self.0).finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Write;
     use std::net::{TcpListener, TcpStream};
-    use std::os::fd::AsRawFd;
 
     #[test]
     fn epoll_reports_readability_with_token() {

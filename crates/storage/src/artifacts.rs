@@ -130,7 +130,7 @@ impl<S: Storage> ArtifactStore<S> {
         if let Some(blob) = &recovered.snapshot {
             let mut d = Decoder::new(blob);
             let n = d.counted(2).map_err(|_| envelope_corrupt(0))?;
-            for _ in 0..n {
+            for _ in 0..n.get() {
                 out.push(StoredArtifact::decode_from(&mut d).ok_or_else(|| envelope_corrupt(0))?);
             }
             d.finish().map_err(|_| envelope_corrupt(0))?;

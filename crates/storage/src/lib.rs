@@ -34,9 +34,18 @@
 //! concurrent requests. That makes `stage` **enqueue-only by contract**:
 //! called under shard guards, it copies the record into memory and never
 //! writes to, syncs or waits on a device (`wait_durable` and
-//! `install_snapshot` do). `proxy-lint` L6 holds backends to this: an
-//! fsync reachable from `stage` is reported at every journal `stage`
-//! site under a shard guard.
+//! `install_snapshot` do). Debug builds hold backends to this with the
+//! lock-rank witness (`restricted_proxy::shard::rank`, DESIGN.md §11):
+//! `Storage::wait_durable` and the WAL's flush assert that the thread
+//! holds no stripe, so a flush reached from a `stage` under a shard
+//! guard panics in every test that stages there.
+//!
+//! ## Fail-stop
+//!
+//! Each backend implements [`Backend`], whose fallible entry points
+//! return [`Latched`]: only [`Latch::run`] makes one, so each entry point
+//! runs under the backend's latch, and the first failure it returns is
+//! what every later call returns.
 
 // L1, panic-free decode (DESIGN.md §11): this crate reads bytes a peer
 // or a disk chose, so outside test code a reachable panic is a remote
@@ -54,6 +63,10 @@
         clippy::disallowed_macros,
     )
 )]
+// L8, untrusted lengths: a length read off the disk sizes an allocation
+// only through `restricted_proxy::encode::Bounded` (clippy.toml lists
+// the sizing methods).
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 pub mod artifacts;
 pub mod log;
@@ -65,6 +78,9 @@ pub use mem::MemStorage;
 pub use wal::{FsyncMode, WalOptions, WalStorage};
 
 use std::fmt;
+use std::sync::OnceLock;
+
+use restricted_proxy::shard::rank;
 
 /// Largest record a backend accepts, matching the artifact decode bound
 /// (a journal record may carry a full revocation snapshot artifact).
@@ -229,6 +245,113 @@ pub trait Storage: Send + Sync + fmt::Debug {
     /// [`StorageError::Corrupt`] at the first bad record, or an I/O
     /// error.
     fn load(&self) -> Result<Recovered, StorageError>;
+}
+
+/// The fail-stop latch of a store or of the journal above one: the first
+/// failure a body run under it returns is kept, and every later run
+/// returns that failure without running its body, so a store that failed
+/// once never serves a write that could diverge from its log.
+#[derive(Debug, Default)]
+pub struct Latch(OnceLock<StorageError>);
+
+impl Latch {
+    /// Refuses with the latched failure if there is one; otherwise runs
+    /// `body` and latches the `Err` it returns, if it returns one.
+    pub fn run<T>(&self, body: impl FnOnce() -> Result<T, StorageError>) -> Latched<T> {
+        if let Err(e) = self.check() {
+            return Latched(Err(e));
+        }
+        let out = body();
+        if let Err(e) = &out {
+            let _ = self.0.set(e.clone());
+        }
+        Latched(out)
+    }
+
+    /// `Err` with the latched failure, if there is one.
+    ///
+    /// # Errors
+    ///
+    /// The first failure the latch kept.
+    pub fn check(&self) -> Result<(), StorageError> {
+        self.0.get().cloned().map_or(Ok(()), Err)
+    }
+}
+
+/// What a body run under a [`Latch`] returned. Only [`Latch::run`] makes
+/// one, so an entry point that returns it has latched every `Err` it
+/// returns: [`Backend`]'s fallible methods do, and so does the accounting
+/// journal's durable wait.
+///
+/// ```compile_fail
+/// # use proxy_storage::{Latched, Ticket};
+/// fn wait_durable(_ticket: Ticket) -> Latched<()> {
+///     Ok(())
+/// }
+/// ```
+/// ```
+/// # use proxy_storage::{Latch, Latched, Ticket};
+/// fn wait_durable(latch: &Latch, _ticket: Ticket) -> Latched<()> {
+///     latch.run(|| Ok(()))
+/// }
+/// ```
+#[must_use]
+#[derive(Debug)]
+pub struct Latched<T>(Result<T, StorageError>);
+
+impl<T> Latched<T> {
+    /// The body's result.
+    ///
+    /// # Errors
+    ///
+    /// The body's error, or the failure latched before it.
+    pub fn into_result(self) -> Result<T, StorageError> {
+        self.0
+    }
+}
+
+/// A storage backend as it is written: [`Storage`]'s methods, with every
+/// fallible one run under the backend's [`Latch`]. The impl below makes
+/// each backend a [`Storage`] and refuses an oversized record for all of
+/// them before it reaches [`Backend::stage`].
+pub trait Backend: Send + Sync + fmt::Debug {
+    /// [`Storage::stage`], for a record of at most [`MAX_RECORD`] bytes.
+    fn stage(&self, record: &[u8]) -> Latched<Ticket>;
+
+    /// [`Storage::wait_durable`].
+    fn wait_durable(&self, ticket: Ticket) -> Latched<()>;
+
+    /// [`Storage::install_snapshot`].
+    fn install_snapshot(&self, state: &[u8]) -> Latched<()>;
+
+    /// [`Storage::load`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Storage::load`].
+    fn load(&self) -> Result<Recovered, StorageError>;
+}
+
+impl<B: Backend> Storage for B {
+    fn stage(&self, record: &[u8]) -> Result<Ticket, StorageError> {
+        if record.len() > MAX_RECORD {
+            return Err(StorageError::TooLarge(record.len()));
+        }
+        Backend::stage(self, record).into_result()
+    }
+
+    fn wait_durable(&self, ticket: Ticket) -> Result<(), StorageError> {
+        rank::assert_unheld("Storage::wait_durable");
+        Backend::wait_durable(self, ticket).into_result()
+    }
+
+    fn install_snapshot(&self, state: &[u8]) -> Result<(), StorageError> {
+        Backend::install_snapshot(self, state).into_result()
+    }
+
+    fn load(&self) -> Result<Recovered, StorageError> {
+        Backend::load(self)
+    }
 }
 
 /// `Arc<S>` (including `Arc<dyn Storage>`) is itself a backend, so a

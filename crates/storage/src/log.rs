@@ -18,9 +18,10 @@
 //!   earlier bytes — so it is bit rot or tampering, and recovery refuses
 //!   to proceed past it (fail-closed), naming the exact record.
 //!
-//! This module is pure byte manipulation (no I/O) and sits on the
-//! proxy-lint L1 panic-freedom scope: decode rejects hostile or damaged
-//! input with typed errors, never a panic.
+//! This module is pure byte manipulation (no I/O) and sits in the
+//! storage crate's panic-free scope (the L1 clippy lints its root
+//! denies, DESIGN.md §11): decode rejects hostile or damaged input with
+//! typed errors, never a panic.
 
 use proxy_wire::crc::crc32;
 

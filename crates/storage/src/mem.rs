@@ -1,4 +1,5 @@
-//! In-memory [`Storage`]: today's volatile behavior, made explicit.
+//! In-memory [`Storage`](crate::Storage): today's volatile behavior,
+//! made explicit.
 //!
 //! A [`MemStorage`] keeps the record log and snapshot in process memory.
 //! It exists for three reasons: netsim/bench determinism (no filesystem
@@ -9,10 +10,9 @@
 //! disk. Like a [`crate::WalStorage`], it is fail-stop: once its
 //! injected crash point fires, every call but `load` refuses.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::{Recovered, Storage, StorageError, Ticket, MAX_RECORD};
+use crate::{Latch, Latched, Recovered, StorageError, Ticket};
 
 #[derive(Debug, Default)]
 struct MemInner {
@@ -22,15 +22,14 @@ struct MemInner {
     crash_after: Option<u64>,
 }
 
-/// An in-memory [`Storage`] backend. Every staged record is immediately
-/// "durable" (it lives exactly as long as the store).
+/// An in-memory [`Storage`](crate::Storage) backend. Every staged record
+/// is immediately "durable" (it lives exactly as long as the store).
 #[derive(Debug, Default)]
 pub struct MemStorage {
     inner: Mutex<MemInner>,
     /// The fail-stop latch, set (under `inner`'s lock) by the stage that
-    /// fires the crash point. An atomic, so `wait_durable` reads it
-    /// without the lock.
-    poisoned: AtomicBool,
+    /// fires the crash point. `wait_durable` reads it without the lock.
+    latch: Latch,
 }
 
 impl MemStorage {
@@ -64,43 +63,36 @@ impl MemStorage {
     }
 }
 
-impl Storage for MemStorage {
-    fn stage(&self, record: &[u8]) -> Result<Ticket, StorageError> {
-        if record.len() > MAX_RECORD {
-            return Err(StorageError::TooLarge(record.len()));
-        }
+impl crate::Backend for MemStorage {
+    fn stage(&self, record: &[u8]) -> Latched<Ticket> {
         let mut inner = self.lock();
-        if self.poisoned.load(Ordering::Acquire) || inner.crash_after == Some(inner.staged) {
-            // Dead already, or armed at `n == 0`: nothing is recorded.
-            self.poisoned.store(true, Ordering::Release);
-            return Err(StorageError::Crashed);
-        }
-        inner.staged += 1;
-        inner.records.push(record.to_vec());
-        if inner.crash_after == Some(inner.staged) {
-            // The record is in the log — the client just never hears
-            // back. (Durable-then-dead, the exactly-once crash window.)
-            self.poisoned.store(true, Ordering::Release);
-            return Err(StorageError::Crashed);
-        }
-        Ok(Ticket(inner.staged))
+        self.latch.run(|| {
+            if inner.crash_after == Some(inner.staged) {
+                // Armed at `n == 0`: nothing is recorded.
+                return Err(StorageError::Crashed);
+            }
+            inner.staged += 1;
+            inner.records.push(record.to_vec());
+            if inner.crash_after == Some(inner.staged) {
+                // The record is in the log — the client just never hears
+                // back. (Durable-then-dead, the exactly-once crash window.)
+                return Err(StorageError::Crashed);
+            }
+            Ok(Ticket(inner.staged))
+        })
     }
 
-    fn wait_durable(&self, _ticket: Ticket) -> Result<(), StorageError> {
-        if self.poisoned.load(Ordering::Acquire) {
-            return Err(StorageError::Crashed);
-        }
-        Ok(())
+    fn wait_durable(&self, _ticket: Ticket) -> Latched<()> {
+        self.latch.run(|| Ok(()))
     }
 
-    fn install_snapshot(&self, state: &[u8]) -> Result<(), StorageError> {
+    fn install_snapshot(&self, state: &[u8]) -> Latched<()> {
         let mut inner = self.lock();
-        if self.poisoned.load(Ordering::Acquire) {
-            return Err(StorageError::Crashed);
-        }
-        inner.snapshot = Some(state.to_vec());
-        inner.records.clear();
-        Ok(())
+        self.latch.run(|| {
+            inner.snapshot = Some(state.to_vec());
+            inner.records.clear();
+            Ok(())
+        })
     }
 
     fn load(&self) -> Result<Recovered, StorageError> {
@@ -116,6 +108,7 @@ impl Storage for MemStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Storage;
 
     #[test]
     fn append_load_round_trip() {
@@ -175,5 +168,19 @@ mod tests {
         assert_eq!(s.stage(b"never"), Err(StorageError::Crashed));
         assert_eq!(s.record_count(), 1);
         assert_eq!(s.wait_durable(Ticket(1)), Err(StorageError::Crashed));
+    }
+
+    /// The former L6 fixture `l6_blocking_under_shard_guard`: a durable
+    /// wait inside a `ShardMap` closure trips the lock-rank witness.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "Storage::wait_durable entered holding")]
+    fn a_durable_wait_under_a_shard_guard_trips_the_witness() {
+        use restricted_proxy::shard::ShardMap;
+        let store = MemStorage::new();
+        let ticket = store.stage(b"record").unwrap();
+        let accounts: ShardMap<u64, u64> = ShardMap::new();
+        accounts.insert(1, 0);
+        accounts.update(&1, |_| store.wait_durable(ticket)).unwrap();
     }
 }

@@ -1,5 +1,6 @@
-//! The durable [`Storage`] backend: an append-only, CRC-framed
-//! write-ahead log with group-commit fsync and snapshot rotation.
+//! The durable [`Storage`](crate::Storage) backend: an append-only,
+//! CRC-framed write-ahead log with group-commit fsync and snapshot
+//! rotation.
 //!
 //! ## On-disk layout
 //!
@@ -10,9 +11,10 @@
 //! snap.<gen>   compacted snapshot: one frame holding the state blob
 //! ```
 //!
-//! [`WalStorage::install_snapshot`] rotates generations: it writes
-//! `snap.<gen+1>.tmp`, fsyncs, atomically renames it to `snap.<gen+1>`
-//! (the commit point), fsyncs the directory, creates an empty
+//! [`Storage::install_snapshot`](crate::Storage::install_snapshot)
+//! rotates generations: it writes `snap.<gen+1>.tmp`, fsyncs,
+//! atomically renames it to `snap.<gen+1>` (the commit point), fsyncs
+//! the directory, creates an empty
 //! `wal.<gen+1>`, and only then deletes the old generation. Recovery
 //! after a crash at *any* point in that sequence converges: the current
 //! generation is the highest `snap.<g>` on disk (generation 0 has no
@@ -21,9 +23,9 @@
 //!
 //! ## Group-commit fsync
 //!
-//! [`Storage::stage`] only frames the record into a memory buffer and
+//! [`Storage::stage`](crate::Storage::stage) only frames the record into a memory buffer and
 //! hands out a ticket; the device is touched in
-//! [`Storage::wait_durable`] (and [`Storage::install_snapshot`]), never
+//! [`Storage::wait_durable`](crate::Storage::wait_durable) (and [`Storage::install_snapshot`](crate::Storage::install_snapshot)), never
 //! under a caller's lock. `fsync` dominates the append path (~100µs+ on
 //! common filesystems), so the waiters amortize it with a
 //! leader/follower protocol over that buffer: the first waiter that
@@ -53,8 +55,11 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
+use restricted_proxy::encode::Bounded;
+use restricted_proxy::shard::rank;
+
 use crate::log::{frame_into, scan_segment};
-use crate::{CorruptKind, Recovered, Storage, StorageError, Ticket, MAX_RECORD};
+use crate::{CorruptKind, Latch, Latched, Recovered, StorageError, Ticket};
 
 /// Whether a flush must actually reach the platter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -88,8 +93,6 @@ struct WalState {
     durable: u64,
     /// A leader (or snapshot installer) currently owns the file.
     flushing: bool,
-    /// First I/O failure; once set, every call returns it (fail-stop).
-    poison: Option<StorageError>,
     /// Injected crash points (tests): absolute ticket numbers.
     crash_after: Option<u64>,
     crash_before: Option<u64>,
@@ -101,12 +104,17 @@ struct WalFile {
     gen: u64,
 }
 
-/// The write-ahead-log [`Storage`] backend; see the module docs.
+/// The write-ahead-log [`Storage`](crate::Storage) backend; see the
+/// module docs.
 #[derive(Debug)]
 pub struct WalStorage {
     dir: PathBuf,
     opts: WalOptions,
     state: Mutex<WalState>,
+    /// First failure; once set, every call returns it (fail-stop). Set
+    /// only under the `state` lock, which the followers' wait reads it
+    /// under, and followed by a wake of `completed`.
+    latch: Latch,
     /// Wakes followers when a flush publishes.
     completed: Condvar,
     file: Mutex<WalFile>,
@@ -217,6 +225,7 @@ impl WalStorage {
             dir,
             opts,
             state: Mutex::new(WalState::default()),
+            latch: Latch::default(),
             completed: Condvar::new(),
             file: Mutex::new(WalFile { file, gen }),
             torn_at_open: scan.torn_tail,
@@ -250,7 +259,7 @@ impl WalStorage {
     /// The state carries monotone counters and a byte buffer with no
     /// cross-field invariant a panic could tear; recover a poisoned lock
     /// rather than wedging every worker. (I/O failures have their own
-    /// fail-stop poisoning via `WalState::poison`.)
+    /// fail-stop latch, `WalStorage::latch`.)
     fn state_guard(&self) -> MutexGuard<'_, WalState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -262,6 +271,7 @@ impl WalStorage {
     /// Writes (and per policy fsyncs) one taken batch. Called with the
     /// state lock *released*; state → file is the only lock order used.
     fn write_batch(&self, batch: &[u8]) -> Result<(), StorageError> {
+        rank::assert_unheld("the WAL leader's flush");
         if batch.is_empty() {
             return Ok(());
         }
@@ -281,55 +291,52 @@ impl WalStorage {
     fn publish(&self, upto: u64, res: Result<(), StorageError>) -> MutexGuard<'_, WalState> {
         let mut st = self.state_guard();
         st.flushing = false;
-        match res {
-            Ok(()) if st.crash_after.is_some_and(|at| upto >= at) => {
-                st.poison = Some(StorageError::Crashed);
-            }
-            Ok(()) => st.durable = st.durable.max(upto),
-            Err(e) => st.poison = Some(e),
+        let crashed = st.crash_after.is_some_and(|at| upto >= at);
+        let published = self.latch.run(|| match res {
+            Ok(()) if crashed => Err(StorageError::Crashed),
+            other => other,
+        });
+        if published.into_result().is_ok() {
+            st.durable = st.durable.max(upto);
         }
         self.completed.notify_all();
         st
     }
 }
 
-impl Storage for WalStorage {
-    fn stage(&self, record: &[u8]) -> Result<Ticket, StorageError> {
-        if record.len() > MAX_RECORD {
-            return Err(StorageError::TooLarge(record.len()));
-        }
+impl crate::Backend for WalStorage {
+    fn stage(&self, record: &[u8]) -> Latched<Ticket> {
         let mut st = self.state_guard();
-        if let Some(p) = &st.poison {
-            return Err(p.clone());
-        }
-        let ticket = st.staged + 1;
-        if st.crash_before.is_some_and(|at| ticket >= at) {
-            // Died before the write hit the log: the record is simply
-            // gone, and so (fail-stop) is the server.
-            st.poison = Some(StorageError::Crashed);
-            self.completed.notify_all();
-            return Err(StorageError::Crashed);
-        }
-        if st.crash_after.is_some_and(|at| ticket > at) {
-            // Behind the doomed record nothing is written. The poison
-            // latch is left to the flush that covers that record
-            // (`publish`): latching here would stop its waiter from
-            // making it durable first.
-            return Err(StorageError::Crashed);
-        }
-        st.staged = ticket;
-        frame_into(&mut st.buf, record)?;
-        Ok(Ticket(ticket))
+        self.latch.run(|| {
+            let ticket = st.staged + 1;
+            if st.crash_before.is_some_and(|at| ticket >= at) {
+                // Died before the write hit the log: the record is simply
+                // gone, and so (fail-stop) is the server. The latch is set
+                // before this lock is released: the wake reaches followers
+                // that will see it.
+                self.completed.notify_all();
+                return Err(StorageError::Crashed);
+            }
+            st.staged = ticket;
+            if st.crash_after.is_some_and(|at| ticket > at) {
+                // Behind the doomed record: staged in memory only, and
+                // lost with the process when the flush that covers the
+                // doomed record dies (`publish`), which its wait then
+                // reports. Refusing here would latch the store before
+                // that flush made the doomed record durable.
+                return Ok(Ticket(ticket));
+            }
+            frame_into(&mut st.buf, record)?;
+            Ok(Ticket(ticket))
+        })
     }
 
-    fn wait_durable(&self, ticket: Ticket) -> Result<(), StorageError> {
+    fn wait_durable(&self, ticket: Ticket) -> Latched<()> {
         let mut st = self.state_guard();
-        loop {
-            if let Some(p) = &st.poison {
-                // Even if the record itself reached the platter, the
-                // store is dead: no acknowledgement may go out.
-                return Err(p.clone());
-            }
+        self.latch.run(move || loop {
+            // Even if the record itself reached the platter, a latched
+            // store is dead: no acknowledgement may go out.
+            self.latch.check()?;
             if st.durable >= ticket.0 {
                 return Ok(());
             }
@@ -347,30 +354,32 @@ impl Storage for WalStorage {
             st = self
                 .completed
                 .wait_while(st, |st| {
-                    st.durable < ticket.0 && st.flushing && st.poison.is_none()
+                    st.durable < ticket.0 && st.flushing && self.latch.check().is_ok()
                 })
                 .unwrap_or_else(PoisonError::into_inner);
-        }
+        })
     }
 
-    fn install_snapshot(&self, state: &[u8]) -> Result<(), StorageError> {
-        // Claim the flush slot so no leader owns the file mid-rotation.
-        let mut st = self
-            .completed
-            .wait_while(self.state_guard(), |st| st.flushing && st.poison.is_none())
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(p) = &st.poison {
-            return Err(p.clone());
-        }
-        st.flushing = true;
-        let pending = std::mem::take(&mut st.buf);
-        let upto = st.staged;
-        drop(st);
+    fn install_snapshot(&self, state: &[u8]) -> Latched<()> {
+        self.latch.run(|| {
+            // Claim the flush slot so no leader owns the file mid-rotation.
+            let mut st = self
+                .completed
+                .wait_while(self.state_guard(), |st| {
+                    st.flushing && self.latch.check().is_ok()
+                })
+                .unwrap_or_else(PoisonError::into_inner);
+            self.latch.check()?;
+            st.flushing = true;
+            let pending = std::mem::take(&mut st.buf);
+            let upto = st.staged;
+            drop(st);
 
-        // Every record staged so far is either folded into the snapshot
-        // or (the pending tail) flushed by the rotation.
-        let st = self.publish(upto, self.rotate(state, &pending));
-        st.poison.clone().map_or(Ok(()), Err)
+            // Every record staged so far is either folded into the
+            // snapshot or (the pending tail) flushed by the rotation.
+            drop(self.publish(upto, self.rotate(state, &pending)));
+            self.latch.check()
+        })
     }
 
     fn load(&self) -> Result<Recovered, StorageError> {
@@ -434,7 +443,9 @@ impl WalStorage {
         }
 
         let next = wf.gen + 1;
-        let mut framed = Vec::with_capacity(state.len() + crate::log::FRAME_HEADER);
+        let mut framed = Bounded::len_of(state)
+            .plus(Bounded::fixed::<{ crate::log::FRAME_HEADER }>())
+            .vec();
         frame_into(&mut framed, state)?;
         let tmp = self.dir.join(format!("snap.{next}.tmp"));
         let mut f = File::create(&tmp).map_err(io_err("create snapshot tmp"))?;
@@ -472,6 +483,7 @@ impl WalStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Storage, MAX_RECORD};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -738,13 +750,14 @@ mod tests {
         let dir = tmpdir("crash-flush");
         let w = WalStorage::open(&dir, no_fsync()).unwrap();
         w.crash_after_appends(1);
-        // The doomed record is staged like any other, in memory; nothing
-        // can be staged behind it.
+        // The doomed record is staged like any other, in memory; what is
+        // staged behind it dies with it.
         let doomed = w.stage(b"doomed").unwrap();
-        assert_eq!(w.stage(b"behind"), Err(StorageError::Crashed));
+        let behind = w.stage(b"behind").unwrap();
         assert_eq!(fs::read(wal_path(&dir, 0)).unwrap(), b"");
         // The flush that covers it makes it durable, then dies.
         assert_eq!(w.wait_durable(doomed), Err(StorageError::Crashed));
+        assert_eq!(w.wait_durable(behind), Err(StorageError::Crashed));
         assert_eq!(w.load().unwrap().records, vec![b"doomed".to_vec()]);
     }
 

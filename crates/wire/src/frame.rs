@@ -21,6 +21,8 @@
 
 use std::io::{Read, Write};
 
+use restricted_proxy::encode::Bounded;
+
 use crate::crc::crc32;
 use crate::error::WireError;
 use crate::{MAGIC, MAX_FRAME_BODY, PROTOCOL_VERSION};
@@ -86,7 +88,9 @@ pub fn parse_header(bytes: &[u8; HEADER_LEN]) -> Result<FrameHeader, WireError> 
 /// input.
 #[must_use]
 pub fn encode_frame(msg_type: u8, request_id: u64, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + body.len() + TRAILER_LEN);
+    let mut out = Bounded::len_of(body)
+        .plus(Bounded::fixed::<{ HEADER_LEN + TRAILER_LEN }>())
+        .vec();
     let start = begin_frame(&mut out, msg_type, request_id);
     out.extend_from_slice(body);
     finish_frame(&mut out, start);
@@ -216,7 +220,15 @@ pub fn read_frame(r: &mut impl Read) -> Result<(FrameHeader, Vec<u8>), WireError
     let mut header_bytes = [0u8; HEADER_LEN];
     r.read_exact(&mut header_bytes)?;
     let header = parse_header(&header_bytes)?;
-    let mut frame = vec![0; HEADER_LEN + header.body_len as usize + TRAILER_LEN];
+    let mut frame = Bounded::at_most(
+        HEADER_LEN + header.body_len as usize + TRAILER_LEN,
+        HEADER_LEN + MAX_FRAME_BODY as usize + TRAILER_LEN,
+    )
+    .map_err(|_| WireError::FrameTooLarge {
+        len: header.body_len,
+        max: MAX_FRAME_BODY,
+    })?
+    .zeroed();
     let (head, rest) = frame.split_at_mut(HEADER_LEN);
     head.copy_from_slice(&header_bytes);
     r.read_exact(rest)?;

@@ -585,9 +585,9 @@ impl Message {
             0x03 => {
                 let requester = d.principal()?;
                 let n = d.counted(4)?;
-                check_limit("groups", n, MAX_GROUPS)?;
-                let mut groups = Vec::with_capacity(n);
-                for _ in 0..n {
+                check_limit("groups", n.get(), MAX_GROUPS)?;
+                let mut groups = n.vec();
+                for _ in 0..n.get() {
                     groups.push(d.str()?.to_string());
                 }
                 let validity = decode_validity(&mut d)?;
@@ -604,17 +604,17 @@ impl Message {
                 let operation = Operation::new(d.str()?);
                 let object = ObjectName::new(d.str()?);
                 let n = d.counted(4)?;
-                check_limit("authenticated principals", n, MAX_PRESENTATIONS)?;
-                let mut authenticated = Vec::with_capacity(n);
-                for _ in 0..n {
+                check_limit("authenticated principals", n.get(), MAX_PRESENTATIONS)?;
+                let mut authenticated = n.vec();
+                for _ in 0..n.get() {
                     authenticated.push(d.principal()?);
                 }
                 let presentations = decode_presentations(&mut d)?;
                 let now = Timestamp(d.u64()?);
                 let n = d.counted(12)?;
-                check_limit("amounts", n, MAX_AMOUNTS)?;
-                let mut amounts = Vec::with_capacity(n);
-                for _ in 0..n {
+                check_limit("amounts", n.get(), MAX_AMOUNTS)?;
+                let mut amounts = n.vec();
+                for _ in 0..n.get() {
                     let currency = decode_currency(&mut d)?;
                     amounts.push((currency, d.u64()?));
                 }
@@ -629,15 +629,15 @@ impl Message {
             }
             0x06 => {
                 let n = d.counted(4)?;
-                check_limit("principals", n, MAX_GROUPS)?;
-                let mut principals = Vec::with_capacity(n);
-                for _ in 0..n {
+                check_limit("principals", n.get(), MAX_GROUPS)?;
+                let mut principals = n.vec();
+                for _ in 0..n.get() {
                     principals.push(d.principal()?);
                 }
                 let n = d.counted(8)?;
-                check_limit("groups", n, MAX_GROUPS)?;
-                let mut groups = Vec::with_capacity(n);
-                for _ in 0..n {
+                check_limit("groups", n.get(), MAX_GROUPS)?;
+                let mut groups = n.vec();
+                for _ in 0..n.get() {
                     let server = d.principal()?;
                     groups.push(GroupName::new(server, d.str()?));
                 }
@@ -697,9 +697,9 @@ impl Message {
             },
             0x11 => {
                 let n = d.counted(40)?;
-                check_limit("revocation artifacts", n, MAX_ARTIFACTS)?;
-                let mut artifacts = Vec::with_capacity(n);
-                for _ in 0..n {
+                check_limit("revocation artifacts", n.get(), MAX_ARTIFACTS)?;
+                let mut artifacts = n.vec();
+                for _ in 0..n.get() {
                     artifacts.push(RevocationArtifact::decode_from(&mut d)?);
                 }
                 Message::RevocationUpdate { artifacts }
@@ -711,9 +711,9 @@ impl Message {
             },
             0x13 => {
                 let n = d.counted(40)?;
-                check_limit("membership artifacts", n, MAX_ARTIFACTS)?;
-                let mut artifacts = Vec::with_capacity(n);
-                for _ in 0..n {
+                check_limit("membership artifacts", n.get(), MAX_ARTIFACTS)?;
+                let mut artifacts = n.vec();
+                for _ in 0..n.get() {
                     artifacts.push(MembershipArtifact::decode_from(&mut d)?);
                 }
                 Message::MembershipUpdate { artifacts }
@@ -811,9 +811,9 @@ fn encode_presentations(e: &mut Encoder, presentations: &[Presentation]) {
 
 fn decode_presentations(d: &mut Decoder<'_>) -> Result<Vec<Presentation>, WireError> {
     let n = d.counted(4)?;
-    check_limit("presentations", n, MAX_PRESENTATIONS)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
+    check_limit("presentations", n.get(), MAX_PRESENTATIONS)?;
+    let mut out = n.vec();
+    for _ in 0..n.get() {
         let p = Presentation::decode(d.bytes()?)?;
         check_limit("certificates in chain", p.certs.len(), MAX_CHAIN_DEPTH)?;
         for cert in &p.certs {
@@ -848,12 +848,12 @@ fn encode_proxy(e: &mut Encoder, proxy: &Proxy) {
 
 fn decode_proxy(d: &mut Decoder<'_>) -> Result<Proxy, WireError> {
     let n = d.counted(4)?;
-    if n == 0 {
+    if n.get() == 0 {
         return Err(DecodeError::InvalidValue("empty certificate chain").into());
     }
-    check_limit("certificates in chain", n, MAX_CHAIN_DEPTH)?;
-    let mut certs = Vec::with_capacity(n);
-    for _ in 0..n {
+    check_limit("certificates in chain", n.get(), MAX_CHAIN_DEPTH)?;
+    let mut certs = n.vec();
+    for _ in 0..n.get() {
         let cert = Certificate::decode(d.bytes()?)?;
         check_limit(
             "restrictions per certificate",
