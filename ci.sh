@@ -104,7 +104,10 @@ cargo test --workspace -q
 
 # Concurrency stress: run the shared-&self server tests with real
 # parallelism (8 test threads, release mode so races aren't serialized
-# by debug-build slowness).
+# by debug-build slowness). Among them the two epoch-feed publisher
+# races, roster_snapshots_match_their_deltas_while_members_churn and
+# revocation_snapshots_match_their_deltas_while_serials_are_revoked: a
+# snapshot sealed from two critical sections drifts off its deltas.
 RUST_TEST_THREADS=8 cargo test --release -q --test concurrency
 
 # Networked service layer: the end-to-end TCP protocol flows and the

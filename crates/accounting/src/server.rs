@@ -132,8 +132,10 @@ pub struct AccountingServer {
     name: PrincipalId,
     authority: GrantAuthority,
     /// Persistent verifier: holds the grantor directory, batches each
-    /// chain's Ed25519 seal checks, and caches positive results so a check
-    /// re-presented along a clearing path costs no signature work.
+    /// chain's Ed25519 seal checks, and caches positive results. Only
+    /// the drawee verifies a chain (a hop that forwards endorses it
+    /// unverified), so what the cache saves is the seal work of a check
+    /// presented again after it was refused or replayed.
     verifier: Verifier<MapResolver>,
     /// Everything the journal covers; changed only by applying a
     /// [`JournalRecord`] to it.

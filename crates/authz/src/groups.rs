@@ -16,11 +16,12 @@
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use rand::RngCore;
 
 use restricted_proxy::encode::Bounded;
-use restricted_proxy::epoch::{ArtifactKind, DeltaLog};
+use restricted_proxy::epoch::{ArtifactKind, DeltaLog, Publisher};
 use restricted_proxy::key::GrantAuthority;
 use restricted_proxy::membership::{member_digest, MemberDigest, MembershipArtifact};
 use restricted_proxy::principal::{GroupName, PrincipalId};
@@ -38,8 +39,79 @@ struct GroupState {
     /// Digest changes since the last publication.
     pending_adds: Vec<MemberDigest>,
     pending_removes: Vec<MemberDigest>,
-    /// The published epoch and the deltas lagging mirrors catch up from.
-    feed: DeltaLog<MembershipArtifact>,
+    /// The published epoch and the deltas lagging mirrors catch up from,
+    /// shared out from under the stripe: its lock comes before the
+    /// stripe's, never after.
+    feed: Arc<DeltaLog<MembershipArtifact>>,
+}
+
+/// The pending digests of one group: adds, then removes.
+type Pending = (Vec<MemberDigest>, Vec<MemberDigest>);
+
+/// One group's publishes: the pending digests and the roster are taken
+/// under the group's stripe, and digested and sealed after it is
+/// released.
+struct Roster<'a> {
+    server: &'a GroupServer,
+    group: &'a str,
+}
+
+impl Roster<'_> {
+    fn take_pending(state: &mut GroupState) -> Option<Pending> {
+        if state.pending_adds.is_empty() && state.pending_removes.is_empty() {
+            return None;
+        }
+        Some((
+            std::mem::take(&mut state.pending_adds),
+            std::mem::take(&mut state.pending_removes),
+        ))
+    }
+}
+
+impl Publisher for Roster<'_> {
+    type Artifact = MembershipArtifact;
+    type Change = Pending;
+    type State = BTreeSet<PrincipalId>;
+
+    fn take(&self) -> Option<Pending> {
+        self.server
+            .groups
+            .update(&self.group.to_string(), |state| Self::take_pending(state?))
+    }
+
+    fn take_with_state(&self) -> Option<(Option<Pending>, BTreeSet<PrincipalId>)> {
+        self.server.groups.update(&self.group.to_string(), |state| {
+            let state = state?;
+            Some((Self::take_pending(state), state.members.clone()))
+        })
+    }
+
+    fn seal_delta(
+        &self,
+        (adds, removes): Pending,
+        base_epoch: u64,
+        epoch: u64,
+    ) -> MembershipArtifact {
+        MembershipArtifact::seal(
+            self.server.global_name(self.group),
+            epoch,
+            ArtifactKind::Delta { base_epoch },
+            adds,
+            removes,
+            &self.server.authority,
+        )
+    }
+
+    fn seal_snapshot(&self, members: BTreeSet<PrincipalId>, epoch: u64) -> MembershipArtifact {
+        MembershipArtifact::seal(
+            self.server.global_name(self.group),
+            epoch,
+            ArtifactKind::Snapshot,
+            members.iter().map(member_digest).collect(),
+            Vec::new(),
+            &self.server.authority,
+        )
+    }
 }
 
 /// A group server maintaining one or more groups. All operations take
@@ -149,53 +221,21 @@ impl GroupServer {
     /// The last published epoch for `group` (0 when never published).
     #[must_use]
     pub fn epoch_of(&self, group: &str) -> u64 {
-        self.groups.read(&group.to_string(), |state| {
-            state.map_or(0, |s| s.feed.published())
-        })
+        self.feed(group).map_or(0, |feed| feed.published())
     }
 
     /// Publishes pending membership changes for `group` as a sealed
     /// delta, bumping the group's epoch. Returns `None` when the group
     /// does not exist or nothing is pending.
     pub fn publish_delta(&self, group: &str) -> Option<MembershipArtifact> {
-        let global = self.global_name(group);
-        self.groups.update(&group.to_string(), |state| {
-            let state = state?;
-            if state.pending_adds.is_empty() && state.pending_removes.is_empty() {
-                return None;
-            }
-            let adds = std::mem::take(&mut state.pending_adds);
-            let removes = std::mem::take(&mut state.pending_removes);
-            Some(state.feed.publish(|base_epoch, epoch| {
-                MembershipArtifact::seal(
-                    global,
-                    epoch,
-                    ArtifactKind::Delta { base_epoch },
-                    adds,
-                    removes,
-                    &self.authority,
-                )
-            }))
-        })
+        self.feed(group)?.publish_delta(&self.roster(group))
     }
 
     /// Publishes the complete membership of `group` as a sealed snapshot
-    /// at the current epoch (pending changes are folded in first).
-    /// Returns `None` when the group does not exist.
+    /// at the current epoch (pending changes are folded in first as a
+    /// delta). Returns `None` when the group does not exist.
     pub fn publish_snapshot(&self, group: &str) -> Option<MembershipArtifact> {
-        self.publish_delta(group);
-        let global = self.global_name(group);
-        self.groups.read(&group.to_string(), |state| {
-            let state = state?;
-            Some(MembershipArtifact::seal(
-                global,
-                state.feed.published(),
-                ArtifactKind::Snapshot,
-                state.members.iter().map(member_digest).collect(),
-                Vec::new(),
-                &self.authority,
-            ))
-        })
+        self.feed(group)?.publish_snapshot(&self.roster(group))
     }
 
     /// The artifacts that bring a mirror of `group` at `have_epoch` up to
@@ -203,14 +243,24 @@ impl GroupServer {
     /// snapshot. Pending changes are published first. Empty when the
     /// mirror is already current or the group does not exist.
     pub fn updates_since(&self, group: &str, have_epoch: u64) -> Vec<MembershipArtifact> {
-        self.publish_delta(group);
-        let chain = self
-            .groups
-            .read(&group.to_string(), |state| state?.feed.since(have_epoch));
-        match chain {
-            Some(chain) => chain,
-            None => self.publish_snapshot(group).into_iter().collect(),
+        self.feed(group).map_or_else(Vec::new, |feed| {
+            feed.updates_since(have_epoch, &self.roster(group))
+        })
+    }
+
+    fn roster<'a>(&'a self, group: &'a str) -> Roster<'a> {
+        Roster {
+            server: self,
+            group,
         }
+    }
+
+    /// The feed of `group`, taken out from under its stripe, so that
+    /// its lock is never taken with the stripe held.
+    fn feed(&self, group: &str) -> Option<Arc<DeltaLog<MembershipArtifact>>> {
+        self.groups.read(&group.to_string(), |state| {
+            state.map(|s| Arc::clone(&s.feed))
+        })
     }
 
     /// Issues a membership proxy for `requester` covering `groups`.

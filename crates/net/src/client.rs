@@ -1,12 +1,13 @@
 //! Pooled blocking TCP client with deadlines, bounded retries, jittered
 //! backoff, and per-connection pipelining
-//! ([`TcpClient::call_pipelined`]).
+//! ([`TcpClient::call_pipelined`]). A lone [`Transport::call`] is a
+//! pipeline window of one: both run one exchange engine.
 
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use proxy_wire::frame::{parse_header, split_frame, FrameHeader, HEADER_LEN, TRAILER_LEN};
 use proxy_wire::Message;
@@ -14,20 +15,23 @@ use proxy_wire::Message;
 use crate::error::NetError;
 use crate::transport::Transport;
 
-/// Bytes pulled from the socket per pipelined read: large enough to
-/// drain a full window of typical replies in one syscall.
-const READ_CHUNK: usize = 16 * 1024;
-
-/// Room the read for a lone reply offers: any reply that arrives as one
-/// network segment lands in one `read`, and the room is small enough
-/// that zeroing it once per connection costs nothing. A longer reply is
+/// Bytes pulled from the socket per read: large enough to drain a full
+/// window of typical replies in one syscall, and small enough that
+/// zeroing it once per connection costs nothing. A longer reply is
 /// finished by a read sized from its header.
-const LONE_REPLY_ROOM: usize = 4096;
+const READ_CHUNK: usize = 16 * 1024;
 
 /// Largest buffer capacity a connection keeps when it returns to the
 /// pool: several typical frames, far below [`proxy_wire::MAX_FRAME_BODY`],
 /// so one oversized reply or refill does not stay pinned.
 const MAX_KEPT_CAPACITY: usize = 64 * 1024;
+
+/// Where the reply to one request lands: `None` until it arrives.
+type Slot = Option<Result<Message, NetError>>;
+
+/// What a slot holds that no reply and no failure filled; the engine
+/// returns `Ok` only with every slot filled, so no caller sees it.
+const UNANSWERED: NetError = NetError::Protocol("pipeline slot left unfilled");
 
 /// The reply side of one connection: each `read` lands in the
 /// connection's own buffer and complete frames are split off its front
@@ -62,10 +66,11 @@ impl ReplyReader {
     }
 
     /// One `read` from `conn`, appended to the bytes not yet split off.
-    /// Offers room for `room` bytes, or for the rest of the frame whose
-    /// header has arrived when that is more ([`Self::buffered`] has
-    /// already refused a header declaring an oversized body).
-    fn fill(&mut self, conn: &mut impl Read, room: usize) -> Result<(), NetError> {
+    /// Offers room for [`READ_CHUNK`] bytes, or for the rest of the
+    /// frame whose header has arrived when that is more
+    /// ([`Self::buffered`] has already refused a header declaring an
+    /// oversized body).
+    fn fill(&mut self, conn: &mut impl Read) -> Result<(), NetError> {
         self.buf.copy_within(self.consumed..self.filled, 0);
         self.filled -= self.consumed;
         self.consumed = 0;
@@ -77,7 +82,7 @@ impl ReplyReader {
             .map_or(0, |header| {
                 (HEADER_LEN + header.body_len as usize + TRAILER_LEN).saturating_sub(self.filled)
             });
-        let end = self.filled + room.max(rest_of_frame);
+        let end = self.filled + READ_CHUNK.max(rest_of_frame);
         if self.buf.len() < end {
             self.buf.resize(end, 0);
         }
@@ -91,36 +96,101 @@ impl ReplyReader {
             Err(e) => Err(NetError::from(e)),
         }
     }
-
-    /// Reads the reply to the one request outstanding on `conn`: a reply
-    /// that arrives whole costs one `read`.
-    fn lone_reply(&mut self, conn: &mut impl Read, request_id: u64) -> Result<Message, NetError> {
-        let (header, body) = loop {
-            if let Some(frame) = self.buffered()? {
-                break frame;
-            }
-            self.fill(conn, LONE_REPLY_ROOM)?;
-        };
-        if header.request_id != request_id {
-            return Err(NetError::Protocol("reply request id mismatch"));
-        }
-        let reply = Message::decode_body(header.msg_type, body)?;
-        // One request was sent, so anything after its reply means the
-        // stream is out of step with the protocol.
-        if !self.is_drained() {
-            return Err(NetError::Protocol("bytes trail the reply"));
-        }
-        Ok(reply)
-    }
 }
 
 /// One kept-alive connection with the buffers that serve it: requests
-/// are encoded into `out`, replies read through `replies`. A connection
-/// is pooled only with its reader drained.
-struct Connection {
-    stream: TcpStream,
+/// are encoded into `out`, replies read through `replies`, and
+/// `inflight` lists the requests sent and not yet answered. A
+/// connection is pooled only with its reader drained.
+struct Connection<S = TcpStream> {
+    stream: S,
     out: Vec<u8>,
     replies: ReplyReader,
+    /// (request id, slot) per outstanding request. A window holds at
+    /// most `depth` (a few dozen), so a linear scan beats hashing.
+    inflight: Vec<(u64, usize)>,
+}
+
+impl<S: Read + Write> Connection<S> {
+    fn new(stream: S) -> Self {
+        Self {
+            stream,
+            out: Vec::new(),
+            replies: ReplyReader::default(),
+            inflight: Vec::new(),
+        }
+    }
+
+    /// The exchange engine: sends `requests` with at most `depth` in
+    /// flight, numbering them from `ids`, and puts the reply to request
+    /// `i` in `slots[i]`; replies are matched by request id, so the
+    /// server may answer out of order. `Ok` means every slot is filled.
+    ///
+    /// The send window refills at a low watermark (half of `depth`),
+    /// batch-encoding the refill into one buffer and one write; replies
+    /// are pulled off the socket in [`READ_CHUNK`]-sized reads and split
+    /// out of the buffer in place. A depth-1 exchange is one `write`
+    /// and, for a reply that arrives whole, one `read`.
+    ///
+    /// A server-side denial ([`NetError::Remote`]) and a reply body that
+    /// does not decode fill their own slot only: framing and CRC held,
+    /// so the stream is still in step. Anything else is returned, and
+    /// leaves the stream untrusted: a failed read or write, broken
+    /// framing, a reply to an id not in flight, or bytes after the last
+    /// reply.
+    fn run(
+        &mut self,
+        ids: &AtomicU64,
+        requests: &[Message],
+        depth: usize,
+        slots: &mut [Slot],
+    ) -> Result<(), NetError> {
+        let depth = depth.max(1);
+        self.inflight.clear();
+        let mut next = 0;
+        while next < requests.len() || !self.inflight.is_empty() {
+            if next < requests.len() && self.inflight.len() <= depth / 2 {
+                self.out.clear();
+                let room = depth - self.inflight.len();
+                for request in requests.iter().skip(next).take(room) {
+                    let id = ids.fetch_add(1, Ordering::Relaxed);
+                    request.encode_frame_into(&mut self.out, id);
+                    self.inflight.push((id, next));
+                    next += 1;
+                }
+                self.stream.write_all(&self.out)?;
+            }
+            let (header, body) = loop {
+                if let Some(frame) = self.replies.buffered()? {
+                    break frame;
+                }
+                self.replies.fill(&mut self.stream)?;
+            };
+            let Some(at) = self
+                .inflight
+                .iter()
+                .position(|&(id, _)| id == header.request_id)
+            else {
+                return Err(NetError::Protocol("reply request id mismatch"));
+            };
+            let (_, slot) = self.inflight.swap_remove(at);
+            let reply = match Message::decode_body(header.msg_type, body) {
+                Ok(Message::Error { code, detail }) => Err(NetError::Remote { code, detail }),
+                Ok(message) => Ok(message),
+                Err(e) => Err(NetError::from(e)),
+            };
+            if let Some(slot) = slots.get_mut(slot) {
+                *slot = Some(reply);
+            }
+        }
+        // Every request sent has its reply, so anything after the last
+        // one means the stream is out of step with the protocol.
+        if self.replies.is_drained() {
+            Ok(())
+        } else {
+            Err(NetError::Protocol("bytes trail the reply"))
+        }
+    }
 }
 
 /// Retry budget for a call: how many attempts, and how long to back off
@@ -160,8 +230,11 @@ impl Default for RetryPolicy {
 /// Client configuration.
 #[derive(Debug, Clone)]
 pub struct ClientOptions {
-    /// Per-request deadline: connect, send, and receive each bounded by
-    /// this duration.
+    /// The deadline of each socket operation: the connect, and every
+    /// write and every read, waits at most this long. An exchange whose
+    /// replies stop arriving for this long fails with
+    /// [`NetError::DeadlineExceeded`]; a pipeline whose replies keep
+    /// arriving runs on. Set once per connection, when it is dialed.
     pub deadline: Duration,
     /// Retry budget for transport-level failures.
     pub retry: RetryPolicy,
@@ -235,16 +308,15 @@ impl TcpClient {
         Ok((self.dial()?, false))
     }
 
+    /// Dials the endpoint and sets the deadline of every later read and
+    /// write on the socket: the one place [`ClientOptions::deadline`]
+    /// takes effect.
     fn dial(&self) -> Result<Connection, NetError> {
         let stream = TcpStream::connect_timeout(&self.addr, self.opts.deadline)?;
         stream.set_read_timeout(Some(self.opts.deadline))?;
         stream.set_write_timeout(Some(self.opts.deadline))?;
         let _ = stream.set_nodelay(true);
-        Ok(Connection {
-            stream,
-            out: Vec::new(),
-            replies: ReplyReader::default(),
-        })
+        Ok(Connection::new(stream))
     }
 
     /// Returns a connection whose reader is drained to the pool, first
@@ -255,6 +327,9 @@ impl TcpClient {
         }
         if conn.replies.buf.capacity() > MAX_KEPT_CAPACITY {
             conn.replies = ReplyReader::default();
+        }
+        if conn.inflight.capacity() * std::mem::size_of::<(u64, usize)>() > MAX_KEPT_CAPACITY {
+            conn.inflight = Vec::new();
         }
         self.pool_guard().push(conn);
     }
@@ -286,53 +361,48 @@ impl TcpClient {
         Duration::from_micros(jittered.min(max))
     }
 
-    fn try_call(&self, request: &Message) -> Result<Message, NetError> {
-        let (conn, pooled) = self.checkout()?;
-        match self.exchange(conn, request) {
-            // A kept-alive connection the server closed while it sat
-            // idle fails with a disconnect the moment it is exercised.
-            // That says nothing about the server or the request: discard
-            // the stale socket and redial fresh, once, without spending
-            // the caller's retry budget (and without re-sleeping a
-            // backoff the caller never asked for).
-            Err(NetError::Disconnected) if pooled => {
-                let fresh = self.dial()?;
-                self.exchange(fresh, request)
-            }
-            other => other,
-        }
-    }
-
-    /// One request/reply exchange on `conn`; checks the connection back
-    /// in only after a fully successful exchange (anything less leaves
+    /// Runs `requests` through the engine on a checked-out connection,
+    /// and pools it again only after a clean run (anything less leaves
     /// the stream state unknowable).
-    fn exchange(&self, mut conn: Connection, request: &Message) -> Result<Message, NetError> {
-        let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        // The connection's own buffers carry the request and the reply,
-        // so a steady-state exchange reuses warm capacity.
-        conn.out.clear();
-        request.encode_frame_into(&mut conn.out, request_id);
-        std::io::Write::write_all(&mut conn.stream, &conn.out)?;
-        let reply = conn.replies.lone_reply(&mut conn.stream, request_id)?;
-        self.checkin(conn);
-        match reply {
-            Message::Error { code, detail } => Err(NetError::Remote { code, detail }),
-            message => Ok(message),
+    ///
+    /// A kept-alive connection the server closed while it sat idle
+    /// fails with a disconnect the moment it is exercised. While
+    /// nothing has been answered, that says nothing about the server or
+    /// the requests: the stale socket is discarded and the run starts
+    /// over on a fresh dial, once, without spending the caller's retry
+    /// budget (and without a backoff the caller never asked for).
+    fn drive(
+        &self,
+        requests: &[Message],
+        depth: usize,
+        slots: &mut [Slot],
+    ) -> Result<(), NetError> {
+        let (mut conn, pooled) = self.checkout()?;
+        let mut outcome = conn.run(&self.next_id, requests, depth, slots);
+        if pooled && outcome == Err(NetError::Disconnected) && slots.iter().all(Option::is_none) {
+            conn = self.dial()?;
+            outcome = conn.run(&self.next_id, requests, depth, slots);
         }
+        if outcome.is_ok() {
+            self.checkin(conn);
+        }
+        outcome
     }
 
     /// Issues `requests` over **one** connection with up to `depth`
     /// in flight at a time, returning one result per request, in request
     /// order.
     ///
-    /// Requests are batch-encoded into the connection's buffer and sent
-    /// with one write per window top-up; replies are matched to requests
-    /// by correlation id, so the server may answer out of order. Each
-    /// request keeps its own deadline, measured from the moment it was
-    /// sent. A transport failure poisons the stream: every request still
+    /// Requests are batch-encoded and sent with one write per window
+    /// top-up; replies are matched to requests by correlation id, so the
+    /// server may answer out of order. The deadline is
+    /// [`ClientOptions::deadline`]'s: each read and write is bounded by
+    /// it. A transport failure poisons the stream: every request still
     /// outstanding fails with a clone of the same error and the
     /// connection is discarded. Server-side denials and malformed reply
     /// bodies are per-request results and do not disturb the pipeline.
+    /// Bytes after the last reply keep the results but unpool the
+    /// connection.
     ///
     /// `depth = 1` degenerates to sequential calls on a kept-alive
     /// connection. No retries are attempted beyond the transparent
@@ -345,193 +415,45 @@ impl TcpClient {
         if requests.is_empty() {
             return Vec::new();
         }
-        let (conn, pooled) = match self.checkout() {
-            Ok(c) => c,
-            Err(e) => return requests.iter().map(|_| Err(e.clone())).collect(),
-        };
-        let mut run = self.run_pipeline(conn, requests, depth);
-        if pooled && !run.any_reply && run.failure == Some(NetError::Disconnected) {
-            // Stale pooled connection (see `try_call`): nothing was ever
-            // answered, so the whole pipeline transparently restarts on
-            // a fresh dial.
-            match self.dial() {
-                Ok(fresh) => run = self.run_pipeline(fresh, requests, depth),
-                Err(e) => run.failure = Some(e),
-            }
-        }
-        let failure = run
-            .failure
-            .unwrap_or(NetError::Protocol("pipeline slot left unfilled"));
-        run.results
+        let mut slots: Vec<Slot> = requests.iter().map(|_| None).collect();
+        let failure = self.drive(requests, depth, &mut slots).err();
+        slots
             .into_iter()
-            .map(|slot| slot.unwrap_or_else(|| Err(failure.clone())))
+            .map(|slot| slot.unwrap_or_else(|| Err(failure.clone().unwrap_or(UNANSWERED))))
             .collect()
     }
-
-    /// Drives one pipeline over `conn`. On clean completion the
-    /// connection is checked back in; on failure it is dropped.
-    ///
-    /// The send window refills at a low watermark (half of `depth`),
-    /// batch-encoding the refill into one buffer and one write;
-    /// replies are pulled off the socket in [`READ_CHUNK`]-sized reads
-    /// and split out of the buffer in place, so a deep pipeline costs a
-    /// couple of syscalls per window rather than several per reply.
-    fn run_pipeline(
-        &self,
-        mut conn: Connection,
-        requests: &[Message],
-        depth: usize,
-    ) -> PipelineRun {
-        let depth = depth.max(1);
-        let mut run = PipelineRun {
-            results: requests.iter().map(|_| None).collect(),
-            failure: None,
-            any_reply: false,
-        };
-        // Outstanding requests: (request id, request index, deadline).
-        // A bounded window (≤ `depth` ≤ a few dozen) makes a linear
-        // scan of a small vector cheaper than hashing every id.
-        let mut inflight: Vec<(u64, usize, Instant)> = Vec::with_capacity(depth);
-        let mut next = 0;
-        'pipeline: while next < requests.len() || !inflight.is_empty() {
-            // Refill the window once it drains to the watermark:
-            // batch-encode into one buffer, one write for the whole
-            // refill.
-            if next < requests.len() && inflight.len() <= depth / 2 {
-                conn.out.clear();
-                // One clock read covers the whole refill: every request
-                // in this batch is sent by the same write below, so a
-                // shared send timestamp is the honest one.
-                let sent_deadline = Instant::now() + self.opts.deadline;
-                while next < requests.len() && inflight.len() < depth {
-                    let Some(request) = requests.get(next) else {
-                        break;
-                    };
-                    let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-                    request.encode_frame_into(&mut conn.out, id);
-                    inflight.push((id, next, sent_deadline));
-                    next += 1;
-                }
-                if let Err(e) = std::io::Write::write_all(&mut conn.stream, &conn.out)
-                    .and_then(|()| std::io::Write::flush(&mut conn.stream))
-                {
-                    run.failure = Some(NetError::from(e));
-                    break;
-                }
-            }
-            // Deliver every complete reply already buffered; only hit
-            // the socket when the buffer runs dry.
-            loop {
-                match conn.replies.buffered() {
-                    Ok(Some((header, body))) => {
-                        let Some(slot_at) = inflight
-                            .iter()
-                            .position(|&(id, _, _)| id == header.request_id)
-                        else {
-                            run.failure = Some(NetError::Protocol("reply to unknown request id"));
-                            break 'pipeline;
-                        };
-                        let (_, index, _) = inflight.swap_remove(slot_at);
-                        run.any_reply = true;
-                        let result = match Message::decode_body(header.msg_type, body) {
-                            Ok(Message::Error { code, detail }) => {
-                                Err(NetError::Remote { code, detail })
-                            }
-                            Ok(message) => Ok(message),
-                            // Framing stayed intact; a garbled body
-                            // fails only its own request.
-                            Err(e) => Err(NetError::from(e)),
-                        };
-                        if let Some(slot) = run.results.get_mut(index) {
-                            *slot = Some(result);
-                        }
-                        continue 'pipeline;
-                    }
-                    Ok(None) => {}
-                    // Broken framing (bad magic, CRC mismatch, …): the
-                    // byte stream can no longer be trusted.
-                    Err(e) => {
-                        run.failure = Some(e);
-                        break 'pipeline;
-                    }
-                }
-                // Read more bytes, bounded by the earliest outstanding
-                // deadline.
-                let Some(earliest) = inflight.iter().map(|&(_, _, d)| d).min() else {
-                    continue 'pipeline;
-                };
-                let remaining = earliest.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    run.failure = Some(NetError::DeadlineExceeded);
-                    break 'pipeline;
-                }
-                if conn.stream.set_read_timeout(Some(remaining)).is_err() {
-                    run.failure = Some(NetError::Io(std::io::ErrorKind::Other));
-                    break 'pipeline;
-                }
-                if let Err(e) = conn.replies.fill(&mut conn.stream, READ_CHUNK) {
-                    run.failure = Some(e);
-                    break 'pipeline;
-                }
-            }
-        }
-        // Unconsumed trailing bytes mean the stream is out of sync with
-        // the request/reply protocol — never pool such a connection.
-        if run.failure.is_none()
-            && conn.replies.is_drained()
-            && conn
-                .stream
-                .set_read_timeout(Some(self.opts.deadline))
-                .is_ok()
-        {
-            self.checkin(conn);
-        }
-        run
-    }
-}
-
-/// Outcome of one [`TcpClient::run_pipeline`] drive.
-struct PipelineRun {
-    /// One slot per request; `None` means the pipeline failed before a
-    /// reply arrived for it.
-    results: Vec<Option<Result<Message, NetError>>>,
-    failure: Option<NetError>,
-    /// Whether any reply at all arrived (distinguishes a stale pooled
-    /// connection from a mid-pipeline failure).
-    any_reply: bool,
 }
 
 impl Transport for TcpClient {
+    /// A pipeline window of one, retried after a jittered backoff while
+    /// the failure is retryable and budget remains.
     fn call(&self, request: &Message) -> Result<Message, NetError> {
         let attempts = self.opts.retry.attempts.max(1);
-        let mut last = NetError::Protocol("no attempt made");
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                std::thread::sleep(self.backoff(attempt));
-            }
-            match self.try_call(request) {
-                Ok(reply) => return Ok(reply),
-                Err(e) if e.is_retryable() && attempt + 1 < attempts => last = e,
-                Err(e) => {
-                    // Non-retryable (remote denial, protocol bug) — or
-                    // the budget is spent.
-                    if attempts == 1 {
-                        return Err(e);
-                    }
-                    if !e.is_retryable() {
-                        return Err(e);
-                    }
+        let mut attempt = 1;
+        loop {
+            let mut reply = None;
+            let outcome = self
+                .drive(
+                    std::slice::from_ref(request),
+                    1,
+                    std::slice::from_mut(&mut reply),
+                )
+                .and_then(|()| reply.unwrap_or(Err(UNANSWERED)));
+            match outcome {
+                Err(e) if e.is_retryable() && attempt < attempts => {}
+                Err(e) if e.is_retryable() && attempts > 1 => {
                     return Err(NetError::RetriesExhausted {
                         attempts,
                         last: Box::new(e),
-                    });
+                    })
                 }
+                // A reply, a remote denial, a protocol fault, or the one
+                // attempt of a call without retries.
+                other => return other,
             }
+            std::thread::sleep(self.backoff(attempt));
+            attempt += 1;
         }
-        Err(NetError::RetriesExhausted {
-            attempts,
-            last: Box::new(last),
-        })
     }
 }
 
@@ -548,10 +470,12 @@ mod tests {
     use restricted_proxy::principal::PrincipalId;
 
     /// A peer whose every `read` delivers the next scripted segment (or
-    /// as much of it as the caller made room for), and counts the calls.
+    /// as much of it as the caller made room for), and counts the calls;
+    /// it swallows and counts every `write`.
     struct Segments {
         segments: VecDeque<Vec<u8>>,
         reads: usize,
+        writes: usize,
     }
 
     impl Segments {
@@ -559,6 +483,7 @@ mod tests {
             Self {
                 segments: segments.into_iter().collect(),
                 reads: 0,
+                writes: 0,
             }
         }
     }
@@ -578,7 +503,19 @@ mod tests {
         }
     }
 
-    /// A reply frame carrying `detail_len` bytes of detail.
+    impl Write for Segments {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A reply frame carrying `detail_len` bytes of detail: a typed
+    /// denial, which the engine hands over as [`NetError::Remote`].
     fn reply_frame(request_id: u64, detail_len: usize) -> Vec<u8> {
         let reply = Message::Error {
             code: proxy_wire::ErrorCode::Malformed,
@@ -589,8 +526,27 @@ mod tests {
         frame
     }
 
-    fn lone_reply(peer: &mut Segments, request_id: u64) -> Result<Message, NetError> {
-        ReplyReader::default().lone_reply(peer, request_id)
+    /// A frame whose framing and CRC hold around a body that does not
+    /// decode.
+    fn garbled_frame(request_id: u64) -> Vec<u8> {
+        proxy_wire::frame::encode_frame(0x06, request_id, &[0xFF; 3])
+    }
+
+    /// One request numbered `request_id` through the engine on a
+    /// scripted peer, read the way [`Transport::call`] reads it: the
+    /// engine's error first, then the reply.
+    fn window_of_one(peer: Segments, request_id: u64) -> (Result<Message, NetError>, Segments) {
+        let mut conn = Connection::new(peer);
+        let mut reply = None;
+        let outcome = conn
+            .run(
+                &AtomicU64::new(request_id),
+                &[fetch(1)],
+                1,
+                std::slice::from_mut(&mut reply),
+            )
+            .and_then(|()| reply.expect("Ok fills every slot"));
+        (outcome, conn.stream)
     }
 
     #[test]
@@ -612,30 +568,30 @@ mod tests {
 
     fn detail_len(reply: Result<Message, NetError>) -> usize {
         match reply {
-            Ok(Message::Error { detail, .. }) => detail.len(),
+            Err(NetError::Remote { detail, .. }) => detail.len(),
             other => panic!("not the scripted reply: {other:?}"),
         }
     }
 
     #[test]
     fn a_reply_that_arrives_whole_costs_one_read() {
-        let mut peer = Segments::new([reply_frame(7, 200)]);
-        assert_eq!(detail_len(lone_reply(&mut peer, 7)), 200);
-        assert_eq!(peer.reads, 1);
+        let (reply, peer) = window_of_one(Segments::new([reply_frame(7, 200)]), 7);
+        assert_eq!(detail_len(reply), 200);
+        assert_eq!((peer.writes, peer.reads), (1, 1));
     }
 
     #[test]
     fn a_reply_arriving_a_byte_at_a_time_still_decodes() {
         let frame = reply_frame(9, 300);
-        let mut peer = Segments::new(frame.iter().map(|&b| vec![b]));
-        assert_eq!(detail_len(lone_reply(&mut peer, 9)), 300);
+        let (reply, peer) = window_of_one(Segments::new(frame.iter().map(|&b| vec![b])), 9);
+        assert_eq!(detail_len(reply), 300);
         assert_eq!(peer.reads, frame.len());
     }
 
     #[test]
     fn a_reply_longer_than_the_first_read_is_finished_by_one_sized_from_its_header() {
-        let mut peer = Segments::new([reply_frame(3, 5 * LONE_REPLY_ROOM)]);
-        assert_eq!(detail_len(lone_reply(&mut peer, 3)), 5 * LONE_REPLY_ROOM);
+        let (reply, peer) = window_of_one(Segments::new([reply_frame(3, 5 * READ_CHUNK)]), 3);
+        assert_eq!(detail_len(reply), 5 * READ_CHUNK);
         assert_eq!(peer.reads, 2);
     }
 
@@ -643,23 +599,38 @@ mod tests {
     fn bytes_trailing_a_lone_reply_are_a_protocol_error() {
         let mut bytes = reply_frame(7, 10);
         bytes.push(0);
-        let mut peer = Segments::new([bytes]);
         assert_eq!(
-            lone_reply(&mut peer, 7).unwrap_err(),
+            window_of_one(Segments::new([bytes]), 7).0.unwrap_err(),
             NetError::Protocol("bytes trail the reply")
         );
-        let mut peer = Segments::new([reply_frame(7, 10)]);
         assert_eq!(
-            lone_reply(&mut peer, 8).unwrap_err(),
+            window_of_one(Segments::new([reply_frame(7, 10)]), 8)
+                .0
+                .unwrap_err(),
             NetError::Protocol("reply request id mismatch")
         );
         // A connection closed mid-reply is a disconnect, as before.
         let frame = reply_frame(7, 10);
-        let mut peer = Segments::new([frame[..frame.len() - 1].to_vec()]);
         assert_eq!(
-            lone_reply(&mut peer, 7).unwrap_err(),
+            window_of_one(Segments::new([frame[..frame.len() - 1].to_vec()]), 7)
+                .0
+                .unwrap_err(),
             NetError::Disconnected
         );
+    }
+
+    #[test]
+    fn a_body_that_does_not_decode_fails_only_its_own_slot() {
+        let replies = [garbled_frame(1), reply_frame(2, 10)].concat();
+        let mut conn = Connection::new(Segments::new([replies]));
+        let mut slots = [None, None];
+        let outcome = conn.run(&AtomicU64::new(1), &[fetch(1), fetch(2)], 2, &mut slots);
+        assert_eq!(outcome, Ok(()), "the stream stays in step");
+        let [garbled, clean] = slots.map(|slot| slot.expect("filled"));
+        assert!(matches!(garbled, Err(NetError::Wire(_))), "{garbled:?}");
+        assert_eq!(detail_len(clean), 10);
+        assert!(conn.replies.is_drained());
+        assert_eq!((conn.stream.writes, conn.stream.reads), (1, 1));
     }
 
     #[test]
@@ -669,13 +640,13 @@ mod tests {
         header[14..18].copy_from_slice(&u32::MAX.to_le_bytes());
         let mut replies = ReplyReader::default();
         let mut peer = Segments::new([header]);
-        replies.fill(&mut peer, LONE_REPLY_ROOM).unwrap();
+        replies.fill(&mut peer).unwrap();
         assert!(matches!(
             replies.buffered(),
             Err(NetError::Wire(WireError::FrameTooLarge { .. }))
         ));
         // Nothing was sized from the declared length.
-        assert_eq!(replies.buf.len(), LONE_REPLY_ROOM);
+        assert_eq!(replies.buf.len(), READ_CHUNK);
     }
 
     #[test]
@@ -717,6 +688,73 @@ mod tests {
         assert_eq!(client.pooled_connections(), 0);
         drop(client);
         peer.join().unwrap();
+    }
+
+    #[test]
+    fn a_pipeline_whose_last_reply_has_trailing_bytes_keeps_its_results_unpooled() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut bytes = Vec::new();
+            for _ in 0..2 {
+                let (header, _body) = proxy_wire::frame::read_frame(&mut stream).unwrap();
+                bytes.extend_from_slice(&reply_frame(header.request_id, 10));
+            }
+            bytes.extend_from_slice(b"junk");
+            stream.write_all(&bytes).unwrap();
+            let _ = stream.read(&mut [0u8; 1]);
+        });
+        let client = TcpClient::new(addr, ClientOptions::default());
+        for reply in client.call_pipelined(&[fetch(1), fetch(2)], 2) {
+            assert_eq!(detail_len(reply), 10);
+        }
+        assert_eq!(client.pooled_connections(), 0);
+        drop(client);
+        peer.join().unwrap();
+    }
+
+    /// Through both entry points, a reply whose body does not decode
+    /// fails its own request only, and the connection stays pooled: the
+    /// peer accepts once and answers every request on it.
+    #[test]
+    fn a_reply_body_that_does_not_decode_fails_only_its_request_and_keeps_the_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut answered = 0;
+            while let Ok((header, _body)) = proxy_wire::frame::read_frame(&mut stream) {
+                // Requests 0 (a lone call) and 2 (mid-pipeline) get a
+                // body that does not decode.
+                let bytes = if answered % 2 == 0 && answered < 4 {
+                    garbled_frame(header.request_id)
+                } else {
+                    reply_frame(header.request_id, 10)
+                };
+                stream.write_all(&bytes).unwrap();
+                answered += 1;
+            }
+            answered
+        });
+        let client = TcpClient::new(
+            addr,
+            ClientOptions {
+                retry: RetryPolicy::none(),
+                ..ClientOptions::default()
+            },
+        );
+        assert!(matches!(client.call(&fetch(1)), Err(NetError::Wire(_))));
+        assert_eq!(client.pooled_connections(), 1);
+        let [a, b, c] =
+            <[_; 3]>::try_from(client.call_pipelined(&[fetch(1), fetch(2), fetch(3)], 3)).unwrap();
+        assert_eq!(detail_len(a), 10);
+        assert!(matches!(b, Err(NetError::Wire(_))), "{b:?}");
+        assert_eq!(detail_len(c), 10);
+        assert_eq!(client.pooled_connections(), 1);
+        assert_eq!(detail_len(client.call(&fetch(1))), 10);
+        drop(client);
+        assert_eq!(peer.join().unwrap(), 5);
     }
 
     /// Serves the one connection `listener` accepts until the client

@@ -4,8 +4,9 @@
 //!
 //! Protocol code in the other crates calls plain Rust methods on servers;
 //! this crate supplies the *measurable* part of a network: a logical
-//! clock, per-link latency, message/byte accounting, an eavesdropper tap
-//! (for the capture-resistance experiments), and seeded fault injection.
+//! clock, a link latency, message/byte accounting, an eavesdropper tap
+//! (for the capture-resistance experiments), and deterministic fault
+//! injection.
 //! Every benchmark that reports "messages" or "latency" reads them from a
 //! [`Network`].
 //!
@@ -27,13 +28,11 @@
 // the same under a fixed seed (clippy.toml lists the methods).
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
 
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 /// A network endpoint name (maps 1:1 to a principal in higher layers).
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -77,37 +76,6 @@ impl From<&str> for EndpointId {
     }
 }
 
-/// Per-link traffic counters (a read-out snapshot).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LinkStats {
-    /// Messages transmitted over the link.
-    pub messages: u64,
-    /// Payload bytes transmitted over the link.
-    pub bytes: u64,
-    /// Messages lost to fault injection.
-    pub dropped: u64,
-}
-
-/// Live per-link tallies: atomics, so concurrent benchmark workers can
-/// account traffic through a shared [`Network`] without a lock on the
-/// hot path.
-#[derive(Debug, Default)]
-struct LinkCounters {
-    messages: AtomicU64,
-    bytes: AtomicU64,
-    dropped: AtomicU64,
-}
-
-impl LinkCounters {
-    fn snapshot(&self) -> LinkStats {
-        LinkStats {
-            messages: self.messages.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// One recorded transmission (the eavesdropper's view).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TapRecord {
@@ -132,19 +100,18 @@ pub struct Delivery {
 
 /// Deterministic network fabric.
 ///
-/// Traffic counters are atomic tallies behind an `RwLock`'d link table,
-/// so concurrent benchmark workers can account traffic via
-/// [`Self::record`] from `&self` while the single-threaded experiment
-/// path ([`Self::transmit`], `&mut self` — clock, tap, fault injection,
-/// seeded RNG) stays exactly as deterministic as before.
+/// Traffic counters are atomic tallies, so concurrent benchmark workers
+/// can account traffic via [`Self::record`] from `&self` while the
+/// single-threaded experiment path ([`Self::transmit`], `&mut self` —
+/// clock, tap, fault injection) stays exactly as deterministic as
+/// before.
 #[derive(Debug)]
 pub struct Network {
     now: u64,
     default_latency: u64,
-    link_latency: HashMap<(EndpointId, EndpointId), u64>,
-    stats: RwLock<HashMap<(EndpointId, EndpointId), Arc<LinkCounters>>>,
+    messages: AtomicU64,
+    bytes: AtomicU64,
     tap: Option<Vec<TapRecord>>,
-    drop_probability: f64,
     drop_next: u64,
     duplicate_next: u64,
     rng: StdRng,
@@ -158,10 +125,9 @@ impl Network {
         Self {
             now: 0,
             default_latency: 1,
-            link_latency: HashMap::new(),
-            stats: RwLock::new(HashMap::new()),
+            messages: AtomicU64::new(0),
+            bytes: AtomicU64::new(0),
             tap: None,
-            drop_probability: 0.0,
             drop_next: 0,
             duplicate_next: 0,
             rng: StdRng::seed_from_u64(seed),
@@ -179,14 +145,9 @@ impl Network {
         self.now = self.now.saturating_add(ticks);
     }
 
-    /// Sets the latency used for links without an explicit override.
+    /// Sets the latency of every link.
     pub fn set_default_latency(&mut self, ticks: u64) {
         self.default_latency = ticks;
-    }
-
-    /// Sets the latency of the directed link `from → to`.
-    pub fn set_link_latency(&mut self, from: EndpointId, to: EndpointId, ticks: u64) {
-        self.link_latency.insert((from, to), ticks);
     }
 
     /// Starts recording every transmission (the eavesdropper tap).
@@ -200,16 +161,6 @@ impl Network {
     #[must_use]
     pub fn tapped(&self) -> &[TapRecord] {
         self.tap.as_deref().unwrap_or(&[])
-    }
-
-    /// Sets a probabilistic drop rate in `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not within `[0, 1]`.
-    pub fn set_drop_probability(&mut self, p: f64) {
-        assert!((0.0..=1.0).contains(&p), "probability must be in [0,1]");
-        self.drop_probability = p;
     }
 
     /// Forces the next `n` transmissions to be dropped (deterministic
@@ -229,32 +180,22 @@ impl Network {
     /// link latency, updates counters and the tap, and applies fault
     /// injection. Returns whether the message was delivered.
     pub fn transmit(&mut self, from: &EndpointId, to: &EndpointId, payload: &[u8]) -> Delivery {
-        let latency = *self
-            .link_latency
-            .get(&(from.clone(), to.clone()))
-            .unwrap_or(&self.default_latency);
         let sent_at = self.now;
-        let arrives_at = sent_at.saturating_add(latency);
-        let dropped = if self.drop_next > 0 {
+        let arrives_at = sent_at.saturating_add(self.default_latency);
+        let dropped = self.drop_next > 0;
+        if dropped {
             self.drop_next -= 1;
-            true
-        } else {
-            self.drop_probability > 0.0 && self.rng.gen::<f64>() < self.drop_probability
-        };
+        }
         let copies = if !dropped && self.duplicate_next > 0 {
             self.duplicate_next -= 1;
             2
         } else {
             1
         };
-        let counters = self.counters(from, to);
-        counters.messages.fetch_add(copies, Ordering::Relaxed);
-        counters
-            .bytes
+        self.messages.fetch_add(copies, Ordering::Relaxed);
+        self.bytes
             .fetch_add(payload.len() as u64 * copies, Ordering::Relaxed);
-        if dropped {
-            counters.dropped.fetch_add(1, Ordering::Relaxed);
-        } else if let Some(tap) = &mut self.tap {
+        if let Some(tap) = self.tap.as_mut().filter(|_| !dropped) {
             for _ in 0..copies {
                 tap.push(TapRecord {
                     from: from.clone(),
@@ -271,86 +212,28 @@ impl Network {
         }
     }
 
-    /// The live counter block for a link, creating it on first use. The
-    /// write lock is taken only the first time a link is seen.
-    fn counters(&self, from: &EndpointId, to: &EndpointId) -> Arc<LinkCounters> {
-        let key = (from.clone(), to.clone());
-        if let Some(c) = self.stats.read().expect("stats lock").get(&key) {
-            return Arc::clone(c);
-        }
-        Arc::clone(
-            self.stats
-                .write()
-                .expect("stats lock")
-                .entry(key)
-                .or_default(),
-        )
-    }
-
-    /// Accounts one message of `bytes` payload bytes on the link
-    /// `from → to`, from `&self` — the concurrent-benchmark path.
+    /// Accounts one message of `bytes` payload bytes, from `&self` — the
+    /// concurrent-benchmark path.
     ///
     /// Unlike [`Self::transmit`], this touches *only* the atomic
-    /// tallies: no clock, no tap, no fault injection, no RNG, so calling
-    /// it from many threads cannot perturb the deterministic
-    /// single-threaded experiments sharing the same `Network`.
-    pub fn record(&self, from: &EndpointId, to: &EndpointId, bytes: u64) {
-        let counters = self.counters(from, to);
-        counters.messages.fetch_add(1, Ordering::Relaxed);
-        counters.bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Counters for the directed link `from → to`.
-    #[must_use]
-    pub fn link_stats(&self, from: &EndpointId, to: &EndpointId) -> LinkStats {
-        self.stats
-            .read()
-            .expect("stats lock")
-            .get(&(from.clone(), to.clone()))
-            .map(|c| c.snapshot())
-            .unwrap_or_default()
+    /// tallies: no clock, no tap, no fault injection, so calling it from
+    /// many threads cannot perturb the deterministic single-threaded
+    /// experiments sharing the same `Network`.
+    pub fn record(&self, _from: &EndpointId, _to: &EndpointId, bytes: u64) {
+        self.messages.fetch_add(1, Ordering::Relaxed);
+        self.bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Total messages across all links.
     #[must_use]
     pub fn total_messages(&self) -> u64 {
-        self.stats
-            .read()
-            .expect("stats lock")
-            .values()
-            .map(|s| s.messages.load(Ordering::Relaxed))
-            .sum()
+        self.messages.load(Ordering::Relaxed)
     }
 
     /// Total payload bytes across all links.
     #[must_use]
     pub fn total_bytes(&self) -> u64 {
-        self.stats
-            .read()
-            .expect("stats lock")
-            .values()
-            .map(|s| s.bytes.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Total dropped messages across all links.
-    #[must_use]
-    pub fn total_dropped(&self) -> u64 {
-        self.stats
-            .read()
-            .expect("stats lock")
-            .values()
-            .map(|s| s.dropped.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Resets counters, tap, and clock, keeping topology configuration.
-    pub fn reset_measurements(&mut self) {
-        self.now = 0;
-        self.stats.write().expect("stats lock").clear();
-        if let Some(tap) = &mut self.tap {
-            tap.clear();
-        }
+        self.bytes.load(Ordering::Relaxed)
     }
 
     /// Draws random bytes from the network's deterministic RNG (handy for
@@ -383,21 +266,17 @@ mod tests {
             }
         );
         assert_eq!(net.now(), 5);
-        net.set_link_latency(e("a"), e("b"), 2);
+        net.set_default_latency(2);
         let d = net.transmit(&e("a"), &e("b"), b"hi");
         assert_eq!(d.arrives_at, 7);
     }
 
     #[test]
-    fn counters_accumulate_per_link() {
+    fn counters_accumulate_across_links() {
         let mut net = Network::new(0);
         net.transmit(&e("a"), &e("b"), b"12345");
         net.transmit(&e("a"), &e("b"), b"678");
         net.transmit(&e("b"), &e("a"), b"9");
-        let ab = net.link_stats(&e("a"), &e("b"));
-        assert_eq!(ab.messages, 2);
-        assert_eq!(ab.bytes, 8);
-        assert_eq!(net.link_stats(&e("b"), &e("a")).messages, 1);
         assert_eq!(net.total_messages(), 3);
         assert_eq!(net.total_bytes(), 9);
     }
@@ -419,22 +298,8 @@ mod tests {
         assert!(!net.transmit(&e("a"), &e("b"), b"x").delivered);
         assert!(!net.transmit(&e("a"), &e("b"), b"y").delivered);
         assert!(net.transmit(&e("a"), &e("b"), b"z").delivered);
-        assert_eq!(net.total_dropped(), 2);
-    }
-
-    #[test]
-    fn probabilistic_drops_are_seed_deterministic() {
-        let run = |seed| {
-            let mut net = Network::new(seed);
-            net.set_drop_probability(0.5);
-            (0..100)
-                .map(|_| net.transmit(&e("a"), &e("b"), b"m").delivered)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(7), run(7));
-        assert_ne!(run(7), run(8), "different seeds should differ");
-        let delivered = run(7).iter().filter(|d| **d).count();
-        assert!((20..80).contains(&delivered), "roughly half delivered");
+        // A dropped message still crossed the sender's link.
+        assert_eq!(net.total_messages(), 3);
     }
 
     #[test]
@@ -446,18 +311,6 @@ mod tests {
         net.transmit(&e("a"), &e("b"), b"kept");
         assert_eq!(net.tapped().len(), 1);
         assert_eq!(net.tapped()[0].payload, b"kept");
-    }
-
-    #[test]
-    fn reset_measurements_keeps_topology() {
-        let mut net = Network::new(0);
-        net.set_link_latency(e("a"), e("b"), 9);
-        net.transmit(&e("a"), &e("b"), b"x");
-        net.reset_measurements();
-        assert_eq!(net.total_messages(), 0);
-        assert_eq!(net.now(), 0);
-        let d = net.transmit(&e("a"), &e("b"), b"x");
-        assert_eq!(d.arrives_at, 9, "latency override survived reset");
     }
 
     #[test]
@@ -480,29 +333,13 @@ mod tests {
                 });
             }
         });
-        let link = net.link_stats(&e("client"), &e("server"));
-        assert_eq!(link.messages, 4000);
-        assert_eq!(link.bytes, (0..8u64).map(|t| 500 * (100 + t)).sum::<u64>());
+        assert_eq!(net.total_messages(), 4000);
+        assert_eq!(
+            net.total_bytes(),
+            (0..8u64).map(|t| 500 * (100 + t)).sum::<u64>()
+        );
         // The concurrent path leaves the deterministic machinery alone.
         assert_eq!(net.now(), 0);
-        assert_eq!(net.total_dropped(), 0);
-    }
-
-    #[test]
-    fn record_does_not_perturb_transmit_determinism() {
-        let run = |with_records: bool| {
-            let mut net = Network::new(7);
-            net.set_drop_probability(0.5);
-            if with_records {
-                for _ in 0..100 {
-                    net.record(&e("x"), &e("y"), 1);
-                }
-            }
-            (0..50)
-                .map(|_| net.transmit(&e("a"), &e("b"), b"m").delivered)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(false), run(true), "record() must not touch the RNG");
     }
 
     #[test]
@@ -512,7 +349,7 @@ mod tests {
         net.duplicate_next(1);
         net.transmit(&e("a"), &e("b"), b"dup");
         net.transmit(&e("a"), &e("b"), b"single");
-        assert_eq!(net.link_stats(&e("a"), &e("b")).messages, 3);
+        assert_eq!(net.total_messages(), 3);
         assert_eq!(net.tapped().len(), 3);
         assert_eq!(net.tapped()[0].payload, b"dup");
         assert_eq!(net.tapped()[1].payload, b"dup");

@@ -12,7 +12,9 @@
 //!   [`ArtifactError::BaseMismatch`] come from; a refusal leaves the
 //!   last good state enforced (fail closed).
 //! * [`DeltaLog`] — the publisher: the published epoch and the last
-//!   [`DELTA_LOG_DEPTH`] deltas, for receivers that lag.
+//!   [`DELTA_LOG_DEPTH`] deltas, for receivers that lag, behind the
+//!   lock that orders publishers. An issuer hands it a [`Publisher`]:
+//!   what to take from its state, and how to seal it.
 //! * `authenticate`, the intake check (the one place
 //!   [`ArtifactError::UnknownIssuer`] and [`ArtifactError::BadSeal`]
 //!   come from), and [`ArtifactError`]. The seal itself is a
@@ -39,13 +41,13 @@
 
 use std::collections::VecDeque;
 use std::hash::Hash;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::cert::CertSeal;
 use crate::encode::{DecodeError, Decoder, Encoder};
 use crate::key::KeyResolver;
 use crate::principal::PrincipalId;
-use crate::shard::ShardMap;
+use crate::shard::{rank, ShardMap};
 
 /// Published deltas a [`DeltaLog`] retains for lagging receivers; a
 /// receiver further behind falls back to a snapshot.
@@ -245,13 +247,54 @@ impl<K: Hash + Eq, S: Default> EpochMirror<K, S> {
     }
 }
 
+/// An issuer's side of its [`DeltaLog`]: what a publish takes out of
+/// the issuer's state, and how what it took is sealed.
+///
+/// The log calls [`Self::take`] or [`Self::take_with_state`] under its
+/// own lock, and each takes the issuer's lock once; the seals run after
+/// the issuer's lock is released, so a mutation never waits out a
+/// signature.
+pub trait Publisher {
+    /// A sealed artifact.
+    type Artifact: Clone;
+    /// The changes since the last publish.
+    type Change;
+    /// A copy of the issuer's state, for a snapshot.
+    type State;
+
+    /// Takes the pending change out of the issuer's state; `None` when
+    /// nothing is pending or there is no state to take from.
+    fn take(&self) -> Option<Self::Change>;
+
+    /// Takes the pending change (`None` when nothing is pending) and
+    /// copies the state, in one critical section; `None` when there is
+    /// no state.
+    fn take_with_state(&self) -> Option<(Option<Self::Change>, Self::State)>;
+
+    /// Seals `change` as the delta from `base_epoch` to `epoch`.
+    fn seal_delta(&self, change: Self::Change, base_epoch: u64, epoch: u64) -> Self::Artifact;
+
+    /// Seals `state` as the snapshot at `epoch`.
+    fn seal_snapshot(&self, state: Self::State, epoch: u64) -> Self::Artifact;
+}
+
 /// The publisher side of the feed: the last published epoch (0 in a
 /// [`Default`] log) and the most recent [`DELTA_LOG_DEPTH`] delta
 /// artifacts `A`, oldest first. Every publish is the delta from the
 /// previous epoch to the next, so the log is contiguous and
 /// [`DeltaLog::since`] never needs to look inside an artifact.
+///
+/// The log's lock orders publishers: a publish holds it from taking the
+/// issuer's pending change until its artifact is logged, so epochs are
+/// handed out in the order changes were taken. It comes before the
+/// issuer's own lock, never after (DESIGN.md §9).
 #[derive(Debug)]
 pub struct DeltaLog<A> {
+    feed: Mutex<Feed<A>>,
+}
+
+#[derive(Debug)]
+struct Feed<A> {
     epoch: u64,
     log: VecDeque<A>,
 }
@@ -259,30 +302,71 @@ pub struct DeltaLog<A> {
 impl<A> Default for DeltaLog<A> {
     fn default() -> Self {
         Self {
-            epoch: 0,
-            log: VecDeque::new(),
+            feed: Mutex::new(Feed {
+                epoch: 0,
+                log: VecDeque::new(),
+            }),
         }
     }
 }
 
-impl<A: Clone> DeltaLog<A> {
-    /// The last published epoch (0 before the first publish).
-    #[must_use]
-    pub fn published(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Publishes the next delta: `seal(base_epoch, epoch)` builds the
-    /// artifact from the current epoch to the next, which is logged
-    /// (dropping the oldest past [`DELTA_LOG_DEPTH`]) and returned.
-    pub fn publish(&mut self, seal: impl FnOnce(u64, u64) -> A) -> A {
-        let artifact = seal(self.epoch, self.epoch + 1);
+impl<A: Clone> Feed<A> {
+    /// Seals `change` as the next delta, logs it (dropping the oldest
+    /// past [`DELTA_LOG_DEPTH`]) and returns it.
+    fn append<P: Publisher<Artifact = A>>(&mut self, issuer: &P, change: P::Change) -> A {
+        rank::assert_unheld("sealing a feed delta");
+        let artifact = issuer.seal_delta(change, self.epoch, self.epoch + 1);
         self.epoch += 1;
         self.log.push_back(artifact.clone());
         if self.log.len() > DELTA_LOG_DEPTH {
             self.log.pop_front();
         }
         artifact
+    }
+}
+
+impl<A: Clone> DeltaLog<A> {
+    /// The last published epoch (0 before the first publish). A publish
+    /// that panicked under the lock poisons it, and every publish after
+    /// it is refused.
+    #[must_use]
+    pub fn published(&self) -> u64 {
+        self.feed.lock().map_or(0, |feed| feed.epoch)
+    }
+
+    /// Publishes `issuer`'s pending change as the next delta. `None`
+    /// when nothing is pending (the epoch does not move), the issuer has
+    /// no state, or the lock is poisoned.
+    pub fn publish_delta<P: Publisher<Artifact = A>>(&self, issuer: &P) -> Option<A> {
+        let mut feed = self.feed.lock().ok()?;
+        let change = issuer.take()?;
+        Some(feed.append(issuer, change))
+    }
+
+    /// Publishes `issuer`'s complete state as a snapshot at the current
+    /// epoch, folding any pending change in first as a delta. The
+    /// change and the state come from one critical section, so the
+    /// snapshot is exactly the fold of the deltas up to its epoch.
+    pub fn publish_snapshot<P: Publisher<Artifact = A>>(&self, issuer: &P) -> Option<A> {
+        let mut feed = self.feed.lock().ok()?;
+        let (change, state) = issuer.take_with_state()?;
+        if let Some(change) = change {
+            feed.append(issuer, change);
+        }
+        rank::assert_unheld("sealing a feed snapshot");
+        Some(issuer.seal_snapshot(state, feed.epoch))
+    }
+
+    /// The artifacts that bring a receiver at `have_epoch` up to date:
+    /// the contiguous delta chain when the log still covers it, else one
+    /// snapshot. Pending changes are published first. Empty when the
+    /// receiver is already current (or the issuer has no state).
+    pub fn updates_since<P: Publisher<Artifact = A>>(&self, have_epoch: u64, issuer: &P) -> Vec<A> {
+        self.publish_delta(issuer);
+        match self.since(have_epoch) {
+            Some(chain) => chain,
+            None => self.publish_snapshot(issuer).into_iter().collect(),
+        }
     }
 
     /// The deltas that bring a receiver at `have_epoch` up to date:
@@ -291,9 +375,10 @@ impl<A: Clone> DeltaLog<A> {
     /// `None` when it does not — the caller must serve a snapshot.
     #[must_use]
     pub fn since(&self, have_epoch: u64) -> Option<Vec<A>> {
-        let missing = usize::try_from(self.epoch.saturating_sub(have_epoch)).ok()?;
-        let skip = self.log.len().checked_sub(missing)?;
-        Some(self.log.iter().skip(skip).cloned().collect())
+        let feed = self.feed.lock().ok()?;
+        let missing = usize::try_from(feed.epoch.saturating_sub(have_epoch)).ok()?;
+        let skip = feed.log.len().checked_sub(missing)?;
+        Some(feed.log.iter().skip(skip).cloned().collect())
     }
 }
 
@@ -431,12 +516,34 @@ mod tests {
         assert_eq!(state(&m), Some((2, vec![1, 2])), "extended once");
     }
 
+    /// A publisher with a change pending on every call, whose artifacts
+    /// are `(base, epoch)` and whose snapshots are `(epoch, epoch)`.
+    struct EveryCall;
+
+    impl Publisher for EveryCall {
+        type Artifact = (u64, u64);
+        type Change = ();
+        type State = ();
+        fn take(&self) -> Option<()> {
+            Some(())
+        }
+        fn take_with_state(&self) -> Option<(Option<()>, ())> {
+            Some((None, ()))
+        }
+        fn seal_delta(&self, (): (), base_epoch: u64, epoch: u64) -> (u64, u64) {
+            (base_epoch, epoch)
+        }
+        fn seal_snapshot(&self, (): (), epoch: u64) -> (u64, u64) {
+            (epoch, epoch)
+        }
+    }
+
     #[test]
     fn delta_log_serves_the_exact_chain_or_nothing() {
-        let mut log = DeltaLog::default();
+        let log = DeltaLog::default();
         assert_eq!((log.published(), log.since(0)), (0, Some(Vec::new())));
         for epoch in 1..=5 {
-            assert_eq!(log.publish(|base, epoch| (base, epoch)), (epoch - 1, epoch));
+            assert_eq!(log.publish_delta(&EveryCall), Some((epoch - 1, epoch)));
         }
         assert_eq!(log.since(5), Some(Vec::new()), "current");
         assert_eq!(log.since(9), Some(Vec::new()), "ahead");
@@ -445,7 +552,7 @@ mod tests {
         // with them must take a snapshot.
         let depth = DELTA_LOG_DEPTH as u64;
         for _ in 5..depth + 3 {
-            log.publish(|base, epoch| (base, epoch));
+            log.publish_delta(&EveryCall);
         }
         assert_eq!(log.published(), depth + 3);
         assert_eq!(log.since(2), None);
@@ -453,6 +560,26 @@ mod tests {
         assert_eq!(chain.len(), DELTA_LOG_DEPTH);
         assert_eq!(chain.first(), Some(&(3, 4)));
         assert_eq!(chain.last(), Some(&(depth + 2, depth + 3)));
+        // A receiver past the log's reach gets the pending change as a
+        // delta, then a snapshot at the epoch it reached.
+        let depth = depth + 4;
+        assert_eq!(log.updates_since(2, &EveryCall), vec![(depth, depth)]);
+        assert_eq!(log.published(), depth);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "sealing a feed delta entered holding lock ranks")]
+    fn a_feed_seals_with_no_stripe_held() {
+        let log = DeltaLog::default();
+        let map = ShardMap::new();
+        map.upsert(
+            1,
+            || 0,
+            |_| {
+                log.publish_delta(&EveryCall);
+            },
+        );
     }
 
     /// Both payloads take their intake check from this module: a seal of

@@ -49,7 +49,7 @@ use std::sync::RwLock;
 
 use crate::cert::CertSeal;
 use crate::encode::{DecodeError, Decoder, Encoder};
-use crate::epoch::{authenticate, decode_artifact_body, DeltaLog, EpochMirror};
+use crate::epoch::{authenticate, decode_artifact_body, DeltaLog, EpochMirror, Publisher};
 pub use crate::epoch::{ArtifactError, ArtifactKind, DELTA_LOG_DEPTH, MAX_ARTIFACT_BODY};
 use crate::key::{GrantAuthority, GrantorVerifier, KeyResolver};
 use crate::principal::PrincipalId;
@@ -575,8 +575,6 @@ struct RegistryState {
     set: SerialSet,
     /// Serials revoked since the last published artifact.
     pending: SerialSet,
-    /// The published epoch and the deltas lagging receivers catch up from.
-    feed: DeltaLog<RevocationArtifact>,
 }
 
 /// The issuer side: accumulates revocations and publishes sealed
@@ -584,6 +582,9 @@ struct RegistryState {
 pub struct RevocationRegistry {
     issuer: PrincipalId,
     state: RwLock<RegistryState>,
+    /// The published epoch and the deltas lagging receivers catch up
+    /// from; its lock comes before `state`'s.
+    feed: DeltaLog<RevocationArtifact>,
 }
 
 impl std::fmt::Debug for RevocationRegistry {
@@ -591,6 +592,51 @@ impl std::fmt::Debug for RevocationRegistry {
         f.debug_struct("RevocationRegistry")
             .field("issuer", &self.issuer)
             .finish_non_exhaustive()
+    }
+}
+
+/// A registry's publishes under one authority: the pending serials and
+/// the revoked set are taken under the registry's lock, and sealed after
+/// it is released.
+struct Sealing<'a> {
+    registry: &'a RevocationRegistry,
+    authority: &'a GrantAuthority,
+}
+
+impl Publisher for Sealing<'_> {
+    type Artifact = RevocationArtifact;
+    type Change = SerialSet;
+    type State = SerialSet;
+
+    fn take(&self) -> Option<SerialSet> {
+        let mut s = self.registry.state.write().ok()?;
+        (!s.pending.is_empty()).then(|| std::mem::take(&mut s.pending))
+    }
+
+    fn take_with_state(&self) -> Option<(Option<SerialSet>, SerialSet)> {
+        let mut s = self.registry.state.write().ok()?;
+        let pending = (!s.pending.is_empty()).then(|| std::mem::take(&mut s.pending));
+        Some((pending, s.set.clone()))
+    }
+
+    fn seal_delta(&self, adds: SerialSet, base_epoch: u64, epoch: u64) -> RevocationArtifact {
+        RevocationArtifact::seal(
+            self.registry.issuer.clone(),
+            epoch,
+            ArtifactKind::Delta { base_epoch },
+            adds,
+            self.authority,
+        )
+    }
+
+    fn seal_snapshot(&self, set: SerialSet, epoch: u64) -> RevocationArtifact {
+        RevocationArtifact::seal(
+            self.registry.issuer.clone(),
+            epoch,
+            ArtifactKind::Snapshot,
+            set,
+            self.authority,
+        )
     }
 }
 
@@ -603,8 +649,8 @@ impl RevocationRegistry {
             state: RwLock::new(RegistryState {
                 set: SerialSet::new(),
                 pending: SerialSet::new(),
-                feed: DeltaLog::default(),
             }),
+            feed: DeltaLog::default(),
         }
     }
 
@@ -646,7 +692,7 @@ impl RevocationRegistry {
     /// Current published epoch.
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        self.state.read().map_or(0, |s| s.feed.published())
+        self.feed.published()
     }
 
     /// True when `serial` is revoked (including not-yet-published ones —
@@ -661,35 +707,14 @@ impl RevocationRegistry {
     /// epoch. Returns `None` when nothing is pending (the epoch does not
     /// move) or the registry is poisoned.
     pub fn publish_delta(&self, authority: &GrantAuthority) -> Option<RevocationArtifact> {
-        let mut s = self.state.write().ok()?;
-        if s.pending.is_empty() {
-            return None;
-        }
-        let adds = std::mem::take(&mut s.pending);
-        Some(s.feed.publish(|base_epoch, epoch| {
-            RevocationArtifact::seal(
-                self.issuer.clone(),
-                epoch,
-                ArtifactKind::Delta { base_epoch },
-                adds,
-                authority,
-            )
-        }))
+        self.feed.publish_delta(&self.sealing(authority))
     }
 
     /// Publishes the complete revoked set as a sealed snapshot at the
-    /// current epoch (pending revocations are folded in first via an
-    /// implicit delta publish). Returns `None` when poisoned.
+    /// current epoch (pending revocations are folded in first as a
+    /// delta). Returns `None` when poisoned.
     pub fn publish_snapshot(&self, authority: &GrantAuthority) -> Option<RevocationArtifact> {
-        self.publish_delta(authority);
-        let s = self.state.read().ok()?;
-        Some(RevocationArtifact::seal(
-            self.issuer.clone(),
-            s.feed.published(),
-            ArtifactKind::Snapshot,
-            s.set.clone(),
-            authority,
-        ))
+        self.feed.publish_snapshot(&self.sealing(authority))
     }
 
     /// The artifacts that bring a receiver at `have_epoch` up to date:
@@ -701,13 +726,15 @@ impl RevocationRegistry {
         have_epoch: u64,
         authority: &GrantAuthority,
     ) -> Vec<RevocationArtifact> {
-        self.publish_delta(authority);
-        if let Ok(s) = self.state.read() {
-            if let Some(chain) = s.feed.since(have_epoch) {
-                return chain;
-            }
+        self.feed
+            .updates_since(have_epoch, &self.sealing(authority))
+    }
+
+    fn sealing<'a>(&'a self, authority: &'a GrantAuthority) -> Sealing<'a> {
+        Sealing {
+            registry: self,
+            authority,
         }
-        self.publish_snapshot(authority).into_iter().collect()
     }
 }
 

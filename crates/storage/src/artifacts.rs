@@ -7,15 +7,17 @@
 //! serial until it refetched from the grantor. An [`ArtifactStore`]
 //! keeps the last-good artifacts on the same [`Storage`] trait the
 //! accounting journal uses, so a restarted server can re-apply them —
-//! through the normal `apply_verified` seal checks — without a network
-//! round trip.
+//! through the same `apply_sealed` seal checks a received artifact
+//! passes — without a network round trip.
 //!
 //! The store is deliberately *byte-level*: it persists tagged, opaque
 //! artifact encodings and leaves decoding, seal verification, and
 //! epoch ordering to the consumer. Storage integrity (CRC framing) is
 //! not a substitute for the seal check — a disk is not a trusted party —
-//! which is why rehydration goes through `apply_verified` and a record
-//! that fails its seal is dropped, not trusted.
+//! which is why rehydration goes through that seal check, and a record
+//! that fails to decode, to verify or to apply is an error:
+//! `with_artifact_store` returns it, and the server refuses to start
+//! rather than trust the record or drop it.
 
 use restricted_proxy::encode::{Decoder, Encoder};
 

@@ -522,3 +522,159 @@ fn contended_group_roster_updates_and_asserts_stay_coherent() {
         }
     }
 }
+
+/// Snapshot-and-catch-up rounds against a publisher whose state `churn`
+/// changes from another thread while each snapshot is being sealed.
+/// Each round wakes the churner, seals a snapshot while it makes up to
+/// [`CHURN_PER_ROUND`] changes, then folds into `followed` the deltas
+/// that bring a follower from its epoch past the snapshot's: the
+/// snapshot must hold exactly the fold of the deltas up to its own
+/// epoch. Returns the rounds whose snapshot does not.
+fn snapshots_off_their_deltas<A, S: Clone + PartialEq>(
+    churn: impl Fn(u64) + Sync,
+    snapshot: impl Fn() -> A,
+    updates_since: impl Fn(u64) -> Vec<A>,
+    mut followed: S,
+    epoch: fn(&A) -> u64,
+    contents: fn(&A) -> S,
+    fold: fn(&mut S, &A),
+) -> usize {
+    use std::sync::atomic::{AtomicBool, AtomicU8};
+    const IDLE: u8 = 0;
+    const WAKING: u8 = 1;
+    const SEALING: u8 = 2;
+    let phase = AtomicU8::new(IDLE);
+    let (awake, done) = (AtomicBool::new(false), AtomicBool::new(false));
+    // The churner changes the state while its count is below `until`.
+    let (churned, until) = (AtomicU64::new(0), AtomicU64::new(0));
+    // One probe at a time: each wants two CPUs of its own.
+    static ONE_PROBE: Mutex<()> = Mutex::new(());
+    let _alone = ONE_PROBE.lock().unwrap_or_else(|e| e.into_inner());
+    let prober = std::thread::current();
+    std::thread::scope(|scope| {
+        let churner = scope.spawn(|| {
+            let mut i = 0;
+            while !done.load(Ordering::Relaxed) {
+                match phase.load(Ordering::Acquire) {
+                    IDLE => std::thread::park(),
+                    WAKING => {
+                        if !awake.swap(true, Ordering::AcqRel) {
+                            prober.unpark();
+                        }
+                    }
+                    _ if i < until.load(Ordering::Relaxed) => {
+                        churn(i);
+                        i += 1;
+                        churned.store(i, Ordering::Relaxed);
+                    }
+                    _ => std::hint::spin_loop(),
+                }
+            }
+        });
+        let (mut at, mut off, mut contended) = (0, 0, 0);
+        for _ in 0..MAX_ROUNDS {
+            if contended == CONTENDED_ROUNDS {
+                break;
+            }
+            let before = churned.load(Ordering::Relaxed);
+            until.store(before + CHURN_PER_ROUND, Ordering::Relaxed);
+            awake.store(false, Ordering::Relaxed);
+            phase.store(WAKING, Ordering::Release);
+            churner.thread().unpark();
+            while !awake.load(Ordering::Acquire) {
+                std::thread::park();
+            }
+            phase.store(SEALING, Ordering::Release);
+            let sealed = snapshot();
+            phase.store(IDLE, Ordering::Release);
+            contended += usize::from(churned.load(Ordering::Relaxed) != before);
+            let mut at_snapshot = (at == epoch(&sealed)).then(|| followed.clone());
+            for delta in updates_since(at) {
+                fold(&mut followed, &delta);
+                at = epoch(&delta);
+                if at == epoch(&sealed) {
+                    at_snapshot = Some(followed.clone());
+                }
+            }
+            off += usize::from(at_snapshot != Some(contents(&sealed)));
+        }
+        done.store(true, Ordering::Relaxed);
+        churner.thread().unpark();
+        off
+    })
+}
+
+/// Rounds a publisher race probe wants contended (the churner changed
+/// the state while the snapshot was sealed): enough that a snapshot
+/// taken in two critical sections is caught off its deltas nearly
+/// every run.
+const CONTENDED_ROUNDS: usize = 100;
+
+/// The cap on a probe's rounds when the churner is rarely scheduled.
+const MAX_ROUNDS: usize = 100_000;
+
+/// Changes the churner makes per round at most, which keeps the
+/// revocation probe's set (and so its snapshots) small.
+const CHURN_PER_ROUND: u64 = 16;
+
+/// A group server seals a roster snapshot from the pending change and
+/// the roster it took in one critical section. Taken in two, a change
+/// landing between them is sealed into the snapshot but into no delta
+/// up to its epoch, and that fails open: a member added and removed
+/// across the gap has its still-pending add cancelled, so no delta ever
+/// names it, and every mirror that installs the snapshot keeps the
+/// member (and grants it the group's ACL entries).
+#[test]
+fn roster_snapshots_match_their_deltas_while_members_churn() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let authority = GrantAuthority::SharedKey(SymmetricKey::generate(&mut rng));
+    let gs = proxy_aa::authz::GroupServer::new(p("GS"), authority);
+    gs.create_group("staff");
+    let off = snapshots_off_their_deltas(
+        |i| {
+            let member = p(&format!("m{}", i % 64));
+            gs.add_member("staff", member.clone());
+            gs.remove_member("staff", &member);
+        },
+        || gs.publish_snapshot("staff").expect("the group exists"),
+        |have| gs.updates_since("staff", have),
+        std::collections::BTreeSet::new(),
+        |artifact| artifact.epoch,
+        |snapshot| snapshot.adds.iter().copied().collect(),
+        |roster, delta| {
+            for removed in &delta.removes {
+                roster.remove(removed);
+            }
+            roster.extend(delta.adds.iter().copied());
+        },
+    );
+    assert_eq!(off, 0, "roster snapshots off the fold of their deltas");
+}
+
+/// The same rule for a revocation registry: a serial revoked between a
+/// snapshot's two critical sections would be sealed into the epoch-e
+/// snapshot and into the delta to e + 1.
+#[test]
+fn revocation_snapshots_match_their_deltas_while_serials_are_revoked() {
+    let mut rng = StdRng::seed_from_u64(8);
+    let authority = GrantAuthority::SharedKey(SymmetricKey::generate(&mut rng));
+    let registry = RevocationRegistry::new(p("R"));
+    let off = snapshots_off_their_deltas(
+        // Spread over 64 chunks of the serial space, so a delta holds
+        // many small containers.
+        |i| {
+            registry.revoke(((i % 64) << 16) | (i / 64));
+        },
+        || {
+            registry
+                .publish_snapshot(&authority)
+                .expect("registry not poisoned")
+        },
+        |have| registry.updates_since(have, &authority),
+        SerialSet::new(),
+        |artifact| artifact.epoch,
+        |snapshot| snapshot.serials.clone(),
+        |revoked, delta| revoked.union_with(&delta.serials),
+    );
+    assert_eq!(off, 0, "revocation snapshots off the fold of their deltas");
+}
