@@ -571,6 +571,9 @@ fn snapshots_off_their_deltas<A, S: Clone + PartialEq>(
                 }
             }
         });
+        // Stops the churner however this thread leaves the scope, so a
+        // failing probe fails instead of waiting on it forever.
+        let _stop = Stop(&done, churner.thread().clone());
         let (mut at, mut off, mut contended) = (0, 0, 0);
         for _ in 0..MAX_ROUNDS {
             if contended == CONTENDED_ROUNDS {
@@ -582,7 +585,8 @@ fn snapshots_off_their_deltas<A, S: Clone + PartialEq>(
             phase.store(WAKING, Ordering::Release);
             churner.thread().unpark();
             while !awake.load(Ordering::Acquire) {
-                std::thread::park();
+                assert!(!churner.is_finished(), "the churner panicked");
+                std::thread::park_timeout(std::time::Duration::from_millis(1));
             }
             phase.store(SEALING, Ordering::Release);
             let sealed = snapshot();
@@ -598,10 +602,18 @@ fn snapshots_off_their_deltas<A, S: Clone + PartialEq>(
             }
             off += usize::from(at_snapshot != Some(contents(&sealed)));
         }
-        done.store(true, Ordering::Relaxed);
-        churner.thread().unpark();
         off
     })
+}
+
+/// Sets its flag and wakes its thread when dropped.
+struct Stop<'a>(&'a std::sync::atomic::AtomicBool, std::thread::Thread);
+
+impl Drop for Stop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+        self.1.unpark();
+    }
 }
 
 /// Rounds a publisher race probe wants contended (the churner changed
