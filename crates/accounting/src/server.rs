@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use rand::RngCore;
 
-use proxy_storage::artifacts::StoredArtifact;
+use proxy_storage::artifacts::{apply_and_record, StoredArtifact};
 use proxy_storage::{ArtifactStore, Storage};
 use restricted_proxy::cache::VerifiedCertCache;
 use restricted_proxy::context::RequestContext;
@@ -24,7 +24,7 @@ use restricted_proxy::proxy::{grant, Proxy};
 use restricted_proxy::restriction::{
     AuthorizedEntry, Currency, ObjectName, Operation, Restriction, RestrictionSet,
 };
-use restricted_proxy::revocation::{ArtifactError, RevocationArtifact, RevocationDirectory};
+use restricted_proxy::revocation::{RevocationArtifact, RevocationDirectory};
 use restricted_proxy::shard::rank;
 use restricted_proxy::time::{Timestamp, Validity};
 use restricted_proxy::verify::{Prepared, Verifier};
@@ -216,20 +216,9 @@ impl AccountingServer {
     /// [`Self::apply_revocation`] errors for one that does.
     pub fn with_artifact_store(mut self, store: Arc<dyn Storage>) -> Result<Self, AcctError> {
         let artifacts = ArtifactStore::new(store);
-        for stored in artifacts.load()? {
-            match stored {
-                StoredArtifact::Revocation(bytes) => {
-                    let artifact = RevocationArtifact::decode(&bytes)
-                        .map_err(|e| AcctError::Artifact(ArtifactError::Decode(e)))?;
-                    self.apply_revocation(&artifact)?;
-                }
-                StoredArtifact::Membership(_) => {
-                    // The store format is shared with authorization
-                    // servers; an accounting server keeps no membership
-                    // mirror, so such entries are not for us.
-                }
-            }
-        }
+        // The store format is shared with end-servers; an accounting
+        // server keeps no membership mirror, so their records are skipped.
+        artifacts.restore::<AcctError>(self.verifier.resolver(), &self.revocations, None)?;
         self.artifacts = Some(artifacts);
         Ok(self)
     }
@@ -255,12 +244,14 @@ impl AccountingServer {
     /// durable recording fails (the revocation is applied in memory, but
     /// the server must treat the store as failed).
     pub fn apply_revocation(&self, artifact: &RevocationArtifact) -> Result<(), AcctError> {
-        self.revocations
-            .apply_sealed(artifact, self.verifier.resolver())?;
-        if let Some(store) = &self.artifacts {
-            store.record(&StoredArtifact::Revocation(artifact.encode()))?;
-        }
-        Ok(())
+        let (resolver, store) = (self.verifier.resolver(), self.artifacts.as_ref());
+        apply_and_record(
+            &self.revocations,
+            artifact,
+            resolver,
+            store,
+            StoredArtifact::Revocation,
+        )
     }
 
     /// Runs `body` as one state-changing operation ([`Journal::run`],
@@ -1683,6 +1674,7 @@ pub(crate) mod tests {
     #[test]
     fn an_undecodable_stored_artifact_is_the_same_fault_on_both_servers() {
         let garbage = b"not an artifact";
+        use restricted_proxy::revocation::ArtifactError;
         let fault = ArtifactError::Decode(RevocationArtifact::decode(garbage).unwrap_err());
         let store: Arc<dyn Storage> = Arc::new(proxy_storage::MemStorage::new());
         ArtifactStore::new(Arc::clone(&store))

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use proxy_storage::artifacts::StoredArtifact;
+use proxy_storage::artifacts::{apply_and_record, StoredArtifact};
 use proxy_storage::{ArtifactStore, Storage};
 use restricted_proxy::cache::VerifiedCertCache;
 use restricted_proxy::context::RequestContext;
@@ -14,7 +14,7 @@ use restricted_proxy::present::Presentation;
 use restricted_proxy::principal::{GroupName, PrincipalId};
 use restricted_proxy::replay::ReplayCache;
 use restricted_proxy::restriction::{Currency, ObjectName, Operation, Restriction};
-use restricted_proxy::revocation::{ArtifactError, RevocationArtifact, RevocationDirectory};
+use restricted_proxy::revocation::{RevocationArtifact, RevocationDirectory};
 use restricted_proxy::time::Timestamp;
 use restricted_proxy::verify::{Prepared, VerifiedProxy, Verifier};
 
@@ -155,23 +155,8 @@ impl<R: KeyResolver> EndServer<R> {
     /// or verifies.
     pub fn with_artifact_store(mut self, store: Arc<dyn Storage>) -> Result<Self, AuthzError> {
         let artifacts = ArtifactStore::new(store);
-        for stored in artifacts.load().map_err(AuthzError::Storage)? {
-            // `self.artifacts` is still `None`, so replayed artifacts
-            // are not re-recorded (the store would otherwise double on
-            // every restart).
-            match stored {
-                StoredArtifact::Revocation(bytes) => {
-                    let artifact = RevocationArtifact::decode(&bytes)
-                        .map_err(|e| AuthzError::Artifact(ArtifactError::Decode(e)))?;
-                    self.apply_revocation(&artifact)?;
-                }
-                StoredArtifact::Membership(bytes) => {
-                    let artifact = MembershipArtifact::decode(&bytes)
-                        .map_err(|e| AuthzError::Artifact(ArtifactError::Decode(e)))?;
-                    self.apply_membership(&artifact)?;
-                }
-            }
-        }
+        let resolver = self.verifier.resolver();
+        artifacts.restore::<AuthzError>(resolver, &self.revocations, Some(&self.memberships))?;
         self.artifacts = Some(artifacts);
         Ok(self)
     }
@@ -212,17 +197,19 @@ impl<R: KeyResolver> EndServer<R> {
     /// regression, or delta-base mismatch; [`AuthzError::Storage`] when
     /// the artifact verified and applied but could not be persisted.
     pub fn apply_revocation(&self, artifact: &RevocationArtifact) -> Result<(), AuthzError> {
-        self.revocations
-            .apply_sealed(artifact, self.verifier.resolver())?;
-        if let Some(store) = &self.artifacts {
-            store.record(&StoredArtifact::Revocation(artifact.encode()))?;
-        }
-        Ok(())
+        let (resolver, store) = (self.verifier.resolver(), self.artifacts.as_ref());
+        apply_and_record(
+            &self.revocations,
+            artifact,
+            resolver,
+            store,
+            StoredArtifact::Revocation,
+        )
     }
 
     /// Verifies and applies a membership artifact; same fail-closed
     /// discipline as [`Self::apply_revocation`], with the group server
-    /// (`artifact.group.server`) as the only acceptable sealer.
+    /// (`artifact.subject.server`) as the only acceptable sealer.
     ///
     /// # Errors
     ///
@@ -230,12 +217,14 @@ impl<R: KeyResolver> EndServer<R> {
     /// regression, or delta-base mismatch; [`AuthzError::Storage`] when
     /// the artifact verified and applied but could not be persisted.
     pub fn apply_membership(&self, artifact: &MembershipArtifact) -> Result<(), AuthzError> {
-        self.memberships
-            .apply_sealed(artifact, self.verifier.resolver())?;
-        if let Some(store) = &self.artifacts {
-            store.record(&StoredArtifact::Membership(artifact.encode()))?;
-        }
-        Ok(())
+        let (resolver, store) = (self.verifier.resolver(), self.artifacts.as_ref());
+        apply_and_record(
+            &self.memberships,
+            artifact,
+            resolver,
+            store,
+            StoredArtifact::Membership,
+        )
     }
 
     /// Decides a request: the group of one of [`Self::authorize_all`].
@@ -450,8 +439,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use restricted_proxy::key::{GrantAuthority, GrantorVerifier, MapResolver};
+    use restricted_proxy::membership::RosterChange;
     use restricted_proxy::proxy::grant;
     use restricted_proxy::restriction::RestrictionSet;
+    use restricted_proxy::revocation::ArtifactError;
     use restricted_proxy::time::Validity;
 
     fn p(name: &str) -> PrincipalId {
@@ -656,8 +647,7 @@ mod tests {
             staff.clone(),
             1,
             ArtifactKind::Snapshot,
-            vec![member_digest(&p("bob"))],
-            Vec::new(),
+            RosterChange::new(vec![member_digest(&p("bob"))], Vec::new()),
             &GrantAuthority::SharedKey(gs_key),
         );
         server.apply_membership(&snapshot).unwrap();
@@ -711,8 +701,7 @@ mod tests {
             GroupName::new(p("alice"), "staff"),
             1,
             ArtifactKind::Snapshot,
-            vec![member_digest(&p("mallory"))],
-            Vec::new(),
+            RosterChange::new(vec![member_digest(&p("mallory"))], Vec::new()),
             &GrantAuthority::SharedKey(mallory_key),
         );
         assert_eq!(

@@ -21,9 +21,9 @@ use std::sync::Arc;
 use rand::RngCore;
 
 use restricted_proxy::encode::Bounded;
-use restricted_proxy::epoch::{ArtifactKind, DeltaLog, Publisher};
+use restricted_proxy::epoch::{DeltaLog, Publisher};
 use restricted_proxy::key::GrantAuthority;
-use restricted_proxy::membership::{member_digest, MemberDigest, MembershipArtifact};
+use restricted_proxy::membership::{member_digest, MemberDigest, MembershipArtifact, RosterChange};
 use restricted_proxy::principal::{GroupName, PrincipalId};
 use restricted_proxy::proxy::{grant, Proxy};
 use restricted_proxy::restriction::{Restriction, RestrictionSet};
@@ -36,81 +36,77 @@ use crate::error::AuthzError;
 #[derive(Debug, Default)]
 struct GroupState {
     members: BTreeSet<PrincipalId>,
-    /// Digest changes since the last publication.
-    pending_adds: Vec<MemberDigest>,
-    pending_removes: Vec<MemberDigest>,
+    /// Digest changes since the last publication, sorted, so that a
+    /// change cancelling a pending one costs a lookup, not a scan.
+    pending_adds: BTreeSet<MemberDigest>,
+    pending_removes: BTreeSet<MemberDigest>,
     /// The published epoch and the deltas lagging mirrors catch up from,
     /// shared out from under the stripe: its lock comes before the
     /// stripe's, never after.
-    feed: Arc<DeltaLog<MembershipArtifact>>,
+    feed: Arc<DeltaLog<RosterChange>>,
 }
 
-/// The pending digests of one group: adds, then removes.
-type Pending = (Vec<MemberDigest>, Vec<MemberDigest>);
+impl GroupState {
+    /// Queues `digest` into `queue`, unless it cancels a pending change
+    /// in `other`: the mirror never saw the member join (or leave).
+    fn queue(
+        other: &mut BTreeSet<MemberDigest>,
+        queue: &mut BTreeSet<MemberDigest>,
+        digest: MemberDigest,
+    ) {
+        if !other.remove(&digest) {
+            queue.insert(digest);
+        }
+    }
+
+    fn take_pending(&mut self) -> Option<RosterChange> {
+        if self.pending_adds.is_empty() && self.pending_removes.is_empty() {
+            return None;
+        }
+        Some(RosterChange {
+            adds: std::mem::take(&mut self.pending_adds).into_iter().collect(),
+            removes: std::mem::take(&mut self.pending_removes)
+                .into_iter()
+                .collect(),
+        })
+    }
+}
 
 /// One group's publishes: the pending digests and the roster are taken
-/// under the group's stripe, and digested and sealed after it is
+/// under the group's stripe, and the roster is digested after it is
 /// released.
 struct Roster<'a> {
     server: &'a GroupServer,
     group: &'a str,
 }
 
-impl Roster<'_> {
-    fn take_pending(state: &mut GroupState) -> Option<Pending> {
-        if state.pending_adds.is_empty() && state.pending_removes.is_empty() {
-            return None;
-        }
-        Some((
-            std::mem::take(&mut state.pending_adds),
-            std::mem::take(&mut state.pending_removes),
-        ))
-    }
-}
-
 impl Publisher for Roster<'_> {
-    type Artifact = MembershipArtifact;
-    type Change = Pending;
+    type Payload = RosterChange;
     type State = BTreeSet<PrincipalId>;
 
-    fn take(&self) -> Option<Pending> {
-        self.server
-            .groups
-            .update(&self.group.to_string(), |state| Self::take_pending(state?))
+    fn subject(&self) -> GroupName {
+        self.server.global_name(self.group)
     }
 
-    fn take_with_state(&self) -> Option<(Option<Pending>, BTreeSet<PrincipalId>)> {
+    fn authority(&self) -> &GrantAuthority {
+        &self.server.authority
+    }
+
+    fn take(&self) -> Option<RosterChange> {
+        self.server
+            .groups
+            .update(&self.group.to_string(), |state| state?.take_pending())
+    }
+
+    fn take_with_state(&self) -> Option<(Option<RosterChange>, BTreeSet<PrincipalId>)> {
         self.server.groups.update(&self.group.to_string(), |state| {
             let state = state?;
-            Some((Self::take_pending(state), state.members.clone()))
+            Some((state.take_pending(), state.members.clone()))
         })
     }
 
-    fn seal_delta(
-        &self,
-        (adds, removes): Pending,
-        base_epoch: u64,
-        epoch: u64,
-    ) -> MembershipArtifact {
-        MembershipArtifact::seal(
-            self.server.global_name(self.group),
-            epoch,
-            ArtifactKind::Delta { base_epoch },
-            adds,
-            removes,
-            &self.server.authority,
-        )
-    }
-
-    fn seal_snapshot(&self, members: BTreeSet<PrincipalId>, epoch: u64) -> MembershipArtifact {
-        MembershipArtifact::seal(
-            self.server.global_name(self.group),
-            epoch,
-            ArtifactKind::Snapshot,
-            members.iter().map(member_digest).collect(),
-            Vec::new(),
-            &self.server.authority,
-        )
+    fn snapshot(members: BTreeSet<PrincipalId>) -> RosterChange {
+        RosterChange::new(members.iter().map(member_digest).collect(), Vec::new())
     }
 }
 
@@ -167,13 +163,11 @@ impl GroupServer {
                 for member in members {
                     let digest = member_digest(&member);
                     if state.members.insert(member) {
-                        // A pending remove cancels instead of queueing an
-                        // add: the mirror never saw the member leave.
-                        if state.pending_removes.contains(&digest) {
-                            state.pending_removes.retain(|d| *d != digest);
-                        } else {
-                            state.pending_adds.push(digest);
-                        }
+                        GroupState::queue(
+                            &mut state.pending_removes,
+                            &mut state.pending_adds,
+                            digest,
+                        );
                     }
                 }
             });
@@ -185,13 +179,7 @@ impl GroupServer {
             if let Some(state) = state {
                 if state.members.remove(member) {
                     let digest = member_digest(member);
-                    // A pending add cancels instead of queueing a remove:
-                    // the mirror never saw the member join.
-                    if state.pending_adds.contains(&digest) {
-                        state.pending_adds.retain(|d| *d != digest);
-                    } else {
-                        state.pending_removes.push(digest);
-                    }
+                    GroupState::queue(&mut state.pending_adds, &mut state.pending_removes, digest);
                 }
             }
         });
@@ -257,7 +245,7 @@ impl GroupServer {
 
     /// The feed of `group`, taken out from under its stripe, so that
     /// its lock is never taken with the stripe held.
-    fn feed(&self, group: &str) -> Option<Arc<DeltaLog<MembershipArtifact>>> {
+    fn feed(&self, group: &str) -> Option<Arc<DeltaLog<RosterChange>>> {
         self.groups.read(&group.to_string(), |state| {
             state.map(|s| Arc::clone(&s.feed))
         })
@@ -317,7 +305,7 @@ mod tests {
     use proxy_crypto::keys::SymmetricKey;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use restricted_proxy::epoch::DELTA_LOG_DEPTH;
+    use restricted_proxy::epoch::{ArtifactKind, DELTA_LOG_DEPTH};
     use restricted_proxy::key::GrantorVerifier;
     use restricted_proxy::membership::{MembershipAnswer, MembershipDirectory};
     use restricted_proxy::time::Timestamp;
@@ -404,7 +392,7 @@ mod tests {
         let d1 = gs.publish_delta("staff").unwrap();
         assert_eq!(d1.epoch, 1);
         assert_eq!(d1.kind, ArtifactKind::Delta { base_epoch: 0 });
-        assert_eq!(d1.adds.len(), 2);
+        assert_eq!(d1.payload.adds.len(), 2);
         assert!(d1.verify_seal(&verifier));
         assert!(gs.publish_delta("staff").is_none(), "nothing pending");
         // Add+remove of the same member inside one window cancels out.
@@ -413,11 +401,60 @@ mod tests {
         gs.remove_member("staff", &p("carol"));
         let d2 = gs.publish_delta("staff").unwrap();
         assert_eq!(d2.epoch, 2);
-        assert!(d2.adds.is_empty());
-        assert_eq!(d2.removes, vec![member_digest(&p("carol"))]);
+        assert!(d2.payload.adds.is_empty());
+        assert_eq!(d2.payload.removes, vec![member_digest(&p("carol"))]);
         let snap = gs.publish_snapshot("staff").unwrap();
         assert_eq!(snap.epoch, 2, "snapshot rides the current epoch");
-        assert_eq!(snap.adds, vec![member_digest(&p("bob"))]);
+        assert_eq!(snap.payload.adds, vec![member_digest(&p("bob"))]);
+    }
+
+    #[test]
+    fn churn_that_cancels_out_publishes_no_delta() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let (gs, _) = server(&mut rng);
+        let people: Vec<PrincipalId> = (0..500).map(|i| p(&format!("u{i}"))).collect();
+        gs.add_member("staff", p("keeper"));
+        gs.publish_delta("staff").unwrap();
+        gs.add_members("staff", people.iter().cloned());
+        for who in people.iter().rev() {
+            gs.remove_member("staff", who);
+        }
+        gs.remove_member("staff", &p("keeper"));
+        gs.add_member("staff", p("keeper"));
+        assert!(gs.publish_delta("staff").is_none(), "nothing net changed");
+        assert_eq!(gs.epoch_of("staff"), 1);
+    }
+
+    #[test]
+    fn mixed_churn_publishes_exactly_the_net_change() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let (gs, _) = server(&mut rng);
+        let people: Vec<PrincipalId> = (0..300).map(|i| p(&format!("u{i}"))).collect();
+        // Published roster: u0..u199.
+        gs.add_members("staff", people[..200].iter().cloned());
+        gs.publish_delta("staff").unwrap();
+        // Unpublished churn: u100..u299 join, then every third of
+        // u0..u299 leaves, then every sixth comes back.
+        gs.add_members("staff", people[100..].iter().cloned());
+        for who in people.iter().step_by(3) {
+            gs.remove_member("staff", who);
+        }
+        gs.add_members("staff", people.iter().step_by(6).cloned());
+        let was = |i: usize| i < 200;
+        let is = |i: usize| !i.is_multiple_of(3) || i.is_multiple_of(6);
+        let digests = |keep: &dyn Fn(usize) -> bool| {
+            let mut d: Vec<MemberDigest> = (0..300)
+                .filter(|&i| keep(i))
+                .map(|i| member_digest(&people[i]))
+                .collect();
+            d.sort_unstable();
+            d
+        };
+        let delta = gs.publish_delta("staff").unwrap();
+        assert_eq!(delta.payload.adds, digests(&|i| is(i) && !was(i)));
+        assert_eq!(delta.payload.removes, digests(&|i| was(i) && !is(i)));
+        let snapshot = gs.publish_snapshot("staff").unwrap();
+        assert_eq!(snapshot.payload.adds, digests(&is));
     }
 
     #[test]

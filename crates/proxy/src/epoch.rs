@@ -5,23 +5,25 @@
 //! ([`crate::membership`]) are two payloads of this one feed, and what
 //! they share is written here, once (DESIGN.md §14.2):
 //!
-//! * [`ArtifactKind`] — snapshot or delta: the wire tags, and the rule
-//!   that a delta's epoch lies strictly after its base.
-//! * `EpochMirror` — the receiver. Its `apply` is the one place
-//!   [`ArtifactError::EpochRegression`] and
-//!   [`ArtifactError::BaseMismatch`] come from; a refusal leaves the
-//!   last good state enforced (fail closed).
+//! * [`Artifact`] — the sealed envelope: subject, epoch, [`ArtifactKind`]
+//!   (snapshot or delta, and the rule that a delta's epoch lies strictly
+//!   after its base), payload and seal. Its body, seal check and codec
+//!   exist once, for every payload.
+//! * [`Directory`] — the receiver. Its intake ([`Directory::apply_sealed`])
+//!   is the one place [`ArtifactError::UnknownIssuer`] and
+//!   [`ArtifactError::BadSeal`] come from, and the `EpochMirror` under it
+//!   the one place [`ArtifactError::EpochRegression`] and
+//!   [`ArtifactError::BaseMismatch`] come from; a refusal leaves the last
+//!   good state enforced (fail closed).
 //! * [`DeltaLog`] — the publisher: the published epoch and the last
-//!   [`DELTA_LOG_DEPTH`] deltas, for receivers that lag, behind the
-//!   lock that orders publishers. An issuer hands it a [`Publisher`]:
-//!   what to take from its state, and how to seal it.
-//! * `authenticate`, the intake check (the one place
-//!   [`ArtifactError::UnknownIssuer`] and [`ArtifactError::BadSeal`]
-//!   come from), and [`ArtifactError`]. The seal itself is a
-//!   certificate's: [`CertSeal`] and the keys of [`crate::key`].
+//!   [`DELTA_LOG_DEPTH`] deltas, for receivers that lag, behind the lock
+//!   that orders publishers. It seals what an issuer's [`Publisher`]
+//!   takes from its state.
 //!
-//! A payload adds its body codec and what "replace" and "extend" mean
-//! for its state: different in kind, so two concrete artifact structs.
+//! A [`Payload`] adds only what differs between the two: its label, the
+//! codecs of its subject and of itself, and what "replace" and "extend"
+//! mean for the mirrored state. The seal itself is a certificate's:
+//! [`CertSeal`] and the keys of [`crate::key`].
 
 // L1, panic-free decode (DESIGN.md §11): this module parses bytes a peer
 // chose, so outside test code a reachable panic is a remote crash.
@@ -40,12 +42,13 @@
 )]
 
 use std::collections::VecDeque;
+use std::fmt;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
 use crate::cert::CertSeal;
 use crate::encode::{DecodeError, Decoder, Encoder};
-use crate::key::KeyResolver;
+use crate::key::{GrantAuthority, GrantorVerifier, KeyResolver};
 use crate::principal::PrincipalId;
 use crate::shard::{rank, ShardMap};
 
@@ -247,40 +250,289 @@ impl<K: Hash + Eq, S: Default> EpochMirror<K, S> {
     }
 }
 
+/// What one payload of the feed adds to the sealed envelope
+/// [`Artifact`]: its label, the codecs of its subject and of itself,
+/// and the fold of an artifact into a receiver's state.
+pub trait Payload: Clone + fmt::Debug + Eq {
+    /// Domain-separation label, the first field a seal covers.
+    const LABEL: &'static [u8];
+    /// What an artifact speaks for: an issuer, a group.
+    type Subject: Clone + fmt::Debug + Eq + Hash;
+    /// A receiver's mirrored state for one subject.
+    type State: Default + fmt::Debug;
+
+    /// The principal whose authority alone may seal artifacts about
+    /// `subject`.
+    fn issuer(subject: &Self::Subject) -> &PrincipalId;
+
+    /// Appends `subject` to an artifact body.
+    fn encode_subject(subject: &Self::Subject, e: &mut Encoder);
+
+    /// Reads a subject back.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError`] on malformed input.
+    fn decode_subject(d: &mut Decoder<'_>) -> Result<Self::Subject, DecodeError>;
+
+    /// Appends the payload to an artifact body, canonically: one
+    /// payload, one byte string.
+    fn encode_payload(&self, e: &mut Encoder);
+
+    /// Reads a payload back, refusing any encoding but the canonical one
+    /// and a shape an artifact of `kind` may not carry.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError`] on malformed input.
+    fn decode_payload(d: &mut Decoder<'_>, kind: ArtifactKind) -> Result<Self, DecodeError>;
+
+    /// The state a snapshot carrying this payload installs.
+    fn replace(&self) -> Self::State;
+
+    /// The state a delta carrying this payload makes of `current`.
+    fn extend(&self, current: &Self::State) -> Self::State;
+}
+
+/// A sealed, epoch-numbered announcement about one subject: a snapshot
+/// of the publisher's state or a delta from an exact prior epoch.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Artifact<P: Payload> {
+    /// What the artifact speaks for; only [`Payload::issuer`] of it may
+    /// seal it.
+    pub subject: P::Subject,
+    /// Monotone publication counter per subject; receivers never move
+    /// backwards.
+    pub epoch: u64,
+    /// Snapshot or delta semantics.
+    pub kind: ArtifactKind,
+    /// The state (snapshot) or the change (delta).
+    pub payload: P,
+    /// Seal over [`Artifact::body_bytes`] by the issuer.
+    pub seal: CertSeal,
+}
+
+impl<P: Payload> Artifact<P> {
+    /// The canonical byte string the seal covers: every field but the
+    /// seal, behind the payload's domain-separation label.
+    #[must_use]
+    pub fn body_bytes(&self) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.bytes(P::LABEL);
+        P::encode_subject(&self.subject, &mut e);
+        e.u64(self.epoch);
+        self.kind.encode_onto(&mut e);
+        self.payload.encode_payload(&mut e);
+        e.finish()
+    }
+
+    /// Builds and seals an artifact under `authority`, exactly as a
+    /// certificate is sealed (HMAC or Ed25519).
+    #[must_use]
+    pub fn seal(
+        subject: P::Subject,
+        epoch: u64,
+        kind: ArtifactKind,
+        payload: P,
+        authority: &GrantAuthority,
+    ) -> Self {
+        let mut artifact = Self {
+            subject,
+            epoch,
+            kind,
+            payload,
+            seal: CertSeal::UNSEALED,
+        };
+        artifact.seal = authority.seal(&artifact.body_bytes());
+        artifact
+    }
+
+    /// Checks the seal against the issuer's verification material.
+    /// Flavor mismatches (HMAC seal, public-key verifier or vice versa)
+    /// fail closed.
+    #[must_use]
+    pub fn verify_seal(&self, verifier: &GrantorVerifier) -> bool {
+        verifier.verify_seal(&self.body_bytes(), &self.seal)
+    }
+
+    /// Full wire encoding (body + seal).
+    #[must_use]
+    pub fn encode(&self) -> Vec<u8> {
+        let mut e = Encoder::new();
+        self.encode_onto(&mut e);
+        e.finish()
+    }
+
+    /// Appends the wire encoding to `e`.
+    pub fn encode_onto(&self, e: &mut Encoder) {
+        e.bytes(&self.body_bytes());
+        self.seal.encode_onto(e);
+    }
+
+    /// Decodes one artifact from a decoder stream. Its body is read
+    /// through [`MAX_ARTIFACT_BODY`], not the codec's general bound.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError`] on malformed input. The decoded artifact is
+    /// *unverified*: its seal must still be checked.
+    pub fn decode_from(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let len = d.u32()? as usize;
+        if len > MAX_ARTIFACT_BODY {
+            return Err(DecodeError::BadLength(len as u64));
+        }
+        let mut b = Decoder::new(d.raw(len)?);
+        let seal = CertSeal::decode_from(d)?;
+        if b.bytes()? != P::LABEL {
+            return Err(DecodeError::InvalidValue("artifact label"));
+        }
+        let subject = P::decode_subject(&mut b)?;
+        let epoch = b.u64()?;
+        let kind = ArtifactKind::decode_from(&mut b, epoch)?;
+        let payload = P::decode_payload(&mut b, kind)?;
+        b.finish()?;
+        Ok(Self {
+            subject,
+            epoch,
+            kind,
+            payload,
+            seal,
+        })
+    }
+
+    /// Decodes [`Artifact::encode`] output, rejecting trailing bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError`] on malformed input.
+    pub fn decode(input: &[u8]) -> Result<Self, DecodeError> {
+        let mut d = Decoder::new(input);
+        let artifact = Self::decode_from(&mut d)?;
+        d.finish()?;
+        Ok(artifact)
+    }
+}
+
+/// The receiver side of one payload's feed: per subject, the applied
+/// epoch and the mirrored state. Probes share a shard read-lock; an
+/// update builds its successor off-lock and swaps one `Arc`, so never
+/// blocks them.
+#[derive(Debug)]
+pub struct Directory<P: Payload> {
+    mirrors: EpochMirror<P::Subject, P::State>,
+}
+
+impl<P: Payload> Default for Directory<P> {
+    fn default() -> Self {
+        Self {
+            mirrors: EpochMirror::default(),
+        }
+    }
+}
+
+impl<P: Payload> Directory<P> {
+    /// An empty directory: no subject is mirrored until an artifact
+    /// about it applies.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The mirrored epoch for `subject` (0 when no artifact has applied).
+    #[must_use]
+    pub fn epoch_of(&self, subject: &P::Subject) -> u64 {
+        self.mirrors.epoch_of(subject)
+    }
+
+    /// Runs `probe` on the state mirrored for `subject`, if any, inside
+    /// the shard read closure: shared lock, no clone, no refcount traffic.
+    pub(crate) fn read<R>(
+        &self,
+        subject: &P::Subject,
+        probe: impl FnOnce(Option<&P::State>) -> R,
+    ) -> R {
+        self.mirrors.read(subject, probe)
+    }
+
+    /// The intake of an artifact as received: its seal must verify
+    /// under the key `resolver` holds for the subject's issuer — the only
+    /// acceptable sealer — and only then is it applied
+    /// ([`Self::apply_verified`]).
+    ///
+    /// # Errors
+    ///
+    /// [`ArtifactError::UnknownIssuer`] / [`ArtifactError::BadSeal`],
+    /// and those of [`Self::apply_verified`].
+    pub fn apply_sealed(
+        &self,
+        artifact: &Artifact<P>,
+        resolver: &impl KeyResolver,
+    ) -> Result<(), ArtifactError> {
+        let issuer = P::issuer(&artifact.subject);
+        let verifier = resolver
+            .grantor_verifier(issuer)
+            .ok_or_else(|| ArtifactError::UnknownIssuer(issuer.clone()))?;
+        if !artifact.verify_seal(&verifier) {
+            return Err(ArtifactError::BadSeal);
+        }
+        self.apply_verified(artifact)
+    }
+
+    /// Applies a *seal-verified* artifact. Snapshots must advance the
+    /// epoch (or establish a first mirror); deltas must extend the exact
+    /// current epoch. Rejections leave the last good state enforced.
+    ///
+    /// # Errors
+    ///
+    /// [`ArtifactError::EpochRegression`] / [`ArtifactError::BaseMismatch`].
+    pub fn apply_verified(&self, artifact: &Artifact<P>) -> Result<(), ArtifactError> {
+        let payload = &artifact.payload;
+        self.mirrors.apply(
+            artifact.subject.clone(),
+            artifact.epoch,
+            artifact.kind,
+            || payload.replace(),
+            |current| payload.extend(current),
+        )
+    }
+}
+
 /// An issuer's side of its [`DeltaLog`]: what a publish takes out of
-/// the issuer's state, and how what it took is sealed.
+/// the issuer's state, and whose artifacts the log seals under which
+/// authority.
 ///
 /// The log calls [`Self::take`] or [`Self::take_with_state`] under its
-/// own lock, and each takes the issuer's lock once; the seals run after
-/// the issuer's lock is released, so a mutation never waits out a
-/// signature.
+/// own lock, and each takes the issuer's lock once; [`Self::snapshot`]
+/// and the seals run after the issuer's lock is released, so a mutation
+/// never waits out a digest or a signature.
 pub trait Publisher {
-    /// A sealed artifact.
-    type Artifact: Clone;
-    /// The changes since the last publish.
-    type Change;
+    /// What the issuer publishes.
+    type Payload: Payload;
     /// A copy of the issuer's state, for a snapshot.
     type State;
 
+    /// The subject the issuer publishes for.
+    fn subject(&self) -> <Self::Payload as Payload>::Subject;
+
+    /// The authority its artifacts are sealed under.
+    fn authority(&self) -> &GrantAuthority;
+
     /// Takes the pending change out of the issuer's state; `None` when
     /// nothing is pending or there is no state to take from.
-    fn take(&self) -> Option<Self::Change>;
+    fn take(&self) -> Option<Self::Payload>;
 
     /// Takes the pending change (`None` when nothing is pending) and
     /// copies the state, in one critical section; `None` when there is
     /// no state.
-    fn take_with_state(&self) -> Option<(Option<Self::Change>, Self::State)>;
+    fn take_with_state(&self) -> Option<(Option<Self::Payload>, Self::State)>;
 
-    /// Seals `change` as the delta from `base_epoch` to `epoch`.
-    fn seal_delta(&self, change: Self::Change, base_epoch: u64, epoch: u64) -> Self::Artifact;
-
-    /// Seals `state` as the snapshot at `epoch`.
-    fn seal_snapshot(&self, state: Self::State, epoch: u64) -> Self::Artifact;
+    /// The snapshot payload of a copied state.
+    fn snapshot(state: Self::State) -> Self::Payload;
 }
 
 /// The publisher side of the feed: the last published epoch (0 in a
 /// [`Default`] log) and the most recent [`DELTA_LOG_DEPTH`] delta
-/// artifacts `A`, oldest first. Every publish is the delta from the
+/// artifacts, oldest first. Every publish is the delta from the
 /// previous epoch to the next, so the log is contiguous and
 /// [`DeltaLog::since`] never needs to look inside an artifact.
 ///
@@ -289,17 +541,17 @@ pub trait Publisher {
 /// handed out in the order changes were taken. It comes before the
 /// issuer's own lock, never after (DESIGN.md §9).
 #[derive(Debug)]
-pub struct DeltaLog<A> {
-    feed: Mutex<Feed<A>>,
+pub struct DeltaLog<P: Payload> {
+    feed: Mutex<Feed<P>>,
 }
 
 #[derive(Debug)]
-struct Feed<A> {
+struct Feed<P: Payload> {
     epoch: u64,
-    log: VecDeque<A>,
+    log: VecDeque<Artifact<P>>,
 }
 
-impl<A> Default for DeltaLog<A> {
+impl<P: Payload> Default for DeltaLog<P> {
     fn default() -> Self {
         Self {
             feed: Mutex::new(Feed {
@@ -310,12 +562,21 @@ impl<A> Default for DeltaLog<A> {
     }
 }
 
-impl<A: Clone> Feed<A> {
+impl<P: Payload> Feed<P> {
     /// Seals `change` as the next delta, logs it (dropping the oldest
     /// past [`DELTA_LOG_DEPTH`]) and returns it.
-    fn append<P: Publisher<Artifact = A>>(&mut self, issuer: &P, change: P::Change) -> A {
+    fn append(&mut self, issuer: &impl Publisher<Payload = P>, change: P) -> Artifact<P> {
         rank::assert_unheld("sealing a feed delta");
-        let artifact = issuer.seal_delta(change, self.epoch, self.epoch + 1);
+        let kind = ArtifactKind::Delta {
+            base_epoch: self.epoch,
+        };
+        let artifact = Artifact::seal(
+            issuer.subject(),
+            self.epoch + 1,
+            kind,
+            change,
+            issuer.authority(),
+        );
         self.epoch += 1;
         self.log.push_back(artifact.clone());
         if self.log.len() > DELTA_LOG_DEPTH {
@@ -325,7 +586,7 @@ impl<A: Clone> Feed<A> {
     }
 }
 
-impl<A: Clone> DeltaLog<A> {
+impl<P: Payload> DeltaLog<P> {
     /// The last published epoch (0 before the first publish). A publish
     /// that panicked under the lock poisons it, and every publish after
     /// it is refused.
@@ -337,7 +598,7 @@ impl<A: Clone> DeltaLog<A> {
     /// Publishes `issuer`'s pending change as the next delta. `None`
     /// when nothing is pending (the epoch does not move), the issuer has
     /// no state, or the lock is poisoned.
-    pub fn publish_delta<P: Publisher<Artifact = A>>(&self, issuer: &P) -> Option<A> {
+    pub fn publish_delta(&self, issuer: &impl Publisher<Payload = P>) -> Option<Artifact<P>> {
         let mut feed = self.feed.lock().ok()?;
         let change = issuer.take()?;
         Some(feed.append(issuer, change))
@@ -347,21 +608,31 @@ impl<A: Clone> DeltaLog<A> {
     /// epoch, folding any pending change in first as a delta. The
     /// change and the state come from one critical section, so the
     /// snapshot is exactly the fold of the deltas up to its epoch.
-    pub fn publish_snapshot<P: Publisher<Artifact = A>>(&self, issuer: &P) -> Option<A> {
+    pub fn publish_snapshot<I: Publisher<Payload = P>>(&self, issuer: &I) -> Option<Artifact<P>> {
         let mut feed = self.feed.lock().ok()?;
         let (change, state) = issuer.take_with_state()?;
         if let Some(change) = change {
             feed.append(issuer, change);
         }
         rank::assert_unheld("sealing a feed snapshot");
-        Some(issuer.seal_snapshot(state, feed.epoch))
+        Some(Artifact::seal(
+            issuer.subject(),
+            feed.epoch,
+            ArtifactKind::Snapshot,
+            I::snapshot(state),
+            issuer.authority(),
+        ))
     }
 
     /// The artifacts that bring a receiver at `have_epoch` up to date:
     /// the contiguous delta chain when the log still covers it, else one
     /// snapshot. Pending changes are published first. Empty when the
     /// receiver is already current (or the issuer has no state).
-    pub fn updates_since<P: Publisher<Artifact = A>>(&self, have_epoch: u64, issuer: &P) -> Vec<A> {
+    pub fn updates_since(
+        &self,
+        have_epoch: u64,
+        issuer: &impl Publisher<Payload = P>,
+    ) -> Vec<Artifact<P>> {
         self.publish_delta(issuer);
         match self.since(have_epoch) {
             Some(chain) => chain,
@@ -374,7 +645,7 @@ impl<A: Clone> DeltaLog<A> {
     /// starting at `have_epoch + 1` when the log still holds it, and
     /// `None` when it does not — the caller must serve a snapshot.
     #[must_use]
-    pub fn since(&self, have_epoch: u64) -> Option<Vec<A>> {
+    pub fn since(&self, have_epoch: u64) -> Option<Vec<Artifact<P>>> {
         let feed = self.feed.lock().ok()?;
         let missing = usize::try_from(feed.epoch.saturating_sub(have_epoch)).ok()?;
         let skip = feed.log.len().checked_sub(missing)?;
@@ -384,50 +655,19 @@ impl<A: Clone> DeltaLog<A> {
 
 /// Upper bound on a sealed artifact body. A 1M-serial revocation
 /// snapshot encodes to ≈2 MB and a 1M-member roster snapshot to ≈16 MB
-/// — both past the codec's general collection sanity bound — so the
-/// artifact decoders read their body through this dedicated limit
-/// instead of [`Decoder::bytes`]. The check runs before any copy, and
-/// the borrow-then-`to_vec` shape keeps allocation bounded by the
-/// actual input length, never by the declared one. (On the wire,
-/// artifacts are further capped by the frame-body limit; bodies this
-/// large travel as delta chains or out-of-band files.)
+/// — both past the codec's general collection sanity bound — so
+/// [`Artifact::decode_from`] reads its body through this dedicated
+/// limit instead of [`Decoder::bytes`]. The check runs before any
+/// read, and the body is parsed where it lies, so allocation stays
+/// bounded by the actual input, never by the declared length. (On the
+/// wire, artifacts are further capped by the frame-body limit; bodies
+/// this large travel as delta chains or out-of-band files.)
 pub const MAX_ARTIFACT_BODY: usize = 32 << 20;
-
-/// Reads a u32-length-prefixed artifact body bounded by
-/// [`MAX_ARTIFACT_BODY`].
-pub(crate) fn decode_artifact_body<'a>(d: &mut Decoder<'a>) -> Result<&'a [u8], DecodeError> {
-    let len = d.u32()? as usize;
-    if len > MAX_ARTIFACT_BODY {
-        return Err(DecodeError::BadLength(len as u64));
-    }
-    d.raw(len)
-}
-
-/// The intake check of a sealed artifact: `seal` over `body` verifies
-/// under the key `resolver` holds for `issuer`.
-///
-/// # Errors
-///
-/// [`ArtifactError::UnknownIssuer`] / [`ArtifactError::BadSeal`].
-pub(crate) fn authenticate(
-    resolver: &impl KeyResolver,
-    issuer: &PrincipalId,
-    body: &[u8],
-    seal: &CertSeal,
-) -> Result<(), ArtifactError> {
-    let verifier = resolver
-        .grantor_verifier(issuer)
-        .ok_or_else(|| ArtifactError::UnknownIssuer(issuer.clone()))?;
-    if verifier.verify_seal(body, seal) {
-        Ok(())
-    } else {
-        Err(ArtifactError::BadSeal)
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::revocation::SerialSet;
     use std::sync::Barrier;
 
     /// A toy payload: replace installs the list, extend appends to it.
@@ -516,54 +756,79 @@ mod tests {
         assert_eq!(state(&m), Some((2, vec![1, 2])), "extended once");
     }
 
-    /// A publisher with a change pending on every call, whose artifacts
-    /// are `(base, epoch)` and whose snapshots are `(epoch, epoch)`.
-    struct EveryCall;
+    /// A publisher with a change pending on every call, under a fixed
+    /// key; [`span`] reads its artifacts as `(base, epoch)` and its
+    /// snapshots as `(epoch, epoch)`.
+    struct EveryCall(GrantAuthority);
 
     impl Publisher for EveryCall {
-        type Artifact = (u64, u64);
-        type Change = ();
+        type Payload = SerialSet;
         type State = ();
-        fn take(&self) -> Option<()> {
-            Some(())
+        fn subject(&self) -> PrincipalId {
+            PrincipalId::new("toy")
         }
-        fn take_with_state(&self) -> Option<(Option<()>, ())> {
+        fn authority(&self) -> &GrantAuthority {
+            &self.0
+        }
+        fn take(&self) -> Option<SerialSet> {
+            Some(SerialSet::new())
+        }
+        fn take_with_state(&self) -> Option<(Option<SerialSet>, ())> {
             Some((None, ()))
         }
-        fn seal_delta(&self, (): (), base_epoch: u64, epoch: u64) -> (u64, u64) {
-            (base_epoch, epoch)
+        fn snapshot((): ()) -> SerialSet {
+            SerialSet::new()
         }
-        fn seal_snapshot(&self, (): (), epoch: u64) -> (u64, u64) {
-            (epoch, epoch)
+    }
+
+    fn every_call() -> EveryCall {
+        let key = proxy_crypto::keys::SymmetricKey::from_bytes([3; 32]);
+        EveryCall(GrantAuthority::SharedKey(key))
+    }
+
+    fn span(artifact: &Artifact<SerialSet>) -> (u64, u64) {
+        match artifact.kind {
+            ArtifactKind::Snapshot => (artifact.epoch, artifact.epoch),
+            ArtifactKind::Delta { base_epoch } => (base_epoch, artifact.epoch),
         }
+    }
+
+    fn spans(chain: Option<Vec<Artifact<SerialSet>>>) -> Option<Vec<(u64, u64)>> {
+        chain.map(|chain| chain.iter().map(span).collect())
     }
 
     #[test]
     fn delta_log_serves_the_exact_chain_or_nothing() {
+        let every_call = every_call();
         let log = DeltaLog::default();
-        assert_eq!((log.published(), log.since(0)), (0, Some(Vec::new())));
+        assert_eq!(
+            (log.published(), spans(log.since(0))),
+            (0, Some(Vec::new()))
+        );
         for epoch in 1..=5 {
-            assert_eq!(log.publish_delta(&EveryCall), Some((epoch - 1, epoch)));
+            let published = log.publish_delta(&every_call);
+            assert_eq!(published.as_ref().map(span), Some((epoch - 1, epoch)));
         }
-        assert_eq!(log.since(5), Some(Vec::new()), "current");
-        assert_eq!(log.since(9), Some(Vec::new()), "ahead");
-        assert_eq!(log.since(3), Some(vec![(3, 4), (4, 5)]));
+        assert_eq!(spans(log.since(5)), Some(Vec::new()), "current");
+        assert_eq!(spans(log.since(9)), Some(Vec::new()), "ahead");
+        assert_eq!(spans(log.since(3)), Some(vec![(3, 4), (4, 5)]));
         // Trimming drops the oldest deltas; a receiver whose base went
         // with them must take a snapshot.
         let depth = DELTA_LOG_DEPTH as u64;
         for _ in 5..depth + 3 {
-            log.publish_delta(&EveryCall);
+            log.publish_delta(&every_call);
         }
         assert_eq!(log.published(), depth + 3);
-        assert_eq!(log.since(2), None);
-        let chain = log.since(3).expect("the oldest base still held");
+        assert_eq!(spans(log.since(2)), None);
+        let chain = spans(log.since(3)).expect("the oldest base still held");
         assert_eq!(chain.len(), DELTA_LOG_DEPTH);
         assert_eq!(chain.first(), Some(&(3, 4)));
         assert_eq!(chain.last(), Some(&(depth + 2, depth + 3)));
         // A receiver past the log's reach gets the pending change as a
         // delta, then a snapshot at the epoch it reached.
         let depth = depth + 4;
-        assert_eq!(log.updates_since(2, &EveryCall), vec![(depth, depth)]);
+        let updates = log.updates_since(2, &every_call);
+        assert_eq!(spans(Some(updates)), Some(vec![(depth, depth)]));
         assert_eq!(log.published(), depth);
     }
 
@@ -571,13 +836,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "sealing a feed delta entered holding lock ranks")]
     fn a_feed_seals_with_no_stripe_held() {
-        let log = DeltaLog::default();
+        let (log, every_call) = (DeltaLog::default(), every_call());
         let map = ShardMap::new();
         map.upsert(
             1,
             || 0,
             |_| {
-                log.publish_delta(&EveryCall);
+                log.publish_delta(&every_call);
             },
         );
     }
@@ -587,8 +852,10 @@ mod tests {
     /// first artifact or later, and the mirror stays where it was.
     #[test]
     fn an_artifact_sealed_in_the_other_flavour_is_refused_and_moves_no_mirror() {
-        use crate::key::{GrantAuthority, GrantorVerifier, MapResolver};
-        use crate::membership::{member_digest, MembershipArtifact, MembershipDirectory};
+        use crate::key::MapResolver;
+        use crate::membership::{
+            member_digest, MembershipArtifact, MembershipDirectory, RosterChange,
+        };
         use crate::principal::GroupName;
         use crate::revocation::{RevocationArtifact, RevocationDirectory};
         use proxy_crypto::ed25519::SigningKey;
@@ -629,8 +896,7 @@ mod tests {
                     group.clone(),
                     epoch,
                     SNAPSHOT,
-                    vec![alice],
-                    Vec::new(),
+                    RosterChange::new(vec![alice], Vec::new()),
                     &authority,
                 );
                 let mut revocation = honest_revocation.clone();

@@ -99,6 +99,7 @@ pub mod prelude {
     pub use crate::key::{GrantAuthority, GrantorVerifier, KeyMaterial, KeyResolver, MapResolver};
     pub use crate::membership::{
         member_digest, MemberDigest, MembershipAnswer, MembershipArtifact, MembershipDirectory,
+        RosterChange,
     };
     pub use crate::nameserver::{CertifiedResolver, KeyBinding, NameServer};
     pub use crate::present::{Presentation, Proof};

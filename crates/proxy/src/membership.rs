@@ -41,17 +41,12 @@ use std::collections::HashSet;
 
 use proxy_crypto::sha256::Sha256;
 
-use crate::cert::CertSeal;
 use crate::encode::{DecodeError, Decoder, Encoder};
-use crate::epoch::{authenticate, decode_artifact_body, ArtifactError, ArtifactKind, EpochMirror};
-use crate::key::{GrantAuthority, GrantorVerifier, KeyResolver};
+use crate::epoch::{Artifact, ArtifactKind, Directory, Payload};
 use crate::principal::{GroupName, PrincipalId};
 
 /// Domain-separation label for member digests.
 const MEMBER_DIGEST_LABEL: &[u8] = b"proxy-aa member digest v1";
-
-/// Domain-separation label sealed over by membership artifacts.
-const ARTIFACT_LABEL: &[u8] = b"proxy-aa membership artifact v1";
 
 /// Bytes of a truncated member digest.
 pub const MEMBER_DIGEST_LEN: usize = 16;
@@ -79,22 +74,28 @@ pub fn member_digest(principal: &PrincipalId) -> MemberDigest {
     out
 }
 
-/// A sealed, epoch-numbered membership announcement for one group.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MembershipArtifact {
-    /// The group this artifact describes; `group.server` is the only
-    /// principal whose authority may seal it.
-    pub group: GroupName,
-    /// Monotone publication counter per group.
-    pub epoch: u64,
-    /// Snapshot or delta semantics.
-    pub kind: ArtifactKind,
-    /// Members added (or, for snapshots, the full set), sorted ascending.
+/// A membership artifact's payload: members added (for a snapshot, the
+/// whole roster) and removed (empty in a snapshot), each list sorted
+/// ascending without repeats — the one canonical form.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RosterChange {
+    /// Members added, or the full roster in a snapshot.
     pub adds: Vec<MemberDigest>,
-    /// Members removed; empty for snapshots, sorted ascending.
+    /// Members removed.
     pub removes: Vec<MemberDigest>,
-    /// Seal over [`MembershipArtifact::body_bytes`] by the group server.
-    pub seal: CertSeal,
+}
+
+impl RosterChange {
+    /// A change of `adds` and `removes` in canonical form: each list
+    /// sorted and deduplicated.
+    #[must_use]
+    pub fn new(mut adds: Vec<MemberDigest>, mut removes: Vec<MemberDigest>) -> Self {
+        for list in [&mut adds, &mut removes] {
+            list.sort_unstable();
+            list.dedup();
+        }
+        Self { adds, removes }
+    }
 }
 
 fn encode_digests(e: &mut Encoder, digests: &[MemberDigest]) {
@@ -124,117 +125,55 @@ fn decode_digests(d: &mut Decoder<'_>) -> Result<Vec<MemberDigest>, DecodeError>
     Ok(out)
 }
 
-impl MembershipArtifact {
-    /// The canonical byte string the seal covers.
-    #[must_use]
-    pub fn body_bytes(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.bytes(ARTIFACT_LABEL);
-        e.str(self.group.server.as_str());
-        e.str(&self.group.name);
-        e.u64(self.epoch);
-        self.kind.encode_onto(&mut e);
-        encode_digests(&mut e, &self.adds);
-        encode_digests(&mut e, &self.removes);
-        e.finish()
+impl Payload for RosterChange {
+    const LABEL: &'static [u8] = b"proxy-aa membership artifact v1";
+    type Subject = GroupName;
+    type State = HashSet<MemberDigest>;
+
+    fn issuer(group: &GroupName) -> &PrincipalId {
+        &group.server
     }
 
-    /// Builds and seals an artifact under the group server's
-    /// `authority`. Digest lists are sorted and deduplicated into
-    /// canonical form before sealing.
-    #[must_use]
-    pub fn seal(
-        group: GroupName,
-        epoch: u64,
-        kind: ArtifactKind,
-        mut adds: Vec<MemberDigest>,
-        mut removes: Vec<MemberDigest>,
-        authority: &GrantAuthority,
-    ) -> Self {
-        adds.sort_unstable();
-        adds.dedup();
-        removes.sort_unstable();
-        removes.dedup();
-        let mut artifact = Self {
-            group,
-            epoch,
-            kind,
-            adds,
-            removes,
-            seal: CertSeal::UNSEALED,
-        };
-        artifact.seal = authority.seal(&artifact.body_bytes());
-        artifact
+    fn encode_subject(group: &GroupName, e: &mut Encoder) {
+        e.str(group.server.as_str()).str(&group.name);
     }
 
-    /// Checks the seal against the group server's verification material;
-    /// flavor mismatches fail closed.
-    #[must_use]
-    pub fn verify_seal(&self, verifier: &GrantorVerifier) -> bool {
-        verifier.verify_seal(&self.body_bytes(), &self.seal)
+    fn decode_subject(d: &mut Decoder<'_>) -> Result<GroupName, DecodeError> {
+        let server = d.principal()?;
+        Ok(GroupName::new(server, d.str()?))
     }
 
-    /// Full wire encoding (body + seal).
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        self.encode_onto(&mut e);
-        e.finish()
+    fn encode_payload(&self, e: &mut Encoder) {
+        encode_digests(e, &self.adds);
+        encode_digests(e, &self.removes);
     }
 
-    /// Appends the wire encoding to `e`.
-    pub fn encode_onto(&self, e: &mut Encoder) {
-        e.bytes(&self.body_bytes());
-        self.seal.encode_onto(e);
-    }
-
-    /// Decodes one artifact from a decoder stream. The result is
-    /// *unverified*: its seal must still be checked.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError`] on malformed input, including unsorted or
-    /// duplicate digests and snapshots carrying removals.
-    pub fn decode_from(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let body = decode_artifact_body(d)?.to_vec();
-        let seal = CertSeal::decode_from(d)?;
-        let mut b = Decoder::new(&body);
-        if b.bytes()? != ARTIFACT_LABEL {
-            return Err(DecodeError::InvalidValue("membership artifact label"));
-        }
-        let server = b.principal()?;
-        let name = b.str()?.to_string();
-        let epoch = b.u64()?;
-        let kind = ArtifactKind::decode_from(&mut b, epoch)?;
-        let adds = decode_digests(&mut b)?;
-        let removes = decode_digests(&mut b)?;
+    fn decode_payload(d: &mut Decoder<'_>, kind: ArtifactKind) -> Result<Self, DecodeError> {
+        let adds = decode_digests(d)?;
+        let removes = decode_digests(d)?;
         if kind == ArtifactKind::Snapshot && !removes.is_empty() {
             return Err(DecodeError::InvalidValue("snapshot with removals"));
         }
-        b.finish()?;
-        Ok(Self {
-            group: GroupName::new(server, name),
-            epoch,
-            kind,
-            adds,
-            removes,
-            seal,
-        })
+        Ok(Self { adds, removes })
     }
 
-    /// Decodes [`MembershipArtifact::encode`] output, rejecting trailing
-    /// bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError`] on malformed input.
-    pub fn decode(input: &[u8]) -> Result<Self, DecodeError> {
-        let mut d = Decoder::new(input);
-        let artifact = Self::decode_from(&mut d)?;
-        d.finish()?;
-        Ok(artifact)
+    fn replace(&self) -> HashSet<MemberDigest> {
+        self.adds.iter().copied().collect()
+    }
+
+    fn extend(&self, current: &HashSet<MemberDigest>) -> HashSet<MemberDigest> {
+        let mut next = current.clone();
+        next.extend(&self.adds);
+        for d in &self.removes {
+            next.remove(d);
+        }
+        next
     }
 }
+
+/// A sealed, epoch-numbered membership announcement for one group;
+/// `group.server` is the only principal whose authority may seal it.
+pub type MembershipArtifact = Artifact<RosterChange>;
 
 /// What a local membership mirror can say about an assert.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -249,91 +188,35 @@ pub enum MembershipAnswer {
 }
 
 /// The receiver side: per-group membership mirrors consulted on the
-/// authorization hot path. `assert` probes under one shared shard
-/// read-lock; applying artifacts never blocks it (see [`crate::epoch`]).
-#[derive(Debug, Default)]
-pub struct MembershipDirectory {
-    mirrors: EpochMirror<GroupName, HashSet<MemberDigest>>,
-}
+/// authorization hot path.
+pub type MembershipDirectory = Directory<RosterChange>;
 
-impl MembershipDirectory {
-    /// An empty directory.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The mirrored epoch for `group` (0 when no artifact has applied).
-    #[must_use]
-    pub fn epoch_of(&self, group: &GroupName) -> u64 {
-        self.mirrors.epoch_of(group)
-    }
-
+impl Directory<RosterChange> {
     /// Mirrored member count for `group`, when a mirror exists.
     #[must_use]
     pub fn member_count(&self, group: &GroupName) -> Option<usize> {
-        self.mirrors.read(group, |m| m.map(HashSet::len))
+        self.read(group, |m| m.map(HashSet::len))
     }
 
-    /// Answers a membership assert from the mirror alone — no round
-    /// trips, and always the mirror's current answer.
+    /// Answers a membership assert from the mirror alone — one digest,
+    /// one shared shard read-lock, no round trips, and always the
+    /// mirror's current answer.
     #[must_use]
     pub fn assert(&self, group: &GroupName, principal: &PrincipalId) -> MembershipAnswer {
         let digest = member_digest(principal);
-        match self.mirrors.read(group, |m| m.map(|m| m.contains(&digest))) {
+        match self.read(group, |m| m.map(|m| m.contains(&digest))) {
             Some(true) => MembershipAnswer::Member,
             Some(false) => MembershipAnswer::NotMember,
             None => MembershipAnswer::Unknown,
         }
-    }
-
-    /// The intake of an artifact as received: its seal must verify
-    /// under the key `resolver` holds for the group's server — the only
-    /// acceptable sealer — and only then is it applied
-    /// ([`Self::apply_verified`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::UnknownIssuer`] / [`ArtifactError::BadSeal`],
-    /// and those of [`Self::apply_verified`].
-    pub fn apply_sealed(
-        &self,
-        artifact: &MembershipArtifact,
-        resolver: &impl KeyResolver,
-    ) -> Result<(), ArtifactError> {
-        let (issuer, body) = (&artifact.group.server, artifact.body_bytes());
-        authenticate(resolver, issuer, &body, &artifact.seal)?;
-        self.apply_verified(artifact)
-    }
-
-    /// Applies a *seal-verified* artifact. Snapshots must advance the
-    /// epoch (or establish a first mirror); deltas must extend the exact
-    /// current epoch. Rejections leave the last good state enforced.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::EpochRegression`] / [`ArtifactError::BaseMismatch`].
-    pub fn apply_verified(&self, artifact: &MembershipArtifact) -> Result<(), ArtifactError> {
-        self.mirrors.apply(
-            artifact.group.clone(),
-            artifact.epoch,
-            artifact.kind,
-            || artifact.adds.iter().copied().collect(),
-            |current| {
-                let mut next = current.clone();
-                next.extend(&artifact.adds);
-                for d in &artifact.removes {
-                    next.remove(d);
-                }
-                next
-            },
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::epoch::ArtifactError;
+    use crate::key::{GrantAuthority, GrantorVerifier};
     use proxy_crypto::keys::SymmetricKey;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -369,8 +252,7 @@ mod tests {
             g("staff"),
             1,
             ArtifactKind::Snapshot,
-            adds,
-            Vec::new(),
+            RosterChange::new(adds, Vec::new()),
             &authority,
         );
         assert!(artifact.verify_seal(&verifier));
@@ -386,20 +268,18 @@ mod tests {
             g("staff"),
             1,
             ArtifactKind::Snapshot,
-            vec![[2u8; 16], [1u8; 16]],
-            Vec::new(),
+            RosterChange::new(vec![[2u8; 16], [1u8; 16]], Vec::new()),
             &authority,
         );
         // seal() canonicalized; forge an unsorted body by hand.
-        artifact.adds = vec![[2u8; 16], [1u8; 16]];
+        artifact.payload.adds = vec![[2u8; 16], [1u8; 16]];
         assert!(MembershipArtifact::decode(&artifact.encode()).is_err());
         // Snapshot with removals is malformed.
         let mut bad = MembershipArtifact::seal(
             g("staff"),
             1,
             ArtifactKind::Delta { base_epoch: 0 },
-            vec![[1u8; 16]],
-            vec![[3u8; 16]],
+            RosterChange::new(vec![[1u8; 16]], vec![[3u8; 16]]),
             &authority,
         );
         bad.kind = ArtifactKind::Snapshot;
@@ -419,8 +299,7 @@ mod tests {
             g("staff"),
             1,
             ArtifactKind::Snapshot,
-            vec![member_digest(&p("alice"))],
-            Vec::new(),
+            RosterChange::new(vec![member_digest(&p("alice"))], Vec::new()),
             &authority,
         );
         dir.apply_verified(&snap).unwrap();
@@ -447,8 +326,10 @@ mod tests {
             g("staff"),
             1,
             ArtifactKind::Snapshot,
-            vec![member_digest(&p("alice")), member_digest(&p("bob"))],
-            Vec::new(),
+            RosterChange::new(
+                vec![member_digest(&p("alice")), member_digest(&p("bob"))],
+                Vec::new(),
+            ),
             &authority,
         );
         dir.apply_verified(&snap).unwrap();
@@ -456,8 +337,10 @@ mod tests {
             g("staff"),
             2,
             ArtifactKind::Delta { base_epoch: 1 },
-            vec![member_digest(&p("carol"))],
-            vec![member_digest(&p("bob"))],
+            RosterChange::new(
+                vec![member_digest(&p("carol"))],
+                vec![member_digest(&p("bob"))],
+            ),
             &authority,
         );
         dir.apply_verified(&delta).unwrap();
@@ -475,8 +358,7 @@ mod tests {
             g("staff"),
             1,
             ArtifactKind::Snapshot,
-            Vec::new(),
-            Vec::new(),
+            RosterChange::new(Vec::new(), Vec::new()),
             &authority,
         );
         assert!(matches!(
@@ -487,8 +369,7 @@ mod tests {
             g("staff"),
             9,
             ArtifactKind::Delta { base_epoch: 7 },
-            vec![member_digest(&p("mallory"))],
-            Vec::new(),
+            RosterChange::new(vec![member_digest(&p("mallory"))], Vec::new()),
             &authority,
         );
         assert!(matches!(
@@ -509,8 +390,7 @@ mod tests {
             g("staff"),
             1,
             ArtifactKind::Snapshot,
-            Vec::new(),
-            Vec::new(),
+            RosterChange::new(Vec::new(), Vec::new()),
             &authority,
         );
         dir.apply_verified(&snap).unwrap();
@@ -522,8 +402,7 @@ mod tests {
             g("staff"),
             2,
             ArtifactKind::Delta { base_epoch: 1 },
-            vec![member_digest(&p("dave"))],
-            Vec::new(),
+            RosterChange::new(vec![member_digest(&p("dave"))], Vec::new()),
             &authority,
         );
         dir.apply_verified(&delta).unwrap();
@@ -567,8 +446,7 @@ mod tests {
                         groups[gi].clone(),
                         epoch,
                         ArtifactKind::Snapshot,
-                        digests(&members),
-                        Vec::new(),
+                        RosterChange::new(digests(&members), Vec::new()),
                         &authority,
                     );
                     dir.apply_verified(&snap).unwrap();
@@ -583,8 +461,7 @@ mod tests {
                         groups[gi].clone(),
                         *epoch + 1,
                         ArtifactKind::Delta { base_epoch: *epoch },
-                        digests(&adds),
-                        digests(&removes),
+                        RosterChange::new(digests(&adds), digests(&removes)),
                         &authority,
                     );
                     dir.apply_verified(&delta).unwrap();

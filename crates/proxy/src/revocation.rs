@@ -47,15 +47,11 @@
 use std::collections::HashMap;
 use std::sync::RwLock;
 
-use crate::cert::CertSeal;
 use crate::encode::{DecodeError, Decoder, Encoder};
-use crate::epoch::{authenticate, decode_artifact_body, DeltaLog, EpochMirror, Publisher};
+use crate::epoch::{Artifact, DeltaLog, Directory, Payload, Publisher};
 pub use crate::epoch::{ArtifactError, ArtifactKind, DELTA_LOG_DEPTH, MAX_ARTIFACT_BODY};
-use crate::key::{GrantAuthority, GrantorVerifier, KeyResolver};
+use crate::key::GrantAuthority;
 use crate::principal::PrincipalId;
-
-/// Domain-separation label sealed over by revocation artifacts.
-const ARTIFACT_LABEL: &[u8] = b"proxy-aa revocation artifact v1";
 
 /// Most values an array container may hold *on the wire* (the crossover
 /// where 2 bytes/entry exceeds the fixed 8 KiB bitmap).
@@ -457,119 +453,48 @@ impl FromIterator<u64> for SerialSet {
     }
 }
 
-/// A sealed, epoch-numbered revocation announcement from one issuer.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RevocationArtifact {
-    /// The grantor whose issued serials this artifact revokes. Only this
-    /// principal's authority may seal it.
-    pub issuer: PrincipalId,
-    /// Monotone publication counter; receivers never move backwards.
-    pub epoch: u64,
-    /// Snapshot or delta semantics.
-    pub kind: ArtifactKind,
-    /// The revoked serials (full set for snapshots, additions for
-    /// deltas).
-    pub serials: SerialSet,
-    /// Seal over [`RevocationArtifact::body_bytes`] by the issuer.
-    pub seal: CertSeal,
-}
+/// A revocation artifact's payload is the serial set itself: the whole
+/// revoked set in a snapshot, the newly revoked serials in a delta.
+impl Payload for SerialSet {
+    const LABEL: &'static [u8] = b"proxy-aa revocation artifact v1";
+    type Subject = PrincipalId;
+    type State = SerialSet;
 
-impl RevocationArtifact {
-    /// The canonical byte string the seal covers: every field but the
-    /// seal, behind a domain-separation label.
-    #[must_use]
-    pub fn body_bytes(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.bytes(ARTIFACT_LABEL);
-        e.str(self.issuer.as_str());
-        e.u64(self.epoch);
-        self.kind.encode_onto(&mut e);
-        self.serials.encode_into(&mut e);
-        e.finish()
+    fn issuer(issuer: &PrincipalId) -> &PrincipalId {
+        issuer
     }
 
-    /// Builds and seals an artifact under `authority`.
-    #[must_use]
-    pub fn seal(
-        issuer: PrincipalId,
-        epoch: u64,
-        kind: ArtifactKind,
-        serials: SerialSet,
-        authority: &GrantAuthority,
-    ) -> Self {
-        let mut artifact = Self {
-            issuer,
-            epoch,
-            kind,
-            serials,
-            seal: CertSeal::UNSEALED,
-        };
-        artifact.seal = authority.seal(&artifact.body_bytes());
-        artifact
+    fn encode_subject(issuer: &PrincipalId, e: &mut Encoder) {
+        e.str(issuer.as_str());
     }
 
-    /// Checks the seal against the issuer's verification material.
-    /// Flavor mismatches (HMAC seal, public-key verifier or vice versa)
-    /// fail closed.
-    #[must_use]
-    pub fn verify_seal(&self, verifier: &GrantorVerifier) -> bool {
-        verifier.verify_seal(&self.body_bytes(), &self.seal)
+    fn decode_subject(d: &mut Decoder<'_>) -> Result<PrincipalId, DecodeError> {
+        d.principal()
     }
 
-    /// Full wire encoding (body + seal).
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        self.encode_onto(&mut e);
-        e.finish()
+    fn encode_payload(&self, e: &mut Encoder) {
+        self.encode_into(e);
     }
 
-    /// Appends the wire encoding to `e`.
-    pub fn encode_onto(&self, e: &mut Encoder) {
-        e.bytes(&self.body_bytes());
-        self.seal.encode_onto(e);
+    fn decode_payload(d: &mut Decoder<'_>, _: ArtifactKind) -> Result<Self, DecodeError> {
+        Self::decode_from(d)
     }
 
-    /// Decodes one artifact from a decoder stream.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError`] on malformed input. The decoded artifact is
-    /// *unverified*: its seal must still be checked.
-    pub fn decode_from(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let body = decode_artifact_body(d)?.to_vec();
-        let seal = CertSeal::decode_from(d)?;
-        let mut b = Decoder::new(&body);
-        if b.bytes()? != ARTIFACT_LABEL {
-            return Err(DecodeError::InvalidValue("revocation artifact label"));
-        }
-        let issuer = b.principal()?;
-        let epoch = b.u64()?;
-        let kind = ArtifactKind::decode_from(&mut b, epoch)?;
-        let serials = SerialSet::decode_from(&mut b)?;
-        b.finish()?;
-        Ok(Self {
-            issuer,
-            epoch,
-            kind,
-            serials,
-            seal,
-        })
+    fn replace(&self) -> SerialSet {
+        self.clone()
     }
 
-    /// Decodes [`RevocationArtifact::encode`] output, rejecting trailing
-    /// bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError`] on malformed input.
-    pub fn decode(input: &[u8]) -> Result<Self, DecodeError> {
-        let mut d = Decoder::new(input);
-        let artifact = Self::decode_from(&mut d)?;
-        d.finish()?;
-        Ok(artifact)
+    fn extend(&self, current: &SerialSet) -> SerialSet {
+        let mut next = current.clone();
+        next.union_with(self);
+        next
     }
 }
+
+/// A sealed, epoch-numbered revocation announcement from one issuer (the
+/// artifact's subject, and the only principal whose authority may seal
+/// it).
+pub type RevocationArtifact = Artifact<SerialSet>;
 
 struct RegistryState {
     set: SerialSet,
@@ -584,7 +509,7 @@ pub struct RevocationRegistry {
     state: RwLock<RegistryState>,
     /// The published epoch and the deltas lagging receivers catch up
     /// from; its lock comes before `state`'s.
-    feed: DeltaLog<RevocationArtifact>,
+    feed: DeltaLog<SerialSet>,
 }
 
 impl std::fmt::Debug for RevocationRegistry {
@@ -604,9 +529,16 @@ struct Sealing<'a> {
 }
 
 impl Publisher for Sealing<'_> {
-    type Artifact = RevocationArtifact;
-    type Change = SerialSet;
+    type Payload = SerialSet;
     type State = SerialSet;
+
+    fn subject(&self) -> PrincipalId {
+        self.registry.issuer.clone()
+    }
+
+    fn authority(&self) -> &GrantAuthority {
+        self.authority
+    }
 
     fn take(&self) -> Option<SerialSet> {
         let mut s = self.registry.state.write().ok()?;
@@ -619,24 +551,8 @@ impl Publisher for Sealing<'_> {
         Some((pending, s.set.clone()))
     }
 
-    fn seal_delta(&self, adds: SerialSet, base_epoch: u64, epoch: u64) -> RevocationArtifact {
-        RevocationArtifact::seal(
-            self.registry.issuer.clone(),
-            epoch,
-            ArtifactKind::Delta { base_epoch },
-            adds,
-            self.authority,
-        )
-    }
-
-    fn seal_snapshot(&self, set: SerialSet, epoch: u64) -> RevocationArtifact {
-        RevocationArtifact::seal(
-            self.registry.issuer.clone(),
-            epoch,
-            ArtifactKind::Snapshot,
-            set,
-            self.authority,
-        )
+    fn snapshot(set: SerialSet) -> SerialSet {
+        set
     }
 }
 
@@ -739,79 +655,26 @@ impl RevocationRegistry {
 }
 
 /// The receiver side: per-issuer revocation mirrors consulted on the
-/// verify hot path. `is_revoked` answers under one shared shard
-/// read-lock (a point probe, tens of nanoseconds); applying artifacts
-/// never blocks it (see [`crate::epoch`]).
-#[derive(Debug, Default)]
-pub struct RevocationDirectory {
-    mirrors: EpochMirror<PrincipalId, SerialSet>,
-}
+/// verify hot path. An empty directory revokes nothing until an artifact
+/// says so (absence of revocation data falls back to the paper's
+/// expiry-based model).
+pub type RevocationDirectory = Directory<SerialSet>;
 
-impl RevocationDirectory {
-    /// An empty directory: nothing is revoked until an artifact says so
-    /// (absence of revocation data falls back to the paper's
-    /// expiry-based model).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// True when `issuer` has revoked `serial` per the mirrored state.
+impl Directory<SerialSet> {
+    /// True when `issuer` has revoked `serial` per the mirrored state:
+    /// one shared shard read-lock and a point probe, tens of
+    /// nanoseconds; applying artifacts never blocks it.
     #[must_use]
     pub fn is_revoked(&self, issuer: &PrincipalId, serial: u64) -> bool {
-        self.mirrors
-            .read(issuer, |set| set.is_some_and(|set| set.contains(serial)))
-    }
-
-    /// The mirrored epoch for `issuer` (0 when no artifact has applied).
-    #[must_use]
-    pub fn epoch_of(&self, issuer: &PrincipalId) -> u64 {
-        self.mirrors.epoch_of(issuer)
-    }
-
-    /// The intake of an artifact as received: its seal must verify
-    /// under the key `resolver` holds for the claimed issuer, and only
-    /// then is it applied ([`Self::apply_verified`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::UnknownIssuer`] / [`ArtifactError::BadSeal`],
-    /// and those of [`Self::apply_verified`].
-    pub fn apply_sealed(
-        &self,
-        artifact: &RevocationArtifact,
-        resolver: &impl KeyResolver,
-    ) -> Result<(), ArtifactError> {
-        let (issuer, body) = (&artifact.issuer, artifact.body_bytes());
-        authenticate(resolver, issuer, &body, &artifact.seal)?;
-        self.apply_verified(artifact)
-    }
-
-    /// Applies a *seal-verified* artifact. Snapshots must advance the
-    /// epoch (or establish a first mirror); deltas must extend the exact
-    /// current epoch. Rejections leave the last good state enforced.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::EpochRegression`] / [`ArtifactError::BaseMismatch`].
-    pub fn apply_verified(&self, artifact: &RevocationArtifact) -> Result<(), ArtifactError> {
-        self.mirrors.apply(
-            artifact.issuer.clone(),
-            artifact.epoch,
-            artifact.kind,
-            || artifact.serials.clone(),
-            |current| {
-                let mut next = current.clone();
-                next.union_with(&artifact.serials);
-                next
-            },
-        )
+        self.read(issuer, |set| set.is_some_and(|set| set.contains(serial)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cert::CertSeal;
+    use crate::key::GrantorVerifier;
     use proxy_crypto::ed25519::SigningKey;
     use proxy_crypto::keys::SymmetricKey;
     use rand::rngs::StdRng;
@@ -989,7 +852,7 @@ mod tests {
             (0..10u64).collect(),
             &authority,
         );
-        artifact.serials.insert(11); // sneak one more serial in
+        artifact.payload.insert(11); // sneak one more serial in
         assert!(!artifact.verify_seal(&verifier));
         // Flavor mismatch also fails closed.
         let sk = SigningKey::generate(&mut rng);
@@ -1007,7 +870,7 @@ mod tests {
         let d1 = reg.publish_delta(&authority).unwrap();
         assert_eq!(d1.epoch, 1);
         assert_eq!(d1.kind, ArtifactKind::Delta { base_epoch: 0 });
-        assert_eq!(d1.serials.len(), 2);
+        assert_eq!(d1.payload.len(), 2);
         reg.revoke(3);
         let updates = reg.updates_since(1, &authority);
         assert_eq!(updates.len(), 1, "one delta from epoch 1 to 2");
@@ -1022,7 +885,7 @@ mod tests {
         assert_eq!(updates.len(), 1);
         assert_eq!(updates[0].kind, ArtifactKind::Snapshot);
         assert_eq!(
-            updates[0].serials.len(),
+            updates[0].payload.len(),
             reg.state.read().unwrap().set.len()
         );
     }
@@ -1032,10 +895,10 @@ mod tests {
         let dir = RevocationDirectory::new();
         assert!(!dir.is_revoked(&p("authz"), 5));
         let snap = RevocationArtifact {
-            issuer: p("authz"),
+            subject: p("authz"),
             epoch: 3,
             kind: ArtifactKind::Snapshot,
-            serials: (0..10u64).collect(),
+            payload: (0..10u64).collect(),
             seal: CertSeal::Hmac([0u8; 32]),
         };
         dir.apply_verified(&snap).unwrap();
@@ -1043,20 +906,20 @@ mod tests {
         assert_eq!(dir.epoch_of(&p("authz")), 3);
         // Delta extending epoch 3.
         let delta = RevocationArtifact {
-            issuer: p("authz"),
+            subject: p("authz"),
             epoch: 4,
             kind: ArtifactKind::Delta { base_epoch: 3 },
-            serials: (20..25u64).collect(),
+            payload: (20..25u64).collect(),
             seal: CertSeal::Hmac([0u8; 32]),
         };
         dir.apply_verified(&delta).unwrap();
         assert!(dir.is_revoked(&p("authz"), 22) && dir.is_revoked(&p("authz"), 5));
         // Epoch rollback rejected; last good state kept.
         let rollback = RevocationArtifact {
-            issuer: p("authz"),
+            subject: p("authz"),
             epoch: 2,
             kind: ArtifactKind::Snapshot,
-            serials: SerialSet::new(),
+            payload: SerialSet::new(),
             seal: CertSeal::Hmac([0u8; 32]),
         };
         assert!(matches!(
@@ -1069,10 +932,10 @@ mod tests {
         assert!(dir.is_revoked(&p("authz"), 5), "last good epoch enforced");
         // Delta against the wrong base rejected.
         let wrong_base = RevocationArtifact {
-            issuer: p("authz"),
+            subject: p("authz"),
             epoch: 9,
             kind: ArtifactKind::Delta { base_epoch: 7 },
-            serials: (30..31u64).collect(),
+            payload: (30..31u64).collect(),
             seal: CertSeal::Hmac([0u8; 32]),
         };
         assert!(matches!(

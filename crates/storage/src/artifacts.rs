@@ -18,8 +18,17 @@
 //! that fails to decode, to verify or to apply is an error:
 //! `with_artifact_store` returns it, and the server refuses to start
 //! rather than trust the record or drop it.
+//!
+//! Both servers that keep mirrors (the end-server and the accounting
+//! server) take their artifacts through the two paths here:
+//! [`apply_and_record`] for a received one and [`ArtifactStore::restore`]
+//! at boot.
 
 use restricted_proxy::encode::{Decoder, Encoder};
+use restricted_proxy::epoch::{Artifact, ArtifactError, Directory, Payload};
+use restricted_proxy::key::KeyResolver;
+use restricted_proxy::membership::MembershipDirectory;
+use restricted_proxy::revocation::RevocationDirectory;
 
 use crate::{CorruptKind, Storage, StorageError};
 
@@ -146,6 +155,65 @@ impl<S: Storage> ArtifactStore<S> {
         }
         Ok(out)
     }
+
+    /// Restores a server's mirrors: every stored artifact, oldest first,
+    /// is decoded and goes through the intake of its feed's mirror
+    /// ([`Directory::apply_sealed`]: the seal, then the epoch rule), and
+    /// is not recorded again. Membership records are skipped when the
+    /// server keeps no membership mirror (`memberships` is `None`).
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError`] from [`Self::load`]; [`ArtifactError`] for the
+    /// first stored artifact that does not decode, verify or apply.
+    pub fn restore<E: From<StorageError> + From<ArtifactError>>(
+        &self,
+        resolver: &impl KeyResolver,
+        revocations: &RevocationDirectory,
+        memberships: Option<&MembershipDirectory>,
+    ) -> Result<(), E> {
+        fn reapply<P: Payload>(
+            directory: &Directory<P>,
+            bytes: &[u8],
+            resolver: &impl KeyResolver,
+        ) -> Result<(), ArtifactError> {
+            directory.apply_sealed(&Artifact::decode(bytes)?, resolver)
+        }
+        for stored in self.load()? {
+            match (stored, memberships) {
+                (StoredArtifact::Revocation(bytes), _) => reapply(revocations, &bytes, resolver)?,
+                (StoredArtifact::Membership(bytes), Some(memberships)) => {
+                    reapply(memberships, &bytes, resolver)?;
+                }
+                (StoredArtifact::Membership(_), None) => {}
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The one path from a received artifact to a server's mirror: the
+/// intake of `directory` (the seal, then the epoch rule) and, once the
+/// artifact landed, a durable record in `store` when one is attached,
+/// under the record variant `stored`.
+///
+/// # Errors
+///
+/// [`ArtifactError`] when the intake refuses the artifact (the mirror
+/// keeps its last good state); [`StorageError`] when it applied but
+/// could not be recorded.
+pub fn apply_and_record<P: Payload, E: From<ArtifactError> + From<StorageError>>(
+    directory: &Directory<P>,
+    artifact: &Artifact<P>,
+    resolver: &impl KeyResolver,
+    store: Option<&ArtifactStore<impl Storage>>,
+    stored: fn(Vec<u8>) -> StoredArtifact,
+) -> Result<(), E> {
+    directory.apply_sealed(artifact, resolver)?;
+    if let Some(store) = store {
+        store.record(&stored(artifact.encode()))?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -20,6 +20,7 @@ use restricted_proxy::prelude::{
     PrincipalId, Proxy, Timestamp, Validity,
 };
 
+use restricted_proxy::epoch::{Artifact, Payload};
 use restricted_proxy::membership::MembershipArtifact;
 use restricted_proxy::revocation::RevocationArtifact;
 
@@ -524,12 +525,7 @@ impl Message {
             Message::RevocationFetch { issuer, have_epoch } => {
                 e.str(issuer.as_str()).u64(*have_epoch);
             }
-            Message::RevocationUpdate { artifacts } => {
-                e.count(artifacts.len());
-                for a in artifacts {
-                    a.encode_onto(e);
-                }
-            }
+            Message::RevocationUpdate { artifacts } => encode_artifacts(e, artifacts),
             Message::MembershipFetch {
                 requester,
                 group,
@@ -537,12 +533,7 @@ impl Message {
             } => {
                 e.str(requester.as_str()).str(group).u64(*have_epoch);
             }
-            Message::MembershipUpdate { artifacts } => {
-                e.count(artifacts.len());
-                for a in artifacts {
-                    a.encode_onto(e);
-                }
-            }
+            Message::MembershipUpdate { artifacts } => encode_artifacts(e, artifacts),
             Message::Error { code, detail } => {
                 e.u32(u32::from(code.as_u16())).str(detail);
             }
@@ -695,29 +686,17 @@ impl Message {
                 issuer: d.principal()?,
                 have_epoch: d.u64()?,
             },
-            0x11 => {
-                let n = d.counted(40)?;
-                check_limit("revocation artifacts", n.get(), MAX_ARTIFACTS)?;
-                let mut artifacts = n.vec();
-                for _ in 0..n.get() {
-                    artifacts.push(RevocationArtifact::decode_from(&mut d)?);
-                }
-                Message::RevocationUpdate { artifacts }
-            }
+            0x11 => Message::RevocationUpdate {
+                artifacts: decode_artifacts(&mut d, "revocation artifacts")?,
+            },
             0x12 => Message::MembershipFetch {
                 requester: d.principal()?,
                 group: d.str()?.to_string(),
                 have_epoch: d.u64()?,
             },
-            0x13 => {
-                let n = d.counted(40)?;
-                check_limit("membership artifacts", n.get(), MAX_ARTIFACTS)?;
-                let mut artifacts = n.vec();
-                for _ in 0..n.get() {
-                    artifacts.push(MembershipArtifact::decode_from(&mut d)?);
-                }
-                Message::MembershipUpdate { artifacts }
-            }
+            0x13 => Message::MembershipUpdate {
+                artifacts: decode_artifacts(&mut d, "membership artifacts")?,
+            },
             0x7F => {
                 let raw = d.u32()?;
                 let code = u16::try_from(raw)
@@ -773,6 +752,27 @@ impl Message {
         let msg = Message::decode_body(header.msg_type, body)?;
         Ok((header.request_id, msg))
     }
+}
+
+/// A counted list of sealed artifacts: the body of 0x11 and 0x13.
+fn encode_artifacts<P: Payload>(e: &mut Encoder, artifacts: &[Artifact<P>]) {
+    e.count(artifacts.len());
+    for a in artifacts {
+        a.encode_onto(e);
+    }
+}
+
+fn decode_artifacts<P: Payload>(
+    d: &mut Decoder<'_>,
+    what: &'static str,
+) -> Result<Vec<Artifact<P>>, WireError> {
+    let n = d.counted(40)?;
+    check_limit(what, n.get(), MAX_ARTIFACTS)?;
+    let mut artifacts = n.vec();
+    for _ in 0..n.get() {
+        artifacts.push(Artifact::decode_from(d)?);
+    }
+    Ok(artifacts)
 }
 
 fn check_limit(what: &'static str, count: usize, max: usize) -> Result<(), WireError> {

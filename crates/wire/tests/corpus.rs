@@ -172,8 +172,10 @@ fn sample_membership_artifact() -> MembershipArtifact {
         GroupName::new(p("gs"), "staff"),
         1,
         ArtifactKind::Snapshot,
-        vec![member_digest(&p("alice")), member_digest(&p("bob"))],
-        vec![],
+        RosterChange::new(
+            vec![member_digest(&p("alice")), member_digest(&p("bob"))],
+            vec![],
+        ),
         &sample_authority(),
     )
 }
@@ -414,7 +416,7 @@ fn unsorted_membership_digests_rejected() {
     let mut e = Encoder::new();
     e.count(1);
     // Re-encode the artifact body with the two digests swapped.
-    let mut digests = ok.adds.clone();
+    let mut digests = ok.payload.adds.clone();
     digests.reverse();
     let mut body = Encoder::new();
     body.bytes(b"proxy-aa membership artifact v1")

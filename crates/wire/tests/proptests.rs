@@ -145,8 +145,7 @@ fn membership_artifact(
         GroupName::new(p("gs"), "staff"),
         seed + 1,
         kind,
-        adds.into_iter().map(digest).collect(),
-        removes,
+        RosterChange::new(adds.into_iter().map(digest).collect(), removes),
         &authority(seed, public_key),
     )
 }

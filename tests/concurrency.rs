@@ -652,12 +652,12 @@ fn roster_snapshots_match_their_deltas_while_members_churn() {
         |have| gs.updates_since("staff", have),
         std::collections::BTreeSet::new(),
         |artifact| artifact.epoch,
-        |snapshot| snapshot.adds.iter().copied().collect(),
+        |snapshot| snapshot.payload.adds.iter().copied().collect(),
         |roster, delta| {
-            for removed in &delta.removes {
+            for removed in &delta.payload.removes {
                 roster.remove(removed);
             }
-            roster.extend(delta.adds.iter().copied());
+            roster.extend(delta.payload.adds.iter().copied());
         },
     );
     assert_eq!(off, 0, "roster snapshots off the fold of their deltas");
@@ -685,8 +685,8 @@ fn revocation_snapshots_match_their_deltas_while_serials_are_revoked() {
         |have| registry.updates_since(have, &authority),
         SerialSet::new(),
         |artifact| artifact.epoch,
-        |snapshot| snapshot.serials.clone(),
-        |revoked, delta| revoked.union_with(&delta.serials),
+        |snapshot| snapshot.payload.clone(),
+        |revoked, delta| revoked.union_with(&delta.payload),
     );
     assert_eq!(off, 0, "revocation snapshots off the fold of their deltas");
 }

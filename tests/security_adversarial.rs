@@ -1024,8 +1024,7 @@ fn forged_membership_artifacts_cannot_plant_or_evict_members() {
         staff.clone(),
         1,
         ArtifactKind::Snapshot,
-        vec![member_digest(&p("bob"))],
-        vec![],
+        RosterChange::new(vec![member_digest(&p("bob"))], vec![]),
         &authority,
     );
     server.apply_membership(&roster).expect("roster applies");
@@ -1048,8 +1047,7 @@ fn forged_membership_artifacts_cannot_plant_or_evict_members() {
         staff.clone(),
         2,
         ArtifactKind::Snapshot,
-        vec![member_digest(&p("mallory"))],
-        vec![],
+        RosterChange::new(vec![member_digest(&p("mallory"))], vec![]),
         &attacker,
     );
     assert!(matches!(
@@ -1065,8 +1063,7 @@ fn forged_membership_artifacts_cannot_plant_or_evict_members() {
         staff.clone(),
         2,
         ArtifactKind::Snapshot,
-        vec![member_digest(&p("carol"))],
-        vec![],
+        RosterChange::new(vec![member_digest(&p("carol"))], vec![]),
         &authority,
     );
     server.apply_membership(&evict).expect("epoch 2 applies");

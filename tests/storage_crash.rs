@@ -406,8 +406,7 @@ fn revoked_serial_stays_revoked_across_restart_without_refetch() {
             staff.clone(),
             1,
             ArtifactKind::Snapshot,
-            vec![member_digest(&p("bob"))],
-            vec![],
+            RosterChange::new(vec![member_digest(&p("bob"))], vec![]),
             &GrantAuthority::SharedKey(gs_key.clone()),
         );
         server.apply_membership(&roster).expect("roster applies");
