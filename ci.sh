@@ -204,21 +204,24 @@ require_rows "$c10k_out" '[C10K]' event-loop-throughput event-loop-burst-p50 \
     event-loop-burst-p99 event-loop-connect event-loop-p99-ratio
 
 # Revocation index + membership mirror (DESIGN.md §14): reduced-scale
-# smoke (100k serials / 100k members) asserting the O(1) contains
-# ratio, the ≤5% cascade-verify overhead, and the zero-round-trip
-# membership tally. The quantile gates compare timing ratios, so one
-# retry absorbs a noisy-neighbor window on shared hosts. The rows must
-# include every row EXPERIMENTS.md's revocation section cites.
-rev_out="$(cargo run -q -p proxy-bench --bin figures --release -- --revocation-smoke \
-    || cargo run -q -p proxy-bench --bin figures --release -- --revocation-smoke)"
+# smoke (100k serials / 100k members) asserting the O(1) contains and
+# single-revoke ratios, the zero-round-trip membership tally, and the
+# cascade-verify overhead of the mirror at ≤ 5 % at p50 and at p95.
+# The overhead compares the quantiles of 24 000 verifies a side, timed
+# in alternating mirror-on/mirror-off pairs, so host noise lands in
+# both sides alike: p95 read 1.8–2.8 % in 20 runs of unchanged code
+# and 110–270 % when one probe in 64 clones the issuer's serial set.
+# Every gate passed 20 of 20 runs, so the step has no retry. The rows
+# must include every row EXPERIMENTS.md's revocation section cites.
+rev_out="$(cargo run -q -p proxy-bench --bin figures --release -- --revocation-smoke)"
 printf '%s\n' "$rev_out"
 require_rows "$rev_out" '[R]' contains-small contains-large contains-ratio \
     revoke-one-small revoke-one-large revoke-one-ratio \
     snapshot-artifact snapshot-artifact-encode snapshot-artifact-decode delta-apply \
     cascade-verify-off-p50 cascade-verify-off-p99 cascade-verify-on-p50 \
-    cascade-verify-on-p99 cascade-verify-on-overhead-p50 cascade-verify-on-overhead-p99 \
-    verify-under-churn-p50 membership-mirror-roster membership-mirror-asserts \
-    membership-mirror-assert-cost membership-mirror-messages
+    cascade-verify-on-p99 cascade-verify-on-overhead-p50 cascade-verify-on-overhead-p95 \
+    cascade-verify-on-overhead-p99 verify-under-churn-p50 membership-mirror-roster \
+    membership-mirror-asserts membership-mirror-assert-cost membership-mirror-messages
 
 # Durable accounting (DESIGN.md §15): crash-injection suite in release
 # mode — exactly-once deposits across kill points, torn-tail recovery,

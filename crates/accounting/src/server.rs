@@ -199,21 +199,17 @@ impl AccountingServer {
         Ok(self)
     }
 
-    /// Attaches a persisted revocation-artifact store: every artifact it
-    /// holds is seal-verified and re-applied (restoring the revocation
-    /// mirror without issuer round trips), and every artifact later
-    /// accepted by [`Self::apply_revocation`] is recorded to it.
-    ///
-    /// Call after registering grantors: an artifact whose issuer is
-    /// unknown is refused fail-closed, not skipped. Storage CRC protects
-    /// against bit rot, not substitution — re-verification on the way in
-    /// is what makes the store trustworthy.
+    /// Attaches a persisted artifact store and restores the revocation
+    /// mirror from it ([`ArtifactStore::restore`]: every seal
+    /// re-verified, zero issuer round trips); every artifact
+    /// [`Self::apply_revocation`] later accepts is recorded to it. Call
+    /// after registering grantors: a stored artifact of an unknown
+    /// issuer is refused, not skipped.
     ///
     /// # Errors
     ///
     /// [`AcctError::Storage`] on backend failure; [`AcctError::Artifact`]
-    /// for a stored artifact that does not decode, and the
-    /// [`Self::apply_revocation`] errors for one that does.
+    /// for a stored artifact that does not decode, verify or apply.
     pub fn with_artifact_store(mut self, store: Arc<dyn Storage>) -> Result<Self, AcctError> {
         let artifacts = ArtifactStore::new(store);
         // The store format is shared with end-servers; an accounting
@@ -229,13 +225,11 @@ impl AccountingServer {
         &self.revocations
     }
 
-    /// Verifies and applies a revocation artifact: a revoked check or
+    /// Verifies and applies a revocation artifact, then records it in
+    /// the attached store ([`apply_and_record`]): a revoked check or
     /// endorsement serial is then refused at deposit with no issuer
-    /// round trip. Fail-closed like the end-server path — bad seals,
-    /// unknown issuers, epoch regressions, and delta-base mismatches all
-    /// leave the last good state enforced. With an artifact store
-    /// attached ([`Self::with_artifact_store`]), the verified artifact
-    /// is durably recorded so a restart re-enforces it.
+    /// round trip, and a refused artifact leaves the last good state
+    /// enforced.
     ///
     /// # Errors
     ///

@@ -135,18 +135,12 @@ impl<R: KeyResolver> EndServer<R> {
         }
     }
 
-    /// Attaches a durable artifact store and replays every artifact it
-    /// holds through the normal verify-and-apply path, so the
-    /// revocation and membership mirrors resume at their pre-restart
-    /// epochs with zero issuer round trips. A revoked serial therefore
-    /// stays revoked across a restart even when the issuer is offline.
-    ///
-    /// Stored artifacts get no trust from having been stored: each seal
-    /// is re-verified on the way in, so a tampered store can only cause
-    /// a refused artifact (fail closed), never a forged epoch.
-    ///
-    /// The resolver must already know the issuers whose artifacts were
-    /// stored — construct the server with its full resolver first.
+    /// Attaches a durable artifact store and restores the revocation and
+    /// membership mirrors from it ([`ArtifactStore::restore`]: every seal
+    /// re-verified, zero issuer round trips), so a revoked serial stays
+    /// revoked across a restart even when the issuer is offline. Build
+    /// the server with its full resolver first: a stored artifact of an
+    /// unknown issuer is refused, not skipped.
     ///
     /// # Errors
     ///
@@ -185,11 +179,9 @@ impl<R: KeyResolver> EndServer<R> {
         &self.memberships
     }
 
-    /// Verifies and applies a revocation artifact. The seal must check
-    /// out under the claimed issuer's resolved key material and the
-    /// epoch must advance (snapshot) or extend the exact mirrored epoch
-    /// (delta); anything else is rejected and the last good state keeps
-    /// being enforced.
+    /// Verifies and applies a revocation artifact, then records it in
+    /// the attached store ([`apply_and_record`]); a refused one leaves
+    /// the last good state enforced.
     ///
     /// # Errors
     ///
@@ -207,15 +199,12 @@ impl<R: KeyResolver> EndServer<R> {
         )
     }
 
-    /// Verifies and applies a membership artifact; same fail-closed
-    /// discipline as [`Self::apply_revocation`], with the group server
-    /// (`artifact.subject.server`) as the only acceptable sealer.
+    /// Verifies and applies a membership artifact, sealed by its group's
+    /// server, as [`Self::apply_revocation`] does a revocation artifact.
     ///
     /// # Errors
     ///
-    /// [`AuthzError::Artifact`] on unknown issuer, bad seal, epoch
-    /// regression, or delta-base mismatch; [`AuthzError::Storage`] when
-    /// the artifact verified and applied but could not be persisted.
+    /// Those of [`Self::apply_revocation`].
     pub fn apply_membership(&self, artifact: &MembershipArtifact) -> Result<(), AuthzError> {
         let (resolver, store) = (self.verifier.resolver(), self.artifacts.as_ref());
         apply_and_record(

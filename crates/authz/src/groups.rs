@@ -21,7 +21,7 @@ use std::sync::Arc;
 use rand::RngCore;
 
 use restricted_proxy::encode::Bounded;
-use restricted_proxy::epoch::{DeltaLog, Publisher};
+use restricted_proxy::epoch::{DeltaLog, Publisher, Taken};
 use restricted_proxy::key::GrantAuthority;
 use restricted_proxy::membership::{member_digest, MemberDigest, MembershipArtifact, RosterChange};
 use restricted_proxy::principal::{GroupName, PrincipalId};
@@ -46,29 +46,15 @@ struct GroupState {
     feed: Arc<DeltaLog<RosterChange>>,
 }
 
-impl GroupState {
-    /// Queues `digest` into `queue`, unless it cancels a pending change
-    /// in `other`: the mirror never saw the member join (or leave).
-    fn queue(
-        other: &mut BTreeSet<MemberDigest>,
-        queue: &mut BTreeSet<MemberDigest>,
-        digest: MemberDigest,
-    ) {
-        if !other.remove(&digest) {
-            queue.insert(digest);
-        }
-    }
-
-    fn take_pending(&mut self) -> Option<RosterChange> {
-        if self.pending_adds.is_empty() && self.pending_removes.is_empty() {
-            return None;
-        }
-        Some(RosterChange {
-            adds: std::mem::take(&mut self.pending_adds).into_iter().collect(),
-            removes: std::mem::take(&mut self.pending_removes)
-                .into_iter()
-                .collect(),
-        })
+/// Queues `digest` into `queue`, unless it cancels a pending change in
+/// `other`: the mirror never saw the member join (or leave).
+fn queue(
+    other: &mut BTreeSet<MemberDigest>,
+    queue: &mut BTreeSet<MemberDigest>,
+    digest: MemberDigest,
+) {
+    if !other.remove(&digest) {
+        queue.insert(digest);
     }
 }
 
@@ -92,16 +78,19 @@ impl Publisher for Roster<'_> {
         &self.server.authority
     }
 
-    fn take(&self) -> Option<RosterChange> {
-        self.server
-            .groups
-            .update(&self.group.to_string(), |state| state?.take_pending())
-    }
-
-    fn take_with_state(&self) -> Option<(Option<RosterChange>, BTreeSet<PrincipalId>)> {
+    fn take(&self, copy_state: bool) -> Option<Taken<RosterChange, BTreeSet<PrincipalId>>> {
         self.server.groups.update(&self.group.to_string(), |state| {
             let state = state?;
-            Some((state.take_pending(), state.members.clone()))
+            let pending = !(state.pending_adds.is_empty() && state.pending_removes.is_empty());
+            let change = pending.then(|| RosterChange {
+                adds: std::mem::take(&mut state.pending_adds)
+                    .into_iter()
+                    .collect(),
+                removes: std::mem::take(&mut state.pending_removes)
+                    .into_iter()
+                    .collect(),
+            });
+            Some((change, copy_state.then(|| state.members.clone())))
         })
     }
 
@@ -163,11 +152,7 @@ impl GroupServer {
                 for member in members {
                     let digest = member_digest(&member);
                     if state.members.insert(member) {
-                        GroupState::queue(
-                            &mut state.pending_removes,
-                            &mut state.pending_adds,
-                            digest,
-                        );
+                        queue(&mut state.pending_removes, &mut state.pending_adds, digest);
                     }
                 }
             });
@@ -179,7 +164,7 @@ impl GroupServer {
             if let Some(state) = state {
                 if state.members.remove(member) {
                     let digest = member_digest(member);
-                    GroupState::queue(&mut state.pending_adds, &mut state.pending_removes, digest);
+                    queue(&mut state.pending_adds, &mut state.pending_removes, digest);
                 }
             }
         });

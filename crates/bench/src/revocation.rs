@@ -12,10 +12,11 @@
 //! * **Artifact throughput** — canonical encode / decode of a full
 //!   snapshot and registry→directory delta application, reported as
 //!   MB/s and µs/delta.
-//! * **Hot-path overhead** — cascade-verify p50/p99 with a 1M-serial
-//!   revocation mirror attached to the verifier vs. detached (gate: ≤5%
-//!   on both quantiles). The probe is one shard read + one container
-//!   lookup against µs-scale seal work, so the budget is generous.
+//! * **Hot-path overhead** — cascade-verify p50/p95/p99 with a
+//!   1M-serial revocation mirror attached to the verifier vs. detached,
+//!   the two timed in alternating pairs (gate: ≤5% at p50 and p95; p99
+//!   is reported). The probe is one shard read + one container lookup
+//!   against µs-scale seal work, so the budget is generous.
 //! * **Round-trip-free membership** — a 1M-member group roster lands as
 //!   one sealed snapshot over the simulated network; every subsequent
 //!   assert is answered locally. The [`Network`] tally proves zero
@@ -113,7 +114,7 @@ fn contains_ns(set: &SerialSet, probes: &[u64]) -> f64 {
 /// Runs the harness, full or smoke, prints its rows and asserts its
 /// gates: contains and a single `revoke` at the large index within 2×
 /// and 8× of the small one, the mirror's cascade-verify overhead within
-/// 5 % at p50 and p99, and no network message during the membership
+/// 5 % at p50 and p95, and no network message during the membership
 /// asserts.
 ///
 /// # Panics
@@ -135,10 +136,10 @@ pub fn run(smoke: bool) -> Vec<Row> {
         "one revoke against {large} serials is {revoke:.1}x the {small}-serial cost (gate: 8x) — revoking is paying for the whole set",
     );
     let p50 = value_of(&rows, "cascade-verify-on-overhead-p50");
-    let p99 = value_of(&rows, "cascade-verify-on-overhead-p99");
+    let p95 = value_of(&rows, "cascade-verify-on-overhead-p95");
     assert!(
-        p50 <= 5.0 && p99 <= 5.0,
-        "revocation probe costs {p50:.2}% at p50 / {p99:.2}% at p99 on the verify path (gate: 5%)",
+        p50 <= 5.0 && p95 <= 5.0,
+        "revocation probe costs {p50:.2}% at p50 / {p95:.2}% at p95 on the verify path (gate: 5%)",
     );
     assert_eq!(
         value_of(&rows, "membership-mirror-messages"),
@@ -268,55 +269,53 @@ fn measure(scale: &Scale) -> Vec<Row> {
         Verifier::new(world.server.clone(), resolver).with_revocation(Arc::clone(&directory));
     let verifier_off = &world.verifier;
     let time_verify = |v: &Verifier<MapResolver>, samples: &mut Vec<f64>| {
-        for _ in 0..scale.verify_iters {
-            let mut guard = ReplayCache::new();
-            let t = Instant::now();
-            let ok = v.verify(&pres, &ctx, &mut guard).expect("verifies");
-            samples.push(t.elapsed().as_secs_f64() * 1e6);
-            std::hint::black_box(ok);
-        }
+        let mut guard = ReplayCache::new();
+        let t = Instant::now();
+        let ok = v.verify(&pres, &ctx, &mut guard).expect("verifies");
+        samples.push(t.elapsed().as_secs_f64() * 1e6);
+        std::hint::black_box(ok);
     };
-    // Both variants run back-to-back inside each round, so a round is a
-    // matched pair measured under the same host conditions. Each round
-    // yields its own paired overhead ratio; the gate checks the *median*
-    // of those ratios, which is robust to the rounds where a scheduler
-    // interrupt landed in one variant's tail. (Pooling all samples into
-    // one quantile instead would keep every interrupt in the tail, and
-    // the gate would measure host noise, not the probe.) The reported
-    // absolute quantiles keep each variant's cleanest round, per the
-    // usual min-of-rounds discipline.
+    // The variants alternate sample by sample (which goes first swaps
+    // every pair), so the two samples of a pair share the host's state
+    // and a noisy stretch lands in both variants alike. The overheads
+    // compare quantiles of all pairs pooled, 24 000 a side in the smoke.
+    // The gate reads p50 and p95: p95 sits below the host's interrupt
+    // tail yet above the 1-in-16 verifies a probe that is slow one time
+    // in 64 delays. p99 is a row, not a gate: it lies inside that
+    // interrupt tail and read −6 to 13 % on unchanged code. (Before,
+    // each round timed the variants in two blocks and the gate took the
+    // median of per-round p99 ratios: −0.6 to 7.6 % on unchanged code.)
+    // The reported absolute quantiles keep each variant's cleanest
+    // round, per the usual min-of-rounds discipline.
     let mut best_on_p50 = f64::INFINITY;
     let mut best_on_p99 = f64::INFINITY;
     let mut best_off_p50 = f64::INFINITY;
     let mut best_off_p99 = f64::INFINITY;
-    let mut round_overhead_p50 = Vec::with_capacity(ROUNDS);
-    let mut round_overhead_p99 = Vec::with_capacity(ROUNDS);
-    for round in 0..ROUNDS {
-        let mut on_round = Vec::new();
-        let mut off_round = Vec::new();
-        // Swap order each round so drift never favors one variant.
-        if round % 2 == 0 {
-            time_verify(&verifier_on, &mut on_round);
-            time_verify(verifier_off, &mut off_round);
-        } else {
-            time_verify(verifier_off, &mut off_round);
-            time_verify(&verifier_on, &mut on_round);
+    let (mut all_on, mut all_off) = (Vec::new(), Vec::new());
+    for _ in 0..ROUNDS {
+        let mut on_round = Vec::with_capacity(scale.verify_iters);
+        let mut off_round = Vec::with_capacity(scale.verify_iters);
+        for pair in 0..scale.verify_iters {
+            if pair % 2 == 0 {
+                time_verify(&verifier_on, &mut on_round);
+                time_verify(verifier_off, &mut off_round);
+            } else {
+                time_verify(verifier_off, &mut off_round);
+                time_verify(&verifier_on, &mut on_round);
+            }
         }
+        all_on.extend_from_slice(&on_round);
+        all_off.extend_from_slice(&off_round);
         on_round.sort_by(f64::total_cmp);
         off_round.sort_by(f64::total_cmp);
-        let (on_p50, on_p99) = (percentile(&on_round, 50.0), percentile(&on_round, 99.0));
-        let (off_p50, off_p99) = (percentile(&off_round, 50.0), percentile(&off_round, 99.0));
-        best_on_p50 = best_on_p50.min(on_p50);
-        best_on_p99 = best_on_p99.min(on_p99);
-        best_off_p50 = best_off_p50.min(off_p50);
-        best_off_p99 = best_off_p99.min(off_p99);
-        round_overhead_p50.push((on_p50 / off_p50 - 1.0) * 100.0);
-        round_overhead_p99.push((on_p99 / off_p99 - 1.0) * 100.0);
+        best_on_p50 = best_on_p50.min(percentile(&on_round, 50.0));
+        best_on_p99 = best_on_p99.min(percentile(&on_round, 99.0));
+        best_off_p50 = best_off_p50.min(percentile(&off_round, 50.0));
+        best_off_p99 = best_off_p99.min(percentile(&off_round, 99.0));
     }
-    round_overhead_p50.sort_by(f64::total_cmp);
-    round_overhead_p99.sort_by(f64::total_cmp);
-    let overhead_p50 = percentile(&round_overhead_p50, 50.0);
-    let overhead_p99 = percentile(&round_overhead_p99, 50.0);
+    all_on.sort_by(f64::total_cmp);
+    all_off.sort_by(f64::total_cmp);
+    let overhead = |q: f64| (percentile(&all_on, q) / percentile(&all_off, q) - 1.0) * 100.0;
 
     // ---- Verify while deltas stream in (informational) ----
     let mut churn_samples = Vec::new();
@@ -408,8 +407,9 @@ fn measure(scale: &Scale) -> Vec<Row> {
         r("cascade-verify-off-p99", depth, best_off_p99, "µs"),
         r("cascade-verify-on-p50", depth, best_on_p50, "µs"),
         r("cascade-verify-on-p99", depth, best_on_p99, "µs"),
-        r("cascade-verify-on-overhead-p50", depth, overhead_p50, "%"),
-        r("cascade-verify-on-overhead-p99", depth, overhead_p99, "%"),
+        r("cascade-verify-on-overhead-p50", depth, overhead(50.0), "%"),
+        r("cascade-verify-on-overhead-p95", depth, overhead(95.0), "%"),
+        r("cascade-verify-on-overhead-p99", depth, overhead(99.0), "%"),
         r("verify-under-churn-p50", depth, churn_p50, "µs"),
         r(
             "membership-mirror-roster",
@@ -449,7 +449,7 @@ mod tests {
             delta_size: 50,
             asserts: 900,
         });
-        assert_eq!(rows.len(), 22);
+        assert_eq!(rows.len(), 23);
         // Timing gates are checked only by the release-mode figures run;
         // under a debug build on a shared host they would be flaky. The
         // network tally is deterministic, so that gate holds even here.

@@ -11,8 +11,8 @@
 //!   exist once, for every payload.
 //! * [`Directory`] — the receiver. Its intake ([`Directory::apply_sealed`])
 //!   is the one place [`ArtifactError::UnknownIssuer`] and
-//!   [`ArtifactError::BadSeal`] come from, and the `EpochMirror` under it
-//!   the one place [`ArtifactError::EpochRegression`] and
+//!   [`ArtifactError::BadSeal`] come from, and its epoch rule the one
+//!   place [`ArtifactError::EpochRegression`] and
 //!   [`ArtifactError::BaseMismatch`] come from; a refusal leaves the last
 //!   good state enforced (fail closed).
 //! * [`DeltaLog`] — the publisher: the published epoch and the last
@@ -75,23 +75,18 @@ pub enum ArtifactKind {
 
 impl ArtifactKind {
     /// Appends the kind tag (and a delta's base epoch) to `e`.
-    pub fn encode_onto(self, e: &mut Encoder) {
+    fn encode_onto(self, e: &mut Encoder) {
         match self {
             ArtifactKind::Snapshot => e.u8(TAG_SNAPSHOT),
             ArtifactKind::Delta { base_epoch } => e.u8(TAG_DELTA).u64(base_epoch),
         };
     }
 
-    /// Decodes the kind of an artifact whose (already decoded) epoch is
-    /// `epoch`.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError::BadTag`] on an unknown tag;
-    /// [`DecodeError::InvalidValue`] for a delta that does not advance
-    /// past its own base — inconsistent in itself, so refused at the
-    /// wire boundary, before any epoch bookkeeping.
-    pub fn decode_from(d: &mut Decoder<'_>, epoch: u64) -> Result<Self, DecodeError> {
+    /// Decodes the kind of an artifact at `epoch`: [`DecodeError::BadTag`]
+    /// on an unknown tag, [`DecodeError::InvalidValue`] for a delta that
+    /// does not advance past its own base — inconsistent in itself, so
+    /// refused at the wire boundary, before any epoch bookkeeping.
+    fn decode_from(d: &mut Decoder<'_>, epoch: u64) -> Result<Self, DecodeError> {
         match d.u8()? {
             TAG_SNAPSHOT => Ok(ArtifactKind::Snapshot),
             TAG_DELTA => {
@@ -162,94 +157,6 @@ impl From<DecodeError> for ArtifactError {
     }
 }
 
-/// The receiver side of the feed: per subject `K`, the applied epoch and
-/// the mirrored state `S`. Probes share a shard read-lock; an update
-/// builds its successor off-lock and swaps one `Arc`, so never blocks them.
-#[derive(Debug)]
-pub(crate) struct EpochMirror<K, S> {
-    mirrors: ShardMap<K, (u64, Arc<S>)>,
-}
-
-impl<K: Hash + Eq, S> Default for EpochMirror<K, S> {
-    fn default() -> Self {
-        Self {
-            mirrors: ShardMap::new(),
-        }
-    }
-}
-
-impl<K: Hash + Eq, S: Default> EpochMirror<K, S> {
-    /// The mirrored epoch for `subject` (0 when no artifact has applied).
-    pub(crate) fn epoch_of(&self, subject: &K) -> u64 {
-        self.mirrors.read(subject, |m| m.map_or(0, |m| m.0))
-    }
-
-    /// Runs `f` (a point probe) on the state mirrored for `subject`, if
-    /// any, inside the shard read closure: shared lock, no refcount traffic.
-    pub(crate) fn read<R>(&self, subject: &K, f: impl FnOnce(Option<&S>) -> R) -> R {
-        self.mirrors.read(subject, |m| f(m.map(|m| &*m.1)))
-    }
-
-    /// Applies a *seal-verified* artifact of `kind` at `epoch`. A
-    /// snapshot installs `replace()` if it advances the epoch, is the
-    /// first, or restates epoch 0; a delta installs `extend(current)` if
-    /// the mirror sits exactly at its base (no mirror counts as epoch 0
-    /// of the empty state). The closures run outside every lock.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::EpochRegression`] / [`ArtifactError::BaseMismatch`];
-    /// the mirror is then unchanged.
-    pub(crate) fn apply(
-        &self,
-        subject: K,
-        epoch: u64,
-        kind: ArtifactKind,
-        replace: impl FnOnce() -> S,
-        extend: impl FnOnce(&S) -> S,
-    ) -> Result<(), ArtifactError> {
-        let (next, base) = match kind {
-            ArtifactKind::Snapshot => (replace(), None),
-            ArtifactKind::Delta { base_epoch: base } => {
-                if epoch <= base {
-                    return Err(ArtifactError::EpochRegression {
-                        current: base,
-                        offered: epoch,
-                    });
-                }
-                let (current, state) = self
-                    .mirrors
-                    .read(&subject, |m| m.cloned())
-                    .unwrap_or_default();
-                if current != base {
-                    return Err(ArtifactError::BaseMismatch { current, base });
-                }
-                (extend(&state), Some(base))
-            }
-        };
-        let next = Arc::new(next);
-        // The swap re-checks the epoch under the shard lock: a racing
-        // update may have advanced it since the read above, and the
-        // state built on the old one must then not land.
-        self.mirrors.upsert(subject, Default::default, |m| {
-            let current = m.0;
-            match base {
-                Some(base) if current != base => Err(ArtifactError::BaseMismatch { current, base }),
-                None if epoch < current || (epoch == current && epoch != 0) => {
-                    Err(ArtifactError::EpochRegression {
-                        current,
-                        offered: epoch,
-                    })
-                }
-                _ => {
-                    *m = (epoch, next);
-                    Ok(())
-                }
-            }
-        })
-    }
-}
-
 /// What one payload of the feed adds to the sealed envelope
 /// [`Artifact`]: its label, the codecs of its subject and of itself,
 /// and the fold of an artifact into a receiver's state.
@@ -268,23 +175,15 @@ pub trait Payload: Clone + fmt::Debug + Eq {
     /// Appends `subject` to an artifact body.
     fn encode_subject(subject: &Self::Subject, e: &mut Encoder);
 
-    /// Reads a subject back.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError`] on malformed input.
+    /// Reads a subject back; [`DecodeError`] on malformed input.
     fn decode_subject(d: &mut Decoder<'_>) -> Result<Self::Subject, DecodeError>;
 
     /// Appends the payload to an artifact body, canonically: one
     /// payload, one byte string.
     fn encode_payload(&self, e: &mut Encoder);
 
-    /// Reads a payload back, refusing any encoding but the canonical one
-    /// and a shape an artifact of `kind` may not carry.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError`] on malformed input.
+    /// Reads a payload back: [`DecodeError`] on any encoding but the
+    /// canonical one, and on a shape an artifact of `kind` may not carry.
     fn decode_payload(d: &mut Decoder<'_>, kind: ArtifactKind) -> Result<Self, DecodeError>;
 
     /// The state a snapshot carrying this payload installs.
@@ -419,13 +318,13 @@ impl<P: Payload> Artifact<P> {
 /// blocks them.
 #[derive(Debug)]
 pub struct Directory<P: Payload> {
-    mirrors: EpochMirror<P::Subject, P::State>,
+    mirrors: ShardMap<P::Subject, (u64, Arc<P::State>)>,
 }
 
 impl<P: Payload> Default for Directory<P> {
     fn default() -> Self {
         Self {
-            mirrors: EpochMirror::default(),
+            mirrors: ShardMap::new(),
         }
     }
 }
@@ -441,7 +340,7 @@ impl<P: Payload> Directory<P> {
     /// The mirrored epoch for `subject` (0 when no artifact has applied).
     #[must_use]
     pub fn epoch_of(&self, subject: &P::Subject) -> u64 {
-        self.mirrors.epoch_of(subject)
+        self.mirrors.read(subject, |m| m.map_or(0, |m| m.0))
     }
 
     /// Runs `probe` on the state mirrored for `subject`, if any, inside
@@ -451,7 +350,7 @@ impl<P: Payload> Directory<P> {
         subject: &P::Subject,
         probe: impl FnOnce(Option<&P::State>) -> R,
     ) -> R {
-        self.mirrors.read(subject, probe)
+        self.mirrors.read(subject, |m| probe(m.map(|m| &*m.1)))
     }
 
     /// The intake of an artifact as received: its seal must verify
@@ -487,7 +386,7 @@ impl<P: Payload> Directory<P> {
     /// [`ArtifactError::EpochRegression`] / [`ArtifactError::BaseMismatch`].
     pub fn apply_verified(&self, artifact: &Artifact<P>) -> Result<(), ArtifactError> {
         let payload = &artifact.payload;
-        self.mirrors.apply(
+        self.apply(
             artifact.subject.clone(),
             artifact.epoch,
             artifact.kind,
@@ -495,14 +394,77 @@ impl<P: Payload> Directory<P> {
             |current| payload.extend(current),
         )
     }
+
+    /// The epoch rule, the one producer of its two refusals: a snapshot
+    /// at `epoch` installs `replace()` if it advances the epoch, is the
+    /// first, or restates epoch 0; a delta installs `extend(current)` if
+    /// the mirror sits exactly at its base (no mirror counts as epoch 0
+    /// of the empty state). The closures run outside every lock.
+    ///
+    /// # Errors
+    ///
+    /// [`ArtifactError::EpochRegression`] / [`ArtifactError::BaseMismatch`];
+    /// the mirror is then unchanged.
+    fn apply(
+        &self,
+        subject: P::Subject,
+        epoch: u64,
+        kind: ArtifactKind,
+        replace: impl FnOnce() -> P::State,
+        extend: impl FnOnce(&P::State) -> P::State,
+    ) -> Result<(), ArtifactError> {
+        let (next, base) = match kind {
+            ArtifactKind::Snapshot => (replace(), None),
+            ArtifactKind::Delta { base_epoch: base } => {
+                if epoch <= base {
+                    return Err(ArtifactError::EpochRegression {
+                        current: base,
+                        offered: epoch,
+                    });
+                }
+                let (current, state) = self
+                    .mirrors
+                    .read(&subject, |m| m.cloned())
+                    .unwrap_or_default();
+                if current != base {
+                    return Err(ArtifactError::BaseMismatch { current, base });
+                }
+                (extend(&state), Some(base))
+            }
+        };
+        let next = Arc::new(next);
+        // The swap re-checks the epoch under the shard lock: a racing
+        // update may have advanced it since the read above, and the
+        // state built on the old one must then not land.
+        self.mirrors.upsert(subject, Default::default, |m| {
+            let current = m.0;
+            match base {
+                Some(base) if current != base => Err(ArtifactError::BaseMismatch { current, base }),
+                None if epoch < current || (epoch == current && epoch != 0) => {
+                    Err(ArtifactError::EpochRegression {
+                        current,
+                        offered: epoch,
+                    })
+                }
+                _ => {
+                    *m = (epoch, next);
+                    Ok(())
+                }
+            }
+        })
+    }
 }
+
+/// What [`Publisher::take`] takes in one critical section: the pending
+/// change, if any, and a copy of the state, if asked for.
+pub type Taken<P, S> = (Option<P>, Option<S>);
 
 /// An issuer's side of its [`DeltaLog`]: what a publish takes out of
 /// the issuer's state, and whose artifacts the log seals under which
 /// authority.
 ///
-/// The log calls [`Self::take`] or [`Self::take_with_state`] under its
-/// own lock, and each takes the issuer's lock once; [`Self::snapshot`]
+/// The log calls [`Self::take`] under its own lock, and it takes the
+/// issuer's lock once; [`Self::snapshot`]
 /// and the seals run after the issuer's lock is released, so a mutation
 /// never waits out a digest or a signature.
 pub trait Publisher {
@@ -517,14 +479,10 @@ pub trait Publisher {
     /// The authority its artifacts are sealed under.
     fn authority(&self) -> &GrantAuthority;
 
-    /// Takes the pending change out of the issuer's state; `None` when
-    /// nothing is pending or there is no state to take from.
-    fn take(&self) -> Option<Self::Payload>;
-
-    /// Takes the pending change (`None` when nothing is pending) and
-    /// copies the state, in one critical section; `None` when there is
-    /// no state.
-    fn take_with_state(&self) -> Option<(Option<Self::Payload>, Self::State)>;
+    /// Takes the pending change out of the issuer's state (`None` when
+    /// nothing is pending) and, when `copy_state`, a copy of the state,
+    /// in one critical section; `None` when there is no state.
+    fn take(&self, copy_state: bool) -> Option<Taken<Self::Payload, Self::State>>;
 
     /// The snapshot payload of a copied state.
     fn snapshot(state: Self::State) -> Self::Payload;
@@ -600,8 +558,8 @@ impl<P: Payload> DeltaLog<P> {
     /// no state, or the lock is poisoned.
     pub fn publish_delta(&self, issuer: &impl Publisher<Payload = P>) -> Option<Artifact<P>> {
         let mut feed = self.feed.lock().ok()?;
-        let change = issuer.take()?;
-        Some(feed.append(issuer, change))
+        let (change, _) = issuer.take(false)?;
+        Some(feed.append(issuer, change?))
     }
 
     /// Publishes `issuer`'s complete state as a snapshot at the current
@@ -610,7 +568,7 @@ impl<P: Payload> DeltaLog<P> {
     /// snapshot is exactly the fold of the deltas up to its epoch.
     pub fn publish_snapshot<I: Publisher<Payload = P>>(&self, issuer: &I) -> Option<Artifact<P>> {
         let mut feed = self.feed.lock().ok()?;
-        let (change, state) = issuer.take_with_state()?;
+        let (change, state) = issuer.take(true)?;
         if let Some(change) = change {
             feed.append(issuer, change);
         }
@@ -619,7 +577,7 @@ impl<P: Payload> DeltaLog<P> {
             issuer.subject(),
             feed.epoch,
             ArtifactKind::Snapshot,
-            I::snapshot(state),
+            I::snapshot(state?),
             issuer.authority(),
         ))
     }
@@ -655,13 +613,10 @@ impl<P: Payload> DeltaLog<P> {
 
 /// Upper bound on a sealed artifact body. A 1M-serial revocation
 /// snapshot encodes to ≈2 MB and a 1M-member roster snapshot to ≈16 MB
-/// — both past the codec's general collection sanity bound — so
-/// [`Artifact::decode_from`] reads its body through this dedicated
-/// limit instead of [`Decoder::bytes`]. The check runs before any
-/// read, and the body is parsed where it lies, so allocation stays
-/// bounded by the actual input, never by the declared length. (On the
-/// wire, artifacts are further capped by the frame-body limit; bodies
-/// this large travel as delta chains or out-of-band files.)
+/// — both past the codec's general collection bound — so
+/// [`Artifact::decode_from`] checks this limit instead, before any
+/// read, and parses the body where it lies. (On the wire, artifacts are
+/// further capped by the frame-body limit.)
 pub const MAX_ARTIFACT_BODY: usize = 32 << 20;
 
 #[cfg(test)]
@@ -671,7 +626,38 @@ mod tests {
     use std::sync::Barrier;
 
     /// A toy payload: replace installs the list, extend appends to it.
-    type Toy = EpochMirror<&'static str, Vec<u64>>;
+    /// Only the epoch rule runs on it, so it is never sealed or coded.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct List;
+
+    impl Payload for List {
+        const LABEL: &'static [u8] = b"toy";
+        type Subject = &'static str;
+        type State = Vec<u64>;
+        fn issuer<'a>(_: &'a &'static str) -> &'a PrincipalId {
+            unimplemented!("a toy is never sealed")
+        }
+        fn encode_subject(_: &&'static str, _: &mut Encoder) {
+            unimplemented!("a toy is never coded")
+        }
+        fn decode_subject(_: &mut Decoder<'_>) -> Result<&'static str, DecodeError> {
+            unimplemented!("a toy is never coded")
+        }
+        fn encode_payload(&self, _: &mut Encoder) {
+            unimplemented!("a toy is never coded")
+        }
+        fn decode_payload(_: &mut Decoder<'_>, _: ArtifactKind) -> Result<Self, DecodeError> {
+            unimplemented!("a toy is never coded")
+        }
+        fn replace(&self) -> Vec<u64> {
+            unimplemented!("the rule is driven by closures here")
+        }
+        fn extend(&self, _: &Vec<u64>) -> Vec<u64> {
+            unimplemented!("the rule is driven by closures here")
+        }
+    }
+
+    type Toy = Directory<List>;
     type Outcome = Result<(), ArtifactError>;
 
     const SNAPSHOT: ArtifactKind = ArtifactKind::Snapshot;
@@ -756,7 +742,7 @@ mod tests {
         assert_eq!(state(&m), Some((2, vec![1, 2])), "extended once");
     }
 
-    /// A publisher with a change pending on every call, under a fixed
+    /// A publisher with a change pending on every delta, under a fixed
     /// key; [`span`] reads its artifacts as `(base, epoch)` and its
     /// snapshots as `(epoch, epoch)`.
     struct EveryCall(GrantAuthority);
@@ -770,11 +756,8 @@ mod tests {
         fn authority(&self) -> &GrantAuthority {
             &self.0
         }
-        fn take(&self) -> Option<SerialSet> {
-            Some(SerialSet::new())
-        }
-        fn take_with_state(&self) -> Option<(Option<SerialSet>, ())> {
-            Some((None, ()))
+        fn take(&self, copy_state: bool) -> Option<Taken<SerialSet, ()>> {
+            Some(((!copy_state).then(SerialSet::new), copy_state.then_some(())))
         }
         fn snapshot((): ()) -> SerialSet {
             SerialSet::new()

@@ -48,7 +48,7 @@ use std::collections::HashMap;
 use std::sync::RwLock;
 
 use crate::encode::{DecodeError, Decoder, Encoder};
-use crate::epoch::{Artifact, DeltaLog, Directory, Payload, Publisher};
+use crate::epoch::{Artifact, DeltaLog, Directory, Payload, Publisher, Taken};
 pub use crate::epoch::{ArtifactError, ArtifactKind, DELTA_LOG_DEPTH, MAX_ARTIFACT_BODY};
 use crate::key::GrantAuthority;
 use crate::principal::PrincipalId;
@@ -84,6 +84,17 @@ fn low16(serial: u64) -> u16 {
     u16::try_from(serial & 0xFFFF).unwrap_or(0)
 }
 
+/// The bitmap container holding `vals`.
+fn bitmap(vals: &[u16]) -> Box<[u64; BITMAP_WORDS]> {
+    let mut words = Box::new([0u64; BITMAP_WORDS]);
+    for &v in vals {
+        if let Some(w) = words.get_mut(usize::from(v >> 6)) {
+            *w |= 1u64 << (v & 63);
+        }
+    }
+    words
+}
+
 /// One chunk's worth of low-16-bit values.
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum Container {
@@ -112,13 +123,7 @@ impl Container {
     /// in-memory representation for their cardinality.
     fn from_sorted(vals: Vec<u16>) -> Self {
         if vals.len() > DENSE_PROBE_MIN {
-            let mut words = Box::new([0u64; BITMAP_WORDS]);
-            for &x in &vals {
-                if let Some(w) = words.get_mut(usize::from(x >> 6)) {
-                    *w |= 1u64 << (x & 63);
-                }
-            }
-            Container::Bitmap(words)
+            Container::Bitmap(bitmap(&vals))
         } else {
             Container::Array(vals)
         }
@@ -131,19 +136,9 @@ impl Container {
             Container::Array(vals) => match vals.binary_search(&v) {
                 Ok(_) => false,
                 Err(pos) => {
-                    if vals.len() >= DENSE_PROBE_MIN {
-                        let mut words = Box::new([0u64; BITMAP_WORDS]);
-                        for &x in vals.iter() {
-                            if let Some(w) = words.get_mut(usize::from(x >> 6)) {
-                                *w |= 1u64 << (x & 63);
-                            }
-                        }
-                        if let Some(w) = words.get_mut(usize::from(v >> 6)) {
-                            *w |= 1u64 << (v & 63);
-                        }
-                        *self = Container::Bitmap(words);
-                    } else {
-                        vals.insert(pos, v);
+                    vals.insert(pos, v);
+                    if vals.len() > DENSE_PROBE_MIN {
+                        *self = Container::Bitmap(bitmap(vals));
                     }
                     true
                 }
@@ -220,23 +215,12 @@ impl Container {
             }
         } else {
             e.u8(TAG_BITMAP);
-            match self {
-                Container::Bitmap(words) => {
-                    for &w in words.iter() {
-                        e.u64(w);
-                    }
-                }
-                Container::Array(vals) => {
-                    let mut words = [0u64; BITMAP_WORDS];
-                    for &v in vals {
-                        if let Some(w) = words.get_mut(usize::from(v >> 6)) {
-                            *w |= 1u64 << (v & 63);
-                        }
-                    }
-                    for &w in words.iter() {
-                        e.u64(w);
-                    }
-                }
+            let words = match self {
+                Container::Bitmap(words) => words,
+                Container::Array(vals) => &bitmap(vals),
+            };
+            for &w in words.iter() {
+                e.u64(w);
             }
         }
     }
@@ -382,62 +366,26 @@ impl SerialSet {
         }
     }
 
-    /// Canonical byte encoding: chunks sorted by key, each as its
-    /// smallest container representation. One set, one byte string —
-    /// artifacts are sealed over this.
-    pub fn encode_into(&self, e: &mut Encoder) {
-        let mut keys: Vec<u64> = self.chunks.keys().copied().collect();
-        keys.sort_unstable();
-        e.count(keys.len());
-        for key in keys {
-            if let Some(container) = self.chunks.get(&key) {
-                e.u64(key);
-                container.encode_into(e);
-            }
-        }
+    /// Canonical encoding as an owned byte vector: chunks sorted by
+    /// key, each as its smallest container representation. One set, one
+    /// byte string — artifacts are sealed over this.
+    #[must_use]
+    pub fn encode(&self) -> Vec<u8> {
+        let mut e = Encoder::new();
+        self.encode_payload(&mut e);
+        e.finish()
     }
 
-    /// Decodes a canonical encoding, rejecting unsorted or duplicate
-    /// chunk keys, oversized counts, and malformed containers.
+    /// Decodes [`SerialSet::encode`] output, rejecting unsorted or
+    /// duplicate chunk keys, oversized counts, malformed containers and
+    /// trailing bytes.
     ///
     /// # Errors
     ///
     /// [`DecodeError`] on any structural violation; no input panics.
-    pub fn decode_from(d: &mut Decoder<'_>) -> Result<SerialSet, DecodeError> {
-        // Each chunk costs at least key (8) + tag (1) + count (4) bytes.
-        let n = d.counted(13)?;
-        if n.get() > MAX_CONTAINERS {
-            return Err(DecodeError::BadLength(n.get() as u64));
-        }
-        let mut chunks = n.map();
-        let mut prev: Option<u64> = None;
-        for _ in 0..n.get() {
-            let key = d.u64()?;
-            if prev.is_some_and(|p| p >= key) {
-                return Err(DecodeError::InvalidValue("chunk keys not increasing"));
-            }
-            prev = Some(key);
-            chunks.insert(key, Container::decode_from(d)?);
-        }
-        Ok(SerialSet { chunks })
-    }
-
-    /// Canonical encoding as an owned byte vector.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        self.encode_into(&mut e);
-        e.finish()
-    }
-
-    /// Decodes [`SerialSet::encode`] output, rejecting trailing bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError`] on malformed input.
     pub fn decode(input: &[u8]) -> Result<SerialSet, DecodeError> {
         let mut d = Decoder::new(input);
-        let set = Self::decode_from(&mut d)?;
+        let set = Self::decode_payload(&mut d, ArtifactKind::Snapshot)?;
         d.finish()?;
         Ok(set)
     }
@@ -473,11 +421,34 @@ impl Payload for SerialSet {
     }
 
     fn encode_payload(&self, e: &mut Encoder) {
-        self.encode_into(e);
+        let mut keys: Vec<u64> = self.chunks.keys().copied().collect();
+        keys.sort_unstable();
+        e.count(keys.len());
+        for key in keys {
+            if let Some(container) = self.chunks.get(&key) {
+                e.u64(key);
+                container.encode_into(e);
+            }
+        }
     }
 
     fn decode_payload(d: &mut Decoder<'_>, _: ArtifactKind) -> Result<Self, DecodeError> {
-        Self::decode_from(d)
+        // Each chunk costs at least key (8) + tag (1) + count (4) bytes.
+        let n = d.counted(13)?;
+        if n.get() > MAX_CONTAINERS {
+            return Err(DecodeError::BadLength(n.get() as u64));
+        }
+        let mut chunks = n.map();
+        let mut prev: Option<u64> = None;
+        for _ in 0..n.get() {
+            let key = d.u64()?;
+            if prev.is_some_and(|p| p >= key) {
+                return Err(DecodeError::InvalidValue("chunk keys not increasing"));
+            }
+            prev = Some(key);
+            chunks.insert(key, Container::decode_from(d)?);
+        }
+        Ok(SerialSet { chunks })
     }
 
     fn replace(&self) -> SerialSet {
@@ -502,6 +473,16 @@ struct RegistryState {
     pending: SerialSet,
 }
 
+impl RegistryState {
+    fn revoke(&mut self, serial: u64) -> bool {
+        let fresh = self.set.insert(serial);
+        if fresh {
+            self.pending.insert(serial);
+        }
+        fresh
+    }
+}
+
 /// The issuer side: accumulates revocations and publishes sealed
 /// artifacts. All operations take `&self`.
 pub struct RevocationRegistry {
@@ -523,32 +504,24 @@ impl std::fmt::Debug for RevocationRegistry {
 /// A registry's publishes under one authority: the pending serials and
 /// the revoked set are taken under the registry's lock, and sealed after
 /// it is released.
-struct Sealing<'a> {
-    registry: &'a RevocationRegistry,
-    authority: &'a GrantAuthority,
-}
+struct Sealing<'a>(&'a RevocationRegistry, &'a GrantAuthority);
 
 impl Publisher for Sealing<'_> {
     type Payload = SerialSet;
     type State = SerialSet;
 
     fn subject(&self) -> PrincipalId {
-        self.registry.issuer.clone()
+        self.0.issuer.clone()
     }
 
     fn authority(&self) -> &GrantAuthority {
-        self.authority
+        self.1
     }
 
-    fn take(&self) -> Option<SerialSet> {
-        let mut s = self.registry.state.write().ok()?;
-        (!s.pending.is_empty()).then(|| std::mem::take(&mut s.pending))
-    }
-
-    fn take_with_state(&self) -> Option<(Option<SerialSet>, SerialSet)> {
-        let mut s = self.registry.state.write().ok()?;
+    fn take(&self, copy_state: bool) -> Option<Taken<SerialSet, SerialSet>> {
+        let mut s = self.0.state.write().ok()?;
         let pending = (!s.pending.is_empty()).then(|| std::mem::take(&mut s.pending));
-        Some((pending, s.set.clone()))
+        Some((pending, copy_state.then(|| s.set.clone())))
     }
 
     fn snapshot(set: SerialSet) -> SerialSet {
@@ -579,28 +552,17 @@ impl RevocationRegistry {
     /// Marks `serial` revoked; true when newly revoked. Visible to
     /// artifact consumers only after the next publish.
     pub fn revoke(&self, serial: u64) -> bool {
-        match self.state.write() {
-            Ok(mut s) => {
-                let fresh = s.set.insert(serial);
-                if fresh {
-                    s.pending.insert(serial);
-                }
-                fresh
-            }
-            // A poisoned registry can no longer promise anything; drop
-            // the revocation on the floor rather than panic — publishes
-            // from a poisoned registry are refused too.
-            Err(_) => false,
-        }
+        // A poisoned registry can no longer promise anything; drop the
+        // revocation on the floor rather than panic — publishes from a
+        // poisoned registry are refused too.
+        self.state.write().is_ok_and(|mut s| s.revoke(serial))
     }
 
     /// Marks many serials revoked in one epoch-coherent batch.
     pub fn revoke_all(&self, serials: impl IntoIterator<Item = u64>) {
         if let Ok(mut s) = self.state.write() {
             for serial in serials {
-                if s.set.insert(serial) {
-                    s.pending.insert(serial);
-                }
+                s.revoke(serial);
             }
         }
     }
@@ -623,14 +585,14 @@ impl RevocationRegistry {
     /// epoch. Returns `None` when nothing is pending (the epoch does not
     /// move) or the registry is poisoned.
     pub fn publish_delta(&self, authority: &GrantAuthority) -> Option<RevocationArtifact> {
-        self.feed.publish_delta(&self.sealing(authority))
+        self.feed.publish_delta(&Sealing(self, authority))
     }
 
     /// Publishes the complete revoked set as a sealed snapshot at the
     /// current epoch (pending revocations are folded in first as a
     /// delta). Returns `None` when poisoned.
     pub fn publish_snapshot(&self, authority: &GrantAuthority) -> Option<RevocationArtifact> {
-        self.feed.publish_snapshot(&self.sealing(authority))
+        self.feed.publish_snapshot(&Sealing(self, authority))
     }
 
     /// The artifacts that bring a receiver at `have_epoch` up to date:
@@ -643,14 +605,7 @@ impl RevocationRegistry {
         authority: &GrantAuthority,
     ) -> Vec<RevocationArtifact> {
         self.feed
-            .updates_since(have_epoch, &self.sealing(authority))
-    }
-
-    fn sealing<'a>(&'a self, authority: &'a GrantAuthority) -> Sealing<'a> {
-        Sealing {
-            registry: self,
-            authority,
-        }
+            .updates_since(have_epoch, &Sealing(self, authority))
     }
 }
 

@@ -46,21 +46,12 @@ pub enum StoredArtifact {
 }
 
 impl StoredArtifact {
-    fn tag(&self) -> u8 {
-        match self {
-            StoredArtifact::Revocation(_) => TAG_REVOCATION,
-            StoredArtifact::Membership(_) => TAG_MEMBERSHIP,
-        }
-    }
-
-    fn bytes(&self) -> &[u8] {
-        match self {
-            StoredArtifact::Revocation(b) | StoredArtifact::Membership(b) => b,
-        }
-    }
-
     fn encode_onto(&self, e: &mut Encoder) {
-        e.u8(self.tag()).bytes(self.bytes());
+        let (tag, bytes) = match self {
+            StoredArtifact::Revocation(b) => (TAG_REVOCATION, b),
+            StoredArtifact::Membership(b) => (TAG_MEMBERSHIP, b),
+        };
+        e.u8(tag).bytes(bytes);
     }
 
     fn decode_from(d: &mut Decoder<'_>) -> Option<StoredArtifact> {
@@ -127,9 +118,8 @@ impl<S: Storage> ArtifactStore<S> {
     }
 
     /// Loads every persisted artifact, oldest first (compacted set,
-    /// then post-compaction records). The consumer re-applies them in
-    /// this order through `apply_verified`, which enforces seals and
-    /// epoch monotonicity.
+    /// then post-compaction records): the order [`Self::restore`]
+    /// re-applies them in.
     ///
     /// # Errors
     ///
@@ -172,13 +162,6 @@ impl<S: Storage> ArtifactStore<S> {
         revocations: &RevocationDirectory,
         memberships: Option<&MembershipDirectory>,
     ) -> Result<(), E> {
-        fn reapply<P: Payload>(
-            directory: &Directory<P>,
-            bytes: &[u8],
-            resolver: &impl KeyResolver,
-        ) -> Result<(), ArtifactError> {
-            directory.apply_sealed(&Artifact::decode(bytes)?, resolver)
-        }
         for stored in self.load()? {
             match (stored, memberships) {
                 (StoredArtifact::Revocation(bytes), _) => reapply(revocations, &bytes, resolver)?,
@@ -190,6 +173,14 @@ impl<S: Storage> ArtifactStore<S> {
         }
         Ok(())
     }
+}
+
+fn reapply<P: Payload>(
+    directory: &Directory<P>,
+    bytes: &[u8],
+    resolver: &impl KeyResolver,
+) -> Result<(), ArtifactError> {
+    directory.apply_sealed(&Artifact::decode(bytes)?, resolver)
 }
 
 /// The one path from a received artifact to a server's mirror: the
