@@ -209,8 +209,8 @@ require_rows "$c10k_out" '[C10K]' event-loop-throughput event-loop-burst-p50 \
 # cascade-verify overhead of the mirror at ≤ 5 % at p50 and at p95.
 # The overhead compares the quantiles of 24 000 verifies a side, timed
 # in alternating mirror-on/mirror-off pairs, so host noise lands in
-# both sides alike: p95 read 1.8–2.8 % in 20 runs of unchanged code
-# and 110–270 % when one probe in 64 clones the issuer's serial set.
+# both sides alike: p95 read 1.6–3.4 % in 20 runs, and 105–261 % when
+# one probe in 64 clones the issuer's serial set.
 # Every gate passed 20 of 20 runs, so the step has no retry. The rows
 # must include every row EXPERIMENTS.md's revocation section cites.
 rev_out="$(cargo run -q -p proxy-bench --bin figures --release -- --revocation-smoke)"

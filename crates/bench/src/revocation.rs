@@ -282,7 +282,7 @@ fn measure(scale: &Scale) -> Vec<Row> {
     // The gate reads p50 and p95: p95 sits below the host's interrupt
     // tail yet above the 1-in-16 verifies a probe that is slow one time
     // in 64 delays. p99 is a row, not a gate: it lies inside that
-    // interrupt tail and read −7 to 16 % on unchanged code. The reported
+    // interrupt tail and read −7 to 17 % on unchanged code. The reported
     // absolute quantiles keep each variant's cleanest round, per the
     // usual min-of-rounds discipline.
     let mut best_on_p50 = f64::INFINITY;
