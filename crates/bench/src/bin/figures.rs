@@ -1367,6 +1367,15 @@ fn ablate_crypto() {
             }
             h.finalize()
         }),
+        // The compression a build without the SHA extensions runs, on
+        // the same block: beside `sha256-block` it prices the kernel.
+        kernel("sha256-block-portable-x1000", || {
+            let mut state = [0u32; 8];
+            for _ in 0..X1000 {
+                proxy_crypto::sha256::compress_portable(&mut state, black_box(&block));
+            }
+            state
+        }),
         kernel_x1000("hmac-87B-raw-key", || {
             proxy_crypto::hmac::HmacSha256::mac(black_box(&shared_bytes), black_box(&body))
         }),

@@ -11,8 +11,10 @@
 //! simulated latency), and times our implementation's flows with one
 //! interleaved min-of-rounds stopwatch.
 
+/// The counting allocator's counters (`proxy_runtime::alloc_count`),
+/// read by the e2e benchmark's traced run.
 #[cfg(feature = "alloc-count")]
-pub mod alloc_count;
+pub use proxy_runtime::alloc_count;
 pub mod c10k;
 pub mod revocation;
 pub mod wal;

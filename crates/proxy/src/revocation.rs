@@ -196,7 +196,10 @@ impl Container {
     }
 
     /// Canonical encoding: the smallest of array (2 B/value), run
-    /// (4 B/run), or bitmap (8 KiB); ties prefer the lower tag.
+    /// (4 B/run), or bitmap (8 KiB); ties prefer the lower tag. Only a
+    /// bitmap container can need the bitmap form: an array holds at
+    /// most [`DENSE_PROBE_MIN`] values, so its run form is at most
+    /// 1 KiB.
     fn encode_into(&self, e: &mut Encoder) {
         let n = self.len();
         let runs = self.runs();
@@ -208,19 +211,20 @@ impl Container {
             self.for_each(|v| {
                 e.u16(v);
             });
-        } else if run_bytes <= bitmap_bytes {
-            e.u8(TAG_RUN).count(runs.len());
-            for (start, span) in runs {
-                e.u16(start).u16(span);
-            }
         } else {
-            e.u8(TAG_BITMAP);
-            let words = match self {
-                Container::Bitmap(words) => words,
-                Container::Array(vals) => &bitmap(vals),
-            };
-            for &w in words.iter() {
-                e.u64(w);
+            match self {
+                Container::Bitmap(words) if run_bytes > bitmap_bytes => {
+                    e.u8(TAG_BITMAP);
+                    for &w in words.iter() {
+                        e.u64(w);
+                    }
+                }
+                Container::Array(_) | Container::Bitmap(_) => {
+                    e.u8(TAG_RUN).count(runs.len());
+                    for (start, span) in runs {
+                        e.u16(start).u16(span);
+                    }
+                }
             }
         }
     }
@@ -623,6 +627,36 @@ impl Directory<SerialSet> {
     pub fn is_revoked(&self, issuer: &PrincipalId, serial: u64) -> bool {
         self.read(issuer, |set| set.is_some_and(|set| set.contains(serial)))
     }
+
+    /// The position of the first `(issuer, serial)` of `probes` that
+    /// [`Self::is_revoked`] answers true for, if any. A run of probes
+    /// under one issuer — a cascade's links all name its grantor — takes
+    /// that issuer's shard read once, not once per serial.
+    #[must_use]
+    pub fn first_revoked<'a>(
+        &self,
+        probes: impl IntoIterator<Item = (&'a PrincipalId, u64)>,
+    ) -> Option<usize> {
+        let mut probes = probes.into_iter().enumerate().peekable();
+        while let Some((first, (issuer, serial))) = probes.next() {
+            let found = self.read(issuer, |set| {
+                let revoked = |serial| set.is_some_and(|set| set.contains(serial));
+                if revoked(serial) {
+                    return Some(first);
+                }
+                while let Some((at, (_, serial))) = probes.next_if(|(_, (i, _))| *i == issuer) {
+                    if revoked(serial) {
+                        return Some(at);
+                    }
+                }
+                None
+            });
+            if found.is_some() {
+                return found;
+            }
+        }
+        None
+    }
 }
 
 #[cfg(test)]
@@ -925,5 +959,35 @@ mod tests {
         }
         assert!(dir.is_revoked(&p("authz"), 5000));
         assert_eq!(dir.epoch_of(&p("authz")), reg.epoch());
+    }
+
+    #[test]
+    fn first_revoked_answers_what_is_revoked_answers_probe_by_probe() {
+        let authority = GrantAuthority::SharedKey(SymmetricKey::from_bytes([3; 32]));
+        let dir = RevocationDirectory::new();
+        for (issuer, serial) in [("a", 5), ("b", 7)] {
+            let reg = RevocationRegistry::new(p(issuer));
+            reg.revoke(serial);
+            for artifact in reg.updates_since(0, &authority) {
+                dir.apply_verified(&artifact).unwrap();
+            }
+        }
+        let (a, b, c) = (p("a"), p("b"), p("c"));
+        let cases: [&[(&PrincipalId, u64)]; 6] = [
+            &[],
+            &[(&a, 1), (&a, 5), (&b, 7)],
+            &[(&a, 1), (&b, 5), (&b, 7), (&a, 5)],
+            &[(&a, 7), (&b, 5), (&c, 5), (&a, 1)],
+            &[(&c, 5), (&a, 5)],
+            &[(&b, 7), (&b, 7)],
+        ];
+        for probes in cases {
+            let one_by_one = probes.iter().position(|(i, s)| dir.is_revoked(i, *s));
+            assert_eq!(
+                dir.first_revoked(probes.iter().copied()),
+                one_by_one,
+                "{probes:?}"
+            );
+        }
     }
 }

@@ -306,17 +306,20 @@ impl<R: KeyResolver> Verifier<R> {
         // The SHA-256 of the last body, when the seal cache was asked
         // about it: the possession proof binds the same digest.
         let mut final_digest = None;
+        // The mirror is read once per run of links under one issuer; a
+        // revoked link is still reported where the walk reaches it.
+        let revoked_at = self.revocations.as_ref().and_then(|revocations| {
+            revocations.first_revoked(certs.iter().map(|cert| (&cert.grantor, cert.serial)))
+        });
         for (index, cert) in certs.iter().enumerate() {
             if !cert.validity.contains(now) {
                 return Err(VerifyError::NotValidAt { index, now });
             }
-            if let Some(revocations) = &self.revocations {
-                if revocations.is_revoked(&cert.grantor, cert.serial) {
-                    return Err(VerifyError::Revoked {
-                        index,
-                        serial: cert.serial,
-                    });
-                }
+            if revoked_at == Some(index) {
+                return Err(VerifyError::Revoked {
+                    index,
+                    serial: cert.serial,
+                });
             }
             p.expires = p.expires.min(cert.expires());
             scratch.truncate(kept);

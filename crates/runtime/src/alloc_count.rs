@@ -1,4 +1,4 @@
-//! Counting global allocator (feature `alloc-count` only).
+//! Counting global allocator, for the e2e benchmark's traced run.
 //!
 //! A thin wrapper over [`std::alloc::System`] that counts every
 //! allocation and requested byte with relaxed atomics, so the e2e
@@ -7,18 +7,20 @@
 //! request/reply path — client encode, both socket ends, server decode,
 //! verify, and reply, all threads included.
 //!
-//! This is the only module in the `proxy-bench` crate (and, with
-//! `proxy-runtime`'s audited syscall shims, one of the workspace's two
-//! modules) that contains `unsafe` code: two blocks. The audit argument
-//! is local and total: `alloc` and `dealloc` delegate verbatim to
-//! `System`, which carries the actual safety contract, and the wrapper
-//! adds only two relaxed atomic `fetch_add`s and never inspects or
-//! fabricates a pointer. `alloc_zeroed` and `realloc` are
-//! `GlobalAlloc`'s provided methods, which allocate through `alloc`: a
-//! zeroed allocation or a realloc counts once, with the bytes it asks
-//! for. The module is feature-gated because a global allocator is
-//! process-wide: regular test and bench binaries keep the plain system
-//! allocator and the workspace-wide `forbid(unsafe_code)` posture.
+//! Defining the type registers nothing: `proxy-bench` installs it as
+//! the `#[global_allocator]` only under its `alloc-count` feature (and
+//! re-exports this module as `proxy_bench::alloc_count`), because a
+//! global allocator is process-wide — every other binary keeps the
+//! plain system allocator.
+//!
+//! The second module of this crate that contains `unsafe` code, beside
+//! [`crate::sys`]: two blocks. The audit argument is local and total:
+//! `alloc` and `dealloc` delegate verbatim to `System`, which carries
+//! the actual safety contract, and the wrapper adds only two relaxed
+//! atomic `fetch_add`s and never inspects or fabricates a pointer.
+//! `alloc_zeroed` and `realloc` are `GlobalAlloc`'s provided methods,
+//! which allocate through `alloc`: a zeroed allocation or a realloc
+//! counts once, with the bytes it asks for.
 
 #![allow(unsafe_code)]
 
@@ -31,8 +33,8 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Cumulative bytes requested by those calls.
 static BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// The counting allocator. Registered as `#[global_allocator]` by the
-/// crate root when the `alloc-count` feature is on.
+/// The counting allocator. `proxy-bench` registers it as
+/// `#[global_allocator]` when its `alloc-count` feature is on.
 pub struct CountingAlloc;
 
 // SAFETY: both methods forward their arguments unchanged to `System`,

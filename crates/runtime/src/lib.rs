@@ -5,12 +5,16 @@
 //! that error from [`Poller::new`].
 //!
 //! No tokio, no mio, no libc crate — the whole machinery is a thin
-//! audited FFI module ([`sys`]) over four syscalls.
-//! `unsafe` is denied crate-wide and allowed *only* inside `sys`, whose
-//! every call site carries a local safety argument; every other crate
-//! but `proxy-bench` (whose counting allocator is the one other audited
-//! `unsafe` module) stays `forbid(unsafe_code)`.
+//! audited FFI module ([`sys`]) over three syscalls.
+//!
+//! The crate also holds the counting allocator the e2e benchmark's
+//! traced run installs ([`alloc_count`]; `proxy-bench` registers it).
+//! `unsafe` is denied crate-wide and allowed *only* inside those two
+//! modules, whose every `unsafe` block carries a local safety argument;
+//! every other crate but `proxy-crypto` (whose SHA-NI compression is
+//! the one other audited `unsafe` module) stays `forbid(unsafe_code)`.
 
+pub mod alloc_count;
 pub mod poller;
 pub mod sys;
 

@@ -1,12 +1,16 @@
 //! Thin, audited FFI over the three syscalls the [`crate::poller`]
 //! needs: `epoll_create1`, `epoll_ctl` and `epoll_wait`.
 //!
-//! One of the workspace's two modules that contain `unsafe` code (the
-//! other is `proxy-bench`'s counting allocator, `bench/src/alloc_count.rs`),
-//! and the audit argument for every call site is local:
+//! One of the workspace's three modules that contain `unsafe` code (the
+//! others are this crate's counting allocator, [`crate::alloc_count`],
+//! and `proxy-crypto`'s SHA-NI compression), and the audit argument for
+//! every call site is local:
 //!
-//! * `epoll_create1` takes no pointers at all, and the fd it returns
-//!   goes straight into an [`OwnedFd`], which closes it;
+//! * `epoll_create1` takes no pointers and is declared a `safe fn`
+//!   returning `Option<OwnedFd>`: the claim that the fd it returns is
+//!   fresh and owned by nothing else sits in that declaration's return
+//!   type, not in a call-site `unsafe` block. `-1` is `OwnedFd`'s niche,
+//!   so a failure arrives as `None`, and the [`OwnedFd`] closes the fd;
 //! * `epoll_ctl` passes a pointer to one stack-owned [`EpollEvent`]
 //!   that outlives the call (the kernel copies it before returning);
 //! * `epoll_wait` writes into a caller-owned slice whose length is
@@ -20,7 +24,7 @@
 //! [`OwnedFd`], whose `Drop` closes it exactly once.
 
 use std::io;
-use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+use std::os::fd::{AsRawFd, OwnedFd, RawFd};
 
 /// `EPOLL_CLOEXEC`: the epoll fd must not leak across `exec`.
 const EPOLL_CLOEXEC: i32 = 0o2000000;
@@ -58,8 +62,11 @@ mod ffi {
     //! The raw `extern` declarations, isolated so every use above goes
     //! through the audited safe wrappers.
     use super::EpollEvent;
-    extern "C" {
-        pub fn epoll_create1(flags: i32) -> i32;
+    use std::os::fd::OwnedFd;
+    unsafe extern "C" {
+        /// Safe to call: no pointers in, and the fd out is a fresh one
+        /// no other owner holds, or `-1`, which is `None` here.
+        pub safe fn epoll_create1(flags: i32) -> Option<OwnedFd>;
         pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         pub fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
     }
@@ -86,12 +93,10 @@ impl EpollFd {
     ///
     /// The `epoll_create1` failure, if any (`EMFILE`/`ENFILE` out of
     /// descriptors, `ENOMEM`, `ENOSYS` on a host without epoll).
-    #[allow(unsafe_code)]
     pub fn create() -> io::Result<Self> {
-        // SAFETY: no pointers; returns a fresh fd or -1, and a fresh fd
-        // is owned by nothing else, so the `OwnedFd` may take it.
-        let fd = unsafe { OwnedFd::from_raw_fd(check(ffi::epoll_create1(EPOLL_CLOEXEC))?) };
-        Ok(Self(fd))
+        ffi::epoll_create1(EPOLL_CLOEXEC)
+            .map(Self)
+            .ok_or_else(io::Error::last_os_error)
     }
 
     fn ctl(&self, op: i32, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
@@ -207,5 +212,11 @@ mod tests {
         let n = ep.wait(&mut buf, 1000).unwrap();
         assert_eq!(n, 1);
         assert_ne!({ buf[0].events } & EVENT_OUT, 0);
+    }
+
+    #[test]
+    fn epoll_create1_failure_is_none_with_errno() {
+        assert!(ffi::epoll_create1(-1).is_none());
+        assert_eq!(io::Error::last_os_error().raw_os_error(), Some(22)); // EINVAL
     }
 }
