@@ -49,7 +49,8 @@ fi
 # and crypto deny instead of forbid unsafe_code; the two vendored
 # stand-ins waive missing_docs). The counting allocator lives in
 # runtime's audited module, so bench inherits the workspace table; that
-# pays for crypto's, whose SHA-NI call needs the one scoped allow. One
+# pays for crypto's, whose SHA-NI call and eight-lane engine call need
+# scoped allows. One
 # of the seven is the allocator of `restricted_proxy::encode::Bounded`,
 # where every bounded size is spent.
 expects="$(grep -rhoE --include='*.rs' '#!?\[expect\(' crates src tests examples vendor | wc -l)"
@@ -62,13 +63,18 @@ fi
 
 # The audited `unsafe` surface may also only shrink: `unsafe {` blocks
 # outside `//` comments under crates/*/src and vendor/*/src. 5 today:
-# two epoll calls (`epoll_ctl`, `epoll_wait`) in runtime/src/sys.rs,
-# the two System calls (alloc, dealloc) in runtime/src/alloc_count.rs
-# and the call into the SHA-NI compression in crypto/src/sha256/ni.rs.
-# `epoll_create1` needs no block: it is declared a `safe fn` returning
-# `Option<OwnedFd>`, so the claim that its fd is fresh and owned by
-# nothing else moved from a call-site block into the declaration's
-# return type.
+# the `epoll_wait` call in runtime/src/sys.rs, the two System calls
+# (alloc, dealloc) in runtime/src/alloc_count.rs, the call into the
+# SHA-NI compression in crypto/src/sha256/ni.rs and the one call into
+# the eight-lane AVX-512 IFMA engine in crypto/src/ed25519/edwards/
+# ifma.rs (`enter`, through which every lane kernel runs).
+# `epoll_create1` and `epoll_ctl` need no block: they are declared
+# `safe fn`s, the first returning `Option<OwnedFd>` (the fd is fresh
+# and owned by nothing else), the second taking the epoll fd as a
+# `BorrowedFd` and the event as `&mut EpollEvent` (a live value the
+# kernel copies), so each claim moved from a call-site block into the
+# declaration's types. `epoll_ctl`'s target fd stays a `RawFd`: a
+# number that names no open file is `EBADF`, not undefined behaviour.
 unsafe_blocks="$(find crates/*/src vendor/*/src -name '*.rs' \
     -exec sed -e 's://.*$::' {} + | grep -o 'unsafe {' | wc -l)"
 if [ "$unsafe_blocks" -gt 5 ]; then
@@ -155,19 +161,23 @@ cargo test --release -q -p restricted-proxy --lib verify::group_tests
 # equation on every Ed25519 path (a torsioned R or A gets one verdict
 # alone and in every company), the one-key equation against lone checks,
 # and a group of deposits — in-process and over TCP at depth 16 — equal
-# to the same deposits one by one.
+# to the same deposits one by one. On an IFMA build the `ed25519` filter
+# also runs the eight-lane engine's oracle tests (DESIGN.md §8, "Eight
+# lanes"), and both equations against lone checks at n = 1-100.
 cargo test --release -q -p proxy-crypto --lib ed25519
 cargo test --release -q -p proxy-crypto --test prepared_key
 cargo test --release -q -p proxy-accounting --test deposit_group
 
-# The portable SHA-256 compression is the product path on a host
-# without the SHA extensions; on a host with them the default build
-# runs the SHA-NI kernel and compiles the portable one only as its
-# oracle and ablation row. Build and test the crate with the feature
-# switched off, in a target dir of its own, so the portable product
-# path keeps its vectors and proptests here too.
-RUSTFLAGS="-C target-cpu=native -C target-feature=-sha" \
-    cargo test -q -p proxy-crypto --target-dir target/no-sha
+# The portable SHA-256 compression and the scalar Ed25519 batch
+# equations are the product paths on a host without the SHA extensions
+# or AVX-512 IFMA; on a host with them the default build runs the
+# SHA-NI kernel and the eight-lane engine, and the portable paths serve
+# only as their oracles and ablation rows. One step builds and tests
+# the crate with both features switched off, in a target dir of its
+# own, so both portable product paths keep their vectors, proptests and
+# equation tests (`prepared_key` among the crate's tests) here too.
+RUSTFLAGS="-C target-cpu=native -C target-feature=-sha,-avx512ifma" \
+    cargo test -q -p proxy-crypto --target-dir target/portable
 
 # The figure reproductions (DESIGN.md §4): the default mode must run to
 # the end and print every experiment, F1–F6 and the ablations A1–A5.
@@ -206,7 +216,11 @@ require_rows "$ablate_out" ']' naive-double-and-add fixed-base-table sign \
     decompress-one decompress-pair invert scalar-mul scalar-wide-reduce \
     sequential-verify-2 sequential-verify-4 sequential-verify-8 \
     sequential-verify-16 sequential-verify-32 \
-    batch-2 batch-3 batch-4 batch-5 batch-8 batch-9 batch-16 batch-32 \
+    batch-2 batch-3 batch-4 batch-5 batch-8 batch-9 batch-16 batch-32 batch-80 \
+    batch-16-portable batch-32-portable batch-80-portable batch-vs-portable \
+    one-key-portable one-key-vs-portable decompress-8 decompress-8-portable \
+    decompress-8-vs-portable tables-8 tables-8-portable tables-8-vs-portable \
+    chain chain-portable chain-lanes-vs-portable \
     batch-marginal-signature \
     batch-1-plus-lone batch-2-plus-lone batch-4-plus-lone batch-8-plus-lone \
     batch-1-plus-prepared-lone batch-2-plus-prepared-lone \
@@ -321,10 +335,13 @@ e2e_gate() {
 # be correct and steady-state allocs/op on the authz-query wire path
 # must stay at or under the fixed ceiling (21 today, exact). The same
 # run holds the shared-key grant to the per-key work a key pays once
-# (DESIGN.md §8, "Conventional keys"): 0.95 us today on the SHA-NI
-# kernel, 2.5 on the portable compression, which read 5.96 when every
-# grant re-derived the seal subkeys and re-absorbed both keys' pads.
-e2e_gate fig3_query 'alloc.allocs_per_op' 22 'authz.request_authorization_us' 4.5
+# (DESIGN.md §8, "Conventional keys"): on the SHA-NI kernel, 20 runs
+# of this step read 0.87-0.97 us, and 1.51-1.62 in 5 of 5 runs when
+# `SymmetricKey::mac` and `seal_keys` derived per call (re-absorbing
+# the pads and re-deriving the seal subkeys on every grant). The
+# ceiling assumes the SHA-NI kernel: the portable compression reads
+# about 2.5, so a host without the SHA extensions fails it.
+e2e_gate fig3_query 'alloc.allocs_per_op' 22 'authz.request_authorization_us' 1.3
 
 # Per-key work paid once per key (DESIGN.md §8, "Prepared keys"): the
 # check-deposit path decodes an Ed25519 proxy key it never uses and

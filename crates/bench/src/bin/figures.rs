@@ -12,7 +12,9 @@
 //!
 //! With `--ablate-crypto`, instead emits the signature-engine ablation:
 //! the windowed/batched engine's kernels beside the double-and-add
-//! reference, and the conventional half's keyed-hash costs.
+//! reference, each eight-lane stage beside the scalar composition it
+//! replaced (`-portable` rows), and the conventional half's keyed-hash
+//! costs.
 //!
 //! Every timed row of the default mode and of `--ablate-crypto` comes
 //! from one stopwatch, [`time_all`]: interleaved min-of-rounds, robust to
@@ -1072,7 +1074,7 @@ fn a5_tgs_proxy() {
 }
 
 fn ablate_crypto() {
-    use proxy_crypto::ed25519::edwards::{Point, StrausTerm};
+    use proxy_crypto::ed25519::edwards::{Point, PreparedPoint, StrausTerm};
     use proxy_crypto::ed25519::field::Fe;
     use proxy_crypto::ed25519::scalar::Scalar;
     use proxy_crypto::ed25519::{verify_batch, PreparedKey, Signature};
@@ -1093,8 +1095,9 @@ fn ablate_crypto() {
     let msg: &[u8] = b"ablation message";
     let sig = sk.sign(msg);
 
-    // The largest batch timed; every smaller one is a prefix of it.
-    const MAX_BATCH: usize = 33;
+    // The largest batch timed (a `fig4_cold` read's equation); every
+    // smaller one is a prefix of it.
+    const MAX_BATCH: usize = 80;
     let keys: Vec<SigningKey> = (0..MAX_BATCH)
         .map(|_| SigningKey::generate(&mut rng))
         .collect();
@@ -1129,11 +1132,23 @@ fn ablate_crypto() {
 
     // The stages a public key is held in (DESIGN.md §8, "Prepared keys").
     let decompressed = vk.decompress().expect("a point");
+    let decompressed_point = Point::decompress(vk.as_bytes()).expect("a point");
     let prepared = PreparedKey::new(&decompressed);
 
     // C3: n signatures one at a time and as one equation. Every batch
     // size some row below reads is timed once, as `batch-n`.
-    const BATCHES: [usize; 8] = [2, 3, 4, 5, 8, 9, 16, 32];
+    const BATCHES: [usize; 9] = [2, 3, 4, 5, 8, 9, 16, 32, 80];
+    // The batch sizes and one-key counts the eight-lane engine runs at in
+    // the benchmark's workloads, beside today's scalar composition of the
+    // same equation (DESIGN.md §8, "Eight lanes"); and the shared chain
+    // alone at term counts either side of `MIN_LANE_CHAIN_TERMS`.
+    const PORTABLE_BATCHES: [usize; 3] = [16, 32, 80];
+    const PORTABLE_ONE_KEY: [usize; 1] = [16];
+    const CHAINS: [usize; 9] = [2, 4, 8, 10, 12, 14, 16, 32, 160];
+    let batch_portable_name = |n: usize| format!("batch-{n}-portable");
+    let one_key_portable_name = |n: usize| format!("one-key-portable/{n}");
+    let chain_name = |n: usize| format!("chain/{n}");
+    let chain_portable_name = |n: usize| format!("chain-portable/{n}");
     const SEQUENTIAL: [usize; 5] = [2, 4, 8, 16, 32];
     // What the chain verifier chooses between when a possession proof
     // arrives with n seals pending: batch(n) then a lone cold check, or
@@ -1152,6 +1167,16 @@ fn ablate_crypto() {
         .map(|key| PreparedKey::new(&key.decompress().expect("a point")))
         .collect();
     let prepared_keys = prepared_keys.as_slice();
+    let eight_encodings: [&[u8; 32]; 8] = std::array::from_fn(|i| vks[i].as_bytes());
+    let eight_points: Vec<Point> = eight_encodings
+        .iter()
+        .map(|bytes| Point::decompress(bytes).expect("a point"))
+        .collect();
+    let eight_points = eight_points.as_slice();
+    let chain_terms: Vec<StrausTerm> = (0..CHAINS[CHAINS.len() - 1])
+        .map(|i| StrausTerm::new(&scalar(&mut rng), &eight_points[i % 8]))
+        .collect();
+    let chain_terms = chain_terms.as_slice();
 
     // C4: an 8-link public-key cascade through `Verifier::verify`, cold
     // (no cache: eight seals and the possession proof in one equation)
@@ -1299,7 +1324,48 @@ fn ablate_crypto() {
             (a.expect("a point"), r.expect("a point"))
         }),
         kernel("invert", || black_box(r_y).invert()),
+        kernel("decompress-8", || {
+            Point::decompress_eight(black_box(eight_encodings))
+        }),
+        kernel("decompress-8-portable", || {
+            black_box(eight_encodings)
+                .chunks_exact(2)
+                .map(|pair| Point::decompress_pair(pair[0], pair[1]))
+                .fold(0, |ok, pair| ok + pair.iter().filter(|p| p.is_ok()).count())
+        }),
     ];
+    // The portable row is eight `StrausTerm::new`s, so it also times the
+    // eight wNAF recodings, which the lane engine does apart from its
+    // tables (in `StrausTerm::unfilled`).
+    let mut lane_terms: Vec<StrausTerm> = (0..8).map(|_| StrausTerm::new(&k, &b)).collect();
+    let mut portable_terms: Vec<StrausTerm> = (0..8).map(|_| StrausTerm::new(&k, &b)).collect();
+    variants.push(kernel("tables-8", move || {
+        StrausTerm::set_points(&mut lane_terms, black_box(eight_points));
+    }));
+    variants.push(kernel("tables-8-portable", move || {
+        for (term, point) in portable_terms.iter_mut().zip(black_box(eight_points)) {
+            *term = StrausTerm::new(&k, point);
+        }
+    }));
+    for n in CHAINS {
+        variants.push(kernel(chain_name(n), move || {
+            Point::multiscalar_mul_basepoint_lanes(&s, &chain_terms[..n])
+        }));
+        variants.push(kernel(chain_portable_name(n), move || {
+            Point::multiscalar_mul_basepoint(&s, &chain_terms[..n])
+        }));
+    }
+    for n in PORTABLE_BATCHES {
+        variants.push(kernel(batch_portable_name(n), move || {
+            assert!(portable::batch_holds(&items[..n]));
+        }));
+    }
+    for n in PORTABLE_ONE_KEY {
+        let neg_a = PreparedPoint::new(&decompressed_point.neg());
+        variants.push(kernel(one_key_portable_name(n), move || {
+            assert!(portable::holds_all(&neg_a, &vk, &one_key_items[..n]));
+        }));
+    }
     for n in BATCHES {
         variants.push(kernel(batch_name(n), move || {
             verify_batch(&items[..n]).expect("valid")
@@ -1441,6 +1507,45 @@ fn ablate_crypto() {
         ),
         "x",
     );
+    for (lanes, portable) in [
+        ("decompress-8", "decompress-8-portable"),
+        ("tables-8", "tables-8-portable"),
+    ] {
+        report_row(
+            "C",
+            &format!("{lanes}-vs-portable"),
+            1,
+            ratio(lanes, portable),
+            "x",
+        );
+    }
+    for n in CHAINS {
+        report_row(
+            "C3",
+            "chain-lanes-vs-portable",
+            n,
+            ratio(&chain_name(n), &chain_portable_name(n)),
+            "x",
+        );
+    }
+    for n in PORTABLE_BATCHES {
+        report_row(
+            "C3",
+            "batch-vs-portable",
+            n,
+            ratio(&batch_name(n), &batch_portable_name(n)),
+            "x",
+        );
+    }
+    for n in PORTABLE_ONE_KEY {
+        report_row(
+            "C3",
+            "one-key-vs-portable",
+            n,
+            ratio(&one_key_name(n), &one_key_portable_name(n)),
+            "x",
+        );
+    }
     for n in SEQUENTIAL {
         report_row(
             "C3",
@@ -1511,6 +1616,126 @@ fn ablate_crypto() {
     let (hits, misses) = cached.seal_cache().expect("attached").stats();
     assert_eq!(misses as usize, DEPTH, "exactly one cold chain walk");
     assert_eq!(hits as usize % DEPTH, 0, "re-presentations hit every link");
+}
+
+/// The batch equations as a build without the eight-lane engine
+/// composes them, from public parts only: `Point::decompress_pair`,
+/// `StrausTerm::new` and `Point::multiscalar_mul_basepoint`, with the
+/// hashing of `ed25519::batch_holds` and `PreparedKey::holds_all` (a local
+/// counter stands in for the process-wide nonce). The `-portable` rows
+/// time them beside the rows that run the lanes.
+mod portable {
+    use proxy_crypto::ed25519::edwards::{DecompressError, Point, PreparedPoint, StrausTerm};
+    use proxy_crypto::ed25519::scalar::Scalar;
+    use proxy_crypto::ed25519::{Signature, VerifyingKey};
+    use proxy_crypto::sha512::Sha512;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    static NONCE: AtomicU64 = AtomicU64::new(0);
+
+    fn seed<'a>(
+        items: impl Iterator<Item = (&'a [u8], &'a Signature, &'a VerifyingKey)>,
+    ) -> [u8; 64] {
+        let mut h = Sha512::new();
+        h.update(b"proxy-aa.ed25519.batch.v1");
+        h.update(&NONCE.fetch_add(1, Ordering::Relaxed).to_le_bytes());
+        for (message, signature, key) in items {
+            h.update(signature.as_bytes());
+            h.update(key.as_bytes());
+            h.update(&(message.len() as u64).to_le_bytes());
+            h.update(message);
+        }
+        h.finalize()
+    }
+
+    fn coefficients(seed: &[u8; 64]) -> impl Iterator<Item = Scalar> + '_ {
+        (0u64..).flat_map(move |block| {
+            let mut h = Sha512::new();
+            h.update(seed);
+            h.update(&block.to_le_bytes());
+            let digest = h.finalize();
+            (0..4).map(move |lane| {
+                let mut z = [0u8; 16];
+                z.copy_from_slice(&digest[16 * lane..16 * lane + 16]);
+                Scalar::from_u128(u128::from_le_bytes(z) | 1)
+            })
+        })
+    }
+
+    fn challenge(r: &[u8; 32], a: &[u8; 32], message: &[u8]) -> Scalar {
+        let mut h = Sha512::new();
+        h.update(r);
+        h.update(a);
+        h.update(message);
+        Scalar::from_bytes_mod_order_wide(&h.finalize())
+    }
+
+    fn halves(signature: &Signature) -> ([u8; 32], [u8; 32]) {
+        let (mut r, mut s) = ([0u8; 32], [0u8; 32]);
+        r.copy_from_slice(&signature.as_bytes()[..32]);
+        s.copy_from_slice(&signature.as_bytes()[32..]);
+        (r, s)
+    }
+
+    fn is_small_order(p: &Point) -> bool {
+        p.double().double().double().is_identity()
+    }
+
+    /// `ed25519::batch_holds` on the scalar path.
+    pub fn batch_holds(items: &[(&[u8], &Signature, &VerifyingKey)]) -> bool {
+        let seed = seed(items.iter().copied());
+        let mut terms = Vec::with_capacity(2 * items.len());
+        let mut b_coeff = Scalar::ZERO;
+        for ((message, signature, key), z) in items.iter().zip(coefficients(&seed)) {
+            let (r_bytes, s_bytes) = halves(signature);
+            let [Ok(a), Ok(r)] = Point::decompress_pair(key.as_bytes(), &r_bytes) else {
+                return false;
+            };
+            let Some(s) = Scalar::from_canonical_bytes(&s_bytes) else {
+                return false;
+            };
+            let k = challenge(&r_bytes, key.as_bytes(), message);
+            b_coeff = b_coeff.add(z.mul(s));
+            terms.push(StrausTerm::new(&z, &r));
+            terms.push(StrausTerm::new(&z.mul(k), &a));
+        }
+        is_small_order(&Point::multiscalar_mul_basepoint(&b_coeff.neg(), &terms))
+    }
+
+    /// `PreparedKey::holds_all` on the scalar path, for the key whose
+    /// negated point `neg_a` prepares.
+    pub fn holds_all(
+        neg_a: &PreparedPoint,
+        key: &VerifyingKey,
+        items: &[(&[u8], &Signature)],
+    ) -> bool {
+        let seed = seed(items.iter().map(|(m, s)| (*m, *s, key)));
+        let mut zs = coefficients(&seed);
+        let (mut s_sum, mut k_sum) = (Scalar::ZERO, Scalar::ZERO);
+        let mut terms = Vec::with_capacity(items.len());
+        for pair in items.chunks(2) {
+            let rs = match pair {
+                [a, b] => Point::decompress_pair(&halves(a.1).0, &halves(b.1).0),
+                [a, ..] => [Point::decompress(&halves(a.1).0), Err(DecompressError)],
+                [] => continue,
+            };
+            for ((message, signature), r) in pair.iter().zip(rs) {
+                let (r_bytes, s_bytes) = halves(signature);
+                let (Ok(r), Some(s), Some(z)) =
+                    (r, Scalar::from_canonical_bytes(&s_bytes), zs.next())
+                else {
+                    return false;
+                };
+                let k = challenge(&r_bytes, key.as_bytes(), message);
+                s_sum = s_sum.add(z.mul(s));
+                k_sum = k_sum.add(z.mul(k));
+                terms.push(StrausTerm::new(&z, &r));
+            }
+        }
+        let keyed = neg_a.double_scalar_mul_basepoint(&s_sum, &k_sum);
+        let nonces = Point::multiscalar_mul_basepoint(&Scalar::ZERO, &terms);
+        is_small_order(&keyed.add(&nonces.neg()))
+    }
 }
 
 /// Persists a full run's rows to `path`. Each harness prints its rows

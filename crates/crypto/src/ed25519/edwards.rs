@@ -31,8 +31,85 @@
 
 use std::sync::OnceLock;
 
-use super::field::{sqrt_ratios, Fe, D, D2};
+use super::field::{pow_p58_lanes, sqrt_ratios_by, Fe, D, D2};
 use super::scalar::Scalar;
+
+/// The eight-lane engine under the batch equations: AVX-512 IFMA field
+/// arithmetic, compiled where the build's target has every feature its
+/// kernels enable (`avx512ifma` implies neither `avx512dq` nor `sse4.1`
+/// in rustc, so the `cfg` names each). There is no runtime dispatch.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx512ifma",
+    target_feature = "avx512f",
+    target_feature = "avx512dq",
+    target_feature = "sse4.1"
+))]
+#[allow(unsafe_code)]
+mod ifma;
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx512ifma",
+    target_feature = "avx512f",
+    target_feature = "avx512dq",
+    target_feature = "sse4.1"
+))]
+use ifma as lanes;
+
+/// What a build without the lanes runs in their place: today's scalar
+/// composition, which is also the lane engine's oracle.
+#[cfg(not(all(
+    target_arch = "x86_64",
+    target_feature = "avx512ifma",
+    target_feature = "avx512f",
+    target_feature = "avx512dq",
+    target_feature = "sse4.1"
+)))]
+mod lanes {
+    use super::{DecompressError, NafLookupTable, Point, Scalar, StrausTerm};
+
+    /// Whether this build runs the eight-lane engine.
+    pub(super) const ENABLED: bool = false;
+
+    /// Four lockstep pairs.
+    pub(super) fn decompress(encodings: [&[u8; 32]; 8]) -> [Result<Point, DecompressError>; 8] {
+        let mut out = [Err(DecompressError); 8];
+        for (slot, pair) in out.chunks_exact_mut(2).zip(encodings.chunks_exact(2)) {
+            slot.copy_from_slice(&Point::decompress_pair(pair[0], pair[1]));
+        }
+        out
+    }
+
+    /// One table after another.
+    pub(super) fn fill(terms: &mut [StrausTerm], points: &[Point]) {
+        for (term, point) in terms.iter_mut().zip(points) {
+            term.table = NafLookupTable::from_point(point);
+        }
+    }
+
+    /// The one-accumulator chain.
+    pub(super) fn straus(b: &Scalar, terms: &[StrausTerm]) -> Point {
+        Point::multiscalar_mul_basepoint(b, terms)
+    }
+}
+
+/// Fewest Straus terms whose shared chain runs on the eight lane
+/// accumulators ([`Point::multiscalar_mul_basepoint_lanes`]). Below it
+/// the one scalar accumulator costs less: eight lanes pad a position's
+/// few digits with the identity, and every lane doubles at every
+/// position. The lane chain reads 1.09× the scalar one's time at ten
+/// terms, 0.97× at twelve and 0.90× at fourteen (EXPERIMENTS.md C3,
+/// `chain/n` against `chain-portable/n`). A build without the lanes
+/// always runs the scalar chain.
+const MIN_LANE_CHAIN_TERMS: usize = 12;
+
+/// The encoding of the identity, (0, 1): what pads a chunk of fewer than
+/// eight encodings.
+const IDENTITY_ENCODING: [u8; 32] = {
+    let mut bytes = [0u8; 32];
+    bytes[0] = 1;
+    bytes
+};
 
 /// A point on the Ed25519 curve in extended coordinates.
 #[derive(Clone, Copy, Debug)]
@@ -109,13 +186,23 @@ impl Point {
     }
 
     /// [`Point::from_y`] for `N` encodings with their square roots taken
-    /// in lockstep ([`sqrt_ratios`]); each result is what `from_y` gives
+    /// in lockstep ([`pow_p58_lanes`]); each result is what `from_y` gives
     /// that encoding alone.
     fn from_ys<const N: usize>(ys: [(Fe, bool); N]) -> [Result<Point, DecompressError>; N] {
-        let roots = sqrt_ratios(ys.map(|(y, _)| {
+        Point::from_ys_by(ys, pow_p58_lanes)
+    }
+
+    /// [`Point::from_ys`] with the `N` exponentiations of the square roots
+    /// taken by `pow_p58`; every check around them runs per encoding.
+    fn from_ys_by<const N: usize>(
+        ys: [(Fe, bool); N],
+        pow_p58: impl FnOnce([Fe; N]) -> [Fe; N],
+    ) -> [Result<Point, DecompressError>; N] {
+        let ratios = ys.map(|(y, _)| {
             let yy = y.square();
             (yy.sub(Fe::ONE), D.mul(yy).add(Fe::ONE))
-        }));
+        });
+        let roots = sqrt_ratios_by(ratios, pow_p58);
         std::array::from_fn(|i| {
             let (y, x_sign) = ys[i];
             let (is_square, mut x) = roots[i];
@@ -144,8 +231,7 @@ impl Point {
     ///
     /// Returns [`DecompressError`] when the y coordinate has no matching x.
     pub fn decompress(bytes: &[u8; 32]) -> Result<Point, DecompressError> {
-        let x_sign = bytes[31] >> 7 == 1;
-        let y = Fe::from_bytes(bytes);
+        let (y, x_sign) = encoded_y(bytes);
         Point::from_y(y, x_sign)
     }
 
@@ -155,7 +241,15 @@ impl Point {
     /// lockstep. Each result is exactly what `decompress` gives that
     /// encoding alone.
     pub fn decompress_pair(a: &[u8; 32], b: &[u8; 32]) -> [Result<Point, DecompressError>; 2] {
-        Point::from_ys([a, b].map(|bytes| (Fe::from_bytes(bytes), bytes[31] >> 7 == 1)))
+        Point::from_ys([a, b].map(encoded_y))
+    }
+
+    /// [`Point::decompress`] of eight encodings at once. On a build with
+    /// the eight-lane engine their eight square roots are one chain of
+    /// vector squarings; elsewhere four [`Point::decompress_pair`]s. Each
+    /// result is exactly what `decompress` gives that encoding alone.
+    pub fn decompress_eight(encodings: [&[u8; 32]; 8]) -> [Result<Point, DecompressError>; 8] {
+        lanes::decompress(encodings)
     }
 
     /// Serializes to the 32-byte RFC 8032 encoding (y with x's sign bit).
@@ -328,6 +422,62 @@ impl Point {
         )
     }
 
+    /// [`Point::multiscalar_mul_basepoint`] on eight accumulators: every
+    /// position's nonzero digits are dealt round-robin to the eight lanes
+    /// of one vector point, eight to an addition, and the lanes are summed
+    /// at the end. Below about a dozen terms it costs more than the
+    /// one-accumulator chain, and the batch equations run that chain
+    /// instead; a build without the eight-lane engine runs it here.
+    #[must_use]
+    pub fn multiscalar_mul_basepoint_lanes(b: &Scalar, terms: &[StrausTerm]) -> Point {
+        lanes::straus(b, terms)
+    }
+
+    /// `[b]B + Σ [scalarᵢ] Pᵢ` for [`StrausTerm::unfilled`] terms whose
+    /// points arrive as `encodings`, one per term in order: the one entry
+    /// of both batch equations. It decompresses the encodings and builds
+    /// each term's table, eight at a time in the lanes of a build with
+    /// them (elsewhere in lockstep pairs, one table after another), then
+    /// sums the terms on whichever chain costs less for their number.
+    /// `None` if an encoding is no point's.
+    pub(crate) fn multiscalar_mul_encoded<'a>(
+        b: &Scalar,
+        terms: &mut [StrausTerm],
+        encodings: impl IntoIterator<Item = &'a [u8; 32]>,
+    ) -> Option<Point> {
+        let mut encodings = encodings.into_iter();
+        if lanes::ENABLED {
+            for chunk in terms.chunks_mut(8) {
+                let mut eight = [&IDENTITY_ENCODING; 8];
+                for slot in &mut eight[..chunk.len()] {
+                    *slot = encodings.next()?;
+                }
+                let points = Point::decompress_eight(eight);
+                let mut decoded = [Point::identity(); 8];
+                for (point, result) in decoded.iter_mut().zip(points).take(chunk.len()) {
+                    *point = result.ok()?;
+                }
+                StrausTerm::set_points(chunk, &decoded[..chunk.len()]);
+            }
+        } else {
+            for pair in terms.chunks_mut(2) {
+                let points = match (encodings.next(), pair.len()) {
+                    (Some(a), 2) => Point::decompress_pair(a, encodings.next()?),
+                    (Some(a), _) => [Point::decompress(a), Err(DecompressError)],
+                    (None, _) => return None,
+                };
+                for (term, point) in pair.iter_mut().zip(points) {
+                    term.table = NafLookupTable::from_point(&point.ok()?);
+                }
+            }
+        }
+        Some(if terms.len() >= MIN_LANE_CHAIN_TERMS {
+            Point::multiscalar_mul_basepoint_lanes(b, terms)
+        } else {
+            Point::multiscalar_mul_basepoint(b, terms)
+        })
+    }
+
     /// Whether `bytes` encodes this point: what
     /// `Point::decompress(bytes).is_ok_and(|r| r.eq_point(self))` says,
     /// without the square root.
@@ -413,6 +563,14 @@ struct CachedPoint {
 }
 
 impl CachedPoint {
+    /// The identity, (0, 1) with Z = 1: adding it changes no point.
+    const IDENTITY: CachedPoint = CachedPoint {
+        y_plus_x: Fe::ONE,
+        y_minus_x: Fe::ONE,
+        t2d: Fe::ZERO,
+        z2: Fe([2, 0, 0, 0, 0]),
+    };
+
     #[inline]
     fn from_point(p: &Point) -> CachedPoint {
         CachedPoint {
@@ -506,6 +664,11 @@ impl Completed {
     }
 }
 
+/// The y an encoding carries and the sign bit of its x.
+fn encoded_y(bytes: &[u8; 32]) -> (Fe, bool) {
+    (Fe::from_bytes(bytes), bytes[31] >> 7 == 1)
+}
+
 /// Odd multiples [P, 3P, 5P, …, (2N−1)P] in cached form, indexed by wNAF
 /// digit. N = 8 serves width-5 digits (|d| ≤ 15), N = 64 width-8
 /// (|d| ≤ 127).
@@ -553,6 +716,32 @@ impl StrausTerm {
             naf: scalar.non_adjacent_form(5),
             table: NafLookupTable::from_point(point),
         }
+    }
+
+    /// `[scalar] P` for a P not yet known: its table is the identity's
+    /// until [`Point::multiscalar_mul_encoded`] decompresses P and fills
+    /// it in.
+    pub(crate) fn unfilled(scalar: &Scalar) -> StrausTerm {
+        StrausTerm {
+            naf: scalar.non_adjacent_form(5),
+            table: NafLookupTable([CachedPoint::IDENTITY; 8]),
+        }
+    }
+
+    /// Rebuilds the tables of the first `points.len()` of `terms`, at most
+    /// eight, for those points, keeping their scalars: together in the
+    /// lanes of a build with the eight-lane engine, elsewhere one after
+    /// another as [`StrausTerm::new`] builds them.
+    ///
+    /// # Panics
+    ///
+    /// When given more than eight points or more points than terms.
+    pub fn set_points(terms: &mut [StrausTerm], points: &[Point]) {
+        assert!(
+            points.len() <= 8 && points.len() <= terms.len(),
+            "at most eight, one per term"
+        );
+        lanes::fill(&mut terms[..points.len()], points);
     }
 }
 
@@ -938,7 +1127,7 @@ mod tests {
     }
 
     /// Encodings that exercise every way out of `from_ys`.
-    fn decompression_corpus() -> Vec<[u8; 32]> {
+    pub(super) fn decompression_corpus() -> Vec<[u8; 32]> {
         let b = Point::basepoint();
         let mut corpus: Vec<[u8; 32]> = (1u64..12)
             .map(|k| b.mul_scalar(&Scalar::from_u64(k * k + 3)).compress())

@@ -30,7 +30,7 @@ pub struct Fe(pub(crate) [u64; 5]);
 
 /// 4p in limb form; added before subtraction so limbs never underflow for
 /// inputs with limbs < 2^54... (inputs are kept < 2^52 by every public op).
-const FOUR_P: [u64; 5] = [
+pub(crate) const FOUR_P: [u64; 5] = [
     (1u64 << 53) - 76,
     (1u64 << 53) - 4,
     (1u64 << 53) - 4,
@@ -574,20 +574,34 @@ mod safegcd {
 /// chain leaves most of the multiplier idle; `N` independent chains side
 /// by side fill it. Two elements cost about one and a half times one.
 pub(crate) fn pow_p58_lanes<const N: usize>(z: [Fe; N]) -> [Fe; N] {
-    let mul = |mut a: [Fe; N], b: [Fe; N]| {
-        for i in 0..N {
-            a[i] = a[i].mul(b[i]);
-        }
-        a
-    };
-    let pow2k = |mut x: [Fe; N], k: u32| {
-        for _ in 0..k {
-            for lane in &mut x {
-                *lane = lane.square();
+    pow_p58_chain(
+        z,
+        |mut a: [Fe; N], b: [Fe; N]| {
+            for i in 0..N {
+                a[i] = a[i].mul(b[i]);
             }
-        }
-        x
-    };
+            a
+        },
+        |mut x: [Fe; N], k| {
+            for _ in 0..k {
+                for lane in &mut x {
+                    *lane = lane.square();
+                }
+            }
+            x
+        },
+    )
+}
+
+/// The addition chain of `z^(2^252 − 3)`, over any representation of
+/// field elements that can multiply and square `k` times over: `N`
+/// scalar elements in lockstep ([`pow_p58_lanes`]) or eight in the lanes
+/// of one vector (`edwards::ifma`).
+pub(crate) fn pow_p58_chain<T: Copy>(
+    z: T,
+    mul: impl Fn(T, T) -> T,
+    pow2k: impl Fn(T, u32) -> T,
+) -> T {
     let z2 = pow2k(z, 1);
     let z9 = mul(pow2k(z2, 2), z);
     let z11 = mul(z9, z2);
@@ -614,13 +628,22 @@ pub fn sqrt_ratio(u: Fe, v: Fe) -> (bool, Fe) {
 /// [`sqrt_ratio`] of `N` pairs `(u, v)`, the exponentiations in lockstep
 /// ([`pow_p58_lanes`]): the same result for each pair as on its own.
 pub(crate) fn sqrt_ratios<const N: usize>(uv: [(Fe, Fe); N]) -> [(bool, Fe); N] {
+    sqrt_ratios_by(uv, pow_p58_lanes)
+}
+
+/// [`sqrt_ratios`] with the `N` exponentiations `z^(2^252 − 3)` taken by
+/// `pow_p58`; everything around them runs per pair, as on its own.
+pub(crate) fn sqrt_ratios_by<const N: usize>(
+    uv: [(Fe, Fe); N],
+    pow_p58: impl FnOnce([Fe; N]) -> [Fe; N],
+) -> [(bool, Fe); N] {
     let v3 = uv.map(|(_, v)| v.square().mul(v));
     let bases: [Fe; N] = std::array::from_fn(|i| {
         let (u, v) = uv[i];
         let v7 = v3[i].square().mul(v);
         u.mul(v7)
     });
-    let powers = pow_p58_lanes(bases);
+    let powers = pow_p58(bases);
     std::array::from_fn(|i| {
         let (u, v) = uv[i];
         let mut r = u.mul(v3[i]).mul(powers[i]);

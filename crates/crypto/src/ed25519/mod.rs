@@ -318,10 +318,12 @@ impl PreparedKey {
     /// ```
     ///
     /// where the key's term is one stride chain over the tables this key
-    /// already holds (32 doublings), and the `Rᵢ`, decompressed in
-    /// lockstep pairs, share one Straus chain as long as the 128-bit
-    /// coefficients: at most 128 doublings. From about five signatures
-    /// on it costs less than a [`Self::verify`] each (EXPERIMENTS.md C3).
+    /// already holds (32 doublings), and the `Rᵢ`, decompressed together
+    /// (eight to a vector chain on a build with the eight-lane engine,
+    /// else in lockstep pairs), share one Straus chain as long as the
+    /// 128-bit coefficients: at most 128 doublings. From about four
+    /// signatures on (five without the lanes) it costs less than a
+    /// [`Self::verify`] each (EXPERIMENTS.md C3).
     #[must_use]
     pub fn holds_all(&self, items: &[(&[u8], &Signature)]) -> bool {
         let seed = batch_seed(
@@ -329,35 +331,21 @@ impl PreparedKey {
                 .iter()
                 .map(|(message, signature)| (*message, *signature, &self.key)),
         );
-        let mut zs = batch_coefficients(&seed);
         let (mut s_sum, mut k_sum) = (Scalar::ZERO, Scalar::ZERO);
         let mut terms = Vec::with_capacity(items.len());
-        for pair in items.chunks(2) {
-            let r_of = |(_, signature): &(&[u8], &Signature)| -> [u8; 32] {
-                signature.0[..32].try_into().expect("split")
+        for ((message, signature), z) in items.iter().zip(batch_coefficients(&seed)) {
+            let Some(s) = Scalar::from_canonical_bytes(s_of(signature)) else {
+                return false;
             };
-            let rs = match pair {
-                [a, b] => Point::decompress_pair(&r_of(a), &r_of(b)),
-                [a, ..] => [Point::decompress(&r_of(a)), Err(DecompressError)],
-                [] => continue,
-            };
-            for (item, r) in pair.iter().zip(rs) {
-                let (message, signature) = item;
-                let s_bytes: [u8; 32] = signature.0[32..].try_into().expect("split");
-                let (Ok(r), Some(s), Some(z)) =
-                    (r, Scalar::from_canonical_bytes(&s_bytes), zs.next())
-                else {
-                    return false;
-                };
-                let k = challenge_scalar(&r_of(item), self.key.as_bytes(), message);
-                s_sum = s_sum.add(z.mul(s));
-                k_sum = k_sum.add(z.mul(k));
-                terms.push(StrausTerm::new(&z, &r));
-            }
+            let k = challenge_scalar(r_of(signature), self.key.as_bytes(), message);
+            s_sum = s_sum.add(z.mul(s));
+            k_sum = k_sum.add(z.mul(k));
+            terms.push(StrausTerm::unfilled(&z));
         }
         let keyed = self.neg_a.double_scalar_mul_basepoint(&s_sum, &k_sum);
-        let nonces = Point::multiscalar_mul_basepoint(&Scalar::ZERO, &terms);
-        keyed.add(&nonces.neg()).is_small_order()
+        let encodings = items.iter().map(|(_, signature)| r_of(signature));
+        Point::multiscalar_mul_encoded(&Scalar::ZERO, &mut terms, encodings)
+            .is_some_and(|nonces| keyed.add(&nonces.neg()).is_small_order())
     }
 }
 
@@ -569,24 +557,33 @@ pub fn batch_holds(items: &[(&[u8], &Signature, &VerifyingKey)]) -> bool {
     let seed = batch_seed(items.iter().copied());
 
     // One pass, one vector: each signature contributes [z]R and [z·k]A,
-    // its two points decompressed in lockstep.
+    // whose points the equation decompresses from the encodings after.
     let mut terms = Vec::with_capacity(2 * items.len());
     let mut b_coeff = Scalar::ZERO;
     for ((message, signature, key), z) in items.iter().zip(batch_coefficients(&seed)) {
-        let r_bytes: [u8; 32] = signature.0[..32].try_into().expect("split");
-        let s_bytes: [u8; 32] = signature.0[32..].try_into().expect("split");
-        let [Ok(a), Ok(r)] = Point::decompress_pair(key.as_bytes(), &r_bytes) else {
+        let Some(s) = Scalar::from_canonical_bytes(s_of(signature)) else {
             return false;
         };
-        let Some(s) = Scalar::from_canonical_bytes(&s_bytes) else {
-            return false;
-        };
-        let k = challenge_scalar(&r_bytes, key.as_bytes(), message);
+        let k = challenge_scalar(r_of(signature), key.as_bytes(), message);
         b_coeff = b_coeff.add(z.mul(s));
-        terms.push(StrausTerm::new(&z, &r));
-        terms.push(StrausTerm::new(&z.mul(k), &a));
+        terms.push(StrausTerm::unfilled(&z));
+        terms.push(StrausTerm::unfilled(&z.mul(k)));
     }
-    Point::multiscalar_mul_basepoint(&b_coeff.neg(), &terms).is_small_order()
+    let encodings = items
+        .iter()
+        .flat_map(|(_, signature, key)| [r_of(signature), key.as_bytes()]);
+    Point::multiscalar_mul_encoded(&b_coeff.neg(), &mut terms, encodings)
+        .is_some_and(|sum| sum.is_small_order())
+}
+
+/// A signature's `R`, as sent.
+fn r_of(signature: &Signature) -> &[u8; 32] {
+    signature.0[..32].try_into().expect("split")
+}
+
+/// A signature's `s`, as sent.
+fn s_of(signature: &Signature) -> &[u8; 32] {
+    signature.0[32..].try_into().expect("split")
 }
 
 /// The seed a batch's coefficients expand from: `H(domain ‖ nonce ‖
@@ -947,7 +944,7 @@ mod tests {
         minus_one[31] = 0x7f;
         let order_2 = Point::decompress(&minus_one).unwrap();
         let order_8 = Point::decompress(&edwards::ORDER_8).unwrap();
-        let honest_messages: Vec<Vec<u8>> = (0..4).map(|i| vec![i; 5]).collect();
+        let honest_messages: Vec<Vec<u8>> = (0..30).map(|i| vec![i; 5]).collect();
         let honest: Vec<Signature> = honest_messages.iter().map(|m| sk.sign(m)).collect();
         for t in [order_2, order_8, order_8.double()] {
             let messages: [&[u8]; 2] = [b"first", b"second"];
@@ -959,8 +956,11 @@ mod tests {
                 assert!(vk.verify(m, sig).is_ok());
                 assert!(prepared.verify(m, sig).is_ok());
             }
-            // The pair alone, and beside 0–4 honest signatures.
-            for extra in 0..=honest.len() {
+            // The pair alone and beside honest signatures: groups past
+            // eight, on both sides of the lane chain's threshold in both
+            // equations (2 + extra terms under one key, twice that in a
+            // batch).
+            for extra in (0..=honest.len()).filter(|&n| n <= 14 || n == honest.len()) {
                 let mut items: Vec<(&[u8], &Signature)> =
                     messages.iter().copied().zip(&sigs).collect();
                 items.extend(
@@ -1031,6 +1031,73 @@ mod tests {
             }
         }
         assert!(prepared.holds_all(&[]));
+    }
+
+    /// Both equations over n = 1–100 signatures, each with one forgery
+    /// at every position, say what the n lone checks say: every count of
+    /// terms the lane engine deals, on both sides of its chain threshold.
+    #[test]
+    fn both_equations_agree_with_lone_checks_up_to_a_hundred() {
+        let sk = SigningKey::from_seed(&[73u8; 32]);
+        let vk = sk.verifying_key();
+        let prepared = PreparedKey::new(&vk.decompress().unwrap());
+        let other = SigningKey::from_seed(&[74u8; 32]);
+        let signers: Vec<SigningKey> = (0..7u8)
+            .map(|i| SigningKey::from_seed(&[80 + i; 32]))
+            .collect();
+        let keys: Vec<VerifyingKey> = signers.iter().map(SigningKey::verifying_key).collect();
+        let messages: Vec<Vec<u8>> = (0..100u32).map(|i| i.to_le_bytes().repeat(2)).collect();
+        let one_key: Vec<Signature> = messages.iter().map(|m| sk.sign(m)).collect();
+        let many_keys: Vec<Signature> = messages
+            .iter()
+            .enumerate()
+            .map(|(i, m)| signers[i % signers.len()].sign(m))
+            .collect();
+        // A flipped bit of s, a signature by another key, no point's
+        // encoding as R, s ≥ ℓ, and a flipped bit of R.
+        let forge = |kind: usize, message: &[u8], mut sig: Signature| {
+            match kind {
+                0 => sig.0[40] ^= 1,
+                1 => sig = other.sign(message),
+                2 => sig.0[..32].copy_from_slice(&[2u8; 32]),
+                3 => sig.0[32..].copy_from_slice(&[0xff; 32]),
+                _ => sig.0[5] ^= 0x10,
+            }
+            sig
+        };
+        for n in 1..=100 {
+            let items: Vec<(&[u8], &Signature)> = messages[..n]
+                .iter()
+                .map(Vec::as_slice)
+                .zip(&one_key)
+                .collect();
+            let keyed: Vec<(&[u8], &Signature, &VerifyingKey)> = messages[..n]
+                .iter()
+                .zip(&many_keys)
+                .enumerate()
+                .map(|(i, (m, s))| (m.as_slice(), s, &keys[i % keys.len()]))
+                .collect();
+            assert!(prepared.holds_all(&items), "n = {n}");
+            assert!(batch_holds(&keyed), "n = {n}");
+            for at in 0..n {
+                let kind = (n + at) % 5;
+                let forged = forge(kind, &messages[at], one_key[at]);
+                let lone = prepared.verify(&messages[at], &forged).is_ok();
+                let mut with_forgery = items.clone();
+                with_forgery[at].1 = &forged;
+                assert_eq!(
+                    prepared.holds_all(&with_forgery),
+                    lone,
+                    "one key, n = {n}, at {at}"
+                );
+
+                let forged = forge(kind, &messages[at], many_keys[at]);
+                let lone = keys[at % keys.len()].verify(&messages[at], &forged).is_ok();
+                let mut with_forgery = keyed.clone();
+                with_forgery[at].1 = &forged;
+                assert_eq!(batch_holds(&with_forgery), lone, "batch, n = {n}, at {at}");
+            }
+        }
     }
 
     #[test]

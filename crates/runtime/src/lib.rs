@@ -11,8 +11,9 @@
 //! traced run installs ([`alloc_count`]; `proxy-bench` registers it).
 //! `unsafe` is denied crate-wide and allowed *only* inside those two
 //! modules, whose every `unsafe` block carries a local safety argument;
-//! every other crate but `proxy-crypto` (whose SHA-NI compression is
-//! the one other audited `unsafe` module) stays `forbid(unsafe_code)`.
+//! every other crate but `proxy-crypto` (whose SHA-NI compression and
+//! eight-lane Ed25519 engine are the other audited `unsafe` modules)
+//! stays `forbid(unsafe_code)`.
 
 pub mod alloc_count;
 pub mod poller;

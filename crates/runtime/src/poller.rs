@@ -168,6 +168,15 @@ mod tests {
         (client, server)
     }
 
+    /// `register` is safe over any fd number: one that names no open
+    /// file is the kernel's `EBADF`, not undefined behaviour.
+    #[test]
+    fn registering_a_number_that_names_no_file_is_ebadf() {
+        let mut poller = Poller::new().unwrap();
+        let err = poller.register(-1, 1, Interest::READ).unwrap_err();
+        assert_eq!(err.raw_os_error(), Some(9)); // EBADF
+    }
+
     #[test]
     fn reports_read_readiness_under_token() {
         let mut poller = Poller::new().unwrap();

@@ -11,20 +11,24 @@
 //!   fresh and owned by nothing else sits in that declaration's return
 //!   type, not in a call-site `unsafe` block. `-1` is `OwnedFd`'s niche,
 //!   so a failure arrives as `None`, and the [`OwnedFd`] closes the fd;
-//! * `epoll_ctl` passes a pointer to one stack-owned [`EpollEvent`]
-//!   that outlives the call (the kernel copies it before returning);
+//! * `epoll_ctl` is declared a `safe fn` too: the epoll fd arrives as a
+//!   [`BorrowedFd`](std::os::fd::BorrowedFd), live for the call, and the event as `&mut
+//!   EpollEvent`, a reference the kernel copies before it returns. The
+//!   target `fd` stays a [`RawFd`]: a number that names no open file
+//!   gets `EBADF` back, not undefined behaviour, which is why
+//!   [`crate::Poller::register`] is safe over any fd number;
 //! * `epoll_wait` writes into a caller-owned slice whose length is
 //!   passed as the capacity, so the kernel can never write past the
 //!   buffer; the returned count is validated against that length before
 //!   any element is read.
 //!
-//! No file descriptor is fabricated here: every fd handed to these
-//! wrappers comes from a live `std::net` socket (via `AsRawFd`) or from
-//! `epoll_create1` itself, and [`EpollFd`] owns its descriptor as an
-//! [`OwnedFd`], whose `Drop` closes it exactly once.
+//! No epoll descriptor is fabricated here: [`EpollFd`] owns the one
+//! `epoll_create1` returns as an [`OwnedFd`], whose `Drop` closes it
+//! exactly once, and lends it to each call as a `BorrowedFd`. The
+//! one `unsafe` block left is `epoll_wait`'s.
 
 use std::io;
-use std::os::fd::{AsRawFd, OwnedFd, RawFd};
+use std::os::fd::{AsFd, AsRawFd, OwnedFd, RawFd};
 
 /// `EPOLL_CLOEXEC`: the epoll fd must not leak across `exec`.
 const EPOLL_CLOEXEC: i32 = 0o2000000;
@@ -62,12 +66,21 @@ mod ffi {
     //! The raw `extern` declarations, isolated so every use above goes
     //! through the audited safe wrappers.
     use super::EpollEvent;
-    use std::os::fd::OwnedFd;
+    use std::os::fd::{BorrowedFd, OwnedFd, RawFd};
     unsafe extern "C" {
         /// Safe to call: no pointers in, and the fd out is a fresh one
         /// no other owner holds, or `-1`, which is `None` here.
         pub safe fn epoll_create1(flags: i32) -> Option<OwnedFd>;
-        pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
+        /// Safe to call: `epfd` is borrowed from a live owner for the
+        /// call, and `event` is a live exclusive reference the kernel
+        /// copies before it returns (`DEL` ignores it). `fd` is only a
+        /// number: one that names no open file is `EBADF`.
+        pub safe fn epoll_ctl(
+            epfd: BorrowedFd<'_>,
+            op: i32,
+            fd: RawFd,
+            event: &mut EpollEvent,
+        ) -> i32;
         pub fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
     }
 }
@@ -104,12 +117,9 @@ impl EpollFd {
             events,
             data: token,
         };
-        // SAFETY: `ev` is a live stack value for the duration of the
-        // call; the kernel copies it before returning. `DEL` ignores the
-        // pointer but a valid one is passed anyway (pre-2.6.9 kernels
-        // required it).
-        #[allow(unsafe_code)]
-        check(unsafe { ffi::epoll_ctl(self.0.as_raw_fd(), op, fd, &mut ev) })?;
+        // `DEL` ignores the event, but one is passed anyway (pre-2.6.9
+        // kernels required it).
+        check(ffi::epoll_ctl(self.0.as_fd(), op, fd, &mut ev))?;
         Ok(())
     }
 
