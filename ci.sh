@@ -163,7 +163,9 @@ cargo test --release -q -p restricted-proxy --lib verify::group_tests
 # and a group of deposits — in-process and over TCP at depth 16 — equal
 # to the same deposits one by one. On an IFMA build the `ed25519` filter
 # also runs the eight-lane engine's oracle tests (DESIGN.md §8, "Eight
-# lanes"), and both equations against lone checks at n = 1-100.
+# lanes"), both equations against lone checks at n = 1-100, and lone
+# checks eight to a run of lanes against `PreparedKey::verify` at group
+# sizes 1-17 with a forgery of each kind at every position.
 cargo test --release -q -p proxy-crypto --lib ed25519
 cargo test --release -q -p proxy-crypto --test prepared_key
 cargo test --release -q -p proxy-accounting --test deposit_group
@@ -175,7 +177,9 @@ cargo test --release -q -p proxy-accounting --test deposit_group
 # only as their oracles and ablation rows. One step builds and tests
 # the crate with both features switched off, in a target dir of its
 # own, so both portable product paths keep their vectors, proptests and
-# equation tests (`prepared_key` among the crate's tests) here too.
+# equation tests (`prepared_key` among the crate's tests) here too; the
+# eight-lane lone-check test runs there on the stand-in, eight scalar
+# stride chains, which is the lanes' oracle.
 RUSTFLAGS="-C target-cpu=native -C target-feature=-sha,-avx512ifma" \
     cargo test -q -p proxy-crypto --target-dir target/portable
 
@@ -225,7 +229,10 @@ require_rows "$ablate_out" ']' naive-double-and-add fixed-base-table sign \
     batch-1-plus-lone batch-2-plus-lone batch-4-plus-lone batch-8-plus-lone \
     batch-1-plus-prepared-lone batch-2-plus-prepared-lone \
     batch-3-plus-prepared-lone batch-4-plus-prepared-lone \
-    one-key 'prepared-lone×n' one-key-vs-prepared-lone \
+    one-key 'prepared-lone×n' one-key-vs-prepared-lone one-key-vs-lanes \
+    prepared-lone-lanes lanes-vs-prepared-lone prepared-lone-eight-keys \
+    prepared-lone-lanes-eight-keys lanes-vs-prepared-lone-eight-keys \
+    batch-80-shared-head shared-head-vs-distinct-keys \
     group verify-each group-per-request verify-each-per-request \
     group-vs-verify-each cascade8-cold cascade8-warm-seal-cache \
     sha256-block sha256-block-portable hmac-87B-raw-key hmac-87B-keyed-context \

@@ -1237,7 +1237,12 @@ fn ablate_crypto() {
     // C3 under one key: n signatures by one signer, as one equation under
     // its prepared key and as n lone checks through it — a bank's run of
     // deposits under one payor (DESIGN.md §8, "One settle step").
-    const ONE_KEY: [usize; 8] = [2, 4, 5, 6, 8, 12, 16, 32];
+    const ONE_KEY: [usize; 11] = [2, 3, 4, 5, 6, 8, 12, 16, 20, 24, 32];
+    // And as lone checks eight to a run of lanes
+    // (`PreparedKey::verify_eight`): one run from one to eight, padded,
+    // and runs beside runs. `prepared-lone×n` is timed at these counts,
+    // which include every `ONE_KEY` count.
+    const LANES: [usize; 13] = [1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 20, 24, 32];
     let one_key_sigs: Vec<Signature> = messages.iter().map(|m| sk.sign(m)).collect();
     let one_key_items: Vec<(&[u8], &Signature)> = messages
         .iter()
@@ -1247,6 +1252,37 @@ fn ablate_crypto() {
     let one_key_items = one_key_items.as_slice();
     let one_key_name = |n: usize| format!("one-key/{n}");
     let prepared_lone_name = |n: usize| format!("prepared-lone×n/{n}");
+    let lanes_name = |n: usize| format!("prepared-lone-lanes/{n}");
+    // C3 a read's possession proofs: eight lone checks, each under its
+    // own prepared key, one by one and as one run of lanes (`fig4_hot`).
+    let eight_keys: Vec<(&[u8], &Signature, &PreparedKey)> = items[..8]
+        .iter()
+        .zip(prepared_keys)
+        .map(|((m, sg, _), key)| (*m, *sg, key))
+        .collect();
+    let eight_keys = eight_keys.as_slice();
+    // C3 merged key terms: an 80-check equation shaped like a `fig4_cold`
+    // read, sixteen depth-4 chains whose head seals share the root key
+    // (`sk`), beside `batch-80`, whose eighty keys are distinct.
+    let shared_head_sigs: Vec<Signature> = messages
+        .iter()
+        .enumerate()
+        .map(|(i, m)| {
+            if i % 5 == 0 {
+                sk.sign(m)
+            } else {
+                keys[i].sign(m)
+            }
+        })
+        .collect();
+    let shared_head_items: Vec<_> = messages
+        .iter()
+        .zip(&shared_head_sigs)
+        .zip(&vks)
+        .enumerate()
+        .map(|(i, ((m, sg), key))| (m.as_slice(), sg, if i % 5 == 0 { &vk } else { key }))
+        .collect();
+    let shared_head_items = shared_head_items.as_slice();
 
     // The conventional half (DESIGN.md §8, "Conventional keys"): what a
     // key costs per message under its raw bytes, on its first use, and
@@ -1411,12 +1447,36 @@ fn ablate_crypto() {
         variants.push(kernel(one_key_name(n), move || {
             assert!(prepared.holds_all(&one_key_items[..n]));
         }));
+    }
+    for n in LANES {
+        let prepared = &prepared;
         variants.push(kernel(prepared_lone_name(n), move || {
             for (m, sg) in &one_key_items[..n] {
                 prepared.verify(m, sg).expect("valid");
             }
         }));
+        let under_one_key: Vec<(&[u8], &Signature, &PreparedKey)> = one_key_items[..n]
+            .iter()
+            .map(|(m, sg)| (*m, *sg, prepared))
+            .collect();
+        variants.push(kernel(lanes_name(n), move || {
+            for run in under_one_key.chunks(8) {
+                let verdicts = PreparedKey::verify_eight(run);
+                assert!(verdicts[..run.len()].iter().all(|v| *v));
+            }
+        }));
     }
+    variants.push(kernel("prepared-lone-eight-keys", move || {
+        for (m, sg, key) in eight_keys {
+            key.verify(m, sg).expect("valid");
+        }
+    }));
+    variants.push(kernel("prepared-lone-lanes-eight-keys", move || {
+        assert_eq!(PreparedKey::verify_eight(eight_keys), [true; 8]);
+    }));
+    variants.push(kernel("batch-80-shared-head", move || {
+        verify_batch(shared_head_items).expect("valid")
+    }));
     for n in PLUS_PREPARED {
         variants.push(kernel(plus_prepared_name(n), move || {
             verify_batch(&items[..n]).expect("valid");
@@ -1581,7 +1641,37 @@ fn ablate_crypto() {
             ratio(&one_key_name(n), &prepared_lone_name(n)),
             "x",
         );
+        report_row(
+            "C3",
+            "one-key-vs-lanes",
+            n,
+            ratio(&one_key_name(n), &lanes_name(n)),
+            "x",
+        );
     }
+    for n in LANES {
+        report_row(
+            "C3",
+            "lanes-vs-prepared-lone",
+            n,
+            ratio(&lanes_name(n), &prepared_lone_name(n)),
+            "x",
+        );
+    }
+    report_row(
+        "C3",
+        "lanes-vs-prepared-lone-eight-keys",
+        8,
+        ratio("prepared-lone-lanes-eight-keys", "prepared-lone-eight-keys"),
+        "x",
+    );
+    report_row(
+        "C3",
+        "shared-head-vs-distinct-keys",
+        80,
+        ratio("batch-80-shared-head", "batch-80"),
+        "x",
+    );
     for n in GROUPS {
         let per_request = |name: String| format!("{:.1}", us(&name) / n as f64);
         report_row(

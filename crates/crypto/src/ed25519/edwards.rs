@@ -66,7 +66,7 @@ use ifma as lanes;
     target_feature = "sse4.1"
 )))]
 mod lanes {
-    use super::{DecompressError, NafLookupTable, Point, Scalar, StrausTerm};
+    use super::{DecompressError, NafLookupTable, Point, Scalar, StrausTerm, StrideChain};
 
     /// Whether this build runs the eight-lane engine.
     pub(super) const ENABLED: bool = false;
@@ -90,6 +90,15 @@ mod lanes {
     /// The one-accumulator chain.
     pub(super) fn straus(b: &Scalar, terms: &[StrausTerm]) -> Point {
         Point::multiscalar_mul_basepoint(b, terms)
+    }
+
+    /// One stride chain after another.
+    pub(super) fn stride_chains(chains: [StrideChain<'_>; 8]) -> [Point; 8] {
+        chains.map(|chain| {
+            chain.map_or_else(Point::identity, |(a, b, q)| {
+                q.double_scalar_mul_basepoint(a, b)
+            })
+        })
     }
 }
 
@@ -491,11 +500,36 @@ impl Point {
     /// curve point's matches no `self`.
     #[must_use]
     pub(crate) fn matches_encoding(&self, bytes: &[u8; 32]) -> bool {
+        self.matches_encoding_by(bytes, || self.z.invert())
+    }
+
+    /// [`Self::matches_encoding`] with `Z⁻¹` from `z_inverse`, asked for
+    /// only once y matches.
+    fn matches_encoding_by(&self, bytes: &[u8; 32], z_inverse: impl FnOnce() -> Fe) -> bool {
         if !self.y.ct_eq(Fe::from_bytes(bytes).mul(self.z)) {
             return false;
         }
-        let x = self.x.mul(self.z.invert());
+        let x = self.x.mul(z_inverse());
         x.is_negative() == (bytes[31] >> 7 == 1)
+    }
+
+    /// [`Self::matches_encoding_up_to_torsion`] of each of `points` against
+    /// its own encoding, `false` where there is none: the first translate
+    /// of each is compared under one inversion shared by all
+    /// ([`Fe::invert_each`]) where alone each inverts its own `Z`, and
+    /// only a point that does not match tries the seven others, alone.
+    pub(crate) fn match_encodings_up_to_torsion<const N: usize>(
+        points: &[Point; N],
+        encodings: [Option<&[u8; 32]>; N],
+    ) -> [bool; N] {
+        let z_inverses = Fe::invert_each(points.map(|p| p.z));
+        std::array::from_fn(|i| {
+            encodings[i].is_some_and(|bytes| {
+                let point = &points[i];
+                point.matches_encoding_by(bytes, || z_inverses[i])
+                    || point.matches_encoding_up_to_torsion(bytes)
+            })
+        })
     }
 
     /// Whether `bytes` encodes this point plus one of order dividing 8:
@@ -690,12 +724,18 @@ impl<const N: usize> NafLookupTable<N> {
     /// The table entry for an odd signed digit: `[digit]P`.
     #[inline]
     fn select(&self, digit: i8) -> CachedPoint {
-        debug_assert_eq!(digit & 1, 1, "wNAF digits are odd");
         if digit > 0 {
-            self.0[(digit as usize - 1) / 2]
+            *self.entry(digit)
         } else {
-            self.0[(digit.unsigned_abs() as usize - 1) / 2].neg()
+            self.entry(digit).neg()
         }
+    }
+
+    /// The entry of `[|digit|]P`, for an odd digit, where it lies.
+    #[inline]
+    fn entry(&self, digit: i8) -> &CachedPoint {
+        debug_assert_eq!(digit & 1, 1, "wNAF digits are odd");
+        &self.0[(digit.unsigned_abs() as usize - 1) / 2]
     }
 }
 
@@ -826,7 +866,21 @@ impl PreparedPoint {
     pub fn double_scalar_mul_basepoint(&self, a: &Scalar, b: &Scalar) -> Point {
         stride_chain(a, Some((b, self)))
     }
+
+    /// [`Self::double_scalar_mul_basepoint`] of eight `(a, b, Q)` at once,
+    /// each Q prepared: lane `i` is `[a]B + [b]Q` of `chains[i]`, the
+    /// identity where there is none. The eight are stride chains of the
+    /// same 32 doublings, so a build with the eight-lane engine runs them
+    /// as one vector chain, each lane adding its own digits from its own
+    /// Q's tables; elsewhere one after another.
+    pub(crate) fn double_scalar_mul_basepoint_eight(chains: [StrideChain<'_>; 8]) -> [Point; 8] {
+        lanes::stride_chains(chains)
+    }
 }
+
+/// One lane of [`PreparedPoint::double_scalar_mul_basepoint_eight`]:
+/// `(a, b, Q)` for `[a]B + [b]Q`, or `None`.
+pub(crate) type StrideChain<'a> = Option<(&'a Scalar, &'a Scalar, &'a PreparedPoint)>;
 
 /// `[a]B`, plus `[b]Q` for a prepared Q, on one chain of [`STRIDE`]
 /// doublings.

@@ -1,9 +1,14 @@
-//! The eight-lane engine under the batch equations, on AVX-512 IFMA.
+//! The eight-lane engine under the batch equations and a read's lone
+//! checks, on AVX-512 IFMA.
 //!
 //! A batch equation of n signatures has 2n + 1 terms, so its work falls
 //! into independent pieces eight at a time: eight square roots, eight
 //! tables, and the digits of one chain position dealt to eight
-//! accumulators. Each piece runs in one lane of a vector of field
+//! accumulators. Eight lone checks under prepared keys are eight stride
+//! chains of the same 32 doublings ([`stride_lanes`]): one accumulator
+//! each, every lane adding its own digits from its own key's tables,
+//! which it reads where they lie ([`CachedX8::gather`]). Each piece runs
+//! in one lane of a vector of field
 //! elements ([`FeX8`]): five `__m512i`, one per limb, each holding that
 //! limb of eight elements in the radix 2^51 of the scalar [`Fe`], so a
 //! lane takes a scalar element's limbs as they are.
@@ -32,17 +37,22 @@
 //! for the features, [`enter`] makes the one call into it, and that
 //! call's safety argument is the `cfg`.
 //! The scalar composition it replaces (`Point::decompress_pair`,
-//! `StrausTerm::new`, `Point::multiscalar_mul_basepoint`) is the oracle
-//! the tests below hold each kernel to.
+//! `StrausTerm::new`, `Point::multiscalar_mul_basepoint`,
+//! `PreparedPoint::double_scalar_mul_basepoint`) is the oracle the tests
+//! below hold each kernel to.
 
 use std::arch::x86_64::{
     __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_extracti64x2_epi64, _mm512_madd52hi_epu64,
-    _mm512_madd52lo_epu64, _mm512_set1_epi64, _mm512_set_epi64, _mm512_setzero_si512,
-    _mm512_slli_epi64, _mm512_srli_epi64, _mm512_sub_epi64, _mm_extract_epi64,
+    _mm512_madd52lo_epu64, _mm512_mask_blend_epi64, _mm512_set1_epi64, _mm512_set_epi64,
+    _mm512_setzero_si512, _mm512_slli_epi64, _mm512_srli_epi64, _mm512_sub_epi64,
+    _mm_extract_epi64,
 };
 
 use super::super::field::{pow_p58_chain, Fe, D2, FOUR_P, MASK};
-use super::{encoded_y, highest_nonzero, CachedPoint, DecompressError, Point, Scalar, StrausTerm};
+use super::{
+    encoded_y, highest_nonzero, CachedPoint, DecompressError, Point, Scalar, StrausTerm,
+    StrideChain, PIECES, STRIDE,
+};
 
 /// Whether this build runs the eight-lane engine.
 pub(super) const ENABLED: bool = true;
@@ -113,6 +123,19 @@ pub(super) fn straus(b: &Scalar, terms: &[StrausTerm]) -> Point {
     enter(Straus(b, terms))
 }
 
+/// [`super::PreparedPoint::double_scalar_mul_basepoint_eight`].
+pub(super) fn stride_chains(chains: [StrideChain<'_>; 8]) -> [Point; 8] {
+    struct Stride<'a>([StrideChain<'a>; 8]);
+    impl Kernel for Stride<'_> {
+        type Output = [Point; 8];
+        #[target_feature(enable = "avx512ifma,avx512f,avx512dq,sse4.1")]
+        unsafe fn run(self) -> [Point; 8] {
+            stride_lanes(self.0)
+        }
+    }
+    enter(Stride(chains))
+}
+
 /// Eight field elements, one per lane: limb `k` of lane `l` is lane `l`
 /// of `self.0[k]`. Every operation returns limbs below 2^52 and takes
 /// inputs with limbs below 2^52.
@@ -129,6 +152,12 @@ impl FeX8 {
     /// `x[l]` in lane `l`.
     #[target_feature(enable = "avx512ifma,avx512f,avx512dq,sse4.1")]
     fn from_lanes(x: [Fe; 8]) -> FeX8 {
+        FeX8::gather(x.each_ref())
+    }
+
+    /// `*x[l]` in lane `l`: the limbs read where they lie.
+    #[target_feature(enable = "avx512ifma,avx512f,avx512dq,sse4.1")]
+    fn gather(x: [&Fe; 8]) -> FeX8 {
         let limb = |l: usize, k: usize| x[l].0[k] as i64;
         FeX8(std::array::from_fn(|k| {
             _mm512_set_epi64(
@@ -431,6 +460,28 @@ impl CachedX8 {
         }
     }
 
+    /// Lane `l` is `*entries[l]`, negated where bit `l` of `negative` is
+    /// set, as `CachedPoint::neg` negates: the two sums trade places and
+    /// `t2d` changes sign. Nothing is copied out of the tables first.
+    #[target_feature(enable = "avx512ifma,avx512f,avx512dq,sse4.1")]
+    fn gather(entries: [&CachedPoint; 8], negative: u8) -> CachedX8 {
+        let field = |pick: fn(&CachedPoint) -> &Fe| FeX8::gather(entries.map(pick));
+        let y_plus_x = field(|c| &c.y_plus_x);
+        let y_minus_x = field(|c| &c.y_minus_x);
+        let t2d = field(|c| &c.t2d);
+        let pick = |positive: FeX8, negated: FeX8| {
+            FeX8(std::array::from_fn(|k| {
+                _mm512_mask_blend_epi64(negative, positive.0[k], negated.0[k])
+            }))
+        };
+        CachedX8 {
+            y_plus_x: pick(y_plus_x, y_minus_x),
+            y_minus_x: pick(y_minus_x, y_plus_x),
+            t2d: pick(t2d, FeX8::splat(Fe::ZERO).sub(t2d)),
+            z2: field(|c| &c.z2),
+        }
+    }
+
     #[target_feature(enable = "avx512ifma,avx512f,avx512dq,sse4.1")]
     fn to_lanes(self) -> [CachedPoint; 8] {
         let [y_plus_x, y_minus_x, t2d, z2] =
@@ -517,9 +568,74 @@ fn straus_chain(b: &Scalar, terms: &[StrausTerm]) -> Point {
     }
 }
 
+/// Eight [`super::stride_chain`]s on one chain of [`STRIDE`] vector
+/// doublings. At step `j` each lane gathers its own digits `32i + j` —
+/// B's from the static stride tables, its point's from that point's own —
+/// and they go in one vector addition per digit of the lane that has the
+/// most, a lane with fewer adding the identity. A lane without a chain
+/// adds nothing and stays the identity.
+#[target_feature(enable = "avx512ifma,avx512f,avx512dq,sse4.1")]
+fn stride_lanes(chains: [StrideChain<'_>; 8]) -> [Point; 8] {
+    let base = super::basepoint_stride_tables();
+    let inputs = chains
+        .map(|chain| chain.map(|(a, b, q)| (a.non_adjacent_form(8), b.non_adjacent_form(5), &q.0)));
+    let mut acc = ProjectiveX8::identity();
+    let mut j = STRIDE - 1;
+    loop {
+        // This step's nonzero digits in the rounds they are added in:
+        // `digits[r][l]` is lane `l`'s `r`-th, as the piece, whether it
+        // is B's digit or the point's, and the digit.
+        let mut digits = [[(0usize, false, 0i8); 8]; 2 * PIECES];
+        let mut counts = [0usize; 8];
+        for (l, input) in inputs.iter().enumerate() {
+            let Some((a, b, _)) = input else { continue };
+            for i in 0..PIECES {
+                let p = STRIDE * i + j;
+                for (of_b, digit) in [(true, a[p]), (false, b[p])] {
+                    if digit != 0 {
+                        digits[counts[l]][l] = (i, of_b, digit);
+                        counts[l] += 1;
+                    }
+                }
+            }
+        }
+        let rounds = counts.into_iter().max().unwrap_or(0);
+        let doubled = acc.double();
+        if rounds == 0 {
+            if j == 0 {
+                return doubled.to_extended().to_lanes();
+            }
+            acc = doubled.to_projective();
+        } else {
+            let mut ext = doubled.to_extended();
+            for (round, dealt_digits) in digits.iter().enumerate().take(rounds) {
+                let mut negative = 0u8;
+                let dealt: [&CachedPoint; 8] = std::array::from_fn(|l| match &inputs[l] {
+                    Some((_, _, tables)) if round < counts[l] => {
+                        let (i, of_b, digit) = dealt_digits[l];
+                        negative |= u8::from(digit < 0) << l;
+                        if of_b {
+                            base[i].entry(digit)
+                        } else {
+                            tables[i].entry(digit)
+                        }
+                    }
+                    _ => &CachedPoint::IDENTITY,
+                });
+                ext = ext.add_cached(&CachedX8::gather(dealt, negative));
+            }
+            if j == 0 {
+                return ext.to_lanes();
+            }
+            acc = ext.projective();
+        }
+        j -= 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use super::super::{NafLookupTable, StrausTerm};
+    use super::super::{NafLookupTable, PreparedPoint, StrausTerm};
     use super::*;
 
     /// A deterministic xorshift stream.
@@ -681,6 +797,50 @@ mod tests {
                 let lanes = straus(&base, &terms[..n]);
                 let one = Point::multiscalar_mul_basepoint(&base, &terms[..n]);
                 assert!(lanes.eq_point(&one), "{n} terms");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_stride_chains_match_the_scalar_chain_in_every_lane() {
+        let b = Point::basepoint();
+        let points: Vec<PreparedPoint> = (0..8u64)
+            .map(|i| PreparedPoint::new(&b.mul_scalar(&Scalar::from_u64(3 * i + 5))))
+            .collect();
+        let mut stream = Stream(0x0bad_5eed_1234_5678);
+        let minus_one = Scalar::ZERO.sub(Scalar::ONE);
+        let mut scalars = vec![
+            (Scalar::ZERO, Scalar::ZERO),
+            (Scalar::ONE, Scalar::ZERO),
+            (Scalar::ZERO, Scalar::ONE),
+            (minus_one, minus_one),
+        ];
+        scalars.extend((0..12).map(|_| {
+            let mut scalar = || Scalar::from_bytes_mod_order(&stream.bytes());
+            (scalar(), scalar())
+        }));
+        // Every pair of scalars in every lane, beside lanes without a
+        // chain in every pattern of a 3-cycle, and all eight empty.
+        for offset in 0..scalars.len() {
+            for empty in 0..4 {
+                let chains: [StrideChain<'_>; 8] = std::array::from_fn(|l| {
+                    let (a, b) = &scalars[(offset + l) % scalars.len()];
+                    ((l + empty) % 3 != 0 || empty == 3).then_some((a, b, &points[l]))
+                });
+                let chains = if offset == 0 && empty == 0 {
+                    [None; 8]
+                } else {
+                    chains
+                };
+                for (l, (lane, chain)) in stride_chains(chains).iter().zip(chains).enumerate() {
+                    let expect = chain.map_or_else(Point::identity, |(a, b, q)| {
+                        q.double_scalar_mul_basepoint(a, b)
+                    });
+                    assert!(
+                        lane.eq_point(&expect),
+                        "offset {offset}, empty {empty}, lane {l}"
+                    );
+                }
             }
         }
     }

@@ -291,6 +291,28 @@ impl Fe {
         safegcd::invert(self)
     }
 
+    /// [`Fe::invert`] of each of `xs`, for one inversion and 3N
+    /// multiplications (Montgomery's trick): the product of all is
+    /// inverted once, then each inverse is peeled off it. Every element
+    /// must be nonzero — one zero turns every result to zero.
+    pub(crate) fn invert_each<const N: usize>(xs: [Fe; N]) -> [Fe; N] {
+        // before[i]: the product of xs[..i].
+        let mut before = [Fe::ONE; N];
+        let mut product = Fe::ONE;
+        for (b, x) in before.iter_mut().zip(xs) {
+            *b = product;
+            product = product.mul(x);
+        }
+        // Walking down, `inverse` is 1 / (the product of xs[..=i]).
+        let mut inverse = product.invert();
+        let mut out = [Fe::ZERO; N];
+        for i in (0..N).rev() {
+            out[i] = inverse.mul(before[i]);
+            inverse = inverse.mul(xs[i]);
+        }
+        out
+    }
+
     /// Multiplicative inverse via Fermat, `self^(p−2)`: the reference
     /// [`Fe::invert`] is tested against.
     #[cfg(test)]
@@ -710,6 +732,23 @@ mod tests {
             let x = fe(n);
             assert!(x.mul(x.invert()).ct_eq(Fe::ONE), "n = {n}");
         }
+    }
+
+    #[test]
+    fn inverting_each_is_inverting_one_at_a_time() {
+        let mut walk = fe(5);
+        let xs: [Fe; 8] = std::array::from_fn(|_| {
+            walk = walk.mul(walk).add(fe(11));
+            walk
+        });
+        let each = Fe::invert_each(xs);
+        for (i, (x, inverse)) in xs.iter().zip(each).enumerate() {
+            assert_eq!(inverse.to_bytes(), x.invert().to_bytes(), "element {i}");
+        }
+        assert_eq!(
+            Fe::invert_each([fe(2)])[0].to_bytes(),
+            fe(2).invert().to_bytes()
+        );
     }
 
     #[test]

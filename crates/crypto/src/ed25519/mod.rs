@@ -304,6 +304,41 @@ impl PreparedKey {
         c.check(&self.neg_a.double_scalar_mul_basepoint(&c.s, &c.k))
     }
 
+    /// [`Self::verify`] of up to eight `(message, signature, key)`, each
+    /// under its own prepared key: lane `i` is whether `items[i]`
+    /// verifies, exactly as its own `verify` says; lanes past
+    /// `items.len()` read `false`. Each verdict is its item's alone — a
+    /// forgery in one lane moves no other — so a `false` needs no
+    /// fallback to find its culprit.
+    ///
+    /// The eight `[s]B + [k](−A)` are stride chains of the same 32
+    /// doublings, so a build with the eight-lane engine runs them as one
+    /// vector chain, each lane adding its own digits from its own key's
+    /// tables (elsewhere one after another); the eight `R`s are then
+    /// compared under one shared inversion, and only an `R` that does not
+    /// match tries the torsion translates, alone. From three items on it
+    /// costs less than a [`Self::verify`] each (EXPERIMENTS.md C3).
+    ///
+    /// # Panics
+    ///
+    /// When given more than eight items.
+    #[must_use]
+    pub fn verify_eight(items: &[(&[u8], &Signature, &PreparedKey)]) -> [bool; 8] {
+        assert!(items.len() <= 8, "at most eight items");
+        let challenges: [Option<(Challenge, &PreparedPoint)>; 8] = std::array::from_fn(|i| {
+            let (message, signature, key) = items.get(i)?;
+            let c = Challenge::new(&key.key, message, signature).ok()?;
+            Some((c, &key.neg_a))
+        });
+        let chains = std::array::from_fn(|i| {
+            let (c, neg_a) = challenges[i].as_ref()?;
+            Some((&c.s, &c.k, *neg_a))
+        });
+        let sums = PreparedPoint::double_scalar_mul_basepoint_eight(chains);
+        let nonces = std::array::from_fn(|i| challenges[i].as_ref().map(|(c, _)| &c.r));
+        Point::match_encodings_up_to_torsion(&sums, nonces)
+    }
+
     /// Whether every `(message, signature)` of `items` verifies under this
     /// key: `true` exactly when each one's [`Self::verify`] succeeds (but
     /// for the ~2⁻¹²⁸ chance of [`batch_holds`]), `false` as soon as an
@@ -556,24 +591,55 @@ pub fn first_lone_failure(items: &[(&[u8], &Signature, &VerifyingKey)]) -> Optio
 pub fn batch_holds(items: &[(&[u8], &Signature, &VerifyingKey)]) -> bool {
     let seed = batch_seed(items.iter().copied());
 
-    // One pass, one vector: each signature contributes [z]R and [z·k]A,
-    // whose points the equation decompresses from the encodings after.
+    // One pass, one vector: each signature contributes [z]R, and each key
+    // one [Σ z·k]A over the signatures under it, at its first item — in a
+    // `fig4_cold` read, sixteen head seals under the one root key are one
+    // term, one decompression and one table. The equation decompresses
+    // the points from the encodings after. (A sum that differs from the
+    // terms' by a multiple of ℓ moves the equation by a point of small
+    // order, which the factor 8 removes.)
     let mut terms = Vec::with_capacity(2 * items.len());
     let mut b_coeff = Scalar::ZERO;
-    for ((message, signature, key), z) in items.iter().zip(batch_coefficients(&seed)) {
+    for (i, ((message, signature, key), z)) in
+        items.iter().zip(batch_coefficients(&seed)).enumerate()
+    {
         let Some(s) = Scalar::from_canonical_bytes(s_of(signature)) else {
             return false;
         };
-        let k = challenge_scalar(r_of(signature), key.as_bytes(), message);
         b_coeff = b_coeff.add(z.mul(s));
         terms.push(StrausTerm::unfilled(&z));
-        terms.push(StrausTerm::unfilled(&z.mul(k)));
+        if !first_under_key(items, i) {
+            continue;
+        }
+        let k = challenge_scalar(r_of(signature), key.as_bytes(), message);
+        let zk = items
+            .iter()
+            .enumerate()
+            .skip(i + 1)
+            .filter(|(_, (_, _, other))| other == key)
+            .fold(z.mul(k), |zk, (j, (message, signature, _))| {
+                let k = challenge_scalar(r_of(signature), key.as_bytes(), message);
+                zk.add(batch_coefficient(&seed, j).mul(k))
+            });
+        terms.push(StrausTerm::unfilled(&zk));
     }
     let encodings = items
         .iter()
-        .flat_map(|(_, signature, key)| [r_of(signature), key.as_bytes()]);
-    Point::multiscalar_mul_encoded(&b_coeff.neg(), &mut terms, encodings)
+        .enumerate()
+        .flat_map(|(i, (_, signature, key))| {
+            [
+                Some(r_of(signature)),
+                first_under_key(items, i).then(|| key.as_bytes()),
+            ]
+        });
+    Point::multiscalar_mul_encoded(&b_coeff.neg(), &mut terms, encodings.flatten())
         .is_some_and(|sum| sum.is_small_order())
+}
+
+/// Whether no item before `items[i]` is under its key.
+fn first_under_key(items: &[(&[u8], &Signature, &VerifyingKey)], i: usize) -> bool {
+    let key = items[i].2;
+    items[..i].iter().all(|(_, _, other)| *other != key)
 }
 
 /// A signature's `R`, as sent.
@@ -607,15 +673,23 @@ fn batch_seed<'a>(
 /// lane `i % 4` of the four 128-bit lanes of `SHA-512(seed ‖ i / 4)`,
 /// forced odd.
 fn batch_coefficients(seed: &[u8; 64]) -> impl Iterator<Item = Scalar> + '_ {
-    (0u64..).flat_map(move |block| {
-        let mut h = Sha512::new();
-        h.update(seed);
-        h.update(&block.to_le_bytes());
-        let digest = h.finalize();
-        (0..4).map(move |lane| {
-            let z_bytes: [u8; 16] = digest[16 * lane..16 * lane + 16].try_into().expect("split");
-            Scalar::from_u128(u128::from_le_bytes(z_bytes) | 1)
-        })
+    (0u64..).flat_map(move |block| coefficient_block(seed, block))
+}
+
+/// `z_i` of [`batch_coefficients`] alone, at one hash.
+fn batch_coefficient(seed: &[u8; 64], i: usize) -> Scalar {
+    coefficient_block(seed, (i / 4) as u64)[i % 4]
+}
+
+/// `z_{4·block}` to `z_{4·block + 3}` of [`batch_coefficients`].
+fn coefficient_block(seed: &[u8; 64], block: u64) -> [Scalar; 4] {
+    let mut h = Sha512::new();
+    h.update(seed);
+    h.update(&block.to_le_bytes());
+    let digest = h.finalize();
+    std::array::from_fn(|lane| {
+        let z_bytes: [u8; 16] = digest[16 * lane..16 * lane + 16].try_into().expect("split");
+        Scalar::from_u128(u128::from_le_bytes(z_bytes) | 1)
     })
 }
 
@@ -1100,6 +1174,113 @@ mod tests {
         }
     }
 
+    /// Lone checks eight to a lane run, at group sizes 1–17 (so every
+    /// fill of a run of eight, and runs beside runs), under five prepared
+    /// keys, each verdict equal to that item's own `PreparedKey::verify`:
+    /// honest, and with one forgery of each kind at every position — a
+    /// flipped bit of `s`, `s ≥ ℓ`, an `R` that is no point, an `R` off by
+    /// a point of order 8 (which the cofactored check accepts, after
+    /// trying the translates), a wrong message.
+    #[test]
+    fn eight_lane_checks_agree_with_lone_checks_at_every_group_size() {
+        let signers: Vec<SigningKey> = (0..5u8)
+            .map(|i| SigningKey::from_seed(&[90 + i; 32]))
+            .collect();
+        let keys: Vec<PreparedKey> = signers
+            .iter()
+            .map(|sk| PreparedKey::new(&sk.verifying_key().decompress().unwrap()))
+            .collect();
+        let order_8 = Point::decompress(&edwards::ORDER_8).unwrap();
+        let messages: Vec<Vec<u8>> = (0..17u32).map(|i| i.to_le_bytes().repeat(5)).collect();
+        let signer = |i: usize| (&signers[i % signers.len()], &keys[i % keys.len()]);
+        let honest: Vec<Signature> = (0..17).map(|i| signer(i).0.sign(&messages[i])).collect();
+        let forge = |kind: usize, i: usize| {
+            let mut sig = honest[i];
+            let mut message = messages[i].clone();
+            match kind {
+                0 => sig.0[40] ^= 1,
+                1 => sig.0[32..].copy_from_slice(&[0xff; 32]),
+                2 => sig.0[..32].copy_from_slice(&[2u8; 32]),
+                3 => sig = torsioned(signer(i).0, &message, 1000 + i as u64, &order_8),
+                _ => message[0] ^= 1,
+            }
+            (message, sig)
+        };
+        let lanes = |items: &[(&[u8], &Signature, &PreparedKey)]| -> Vec<bool> {
+            items
+                .chunks(8)
+                .flat_map(|run| {
+                    let verdicts = PreparedKey::verify_eight(run);
+                    assert!(verdicts[run.len()..].iter().all(|v| !v), "an empty lane");
+                    verdicts.into_iter().take(run.len())
+                })
+                .collect()
+        };
+        let mut verdicts = [0usize; 2];
+        for n in 1..=17 {
+            let items: Vec<(&[u8], &Signature, &PreparedKey)> = (0..n)
+                .map(|i| (messages[i].as_slice(), &honest[i], signer(i).1))
+                .collect();
+            assert!(lanes(&items).iter().all(|v| *v), "n = {n}");
+            for at in 0..n {
+                for kind in 0..5 {
+                    let (message, sig) = forge(kind, at);
+                    let mut forged = items.clone();
+                    forged[at] = (&message, &sig, signer(at).1);
+                    let lone: Vec<bool> = forged
+                        .iter()
+                        .map(|(m, s, key)| key.verify(m, s).is_ok())
+                        .collect();
+                    assert_eq!(lanes(&forged), lone, "n = {n}, kind {kind} at {at}");
+                    verdicts[usize::from(lone[at])] += 1;
+                }
+            }
+        }
+        // Both verdicts occurred: the torsioned R verifies, the rest not.
+        assert!(verdicts[0] > 0 && verdicts[1] > 0, "{verdicts:?}");
+        assert_eq!(PreparedKey::verify_eight(&[]), [false; 8]);
+    }
+
+    /// `batch_holds` merges the key terms of items under one key into
+    /// one term; the equation still says what the lone checks say, a
+    /// forgery under a merged key included.
+    #[test]
+    fn merged_key_terms_keep_the_lone_verdicts() {
+        let root = SigningKey::from_seed(&[100u8; 32]);
+        let others: Vec<SigningKey> = (0..6u8)
+            .map(|i| SigningKey::from_seed(&[20 + i; 32]))
+            .collect();
+        // The shape of a fig4_cold read: a root-sealed head, then links
+        // under keys of their own, six keys for twenty-four links.
+        let signers: Vec<&SigningKey> = (0..30)
+            .map(|i| match i % 5 {
+                0 => &root,
+                _ => &others[i % others.len()],
+            })
+            .collect();
+        let vks: Vec<VerifyingKey> = signers.iter().map(|sk| sk.verifying_key()).collect();
+        let messages: Vec<Vec<u8>> = (0..30u32).map(|i| i.to_le_bytes().repeat(4)).collect();
+        let sigs: Vec<Signature> = signers
+            .iter()
+            .zip(&messages)
+            .map(|(sk, m)| sk.sign(m))
+            .collect();
+        for n in [2, 5, 10, 16, 30] {
+            let items: Vec<(&[u8], &Signature, &VerifyingKey)> = (0..n)
+                .map(|i| (messages[i].as_slice(), &sigs[i], &vks[i]))
+                .collect();
+            assert!(batch_holds(&items), "n = {n}");
+            for at in 0..n {
+                let mut forged_sig = sigs[at];
+                forged_sig.0[33] ^= 2;
+                let mut forged = items.clone();
+                forged[at].1 = &forged_sig;
+                assert!(!batch_holds(&forged), "n = {n}, forged at {at}");
+                assert_eq!(first_failure(&forged), Some(at), "n = {n}");
+            }
+        }
+    }
+
     #[test]
     fn batch_coefficients_are_odd_distinct_and_seeded() {
         let coefficients =
@@ -1112,6 +1293,9 @@ mod tests {
             assert!(!zs[..i].contains(z), "z_{i} repeats an earlier one");
         }
         assert_eq!(zs, coefficients(1));
+        for (i, z) in zs.iter().enumerate() {
+            assert_eq!(&batch_coefficient(&[1; 64], i), z, "z_{i} alone");
+        }
         let other = coefficients(2);
         assert!(zs.iter().zip(&other).all(|(a, b)| a != b));
     }

@@ -11,7 +11,12 @@
 //! * **second sighting** — build the key's [`PreparedKey`] from the kept
 //!   point (three quarters of a verification, once) and verify with it;
 //! * **later sightings** — [`PreparedKey::verify`]: no decompression, no
-//!   table build, an eighth of the doubling chain.
+//!   table build, an eighth of the doubling chain. A settle step asks
+//!   [`KeyTable::prepared`] first, and the group's lone checks under
+//!   prepared keys settle together — eight to a run of lanes
+//!   ([`PreparedKey::verify_eight`]), or one equation under a key that
+//!   many of them share — leaving the rest, and every check under a key
+//!   not yet prepared, to [`KeyTable::verify`].
 //!
 //! Promotion waits for the second sighting because most keys never come
 //! back — the proxy key of a one-shot chain, say — and preparing costs

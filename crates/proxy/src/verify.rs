@@ -47,10 +47,27 @@ const MAX_EQUATION_CHECKS: usize = 80;
 
 /// Fewest lone checks under one prepared key that settle as one
 /// equation ([`ed25519::PreparedKey::holds_all`]). Below it, as many
-/// prepared lone checks cost no more: the equation reads 1.00× their
-/// time at four, 0.98× at five and 0.89× at six (EXPERIMENTS.md C3,
-/// `one-key/n` against `prepared-lone×n`).
+/// prepared lone checks cost no more: on the scalar chain the equation
+/// read 1.08× their time at four and 0.99× at five (EXPERIMENTS.md C3,
+/// the one-key table's `parent` columns). Against runs of eight lanes
+/// ([`MIN_LANE_LONE_CHECKS`]) the stopwatch puts the break-even near
+/// twenty (`one-key/n` against `prepared-lone-lanes/n`: 1.25× at
+/// sixteen, 1.02× at twenty), but no workload has from five to fifteen
+/// lone checks under one key, and `fig5_mem`'s reads of sixteen under
+/// one payor were no faster in lanes end to end (54.4k ops/s against
+/// the equation's 55.5k), so the threshold stays where the scalar
+/// chain put it, on every build.
 const MIN_ONE_KEY_CHECKS: usize = 5;
+
+/// Fewest lone checks under prepared keys that settle as one run of
+/// eight lanes ([`ed25519::PreparedKey::verify_eight`]), the lanes past
+/// them padding. One run reads 1.12× two lone checks' time, 0.81× three
+/// and 0.38× eight (EXPERIMENTS.md C3, `prepared-lone-lanes/n` against
+/// `prepared-lone×n/n`); so a group's lone checks settle eight at a time,
+/// and a last run of one or two alone. A build without the lanes runs
+/// the eight chains one after another and shares one inversion among
+/// them, which no count of lone checks pays more for.
+const MIN_LANE_LONE_CHECKS: usize = 3;
 
 /// An Ed25519 check postponed so that everything a presentation asks of
 /// the curve — its uncached seals and its possession proof — is settled
@@ -110,9 +127,11 @@ pub struct Prepared {
     expires: Timestamp,
     /// The request's time, which the seal cache is probed and filled at.
     now: Timestamp,
-    /// Its one pending check held in an equation with the group's other
-    /// lone checks under the same key.
-    held: bool,
+    /// The verdict on its one pending check, when the settle step gave
+    /// it before the equations: in an equation with the group's other
+    /// lone checks under the same key (only ever `true`: a failed one
+    /// decides nothing), or in a lane beside seven other lone checks.
+    lone_verdict: Option<bool>,
 }
 
 impl Prepared {
@@ -269,7 +288,7 @@ impl<R: KeyResolver> Verifier<R> {
             scratch: Vec::new(),
             expires: Timestamp::MAX,
             now,
-            held: false,
+            lone_verdict: None,
         };
         prepared.verdict = self.walk(presentation, &mut prepared);
         if prepared.verdict.is_err() {
@@ -423,27 +442,32 @@ impl<R: KeyResolver> Verifier<R> {
 
     /// Settles every pending check of `group`, in order.
     ///
-    /// The presentations whose checks would each settle as an equation
-    /// (two or more) share one, in equations of at most eighty checks,
-    /// so the Straus tables of one (~3 KiB a check) stay bounded however
-    /// large the group. The lone checks of the group that share a key —
-    /// a bank's deposits under one payor — settle in one equation under
-    /// that key ([`ed25519::PreparedKey::holds_all`]), at least five of
-    /// them and at most eighty to an equation, when the key table holds
-    /// the key prepared; any other lone check settles through the key
-    /// table. When a shared equation fails, or has a single member, each
-    /// of its members settles on its own as [`Self::verify`] would:
-    /// `first_failure` runs its equation and, if that fails, repeats
-    /// each check alone, in chain order with the proof last, up to the
-    /// first that fails. So a verdict, and the index it blames, never
-    /// depend on the group. If every seal of a presentation holds the
-    /// positive results enter the cache — even when its proof then
-    /// fails: a seal's validity does not depend on who presents it — and
-    /// if any seal fails none of its seals do. Only seal validity is
-    /// ever cached, never a request-dependent decision.
+    /// The presentations whose checks would each settle as an equation (two
+    /// or more) share one, in equations of at most eighty checks, so the
+    /// Straus tables of one (~3 KiB a check) stay bounded however large the
+    /// group. A group's lone checks under keys the table holds prepared
+    /// settle together: five or more under one key (`MIN_ONE_KEY_CHECKS`) — a
+    /// bank's deposits under one payor — in one equation under that key
+    /// ([`ed25519::PreparedKey::holds_all`], at most eighty to an equation),
+    /// and the rest, a read's possession proofs each under its own chain's
+    /// key among them, eight at a time in lanes
+    /// ([`ed25519::PreparedKey::verify_eight`]), from three up
+    /// (`MIN_LANE_LONE_CHECKS`), each on its own verdict. Any other lone
+    /// check settles through the key table, which promotes a key on its
+    /// second sighting. When a shared equation fails, or has a single member,
+    /// each of its members settles on its own as [`Self::verify`] would:
+    /// `first_failure` runs its equation and, if that fails, repeats each
+    /// check alone, in chain order with the proof last, up to the first that
+    /// fails. So a verdict, and the index it blames, never depend on the
+    /// group. If every seal of a presentation holds, the positive results
+    /// enter the cache — even when its proof then fails: a seal's validity
+    /// does not depend on who presents it — and if any seal fails none of its
+    /// seals do. Only seal validity is ever cached, never a request-dependent
+    /// decision.
     pub fn settle(&self, group: &mut [Prepared]) {
         rank::assert_unheld("Verifier::settle");
         self.settle_shared_keys(group);
+        self.settle_lone_lanes(group);
         let mut rest = group;
         while !rest.is_empty() {
             let (len, members) = next_equation(rest);
@@ -458,22 +482,22 @@ impl<R: KeyResolver> Verifier<R> {
                 ed25519::batch_holds(&items)
             };
             for p in chunk {
-                let failed = if p.held || (holds && p.joins_equation()) {
-                    None
-                } else {
-                    self.first_failure(p)
+                let failed = match p.lone_verdict {
+                    Some(verified) => (!verified).then_some(0),
+                    None if holds && p.joins_equation() => None,
+                    None => self.first_failure(p),
                 };
                 self.record(p, failed);
             }
         }
     }
 
-    /// Marks `held` every lone check of `group` whose key's equation holds:
-    /// one equation per key, over the lone checks under it, when there
-    /// are [`MIN_ONE_KEY_CHECKS`] or more and the key table holds the key
-    /// prepared. Marks nothing else: a check under a key seen only once
-    /// (which this never prepares), or in an equation that failed, then
-    /// settles alone through the key table, as it would have.
+    /// Gives every lone check of `group` whose key's equation holds the
+    /// verdict `true`: one equation per key, over the lone checks under
+    /// it, when there are [`MIN_ONE_KEY_CHECKS`] or more and the key
+    /// table holds the key prepared. Decides nothing else: a check under
+    /// a key seen only once (which this never prepares), or in an
+    /// equation that failed, is left to the lanes or the key table.
     fn settle_shared_keys(&self, group: &mut [Prepared]) {
         let mut members = Vec::new();
         for first in 0..group.len() {
@@ -501,10 +525,46 @@ impl<R: KeyResolver> Verifier<R> {
                     .collect();
                 if prepared.holds_all(&items) {
                     for &i in equation {
-                        group[i].held = true;
+                        group[i].lone_verdict = Some(true);
                     }
                 }
             }
+        }
+    }
+
+    /// Gives the lone checks of `group` still without a verdict whose key
+    /// the table holds prepared their verdicts, eight to a run of lanes,
+    /// and the last run only if it has [`MIN_LANE_LONE_CHECKS`]; the rest
+    /// — a short last run, a check under a key seen once or not at all —
+    /// settle alone through the key table, which promotes as ever. A
+    /// group with fewer undecided lone checks than a run needs — a lone
+    /// request, a read that was not pipelined — probes no slot. The run
+    /// holds the `Arc`s the probe handed out: no slot is held while the
+    /// lanes run.
+    fn settle_lone_lanes(&self, group: &mut [Prepared]) {
+        let undecided = |p: &&Prepared| p.lone_verdict.is_none() && p.lone_key().is_some();
+        if group.iter().filter(undecided).count() < MIN_LANE_LONE_CHECKS {
+            return;
+        }
+        let mut run: [Option<(usize, Arc<ed25519::PreparedKey>)>; 8] = Default::default();
+        let mut filled = 0;
+        for i in 0..group.len() {
+            if group[i].lone_verdict.is_some() {
+                continue;
+            }
+            let Some(prepared) = group[i].lone_key().and_then(|key| self.keys.prepared(&key))
+            else {
+                continue;
+            };
+            run[filled] = Some((i, prepared));
+            filled += 1;
+            if filled == run.len() {
+                settle_run(group, &mut run);
+                filled = 0;
+            }
+        }
+        if filled >= MIN_LANE_LONE_CHECKS {
+            settle_run(group, &mut run);
         }
     }
 
@@ -593,6 +653,30 @@ impl<R: KeyResolver> Verifier<R> {
             expires: prepared.expires,
             chain_len: certs.len(),
         })
+    }
+}
+
+/// Settles the lone checks `run` names, filled from its front, one lane
+/// each, and empties it.
+fn settle_run(group: &mut [Prepared], run: &mut [Option<(usize, Arc<ed25519::PreparedKey>)>; 8]) {
+    // Curve arithmetic, which no slot may wait behind.
+    rank::assert_unheld("settle_run");
+    let verdicts = {
+        let lanes = run.each_ref().map(|lane| {
+            let (i, key) = lane.as_ref()?;
+            let (message, sig, _) = group[*i].items().next()?;
+            Some((message, sig, &**key))
+        });
+        let Some(filler) = lanes[0] else {
+            return;
+        };
+        let filled = lanes.iter().flatten().count();
+        ed25519::PreparedKey::verify_eight(&lanes.map(|lane| lane.unwrap_or(filler))[..filled])
+    };
+    for (lane, verified) in run.iter_mut().zip(verdicts) {
+        if let Some((i, _)) = lane.take() {
+            group[i].lone_verdict = Some(verified);
+        }
     }
 }
 
@@ -909,6 +993,61 @@ mod tests {
         verifier
             .keys
             .holding_slot_of(&key, || verifier.settle(&mut again));
+    }
+
+    /// A read's lone checks under eight prepared keys — eight one-link
+    /// delegate proxies, each presented by identity, under eight
+    /// grantors the verifier has seen twice — settle in lanes. The run
+    /// itself, its keys probed first and then settled while one key's
+    /// slot is held, trips the witness (past `settle`'s own entry check,
+    /// which `a_group_settled_under_a_slot_guard_trips_the_witness`
+    /// drives).
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "settle_run entered holding")]
+    fn a_lane_run_settled_under_a_slot_trips_the_witness() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let grantors: Vec<(PrincipalId, SigningKey)> = (0..8)
+            .map(|i| (p(&format!("grantor-{i}")), SigningKey::generate(&mut rng)))
+            .collect();
+        let mut resolver = MapResolver::new();
+        for (name, sk) in &grantors {
+            resolver.insert(name.clone(), GrantorVerifier::PublicKey(sk.verifying_key()));
+        }
+        let verifier = Verifier::new(p("fs"), resolver);
+        let read = |rng: &mut StdRng| -> Vec<Prepared> {
+            grantors
+                .iter()
+                .map(|(name, sk)| {
+                    let proxy = grant(
+                        name,
+                        &GrantAuthority::Keypair(sk.clone()),
+                        RestrictionSet::new().with(Restriction::grantee_one(p("bob"))),
+                        window(),
+                        1,
+                        rng,
+                    );
+                    verifier.prepare(&proxy.present_delegate(), Timestamp(10))
+                })
+                .collect()
+        };
+        // Seen once, then prepared on the second sighting.
+        for _ in 0..2 {
+            verifier.settle(&mut read(&mut rng));
+        }
+        let mut lanes = read(&mut rng);
+        verifier.settle(&mut lanes);
+        assert!(lanes.iter().all(|p| p.lone_verdict == Some(true)));
+        let mut again = read(&mut rng);
+        let mut run: [Option<(usize, Arc<ed25519::PreparedKey>)>; 8] = Default::default();
+        for (i, lane) in run.iter_mut().enumerate() {
+            let key = again[i].lone_key().expect("a lone check");
+            *lane = Some((i, verifier.keys.prepared(&key).expect("prepared")));
+        }
+        let key = grantors[0].1.verifying_key();
+        verifier
+            .keys
+            .holding_slot_of(&key, || settle_run(&mut again, &mut run));
     }
 
     #[test]

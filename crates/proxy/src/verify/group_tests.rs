@@ -523,8 +523,9 @@ fn lone_check(world: &World, rng: &mut StdRng, id: u64) -> Presentation {
 /// Groups of 1–16 lone checks under one key — the shape of a bank's
 /// deposits under one payor — with forged seals, expired links, revoked
 /// serials and replayed accept-once ids at random places, settle as one
-/// group exactly as one by one: verdicts, marks, and cached seals. Runs
-/// of five or more settle in one equation under the prepared key.
+/// group exactly as one by one: verdicts, marks, and cached seals. Five
+/// or more settle in one equation under the prepared key, and in runs of
+/// eight lanes when it fails; three or four in one run of lanes.
 #[test]
 fn lone_checks_under_one_key_equal_sequential_verify() {
     let mut rng = StdRng::seed_from_u64(35);
@@ -584,9 +585,9 @@ fn lone_checks_under_one_key_equal_sequential_verify() {
 }
 
 /// Sixteen lone checks under alice's prepared key with one forged seal:
-/// the one-key equation fails, every check settles alone, and only the
-/// forgery is refused — at every position — while the fifteen honest
-/// seals are cached.
+/// the one-key equation fails, every check then gets its own verdict in
+/// two runs of eight lanes, and only the forgery is refused — at every
+/// position — while the fifteen honest seals are cached.
 #[test]
 fn a_failed_one_key_equation_blames_only_the_forgery() {
     let mut rng = StdRng::seed_from_u64(36);
@@ -619,6 +620,62 @@ fn a_failed_one_key_equation_blames_only_the_forgery() {
             }
         }
         assert_eq!(verifier.seal_cache().unwrap().len(), 2 + 15);
+    }
+}
+
+/// `MIN_ONE_KEY_CHECKS` honest lone checks under alice's prepared key —
+/// and sixteen, a `fig5_mem` read — settle in the one-key equation, which
+/// gives each of them the verdict `true` before any lane or lone check
+/// runs; one check fewer is left undecided. Settled whole, the group
+/// decides what `verify` decides one by one.
+#[test]
+fn a_one_key_equation_that_holds_decides_every_lone_check() {
+    let mut rng = StdRng::seed_from_u64(39);
+    let world = World::seeded(&mut rng);
+    let mut id = 6000;
+    let mut checks = |n: usize| -> Vec<Presentation> {
+        (0..n)
+            .map(|_| {
+                id += 1;
+                lone_check(&world, &mut rng, id)
+            })
+            .collect()
+    };
+    for n in [MIN_ONE_KEY_CHECKS - 1, MIN_ONE_KEY_CHECKS, 16] {
+        let (grouped, sequential) = (world.verifier(1024), world.verifier(1024));
+        // Alice's key seen twice: prepared.
+        for warm in checks(2) {
+            for verifier in [&grouped, &sequential] {
+                assert!(verifier
+                    .verify(&warm, &ctx(), &mut ReplayCache::new())
+                    .is_ok());
+            }
+        }
+        let presentations = checks(n);
+        let mut group: Vec<Prepared> = presentations
+            .iter()
+            .map(|pres| grouped.prepare(pres, ctx().now))
+            .collect();
+        grouped.settle_shared_keys(&mut group);
+        let expect_verdict = (n >= MIN_ONE_KEY_CHECKS).then_some(true);
+        assert!(
+            group.iter().all(|p| p.lone_verdict == expect_verdict),
+            "n = {n}"
+        );
+        grouped.settle(&mut group);
+        let (mut grouped_replay, mut sequential_replay) = (ReplayCache::new(), ReplayCache::new());
+        for (pres, prepared) in presentations.iter().zip(&group) {
+            assert_eq!(
+                grouped.finish(prepared, pres, &ctx(), &mut grouped_replay),
+                sequential.verify(pres, &ctx(), &mut sequential_replay),
+                "n = {n}"
+            );
+        }
+        assert_eq!(
+            grouped.seal_cache().unwrap().entries(),
+            sequential.seal_cache().unwrap().entries(),
+            "n = {n}"
+        );
     }
 }
 
@@ -668,4 +725,119 @@ fn the_group_path_never_prepares_a_key() {
             assert_eq!(stage(&grouped), Some(expect), "{seen_before} + {size}");
         }
     }
+}
+
+/// A one-link delegate proxy `grantor` grants to fsworker under
+/// accept-once id `id`, presented by identity: one pending check, its
+/// seal, under `grantor`'s key.
+fn delegate_check(
+    grantor: &(PrincipalId, GrantAuthority),
+    rng: &mut StdRng,
+    id: u64,
+) -> Presentation {
+    grant(
+        &grantor.0,
+        &grantor.1,
+        RestrictionSet::new()
+            .with(Restriction::grantee_one(p("fsworker")))
+            .with(Restriction::AcceptOnce { id }),
+        window(),
+        id,
+        rng,
+    )
+    .present_delegate()
+}
+
+/// Groups of 1–24 lone checks under twelve grantors' keys — six often
+/// seen, so soon prepared, and six seldom, so seen once or never when a
+/// group arrives — with forged seals, expired links and a check
+/// presented twice at random places, settle as one group exactly as one
+/// by one: verdicts and blamed indices, accept-once marks and cached
+/// seals. The lone checks under prepared keys settle early — five or more
+/// under one key in a one-key equation, the rest in lanes, a forged seal
+/// among them included; the others settle through the key table.
+#[test]
+fn lone_checks_under_mixed_keys_settle_early_as_one_by_one() {
+    let mut rng = StdRng::seed_from_u64(38);
+    let grantors: Vec<(PrincipalId, GrantAuthority)> = (0..12)
+        .map(|i| {
+            let authority = GrantAuthority::Keypair(SigningKey::generate(&mut rng));
+            (p(&format!("grantor-{i}")), authority)
+        })
+        .collect();
+    let forger = SigningKey::generate(&mut rng);
+    let mut resolver = MapResolver::new();
+    for (name, authority) in &grantors {
+        resolver.insert(name.clone(), authority.verifier());
+    }
+    let verifier = || Verifier::new(p("fs"), resolver.clone()).with_seal_cache(1 << 14);
+    let (grouped, sequential) = (verifier(), verifier());
+    let (mut grouped_replay, mut sequential_replay) = (ReplayCache::new(), ReplayCache::new());
+    let ctx = ctx();
+    let (mut early, mut refused_early, mut alone) = (0, 0, 0);
+    let mut next_id = 5000;
+    for round in 0..40 {
+        let size = rng.gen_range(1..25);
+        let mut presentations: Vec<Presentation> = Vec::with_capacity(size);
+        while presentations.len() < size {
+            next_id += 1;
+            let grantor = if rng.gen_range(0..5) == 0 {
+                rng.gen_range(6..12)
+            } else {
+                rng.gen_range(0..6)
+            };
+            let mut pres = delegate_check(&grantors[grantor], &mut rng, next_id);
+            match rng.gen_range(0..10) {
+                0 => {
+                    let body = pres.certs[0].body_bytes();
+                    pres.certs[0].seal = CertSeal::Ed25519(forger.sign(&body));
+                }
+                1 => pres.certs[0].validity = Validity::new(Timestamp(0), Timestamp(5)),
+                2 if !presentations.is_empty() => {
+                    pres = presentations[rng.gen_range(0..presentations.len())].clone();
+                }
+                _ => {}
+            }
+            presentations.push(pres);
+        }
+        let expect: Vec<_> = presentations
+            .iter()
+            .map(|pres| sequential.verify(pres, &ctx, &mut sequential_replay))
+            .collect();
+        let mut group: Vec<Prepared> = presentations
+            .iter()
+            .map(|pres| grouped.prepare(pres, ctx.now))
+            .collect();
+        grouped.settle(&mut group);
+        for prepared in &group {
+            match (prepared.lone_verdict, prepared.lone_key()) {
+                (Some(verified), _) => {
+                    early += 1;
+                    refused_early += usize::from(!verified);
+                }
+                (None, Some(_)) => alone += 1,
+                (None, None) => {}
+            }
+        }
+        let got: Vec<_> = presentations
+            .iter()
+            .zip(&group)
+            .map(|(pres, prepared)| grouped.finish(prepared, pres, &ctx, &mut grouped_replay))
+            .collect();
+        assert_eq!(got, expect, "round {round}");
+        assert_eq!(
+            marks(&grouped_replay),
+            marks(&sequential_replay),
+            "round {round}"
+        );
+        assert_eq!(
+            grouped.seal_cache().unwrap().entries(),
+            sequential.seal_cache().unwrap().entries(),
+            "round {round}"
+        );
+    }
+    assert!(
+        early > 200 && refused_early > 20 && alone > 30,
+        "{early} settled early ({refused_early} refused), {alone} alone"
+    );
 }
