@@ -67,7 +67,9 @@ fi
 # (alloc, dealloc) in runtime/src/alloc_count.rs, the call into the
 # SHA-NI compression in crypto/src/sha256/ni.rs and the one call into
 # the eight-lane AVX-512 IFMA engine in crypto/src/ed25519/edwards/
-# ifma.rs (`enter`, through which every lane kernel runs).
+# ifma.rs (`enter`, through which every lane kernel runs: decompression,
+# tables, the batch chain, the stride chains and the eight-stream
+# SHA-512 under the batch equations' challenges, seed and coefficients).
 # `epoll_create1` and `epoll_ctl` need no block: they are declared
 # `safe fn`s, the first returning `Option<OwnedFd>` (the fd is fresh
 # and owned by nothing else), the second taking the epoll fd as a
@@ -163,9 +165,11 @@ cargo test --release -q -p restricted-proxy --lib verify::group_tests
 # and a group of deposits — in-process and over TCP at depth 16 — equal
 # to the same deposits one by one. On an IFMA build the `ed25519` filter
 # also runs the eight-lane engine's oracle tests (DESIGN.md §8, "Eight
-# lanes"), both equations against lone checks at n = 1-100, and lone
-# checks eight to a run of lanes against `PreparedKey::verify` at group
-# sizes 1-17 with a forgery of each kind at every position.
+# lanes"), the eight-stream SHA-512 against `Sha512::digest` at every
+# length 0-400 in every lane, both equations against lone checks at
+# n = 1-100, and lone checks eight to a run of lanes against
+# `PreparedKey::verify` at group sizes 1-17 with a forgery of each kind
+# at every position.
 cargo test --release -q -p proxy-crypto --lib ed25519
 cargo test --release -q -p proxy-crypto --test prepared_key
 cargo test --release -q -p proxy-accounting --test deposit_group
@@ -179,7 +183,8 @@ cargo test --release -q -p proxy-accounting --test deposit_group
 # own, so both portable product paths keep their vectors, proptests and
 # equation tests (`prepared_key` among the crate's tests) here too; the
 # eight-lane lone-check test runs there on the stand-in, eight scalar
-# stride chains, which is the lanes' oracle.
+# stride chains, which is the lanes' oracle, and the lane SHA-512 tests
+# run on eight portable `Sha512`s, the hash lanes' oracle.
 RUSTFLAGS="-C target-cpu=native -C target-feature=-sha,-avx512ifma" \
     cargo test -q -p proxy-crypto --target-dir target/portable
 
@@ -233,6 +238,9 @@ require_rows "$ablate_out" ']' naive-double-and-add fixed-base-table sign \
     prepared-lone-lanes lanes-vs-prepared-lone prepared-lone-eight-keys \
     prepared-lone-lanes-eight-keys lanes-vs-prepared-lone-eight-keys \
     batch-80-shared-head shared-head-vs-distinct-keys \
+    batch-80-cert-shaped cert-shaped-vs-shared-head sha512-eight \
+    sha512-eight-portable sha512-eight-vs-portable one-key-check-shaped \
+    prepared-lone-lanes-check-shaped one-key-vs-lanes-check-shaped \
     group verify-each group-per-request verify-each-per-request \
     group-vs-verify-each cascade8-cold cascade8-warm-seal-cache \
     sha256-block sha256-block-portable hmac-87B-raw-key hmac-87B-keyed-context \
@@ -364,9 +372,11 @@ e2e_gate fig5_mem 'wire.decode_req_us' 5 'alloc.allocs_per_op' 48.1
 # One equation per read (DESIGN.md §8, "One settle step"): four seals
 # and the possession proof share one scratch buffer and one vector of
 # pending checks; the presentations of a group share one vector of
-# Straus terms, and the worker's group vectors keep their capacity.
-# 17 allocs/op today at depth 1, a group of one (33 when every deferred
-# seal copied its body and `verify_batch` built nine vectors).
+# Straus terms and one of key sums, and the worker's group vectors keep
+# their capacity. 18 allocs/op today at depth 1, a group of one (17
+# before `batch_holds` kept each key's first item and sum in a vector;
+# 33 when every deferred seal copied its body and `verify_batch` built
+# nine vectors).
 e2e_gate fig4_cold 'alloc.allocs_per_op' 25
 
 # A warm presentation is one lone check under a prepared key (DESIGN.md

@@ -1074,7 +1074,7 @@ fn a5_tgs_proxy() {
 }
 
 fn ablate_crypto() {
-    use proxy_crypto::ed25519::edwards::{Point, PreparedPoint, StrausTerm};
+    use proxy_crypto::ed25519::edwards::{sha512_eight, Point, PreparedPoint, StrausTerm};
     use proxy_crypto::ed25519::field::Fe;
     use proxy_crypto::ed25519::scalar::Scalar;
     use proxy_crypto::ed25519::{verify_batch, PreparedKey, Signature};
@@ -1283,6 +1283,70 @@ fn ablate_crypto() {
         .map(|(i, ((m, sg), key))| (m.as_slice(), sg, if i % 5 == 0 { &vk } else { key }))
         .collect();
     let shared_head_items = shared_head_items.as_slice();
+    // And the same equation as `fig4_cold` signs it: an 88-byte
+    // certificate body per check, where `batch-80-shared-head` signs ten
+    // bytes, so each check's challenge and share of the batch seed hash
+    // two blocks rather than one.
+    let cert_messages: Vec<Vec<u8>> = (0..MAX_BATCH)
+        .map(|i| {
+            let mut body = format!("certificate body {i}:").into_bytes();
+            body.resize(88, 0xc5);
+            body
+        })
+        .collect();
+    let cert_sigs: Vec<Signature> = cert_messages
+        .iter()
+        .enumerate()
+        .map(|(i, m)| {
+            if i % 5 == 0 {
+                sk.sign(m)
+            } else {
+                keys[i].sign(m)
+            }
+        })
+        .collect();
+    let cert_items: Vec<_> = cert_messages
+        .iter()
+        .zip(&cert_sigs)
+        .zip(shared_head_items)
+        .map(|((m, sg), (_, _, key))| (m.as_slice(), sg, *key))
+        .collect();
+    let cert_items = cert_items.as_slice();
+    // C3 under one key as `fig5_mem` signs: sixteen checks' certificate
+    // bodies (`write_check`'s, as the benchmark writes them), as one
+    // equation and as two runs of lanes.
+    const CHECKS: usize = 16;
+    let mut check_rng = proxy_bench::rng(14);
+    let check_bodies: Vec<Vec<u8>> = (0..CHECKS as u64)
+        .map(|no| {
+            write_check(
+                &p("payor"),
+                &GrantAuthority::Keypair(sk.clone()),
+                &p("bank"),
+                "acct",
+                p("shop"),
+                no,
+                usd(),
+                1,
+                window(),
+                &mut check_rng,
+            )
+            .proxy
+            .certs[0]
+                .body_bytes()
+        })
+        .collect();
+    let check_sigs: Vec<Signature> = check_bodies.iter().map(|m| sk.sign(m)).collect();
+    let check_items: Vec<(&[u8], &Signature)> = check_bodies
+        .iter()
+        .map(Vec::as_slice)
+        .zip(&check_sigs)
+        .collect();
+    let check_items = check_items.as_slice();
+    // SHA-512 of eight 152-byte streams, a challenge's `R ‖ A ‖ M` for an
+    // 88-byte body: two blocks each, in lanes and one after another.
+    let sha_inputs: [[u8; 152]; 8] =
+        std::array::from_fn(|l| std::array::from_fn(|i| (l * 152 + i) as u8));
 
     // The conventional half (DESIGN.md §8, "Conventional keys"): what a
     // key costs per message under its raw bytes, on its first use, and
@@ -1476,6 +1540,39 @@ fn ablate_crypto() {
     }));
     variants.push(kernel("batch-80-shared-head", move || {
         verify_batch(shared_head_items).expect("valid")
+    }));
+    variants.push(kernel("batch-80-cert-shaped", move || {
+        verify_batch(cert_items).expect("valid")
+    }));
+    {
+        let prepared = &prepared;
+        variants.push(kernel(
+            format!("one-key-check-shaped/{CHECKS}"),
+            move || {
+                assert!(prepared.holds_all(check_items));
+            },
+        ));
+        let under_one_key: Vec<(&[u8], &Signature, &PreparedKey)> = check_items
+            .iter()
+            .map(|(m, sg)| (*m, *sg, prepared))
+            .collect();
+        variants.push(kernel(
+            format!("prepared-lone-lanes-check-shaped/{CHECKS}"),
+            move || {
+                for run in under_one_key.chunks(8) {
+                    let verdicts = PreparedKey::verify_eight(run);
+                    assert!(verdicts[..run.len()].iter().all(|v| *v));
+                }
+            },
+        ));
+    }
+    variants.push(kernel_x1000("sha512-eight", move || {
+        sha512_eight(std::array::from_fn(|l| {
+            Some([&sha_inputs[l][..]].into_iter())
+        }))
+    }));
+    variants.push(kernel_x1000("sha512-eight-portable", move || {
+        black_box(&sha_inputs).map(|input| proxy_crypto::sha512::Sha512::digest(&input))
     }));
     for n in PLUS_PREPARED {
         variants.push(kernel(plus_prepared_name(n), move || {
@@ -1672,6 +1769,30 @@ fn ablate_crypto() {
         ratio("batch-80-shared-head", "batch-80"),
         "x",
     );
+    report_row(
+        "C3",
+        "cert-shaped-vs-shared-head",
+        80,
+        ratio("batch-80-cert-shaped", "batch-80-shared-head"),
+        "x",
+    );
+    report_row(
+        "C3",
+        "one-key-vs-lanes-check-shaped",
+        CHECKS,
+        ratio(
+            &format!("one-key-check-shaped/{CHECKS}"),
+            &format!("prepared-lone-lanes-check-shaped/{CHECKS}"),
+        ),
+        "x",
+    );
+    report_row(
+        "C",
+        "sha512-eight-vs-portable",
+        1,
+        ratio("sha512-eight-x1000", "sha512-eight-portable-x1000"),
+        "x",
+    );
     for n in GROUPS {
         let per_request = |name: String| format!("{:.1}", us(&name) / n as f64);
         report_row(
@@ -1723,17 +1844,23 @@ mod portable {
 
     static NONCE: AtomicU64 = AtomicU64::new(0);
 
+    /// The seed tree: one digest per lane of the items `i ≡ l (mod 8)`,
+    /// here one after another, then the digest of the eight.
     fn seed<'a>(
-        items: impl Iterator<Item = (&'a [u8], &'a Signature, &'a VerifyingKey)>,
+        items: impl Iterator<Item = (&'a [u8], &'a Signature, &'a VerifyingKey)> + Clone,
     ) -> [u8; 64] {
         let mut h = Sha512::new();
-        h.update(b"proxy-aa.ed25519.batch.v1");
+        h.update(b"proxy-aa.ed25519.batch.v2");
         h.update(&NONCE.fetch_add(1, Ordering::Relaxed).to_le_bytes());
-        for (message, signature, key) in items {
-            h.update(signature.as_bytes());
-            h.update(key.as_bytes());
-            h.update(&(message.len() as u64).to_le_bytes());
-            h.update(message);
+        for lane in 0..8 {
+            let mut part = Sha512::new();
+            for (message, signature, key) in items.clone().skip(lane).step_by(8) {
+                part.update(signature.as_bytes());
+                part.update(key.as_bytes());
+                part.update(&(message.len() as u64).to_le_bytes());
+                part.update(message);
+            }
+            h.update(&part.finalize());
         }
         h.finalize()
     }

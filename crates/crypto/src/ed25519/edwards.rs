@@ -67,6 +67,7 @@ use ifma as lanes;
 )))]
 mod lanes {
     use super::{DecompressError, NafLookupTable, Point, Scalar, StrausTerm, StrideChain};
+    use crate::sha512::{Sha512, DIGEST_LEN};
 
     /// Whether this build runs the eight-lane engine.
     pub(super) const ENABLED: bool = false;
@@ -100,16 +101,49 @@ mod lanes {
             })
         })
     }
+
+    /// Eight [`Sha512`]s, one after another.
+    pub(super) fn sha512<I>(inputs: [Option<I>; 8]) -> [[u8; DIGEST_LEN]; 8]
+    where
+        I: Iterator<Item: AsRef<[u8]>>,
+    {
+        inputs.map(|input| {
+            input.map_or([0; DIGEST_LEN], |pieces| {
+                let mut h = Sha512::new();
+                for piece in pieces {
+                    h.update(piece.as_ref());
+                }
+                h.finalize()
+            })
+        })
+    }
+}
+
+/// SHA-512 of eight streams at once: lane `l` is the digest of the
+/// concatenation of `inputs[l]`'s pieces, all zeros where there is none.
+/// A build with the eight-lane engine compresses the streams' blocks in
+/// the lanes of one vector, a lane standing still once its stream has
+/// ended; elsewhere it runs eight [`crate::sha512::Sha512`]s, which are
+/// the lanes' oracle. The batch equations hash their challenges, their
+/// seed's eight parts and their coefficients this way, eight at a time.
+#[must_use]
+pub fn sha512_eight<I>(inputs: [Option<I>; 8]) -> [[u8; crate::sha512::DIGEST_LEN]; 8]
+where
+    I: Iterator<Item: AsRef<[u8]>>,
+{
+    lanes::sha512(inputs)
 }
 
 /// Fewest Straus terms whose shared chain runs on the eight lane
 /// accumulators ([`Point::multiscalar_mul_basepoint_lanes`]). Below it
 /// the one scalar accumulator costs less: eight lanes pad a position's
 /// few digits with the identity, and every lane doubles at every
-/// position. The lane chain reads 1.09× the scalar one's time at ten
-/// terms, 0.97× at twelve and 0.90× at fourteen (EXPERIMENTS.md C3,
-/// `chain/n` against `chain-portable/n`). A build without the lanes
-/// always runs the scalar chain.
+/// position. With the digits dealt by reference the lane chain reads
+/// 1.02× / 0.97× the scalar one's time at ten terms, 0.94× / 0.92× at
+/// twelve and 0.85× / 0.84× at fourteen (medians of two sets of four
+/// runs, EXPERIMENTS.md C3, `chain/n` against `chain-portable/n`): ten
+/// terms, a lone `fig4_cold` request's equation, stay on the scalar
+/// chain. A build without the lanes always runs the scalar chain.
 const MIN_LANE_CHAIN_TERMS: usize = 12;
 
 /// The encoding of the identity, (0, 1): what pads a chunk of fewer than
@@ -433,10 +467,11 @@ impl Point {
 
     /// [`Point::multiscalar_mul_basepoint`] on eight accumulators: every
     /// position's nonzero digits are dealt round-robin to the eight lanes
-    /// of one vector point, eight to an addition, and the lanes are summed
-    /// at the end. Below about a dozen terms it costs more than the
-    /// one-accumulator chain, and the batch equations run that chain
-    /// instead; a build without the eight-lane engine runs it here.
+    /// of one vector point, eight to an addition, each table entry read
+    /// where it lies, and the lanes are summed at the end. Below about a
+    /// dozen terms it costs more than the one-accumulator chain, and the
+    /// batch equations run that chain instead; a build without the
+    /// eight-lane engine runs it here.
     #[must_use]
     pub fn multiscalar_mul_basepoint_lanes(b: &Scalar, terms: &[StrausTerm]) -> Point {
         lanes::straus(b, terms)
@@ -1413,5 +1448,61 @@ mod tests {
         let two_stride = Scalar::from_u64(1 << STRIDE);
         assert!(mul_2_stride(&q).eq_point(&q.mul_scalar(&two_stride)));
         assert!(mul_2_stride(&Point::identity()).is_identity());
+    }
+
+    /// `sha512_eight` equals one `Sha512::digest` per lane at every length
+    /// 0–400 in every lane — each padding edge (111/112, 127/128,
+    /// 239/240) beside lanes of other block counts — and all zeros in a
+    /// lane without a stream.
+    #[test]
+    fn lane_sha512_matches_sha512_at_every_length_in_every_lane() {
+        use crate::sha512::Sha512;
+        const MAX: usize = 400;
+        let data: Vec<u8> = (0..1024u32)
+            .map(|i| (i.wrapping_mul(0x9e37_79b9) >> 13) as u8)
+            .collect();
+        let input = |l: usize, len: usize| &data[71 * l..71 * l + len];
+        for offset in 0..=MAX {
+            let len = |l: usize| (offset + 53 * l) % (MAX + 1);
+            let missing = offset % 9;
+            let lanes = sha512_eight(std::array::from_fn(|l| {
+                (l != missing).then(|| [input(l, len(l))].into_iter())
+            }));
+            for (l, lane) in lanes.iter().enumerate() {
+                let expect = match l == missing {
+                    true => [0; 64],
+                    false => Sha512::digest(input(l, len(l))),
+                };
+                assert_eq!(lane, &expect, "length {} in lane {l}", len(l));
+            }
+        }
+    }
+
+    /// A lane's stream may come in pieces, empty ones among them, cut
+    /// anywhere, the lanes of one call several blocks apart.
+    #[test]
+    fn lane_sha512_reads_a_stream_in_pieces() {
+        use crate::sha512::Sha512;
+        let data: Vec<u8> = (0..2048u32).map(|i| (i * 7 + i / 255) as u8).collect();
+        for round in 0..40usize {
+            let lens: [usize; 8] = std::array::from_fn(|l| (round * 97 + l * 131) % 1200);
+            let cuts = |l: usize| {
+                let len = lens[l];
+                let (a, b) = ((round + l) * 13 % (len + 1), (round * 29 + l) % (len + 1));
+                (a.min(b), a.max(b))
+            };
+            let inputs: [Vec<&[u8]>; 8] = std::array::from_fn(|l| {
+                let (a, b) = cuts(l);
+                let stream = &data[l..l + lens[l]];
+                vec![&stream[..a], &[][..], &stream[a..b], &stream[b..], &[][..]]
+            });
+            let lanes = sha512_eight(inputs.clone().map(|pieces| Some(pieces.into_iter())));
+            for (l, lane) in lanes.iter().enumerate() {
+                let expect = Sha512::digest(&data[l..l + lens[l]]);
+                assert_eq!(lane, &expect, "round {round}, lane {l}, cuts {:?}", cuts(l));
+            }
+        }
+        let none: [Option<std::vec::IntoIter<&[u8]>>; 8] = std::array::from_fn(|_| None);
+        assert_eq!(sha512_eight(none), [[0; 64]; 8]);
     }
 }

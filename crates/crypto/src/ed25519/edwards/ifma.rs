@@ -4,14 +4,22 @@
 //! A batch equation of n signatures has 2n + 1 terms, so its work falls
 //! into independent pieces eight at a time: eight square roots, eight
 //! tables, and the digits of one chain position dealt to eight
-//! accumulators. Eight lone checks under prepared keys are eight stride
+//! accumulators, each table entry read where it lies
+//! ([`CachedX8::gather`]) from a schedule sorted by position before the
+//! chain. Eight lone checks under prepared keys are eight stride
 //! chains of the same 32 doublings ([`stride_lanes`]): one accumulator
-//! each, every lane adding its own digits from its own key's tables,
-//! which it reads where they lie ([`CachedX8::gather`]). Each piece runs
-//! in one lane of a vector of field
+//! each, every lane adding its own digits from its own key's tables.
+//! Each piece runs in one lane of a vector of field
 //! elements ([`FeX8`]): five `__m512i`, one per limb, each holding that
 //! limb of eight elements in the radix 2^51 of the scalar [`Fe`], so a
 //! lane takes a scalar element's limbs as they are.
+//!
+//! The equations' hashing — eight challenges, the eight parts of the
+//! batch seed, eight coefficient digests — is eight SHA-512 streams, one
+//! per lane of 64-bit words ([`sha512_lanes`]): each rotation one
+//! `vprorq`, each three-input function one `vpternlogq`, and a lane
+//! whose stream has ended standing still under a mask while the others
+//! go on.
 //!
 //! * [`FeX8::mul`] is 25 `vpmadd52luq` and 25 `vpmadd52huq`. IFMA
 //!   multiplies the low 52 bits of its inputs and adds either half of
@@ -39,20 +47,21 @@
 //! The scalar composition it replaces (`Point::decompress_pair`,
 //! `StrausTerm::new`, `Point::multiscalar_mul_basepoint`,
 //! `PreparedPoint::double_scalar_mul_basepoint`) is the oracle the tests
-//! below hold each kernel to.
+//! below hold each kernel to, and eight [`crate::sha512::Sha512`]s are
+//! the hash lanes' (`edwards::tests`).
 
 use std::arch::x86_64::{
     __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_extracti64x2_epi64, _mm512_madd52hi_epu64,
-    _mm512_madd52lo_epu64, _mm512_mask_blend_epi64, _mm512_set1_epi64, _mm512_set_epi64,
-    _mm512_setzero_si512, _mm512_slli_epi64, _mm512_srli_epi64, _mm512_sub_epi64,
-    _mm_extract_epi64,
+    _mm512_madd52lo_epu64, _mm512_mask_add_epi64, _mm512_mask_blend_epi64, _mm512_ror_epi64,
+    _mm512_set1_epi64, _mm512_set_epi64, _mm512_setzero_si512, _mm512_slli_epi64,
+    _mm512_srli_epi64, _mm512_sub_epi64, _mm512_ternarylogic_epi64, _mm_extract_epi64,
 };
 
 use super::super::field::{pow_p58_chain, Fe, D2, FOUR_P, MASK};
 use super::{
-    encoded_y, highest_nonzero, CachedPoint, DecompressError, Point, Scalar, StrausTerm,
-    StrideChain, PIECES, STRIDE,
+    encoded_y, CachedPoint, DecompressError, Point, Scalar, StrausTerm, StrideChain, PIECES, STRIDE,
 };
+use crate::sha512::{BLOCK_LEN, DIGEST_LEN, H0, K};
 
 /// Whether this build runs the eight-lane engine.
 pub(super) const ENABLED: bool = true;
@@ -134,6 +143,22 @@ pub(super) fn stride_chains(chains: [StrideChain<'_>; 8]) -> [Point; 8] {
         }
     }
     enter(Stride(chains))
+}
+
+/// [`super::sha512_eight`]: eight SHA-512 streams, one per lane.
+pub(super) fn sha512<I>(inputs: [Option<I>; 8]) -> [[u8; DIGEST_LEN]; 8]
+where
+    I: Iterator<Item: AsRef<[u8]>>,
+{
+    struct Sha<I>([Option<I>; 8]);
+    impl<I: Iterator<Item: AsRef<[u8]>>> Kernel for Sha<I> {
+        type Output = [[u8; DIGEST_LEN]; 8];
+        #[target_feature(enable = "avx512ifma,avx512f,avx512dq,sse4.1")]
+        unsafe fn run(self) -> Self::Output {
+            sha512_lanes(self.0)
+        }
+    }
+    enter(Sha(inputs))
 }
 
 /// Eight field elements, one per lane: limb `k` of lane `l` is lane `l`
@@ -450,16 +475,6 @@ impl CachedX8 {
         }
     }
 
-    #[target_feature(enable = "avx512ifma,avx512f,avx512dq,sse4.1")]
-    fn from_lanes(c: &[CachedPoint; 8]) -> CachedX8 {
-        CachedX8 {
-            y_plus_x: FeX8::from_lanes(c.map(|c| c.y_plus_x)),
-            y_minus_x: FeX8::from_lanes(c.map(|c| c.y_minus_x)),
-            t2d: FeX8::from_lanes(c.map(|c| c.t2d)),
-            z2: FeX8::from_lanes(c.map(|c| c.z2)),
-        }
-    }
-
     /// Lane `l` is `*entries[l]`, negated where bit `l` of `negative` is
     /// set, as `CachedPoint::neg` negates: the two sums trade places and
     /// `t2d` changes sign. Nothing is copied out of the tables first.
@@ -522,42 +537,70 @@ fn fill_tables(terms: &mut [StrausTerm], points: &[Point]) {
 /// position, so a digit may go to any lane: each position's nonzero
 /// digits are dealt round-robin, eight to one [`PointX8::add_cached`],
 /// the identity padding the last, and the lanes are summed at the end.
+///
+/// The digits are scheduled once, before the chain: a counting sort of
+/// every term's nonzero digits by position into one vector of table
+/// entries, each with its sign, so position `i`'s run is
+/// `dealt[starts[i]..starts[i + 1]]`. The chain then reads each entry
+/// where it lies ([`CachedX8::gather`]) and no term's digits again.
 #[target_feature(enable = "avx512ifma,avx512f,avx512dq,sse4.1")]
 fn straus_chain(b: &Scalar, terms: &[StrausTerm]) -> Point {
     let b_naf = b.non_adjacent_form(8);
     let b_table = &super::basepoint_stride_tables()[0];
-    let start = highest_nonzero(terms.iter().map(|term| &term.naf).chain([&b_naf]));
-    let digits = |i: usize| {
-        let b_digit = (b_naf[i] != 0).then(|| b_table.select(b_naf[i]));
-        let term_digits = terms
-            .iter()
-            .filter(move |term| term.naf[i] != 0)
-            .map(move |term| term.table.select(term.naf[i]));
-        b_digit.into_iter().chain(term_digits)
+    let mut starts = [0usize; 257];
+    for naf in terms.iter().map(|term| &term.naf).chain([&b_naf]) {
+        for (i, digit) in naf.iter().enumerate() {
+            starts[i + 1] += usize::from(*digit != 0);
+        }
+    }
+    for i in 0..256 {
+        starts[i + 1] += starts[i];
+    }
+    let mut dealt = vec![(&CachedPoint::IDENTITY, false); starts[256]];
+    let mut next = starts;
+    let mut deal = |i: usize, entry, digit: i8| {
+        dealt[next[i]] = (entry, digit < 0);
+        next[i] += 1;
     };
+    for term in terms {
+        for (i, &digit) in term.naf.iter().enumerate().filter(|(_, d)| **d != 0) {
+            deal(i, term.table.entry(digit), digit);
+        }
+    }
+    for (i, &digit) in b_naf.iter().enumerate().filter(|(_, d)| **d != 0) {
+        deal(i, b_table.entry(digit), digit);
+    }
+
     let sum_lanes = |p: PointX8| {
         p.to_lanes()
             .iter()
             .fold(Point::identity(), |sum, lane| sum.add(lane))
     };
     let mut acc = ProjectiveX8::identity();
-    let mut i = start;
+    let mut i = (0..256)
+        .rev()
+        .find(|&i| starts[i + 1] > starts[i])
+        .unwrap_or(0);
     loop {
         let doubled = acc.double();
-        let mut digits = digits(i).peekable();
-        if digits.peek().is_none() {
+        let run = &dealt[starts[i]..starts[i + 1]];
+        if run.is_empty() {
             if i == 0 {
                 return sum_lanes(doubled.to_extended());
             }
             acc = doubled.to_projective();
         } else {
             let mut ext = doubled.to_extended();
-            while digits.peek().is_some() {
-                let mut dealt = [CachedPoint::IDENTITY; 8];
-                for (lane, digit) in dealt.iter_mut().zip(&mut digits) {
-                    *lane = digit;
-                }
-                ext = ext.add_cached(&CachedX8::from_lanes(&dealt));
+            for eight in run.chunks(8) {
+                let mut negative = 0u8;
+                let entries = std::array::from_fn(|l| match eight.get(l) {
+                    Some(&(entry, minus)) => {
+                        negative |= u8::from(minus) << l;
+                        entry
+                    }
+                    None => &CachedPoint::IDENTITY,
+                });
+                ext = ext.add_cached(&CachedX8::gather(entries, negative));
             }
             if i == 0 {
                 return sum_lanes(ext);
@@ -630,6 +673,209 @@ fn stride_lanes(chains: [StrideChain<'_>; 8]) -> [Point; 8] {
             acc = ext.projective();
         }
         j -= 1;
+    }
+}
+
+/// SHA-512's compression of eight blocks, one per lane, from eight
+/// states: the scalar rounds of [`crate::sha512::Sha512`] with each
+/// rotation one `vprorq` and each three-input function (the two
+/// three-way sums of rotations, `Ch` and `Maj`) one `vpternlogq`. The
+/// schedule is kept as a ring of the last sixteen words.
+#[target_feature(enable = "avx512ifma,avx512f,avx512dq,sse4.1")]
+fn compress(state: [__m512i; 8], block: [__m512i; 16]) -> [__m512i; 8] {
+    let xor3 = |a, b, c| _mm512_ternarylogic_epi64::<0x96>(a, b, c);
+    let add = |a, b| _mm512_add_epi64(a, b);
+    let mut w = block;
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = state;
+    for (t, k) in K.iter().enumerate() {
+        if t >= 16 {
+            let (w15, w2) = (w[(t + 1) % 16], w[(t + 14) % 16]);
+            let s0 = xor3(
+                _mm512_ror_epi64::<1>(w15),
+                _mm512_ror_epi64::<8>(w15),
+                _mm512_srli_epi64::<7>(w15),
+            );
+            let s1 = xor3(
+                _mm512_ror_epi64::<19>(w2),
+                _mm512_ror_epi64::<61>(w2),
+                _mm512_srli_epi64::<6>(w2),
+            );
+            w[t % 16] = add(add(w[t % 16], s0), add(w[(t + 9) % 16], s1));
+        }
+        let s1 = xor3(
+            _mm512_ror_epi64::<14>(e),
+            _mm512_ror_epi64::<18>(e),
+            _mm512_ror_epi64::<41>(e),
+        );
+        // Ch: f where e is set, else g.
+        let ch = _mm512_ternarylogic_epi64::<0xca>(e, f, g);
+        let t1 = add(
+            add(h, s1),
+            add(ch, add(_mm512_set1_epi64(*k as i64), w[t % 16])),
+        );
+        let s0 = xor3(
+            _mm512_ror_epi64::<28>(a),
+            _mm512_ror_epi64::<34>(a),
+            _mm512_ror_epi64::<39>(a),
+        );
+        // Maj: the bit two of a, b and c share.
+        let maj = _mm512_ternarylogic_epi64::<0xe8>(a, b, c);
+        h = g;
+        g = f;
+        f = e;
+        e = add(d, t1);
+        d = c;
+        c = b;
+        b = a;
+        a = add(t1, add(s0, maj));
+    }
+    [a, b, c, d, e, f, g, h]
+}
+
+/// Eight SHA-512 streams in step: at each step every lane still hashing
+/// compresses its stream's next padded block ([`Blocks`]), each word
+/// dealt in through `_mm512_set_epi64`, and the state of a lane whose
+/// stream has ended (or never began) stands still under the add's mask.
+/// Lane `l`'s digest is its state's words, extracted; all zeros where
+/// `inputs[l]` is `None`.
+#[target_feature(enable = "avx512ifma,avx512f,avx512dq,sse4.1")]
+fn sha512_lanes<I>(inputs: [Option<I>; 8]) -> [[u8; DIGEST_LEN]; 8]
+where
+    I: Iterator<Item: AsRef<[u8]>>,
+{
+    let present = inputs.each_ref().map(Option::is_some);
+    let mut streams = inputs.map(|input| input.map(Blocks::new));
+    let mut state = H0.map(|h| _mm512_set1_epi64(h as i64));
+    loop {
+        let mut active = 0u8;
+        let blocks: [[u64; 16]; 8] =
+            std::array::from_fn(|l| match streams[l].as_mut().and_then(Iterator::next) {
+                Some(block) => {
+                    active |= 1 << l;
+                    block
+                }
+                None => [0; 16],
+            });
+        if active == 0 {
+            break;
+        }
+        let word = |t: usize| {
+            let lane = |l: usize| blocks[l][t] as i64;
+            _mm512_set_epi64(
+                lane(7),
+                lane(6),
+                lane(5),
+                lane(4),
+                lane(3),
+                lane(2),
+                lane(1),
+                lane(0),
+            )
+        };
+        let compressed = compress(state, std::array::from_fn(word));
+        state = std::array::from_fn(|k| {
+            _mm512_mask_add_epi64(state[k], active, state[k], compressed[k])
+        });
+    }
+    let words = state.map(|v| lanes_of(v));
+    std::array::from_fn(|l| {
+        let mut digest = [0u8; DIGEST_LEN];
+        if present[l] {
+            for (bytes, word) in digest.chunks_exact_mut(8).zip(&words) {
+                bytes.copy_from_slice(&word[l].to_be_bytes());
+            }
+        }
+        digest
+    })
+}
+
+/// The padded blocks of one SHA-512 stream, the concatenation of its
+/// pieces, each as the sixteen big-endian words a compression reads: the
+/// data, then `0x80`, zeros and the bit length, in one more block where
+/// the data's last leaves no room for the sixteen length bytes.
+struct Blocks<I: Iterator> {
+    pieces: I,
+    /// The piece being read and how far.
+    piece: Option<I::Item>,
+    offset: usize,
+    /// Bytes of data so far.
+    len: u128,
+    tail: Tail,
+}
+
+/// Where a [`Blocks`] stands.
+enum Tail {
+    /// Data is left, or its padding is.
+    Data,
+    /// Only the block holding the length is.
+    Length,
+    Done,
+}
+
+impl<I: Iterator<Item: AsRef<[u8]>>> Blocks<I> {
+    fn new(pieces: I) -> Self {
+        Blocks {
+            pieces,
+            piece: None,
+            offset: 0,
+            len: 0,
+            tail: Tail::Data,
+        }
+    }
+
+    /// Copies the stream's next bytes into `block` until it is full or the
+    /// pieces run out; how many.
+    fn fill(&mut self, block: &mut [u8; BLOCK_LEN]) -> usize {
+        let mut filled = 0;
+        while filled < BLOCK_LEN {
+            if self.piece.is_none() {
+                self.piece = self.pieces.next();
+                self.offset = 0;
+            }
+            let Some(piece) = &self.piece else { break };
+            let bytes = &piece.as_ref()[self.offset..];
+            let take = bytes.len().min(BLOCK_LEN - filled);
+            block[filled..filled + take].copy_from_slice(&bytes[..take]);
+            filled += take;
+            if take == bytes.len() {
+                self.piece = None;
+            } else {
+                self.offset += take;
+            }
+        }
+        filled
+    }
+}
+
+impl<I: Iterator<Item: AsRef<[u8]>>> Iterator for Blocks<I> {
+    type Item = [u64; 16];
+
+    fn next(&mut self) -> Option<[u64; 16]> {
+        let mut block = [0u8; BLOCK_LEN];
+        match self.tail {
+            Tail::Done => return None,
+            Tail::Length => self.tail = Tail::Done,
+            Tail::Data => {
+                let filled = self.fill(&mut block);
+                self.len += filled as u128;
+                if filled < BLOCK_LEN {
+                    block[filled] = 0x80;
+                    self.tail = if filled < BLOCK_LEN - 16 {
+                        Tail::Done
+                    } else {
+                        Tail::Length
+                    };
+                }
+            }
+        }
+        if let Tail::Done = self.tail {
+            block[BLOCK_LEN - 16..].copy_from_slice(&(self.len * 8).to_be_bytes());
+        }
+        let mut words = [0u64; 16];
+        for (word, bytes) in words.iter_mut().zip(block.chunks_exact(8)) {
+            *word = u64::from_be_bytes(bytes.try_into().expect("eight bytes"));
+        }
+        Some(words)
     }
 }
 

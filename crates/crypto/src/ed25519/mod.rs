@@ -325,17 +325,21 @@ impl PreparedKey {
     #[must_use]
     pub fn verify_eight(items: &[(&[u8], &Signature, &PreparedKey)]) -> [bool; 8] {
         assert!(items.len() <= 8, "at most eight items");
-        let challenges: [Option<(Challenge, &PreparedPoint)>; 8] = std::array::from_fn(|i| {
+        let ks = challenges_eight(std::array::from_fn(|i| {
             let (message, signature, key) = items.get(i)?;
-            let c = Challenge::new(&key.key, message, signature).ok()?;
-            Some((c, &key.neg_a))
+            Some((r_of(signature), key.key.as_bytes(), *message))
+        }));
+        let checks: [Option<(&[u8; 32], Scalar, &PreparedPoint)>; 8] = std::array::from_fn(|i| {
+            let (_, signature, key) = items.get(i)?;
+            let s = Scalar::from_canonical_bytes(s_of(signature))?;
+            Some((r_of(signature), s, &key.neg_a))
         });
         let chains = std::array::from_fn(|i| {
-            let (c, neg_a) = challenges[i].as_ref()?;
-            Some((&c.s, &c.k, *neg_a))
+            let (_, s, neg_a) = checks[i].as_ref()?;
+            Some((s, &ks[i], *neg_a))
         });
         let sums = PreparedPoint::double_scalar_mul_basepoint_eight(chains);
-        let nonces = std::array::from_fn(|i| challenges[i].as_ref().map(|(c, _)| &c.r));
+        let nonces = checks.map(|check| check.map(|(r, _, _)| r));
         Point::match_encodings_up_to_torsion(&sums, nonces)
     }
 
@@ -361,21 +365,25 @@ impl PreparedKey {
     /// [`Self::verify`] each (EXPERIMENTS.md C3).
     #[must_use]
     pub fn holds_all(&self, items: &[(&[u8], &Signature)]) -> bool {
-        let seed = batch_seed(
-            items
-                .iter()
-                .map(|(message, signature)| (*message, *signature, &self.key)),
-        );
+        let seed = batch_seed(next_batch_nonce(), items.len(), |i| {
+            (items[i].0, items[i].1, &self.key)
+        });
+        let mut zs = batch_coefficients(&seed, items.len());
         let (mut s_sum, mut k_sum) = (Scalar::ZERO, Scalar::ZERO);
         let mut terms = Vec::with_capacity(items.len());
-        for ((message, signature), z) in items.iter().zip(batch_coefficients(&seed)) {
-            let Some(s) = Scalar::from_canonical_bytes(s_of(signature)) else {
-                return false;
-            };
-            let k = challenge_scalar(r_of(signature), self.key.as_bytes(), message);
-            s_sum = s_sum.add(z.mul(s));
-            k_sum = k_sum.add(z.mul(k));
-            terms.push(StrausTerm::unfilled(&z));
+        for chunk in items.chunks(8) {
+            let ks = challenges_eight(std::array::from_fn(|i| {
+                let (message, signature) = chunk.get(i)?;
+                Some((r_of(signature), self.key.as_bytes(), *message))
+            }));
+            for (((_, signature), k), z) in chunk.iter().zip(ks).zip(zs.by_ref()) {
+                let Some(s) = Scalar::from_canonical_bytes(s_of(signature)) else {
+                    return false;
+                };
+                s_sum = s_sum.add(z.mul(s));
+                k_sum = k_sum.add(z.mul(k));
+                terms.push(StrausTerm::unfilled(&z));
+            }
         }
         let keyed = self.neg_a.double_scalar_mul_basepoint(&s_sum, &k_sum);
         let encodings = items.iter().map(|(_, signature)| r_of(signature));
@@ -534,11 +542,12 @@ static BATCH_NONCE: AtomicU64 = AtomicU64::new(0);
 ///
 /// The coefficients are derived by hashing the whole batch together with
 /// a process-local nonce (Fiat–Shamir style), so they are unpredictable
-/// before the batch is fixed (`batch_coefficients` expands that seed,
-/// four to a digest). The factor 8 takes every part of small order out
-/// of the sum — one `R` or `A` mangled by small torsion, or two whose
-/// torsion the coefficients would cancel — so the equation decides
-/// exactly what the lone checks decide. If the combined equation fails,
+/// before the batch is fixed (`batch_seed` hashes the items in eight
+/// interleaved parts, and `batch_coefficients` expands the seed, four to
+/// a digest, both eight digests at a time in lanes). The factor 8 takes
+/// every part of small order out of the sum — one `R` or `A` mangled by
+/// small torsion, or two whose torsion the coefficients would cancel —
+/// so the equation decides exactly what the lone checks decide. If the combined equation fails,
 /// the batch falls back to sequential verification, so the result is
 /// always exactly "every signature verifies individually" — a batch
 /// rejection costs time, never correctness. [`first_failure`] says which one does not; [`batch_holds`]
@@ -589,57 +598,47 @@ pub fn first_lone_failure(items: &[(&[u8], &Signature, &VerifyingKey)]) -> Optio
 /// does that.
 #[must_use]
 pub fn batch_holds(items: &[(&[u8], &Signature, &VerifyingKey)]) -> bool {
-    let seed = batch_seed(items.iter().copied());
+    let seed = batch_seed(next_batch_nonce(), items.len(), |i| items[i]);
+    let mut zs = batch_coefficients(&seed, items.len());
 
-    // One pass, one vector: each signature contributes [z]R, and each key
-    // one [Σ z·k]A over the signatures under it, at its first item — in a
-    // `fig4_cold` read, sixteen head seals under the one root key are one
-    // term, one decompression and one table. The equation decompresses
-    // the points from the encodings after. (A sum that differs from the
+    // One pass, one vector of terms: each signature contributes [z]R, and
+    // each key one [Σ z·k]A over the signatures under it. `keys` holds,
+    // per key in the order first seen, the index of its first item and
+    // that sum, so an item's key is compared only against the keys seen
+    // before it — in a `fig4_cold` read, sixteen head seals under the one
+    // root key are one term, one decompression and one table. The
+    // equation decompresses the points from the encodings after: every
+    // R, then every key at its first item. (A sum that differs from the
     // terms' by a multiple of ℓ moves the equation by a point of small
     // order, which the factor 8 removes.)
     let mut terms = Vec::with_capacity(2 * items.len());
+    let mut keys: Vec<(usize, Scalar)> = Vec::with_capacity(items.len());
     let mut b_coeff = Scalar::ZERO;
-    for (i, ((message, signature, key), z)) in
-        items.iter().zip(batch_coefficients(&seed)).enumerate()
-    {
-        let Some(s) = Scalar::from_canonical_bytes(s_of(signature)) else {
-            return false;
-        };
-        b_coeff = b_coeff.add(z.mul(s));
-        terms.push(StrausTerm::unfilled(&z));
-        if !first_under_key(items, i) {
-            continue;
+    for (c, chunk) in items.chunks(8).enumerate() {
+        let ks = challenges_eight(std::array::from_fn(|i| {
+            let (message, signature, key) = chunk.get(i)?;
+            Some((r_of(signature), key.as_bytes(), *message))
+        }));
+        for (j, (((_, signature, key), k), z)) in chunk.iter().zip(ks).zip(zs.by_ref()).enumerate()
+        {
+            let Some(s) = Scalar::from_canonical_bytes(s_of(signature)) else {
+                return false;
+            };
+            b_coeff = b_coeff.add(z.mul(s));
+            terms.push(StrausTerm::unfilled(&z));
+            match keys.iter_mut().find(|(first, _)| items[*first].2 == *key) {
+                Some((_, zk)) => *zk = zk.add(z.mul(k)),
+                None => keys.push((8 * c + j, z.mul(k))),
+            }
         }
-        let k = challenge_scalar(r_of(signature), key.as_bytes(), message);
-        let zk = items
-            .iter()
-            .enumerate()
-            .skip(i + 1)
-            .filter(|(_, (_, _, other))| other == key)
-            .fold(z.mul(k), |zk, (j, (message, signature, _))| {
-                let k = challenge_scalar(r_of(signature), key.as_bytes(), message);
-                zk.add(batch_coefficient(&seed, j).mul(k))
-            });
-        terms.push(StrausTerm::unfilled(&zk));
     }
+    terms.extend(keys.iter().map(|(_, zk)| StrausTerm::unfilled(zk)));
     let encodings = items
         .iter()
-        .enumerate()
-        .flat_map(|(i, (_, signature, key))| {
-            [
-                Some(r_of(signature)),
-                first_under_key(items, i).then(|| key.as_bytes()),
-            ]
-        });
-    Point::multiscalar_mul_encoded(&b_coeff.neg(), &mut terms, encodings.flatten())
+        .map(|(_, signature, _)| r_of(signature))
+        .chain(keys.iter().map(|(first, _)| items[*first].2.as_bytes()));
+    Point::multiscalar_mul_encoded(&b_coeff.neg(), &mut terms, encodings)
         .is_some_and(|sum| sum.is_small_order())
-}
-
-/// Whether no item before `items[i]` is under its key.
-fn first_under_key(items: &[(&[u8], &Signature, &VerifyingKey)], i: usize) -> bool {
-    let key = items[i].2;
-    items[..i].iter().all(|(_, _, other)| *other != key)
 }
 
 /// A signature's `R`, as sent.
@@ -652,44 +651,97 @@ fn s_of(signature: &Signature) -> &[u8; 32] {
     signature.0[32..].try_into().expect("split")
 }
 
-/// The seed a batch's coefficients expand from: `H(domain ‖ nonce ‖
-/// every signature, key, and message)`, the nonce a process-wide counter.
+/// A nonce no other batch in this process is given.
+fn next_batch_nonce() -> u64 {
+    BATCH_NONCE.fetch_add(1, Ordering::Relaxed)
+}
+
+/// The seed a batch's coefficients expand from:
+/// `H(domain ‖ nonce ‖ d₀ ‖ … ‖ d₇)`, with `d_l` the SHA-512 of the
+/// encodings of the items `i ≡ l (mod 8)`, in order — each item's
+/// signature, key, message length and message, from `item(i)` for `i` in
+/// `0..n`. The eight parts hash in the lanes of
+/// one [`edwards::sha512_eight`], so the seed still commits to every
+/// item's `R`, `s`, `A` and message at an eighth of the serial hash.
 fn batch_seed<'a>(
-    items: impl Iterator<Item = (&'a [u8], &'a Signature, &'a VerifyingKey)>,
+    nonce: u64,
+    n: usize,
+    item: impl Fn(usize) -> (&'a [u8], &'a Signature, &'a VerifyingKey),
 ) -> [u8; 64] {
+    let item = &item;
+    let parts = edwards::sha512_eight(std::array::from_fn(|lane| {
+        Some((lane..n).step_by(8).flat_map(move |i| {
+            let (message, signature, key) = item(i);
+            [
+                Piece::Bytes(signature.as_bytes()),
+                Piece::Bytes(key.as_bytes()),
+                Piece::Length((message.len() as u64).to_le_bytes()),
+                Piece::Bytes(message),
+            ]
+        }))
+    }));
     let mut h = Sha512::new();
-    h.update(b"proxy-aa.ed25519.batch.v1");
-    h.update(&BATCH_NONCE.fetch_add(1, Ordering::Relaxed).to_le_bytes());
-    for (message, signature, key) in items {
-        h.update(signature.as_bytes());
-        h.update(key.as_bytes());
-        h.update(&(message.len() as u64).to_le_bytes());
-        h.update(message);
+    h.update(b"proxy-aa.ed25519.batch.v2");
+    h.update(&nonce.to_le_bytes());
+    for part in &parts {
+        h.update(part);
     }
     h.finalize()
 }
 
-/// The coefficients `z_0, z_1, …` of a batch with this `seed`: `z_i` is
-/// lane `i % 4` of the four 128-bit lanes of `SHA-512(seed ‖ i / 4)`,
-/// forced odd.
-fn batch_coefficients(seed: &[u8; 64]) -> impl Iterator<Item = Scalar> + '_ {
-    (0u64..).flat_map(move |block| coefficient_block(seed, block))
+/// A piece of an item's encoding in [`batch_seed`]: bytes where they lie,
+/// or a message's length.
+enum Piece<'a> {
+    Bytes(&'a [u8]),
+    Length([u8; 8]),
 }
 
-/// `z_i` of [`batch_coefficients`] alone, at one hash.
-fn batch_coefficient(seed: &[u8; 64], i: usize) -> Scalar {
-    coefficient_block(seed, (i / 4) as u64)[i % 4]
+impl AsRef<[u8]> for Piece<'_> {
+    fn as_ref(&self) -> &[u8] {
+        match self {
+            Piece::Bytes(bytes) => bytes,
+            Piece::Length(bytes) => bytes,
+        }
+    }
 }
 
-/// `z_{4·block}` to `z_{4·block + 3}` of [`batch_coefficients`].
-fn coefficient_block(seed: &[u8; 64], block: u64) -> [Scalar; 4] {
-    let mut h = Sha512::new();
-    h.update(seed);
-    h.update(&block.to_le_bytes());
-    let digest = h.finalize();
-    std::array::from_fn(|lane| {
-        let z_bytes: [u8; 16] = digest[16 * lane..16 * lane + 16].try_into().expect("split");
-        Scalar::from_u128(u128::from_le_bytes(z_bytes) | 1)
+/// The coefficients `z_0 … z_{n−1}` of a batch with this `seed`: `z_i`
+/// is lane `i % 4` of the four 128-bit lanes of `SHA-512(seed ‖ i / 4)`,
+/// forced odd. The digests hash eight at a time
+/// ([`edwards::sha512_eight`]), as many as `n` needs.
+fn batch_coefficients(seed: &[u8; 64], n: usize) -> impl Iterator<Item = Scalar> + '_ {
+    let blocks = n.div_ceil(4) as u64;
+    (0..blocks)
+        .step_by(8)
+        .flat_map(move |first| {
+            let counters: [[u8; 8]; 8] = std::array::from_fn(|l| (first + l as u64).to_le_bytes());
+            let digests = edwards::sha512_eight(std::array::from_fn(|l| {
+                (first + (l as u64) < blocks).then(|| [&seed[..], &counters[l][..]].into_iter())
+            }));
+            digests.into_iter().flat_map(|digest| {
+                std::array::from_fn::<_, 4, _>(|lane| {
+                    let z_bytes: [u8; 16] =
+                        digest[16 * lane..16 * lane + 16].try_into().expect("split");
+                    Scalar::from_u128(u128::from_le_bytes(z_bytes) | 1)
+                })
+            })
+        })
+        .take(n)
+}
+
+/// What a challenge hashes: `R`, `A` and the message.
+type ChallengeInput<'a> = (&'a [u8; 32], &'a [u8; 32], &'a [u8]);
+
+/// The challenges `k = H(R ‖ A ‖ M) mod ℓ` of up to eight `(R, A, M)`,
+/// hashed in the lanes of one [`edwards::sha512_eight`]; zero where there
+/// is none.
+fn challenges_eight(items: [Option<ChallengeInput<'_>>; 8]) -> [Scalar; 8] {
+    let digests = edwards::sha512_eight(
+        items.map(|item| item.map(|(r, a, message)| [&r[..], &a[..], message].into_iter())),
+    );
+    std::array::from_fn(|i| match items[i] {
+        Some(_) => Scalar::from_bytes_mod_order_wide(&digests[i]),
+        None => Scalar::ZERO,
     })
 }
 
@@ -1284,20 +1336,89 @@ mod tests {
     #[test]
     fn batch_coefficients_are_odd_distinct_and_seeded() {
         let coefficients =
-            |seed: u8| -> Vec<Scalar> { batch_coefficients(&[seed; 64]).take(9).collect() };
-        // Nine: two whole digests and the first lane of a third.
-        let zs = coefficients(1);
+            |seed: u8, n: usize| -> Vec<Scalar> { batch_coefficients(&[seed; 64], n).collect() };
+        // Forty: one run of eight digests in lanes and part of a second.
+        let zs = coefficients(1, 40);
+        assert_eq!(zs.len(), 40);
         for (i, z) in zs.iter().enumerate() {
             assert_eq!(z.bit(0), 1, "z_{i} is odd");
             assert_eq!(z.to_bytes()[16..], [0u8; 16], "z_{i} is below 2^128");
             assert!(!zs[..i].contains(z), "z_{i} repeats an earlier one");
+            let mut h = Sha512::new();
+            h.update(&[1; 64]);
+            h.update(&((i / 4) as u64).to_le_bytes());
+            let lane = &h.finalize()[16 * (i % 4)..16 * (i % 4) + 16];
+            let expect = Scalar::from_u128(u128::from_le_bytes(lane.try_into().unwrap()) | 1);
+            assert_eq!(*z, expect, "z_{i} as defined");
         }
-        assert_eq!(zs, coefficients(1));
-        for (i, z) in zs.iter().enumerate() {
-            assert_eq!(&batch_coefficient(&[1; 64], i), z, "z_{i} alone");
+        for n in [0, 1, 4, 5, 31, 32, 33] {
+            assert_eq!(coefficients(1, n), zs[..n], "{n} coefficients");
         }
-        let other = coefficients(2);
+        let other = coefficients(2, 40);
         assert!(zs.iter().zip(&other).all(|(a, b)| a != b));
+    }
+
+    /// The batch seed is the tree its doc gives, and it binds every item:
+    /// a changed message, `R`, `s` or key at any of positions 0–17 (every
+    /// lane of the tree, and eight lanes again after) changes it, and so
+    /// does the nonce.
+    #[test]
+    fn the_batch_seed_binds_every_part_of_every_item() {
+        let signers: Vec<SigningKey> = (0..3u8)
+            .map(|i| SigningKey::from_seed(&[110 + i; 32]))
+            .collect();
+        let vks: Vec<VerifyingKey> = signers.iter().map(SigningKey::verifying_key).collect();
+        let messages: Vec<Vec<u8>> = (0..18u8).map(|i| vec![i; 80 + usize::from(i)]).collect();
+        let sigs: Vec<Signature> = messages
+            .iter()
+            .enumerate()
+            .map(|(i, m)| signers[i % 3].sign(m))
+            .collect();
+        let items: Vec<(&[u8], &Signature, &VerifyingKey)> = (0..18)
+            .map(|i| (messages[i].as_slice(), &sigs[i], &vks[i % 3]))
+            .collect();
+        let seed = |nonce: u64, items: &[(&[u8], &Signature, &VerifyingKey)]| {
+            batch_seed(nonce, items.len(), |i| items[i])
+        };
+        let parts: Vec<[u8; 64]> = (0..8)
+            .map(|lane| {
+                let mut h = Sha512::new();
+                for (message, signature, key) in items.iter().skip(lane).step_by(8) {
+                    h.update(signature.as_bytes());
+                    h.update(key.as_bytes());
+                    h.update(&(message.len() as u64).to_le_bytes());
+                    h.update(message);
+                }
+                h.finalize()
+            })
+            .collect();
+        let mut h = Sha512::new();
+        h.update(b"proxy-aa.ed25519.batch.v2");
+        h.update(&7u64.to_le_bytes());
+        for part in &parts {
+            h.update(part);
+        }
+        let base = seed(7, &items);
+        assert_eq!(base, h.finalize());
+        assert_ne!(seed(8, &items), base, "the nonce");
+        for at in 0..items.len() {
+            let mut message = messages[at].clone();
+            message[0] ^= 1;
+            let (mut r, mut s) = (sigs[at], sigs[at]);
+            r.0[0] ^= 1;
+            s.0[40] ^= 1;
+            let changes = [
+                ("message", (message.as_slice(), &sigs[at], items[at].2)),
+                ("R", (items[at].0, &r, items[at].2)),
+                ("s", (items[at].0, &s, items[at].2)),
+                ("key", (items[at].0, &sigs[at], &vks[(at + 1) % 3])),
+            ];
+            for (what, item) in changes {
+                let mut changed = items.clone();
+                changed[at] = item;
+                assert_ne!(seed(7, &changed), base, "{what} at {at}");
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@ pub const DIGEST_LEN: usize = 64;
 /// Internal block size in bytes (relevant to HMAC key preparation).
 pub const BLOCK_LEN: usize = 128;
 
-const K: [u64; 80] = [
+/// The round constants.
+pub(crate) const K: [u64; 80] = [
     0x428a2f98d728ae22,
     0x7137449123ef65cd,
     0xb5c0fbcfec4d3b2f,
@@ -91,7 +92,8 @@ const K: [u64; 80] = [
     0x6c44198c4a475817,
 ];
 
-const H0: [u64; 8] = [
+/// The initial state.
+pub(crate) const H0: [u64; 8] = [
     0x6a09e667f3bcc908,
     0xbb67ae8584caa73b,
     0x3c6ef372fe94f82b,

@@ -50,13 +50,14 @@ const MAX_EQUATION_CHECKS: usize = 80;
 /// prepared lone checks cost no more: on the scalar chain the equation
 /// read 1.08× their time at four and 0.99× at five (EXPERIMENTS.md C3,
 /// the one-key table's `parent` columns). Against runs of eight lanes
-/// ([`MIN_LANE_LONE_CHECKS`]) the stopwatch puts the break-even near
-/// twenty (`one-key/n` against `prepared-lone-lanes/n`: 1.25× at
-/// sixteen, 1.02× at twenty), but no workload has from five to fifteen
-/// lone checks under one key, and `fig5_mem`'s reads of sixteen under
-/// one payor were no faster in lanes end to end (54.4k ops/s against
-/// the equation's 55.5k), so the threshold stays where the scalar
-/// chain put it, on every build.
+/// ([`MIN_LANE_LONE_CHECKS`]) the stopwatch puts the break-even between
+/// sixteen and twenty (`one-key/n` against `prepared-lone-lanes/n`:
+/// 1.10× at sixteen, 0.86× at twenty; 1.06× at sixteen over `fig5_mem`'s
+/// own check bodies), but no workload has from five to fifteen lone
+/// checks under one key, and `fig5_mem`'s reads of sixteen under one
+/// payor run slower in lanes end to end (57.3k ops/s against the
+/// equation's 62.0k), so the threshold stays where the scalar chain put
+/// it, on every build.
 const MIN_ONE_KEY_CHECKS: usize = 5;
 
 /// Fewest lone checks under prepared keys that settle as one run of
