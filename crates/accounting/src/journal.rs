@@ -32,13 +32,14 @@
 //! log — no money moved and no success was acknowledged, so losing its
 //! in-memory replay mark on restart is safe.
 //!
-//! A snapshot is not a second format: it is the shortest log that
-//! rebuilds the state ([`encode_snapshot`]), which the journal
-//! periodically installs ([`Journal::compact`]) so recovery replays a
-//! bounded suffix. Compaction excludes concurrent operations with a
+//! A snapshot is not a second format: it is a log that rebuilds the
+//! state ([`encode_snapshot`]), which the journal periodically installs
+//! ([`Journal::compact`]) so recovery replays a bounded suffix. The
+//! ledger builds its bytes from what changed since the last one
+//! (DESIGN.md §15.3). Compaction excludes concurrent operations with a
 //! reader-writer gate: operations hold the gate in read mode for their
 //! whole critical path (`Journal::run`), compaction takes it in write
-//! mode while it enumerates and installs.
+//! mode while it builds and installs.
 //!
 //! The journal is **fail-stop**: the first storage failure (or injected
 //! crash point) poisons it, and every later operation returns
@@ -414,11 +415,79 @@ impl JournalRecord {
 /// what is written.
 #[must_use]
 pub fn encode_snapshot(records: &[JournalRecord]) -> Vec<u8> {
-    let mut bytes = vec![SNAPSHOT_VERSION];
+    let mut snapshot = SnapshotBuf::new();
     for rec in records {
-        bytes.extend(rec.encode());
+        snapshot.push(rec);
     }
-    bytes
+    snapshot.0
+}
+
+/// A snapshot being written in [`encode_snapshot`]'s format, a record
+/// at a time: what the ledger keeps its runs of marks in between
+/// compactions (DESIGN.md §15.3), so that it can drop a record and
+/// append others without decoding any.
+#[derive(Debug)]
+pub(crate) struct SnapshotBuf(Vec<u8>);
+
+impl SnapshotBuf {
+    /// A snapshot of no records.
+    pub(crate) fn new() -> Self {
+        Self(vec![SNAPSHOT_VERSION])
+    }
+
+    /// Appends `rec`; returns its encoded length.
+    pub(crate) fn push(&mut self, rec: &JournalRecord) -> usize {
+        let bytes = rec.encode();
+        self.0.extend_from_slice(&bytes);
+        bytes.len()
+    }
+
+    /// Appends the [`JournalRecord::Marks`] of `marks`, without building
+    /// the record; returns its encoded length.
+    pub(crate) fn push_marks(&mut self, marks: &[ReplayMark]) -> usize {
+        let mut e = Encoder::new();
+        e.u8(TAG_MARKS);
+        enc_marks(&mut e, marks);
+        let bytes = e.finish();
+        self.0.extend_from_slice(&bytes);
+        bytes.len()
+    }
+
+    /// The encoded length, version byte included: where the next record
+    /// starts.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Takes off every record from byte `len` on, which a record starts
+    /// at ([`Self::len`] read before pushing it).
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.0.truncate(len.max(1));
+    }
+
+    /// Keeps, of the records `records` walks from the first on (each
+    /// its encoded length, and whether it stays), those that stay,
+    /// moving the later ones down in place. Records past the last one
+    /// walked stay.
+    pub(crate) fn retain(&mut self, records: impl IntoIterator<Item = (usize, bool)>) {
+        let (mut from, mut to) = (1, 1);
+        for (len, keep) in records {
+            if keep {
+                if from != to {
+                    self.0.copy_within(from..from + len, to);
+                }
+                to += len;
+            }
+            from += len;
+        }
+        self.0.drain(to..from);
+    }
+}
+
+impl AsRef<[u8]> for SnapshotBuf {
+    fn as_ref(&self) -> &[u8] {
+        &self.0
+    }
 }
 
 /// Decodes a snapshot previously written by [`encode_snapshot`].
@@ -580,7 +649,7 @@ impl Journal {
     }
 
     /// The one scope of a state-changing operation. Installs a compacted
-    /// snapshot (the records `snapshot` builds) if
+    /// snapshot (the bytes `snapshot` builds) if
     /// [`Self::SNAPSHOT_EVERY`] records have accumulated, checks the
     /// poison latch, takes the compaction gate in read mode, runs `body`
     /// (validate, then `Ledger::post*`), waits until what it staged is
@@ -598,9 +667,9 @@ impl Journal {
     /// [`AcctError::Storage`] when the journal is poisoned or the
     /// snapshot install, a stage or the wait fails; otherwise what
     /// `body` refuses with.
-    pub(crate) fn run<T>(
+    pub(crate) fn run<T, S: AsRef<[u8]>>(
         &self,
-        snapshot: impl FnOnce() -> Vec<JournalRecord>,
+        snapshot: impl FnOnce() -> S,
         body: impl FnOnce(&mut OpGuard<'_>) -> Result<T, AcctError>,
     ) -> Result<T, AcctError> {
         if self.staged.load(Ordering::Relaxed) >= Self::SNAPSHOT_EVERY {
@@ -632,15 +701,15 @@ impl Journal {
 
     /// Installs a compacted snapshot: takes the gate in write mode
     /// (excluding every concurrent operation), calls `build` for the
-    /// records that rebuild the now-quiescent state, and replaces the
-    /// backend's snapshot + log with them ([`encode_snapshot`]).
-    /// A no-op on a detached journal.
+    /// encoded snapshot ([`encode_snapshot`]'s format) that rebuilds the
+    /// now-quiescent state, and replaces the backend's snapshot + log
+    /// with it. A no-op on a detached journal.
     ///
     /// # Errors
     ///
     /// [`AcctError::Storage`] on failure (the journal is poisoned —
     /// fail-stop — even though the backend kept its previous state).
-    pub fn compact(&self, build: impl FnOnce() -> Vec<JournalRecord>) -> Result<(), AcctError> {
+    pub fn compact<S: AsRef<[u8]>>(&self, build: impl FnOnce() -> S) -> Result<(), AcctError> {
         self.install(0, build)
     }
 
@@ -648,10 +717,10 @@ impl Journal {
     /// since the last install. The count is read again under the write
     /// gate: of the operations that saw a compaction due, the first to
     /// get the gate installs and the rest find the count reset.
-    fn install(
+    fn install<S: AsRef<[u8]>>(
         &self,
         due: u64,
-        build: impl FnOnce() -> Vec<JournalRecord>,
+        build: impl FnOnce() -> S,
     ) -> Result<(), AcctError> {
         let Some(store) = &self.store else {
             return Ok(());
@@ -662,7 +731,7 @@ impl Journal {
             return Ok(());
         }
         self.latch
-            .run(|| store.install_snapshot(&encode_snapshot(&build())))
+            .run(|| store.install_snapshot(build().as_ref()))
             .into_result()?;
         self.staged.store(0, Ordering::Relaxed);
         Ok(())
@@ -897,7 +966,7 @@ mod tests {
         assert_eq!(store.record_count(), 1);
 
         journal
-            .compact(|| vec![JournalRecord::Forward { serial: 1 }])
+            .compact(|| encode_snapshot(&[JournalRecord::Forward { serial: 1 }]))
             .unwrap();
         assert_eq!(store.record_count(), 0, "log truncated by snapshot");
         let recovered = store.load().unwrap();
@@ -920,14 +989,16 @@ mod tests {
     fn detached_journal_stages_nothing_and_never_fails() {
         let journal = Journal::detached();
         let reply = journal.run(
-            || unreachable!("no snapshot"),
+            || -> Vec<u8> { unreachable!("no snapshot") },
             |op| {
                 let rec = op.stage(JournalRecord::Forward { serial: 1 })?;
                 Ok(rec.clone())
             },
         );
         assert_eq!(reply.unwrap(), JournalRecord::Forward { serial: 1 });
-        journal.compact(|| unreachable!("no snapshot")).unwrap();
+        journal
+            .compact(|| -> Vec<u8> { unreachable!("no snapshot") })
+            .unwrap();
     }
 
     #[test]

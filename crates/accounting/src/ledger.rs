@@ -24,23 +24,26 @@
 //! module. A refusal after the stage fails the scope, which poisons the
 //! journal. Locks are taken strictly one at a time (DESIGN.md §9).
 //!
-//! [`Ledger::snapshot`] is the inverse: the shortest log that rebuilds
-//! the state, in canonical order.
+//! [`Ledger::snapshot`] is the inverse: a log that rebuilds the state,
+//! built from what changed since the last one.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use restricted_proxy::principal::PrincipalId;
 use restricted_proxy::replay::ReplayCache;
 use restricted_proxy::restriction::Currency;
 use restricted_proxy::shard::ShardMap;
+use restricted_proxy::time::Timestamp;
 
 use crate::account::Account;
 use crate::error::AcctError;
-use crate::journal::{JournalRecord, Logged, OpGuard, ReplayMark};
+use crate::journal::{JournalRecord, Logged, OpGuard, ReplayMark, SnapshotBuf};
 use crate::server::CASHIER_ACCOUNT;
 
 /// Marks per [`JournalRecord::Marks`] of a snapshot: far below what one
-/// record's decoder reads back (2^20), and ~100 KiB encoded.
+/// record's decoder reads back (2^20), and ~100 KiB encoded. A snapshot
+/// has no count of them, which would bound what it can hold.
 const MARKS_PER_RECORD: usize = 4096;
 
 /// A cross-server deposit credited but not yet collected.
@@ -61,6 +64,90 @@ pub(crate) struct Ledger {
     uncollected: ShardMap<(PrincipalId, u64), Uncollected>,
     replay: ReplayCache,
     next_serial: AtomicU64,
+    /// The marks the next snapshot carries, kept once a journal is
+    /// attached ([`Self::keep_runs`]): a detached server never compacts.
+    runs: Mutex<Runs>,
+}
+
+/// The accept-once marks of the snapshot a compaction installs, kept as
+/// it writes them (DESIGN.md §15.3): sealed runs, one per compaction
+/// period, and the marks applied since the last one.
+#[derive(Debug)]
+struct Runs {
+    /// Whether applied records' marks are kept ([`Ledger::keep_runs`]).
+    kept: bool,
+    /// The marks of the records applied since the last compaction, in
+    /// apply order.
+    open: Vec<ReplayMark>,
+    /// Every sealed run's `Marks` record: the snapshot a compaction
+    /// installs, but for the header's records.
+    bytes: SnapshotBuf,
+    /// The sealed runs, in `bytes`' order.
+    sealed: Vec<Run>,
+}
+
+/// One sealed run: the length of its `Marks` record in [`Runs::bytes`]
+/// and the latest expiry among its marks. Once the replay cache proves
+/// it holds nothing that expires that early
+/// ([`ReplayCache::expiry_floor`]), the run goes.
+#[derive(Debug)]
+struct Run {
+    len: usize,
+    latest: Timestamp,
+}
+
+impl Runs {
+    fn new() -> Self {
+        Self {
+            kept: false,
+            open: Vec::new(),
+            bytes: SnapshotBuf::new(),
+            sealed: Vec::new(),
+        }
+    }
+
+    /// Appends `marks` as runs of at most [`MARKS_PER_RECORD`], in the
+    /// order given.
+    fn seal(&mut self, marks: &[ReplayMark]) {
+        for chunk in marks.chunks(MARKS_PER_RECORD) {
+            let Some(latest) = chunk.iter().map(|m| m.expires).max() else {
+                continue;
+            };
+            let len = self.bytes.push_marks(chunk);
+            self.sealed.push(Run { len, latest });
+        }
+    }
+
+    /// Drops every run whose marks all expire before `floor`, moving the
+    /// runs after it down.
+    fn drop_before(&mut self, floor: Timestamp) {
+        let keep = |run: &Run| run.latest >= floor;
+        self.bytes
+            .retain(self.sealed.iter().map(|run| (run.len, keep(run))));
+        self.sealed.retain(keep);
+    }
+}
+
+/// A snapshot [`Ledger::snapshot`] built in place: the version byte, the
+/// runs, then the header's records. Dropping it takes the header off.
+#[derive(Debug)]
+pub(crate) struct Snapshot<'a> {
+    runs: MutexGuard<'a, Runs>,
+    /// Where the runs end and the header starts.
+    header: usize,
+}
+
+impl AsRef<[u8]> for Snapshot<'_> {
+    fn as_ref(&self) -> &[u8] {
+        self.runs.bytes.as_ref()
+    }
+}
+
+impl Drop for Snapshot<'_> {
+    fn drop(&mut self) {
+        let header = self.header;
+        self.runs.bytes.truncate(header);
+    }
 }
 
 /// The account whose shard lock the first step of `rec` runs under.
@@ -165,6 +252,33 @@ impl Ledger {
             uncollected: ShardMap::new(),
             replay: ReplayCache::new(),
             next_serial: AtomicU64::new(1),
+            runs: Mutex::new(Runs::new()),
+        }
+    }
+
+    /// From here on, keeps the marks of the records applied, for
+    /// [`Self::snapshot`]: what a journal attached to the ledger calls
+    /// before it recovers. Marks already remembered start the open
+    /// period, so the snapshot holds every mark the cache does.
+    pub(crate) fn keep_runs(&mut self) {
+        let mut open = Vec::new();
+        self.replay.for_each_entry(|grantor, id, expires| {
+            open.push(ReplayMark {
+                grantor: grantor.clone(),
+                id,
+                expires,
+            });
+        });
+        let runs = self.runs.get_mut().unwrap_or_else(PoisonError::into_inner);
+        runs.kept = true;
+        runs.open = open;
+    }
+
+    /// Runs `f` on the kept runs; nothing before [`Self::keep_runs`].
+    fn with_runs(&self, f: impl FnOnce(&mut Runs)) {
+        let mut runs = self.runs.lock().unwrap_or_else(PoisonError::into_inner);
+        if runs.kept {
+            f(&mut runs);
         }
     }
 
@@ -219,6 +333,7 @@ impl Ledger {
                 // Live, verification has already made these marks, and
                 // making one twice changes nothing.
                 self.rehydrate(replay);
+                self.with_runs(|runs| runs.open.extend_from_slice(replay));
             }
             JournalRecord::DepositPending {
                 payor,
@@ -253,7 +368,11 @@ impl Ledger {
                     |pool| pool.credit(currency.clone(), *amount),
                 );
             }
-            JournalRecord::Marks { replay } => self.rehydrate(replay),
+            // A snapshot's record, which is already a run.
+            JournalRecord::Marks { replay } => {
+                self.rehydrate(replay);
+                self.with_runs(|runs| runs.seal(replay));
+            }
             // Nothing besides the taking: see `apply_taken`.
             JournalRecord::PaymentApplied { .. } | JournalRecord::Bounced { .. } => {}
         }
@@ -371,12 +490,55 @@ impl Ledger {
         self.apply(&rec)
     }
 
-    /// The shortest log that rebuilds this state, in canonical order
-    /// (equal states give equal bytes, whatever the hash maps' order):
-    /// the serial floor, every account by name, every pending deposit
-    /// by key, every live mark by `(grantor, id)`. Callers must exclude
+    /// An encoded snapshot ([`crate::journal::encode_snapshot`]'s
+    /// format) that rebuilds this state: the runs of accept-once marks
+    /// (DESIGN.md §15.3), then the serial floor, every account by name
+    /// and every pending deposit by key. It costs what changed since the
+    /// last one: the marks applied since, and those a refused replay
+    /// extended since at their longer expiry
+    /// ([`ReplayCache::take_extended`]), are sorted by `(grantor, id)`
+    /// into one more run (one `Marks` record per 4 096), and every run
+    /// whose latest expiry lies below [`ReplayCache::expiry_floor`]
+    /// goes; the replay cache is not read back. So the runs hold every
+    /// mark the cache holds, at an expiry no earlier, and may hold marks
+    /// it has swept: a superset, the direction recovery's `rehydrate`
+    /// calls safe. Equal
+    /// states need not give equal bytes, but a snapshot reopened
+    /// re-encodes to the same ones. A ledger that does not keep runs
+    /// ([`Self::keep_runs`]) snapshots no marks. Callers must exclude
     /// concurrent mutation (the journal's compaction gate, or `&mut`).
-    pub(crate) fn snapshot(&self) -> Vec<JournalRecord> {
+    pub(crate) fn snapshot(&self) -> Snapshot<'_> {
+        let header = self.header();
+        let floor = self.replay.expiry_floor();
+        // Taken after the floor is read: an extension the floor counts
+        // on is in the new run before a run is dropped for it.
+        let mut extended = Vec::new();
+        self.replay.take_extended(|grantor, id, expires| {
+            extended.push(ReplayMark {
+                grantor: grantor.clone(),
+                id,
+                expires,
+            });
+        });
+        let mut runs = self.runs.lock().unwrap_or_else(PoisonError::into_inner);
+        if runs.kept {
+            runs.open.append(&mut extended);
+        }
+        let mut open = std::mem::take(&mut runs.open);
+        open.sort_by(|a, b| (&a.grantor, a.id).cmp(&(&b.grantor, b.id)));
+        runs.seal(&open);
+        open.clear();
+        runs.open = open;
+        runs.drop_before(floor);
+        let end = runs.bytes.len();
+        for rec in &header {
+            runs.bytes.push(rec);
+        }
+        Snapshot { runs, header: end }
+    }
+
+    /// The snapshot's records besides its marks, in canonical order.
+    fn header(&self) -> Vec<JournalRecord> {
         let last_issued = self.serial_floor().saturating_sub(1);
         let mut accounts = Vec::new();
         self.accounts.for_each(|_, a| accounts.push(a.clone()));
@@ -385,15 +547,6 @@ impl Ledger {
         self.uncollected
             .for_each(|key, u| pending.push((key.clone(), u.clone())));
         pending.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut marks = Vec::new();
-        self.replay.for_each_entry(|grantor, id, expires| {
-            marks.push(ReplayMark {
-                grantor: grantor.clone(),
-                id,
-                expires,
-            });
-        });
-        marks.sort_by(|a, b| (&a.grantor, a.id).cmp(&(&b.grantor, b.id)));
 
         let mut records = vec![JournalRecord::Forward {
             serial: last_issued,
@@ -410,13 +563,6 @@ impl Ledger {
                 amount: u.amount,
                 serial: last_issued,
             });
-        }
-        // One `Marks` of everything would outgrow what its decoder
-        // reads back; so would any count of them, hence no count.
-        let mut marks = marks.into_iter().peekable();
-        while marks.peek().is_some() {
-            let replay = marks.by_ref().take(MARKS_PER_RECORD).collect();
-            records.push(JournalRecord::Marks { replay });
         }
         records
     }
@@ -475,19 +621,23 @@ impl Ledger {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use std::sync::Arc;
 
     use proxy_crypto::ed25519::SigningKey;
     use proxy_storage::Storage;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use restricted_proxy::key::GrantAuthority;
     use restricted_proxy::time::Timestamp;
 
     use super::*;
     use crate::check::write_check;
-    use crate::journal::{encode_snapshot, Journal};
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use restricted_proxy::time::Validity;
+
+    use crate::journal::{decode_snapshot, encode_snapshot, Journal};
     use crate::server::tests::{boot, carol_check, fixture_with, p, usd, window, Fixture};
     use crate::server::{AccountingServer, DepositOutcome, Payment};
 
@@ -817,7 +967,8 @@ mod tests {
     fn fixture_ledger() -> Ledger {
         let mut carol = Account::new("carol-acct", vec![p("carol")]);
         carol.credit(usd(), 500);
-        let ledger = Ledger::new(p("bank"));
+        let mut ledger = Ledger::new(p("bank"));
+        ledger.keep_runs();
         for rec in [
             JournalRecord::AdminAccount { account: carol },
             JournalRecord::OpenAccount {
@@ -853,19 +1004,38 @@ mod tests {
     }
 
     /// The state `snapshot()` describes, recovered from a store that
-    /// holds it.
-    fn reopened(ledger: &Ledger) -> Ledger {
+    /// holds it, and the snapshot's bytes.
+    fn reopened(ledger: &Ledger) -> (Ledger, Vec<u8>) {
         let store = proxy_storage::MemStorage::new();
-        store
-            .install_snapshot(&encode_snapshot(&ledger.snapshot()))
-            .unwrap();
-        let rebuilt = Ledger::new(p("bank"));
+        let bytes = ledger.snapshot().as_ref().to_vec();
+        store.install_snapshot(&bytes).unwrap();
+        let mut rebuilt = Ledger::new(p("bank"));
+        rebuilt.keep_runs();
         Journal::recover(Arc::new(store), |rec| rebuilt.apply(rec)).unwrap();
-        rebuilt
+        (rebuilt, bytes)
+    }
+
+    /// The state a ledger holds, whatever its history: what a snapshot
+    /// held when it was built by reading the state back — the header's
+    /// records, then every mark the replay cache holds, by `(grantor,
+    /// id)`.
+    pub(crate) fn canonical(ledger: &Ledger) -> Vec<JournalRecord> {
+        let mut marks = Vec::new();
+        ledger.replay.for_each_entry(|grantor, id, expires| {
+            marks.push(ReplayMark {
+                grantor: grantor.clone(),
+                id,
+                expires,
+            });
+        });
+        marks.sort_by(|a, b| (&a.grantor, a.id).cmp(&(&b.grantor, b.id)));
+        let mut records = ledger.header();
+        records.push(JournalRecord::Marks { replay: marks });
+        records
     }
 
     #[test]
-    fn each_kind_applies_once_and_every_state_snapshots_canonically() {
+    fn each_kind_applies_once_and_every_snapshot_reopens_to_its_state_and_bytes() {
         let mut shop = Account::new("shop-acct", vec![p("shop")]);
         shop.credit(usd(), 7);
         let table = [
@@ -1014,12 +1184,17 @@ mod tests {
                 post(&all, rec.clone()).unwrap();
             }
             for ledger in [&ledger, &all] {
-                let rebuilt = reopened(ledger);
+                let (rebuilt, bytes) = reopened(ledger);
                 assert_eq!(see(&rebuilt), see(ledger), "reopened after {rec:?}");
                 assert_eq!(
-                    encode_snapshot(&rebuilt.snapshot()),
-                    encode_snapshot(&ledger.snapshot()),
-                    "canonical after {rec:?}"
+                    encode_snapshot(&canonical(&rebuilt)),
+                    encode_snapshot(&canonical(ledger)),
+                    "the same state after {rec:?}"
+                );
+                assert_eq!(
+                    rebuilt.snapshot().as_ref(),
+                    bytes,
+                    "re-encoded after {rec:?}"
                 );
             }
         }
@@ -1154,6 +1329,194 @@ mod tests {
         assert!(matches!(err, AcctError::Storage(_)), "fail-stop: {err:?}");
     }
 
+    /// Every `(grantor, id)` the bank's replay cache remembers, with the
+    /// time it remembers it until.
+    fn remembered(bank: &AccountingServer) -> BTreeMap<(PrincipalId, u64), Timestamp> {
+        let mut marks = BTreeMap::new();
+        bank.ledger
+            .replay_guard()
+            .for_each_entry(|grantor, id, expires| {
+                marks.insert((grantor.clone(), id), expires);
+            });
+        marks
+    }
+
+    /// How many numbers the snapshot in `store` holds marks of.
+    fn snapshot_marks(store: &Arc<dyn Storage>) -> usize {
+        let snapshot = store.load().unwrap().snapshot.unwrap();
+        let mut numbers = BTreeSet::new();
+        for rec in decode_snapshot(&snapshot).unwrap() {
+            if let JournalRecord::Marks { replay } = rec {
+                numbers.extend(replay.into_iter().map(|m| (m.grantor, m.id)));
+            }
+        }
+        numbers.len()
+    }
+
+    /// A seeded run of deposits whose checks live from one tick to
+    /// sixty, at request times that jump back as well as forward, with
+    /// certified holds, pending deposits, refused replays that extend a
+    /// mark's retention, forced compactions and restarts. A small replay
+    /// cache sweeps often, so compactions drop runs. After every restart
+    /// the recovered bank holds the live one's accounts, holds, pending
+    /// deposits and serial floor, and every mark the live cache holds,
+    /// until a time no earlier: a run goes only once the cache has
+    /// proven its marks gone, and an extension reaches the next
+    /// compaction's run. No record carries an extension, so one made
+    /// since the last compaction is lost on restart and only the mark is
+    /// required then; every other round compacts right before its
+    /// restart, and requires every expiry.
+    #[test]
+    fn a_restart_keeps_every_mark_the_live_cache_holds_whatever_the_clock_did() {
+        let store: Arc<dyn Storage> = Arc::new(proxy_storage::MemStorage::new());
+        let open = |store: &Arc<dyn Storage>| {
+            let store = Arc::clone(store);
+            move |bank: AccountingServer| bank.with_replay_capacity(32).with_storage(store).unwrap()
+        };
+        let mut f = fixture_with(open(&store));
+        let mut gen = StdRng::seed_from_u64(0x5EED);
+        let (mut now, mut no) = (100u64, 1u64);
+        let mut settled: Vec<(u64, u64)> = Vec::new();
+        // Marks made by settling, and the most a snapshot left out.
+        let (mut made, mut dropped, mut refused_replays) = (0, 0, 0);
+        // Numbers refused again since the last compaction, ever, and the
+        // marks of extended numbers whose expiry a restart kept.
+        let (mut unjournaled, mut replayed) = (BTreeSet::new(), BTreeSet::new());
+        let mut extensions_kept = 0;
+        for round in 0..6 {
+            for step in 0..100 {
+                now = match gen.gen_range(0..10) {
+                    0 => now - gen.gen_range(1..10),
+                    _ => now + gen.gen_range(0..4),
+                };
+                let (shop, at) = (p("shop"), Timestamp(now));
+                match gen.gen_range(0..12) {
+                    0 => {
+                        no += 1;
+                        let certified = f.bank.certify(
+                            &p("carol"),
+                            "carol-acct",
+                            no,
+                            usd(),
+                            1,
+                            shop,
+                            window(),
+                            &mut f.rng,
+                        );
+                        certified.unwrap();
+                    }
+                    1 => {
+                        no += 1;
+                        let key = SigningKey::generate(&mut gen);
+                        let foreign = write_check(
+                            &p("carol"),
+                            &GrantAuthority::Keypair(key),
+                            &p("other-bank"),
+                            "carol-acct",
+                            p("shop"),
+                            no,
+                            usd(),
+                            1,
+                            window(),
+                            &mut f.rng,
+                        );
+                        let hop = p("other-bank");
+                        let outcome =
+                            f.bank
+                                .deposit(&foreign, &shop, "shop-acct", hop, at, &mut f.rng);
+                        assert!(matches!(outcome, Ok(DepositOutcome::Forwarded { .. })));
+                    }
+                    2 if !settled.is_empty() => {
+                        // A recent number again, on a check that lives
+                        // longer: refused, and the mark's retention
+                        // extended.
+                        let recent = settled.len().saturating_sub(16);
+                        let (old, until) = settled[gen.gen_range(recent..settled.len())];
+                        let longer = Validity::new(Timestamp(0), Timestamp(until + 50));
+                        let again = write_check(
+                            &p("carol"),
+                            &f.carol_auth,
+                            &p("bank"),
+                            "carol-acct",
+                            p("shop"),
+                            old,
+                            usd(),
+                            1,
+                            longer,
+                            &mut f.rng,
+                        );
+                        let outcome =
+                            f.bank
+                                .deposit(&again, &shop, "shop-acct", p("bank"), at, &mut f.rng);
+                        // Settled when the first mark was swept first.
+                        made += usize::from(outcome.is_ok());
+                        if outcome.is_err() {
+                            refused_replays += 1;
+                            unjournaled.insert(old);
+                            replayed.insert(old);
+                        }
+                    }
+                    _ => {
+                        no += 1;
+                        let until = match gen.gen_range(0..8) {
+                            0 => now + gen.gen_range(10..60),
+                            _ => now + gen.gen_range(1..10),
+                        };
+                        let check = write_check(
+                            &p("carol"),
+                            &f.carol_auth,
+                            &p("bank"),
+                            "carol-acct",
+                            p("shop"),
+                            no,
+                            usd(),
+                            1,
+                            Validity::new(Timestamp(0), Timestamp(until)),
+                            &mut f.rng,
+                        );
+                        let outcome =
+                            f.bank
+                                .deposit(&check, &shop, "shop-acct", p("bank"), at, &mut f.rng);
+                        if matches!(outcome, Ok(DepositOutcome::Settled(_))) {
+                            settled.push((no, until));
+                            made += 1;
+                        }
+                    }
+                }
+                if gen.gen_range(0..8) == 0 || (round % 2 == 0 && step == 99) {
+                    f.bank.compact().unwrap();
+                    dropped = dropped.max(made.saturating_sub(snapshot_marks(&store)));
+                    unjournaled.clear();
+                }
+            }
+            let (live, live_marks) = (canonical(&f.bank.ledger), remembered(&f.bank));
+            let recovered = boot(open(&store)).bank;
+            let (header, recovered_marks) = (canonical(&recovered.ledger), remembered(&recovered));
+            let state = |records: &[JournalRecord]| encode_snapshot(&records[..records.len() - 1]);
+            assert_eq!(state(&header), state(&live), "round {round}: the state");
+            let mut lost = Vec::new();
+            for (key, expires) in &live_marks {
+                match recovered_marks.get(key) {
+                    None => lost.push((key, *expires, None)),
+                    Some(_) if unjournaled.contains(&key.1) => {}
+                    Some(kept) if kept < expires => lost.push((key, *expires, Some(*kept))),
+                    Some(_) => extensions_kept += usize::from(replayed.contains(&key.1)),
+                }
+            }
+            assert!(
+                lost.is_empty(),
+                "round {round}: marks lost or cut short {lost:?}"
+            );
+            unjournaled.clear();
+            f.bank = recovered;
+        }
+        assert!(
+            dropped > made / 4 && refused_replays > 0 && extensions_kept > 0,
+            "{dropped} of {made} marks dropped, {refused_replays} replays refused, \
+             {extensions_kept} extended marks kept"
+        );
+    }
+
     /// One more mark than a counted collection can be read back with:
     /// the parent wrote such a snapshot and could not boot from it.
     #[test]
@@ -1162,11 +1525,26 @@ mod tests {
         const MARKS: u64 = (1 << 20) + 1;
         let store: Arc<dyn Storage> = Arc::new(proxy_storage::MemStorage::new());
         let f = durable_fixture(Arc::clone(&store));
-        for id in 0..MARKS {
-            f.bank
-                .ledger
-                .replay_guard()
-                .rehydrate(&p("carol"), id, Timestamp(90));
+        // Applied as settlements would apply them, but in records of
+        // 1 000: the open period, not the runs, makes the chunks.
+        for first in (0..MARKS).step_by(1000) {
+            let replay = (first..MARKS.min(first + 1000))
+                .map(|id| ReplayMark {
+                    grantor: p("carol"),
+                    id,
+                    expires: Timestamp(90),
+                })
+                .collect();
+            let settle = JournalRecord::Settle {
+                payor_account: "carol-acct".into(),
+                check_no: first,
+                currency: usd(),
+                amount: 0,
+                from_hold: false,
+                credit_to: None,
+                replay,
+            };
+            post(&f.bank.ledger, settle).unwrap();
         }
         f.bank.compact().unwrap();
         drop(f.bank);

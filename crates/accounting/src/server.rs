@@ -195,6 +195,7 @@ impl AccountingServer {
     /// stored record does not decode or cannot be applied (a log
     /// inconsistent with itself).
     pub fn with_storage(mut self, store: Arc<dyn Storage>) -> Result<Self, AcctError> {
+        self.ledger.keep_runs();
         self.journal = Journal::recover(store, |rec| self.ledger.apply(rec))?;
         Ok(self)
     }
@@ -1380,8 +1381,8 @@ pub(crate) mod tests {
             assert_eq!(total(&f, &usd()), 500, "{what}: USD conserved");
             let recovered = boot(journaled);
             assert_eq!(
-                recovered.bank.ledger.snapshot(),
-                f.bank.ledger.snapshot(),
+                crate::ledger::tests::canonical(&recovered.bank.ledger),
+                crate::ledger::tests::canonical(&f.bank.ledger),
                 "{what}: the journal rebuilds accounts, holds and marks"
             );
         }

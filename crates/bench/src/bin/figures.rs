@@ -34,7 +34,7 @@ use proxy_baselines::dssa::{CertificationAuthority, DssaUser};
 use proxy_baselines::grapevine::{query_membership, RegistrationServer};
 use proxy_baselines::sollins::{verify_online, Passport, SollinsAuthServer};
 use proxy_bench::{
-    c10k, cascade, matching_ctx, public_key_world, report_row, restrictions, revocation,
+    c10k, cascade, journal, matching_ctx, public_key_world, report_row, restrictions, revocation,
     symmetric_world, wal, window, write_json, Row,
 };
 use proxy_crypto::ed25519::SigningKey;
@@ -1964,7 +1964,7 @@ fn persist(rows: &[Row], path: &str) {
 }
 
 const USAGE: &str = "usage: figures [--ablate-crypto | --c10k | --c10k-smoke | \
---revocation | --revocation-smoke | --wal]";
+--revocation | --revocation-smoke | --wal | --journal]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -1994,6 +1994,9 @@ fn main() {
         }
         ["--wal"] => {
             wal::run();
+        }
+        ["--journal"] => {
+            journal::run();
         }
         _ => {
             eprintln!("figures: unrecognized arguments {args:?}\n{USAGE}");

@@ -16,6 +16,7 @@
 #[cfg(feature = "alloc-count")]
 pub use proxy_runtime::alloc_count;
 pub mod c10k;
+pub mod journal;
 pub mod revocation;
 pub mod wal;
 

@@ -657,12 +657,13 @@ fn next_batch_nonce() -> u64 {
 }
 
 /// The seed a batch's coefficients expand from:
-/// `H(domain ‖ nonce ‖ d₀ ‖ … ‖ d₇)`, with `d_l` the SHA-512 of the
-/// encodings of the items `i ≡ l (mod 8)`, in order — each item's
-/// signature, key, message length and message, from `item(i)` for `i` in
-/// `0..n`. The eight parts hash in the lanes of
+/// `H(domain ‖ nonce ‖ d₀ ‖ … ‖ d₇)`, with `d_l` the first 32 bytes of
+/// the SHA-512 of the encodings of the items `i ≡ l (mod 8)`, in order —
+/// each item's signature, key, message length and message, from
+/// `item(i)` for `i` in `0..n`. The eight parts hash in the lanes of
 /// one [`edwards::sha512_eight`], so the seed still commits to every
-/// item's `R`, `s`, `A` and message at an eighth of the serial hash.
+/// item's `R`, `s`, `A` and message at an eighth of the serial hash;
+/// the top hash reads 289 bytes, three blocks, whatever `n` is.
 fn batch_seed<'a>(
     nonce: u64,
     n: usize,
@@ -681,10 +682,10 @@ fn batch_seed<'a>(
         }))
     }));
     let mut h = Sha512::new();
-    h.update(b"proxy-aa.ed25519.batch.v2");
+    h.update(b"proxy-aa.ed25519.batch.v3");
     h.update(&nonce.to_le_bytes());
     for part in &parts {
-        h.update(part);
+        h.update(&part[..32]);
     }
     h.finalize()
 }
@@ -1380,8 +1381,13 @@ mod tests {
         let seed = |nonce: u64, items: &[(&[u8], &Signature, &VerifyingKey)]| {
             batch_seed(nonce, items.len(), |i| items[i])
         };
-        let parts: Vec<[u8; 64]> = (0..8)
-            .map(|lane| {
+        // The top hash reads each lane digest's first 32 bytes: 25 + 8 +
+        // 8 × 32 = 289 bytes, three SHA-512 blocks, for a batch of two
+        // (six lanes empty) as for one of eighteen.
+        let expected = |nonce: u64, items: &[(&[u8], &Signature, &VerifyingKey)]| {
+            let mut top = b"proxy-aa.ed25519.batch.v3".to_vec();
+            top.extend_from_slice(&nonce.to_le_bytes());
+            for lane in 0..8 {
                 let mut h = Sha512::new();
                 for (message, signature, key) in items.iter().skip(lane).step_by(8) {
                     h.update(signature.as_bytes());
@@ -1389,17 +1395,16 @@ mod tests {
                     h.update(&(message.len() as u64).to_le_bytes());
                     h.update(message);
                 }
-                h.finalize()
-            })
-            .collect();
-        let mut h = Sha512::new();
-        h.update(b"proxy-aa.ed25519.batch.v2");
-        h.update(&7u64.to_le_bytes());
-        for part in &parts {
-            h.update(part);
+                top.extend_from_slice(&h.finalize()[..32]);
+            }
+            assert_eq!(top.len(), 289);
+            Sha512::digest(&top)
+        };
+        for n in [1, 2, 5, 8, 9] {
+            assert_eq!(seed(7, &items[..n]), expected(7, &items[..n]), "n = {n}");
         }
         let base = seed(7, &items);
-        assert_eq!(base, h.finalize());
+        assert_eq!(base, expected(7, &items));
         assert_ne!(seed(8, &items), base, "the nonce");
         for at in 0..items.len() {
             let mut message = messages[at].clone();

@@ -56,6 +56,48 @@ struct ReplayShard {
     seen: HashMap<(PrincipalId, u64), Timestamp>,
     /// Marks since the last amortized sweep of this shard.
     since_sweep: u32,
+    /// The `now` of this shard's last sweep, which kept only marks
+    /// expiring after it; `None` before the first (nothing was dropped).
+    swept_at: Option<Timestamp>,
+    /// The lowest expiry marked into this shard since that sweep.
+    lowest: Option<Timestamp>,
+    /// The marks a refused replay extended since the last
+    /// [`ReplayCache::take_extended`], at the expiry they were extended
+    /// to: no record carries an extension, so a journal takes them from
+    /// here. Each is in `seen` at that expiry, and goes with it.
+    extended: HashMap<(PrincipalId, u64), Timestamp>,
+}
+
+impl ReplayShard {
+    /// Drops the marks whose retention ends at or before `now`.
+    fn sweep(&mut self, now: Timestamp) {
+        self.seen.retain(|_, exp| *exp > now);
+        self.swept_at = Some(now);
+        self.lowest = None;
+        if !self.extended.is_empty() {
+            self.extended.retain(|_, exp| *exp > now);
+        }
+    }
+
+    /// Remembers `(grantor, id)` until `expires`, or until its prior
+    /// retention if that is longer.
+    fn insert(&mut self, key: (PrincipalId, u64), expires: Timestamp) {
+        self.lowest = Some(self.lowest.map_or(expires, |low| low.min(expires)));
+        self.seen
+            .entry(key)
+            .and_modify(|prior| *prior = expires.max(*prior))
+            .or_insert(expires);
+    }
+
+    /// No mark this shard holds expires before the returned time.
+    fn floor(&self) -> Timestamp {
+        if self.seen.is_empty() {
+            return Timestamp(u64::MAX);
+        }
+        let swept = self.swept_at.map_or(u64::MAX, |t| t.0.saturating_add(1));
+        let lowest = self.lowest.map_or(u64::MAX, |t| t.0);
+        Timestamp(swept.min(lowest))
+    }
 }
 
 /// Amortized sweep period per shard: every this many marks, a shard drops
@@ -73,6 +115,15 @@ const SWEEP_PERIOD: u32 = 1024;
 /// (fail-closed — see the module docs). Expired entries are additionally
 /// swept every `SWEEP_PERIOD` (1024) marks per shard, keeping a long-lived
 /// server's footprint proportional to its live proxies, not its history.
+///
+/// Each shard also keeps what its sweeps prove: the `now` of its last
+/// sweep and the lowest expiry marked since. Over all shards that gives
+/// [`Self::expiry_floor`], a time before which nothing remembered
+/// expires, so a journal that keeps the marks it recorded (a snapshot's
+/// runs, DESIGN.md §15.3) can drop those expiring before it without
+/// reading the cache back: what it keeps is a superset of the cache.
+/// The one change no record carries, a refused replay's longer
+/// retention, waits in its shard until [`Self::take_extended`].
 #[derive(Debug)]
 pub struct ReplayCache {
     shards: Box<[Mutex<ReplayShard>]>,
@@ -131,18 +182,21 @@ impl ReplayCache {
         shard.since_sweep += 1;
         if shard.since_sweep >= SWEEP_PERIOD {
             shard.since_sweep = 0;
-            shard.seen.retain(|_, exp| *exp > now);
+            shard.sweep(now);
         }
         let key = (grantor.clone(), id);
         if let Some(prior) = shard.seen.get_mut(&key) {
             // Remember the longer of the two retention windows.
-            *prior = expires.max(*prior);
+            if expires > *prior {
+                *prior = expires;
+                shard.extended.insert(key, expires);
+            }
             return false;
         }
         if shard.seen.len() >= self.per_shard_capacity {
             // Entries past their retention window can no longer gate
             // anything (the proxies carrying them are expired).
-            shard.seen.retain(|_, exp| *exp > now);
+            shard.sweep(now);
             if shard.seen.len() >= self.per_shard_capacity {
                 // Fail closed: full of live entries — refusing a fresh
                 // proxy is safe, silently forgetting a consumed
@@ -151,7 +205,7 @@ impl ReplayCache {
                 return false;
             }
         }
-        shard.seen.insert(key, expires);
+        shard.insert(key, expires);
         true
     }
 
@@ -166,12 +220,7 @@ impl ReplayCache {
     pub fn rehydrate(&self, grantor: &PrincipalId, id: u64, expires: Timestamp) {
         let _held = rank::hold(Rank::Replay);
         let mut shard = self.shard(grantor, id).lock().expect("replay shard");
-        let key = (grantor.clone(), id);
-        let keep = shard
-            .seen
-            .get(&key)
-            .map_or(expires, |prior| expires.max(*prior));
-        shard.seen.insert(key, keep);
+        shard.insert((grantor.clone(), id), expires);
     }
 
     /// Forgets `(grantor, id)`: what a caller does with a mark it took
@@ -182,7 +231,11 @@ impl ReplayCache {
     pub fn forget(&self, grantor: &PrincipalId, id: u64) {
         let _held = rank::hold(Rank::Replay);
         let mut shard = self.shard(grantor, id).lock().expect("replay shard");
-        shard.seen.remove(&(grantor.clone(), id));
+        let key = (grantor.clone(), id);
+        shard.seen.remove(&key);
+        if !shard.extended.is_empty() {
+            shard.extended.remove(&key);
+        }
     }
 
     /// Visits every remembered `(grantor, id, expires)` entry, one shard
@@ -205,7 +258,45 @@ impl ReplayCache {
             let _held = rank::hold(Rank::Replay);
             let mut shard = shard.lock().expect("replay shard");
             shard.since_sweep = 0;
-            shard.seen.retain(|_, exp| *exp > now);
+            shard.sweep(now);
+        }
+    }
+
+    /// A time no remembered identifier expires before, proven by the
+    /// cache's own sweeps: per shard, the lower of one past the `now` of
+    /// its last sweep and the lowest expiry marked since (a clock that
+    /// went backwards shows in the second), over every shard that holds
+    /// anything; `Timestamp(u64::MAX)` when none does. A request's `now`
+    /// the cache has not swept with never moves it. A journal that kept
+    /// what it recorded may drop whatever expires before it, once it
+    /// has also taken the extensions made up to the reading
+    /// ([`Self::take_extended`]): an extended identifier is remembered
+    /// past the expiry its record says.
+    #[must_use]
+    pub fn expiry_floor(&self) -> Timestamp {
+        self.shards
+            .iter()
+            .map(|shard| {
+                let _held = rank::hold(Rank::Replay);
+                shard.lock().expect("replay shard").floor()
+            })
+            .min()
+            .unwrap_or(Timestamp(u64::MAX))
+    }
+
+    /// Hands `f` every identifier whose retention a refused replay
+    /// extended ([`Self::check_and_mark`]) since the last call, with the
+    /// expiry it is remembered until, and forgets that it was extended.
+    /// Only extensions of identifiers still remembered are kept (a sweep
+    /// or [`Self::forget`] drops them with the identifier), so what waits
+    /// here is bounded by the cache.
+    pub fn take_extended(&self, mut f: impl FnMut(&PrincipalId, u64, Timestamp)) {
+        for shard in self.shards.iter() {
+            let _held = rank::hold(Rank::Replay);
+            let mut shard = shard.lock().expect("replay shard");
+            for ((grantor, id), expires) in shard.extended.drain() {
+                f(&grantor, id, expires);
+            }
         }
     }
 
@@ -440,6 +531,68 @@ mod tests {
             }
         });
         assert_eq!(kept, Some(Timestamp(1000)));
+    }
+
+    #[test]
+    fn the_expiry_floor_moves_only_with_sweeps_and_never_passes_a_mark() {
+        let cache = ReplayCache::with_capacity(1024, 1);
+        assert_eq!(cache.expiry_floor(), Timestamp(u64::MAX), "empty");
+        cache.check_and_mark(&p("c"), 1, Timestamp(0), Timestamp(10));
+        cache.rehydrate(&p("c"), 2, Timestamp(20));
+        assert_eq!(cache.expiry_floor(), Timestamp(10), "never swept");
+        // A request's `now` the cache did not sweep with moves nothing.
+        cache.check_and_mark(&p("c"), 3, Timestamp(90), Timestamp(99));
+        assert_eq!(cache.expiry_floor(), Timestamp(10));
+        cache.sweep(Timestamp(5));
+        assert_eq!(cache.expiry_floor(), Timestamp(6), "one past the sweep");
+        // A clock that went backwards marks below the last sweep.
+        cache.check_and_mark(&p("c"), 4, Timestamp(1), Timestamp(3));
+        assert_eq!(cache.expiry_floor(), Timestamp(3));
+        cache.sweep(Timestamp(12));
+        assert_eq!(cache.expiry_floor(), Timestamp(13));
+        // A refused replay extends #2 from 20 to 50: the floor does not
+        // wait for it, the extension is handed over instead.
+        assert!(!cache.check_and_mark(&p("c"), 2, Timestamp(12), Timestamp(50)));
+        cache.sweep(Timestamp(30));
+        assert_eq!(cache.expiry_floor(), Timestamp(31));
+        assert!(!cache.check_and_mark(&p("c"), 2, Timestamp(30), Timestamp(10)));
+        cache.sweep(Timestamp(50));
+        assert_eq!(cache.expiry_floor(), Timestamp(51), "#3 is left");
+        cache.sweep(Timestamp(99));
+        assert_eq!(cache.expiry_floor(), Timestamp(u64::MAX), "empty again");
+        cache.rehydrate(&p("c"), 5, Timestamp(u64::MAX));
+        assert_eq!(cache.expiry_floor(), Timestamp(100), "swept at 99");
+    }
+
+    fn extended(cache: &ReplayCache) -> Vec<(u64, Timestamp)> {
+        let mut taken = Vec::new();
+        cache.take_extended(|_, id, expires| taken.push((id, expires)));
+        taken.sort();
+        taken
+    }
+
+    #[test]
+    fn a_refused_replay_hands_over_its_extension_once() {
+        let cache = ReplayCache::with_capacity(1024, 4);
+        for id in 1..=4 {
+            assert!(cache.check_and_mark(&p("c"), id, Timestamp(0), Timestamp(10)));
+        }
+        assert!(!cache.check_and_mark(&p("c"), 1, Timestamp(0), Timestamp(5)));
+        assert!(
+            extended(&cache).is_empty(),
+            "a shorter replay extends nothing"
+        );
+        cache.check_and_mark(&p("c"), 1, Timestamp(0), Timestamp(20));
+        cache.check_and_mark(&p("c"), 1, Timestamp(0), Timestamp(30));
+        cache.check_and_mark(&p("c"), 2, Timestamp(0), Timestamp(40));
+        cache.check_and_mark(&p("c"), 3, Timestamp(0), Timestamp(50));
+        cache.rehydrate(&p("c"), 4, Timestamp(60));
+        cache.forget(&p("c"), 3);
+        cache.sweep(Timestamp(35));
+        // #1 expired at 30 and #3 was forgotten; a rehydrated expiry is
+        // a record's, not an extension.
+        assert_eq!(extended(&cache), [(2, Timestamp(40))]);
+        assert!(extended(&cache).is_empty(), "handed over once");
     }
 
     #[test]

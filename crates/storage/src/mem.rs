@@ -89,7 +89,11 @@ impl crate::Backend for MemStorage {
     fn install_snapshot(&self, state: &[u8]) -> Latched<()> {
         let mut inner = self.lock();
         self.latch.run(|| {
-            inner.snapshot = Some(state.to_vec());
+            // The buffer is reused: a fresh one of a snapshot's size
+            // page-faults in on every install.
+            let snapshot = inner.snapshot.get_or_insert_with(Vec::new);
+            snapshot.clear();
+            snapshot.extend_from_slice(state);
             inner.records.clear();
             Ok(())
         })

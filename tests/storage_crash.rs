@@ -1,8 +1,10 @@
 //! Crash-injection and corruption tests for the durable accounting
 //! path (DESIGN.md §15): kills in the window between the WAL append and
-//! the client reply, torn log tails, flipped bits, and multi-restart
-//! money conservation — plus revocation/membership mirrors resuming
-//! their epochs from the artifact store with zero issuer round trips.
+//! the client reply and right after a snapshot install, a restart from
+//! a snapshot of many runs of accept-once marks, torn log tails, flipped
+//! bits, and multi-restart money conservation — plus
+//! revocation/membership mirrors resuming their epochs from the artifact
+//! store with zero issuer round trips.
 
 use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -13,9 +15,12 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use proxy_aa::accounting::{write_check, AccountingServer, AcctError, Check, DepositOutcome};
+use proxy_aa::accounting::{
+    decode_snapshot, write_check, AccountingServer, AcctError, Check, DepositOutcome, JournalRecord,
+};
 use proxy_aa::crypto::ed25519::SigningKey;
 use proxy_aa::proxy::prelude::*;
+use proxy_aa::proxy::replay::ReplayCache;
 use proxy_aa::storage::{CorruptKind, FsyncMode, Storage, StorageError, WalOptions, WalStorage};
 
 fn p(name: &str) -> PrincipalId {
@@ -68,10 +73,19 @@ fn boot(dir: &PathBuf) -> (AccountingServer, GrantAuthority, StdRng) {
 }
 
 fn boot_on(store: Arc<WalStorage>) -> (AccountingServer, GrantAuthority, StdRng) {
+    boot_sized(store, ReplayCache::DEFAULT_CAPACITY)
+}
+
+/// [`boot_on`], with a replay cache of `capacity` marks.
+fn boot_sized(
+    store: Arc<WalStorage>,
+    capacity: usize,
+) -> (AccountingServer, GrantAuthority, StdRng) {
     let mut rng = StdRng::seed_from_u64(1);
     let bank_key = SigningKey::generate(&mut rng);
     let carol_key = SigningKey::generate(&mut rng);
     let mut bank = AccountingServer::new(p("bank"), GrantAuthority::Keypair(bank_key))
+        .with_replay_capacity(capacity)
         .with_storage(store as Arc<dyn Storage>)
         .expect("recovery");
     bank.register_grantor(
@@ -108,6 +122,118 @@ fn total_usd(bank: &AccountingServer) -> u64 {
         .map(|a| a.balance(&usd()) + a.held(&usd()))
         .sum::<u64>()
         + bank.uncollected_total("shop-acct", &usd())
+}
+
+/// Deposits `check` at `now` into the shop's account.
+fn deposit_at(
+    bank: &AccountingServer,
+    check: &Check,
+    now: u64,
+    rng: &mut StdRng,
+) -> Result<DepositOutcome, AcctError> {
+    let shop = p("shop");
+    bank.deposit(check, &shop, "shop-acct", p("bank"), Timestamp(now), rng)
+}
+
+#[test]
+fn a_kill_right_after_a_snapshot_install_recovers_exactly_once() {
+    let dir = Scratch::new("after-install");
+    let store = Arc::new(WalStorage::open(&dir.0, fast()).expect("open wal"));
+    let (bank, auth, mut rng) = boot_on(Arc::clone(&store));
+    let checks: Vec<Check> = (1..=6)
+        .map(|no| carol_check(&auth, &mut rng, no, 10))
+        .collect();
+    for check in &checks[..5] {
+        assert!(deposit_at(&bank, check, 1, &mut rng).is_ok());
+    }
+    bank.compact().expect("install");
+    // The process dies right after the install: the next record is
+    // never written.
+    store.crash_before_appends(1);
+    let err = deposit_at(&bank, &checks[5], 1, &mut rng).unwrap_err();
+    assert!(matches!(err, AcctError::Storage(_)), "got {err:?}");
+    drop(bank);
+    drop(store);
+
+    let (bank, _auth, mut rng) = boot(&dir.0);
+    assert_eq!(bank.account("carol-acct").unwrap().balance(&usd()), 450);
+    assert_eq!(bank.account("shop-acct").unwrap().balance(&usd()), 50);
+    // The five in the snapshot are spent; the sixth never happened.
+    for check in &checks[..5] {
+        let err = deposit_at(&bank, check, 2, &mut rng).unwrap_err();
+        assert!(matches!(err, AcctError::Verify(_)), "got {err:?}");
+    }
+    assert!(deposit_at(&bank, &checks[5], 2, &mut rng).is_ok());
+    assert_eq!(bank.account("shop-acct").unwrap().balance(&usd()), 60);
+    assert_eq!(total_usd(&bank), 500, "conservation");
+}
+
+#[test]
+fn a_restart_from_many_runs_some_past_the_horizon_is_exactly_once() {
+    let dir = Scratch::new("many-runs");
+    let store = Arc::new(WalStorage::open(&dir.0, fast()).expect("open wal"));
+    // Two marks to a replay shard: shards sweep as the clock moves, so
+    // compactions drop the runs the cache has proven gone.
+    let (bank, auth, mut rng) = boot_sized(Arc::clone(&store), 32);
+    let mut settled = Vec::new();
+    for now in 1..=120u64 {
+        // Every tenth check lives long; the rest expire three ticks on.
+        let until = if now % 10 == 0 { 10_000 } else { now + 3 };
+        let validity = Validity::new(Timestamp(0), Timestamp(until));
+        let check = write_check(
+            &p("carol"),
+            &auth,
+            &p("bank"),
+            "carol-acct",
+            p("shop"),
+            now,
+            usd(),
+            1,
+            validity,
+            &mut rng,
+        );
+        if deposit_at(&bank, &check, now, &mut rng).is_ok() {
+            settled.push((check, until));
+        }
+        if now % 4 == 0 {
+            bank.compact().expect("install");
+        }
+    }
+    let shop = bank.account("shop-acct").unwrap().balance(&usd());
+    assert_eq!(shop, settled.len() as u64);
+    assert!(settled.iter().filter(|(_, until)| *until == 10_000).count() >= 10);
+    drop(bank);
+
+    let snapshot = store.load().expect("load").snapshot.expect("installed");
+    let runs: Vec<usize> = decode_snapshot(&snapshot)
+        .expect("decodes")
+        .into_iter()
+        .filter_map(|rec| match rec {
+            JournalRecord::Marks { replay } => Some(replay.len()),
+            _ => None,
+        })
+        .collect();
+    let kept: usize = runs.iter().sum();
+    assert!(runs.len() >= 10, "a snapshot of many runs: {runs:?}");
+    assert!(kept < settled.len(), "runs were dropped: {kept} marks kept");
+    drop(store);
+
+    // Reopened with room to spare, so no refusal below is the cache
+    // failing closed.
+    let (bank, _auth, mut rng) = boot(&dir.0);
+    assert_eq!(bank.account("shop-acct").unwrap().balance(&usd()), shop);
+    // Every settled check is refused again: a live one as spent, an
+    // expired one as expired. Not one pays twice.
+    for (check, until) in &settled {
+        let err = deposit_at(&bank, check, 121, &mut rng).unwrap_err();
+        let spent = matches!(
+            err,
+            AcctError::Verify(VerifyError::Denied(Denial::AlreadyAccepted { .. }))
+        );
+        assert_eq!(spent, *until > 121, "got {err:?}");
+    }
+    assert_eq!(bank.account("shop-acct").unwrap().balance(&usd()), shop);
+    assert_eq!(total_usd(&bank), 500, "conservation");
 }
 
 #[test]
